@@ -61,7 +61,7 @@ fn bench_matmul_threads(c: &mut Criterion) {
     let n = 256usize;
     let a = Tensor::randn(&[n, n], &mut rng);
     let b = Tensor::randn(&[n, n], &mut rng);
-    let many = peb_par::max_threads().max(2);
+    let many = peb_par::ctx::process_default().threads.max(2);
     for threads in [1usize, many] {
         group.bench_with_input(
             BenchmarkId::new("threads", threads),

@@ -6,10 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use peb_mamba::{
-    selective_scan, selective_scan_chunked, LtiSsmBlock, ScanDirection, SdmUnit, SdmUnitConfig,
-    SsmBlock,
-};
+use peb_mamba::{selective_scan, LtiSsmBlock, ScanDirection, SdmUnit, SdmUnitConfig, SsmBlock};
 use peb_nn::EfficientSelfAttention;
 use peb_tensor::{Tensor, Var};
 
@@ -27,11 +24,6 @@ fn bench_selective_scan(c: &mut Criterion) {
         let d = Var::constant(Tensor::randn(&[ch], &mut rng));
         group.bench_with_input(BenchmarkId::from_parameter(l), &l, |bench, _| {
             bench.iter(|| std::hint::black_box(selective_scan(&u, &delta, &a, &b, &cc, &d)))
-        });
-        group.bench_with_input(BenchmarkId::new("chunked_64", l), &l, |bench, _| {
-            bench.iter(|| {
-                std::hint::black_box(selective_scan_chunked(&u, &delta, &a, &b, &cc, &d, 64))
-            })
         });
     }
     group.finish();

@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use peb_litho::{Grid, LithoFlow, MaskConfig, PebSolver};
 use peb_nn::{Adam, Optimizer, Parameterized};
+use peb_par::ctx::{self, ExecCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sdm_peb::{LabelTransform, PebLoss, PebPredictor, SdmPeb, SdmPebConfig};
@@ -32,7 +33,7 @@ struct Cfg {
     level: peb_simd::Level,
     threads: usize,
     fuse: bool,
-    /// Depth-slab tiling (the session's `PEB_TILE` target) — disabled on
+    /// Depth-slab tiling (the detected-L2 target) — disabled on
     /// the baseline config so the speedup measures the full optimised
     /// path (SIMD + fusion + tiling) against the pre-optimisation
     /// execution. Tiling is bitwise invariant, so digests still agree.
@@ -76,11 +77,15 @@ struct Tier {
 
 /// One full solver + train + infer pass under the given knobs.
 fn run_cfg(tier: &Tier, cfg: Cfg, tile_target: Option<usize>) -> Timing {
-    peb_simd::set_level(cfg.level);
-    peb_tensor::set_fusion_enabled(cfg.fuse);
-    peb_pool::tile::set_tile_bytes(if cfg.tile { tile_target } else { None });
+    let scoped = ExecCtx {
+        level: cfg.level,
+        threads: cfg.threads,
+        fuse: cfg.fuse,
+        tile_bytes: if cfg.tile { tile_target } else { None },
+        ..ctx::current()
+    };
     let grid = tier.grid;
-    peb_par::with_thread_count(cfg.threads, || {
+    ctx::with(scoped, || {
         let clip = MaskConfig::demo(grid.nx).generate(CLIP_SEED).expect("clip");
         let mut flow = LithoFlow::new(grid);
         flow.peb.duration = tier.bake_s;
@@ -134,15 +139,14 @@ fn run_cfg(tier: &Tier, cfg: Cfg, tile_target: Option<usize>) -> Timing {
 }
 
 fn main() {
-    peb_pool::set_enabled(true);
+    let exec = ctx::init_or_exit();
     // Counters (slab_passes, fused_ops) must tick for the A/B report.
     peb_obs::set_mode(peb_obs::TraceMode::Summary);
-    let detected = peb_simd::detected();
     let best = peb_simd::best_level();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let strict = std::env::var("PEB_BENCH_STRICT").as_deref() == Ok("1");
     let max_tier = std::env::var("PEB_E2E_MAX_TIER").unwrap_or_default();
-    let tile_bytes = peb_pool::tile::tile_target_bytes();
+    let tile_bytes = exec.tile_bytes;
 
     let scalar = peb_simd::Level::Scalar;
     let tiers = [
@@ -395,7 +399,6 @@ fn main() {
         },
         None,
     );
-    peb_pool::tile::set_tile_bytes(tile_bytes);
     assert_eq!(tiled.digests, untiled.digests, "tiling changed the numbers");
     println!("  tiled vs untiled bitwise identical: true ({slab_passes} slab passes)");
 
@@ -431,10 +434,8 @@ fn main() {
         concat!(
             "{{\n",
             "  \"workload\": \"solver + train + infer, per tier\",\n",
-            "  \"simd_detected\": {},\n",
-            "  \"dispatch_level\": \"{}\",\n",
+            "  \"exec\": {},\n",
             "  \"hardware_cores\": {},\n",
-            "  \"tile_target_bytes\": {},\n",
             "  \"perf_gates_enforced\": {},\n",
             "  \"gate_skip_reason\": {},\n",
             "  \"tiled_vs_untiled_bitwise_identical\": true,\n",
@@ -442,10 +443,8 @@ fn main() {
             "  \"tiers\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        detected,
-        best.name(),
+        exec.to_json(),
         cores,
-        tile_bytes.map_or_else(|| "null".into(), |b| b.to_string()),
         gates_apply,
         gate_skip_reason,
         slab_passes,

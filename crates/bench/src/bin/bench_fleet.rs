@@ -202,6 +202,7 @@ fn run_stage(
 }
 
 fn main() {
+    let exec = peb_par::ctx::init_or_exit();
     let window_s: f64 = std::env::var("PEB_FLEET_BENCH_SECS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -356,7 +357,8 @@ fn main() {
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"fleet\",\n  \"grid\": \"{}x{}x{}\",\n  \"hardware_cores\": {},\n  \"window_s\": {},\n  \"warmup_s\": {},\n  \"conns\": {},\n  \"chaos_schedule\": [\"0:kill-worker:10\", \"1:hang-worker:40\", \"2:corrupt-resp:5\"],\n  \"stages\": [{},{}],\n  \"availability\": {:.6},\n  \"retries\": {},\n  \"failovers\": {},\n  \"restarts\": {},\n  \"corrupt_rejected\": {},\n  \"router_deadline_shed\": {},\n  \"time_to_recovery_ms\": {:.1},\n  \"throughput_ratio\": {:.3},\n  \"ratio_gate_enforced\": {},\n  \"gate_skip_reason\": {},\n  \"digest_ok\": true\n}}\n",
+        "{{\n  \"bench\": \"fleet\",\n  \"exec\": {},\n  \"grid\": \"{}x{}x{}\",\n  \"hardware_cores\": {},\n  \"window_s\": {},\n  \"warmup_s\": {},\n  \"conns\": {},\n  \"chaos_schedule\": [\"0:kill-worker:10\", \"1:hang-worker:40\", \"2:corrupt-resp:5\"],\n  \"stages\": [{},{}],\n  \"availability\": {:.6},\n  \"retries\": {},\n  \"failovers\": {},\n  \"restarts\": {},\n  \"corrupt_rejected\": {},\n  \"router_deadline_shed\": {},\n  \"time_to_recovery_ms\": {:.1},\n  \"throughput_ratio\": {:.3},\n  \"ratio_gate_enforced\": {},\n  \"gate_skip_reason\": {},\n  \"digest_ok\": true\n}}\n",
+        exec.to_json(),
         GRID.0,
         GRID.1,
         GRID.2,

@@ -55,6 +55,7 @@ fn loss_bits(r: &TrainReport) -> Vec<u32> {
 }
 
 fn main() {
+    let exec = peb_par::ctx::init_or_exit();
     let dir = std::env::temp_dir().join(format!("peb_bench_guard_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
@@ -110,6 +111,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"workload\": \"tiny sdm-peb training, checkpoint every epoch\",\n",
+            "  \"exec\": {},\n",
             "  \"epochs\": {},\n",
             "  \"wall_seconds_ckpt_off\": {:.6},\n",
             "  \"wall_seconds_ckpt_on\": {:.6},\n",
@@ -121,6 +123,7 @@ fn main() {
             "  \"bitwise_identical_ckpt_on_vs_off\": {}\n",
             "}}\n"
         ),
+        exec.to_json(),
         EPOCHS,
         wall_off,
         wall_on,

@@ -12,7 +12,7 @@
 //!
 //! A second section drives the in-process serving stack through one
 //! closed-loop client with the plan cache disabled, then enabled
-//! (`PEB_PLAN` latch), reporting QPS/p99 for both and the engine's plan
+//! (`ExecCtx::plan`), reporting QPS/p99 for both and the engine's plan
 //! cache counters.
 //!
 //! Speed-ratio gates (replay no slower than eager; planned serving no
@@ -30,6 +30,7 @@
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use peb_par::ctx::{self, ExecCtx};
 use peb_serve::{Client, ServeConfig, Server};
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -186,10 +187,18 @@ fn serve_clip() -> Tensor {
 }
 
 /// One closed-loop serving window through a single keep-alive client,
-/// with the plan cache latched on or off for the whole server lifetime.
+/// with the plan cache on or off for the whole server lifetime (the
+/// engine thread adopts the context the server is started under).
 fn bench_serve(plan_cache: bool, warmup: Duration, window: Duration) -> ServeRow {
-    peb_plan::set_enabled(plan_cache);
-    let mut config = ServeConfig::from_env();
+    let scoped = ExecCtx {
+        plan: plan_cache,
+        ..ctx::current()
+    };
+    ctx::with(scoped, || serve_window(plan_cache, warmup, window))
+}
+
+fn serve_window(plan_cache: bool, warmup: Duration, window: Duration) -> ServeRow {
+    let mut config = ServeConfig::from_env().unwrap_or_else(|e| ctx::exit_invalid(&e));
     config.addr = "127.0.0.1:0".into();
     config.grid = SERVE_GRID;
     config.seed = 42;
@@ -234,7 +243,6 @@ fn bench_serve(plan_cache: bool, warmup: Duration, window: Duration) -> ServeRow
         arena_hwm_bytes: stats.arena_hwm_bytes.load(Ordering::Relaxed),
     };
     server.shutdown();
-    peb_plan::set_enabled(true);
     lat_us.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     ServeRow {
         p50_us: percentile(&lat_us, 50.0),
@@ -244,6 +252,7 @@ fn bench_serve(plan_cache: bool, warmup: Duration, window: Duration) -> ServeRow
 }
 
 fn main() {
+    let exec = ctx::init_or_exit();
     let repeats: usize = std::env::var("PEB_PLAN_BENCH_REPEATS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -261,18 +270,20 @@ fn main() {
         .unwrap_or(0.5);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    peb_pool::set_enabled(true);
-    peb_plan::set_enabled(true);
+    // Replay is what the tiers measure, whatever `PEB_PLAN` says.
+    let replaying = ExecCtx { plan: true, ..exec };
 
     println!(
         "bench_plan: tiers={tiers_env} repeats={repeats} cores={cores} level={}",
-        peb_simd::level().name()
+        exec.level.name()
     );
     let mut rows: Vec<TierRow> = Vec::new();
     for name in tiers_env.split(',').filter(|s| !s.trim().is_empty()) {
         let dims = parse_tier(name)
             .unwrap_or_else(|| panic!("bad tier {name:?}: expected HxWxD, e.g. 64x64x16"));
-        rows.push(bench_tier(name.trim(), dims, repeats));
+        rows.push(ctx::with(replaying, || {
+            bench_tier(name.trim(), dims, repeats)
+        }));
     }
 
     println!("  serve: plan cache off vs on ({window_s}s window)");
@@ -286,10 +297,7 @@ fn main() {
             r.plan_cache, r.qps, r.p50_us, r.p99_us, r.plan_hits, r.plan_misses, r.arena_hwm_bytes
         );
     }
-    assert_eq!(
-        off.plan_hits, 0,
-        "latched-off serving must never hit a plan"
-    );
+    assert_eq!(off.plan_hits, 0, "plan-off serving must never hit a plan");
     assert!(on.plan_hits > 0, "planned serving must replay cached plans");
     assert!(
         on.arena_hwm_bytes > 0,
@@ -362,8 +370,8 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"plan\",\n  \"dispatch_level\": \"{}\",\n  \"hardware_cores\": {},\n  \"repeats\": {},\n  \"timing\": \"repeat-min, warmup discarded\",\n  \"ratio_gates_enforced\": {},\n  \"gate_skip_reason\": {},\n  \"tiers\": [{}],\n  \"serve\": [{}]\n}}\n",
-        peb_simd::level().name(),
+        "{{\n  \"bench\": \"plan\",\n  \"exec\": {},\n  \"hardware_cores\": {},\n  \"repeats\": {},\n  \"timing\": \"repeat-min, warmup discarded\",\n  \"ratio_gates_enforced\": {},\n  \"gate_skip_reason\": {},\n  \"tiers\": [{}],\n  \"serve\": [{}]\n}}\n",
+        replaying.to_json(),
         cores,
         repeats,
         gates_apply,

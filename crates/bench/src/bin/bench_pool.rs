@@ -15,6 +15,7 @@ use std::time::Instant;
 use peb_litho::{Grid, LithoFlow, MaskConfig};
 use peb_nn::{Adam, Optimizer, Parameterized};
 use peb_obs::TraceMode;
+use peb_par::ctx::{self, ExecCtx};
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,8 +44,16 @@ fn step(grid: Grid, model: &SdmPeb, loss: &PebLoss, opt: &mut Adam) -> Tensor {
 
 /// Runs `STEPS` pipeline steps from a fresh model and returns
 /// `(wall_seconds, final_prediction, counters)`.
-fn run_config(pool_on: bool, threads: usize) -> (f64, Tensor, peb_obs::Profile) {
-    peb_pool::set_enabled(pool_on);
+fn run_config(pool: bool, threads: usize) -> (f64, Tensor, peb_obs::Profile) {
+    let scoped = ExecCtx {
+        pool,
+        threads,
+        ..ctx::current()
+    };
+    ctx::with(scoped, run_steps)
+}
+
+fn run_steps() -> (f64, Tensor, peb_obs::Profile) {
     let grid = micro_grid();
     let mut rng = StdRng::seed_from_u64(MODEL_SEED);
     let model = SdmPeb::new(SdmPebConfig::tiny((grid.nz, grid.ny, grid.nx)), &mut rng);
@@ -52,14 +61,12 @@ fn run_config(pool_on: bool, threads: usize) -> (f64, Tensor, peb_obs::Profile) 
     let mut opt = Adam::new(1e-3);
     // Warm-up step: populates pools and FFT plan caches so the measured
     // loop reflects steady state, which is what training runs see.
-    let _ = peb_par::with_thread_count(threads, || step(grid, &model, &loss, &mut opt));
+    let _ = step(grid, &model, &loss, &mut opt);
     peb_obs::reset();
     let start = Instant::now();
     let mut last = None;
     for _ in 0..STEPS {
-        last = Some(peb_par::with_thread_count(threads, || {
-            step(grid, &model, &loss, &mut opt)
-        }));
+        last = Some(step(grid, &model, &loss, &mut opt));
     }
     let wall = start.elapsed().as_secs_f64();
     (wall, last.expect("at least one step"), peb_obs::snapshot())
@@ -74,6 +81,7 @@ fn bits_identical(a: &Tensor, b: &Tensor) -> bool {
 }
 
 fn main() {
+    let exec = ctx::init_or_exit();
     // Counters only tick while tracing is on; summary mode is reverted
     // before exit so no trace file or table is emitted as a side effect.
     peb_obs::set_mode(TraceMode::Summary);
@@ -112,6 +120,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"workload\": \"table1 micro: litho chain + sdm-peb train step\",\n",
+            "  \"exec\": {},\n",
             "  \"steps\": {},\n",
             "  \"wall_seconds_pool_off\": {:.6},\n",
             "  \"wall_seconds_pool_on\": {:.6},\n",
@@ -126,6 +135,7 @@ fn main() {
             "  \"bitwise_identical_1_vs_4_threads\": {}\n",
             "}}\n"
         ),
+        exec.to_json(),
         STEPS,
         wall_off,
         wall_on,

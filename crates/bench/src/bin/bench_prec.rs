@@ -82,7 +82,7 @@ fn gemm_shape() -> (usize, usize, usize) {
 }
 
 /// GEMM through the deployment path — `matmul_par` with the precision
-/// latched via `with_prec`, panels fanned out over the ambient thread
+/// scoped via `with_prec`, panels fanned out over the ambient thread
 /// pool. This is the regime the bf16 storage was designed for: with
 /// several cores streaming packed panels through a shared cache, the
 /// half-width bf16 panels halve that traffic. On a single compute-bound
@@ -302,6 +302,7 @@ fn serve_stage(
 
 #[allow(clippy::too_many_lines)]
 fn main() {
+    let exec = peb_par::ctx::init_or_exit();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let strict = std::env::var("PEB_BENCH_STRICT").as_deref() == Ok("1");
     let gates_apply = strict || cores >= 4;
@@ -312,7 +313,7 @@ fn main() {
     };
     println!(
         "== bench_prec (dispatch: {}, cores: {cores}, perf gates: {gates_apply}) ==",
-        peb_simd::level().name()
+        exec.level.name()
     );
 
     // ---- per-kernel repeat-min throughput -------------------------------
@@ -494,8 +495,8 @@ fn main() {
 
     // ---- emit ------------------------------------------------------------
     let json = format!(
-        "{{\n  \"bench\": \"prec\",\n  \"dispatch\": \"{}\",\n  \"hardware_cores\": {cores},\n  \"perf_gates_enforced\": {gates_apply},\n  \"gate_skip_reason\": {gate_skip_reason},\n  \"kernels\": {{\n    \"gemm_gflops\": {{\"f32\": {gemm_f32:.3}, \"bf16\": {gemm_bf16:.3}, \"int8\": {gemm_int8:.3}, \"bf16_speedup\": {gemm_ratio:.3}, \"int8_speedup\": {:.3}}},\n    \"scan_gflops\": {{\"f32\": {scan_f32:.3}, \"bf16\": {scan_bf16:.3}, \"bf16_speedup\": {:.3}}},\n    \"stencil_gflops\": {{\"f32\": {sten_f32:.3}, \"bf16\": {sten_bf16:.3}, \"bf16_speedup\": {:.3}}}\n  }},\n  \"e2e_rows\": {{\"grid\": \"{}x{}x{}\", \"infer_s\": {{\"f32\": {:.6}, \"bf16\": {:.6}, \"int8\": {:.6}}}, \"bf16_speedup\": {:.3}, \"int8_speedup\": {:.3}}},\n  \"memory_bytes\": {{\"f32\": {f32_bytes}, \"bf16\": {bf16_bytes}, \"int8\": {int8_bytes}}},\n  \"metric_delta\": [{}],\n  \"serve_rows\": {{\"grid\": \"{}x{}x{}\", \"conns\": {conns}, \"warmup_s\": {:.3}, \"window_s\": {:.3}, \"stages\": [{{\"prec\": \"f32\", \"qps\": {qps_f32:.2}, \"p99_ms\": {p99_f32:.3}}}, {{\"prec\": \"int8\", \"qps\": {qps_int8:.2}, \"p99_ms\": {p99_int8:.3}}}], \"int8_qps_speedup\": {serve_ratio:.3}}}\n}}\n",
-        peb_simd::level().name(),
+        "{{\n  \"bench\": \"prec\",\n  \"exec\": {},\n  \"hardware_cores\": {cores},\n  \"perf_gates_enforced\": {gates_apply},\n  \"gate_skip_reason\": {gate_skip_reason},\n  \"kernels\": {{\n    \"gemm_gflops\": {{\"f32\": {gemm_f32:.3}, \"bf16\": {gemm_bf16:.3}, \"int8\": {gemm_int8:.3}, \"bf16_speedup\": {gemm_ratio:.3}, \"int8_speedup\": {:.3}}},\n    \"scan_gflops\": {{\"f32\": {scan_f32:.3}, \"bf16\": {scan_bf16:.3}, \"bf16_speedup\": {:.3}}},\n    \"stencil_gflops\": {{\"f32\": {sten_f32:.3}, \"bf16\": {sten_bf16:.3}, \"bf16_speedup\": {:.3}}}\n  }},\n  \"e2e_rows\": {{\"grid\": \"{}x{}x{}\", \"infer_s\": {{\"f32\": {:.6}, \"bf16\": {:.6}, \"int8\": {:.6}}}, \"bf16_speedup\": {:.3}, \"int8_speedup\": {:.3}}},\n  \"memory_bytes\": {{\"f32\": {f32_bytes}, \"bf16\": {bf16_bytes}, \"int8\": {int8_bytes}}},\n  \"metric_delta\": [{}],\n  \"serve_rows\": {{\"grid\": \"{}x{}x{}\", \"conns\": {conns}, \"warmup_s\": {:.3}, \"window_s\": {:.3}, \"stages\": [{{\"prec\": \"f32\", \"qps\": {qps_f32:.2}, \"p99_ms\": {p99_f32:.3}}}, {{\"prec\": \"int8\", \"qps\": {qps_int8:.2}, \"p99_ms\": {p99_int8:.3}}}], \"int8_qps_speedup\": {serve_ratio:.3}}}\n}}\n",
+        exec.to_json(),
         gemm_int8 / gemm_f32.max(1e-9),
         scan_bf16 / scan_f32.max(1e-9),
         sten_bf16 / sten_f32.max(1e-9),

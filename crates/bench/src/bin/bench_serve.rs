@@ -198,6 +198,7 @@ fn run_stage(
 }
 
 fn main() {
+    let exec = peb_par::ctx::init_or_exit();
     let window_s: f64 = std::env::var("PEB_SERVE_BENCH_SECS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -216,7 +217,7 @@ fn main() {
     let window = Duration::from_secs_f64(window_s);
     let warmup = Duration::from_secs_f64(warmup_s);
 
-    let mut config = ServeConfig::from_env();
+    let mut config = ServeConfig::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
     config.addr = "127.0.0.1:0".into();
     config.grid = GRID;
     config.seed = BASE_SEED;
@@ -335,7 +336,8 @@ fn main() {
         .map(|(size, count)| format!("\"{size}\":{count}"))
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"grid\": \"{}x{}x{}\",\n  \"max_batch\": {},\n  \"max_wait_us\": {},\n  \"queue_cap\": {},\n  \"hardware_cores\": {},\n  \"window_s\": {},\n  \"warmup_s\": {},\n  \"client_connections\": \"keepalive-across-stages\",\n  \"conns_scaling_enforced\": {},\n  \"gate_skip_reason\": {},\n  \"stages\": [{}],\n  \"saturation_qps\": {:.2},\n  \"batch_hist\": {{{}}},\n  \"hotswaps\": {},\n  \"shed_total\": {},\n  \"digest_ok\": true\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"exec\": {},\n  \"grid\": \"{}x{}x{}\",\n  \"max_batch\": {},\n  \"max_wait_us\": {},\n  \"queue_cap\": {},\n  \"hardware_cores\": {},\n  \"window_s\": {},\n  \"warmup_s\": {},\n  \"client_connections\": \"keepalive-across-stages\",\n  \"conns_scaling_enforced\": {},\n  \"gate_skip_reason\": {},\n  \"stages\": [{}],\n  \"saturation_qps\": {:.2},\n  \"batch_hist\": {{{}}},\n  \"hotswaps\": {},\n  \"shed_total\": {},\n  \"digest_ok\": true\n}}\n",
+        exec.to_json(),
         GRID.0,
         GRID.1,
         GRID.2,

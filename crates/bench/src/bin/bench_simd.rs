@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use peb_litho::{Grid, LithoFlow, MaskConfig};
 use peb_nn::{Adam, Optimizer, Parameterized};
+use peb_par::ctx::{self, ExecCtx};
 use peb_par::UnsafeSlice;
 use peb_simd::{elementwise as ew, gemm, scan, thomas};
 use peb_tensor::Tensor;
@@ -225,19 +226,25 @@ fn step(grid: Grid, model: &SdmPeb, loss: &PebLoss, opt: &mut Adam) -> Tensor {
 /// `STEPS` end-to-end steps at the given dispatch level and thread
 /// count; returns `(wall_seconds, final_prediction)`.
 fn run_pipeline(level: peb_simd::Level, threads: usize) -> (f64, Tensor) {
-    peb_simd::set_level(level);
+    let scoped = ExecCtx {
+        level,
+        threads,
+        ..ctx::current()
+    };
+    ctx::with(scoped, run_steps)
+}
+
+fn run_steps() -> (f64, Tensor) {
     let grid = micro_grid();
     let mut rng = StdRng::seed_from_u64(MODEL_SEED);
     let model = SdmPeb::new(SdmPebConfig::tiny((grid.nz, grid.ny, grid.nx)), &mut rng);
     let loss = PebLoss::paper();
     let mut opt = Adam::new(1e-3);
-    let _ = peb_par::with_thread_count(threads, || step(grid, &model, &loss, &mut opt));
+    let _ = step(grid, &model, &loss, &mut opt);
     let start = Instant::now();
     let mut last = None;
     for _ in 0..STEPS {
-        last = Some(peb_par::with_thread_count(threads, || {
-            step(grid, &model, &loss, &mut opt)
-        }));
+        last = Some(step(grid, &model, &loss, &mut opt));
     }
     (start.elapsed().as_secs_f64(), last.expect("step output"))
 }
@@ -251,7 +258,7 @@ fn bits_identical(a: &Tensor, b: &Tensor) -> bool {
 }
 
 fn main() {
-    peb_pool::set_enabled(true);
+    let exec = ctx::init_or_exit();
     let detected = peb_simd::detected();
     let best = peb_simd::best_level();
 
@@ -302,8 +309,7 @@ fn main() {
         concat!(
             "{{\n",
             "  \"workload\": \"peb-simd microkernels + table1 micro train step\",\n",
-            "  \"simd_detected\": {},\n",
-            "  \"dispatch_level\": \"{}\",\n",
+            "  \"exec\": {},\n",
             "  \"gemm_gflops_scalar\": {:.3},\n",
             "  \"gemm_gflops_simd\": {:.3},\n",
             "  \"gemm_speedup\": {:.3},\n",
@@ -323,8 +329,7 @@ fn main() {
             "  \"bitwise_identical_1_vs_4_threads\": {}\n",
             "}}\n"
         ),
-        detected,
-        best.name(),
+        exec.to_json(),
         gemm_s,
         gemm_v,
         gemm_v / gemm_s,

@@ -84,6 +84,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> Result<(), PebError> {
+    peb_par::ctx::init_or_exit();
     let args = parse_args().map_err(PebError::config)?;
     let grid = Grid::new(
         args.size,

@@ -18,6 +18,7 @@
 //! counter deltas would be racy if unrelated tests ran concurrently in
 //! the same binary.
 
+use peb_par::ctx::{self, ExecCtx};
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +57,6 @@ fn window(f: impl FnOnce() -> Tensor) -> Deltas {
 #[test]
 fn fused_chain_counters_reconcile_with_pool_accounting() {
     peb_obs::set_mode(peb_obs::TraceMode::Summary);
-    peb_pool::set_enabled(true);
 
     let a = Tensor::from_fn(&[4096], |i| (i as f32).mul_add(1e-3, -2.0));
     let b = Tensor::from_fn(&[4096], |i| (i as f32).mul_add(-2e-3, 4.0));
@@ -64,14 +64,17 @@ fn fused_chain_counters_reconcile_with_pool_accounting() {
     let chain = |a: &Tensor, b: &Tensor| a.fused().add(b).mul(b).sigmoid().eval();
 
     // Warm the pool so steady-state checkouts are hits, then measure.
-    peb_tensor::set_fusion_enabled(true);
-    drop(chain(&a, &b));
-    let fused = window(|| chain(&a, &b));
-
-    peb_tensor::set_fusion_enabled(false);
-    drop(chain(&a, &b));
-    let unfused = window(|| chain(&a, &b));
-    peb_tensor::set_fusion_enabled(true);
+    let measure = |fuse| {
+        let scoped = ExecCtx {
+            fuse,
+            ..ctx::current()
+        };
+        ctx::with(scoped, || {
+            drop(chain(&a, &b));
+            window(|| chain(&a, &b))
+        })
+    };
+    let (fused, unfused) = (measure(true), measure(false));
 
     assert_eq!(
         fused.fused, k,
@@ -112,7 +115,14 @@ fn fused_chain_counters_reconcile_with_pool_accounting() {
 /// planned checkout, so the only pool traffic in the window is the
 /// escaping output buffer hitting the warm pool.
 fn plan_replay_counters_reconcile() {
-    peb_plan::set_enabled(true);
+    let replaying = ExecCtx {
+        plan: true,
+        ..ctx::current()
+    };
+    ctx::with(replaying, plan_replay_case)
+}
+
+fn plan_replay_case() {
     let mut rng = StdRng::seed_from_u64(17);
     let model = SdmPeb::new(SdmPebConfig::tiny((2, 16, 16)), &mut rng);
     let clip = Tensor::rand_uniform(&[2, 16, 16], 0.05, 0.9, &mut rng);

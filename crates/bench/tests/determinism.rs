@@ -7,18 +7,18 @@
 //! at both thread counts through `peb_par::with_thread_count` and compare
 //! exact bit patterns.
 //!
-//! These tests run at the process's latched `PEB_SIMD` dispatch level —
+//! These tests run at the process-default `PEB_SIMD` dispatch level —
 //! the AVX2+FMA vector path on supporting hardware — so they pin the
 //! thread-count contract *with SIMD on*. Cross-level checks (scalar vs
-//! vector) live in `simd_determinism.rs`, which owns its own process so
-//! it can flip the global level safely.
+//! vector) live in `simd_determinism.rs`.
 
 use peb_litho::{
     measure_contact_cds, solve_eikonal, EikonalConfig, Grid, MackParams, MaskConfig, PebParams,
     PebSolver, TimeScheme,
 };
-use peb_mamba::{selective_scan, selective_scan_chunked};
+use peb_mamba::selective_scan;
 use peb_nn::{Conv2d, Parameterized};
+use peb_par::ctx::{self, ExecCtx};
 use peb_tensor::{Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,13 +107,6 @@ fn selective_scan_is_bitwise_deterministic() {
     let (y4, g4) = at_threads(4, run);
     assert_bits_eq(&y1, &y4, "selective_scan forward");
     assert_bits_eq(&g1, &g4, "selective_scan input grad");
-    let chunked = |threads| {
-        at_threads(threads, || {
-            selective_scan_chunked(&Var::constant(u0.clone()), &delta, &a, &b, &c, &d, 8)
-                .value_clone()
-        })
-    };
-    assert_bits_eq(&chunked(1), &chunked(4), "selective_scan_chunked");
 }
 
 #[test]
@@ -156,12 +149,6 @@ fn eikonal_and_metrology_are_bitwise_deterministic() {
     }
 }
 
-/// Serialises the tests that flip the process-global pool latch.
-fn pool_latch_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// One full training step on the micro pipeline: rigorous litho chain,
 /// SDM-PEB forward, Eq. 22 loss, backward, Adam update. Returns the
 /// prediction and one representative parameter after the update.
@@ -184,24 +171,28 @@ fn full_pipeline_step() -> (Tensor, Tensor) {
     (pred.value_clone(), params[0].value_clone())
 }
 
+/// [`full_pipeline_step`] under `scoped` at the given thread count.
+fn step_under(scoped: ExecCtx, threads: usize) -> (Tensor, Tensor) {
+    ctx::with(ExecCtx { threads, ..scoped }, full_pipeline_step)
+}
+
 #[test]
 fn full_pipeline_is_bitwise_identical_pooled_vs_unpooled() {
     // The buffer pool hands out zeroed / copied storage, so checking the
     // whole litho + forward + backward + optimiser chain with the pool on
     // must reproduce the pool-off bits exactly.
-    let _latch = pool_latch_lock();
-    peb_pool::set_enabled(false);
-    let (pred_off, param_off) = at_threads(1, full_pipeline_step);
-    peb_pool::set_enabled(true);
-    let (pred_on, param_on) = at_threads(1, full_pipeline_step);
+    let pooled = |pool| ExecCtx {
+        pool,
+        ..ctx::current()
+    };
+    let (pred_off, param_off) = step_under(pooled(false), 1);
+    let (pred_on, param_on) = step_under(pooled(true), 1);
     assert_bits_eq(&pred_off, &pred_on, "pipeline prediction (pool on/off)");
     assert_bits_eq(&param_off, &param_on, "updated parameter (pool on/off)");
 }
 
 #[test]
 fn full_pipeline_is_bitwise_deterministic_across_thread_counts() {
-    let _latch = pool_latch_lock();
-    peb_pool::set_enabled(true);
     let (pred1, param1) = at_threads(1, full_pipeline_step);
     let (pred4, param4) = at_threads(4, full_pipeline_step);
     assert_bits_eq(&pred1, &pred4, "pipeline prediction (1 vs 4 threads)");
@@ -210,19 +201,17 @@ fn full_pipeline_is_bitwise_deterministic_across_thread_counts() {
 
 #[test]
 fn full_pipeline_is_bitwise_identical_fused_vs_unfused() {
-    // `PEB_FUSE` collapses elementwise chains into single sweeps; the
+    // Fusion collapses elementwise chains into single sweeps; the
     // collapsed sweep must reproduce the separate-kernel bits exactly,
     // across thread counts.
-    let _latch = pool_latch_lock();
-    peb_pool::set_enabled(true);
-    let prev = peb_tensor::fusion_enabled();
-    peb_tensor::set_fusion_enabled(true);
-    let (pred_on_1t, param_on_1t) = at_threads(1, full_pipeline_step);
-    let (pred_on_4t, _) = at_threads(4, full_pipeline_step);
-    peb_tensor::set_fusion_enabled(false);
-    let (pred_off_1t, param_off_1t) = at_threads(1, full_pipeline_step);
-    let (pred_off_4t, _) = at_threads(4, full_pipeline_step);
-    peb_tensor::set_fusion_enabled(prev);
+    let fused = |fuse| ExecCtx {
+        fuse,
+        ..ctx::current()
+    };
+    let (pred_on_1t, param_on_1t) = step_under(fused(true), 1);
+    let (pred_on_4t, _) = step_under(fused(true), 4);
+    let (pred_off_1t, param_off_1t) = step_under(fused(false), 1);
+    let (pred_off_4t, _) = step_under(fused(false), 4);
     assert_bits_eq(
         &pred_on_1t,
         &pred_off_1t,
@@ -247,20 +236,18 @@ fn full_pipeline_is_bitwise_identical_fused_vs_unfused() {
 
 #[test]
 fn full_pipeline_is_bitwise_identical_tiled_vs_untiled() {
-    // `PEB_TILE` reorders whole-element units of work into cache-sized
+    // Slab tiling reorders whole-element units of work into cache-sized
     // slabs (ADI x/y sweeps, the explicit stencil, conv3d forward); it
     // must never change a bit, at any thread count.
-    let _latch = pool_latch_lock();
-    peb_pool::set_enabled(true);
-    let prev = peb_pool::tile::tile_target_bytes();
+    let tiled = |tile_bytes| ExecCtx {
+        tile_bytes,
+        ..ctx::current()
+    };
     // Small enough that even the 16×16×4 micro volume splits into slabs.
-    peb_pool::tile::set_tile_bytes(Some(1 << 10));
-    let (pred_tiled_1t, param_tiled) = at_threads(1, full_pipeline_step);
-    let (pred_tiled_4t, _) = at_threads(4, full_pipeline_step);
-    peb_pool::tile::set_tile_bytes(None);
-    let (pred_flat_1t, param_flat) = at_threads(1, full_pipeline_step);
-    let (pred_flat_4t, _) = at_threads(4, full_pipeline_step);
-    peb_pool::tile::set_tile_bytes(prev);
+    let (pred_tiled_1t, param_tiled) = step_under(tiled(Some(1 << 10)), 1);
+    let (pred_tiled_4t, _) = step_under(tiled(Some(1 << 10)), 4);
+    let (pred_flat_1t, param_flat) = step_under(tiled(None), 1);
+    let (pred_flat_4t, _) = step_under(tiled(None), 4);
     assert_bits_eq(
         &pred_tiled_1t,
         &pred_flat_1t,
@@ -283,8 +270,6 @@ fn full_pipeline_is_bitwise_identical_tiled_vs_untiled() {
 fn gradients_check_with_fusion_on() {
     // The fused backward sweeps (exp / sigmoid / square) must still match
     // finite differences.
-    let prev = peb_tensor::fusion_enabled();
-    peb_tensor::set_fusion_enabled(true);
     let mut rng = StdRng::seed_from_u64(1008);
     let x0 = Tensor::randn(&[12], &mut rng).mul_scalar(0.5);
     let report = peb_tensor::check_gradients(
@@ -292,7 +277,6 @@ fn gradients_check_with_fusion_on() {
         |v| v.sigmoid().mul(&v.exp()).square().sum(),
         1e-2,
     );
-    peb_tensor::set_fusion_enabled(prev);
     assert!(report.ok(2e-2), "fused-chain gradcheck: {report:?}");
 }
 

@@ -11,33 +11,24 @@
 //!   not depend on `PEB_SIMD` at all. Tolerance-class kernels (GEMM,
 //!   scan, `exp`) may differ across levels by bounded amounts.
 //!
-//! These tests flip the process-global dispatch level with
-//! [`peb_simd::set_level`], so they live in their own integration-test
-//! binary (own process) and serialise through a local mutex.
+//! Each case runs under its own `ExecCtx`, so the tests share no state.
 
 use peb_litho::{Grid, MaskConfig, PebParams, PebSolver, TimeScheme};
+use peb_par::ctx::{self, ExecCtx};
 use peb_simd::Level;
 use peb_tensor::{check_gradients, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Serialises the tests (the dispatch level is process-global) and
-/// restores the detected level on drop.
-struct LevelGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-fn lock_level() -> LevelGuard {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LevelGuard {
-        _lock: LOCK.lock().unwrap_or_else(|e| e.into_inner()),
-    }
-}
-
-impl Drop for LevelGuard {
-    fn drop(&mut self) {
-        peb_simd::set_level(peb_simd::best_level());
-    }
+/// Runs `f` at dispatch level `level`.
+fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
+    ctx::with(
+        ExecCtx {
+            level,
+            ..ctx::current()
+        },
+        f,
+    )
 }
 
 fn levels() -> Vec<Level> {
@@ -84,11 +75,13 @@ fn full_pipeline_step() -> (Tensor, Tensor) {
 fn pipeline_is_bitwise_deterministic_across_threads_at_every_level() {
     // The acceptance gate: with SIMD on, 1 and 4 threads must still
     // agree to the bit (and likewise with SIMD forced off).
-    let _guard = lock_level();
     for level in levels() {
-        peb_simd::set_level(level);
-        let (pred1, param1) = peb_par::with_thread_count(1, full_pipeline_step);
-        let (pred4, param4) = peb_par::with_thread_count(4, full_pipeline_step);
+        let at = |threads| {
+            at_level(level, || {
+                peb_par::with_thread_count(threads, full_pipeline_step)
+            })
+        };
+        let ((pred1, param1), (pred4, param4)) = (at(1), at(4));
         let name = level.name();
         assert_bits_eq(
             &pred1,
@@ -108,7 +101,6 @@ fn peb_solver_is_bitwise_identical_across_dispatch_levels() {
     // The PEB physics chain uses only bit-exact kernels (factored
     // tridiagonal solves, the explicit stencil, libm exp in the reaction
     // step), so the *entire solver output* must not depend on PEB_SIMD.
-    let _guard = lock_level();
     let grid = Grid::new(16, 16, 6, 4.0, 4.0, 10.0).unwrap();
     // dt below the explicit-Euler stability limit for this grid so both
     // time schemes can run the same configuration.
@@ -125,9 +117,9 @@ fn peb_solver_is_bitwise_identical_across_dispatch_levels() {
     ] {
         let mut results = Vec::new();
         for level in levels() {
-            peb_simd::set_level(level);
             let solver = PebSolver::new(params, grid, scheme).unwrap();
-            results.push((level.name(), solver.run(&acid0).unwrap()));
+            let state = at_level(level, || solver.run(&acid0).unwrap());
+            results.push((level.name(), state));
         }
         let (_, base) = &results[0];
         for (name, other) in &results[1..] {
@@ -148,23 +140,23 @@ fn peb_solver_is_bitwise_identical_across_dispatch_levels() {
 #[test]
 fn optimizer_trajectory_is_bitwise_identical_across_dispatch_levels() {
     use peb_nn::{Adam, Optimizer, Sgd};
-    let _guard = lock_level();
     let mut runs = Vec::new();
     for level in levels() {
-        peb_simd::set_level(level);
-        let mut rng = StdRng::seed_from_u64(2005);
-        let p_adam = Var::parameter(Tensor::randn(&[37], &mut rng));
-        let p_sgd = Var::parameter(Tensor::randn(&[37], &mut rng));
-        let mut adam = Adam::new(1e-2);
-        let mut sgd = Sgd::new(1e-2, 0.9);
-        for _ in 0..5 {
-            [&p_adam, &p_sgd].iter().for_each(|p| p.zero_grad());
-            p_adam.square().sum().backward();
-            p_sgd.square().sum().backward();
-            adam.step(std::slice::from_ref(&p_adam));
-            sgd.step(std::slice::from_ref(&p_sgd));
-        }
-        runs.push((level.name(), p_adam.value_clone(), p_sgd.value_clone()));
+        runs.push(at_level(level, || {
+            let mut rng = StdRng::seed_from_u64(2005);
+            let p_adam = Var::parameter(Tensor::randn(&[37], &mut rng));
+            let p_sgd = Var::parameter(Tensor::randn(&[37], &mut rng));
+            let mut adam = Adam::new(1e-2);
+            let mut sgd = Sgd::new(1e-2, 0.9);
+            for _ in 0..5 {
+                [&p_adam, &p_sgd].iter().for_each(|p| p.zero_grad());
+                p_adam.square().sum().backward();
+                p_sgd.square().sum().backward();
+                adam.step(std::slice::from_ref(&p_adam));
+                sgd.step(std::slice::from_ref(&p_sgd));
+            }
+            (level.name(), p_adam.value_clone(), p_sgd.value_clone())
+        }));
     }
     for (name, adam_p, sgd_p) in &runs[1..] {
         assert_bits_eq(&runs[0].1, adam_p, &format!("Adam params scalar vs {name}"));
@@ -177,15 +169,13 @@ fn model_forward_stays_close_across_dispatch_levels() {
     // GEMM and the scan are tolerance-class, so levels may differ — but
     // only within a tight envelope on a tiny model.
     use sdm_peb::{PebPredictor, SdmPeb, SdmPebConfig};
-    let _guard = lock_level();
     let shape = (4usize, 12usize, 12usize);
     let mut outputs = Vec::new();
     for level in levels() {
-        peb_simd::set_level(level);
         let mut rng = StdRng::seed_from_u64(2009);
         let model = SdmPeb::new(SdmPebConfig::tiny(shape), &mut rng);
         let x = Tensor::rand_uniform(&[shape.0, shape.1, shape.2], 0.0, 1.0, &mut rng);
-        outputs.push((level.name(), model.predict(&x)));
+        outputs.push((level.name(), at_level(level, || model.predict(&x))));
     }
     for (name, y) in &outputs[1..] {
         let diff = outputs[0].1.max_abs_diff(y);
@@ -198,14 +188,14 @@ fn gradcheck_passes_with_simd_on() {
     // Satellite: finite-difference gradients for the conv and SDM blocks
     // with the vector kernels active (forward may use the polynomial exp
     // while backward uses libm; the tolerance absorbs that).
+    if peb_simd::detected() {
+        at_level(Level::Avx2Fma, gradcheck_conv_and_scan);
+    }
+}
+
+fn gradcheck_conv_and_scan() {
     use peb_mamba::selective_scan;
     use peb_nn::{Conv2d, Parameterized};
-    let _guard = lock_level();
-    if !peb_simd::detected() {
-        return;
-    }
-    peb_simd::set_level(Level::Avx2Fma);
-
     let mut rng = StdRng::seed_from_u64(2011);
     let conv = Conv2d::new(2, 3, 3, 1, 1, true, &mut rng);
     let x = Var::parameter(Tensor::randn(&[2, 6, 6], &mut rng));
@@ -232,18 +222,18 @@ fn gradcheck_passes_with_simd_on() {
 
 #[test]
 fn simd_dispatch_counter_ticks_on_the_vector_path() {
-    let _guard = lock_level();
     if !peb_simd::detected() {
         return;
     }
-    peb_simd::set_level(Level::Avx2Fma);
     peb_obs::set_mode(peb_obs::TraceMode::Summary);
     let before = peb_obs::counter_value(peb_obs::Counter::SimdDispatch);
-    let mut rng = StdRng::seed_from_u64(2013);
-    let a = Tensor::randn(&[24, 24], &mut rng);
-    let b = Tensor::randn(&[24, 24], &mut rng);
-    let _ = a.matmul(&b).unwrap();
-    let _ = a.add_t(&b).unwrap();
+    at_level(Level::Avx2Fma, || {
+        let mut rng = StdRng::seed_from_u64(2013);
+        let a = Tensor::randn(&[24, 24], &mut rng);
+        let b = Tensor::randn(&[24, 24], &mut rng);
+        let _ = a.matmul(&b).unwrap();
+        let _ = a.add_t(&b).unwrap();
+    });
     let after = peb_obs::counter_value(peb_obs::Counter::SimdDispatch);
     peb_obs::set_mode(peb_obs::TraceMode::Off);
     assert!(
@@ -256,14 +246,16 @@ fn simd_dispatch_counter_ticks_on_the_vector_path() {
 fn pipeline_is_bitwise_identical_fused_vs_unfused_at_every_level() {
     // Op fusion must be invisible at *both* dispatch levels: within a
     // level, collapsing a chain into one sweep cannot change a bit.
-    let _guard = lock_level();
-    let prev = peb_tensor::fusion_enabled();
     for level in levels() {
-        peb_simd::set_level(level);
-        peb_tensor::set_fusion_enabled(true);
-        let (pred_on, param_on) = full_pipeline_step();
-        peb_tensor::set_fusion_enabled(false);
-        let (pred_off, param_off) = full_pipeline_step();
+        let run = |fuse| {
+            let scoped = ExecCtx {
+                level,
+                fuse,
+                ..ctx::current()
+            };
+            ctx::with(scoped, full_pipeline_step)
+        };
+        let ((pred_on, param_on), (pred_off, param_off)) = (run(true), run(false));
         let name = level.name();
         assert_bits_eq(
             &pred_on,
@@ -276,21 +268,22 @@ fn pipeline_is_bitwise_identical_fused_vs_unfused_at_every_level() {
             &format!("[{name}] parameter fuse on/off"),
         );
     }
-    peb_tensor::set_fusion_enabled(prev);
 }
 
 #[test]
 fn pipeline_is_bitwise_identical_tiled_vs_untiled_at_every_level() {
     // Slab tiling reorders whole-element work only, so it too must be
     // invisible at both dispatch levels.
-    let _guard = lock_level();
-    let prev = peb_pool::tile::tile_target_bytes();
     for level in levels() {
-        peb_simd::set_level(level);
-        peb_pool::tile::set_tile_bytes(Some(1 << 10));
-        let (pred_tiled, param_tiled) = full_pipeline_step();
-        peb_pool::tile::set_tile_bytes(None);
-        let (pred_flat, param_flat) = full_pipeline_step();
+        let run = |tile_bytes| {
+            let scoped = ExecCtx {
+                level,
+                tile_bytes,
+                ..ctx::current()
+            };
+            ctx::with(scoped, full_pipeline_step)
+        };
+        let ((pred_tiled, param_tiled), (pred_flat, param_flat)) = (run(Some(1 << 10)), run(None));
         let name = level.name();
         assert_bits_eq(
             &pred_tiled,
@@ -303,5 +296,4 @@ fn pipeline_is_bitwise_identical_tiled_vs_untiled_at_every_level() {
             &format!("[{name}] parameter tile on/off"),
         );
     }
-    peb_pool::tile::set_tile_bytes(prev);
 }

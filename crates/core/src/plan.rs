@@ -137,10 +137,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Runs `f` with plan replay on, whatever `PEB_PLAN` says.
+    fn with_replay(f: impl FnOnce()) {
+        let scoped = peb_par::ExecCtx {
+            plan: true,
+            ..peb_par::ctx::current()
+        };
+        peb_par::ctx::with(scoped, f)
+    }
+
     #[test]
     fn infer_plan_replay_matches_eager_bitwise() {
-        peb_pool::set_enabled(true);
-        peb_plan::set_enabled(true);
+        with_replay(infer_plan_case)
+    }
+
+    fn infer_plan_case() {
         let mut rng = StdRng::seed_from_u64(7);
         let model = SdmPeb::new(SdmPebConfig::tiny((2, 16, 16)), &mut rng);
         let clip = Tensor::rand_uniform(&[2, 16, 16], 0.0, 0.9, &mut rng);
@@ -158,8 +169,10 @@ mod tests {
 
     #[test]
     fn grad_plan_replays_backward_identically() {
-        peb_pool::set_enabled(true);
-        peb_plan::set_enabled(true);
+        with_replay(grad_plan_case)
+    }
+
+    fn grad_plan_case() {
         let mut rng = StdRng::seed_from_u64(8);
         let model = SdmPeb::new(SdmPebConfig::tiny((2, 16, 16)), &mut rng);
         let mask = Var::parameter(Tensor::rand_uniform(&[2, 16, 16], 0.1, 0.8, &mut rng));

@@ -2,7 +2,8 @@
 //!
 //! The headline guarantee of `peb-guard` + `Trainer`: killing a run after
 //! any epoch and resuming from its checkpoint produces a trajectory
-//! bitwise identical to the uninterrupted run — at any thread count.
+//! bitwise identical to the uninterrupted run — at any thread count and
+//! at either dispatch level.
 //! Chaos state and checkpoint directories are process-global, so every
 //! test here serialises on one mutex.
 
@@ -11,6 +12,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use peb_guard::chaos::{self, Chaos};
 use peb_guard::PebError;
+use peb_par::ctx::{self, ExecCtx, Level};
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,29 +73,34 @@ fn loss_bits(report: &TrainReport) -> Vec<u32> {
 /// Runs training uninterrupted, then replays the same run killed after
 /// every single epoch (resuming each time from the latest checkpoint),
 /// and demands bitwise-identical weights and loss history at the end.
-fn kill_at_every_epoch_matches_uninterrupted(threads: usize) {
+/// The whole case runs under `scoped`.
+fn kill_at_every_epoch_matches_uninterrupted(scoped: ExecCtx) {
+    ctx::with(scoped, || kill_at_every_epoch_case(scoped))
+}
+
+fn kill_at_every_epoch_case(scoped: ExecCtx) {
     let epochs = 4;
     let data = toy_data();
 
     let baseline = fresh_model();
-    let baseline_report = peb_par::with_thread_count(threads, || {
-        Trainer::new(config(epochs, None))
-            .fit(&baseline, &data)
-            .expect("uninterrupted run")
-    });
+    let baseline_report = Trainer::new(config(epochs, None))
+        .fit(&baseline, &data)
+        .expect("uninterrupted run");
 
-    let dir = temp_dir(&format!("kill-every-epoch-{threads}t"));
+    let dir = temp_dir(&format!(
+        "kill-every-epoch-{}-{}t",
+        scoped.level.name(),
+        scoped.threads
+    ));
     let cfg = config(epochs, Some(dir.clone()));
     // Kill after each epoch's checkpoint in turn: epoch 1, 2, 3 — each
     // run dies, each subsequent run resumes exactly where it stopped.
     for kill_after in 1..epochs as u64 {
         chaos::arm(Chaos::Kill { epoch: kill_after });
         let model = fresh_model(); // "new process": fresh weights, restored from disk
-        let err = peb_par::with_thread_count(threads, || {
-            Trainer::new(cfg.clone())
-                .resume(&model, &data)
-                .expect_err("armed kill must abort the run")
-        });
+        let err = Trainer::new(cfg.clone())
+            .resume(&model, &data)
+            .expect_err("armed kill must abort the run");
         assert!(
             matches!(err.root(), PebError::Injected { .. }),
             "expected injected kill, got {err}"
@@ -101,11 +108,9 @@ fn kill_at_every_epoch_matches_uninterrupted(threads: usize) {
     }
     chaos::disarm();
     let survivor = fresh_model();
-    let final_report = peb_par::with_thread_count(threads, || {
-        Trainer::new(cfg)
-            .resume(&survivor, &data)
-            .expect("final resume")
-    });
+    let final_report = Trainer::new(cfg)
+        .resume(&survivor, &data)
+        .expect("final resume");
 
     assert_eq!(
         final_report.resumed_from,
@@ -129,13 +134,29 @@ fn kill_at_every_epoch_matches_uninterrupted(threads: usize) {
 #[test]
 fn kill_resume_is_bitwise_identical_single_thread() {
     let _g = lock();
-    kill_at_every_epoch_matches_uninterrupted(1);
+    kill_at_every_epoch_matches_uninterrupted(ExecCtx {
+        threads: 1,
+        ..ctx::current()
+    });
 }
 
 #[test]
 fn kill_resume_is_bitwise_identical_four_threads() {
     let _g = lock();
-    kill_at_every_epoch_matches_uninterrupted(4);
+    kill_at_every_epoch_matches_uninterrupted(ExecCtx {
+        threads: 4,
+        ..ctx::current()
+    });
+}
+
+#[test]
+fn kill_resume_is_bitwise_identical_with_scalar_kernels() {
+    let _g = lock();
+    kill_at_every_epoch_matches_uninterrupted(ExecCtx {
+        level: Level::Scalar,
+        threads: 1,
+        ..ctx::current()
+    });
 }
 
 #[test]

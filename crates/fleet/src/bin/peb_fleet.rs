@@ -6,7 +6,10 @@
 use peb_fleet::{Fleet, FleetConfig};
 
 fn main() {
-    let config = FleetConfig::from_env();
+    // The router runs no kernels; resolving here rejects a bad variable
+    // before any worker is spawned to reject it again.
+    peb_par::ctx::init_or_exit();
+    let config = FleetConfig::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
     let fleet = match Fleet::start(config.clone()) {
         Ok(f) => f,
         Err(e) => {

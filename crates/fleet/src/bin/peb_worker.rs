@@ -17,7 +17,8 @@ use std::io::{Read as _, Write as _};
 use peb_serve::{ServeConfig, Server};
 
 fn main() {
-    let config = ServeConfig::from_env();
+    peb_par::ctx::init_or_exit();
+    let config = ServeConfig::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
     let server = match Server::start(config) {
         Ok(s) => s,
         Err(e) => {
@@ -25,6 +26,8 @@ fn main() {
             std::process::exit(1);
         }
     };
+    // stderr: stdout carries only the supervisor's ready handshake.
+    eprintln!("peb_worker exec {}", server.handle().stats().exec.to_json());
     println!("PEB_WORKER_READY {}", server.addr());
     let _ = std::io::stdout().flush();
     // Serve until the supervisor closes our stdin.

@@ -8,6 +8,8 @@
 
 use std::time::Duration;
 
+use peb_par::ctx::{self, read_parsed, ConfigError};
+
 /// Everything the router + supervisor need, with env-var overrides.
 ///
 /// | env | field | default |
@@ -94,56 +96,43 @@ impl Default for FleetConfig {
     }
 }
 
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
 impl FleetConfig {
-    /// Defaults overridden by any set `PEB_FLEET_*` variables.
-    pub fn from_env() -> Self {
-        let mut c = FleetConfig::default();
-        if let Ok(v) = std::env::var("PEB_FLEET_ADDR") {
-            c.addr = v;
+    /// Defaults overridden by any set `PEB_FLEET_*` variables; a value
+    /// that does not parse is an error, never a silent default.
+    pub fn from_env() -> Result<Self, ConfigError> {
+        Self::from_lookup(ctx::process_env)
+    }
+
+    fn from_lookup(env: impl Fn(&str) -> Option<String>) -> Result<Self, ConfigError> {
+        const COUNT: &str = "a non-negative integer";
+        let millis = |var, floor: u64| -> Result<Option<Duration>, ConfigError> {
+            let ms: Option<u64> = read_parsed(&env, var, COUNT)?;
+            Ok(ms.map(|v| Duration::from_millis(v.max(floor))))
+        };
+        let d = FleetConfig::default();
+        Ok(FleetConfig {
+            addr: env("PEB_FLEET_ADDR").unwrap_or(d.addr),
+            workers: read_parsed(&env, "PEB_FLEET_WORKERS", COUNT)?.unwrap_or(d.workers),
+            deadline_us: read_parsed(&env, "PEB_FLEET_DEADLINE_US", COUNT)?
+                .unwrap_or(d.deadline_us),
+            max_attempts: read_parsed(&env, "PEB_FLEET_RETRIES", COUNT)?.unwrap_or(d.max_attempts),
+            probe_interval: millis("PEB_FLEET_PROBE_MS", 1)?.unwrap_or(d.probe_interval),
+            probe_timeout: millis("PEB_FLEET_PROBE_TIMEOUT_MS", 1)?.unwrap_or(d.probe_timeout),
+            probe_fails: read_parsed(&env, "PEB_FLEET_PROBE_FAILS", COUNT)?
+                .unwrap_or(d.probe_fails),
+            backoff_base_us: read_parsed(&env, "PEB_FLEET_BACKOFF_US", COUNT)?
+                .unwrap_or(d.backoff_base_us),
+            backoff_cap_us: read_parsed(&env, "PEB_FLEET_BACKOFF_CAP_US", COUNT)?
+                .unwrap_or(d.backoff_cap_us),
+            attempt_timeout: millis("PEB_FLEET_ATTEMPT_MS", 1)?,
+            drain_timeout: millis("PEB_FLEET_DRAIN_MS", 0)?.unwrap_or(d.drain_timeout),
+            conn_workers: read_parsed(&env, "PEB_FLEET_CONNS", COUNT)?.unwrap_or(d.conn_workers),
+            worker_bin: env("PEB_FLEET_WORKER_BIN")
+                .filter(|v| !v.is_empty())
+                .map(std::path::PathBuf::from),
+            ..d
         }
-        if let Some(v) = env_parse("PEB_FLEET_WORKERS") {
-            c.workers = v;
-        }
-        if let Some(v) = env_parse("PEB_FLEET_DEADLINE_US") {
-            c.deadline_us = v;
-        }
-        if let Some(v) = env_parse("PEB_FLEET_RETRIES") {
-            c.max_attempts = v;
-        }
-        if let Some(v) = env_parse::<u64>("PEB_FLEET_PROBE_MS") {
-            c.probe_interval = Duration::from_millis(v.max(1));
-        }
-        if let Some(v) = env_parse::<u64>("PEB_FLEET_PROBE_TIMEOUT_MS") {
-            c.probe_timeout = Duration::from_millis(v.max(1));
-        }
-        if let Some(v) = env_parse("PEB_FLEET_PROBE_FAILS") {
-            c.probe_fails = v;
-        }
-        if let Some(v) = env_parse("PEB_FLEET_BACKOFF_US") {
-            c.backoff_base_us = v;
-        }
-        if let Some(v) = env_parse("PEB_FLEET_BACKOFF_CAP_US") {
-            c.backoff_cap_us = v;
-        }
-        if let Some(v) = env_parse::<u64>("PEB_FLEET_ATTEMPT_MS") {
-            c.attempt_timeout = Some(Duration::from_millis(v.max(1)));
-        }
-        if let Some(v) = env_parse::<u64>("PEB_FLEET_DRAIN_MS") {
-            c.drain_timeout = Duration::from_millis(v);
-        }
-        if let Some(v) = env_parse("PEB_FLEET_CONNS") {
-            c.conn_workers = v;
-        }
-        if let Ok(v) = std::env::var("PEB_FLEET_WORKER_BIN") {
-            if !v.is_empty() {
-                c.worker_bin = Some(std::path::PathBuf::from(v));
-            }
-        }
-        c.normalized()
+        .normalized())
     }
 
     /// Clamps degenerate values so a typo'd env var cannot wedge the
@@ -175,6 +164,28 @@ impl FleetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lookup_overrides_defaults_and_rejects_bad_values() {
+        let env = |rows: &'static [(&str, &str)]| {
+            move |name: &str| rows.iter().find(|r| r.0 == name).map(|r| r.1.to_string())
+        };
+        assert_eq!(
+            FleetConfig::from_lookup(env(&[])),
+            Ok(FleetConfig::default().normalized())
+        );
+        let c = FleetConfig::from_lookup(env(&[
+            ("PEB_FLEET_WORKERS", "3"),
+            ("PEB_FLEET_PROBE_MS", "0"),
+            ("PEB_FLEET_WORKER_BIN", "/opt/peb_worker"),
+        ]))
+        .expect("valid");
+        assert_eq!((c.workers, c.max_attempts), (3, 6));
+        assert_eq!(c.probe_interval, Duration::from_millis(1));
+        assert_eq!(c.worker_bin(), std::path::PathBuf::from("/opt/peb_worker"));
+        let err = FleetConfig::from_lookup(env(&[("PEB_FLEET_WORKERS", "two")])).expect_err("two");
+        assert_eq!((err.var, err.value.as_str()), ("PEB_FLEET_WORKERS", "two"));
+    }
 
     #[test]
     fn normalized_clamps_zeros() {

@@ -294,7 +294,7 @@ impl PebSolver {
                 let data = field.data_mut();
                 // Lie splitting: x, then y, then z implicit sweeps. The x
                 // and y sweeps only couple cells within one z-plane, so
-                // under `PEB_TILE` they stream cache-sized z-slabs: the y
+                // when tiled they stream cache-sized z-slabs: the y
                 // sweep re-reads each slab while it is still resident from
                 // the x sweep, instead of two full-volume passes. Per-line
                 // arithmetic is untouched — tiled output is bitwise
@@ -492,7 +492,7 @@ fn implicit_axis_on(
 /// the exact scalar expression order (no FMA), so results are bitwise
 /// identical to the pre-SIMD loop at every dispatch level.
 ///
-/// Under `PEB_TILE` the step streams cache-sized z-slabs instead of
+/// When tiled the step streams cache-sized z-slabs instead of
 /// freezing a full-volume copy: each slab's pre-step planes are copied
 /// to a slab-sized scratch immediately before computing it (so the
 /// frozen read hits cache), and the neighbour planes every slab needs
@@ -734,7 +734,7 @@ mod tests {
         let di = f32_run.inhibitor.max_abs_diff(&bf16_run.inhibitor);
         assert!(di < 0.05, "inhibitor mismatch {di}");
         // The plain (no-override) path is bitwise whichever forced run
-        // matches the ambient latch — f32 by default, bf16 when the
+        // matches the ambient precision — f32 by default, bf16 when the
         // suite runs under PEB_PREC=bf16.
         let plain = run();
         let expect = if peb_simd::prec() == peb_simd::Prec::Bf16 {
@@ -807,11 +807,14 @@ mod tests {
                 p.duration = 0.5;
             }
             let solver = PebSolver::new(p, grid, scheme).unwrap();
-            peb_pool::tile::set_tile_bytes(None);
-            let untiled = solver.run(&acid0).unwrap();
-            peb_pool::tile::set_tile_bytes(Some(2 << 10));
-            let tiled = solver.run(&acid0).unwrap();
-            peb_pool::tile::set_tile_bytes(Some(peb_pool::tile::DEFAULT_TILE_BYTES));
+            let run = |tile_bytes| {
+                let scoped = peb_par::ExecCtx {
+                    tile_bytes,
+                    ..peb_par::ctx::current()
+                };
+                peb_par::ctx::with(scoped, || solver.run(&acid0).unwrap())
+            };
+            let (untiled, tiled) = (run(None), run(Some(2 << 10)));
             for (field, u, t) in [
                 ("acid", &untiled.acid, &tiled.acid),
                 ("base", &untiled.base, &tiled.base),

@@ -39,7 +39,7 @@ mod ssm;
 
 pub use conv1d::CausalDwConv1d;
 pub use directions::{gather_rows, ScanDirection, ScanOrder};
-pub use scan::{selective_scan, selective_scan_chunked};
+pub use scan::selective_scan;
 pub use sdm_unit::{SdmUnit, SdmUnitConfig};
 pub use ssm::{hippo_a_log_init, LtiSsmBlock, SsmBlock};
 

@@ -128,7 +128,7 @@ fn scan_forward(
         let hslots = peb_par::UnsafeSlice::new(&mut h_traj);
         let lane_cost = 12 * (l as u64) * (n as u64);
         let group_chunk = ch.div_ceil(8).next_multiple_of(8);
-        // Precision latched on the submitting thread and captured below;
+        // Precision read on the submitting thread and captured below;
         // bf16 stores the running state and packed `a` half-width (the
         // ragged tail keeps the f32 scalar recurrence). Int8 is a
         // GEMM-only format — the scan has no quantized variant, so it
@@ -551,250 +551,5 @@ mod tests {
         let o = operands(512, 4, 4, 35);
         let y = run(&o).value_clone();
         assert!(y.data().iter().all(|v| v.is_finite()));
-    }
-}
-
-/// Chunked evaluation of the same selective-scan recurrence.
-///
-/// Processes the sequence in fixed-size chunks, carrying only the final
-/// state of each chunk across the boundary — the structure used by
-/// hardware-aware Mamba kernels to bound working-set size (each chunk's
-/// trajectory fits in fast memory). On this CPU implementation it is a
-/// *fidelity* reference, not a speedup: the test suite asserts it agrees
-/// with [`selective_scan`] to round-off, and the Criterion benches
-/// compare their costs.
-///
-/// # Panics
-///
-/// Panics on inconsistent operand shapes or `chunk == 0`.
-pub fn selective_scan_chunked(
-    u: &Var,
-    delta: &Var,
-    a: &Var,
-    b: &Var,
-    c: &Var,
-    d: &Var,
-    chunk: usize,
-) -> Var {
-    assert!(chunk > 0, "chunk size must be positive");
-    let (l, ch) = {
-        let s = u.shape();
-        assert_eq!(s.len(), 2, "u must be [L, C]");
-        (s[0], s[1])
-    };
-    let _span = peb_obs::span("scan.chunked_fwd");
-    peb_obs::count(peb_obs::Counter::ScanLanes, ch as u64);
-    let n = a.shape()[1];
-    let out = {
-        let (ud, dd, ad, bd, cd, skip) = (
-            u.value_clone(),
-            delta.value_clone(),
-            a.value_clone(),
-            b.value_clone(),
-            c.value_clone(),
-            d.value_clone(),
-        );
-        let mut y = Tensor::zeros(&[l, ch]);
-        // Channel lanes fan out as in `scan_forward`; the time-chunk loop
-        // (the memory-bounding structure) runs per lane. With no stored
-        // trajectory the chunk boundaries change no operation, so full
-        // 8-lane groups run the vectorized kernel over the whole range —
-        // value-identical to the chunk-structured loop, which the ragged
-        // tail lanes keep.
-        let yslots = peb_par::UnsafeSlice::new(y.data_mut());
-        let lane_cost = 12 * (l as u64) * (n as u64);
-        let group_chunk = ch.div_ceil(8).next_multiple_of(8);
-        // Same precision capture as `scan_forward`: latched here on the
-        // submitting thread, bf16 halves the per-group hot state.
-        let bf16 = peb_simd::prec() == peb_simd::Prec::Bf16;
-        peb_par::parallel_chunks_cost(ch, group_chunk, lane_cost, |lanes| {
-            let mut h = peb_pool::PoolBuf::<f32>::zeroed(n * 8);
-            let mut apack = peb_pool::PoolBuf::<f32>::cleared(n * 8);
-            let mut h16 = peb_pool::PoolBuf::<u16>::zeroed(if bf16 { n * 8 } else { 0 });
-            let mut apack16 = peb_pool::PoolBuf::<u16>::cleared(if bf16 { n * 8 } else { 0 });
-            let mut ci0 = lanes.start;
-            while ci0 + 8 <= lanes.end {
-                // SAFETY: the group owns y columns ci0..ci0+8; groups are
-                // disjoint (chunks are 8-aligned).
-                if bf16 {
-                    peb_simd::scan::pack_a_lanes8_bf16(ad.data(), n, ci0, &mut apack16);
-                    h16.fill(0);
-                    unsafe {
-                        peb_simd::scan::scan_forward_lanes8_bf16(
-                            ud.data(),
-                            dd.data(),
-                            &apack16,
-                            bd.data(),
-                            cd.data(),
-                            &skip.data()[ci0..],
-                            &mut h16,
-                            &yslots,
-                            None,
-                            l,
-                            ch,
-                            n,
-                            ci0,
-                        );
-                    }
-                    ci0 += 8;
-                    continue;
-                }
-                peb_simd::scan::pack_a_lanes8(ad.data(), n, ci0, &mut apack);
-                h.fill(0.0);
-                unsafe {
-                    peb_simd::scan::scan_forward_lanes8(
-                        ud.data(),
-                        dd.data(),
-                        &apack,
-                        bd.data(),
-                        cd.data(),
-                        &skip.data()[ci0..],
-                        &mut h,
-                        &yslots,
-                        None,
-                        l,
-                        ch,
-                        n,
-                        ci0,
-                    );
-                }
-                ci0 += 8;
-            }
-            for ci in ci0..lanes.end {
-                let h = &mut h[..n];
-                h.fill(0.0);
-                let mut t0 = 0usize;
-                while t0 < l {
-                    let t1 = (t0 + chunk).min(l);
-                    // Within-chunk recurrence starting from the carried
-                    // state.
-                    for t in t0..t1 {
-                        let dt = dd.data()[t * ch + ci];
-                        let ut = ud.data()[t * ch + ci];
-                        let mut acc = 0f32;
-                        for (ni, hv) in h.iter_mut().enumerate() {
-                            let e = (dt * ad.data()[ci * n + ni]).exp();
-                            *hv = e * *hv + dt * ut * bd.data()[t * n + ni];
-                            acc += cd.data()[t * n + ni] * *hv;
-                        }
-                        // SAFETY: lane `ci` owns y[t·ch+ci] for every t.
-                        unsafe { *yslots.get_mut(t * ch + ci) = acc + skip.data()[ci] * ut };
-                    }
-                    t0 = t1;
-                }
-            }
-        });
-        y
-    };
-    // The chunked forward is value-identical to the sequential scan, so
-    // reuse its exact backward by re-running the fused op's gradient path.
-    let (uc, dc, ac, bc, cc, ddc) = (
-        u.clone(),
-        delta.clone(),
-        a.clone(),
-        b.clone(),
-        c.clone(),
-        d.clone(),
-    );
-    Var::from_op(
-        out,
-        vec![
-            u.clone(),
-            delta.clone(),
-            a.clone(),
-            b.clone(),
-            c.clone(),
-            d.clone(),
-        ],
-        move |g| {
-            let lv = uc.shape()[0];
-            let chv = uc.shape()[1];
-            let nv = ac.shape()[1];
-            let (_, h_traj) = scan_forward(
-                &uc.value(),
-                &dc.value(),
-                &ac.value(),
-                &bc.value(),
-                &cc.value(),
-                &ddc.value(),
-                lv,
-                chv,
-                nv,
-            );
-            scan_backward(
-                g,
-                &uc.value(),
-                &dc.value(),
-                &ac.value(),
-                &bc.value(),
-                &cc.value(),
-                &ddc.value(),
-                &h_traj,
-                lv,
-                chv,
-                nv,
-            )
-            .into_iter()
-            .map(Some)
-            .collect()
-        },
-    )
-}
-
-#[cfg(test)]
-mod chunked_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn operands(l: usize, ch: usize, n: usize, seed: u64) -> Vec<Var> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        vec![
-            Var::parameter(Tensor::randn(&[l, ch], &mut rng)),
-            Var::constant(Tensor::rand_uniform(&[l, ch], 0.05, 0.5, &mut rng)),
-            Var::constant(Tensor::rand_uniform(&[ch, n], -1.5, -0.2, &mut rng)),
-            Var::constant(Tensor::randn(&[l, n], &mut rng)),
-            Var::constant(Tensor::randn(&[l, n], &mut rng)),
-            Var::constant(Tensor::randn(&[ch], &mut rng)),
-        ]
-    }
-
-    #[test]
-    fn chunked_matches_sequential_for_all_chunk_sizes() {
-        let o = operands(13, 2, 3, 81);
-        let reference = selective_scan(&o[0], &o[1], &o[2], &o[3], &o[4], &o[5]).value_clone();
-        for chunk in [1usize, 2, 4, 5, 13, 64] {
-            let y = selective_scan_chunked(&o[0], &o[1], &o[2], &o[3], &o[4], &o[5], chunk)
-                .value_clone();
-            assert!(
-                y.approx_eq(&reference, 1e-5),
-                "chunk {chunk} diverges: {:?}",
-                y.max_abs_diff(&reference)
-            );
-        }
-    }
-
-    #[test]
-    fn chunked_gradient_matches_sequential() {
-        let o = operands(9, 2, 2, 82);
-        selective_scan(&o[0], &o[1], &o[2], &o[3], &o[4], &o[5])
-            .square()
-            .sum()
-            .backward();
-        let g_seq = o[0].grad().unwrap();
-        o[0].zero_grad();
-        selective_scan_chunked(&o[0], &o[1], &o[2], &o[3], &o[4], &o[5], 4)
-            .square()
-            .sum()
-            .backward();
-        let g_chunk = o[0].grad().unwrap();
-        assert!(g_seq.approx_eq(&g_chunk, 1e-4));
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size")]
-    fn rejects_zero_chunk() {
-        let o = operands(4, 1, 1, 83);
-        selective_scan_chunked(&o[0], &o[1], &o[2], &o[3], &o[4], &o[5], 0);
     }
 }

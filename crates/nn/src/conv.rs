@@ -977,12 +977,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let conv = Conv3d::new(3, 5, (3, 3, 3), (1, 1, 1), (1, 1, 1), true, &mut rng);
         let x = Var::constant(Tensor::randn(&[3, 12, 10, 10], &mut rng));
+        let run = |tile_bytes| {
+            let scoped = peb_par::ExecCtx {
+                tile_bytes,
+                ..peb_par::ctx::current()
+            };
+            peb_par::ctx::with(scoped, || conv.forward(&x).value_clone())
+        };
         // Tiny target → one output plane per slab.
-        peb_pool::tile::set_tile_bytes(Some(1));
-        let tiled = conv.forward(&x).value_clone();
-        peb_pool::tile::set_tile_bytes(None);
-        let untiled = conv.forward(&x).value_clone();
-        peb_pool::tile::set_tile_bytes(Some(peb_pool::tile::DEFAULT_TILE_BYTES));
+        let (tiled, untiled) = (run(Some(1)), run(None));
         assert_eq!(tiled.shape(), untiled.shape());
         for (a, b) in tiled.data().iter().zip(untiled.data()) {
             assert_eq!(a.to_bits(), b.to_bits());

@@ -8,29 +8,34 @@
 //! change, in either direction of the graph.
 
 use peb_nn::{Conv3d, Parameterized};
+use peb_par::ctx::{self, ExecCtx};
 use peb_tensor::{check_gradients, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Loss digest + input gradient digest + one digest per parameter
 /// gradient, for one forward/backward run at the given tile setting.
-fn run(conv: &Conv3d, x0: &Tensor, tile: Option<usize>) -> Vec<u64> {
-    peb_pool::tile::set_tile_bytes(tile);
-    for p in conv.parameters() {
-        p.zero_grad();
-    }
-    let x = Var::parameter(x0.clone());
-    let loss = conv.forward(&x).square().sum();
-    loss.backward();
-    let mut digests = vec![
-        loss.value().bit_digest(),
-        x.grad().expect("input grad").bit_digest(),
-    ];
-    for p in conv.parameters() {
-        digests.push(p.grad().expect("param grad").bit_digest());
-    }
-    peb_pool::tile::set_tile_bytes(Some(peb_pool::tile::DEFAULT_TILE_BYTES));
-    digests
+fn run(conv: &Conv3d, x0: &Tensor, tile_bytes: Option<usize>) -> Vec<u64> {
+    let scoped = ExecCtx {
+        tile_bytes,
+        ..ctx::current()
+    };
+    ctx::with(scoped, || {
+        for p in conv.parameters() {
+            p.zero_grad();
+        }
+        let x = Var::parameter(x0.clone());
+        let loss = conv.forward(&x).square().sum();
+        loss.backward();
+        let mut digests = vec![
+            loss.value().bit_digest(),
+            x.grad().expect("input grad").bit_digest(),
+        ];
+        for p in conv.parameters() {
+            digests.push(p.grad().expect("param grad").bit_digest());
+        }
+        digests
+    })
 }
 
 #[test]
@@ -60,12 +65,16 @@ fn conv3d_gradcheck_under_aggressive_tiling() {
     let mut rng = StdRng::seed_from_u64(77);
     let conv = Conv3d::new(2, 2, (3, 3, 3), (1, 2, 2), (1, 1, 1), true, &mut rng);
     let x0 = Tensor::randn(&[2, 6, 7, 7], &mut rng);
-    peb_pool::tile::set_tile_bytes(Some(1));
-    let r = check_gradients(
-        &Var::parameter(x0),
-        |v| conv.forward(v).square().sum(),
-        1e-2,
-    );
-    peb_pool::tile::set_tile_bytes(Some(peb_pool::tile::DEFAULT_TILE_BYTES));
+    let one_plane_slabs = ExecCtx {
+        tile_bytes: Some(1),
+        ..ctx::current()
+    };
+    let r = ctx::with(one_plane_slabs, || {
+        check_gradients(
+            &Var::parameter(x0),
+            |v| conv.forward(v).square().sum(),
+            1e-2,
+        )
+    });
     assert!(r.ok(3e-2), "tiled-forward gradcheck failed: {r:?}");
 }

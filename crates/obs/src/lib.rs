@@ -15,9 +15,13 @@
 //!
 //! | `PEB_TRACE` | behaviour |
 //! |-------------|-----------|
-//! | unset / other | disabled: every probe is one relaxed atomic load + a predictable branch |
+//! | unset / `off` / `0` | disabled: every probe is one relaxed atomic load + a predictable branch |
 //! | `summary`   | collect; print a human-readable table to stderr at process exit |
 //! | `json`      | collect; write a JSON profile (with a chrome://tracing-compatible `traceEvents` stream) to `PEB_TRACE_OUT` (default `peb_trace.json`) at exit |
+//!
+//! Any other value is rejected: binaries exit 2 from
+//! `peb_par::ctx::init_or_exit`, which validates the same set, and a
+//! library's first probe panics.
 //!
 //! Tests and binaries can bypass the environment with [`set_mode`], read
 //! the aggregate state with [`snapshot`], clear it with [`reset`], and
@@ -81,9 +85,10 @@ pub fn enabled() -> bool {
 #[cold]
 fn init_mode() -> TraceMode {
     let m = match std::env::var("PEB_TRACE").as_deref() {
+        Err(_) | Ok("" | "off" | "0") => TraceMode::Off,
         Ok("summary") => TraceMode::Summary,
         Ok("json") => TraceMode::Json,
-        _ => TraceMode::Off,
+        Ok(v) => panic!("invalid configuration: PEB_TRACE={v:?} (expected off|0|summary|json)"),
     };
     set_mode(m);
     m
@@ -194,7 +199,7 @@ pub enum Counter {
     /// k while performing a single pool checkout instead of k.
     FusedOps = 16,
     /// Cache-sized slab passes executed by the tiled solver/conv paths
-    /// (one tick per slab actually streamed, 0 under `PEB_TILE=off`).
+    /// (one tick per slab actually streamed, 0 on the untiled path).
     SlabPasses = 17,
     /// Inference requests accepted by `peb-serve` (shed requests are
     /// counted under [`Counter::ServeShed`] instead).

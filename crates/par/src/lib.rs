@@ -19,9 +19,10 @@
 //!
 //! # Sizing
 //!
-//! The effective thread count is, in priority order: the innermost
-//! [`with_thread_count`] override on the calling thread, else the
-//! `PEB_THREADS` environment variable, else `available_parallelism()`.
+//! The effective thread count is the `threads` field of the calling
+//! thread's [`ExecCtx`] (see [`ctx`]): the innermost [`ctx::with`] /
+//! [`with_thread_count`] scope, else `PEB_THREADS`, else
+//! `available_parallelism()`.
 //! The pool spawns workers lazily and keeps them parked between calls, so
 //! a parallel loop costs roughly one atomic fetch-add per chunk plus one
 //! condvar wake per idle worker.
@@ -50,32 +51,18 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+pub mod ctx;
+
+pub use ctx::ExecCtx;
+
 // ---------------------------------------------------------------------------
 // Thread-count resolution
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    /// Innermost `with_thread_count` override for this thread.
-    static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
     /// Set inside pool workers and inside caller-side chunk loops: nested
     /// parallel calls run inline.
     static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
-}
-
-/// The `PEB_THREADS`/`available_parallelism` default, read once.
-pub fn max_threads() -> usize {
-    static MAX: OnceLock<usize> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        std::env::var("PEB_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-    })
 }
 
 /// Whether this thread is currently executing a parallel chunk body
@@ -91,34 +78,23 @@ pub fn in_parallel() -> bool {
 
 /// The thread count parallel loops on this thread will use right now.
 pub fn current_threads() -> usize {
-    THREAD_OVERRIDE
-        .with(|o| o.get())
-        .unwrap_or_else(max_threads)
+    ctx::current().threads
 }
 
-/// Runs `f` with the effective thread count forced to `n` on this thread.
-///
-/// Used by the determinism tests (`1` vs `N` must agree bitwise) and by
-/// callers that know better than the global default. Nested overrides
-/// stack; the innermost wins.
+/// Runs `f` with the effective thread count forced to `n` on this thread
+/// (the rest of the current [`ExecCtx`] unchanged).
 ///
 /// # Panics
 ///
 /// Panics if `n == 0`.
 pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    assert!(n > 0, "thread count must be positive");
-    THREAD_OVERRIDE.with(|o| {
-        let prev = o.replace(Some(n));
-        // Restore on unwind as well.
-        struct Guard<'a>(&'a Cell<Option<usize>>, Option<usize>);
-        impl Drop for Guard<'_> {
-            fn drop(&mut self) {
-                self.0.set(self.1);
-            }
-        }
-        let _guard = Guard(o, prev);
-        f()
-    })
+    ctx::with(
+        ExecCtx {
+            threads: n,
+            ..ctx::current()
+        },
+        f,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -269,9 +245,15 @@ fn run_parallel(nchunks: usize, task: &(dyn Fn(usize) + Sync)) {
         lock: Mutex::new(()),
         done: Condvar::new(),
     });
+    // Helpers run this loop's chunks under the submitter's context, so a
+    // `ctx::with` scope governs the whole parallel region.
+    let submitter = ctx::current();
     pool.submit((0..helpers).map(|_| {
         let shared = Arc::clone(&shared);
-        Box::new(move || shared.run_chunks()) as Job
+        Box::new(move || {
+            let _ctx = ctx::enter(submitter);
+            shared.run_chunks()
+        }) as Job
     }));
     // The caller participates too; mark it as inside a parallel region so
     // nested loops in its chunks run inline, like in the workers.

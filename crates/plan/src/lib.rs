@@ -13,8 +13,8 @@
 //!   actually dispatched.
 //!
 //! [`Plan::record`] runs a closure **twice**: once un-recorded to warm
-//! every latch the computation consults (SIMD dispatch level, tile
-//! geometry, FFT plan caches, pool buckets), then once under a
+//! every cache the computation consults (FFT plan caches, pool
+//! buckets), then once under a
 //! recording window. The second run's checkout stream becomes the
 //! memory plan; its op stream becomes the plan's op list.
 //! [`Plan::replay`] re-executes the same closure with the arena
@@ -25,19 +25,20 @@
 //! # Determinism prerequisites
 //!
 //! A plan is valid for a closure whose checkout stream is a pure
-//! function of latched state: fixed input shape, fixed precision, fixed
-//! dispatch level, fixed thread count. All SDM-PEB inference paths
-//! satisfy this (the workspace's bitwise-determinism contract). If the
+//! function of its inputs and the execution context: fixed input shape,
+//! fixed precision, fixed dispatch level, fixed thread count. All
+//! SDM-PEB inference paths satisfy this (the workspace's
+//! bitwise-determinism contract). If the
 //! stream ever diverges — a different shape, a precision change — the
 //! replay falls back to the ordinary pool mid-run and completes with
 //! correct eager semantics; [`Plan::diverged_replays`] exposes the
 //! count so callers re-record.
 //!
-//! # `PEB_PLAN` escape hatch
+//! # `PEB_PLAN=off`
 //!
-//! `PEB_PLAN=off` (or `0`/`false`) disables replay: [`Plan::replay`]
-//! runs the closure eagerly with no arena. The latch is read once, like
-//! `PEB_POOL`/`PEB_TRACE`; tests override it with [`set_enabled`].
+//! Under an execution context with `plan: false` (`PEB_PLAN=off`, or a
+//! `peb_par::ctx::with` scope) [`Plan::replay`] runs the closure eagerly
+//! with no arena.
 //!
 //! # Threading
 //!
@@ -51,7 +52,6 @@
 use std::cell::Cell;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 pub use peb_obs::optrace::OpDesc;
 pub use peb_pool::arena::{
@@ -60,32 +60,10 @@ pub use peb_pool::arena::{
 
 use peb_pool::arena::{self, Arena};
 
-const ENABLED_UNINIT: u8 = u8::MAX;
-static ENABLED: AtomicU8 = AtomicU8::new(ENABLED_UNINIT);
-
-/// Whether plan replay is active, reading `PEB_PLAN` on first call.
+/// Whether the calling thread's execution context replays plans.
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => init_enabled(),
-    }
-}
-
-#[cold]
-fn init_enabled() -> bool {
-    let on = !matches!(
-        std::env::var("PEB_PLAN").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    );
-    ENABLED.store(on as u8, Ordering::Relaxed);
-    on
-}
-
-/// Overrides the `PEB_PLAN` latch (tests, benches).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on as u8, Ordering::Relaxed);
+    peb_par::ctx::current().plan
 }
 
 /// A recorded execution plan: the op list of one computation plus the
@@ -100,9 +78,9 @@ pub struct Plan {
 
 impl Plan {
     /// Records `f` into a plan. `f` runs **twice** — an un-recorded
-    /// warmup (latching SIMD/tile/FFT/pool state) and the recorded run
-    /// whose result is returned — so it must be a pure computation:
-    /// same checkout stream every invocation at fixed latched state.
+    /// warmup (filling FFT plan caches and pool buckets) and the recorded
+    /// run whose result is returned — so it must be a pure computation:
+    /// same checkout stream every invocation under one execution context.
     pub fn record<R>(mut f: impl FnMut() -> R) -> (Plan, R) {
         let _warm = f();
         peb_obs::optrace::begin();
@@ -225,13 +203,17 @@ impl std::fmt::Debug for Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use peb_par::ctx::{self, ExecCtx};
 
-    /// The `PEB_PLAN` latch is process-global; serialise tests that
-    /// flip or depend on it.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    /// Runs `f` with replay forced on or off (whatever `PEB_PLAN` says).
+    fn with_plan<R>(plan: bool, f: impl FnOnce() -> R) -> R {
+        ctx::with(
+            ExecCtx {
+                plan,
+                ..ctx::current()
+            },
+            f,
+        )
     }
 
     /// A deterministic "computation": a chain of pooled intermediates
@@ -256,55 +238,46 @@ mod tests {
 
     #[test]
     fn record_then_replay_is_bitwise_identical_and_allocation_free() {
-        let _g = lock();
-        peb_pool::set_enabled(true);
-        set_enabled(true);
-        let (plan, eager) = Plan::record(|| fake_forward(64));
-        assert!(plan.planned_allocs() >= 2, "{plan:?}");
-        assert!(plan.arena_bytes() > 0);
-        for _ in 0..3 {
-            let (replayed, outcome) = plan.replay(|| fake_forward(64));
-            assert!(outcome.complete, "{outcome:?}");
-            assert_eq!(outcome.served as usize, plan.planned_allocs());
-            assert_eq!(replayed, eager, "replay must be bitwise identical");
-            peb_pool::recycle(replayed);
-        }
-        assert_eq!(plan.completed_replays(), 3);
-        assert_eq!(plan.diverged_replays(), 0);
-        peb_pool::recycle(eager);
+        with_plan(true, || {
+            let (plan, eager) = Plan::record(|| fake_forward(64));
+            assert!(plan.planned_allocs() >= 2, "{plan:?}");
+            assert!(plan.arena_bytes() > 0);
+            for _ in 0..3 {
+                let (replayed, outcome) = plan.replay(|| fake_forward(64));
+                assert!(outcome.complete, "{outcome:?}");
+                assert_eq!(outcome.served as usize, plan.planned_allocs());
+                assert_eq!(replayed, eager, "replay must be bitwise identical");
+                peb_pool::recycle(replayed);
+            }
+            assert_eq!(plan.completed_replays(), 3);
+            assert_eq!(plan.diverged_replays(), 0);
+            peb_pool::recycle(eager);
+        });
     }
 
     #[test]
     fn divergent_replay_still_computes_correctly() {
-        let _g = lock();
-        peb_pool::set_enabled(true);
-        set_enabled(true);
-        let (plan, _r) = Plan::record(|| fake_forward(64));
-        // Different shape than recorded: diverges, result still right.
-        let (replayed, outcome) = plan.replay(|| fake_forward(32));
-        assert!(outcome.diverged);
-        let eager = fake_forward(32);
-        assert_eq!(replayed, eager);
-        assert_eq!(plan.diverged_replays(), 1);
+        with_plan(true, || {
+            let (plan, _r) = Plan::record(|| fake_forward(64));
+            // Different shape than recorded: diverges, result still right.
+            let (replayed, outcome) = plan.replay(|| fake_forward(32));
+            assert!(outcome.diverged);
+            let eager = fake_forward(32);
+            assert_eq!(replayed, eager);
+            assert_eq!(plan.diverged_replays(), 1);
+        });
     }
 
     #[test]
-    fn latch_off_runs_eagerly() {
-        let _g = lock();
-        peb_pool::set_enabled(true);
-        set_enabled(true);
+    fn plan_off_runs_eagerly() {
         let (plan, eager) = Plan::record(|| fake_forward(16));
-        set_enabled(false);
-        let (replayed, outcome) = plan.replay(|| fake_forward(16));
+        let (replayed, outcome) = with_plan(false, || plan.replay(|| fake_forward(16)));
         assert!(!outcome.complete && outcome.served == 0);
         assert_eq!(replayed, eager);
-        set_enabled(true);
     }
 
     #[test]
     fn op_capture_lands_in_the_plan() {
-        let _g = lock();
-        peb_pool::set_enabled(true);
         let (plan, _r) = Plan::record(|| {
             peb_obs::optrace::note("gemm", || "m=8 k=8 n=8".to_string());
             fake_forward(8)

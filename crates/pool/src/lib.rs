@@ -20,12 +20,12 @@
 //!   `peb-par` workers are long-lived, so their pools stay warm across
 //!   parallel regions.)
 //!
-//! # `PEB_POOL` escape hatch
+//! # The unpooled oracle
 //!
-//! Setting `PEB_POOL=off` (or `0`) disables recycling: every checkout
-//! allocates fresh storage and every return is dropped, reproducing the
-//! pre-pool allocation behaviour exactly. The variable is read once and
-//! latched, like `PEB_TRACE`; tests can bypass it with [`set_enabled`].
+//! Under an execution context with `pool: false` (`peb_par::ctx::with`)
+//! every checkout allocates fresh storage and every return is dropped.
+//! No environment variable selects this: it exists so the identity
+//! suites can show pooling never changes a bit.
 //!
 //! # Observability
 //!
@@ -36,7 +36,6 @@
 //! functions: `true` means fresh heap storage was allocated.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod arena;
 pub mod tile;
@@ -110,35 +109,10 @@ impl_poolable!(u16);
 impl_poolable!(i8);
 impl_poolable!(usize);
 
-const ENABLED_UNINIT: u8 = u8::MAX;
-static ENABLED: AtomicU8 = AtomicU8::new(ENABLED_UNINIT);
-
-/// Whether pooling is active, reading `PEB_POOL` on first call.
+/// Whether the calling thread's execution context recycles buffers.
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => init_enabled(),
-    }
-}
-
-#[cold]
-fn init_enabled() -> bool {
-    let on = !matches!(
-        std::env::var("PEB_POOL").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    );
-    ENABLED.store(on as u8, Ordering::Relaxed);
-    on
-}
-
-/// Overrides the `PEB_POOL` latch. Used by differential tests and the
-/// pool benchmark to compare pooled against unpooled execution in one
-/// process. Disabling does not flush already-pooled buffers; they are
-/// simply not handed out until re-enabled.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on as u8, Ordering::Relaxed);
+    peb_par::ctx::current().pool
 }
 
 /// Per-type bucket array: `buckets[b]` holds returned buffers whose
@@ -334,13 +308,6 @@ impl<T: Poolable> Drop for PoolBuf<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The enabled latch is process-global; serialise tests that flip it.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn bucket_maths() {
@@ -357,8 +324,6 @@ mod tests {
 
     #[test]
     fn bucket_reuse_returns_the_same_storage() {
-        let _g = lock();
-        set_enabled(true);
         let (v, _) = take_zeroed::<f32>(1000);
         let ptr = v.as_ptr();
         let cap = v.capacity();
@@ -373,8 +338,6 @@ mod tests {
 
     #[test]
     fn zero_on_checkout_hides_recycled_garbage() {
-        let _g = lock();
-        set_enabled(true);
         let (mut v, _) = take_zeroed::<f32>(256);
         for x in v.iter_mut() {
             *x = f32::NAN;
@@ -388,8 +351,6 @@ mod tests {
 
     #[test]
     fn take_copy_matches_source() {
-        let _g = lock();
-        set_enabled(true);
         let src: Vec<f32> = (0..77).map(|i| i as f32).collect();
         let (v, _) = take_copy(&src);
         assert_eq!(v, src);
@@ -397,8 +358,6 @@ mod tests {
 
     #[test]
     fn cross_thread_pools_are_isolated() {
-        let _g = lock();
-        set_enabled(true);
         let (v, _) = take_zeroed::<f32>(512);
         let ptr = v.as_ptr() as usize;
         recycle(v);
@@ -418,20 +377,21 @@ mod tests {
 
     #[test]
     fn disabled_pool_always_allocates() {
-        let _g = lock();
-        set_enabled(false);
-        let (v, fresh) = take_zeroed::<f32>(128);
-        assert!(fresh);
-        recycle(v); // dropped, not pooled
-        let (_, fresh2) = take_zeroed::<f32>(128);
-        assert!(fresh2, "disabled pool must never reuse");
-        set_enabled(true);
+        let unpooled = peb_par::ExecCtx {
+            pool: false,
+            ..peb_par::ctx::current()
+        };
+        peb_par::ctx::with(unpooled, || {
+            let (v, fresh) = take_zeroed::<f32>(128);
+            assert!(fresh);
+            recycle(v); // dropped, not pooled
+            let (_, fresh2) = take_zeroed::<f32>(128);
+            assert!(fresh2, "disabled pool must never reuse");
+        });
     }
 
     #[test]
     fn zero_length_checkout_is_free() {
-        let _g = lock();
-        set_enabled(true);
         let (v, fresh) = take_zeroed::<f32>(0);
         assert!(v.is_empty() && !fresh);
         recycle(Vec::<f32>::new()); // no-op
@@ -439,8 +399,6 @@ mod tests {
 
     #[test]
     fn distinct_element_types_do_not_collide() {
-        let _g = lock();
-        set_enabled(true);
         let (v, _) = take_zeroed::<f32>(64);
         recycle(v);
         let (w, _) = take_zeroed::<u64>(64);
@@ -453,8 +411,6 @@ mod tests {
 
     #[test]
     fn pool_buf_recycles_on_drop() {
-        let _g = lock();
-        set_enabled(true);
         let ptr = {
             let mut b = PoolBuf::<f32>::zeroed(333);
             b[0] = 1.0;
@@ -468,8 +424,6 @@ mod tests {
 
     #[test]
     fn oversized_buffers_bypass_the_pool() {
-        let _g = lock();
-        set_enabled(true);
         let huge = 1usize << (MAX_BUCKET + 1);
         let (v, fresh) = take_raw::<f32>(huge);
         assert!(fresh);

@@ -1,4 +1,4 @@
-//! The `PEB_TILE` knob: cache-sized slab targets for tiled execution.
+//! Cache-sized slab targets for tiled execution.
 //!
 //! Tiled hot paths (the ADI/explicit diffusion sweeps in `peb-litho`,
 //! the 3-D conv lowering in `peb-nn`) partition their depth axis into
@@ -6,101 +6,20 @@
 //! over a slab hit cache instead of streaming the full volume per pass.
 //! Tiling only reorders *whole-element* units of work — per-element
 //! arithmetic and accumulation order are untouched — so tiled output is
-//! bitwise identical to untiled and the knob is purely a performance
-//! lever:
+//! bitwise identical to untiled.
 //!
-//! * `PEB_TILE=off` (or `0`) — disable tiling; every pass walks the full
-//!   volume (the pre-tiling behaviour);
-//! * `PEB_TILE=<bytes>` — explicit slab working-set target in bytes;
-//! * `PEB_TILE=auto` or unset — target the detected per-core L2 size
-//!   (`/sys/devices/system/cpu/cpu0/cache`), falling back to
-//!   [`DEFAULT_TILE_BYTES`] (1 MiB) when detection fails (non-Linux,
-//!   masked sysfs).
-//!
-//! The choice is latched once per process like `PEB_SIMD` / `PEB_POOL`;
-//! [`set_tile_bytes`] overrides it for benches and tests.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Fallback slab working-set target when cache detection fails: 1 MiB,
-/// comfortably inside any modern per-core L2/L3 share.
-pub const DEFAULT_TILE_BYTES: usize = 1 << 20;
-
-const TILE_UNINIT: u64 = u64::MAX;
-const TILE_OFF: u64 = 0;
-static TILE: AtomicU64 = AtomicU64::new(TILE_UNINIT);
-
-/// Parses a sysfs cache size string such as `"2048K"` or `"8M"`.
-fn parse_cache_size(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (num, mult) = match s.as_bytes().last()? {
-        b'K' => (&s[..s.len() - 1], 1usize << 10),
-        b'M' => (&s[..s.len() - 1], 1usize << 20),
-        _ => (s, 1),
-    };
-    num.parse::<usize>().ok().map(|n| n * mult)
-}
-
-/// Detected per-core L2 cache size in bytes, when sysfs exposes it.
-pub fn detected_l2_bytes() -> Option<usize> {
-    let base = std::path::Path::new("/sys/devices/system/cpu/cpu0/cache");
-    let entries = std::fs::read_dir(base).ok()?;
-    let mut best = None;
-    for e in entries.flatten() {
-        let p = e.path();
-        let level = std::fs::read_to_string(p.join("level")).ok()?;
-        if level.trim() == "2" {
-            let size = std::fs::read_to_string(p.join("size")).ok()?;
-            let bytes = parse_cache_size(&size)?;
-            best = Some(best.map_or(bytes, |b: usize| b.max(bytes)));
-        }
-    }
-    best
-}
-
-#[cold]
-fn init_tile() -> u64 {
-    let v = match std::env::var("PEB_TILE").as_deref() {
-        Ok("off") | Ok("0") => TILE_OFF,
-        Ok(s) if s.parse::<u64>().map(|b| b > 0).unwrap_or(false) => {
-            s.parse::<u64>().expect("checked above")
-        }
-        // "auto", unset, or anything unparseable.
-        _ => detected_l2_bytes().unwrap_or(DEFAULT_TILE_BYTES) as u64,
-    };
-    TILE.store(v, Ordering::Relaxed);
-    v
-}
-
-/// Slab working-set target in bytes, or `None` when tiling is off.
-/// Latched from `PEB_TILE` + cache detection on first call.
-#[inline]
-pub fn tile_target_bytes() -> Option<usize> {
-    let v = match TILE.load(Ordering::Relaxed) {
-        TILE_UNINIT => init_tile(),
-        v => v,
-    };
-    (v != TILE_OFF).then_some(v as usize)
-}
-
-/// Overrides the latched tile target, bypassing `PEB_TILE`: `None`
-/// disables tiling, `Some(bytes)` sets an explicit target. Used by
-/// benchmark binaries and the determinism suite for A/B runs; callers
-/// that toggle this in tests must serialise themselves (the target is
-/// process-global).
-pub fn set_tile_bytes(bytes: Option<usize>) {
-    TILE.store(
-        bytes.map_or(TILE_OFF, |b| (b as u64).max(1)),
-        Ordering::Relaxed,
-    );
-}
+//! The target is the `tile_bytes` field of the calling thread's
+//! execution context (`peb_par::ctx`): the detected per-core L2 size,
+//! falling back to `DEFAULT_TILE_BYTES` when sysfs does not expose it.
+//! `tile_bytes: None` runs the untiled full-volume path, the oracle the
+//! identity suites compare against.
 
 /// Number of depth items (e.g. z-planes) per slab so that
 /// `items × bytes_per_item` stays within the tile target, clamped to
 /// `[1, total_items]`. Returns `None` when tiling is off (callers run
 /// the untiled full-volume path).
 pub fn slab_items(bytes_per_item: usize, total_items: usize) -> Option<usize> {
-    let target = tile_target_bytes()?;
+    let target = peb_par::ctx::current().tile_bytes?;
     if total_items == 0 {
         return Some(0);
     }
@@ -110,28 +29,22 @@ pub fn slab_items(bytes_per_item: usize, total_items: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peb_par::ctx::{self, ExecCtx};
 
     #[test]
-    fn parses_sysfs_sizes() {
-        assert_eq!(parse_cache_size("2048K"), Some(2048 << 10));
-        assert_eq!(parse_cache_size("8M"), Some(8 << 20));
-        assert_eq!(parse_cache_size("512"), Some(512));
-        assert_eq!(parse_cache_size("x"), None);
-    }
-
-    #[test]
-    fn override_latches_and_slabs() {
-        set_tile_bytes(Some(1 << 20));
-        assert_eq!(tile_target_bytes(), Some(1 << 20));
-        // 256 KiB planes → 4 per slab under a 1 MiB target.
-        assert_eq!(slab_items(256 << 10, 100), Some(4));
-        // Oversized items still make one-item slabs.
-        assert_eq!(slab_items(64 << 20, 100), Some(1));
-        // Clamped to the total.
-        assert_eq!(slab_items(1, 3), Some(3));
-        set_tile_bytes(None);
-        assert_eq!(tile_target_bytes(), None);
-        assert_eq!(slab_items(1024, 10), None);
-        set_tile_bytes(Some(DEFAULT_TILE_BYTES));
+    fn slabs_follow_the_context_target() {
+        let tiled = |tile_bytes| ExecCtx {
+            tile_bytes,
+            ..ctx::current()
+        };
+        ctx::with(tiled(Some(1 << 20)), || {
+            // 256 KiB planes → 4 per slab under a 1 MiB target.
+            assert_eq!(slab_items(256 << 10, 100), Some(4));
+            // Oversized items still make one-item slabs.
+            assert_eq!(slab_items(64 << 20, 100), Some(1));
+            // Clamped to the total.
+            assert_eq!(slab_items(1, 3), Some(3));
+        });
+        ctx::with(tiled(None), || assert_eq!(slab_items(1024, 10), None));
     }
 }

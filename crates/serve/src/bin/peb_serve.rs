@@ -5,7 +5,8 @@
 use peb_serve::{ServeConfig, Server};
 
 fn main() {
-    let config = ServeConfig::from_env();
+    peb_par::ctx::init_or_exit();
+    let config = ServeConfig::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
     let server = match Server::start(config.clone()) {
         Ok(s) => s,
         Err(e) => {
@@ -23,6 +24,7 @@ fn main() {
         config.max_wait_us,
         config.queue_cap,
     );
+    println!("peb-serve exec {}", server.handle().stats().exec.to_json());
     // Serve forever; the process is stopped externally (CI kills it
     // after the smoke window).
     loop {

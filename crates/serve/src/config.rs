@@ -1,5 +1,8 @@
 //! Serving configuration (`PEB_SERVE_*` environment variables).
 
+use peb_par::ctx::{self, read_parsed, read_var, ConfigError};
+use peb_simd::Prec;
+
 use crate::clip;
 
 /// Model size preset used to build the served architecture.
@@ -55,10 +58,10 @@ pub struct ServeConfig {
     /// and 4 — results are bitwise identical either way.
     pub compute_threads: Option<usize>,
     /// Compute precision for requests that do not select one with
-    /// `?prec=` (DESIGN §13). Unlike the training-side `PEB_PREC`
-    /// latch, `int8` is a valid serving default — inference-only
-    /// dynamic quantisation is exactly the serving use case.
-    pub default_prec: peb_simd::Prec,
+    /// `?prec=` (DESIGN §13). Unlike the process-wide `PEB_PREC`,
+    /// `int8` is a valid serving default — inference-only dynamic
+    /// quantisation is exactly the serving use case.
+    pub default_prec: Prec,
 }
 
 impl Default for ServeConfig {
@@ -74,61 +77,45 @@ impl Default for ServeConfig {
             ready_hwm: None,
             conn_workers: 2,
             compute_threads: None,
-            default_prec: peb_simd::Prec::F32,
+            default_prec: Prec::F32,
         }
     }
 }
 
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
 impl ServeConfig {
-    /// Defaults overridden by any set `PEB_SERVE_*` variables.
-    pub fn from_env() -> Self {
-        let mut c = ServeConfig::default();
-        if let Ok(v) = std::env::var("PEB_SERVE_ADDR") {
-            c.addr = v;
+    /// Defaults overridden by any set `PEB_SERVE_*` variables; a value
+    /// that does not parse is an error, never a silent default.
+    pub fn from_env() -> Result<Self, ConfigError> {
+        Self::from_lookup(ctx::process_env)
+    }
+
+    fn from_lookup(env: impl Fn(&str) -> Option<String>) -> Result<Self, ConfigError> {
+        const COUNT: &str = "a non-negative integer";
+        let d = ServeConfig::default();
+        Ok(ServeConfig {
+            addr: env("PEB_SERVE_ADDR").unwrap_or(d.addr),
+            grid: read_var(&env, "PEB_SERVE_GRID", "DxHxW, all positive", parse_grid)?
+                .unwrap_or(d.grid),
+            preset: read_var(&env, "PEB_SERVE_MODEL", "tiny|for-grid", |s| match s {
+                "for-grid" | "for_grid" => Some(ModelPreset::ForGrid),
+                "tiny" => Some(ModelPreset::Tiny),
+                _ => None,
+            })?
+            .unwrap_or(d.preset),
+            seed: read_parsed(&env, "PEB_SERVE_SEED", COUNT)?.unwrap_or(d.seed),
+            max_batch: read_parsed(&env, "PEB_SERVE_MAX_BATCH", COUNT)?.unwrap_or(d.max_batch),
+            max_wait_us: read_parsed(&env, "PEB_SERVE_MAX_WAIT_US", COUNT)?
+                .unwrap_or(d.max_wait_us),
+            queue_cap: read_parsed(&env, "PEB_SERVE_QUEUE", COUNT)?.unwrap_or(d.queue_cap),
+            ready_hwm: read_parsed(&env, "PEB_SERVE_READY_HWM", COUNT)?,
+            conn_workers: read_parsed(&env, "PEB_SERVE_WORKERS", COUNT)?.unwrap_or(d.conn_workers),
+            compute_threads: read_var(&env, "PEB_SERVE_THREADS", "a positive integer", |s| {
+                s.parse().ok().filter(|&n: &usize| n > 0)
+            })?,
+            default_prec: read_var(&env, "PEB_SERVE_PREC", "f32|bf16|int8", Prec::parse)?
+                .unwrap_or(d.default_prec),
         }
-        if let Some(g) = std::env::var("PEB_SERVE_GRID")
-            .ok()
-            .and_then(|v| parse_grid(&v))
-        {
-            c.grid = g;
-        }
-        match std::env::var("PEB_SERVE_MODEL").as_deref() {
-            Ok("for-grid" | "for_grid") => c.preset = ModelPreset::ForGrid,
-            Ok("tiny") => c.preset = ModelPreset::Tiny,
-            _ => {}
-        }
-        if let Some(v) = env_parse("PEB_SERVE_SEED") {
-            c.seed = v;
-        }
-        if let Some(v) = env_parse("PEB_SERVE_MAX_BATCH") {
-            c.max_batch = v;
-        }
-        if let Some(v) = env_parse("PEB_SERVE_MAX_WAIT_US") {
-            c.max_wait_us = v;
-        }
-        if let Some(v) = env_parse("PEB_SERVE_QUEUE") {
-            c.queue_cap = v;
-        }
-        if let Some(v) = env_parse("PEB_SERVE_READY_HWM") {
-            c.ready_hwm = Some(v);
-        }
-        if let Some(v) = env_parse("PEB_SERVE_WORKERS") {
-            c.conn_workers = v;
-        }
-        if let Some(v) = env_parse::<usize>("PEB_SERVE_THREADS") {
-            c.compute_threads = Some(v.max(1));
-        }
-        if let Some(p) = std::env::var("PEB_SERVE_PREC")
-            .ok()
-            .and_then(|v| peb_simd::Prec::parse(&v))
-        {
-            c.default_prec = p;
-        }
-        c.normalized()
+        .normalized())
     }
 
     /// Clamps degenerate values so a typo'd env var cannot wedge the
@@ -181,6 +168,31 @@ mod tests {
         assert_eq!(parse_grid("1x2"), None);
         assert_eq!(parse_grid("1x2x3x4"), None);
         assert_eq!(parse_grid("axbxc"), None);
+    }
+
+    #[test]
+    fn lookup_overrides_defaults_and_rejects_bad_values() {
+        let env = |rows: &'static [(&str, &str)]| {
+            move |name: &str| rows.iter().find(|r| r.0 == name).map(|r| r.1.to_string())
+        };
+        assert_eq!(
+            ServeConfig::from_lookup(env(&[])),
+            Ok(ServeConfig::default().normalized())
+        );
+        // What the fleet benchmark passes its workers.
+        let c = ServeConfig::from_lookup(env(&[
+            ("PEB_SERVE_GRID", "4x16x16"),
+            ("PEB_SERVE_MODEL", "for-grid"),
+            ("PEB_SERVE_THREADS", "1"),
+        ]))
+        .expect("valid");
+        assert_eq!(c.grid, (4, 16, 16));
+        assert_eq!(c.preset, ModelPreset::ForGrid);
+        assert_eq!(c.compute_threads, Some(1));
+        let err = ServeConfig::from_lookup(env(&[("PEB_SERVE_THREADS", "0")])).expect_err("zero");
+        assert_eq!((err.var, err.value.as_str()), ("PEB_SERVE_THREADS", "0"));
+        let err = ServeConfig::from_lookup(env(&[("PEB_SERVE_PREC", "fp16")])).expect_err("fp16");
+        assert_eq!(err.var, "PEB_SERVE_PREC");
     }
 
     #[test]

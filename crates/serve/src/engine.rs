@@ -223,15 +223,11 @@ impl Engine {
         let join = std::thread::Builder::new()
             .name("peb-serve-engine".to_string())
             .spawn(move || {
-                // The thread-count override is thread-local; the engine
-                // thread applies it to itself so every kernel it runs
-                // sees the configured count.
-                match cfg.compute_threads {
-                    Some(n) => peb_par::with_thread_count(n, || {
-                        engine_main(&cfg, &stats, &jobs_rx, &ctrl_rx);
-                    }),
-                    None => engine_main(&cfg, &stats, &jobs_rx, &ctrl_rx),
-                }
+                // The caller's context (with `compute_threads` applied)
+                // governs every kernel the engine thread runs.
+                peb_par::ctx::with(stats.exec, || {
+                    engine_main(&cfg, &stats, &jobs_rx, &ctrl_rx);
+                })
             })
             .unwrap_or_else(|e| panic!("spawning engine thread: {e}"));
         (
@@ -453,7 +449,7 @@ fn predict_planned(
         if outcome.complete {
             stats.tick_plan_hit();
         } else {
-            // The checkout stream diverged (a latch changed under us).
+            // The checkout stream diverged (the context changed under us).
             // The result is still bitwise-eager — only the planning win
             // was lost — but the plan is stale: drop it so the next
             // request at this key re-records.

@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use peb_par::ExecCtx;
 use peb_simd::Prec;
 
 use crate::config::ServeConfig;
@@ -93,6 +94,10 @@ pub struct ServeStats {
     pub ready_hwm: usize,
     /// Precision applied when a request does not pick one (`?prec=`).
     pub default_prec: Prec,
+    /// The execution context the engine thread runs under: the context
+    /// of the thread that started the server, with
+    /// `ServeConfig::compute_threads` applied.
+    pub exec: ExecCtx,
     version: Mutex<ModelVersion>,
 }
 
@@ -101,6 +106,7 @@ impl ServeStats {
     /// knobs `/stats` reports (batching limits, queue depth, default
     /// precision).
     pub fn new(config: &ServeConfig) -> Self {
+        let caller = peb_par::ctx::current();
         ServeStats {
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -121,6 +127,10 @@ impl ServeStats {
             queue_cap: config.queue_cap,
             ready_hwm: config.ready_hwm(),
             default_prec: config.default_prec,
+            exec: ExecCtx {
+                threads: config.compute_threads.unwrap_or(caller.threads),
+                ..caller
+            },
             version: Mutex::new(ModelVersion::base(config.seed)),
         }
     }
@@ -260,7 +270,7 @@ impl ServeStats {
             })
             .collect();
         format!(
-            "{{\"requests\":{},\"batches\":{},\"shed\":{},\"deadline_shed\":{},\"queue_depth\":{},\"ready_hwm\":{},\"swaps_inflight\":{},\"hotswaps\":{},\"swaps_rejected\":{},\"plan_hits\":{},\"plan_misses\":{},\"plan_invalidations\":{},\"arena_hwm_bytes\":{},\"max_batch\":{},\"max_wait_us\":{},\"queue_cap\":{},\"precision\":{},\"prec_infers\":{{{}}},\"batch_hist\":{{{}}},\"model\":{}}}",
+            "{{\"requests\":{},\"batches\":{},\"shed\":{},\"deadline_shed\":{},\"queue_depth\":{},\"ready_hwm\":{},\"swaps_inflight\":{},\"hotswaps\":{},\"swaps_rejected\":{},\"plan_hits\":{},\"plan_misses\":{},\"plan_invalidations\":{},\"arena_hwm_bytes\":{},\"max_batch\":{},\"max_wait_us\":{},\"queue_cap\":{},\"precision\":{},\"prec_infers\":{{{}}},\"batch_hist\":{{{}}},\"model\":{},\"exec\":{}}}",
             self.requests.load(Ordering::Relaxed),
             self.batches.load(Ordering::Relaxed),
             self.shed.load(Ordering::Relaxed),
@@ -281,6 +291,7 @@ impl ServeStats {
             prec.join(","),
             hist.join(","),
             version_json(&v),
+            self.exec.to_json(),
         )
     }
 }
@@ -406,6 +417,7 @@ mod tests {
             max_wait_us: 123,
             queue_cap: 17,
             default_prec: Prec::Bf16,
+            compute_threads: Some(3),
             ..ServeConfig::default()
         });
         s.tick_prec_infer(Prec::Bf16);
@@ -418,6 +430,15 @@ mod tests {
         assert!(j.contains("\"precision\":\"bf16\""), "{j}");
         assert!(
             j.contains("\"prec_infers\":{\"f32\":1,\"bf16\":2,\"int8\":0}"),
+            "{j}"
+        );
+        // The engine's context: the caller's, at the configured threads.
+        let exec = ExecCtx {
+            threads: 3,
+            ..peb_par::ctx::current()
+        };
+        assert!(
+            j.ends_with(&format!(",\"exec\":{}}}", exec.to_json())),
             "{j}"
         );
     }

@@ -12,6 +12,8 @@ use std::sync::{Arc, Barrier};
 
 use peb_serve::{Client, ServeConfig, Server};
 use peb_tensor::Tensor;
+use rand::{rngs::StdRng, SeedableRng};
+use sdm_peb::{PebPredictor, SdmPeb, SdmPebConfig};
 
 /// Deterministic clip set with mixed sizes (some smaller than the
 /// model grid, exercising the pad/crop path).
@@ -105,30 +107,50 @@ fn batching_is_bitwise_invariant_across_threads_and_levels() {
         levels.push(peb_simd::Level::Avx2Fma);
     }
     for level in levels {
-        peb_simd::set_level(level);
-        let baseline = digests_sequential(1, &clips);
-        for threads in [1usize, 4] {
-            let seq = digests_sequential(threads, &clips);
+        // The server's engine thread adopts the context it is started
+        // under, so the whole sweep for one level runs inside one scope.
+        let scoped = peb_par::ExecCtx {
+            level,
+            ..peb_par::ctx::current()
+        };
+        peb_par::ctx::with(scoped, || {
+            let baseline = digests_sequential(1, &clips);
+            // The served bits are this scope's bits: clip 0 spans the
+            // whole grid (no pad/crop), so it must match an in-process
+            // `predict` of the same seed-initialised model at this level.
+            let cfg = config(1, false, 1);
+            let model = SdmPeb::new(
+                SdmPebConfig::tiny(cfg.grid),
+                &mut StdRng::seed_from_u64(cfg.seed),
+            );
             assert_eq!(
-                seq,
-                baseline,
-                "sequential serving diverged at {threads} threads ({})",
+                baseline[0],
+                model.predict(&clips[0]).bit_digest(),
+                "served bits differ from in-process predict ({})",
                 level.name()
             );
-            let (bat, multi_batches) = digests_batched(threads, &clips);
-            assert_eq!(
-                bat,
-                baseline,
-                "batched serving diverged at {threads} threads ({})",
-                level.name()
-            );
-            assert!(
-                multi_batches >= 1,
-                "expected at least one multi-clip batch at {threads} threads ({}) — \
-                 the batcher never coalesced, so batching was not actually exercised",
-                level.name()
-            );
-        }
+            for threads in [1usize, 4] {
+                let seq = digests_sequential(threads, &clips);
+                assert_eq!(
+                    seq,
+                    baseline,
+                    "sequential serving diverged at {threads} threads ({})",
+                    level.name()
+                );
+                let (bat, multi_batches) = digests_batched(threads, &clips);
+                assert_eq!(
+                    bat,
+                    baseline,
+                    "batched serving diverged at {threads} threads ({})",
+                    level.name()
+                );
+                assert!(
+                    multi_batches >= 1,
+                    "expected at least one multi-clip batch at {threads} threads ({}) — \
+                     the batcher never coalesced, so batching was not actually exercised",
+                    level.name()
+                );
+            }
+        });
     }
-    peb_simd::set_level(peb_simd::best_level());
 }

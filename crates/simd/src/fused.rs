@@ -158,7 +158,7 @@ mod avx {
 }
 
 /// Applies a fused elementwise chain: `out[i] = stages(x[i])`, streaming
-/// the input in one sweep at the latched dispatch level.
+/// the input in one sweep at the current dispatch level.
 pub fn vchain(x: &[f32], stages: &[Stage<'_>], out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if simd_active() {

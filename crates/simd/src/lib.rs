@@ -4,11 +4,11 @@
 //! Every kernel in this crate exists twice behind one entry point: an
 //! AVX2+FMA path built on 8-lane `f32` vectors (`std::arch` intrinsics)
 //! and a portable scalar path that processes the same 8-lane groups with
-//! plain `f32` arithmetic. The path is chosen **once per process** by
-//! [`level`]:
+//! plain `f32` arithmetic. The path is chosen by [`level`], a field of
+//! the calling thread's execution context (`peb_par::ctx`):
 //!
-//! * `PEB_SIMD=off` (or `0` / `scalar`) forces the scalar path — the
-//!   escape hatch mirroring `PEB_POOL` / `PEB_THREADS`;
+//! * `PEB_SIMD=off` (or `0` / `scalar`) makes the scalar path the
+//!   process default;
 //! * otherwise AVX2+FMA is used when `is_x86_feature_detected!` reports
 //!   both features, and the scalar path everywhere else (including
 //!   non-x86_64 targets).
@@ -34,8 +34,6 @@
 //! The `simd_dispatch` counter in `peb-obs` ticks once per kernel call
 //! that takes the vector path.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 pub mod bf16;
 pub mod elementwise;
 pub mod fused;
@@ -47,95 +45,22 @@ pub mod stencil;
 pub mod thomas;
 
 // ---------------------------------------------------------------------------
-// Dispatch level
+// Dispatch level and precision: one-line reads of the execution context
 // ---------------------------------------------------------------------------
 
-/// Instruction-set level a kernel dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Level {
-    /// Portable scalar arithmetic (also the `PEB_SIMD=off` escape hatch).
-    Scalar = 0,
-    /// 8-lane AVX2 vectors with fused multiply–add.
-    Avx2Fma = 1,
-}
+use peb_par::ctx::{self, ExecCtx};
+pub use peb_par::ctx::{best_level, detected, Level, Prec};
 
-impl Level {
-    /// Stable name used in benchmark JSON and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            Level::Scalar => "scalar",
-            Level::Avx2Fma => "avx2+fma",
-        }
-    }
-}
-
-const LEVEL_UNINIT: u8 = u8::MAX;
-static LEVEL: AtomicU8 = AtomicU8::new(LEVEL_UNINIT);
-
-/// Whether this CPU supports the AVX2+FMA path (independent of
-/// `PEB_SIMD`).
-pub fn detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The best level this hardware supports.
-pub fn best_level() -> Level {
-    if detected() {
-        Level::Avx2Fma
-    } else {
-        Level::Scalar
-    }
-}
-
-#[cold]
-fn init_level() -> Level {
-    let l = match std::env::var("PEB_SIMD").as_deref() {
-        Ok("off") | Ok("0") | Ok("scalar") => Level::Scalar,
-        _ => best_level(),
-    };
-    LEVEL.store(l as u8, Ordering::Relaxed);
-    l
-}
-
-/// Current dispatch level, latched from `PEB_SIMD` + CPU detection on
-/// first call.
+/// Dispatch level of the calling thread's execution context.
 #[inline]
 pub fn level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Scalar,
-        1 => Level::Avx2Fma,
-        _ => init_level(),
-    }
+    ctx::current().level
 }
 
 /// Whether kernels currently take the vector path.
 #[inline]
 pub fn simd_active() -> bool {
     level() == Level::Avx2Fma
-}
-
-/// Overrides the latched dispatch level, bypassing `PEB_SIMD`. Used by
-/// benchmark binaries and the determinism suite for A/B runs; callers
-/// that toggle this in tests must serialise themselves (the level is
-/// process-global).
-///
-/// # Panics
-///
-/// Panics when asked for [`Level::Avx2Fma`] on hardware without AVX2+FMA.
-pub fn set_level(l: Level) {
-    assert!(
-        l != Level::Avx2Fma || detected(),
-        "peb-simd: AVX2+FMA requested but not supported by this CPU"
-    );
-    LEVEL.store(l as u8, Ordering::Relaxed);
 }
 
 /// Ticks the `simd_dispatch` counter; called by every kernel entry that
@@ -145,130 +70,23 @@ pub(crate) fn note_dispatch() {
     peb_obs::count(peb_obs::Counter::SimdDispatch, 1);
 }
 
-// ---------------------------------------------------------------------------
-// Compute precision
-// ---------------------------------------------------------------------------
-
-/// Storage precision the reduced-precision kernels run at.
-///
-/// Precision governs how *operands are stored and streamed* — every
-/// kernel accumulates in `f32` regardless (`i32` for the int8 GEMM,
-/// dequantised to `f32` on the way out). [`Prec::F32`] is the default
-/// and leaves every kernel on its pre-existing code path, so the
-/// `PEB_PREC` latch is a strict no-op unless explicitly engaged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Prec {
-    /// Full f32 storage — the default; bitwise identical to the
-    /// pre-latch behaviour.
-    F32 = 0,
-    /// bf16 storage (round-to-nearest-even), f32 accumulation.
-    Bf16 = 1,
-    /// Dynamic int8 storage at the GEMM seam (per-row activations,
-    /// per-column weights), i32 accumulation. Inference only: selected
-    /// per request by `peb-serve`, never via `PEB_PREC`.
-    Int8 = 2,
-}
-
-impl Prec {
-    /// Stable name used in benchmark JSON, `/stats` and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            Prec::F32 => "f32",
-            Prec::Bf16 => "bf16",
-            Prec::Int8 => "int8",
-        }
-    }
-
-    /// Parses a precision name (`f32`/`bf16`/`int8`), case-sensitive.
-    pub fn parse(s: &str) -> Option<Prec> {
-        match s {
-            "f32" => Some(Prec::F32),
-            "bf16" => Some(Prec::Bf16),
-            "int8" => Some(Prec::Int8),
-            _ => None,
-        }
-    }
-}
-
-const PREC_UNINIT: u8 = u8::MAX;
-static PREC: AtomicU8 = AtomicU8::new(PREC_UNINIT);
-
-std::thread_local! {
-    /// Per-thread precision override (see [`with_prec`]). `PREC_UNINIT`
-    /// means "no override — fall through to the global latch".
-    static PREC_TLS: std::cell::Cell<u8> = const { std::cell::Cell::new(PREC_UNINIT) };
-}
-
-#[cold]
-fn init_prec() -> Prec {
-    // The env latch accepts f32|bf16 only: int8 is an inference-time,
-    // per-request precision (dynamic quantisation has no training
-    // story), reachable through `set_prec`/`with_prec` instead.
-    let p = match std::env::var("PEB_PREC").as_deref() {
-        Ok("bf16") => Prec::Bf16,
-        _ => Prec::F32,
-    };
-    PREC.store(p as u8, Ordering::Relaxed);
-    p
-}
-
-fn decode_prec(v: u8) -> Option<Prec> {
-    match v {
-        0 => Some(Prec::F32),
-        1 => Some(Prec::Bf16),
-        2 => Some(Prec::Int8),
-        _ => None,
-    }
-}
-
-/// Current compute precision: the calling thread's [`with_prec`]
-/// override if one is active, otherwise the process-global latch
-/// (`PEB_PREC`, read once).
-///
-/// Kernels and drivers read this **on the caller's thread before
-/// fanning work out** to the `peb-par` pool and capture the value into
-/// their closures, so a scoped override on the submitting thread
-/// governs the whole parallel region.
+/// Compute precision of the calling thread's execution context.
 #[inline]
 pub fn prec() -> Prec {
-    let tls = PREC_TLS.with(std::cell::Cell::get);
-    if let Some(p) = decode_prec(tls) {
-        return p;
-    }
-    match decode_prec(PREC.load(Ordering::Relaxed)) {
-        Some(p) => p,
-        None => init_prec(),
-    }
+    ctx::current().prec
 }
 
-/// Overrides the process-global precision latch, bypassing `PEB_PREC`.
-/// Used by benchmark binaries for A/B runs; callers that toggle this in
-/// tests must serialise themselves (the latch is process-global) —
-/// prefer [`with_prec`], which is thread-scoped.
-pub fn set_prec(p: Prec) {
-    PREC.store(p as u8, Ordering::Relaxed);
-}
-
-/// Runs `f` with the calling thread's precision pinned to `p`,
-/// restoring the previous override on exit (also on panic-free early
-/// return; the guard restores on unwind too).
-///
-/// The override is visible to any kernel *dispatched from this thread*,
-/// including work it fans out to the `peb-par` pool — drivers capture
-/// `prec()` before going parallel. Other threads are unaffected, so
-/// concurrent engines (or tests) can run different precisions safely.
+/// Runs `f` with the precision pinned to `p` (the rest of the current
+/// context unchanged). The scope covers everything dispatched from this
+/// thread, including work fanned out to the `peb-par` pool.
 pub fn with_prec<R>(p: Prec, f: impl FnOnce() -> R) -> R {
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PREC_TLS.with(|c| c.set(self.0));
-        }
-    }
-    let prev = PREC_TLS.with(std::cell::Cell::get);
-    let _guard = Restore(prev);
-    PREC_TLS.with(|c| c.set(p as u8));
-    f()
+    ctx::with(
+        ExecCtx {
+            prec: p,
+            ..ctx::current()
+        },
+        f,
+    )
 }
 
 /// Ticks the `prec_dispatch` counter; called by every kernel entry that
@@ -567,16 +385,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn level_latches_and_overrides() {
-        let initial = level();
-        assert_eq!(level(), initial, "level must latch");
-        set_level(Level::Scalar);
-        assert_eq!(level(), Level::Scalar);
-        set_level(best_level());
-        assert_eq!(level(), best_level());
-    }
-
-    #[test]
     fn ulp_diff_basics() {
         assert_eq!(ulp_diff(1.0, 1.0), 0);
         assert_eq!(ulp_diff(1.0, f32::from_bits(1.0f32.to_bits() + 1)), 1);
@@ -599,38 +407,6 @@ mod tests {
         }
         let sel = a.select_nonneg(ScalarX8::splat(1.0), ScalarX8::splat(-1.0));
         assert_eq!(sel.to_array(), [1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0]);
-    }
-
-    #[test]
-    fn prec_parse_and_names_roundtrip() {
-        for p in [Prec::F32, Prec::Bf16, Prec::Int8] {
-            assert_eq!(Prec::parse(p.name()), Some(p));
-        }
-        assert_eq!(Prec::parse("f16"), None);
-        assert_eq!(Prec::parse(""), None);
-    }
-
-    #[test]
-    fn with_prec_overrides_then_restores() {
-        // The thread-local override wins inside the closure, nests, and
-        // restores on exit (including the no-override outer state).
-        let outer = prec();
-        with_prec(Prec::Bf16, || {
-            assert_eq!(prec(), Prec::Bf16);
-            with_prec(Prec::Int8, || assert_eq!(prec(), Prec::Int8));
-            assert_eq!(prec(), Prec::Bf16);
-        });
-        assert_eq!(prec(), outer);
-    }
-
-    #[test]
-    fn with_prec_is_thread_local() {
-        with_prec(Prec::Bf16, || {
-            // A fresh thread sees the global latch, not this override.
-            let seen = std::thread::spawn(prec).join().expect("join");
-            assert_ne!(seen, Prec::Int8);
-            assert_eq!(prec(), Prec::Bf16);
-        });
     }
 
     #[cfg(target_arch = "x86_64")]

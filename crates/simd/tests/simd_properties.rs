@@ -9,8 +9,7 @@
 //!   stay within a fixed ULP/absolute envelope of the scalar backend.
 //!
 //! All tests drive the forced `*_scalar` / `*_simd` backend variants, so
-//! they neither read nor write the process-global dispatch level and can
-//! run concurrently with any other test. On hardware without AVX2+FMA
+//! they do not depend on the dispatch level. On hardware without AVX2+FMA
 //! the forced SIMD variants return `false` and each comparison
 //! degenerates to scalar-vs-scalar, which is vacuously bit-exact.
 
@@ -162,8 +161,8 @@ proptest! {
         seed in 0u32..1000,
         step in 1u32..50,
     ) {
-        // The dispatched entries take whatever backend the process
-        // latched (SIMD on AVX2 hardware); the scalar loops below are the
+        // The dispatched entries take the process-default backend
+        // (SIMD on AVX2 hardware); the scalar loops below are the
         // original peb-nn expressions, so this pins SIMD == scalar bits.
         let grad = pseudo(len, seed, -1.0, 1.0);
         let (b1, b2, eps, lr) = (0.9f32, 0.999f32, 1e-8f32, 2e-3f32);

@@ -8,10 +8,11 @@
 //!
 //! The fused result is bitwise identical to evaluating the same stages
 //! as separate tensor ops at the same `PEB_SIMD` dispatch level (see the
-//! determinism contract in `peb_simd::fused`). `PEB_FUSE=off` (or
-//! [`set_fusion_enabled`]`(false)`) makes `eval()` fall back to exactly
-//! those separate unfused sweeps — the A/B lever used by `bench_e2e` and
-//! the determinism suite.
+//! determinism contract in `peb_simd::fused`). Under an execution
+//! context with `fuse: false` (`peb_par::ctx::with`) `eval()` falls back
+//! to exactly those separate unfused sweeps — the oracle `bench_e2e` and
+//! the determinism suite compare against; no environment variable
+//! selects it.
 //!
 //! # Example
 //!
@@ -25,42 +26,15 @@
 //! assert_eq!(y.shape(), &[2]);
 //! ```
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
 use peb_simd::fused::Stage;
 
 use crate::Tensor;
 
-const FUSE_UNINIT: u8 = u8::MAX;
-static FUSE: AtomicU8 = AtomicU8::new(FUSE_UNINIT);
-
-#[cold]
-fn init_fuse() -> bool {
-    let on = !matches!(
-        std::env::var("PEB_FUSE").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    );
-    FUSE.store(on as u8, Ordering::Relaxed);
-    on
-}
-
-/// Whether fused chains execute as single sweeps, latched from
-/// `PEB_FUSE` on first call (default: on).
+/// Whether the calling thread's execution context runs fused chains as
+/// single sweeps.
 #[inline]
 pub fn fusion_enabled() -> bool {
-    match FUSE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => init_fuse(),
-    }
-}
-
-/// Overrides the latched fusion switch, bypassing `PEB_FUSE`. Used by
-/// benchmark binaries and the determinism suite for A/B runs; callers
-/// that toggle this in tests must serialise themselves (the switch is
-/// process-global).
-pub fn set_fusion_enabled(on: bool) {
-    FUSE.store(on as u8, Ordering::Relaxed);
+    peb_par::ctx::current().fuse
 }
 
 /// A bounded chain of elementwise stages pending evaluation.
@@ -280,12 +254,14 @@ mod tests {
     fn fused_matches_unfused_fallback_bitwise() {
         let a = t(77, 3);
         let b = t(77, 4);
-        let prev = fusion_enabled();
-        set_fusion_enabled(true);
-        let fused = a.fused().sub(&b).exp().add_scalar(1.0).eval();
-        set_fusion_enabled(false);
-        let unfused = a.fused().sub(&b).exp().add_scalar(1.0).eval();
-        set_fusion_enabled(prev);
+        let run = |fuse| {
+            let scoped = peb_par::ExecCtx {
+                fuse,
+                ..peb_par::ctx::current()
+            };
+            peb_par::ctx::with(scoped, || a.fused().sub(&b).exp().add_scalar(1.0).eval())
+        };
+        let (fused, unfused) = (run(true), run(false));
         for (x, y) in fused.data().iter().zip(unfused.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

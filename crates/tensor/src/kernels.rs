@@ -48,9 +48,8 @@ pub fn matmul_par(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    // Precision is latched on the submitting thread (the pool workers
-    // never consult the latch), then captured into the panel closures —
-    // so `with_prec` scopes compose with any `PEB_THREADS`.
+    // The arm is chosen once, on the submitting thread, so every panel
+    // of one product takes the same kernel.
     let prec = peb_simd::prec();
     let slots = peb_par::UnsafeSlice::new(out);
     let row_flops = 2 * (k as u64) * (n as u64);
@@ -165,7 +164,7 @@ mod tests {
             for (x, y) in naive.iter().zip(seq.iter()) {
                 assert!((x - y).abs() <= tol, "{prec:?}: {x} vs {y}");
             }
-            // The submitting thread's latch governs the whole fan-out,
+            // The submitting thread's context governs the whole fan-out,
             // and panelling never changes bits.
             for (x, y) in seq.iter().zip(par.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{prec:?}");

@@ -44,7 +44,7 @@ mod tensor;
 
 pub use autograd::{Var, VarId};
 pub use error::TensorError;
-pub use fused::{fusion_enabled, set_fusion_enabled, FusedChain};
+pub use fused::{fusion_enabled, FusedChain};
 pub use grad_check::{check_gradients, numeric_gradient, GradCheckReport};
 pub use shape::{broadcast_shapes, strides_for, Shape};
 pub use tensor::Tensor;

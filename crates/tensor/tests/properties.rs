@@ -45,7 +45,7 @@ proptest! {
         let b = Tensor::randn(&[4, 2], &mut rng);
         let c = Tensor::randn(&[2, 5], &mut rng);
         // The 1e-3 budget is an f32 algebra property: chained multiplies
-        // under the bf16 latch round through storage twice (~2^-8
+        // under PEB_PREC=bf16 round through storage twice (~2^-8
         // relative each), which the dedicated bf16 kernel suites cover.
         let (lhs, rhs) = peb_simd::with_prec(peb_simd::Prec::F32, || {
             (

@@ -5,16 +5,13 @@
 //! are served, and static memory planning must never assign two
 //! simultaneously-live buffers to the same arena region for any valid
 //! clip geometry.
-//!
-//! The PEB_PLAN / dispatch-level / thread-count latches are process
-//! global, so every test in this binary serialises on one mutex.
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::Mutex;
 
 use peb_guard::{OptKind, TrainCheckpoint};
 use peb_nn::Parameterized;
+use peb_par::ctx::{self, ExecCtx};
 use peb_pool::arena::{Event, MemPlan, Placement};
 use peb_serve::{Client, ServeConfig, Server};
 use peb_simd::{Level, Prec};
@@ -23,11 +20,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sdm_peb::{InferPlan, PebPredictor, SdmPeb, SdmPebConfig};
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The dispatch levels available on this machine: scalar always, plus
 /// the detected best level when it differs.
@@ -48,48 +40,42 @@ fn model_and_clip(dims: (usize, usize, usize), seed: u64) -> (SdmPeb, Tensor) {
 
 #[test]
 fn replay_is_bitwise_identical_across_levels_threads_and_precisions() {
-    let _l = lock();
-    peb_pool::set_enabled(true);
-    peb_plan::set_enabled(true);
     let (model, clip) = model_and_clip((4, 16, 16), 21);
     for level in levels() {
-        peb_simd::set_level(level);
         for threads in [1usize, 4] {
             for prec in [Prec::F32, Prec::Bf16, Prec::Int8] {
-                peb_par::with_thread_count(threads, || {
-                    peb_simd::with_prec(prec, || {
-                        let eager = model.predict(&clip).bit_digest();
-                        let (plan, recorded) = InferPlan::record(&model, &clip);
-                        assert_eq!(
-                            recorded.bit_digest(),
-                            eager,
-                            "recording run diverged from eager \
-                             (level {}, {threads} threads, {prec:?})",
-                            level.name()
+                let scoped = ExecCtx {
+                    level,
+                    threads,
+                    prec,
+                    plan: true,
+                    ..ctx::current()
+                };
+                ctx::with(scoped, || {
+                    let eager = model.predict(&clip).bit_digest();
+                    let (plan, recorded) = InferPlan::record(&model, &clip);
+                    assert_eq!(
+                        recorded.bit_digest(),
+                        eager,
+                        "recording run diverged from eager: {scoped:?}"
+                    );
+                    for rep in 0..2 {
+                        let (out, outcome) = plan.predict(&model, &clip);
+                        assert!(
+                            outcome.complete,
+                            "replay {rep} incomplete: {outcome:?} under {scoped:?}"
                         );
-                        for rep in 0..2 {
-                            let (out, outcome) = plan.predict(&model, &clip);
-                            assert!(
-                                outcome.complete,
-                                "replay {rep} incomplete (level {}, {threads} threads, \
-                                 {prec:?}): {outcome:?}",
-                                level.name()
-                            );
-                            assert!(outcome.served > 0, "arena must serve intermediates");
-                            assert_eq!(
-                                out.bit_digest(),
-                                eager,
-                                "replay {rep} diverged from eager \
-                                 (level {}, {threads} threads, {prec:?})",
-                                level.name()
-                            );
-                        }
-                    })
+                        assert!(outcome.served > 0, "arena must serve intermediates");
+                        assert_eq!(
+                            out.bit_digest(),
+                            eager,
+                            "replay {rep} diverged from eager: {scoped:?}"
+                        );
+                    }
                 });
             }
         }
     }
-    peb_simd::set_level(peb_simd::best_level());
 }
 
 const GRID: (usize, usize, usize) = (4, 16, 16);
@@ -131,8 +117,16 @@ fn write_swap_checkpoint() -> (PathBuf, u64) {
 
 #[test]
 fn hot_swap_invalidates_plans_and_serves_the_new_model() {
-    let _l = lock();
-    peb_plan::set_enabled(true);
+    // The engine thread adopts this context: replay on, whatever
+    // `PEB_PLAN` says.
+    let replaying = ExecCtx {
+        plan: true,
+        ..ctx::current()
+    };
+    ctx::with(replaying, hot_swap_case)
+}
+
+fn hot_swap_case() {
     let (path, swapped_digest) = write_swap_checkpoint();
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -224,8 +218,6 @@ proptest! {
     /// Random valid clip geometries never alias two live buffers.
     #[test]
     fn random_clip_shapes_never_alias_two_live_buffers(seed in 0u64..1_000_000) {
-        let _l = lock();
-        peb_pool::set_enabled(true);
         let mut rng = StdRng::seed_from_u64(seed);
         let dims = (
             rng.gen_range(2..=4usize),

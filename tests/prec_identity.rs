@@ -1,13 +1,15 @@
 //! `PEB_PREC=f32` is a strict no-op: with the default precision the
 //! full pipeline — rigorous litho solve plus SDM-PEB forward — must be
-//! bitwise identical to a run with the f32 latch set explicitly, at
-//! 1 and 4 threads, at every dispatch level this machine has.
+//! bitwise identical to a run with f32 named explicitly, at 1 and 4
+//! threads, at every dispatch level this machine has.
 //!
-//! This pins the tentpole's "default off" contract: threading the
-//! precision latch through tensor/nn/mamba/litho must not perturb a
-//! single bit of the pre-existing f32 path.
+//! This pins the "default off" contract: threading precision through
+//! tensor/nn/mamba/litho must not perturb a single bit of the f32 path.
+//! Every test builds its own `ExecCtx`, so the three run concurrently
+//! without sharing state.
 
 use peb_litho::{Grid, LithoFlow, MaskConfig, PebSolver};
+use peb_par::ctx::{self, ExecCtx};
 use peb_simd::{Level, Prec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,47 +47,81 @@ fn levels() -> Vec<Level> {
     ls
 }
 
+/// The pipeline digests under the current context with `level`,
+/// `threads` and (when given) `prec` overridden.
+fn digests_at(level: Level, threads: usize, prec: Option<Prec>) -> (u64, u64) {
+    let base = ctx::current();
+    let scoped = ExecCtx {
+        level,
+        threads,
+        prec: prec.unwrap_or(base.prec),
+        ..base
+    };
+    ctx::with(scoped, pipeline_digests)
+}
+
 #[test]
-fn explicit_f32_latch_is_bitwise_identical_across_threads_and_levels() {
-    // The dispatch level is process-global, so the whole sweep lives in
-    // one test function (mirrors the bench_simd identity sweep).
+fn explicit_f32_is_bitwise_identical_across_threads_and_levels() {
     for level in levels() {
-        peb_simd::set_level(level);
         for threads in [1usize, 4] {
-            let (baseline_state, baseline_pred) =
-                peb_par::with_thread_count(threads, pipeline_digests);
-            let (latched_state, latched_pred) = peb_par::with_thread_count(threads, || {
-                peb_simd::with_prec(Prec::F32, pipeline_digests)
-            });
+            let (baseline_state, baseline_pred) = digests_at(level, threads, None);
+            let (explicit_state, explicit_pred) = digests_at(level, threads, Some(Prec::F32));
             assert_eq!(
                 baseline_state,
-                latched_state,
-                "solver state diverged under an explicit f32 latch \
-                 (level {}, {threads} threads)",
+                explicit_state,
+                "solver state diverged under explicit f32 (level {}, {threads} threads)",
                 level.name()
             );
             assert_eq!(
                 baseline_pred,
-                latched_pred,
-                "prediction diverged under an explicit f32 latch \
-                 (level {}, {threads} threads)",
+                explicit_pred,
+                "prediction diverged under explicit f32 (level {}, {threads} threads)",
                 level.name()
             );
         }
     }
-    peb_simd::set_level(peb_simd::best_level());
+}
+
+/// ROADMAP item 0 as a regression: one thread pins `Scalar` while
+/// another pins the best level, concurrently (the full pipeline is
+/// level-dependent: optics FFT, Dill `exp`, GEMM). With a process-global
+/// level the two clobbered each other and a run mixed levels.
+#[test]
+fn concurrent_threads_at_different_levels_each_match_their_sequential_digest() {
+    let levels = [Level::Scalar, peb_simd::best_level()];
+    let sequential = levels.map(|l| digests_at(l, 4, None));
+    let start = std::sync::Barrier::new(levels.len());
+    let concurrent = std::thread::scope(|s| {
+        let runs = levels.map(|l| {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                // Several passes, so the two threads overlap for the
+                // whole pipeline whatever their relative speed.
+                [(); 3].map(|()| digests_at(l, 4, None))
+            })
+        });
+        runs.map(|r| r.join().expect("pipeline thread"))
+    });
+    for ((level, want), got) in levels.iter().zip(sequential).zip(concurrent) {
+        assert_eq!(
+            got,
+            [want; 3],
+            "{} run diverged from its own sequential digest",
+            level.name()
+        );
+    }
 }
 
 #[test]
-fn f32_pipeline_is_thread_count_invariant_with_the_latch_set() {
+fn f32_pipeline_is_thread_count_invariant_with_f32_explicit() {
     // 1-vs-4-thread bitwise identity was already pinned for the default
-    // path; this keeps it true inside a `with_prec(F32)` scope.
-    peb_simd::set_level(peb_simd::best_level());
-    let one = peb_par::with_thread_count(1, || peb_simd::with_prec(Prec::F32, pipeline_digests));
-    let four = peb_par::with_thread_count(4, || peb_simd::with_prec(Prec::F32, pipeline_digests));
+    // path; this keeps it true with the precision named.
+    let best = peb_simd::best_level();
     assert_eq!(
-        one, four,
-        "f32-latched pipeline must not depend on PEB_THREADS"
+        digests_at(best, 1, Some(Prec::F32)),
+        digests_at(best, 4, Some(Prec::F32)),
+        "explicit-f32 pipeline must not depend on PEB_THREADS"
     );
 }
 
@@ -93,13 +129,18 @@ fn f32_pipeline_is_thread_count_invariant_with_the_latch_set() {
 fn reduced_precision_scopes_restore_the_f32_baseline() {
     // Running bf16/int8 scopes in between must not leak into later f32
     // work — the drop-guard restore is part of the no-op contract.
-    peb_simd::set_level(peb_simd::best_level());
-    let before = pipeline_digests();
-    let _ = peb_simd::with_prec(Prec::Bf16, pipeline_digests);
-    let _ = peb_simd::with_prec(Prec::Int8, pipeline_digests);
-    let after = pipeline_digests();
-    assert_eq!(
-        before, after,
-        "a completed reduced-precision scope must leave the f32 path untouched"
-    );
+    let best = ExecCtx {
+        level: peb_simd::best_level(),
+        ..ctx::current()
+    };
+    ctx::with(best, || {
+        let before = pipeline_digests();
+        let _ = peb_simd::with_prec(Prec::Bf16, pipeline_digests);
+        let _ = peb_simd::with_prec(Prec::Int8, pipeline_digests);
+        let after = pipeline_digests();
+        assert_eq!(
+            before, after,
+            "a completed reduced-precision scope must leave the baseline untouched"
+        );
+    });
 }
