@@ -1,8 +1,9 @@
 //! Measures the `peb-simd` dispatch layer and emits `BENCH_simd.json`.
 //!
-//! Three microkernels are timed on both backends through the forced
+//! Five microkernels are timed on both backends through the forced
 //! `*_scalar` / `*_simd` entry points — packed GEMM, the selective-scan
-//! lane recurrence, and the factored ADI line solve — plus the
+//! lane recurrence, the factored ADI line solve in its interleaved and
+//! contiguous-row forms, and the PEB reaction half-step — plus the
 //! end-to-end Table I micro training step (the `BENCH_pool.json`
 //! workload) with the dispatch level forced to scalar and to the
 //! detected best level. The run asserts the headline acceptance gates:
@@ -15,7 +16,7 @@ use peb_litho::{Grid, LithoFlow, MaskConfig};
 use peb_nn::{Adam, Optimizer, Parameterized};
 use peb_par::ctx::{self, ExecCtx};
 use peb_par::UnsafeSlice;
-use peb_simd::{elementwise as ew, gemm, scan, thomas};
+use peb_simd::{elementwise as ew, gemm, reaction, scan, thomas};
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -189,6 +190,77 @@ fn bench_adi() -> (f64, f64) {
     (scalar, simd)
 }
 
+/// Times `reps` calls of `f` over `cells` cells; returns ns per cell.
+fn ns_per_cell(reps: usize, cells: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let start = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    start.elapsed().as_secs_f64() * 1e9 / (reps * cells) as f64
+}
+
+/// The two bake kernels on the `rigorous_cd` volume (64×64×16): the
+/// contiguous-row (x-axis) line solve and the reaction half-step, as
+/// `[scalar, simd]` ns per cell.
+fn bench_bake_kernels() -> ([f64; 2], [f64; 2]) {
+    let (nz, ny, nx) = (16usize, 64usize, 64usize);
+    let cells = nz * ny * nx;
+    let r = 0.37f32;
+    let a = vec![-r; nx];
+    let mut bdiag = vec![1.0 + 2.0 * r; nx];
+    bdiag[0] = 1.0 + r;
+    bdiag[nx - 1] = 1.0 + r;
+    let (mut beta, mut gamma) = (Vec::new(), Vec::new());
+    thomas::factor_tridiagonal(&a, &bdiag, &a, &mut beta, &mut gamma);
+    // Solves and half-steps are contractions: the fields stay finite
+    // however often they are re-applied in place.
+    let mut field = pseudo(cells, 11, 0.0, 1.0);
+    let mut scratch = vec![0f32; 8 * nx];
+    let mut rows = |simd: bool| {
+        for group in field.chunks_exact_mut(8 * nx) {
+            if simd {
+                thomas::solve_factored_rows8_simd(&a, &beta, &gamma, group, &mut scratch, 0.0, 0.0);
+            } else {
+                thomas::solve_factored_rows8_scalar(
+                    &a,
+                    &beta,
+                    &gamma,
+                    group,
+                    &mut scratch,
+                    0.0,
+                    0.0,
+                );
+            }
+        }
+    };
+    let rows_s = ns_per_cell(16, cells, || rows(false));
+    let rows_v = if peb_simd::detected() {
+        ns_per_cell(64, cells, || rows(true))
+    } else {
+        rows_s
+    };
+
+    let mut acid = pseudo(cells, 12, 0.0, 1.0);
+    let mut base = pseudo(cells, 13, 0.0, 0.4);
+    let mut inhibitor = vec![1.0f32; cells];
+    let (kr, kc, dt) = (8.6993f32, 0.9f32, 0.05f32);
+    let mut react = |simd: bool| {
+        if simd {
+            reaction::half_step_simd(&mut acid, &mut base, &mut inhibitor, kr, kc, dt);
+        } else {
+            reaction::half_step_scalar(&mut acid, &mut base, &mut inhibitor, kr, kc, dt);
+        }
+    };
+    let react_s = ns_per_cell(16, cells, || react(false));
+    let react_v = if peb_simd::detected() {
+        ns_per_cell(64, cells, || react(true))
+    } else {
+        react_s
+    };
+    ([rows_s, rows_v], [react_s, react_v])
+}
+
 /// Elementwise axpy on a large buffer (bandwidth-bound reference point).
 fn bench_axpy() -> (f64, f64) {
     let len = 1 << 16;
@@ -266,6 +338,10 @@ fn main() {
     let (scan_s, scan_v) = bench_scan();
     let (adi_s, adi_v) = bench_adi();
     let (axpy_s, axpy_v) = bench_axpy();
+    let ([rows_s, rows_v], [react_s, react_v]) = bench_bake_kernels();
+    // Bytes moved per cell: one field read + written by the row solve,
+    // three by the reaction half-step.
+    let (rows_bytes, react_bytes) = (8.0, 24.0);
 
     let (wall_scalar, _) = run_pipeline(peb_simd::Level::Scalar, 1);
     let (wall_simd, pred1) = run_pipeline(best, 1);
@@ -288,6 +364,16 @@ fn main() {
     println!(
         "  axpy 64k       scalar: {axpy_s:6.2} GFLOP/s   simd: {axpy_v:6.2} GFLOP/s   ({:.2}×)",
         axpy_v / axpy_s
+    );
+    println!(
+        "  ADI rows 64×64×16  scalar: {rows_s:5.2} ns/cell ({:5.2} GB/s)   simd: {rows_v:5.2} ns/cell ({:5.2} GB/s)",
+        rows_bytes / rows_s,
+        rows_bytes / rows_v
+    );
+    println!(
+        "  reaction 64×64×16  scalar: {react_s:5.2} ns/cell ({:5.2} GB/s)   simd: {react_v:5.2} ns/cell ({:5.2} GB/s)",
+        react_bytes / react_s,
+        react_bytes / react_v
     );
     println!(
         "  table1 step ×{STEPS}: scalar {wall_scalar:.3}s   simd {wall_simd:.3}s   simd ×4 threads {wall_simd4:.3}s"
@@ -319,6 +405,14 @@ fn main() {
             "  \"adi_gflops_scalar\": {:.3},\n",
             "  \"adi_gflops_simd\": {:.3},\n",
             "  \"adi_speedup\": {:.3},\n",
+            "  \"adi_rows_ns_per_cell_scalar\": {:.3},\n",
+            "  \"adi_rows_ns_per_cell_simd\": {:.3},\n",
+            "  \"adi_rows_gbps_scalar\": {:.3},\n",
+            "  \"adi_rows_gbps_simd\": {:.3},\n",
+            "  \"reaction_ns_per_cell_scalar\": {:.3},\n",
+            "  \"reaction_ns_per_cell_simd\": {:.3},\n",
+            "  \"reaction_gbps_scalar\": {:.3},\n",
+            "  \"reaction_gbps_simd\": {:.3},\n",
             "  \"axpy_gflops_scalar\": {:.3},\n",
             "  \"axpy_gflops_simd\": {:.3},\n",
             "  \"steps\": {},\n",
@@ -339,6 +433,14 @@ fn main() {
         adi_s,
         adi_v,
         adi_v / adi_s,
+        rows_s,
+        rows_v,
+        rows_bytes / rows_s,
+        rows_bytes / rows_v,
+        react_s,
+        react_v,
+        react_bytes / react_s,
+        react_bytes / react_v,
         axpy_s,
         axpy_v,
         STEPS,

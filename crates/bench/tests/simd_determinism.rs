@@ -99,8 +99,9 @@ fn pipeline_is_bitwise_deterministic_across_threads_at_every_level() {
 #[test]
 fn peb_solver_is_bitwise_identical_across_dispatch_levels() {
     // The PEB physics chain uses only bit-exact kernels (factored
-    // tridiagonal solves, the explicit stencil, libm exp in the reaction
-    // step), so the *entire solver output* must not depend on PEB_SIMD.
+    // tridiagonal solves, the explicit stencil, the reaction half-step
+    // with its lane-exact exp), so the *entire solver output* must not
+    // depend on PEB_SIMD.
     let grid = Grid::new(16, 16, 6, 4.0, 4.0, 10.0).unwrap();
     // dt below the explicit-Euler stability limit for this grid so both
     // time schemes can run the same configuration.

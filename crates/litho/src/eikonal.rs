@@ -67,7 +67,7 @@ pub fn solve_eikonal(grid: &Grid, rate: &Tensor, cfg: EikonalConfig) -> Result<T
             }
         }
     }
-    let rd = rate.data().to_vec();
+    let rd = rate.data();
     let at = |z: usize, y: usize, x: usize| (z * ny + y) * nx + x;
     let _span = peb_obs::span("litho.eikonal");
     let mut rounds = 0usize;

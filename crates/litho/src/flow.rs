@@ -6,7 +6,7 @@ use peb_tensor::Tensor;
 
 use crate::{
     measure_contact_cds, solve_eikonal, ContactCd, DillParams, EikonalConfig, Grid, MackParams,
-    MaskClip, OpticsParams, PebParams, PebSolver, Result, TimeScheme,
+    MaskClip, OpticsParams, PebParams, PebSolver, PebState, Result, TimeScheme,
 };
 
 /// All artefacts of one rigorous simulation.
@@ -94,14 +94,18 @@ impl LithoFlow {
         let acid0 = self.dill.photoacid(&aerial);
         let solver = PebSolver::new(self.peb, self.grid, self.scheme)?;
         let peb_start = Instant::now();
-        let state = solver.run(&acid0)?;
+        // The spent base field is released here, before development
+        // allocates its own volumes.
+        let PebState {
+            acid, inhibitor, ..
+        } = solver.run(&acid0)?;
         let peb_elapsed = peb_start.elapsed();
-        let (arrival, rate, cds) = self.develop(&state.inhibitor, clip)?;
+        let (arrival, rate, cds) = self.develop(&inhibitor, clip)?;
         Ok(Simulation {
             aerial,
             acid0,
-            acid: state.acid,
-            inhibitor: state.inhibitor,
+            acid,
+            inhibitor,
             rate,
             arrival,
             cds,

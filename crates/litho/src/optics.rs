@@ -82,7 +82,10 @@ impl OpticsParams {
                 ),
             });
         }
-        let mut slices: Vec<Tensor> = Vec::with_capacity(grid.nz);
+        // Each depth plane is written straight into the volume: no
+        // per-plane tensors kept until a final concat.
+        let plane = grid.ny * grid.nx;
+        let mut image = Tensor::zeros(&grid.shape3());
         for k in 0..grid.nz {
             let z = grid.depth_of(k);
             let sigma_px = self.sigma_at(z) / grid.dx;
@@ -92,11 +95,12 @@ impl OpticsParams {
             let phase =
                 2.0 * std::f32::consts::TAU * self.refractive_index * z / self.wavelength_nm;
             let swing = 1.0 + self.standing_wave * phase.cos();
-            slices.push(img.map(|v| (v * atten * swing).max(0.0)));
+            let out = &mut image.data_mut()[k * plane..(k + 1) * plane];
+            for (dst, v) in out.iter_mut().zip(img.data()) {
+                *dst = (v * atten * swing).max(0.0);
+            }
         }
-        let refs: Vec<&Tensor> = slices.iter().collect();
-        let stacked = Tensor::concat(&refs, 0)?;
-        Ok(stacked.reshape(&[grid.nz, grid.ny, grid.nx])?)
+        Ok(image)
     }
 }
 

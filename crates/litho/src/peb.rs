@@ -140,7 +140,16 @@ pub struct PebSolver {
     scheme: TimeScheme,
 }
 
-/// Boundary condition of one end of an implicit sweep line.
+/// The two diffusing species; the discriminant indexes per-species
+/// arrays.
+#[derive(Clone, Copy)]
+enum Species {
+    Acid = 0,
+    Base = 1,
+}
+
+/// Boundary condition of the resist top surface (depth index 0); every
+/// other face is reflective.
 #[derive(Clone, Copy)]
 enum EndBc {
     /// Reflective (zero-flux).
@@ -154,16 +163,35 @@ impl PebSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`LithoError::Config`] for non-positive Δt/duration, and for
-    /// explicit integration when Δt violates the stability limit.
+    /// Returns [`LithoError::Config`] naming the field when `dt` or
+    /// `duration` is not a positive finite number or any other parameter
+    /// is negative or non-finite, and for explicit integration when Δt
+    /// violates the stability limit.
     pub fn new(params: PebParams, grid: Grid, scheme: TimeScheme) -> Result<Self> {
-        if params.dt <= 0.0 || params.duration <= 0.0 {
-            return Err(LithoError::Config {
-                detail: format!(
-                    "dt={} and duration={} must be positive",
-                    params.dt, params.duration
-                ),
-            });
+        let p = &params;
+        for (field, value, positive) in [
+            ("dt", p.dt, true),
+            ("duration", p.duration, true),
+            ("normal_diff_len_a", p.normal_diff_len_a, false),
+            ("normal_diff_len_b", p.normal_diff_len_b, false),
+            ("lateral_diff_len_a", p.lateral_diff_len_a, false),
+            ("lateral_diff_len_b", p.lateral_diff_len_b, false),
+            ("kc", p.kc, false),
+            ("kr", p.kr, false),
+            ("h_a", p.h_a, false),
+            ("h_b", p.h_b, false),
+            ("a_sat", p.a_sat, false),
+            ("b_sat", p.b_sat, false),
+            ("inhibitor0", p.inhibitor0, false),
+            ("base0", p.base0, false),
+        ] {
+            let in_range = if positive { value > 0.0 } else { value >= 0.0 };
+            if !(value.is_finite() && in_range) {
+                let bound = if positive { "positive" } else { "non-negative" };
+                return Err(LithoError::Config {
+                    detail: format!("{field}={value} must be finite and {bound}"),
+                });
+            }
         }
         if scheme == TimeScheme::ExplicitEuler {
             let (dl_a, dn_a) = params.diffusivity_a();
@@ -222,269 +250,388 @@ impl PebSolver {
         let _span = peb_obs::span("litho.peb_run");
         let steps = (self.params.duration / self.params.dt).round().max(1.0) as usize;
         let dt = self.params.duration / steps as f32;
-        for _ in 0..steps {
-            let _step_span = peb_obs::span("litho.peb_step");
-            self.reaction_half_step(&mut state, dt * 0.5);
-            self.diffuse(&mut state.acid, self.params.diffusivity_a(), true, dt);
-            self.diffuse(&mut state.base, self.params.diffusivity_b(), false, dt);
-            self.reaction_half_step(&mut state, dt * 0.5);
+        match self.scheme {
+            TimeScheme::ImplicitLod => self.run_implicit(&mut state, steps, dt),
+            TimeScheme::ExplicitEuler => {
+                for _ in 0..steps {
+                    let _step_span = peb_obs::span("litho.peb_step");
+                    self.reaction_half_step(&mut state, dt * 0.5);
+                    for (field, species) in [
+                        (&mut state.acid, Species::Acid),
+                        (&mut state.base, Species::Base),
+                    ] {
+                        let (d_lat, d_norm) = self.diffusivity(species);
+                        let top = self.top_bc(species);
+                        explicit_step(field, &self.grid, d_lat, d_norm, top, dt);
+                    }
+                    self.reaction_half_step(&mut state, dt * 0.5);
+                }
+            }
         }
         Ok(state)
     }
 
-    /// Strang half-step for the local reactions.
+    /// `(lateral, normal)` diffusivities of a species in nm²/s.
+    fn diffusivity(&self, species: Species) -> (f32, f32) {
+        match species {
+            Species::Acid => self.params.diffusivity_a(),
+            Species::Base => self.params.diffusivity_b(),
+        }
+    }
+
+    /// The Eq. 4 surface condition of a species: always Robin for the
+    /// acid; the base has `h = 0` ⇒ Neumann in the paper's parameters.
+    fn top_bc(&self, species: Species) -> EndBc {
+        let p = &self.params;
+        match species {
+            Species::Acid => EndBc::Robin {
+                h: p.h_a,
+                sat: p.a_sat,
+            },
+            Species::Base if p.h_b > 0.0 => EndBc::Robin {
+                h: p.h_b,
+                sat: p.b_sat,
+            },
+            Species::Base => EndBc::Neumann,
+        }
+    }
+
+    /// Strang half-step for the local reactions over the whole volume
+    /// (explicit scheme; the implicit scheme folds it into its phases).
     ///
-    /// The acid–base pair `(A, B)` evolves under `Ȧ = Ḃ = −kr·A·B` (RK4);
-    /// the inhibitor uses the exact update
-    /// `I ← I · exp(−kc · Ā · δt)` with `Ā` the trapezoidal mean of the
-    /// acid over the sub-step.
-    ///
-    /// Every cell is independent (pointwise ODEs, libm `exp` on every
-    /// path), so the element range fans out over the `peb-par` pool with
-    /// bitwise-identical results at any thread count.
+    /// Every cell is independent (`peb_simd::reaction` is pointwise and
+    /// split-invariant), so the element range fans out over the `peb-par`
+    /// pool with bitwise-identical results at any thread count.
     fn reaction_half_step(&self, state: &mut PebState, dt: f32) {
         let _span = peb_obs::span("litho.reaction_half");
-        let kr = self.params.kr;
-        let kc = self.params.kc;
+        let (kr, kc) = (self.params.kr, self.params.kc);
         let n = state.acid.len();
         let acid = peb_par::UnsafeSlice::new(state.acid.data_mut());
         let base = peb_par::UnsafeSlice::new(state.base.data_mut());
         let inhibitor = peb_par::UnsafeSlice::new(state.inhibitor.data_mut());
-        peb_par::parallel_chunks_cost(n, n.div_ceil(64), 40, |range| {
-            for idx in range {
-                // SAFETY: chunk ranges are disjoint and each index touches
-                // only its own element of the three fields.
-                let a = unsafe { acid.get_mut(idx) };
-                let b = unsafe { base.get_mut(idx) };
-                let i = unsafe { inhibitor.get_mut(idx) };
-                let a0 = *a;
-                let (a1, b1) = rk4_neutralise(a0, *b, kr, dt);
-                *a = a1.max(0.0);
-                *b = b1.max(0.0);
-                let mean_a = 0.5 * (a0 + *a);
-                *i *= (-kc * mean_a * dt).exp();
-            }
+        peb_par::parallel_chunks_cost(n, n.div_ceil(64), REACTION_COST, |range| {
+            // SAFETY: chunk ranges are disjoint.
+            let (a, b, i) = unsafe {
+                (
+                    acid.slice_mut(range.clone()),
+                    base.slice_mut(range.clone()),
+                    inhibitor.slice_mut(range),
+                )
+            };
+            peb_simd::reaction::half_step(a, b, i, kr, kc, dt);
         });
     }
 
-    /// One diffusion step for a species with `(lateral, normal)`
-    /// diffusivities. `robin_top` enables the Eq. 4 surface condition at
-    /// depth index 0 (acid only; the base has `h = 0` ⇒ Neumann).
-    fn diffuse(&self, field: &mut Tensor, (d_lat, d_norm): (f32, f32), robin_top: bool, dt: f32) {
-        let top_bc = if robin_top {
-            EndBc::Robin {
-                h: self.params.h_a,
-                sat: self.params.a_sat,
-            }
-        } else if self.params.h_b > 0.0 {
-            EndBc::Robin {
-                h: self.params.h_b,
-                sat: self.params.b_sat,
-            }
-        } else {
-            EndBc::Neumann
-        };
-        match self.scheme {
-            TimeScheme::ImplicitLod => {
-                let (nz, ny, nx) = (self.grid.nz, self.grid.ny, self.grid.nx);
-                let plane = ny * nx;
-                let rx = d_lat * dt / (self.grid.dx * self.grid.dx);
-                let ry = d_lat * dt / (self.grid.dy * self.grid.dy);
-                let rz = d_norm * dt / (self.grid.dz * self.grid.dz);
-                let data = field.data_mut();
-                // Lie splitting: x, then y, then z implicit sweeps. The x
-                // and y sweeps only couple cells within one z-plane, so
-                // when tiled they stream cache-sized z-slabs: the y
-                // sweep re-reads each slab while it is still resident from
-                // the x sweep, instead of two full-volume passes. Per-line
-                // arithmetic is untouched — tiled output is bitwise
-                // identical to untiled.
-                match peb_pool::tile::slab_items(plane * std::mem::size_of::<f32>(), nz) {
-                    Some(sd) if sd < nz => {
-                        let mut z0 = 0;
-                        while z0 < nz {
-                            let zl = sd.min(nz - z0);
-                            let sub = &mut data[z0 * plane..(z0 + zl) * plane];
-                            let sub_shape = [zl, ny, nx];
-                            implicit_axis_on(
-                                sub,
-                                &sub_shape,
-                                2,
-                                rx,
-                                EndBc::Neumann,
-                                EndBc::Neumann,
-                            );
-                            implicit_axis_on(
-                                sub,
-                                &sub_shape,
-                                1,
-                                ry,
-                                EndBc::Neumann,
-                                EndBc::Neumann,
-                            );
-                            peb_obs::count(peb_obs::Counter::SlabPasses, 1);
-                            z0 += zl;
+    /// The whole implicit-LOD bake: per step `R½ · x,y,z(A) · x,y,z(B) ·
+    /// R½` (Strang around Lie-split backward-Euler sweeps), executed as
+    /// **two** fork-joins per step over a plan built once:
+    ///
+    /// * **phase P** fans out over z-planes and runs, while a plane is
+    ///   cache-resident, `x_A, y_A, x_B, y_B` — acid and base diffusion
+    ///   never read each other, so hoisting `x_B, y_B` ahead of `z_A`
+    ///   changes no operand;
+    /// * **phase C** fans out over blocks of y-rows and runs `z_A, z_B`,
+    ///   then on the same cells the trailing reaction half-step and —
+    ///   except after the last step — the next step's leading one (two
+    ///   applications of `δt/2`, never one of `δt`). Step 0's leading
+    ///   half-step rides at the front of its phase P.
+    ///
+    /// Every cell sees exactly the original operation sequence and every
+    /// kernel is lane-exact, so the result is bitwise independent of the
+    /// thread count, the dispatch level and the partition sizes.
+    fn run_implicit(&self, state: &mut PebState, steps: usize, dt: f32) {
+        let (nz, ny, nx) = (self.grid.nz, self.grid.ny, self.grid.nx);
+        let plane = ny * nx;
+        let plan = LodPlan::new(self, dt);
+        let (kr, kc, half_dt) = (self.params.kr, self.params.kc, dt * 0.5);
+        let acid = peb_par::UnsafeSlice::new(state.acid.data_mut());
+        let base = peb_par::UnsafeSlice::new(state.base.data_mut());
+        let inhibitor = peb_par::UnsafeSlice::new(state.inhibitor.data_mut());
+        let plane_cost = plane as u64 * 4 * SWEEP_COST;
+        let row_cost = (nz * nx) as u64 * 2 * (SWEEP_COST + REACTION_COST);
+        for step in 0..steps {
+            let _step_span = peb_obs::span("litho.peb_step");
+            {
+                let _phase = peb_obs::span("litho.adi_planes");
+                peb_obs::count(peb_obs::Counter::AdiLines, plan.plane_lines);
+                peb_obs::optrace::note("adi.planes", || {
+                    format!(
+                        "x,y of A,B nz={nz} ny={ny} nx={nx} lines={}",
+                        plan.plane_lines
+                    )
+                });
+                peb_par::parallel_chunks_cost(nz, plan.planes_per_chunk, plane_cost, |zs| {
+                    let mut scratch = peb_pool::PoolBuf::<f32>::zeroed((8 * nx).max(ny));
+                    for z in zs {
+                        let cells = z * plane..(z + 1) * plane;
+                        // SAFETY: plane `z` belongs to this chunk alone.
+                        let (a, b) = unsafe {
+                            (acid.slice_mut(cells.clone()), base.slice_mut(cells.clone()))
+                        };
+                        if step == 0 {
+                            // SAFETY: as above.
+                            let i = unsafe { inhibitor.slice_mut(cells) };
+                            peb_simd::reaction::half_step(a, b, i, kr, kc, half_dt);
                         }
+                        plan.sweep_plane(Species::Acid, a, nx, &mut scratch);
+                        plan.sweep_plane(Species::Base, b, nx, &mut scratch);
                     }
-                    _ => {
-                        let shape = [nz, ny, nx];
-                        implicit_axis_on(data, &shape, 2, rx, EndBc::Neumann, EndBc::Neumann);
-                        implicit_axis_on(data, &shape, 1, ry, EndBc::Neumann, EndBc::Neumann);
+                });
+            }
+            let _phase = peb_obs::span("litho.adi_columns");
+            peb_obs::count(peb_obs::Counter::AdiLines, plan.column_lines);
+            peb_obs::optrace::note("adi.columns", || {
+                format!(
+                    "z of A,B + reaction nz={nz} ny={ny} nx={nx} lines={}",
+                    plan.column_lines
+                )
+            });
+            let half_steps = if step + 1 < steps { 2 } else { 1 };
+            peb_par::parallel_chunks_cost(ny, plan.rows_per_block, row_cost, |ys| {
+                let mut line = peb_pool::PoolBuf::<f32>::zeroed(nz);
+                let (first, count) = (ys.start * nx, ys.len() * nx);
+                for (field, species) in [(&acid, Species::Acid), (&base, Species::Base)] {
+                    if let Some(sys) = &plan.z[species as usize] {
+                        // SAFETY: the z-lines through rows `ys` belong to
+                        // this chunk alone.
+                        unsafe { sys.sweep_strided(field, first, count, plane, &mut line) };
                     }
                 }
-                // The z sweep's lines span the full depth; its xy lines
-                // fan out over the pool in fixed blocks.
-                implicit_axis_on(
-                    data,
-                    &[nz, ny, nx],
-                    0,
-                    rz,
-                    top_bc_scaled(top_bc, dt, self.grid.dz),
-                    EndBc::Neumann,
+                for z in 0..nz {
+                    let cells = z * plane + first..z * plane + first + count;
+                    // SAFETY: rows `ys` of every plane belong to this
+                    // chunk alone.
+                    let (a, b, i) = unsafe {
+                        (
+                            acid.slice_mut(cells.clone()),
+                            base.slice_mut(cells.clone()),
+                            inhibitor.slice_mut(cells),
+                        )
+                    };
+                    for _ in 0..half_steps {
+                        peb_simd::reaction::half_step(a, b, i, kr, kc, half_dt);
+                    }
+                }
+            });
+        }
+    }
+}
+
+/// Cost hints (estimated scalar ops per cell) for the `peb-par` inline
+/// cutoff: one implicit line sweep (≈1 ns per cell through the vector
+/// kernels) and one reaction half-step (≈2 ns).
+const SWEEP_COST: u64 = 3;
+const REACTION_COST: u64 = 6;
+
+/// Items (z-planes or y-rows of `cells_per_item` cells each) per phase
+/// chunk: about [`CHUNK_CELLS`] cells, but at least eight chunks when
+/// there are that many items. Depends on the grid alone, never on the
+/// thread count.
+fn chunk_items(total: usize, cells_per_item: usize) -> usize {
+    (CHUNK_CELLS / cells_per_item.max(1)).clamp(1, total.div_ceil(8).max(1))
+}
+
+/// Cells of one field a phase chunk aims to cover: with two or three
+/// fields in flight the chunk's working set stays L2-resident.
+const CHUNK_CELLS: usize = 32 << 10;
+
+/// One `(species, axis)` backward-Euler system
+/// `(I − r·L_axis) u_new = u_old`, `r = D·dt/h²`, with `L_axis` the 1-D
+/// Laplacian — reflective at both ends, optionally Robin at the first.
+/// Every line of the axis shares the matrix, so it is factored once per
+/// bake (`peb_simd::thomas`) and each line replays only the per-line
+/// operations, bitwise identical to the in-line `solve_tridiagonal`
+/// elimination.
+struct AxisSystem {
+    lower: Vec<f32>,
+    beta: Vec<f32>,
+    gamma: Vec<f32>,
+    /// Robin source term added to each line's first right-hand-side
+    /// element (`0` when reflective).
+    bump_first: f32,
+}
+
+/// The far end of every axis is reflective: no source term. The kernels
+/// add it unconditionally, so the scalar leftovers do too.
+const BUMP_LAST: f32 = 0.0;
+
+impl AxisSystem {
+    /// Factors the system for lines of `n` cells; `None` when the sweep
+    /// is the identity (`r = 0` or a single cell).
+    fn new(n: usize, r: f32, bc_first: EndBc) -> Option<Self> {
+        if r == 0.0 || n == 1 {
+            return None;
+        }
+        let lower = vec![-r; n];
+        let mut diag = vec![1.0 + 2.0 * r; n];
+        // Reflective end rows lose one neighbour.
+        diag[0] = 1.0 + r;
+        diag[n - 1] = 1.0 + r;
+        let mut bump_first = 0.0f32;
+        if let EndBc::Robin { h, sat } = bc_first {
+            // h here is the pre-scaled h·dt/dz.
+            diag[0] += h;
+            bump_first = h * sat;
+        }
+        let (mut beta, mut gamma) = (Vec::new(), Vec::new());
+        // The super-diagonal equals the sub-diagonal: constant −r.
+        peb_simd::thomas::factor_tridiagonal(&lower, &diag, &lower, &mut beta, &mut gamma);
+        Some(AxisSystem {
+            lower,
+            beta,
+            gamma,
+            bump_first,
+        })
+    }
+
+    /// Solves one gathered line in place.
+    fn solve_line(&self, line: &mut [f32]) {
+        line[0] += self.bump_first;
+        line[line.len() - 1] += BUMP_LAST;
+        peb_simd::thomas::solve_factored(&self.lower, &self.beta, &self.gamma, line);
+    }
+
+    /// Solves the contiguous lines (rows) of `field`: groups of eight
+    /// adjacent rows through the transposing vector kernel, leftover rows
+    /// in place with the scalar solve. `scratch` holds `≥ 8·n` floats.
+    fn sweep_rows(&self, field: &mut [f32], scratch: &mut [f32]) {
+        let n = self.beta.len();
+        let mut groups = field.chunks_exact_mut(8 * n);
+        for rows in &mut groups {
+            peb_simd::thomas::solve_factored_rows8(
+                &self.lower,
+                &self.beta,
+                &self.gamma,
+                rows,
+                scratch,
+                self.bump_first,
+                BUMP_LAST,
+            );
+        }
+        for row in groups.into_remainder().chunks_exact_mut(n) {
+            self.solve_line(row);
+        }
+    }
+
+    /// Solves `count` strided lines: element `k` of line `l` lives at
+    /// `slots[first + l + k·stride]`. Groups of eight memory-adjacent
+    /// lines solve in place through the interleaved vector kernel (no
+    /// gather/scatter), leftover lines gather into `line` (`≥ n` floats).
+    ///
+    /// # Safety
+    ///
+    /// The caller must own every such position exclusively.
+    unsafe fn sweep_strided(
+        &self,
+        slots: &peb_par::UnsafeSlice<f32>,
+        first: usize,
+        count: usize,
+        stride: usize,
+        line: &mut [f32],
+    ) {
+        let n = self.beta.len();
+        let line = &mut line[..n];
+        let mut l = 0;
+        while l + 8 <= count {
+            // SAFETY: forwarded caller contract.
+            unsafe {
+                peb_simd::thomas::solve_factored_lines8(
+                    &self.lower,
+                    &self.beta,
+                    &self.gamma,
+                    slots,
+                    first + l,
+                    stride,
+                    n,
+                    self.bump_first,
+                    BUMP_LAST,
                 );
             }
-            TimeScheme::ExplicitEuler => {
-                explicit_step(field, &self.grid, d_lat, d_norm, top_bc, dt);
-            }
+            l += 8;
         }
-    }
-}
-
-/// Pre-scales a Robin condition into the dimensionless form used by the
-/// implicit solver (`h·dt/dz`).
-fn top_bc_scaled(bc: EndBc, dt: f32, dz: f32) -> EndBc {
-    match bc {
-        EndBc::Neumann => EndBc::Neumann,
-        EndBc::Robin { h, sat } => EndBc::Robin {
-            h: h * dt / dz,
-            sat,
-        },
-    }
-}
-
-/// RK4 integration of the neutralisation pair over `dt`.
-///
-/// `A − B` is conserved by the exact dynamics; RK4 preserves it to
-/// round-off because both derivatives are identical.
-fn rk4_neutralise(a: f32, b: f32, kr: f32, dt: f32) -> (f32, f32) {
-    let f = |a: f32, b: f32| -kr * a * b;
-    let k1 = f(a, b);
-    let k2 = f(a + 0.5 * dt * k1, b + 0.5 * dt * k1);
-    let k3 = f(a + 0.5 * dt * k2, b + 0.5 * dt * k2);
-    let k4 = f(a + dt * k3, b + dt * k3);
-    let delta = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-    (a + delta, b + delta)
-}
-
-/// Implicit backward-Euler sweep of one axis: solves
-/// `(I − r·L_axis) u_new = u_old` line by line, where `r = D·dt/h²` and
-/// `L_axis` is the 1-D Laplacian with the given end conditions.
-///
-/// Every line of the axis shares one constant-coefficient matrix, so the
-/// elimination is factored **once** (`peb_simd::thomas`) and each line
-/// replays only the cheap per-line operations — bitwise identical to the
-/// in-line `solve_tridiagonal` elimination. Groups of eight lines that
-/// are adjacent in the innermost dimension solve in place through the
-/// vectorized interleaved kernel (no gather/scatter); leftover lines — and
-/// all of axis 2, whose lines are not memory-adjacent — take the scalar
-/// factored path. The `outer·inner` lines fan out over the `peb-par`
-/// pool; each line reads and writes only its own strided positions, so
-/// the sweep stays bitwise identical at any thread count.
-fn implicit_axis_on(
-    data: &mut [f32],
-    shape: &[usize],
-    axis: usize,
-    r: f32,
-    bc_first: EndBc,
-    bc_last: EndBc,
-) {
-    if r == 0.0 {
-        return;
-    }
-    let outer: usize = shape[..axis].iter().product();
-    let n = shape[axis];
-    let inner: usize = shape[axis + 1..].iter().product();
-    if n == 1 {
-        return;
-    }
-    let _span = peb_obs::span("litho.adi_axis");
-    peb_obs::count(peb_obs::Counter::AdiLines, (outer * inner) as u64);
-    peb_obs::optrace::note("adi.sweep", || {
-        format!("axis={axis} n={n} lines={} r={r}", outer * inner)
-    });
-    // Coefficient arrays are identical for every line of this axis;
-    // checked out of the thread-local pool (the solver rebuilds them for
-    // every axis of every step).
-    let mut lower = peb_pool::PoolBuf::<f32>::cleared(n);
-    lower.resize(n, -r);
-    let mut diag = peb_pool::PoolBuf::<f32>::cleared(n);
-    diag.resize(n, 1.0 + 2.0 * r);
-    // Reflective end rows lose one neighbour.
-    diag[0] = 1.0 + r;
-    diag[n - 1] = 1.0 + r;
-    let mut rhs_bump_first = 0.0f32;
-    if let EndBc::Robin { h, sat } = bc_first {
-        // h here is the pre-scaled h·dt/dz.
-        diag[0] += h;
-        rhs_bump_first = h * sat;
-    }
-    let mut rhs_bump_last = 0.0f32;
-    if let EndBc::Robin { h, sat } = bc_last {
-        diag[n - 1] += h;
-        rhs_bump_last = h * sat;
-    }
-    // Shared factorization: upper is constant −r, so build it inline.
-    let mut upper = peb_pool::PoolBuf::<f32>::cleared(n);
-    upper.resize(n, -r);
-    let mut beta = peb_pool::PoolBuf::<f32>::cleared(n);
-    let mut gamma = peb_pool::PoolBuf::<f32>::cleared(n);
-    peb_simd::thomas::factor_tridiagonal(&lower, &diag, &upper, &mut beta, &mut gamma);
-    let lines = outer * inner;
-    let slots = peb_par::UnsafeSlice::new(data);
-    let (lower, beta, gamma) = (&lower[..], &beta[..], &gamma[..]);
-    let line_cost = 10 * n as u64;
-    peb_par::parallel_chunks_cost(lines, lines.div_ceil(64), line_cost, |range| {
-        let mut line = peb_pool::PoolBuf::<f32>::zeroed(n);
-        let mut li = range.start;
-        while li < range.end {
-            let (o, i) = (li / inner, li % inner);
-            if i + 8 <= inner && li + 8 <= range.end {
-                // Eight lines adjacent in the innermost dimension: element
-                // k of the group is the contiguous 8 floats at
-                // `(o·n + k)·inner + i` — solve in place, no staging.
-                // SAFETY: the group owns exactly those strided positions;
-                // lines are disjoint across workers.
-                unsafe {
-                    peb_simd::thomas::solve_factored_lines8(
-                        lower,
-                        beta,
-                        gamma,
-                        &slots,
-                        (o * n) * inner + i,
-                        inner,
-                        n,
-                        rhs_bump_first,
-                        rhs_bump_last,
-                    );
-                }
-                li += 8;
-                continue;
-            }
+        for l in l..count {
             for (k, lk) in line.iter_mut().enumerate() {
-                // SAFETY: line `li` owns exactly the strided positions
-                // `(o·n + k)·inner + i`; lines are disjoint.
-                *lk = unsafe { *slots.get_mut((o * n + k) * inner + i) };
+                // SAFETY: forwarded caller contract.
+                *lk = unsafe { *slots.get_mut(first + l + k * stride) };
             }
-            line[0] += rhs_bump_first;
-            line[n - 1] += rhs_bump_last;
-            peb_simd::thomas::solve_factored(lower, beta, gamma, &mut line);
+            self.solve_line(line);
             for (k, lk) in line.iter().enumerate() {
                 // SAFETY: as above.
-                unsafe { *slots.get_mut((o * n + k) * inner + i) = *lk };
+                unsafe { *slots.get_mut(first + l + k * stride) = *lk };
             }
-            li += 1;
         }
-    });
+    }
+}
+
+/// Everything the implicit scheme derives from `(params, grid, dt)`,
+/// built once per bake: the six `(species, axis)` systems (indexed by
+/// `Species as usize`), the two phase partitions, and the per-phase line
+/// counts reported to `Counter::AdiLines`.
+struct LodPlan {
+    x: [Option<AxisSystem>; 2],
+    y: [Option<AxisSystem>; 2],
+    z: [Option<AxisSystem>; 2],
+    /// z-planes per phase-P chunk and y-rows per phase-C chunk;
+    /// functions of the grid alone.
+    planes_per_chunk: usize,
+    rows_per_block: usize,
+    plane_lines: u64,
+    column_lines: u64,
+}
+
+impl LodPlan {
+    fn new(solver: &PebSolver, dt: f32) -> Self {
+        let g = &solver.grid;
+        let (nz, ny, nx) = (g.nz, g.ny, g.nx);
+        let species = [Species::Acid, Species::Base];
+        let x = species.map(|s| {
+            let (d_lat, _) = solver.diffusivity(s);
+            AxisSystem::new(nx, d_lat * dt / (g.dx * g.dx), EndBc::Neumann)
+        });
+        let y = species.map(|s| {
+            let (d_lat, _) = solver.diffusivity(s);
+            AxisSystem::new(ny, d_lat * dt / (g.dy * g.dy), EndBc::Neumann)
+        });
+        let z = species.map(|s| {
+            let (_, d_norm) = solver.diffusivity(s);
+            // Pre-scale the Robin coefficient to the solver's
+            // dimensionless `h·dt/dz`.
+            let top = match solver.top_bc(s) {
+                EndBc::Neumann => EndBc::Neumann,
+                EndBc::Robin { h, sat } => EndBc::Robin {
+                    h: h * dt / g.dz,
+                    sat,
+                },
+            };
+            AxisSystem::new(nz, d_norm * dt / (g.dz * g.dz), top)
+        });
+        let lines = |sys: &[Option<AxisSystem>; 2], per_sweep: usize| {
+            (sys.iter().flatten().count() * per_sweep) as u64
+        };
+        LodPlan {
+            plane_lines: lines(&x, nz * ny) + lines(&y, nz * nx),
+            column_lines: lines(&z, ny * nx),
+            planes_per_chunk: chunk_items(nz, ny * nx),
+            rows_per_block: chunk_items(ny, nz * nx),
+            x,
+            y,
+            z,
+        }
+    }
+
+    /// `x` then `y` sweep of one species over one z-plane. `scratch`
+    /// holds `≥ max(8·nx, ny)` floats.
+    fn sweep_plane(&self, species: Species, field: &mut [f32], nx: usize, scratch: &mut [f32]) {
+        if let Some(sys) = &self.x[species as usize] {
+            sys.sweep_rows(field, scratch);
+        }
+        if let Some(sys) = &self.y[species as usize] {
+            let slots = peb_par::UnsafeSlice::new(field);
+            // SAFETY: `field` is borrowed mutably, so every position of
+            // its `nx` columns is ours.
+            unsafe { sys.sweep_strided(&slots, 0, nx, nx, scratch) };
+        }
+    }
 }
 
 /// Reference explicit step (all axes at once), one vectorized
@@ -782,11 +929,143 @@ mod tests {
     }
 
     #[test]
-    fn rk4_conserves_difference() {
-        let (a, b) = rk4_neutralise(0.8, 0.4, 8.7, 0.05);
-        assert!(((a - b) - 0.4).abs() < 1e-6);
-        assert!(a < 0.8 && b < 0.4);
-        assert!(a > 0.0 && b > 0.0);
+    fn non_physical_parameters_are_rejected_by_name() {
+        let grid = tiny_grid();
+        type Set = fn(&mut PebParams, f32);
+        let fields: [(&str, Set, bool); 14] = [
+            ("dt", |p, v| p.dt = v, false),
+            ("duration", |p, v| p.duration = v, false),
+            ("normal_diff_len_a", |p, v| p.normal_diff_len_a = v, true),
+            ("normal_diff_len_b", |p, v| p.normal_diff_len_b = v, true),
+            ("lateral_diff_len_a", |p, v| p.lateral_diff_len_a = v, true),
+            ("lateral_diff_len_b", |p, v| p.lateral_diff_len_b = v, true),
+            ("kc", |p, v| p.kc = v, true),
+            ("kr", |p, v| p.kr = v, true),
+            ("h_a", |p, v| p.h_a = v, true),
+            ("h_b", |p, v| p.h_b = v, true),
+            ("a_sat", |p, v| p.a_sat = v, true),
+            ("b_sat", |p, v| p.b_sat = v, true),
+            ("inhibitor0", |p, v| p.inhibitor0 = v, true),
+            ("base0", |p, v| p.base0 = v, true),
+        ];
+        for (field, set, zero_ok) in fields {
+            for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -1.0, -0.0, 0.0] {
+                let mut p = short_params();
+                set(&mut p, value);
+                let got = PebSolver::new(p, grid, TimeScheme::ImplicitLod);
+                if value == 0.0 && zero_ok {
+                    assert!(got.is_ok(), "{field}={value} is physical");
+                    continue;
+                }
+                match got {
+                    Err(LithoError::Config { detail }) => assert!(
+                        detail.starts_with(&format!("{field}=")),
+                        "{field}={value}: {detail}"
+                    ),
+                    other => panic!("{field}={value} accepted: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// The bake as the equations read: whole-volume `R½ → x,y,z(A) →
+    /// x,y,z(B) → R½` per step, every line gathered and eliminated with
+    /// the classic in-line Thomas solve.
+    fn line_by_line_bake(solver: &PebSolver, acid0: &Tensor) -> PebState {
+        let (p, g) = (solver.params, solver.grid);
+        let shape = [g.nz, g.ny, g.nx];
+        let steps = (p.duration / p.dt).round().max(1.0) as usize;
+        let dt = p.duration / steps as f32;
+        let mut state = PebState {
+            acid: acid0.clone(),
+            base: Tensor::full(&shape, p.base0),
+            inhibitor: Tensor::full(&shape, p.inhibitor0),
+        };
+        let react = |s: &mut PebState| {
+            peb_simd::reaction::half_step_scalar(
+                s.acid.data_mut(),
+                s.base.data_mut(),
+                s.inhibitor.data_mut(),
+                p.kr,
+                p.kc,
+                dt * 0.5,
+            )
+        };
+        let sweep = |data: &mut [f32], axis: usize, r: f32, robin: Option<(f32, f32)>| {
+            let n = shape[axis];
+            let inner: usize = shape[axis + 1..].iter().product();
+            let outer: usize = shape[..axis].iter().product();
+            let (a, c) = (vec![-r; n], vec![-r; n]);
+            let mut b = vec![1.0 + 2.0 * r; n];
+            b[0] = 1.0 + r;
+            b[n - 1] = 1.0 + r;
+            let mut bump = 0.0;
+            if let Some((h, sat)) = robin {
+                b[0] += h;
+                bump = h * sat;
+            }
+            let (mut line, mut scratch) = (vec![0f32; n], vec![0f32; n]);
+            for o in 0..outer {
+                for i in 0..inner {
+                    for k in 0..n {
+                        line[k] = data[(o * n + k) * inner + i];
+                    }
+                    line[0] += bump;
+                    crate::tridiag::solve_tridiagonal(&a, &b, &c, &mut line, &mut scratch);
+                    for k in 0..n {
+                        data[(o * n + k) * inner + i] = line[k];
+                    }
+                }
+            }
+        };
+        for _ in 0..steps {
+            react(&mut state);
+            for (field, (d_lat, d_norm), robin) in [
+                (&mut state.acid, p.diffusivity_a(), Some((p.h_a, p.a_sat))),
+                (&mut state.base, p.diffusivity_b(), None),
+            ] {
+                let data = field.data_mut();
+                sweep(data, 2, d_lat * dt / (g.dx * g.dx), None);
+                sweep(data, 1, d_lat * dt / (g.dy * g.dy), None);
+                let robin = robin.map(|(h, sat)| (h * dt / g.dz, sat));
+                sweep(data, 0, d_norm * dt / (g.dz * g.dz), robin);
+            }
+            react(&mut state);
+        }
+        state
+    }
+
+    #[test]
+    fn phased_bake_is_bitwise_the_line_by_line_bake_on_a_ragged_grid() {
+        // No dimension is a multiple of 8: every vector kernel meets its
+        // ragged rows, columns and tails. (`Grid::new` insists on FFT
+        // sizes, which the bake does not need.)
+        let grid = Grid {
+            nx: 13,
+            ny: 10,
+            nz: 5,
+            dx: 4.0,
+            dy: 5.0,
+            dz: 10.0,
+        };
+        let solver = PebSolver::new(short_params(), grid, TimeScheme::ImplicitLod).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(77);
+        let acid0 = Tensor::rand_uniform(&grid.shape3(), 0.0, 0.9, &mut rng);
+        let want = line_by_line_bake(&solver, &acid0);
+        for threads in [1, 3, 4] {
+            let got = peb_par::with_thread_count(threads, || solver.run(&acid0).unwrap());
+            for (field, w, g) in [
+                ("acid", &want.acid, &got.acid),
+                ("base", &want.base, &got.base),
+                ("inhibitor", &want.inhibitor, &got.inhibitor),
+            ] {
+                assert_eq!(
+                    w.bit_digest(),
+                    g.bit_digest(),
+                    "{field} at {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@ use std::cell::{Cell, RefCell};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpDesc {
     /// Op family, e.g. `"gemm"`, `"conv.im2col"`, `"scan"`,
-    /// `"adi.sweep"`, `"stencil"`, `"fused"`, `"fft.line"`.
+    /// `"adi.planes"` / `"adi.columns"` (the two phases of an implicit
+    /// bake step), `"stencil"`, `"fused"`, `"fft.line"`.
     pub kind: &'static str,
     /// Resolved parameters, e.g. `"m=64 k=576 n=4096"` or
     /// `"chain=[mul_t,add_t,sigmoid] len=65536"`.

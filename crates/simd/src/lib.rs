@@ -21,11 +21,12 @@
 //! batches. Two classes of kernel relate to the scalar reference
 //! differently:
 //!
-//! * **Bit-exact kernels** (tridiagonal line solves, the explicit
-//!   diffusion stencil, elementwise add/sub/mul/div, SGD/Adam updates)
-//!   use only IEEE-exact lane operations (`+ − × ÷ √`) in exactly the
-//!   per-element expression order of the scalar code, so the SIMD path
-//!   reproduces the scalar path **to the bit**.
+//! * **Bit-exact kernels** (tridiagonal line solves, the PEB reaction
+//!   half-step, the explicit diffusion stencil, elementwise
+//!   add/sub/mul/div, SGD/Adam updates) use only IEEE-exact lane
+//!   operations (`+ − × ÷ √`, `max`/`min`, `floor`, integer-built `2ⁿ`)
+//!   in exactly the per-element expression order of the scalar code, so
+//!   the SIMD path reproduces the scalar path **to the bit**.
 //! * **Tolerance kernels** (GEMM, which fuses multiply–add, and the
 //!   selective-scan recurrence, which uses the polynomial [`Simd8::exp`]
 //!   instead of libm) differ from scalar by bounded ULPs; the property
@@ -40,6 +41,7 @@ pub mod fused;
 pub mod gemm;
 pub mod int8;
 pub mod optim;
+pub mod reaction;
 pub mod scan;
 pub mod stencil;
 pub mod thomas;
@@ -163,6 +165,23 @@ pub trait Simd8: Copy {
     fn exp(self) -> Self;
     /// Lanewise `if self >= 0 { if_nonneg } else { if_neg }`.
     fn select_nonneg(self, if_nonneg: Self, if_neg: Self) -> Self;
+    /// Lanewise `if self > rhs { self } else { rhs }` (x86 `maxps`): a NaN
+    /// in either operand, or two zeros of either sign, yield `rhs` — so
+    /// `x.max(zero)` maps NaN and `−0.0` to `+0.0` on every backend.
+    fn max(self, rhs: Self) -> Self;
+    /// Lanewise `if self < rhs { self } else { rhs }` (x86 `minps`), with
+    /// the same second-operand rule as [`Simd8::max`].
+    fn min(self, rhs: Self) -> Self;
+    /// Lanewise round toward −∞ (IEEE-exact on every backend).
+    fn floor(self) -> Self;
+    /// Lanewise `2ⁿ` for integer-valued lanes `n ∈ [−127, 128]`, built
+    /// through the exponent field (`(n + 127) << 23`): `n = −127` gives
+    /// `+0.0` and `n = 128` gives `+∞`. Integer arithmetic only, so
+    /// identical on every backend.
+    fn pow2n(self) -> Self;
+    /// Transposes an 8×8 block: lane `j` of `out[k]` is lane `k` of
+    /// `rows[j]`. Pure data movement.
+    fn transpose8(rows: [Self; 8]) -> [Self; 8];
     /// Lanes as an array (lane order 0..8 = memory order).
     fn to_array(self) -> [f32; 8];
     /// Builds lanes from an array.
@@ -227,6 +246,40 @@ impl Simd8 for ScalarX8 {
                 if_neg.0[i]
             }
         }))
+    }
+    #[inline(always)]
+    fn max(self, rhs: Self) -> Self {
+        ScalarX8(std::array::from_fn(|i| {
+            if self.0[i] > rhs.0[i] {
+                self.0[i]
+            } else {
+                rhs.0[i]
+            }
+        }))
+    }
+    #[inline(always)]
+    fn min(self, rhs: Self) -> Self {
+        ScalarX8(std::array::from_fn(|i| {
+            if self.0[i] < rhs.0[i] {
+                self.0[i]
+            } else {
+                rhs.0[i]
+            }
+        }))
+    }
+    #[inline(always)]
+    fn floor(self) -> Self {
+        ScalarX8(std::array::from_fn(|i| self.0[i].floor()))
+    }
+    #[inline(always)]
+    fn pow2n(self) -> Self {
+        ScalarX8(std::array::from_fn(|i| {
+            f32::from_bits(((self.0[i] as i32 + 0x7f) as u32) << 23)
+        }))
+    }
+    #[inline(always)]
+    fn transpose8(rows: [Self; 8]) -> [Self; 8] {
+        std::array::from_fn(|k| ScalarX8(std::array::from_fn(|j| rows[j].0[k])))
     }
     #[inline(always)]
     fn to_array(self) -> [f32; 8] {
@@ -323,6 +376,60 @@ mod avx {
             AvxX8(unsafe { _mm256_blendv_ps(if_nonneg.0, if_neg.0, self.0) })
         }
         #[inline(always)]
+        fn max(self, rhs: Self) -> Self {
+            AvxX8(unsafe { _mm256_max_ps(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn min(self, rhs: Self) -> Self {
+            AvxX8(unsafe { _mm256_min_ps(self.0, rhs.0) })
+        }
+        #[inline(always)]
+        fn floor(self) -> Self {
+            AvxX8(unsafe { _mm256_floor_ps(self.0) })
+        }
+        #[inline(always)]
+        fn pow2n(self) -> Self {
+            unsafe {
+                let n = _mm256_cvttps_epi32(self.0);
+                let n = _mm256_add_epi32(n, _mm256_set1_epi32(0x7f));
+                AvxX8(_mm256_castsi256_ps(_mm256_slli_epi32(n, 23)))
+            }
+        }
+        #[inline(always)]
+        fn transpose8(r: [Self; 8]) -> [Self; 8] {
+            unsafe {
+                // 2×2 blocks within each 128-bit half …
+                let t0 = _mm256_unpacklo_ps(r[0].0, r[1].0);
+                let t1 = _mm256_unpackhi_ps(r[0].0, r[1].0);
+                let t2 = _mm256_unpacklo_ps(r[2].0, r[3].0);
+                let t3 = _mm256_unpackhi_ps(r[2].0, r[3].0);
+                let t4 = _mm256_unpacklo_ps(r[4].0, r[5].0);
+                let t5 = _mm256_unpackhi_ps(r[4].0, r[5].0);
+                let t6 = _mm256_unpacklo_ps(r[6].0, r[7].0);
+                let t7 = _mm256_unpackhi_ps(r[6].0, r[7].0);
+                // … 4×4 blocks within each half …
+                let u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+                let u1 = _mm256_shuffle_ps(t0, t2, 0xee);
+                let u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+                let u3 = _mm256_shuffle_ps(t1, t3, 0xee);
+                let u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+                let u5 = _mm256_shuffle_ps(t4, t6, 0xee);
+                let u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+                let u7 = _mm256_shuffle_ps(t5, t7, 0xee);
+                // … then swap the off-diagonal 4×4 halves.
+                [
+                    AvxX8(_mm256_permute2f128_ps(u0, u4, 0x20)),
+                    AvxX8(_mm256_permute2f128_ps(u1, u5, 0x20)),
+                    AvxX8(_mm256_permute2f128_ps(u2, u6, 0x20)),
+                    AvxX8(_mm256_permute2f128_ps(u3, u7, 0x20)),
+                    AvxX8(_mm256_permute2f128_ps(u0, u4, 0x31)),
+                    AvxX8(_mm256_permute2f128_ps(u1, u5, 0x31)),
+                    AvxX8(_mm256_permute2f128_ps(u2, u6, 0x31)),
+                    AvxX8(_mm256_permute2f128_ps(u3, u7, 0x31)),
+                ]
+            }
+        }
+        #[inline(always)]
         fn to_array(self) -> [f32; 8] {
             let mut a = [0f32; 8];
             unsafe { _mm256_storeu_ps(a.as_mut_ptr(), self.0) };
@@ -407,6 +514,68 @@ mod tests {
         }
         let sel = a.select_nonneg(ScalarX8::splat(1.0), ScalarX8::splat(-1.0));
         assert_eq!(sel.to_array(), [1.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, -1.0]);
+    }
+
+    /// `max`/`min`/`floor`/`pow2n`/`transpose8` on backend `V`, as bits.
+    #[inline(always)]
+    fn exact_lane_ops<V: Simd8>() -> Vec<[u32; 8]> {
+        let x = V::from_array([f32::NAN, -0.0, 0.0, -1.5, 2.5, -127.0, 127.0, 1e-3]);
+        let zero = V::zero();
+        let mut out = vec![
+            x.max(zero),
+            x.min(zero),
+            zero.max(x),
+            x.floor(),
+            V::from_array([-127.0, -126.0, -1.0, 0.0, 1.0, 23.0, 127.0, 128.0]).pow2n(),
+        ];
+        let rows: [V; 8] =
+            std::array::from_fn(|j| V::from_array(std::array::from_fn(|k| (8 * j + k) as f32)));
+        out.extend(V::transpose8(rows));
+        out.into_iter()
+            .map(|v| v.to_array().map(f32::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn exact_lane_ops_agree_with_their_definitions_on_every_backend() {
+        let got = exact_lane_ops::<ScalarX8>();
+        let bits = |a: [f32; 8]| a.map(f32::to_bits);
+        // NaN and −0 clamp to the *second* operand, +0.
+        assert_eq!(got[0], bits([0.0, 0.0, 0.0, 0.0, 2.5, 0.0, 127.0, 1e-3]));
+        assert_eq!(got[1], bits([0.0, 0.0, 0.0, -1.5, 0.0, -127.0, 0.0, 0.0]));
+        // … so with the operands swapped the NaN and the −0 survive.
+        assert_eq!(got[2][0], f32::NAN.to_bits());
+        assert_eq!(got[2][1], (-0.0f32).to_bits());
+        assert_eq!(
+            got[3][1..],
+            [-0.0f32, 0.0, -2.0, 2.0, -127.0, 127.0, 0.0].map(f32::to_bits)
+        );
+        assert_eq!(
+            got[4],
+            bits([
+                0.0,
+                f32::MIN_POSITIVE,
+                0.5,
+                1.0,
+                2.0,
+                8_388_608.0,
+                1.701_411_8e38,
+                f32::INFINITY
+            ])
+        );
+        for k in 0..8 {
+            let column: [f32; 8] = std::array::from_fn(|j| (8 * j + k) as f32);
+            assert_eq!(got[5 + k], bits(column));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if detected() {
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn run() -> Vec<[u32; 8]> {
+                exact_lane_ops::<AvxX8>()
+            }
+            // SAFETY: guarded by detected().
+            assert_eq!(unsafe { run() }, got);
+        }
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -14,6 +14,9 @@
 //! the group is eight contiguous floats). Each lane performs exactly the
 //! scalar operation sequence with IEEE-exact ops (`+ − × ÷`), so the
 //! SIMD path is **bitwise identical** to the scalar path.
+//! [`solve_factored_rows8`] does the same for eight *contiguous* lines
+//! (adjacent rows, the x-axis of a plane), transposing 8×8 blocks in
+//! registers on the way in and out.
 
 use peb_par::UnsafeSlice;
 
@@ -208,30 +211,217 @@ unsafe fn solve8_generic<V: Simd8>(
     bump_last: f32,
 ) {
     debug_assert!(n >= 2, "degenerate lines are handled by the caller");
+    assert_eq!(beta.len(), n, "factorization length");
+    let sys = Factored {
+        a,
+        beta,
+        gamma,
+        bump_first,
+        bump_last,
+    };
     // SAFETY (all row accesses): caller owns the group's strided
     // positions exclusively; each borrow is transient and sequential.
     let row = |k: usize| unsafe { slots.slice_mut(base + k * stride..base + k * stride + 8) };
-    // Forward elimination. Matches the scalar order: bump, d0 /= beta0,
-    // then d[k] = (d[k] − a[k]·d[k−1]) / beta[k].
-    let r0 = row(0);
-    let mut prev = V::load(r0).add(V::splat(bump_first)).div(V::splat(beta[0]));
-    prev.store(r0);
-    for k in 1..n {
+    let mut prev = V::zero();
+    for k in 0..n {
         let rk = row(k);
-        let mut dk = V::load(rk);
-        if k == n - 1 {
-            dk = dk.add(V::splat(bump_last));
-        }
-        prev = dk.sub(V::splat(a[k]).mul(prev)).div(V::splat(beta[k]));
+        prev = sys.forward(k, V::load(rk), prev);
         prev.store(rk);
     }
-    // Back substitution: d[k] -= gamma[k+1]·d[k+1].
     let mut next = prev;
     for k in (0..n - 1).rev() {
         let rk = row(k);
-        let dk = V::load(rk).sub(V::splat(gamma[k + 1]).mul(next));
-        dk.store(rk);
-        next = dk;
+        next = sys.back(k, V::load(rk), next);
+        next.store(rk);
+    }
+}
+
+/// The shared factorization plus the per-line source terms: the one
+/// place the eight-lane elimination arithmetic lives. Per lane it is
+/// exactly [`solve_factored`] on a line whose first/last element got the
+/// bumps added first.
+#[derive(Clone, Copy)]
+struct Factored<'a> {
+    a: &'a [f32],
+    beta: &'a [f32],
+    gamma: &'a [f32],
+    bump_first: f32,
+    bump_last: f32,
+}
+
+impl Factored<'_> {
+    /// Forward elimination of element `k` of eight lines: bump, then
+    /// `d[k] = (d[k] − a[k]·d[k−1]) / beta[k]` (`d[0] /= beta[0]`).
+    // A plain fn, not a closure: closures are not `inline(always)`, and
+    // an out-of-line body would call every AVX lane op as a function.
+    #[inline(always)]
+    fn forward<V: Simd8>(&self, k: usize, dk: V, prev: V) -> V {
+        if k == 0 {
+            return dk
+                .add(V::splat(self.bump_first))
+                .div(V::splat(self.beta[0]));
+        }
+        let dk = if k == self.beta.len() - 1 {
+            dk.add(V::splat(self.bump_last))
+        } else {
+            dk
+        };
+        dk.sub(V::splat(self.a[k]).mul(prev))
+            .div(V::splat(self.beta[k]))
+    }
+
+    /// Back substitution of element `k`: `d[k] −= gamma[k+1]·d[k+1]`
+    /// (the last element is already final).
+    #[inline(always)]
+    fn back<V: Simd8>(&self, k: usize, dk: V, next: V) -> V {
+        if k == self.beta.len() - 1 {
+            dk
+        } else {
+            dk.sub(V::splat(self.gamma[k + 1]).mul(next))
+        }
+    }
+}
+
+/// Solves eight *contiguous* lines in place against one shared
+/// factorization: `rows` holds eight adjacent rows of `n = beta.len()`
+/// floats each (the x-axis lines of a tensor plane). The rows are
+/// interleaved through 8×8 in-register transposes into `scratch`
+/// (`≥ 8·n` floats, clobbered), eliminated with exactly the lane
+/// arithmetic of [`solve_factored_lines8`], and transposed back — per
+/// line the operation order is that of [`solve_factored`], so the result
+/// is bitwise identical to solving each row on its own. `bump_first` /
+/// `bump_last` are added to each row's first/last element first.
+///
+/// # Panics
+///
+/// Panics if `n < 2` or any slice length disagrees with `n`.
+pub fn solve_factored_rows8(
+    a: &[f32],
+    beta: &[f32],
+    gamma: &[f32],
+    rows: &mut [f32],
+    scratch: &mut [f32],
+    bump_first: f32,
+    bump_last: f32,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        crate::note_dispatch();
+        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
+        unsafe { rows8_avx2(a, beta, gamma, rows, scratch, bump_first, bump_last) };
+        return;
+    }
+    rows8_generic::<ScalarX8>(a, beta, gamma, rows, scratch, bump_first, bump_last)
+}
+
+/// Forced scalar-backend variant of [`solve_factored_rows8`].
+pub fn solve_factored_rows8_scalar(
+    a: &[f32],
+    beta: &[f32],
+    gamma: &[f32],
+    rows: &mut [f32],
+    scratch: &mut [f32],
+    bump_first: f32,
+    bump_last: f32,
+) {
+    rows8_generic::<ScalarX8>(a, beta, gamma, rows, scratch, bump_first, bump_last)
+}
+
+/// Forced SIMD-backend variant of [`solve_factored_rows8`]; returns
+/// `false` (no-op) without AVX2+FMA.
+pub fn solve_factored_rows8_simd(
+    a: &[f32],
+    beta: &[f32],
+    gamma: &[f32],
+    rows: &mut [f32],
+    scratch: &mut [f32],
+    bump_first: f32,
+    bump_last: f32,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if crate::detected() {
+        // SAFETY: guarded by `detected()`.
+        unsafe { rows8_avx2(a, beta, gamma, rows, scratch, bump_first, bump_last) };
+        return true;
+    }
+    let _ = (a, beta, gamma, rows, scratch, bump_first, bump_last);
+    false
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn rows8_avx2(
+    a: &[f32],
+    beta: &[f32],
+    gamma: &[f32],
+    rows: &mut [f32],
+    scratch: &mut [f32],
+    bump_first: f32,
+    bump_last: f32,
+) {
+    rows8_generic::<crate::AvxX8>(a, beta, gamma, rows, scratch, bump_first, bump_last)
+}
+
+#[inline(always)]
+fn rows8_generic<V: Simd8>(
+    a: &[f32],
+    beta: &[f32],
+    gamma: &[f32],
+    rows: &mut [f32],
+    scratch: &mut [f32],
+    bump_first: f32,
+    bump_last: f32,
+) {
+    let n = beta.len();
+    assert!(n >= 2 && a.len() == n && gamma.len() == n);
+    assert!(rows.len() == 8 * n && scratch.len() >= 8 * n);
+    let sys = Factored {
+        a,
+        beta,
+        gamma,
+        bump_first,
+        bump_last,
+    };
+    // Columns `..full` move through register transposes, the ragged
+    // column tail lane by lane.
+    let full = n - n % 8;
+    // Forward elimination into the interleaved scratch.
+    let mut prev = V::zero();
+    for k0 in (0..full).step_by(8) {
+        let mut block = [V::zero(); 8];
+        for (j, r) in block.iter_mut().enumerate() {
+            *r = V::load(&rows[j * n + k0..]);
+        }
+        for (kk, dk) in V::transpose8(block).into_iter().enumerate() {
+            prev = sys.forward(k0 + kk, dk, prev);
+            prev.store(&mut scratch[(k0 + kk) * 8..]);
+        }
+    }
+    for k in full..n {
+        let mut lanes = [0f32; 8];
+        for (j, v) in lanes.iter_mut().enumerate() {
+            *v = rows[j * n + k];
+        }
+        prev = sys.forward(k, V::from_array(lanes), prev);
+        prev.store(&mut scratch[k * 8..]);
+    }
+    // Back substitution, de-interleaving on the way out.
+    let mut next = V::zero();
+    for k in (full..n).rev() {
+        next = sys.back(k, V::load(&scratch[k * 8..]), next);
+        for (j, v) in next.to_array().into_iter().enumerate() {
+            rows[j * n + k] = v;
+        }
+    }
+    for k0 in (0..full).step_by(8).rev() {
+        let mut cols = [V::zero(); 8];
+        for kk in (0..8).rev() {
+            next = sys.back(k0 + kk, V::load(&scratch[(k0 + kk) * 8..]), next);
+            cols[kk] = next;
+        }
+        for (j, r) in V::transpose8(cols).into_iter().enumerate() {
+            r.store(&mut rows[j * n + k0..]);
+        }
     }
 }
 

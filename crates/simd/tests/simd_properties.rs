@@ -3,7 +3,8 @@
 //! Two claims from the crate docs are exercised over randomized inputs:
 //!
 //! * **bit-exact kernels** (elementwise arithmetic, axpy, optimiser
-//!   updates, factored tridiagonal line solves) reproduce the scalar
+//!   updates, factored tridiagonal line solves, the reaction half-step
+//!   with its exact `exp`) reproduce the scalar
 //!   backend *to the bit* on the SIMD backend;
 //! * **tolerance kernels** (GEMM, the scan recurrence, `exp`/`sigmoid`)
 //!   stay within a fixed ULP/absolute envelope of the scalar backend.
@@ -14,7 +15,7 @@
 //! degenerates to scalar-vs-scalar, which is vacuously bit-exact.
 
 use peb_par::UnsafeSlice;
-use peb_simd::{elementwise as ew, gemm, optim, scan, thomas, ulp_diff};
+use peb_simd::{elementwise as ew, gemm, optim, reaction, scan, thomas, ulp_diff};
 use proptest::prelude::*;
 use proptest::prop::collection::vec as pvec;
 
@@ -319,6 +320,139 @@ proptest! {
                     "line {} element {}", j, k
                 );
             }
+        }
+    }
+
+    #[test]
+    fn contiguous_row_solves_match_per_row_solve_factored_bitwise(
+        n in 2usize..=70,
+        r in 0.01f32..0.9,
+        bump_first in 0.0f32..0.2,
+        bump_last in 0.0f32..0.2,
+        seed in 0u32..1000,
+    ) {
+        // Eight adjacent rows of `n` floats: for most `n` the row stride
+        // is not a multiple of 8, so rows start unaligned and the column
+        // tail takes the lane-by-lane transpose.
+        let a = vec![-r; n];
+        let mut b = vec![1.0 + 2.0 * r; n];
+        b[0] = 1.0 + r + bump_first;
+        b[n - 1] = 1.0 + r + bump_last;
+        let (mut beta, mut gamma) = (Vec::new(), Vec::new());
+        thomas::factor_tridiagonal(&a, &b, &a, &mut beta, &mut gamma);
+
+        let rows0 = pseudo(8 * n, seed, -1.0, 1.0);
+        let mut want = rows0.clone();
+        for row in want.chunks_exact_mut(n) {
+            row[0] += bump_first;
+            row[n - 1] += bump_last;
+            thomas::solve_factored(&a, &beta, &gamma, row);
+        }
+        let mut scratch = vec![0f32; 8 * n];
+        let mut scalar = rows0.clone();
+        thomas::solve_factored_rows8_scalar(
+            &a, &beta, &gamma, &mut scalar, &mut scratch, bump_first, bump_last,
+        );
+        assert_bits(&want, &scalar, "rows8 scalar")?;
+        let mut simd = rows0.clone();
+        if thomas::solve_factored_rows8_simd(
+            &a, &beta, &gamma, &mut simd, &mut scratch, bump_first, bump_last,
+        ) {
+            assert_bits(&want, &simd, "rows8 simd")?;
+        }
+    }
+
+    // -- Reaction half-step (bit-exact class) ---------------------------
+
+    #[test]
+    fn reaction_half_step_is_bitwise_identical_across_backends_and_splits(
+        len in 1usize..70,
+        split in 0usize..70,
+        kr in 0.0f32..12.0,
+        kc in 0.0f32..2.0,
+        dt in 0.001f32..0.06,
+        seed in 0u32..1000,
+    ) {
+        let a0 = pseudo(len, seed, 0.0, 1.0);
+        let b0 = pseudo(len, seed.wrapping_add(1), 0.0, 1.0);
+        let i0 = pseudo(len, seed.wrapping_add(2), 0.0, 1.0);
+
+        let (mut a_s, mut b_s, mut i_s) = (a0.clone(), b0.clone(), i0.clone());
+        reaction::half_step_scalar(&mut a_s, &mut b_s, &mut i_s, kr, kc, dt);
+        let (mut a_v, mut b_v, mut i_v) = (a0.clone(), b0.clone(), i0.clone());
+        if reaction::half_step_simd(&mut a_v, &mut b_v, &mut i_v, kr, kc, dt) {
+            assert_bits(&a_s, &a_v, "acid")?;
+            assert_bits(&b_s, &b_v, "base")?;
+            assert_bits(&i_s, &i_v, "inhibitor")?;
+        }
+
+        // Any split of the fields into sub-slices gives the same bits
+        // (lanes and ragged tails regroup, values do not move).
+        let cut = split.min(len);
+        let (mut a_p, mut b_p, mut i_p) = (a0.clone(), b0.clone(), i0.clone());
+        reaction::half_step(&mut a_p[..cut], &mut b_p[..cut], &mut i_p[..cut], kr, kc, dt);
+        reaction::half_step(&mut a_p[cut..], &mut b_p[cut..], &mut i_p[cut..], kr, kc, dt);
+        assert_bits(&a_s, &a_p, "split acid")?;
+        assert_bits(&b_s, &b_p, "split base")?;
+        assert_bits(&i_s, &i_p, "split inhibitor")?;
+
+        // Against the formula the solver used before this kernel: RK4 +
+        // clamp are the same expression (bitwise), the inhibitor differs
+        // only by the exponential's few ULP.
+        for j in 0..len {
+            let (a1, b1) = rk4_neutralise(a0[j], b0[j], kr, dt);
+            let (a1, b1) = (a1.max(0.0), b1.max(0.0));
+            prop_assert_eq!(a1.to_bits(), a_s[j].to_bits(), "acid[{}]", j);
+            prop_assert_eq!(b1.to_bits(), b_s[j].to_bits(), "base[{}]", j);
+            let want_i = i0[j] * (-kc * (0.5 * (a0[j] + a1)) * dt).exp();
+            prop_assert!(
+                ulp_diff(want_i, i_s[j]) <= 4,
+                "inhibitor[{}]: {} vs {} ({} ulp)", j, want_i, i_s[j], ulp_diff(want_i, i_s[j])
+            );
+            // A − B is conserved to round-off (no clamp fires on [0,1]²
+            // at these rates: |δ| ≤ kr·dt·A·B < min(A, B)).
+            let drift = (a_s[j] - b_s[j]) - (a0[j] - b0[j]);
+            prop_assert!(drift.abs() <= 4.0 * f32::EPSILON, "A−B drift {} at {}", drift, j);
+        }
+    }
+}
+
+/// The pre-kernel scalar RK4 of the neutralisation pair (`peb-litho`'s
+/// `rk4_neutralise`, verbatim).
+fn rk4_neutralise(a: f32, b: f32, kr: f32, dt: f32) -> (f32, f32) {
+    let f = |a: f32, b: f32| -kr * a * b;
+    let k1 = f(a, b);
+    let k2 = f(a + 0.5 * dt * k1, b + 0.5 * dt * k1);
+    let k3 = f(a + 0.5 * dt * k2, b + 0.5 * dt * k2);
+    let k4 = f(a + dt * k3, b + dt * k3);
+    let delta = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
+    (a + delta, b + delta)
+}
+
+#[test]
+fn exact_exp_tracks_libm_and_is_bitwise_identical_across_backends() {
+    // Dense sweep of [−88, 88]. Where the result is a normal number the
+    // kernel's exponential stays within 2 ULP of libm; below that
+    // (x ≲ −87.7) it flushes to zero instead of going subnormal.
+    let xs: Vec<f32> = (0..=176_000).map(|i| -88.0 + i as f32 * 1e-3).collect();
+    let mut scalar = vec![0f32; xs.len()];
+    reaction::exp_exact_scalar(&xs, &mut scalar);
+    let mut simd = vec![0f32; xs.len()];
+    if reaction::exp_exact_simd(&xs, &mut simd) {
+        for (i, (s, v)) in scalar.iter().zip(&simd).enumerate() {
+            assert_eq!(s.to_bits(), v.to_bits(), "exp({})", xs[i]);
+        }
+    }
+    for (x, got) in xs.iter().zip(&scalar) {
+        let want = x.exp();
+        if *x >= -87.6 {
+            assert!(
+                ulp_diff(*got, want) <= 2,
+                "exp({x}): {got} vs libm {want} ({} ulp)",
+                ulp_diff(*got, want)
+            );
+        } else {
+            assert!((got - want).abs() <= f32::MIN_POSITIVE, "exp({x}): {got}");
         }
     }
 }
