@@ -12,7 +12,11 @@
 //! `tensor_allocs` over the replay window (the arena serves every
 //! planned intermediate; the escaping output hits the warm pool), one
 //! `plan_replays` tick, and no `arena_bytes` growth (regions are sized
-//! once at plan build).
+//! once at plan build). That accounting is exact at one thread; with
+//! helper threads the arena leaves chunk-body scratch on the pool of
+//! whichever thread claims the chunk, so there the promise is bits, zero
+//! `tensor_allocs`, a fixed arena, and misses that are first touches
+//! only.
 //!
 //! This file holds a single `#[test]` so it gets its own process:
 //! counter deltas would be racy if unrelated tests ran concurrently in
@@ -115,11 +119,22 @@ fn fused_chain_counters_reconcile_with_pool_accounting() {
 /// planned checkout, so the only pool traffic in the window is the
 /// escaping output buffer hitting the warm pool.
 fn plan_replay_counters_reconcile() {
+    // Exact at one thread. With helpers the arena leaves chunk-body
+    // scratch (GEMM pack panels) on the pool of whichever thread claims
+    // the chunk, so a helper's first panel of a size class is a miss
+    // whenever it happens — `plan_replay_with_helpers` pins what holds
+    // there.
     let replaying = ExecCtx {
         plan: true,
+        threads: 1,
         ..ctx::current()
     };
-    ctx::with(replaying, plan_replay_case)
+    ctx::with(replaying, plan_replay_case);
+    let with_helpers = ExecCtx {
+        threads: 3,
+        ..replaying
+    };
+    ctx::with(with_helpers, plan_replay_with_helpers)
 }
 
 fn plan_replay_case() {
@@ -159,5 +174,53 @@ fn plan_replay_case() {
     assert!(
         outcome.served > 0,
         "the arena, not the pool, serves planned intermediates"
+    );
+}
+
+/// With helper threads a replay keeps every promise but one: same bits,
+/// no fresh tensor storage, no arena growth — and pool misses that are
+/// first touches only (at most one per helper and panel size class,
+/// ten here), never one per replay, which is what a retention rule
+/// that starves the workers or a hole in the arena would produce.
+fn plan_replay_with_helpers() {
+    const REPLAYS: u64 = 64;
+    let mut rng = StdRng::seed_from_u64(17);
+    let model = SdmPeb::new(SdmPebConfig::tiny((2, 16, 16)), &mut rng);
+    let clip = Tensor::rand_uniform(&[2, 16, 16], 0.05, 0.9, &mut rng);
+    let eager = model.predict(&clip).bit_digest();
+    let (plan, _) = InferPlan::record(&model, &clip);
+    drop(plan.predict(&model, &clip));
+
+    let snap = |name: &str| peb_obs::snapshot().counter(name);
+    let window = || {
+        (
+            snap("pool_misses"),
+            snap("tensor_allocs"),
+            snap("plan_replays"),
+            snap("arena_bytes"),
+        )
+    };
+    let (m0, a0, r0, b0) = window();
+    for _ in 0..REPLAYS {
+        let (out, outcome) = plan.predict(&model, &clip);
+        assert!(outcome.complete, "replay must complete: {outcome:?}");
+        assert_eq!(out.bit_digest(), eager, "replay must stay bitwise eager");
+    }
+    let (m1, a1, r1, b1) = window();
+    assert_eq!(
+        a1 - a0,
+        0,
+        "replays must make zero fresh tensor allocations"
+    );
+    assert_eq!(
+        r1 - r0,
+        REPLAYS,
+        "every completed replay ticks plan_replays"
+    );
+    assert_eq!(b1 - b0, 0, "steady-state replays must not grow the arena");
+    assert!(
+        m1 - m0 < REPLAYS,
+        "pool misses with helpers must be first touches, not one per replay: {} in {REPLAYS}",
+        m1 - m0
     );
 }

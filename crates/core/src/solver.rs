@@ -16,9 +16,13 @@ pub trait PebPredictor: Parameterized {
     fn forward_train(&self, acid: &Tensor) -> Var;
 
     /// Inference: returns the label-space prediction tensor.
+    ///
+    /// Runs [`PebPredictor::forward_train`] inside `peb_tensor::no_grad`:
+    /// the same kernels and the same bits, but nothing is recorded, so
+    /// every intermediate returns to the pool as soon as it is consumed.
     fn predict(&self, acid: &Tensor) -> Tensor {
         let _span = peb_obs::span("model.predict");
-        self.forward_train(acid).value_clone()
+        peb_tensor::no_grad(|| self.forward_train(acid)).value_clone()
     }
 
     /// Batched inference: one engine invocation over `clips`, returning

@@ -42,6 +42,7 @@ impl CausalDwConv1d {
         let (l, c) = (s[0], s[1]);
         let k = self.kernel;
         let out = {
+            let _span = peb_obs::span("scan.conv1d_fwd");
             let xv = x.value();
             let wv = self.weight.value();
             let bv = self.bias.value();

@@ -95,6 +95,7 @@ pub fn gather_rows(x: &Var, idx: &[usize]) -> Var {
     assert_eq!(s.len(), 2, "gather_rows expects [L, C]");
     let (l, c) = (s[0], s[1]);
     let out = {
+        let _span = peb_obs::span("scan.gather");
         let xv = x.value();
         let mut out = Tensor::zeros(&[idx.len(), c]);
         let od = out.data_mut();

@@ -17,9 +17,12 @@ use peb_tensor::{Tensor, Var};
 /// This is the ZOH discretisation of Eq. 7 specialised to diagonal `A`
 /// with the simplified `B̄ = Δ·B` Euler rule used by Mamba.
 ///
-/// The backward pass recomputes nothing: the forward stores the full
-/// state trajectory (`L·C·N` floats) and runs the adjoint recurrence in
-/// reverse, producing exact gradients for all six operands.
+/// The backward pass recomputes nothing: a recording forward stores the
+/// full state trajectory (`L·C·N` floats) and runs the adjoint recurrence
+/// in reverse, producing exact gradients for all six operands. When
+/// nothing records — inside `peb_tensor::no_grad`, or when no operand
+/// requires a gradient — the trajectory is neither allocated nor
+/// written; `y` is bit-equal either way.
 ///
 /// # Panics
 ///
@@ -41,6 +44,8 @@ pub fn selective_scan(u: &Var, delta: &Var, a: &Var, b: &Var, c: &Var, d: &Var) 
     assert_eq!(d.shape(), vec![ch], "d must be [C]");
     peb_obs::optrace::note("scan", || format!("l={l} c={ch} n={n}"));
 
+    let record =
+        peb_tensor::grad_enabled() && [u, delta, a, b, c, d].iter().any(|v| v.requires_grad());
     let (y, h_traj) = scan_forward(
         &u.value(),
         &delta.value(),
@@ -51,6 +56,7 @@ pub fn selective_scan(u: &Var, delta: &Var, a: &Var, b: &Var, c: &Var, d: &Var) 
         l,
         ch,
         n,
+        record,
     );
     let (uc, dc, ac, bc, cc, ddc) = (
         u.clone(),
@@ -100,6 +106,7 @@ fn scan_forward(
     l: usize,
     ch: usize,
     n: usize,
+    record: bool,
 ) -> (Tensor, peb_pool::PoolBuf<f32>) {
     let _span = peb_obs::span("scan.fwd");
     peb_obs::count(peb_obs::Counter::ScanLanes, ch as u64);
@@ -113,8 +120,9 @@ fn scan_forward(
     );
     // The trajectory is the big (L·C·N) scratch of the scan; pooled so
     // repeated forward/backward passes reuse one buffer. It is handed to
-    // the backward closure and recycles when the graph node drops.
-    let mut h_traj = peb_pool::PoolBuf::<f32>::zeroed(l * ch * n);
+    // the backward closure and recycles when the graph node drops. Only
+    // backward reads it, so a non-recording call keeps it empty.
+    let mut h_traj = peb_pool::PoolBuf::<f32>::zeroed(if record { l * ch * n } else { 0 });
     let mut y = Tensor::zeros(&[l, ch]);
     {
         // Channel lanes are independent: the t-recurrence runs
@@ -126,6 +134,7 @@ fn scan_forward(
         // scalar recurrence.
         let yslots = peb_par::UnsafeSlice::new(y.data_mut());
         let hslots = peb_par::UnsafeSlice::new(&mut h_traj);
+        let traj = record.then_some(&hslots);
         let lane_cost = 12 * (l as u64) * (n as u64);
         let group_chunk = ch.div_ceil(8).next_multiple_of(8);
         // Precision read on the submitting thread and captured below;
@@ -156,7 +165,7 @@ fn scan_forward(
                             &skip[ci0..],
                             &mut h16,
                             &yslots,
-                            Some(&hslots),
+                            traj,
                             l,
                             ch,
                             n,
@@ -178,7 +187,7 @@ fn scan_forward(
                         &skip[ci0..],
                         &mut h,
                         &yslots,
-                        Some(&hslots),
+                        traj,
                         l,
                         ch,
                         n,
@@ -203,8 +212,10 @@ fn scan_forward(
                     // SAFETY: lane `ci` owns y[t·ch+ci] and the
                     // h_traj[(t·ch+ci)·n..] block for every t.
                     unsafe { *yslots.get_mut(t * ch + ci) = acc + skip[ci] * ut };
-                    unsafe { hslots.slice_mut((t * ch + ci) * n..(t * ch + ci + 1) * n) }
-                        .copy_from_slice(h);
+                    if let Some(hslots) = traj {
+                        unsafe { hslots.slice_mut((t * ch + ci) * n..(t * ch + ci + 1) * n) }
+                            .copy_from_slice(h);
+                    }
                 }
             }
         });
@@ -376,6 +387,32 @@ mod tests {
                     y.get(&[t, ci])
                 );
             }
+        }
+    }
+
+    #[test]
+    fn non_recording_scan_is_bitwise_the_recording_one() {
+        // 19 channels: two vector groups plus a ragged scalar tail, both
+        // of which skip the trajectory when nothing records.
+        let o = operands(13, 19, 5, 36);
+        let with_trainable_u = || {
+            let u = Var::parameter(o.u.clone());
+            let rest = [&o.delta, &o.a, &o.b, &o.c, &o.d].map(|t| Var::constant(t.clone()));
+            selective_scan(&u, &rest[0], &rest[1], &rest[2], &rest[3], &rest[4])
+        };
+        for prec in [peb_simd::Prec::F32, peb_simd::Prec::Bf16] {
+            peb_simd::with_prec(prec, || {
+                let recorded = with_trainable_u();
+                assert!(recorded.requires_grad());
+                // Nothing records when no operand requires a gradient …
+                let constant = run(&o);
+                // … or when the tape is off.
+                let off_tape = peb_tensor::no_grad(with_trainable_u);
+                assert!(!constant.requires_grad() && !off_tape.requires_grad());
+                let want = recorded.value().bit_digest();
+                assert_eq!(constant.value().bit_digest(), want, "{prec:?}");
+                assert_eq!(off_tape.value().bit_digest(), want, "{prec:?}");
+            });
         }
     }
 

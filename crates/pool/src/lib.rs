@@ -20,6 +20,19 @@
 //!   `peb-par` workers are long-lived, so their pools stay warm across
 //!   parallel regions.)
 //!
+//! # Retention follows demand
+//!
+//! A bucket keeps at most as many buffers as its thread has had
+//! **misses** in it (and never more than the bucket depth). A miss is
+//! the only evidence that the thread needed one more buffer of that size
+//! than it had; a thread that only *receives* buffers — a connection
+//! thread dropping the response tensors an engine thread allocated, the
+//! engine dropping the clips a connection thread parsed — has no misses
+//! there and retains none. Without this rule such hand-offs were kept up
+//! to the full bucket depth on the dropping thread, where nothing ever
+//! checked them out again: resident memory grew linearly with requests
+//! served.
+//!
 //! # The unpooled oracle
 //!
 //! Under an execution context with `pool: false` (`peb_par::ctx::with`)
@@ -59,8 +72,9 @@ const BUCKET_BYTE_BUDGET: usize = 64 << 20;
 /// next checkout page-faults freshly kernel-zeroed ones — measured at
 /// over 80% of total CPU in system time. Depth must cover the graph's
 /// same-size churn, so the floor is sized to it rather than to a byte
-/// budget. Retained memory stays bounded by what the workload actually
-/// cycled, never beyond its own previous peak.
+/// budget. Within that depth, retention follows demand (see
+/// [`recycle`]), so retained memory never exceeds what this thread
+/// itself had checked out at once.
 const MIN_PER_BUCKET: usize = 48;
 
 /// Ceiling on retained buffers per bucket, bounding the tiny-buffer
@@ -122,6 +136,9 @@ pub fn enabled() -> bool {
 #[doc(hidden)]
 pub struct Buckets<T> {
     buckets: [Vec<Vec<T>>; MAX_BUCKET + 1],
+    /// Checkouts per bucket that found it empty: this thread's
+    /// demonstrated demand, and the cap on what [`recycle`] retains.
+    misses: [usize; MAX_BUCKET + 1],
 }
 
 impl<T> Buckets<T> {
@@ -131,6 +148,7 @@ impl<T> Buckets<T> {
     pub fn new() -> Self {
         Buckets {
             buckets: std::array::from_fn(|_| Vec::new()),
+            misses: [0; MAX_BUCKET + 1],
         }
     }
 }
@@ -186,7 +204,14 @@ fn take_raw_pooled<T: Poolable>(len: usize) -> (Vec<T>, bool) {
     if b > MAX_BUCKET {
         return (Vec::with_capacity(len), true);
     }
-    let reused = T::with_buckets(|bk| bk.buckets[b].pop()).flatten();
+    let reused = T::with_buckets(|bk| {
+        let hit = bk.buckets[b].pop();
+        if hit.is_none() {
+            bk.misses[b] += 1;
+        }
+        hit
+    })
+    .flatten();
     match reused {
         Some(v) => {
             debug_assert!(v.is_empty() && v.capacity() >= len);
@@ -227,7 +252,9 @@ pub fn take_copy<T: Poolable>(src: &[T]) -> (Vec<T>, bool) {
 }
 
 /// Returns a buffer to the current thread's pool. Contents are
-/// discarded; over-full and over-size buckets drop the buffer instead.
+/// discarded. The bucket keeps it only while it holds fewer buffers than
+/// this thread has had misses in it (capped by the bucket depth);
+/// otherwise, and for over-size buffers, the storage is freed.
 /// Zero-capacity vectors (e.g. after `mem::take`) are ignored.
 pub fn recycle<T: Poolable>(mut v: Vec<T>) {
     let cap = v.capacity();
@@ -247,8 +274,9 @@ pub fn recycle<T: Poolable>(mut v: Vec<T>) {
     }
     v.clear();
     let _ = T::with_buckets(|bk| {
+        let keep = bk.misses[b].min(bucket_depth::<T>(b));
         let slot = &mut bk.buckets[b];
-        if slot.len() < bucket_depth::<T>(b) {
+        if slot.len() < keep {
             slot.push(v);
         }
     });
@@ -373,6 +401,50 @@ mod tests {
         let (v3, fresh) = take_zeroed::<f32>(512);
         assert!(!fresh);
         assert_eq!(v3.as_ptr() as usize, ptr);
+    }
+
+    #[test]
+    fn a_thread_that_only_receives_buffers_retains_none() {
+        // Distinct size class so sibling tests on this thread (if any)
+        // cannot have missed in it.
+        let len = 3000;
+        let handed_over: Vec<Vec<f32>> = (0..16).map(|_| take_zeroed::<f32>(len).0).collect();
+        std::thread::spawn(move || {
+            for v in handed_over {
+                recycle(v);
+            }
+            let kept = f32::with_buckets(|bk| bk.buckets[bucket_for_len(len)].len());
+            assert_eq!(kept, Some(0), "no miss here, so nothing is retained");
+            // Its own first checkout is therefore a miss …
+            let (v, fresh) = take_zeroed::<f32>(len);
+            assert!(fresh);
+            // … which entitles it to keep exactly that one buffer.
+            recycle(v);
+            recycle(take_zeroed::<f32>(len).0);
+            let kept = f32::with_buckets(|bk| bk.buckets[bucket_for_len(len)].len());
+            assert_eq!(kept, Some(1));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn same_bucket_churn_is_all_hits_on_the_second_pass() {
+        std::thread::spawn(|| {
+            let len = 700;
+            let pass = || -> usize {
+                let live: Vec<(Vec<f32>, bool)> = (0..32).map(|_| take_zeroed(len)).collect();
+                let fresh = live.iter().filter(|(_, fresh)| *fresh).count();
+                for (v, _) in live {
+                    recycle(v);
+                }
+                fresh
+            };
+            assert_eq!(pass(), 32, "cold pool: every checkout allocates");
+            assert_eq!(pass(), 0, "demand was recorded: every checkout hits");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! Every stage is a per-element pure function using **exactly the lane
 //! math of the corresponding unfused kernel** at the same dispatch
 //! level: the exact stages (`+ − × ÷ √`, scalar affine, negate-via-sign)
-//! are IEEE operations in the scalar expression order, and `Exp` /
+//! are IEEE operations in the scalar expression order (`LeakyRelu` is a
+//! lane select over one exact multiply), and `Exp` /
 //! `Sigmoid` use the identical [`Simd8::exp`]-based formulation as
 //! `vexp` / `vsigmoid`, including the padded-lane tail. Because an
 //! element's value never depends on its neighbours, applying k stages to
@@ -53,6 +54,15 @@ pub enum Stage<'a> {
     Sigmoid,
     /// `−acc` (implemented as `acc × −1`, IEEE-exact sign flip).
     Neg,
+    /// `if acc ≥ 0 { acc } else { slope × acc }` — exact-class: one IEEE
+    /// multiply behind a lane select, so every backend agrees bit for
+    /// bit on every finite input (for `slope ≥ 0` also on `−0.0`, which
+    /// stays `−0.0` on either side of the select).
+    ///
+    /// `slope == 0` is ReLU proper, `max(acc, +0.0)` through
+    /// [`Simd8::max`]: `−0.0`, `−∞` and NaN all give `+0.0`, as
+    /// `x.max(0.0)` does (the product form would turn `−∞` into NaN).
+    LeakyRelu(f32),
 }
 
 impl Stage<'_> {
@@ -72,6 +82,7 @@ impl Stage<'_> {
             Stage::Exp => "exp",
             Stage::Sigmoid => "sigmoid",
             Stage::Neg => "neg",
+            Stage::LeakyRelu(_) => "leaky_relu",
         }
     }
 
@@ -111,6 +122,13 @@ fn apply_block<V: Simd8>(mut v: V, stages: &[Stage<'_>], load: impl Fn(&[f32]) -
                 num.div(one.add(e))
             }
             Stage::Neg => v.mul(V::splat(-1.0)),
+            Stage::LeakyRelu(slope) => {
+                if slope == 0.0 {
+                    v.max(V::zero())
+                } else {
+                    v.select_nonneg(v, v.mul(V::splat(slope)))
+                }
+            }
         };
     }
     v
@@ -277,6 +295,22 @@ mod tests {
                     }
                     true
                 }
+                Stage::LeakyRelu(slope) => {
+                    for (o, &v) in nxt.iter_mut().zip(cur.iter()) {
+                        *o = if slope == 0.0 {
+                            if v > 0.0 {
+                                v
+                            } else {
+                                0.0
+                            }
+                        } else if v >= 0.0 {
+                            v
+                        } else {
+                            slope * v
+                        };
+                    }
+                    true
+                }
                 Stage::Exp => run1(
                     simd,
                     elementwise::vexp_scalar_backend,
@@ -341,6 +375,12 @@ mod tests {
                 vec![Stage::SubT(&c), Stage::DivT(&b), Stage::Neg],
                 vec![Stage::RsubT(&c), Stage::SubFromScalar(2.0)],
                 vec![Stage::MulT(&b), Stage::Sqrt],
+                vec![
+                    Stage::SubT(&c),
+                    Stage::LeakyRelu(0.01),
+                    Stage::AddScalar(0.0),
+                ],
+                vec![Stage::SubT(&c), Stage::LeakyRelu(0.0)],
             ];
             for stages in &chains {
                 let mut got = vec![0f32; len];

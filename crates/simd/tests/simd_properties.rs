@@ -264,6 +264,108 @@ proptest! {
         }
     }
 
+    #[test]
+    fn scan_without_a_trajectory_returns_the_same_y_bitwise(
+        l in 1usize..14,
+        n in 1usize..7,
+        seed in 0u32..1000,
+    ) {
+        let ch = 8usize;
+        let u = pseudo(l * ch, seed, -1.0, 1.0);
+        let delta = pseudo(l * ch, seed.wrapping_add(1), 0.05, 0.5);
+        let a = pseudo(ch * n, seed.wrapping_add(2), -1.5, -0.2);
+        let b = pseudo(l * n, seed.wrapping_add(3), -1.0, 1.0);
+        let c = pseudo(l * n, seed.wrapping_add(4), -1.0, 1.0);
+        let d = pseudo(ch, seed.wrapping_add(5), -1.0, 1.0);
+        let mut apack = Vec::new();
+        scan::pack_a_lanes8(&a, n, 0, &mut apack);
+        let run = |simd: bool, record: bool| {
+            let mut y = vec![0f32; l * ch];
+            let mut traj = vec![0f32; l * ch * n];
+            let mut h = vec![0f32; n * 8];
+            let ys = UnsafeSlice::new(&mut y);
+            let ts = UnsafeSlice::new(&mut traj);
+            let traj = record.then_some(&ts);
+            // SAFETY: single-threaded, one group owning everything.
+            let ran = unsafe {
+                if simd {
+                    scan::scan_forward_lanes8_simd(
+                        &u, &delta, &apack, &b, &c, &d, &mut h, &ys, traj, l, ch, n, 0,
+                    )
+                } else {
+                    scan::scan_forward_lanes8_scalar(
+                        &u, &delta, &apack, &b, &c, &d, &mut h, &ys, traj, l, ch, n, 0,
+                    );
+                    true
+                }
+            };
+            ran.then_some(y)
+        };
+        for simd in [false, true] {
+            if let (Some(recorded), Some(bare)) = (run(simd, true), run(simd, false)) {
+                assert_bits(&recorded, &bare, "y without trajectory")?;
+            }
+        }
+    }
+
+    // -- The select stage of the fused chains (bit-exact class) ----------
+
+    #[test]
+    fn leaky_relu_stage_is_bitwise_identical_across_backends(
+        len in 0usize..70,
+        slope in 0.001f32..0.5,
+        seed in 0u32..1000,
+    ) {
+        use peb_simd::fused::{vchain_scalar_backend, vchain_simd_backend, Stage};
+        // Ragged tails, both signs, the zeros of either sign and — for
+        // the slope-0 (ReLU) form — the non-finite inputs.
+        let mut x = pseudo(len, seed, -3.0, 3.0);
+        for (i, v) in x.iter_mut().enumerate() {
+            match i % 11 {
+                3 => *v = 0.0,
+                7 => *v = -0.0,
+                _ => {}
+            }
+        }
+        let mut wild = x.clone();
+        for (i, v) in wild.iter_mut().enumerate() {
+            match i % 13 {
+                1 => *v = f32::NAN,
+                5 => *v = f32::NEG_INFINITY,
+                9 => *v = f32::INFINITY,
+                _ => {}
+            }
+        }
+        let b = pseudo(len, seed.wrapping_add(1), -1.0, 1.0);
+        // Scalar backend ≡ the per-element definition (where one is
+        // given) ≡ the AVX2 backend.
+        let check = |input: &[f32],
+                     stages: &[Stage],
+                     definition: Option<&dyn Fn(f32) -> f32>|
+         -> Result<(), TestCaseError> {
+            let mut want = vec![0f32; len];
+            vchain_scalar_backend(input, stages, &mut want);
+            if let Some(f) = definition {
+                let plain: Vec<f32> = input.iter().map(|&v| f(v)).collect();
+                assert_bits(&plain, &want, "stage definition")?;
+            }
+            let mut got = vec![0f32; len];
+            if vchain_simd_backend(input, stages, &mut got) {
+                assert_bits(&want, &got, "leaky stage")?;
+            }
+            Ok(())
+        };
+        let leaky = |v: f32| if v >= 0.0 { v } else { slope * v };
+        let relu = |v: f32| if v > 0.0 { v } else { 0.0 };
+        check(&x, &[Stage::LeakyRelu(slope)], Some(&leaky))?;
+        check(&wild, &[Stage::LeakyRelu(0.0)], Some(&relu))?;
+        check(
+            &x,
+            &[Stage::AddT(&b), Stage::LeakyRelu(slope), Stage::MulScalar(1.5)],
+            None,
+        )?;
+    }
+
     // -- ADI line solves (bit-exact class) ------------------------------
 
     #[test]

@@ -1,7 +1,22 @@
 //! Differentiable elementwise operations on [`Var`].
 
 use crate::elementwise::stable_sigmoid;
-use crate::Var;
+use crate::{FusedChain, Tensor, Var};
+
+/// `2·sqrt(2/π)`: the GELU tanh argument scale, doubled for the σ form.
+const GELU_2C: f32 = 2.0 * 0.797_884_6;
+const GELU_CUBIC: f32 = 0.044715;
+
+/// The GELU gate `σ(2C·(x + 0.044715·x³))` as a pending chain on `x`.
+fn gelu_gate(x: &Tensor) -> FusedChain<'_> {
+    x.fused()
+        .mul(x)
+        .mul(x)
+        .mul_scalar(GELU_CUBIC)
+        .add(x)
+        .mul_scalar(GELU_2C)
+        .sigmoid()
+}
 
 impl Var {
     /// Broadcasting addition.
@@ -100,20 +115,25 @@ impl Var {
 
     /// Elementwise map with a user-supplied derivative.
     ///
-    /// `f` is the function, `df` its derivative given `(x, f(x))`. The
-    /// building block for the activations below.
+    /// `f` is the function, `df` its derivative given `(x, f(x))`. A
+    /// scalar sweep: the activations the models call run as fused SIMD
+    /// chains instead (see [`Var::gelu`], [`Var::silu`],
+    /// [`Var::leaky_relu`]); this stays for the loss-side and test-side
+    /// ops below.
     pub fn map_unary(&self, f: impl Fn(f32) -> f32, df: impl Fn(f32, f32) -> f32 + 'static) -> Var {
-        let x = self.value_clone();
-        let out = x.map(&f);
-        let y = out.clone();
-        Var::from_op(out, vec![self.clone()], move |g| {
+        let out = self.value().map(&f);
+        self.unary_node(out, df)
+    }
+
+    /// Wraps an already computed elementwise `out = f(self)` whose
+    /// backward is `g · df(x, y)`, reading `x` from the parent handle and
+    /// `y` from the node.
+    fn unary_node(&self, out: Tensor, df: impl Fn(f32, f32) -> f32 + 'static) -> Var {
+        let x = self.clone();
+        Var::from_op_out(out, vec![self.clone()], move |g, y| {
             let mut gx = g.clone();
-            for ((gv, &xv), &yv) in gx
-                .data_mut()
-                .iter_mut()
-                .zip(x.data().iter())
-                .zip(y.data().iter())
-            {
+            let xv = x.value();
+            for ((gv, &xv), &yv) in gx.data_mut().iter_mut().zip(xv.data()).zip(y.data()) {
                 *gv *= df(xv, yv);
             }
             vec![Some(gx)]
@@ -123,8 +143,7 @@ impl Var {
     /// Natural exponential.
     pub fn exp(&self) -> Var {
         let out = self.value().exp();
-        let y = out.clone();
-        Var::from_op(out, vec![self.clone()], move |g| {
+        Var::from_op_out(out, vec![self.clone()], |g, y| {
             vec![Some(y.fused().mul(g).eval())]
         })
     }
@@ -134,18 +153,23 @@ impl Var {
         self.map_unary(move |x| (x + eps).ln(), move |x, _| 1.0 / (x + eps))
     }
 
-    /// Square root.
+    /// Square root (the dispatched `vsqrt` kernel, bit-exact with
+    /// `f32::sqrt` at every level).
     pub fn sqrt(&self) -> Var {
-        self.map_unary(f32::sqrt, |_, y| 0.5 / y.max(1e-12))
+        let out = self.value().sqrt_t();
+        self.unary_node(out, |_, y| 0.5 / y.max(1e-12))
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Var {
-        let xv = self.value_clone();
-        let out = xv.mul_t(&xv).expect("square");
+        let out = {
+            let xv = self.value();
+            xv.mul_t(&xv).expect("square")
+        };
+        let x = self.clone();
         Var::from_op(out, vec![self.clone()], move |g| {
             // (x·2)·g — commutative reorder of g·(2·x), bitwise identical.
-            vec![Some(xv.fused().mul_scalar(2.0).mul(g).eval())]
+            vec![Some(x.value().fused().mul_scalar(2.0).mul(g).eval())]
         })
     }
 
@@ -169,27 +193,30 @@ impl Var {
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
         let out = self.value().sigmoid();
-        let y = out.clone();
-        Var::from_op(out, vec![self.clone()], move |g| {
+        Var::from_op_out(out, vec![self.clone()], |g, y| {
             // ((1−y)·y)·g in one fused sweep — commutative reorder of
             // g·(y·(1−y)), bitwise identical.
-            vec![Some(y.fused().sub_from_scalar(1.0).mul(&y).mul(g).eval())]
+            vec![Some(y.fused().sub_from_scalar(1.0).mul(y).mul(g).eval())]
         })
     }
 
     /// SiLU (sigmoid-weighted linear unit), the activation used throughout
     /// the SDM unit.
     ///
-    /// The sigmoid runs through the dispatched kernel (tolerance-class on
-    /// SIMD, like [`Var::sigmoid`]); the backward is one fused sweep
-    /// `((((1−s)·x)+1)·s)·g` — a commutative reorder of
-    /// `g·(s·(1+x·(1−s)))`, bitwise identical to the scalar closure at a
-    /// fixed dispatch level.
+    /// One fused sweep `σ(x)·x` with the dispatched sigmoid lane math
+    /// (tolerance-class on SIMD, like [`Var::sigmoid`]). The backward
+    /// recomputes `s = σ(x)` from the parent handle and runs
+    /// `((((1−s)·x)+1)·s)·g` as one more sweep — a commutative reorder of
+    /// `g·(s·(1+x·(1−s)))`.
     pub fn silu(&self) -> Var {
-        let xv = self.value_clone();
-        let s = xv.sigmoid();
-        let out = s.mul_t(&xv).expect("silu");
+        let out = {
+            let xv = self.value();
+            xv.fused().sigmoid().mul(&xv).eval()
+        };
+        let x = self.clone();
         Var::from_op(out, vec![self.clone()], move |g| {
+            let xv = x.value();
+            let s = xv.sigmoid();
             vec![Some(
                 s.fused()
                     .sub_from_scalar(1.0)
@@ -222,31 +249,54 @@ impl Var {
         self.map_unary(f32::tanh, |_, y| 1.0 - y * y)
     }
 
-    /// ReLU.
+    /// ReLU: the leaky stage at slope 0, which is `max(x, +0.0)` — every
+    /// non-positive input, `−∞` and NaN included, gives `+0.0`, as
+    /// `x.max(0.0)` does.
     pub fn relu(&self) -> Var {
-        self.map_unary(|x| x.max(0.0), |x, _| if x > 0.0 { 1.0 } else { 0.0 })
+        let out = self.value().fused().leaky_relu(0.0).eval();
+        self.unary_node(out, |x, _| if x > 0.0 { 1.0 } else { 0.0 })
     }
 
-    /// Leaky ReLU with the given negative slope (decoder activation).
+    /// Leaky ReLU with the given negative slope (decoder activation),
+    /// one exact-class fused sweep.
     pub fn leaky_relu(&self, slope: f32) -> Var {
-        self.map_unary(
-            move |x| if x >= 0.0 { x } else { slope * x },
-            move |x, _| if x >= 0.0 { 1.0 } else { slope },
-        )
+        let out = self.value().fused().leaky_relu(slope).eval();
+        self.unary_node(out, move |x, _| if x >= 0.0 { 1.0 } else { slope })
     }
 
-    /// GELU (tanh approximation), used by FNO blocks.
+    /// GELU (tanh approximation), used by the MLP and FNO blocks.
+    ///
+    /// By the identity `0.5·(1 + tanh u) = σ(2u)` the forward is the fused
+    /// sweep `x·σ(2C·(x + 0.044715·x³))` — no libm `tanh`; within
+    /// `1e-5·max(1, |x|)` of the tanh formulation. The backward uses the
+    /// same form: with `s = σ(2u)`, `d/dx = s·(1 + x·(1−s)·2u′)`.
     pub fn gelu(&self) -> Var {
-        const C: f32 = 0.797_884_6; // sqrt(2/π)
-        self.map_unary(
-            |x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh()),
-            |x, _| {
-                let u = C * (x + 0.044715 * x * x * x);
-                let t = u.tanh();
-                let du = C * (1.0 + 3.0 * 0.044715 * x * x);
-                0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            },
-        )
+        let out = {
+            let xv = self.value();
+            gelu_gate(&xv).mul(&xv).eval()
+        };
+        let x = self.clone();
+        Var::from_op(out, vec![self.clone()], move |g| {
+            let xv = x.value();
+            let s = gelu_gate(&xv).eval();
+            // 2u′ = 2C·(1 + 3·0.044715·x²)
+            let du2 = xv
+                .fused()
+                .mul(&xv)
+                .mul_scalar(3.0 * GELU_CUBIC * GELU_2C)
+                .add_scalar(GELU_2C)
+                .eval();
+            vec![Some(
+                s.fused()
+                    .sub_from_scalar(1.0)
+                    .mul(&xv)
+                    .mul(&du2)
+                    .add_scalar(1.0)
+                    .mul(&s)
+                    .mul(g)
+                    .eval(),
+            )]
+        })
     }
 
     /// Clamp with straight-through gradient inside `[lo, hi]` and zero
@@ -312,6 +362,30 @@ mod tests {
             let report = check_gradients(&p, f, 1e-2);
             assert!(report.ok(2e-2), "{name}: {report:?}");
         }
+    }
+
+    #[test]
+    fn relu_is_max_with_zero_on_every_input() {
+        // 19 elements: two full lanes and a ragged tail, at either level.
+        let mut x = vec![-1.5, -0.0, 0.0, 0.25, f32::NAN, f32::NEG_INFINITY];
+        x.extend([f32::INFINITY, -1e-30, 3.0]);
+        x.extend((0..10).map(|i| i as f32 - 4.5));
+        let want: Vec<u32> = x.iter().map(|v| v.max(0.0).to_bits()).collect();
+        for level in [peb_simd::Level::Scalar, peb_simd::best_level()] {
+            let scoped = peb_par::ExecCtx {
+                level,
+                ..peb_par::ctx::current()
+            };
+            let got = peb_par::ctx::with(scoped, || param(x.clone()).relu().value_clone());
+            let got: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+            // `f32::max` leaves the sign of max(−0, +0) open; ReLU gives +0.
+            assert_eq!(got[1], 0, "{level:?}: relu(−0.0) is +0.0");
+            assert_eq!(got[2..], want[2..], "{level:?}");
+            assert_eq!(got[0], want[0], "{level:?}");
+        }
+        let p = param(vec![-2.0, 0.0, 3.0]);
+        p.relu().sum().backward();
+        assert_eq!(p.grad().unwrap().data(), &[0.0, 0.0, 1.0]);
     }
 
     #[test]

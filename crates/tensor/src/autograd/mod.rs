@@ -9,13 +9,27 @@
 //! operation's parents always exist before its output, so visiting nodes in
 //! decreasing id order is a valid reverse topological order — no explicit
 //! sort-free graph traversal is needed beyond reachability.
+//!
+//! # Inference off the tape
+//!
+//! Inside [`no_grad`] nothing is recorded: every operation builds a
+//! constant node (no parents, no backward closure), so an intermediate's
+//! buffer returns to the pool the moment its last handle drops instead of
+//! living until the graph does. Values are computed by the same kernels
+//! either way — a tape-free forward is bitwise identical to a taped one.
+//!
+//! # Saved state is a handle, never a copy
+//!
+//! A backward closure captures its operands as [`Var`] handles (an `Rc`
+//! bump) and receives the operation's own output from the node it belongs
+//! to; no operation copies a tensor at forward time for backward's sake.
 
 mod elementwise;
 mod linalg;
 mod reduce;
 mod shape;
 
-use std::cell::{Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
@@ -32,9 +46,54 @@ fn next_id() -> VarId {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Backward closure: maps the output gradient to one gradient per parent
-/// (`None` for parents that do not require gradients).
-type BackFn = Box<dyn Fn(&Tensor) -> Vec<Option<Tensor>>>;
+thread_local! {
+    /// Whether operations on this thread record onto the tape.
+    static GRAD_ENABLED: Cell<bool> = const { Cell::new(true) };
+}
+
+/// Whether operations on the calling thread record onto the autograd
+/// tape (`true` everywhere except inside [`no_grad`]).
+pub fn grad_enabled() -> bool {
+    GRAD_ENABLED.with(Cell::get)
+}
+
+/// Runs `f` with tape recording switched off on the calling thread.
+///
+/// Every [`Var`] operation inside the scope yields a constant node:
+/// `requires_grad()` is `false`, no parents are retained and no backward
+/// closure is kept, so each intermediate is freed as soon as its last
+/// handle drops. Parameters are untouched (their `grad()` stays as it
+/// was). Scopes nest; the previous state is restored on exit, including
+/// when `f` panics. Other threads keep recording.
+///
+/// Calling [`Var::backward`] inside the scope panics: there is no tape
+/// to walk, and silently doing nothing would hide the mistake.
+///
+/// # Example
+///
+/// ```
+/// use peb_tensor::{no_grad, Tensor, Var};
+///
+/// let w = Var::parameter(Tensor::scalar(3.0));
+/// let y = no_grad(|| w.mul(&w));
+/// assert_eq!(y.value().item(), 9.0);
+/// assert!(!y.requires_grad());
+/// ```
+pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            GRAD_ENABLED.with(|g| g.set(self.0));
+        }
+    }
+    let _restore = Restore(GRAD_ENABLED.with(|g| g.replace(false)));
+    f()
+}
+
+/// Backward closure: maps the output gradient and the node's own output
+/// value to one gradient per parent (`None` for parents that do not
+/// require gradients).
+type BackFn = Box<dyn Fn(&Tensor, &Tensor) -> Vec<Option<Tensor>>>;
 
 struct Node {
     id: VarId,
@@ -95,12 +154,26 @@ impl Var {
     /// one `Option<Tensor>` per entry of `parents`, in order. This is the
     /// extension point used by the convolution and selective-scan kernels
     /// in downstream crates.
+    ///
+    /// When no parent requires a gradient, or inside [`no_grad`], the node
+    /// is a constant: `parents` and `back` are dropped on the spot.
     pub fn from_op(
         value: Tensor,
         parents: Vec<Var>,
         back: impl Fn(&Tensor) -> Vec<Option<Tensor>> + 'static,
     ) -> Self {
-        let requires_grad = parents.iter().any(Var::requires_grad);
+        Self::from_op_out(value, parents, move |g, _| back(g))
+    }
+
+    /// [`Var::from_op`] for operations whose derivative reads their own
+    /// output: `back` receives `(grad, output)`, the output borrowed from
+    /// the node, so the forward pass keeps no copy of it.
+    pub(crate) fn from_op_out(
+        value: Tensor,
+        parents: Vec<Var>,
+        back: impl Fn(&Tensor, &Tensor) -> Vec<Option<Tensor>> + 'static,
+    ) -> Self {
+        let requires_grad = grad_enabled() && parents.iter().any(Var::requires_grad);
         Var {
             node: Rc::new(Node {
                 id: next_id(),
@@ -222,8 +295,13 @@ impl Var {
     ///
     /// # Panics
     ///
-    /// Panics if `seed` does not match the node's shape.
+    /// Panics if `seed` does not match the node's shape, or when called
+    /// inside [`no_grad`].
     pub fn backward_with(&self, seed: Tensor) {
+        assert!(
+            grad_enabled(),
+            "backward() called inside peb_tensor::no_grad: nothing was recorded on this thread"
+        );
         assert_eq!(
             self.value().shape(),
             seed.shape(),
@@ -256,7 +334,7 @@ impl Var {
             };
             let grad = n.grad.borrow().clone();
             let Some(grad) = grad else { continue };
-            let parent_grads = back(&grad);
+            let parent_grads = back(&grad, &n.value.borrow());
             debug_assert_eq!(parent_grads.len(), n.parents.len());
             for (p, g) in n.parents.iter().zip(parent_grads) {
                 if let Some(g) = g {
@@ -352,6 +430,83 @@ mod tests {
     fn backward_requires_scalar() {
         let x = Var::parameter(Tensor::zeros(&[2]));
         x.backward();
+    }
+
+    #[test]
+    fn no_grad_scopes_nest_and_restore() {
+        assert!(grad_enabled());
+        no_grad(|| {
+            assert!(!grad_enabled());
+            no_grad(|| assert!(!grad_enabled()));
+            assert!(
+                !grad_enabled(),
+                "leaving the inner scope keeps the outer one"
+            );
+        });
+        assert!(grad_enabled());
+    }
+
+    #[test]
+    fn no_grad_is_restored_when_the_closure_panics() {
+        let caught = std::panic::catch_unwind(|| no_grad(|| panic!("boom")));
+        assert!(caught.is_err());
+        assert!(grad_enabled());
+    }
+
+    #[test]
+    fn no_grad_is_thread_local() {
+        // The other thread starts (and checks) while this one is inside
+        // the scope, and still records.
+        no_grad(|| {
+            let recorded = std::thread::spawn(|| {
+                let w = Var::parameter(Tensor::scalar(2.0));
+                let y = w.mul(&w);
+                y.backward();
+                (
+                    grad_enabled(),
+                    y.requires_grad(),
+                    w.grad().map(|g| g.item()),
+                )
+            })
+            .join()
+            .unwrap();
+            assert_eq!(recorded, (true, true, Some(4.0)));
+            assert!(!grad_enabled());
+        });
+    }
+
+    #[test]
+    fn no_grad_builds_constant_nodes_and_frees_dropped_inputs() {
+        let w = Var::parameter(Tensor::ones(&[777]));
+        // `x`'s node is kept alive by `y` on the tape, freed off it: the
+        // next same-size checkout is (or is not) `x`'s storage.
+        let next_checkout_reuses_input = || {
+            let x = w.mul_scalar(2.0);
+            let storage = x.value().data().as_ptr();
+            let y = x.add_scalar(1.0);
+            drop(x);
+            let reused = Tensor::zeros(&[777]).data().as_ptr() == storage;
+            (y, reused)
+        };
+        let (y, reused) = no_grad(next_checkout_reuses_input);
+        assert!(
+            reused,
+            "no parents retained: the input went back to the pool"
+        );
+        assert!(!y.requires_grad());
+        assert!(y.node.parents.is_empty() && y.node.backward.is_none());
+        assert!(w.grad().is_none());
+        let (y, reused) = next_checkout_reuses_input();
+        assert!(!reused, "the tape keeps the input alive");
+        assert!(y.requires_grad());
+        assert_eq!(y.node.parents.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no_grad")]
+    fn backward_inside_no_grad_panics() {
+        let w = Var::parameter(Tensor::scalar(2.0));
+        no_grad(|| w.mul(&w).backward());
     }
 
     #[test]

@@ -57,10 +57,11 @@ impl Var {
     ///
     /// This is the differentiable core of the MaxSE loss (Eq. 16).
     pub fn max_all(&self) -> Var {
-        let v = self.value_clone();
-        let idx = v.argmax();
-        let shape = v.shape().to_vec();
-        let out = Tensor::scalar(v.data()[idx]);
+        let (idx, shape, out) = {
+            let v = self.value();
+            let idx = v.argmax();
+            (idx, v.shape().to_vec(), Tensor::scalar(v.data()[idx]))
+        };
         Var::from_op(out, vec![self.clone()], move |g| {
             let mut gx = Tensor::zeros(&shape);
             gx.data_mut()[idx] = g.item();
@@ -74,8 +75,8 @@ impl Var {
     ///
     /// Panics on an invalid axis.
     pub fn softmax(&self, axis: usize) -> Var {
-        let x = self.value_clone();
-        let shape = x.shape().to_vec();
+        let shape = self.shape();
+        let _span = crate::tensor::ew_span("ew.softmax", shape.iter().product());
         assert!(
             axis < shape.len(),
             "softmax axis {axis} rank {}",
@@ -84,7 +85,7 @@ impl Var {
         let outer: usize = shape[..axis].iter().product();
         let mid = shape[axis];
         let inner: usize = shape[axis + 1..].iter().product();
-        let mut out = x.clone();
+        let mut out = self.value_clone();
         {
             let data = out.data_mut();
             for o in 0..outer {
@@ -107,8 +108,7 @@ impl Var {
                 }
             }
         }
-        let y = out.clone();
-        Var::from_op(out, vec![self.clone()], move |g| {
+        Var::from_op_out(out, vec![self.clone()], move |g, y| {
             // dX = Y ⊙ (G − sum(G ⊙ Y, axis))
             let mut gx = g.clone();
             let gd = gx.data_mut();

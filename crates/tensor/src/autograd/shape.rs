@@ -38,10 +38,13 @@ impl Var {
     ///
     /// Panics on incompatible shapes or an empty input list.
     pub fn concat(parts: &[&Var], axis: usize) -> Var {
-        let values: Vec<Tensor> = parts.iter().map(|p| p.value_clone()).collect();
-        let refs: Vec<&Tensor> = values.iter().collect();
-        let out = Tensor::concat(&refs, axis).expect("Var::concat");
-        let extents: Vec<usize> = values.iter().map(|v| v.shape()[axis]).collect();
+        let (out, extents) = {
+            let values: Vec<_> = parts.iter().map(|p| p.value()).collect();
+            let refs: Vec<&Tensor> = values.iter().map(|v| &**v).collect();
+            let out = Tensor::concat(&refs, axis).expect("Var::concat");
+            let extents: Vec<usize> = refs.iter().map(|v| v.shape()[axis]).collect();
+            (out, extents)
+        };
         let parents: Vec<Var> = parts.iter().map(|&p| p.clone()).collect();
         Var::from_op(out, parents, move |g| {
             let mut grads = Vec::with_capacity(extents.len());

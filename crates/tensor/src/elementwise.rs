@@ -5,8 +5,10 @@
 //! physics code where shapes are statically known.
 //!
 //! Same-shape binary ops and the dense unary ops route through the
-//! runtime-dispatched `peb-simd` kernels; only genuinely broadcasting
-//! calls take the strided scalar walk. The SIMD `+ − × ÷ √` and scalar
+//! runtime-dispatched `peb-simd` kernels, and so do broadcasts that
+//! factor into rows × columns (bias, LayerNorm statistics, rank-0
+//! operands — see `broadcast.rs`); only the remaining broadcast shapes
+//! take the strided scalar walk. The SIMD `+ − × ÷ √` and scalar
 //! ops are bitwise identical to the plain expressions; `exp`/`sigmoid`
 //! use the polynomial vector exponential (bounded-ULP, deterministic per
 //! dispatch level).
@@ -18,6 +20,7 @@ use crate::{Result, Tensor};
 /// Runs a same-shape binary `peb-simd` kernel into a pooled output.
 fn zip_kernel(a: &Tensor, b: &Tensor, kernel: fn(&[f32], &[f32], &mut [f32])) -> Tensor {
     let n = a.data().len();
+    let _span = crate::tensor::ew_span("ew.zip", n);
     let mut data = crate::tensor::alloc_cleared(n);
     data.resize(n, 0.0);
     kernel(a.data(), b.data(), &mut data);
@@ -27,6 +30,7 @@ fn zip_kernel(a: &Tensor, b: &Tensor, kernel: fn(&[f32], &[f32], &mut [f32])) ->
 /// Runs a unary `peb-simd` kernel into a pooled output.
 fn map_kernel(a: &Tensor, kernel: impl FnOnce(&[f32], &mut [f32])) -> Tensor {
     let n = a.data().len();
+    let _span = crate::tensor::ew_span("ew.map", n);
     let mut data = crate::tensor::alloc_cleared(n);
     data.resize(n, 0.0);
     kernel(a.data(), &mut data);
@@ -43,7 +47,7 @@ impl Tensor {
         if self.shape() == other.shape() {
             return Ok(zip_kernel(self, other, peb_simd::elementwise::vadd));
         }
-        self.broadcast_zip(other, |a, b| a + b)
+        self.broadcast_with(other, |a, b| a + b, peb_simd::elementwise::vadd)
     }
 
     /// Broadcasting subtraction.
@@ -55,7 +59,7 @@ impl Tensor {
         if self.shape() == other.shape() {
             return Ok(zip_kernel(self, other, peb_simd::elementwise::vsub));
         }
-        self.broadcast_zip(other, |a, b| a - b)
+        self.broadcast_with(other, |a, b| a - b, peb_simd::elementwise::vsub)
     }
 
     /// Broadcasting multiplication.
@@ -67,7 +71,7 @@ impl Tensor {
         if self.shape() == other.shape() {
             return Ok(zip_kernel(self, other, peb_simd::elementwise::vmul));
         }
-        self.broadcast_zip(other, |a, b| a * b)
+        self.broadcast_with(other, |a, b| a * b, peb_simd::elementwise::vmul)
     }
 
     /// Broadcasting division.
@@ -79,7 +83,7 @@ impl Tensor {
         if self.shape() == other.shape() {
             return Ok(zip_kernel(self, other, peb_simd::elementwise::vdiv));
         }
-        self.broadcast_zip(other, |a, b| a / b)
+        self.broadcast_with(other, |a, b| a / b, peb_simd::elementwise::vdiv)
     }
 
     /// Adds a scalar to every element.

@@ -144,6 +144,13 @@ impl<'a> FusedChain<'a> {
         self
     }
 
+    /// `if acc ≥ 0 { acc } else { slope × acc }`; with `slope == 0` it is
+    /// ReLU, `max(acc, +0.0)` (`−0.0`, `−∞` and NaN give `+0.0`).
+    pub fn leaky_relu(mut self, slope: f32) -> Self {
+        self.stages.push(Stage::LeakyRelu(slope));
+        self
+    }
+
     /// Number of recorded stages.
     pub fn len(&self) -> usize {
         self.stages.len()
@@ -165,6 +172,7 @@ impl<'a> FusedChain<'a> {
         if self.stages.is_empty() {
             return self.src.clone();
         }
+        let _span = crate::tensor::ew_span("ew.chain", self.src.len());
         peb_obs::optrace::note("fused", || {
             let names: Vec<&str> = self.stages.iter().map(|s| s.name()).collect();
             format!(
@@ -217,6 +225,21 @@ fn eval_unfused(src: &Tensor, stages: &[Stage<'_>]) -> Tensor {
             Stage::Neg => {
                 for (o, &v) in out.iter_mut().zip(inp) {
                     *o = -v;
+                }
+            }
+            Stage::LeakyRelu(slope) => {
+                for (o, &v) in out.iter_mut().zip(inp) {
+                    *o = if slope == 0.0 {
+                        if v > 0.0 {
+                            v
+                        } else {
+                            0.0
+                        }
+                    } else if v >= 0.0 {
+                        v
+                    } else {
+                        slope * v
+                    };
                 }
             }
         }

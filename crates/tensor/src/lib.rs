@@ -11,7 +11,8 @@
 //!   [`Tensor`]. Calling [`Var::backward`] runs reverse-mode automatic
 //!   differentiation over the graph. All neural-network layers are built
 //!   from `Var` operations; custom fused operations (convolutions, the
-//!   Mamba selective scan) plug in through [`Var::from_op`].
+//!   Mamba selective scan) plug in through [`Var::from_op`]. Inference
+//!   runs the same operations inside [`no_grad`], which records nothing.
 //!
 //! # Example
 //!
@@ -41,8 +42,9 @@ mod reduce;
 mod shape;
 mod shape_ops;
 mod tensor;
+mod transpose;
 
-pub use autograd::{Var, VarId};
+pub use autograd::{grad_enabled, no_grad, Var, VarId};
 pub use error::TensorError;
 pub use fused::{fusion_enabled, FusedChain};
 pub use grad_check::{check_gradients, numeric_gradient, GradCheckReport};

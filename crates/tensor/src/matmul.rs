@@ -71,33 +71,19 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Transpose of a rank-2 tensor, copied through 32×32 tiles so both
-    /// the gather and the scatter stay within one cache-line-friendly
-    /// block.
+    /// Transpose of a rank-2 tensor, moved through in-register 8×8
+    /// blocks (`Simd8::transpose8`) inside cache-sized outer blocks.
     ///
     /// # Panics
     ///
     /// Panics if the tensor is not rank-2 (use [`Tensor::permute`] for
     /// general axis permutations).
     pub fn transpose2(&self) -> Self {
-        const TB: usize = 32;
         assert_eq!(self.rank(), 2, "transpose2 requires a matrix");
         let _span = peb_obs::span("gemm.transpose2");
         let (m, n) = (self.shape()[0], self.shape()[1]);
-        let src = self.data();
         let mut out = Tensor::zeros(&[n, m]);
-        let od = out.data_mut();
-        for ib in (0..m).step_by(TB) {
-            let ie = (ib + TB).min(m);
-            for jb in (0..n).step_by(TB) {
-                let je = (jb + TB).min(n);
-                for i in ib..ie {
-                    for j in jb..je {
-                        od[j * m + i] = src[i * n + j];
-                    }
-                }
-            }
-        }
+        crate::transpose::transpose_into(self.data(), m, n, out.data_mut());
         out
     }
 }

@@ -16,6 +16,7 @@ impl Tensor {
                 shape: shape.to_vec(),
             });
         }
+        let _span = crate::tensor::ew_span("ew.copy", self.len());
         Ok(Tensor::from_pooled(
             crate::tensor::alloc_copy(self.data()),
             shape,
@@ -45,28 +46,47 @@ impl Tensor {
             }
             seen[p] = true;
         }
+        let _span = crate::tensor::ew_span("ew.permute", self.len());
         let src_shape = self.shape();
         let src_strides = strides_for(src_shape);
         let out_shape: Vec<usize> = perm.iter().map(|&p| src_shape[p]).collect();
         let n = self.len();
         let src = self.data();
         let mut out = crate::tensor::alloc_cleared(n);
-        let rank_out = out_shape.len();
-        let mut coords = vec![0usize; rank_out];
-        // Stride of each output axis in the *source* buffer.
-        let axis_stride: Vec<usize> = perm.iter().map(|&p| src_strides[p]).collect();
-        let mut src_idx = 0usize;
-        for _ in 0..n {
-            out.push(src[src_idx]);
-            for axis in (0..rank_out).rev() {
-                coords[axis] += 1;
-                src_idx += axis_stride[axis];
-                if coords[axis] < out_shape[axis] {
-                    break;
-                }
-                coords[axis] = 0;
-                src_idx -= axis_stride[axis] * out_shape[axis];
+        if n == 0 {
+            return Ok(Tensor::from_pooled(out, &out_shape));
+        }
+        // Output axes as (extent, stride in the source buffer), with
+        // size-1 axes dropped and source-contiguous neighbours merged, so
+        // e.g. a head split `[L, h, d] → [h, d, L]` is seen as the plain
+        // matrix transpose it is.
+        let mut dims: Vec<(usize, usize)> = Vec::with_capacity(rank);
+        for &p in perm {
+            let (extent, stride) = (src_shape[p], src_strides[p]);
+            if extent == 1 {
+                continue;
             }
+            match dims.last_mut() {
+                Some((e, s)) if *s == extent * stride => (*e, *s) = (*e * extent, stride),
+                _ => dims.push((extent, stride)),
+            }
+        }
+        match dims[..] {
+            // The innermost axis stays innermost: contiguous row copies.
+            [ref outer @ .., (len, 1)] => {
+                for_each_offset(outer, |at| out.extend_from_slice(&src[at..at + len]));
+            }
+            // The two innermost output axes are a transposed matrix.
+            [ref outer @ .., (cols, 1), (rows, stride)] if stride == cols => {
+                out.resize(n, 0.0);
+                let mut blocks = out.chunks_exact_mut(rows * cols);
+                for_each_offset(outer, |at| {
+                    let block = blocks.next().expect("one output block per outer index");
+                    crate::transpose::transpose_into(&src[at..at + rows * cols], rows, cols, block);
+                });
+            }
+            // Anything else: one element per step of the odometer.
+            _ => for_each_offset(&dims, |at| out.push(src[at])),
         }
         Ok(Tensor::from_pooled(out, &out_shape))
     }
@@ -78,6 +98,7 @@ impl Tensor {
     /// Returns an error if `parts` is empty, the axis is out of range, or
     /// non-`axis` extents differ.
     pub fn concat(parts: &[&Tensor], axis: usize) -> Result<Self> {
+        let _span = crate::tensor::ew_span("ew.concat", parts.iter().map(|p| p.len()).sum());
         let first = parts.first().ok_or_else(|| TensorError::Invalid {
             detail: "concat of zero tensors".into(),
         })?;
@@ -138,6 +159,7 @@ impl Tensor {
                 detail: format!("slice [{start}, {end}) on axis {axis} of extent {dim}"),
             });
         }
+        let _span = crate::tensor::ew_span("ew.copy", self.len());
         let outer: usize = self.shape()[..axis].iter().product();
         let inner: usize = self.shape()[axis + 1..].iter().product();
         let mut out_shape = self.shape().to_vec();
@@ -234,6 +256,7 @@ impl Tensor {
                 detail: format!("upsample2_nearest: rank {} factor {factor}", self.rank()),
             });
         }
+        let _span = crate::tensor::ew_span("ew.copy", self.len());
         let rank = self.rank();
         let (h, w) = (self.shape()[rank - 2], self.shape()[rank - 1]);
         let batch: usize = self.shape()[..rank - 2].iter().product();
@@ -253,6 +276,32 @@ impl Tensor {
             }
         }
         Ok(Tensor::from_pooled(out, &out_shape))
+    }
+}
+
+/// Calls `f` with the source offset of every index of `dims`
+/// (`(extent, stride)` per axis, all extents ≥ 1) in row-major order,
+/// walking coordinates incrementally instead of dividing per element.
+fn for_each_offset(dims: &[(usize, usize)], mut f: impl FnMut(usize)) {
+    let mut coords = vec![0usize; dims.len()];
+    let mut at = 0usize;
+    loop {
+        f(at);
+        let mut axis = dims.len();
+        loop {
+            if axis == 0 {
+                return;
+            }
+            axis -= 1;
+            let (extent, stride) = dims[axis];
+            coords[axis] += 1;
+            at += stride;
+            if coords[axis] < extent {
+                break;
+            }
+            coords[axis] = 0;
+            at -= stride * extent;
+        }
     }
 }
 

@@ -52,6 +52,21 @@ pub(crate) fn alloc_copy(src: &[f32]) -> Vec<f32> {
     v
 }
 
+/// Span around a `Tensor`-level elementwise / data-movement entry point
+/// touching `elems` elements (names `ew.*`: chain, broadcast, reduce,
+/// permute, softmax, concat, zip, map, copy).
+///
+/// Calls below [`SPAN_MIN_ELEMS`] get no span: recording one costs about
+/// as much as streaming that many floats, so it would distort what it
+/// measures and tax small-clip serving. Together with the kernel spans
+/// this attributes a full-size `predict` to named spans.
+pub(crate) fn ew_span(name: &'static str, elems: usize) -> Option<peb_obs::SpanGuard> {
+    (elems >= SPAN_MIN_ELEMS).then(|| peb_obs::span(name))
+}
+
+/// Smallest call [`ew_span`] attributes (16 KiB of `f32`).
+const SPAN_MIN_ELEMS: usize = 4096;
+
 impl Tensor {
     /// Creates a tensor from a flat buffer and a shape.
     ///
@@ -221,6 +236,7 @@ impl Tensor {
 
     /// Applies `f` elementwise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
+        let _span = ew_span("ew.map", self.data.len());
         let mut data = alloc_cleared(self.data.len());
         data.extend(self.data.iter().map(|&x| f(x)));
         Self {
