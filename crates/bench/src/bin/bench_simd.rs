@@ -4,6 +4,8 @@
 //! `*_scalar` / `*_simd` entry points — packed GEMM, the selective-scan
 //! lane recurrence, the factored ADI line solve in its interleaved and
 //! contiguous-row forms, and the PEB reaction half-step — plus the
+//! planes-batched conv layers at the 32×128×128 model's shapes (ns/voxel,
+//! GFLOP/s and share of the measured FMA peak at 1 and 2 threads) and the
 //! end-to-end Table I micro training step (the `BENCH_pool.json`
 //! workload) with the dispatch level forced to scalar and to the
 //! detected best level. The run asserts the headline acceptance gates:
@@ -278,6 +280,125 @@ fn bench_axpy() -> (f64, f64) {
     (scalar, simd)
 }
 
+/// GFLOP/s of a dependency-free FMA loop on one core (ten 8-lane
+/// accumulator chains: bound by issue rate, not latency); 0 without
+/// AVX2+FMA, where the vector level does not exist.
+fn fma_peak_gflops() -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if peb_simd::detected() {
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fma_loop(iters: u64) -> f32 {
+            use std::arch::x86_64::*;
+            let (a, b) = (_mm256_set1_ps(0.999_999), _mm256_set1_ps(1e-7));
+            let mut acc = [_mm256_set1_ps(1.0); 10];
+            for _ in 0..iters {
+                for r in &mut acc {
+                    *r = _mm256_fmadd_ps(*r, a, b);
+                }
+            }
+            let sum = acc.into_iter().reduce(|s, r| _mm256_add_ps(s, r));
+            let mut lanes = [0f32; 8];
+            // SAFETY: `lanes` holds exactly the eight lanes stored.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), sum.expect("ten chains")) };
+            lanes.iter().sum()
+        }
+        const ITERS: u64 = 10_000_000;
+        let flops = (ITERS * 10 * 8 * 2) as f64;
+        // SAFETY: `detected()` is the runtime check for AVX2 and FMA.
+        return gflops(2, flops, || unsafe {
+            std::hint::black_box(fma_loop(std::hint::black_box(ITERS)));
+        });
+    }
+    0.0
+}
+
+/// One row of the planes-batched conv table: a layer pass at a
+/// 32×128×128-model shape, at one thread count.
+struct ConvRow {
+    name: &'static str,
+    threads: usize,
+    /// Per output element of the pass (forward: the layer's output;
+    /// backward: its input gradient).
+    ns_per_voxel: f64,
+    gflops: f64,
+    /// `gflops` over `threads ×` the one-core FMA peak.
+    peak_share: f64,
+}
+
+/// Forward and backward of the three planes-batched conv families at
+/// the shapes the 32×128×128 model gives them — the decoder's last
+/// up-sampling layer on eight depth planes, the stage-1 patch embedding and
+/// the stem — at 1 and 2 threads.
+fn bench_conv_planes(fma_peak: f64) -> Vec<ConvRow> {
+    use peb_nn::{Conv2d, ConvTranspose2d, DwConv3d};
+    use peb_tensor::Var;
+    let mut rng = StdRng::seed_from_u64(MODEL_SEED);
+    let up = ConvTranspose2d::new(16, 8, 4, 2, 1, &mut rng);
+    let embed = Conv2d::new(1, 12, 7, 4, 3, true, &mut rng);
+    let stem = DwConv3d::new(1, 3, &mut rng);
+    type Layer<'a> = (&'static str, &'static str, Box<dyn Fn(&Var) -> Var + 'a>);
+    // (names, forward, input shape, multiply-adds per pass)
+    let cases: [(Layer, [usize; 4], usize); 3] = [
+        (
+            (
+                "convt2_planes_fwd",
+                "convt2_planes_bwd",
+                Box::new(|x| up.forward(x)),
+            ),
+            [16, 8, 64, 64],
+            16 * 8 * 16 * 8 * 64 * 64,
+        ),
+        (
+            (
+                "conv2d_planes_fwd",
+                "conv2d_planes_bwd",
+                Box::new(|x| embed.forward(x)),
+            ),
+            [1, 32, 128, 128],
+            12 * 49 * 32 * 32 * 32,
+        ),
+        (
+            (
+                "dw3_rows_fwd",
+                "dw3_rows_bwd",
+                Box::new(|x| stem.forward(x)),
+            ),
+            [1, 32, 128, 128],
+            27 * 32 * 128 * 128,
+        ),
+    ];
+    let mut rows = Vec::new();
+    for ((fwd_name, bwd_name, forward), shape, macs) in &cases {
+        let x = Var::constant(Tensor::randn(shape, &mut rng));
+        for threads in [1usize, 2] {
+            let mut row = |name, voxels: usize, flops: f64, f: &mut dyn FnMut()| {
+                let gf = peb_par::with_thread_count(threads, || gflops(6, flops, f));
+                rows.push(ConvRow {
+                    name,
+                    threads,
+                    ns_per_voxel: flops / gf / voxels as f64,
+                    gflops: gf,
+                    peak_share: if fma_peak > 0.0 {
+                        gf / (threads as f64 * fma_peak)
+                    } else {
+                        0.0
+                    },
+                });
+            };
+            let y = forward(&x);
+            let seed = Tensor::ones(&y.shape());
+            row(fwd_name, seed.len(), 2.0 * *macs as f64, &mut || {
+                std::hint::black_box(peb_tensor::no_grad(|| forward(&x)));
+            });
+            // dX and dW: twice the forward's multiply-adds.
+            row(bwd_name, x.value().len(), 4.0 * *macs as f64, &mut || {
+                y.backward_with(seed.clone());
+            });
+        }
+    }
+    rows
+}
+
 fn micro_grid() -> Grid {
     Grid::new(16, 16, 4, 8.0, 8.0, 20.0).expect("micro grid")
 }
@@ -343,6 +464,9 @@ fn main() {
     // three by the reaction half-step.
     let (rows_bytes, react_bytes) = (8.0, 24.0);
 
+    let fma_peak = fma_peak_gflops();
+    let conv_rows = bench_conv_planes(fma_peak);
+
     let (wall_scalar, _) = run_pipeline(peb_simd::Level::Scalar, 1);
     let (wall_simd, pred1) = run_pipeline(best, 1);
     let (wall_simd4, pred4) = run_pipeline(best, 4);
@@ -375,6 +499,13 @@ fn main() {
         react_bytes / react_s,
         react_bytes / react_v
     );
+    println!("  FMA peak, one core: {fma_peak:.1} GFLOP/s");
+    for r in &conv_rows {
+        println!(
+            "  {:<18} ×{} threads: {:7.2} ns/voxel  {:6.2} GFLOP/s  ({:.3} of FMA peak)",
+            r.name, r.threads, r.ns_per_voxel, r.gflops, r.peak_share
+        );
+    }
     println!(
         "  table1 step ×{STEPS}: scalar {wall_scalar:.3}s   simd {wall_simd:.3}s   simd ×4 threads {wall_simd4:.3}s"
     );
@@ -415,6 +546,8 @@ fn main() {
             "  \"reaction_gbps_simd\": {:.3},\n",
             "  \"axpy_gflops_scalar\": {:.3},\n",
             "  \"axpy_gflops_simd\": {:.3},\n",
+            "  \"fma_peak_gflops_one_core\": {:.3},\n",
+            "  \"conv_planes\": [{}],\n",
             "  \"steps\": {},\n",
             "  \"wall_seconds_scalar_level\": {:.6},\n",
             "  \"wall_seconds_simd_level\": {:.6},\n",
@@ -443,6 +576,16 @@ fn main() {
         react_bytes / react_v,
         axpy_s,
         axpy_v,
+        fma_peak,
+        conv_rows
+            .iter()
+            .map(|r| format!(
+                "\n    {{\"name\": \"{}\", \"threads\": {}, \"ns_per_voxel\": {:.3}, \
+                 \"gflops\": {:.3}, \"fma_peak_share\": {:.4}}}",
+                r.name, r.threads, r.ns_per_voxel, r.gflops, r.peak_share
+            ))
+            .collect::<Vec<_>>()
+            .join(","),
         STEPS,
         wall_scalar,
         wall_simd,

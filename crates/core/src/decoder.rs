@@ -2,7 +2,8 @@
 //!
 //! Three (or more) transposed-convolution layers with LeakyReLU
 //! activations between them restore the fused features to the full input
-//! resolution, one depth level at a time with shared weights.
+//! resolution, every depth level with the same weights: each layer is one
+//! planes-batched call over the depth axis.
 //!
 //! In addition to Fig. 2's decoder, this implementation accepts an
 //! optional full-resolution *skip* volume (the stem features)
@@ -84,6 +85,15 @@ impl Decoder {
     /// `skip`, when configured, must be `[skip_channels, D, H, W]` at the
     /// full output resolution.
     ///
+    /// Every layer is one planes-batched call over depth. Off the
+    /// autograd tape the depth axis is walked in slabs sized by
+    /// [`peb_pool::tile::slab_items`], so the full-resolution
+    /// intermediates — each freed as its consumer finishes — stay
+    /// bounded by the slab, not the volume; depth planes are independent,
+    /// so the slabbing never changes a bit. On the tape every
+    /// intermediate lives until `backward` anyway, and one whole-volume
+    /// pass keeps each weight gradient a single ascending-plane sum.
+    ///
     /// # Panics
     ///
     /// Panics if a skip was configured but not provided (or vice versa),
@@ -94,28 +104,48 @@ impl Decoder {
             self.skip_channels > 0,
             "skip presence must match configuration"
         );
-        let s = x.shape();
-        let (c, d) = (s[0], s[1]);
-        let mut planes = Vec::with_capacity(d);
-        for k in 0..d {
-            let mut plane = x.slice_axis(1, k, k + 1).reshape(&[c, s[2], s[3]]);
-            for layer in &self.layers {
-                plane = layer.forward(&plane).leaky_relu(0.01);
-            }
-            if let Some(skip) = skip {
-                let ss = skip.shape();
-                assert_eq!(ss[0], self.skip_channels, "skip channel mismatch");
-                let sk = skip.slice_axis(1, k, k + 1).reshape(&[ss[0], ss[2], ss[3]]);
-                plane = Var::concat(&[&plane, &sk], 0);
-            }
-            let out = self
-                .head
-                .forward(&self.head_mid.forward(&plane).leaky_relu(0.01));
-            let ps = out.shape();
-            planes.push(out.reshape(&[1, ps[1], ps[2]]));
+        if let Some(skip) = skip {
+            assert_eq!(skip.shape()[0], self.skip_channels, "skip channel mismatch");
         }
-        let refs: Vec<&Var> = planes.iter().collect();
-        Var::concat(&refs, 0) // [D, H, W]
+        let s = x.shape();
+        let d = s[1];
+        // A depth plane's share of what a slab reads and writes: its
+        // input features and its full-resolution output.
+        let out_plane = s[2] * s[3] * self.upsample_factor * self.upsample_factor;
+        let plane_bytes = 4 * (s[0] * s[2] * s[3] + out_plane);
+        let slab = match peb_pool::tile::slab_items(plane_bytes, d) {
+            Some(fit) if !peb_tensor::grad_enabled() => fit,
+            _ => d,
+        };
+        if slab >= d {
+            return self.decode(x, skip);
+        }
+        let slabs: Vec<Var> = (0..d)
+            .step_by(slab)
+            .map(|z0| {
+                let z1 = (z0 + slab).min(d);
+                let skip = skip.map(|v| v.slice_axis(1, z0, z1));
+                self.decode(&x.slice_axis(1, z0, z1), skip.as_ref())
+            })
+            .collect();
+        peb_obs::count(peb_obs::Counter::SlabPasses, slabs.len() as u64);
+        Var::concat(&slabs.iter().collect::<Vec<_>>(), 0)
+    }
+
+    /// Decodes every depth plane of `x` (and `skip`) in one pass.
+    fn decode(&self, x: &Var, skip: Option<&Var>) -> Var {
+        let mut cur = x.clone();
+        for layer in &self.layers {
+            cur = layer.forward(&cur).leaky_relu(0.01);
+        }
+        if let Some(skip) = skip {
+            cur = Var::concat(&[&cur, skip], 0);
+        }
+        let out = self
+            .head
+            .forward(&self.head_mid.forward(&cur).leaky_relu(0.01));
+        let s = out.shape(); // [1, D, H, W]
+        out.reshape(&s[1..])
     }
 }
 
@@ -177,6 +207,39 @@ mod tests {
         let skip = Var::constant(Tensor::randn(&[1, 2, 4, 4], &mut rng));
         dec.forward(&x, Some(&skip)).square().sum().backward();
         assert!(dec.parameters().iter().all(|p| p.grad().is_some()));
+    }
+
+    #[test]
+    fn a_volume_decodes_as_its_planes_stacked_whatever_the_slab() {
+        let mut rng = StdRng::seed_from_u64(96);
+        let dec = Decoder::new(8, 4, 2, &mut rng);
+        let d = 5;
+        let x = Var::constant(Tensor::randn(&[8, d, 3, 5], &mut rng));
+        let skip = Var::constant(Tensor::randn(&[2, d, 12, 20], &mut rng));
+        // On the tape (one whole-volume pass) …
+        let taped = dec.forward(&x, Some(&skip)).value().bit_digest();
+        // … its own D = 1 calls, stacked …
+        let planes: Vec<Var> = (0..d)
+            .map(|z| {
+                dec.forward(
+                    &x.slice_axis(1, z, z + 1),
+                    Some(&skip.slice_axis(1, z, z + 1)),
+                )
+            })
+            .collect();
+        let stacked = Var::concat(&planes.iter().collect::<Vec<_>>(), 0);
+        assert_eq!(stacked.value().bit_digest(), taped);
+        // … and off the tape, from one-plane slabs to the whole volume.
+        for tile_bytes in [Some(1), Some(3 * 4 * (8 * 15 + 240)), None] {
+            let scoped = peb_par::ExecCtx {
+                tile_bytes,
+                ..peb_par::ctx::current()
+            };
+            let slabbed = peb_par::ctx::with(scoped, || {
+                peb_tensor::no_grad(|| dec.forward(&x, Some(&skip)).value().bit_digest())
+            });
+            assert_eq!(slabbed, taped, "tile_bytes = {tile_bytes:?}");
+        }
     }
 
     #[test]

@@ -1,120 +1,721 @@
-//! Convolution layers: dense 2-D/3-D (im2col + GEMM), depthwise 3-D, and
-//! transposed 2-D for the decoder.
+//! Convolution layers: dense 2-D and transposed 2-D over depth planes,
+//! depthwise 3-D, and dense 3-D (im2col + GEMM).
 //!
-//! All convolutions are implemented as custom autograd operations with
-//! analytic backward passes; the gradient-check tests at the bottom verify
-//! them against finite differences.
+//! # The planes-batched family
+//!
+//! [`Conv2d`] and [`ConvTranspose2d`] work on `[C, D, H, W]` volumes whose
+//! `D` planes share the weights (`[C, H, W]` is the `D = 1` case of the
+//! same kernel); [`DwConv3d`] works on `[C, D, H, W]` channel by channel.
+//! The unit of parallel work is a whole plane — plane `z` for the dense
+//! layers (a cache-sized band of its output rows in the transposed
+//! conv's forward), plane `(c, z)` for the depthwise one — so chunk
+//! boundaries never depend on the thread count and every path is bitwise
+//! identical at any thread count. Per plane the dense layers run one GEMM through
+//! [`matmul_par`] (the f32 / bf16 / int8 dispatch of `Tensor::matmul`)
+//! into pooled per-chunk scratch; everything around it is a
+//! bounds-hoisted contiguous row (`copy`, `+=`, `+= w·x`, a dot product)
+//! in the exact-class [`peb_simd::conv`] kernels, in the per-element
+//! accumulation order of the textbook loops kept as the oracle in
+//! `tests/conv_planes.rs`. Weight gradients are reduced over planes in
+//! ascending plane order.
+//!
+//! All convolutions are custom autograd operations with analytic backward
+//! passes; the tests at the bottom and in `tests/conv_planes.rs` verify
+//! them against finite differences, the scalar oracle and the adjoint
+//! identity.
 
 use rand::Rng;
 
+use peb_par::UnsafeSlice;
+use peb_pool::PoolBuf;
+use peb_simd::conv::{dw3_plane, dw3_weight_grad, Dw3, Windows};
+use peb_simd::elementwise::{vadd_assign, vadd_scalar};
+use peb_tensor::kernels::{matmul_par, transpose_into};
 use peb_tensor::{Tensor, Var};
 
 use crate::init::kaiming_uniform;
 use crate::Parameterized;
 
 // ---------------------------------------------------------------------------
-// Raw im2col machinery (2-D)
+// Geometry
 // ---------------------------------------------------------------------------
 
-fn out_extent(n: usize, k: usize, stride: usize, pad: usize) -> usize {
-    (n + 2 * pad).saturating_sub(k) / stride + 1
+/// Panics unless `value > 0`, naming the layer, the field and the value.
+fn require_positive(layer: &str, field: &str, value: usize) {
+    assert!(value > 0, "{layer}: {field}={value} must be positive");
 }
 
-/// Unfolds `[Cin, H, W]` into a `[Cin·kh·kw, Ho·Wo]` patch matrix.
+/// Windows along one axis of extent `n`: `(n + 2·pad − k) / stride + 1`.
 ///
-/// Channels unfold in parallel: each channel owns a disjoint `kh·kw·Ho·Wo`
-/// block of the patch matrix, so the result is thread-count independent.
-fn im2col2(input: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Tensor {
-    let (cin, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let (ho, wo) = (
-        out_extent(h, kh, stride, pad),
-        out_extent(w, kw, stride, pad),
+/// # Panics
+///
+/// Panics, naming the layer, the axis and its extent, when the axis is
+/// empty or the kernel does not fit the padded axis.
+fn out_extent(layer: &str, axis: &str, n: usize, k: usize, stride: usize, pad: usize) -> usize {
+    require_positive(layer, axis, n);
+    assert!(
+        n + 2 * pad >= k,
+        "{layer}: {axis}={n} padded by {pad} on each side is smaller than the kernel ({k})"
     );
-    let src = input.data();
-    let cols = ho * wo;
-    let per_c = kh * kw * cols;
-    peb_obs::optrace::note("conv.im2col", || {
-        format!("cin={cin} hw={h}x{w} k={kh}x{kw} stride={stride} pad={pad} cols={cols}")
+    (n + 2 * pad - k) / stride + 1
+}
+
+/// Splits a `[C, H, W]` (one plane) or `[C, D, H, W]` (`D` planes sharing
+/// the weights) shape into `(D, H, W)`.
+fn plane_dims(layer: &str, shape: &[usize], channels: usize) -> (usize, usize, usize) {
+    let (d, h, w) = match *shape {
+        [_, h, w] => (1, h, w),
+        [_, d, h, w] => (d, h, w),
+        _ => panic!("{layer} expects [C, H, W] or [C, D, H, W], got {shape:?}"),
+    };
+    assert_eq!(shape[0], channels, "{layer} expects {channels} channels");
+    require_positive(layer, "d", d);
+    (d, h, w)
+}
+
+/// `[C, H, W]` for a rank-3 input, `[C, D, H, W]` otherwise.
+fn like_input(rank: usize, c: usize, d: usize, h: usize, w: usize) -> Vec<usize> {
+    if rank == 3 {
+        vec![c, h, w]
+    } else {
+        vec![c, d, h, w]
+    }
+}
+
+/// Plane `z` of a `[C, D, n]` volume as the dense `[C, n]` matrix a GEMM
+/// wants: `None` when `D = 1` (the volume already is that matrix), else a
+/// pooled gather.
+fn gather_plane(vol: &[f32], chans: usize, d: usize, z: usize, n: usize) -> Option<PoolBuf<f32>> {
+    (d > 1).then(|| {
+        let mut m = PoolBuf::cleared(chans * n);
+        for c in 0..chans {
+            m.extend_from_slice(&vol[(c * d + z) * n..][..n]);
+        }
+        m
+    })
+}
+
+/// Writes the dense `[C, n]` matrix `m` into plane `z` of the `[C, D, n]`
+/// volume behind `vol`, adding `bias[c]` to row `c`.
+///
+/// # Safety
+///
+/// No other thread may access plane `z` of `vol` during the call.
+unsafe fn scatter_plane(
+    vol: &UnsafeSlice<'_, f32>,
+    m: &[f32],
+    bias: Option<&[f32]>,
+    d: usize,
+    z: usize,
+    n: usize,
+) {
+    for (c, row) in m.chunks_exact(n).enumerate() {
+        // SAFETY: row `c` of plane `z` lies inside the plane the caller
+        // owns.
+        let dst = unsafe { vol.slice_mut((c * d + z) * n..(c * d + z + 1) * n) };
+        match bias {
+            Some(b) => vadd_scalar(row, b[c], dst),
+            None => dst.copy_from_slice(row),
+        }
+    }
+}
+
+/// Sums the per-plane partials `[D, len]` in ascending plane order.
+fn reduce_planes(partials: &mut [f32], len: usize) -> &[f32] {
+    let (sum, rest) = partials.split_at_mut(len);
+    for partial in rest.chunks_exact(len) {
+        vadd_assign(sum, partial);
+    }
+    sum
+}
+
+/// Bias gradient: the sum of `g` (`[C, …]`) per channel, accumulated
+/// sequentially in `f64`.
+fn channel_sums(g: &Tensor, channels: usize) -> Tensor {
+    let mut db = Tensor::zeros(&[channels]);
+    let blocks = g.data().chunks_exact(g.len() / channels);
+    for (o, block) in db.data_mut().iter_mut().zip(blocks) {
+        *o = block.iter().map(|&v| v as f64).sum::<f64>() as f32;
+    }
+    db
+}
+
+// ---------------------------------------------------------------------------
+// Conv2d
+// ---------------------------------------------------------------------------
+
+/// Dense 2-D convolution on `[Cin, H, W]` planes or `[Cin, D, H, W]`
+/// volumes whose `D` planes share the weights.
+#[derive(Debug, Clone)]
+pub struct Conv2d {
+    weight: Var, // [Cout, Cin·kh·kw] (GEMM layout)
+    bias: Option<Var>,
+    cin: usize,
+    cout: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+}
+
+impl Conv2d {
+    /// Creates a square-kernel layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel` or `stride` is zero.
+    pub fn new(
+        cin: usize,
+        cout: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        bias: bool,
+        rng: &mut impl Rng,
+    ) -> Self {
+        require_positive("Conv2d", "kernel", kernel);
+        require_positive("Conv2d", "stride", stride);
+        let fan_in = cin * kernel * kernel;
+        let weight = Var::parameter(kaiming_uniform(&[cout, fan_in], fan_in, rng));
+        let bias = bias.then(|| Var::parameter(Tensor::zeros(&[cout])));
+        Conv2d {
+            weight,
+            bias,
+            cin,
+            cout,
+            kernel,
+            stride,
+            pad,
+        }
+    }
+
+    /// Output spatial extents for an input of `(h, w)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an extent is zero or smaller than the kernel once padded.
+    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        (
+            out_extent("Conv2d", "h", h, self.kernel, self.stride, self.pad),
+            out_extent("Conv2d", "w", w, self.kernel, self.stride, self.pad),
+        )
+    }
+
+    /// Applies the convolution to `[Cin, H, W]`, producing
+    /// `[Cout, Ho, Wo]`, or to every depth plane of `[Cin, D, H, W]`,
+    /// producing `[Cout, D, Ho, Wo]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel mismatch, an empty axis or an input smaller
+    /// than the kernel.
+    pub fn forward(&self, x: &Var) -> Var {
+        let xs = x.shape();
+        let (d, h, w) = plane_dims("Conv2d", &xs, self.cin);
+        let (ho, wo) = self.output_hw(h, w);
+        let win = Windows::new(h, w, ho, wo, self.kernel, self.stride, self.pad);
+        let (cin, cout) = (self.cin, self.cout);
+        let mut out = Tensor::zeros(&like_input(xs.len(), cout, d, ho, wo));
+        {
+            let bias = self.bias.as_ref().map(Var::value);
+            let bias = bias.as_ref().map(|b| b.data());
+            conv2_forward(&x.value(), &self.weight.value(), bias, &win, d, &mut out);
+        }
+        let xc = x.clone();
+        let wc = self.weight.clone();
+        let has_bias = self.bias.is_some();
+        let mut parents = vec![x.clone(), self.weight.clone()];
+        parents.extend(self.bias.clone());
+        Var::from_op(out, parents, move |g| {
+            let (dx, dw) = conv2_backward(&xc.value(), &wc.value(), g, &win, (cin, cout, d));
+            let mut grads = vec![Some(dx), Some(dw)];
+            if has_bias {
+                grads.push(Some(channel_sums(g, cout)));
+            }
+            grads
+        })
+    }
+}
+
+impl Parameterized for Conv2d {
+    fn parameters(&self) -> Vec<Var> {
+        let mut p = vec![self.weight.clone()];
+        p.extend(self.bias.clone());
+        p
+    }
+}
+
+/// `out[:, z] = W · unfold(x[:, z]) + b` for every plane `z`.
+fn conv2_forward(
+    x: &Tensor,
+    w: &Tensor,
+    bias: Option<&[f32]>,
+    win: &Windows,
+    d: usize,
+    out: &mut Tensor,
+) {
+    let _span = peb_obs::span("conv.conv2d_fwd");
+    let (cout, kdim) = (w.shape()[0], w.shape()[1]);
+    let (taps, hw, n) = (win.taps(), win.pixels(), win.count());
+    let cin = kdim / taps;
+    peb_obs::optrace::note("conv.conv2d", || {
+        format!("planes={d} gemm={cout}x{kdim}x{n} {win}")
     });
-    // Pooled patch matrix: `zeros` checks the (large) buffer out of the
-    // thread-local pool instead of allocating it on every forward and
-    // backward pass.
-    let mut out = Tensor::zeros(&[cin * kh * kw, cols]);
-    peb_par::parallel_chunks_mut_cost(out.data_mut(), per_c, 4, |offset, chunk| {
-        let c = offset / per_c;
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let row = (ky * kw + kx) * cols;
-                for oy in 0..ho {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    for ox in 0..wo {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        let v = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            src[(c * h + iy as usize) * w + ix as usize]
-                        } else {
-                            0.0
-                        };
-                        chunk[row + oy * wo + ox] = v;
-                    }
-                }
+    peb_obs::count(
+        peb_obs::Counter::GemmFlops,
+        2 * (d * cout * kdim * n) as u64,
+    );
+    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * (d * kdim * n) as u64);
+    let (xd, wd) = (x.data(), w.data());
+    let slots = UnsafeSlice::new(out.data_mut());
+    peb_par::parallel_chunks_cost(d, 1, 2 * (cout * kdim * n) as u64, |planes| {
+        for z in planes {
+            let mut col = PoolBuf::zeroed(kdim * n);
+            for c in 0..cin {
+                win.unfold(
+                    &xd[(c * d + z) * hw..][..hw],
+                    &mut col[c * taps * n..][..taps * n],
+                );
+            }
+            let mut y = PoolBuf::zeroed(cout * n);
+            matmul_par(wd, &col, &mut y, cout, kdim, n);
+            // SAFETY: plane `z` of `out` belongs to this chunk alone.
+            unsafe { scatter_plane(&slots, &y, bias, d, z, n) };
+        }
+    });
+}
+
+/// Per plane: `dW_z = G_z · unfold(x_z)ᵀ` and `dx_z = fold(Wᵀ · G_z)`;
+/// `dW = Σ_z dW_z`.
+fn conv2_backward(
+    x: &Tensor,
+    w: &Tensor,
+    g: &Tensor,
+    win: &Windows,
+    (cin, cout, d): (usize, usize, usize),
+) -> (Tensor, Tensor) {
+    let _span = peb_obs::span("conv.conv2d_bwd");
+    let (taps, hw, n) = (win.taps(), win.pixels(), win.count());
+    let kdim = cin * taps;
+    peb_obs::optrace::note("conv.conv2d.bwd", || {
+        format!("planes={d} gemm=2x{cout}x{kdim}x{n} {win}")
+    });
+    peb_obs::count(
+        peb_obs::Counter::GemmFlops,
+        4 * (d * cout * kdim * n) as u64,
+    );
+    peb_obs::count(peb_obs::Counter::Im2colBytes, 8 * (d * kdim * n) as u64);
+    let (xd, wd, gd) = (x.data(), w.data(), g.data());
+    let mut wt = PoolBuf::zeroed(kdim * cout);
+    transpose_into(wd, cout, kdim, &mut wt);
+    let mut dx = Tensor::zeros(x.shape());
+    let dx_slots = UnsafeSlice::new(dx.data_mut());
+    let mut partials = PoolBuf::zeroed(d * cout * kdim);
+    peb_par::parallel_chunks_mut_cost(&mut partials, cout * kdim, 4 * n as u64, |at, dw_z| {
+        let z = at / (cout * kdim);
+        let gathered = gather_plane(gd, cout, d, z, n);
+        let gm = gathered.as_ref().map_or(gd, |m| m.as_slice());
+        let mut col = PoolBuf::zeroed(kdim * n);
+        for c in 0..cin {
+            win.unfold(
+                &xd[(c * d + z) * hw..][..hw],
+                &mut col[c * taps * n..][..taps * n],
+            );
+        }
+        let mut col_t = PoolBuf::zeroed(n * kdim);
+        transpose_into(&col, kdim, n, &mut col_t);
+        matmul_par(gm, &col_t, dw_z, cout, n, kdim);
+        drop((col, col_t));
+        let mut dcol = PoolBuf::zeroed(kdim * n);
+        matmul_par(&wt, gm, &mut dcol, kdim, cout, n);
+        let mut lanes = PoolBuf::zeroed(win.lanes_len());
+        for c in 0..cin {
+            // SAFETY: plane `z` of `dx` belongs to this chunk alone.
+            let plane = unsafe { dx_slots.slice_mut((c * d + z) * hw..(c * d + z + 1) * hw) };
+            win.fold(&dcol[c * taps * n..][..taps * n], 0.0, plane, &mut lanes);
+        }
+    });
+    let mut dw = Tensor::zeros(w.shape());
+    dw.data_mut()
+        .copy_from_slice(reduce_planes(&mut partials, cout * kdim));
+    (dx, dw)
+}
+
+// ---------------------------------------------------------------------------
+// ConvTranspose2d
+// ---------------------------------------------------------------------------
+
+/// Transposed 2-D convolution (decoder upsampling) on `[Cin, H, W]`
+/// planes or `[Cin, D, H, W]` volumes whose `D` planes share the weights.
+///
+/// Weight layout `[Cin, Cout, k, k]`; output extent
+/// `(n − 1)·stride + k − 2·pad`.
+#[derive(Debug, Clone)]
+pub struct ConvTranspose2d {
+    weight: Var,
+    bias: Var,
+    cin: usize,
+    cout: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+}
+
+impl ConvTranspose2d {
+    /// Creates a layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel` or `stride` is zero.
+    pub fn new(
+        cin: usize,
+        cout: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
+        require_positive("ConvTranspose2d", "kernel", kernel);
+        require_positive("ConvTranspose2d", "stride", stride);
+        let fan_in = cin * kernel * kernel;
+        let weight = Var::parameter(kaiming_uniform(&[cin, cout, kernel, kernel], fan_in, rng));
+        let bias = Var::parameter(Tensor::zeros(&[cout]));
+        ConvTranspose2d {
+            weight,
+            bias,
+            cin,
+            cout,
+            kernel,
+            stride,
+            pad,
+        }
+    }
+
+    /// Output extents for an input of `(h, w)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input extent is zero or its output extent
+    /// `(n − 1)·stride + k − 2·pad` is not positive.
+    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        let extent = |axis: &str, n: usize| {
+            require_positive("ConvTranspose2d", axis, n);
+            let full = (n - 1) * self.stride + self.kernel;
+            assert!(
+                full > 2 * self.pad,
+                "ConvTranspose2d: {axis}={n} leaves no output: \
+                 (n − 1)·stride + kernel = {full} ≤ 2·pad = {}",
+                2 * self.pad
+            );
+            full - 2 * self.pad
+        };
+        (extent("h", h), extent("w", w))
+    }
+
+    /// Applies the layer to `[Cin, H, W]`, producing `[Cout, Ho, Wo]`,
+    /// or to every depth plane of `[Cin, D, H, W]`, producing
+    /// `[Cout, D, Ho, Wo]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel mismatch, an empty axis or a non-positive
+    /// output extent.
+    pub fn forward(&self, x: &Var) -> Var {
+        let xs = x.shape();
+        let (d, h, w) = plane_dims("ConvTranspose2d", &xs, self.cin);
+        let (ho, wo) = self.output_hw(h, w);
+        // The layer writes its output through the windows its adjoint
+        // conv would read: an `ho × wo` image under `h × w` windows.
+        let win = Windows::new(ho, wo, h, w, self.kernel, self.stride, self.pad);
+        let (cin, cout) = (self.cin, self.cout);
+        let mut out = Tensor::zeros(&like_input(xs.len(), cout, d, ho, wo));
+        convt2_forward(
+            &x.value(),
+            &self.weight.value(),
+            self.bias.value().data(),
+            &win,
+            d,
+            &mut out,
+        );
+        let xc = x.clone();
+        let wc = self.weight.clone();
+        Var::from_op(
+            out,
+            vec![x.clone(), self.weight.clone(), self.bias.clone()],
+            move |g| {
+                let (dx, dw) = convt2_backward(&xc.value(), &wc.value(), g, &win, (cin, cout, d));
+                vec![Some(dx), Some(dw), Some(channel_sums(g, cout))]
+            },
+        )
+    }
+}
+
+impl Parameterized for ConvTranspose2d {
+    fn parameters(&self) -> Vec<Var> {
+        vec![self.weight.clone(), self.bias.clone()]
+    }
+}
+
+/// `out[:, z] = fold(W_matᵀ · x[:, z]) + b` for every plane `z`: the GEMM
+/// formulation of the transposed convolution, identical math to the
+/// direct scatter loops.
+///
+/// Each plane is folded in bands of output rows whose slice of the patch
+/// matrix stays cache-resident between the GEMM that writes it and the
+/// fold that reads it: the slice is zero-filled, accumulated and read
+/// back next to the input band, the packed panels and the output rows,
+/// so it is budgeted at half the tile. A band recomputes the
+/// ≤ (k − 1)/s window rows it shares with its neighbour (the counters
+/// include them); GEMM columns are independent, so the banding never
+/// changes a bit. Bands write disjoint output rows, so each
+/// (plane, band) is a parallel chunk of its own.
+fn convt2_forward(x: &Tensor, w: &Tensor, bias: &[f32], win: &Windows, d: usize, out: &mut Tensor) {
+    let _span = peb_obs::span("conv.convt2_fwd");
+    let (cin, cout) = (w.shape()[0], w.shape()[1]);
+    let (taps, hw, n) = (win.taps(), win.pixels(), win.count());
+    let m = cout * taps;
+    let ((h_img, w_img), (ho, wo)) = (win.image(), win.grid());
+    let band = peb_pool::tile::slab_items(2 * 4 * (m + cin) * wo, ho).unwrap_or(ho) * win.stride();
+    // (output rows, the window rows they fold) per band.
+    let bands: Vec<_> = (0..h_img)
+        .step_by(band)
+        .map(|r0| {
+            let rows = r0..(r0 + band).min(h_img);
+            (rows.clone(), win.window_rows(rows))
+        })
+        .collect();
+    let cols: usize = bands.iter().map(|(_, oys)| oys.len() * wo).sum();
+    peb_obs::optrace::note("conv.convt2", || {
+        format!(
+            "planes={d} bands={} gemm={m}x{cin}x{cols} {win}",
+            bands.len()
+        )
+    });
+    peb_obs::count(peb_obs::Counter::GemmFlops, 2 * (d * m * cin * cols) as u64);
+    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * (d * m * cols) as u64);
+    // W [cin, cout·k·k] → [cout·k·k, cin], once for all planes.
+    let mut wt = PoolBuf::zeroed(m * cin);
+    transpose_into(w.data(), cin, m, &mut wt);
+    let xd = x.data();
+    let slots = UnsafeSlice::new(out.data_mut());
+    // One chunk per (plane, band): they balance the threads where a slab
+    // holds few planes.
+    let flops = 2 * (m * cin * cols.div_ceil(bands.len())) as u64;
+    peb_par::parallel_chunks_cost(d * bands.len(), 1, flops, |chunks| {
+        let mut lanes = PoolBuf::zeroed(win.lanes_len());
+        for chunk in chunks {
+            let (z, (rows, oys)) = (chunk / bands.len(), &bands[chunk % bands.len()]);
+            let nb = oys.len() * wo;
+            let mut xb = PoolBuf::cleared(cin * nb);
+            for c in 0..cin {
+                xb.extend_from_slice(&xd[(c * d + z) * n + oys.start * wo..][..nb]);
+            }
+            let mut col = PoolBuf::zeroed(m * nb);
+            matmul_par(&wt, &xb, &mut col, m, cin, nb);
+            for (co, &b) in bias.iter().enumerate() {
+                let at = (co * d + z) * hw;
+                // SAFETY: rows `rows` of plane `z` of `out` belong to this
+                // chunk alone.
+                let img_rows =
+                    unsafe { slots.slice_mut(at + rows.start * w_img..at + rows.end * w_img) };
+                let taps_co = &col[co * taps * nb..][..taps * nb];
+                win.fold_rows(taps_co, oys.clone(), b, rows.clone(), img_rows, &mut lanes);
             }
         }
     });
-    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * (cin * per_c) as u64);
+}
+
+/// Per plane: `dx_z = W_mat · unfold(G_z)` and
+/// `dW_zᵀ = unfold(G_z) · x_zᵀ`; `dW = (Σ_z dW_zᵀ)ᵀ`.
+fn convt2_backward(
+    x: &Tensor,
+    w: &Tensor,
+    g: &Tensor,
+    win: &Windows,
+    (cin, cout, d): (usize, usize, usize),
+) -> (Tensor, Tensor) {
+    let _span = peb_obs::span("conv.convt2_bwd");
+    let (taps, hw, n) = (win.taps(), win.pixels(), win.count());
+    let m = cout * taps;
+    peb_obs::optrace::note("conv.convt2.bwd", || {
+        format!("planes={d} gemm=2x{m}x{cin}x{n} {win}")
+    });
+    peb_obs::count(peb_obs::Counter::GemmFlops, 4 * (d * m * cin * n) as u64);
+    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * (d * m * n) as u64);
+    let (xd, wd, gd) = (x.data(), w.data(), g.data());
+    let mut dx = Tensor::zeros(x.shape());
+    let dx_slots = UnsafeSlice::new(dx.data_mut());
+    let mut partials = PoolBuf::zeroed(d * m * cin);
+    peb_par::parallel_chunks_mut_cost(&mut partials, m * cin, 4 * n as u64, |at, dwt_z| {
+        let z = at / (m * cin);
+        let mut gcol = PoolBuf::zeroed(m * n);
+        for co in 0..cout {
+            win.unfold(
+                &gd[(co * d + z) * hw..][..hw],
+                &mut gcol[co * taps * n..][..taps * n],
+            );
+        }
+        let mut dx_z = PoolBuf::zeroed(cin * n);
+        matmul_par(wd, &gcol, &mut dx_z, cin, m, n);
+        // SAFETY: plane `z` of `dx` belongs to this chunk alone.
+        unsafe { scatter_plane(&dx_slots, &dx_z, None, d, z, n) };
+        let gathered = gather_plane(xd, cin, d, z, n);
+        let xm = gathered.as_ref().map_or(xd, |m| m.as_slice());
+        let mut xt = PoolBuf::zeroed(n * cin);
+        transpose_into(xm, cin, n, &mut xt);
+        matmul_par(&gcol, &xt, dwt_z, m, n, cin);
+    });
+    let mut dw = Tensor::zeros(w.shape());
+    transpose_into(reduce_planes(&mut partials, m * cin), m, cin, dw.data_mut());
+    (dx, dw)
+}
+
+// ---------------------------------------------------------------------------
+// Depthwise Conv3d
+// ---------------------------------------------------------------------------
+
+/// Depthwise 3-D convolution (groups = channels), stride 1, same padding.
+///
+/// This is the `DW-Conv3D` block of the paper's Fig. 2/Fig. 5(a): a cheap
+/// local refinement applied channel by channel.
+#[derive(Debug, Clone)]
+pub struct DwConv3d {
+    weight: Var, // [C, k, k, k]
+    bias: Var,   // [C]
+    channels: usize,
+    kernel: usize,
+}
+
+impl DwConv3d {
+    /// Creates a depthwise layer with a cubic kernel (odd `k`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is even (same-padding needs odd kernels).
+    pub fn new(channels: usize, kernel: usize, rng: &mut impl Rng) -> Self {
+        assert!(
+            kernel % 2 == 1,
+            "DwConv3d: kernel={kernel} must be odd (same padding)"
+        );
+        let fan_in = kernel * kernel * kernel;
+        let weight = Var::parameter(kaiming_uniform(
+            &[channels, kernel, kernel, kernel],
+            fan_in,
+            rng,
+        ));
+        let bias = Var::parameter(Tensor::zeros(&[channels]));
+        DwConv3d {
+            weight,
+            bias,
+            channels,
+            kernel,
+        }
+    }
+
+    /// Applies the layer to `[C, D, H, W]`, preserving the shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a channel mismatch or an empty axis.
+    pub fn forward(&self, x: &Var) -> Var {
+        let xs = x.shape();
+        assert_eq!(xs.len(), 4, "DwConv3d expects [C, D, H, W], got {xs:?}");
+        assert_eq!(
+            xs[0], self.channels,
+            "DwConv3d expects {} channels",
+            self.channels
+        );
+        for (axis, &n) in ["d", "h", "w"].iter().zip(&xs[1..]) {
+            require_positive("DwConv3d", axis, n);
+        }
+        let (c, k) = (self.channels, self.kernel);
+        let out = dw3_forward(&x.value(), &self.weight.value(), &self.bias.value(), k);
+        let xc = x.clone();
+        let wc = self.weight.clone();
+        Var::from_op(
+            out,
+            vec![x.clone(), self.weight.clone(), self.bias.clone()],
+            move |g| {
+                let (dx, dw) = dw3_backward(&xc.value(), &wc.value(), g, k);
+                vec![Some(dx), Some(dw), Some(channel_sums(g, c))]
+            },
+        )
+    }
+}
+
+impl Parameterized for DwConv3d {
+    fn parameters(&self) -> Vec<Var> {
+        vec![self.weight.clone(), self.bias.clone()]
+    }
+}
+
+/// Splits the flat offset of a plane in `[C, D, plane]` into `(c, z)`.
+fn plane_at(offset: usize, d: usize, plane: usize) -> (usize, usize) {
+    (offset / plane / d, offset / plane % d)
+}
+
+fn dw3_forward(x: &Tensor, w: &Tensor, b: &Tensor, k: usize) -> Tensor {
+    let _span = peb_obs::span("conv.dw3_fwd");
+    let s = x.shape();
+    let (d, h, wd) = (s[1], s[2], s[3]);
+    let geom = Dw3 { d, h, w: wd, k };
+    let (plane, taps) = (h * wd, k * k * k);
+    let mut out = Tensor::zeros(s);
+    let (xd, wdat, bd) = (x.data(), w.data(), b.data());
+    // Depthwise by definition: plane `(c, z)` reads channel `c` only.
+    peb_par::parallel_chunks_mut_cost(out.data_mut(), plane, 2 * taps as u64, |at, out_plane| {
+        let (c, z) = plane_at(at, d, plane);
+        let x_c = &xd[c * d * plane..][..d * plane];
+        dw3_plane(
+            geom,
+            x_c,
+            &wdat[c * taps..][..taps],
+            false,
+            bd[c],
+            z,
+            out_plane,
+        );
+    });
     out
 }
 
-/// Adjoint of [`im2col2`]: folds a patch matrix back into `[Cin, H, W]`,
-/// accumulating overlaps.
-#[allow(clippy::too_many_arguments)]
-fn col2im2(
-    cols_t: &Tensor,
-    cin: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> Tensor {
-    let (ho, wo) = (
-        out_extent(h, kh, stride, pad),
-        out_extent(w, kw, stride, pad),
-    );
-    let src = cols_t.data();
-    let mut out = Tensor::zeros(&[cin, h, w]);
-    let cols = ho * wo;
-    let per_c = h * w;
-    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * cols_t.len() as u64);
-    // Overlap accumulation stays sequential *within* a channel, and
-    // channels scatter into disjoint `[h·w]` planes — deterministic.
-    peb_par::parallel_chunks_mut_cost(
-        out.data_mut(),
-        per_c,
-        4 * (kh * kw) as u64,
-        |offset, dst| {
-            let c = offset / per_c;
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let row = ((c * kh + ky) * kw + kx) * cols;
-                    for oy in 0..ho {
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for ox in 0..wo {
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            dst[iy as usize * w + ix as usize] += src[row + oy * wo + ox];
-                        }
-                    }
-                }
-            }
-        },
-    );
-    out
+/// `dx` is the mirrored-kernel correlation of `g`; `dW[c]` sums each
+/// `(c, z)` plane's row dot products, then the planes in ascending `z`.
+fn dw3_backward(x: &Tensor, w: &Tensor, g: &Tensor, k: usize) -> (Tensor, Tensor) {
+    let _span = peb_obs::span("conv.dw3_bwd");
+    let s = x.shape();
+    let (c, d, h, wd) = (s[0], s[1], s[2], s[3]);
+    let geom = Dw3 { d, h, w: wd, k };
+    let (plane, taps) = (h * wd, k * k * k);
+    let (xd, wdat, gd) = (x.data(), w.data(), g.data());
+    let mut dx = Tensor::zeros(s);
+    peb_par::parallel_chunks_mut_cost(dx.data_mut(), plane, 2 * taps as u64, |at, dx_plane| {
+        let (ci, z) = plane_at(at, d, plane);
+        let g_c = &gd[ci * d * plane..][..d * plane];
+        dw3_plane(
+            geom,
+            g_c,
+            &wdat[ci * taps..][..taps],
+            true,
+            0.0,
+            z,
+            dx_plane,
+        );
+    });
+    let mut partials = PoolBuf::zeroed(c * d * taps);
+    peb_par::parallel_chunks_mut_cost(&mut partials, taps, 2 * plane as u64, |at, dw_z| {
+        let (ci, z) = plane_at(at, d, taps);
+        let x_c = &xd[ci * d * plane..][..d * plane];
+        dw3_weight_grad(geom, x_c, &gd[(ci * d + z) * plane..][..plane], z, dw_z);
+    });
+    let mut dw = Tensor::zeros(w.shape());
+    for (sum, planes) in dw
+        .data_mut()
+        .chunks_exact_mut(taps)
+        .zip(partials.chunks_exact_mut(d * taps))
+    {
+        sum.copy_from_slice(reduce_planes(planes, taps));
+    }
+    (dx, dw)
 }
 
 // ---------------------------------------------------------------------------
@@ -132,7 +733,7 @@ fn im2col3(
     pad: (usize, usize, usize),
 ) -> Tensor {
     let s = input.shape();
-    let dd = out_extent(s[1], kd, stride.0, pad.0);
+    let dd = out_extent("Conv3d", "d", s[1], kd, stride.0, pad.0);
     im2col3_range(input, kd, kh, kw, stride, pad, 0, dd)
 }
 
@@ -153,8 +754,8 @@ fn im2col3_range(
     let s = input.shape();
     let (cin, d, h, w) = (s[0], s[1], s[2], s[3]);
     let (hh, ww) = (
-        out_extent(h, kh, stride.1, pad.1),
-        out_extent(w, kw, stride.2, pad.2),
+        out_extent("Conv3d", "h", h, kh, stride.1, pad.1),
+        out_extent("Conv3d", "w", w, kw, stride.2, pad.2),
     );
     let src = input.data();
     let cols = (oz1 - oz0) * hh * ww;
@@ -162,7 +763,8 @@ fn im2col3_range(
     peb_obs::optrace::note("conv.im2col3", || {
         format!("cin={cin} dhw={d}x{h}x{w} k={kd}x{kh}x{kw} oz={oz0}..{oz1} cols={cols}")
     });
-    // Pooled patch matrix, as in `im2col2`.
+    // Pooled patch matrix: `zeros` checks the (large) buffer out of the
+    // thread-local pool instead of allocating it on every pass.
     let mut out = Tensor::zeros(&[cin * kd * kh * kw, cols]);
     peb_par::parallel_chunks_mut_cost(out.data_mut(), per_c, 4, |offset, chunk| {
         let c = offset / per_c;
@@ -216,9 +818,9 @@ fn col2im3(
     pad: (usize, usize, usize),
 ) -> Tensor {
     let (dd, hh, ww) = (
-        out_extent(d, kd, stride.0, pad.0),
-        out_extent(h, kh, stride.1, pad.1),
-        out_extent(w, kw, stride.2, pad.2),
+        out_extent("Conv3d", "d", d, kd, stride.0, pad.0),
+        out_extent("Conv3d", "h", h, kh, stride.1, pad.1),
+        out_extent("Conv3d", "w", w, kw, stride.2, pad.2),
     );
     let src = cols_t.data();
     let mut out = Tensor::zeros(&[cin, d, h, w]);
@@ -265,115 +867,6 @@ fn col2im3(
 }
 
 // ---------------------------------------------------------------------------
-// Conv2d
-// ---------------------------------------------------------------------------
-
-/// Dense 2-D convolution on `[Cin, H, W]` volumes.
-#[derive(Debug, Clone)]
-pub struct Conv2d {
-    weight: Var, // [Cout, Cin·kh·kw] (GEMM layout)
-    bias: Option<Var>,
-    cin: usize,
-    cout: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-}
-
-impl Conv2d {
-    /// Creates a square-kernel layer.
-    pub fn new(
-        cin: usize,
-        cout: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        bias: bool,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let fan_in = cin * kernel * kernel;
-        let weight = Var::parameter(kaiming_uniform(&[cout, fan_in], fan_in, rng));
-        let bias = bias.then(|| Var::parameter(Tensor::zeros(&[cout])));
-        Conv2d {
-            weight,
-            bias,
-            cin,
-            cout,
-            kernel,
-            stride,
-            pad,
-        }
-    }
-
-    /// Output spatial extents for an input of `(h, w)`.
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (
-            out_extent(h, self.kernel, self.stride, self.pad),
-            out_extent(w, self.kernel, self.stride, self.pad),
-        )
-    }
-
-    /// Applies the convolution to `[Cin, H, W]`, producing `[Cout, Ho, Wo]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel count mismatches.
-    pub fn forward(&self, x: &Var) -> Var {
-        let xs = x.shape();
-        assert_eq!(xs[0], self.cin, "Conv2d expects {} channels", self.cin);
-        let (h, w) = (xs[1], xs[2]);
-        let (ho, wo) = self.output_hw(h, w);
-        let (k, stride, pad, cin, cout) = (self.kernel, self.stride, self.pad, self.cin, self.cout);
-        let _span = peb_obs::span("conv.conv2d_fwd");
-        let col = im2col2(&x.value(), k, k, stride, pad);
-        let mut out = self.weight.value().matmul(&col).expect("conv2d gemm");
-        if let Some(b) = &self.bias {
-            let bv = b.value();
-            let data = out.data_mut();
-            for c in 0..cout {
-                let bias_c = bv.data()[c];
-                for v in &mut data[c * ho * wo..(c + 1) * ho * wo] {
-                    *v += bias_c;
-                }
-            }
-        }
-        let out = out.reshape(&[cout, ho, wo]).expect("conv2d reshape");
-        let xc = x.clone();
-        let wc = self.weight.clone();
-        let has_bias = self.bias.is_some();
-        let mut parents = vec![x.clone(), self.weight.clone()];
-        if let Some(b) = &self.bias {
-            parents.push(b.clone());
-        }
-        Var::from_op(out, parents, move |g| {
-            let _span = peb_obs::span("conv.conv2d_bwd");
-            let gm = g.reshape(&[cout, ho * wo]).expect("conv2d grad reshape");
-            let col = im2col2(&xc.value(), k, k, stride, pad);
-            // dW = G · colᵀ ; dX = col2im(Wᵀ · G) ; db = Σ_spatial G.
-            let dw = gm.matmul(&col.transpose2()).expect("conv2d dw");
-            let dcol = wc.value().transpose2().matmul(&gm).expect("conv2d dcol");
-            let dx = col2im2(&dcol, cin, h, w, k, k, stride, pad);
-            let mut grads = vec![Some(dx), Some(dw)];
-            if has_bias {
-                let db = gm.sum_axis(1).expect("conv2d db");
-                grads.push(Some(db));
-            }
-            grads
-        })
-    }
-}
-
-impl Parameterized for Conv2d {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = vec![self.weight.clone()];
-        if let Some(b) = &self.bias {
-            p.push(b.clone());
-        }
-        p
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Conv3d
 // ---------------------------------------------------------------------------
 
@@ -392,6 +885,10 @@ pub struct Conv3d {
 
 impl Conv3d {
     /// Creates a layer with per-axis kernel/stride/padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any kernel or stride component is zero.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cin: usize,
@@ -402,6 +899,16 @@ impl Conv3d {
         bias: bool,
         rng: &mut impl Rng,
     ) -> Self {
+        for (field, value) in [
+            ("kernel.0", kernel.0),
+            ("kernel.1", kernel.1),
+            ("kernel.2", kernel.2),
+            ("stride.0", stride.0),
+            ("stride.1", stride.1),
+            ("stride.2", stride.2),
+        ] {
+            require_positive("Conv3d", field, value);
+        }
         let fan_in = cin * kernel.0 * kernel.1 * kernel.2;
         let weight = Var::parameter(kaiming_uniform(&[cout, fan_in], fan_in, rng));
         let bias = bias.then(|| Var::parameter(Tensor::zeros(&[cout])));
@@ -423,11 +930,15 @@ impl Conv3d {
     }
 
     /// Output extents for an input of `(d, h, w)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an extent is zero or smaller than the kernel once padded.
     pub fn output_dhw(&self, d: usize, h: usize, w: usize) -> (usize, usize, usize) {
         (
-            out_extent(d, self.kernel.0, self.stride.0, self.pad.0),
-            out_extent(h, self.kernel.1, self.stride.1, self.pad.1),
-            out_extent(w, self.kernel.2, self.stride.2, self.pad.2),
+            out_extent("Conv3d", "d", d, self.kernel.0, self.stride.0, self.pad.0),
+            out_extent("Conv3d", "h", h, self.kernel.1, self.stride.1, self.pad.1),
+            out_extent("Conv3d", "w", w, self.kernel.2, self.stride.2, self.pad.2),
         )
     }
 
@@ -435,9 +946,11 @@ impl Conv3d {
     ///
     /// # Panics
     ///
-    /// Panics if the channel count mismatches.
+    /// Panics on a channel mismatch, an empty axis or an input smaller
+    /// than the kernel.
     pub fn forward(&self, x: &Var) -> Var {
         let xs = x.shape();
+        assert_eq!(xs.len(), 4, "Conv3d expects [C, D, H, W], got {xs:?}");
         assert_eq!(xs[0], self.cin, "Conv3d expects {} channels", self.cin);
         let (d, h, w) = (xs[1], xs[2], xs[3]);
         let (dd, hh, ww) = self.output_dhw(d, h, w);
@@ -530,403 +1043,6 @@ impl Parameterized for Conv3d {
         }
         p
     }
-}
-
-// ---------------------------------------------------------------------------
-// Depthwise Conv3d
-// ---------------------------------------------------------------------------
-
-/// Depthwise 3-D convolution (groups = channels), stride 1, same padding.
-///
-/// This is the `DW-Conv3D` block of the paper's Fig. 2/Fig. 5(a): a cheap
-/// local refinement applied channel by channel.
-#[derive(Debug, Clone)]
-pub struct DwConv3d {
-    weight: Var, // [C, k, k, k]
-    bias: Var,   // [C]
-    channels: usize,
-    kernel: usize,
-}
-
-impl DwConv3d {
-    /// Creates a depthwise layer with a cubic kernel (odd `k`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is even (same-padding needs odd kernels).
-    pub fn new(channels: usize, kernel: usize, rng: &mut impl Rng) -> Self {
-        assert!(kernel % 2 == 1, "DwConv3d requires an odd kernel");
-        let fan_in = kernel * kernel * kernel;
-        let weight = Var::parameter(kaiming_uniform(
-            &[channels, kernel, kernel, kernel],
-            fan_in,
-            rng,
-        ));
-        let bias = Var::parameter(Tensor::zeros(&[channels]));
-        DwConv3d {
-            weight,
-            bias,
-            channels,
-            kernel,
-        }
-    }
-
-    /// Applies the layer to `[C, D, H, W]`, preserving the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel count mismatches.
-    pub fn forward(&self, x: &Var) -> Var {
-        let xs = x.shape();
-        assert_eq!(
-            xs[0], self.channels,
-            "DwConv3d expects {} channels",
-            self.channels
-        );
-        let (c, d, h, w) = (xs[0], xs[1], xs[2], xs[3]);
-        let k = self.kernel;
-        let p = k / 2;
-        let out = dw3_forward(&x.value(), &self.weight.value(), &self.bias.value(), k, p);
-        let xc = x.clone();
-        let wc = self.weight.clone();
-        Var::from_op(
-            out,
-            vec![x.clone(), self.weight.clone(), self.bias.clone()],
-            move |g| {
-                let (dx, dw) = dw3_backward(&xc.value(), &wc.value(), g, k, p);
-                // Bias gradient: sum of g per channel.
-                let mut db = Tensor::zeros(&[c]);
-                let spatial = d * h * w;
-                for ci in 0..c {
-                    db.data_mut()[ci] = g.data()[ci * spatial..(ci + 1) * spatial]
-                        .iter()
-                        .map(|&v| v as f64)
-                        .sum::<f64>() as f32;
-                }
-                vec![Some(dx), Some(dw), Some(db)]
-            },
-        )
-    }
-}
-
-impl Parameterized for DwConv3d {
-    fn parameters(&self) -> Vec<Var> {
-        vec![self.weight.clone(), self.bias.clone()]
-    }
-}
-
-fn dw3_forward(x: &Tensor, w: &Tensor, b: &Tensor, k: usize, p: usize) -> Tensor {
-    let _span = peb_obs::span("conv.dw3_fwd");
-    let s = x.shape();
-    let (c, d, h, wd) = (s[0], s[1], s[2], s[3]);
-    let mut out = Tensor::zeros(s);
-    let xd = x.data();
-    let wdat = w.data();
-    let per_c = d * h * wd;
-    let _ = c;
-    // Depthwise by definition: channel `ci` reads and writes only its own
-    // plane, so channels fan out with no cross-talk.
-    peb_par::parallel_chunks_mut_cost(
-        out.data_mut(),
-        per_c,
-        2 * (k * k * k) as u64,
-        |offset, od| {
-            let ci = offset / per_c;
-            let wbase = ci * k * k * k;
-            for z in 0..d {
-                for y in 0..h {
-                    for xx in 0..wd {
-                        let mut acc = b.data()[ci];
-                        for kz in 0..k {
-                            let iz = z as isize + kz as isize - p as isize;
-                            if iz < 0 || iz >= d as isize {
-                                continue;
-                            }
-                            for ky in 0..k {
-                                let iy = y as isize + ky as isize - p as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let ix = xx as isize + kx as isize - p as isize;
-                                    if ix < 0 || ix >= wd as isize {
-                                        continue;
-                                    }
-                                    acc += wdat[wbase + (kz * k + ky) * k + kx]
-                                        * xd[((ci * d + iz as usize) * h + iy as usize) * wd
-                                            + ix as usize];
-                                }
-                            }
-                        }
-                        od[(z * h + y) * wd + xx] = acc;
-                    }
-                }
-            }
-        },
-    );
-    out
-}
-
-fn dw3_backward(x: &Tensor, w: &Tensor, g: &Tensor, k: usize, p: usize) -> (Tensor, Tensor) {
-    let _span = peb_obs::span("conv.dw3_bwd");
-    let s = x.shape();
-    let (c, d, h, wd) = (s[0], s[1], s[2], s[3]);
-    let mut dx = Tensor::zeros(s);
-    let mut dw = Tensor::zeros(w.shape());
-    let xd = x.data();
-    let wdat = w.data();
-    let gd = g.data();
-    let per_c = d * h * wd;
-    let _ = c;
-    // dX: channel ci's gradient scatters only into its own plane.
-    peb_par::parallel_chunks_mut_cost(
-        dx.data_mut(),
-        per_c,
-        2 * (k * k * k) as u64,
-        |offset, dxd| {
-            let ci = offset / per_c;
-            let wbase = ci * k * k * k;
-            for z in 0..d {
-                for y in 0..h {
-                    for xx in 0..wd {
-                        let gv = gd[((ci * d + z) * h + y) * wd + xx];
-                        if gv == 0.0 {
-                            continue;
-                        }
-                        for kz in 0..k {
-                            let iz = z as isize + kz as isize - p as isize;
-                            if iz < 0 || iz >= d as isize {
-                                continue;
-                            }
-                            for ky in 0..k {
-                                let iy = y as isize + ky as isize - p as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let ix = xx as isize + kx as isize - p as isize;
-                                    if ix < 0 || ix >= wd as isize {
-                                        continue;
-                                    }
-                                    dxd[(iz as usize * h + iy as usize) * wd + ix as usize] +=
-                                        gv * wdat[wbase + (kz * k + ky) * k + kx];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    );
-    // dW: each channel accumulates its own k³ taps, in the sequential
-    // spatial order (accumulation order is thread-count independent).
-    peb_par::parallel_chunks_mut_cost(
-        dw.data_mut(),
-        k * k * k,
-        2 * (d * h * wd) as u64,
-        |offset, dwd| {
-            let ci = offset / (k * k * k);
-            for z in 0..d {
-                for y in 0..h {
-                    for xx in 0..wd {
-                        let gv = gd[((ci * d + z) * h + y) * wd + xx];
-                        if gv == 0.0 {
-                            continue;
-                        }
-                        for kz in 0..k {
-                            let iz = z as isize + kz as isize - p as isize;
-                            if iz < 0 || iz >= d as isize {
-                                continue;
-                            }
-                            for ky in 0..k {
-                                let iy = y as isize + ky as isize - p as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let ix = xx as isize + kx as isize - p as isize;
-                                    if ix < 0 || ix >= wd as isize {
-                                        continue;
-                                    }
-                                    dwd[(kz * k + ky) * k + kx] += gv
-                                        * xd[((ci * d + iz as usize) * h + iy as usize) * wd
-                                            + ix as usize];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    );
-    (dx, dw)
-}
-
-// ---------------------------------------------------------------------------
-// ConvTranspose2d
-// ---------------------------------------------------------------------------
-
-/// Transposed 2-D convolution (decoder upsampling).
-///
-/// Weight layout `[Cin, Cout, k, k]`; output extent
-/// `(n − 1)·stride + k − 2·pad`.
-#[derive(Debug, Clone)]
-pub struct ConvTranspose2d {
-    weight: Var,
-    bias: Var,
-    cin: usize,
-    cout: usize,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-}
-
-impl ConvTranspose2d {
-    /// Creates a layer.
-    pub fn new(
-        cin: usize,
-        cout: usize,
-        kernel: usize,
-        stride: usize,
-        pad: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let fan_in = cin * kernel * kernel;
-        let weight = Var::parameter(kaiming_uniform(&[cin, cout, kernel, kernel], fan_in, rng));
-        let bias = Var::parameter(Tensor::zeros(&[cout]));
-        ConvTranspose2d {
-            weight,
-            bias,
-            cin,
-            cout,
-            kernel,
-            stride,
-            pad,
-        }
-    }
-
-    /// Output extents for an input of `(h, w)`.
-    pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (
-            (h - 1) * self.stride + self.kernel - 2 * self.pad,
-            (w - 1) * self.stride + self.kernel - 2 * self.pad,
-        )
-    }
-
-    /// Applies the layer to `[Cin, H, W]`, producing `[Cout, Ho, Wo]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel count mismatches.
-    pub fn forward(&self, x: &Var) -> Var {
-        let xs = x.shape();
-        assert_eq!(
-            xs[0], self.cin,
-            "ConvTranspose2d expects {} channels",
-            self.cin
-        );
-        let (h, w) = (xs[1], xs[2]);
-        let (ho, wo) = self.output_hw(h, w);
-        let (k, stride, pad, cin, cout) = (self.kernel, self.stride, self.pad, self.cin, self.cout);
-        let out = convt2_forward(
-            &x.value(),
-            &self.weight.value(),
-            &self.bias.value(),
-            ho,
-            wo,
-            k,
-            stride,
-            pad,
-        );
-        let xc = x.clone();
-        let wc = self.weight.clone();
-        Var::from_op(
-            out,
-            vec![x.clone(), self.weight.clone(), self.bias.clone()],
-            move |g| {
-                let (dx, dw) = convt2_backward(&xc.value(), &wc.value(), g, k, stride, pad);
-                let mut db = Tensor::zeros(&[cout]);
-                let spatial = ho * wo;
-                for co in 0..cout {
-                    db.data_mut()[co] = g.data()[co * spatial..(co + 1) * spatial]
-                        .iter()
-                        .map(|&v| v as f64)
-                        .sum::<f64>() as f32;
-                }
-                let _ = cin;
-                vec![Some(dx), Some(dw), Some(db)]
-            },
-        )
-    }
-}
-
-impl Parameterized for ConvTranspose2d {
-    fn parameters(&self) -> Vec<Var> {
-        vec![self.weight.clone(), self.bias.clone()]
-    }
-}
-
-/// GEMM formulation of the transposed convolution: `col = Wᵀ·x` followed
-/// by a strided [`col2im2`] scatter. Identical math to the direct scatter
-/// loops, ~an order of magnitude faster on decoder-sized tensors.
-#[allow(clippy::too_many_arguments)]
-fn convt2_forward(
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-    ho: usize,
-    wo: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> Tensor {
-    let _span = peb_obs::span("conv.convt2_fwd");
-    let (cin, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let cout = w.shape()[1];
-    // W [cin, cout·k·k] → transpose → [cout·k·k, cin]; x as [cin, H·W].
-    let wmat = w
-        .reshape(&[cin, cout * k * k])
-        .expect("convt weight mat")
-        .transpose2();
-    let xmat = x.reshape(&[cin, h * wd]).expect("convt input mat");
-    let col = wmat.matmul(&xmat).expect("convt gemm");
-    let mut out = col2im2(&col, cout, ho, wo, k, k, stride, pad);
-    let od = out.data_mut();
-    for (co, &bias_c) in b.data().iter().enumerate() {
-        for v in &mut od[co * ho * wo..(co + 1) * ho * wo] {
-            *v += bias_c;
-        }
-    }
-    out
-}
-
-fn convt2_backward(
-    x: &Tensor,
-    w: &Tensor,
-    g: &Tensor,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> (Tensor, Tensor) {
-    let _span = peb_obs::span("conv.convt2_bwd");
-    let (cin, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-    let cout = w.shape()[1];
-    // dX = W_mat · im2col(dY); dW = im2col(dY) · Xᵀ (transposed back).
-    let gcol = im2col2(g, k, k, stride, pad); // [cout·k·k, H·W]
-    let wmat = w.reshape(&[cin, cout * k * k]).expect("convt weight mat");
-    let dx = wmat
-        .matmul(&gcol)
-        .expect("convt dx gemm")
-        .reshape(&[cin, h, wd])
-        .expect("convt dx reshape");
-    let xmat = x.reshape(&[cin, h * wd]).expect("convt x mat");
-    let dw = gcol
-        .matmul(&xmat.transpose2())
-        .expect("convt dw gemm")
-        .transpose2()
-        .reshape(w.shape())
-        .expect("convt dw reshape");
-    (dx, dw)
 }
 
 #[cfg(test)]
@@ -1102,27 +1218,175 @@ mod tests {
         assert!(r.ok(3e-2), "{r:?}");
     }
 
+    fn dot(a: &Tensor, b: &Tensor) -> f64 {
+        a.data()
+            .iter()
+            .zip(b.data())
+            .map(|(x, y)| f64::from(*x) * f64::from(*y))
+            .sum()
+    }
+
     #[test]
     fn convtranspose_is_conv_adjoint() {
-        // <conv(x), y> == <x, convT(y)> when sharing the same weight.
+        // <conv(x), y> == <x, convT(y)> when both layers share one weight
+        // over every depth plane: an oracle independent of either
+        // implementation. Odd extents with (n + 2·pad − k) divisible by
+        // the stride, so convT maps conv's output grid back onto x's.
         let mut rng = StdRng::seed_from_u64(14);
-        let k = 3;
-        let stride = 2;
-        let pad = 1;
-        let conv = Conv2d::new(1, 1, k, stride, pad, false, &mut rng);
-        let x = Tensor::randn(&[1, 7, 7], &mut rng);
-        let cy = conv.forward(&Var::constant(x.clone())).value_clone();
-        let y = Tensor::randn(cy.shape(), &mut rng);
-        let lhs: f32 = cy.data().iter().zip(y.data()).map(|(a, b)| a * b).sum();
-        // Build a transpose layer sharing the weight (reshaped to
-        // [Cin=1, Cout=1, k, k]).
-        let up = ConvTranspose2d::new(1, 1, k, stride, pad, &mut rng);
-        up.bias.set_value(Tensor::zeros(&[1]));
-        up.weight
-            .set_value(conv.weight.value().reshape(&[1, 1, k, k]).unwrap());
-        let ty = up.forward(&Var::constant(y)).value_clone();
-        // Output of convT on a 4×4 input is 7×7 here, matching x.
-        let rhs: f32 = x.data().iter().zip(ty.data()).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+        for (cin, cout, d, k, stride, pad) in
+            [(1, 1, 1, 3, 2, 1), (2, 3, 3, 3, 2, 1), (3, 2, 2, 4, 1, 2)]
+        {
+            let conv = Conv2d::new(cin, cout, k, stride, pad, false, &mut rng);
+            let (h, w) = (k + 2 * stride, k + 3 * stride);
+            let x = Tensor::randn(&[cin, d, h, w], &mut rng);
+            let cy = conv.forward(&Var::constant(x.clone())).value_clone();
+            let y = Tensor::randn(cy.shape(), &mut rng);
+            // The conv weight [cout, cin·k·k] read as convT's
+            // [Cin = cout, Cout = cin, k, k].
+            let up = ConvTranspose2d::new(cout, cin, k, stride, pad, &mut rng);
+            up.weight
+                .set_value(conv.weight.value().reshape(&[cout, cin, k, k]).unwrap());
+            let ty = up.forward(&Var::constant(y.clone())).value_clone();
+            assert_eq!(ty.shape(), x.shape());
+            let (lhs, rhs) = (dot(&cy, &y), dot(&x, &ty));
+            assert!(
+                (lhs - rhs).abs() <= 1e-4 * lhs.abs().max(rhs.abs()).max(1.0),
+                "cin={cin} cout={cout} d={d} k={k} stride={stride}: {lhs} vs {rhs}"
+            );
+        }
+    }
+
+    #[test]
+    fn dwconv3d_backward_is_its_adjoint() {
+        // <Dw(x), y> == <x, Dwᵀ(y)> with Dwᵀ taken from `dw3_backward`.
+        let mut rng = StdRng::seed_from_u64(15);
+        for (c, k, dims) in [(2, 3, [3, 4, 5]), (1, 5, [2, 3, 7]), (3, 3, [1, 1, 2])] {
+            let shape = [c, dims[0], dims[1], dims[2]];
+            let w = Tensor::randn(&[c, k, k, k], &mut rng);
+            let x = Tensor::randn(&shape, &mut rng);
+            let y = Tensor::randn(&shape, &mut rng);
+            let fx = dw3_forward(&x, &w, &Tensor::zeros(&[c]), k);
+            let (ty, _) = dw3_backward(&x, &w, &y, k);
+            let (lhs, rhs) = (dot(&fx, &y), dot(&x, &ty));
+            assert!(
+                (lhs - rhs).abs() <= 1e-4 * lhs.abs().max(rhs.abs()).max(1.0),
+                "c={c} k={k} dims={dims:?}: {lhs} vs {rhs}"
+            );
+        }
+    }
+
+    /// Asserts that `f` panics with a message naming `layer`, `field`
+    /// and `value`.
+    fn assert_rejects(layer: &str, field: &str, value: usize, f: impl FnOnce()) {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err(&format!("{layer}: {field}={value} was accepted"));
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            msg.starts_with(&format!("{layer}: {field}={value} ")),
+            "{layer}: {field}={value}: {msg}"
+        );
+    }
+
+    /// `[1, dims…]` input for the rejection tables.
+    fn input(dims: &[usize]) -> Var {
+        let mut shape = vec![1];
+        shape.extend_from_slice(dims);
+        Var::constant(Tensor::zeros(&shape))
+    }
+
+    #[test]
+    fn conv2d_rejects_impossible_geometry_by_name() {
+        let rng = &mut StdRng::seed_from_u64(16);
+        assert_rejects("Conv2d", "kernel", 0, || {
+            Conv2d::new(1, 1, 0, 1, 0, true, rng);
+        });
+        assert_rejects("Conv2d", "stride", 0, || {
+            Conv2d::new(1, 1, 3, 0, 1, true, rng);
+        });
+        let conv = Conv2d::new(1, 1, 7, 4, 1, true, rng);
+        for (field, value, dims) in [
+            ("h", 0, vec![0, 9]),
+            ("w", 0, vec![9, 0]),
+            ("d", 0, vec![0, 9, 9]),
+            // 4 + 2·1 < 7: used to saturate to one garbage window.
+            ("h", 4, vec![4, 9]),
+            ("w", 4, vec![2, 9, 4]),
+        ] {
+            assert_rejects("Conv2d", field, value, || {
+                conv.forward(&input(&dims));
+            });
+        }
+    }
+
+    #[test]
+    fn convtranspose2d_rejects_impossible_geometry_by_name() {
+        let rng = &mut StdRng::seed_from_u64(17);
+        assert_rejects("ConvTranspose2d", "kernel", 0, || {
+            ConvTranspose2d::new(1, 1, 0, 1, 0, rng);
+        });
+        assert_rejects("ConvTranspose2d", "stride", 0, || {
+            ConvTranspose2d::new(1, 1, 3, 0, 1, rng);
+        });
+        // (n − 1)·2 + 3 − 2·3 ≤ 0 for n ≤ 2: used to wrap in release.
+        let up = ConvTranspose2d::new(1, 1, 3, 2, 3, rng);
+        for (field, value, dims) in [
+            ("h", 0, vec![0, 5]),
+            ("w", 0, vec![5, 0]),
+            ("d", 0, vec![0, 5, 5]),
+            ("h", 2, vec![2, 5]),
+            ("w", 1, vec![3, 5, 1]),
+        ] {
+            assert_rejects("ConvTranspose2d", field, value, || {
+                up.forward(&input(&dims));
+            });
+        }
+    }
+
+    #[test]
+    fn dwconv3d_rejects_impossible_geometry_by_name() {
+        let rng = &mut StdRng::seed_from_u64(18);
+        for kernel in [0, 2] {
+            assert_rejects("DwConv3d", "kernel", kernel, || {
+                DwConv3d::new(1, kernel, rng);
+            });
+        }
+        let dw = DwConv3d::new(1, 3, rng);
+        for (field, dims) in [("d", [0, 2, 2]), ("h", [2, 0, 2]), ("w", [2, 2, 0])] {
+            assert_rejects("DwConv3d", field, 0, || {
+                dw.forward(&input(&dims));
+            });
+        }
+    }
+
+    #[test]
+    fn conv3d_rejects_impossible_geometry_by_name() {
+        let rng = &mut StdRng::seed_from_u64(19);
+        for axis in 0..3 {
+            let with_zero = |i| if i == axis { 0 } else { 3 };
+            let triple = (with_zero(0), with_zero(1), with_zero(2));
+            assert_rejects("Conv3d", &format!("kernel.{axis}"), 0, || {
+                Conv3d::new(1, 1, triple, (1, 1, 1), (1, 1, 1), true, rng);
+            });
+            assert_rejects("Conv3d", &format!("stride.{axis}"), 0, || {
+                Conv3d::new(1, 1, (3, 3, 3), triple, (1, 1, 1), true, rng);
+            });
+        }
+        let conv = Conv3d::new(1, 1, (3, 3, 3), (1, 1, 1), (0, 0, 0), true, rng);
+        for (field, value, dims) in [
+            ("d", 0, [0, 4, 4]),
+            ("h", 0, [4, 0, 4]),
+            ("w", 0, [4, 4, 0]),
+            ("d", 2, [2, 4, 4]),
+            ("h", 1, [4, 1, 4]),
+            ("w", 2, [4, 4, 2]),
+        ] {
+            assert_rejects("Conv3d", field, value, || {
+                conv.forward(&input(&dims));
+            });
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! Downsamples the spatial (x–y) axes of a `[C, D, H, W]` volume with an
 //! overlapping strided convolution (kernel > stride) while keeping the
 //! depth resolution intact — every depth level is embedded independently
-//! with shared weights. Overlap preserves local continuity at patch
-//! boundaries, which the paper contrasts with non-overlapped merging.
+//! with shared weights, as one [`Conv2d`] call over the depth planes.
+//! Overlap preserves local continuity at patch boundaries, which the
+//! paper contrasts with non-overlapped merging.
 
 use rand::Rng;
 
@@ -57,7 +58,9 @@ impl OverlappedPatchEmbed {
         self.cout
     }
 
-    /// Embeds `[C, D, H, W]` into `[C', D, H', W']` (depth preserved).
+    /// Embeds `[C, D, H, W]` into `[C', D, H', W']` (depth preserved):
+    /// one planes-batched convolution, the depth levels sharing its
+    /// weights.
     ///
     /// # Panics
     ///
@@ -66,19 +69,7 @@ impl OverlappedPatchEmbed {
         let shape = x.shape();
         assert_eq!(shape.len(), 4, "patch embed expects [C, D, H, W]");
         assert_eq!(shape[0], self.cin, "patch embed channel mismatch");
-        let d = shape[1];
-        let mut slices = Vec::with_capacity(d);
-        for k in 0..d {
-            // [C, 1, H, W] -> [C, H, W] -> conv -> [C', H', W'] -> [C', 1, H', W']
-            let slice = x
-                .slice_axis(1, k, k + 1)
-                .reshape(&[shape[0], shape[2], shape[3]]);
-            let emb = self.proj.forward(&slice);
-            let es = emb.shape();
-            slices.push(emb.reshape(&[es[0], 1, es[1], es[2]]));
-        }
-        let refs: Vec<&Var> = slices.iter().collect();
-        Var::concat(&refs, 1)
+        self.proj.forward(x)
     }
 }
 

@@ -99,7 +99,7 @@ binop_generic!(binop_mul_generic, mul, *);
 binop_generic!(binop_div_generic, div, /);
 
 #[inline(always)]
-fn add_scalar_generic<V: Simd8>(x: &[f32], s: f32, out: &mut [f32]) {
+pub(crate) fn add_scalar_generic<V: Simd8>(x: &[f32], s: f32, out: &mut [f32]) {
     assert_eq!(x.len(), out.len());
     let sv = V::splat(s);
     let n8 = x.len() - x.len() % 8;
@@ -188,7 +188,7 @@ fn sigmoid_generic<V: Simd8>(x: &[f32], out: &mut [f32]) {
 }
 
 #[inline(always)]
-fn axpy_generic<V: Simd8>(y: &mut [f32], alpha: f32, x: &[f32]) {
+pub(crate) fn axpy_generic<V: Simd8>(y: &mut [f32], alpha: f32, x: &[f32]) {
     assert_eq!(y.len(), x.len());
     let av = V::splat(alpha);
     let n8 = y.len() - y.len() % 8;
@@ -205,7 +205,7 @@ fn axpy_generic<V: Simd8>(y: &mut [f32], alpha: f32, x: &[f32]) {
 }
 
 #[inline(always)]
-fn add_assign_generic<V: Simd8>(y: &mut [f32], x: &[f32]) {
+pub(crate) fn add_assign_generic<V: Simd8>(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len());
     let n8 = y.len() - y.len() % 8;
     let mut i = 0;

@@ -22,11 +22,12 @@
 //! differently:
 //!
 //! * **Bit-exact kernels** (tridiagonal line solves, the PEB reaction
-//!   half-step, the explicit diffusion stencil, elementwise
-//!   add/sub/mul/div, SGD/Adam updates) use only IEEE-exact lane
-//!   operations (`+ − × ÷ √`, `max`/`min`, `floor`, integer-built `2ⁿ`)
-//!   in exactly the per-element expression order of the scalar code, so
-//!   the SIMD path reproduces the scalar path **to the bit**.
+//!   half-step, the explicit diffusion stencil, the conv family's row
+//!   sweeps, elementwise add/sub/mul/div, SGD/Adam updates) use only
+//!   IEEE-exact lane operations (`+ − × ÷ √`, `max`/`min`, `floor`,
+//!   integer-built `2ⁿ`) in exactly the per-element expression order of
+//!   the scalar code, so the SIMD path reproduces the scalar path **to
+//!   the bit**.
 //! * **Tolerance kernels** (GEMM, which fuses multiply–add, and the
 //!   selective-scan recurrence, which uses the polynomial [`Simd8::exp`]
 //!   instead of libm) differ from scalar by bounded ULPs; the property
@@ -36,6 +37,7 @@
 //! that takes the vector path.
 
 pub mod bf16;
+pub mod conv;
 pub mod elementwise;
 pub mod fused;
 pub mod gemm;

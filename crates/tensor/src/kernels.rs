@@ -12,6 +12,12 @@
 //!
 //! [`matmul_naive`] is the reference ikj triple loop, kept as the oracle
 //! for differential tests and benches.
+//!
+//! [`transpose_into`] is the blocked transpose behind
+//! `Tensor::transpose2`, for callers that drive [`matmul_par`] on raw
+//! slices (the conv layers' per-plane GEMMs).
+
+pub use crate::transpose::transpose_into;
 
 /// Rows per panel; also the parallel chunk size, so chunk boundaries are a
 /// function of `m` only — never of the thread count.

@@ -62,7 +62,11 @@ unsafe fn transpose_avx(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
 /// `out[j·m + i] = src[i·n + j]`: writes the transpose of the row-major
 /// `[m, n]` matrix `src` into `out` (`[n, m]`), at the current dispatch
 /// level.
-pub(crate) fn transpose_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
+///
+/// # Panics
+///
+/// Panics unless both slices hold `m·n` elements.
+pub fn transpose_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if peb_simd::simd_active() {
         // SAFETY: `simd_active()` implies AVX2+FMA were detected.

@@ -6,8 +6,10 @@
 //! counters, (b) tracing does not perturb numerics (bitwise-identical
 //! model output with tracing on and off), and (c) the emitted trace file
 //! is well-formed JSON with the chrome://tracing keys; then (d) that one
-//! traced full-size `predict` is ≥ 90 % attributed to named spans and
-//! that tracing costs a serving-size `predict` under 2 %.
+//! traced full-size `predict` is ≥ 90 % attributed to named spans, that
+//! the batched conv layers keep counting the GEMM work they run below
+//! `Tensor::matmul`, and that tracing costs a serving-size `predict`
+//! under 2 %.
 //!
 //! A single `#[test]` keeps the global trace mode race-free without
 //! locking; the mode is restored to `Off` before returning so the
@@ -159,6 +161,21 @@ fn glue_is_attributed_and_tracing_stays_cheap() {
     let dims = (8, 32, 32);
     let model = SdmPeb::new(SdmPebConfig::for_grid(dims), &mut rng);
     let clip = Tensor::rand_uniform(&[dims.0, dims.1, dims.2], 0.0, 0.9, &mut rng);
+    // Counters stay truthful below `Tensor::matmul`: the conv layers
+    // drive the GEMM on raw slices, one call per batched layer, and
+    // still account every multiply-add — the count of the per-plane
+    // `matmul` calls they replaced — under their own spans.
+    peb_obs::set_mode(TraceMode::Summary);
+    std::hint::black_box(model.predict(&clip));
+    peb_obs::set_mode(TraceMode::Off);
+    let profile = peb_obs::snapshot();
+    assert_eq!(profile.counter("gemm_flops"), 55_353_856);
+    assert_eq!(profile.counter("im2col_bytes"), 4_420_736);
+    for name in ["conv.convt2_fwd", "conv.conv2d_fwd", "conv.dw3_fwd"] {
+        assert!(profile.span_count(name) > 0, "no {name} span in a predict");
+    }
+    peb_obs::reset();
+
     let timed = |mode| {
         peb_obs::set_mode(mode);
         let t = std::time::Instant::now();
