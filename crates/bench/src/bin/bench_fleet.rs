@@ -85,7 +85,6 @@ fn worker_env() -> Vec<(String, String)> {
         ("PEB_SERVE_MAX_BATCH".to_string(), "4".to_string()),
         ("PEB_SERVE_MAX_WAIT_US".to_string(), "200".to_string()),
         ("PEB_SERVE_THREADS".to_string(), "1".to_string()),
-        ("PEB_SERVE_PREC".to_string(), "f32".to_string()),
     ]
 }
 

@@ -96,6 +96,45 @@ fn pipeline_is_bitwise_deterministic_across_threads_at_every_level() {
     }
 }
 
+/// Bit digests of [`full_pipeline_step`] at `level` and `threads`.
+fn digests_at(level: Level, threads: usize) -> (u64, u64) {
+    let (pred, param) = at_level(level, || {
+        peb_par::with_thread_count(threads, full_pipeline_step)
+    });
+    (pred.bit_digest(), param.bit_digest())
+}
+
+/// ROADMAP item 0 as a regression: one thread pins `Scalar` while
+/// another pins the best level, concurrently (the full pipeline is
+/// level-dependent: optics FFT, Dill `exp`, GEMM). With a process-global
+/// level the two clobbered each other and a run mixed levels.
+#[test]
+fn concurrent_threads_at_different_levels_each_match_their_sequential_digest() {
+    let levels = [Level::Scalar, peb_simd::best_level()];
+    let sequential = levels.map(|l| digests_at(l, 4));
+    let start = std::sync::Barrier::new(levels.len());
+    let concurrent = std::thread::scope(|s| {
+        let runs = levels.map(|l| {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                // Several passes, so the two threads overlap for the
+                // whole pipeline whatever their relative speed.
+                [(); 3].map(|()| digests_at(l, 4))
+            })
+        });
+        runs.map(|r| r.join().expect("pipeline thread"))
+    });
+    for ((level, want), got) in levels.iter().zip(sequential).zip(concurrent) {
+        assert_eq!(
+            got,
+            [want; 3],
+            "{} run diverged from its own sequential digest",
+            level.name()
+        );
+    }
+}
+
 #[test]
 fn peb_solver_is_bitwise_identical_across_dispatch_levels() {
     // The PEB physics chain uses only bit-exact kernels (factored

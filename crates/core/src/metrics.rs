@@ -49,7 +49,7 @@ pub fn nrmse(pred: &Tensor, truth: &Tensor) -> f32 {
 /// equal → SSIM 1). Identical volumes score exactly 1; the score falls
 /// toward 0 as structure decorrelates. This is the fidelity metric the
 /// litho-simulation literature reports alongside RMSE, and the one the
-/// precision-delta gates consume.
+/// checkpoint-quantization audit (`QuantBudgets`) consumes.
 ///
 /// # Panics
 ///

@@ -1,9 +1,9 @@
 //! Model-aware execution plans: recorded inference and ILT-gradient
 //! windows over the generic `peb-plan` record/replay driver.
 //!
-//! [`InferPlan`] wraps one `predict` at a fixed (shape, precision,
-//! dispatch) into a replayable plan — the unit the `peb-serve` plan
-//! cache stores per `(D, H, W, prec)` key. [`GradPlan`] wraps an ILT
+//! [`InferPlan`] wraps one `predict` at a fixed (shape, dispatch) into
+//! a replayable plan — the unit the `peb-serve` plan cache stores per
+//! `(D, H, W)` key. [`GradPlan`] wraps an ILT
 //! surrogate-gradient window (forward from a mask parameter, backward,
 //! gradient read-out, gradient zeroing) so inverse-lithography inner
 //! loops replay both sweeps of the tape through a planned arena.

@@ -1,20 +1,19 @@
 //! Post-training quantization (PTQ) of serving checkpoints.
 //!
 //! Weights are quantized **per output channel** (the leading axis) with
-//! symmetric absmax int8 — the same `scale = absmax/127`,
-//! `q = round(x/scale)` clamped to `±127` convention as the runtime
-//! int8 GEMM in `peb_simd::int8` — and stored in the `PEBCKPT1`
-//! version-2 frame ([`peb_guard::QuantSlot`]). Rank ≤ 1 parameters
-//! (biases, scalars) stay f32: quantizing them saves almost nothing
-//! and costs disproportionate accuracy.
+//! symmetric absmax int8 — `scale = absmax/127`, `q = round(x/scale)`
+//! clamped to `±127` — and stored in the `PEBCKPT1` version-2 frame
+//! ([`peb_guard::QuantSlot`]). Rank ≤ 1 parameters (biases, scalars)
+//! stay f32: quantizing them saves almost nothing and costs
+//! disproportionate accuracy.
 //!
 //! Quantization is **gated, not assumed**: [`quantize_checkpoint`]
 //! calibrates over a held-out clip set by comparing the model's f32
 //! predictions against its dequantized-weight predictions, and refuses
 //! to produce a quantized checkpoint that violates the caller's
-//! accuracy budgets. The serving path restores a quantized checkpoint
-//! by dequantizing once at load/swap time ([`checkpoint_params`]); the
-//! runtime int8 GEMM then re-quantizes dynamically per matmul.
+//! accuracy budgets. Int8 is a storage format only: the serving path
+//! restores a quantized checkpoint by dequantizing once at load/swap time
+//! ([`checkpoint_params`]) and every kernel computes in f32.
 
 #![deny(clippy::unwrap_used)]
 
@@ -145,8 +144,8 @@ pub fn checkpoint_params(ckpt: &TrainCheckpoint) -> Result<Vec<Tensor>> {
 /// 1. quantize every rank ≥ 2 parameter per-channel (absmax int8);
 /// 2. splice the **dequantized** weights into `model` and compare its
 ///    predictions on every clip against the f32-weight predictions
-///    (per-clip RMSE + SSIM — exactly the degradation the int8 serving
-///    path will exhibit at the weight level);
+///    (per-clip RMSE + SSIM — exactly the degradation a server that
+///    swaps this checkpoint in will exhibit);
 /// 3. restore the model's original f32 weights (the model is left
 ///    untouched on every path, success or failure);
 /// 4. fail — producing no checkpoint — if any clip violates `budgets`.

@@ -2,7 +2,7 @@
 //!
 //! The fleet layers *on top of* the per-worker `PEB_SERVE_*` variables:
 //! every worker process inherits the parent's `PEB_SERVE_*` environment
-//! (model preset, grid, seed, precision, batching knobs) with only its
+//! (model preset, grid, seed, batching knobs) with only its
 //! bind address overridden, so one set of serving knobs configures the
 //! whole fleet.
 

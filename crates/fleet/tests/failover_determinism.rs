@@ -3,7 +3,7 @@
 //! `hang-worker` (process wedges, alive but unresponsive) and
 //! `corrupt-resp` (response frame fails its CRC) — a request whose
 //! owner shard faults must come back **bitwise identical** to the
-//! no-fault run, at 1 and 4 compute threads and in both f32 and bf16.
+//! no-fault run, at 1 and 4 compute threads.
 //!
 //! The reference is a literal no-fault fleet run (not an in-process
 //! model): cross-process bitwise determinism is the contract that makes
@@ -17,7 +17,6 @@ use std::time::Duration;
 use peb_fleet::{clip_digest, Fleet, FleetConfig, Ring};
 use peb_serve::clip::encode_clip;
 use peb_serve::Client;
-use peb_simd::Prec;
 use peb_tensor::Tensor;
 
 const GRID: (usize, usize, usize) = (4, 16, 16);
@@ -30,7 +29,6 @@ fn worker_env(threads: usize) -> Vec<(String, String)> {
         ("PEB_SERVE_MAX_BATCH".to_string(), "4".to_string()),
         ("PEB_SERVE_MAX_WAIT_US".to_string(), "200".to_string()),
         ("PEB_SERVE_THREADS".to_string(), threads.to_string()),
-        ("PEB_SERVE_PREC".to_string(), "f32".to_string()),
     ]
 }
 
@@ -77,24 +75,18 @@ fn shard0_clip() -> Tensor {
     panic!("no tag in 0..256 hashes to shard 0");
 }
 
-/// Serves the clip in f32 and bf16 through `fleet`, returning both
-/// output digests.
-fn serve_both(fleet: &Fleet, clip: &Tensor) -> (u64, u64) {
+/// Serves the clip through `fleet`, returning the output digest.
+fn serve(fleet: &Fleet, clip: &Tensor) -> u64 {
     let mut client = Client::connect(fleet.addr()).expect("connect");
-    let f32_digest = client.infer(clip).expect("f32 infer").bit_digest();
-    let bf16_digest = client
-        .infer_prec(clip, Prec::Bf16)
-        .expect("bf16 infer")
-        .bit_digest();
-    (f32_digest, bf16_digest)
+    client.infer(clip).expect("infer").bit_digest()
 }
 
 fn determinism_matrix(threads: usize) {
     let clip = shard0_clip();
 
-    // Reference: the no-fault fleet's answers.
+    // Reference: the no-fault fleet's answer.
     let clean = Fleet::start(base_config(threads)).expect("clean fleet");
-    let (ref_f32, ref_bf16) = serve_both(&clean, &clip);
+    let reference = serve(&clean, &clip);
     clean.shutdown();
 
     for fault in ["kill-worker", "hang-worker", "corrupt-resp"] {
@@ -110,14 +102,10 @@ fn determinism_matrix(threads: usize) {
             cfg.probe_interval = Duration::from_secs(10);
         }
         let fleet = Fleet::start(cfg).expect("chaos fleet");
-        let (f32_digest, bf16_digest) = serve_both(&fleet, &clip);
         assert_eq!(
-            f32_digest, ref_f32,
-            "{fault}/{threads}t: retried f32 answer must be bitwise the no-fault answer"
-        );
-        assert_eq!(
-            bf16_digest, ref_bf16,
-            "{fault}/{threads}t: retried bf16 answer must be bitwise the no-fault answer"
+            serve(&fleet, &clip),
+            reference,
+            "{fault}/{threads}t: retried answer must be bitwise the no-fault answer"
         );
         let stats = fleet.stats();
         assert!(

@@ -33,7 +33,6 @@ fn worker_env() -> Vec<(String, String)> {
         ("PEB_SERVE_MAX_BATCH", "4"),
         ("PEB_SERVE_MAX_WAIT_US", "200"),
         ("PEB_SERVE_THREADS", "1"),
-        ("PEB_SERVE_PREC", "f32"),
     ]
     .iter()
     .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -285,6 +284,24 @@ fn bad_deadline_header_is_a_400_and_bad_routes_stay_typed() {
         .request("POST", "/infer", b"not a clip frame")
         .expect("request");
     assert_eq!(r.status, 400);
+    // `?prec=` reaches the worker verbatim: f32 names what it does
+    // anyway, any other selection is the worker's 400, and the
+    // keep-alive connection through the router survives each one.
+    let frame = encode_clip(&test_clip(0));
+    let r = client
+        .request("POST", "/infer?prec=f32", &frame)
+        .expect("request");
+    assert_eq!(r.status, 200);
+    assert_eq!(
+        decode_resp(&r.body).expect("frame").bit_digest(),
+        reference_digest(&test_clip(0))
+    );
+    for target in ["/infer?prec=bf16", "/infer?prec=int8", "/infer?prec="] {
+        let r = client.request("POST", target, &frame).expect("request");
+        assert_eq!(r.status, 400, "{target}");
+        let body = String::from_utf8_lossy(&r.body);
+        assert!(body.contains("precision selection was removed"), "{body}");
+    }
     assert_eq!(fleet.stats().retries.load(Ordering::Relaxed), 0);
     fleet.shutdown();
 }

@@ -280,7 +280,7 @@ impl TrainCheckpoint {
         let opt_t = r.u64()?;
         let lr_scale = r.f32()?;
         let rollbacks = r.u64()?;
-        let n_stats = r.len("epoch stats", 1 << 24)?;
+        let n_stats = r.count("epoch stats", EPOCH_RECORD_BYTES)?;
         let mut epoch_stats = Vec::with_capacity(n_stats);
         for _ in 0..n_stats {
             epoch_stats.push(EpochRecord {
@@ -288,7 +288,7 @@ impl TrainCheckpoint {
                 skipped_batches: r.u64()?,
             });
         }
-        let n_params = r.len("parameters", 1 << 20)?;
+        let n_params = r.count("parameters", MIN_TENSOR_BYTES)?;
         let mut params = Vec::with_capacity(n_params);
         for _ in 0..n_params {
             params.push(r.tensor()?);
@@ -406,10 +406,10 @@ pub fn peek_bytes(bytes: &[u8]) -> Result<CkptMeta> {
     let _opt_t = r.u64()?;
     let _lr_scale = r.f32()?;
     let _rollbacks = r.u64()?;
-    let n_stats = r.len("epoch stats", 1 << 24)?;
+    let n_stats = r.count("epoch stats", EPOCH_RECORD_BYTES)?;
     // Skip the fixed-width epoch records without decoding them.
-    r.take(n_stats * 12)?;
-    let n_params = r.len("parameters", 1 << 20)? as u64;
+    r.take(n_stats * EPOCH_RECORD_BYTES)?;
+    let n_params = r.count("parameters", MIN_TENSOR_BYTES)? as u64;
     Ok(CkptMeta {
         epoch,
         seed,
@@ -608,18 +608,29 @@ fn put_opt_tensors(w: &mut Vec<u8>, slots: &[Option<Tensor>]) {
     }
 }
 
+/// Wire size of one epoch record (`f32` mean loss + `u64` skipped).
+const EPOCH_RECORD_BYTES: usize = 12;
+/// Smallest wire size of a tensor: its `u64` rank field.
+const MIN_TENSOR_BYTES: usize = 8;
+/// Largest tensor rank the format carries.
+const MAX_RANK: u64 = 8;
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl Cursor<'_> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&[u8]> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.remaining() {
             return Err(PebError::corrupt(format!(
                 "truncated checkpoint: wanted {n} bytes at offset {}, have {}",
                 self.pos,
-                self.bytes.len() - self.pos
+                self.remaining()
             )));
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -648,35 +659,76 @@ impl Cursor<'_> {
         Ok(self.take(1)?[0])
     }
 
-    fn len(&mut self, what: &str, max: usize) -> Result<usize> {
-        let n = self.u64()? as usize;
-        if n > max {
+    /// Whether `n` elements of at least `wire_bytes` each still fit in
+    /// the bytes that remain. A CRC is not a MAC — a crafted file can
+    /// carry any count with a valid checksum — so every length field
+    /// passes through here before it drives a reservation or a product.
+    fn fits(&self, n: usize, wire_bytes: usize) -> bool {
+        n.checked_mul(wire_bytes)
+            .is_some_and(|b| b <= self.remaining())
+    }
+
+    /// Reads a `u64` element count that [`Cursor::fits`].
+    fn count(&mut self, what: &str, wire_bytes: usize) -> Result<usize> {
+        let n = self.u64()?;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| self.fits(n, wire_bytes))
+            .ok_or_else(|| {
+                PebError::corrupt(format!(
+                    "implausible {what} count {n}: only {} bytes remain",
+                    self.remaining()
+                ))
+            })
+    }
+
+    /// Reads `n` little-endian `f32`s (`n` comes from [`Cursor::count`]
+    /// or [`Cursor::shape`], so `4·n` cannot overflow).
+    fn f32s(&mut self, n: usize) -> Result<Vec<f32>> {
+        Ok(self
+            .take(4 * n)?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
+    }
+
+    /// Reads a rank and its dims; returns the shape and its element
+    /// count, which — at `elem_bytes` per element — must [`Cursor::fits`].
+    fn shape(&mut self, elem_bytes: usize) -> Result<(Vec<usize>, usize)> {
+        let rank = self.u64()?;
+        if rank > MAX_RANK {
             return Err(PebError::corrupt(format!(
-                "implausible {what} count {n} (max {max})"
+                "implausible tensor rank {rank} (max {MAX_RANK})"
             )));
         }
-        Ok(n)
+        let mut shape = Vec::with_capacity(rank as usize);
+        let mut total = 1usize;
+        for _ in 0..rank {
+            let d = self.u64()?;
+            total = usize::try_from(d)
+                .ok()
+                .and_then(|d| total.checked_mul(d))
+                .ok_or_else(|| {
+                    PebError::corrupt(format!("tensor dim {d} overflows the element count"))
+                })?;
+            shape.push(d as usize);
+        }
+        if !self.fits(total, elem_bytes) {
+            return Err(PebError::corrupt(format!(
+                "implausible tensor shape {shape:?}: only {} bytes remain",
+                self.remaining()
+            )));
+        }
+        Ok((shape, total))
     }
 
     fn tensor(&mut self) -> Result<Tensor> {
-        let rank = self.len("tensor rank", 8)?;
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(self.len("tensor dim", 1 << 30)?);
-        }
-        let n: usize = shape.iter().product();
-        if n > 1 << 30 {
-            return Err(PebError::corrupt(format!("implausible tensor size {n}")));
-        }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(self.f32()?);
-        }
-        Ok(Tensor::from_vec(data, &shape)?)
+        let (shape, n) = self.shape(4)?;
+        Ok(Tensor::from_vec(self.f32s(n)?, &shape)?)
     }
 
     fn opt_tensors(&mut self) -> Result<Vec<Option<Tensor>>> {
-        let n = self.len("optimiser slots", 1 << 20)?;
+        let n = self.count("optimiser slots", 1)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(match self.u8()? {
@@ -689,45 +741,44 @@ impl Cursor<'_> {
     }
 
     fn quant_slots(&mut self) -> Result<Vec<QuantSlot>> {
-        let n = self.len("quantized slots", 1 << 20)?;
+        let n = self.count("quantized slots", 1 + MIN_TENSOR_BYTES)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(match self.u8()? {
                 0 => QuantSlot::F32(self.tensor()?),
-                1 => {
-                    let rank = self.len("quant tensor rank", 8)?;
-                    let mut shape = Vec::with_capacity(rank);
-                    for _ in 0..rank {
-                        shape.push(self.len("quant tensor dim", 1 << 30)?);
-                    }
-                    let total: usize = shape.iter().product();
-                    if total > 1 << 30 {
-                        return Err(PebError::corrupt(format!(
-                            "implausible quant tensor size {total}"
-                        )));
-                    }
-                    let n_scales = self.len("quant scales", 1 << 30)?;
-                    let mut scales = Vec::with_capacity(n_scales);
-                    for _ in 0..n_scales {
-                        scales.push(self.f32()?);
-                    }
-                    let n_codes = self.len("quant codes", 1 << 30)?;
-                    if n_codes != total {
-                        return Err(PebError::corrupt(format!(
-                            "quant code count {n_codes} disagrees with shape product {total}"
-                        )));
-                    }
-                    let codes = self.take(n_codes)?.iter().map(|&b| b as i8).collect();
-                    QuantSlot::I8(QuantTensor {
-                        shape,
-                        scales,
-                        codes,
-                    })
-                }
+                1 => QuantSlot::I8(self.quant_tensor()?),
                 tag => return Err(PebError::corrupt(format!("bad quantized slot tag {tag}"))),
             });
         }
         Ok(out)
+    }
+
+    fn quant_tensor(&mut self) -> Result<QuantTensor> {
+        let (shape, total) = self.shape(1)?;
+        let n_scales = self.count("quant scales", 4)?;
+        let scales = self.f32s(n_scales)?;
+        if shape.first() != Some(&n_scales) {
+            return Err(PebError::corrupt(format!(
+                "quant scale count {n_scales} disagrees with leading dim of shape {shape:?}"
+            )));
+        }
+        if let Some(s) = scales.iter().find(|s| !(s.is_finite() && **s >= 0.0)) {
+            return Err(PebError::corrupt(format!(
+                "quant scale {s} is not a finite non-negative number"
+            )));
+        }
+        let n_codes = self.count("quant codes", 1)?;
+        if n_codes != total {
+            return Err(PebError::corrupt(format!(
+                "quant code count {n_codes} disagrees with shape product {total}"
+            )));
+        }
+        let codes = self.take(n_codes)?.iter().map(|&b| b as i8).collect();
+        Ok(QuantTensor {
+            shape,
+            scales,
+            codes,
+        })
     }
 }
 
@@ -825,16 +876,25 @@ mod tests {
         let back = TrainCheckpoint::from_bytes(&bytes).expect("v2 decodes");
         assert_eq!(back.quant, ckpt.quant);
         assert!(back.params.is_empty());
-        // Code count must agree with the shape product.
-        let mut bad = ckpt.clone();
-        if let Some(slots) = &mut bad.quant {
-            if let QuantSlot::I8(q) = &mut slots[0] {
-                q.codes.pop();
+        // Code count must agree with the shape product, scale count with
+        // the leading dim, and every scale must be finite and ≥ 0.
+        let rejected = |what: &str, mangle: fn(&mut QuantTensor)| {
+            let mut bad = ckpt.clone();
+            if let Some(QuantSlot::I8(q)) = bad.quant.as_mut().and_then(|s| s.first_mut()) {
+                mangle(q);
             }
-        }
-        assert!(TrainCheckpoint::from_bytes(&bad.to_bytes())
-            .expect_err("mismatched code count")
-            .is_corrupt());
+            assert!(
+                TrainCheckpoint::from_bytes(&bad.to_bytes())
+                    .expect_err(what)
+                    .is_corrupt(),
+                "{what}"
+            );
+        };
+        rejected("mismatched code count", |q| q.codes.truncate(5));
+        rejected("mismatched scale count", |q| q.scales.truncate(1));
+        rejected("NaN scale", |q| q.scales[0] = f32::NAN);
+        rejected("infinite scale", |q| q.scales[1] = f32::INFINITY);
+        rejected("negative scale", |q| q.scales[0] = -0.25);
     }
 
     #[test]

@@ -1,13 +1,60 @@
 //! Property tests: checkpoint serialisation is bit-exact (including
-//! non-finite and signed-zero payloads) and corruption never passes the
-//! CRC.
+//! non-finite and signed-zero payloads), corruption never passes the
+//! CRC, and a frame crafted *with* a valid CRC can neither panic the
+//! decoder nor make it reserve more than a small multiple of its input.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use peb_guard::{EpochRecord, OptKind, PebError, TrainCheckpoint};
+use peb_guard::{
+    crc32, peek_bytes, EpochRecord, OptKind, PebError, QuantSlot, QuantTensor, TrainCheckpoint,
+};
 use peb_tensor::Tensor;
+
+thread_local! {
+    /// Largest single allocation this thread has requested since the
+    /// last reset (tests run on their own threads, so cases do not mix).
+    static LARGEST_REQUEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting the size of every request.
+struct Noting;
+
+fn note(size: usize) {
+    // `try_with`: the allocator outlives the thread-local's destructor.
+    let _ = LARGEST_REQUEST.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; `note` allocates nothing.
+unsafe impl GlobalAlloc for Noting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Noting = Noting;
 
 /// Random tensor whose payload mixes ordinary values with the IEEE-754
 /// specials a checkpoint must preserve exactly: NaN (several payloads),
@@ -79,6 +126,47 @@ fn random_checkpoint(seed: u64) -> TrainCheckpoint {
     }
 }
 
+/// A serving (v2) frame: no f32 params or moments, one quantized or
+/// passthrough slot per parameter.
+fn random_quantized_checkpoint(seed: u64) -> TrainCheckpoint {
+    let mut ckpt = random_checkpoint(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let slots = (0..rng.gen_range(1..5usize))
+        .map(|_| {
+            if rng.gen_range(0..3u32) == 0 {
+                return QuantSlot::F32(special_tensor(&mut rng));
+            }
+            let (ch, row) = (rng.gen_range(1..5usize), rng.gen_range(1..7usize));
+            QuantSlot::I8(QuantTensor {
+                shape: vec![ch, row],
+                scales: (0..ch).map(|_| rng.gen_range(0.0..2.0f32)).collect(),
+                codes: (0..ch * row).map(|_| rng.gen_range(-127..=127i8)).collect(),
+            })
+        })
+        .collect();
+    ckpt.params.clear();
+    ckpt.opt_m.clear();
+    ckpt.opt_v.clear();
+    ckpt.quant = Some(slots);
+    ckpt
+}
+
+/// Values a hostile length, rank, dim or tag field might hold.
+const HOSTILE: [u64; 12] = [
+    0,
+    1,
+    9,
+    255,
+    1 << 20,
+    1 << 24,
+    (1 << 30) - 1,
+    1 << 30,
+    1 << 32,
+    1 << 61,
+    (1 << 63) + 1,
+    u64::MAX,
+];
+
 fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
     (
         t.shape().to_vec(),
@@ -143,6 +231,59 @@ proptest! {
                 "wrong error class: {}", e
             ),
             Ok(_) => prop_assert!(false, "corrupt byte {} accepted", idx),
+        }
+    }
+}
+
+proptest! {
+    // Only ~1 write in 5 lands on a count, rank, dim or tag field.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// A CRC is not a MAC: overwrite any payload field of a v1 or v2
+    /// frame with a hostile value, **recompute the CRC**, and the decoder
+    /// must neither panic nor reserve more than the input could stand
+    /// for (the largest in-memory element one wire byte can buy is an
+    /// absent optimiser slot).
+    #[test]
+    fn crafted_fields_with_valid_crc_never_panic_or_over_reserve(
+        seed in 0u64..2_000,
+        quantized in 0u8..2,
+        victim in 0usize..4096,
+        value in 0usize..HOSTILE.len(),
+        width in 0usize..3,
+    ) {
+        let ckpt = if quantized == 1 {
+            random_quantized_checkpoint(seed)
+        } else {
+            random_checkpoint(seed)
+        };
+        let mut bytes = ckpt.to_bytes();
+        let payload = bytes.len() - 4;
+        // Skip the magic; clip the write at the CRC footer.
+        let at = 8 + victim % (payload - 8);
+        let field = &HOSTILE[value].to_le_bytes()[..[1, 4, 8][width]];
+        let end = (at + field.len()).min(payload);
+        bytes[at..end].copy_from_slice(&field[..end - at]);
+        let crc = crc32(&bytes[..payload]);
+        bytes[payload..].copy_from_slice(&crc.to_le_bytes());
+
+        LARGEST_REQUEST.with(|m| m.set(0));
+        let decoded = TrainCheckpoint::from_bytes(&bytes);
+        let peeked = peek_bytes(&bytes);
+        let largest = LARGEST_REQUEST.with(Cell::get);
+
+        let cap = bytes.len() * std::mem::size_of::<Option<Tensor>>() + 1024;
+        prop_assert!(
+            largest <= cap,
+            "a {}-byte frame made the decoder request {} bytes at once",
+            bytes.len(),
+            largest
+        );
+        for e in decoded.err().iter().chain(peeked.err().iter()) {
+            prop_assert!(
+                matches!(e.root(), PebError::Corrupt { .. }),
+                "wrong error class: {}", e
+            );
         }
     }
 }

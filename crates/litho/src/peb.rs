@@ -648,9 +648,7 @@ impl LodPlan {
 fn explicit_step(field: &mut Tensor, grid: &Grid, d_lat: f32, d_norm: f32, top_bc: EndBc, dt: f32) {
     let _span = peb_obs::span("litho.explicit_step");
     let (nz, ny, nx) = (grid.nz, grid.ny, grid.nx);
-    peb_obs::optrace::note("stencil", || {
-        format!("grid={nz}x{ny}x{nx} dt={dt} prec={:?}", peb_simd::prec())
-    });
+    peb_obs::optrace::note("stencil", || format!("grid={nz}x{ny}x{nx} dt={dt}"));
     let p = peb_simd::stencil::StencilParams {
         rx: d_lat * dt / (grid.dx * grid.dx),
         ry: d_lat * dt / (grid.dy * grid.dy),
@@ -662,21 +660,6 @@ fn explicit_step(field: &mut Tensor, grid: &Grid, d_lat: f32, d_norm: f32, top_b
         },
     };
     let plane = ny * nx;
-    if peb_simd::prec() == peb_simd::Prec::Bf16 {
-        // bf16 branch: freeze the pre-step field as a *bf16* copy —
-        // the kernel is bandwidth-bound, so halving the streamed read
-        // width is the win. The half-size frozen copy already fits
-        // where the f32 copy would have forced slab tiling, so the
-        // tiled path is bypassed here (one narrowing, no halo
-        // bookkeeping). The write side stays full f32.
-        let mut src = peb_pool::PoolBuf::<u16>::cleared(field.data().len());
-        src.extend(field.data().iter().map(|&v| peb_simd::bf16::f32_to_bf16(v)));
-        peb_par::parallel_chunks_mut_cost(field.data_mut(), plane, 14, |offset, dst| {
-            let z = offset / plane;
-            peb_simd::stencil::explicit_slice_bf16(&src, dst, z, nz, ny, nx, p);
-        });
-        return;
-    }
     if let Some(sd) = peb_pool::tile::slab_items(plane * std::mem::size_of::<f32>(), nz) {
         if sd < nz {
             explicit_step_tiled(field, nz, ny, nx, sd, p);
@@ -853,43 +836,6 @@ mod tests {
         assert!(d < 5e-3, "acid mismatch {d}");
         let di = imp.inhibitor.max_abs_diff(&exp.inhibitor);
         assert!(di < 5e-3, "inhibitor mismatch {di}");
-    }
-
-    #[test]
-    fn explicit_bf16_tracks_f32_run() {
-        // The bf16 branch narrows the frozen pre-step field (one RNE
-        // rounding per step on O(1) values); the diffusion operator is
-        // dissipative, so the per-step noise stays bounded instead of
-        // compounding. Gate the full short bake at 5% absolute.
-        let grid = Grid::new(8, 8, 4, 8.0, 8.0, 20.0).unwrap();
-        let mut p = short_params();
-        p.duration = 1.0;
-        p.dt = 0.002;
-        let mut acid0 = Tensor::zeros(&grid.shape3());
-        acid0.set(&[1, 4, 4], 1.0);
-        acid0.set(&[2, 2, 5], 0.7);
-        let run = || {
-            PebSolver::new(p, grid, TimeScheme::ExplicitEuler)
-                .unwrap()
-                .run(&acid0)
-                .unwrap()
-        };
-        let f32_run = peb_simd::with_prec(peb_simd::Prec::F32, run);
-        let bf16_run = peb_simd::with_prec(peb_simd::Prec::Bf16, run);
-        let d = f32_run.acid.max_abs_diff(&bf16_run.acid);
-        assert!(d < 0.05, "acid mismatch {d}");
-        let di = f32_run.inhibitor.max_abs_diff(&bf16_run.inhibitor);
-        assert!(di < 0.05, "inhibitor mismatch {di}");
-        // The plain (no-override) path is bitwise whichever forced run
-        // matches the ambient precision — f32 by default, bf16 when the
-        // suite runs under PEB_PREC=bf16.
-        let plain = run();
-        let expect = if peb_simd::prec() == peb_simd::Prec::Bf16 {
-            &bf16_run
-        } else {
-            &f32_run
-        };
-        assert_eq!(plain.acid.bit_digest(), expect.acid.bit_digest());
     }
 
     #[test]

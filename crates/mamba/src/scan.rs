@@ -137,44 +137,13 @@ fn scan_forward(
         let traj = record.then_some(&hslots);
         let lane_cost = 12 * (l as u64) * (n as u64);
         let group_chunk = ch.div_ceil(8).next_multiple_of(8);
-        // Precision read on the submitting thread and captured below;
-        // bf16 stores the running state and packed `a` half-width (the
-        // ragged tail keeps the f32 scalar recurrence). Int8 is a
-        // GEMM-only format — the scan has no quantized variant, so it
-        // runs f32 under Int8.
-        let bf16 = peb_simd::prec() == peb_simd::Prec::Bf16;
         peb_par::parallel_chunks_cost(ch, group_chunk, lane_cost, |lanes| {
             let mut h = peb_pool::PoolBuf::<f32>::zeroed(n * 8);
             let mut apack = peb_pool::PoolBuf::<f32>::cleared(n * 8);
-            let mut h16 = peb_pool::PoolBuf::<u16>::zeroed(if bf16 { n * 8 } else { 0 });
-            let mut apack16 = peb_pool::PoolBuf::<u16>::cleared(if bf16 { n * 8 } else { 0 });
             let mut ci0 = lanes.start;
             while ci0 + 8 <= lanes.end {
                 // SAFETY: the group owns y columns ci0..ci0+8 and their
                 // h_traj rows; groups are disjoint (chunks are 8-aligned).
-                if bf16 {
-                    peb_simd::scan::pack_a_lanes8_bf16(ad, n, ci0, &mut apack16);
-                    h16.fill(0);
-                    unsafe {
-                        peb_simd::scan::scan_forward_lanes8_bf16(
-                            ud,
-                            dd,
-                            &apack16,
-                            bd,
-                            cd,
-                            &skip[ci0..],
-                            &mut h16,
-                            &yslots,
-                            traj,
-                            l,
-                            ch,
-                            n,
-                            ci0,
-                        );
-                    }
-                    ci0 += 8;
-                    continue;
-                }
                 peb_simd::scan::pack_a_lanes8(ad, n, ci0, &mut apack);
                 h.fill(0.0);
                 unsafe {
@@ -400,39 +369,16 @@ mod tests {
             let rest = [&o.delta, &o.a, &o.b, &o.c, &o.d].map(|t| Var::constant(t.clone()));
             selective_scan(&u, &rest[0], &rest[1], &rest[2], &rest[3], &rest[4])
         };
-        for prec in [peb_simd::Prec::F32, peb_simd::Prec::Bf16] {
-            peb_simd::with_prec(prec, || {
-                let recorded = with_trainable_u();
-                assert!(recorded.requires_grad());
-                // Nothing records when no operand requires a gradient …
-                let constant = run(&o);
-                // … or when the tape is off.
-                let off_tape = peb_tensor::no_grad(with_trainable_u);
-                assert!(!constant.requires_grad() && !off_tape.requires_grad());
-                let want = recorded.value().bit_digest();
-                assert_eq!(constant.value().bit_digest(), want, "{prec:?}");
-                assert_eq!(off_tape.value().bit_digest(), want, "{prec:?}");
-            });
-        }
-    }
-
-    #[test]
-    fn bf16_prec_tracks_f32_within_budget() {
-        // 16 channels → two full 8-lane groups hit the bf16 kernel.
-        let o = operands(24, 16, 6, 37);
-        // Force the baseline to f32 so the budget holds even when the
-        // whole suite runs under PEB_PREC=bf16.
-        let want = peb_simd::with_prec(peb_simd::Prec::F32, || run(&o).value_clone());
-        let got = peb_simd::with_prec(peb_simd::Prec::Bf16, || run(&o).value_clone());
-        let scale = want.data().iter().fold(0f32, |m, v| m.max(v.abs()));
-        for (w, g) in want.data().iter().zip(got.data()) {
-            assert!((w - g).abs() <= scale * 0.02, "{w} vs {g}");
-        }
-        // Int8 is GEMM-only: the scan must silently stay f32 (bitwise).
-        let int8 = peb_simd::with_prec(peb_simd::Prec::Int8, || run(&o).value_clone());
-        for (w, g) in want.data().iter().zip(int8.data()) {
-            assert_eq!(w.to_bits(), g.to_bits());
-        }
+        let recorded = with_trainable_u();
+        assert!(recorded.requires_grad());
+        // Nothing records when no operand requires a gradient …
+        let constant = run(&o);
+        // … or when the tape is off.
+        let off_tape = peb_tensor::no_grad(with_trainable_u);
+        assert!(!constant.requires_grad() && !off_tape.requires_grad());
+        let want = recorded.value().bit_digest();
+        assert_eq!(constant.value().bit_digest(), want);
+        assert_eq!(off_tape.value().bit_digest(), want);
     }
 
     #[test]

@@ -229,15 +229,11 @@ mod tests {
         cfg.dw_refine = false; // keep the finite-difference cost low
         let u = SdmUnit::new(cfg, &mut rng);
         let x0 = Tensor::randn(&[8, 2], &mut rng);
-        // Finite differences need the full-precision forward: bf16
-        // storage noise (~2^-8 relative) swamps an h=1e-2 stencil.
-        let r = peb_simd::with_prec(peb_simd::Prec::F32, || {
-            peb_tensor::check_gradients(
-                &Var::parameter(x0),
-                |v| u.forward(v, (2, 2, 2)).square().sum(),
-                1e-2,
-            )
-        });
+        let r = peb_tensor::check_gradients(
+            &Var::parameter(x0),
+            |v| u.forward(v, (2, 2, 2)).square().sum(),
+            1e-2,
+        );
         assert!(r.ok(3e-2), "{r:?}");
     }
 

@@ -141,15 +141,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(52);
         let ssm = SsmBlock::new(2, 3, &mut rng);
         let x0 = Tensor::randn(&[5, 2], &mut rng);
-        // Finite differences need the full-precision forward: bf16
-        // storage noise (~2^-8 relative) swamps an h=1e-2 stencil.
-        let r = peb_simd::with_prec(peb_simd::Prec::F32, || {
-            peb_tensor::check_gradients(
-                &Var::parameter(x0),
-                |v| ssm.forward(v).square().sum(),
-                1e-2,
-            )
-        });
+        let r = peb_tensor::check_gradients(
+            &Var::parameter(x0),
+            |v| ssm.forward(v).square().sum(),
+            1e-2,
+        );
         assert!(r.ok(3e-2), "{r:?}");
     }
 

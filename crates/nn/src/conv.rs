@@ -11,7 +11,7 @@
 //! conv's forward), plane `(c, z)` for the depthwise one — so chunk
 //! boundaries never depend on the thread count and every path is bitwise
 //! identical at any thread count. Per plane the dense layers run one GEMM through
-//! [`matmul_par`] (the f32 / bf16 / int8 dispatch of `Tensor::matmul`)
+//! [`matmul_par`] (the driver behind `Tensor::matmul`)
 //! into pooled per-chunk scratch; everything around it is a
 //! bounds-hoisted contiguous row (`copy`, `+=`, `+= w·x`, a dot product)
 //! in the exact-class [`peb_simd::conv`] kernels, in the per-element

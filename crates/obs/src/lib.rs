@@ -213,39 +213,35 @@ pub enum Counter {
     /// Successful checkpoint hot-swaps performed by the `peb-serve`
     /// model registry (failed swaps keep the old model and do not tick).
     ServeHotswaps = 21,
-    /// Kernel invocations that dispatched to a reduced-precision path
-    /// (bf16 storage or int8 quantized); stays 0 under `PEB_PREC=f32`
-    /// when no request/test opts into a lower precision.
-    PrecDispatch = 22,
     /// Inference requests served from a cached execution plan by the
     /// `peb-serve` plan cache (misses record a fresh plan and are not
     /// counted here).
-    PlanHits = 23,
+    PlanHits = 22,
     /// Computations executed through `Plan::replay` that completed
     /// without diverging from the recorded checkout stream.
-    PlanReplays = 24,
+    PlanReplays = 23,
     /// Bytes materialised into record-and-replay arenas (aggregated
     /// across plans; the per-plan high-water mark lives in the plan).
-    ArenaBytes = 25,
+    ArenaBytes = 24,
     /// Inference requests accepted by the `peb-fleet` router (sheds and
     /// upstream failures are still counted here; they are terminal
     /// router responses).
-    FleetRequests = 26,
+    FleetRequests = 25,
     /// Upstream attempts the router retried after a worker failure
     /// (connect refused/reset, response timeout, CRC-bad frame, 429).
-    FleetRetries = 27,
+    FleetRetries = 26,
     /// Requests ultimately served by a shard other than their hash-ring
     /// owner (degraded ring or mid-request failover).
-    FleetFailovers = 28,
+    FleetFailovers = 27,
     /// Worker processes restarted by the fleet supervisor after a
     /// crash or a liveness-probe failure streak.
-    FleetRestarts = 29,
+    FleetRestarts = 28,
     /// Requests shed by the router or the worker coalescer because the
     /// propagated deadline would have expired before service (504).
-    FleetDeadlineShed = 30,
+    FleetDeadlineShed = 29,
 }
 
-const N_COUNTERS: usize = 31;
+const N_COUNTERS: usize = 30;
 
 const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "gemm_flops",
@@ -270,7 +266,6 @@ const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "serve_batches",
     "serve_shed",
     "serve_hotswaps",
-    "prec_dispatch",
     "plan_hits",
     "plan_replays",
     "arena_bytes",

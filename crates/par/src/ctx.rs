@@ -22,7 +22,7 @@ use std::fmt;
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
-// Dispatch level and precision
+// Dispatch level
 // ---------------------------------------------------------------------------
 
 /// Instruction-set level a kernel dispatches to.
@@ -63,45 +63,6 @@ pub fn best_level() -> Level {
         Level::Avx2Fma
     } else {
         Level::Scalar
-    }
-}
-
-/// Storage precision the reduced-precision kernels run at.
-///
-/// Precision governs how *operands are stored and streamed* — every
-/// kernel accumulates in `f32` regardless (`i32` for the int8 GEMM,
-/// dequantised to `f32` on the way out). [`Prec::F32`] is the default
-/// and leaves every kernel on its full-precision code path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Prec {
-    /// Full f32 storage — the default.
-    F32,
-    /// bf16 storage (round-to-nearest-even), f32 accumulation.
-    Bf16,
-    /// Dynamic int8 storage at the GEMM seam (per-row activations,
-    /// per-column weights), i32 accumulation. Inference only: selected
-    /// per request by `peb-serve`, never via `PEB_PREC`.
-    Int8,
-}
-
-impl Prec {
-    /// Stable name used in benchmark JSON, `/stats` and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            Prec::F32 => "f32",
-            Prec::Bf16 => "bf16",
-            Prec::Int8 => "int8",
-        }
-    }
-
-    /// Parses a precision name (`f32`/`bf16`/`int8`), case-sensitive.
-    pub fn parse(s: &str) -> Option<Prec> {
-        match s {
-            "f32" => Some(Prec::F32),
-            "bf16" => Some(Prec::Bf16),
-            "int8" => Some(Prec::Int8),
-            _ => None,
-        }
     }
 }
 
@@ -220,14 +181,12 @@ pub fn exit_invalid(err: &ConfigError) -> ! {
 // ---------------------------------------------------------------------------
 
 /// How kernels execute on behalf of the current scope. Every field
-/// combination produces the documented bits for its `(level, prec)`;
+/// combination produces the documented bits for its `level`;
 /// `tile_bytes`, `fuse`, `pool`, `plan` and `threads` never change a bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecCtx {
     /// SIMD dispatch level.
     pub level: Level,
-    /// Operand storage precision.
-    pub prec: Prec,
     /// Slab working-set target for tiled sweeps (default: detected L2);
     /// `None` runs the untiled full-volume oracle.
     pub tile_bytes: Option<usize>,
@@ -244,9 +203,16 @@ pub struct ExecCtx {
     pub threads: usize,
 }
 
-/// Variables that used to select modes which never diverged; setting one
-/// is an error so a stale script cannot believe it changed anything.
-const REMOVED: [&str; 3] = ["PEB_FUSE", "PEB_POOL", "PEB_TILE"];
+/// Variables that used to select modes which never diverged (fuse, pool,
+/// tile) or never won (reduced compute precision); setting one is an
+/// error so a stale script cannot believe it changed anything.
+const REMOVED: [&str; 5] = [
+    "PEB_FUSE",
+    "PEB_POOL",
+    "PEB_TILE",
+    "PEB_PREC",
+    "PEB_SERVE_PREC",
+];
 
 impl ExecCtx {
     /// Resolves a context from `lookup`. Pure: it reads nothing but
@@ -257,7 +223,8 @@ impl ExecCtx {
             read_var(
                 &lookup,
                 var,
-                "the variable to be unset: it was removed, the mode it selected is always on",
+                "the variable to be unset: it was removed (fusion, pooling and tiling are always \
+                 on; compute is always f32)",
                 |_| None::<()>,
             )?;
         }
@@ -271,12 +238,6 @@ impl ExecCtx {
             "off" | "0" | "scalar" => Some(Level::Scalar),
             _ => None,
         })?;
-        // int8 is an inference-time, per-request precision (dynamic
-        // quantisation has no training story), so the process default
-        // accepts f32|bf16 only.
-        let prec = read_var(&lookup, "PEB_PREC", "f32|bf16", |s| {
-            Prec::parse(s).filter(|&p| p != Prec::Int8)
-        })?;
         let plan = read_var(&lookup, "PEB_PLAN", "on|1|true|off|0|false", |s| match s {
             "on" | "1" | "true" => Some(true),
             "off" | "0" | "false" => Some(false),
@@ -287,7 +248,6 @@ impl ExecCtx {
         })?;
         Ok(ExecCtx {
             level: level.unwrap_or_else(best_level),
-            prec: prec.unwrap_or(Prec::F32),
             tile_bytes: Some(detected_l2_bytes().unwrap_or(DEFAULT_TILE_BYTES)),
             fuse: true,
             pool: true,
@@ -304,10 +264,9 @@ impl ExecCtx {
     /// and `BENCH_*.json`, and the start-up log line of the servers.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"level\":\"{}\",\"prec\":\"{}\",\"tile_bytes\":{},\"fuse\":{},\"pool\":{},\
-             \"plan\":{},\"threads\":{}}}",
+            "{{\"level\":\"{}\",\"tile_bytes\":{},\"fuse\":{},\"pool\":{},\"plan\":{},\
+             \"threads\":{}}}",
             self.level.name(),
-            self.prec.name(),
             self.tile_bytes
                 .map_or_else(|| "null".to_string(), |b| b.to_string()),
             self.fuse,
@@ -400,7 +359,6 @@ mod tests {
     fn unset_and_accepted_values_resolve() {
         let default = ExecCtx {
             level: best_level(),
-            prec: Prec::F32,
             tile_bytes: Some(detected_l2_bytes().unwrap_or(DEFAULT_TILE_BYTES)),
             fuse: true,
             pool: true,
@@ -413,14 +371,12 @@ mod tests {
         assert_eq!(ExecCtx::from_lookup(table(&empty)), Ok(default));
         let rows = [
             ("PEB_SIMD", "off"),
-            ("PEB_PREC", "bf16"),
             ("PEB_PLAN", "0"),
             ("PEB_THREADS", "3"),
             ("PEB_TRACE", "summary"),
         ];
         let set = ExecCtx {
             level: Level::Scalar,
-            prec: Prec::Bf16,
             plan: false,
             threads: 3,
             ..default
@@ -438,13 +394,15 @@ mod tests {
             ("PEB_THREADS", "0"),
             ("PEB_THREADS", "abc"),
             ("PEB_SIMD", "avx512"),
-            ("PEB_PREC", "fp16"),
-            ("PEB_PREC", "int8"),
             ("PEB_PLAN", "maybe"),
             ("PEB_TRACE", "sumary"),
             ("PEB_FUSE", "off"),
             ("PEB_POOL", "on"),
             ("PEB_TILE", "auto"),
+            ("PEB_PREC", "f32"),
+            ("PEB_PREC", "bf16"),
+            ("PEB_SERVE_PREC", "f32"),
+            ("PEB_SERVE_PREC", "int8"),
         ] {
             let err = ExecCtx::from_lookup(table(&[(var, value)])).expect_err(var);
             assert_eq!((err.var, err.value.as_str()), (var, value));
@@ -476,7 +434,6 @@ mod tests {
     fn json_lists_every_field() {
         let c = ExecCtx {
             level: Level::Scalar,
-            prec: Prec::Int8,
             tile_bytes: None,
             fuse: false,
             pool: true,
@@ -485,17 +442,8 @@ mod tests {
         };
         assert_eq!(
             c.to_json(),
-            "{\"level\":\"scalar\",\"prec\":\"int8\",\"tile_bytes\":null,\"fuse\":false,\
-             \"pool\":true,\"plan\":false,\"threads\":4}"
+            "{\"level\":\"scalar\",\"tile_bytes\":null,\"fuse\":false,\"pool\":true,\
+             \"plan\":false,\"threads\":4}"
         );
-    }
-
-    #[test]
-    fn prec_parse_and_names_roundtrip() {
-        for p in [Prec::F32, Prec::Bf16, Prec::Int8] {
-            assert_eq!(Prec::parse(p.name()), Some(p));
-        }
-        assert_eq!(Prec::parse("f16"), None);
-        assert_eq!(Prec::parse(""), None);
     }
 }

@@ -4,14 +4,13 @@
 
 use std::sync::{Barrier, Mutex};
 
-use peb_par::ctx::{self, ExecCtx, Level, Prec};
+use peb_par::ctx::{self, ExecCtx, Level};
 
-/// A context no environment can resolve to (int8 is never a process
-/// default), so observing it proves the scope reached the observer.
+/// A context no environment can resolve to (no variable turns `fuse` or
+/// `pool` off), so observing it proves the scope reached the observer.
 fn marked(threads: usize) -> ExecCtx {
     ExecCtx {
         level: Level::Scalar,
-        prec: Prec::Int8,
         tile_bytes: Some(12_345),
         fuse: false,
         pool: false,
@@ -54,7 +53,6 @@ fn nested_override_is_restored_after_a_panicking_closure() {
     let outer = marked(2);
     ctx::with(outer, || {
         let inner = ExecCtx {
-            prec: Prec::Bf16,
             threads: 3,
             ..outer
         };

@@ -26,10 +26,10 @@
 //!
 //! A plan is valid for a closure whose checkout stream is a pure
 //! function of its inputs and the execution context: fixed input shape,
-//! fixed precision, fixed dispatch level, fixed thread count. All
+//! fixed dispatch level, fixed thread count. All
 //! SDM-PEB inference paths satisfy this (the workspace's
 //! bitwise-determinism contract). If the
-//! stream ever diverges — a different shape, a precision change — the
+//! stream ever diverges — a different shape, a level change — the
 //! replay falls back to the ordinary pool mid-run and completes with
 //! correct eager semantics; [`Plan::diverged_replays`] exposes the
 //! count so callers re-record.

@@ -1,7 +1,7 @@
 //! Record-and-replay memory planning for fixed-structure computations.
 //!
 //! A deterministic computation (one `sdm_peb::predict` at a fixed grid
-//! shape, precision, and dispatch level) makes the *same sequence* of
+//! shape and dispatch level) makes the *same sequence* of
 //! pool checkouts every time it runs. This module exploits that:
 //!
 //! 1. **Record** — run the computation once while a thread-local
@@ -292,7 +292,7 @@ fn slab_addr(slab: &dyn Any, spec: &RegionSpec) -> Option<usize> {
             })*
         };
     }
-    try_ty!(f32, f64, u64, u32, u16, i8, usize);
+    try_ty!(f32, f64, u64, u32, usize);
     // An element type outside the `impl_poolable!` set misses the ptr
     // map; its recycles simply fall through to the ordinary pool.
     None
@@ -312,7 +312,7 @@ impl Arena {
                     })*
                 };
             }
-            mk!(f32, f64, u64, u32, u16, i8, usize);
+            mk!(f32, f64, u64, u32, usize);
             None
         })
     }

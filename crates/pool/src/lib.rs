@@ -119,8 +119,6 @@ impl_poolable!(f32);
 impl_poolable!(f64);
 impl_poolable!(u64);
 impl_poolable!(u32);
-impl_poolable!(u16);
-impl_poolable!(i8);
 impl_poolable!(usize);
 
 /// Whether the calling thread's execution context recycles buffers.

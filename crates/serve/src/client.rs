@@ -277,26 +277,7 @@ impl Client {
     /// [`ClientError::Status`] carries the server's typed error body on
     /// any non-200 (e.g. `429` when shed).
     pub fn infer(&mut self, clip: &Tensor) -> Result<Tensor, ClientError> {
-        self.infer_path(clip, "/infer")
-    }
-
-    /// `POST /infer?prec=…`: one clip in at an explicit compute
-    /// precision, one prediction out.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::infer`]; an unknown precision name is a
-    /// server-side 400.
-    pub fn infer_prec(
-        &mut self,
-        clip: &Tensor,
-        prec: peb_simd::Prec,
-    ) -> Result<Tensor, ClientError> {
-        self.infer_path(clip, &format!("/infer?prec={}", prec.name()))
-    }
-
-    fn infer_path(&mut self, clip: &Tensor, path: &str) -> Result<Tensor, ClientError> {
-        let r = self.request("POST", path, &clip::encode_clip(clip))?;
+        let r = self.request("POST", "/infer", &clip::encode_clip(clip))?;
         if r.status != 200 {
             return Err(ClientError::Status(
                 r.status,

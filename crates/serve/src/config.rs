@@ -1,7 +1,6 @@
 //! Serving configuration (`PEB_SERVE_*` environment variables).
 
 use peb_par::ctx::{self, read_parsed, read_var, ConfigError};
-use peb_simd::Prec;
 
 use crate::clip;
 
@@ -28,7 +27,6 @@ pub enum ModelPreset {
 /// | `PEB_SERVE_READY_HWM` | `ready_hwm` | `3·queue_cap/4` |
 /// | `PEB_SERVE_WORKERS` | `conn_workers` | `2` |
 /// | `PEB_SERVE_THREADS` | `compute_threads` | unset (peb-par default) |
-/// | `PEB_SERVE_PREC` | `default_prec` (`f32`/`bf16`/`int8`) | `f32` |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Bind address (`host:port`; port 0 lets the OS pick — tests).
@@ -57,11 +55,6 @@ pub struct ServeConfig {
     /// `peb-par` default). The batching-invariance tests pin this to 1
     /// and 4 — results are bitwise identical either way.
     pub compute_threads: Option<usize>,
-    /// Compute precision for requests that do not select one with
-    /// `?prec=` (DESIGN §13). Unlike the process-wide `PEB_PREC`,
-    /// `int8` is a valid serving default — inference-only dynamic
-    /// quantisation is exactly the serving use case.
-    pub default_prec: Prec,
 }
 
 impl Default for ServeConfig {
@@ -77,7 +70,6 @@ impl Default for ServeConfig {
             ready_hwm: None,
             conn_workers: 2,
             compute_threads: None,
-            default_prec: Prec::F32,
         }
     }
 }
@@ -112,8 +104,6 @@ impl ServeConfig {
             compute_threads: read_var(&env, "PEB_SERVE_THREADS", "a positive integer", |s| {
                 s.parse().ok().filter(|&n: &usize| n > 0)
             })?,
-            default_prec: read_var(&env, "PEB_SERVE_PREC", "f32|bf16|int8", Prec::parse)?
-                .unwrap_or(d.default_prec),
         }
         .normalized())
     }
@@ -191,8 +181,6 @@ mod tests {
         assert_eq!(c.compute_threads, Some(1));
         let err = ServeConfig::from_lookup(env(&[("PEB_SERVE_THREADS", "0")])).expect_err("zero");
         assert_eq!((err.var, err.value.as_str()), ("PEB_SERVE_THREADS", "0"));
-        let err = ServeConfig::from_lookup(env(&[("PEB_SERVE_PREC", "fp16")])).expect_err("fp16");
-        assert_eq!(err.var, "PEB_SERVE_PREC");
     }
 
     #[test]

@@ -52,9 +52,6 @@ const IDLE_POLL: Duration = Duration::from_millis(20);
 /// One inference request travelling to the engine thread.
 struct InferJob {
     clip: Tensor,
-    /// Compute precision this request selected (`?prec=`, or the
-    /// server default).
-    prec: peb_simd::Prec,
     /// Propagated deadline (`X-Peb-Deadline-Us`); the batch coalescer
     /// sheds the job with 504 if it is still unserved at this instant,
     /// and never waits for stragglers past it.
@@ -78,12 +75,11 @@ pub struct EngineHandle {
     ctrl: Sender<CtrlMsg>,
     stats: Arc<ServeStats>,
     grid: (usize, usize, usize),
-    default_prec: peb_simd::Prec,
 }
 
 impl EngineHandle {
-    /// Runs one clip through the next batch at the server's default
-    /// precision, blocking until its prediction is ready.
+    /// Runs one clip through the next batch, blocking until its
+    /// prediction is ready.
     ///
     /// # Errors
     ///
@@ -92,23 +88,10 @@ impl EngineHandle {
     /// (the request is shed, never queued), [`ServeError::EngineGone`]
     /// after shutdown.
     pub fn infer(&self, clip: Tensor) -> Result<Tensor, ServeError> {
-        self.infer_prec(clip, self.default_prec)
+        self.infer_with(clip, None)
     }
 
-    /// [`EngineHandle::infer`] with an explicit compute precision —
-    /// the `?prec=` query parameter lands here. Jobs of different
-    /// precisions batch together; the engine partitions each batch by
-    /// precision and runs each partition under a scoped
-    /// `peb_simd::with_prec` override.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EngineHandle::infer`].
-    pub fn infer_prec(&self, clip: Tensor, prec: peb_simd::Prec) -> Result<Tensor, ServeError> {
-        self.infer_with(clip, prec, None)
-    }
-
-    /// [`EngineHandle::infer_prec`] with an optional propagated
+    /// [`EngineHandle::infer`] with an optional propagated
     /// deadline. A job whose deadline has already passed when the batch
     /// coalescer picks it up is shed with
     /// [`ServeError::DeadlineExceeded`] (504) rather than served late,
@@ -122,7 +105,6 @@ impl EngineHandle {
     pub fn infer_with(
         &self,
         clip: Tensor,
-        prec: peb_simd::Prec,
         deadline: Option<Instant>,
     ) -> Result<Tensor, ServeError> {
         let s = clip.shape();
@@ -147,7 +129,6 @@ impl EngineHandle {
         let (tx, rx) = mpsc::sync_channel(1);
         match self.jobs.try_send(InferJob {
             clip,
-            prec,
             deadline,
             reply: tx,
         }) {
@@ -193,11 +174,6 @@ impl EngineHandle {
     pub fn grid(&self) -> (usize, usize, usize) {
         self.grid
     }
-
-    /// The precision applied when a request does not select one.
-    pub fn default_prec(&self) -> peb_simd::Prec {
-        self.default_prec
-    }
 }
 
 /// The engine thread plus its shutdown plumbing.
@@ -217,7 +193,6 @@ impl Engine {
             ctrl: ctrl_tx.clone(),
             stats: Arc::clone(&stats),
             grid: config.grid,
-            default_prec: config.default_prec,
         };
         let cfg = config.clone();
         let join = std::thread::Builder::new()
@@ -269,10 +244,10 @@ fn build_model(config: &ServeConfig) -> SdmPeb {
 }
 
 /// Per-engine cache of recorded execution plans, keyed like the FFT
-/// plan cache: one entry per (padded clip geometry, precision). Lives
-/// entirely on the engine thread (plans are `!Send` by design — their
-/// arenas serve the thread that recorded them).
-type PlanCache = HashMap<(usize, usize, usize, peb_simd::Prec), InferPlan>;
+/// plan cache: one entry per padded clip geometry. Lives entirely on the
+/// engine thread (plans are `!Send` by design — their arenas serve the
+/// thread that recorded them).
+type PlanCache = HashMap<(usize, usize, usize), InferPlan>;
 
 fn engine_main(
     config: &ServeConfig,
@@ -388,48 +363,30 @@ fn run_batch(
         return;
     }
     stats.tick_batch(batch.len());
-    // Jobs of different precisions share the queue and the batch
-    // window; the engine partitions here and runs each precision group
-    // as one predict_batch call under a scoped override. The fixed
-    // partition order (f32, bf16, int8) and predict_batch's
-    // batch-composition invariance keep every result bitwise
-    // independent of which other requests happened to share the batch.
-    for p in [
-        peb_simd::Prec::F32,
-        peb_simd::Prec::Bf16,
-        peb_simd::Prec::Int8,
-    ] {
-        let group: Vec<&InferJob> = batch.iter().filter(|j| j.prec == p).collect();
-        if group.is_empty() {
-            continue;
-        }
-        let padded: Vec<Tensor> = group
+    let padded: Vec<Tensor> = batch
+        .iter()
+        .map(|j| pad_to_grid(&j.clip, config.grid))
+        .collect();
+    let outputs = if peb_plan::enabled() {
+        // Planned path: every padded clip replays through the cached
+        // plan for its geometry. A miss records one (costing an extra
+        // warmup predict, amortised across the key's lifetime). Replay is
+        // bitwise identical to predict_batch by the plan contract, and
+        // predict_batch is batch-composition invariant, so no result
+        // depends on which other requests happened to share the batch.
+        padded
             .iter()
-            .map(|j| pad_to_grid(&j.clip, config.grid))
-            .collect();
-        let outputs = peb_simd::with_prec(p, || {
-            if !peb_plan::enabled() {
-                return model.predict_batch(&padded);
-            }
-            // Planned path: every padded clip replays through the
-            // cached plan for its (geometry, precision). A miss records
-            // one (costing an extra warmup predict, amortised across
-            // the key's lifetime). Replay is bitwise identical to
-            // predict_batch by the plan contract, so batch composition
-            // still cannot change a single output bit.
-            padded
-                .iter()
-                .map(|clip| predict_planned(stats, model, plans, clip, p))
-                .collect()
-        });
-        for (job, out) in group.into_iter().zip(outputs) {
-            stats.tick_prec_infer(p);
-            let s = job.clip.shape();
-            let cropped = crop_to(&out, (s[0], s[1], s[2]));
-            // A gone receiver just means the client hung up; inference
-            // results are not transactional.
-            let _ = job.reply.send(Ok(cropped));
-        }
+            .map(|clip| predict_planned(stats, model, plans, clip))
+            .collect()
+    } else {
+        model.predict_batch(&padded)
+    };
+    for (job, out) in batch.into_iter().zip(outputs) {
+        let s = job.clip.shape();
+        let cropped = crop_to(&out, (s[0], s[1], s[2]));
+        // A gone receiver just means the client hung up; inference
+        // results are not transactional.
+        let _ = job.reply.send(Ok(cropped));
     }
 }
 
@@ -440,10 +397,9 @@ fn predict_planned(
     model: &SdmPeb,
     plans: &mut PlanCache,
     clip: &Tensor,
-    p: peb_simd::Prec,
 ) -> Tensor {
     let s = clip.shape();
-    let key = (s[0], s[1], s[2], p);
+    let key = (s[0], s[1], s[2]);
     if let Some(plan) = plans.get(&key) {
         let (out, outcome) = plan.predict(model, clip);
         if outcome.complete {
@@ -491,6 +447,14 @@ fn handle_swap(
     // A v2 (int8-quantized, params-empty) checkpoint dequantizes here;
     // a v1 checkpoint passes its f32 params through untouched.
     let params = sdm_peb::checkpoint_params(&ckpt).map_err(|e| rejected(e.to_string()))?;
+    // CRC proves the bytes arrived as written, not that they were worth
+    // writing: a diverged run checkpoints NaNs that would serve as NaNs.
+    if let Some(i) = params
+        .iter()
+        .position(|p| p.data().iter().any(|v| !v.is_finite()))
+    {
+        return Err(rejected(format!("parameter {i} holds a non-finite value")));
+    }
     // Splice the weights into a *fresh* instance so a shape mismatch
     // can never leave the serving model half-written.
     let fresh = build_model(config);
@@ -623,14 +587,13 @@ mod tests {
             .checked_sub(Duration::from_millis(1))
             .unwrap_or_else(Instant::now);
         let err = handle
-            .infer_with(Tensor::zeros(&[4, 16, 16]), peb_simd::Prec::F32, Some(past))
+            .infer_with(Tensor::zeros(&[4, 16, 16]), Some(past))
             .expect_err("expired deadline");
         assert_eq!(err, ServeError::DeadlineExceeded);
         // A generous deadline serves normally.
         let y = handle
             .infer_with(
                 Tensor::zeros(&[4, 16, 16]),
-                peb_simd::Prec::F32,
                 Some(Instant::now() + Duration::from_secs(30)),
             )
             .expect("served within deadline");

@@ -288,10 +288,10 @@ fn route(handle: &EngineHandle, req: &Request) -> Result<(&'static str, Vec<u8>)
             version_json(&handle.stats().version()).into_bytes(),
         )),
         (Method::Post, "/infer") => {
+            reject_prec_selection(req)?;
             let deadline = requested_deadline(req)?;
             let t = clip::decode_clip(&req.body)?;
-            let p = requested_prec(req)?.unwrap_or_else(|| handle.default_prec());
-            let y = handle.infer_with(t, p, deadline)?;
+            let y = handle.infer_with(t, deadline)?;
             Ok(("application/octet-stream", clip::encode_resp(&y)))
         }
         (Method::Post, "/swap") => {
@@ -315,24 +315,20 @@ fn route(handle: &EngineHandle, req: &Request) -> Result<(&'static str, Vec<u8>)
     }
 }
 
-/// Resolves the `?prec=` selection on an `/infer` request. `None`
-/// means the request did not pick one (the engine default applies);
-/// an unparsable value is a 400, not a silent f32 fallback.
-fn requested_prec(req: &Request) -> Result<Option<peb_simd::Prec>, ServeError> {
-    let Some(q) = req.query() else {
-        return Ok(None);
-    };
-    for pair in q.split('&') {
+/// Compute is always f32 (DESIGN §13): a `?prec=` other than `f32` on
+/// `/infer` is a 400, never a silent reinterpretation of a request that
+/// asked for something this server no longer does.
+fn reject_prec_selection(req: &Request) -> Result<(), ServeError> {
+    let pairs = req.query().into_iter().flat_map(|q| q.split('&'));
+    for pair in pairs {
         let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-        if k == "prec" {
-            return peb_simd::Prec::parse(v)
-                .map(Some)
-                .ok_or_else(|| ServeError::BadClip {
-                    detail: format!("unknown precision {v:?} (expected f32, bf16 or int8)"),
-                });
+        if k == "prec" && v != "f32" {
+            return Err(ServeError::BadClip {
+                detail: "precision selection was removed; compute is f32".into(),
+            });
         }
     }
-    Ok(None)
+    Ok(())
 }
 
 /// Resolves the `X-Peb-Deadline-Us` header into an absolute instant.

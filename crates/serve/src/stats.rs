@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use peb_par::ExecCtx;
-use peb_simd::Prec;
 
 use crate::config::ServeConfig;
 
@@ -80,9 +79,6 @@ pub struct ServeStats {
     /// Batch-size histogram; index `i` counts batches of size `i + 1`
     /// (last bucket also absorbs anything larger).
     pub batch_hist: [AtomicU64; MAX_HIST_BATCH],
-    /// Inferences served per precision, indexed by `Prec as usize`
-    /// (f32, bf16, int8).
-    pub prec_infers: [AtomicU64; 3],
     /// Batching knob: upper bound on clips folded into one batch.
     pub max_batch: usize,
     /// Batching knob: straggler wait in microseconds.
@@ -92,8 +88,6 @@ pub struct ServeStats {
     /// Readiness high-water mark (`queue_depth > ready_hwm` → 503 on
     /// `/readyz`).
     pub ready_hwm: usize,
-    /// Precision applied when a request does not pick one (`?prec=`).
-    pub default_prec: Prec,
     /// The execution context the engine thread runs under: the context
     /// of the thread that started the server, with
     /// `ServeConfig::compute_threads` applied.
@@ -103,8 +97,7 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// Fresh stats advertising the seed base model and the serving
-    /// knobs `/stats` reports (batching limits, queue depth, default
-    /// precision).
+    /// knobs `/stats` reports (batching limits, queue depth).
     pub fn new(config: &ServeConfig) -> Self {
         let caller = peb_par::ctx::current();
         ServeStats {
@@ -121,12 +114,10 @@ impl ServeStats {
             plan_invalidations: AtomicU64::new(0),
             arena_hwm_bytes: AtomicU64::new(0),
             batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            prec_infers: std::array::from_fn(|_| AtomicU64::new(0)),
             max_batch: config.max_batch,
             max_wait_us: config.max_wait_us,
             queue_cap: config.queue_cap,
             ready_hwm: config.ready_hwm(),
-            default_prec: config.default_prec,
             exec: ExecCtx {
                 threads: config.compute_threads.unwrap_or(caller.threads),
                 ..caller
@@ -147,11 +138,6 @@ impl ServeStats {
         peb_obs::count(peb_obs::Counter::ServeBatches, 1);
         let bucket = n.clamp(1, MAX_HIST_BATCH) - 1;
         self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one inference served at `p`.
-    pub fn tick_prec_infer(&self, p: Prec) {
-        self.prec_infers[p as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one shed request.
@@ -259,18 +245,8 @@ impl ServeStats {
             .iter()
             .map(|(size, count)| format!("\"{size}\":{count}"))
             .collect();
-        let prec: Vec<String> = [Prec::F32, Prec::Bf16, Prec::Int8]
-            .iter()
-            .map(|p| {
-                format!(
-                    "\"{}\":{}",
-                    p.name(),
-                    self.prec_infers[*p as usize].load(Ordering::Relaxed)
-                )
-            })
-            .collect();
         format!(
-            "{{\"requests\":{},\"batches\":{},\"shed\":{},\"deadline_shed\":{},\"queue_depth\":{},\"ready_hwm\":{},\"swaps_inflight\":{},\"hotswaps\":{},\"swaps_rejected\":{},\"plan_hits\":{},\"plan_misses\":{},\"plan_invalidations\":{},\"arena_hwm_bytes\":{},\"max_batch\":{},\"max_wait_us\":{},\"queue_cap\":{},\"precision\":{},\"prec_infers\":{{{}}},\"batch_hist\":{{{}}},\"model\":{},\"exec\":{}}}",
+            "{{\"requests\":{},\"batches\":{},\"shed\":{},\"deadline_shed\":{},\"queue_depth\":{},\"ready_hwm\":{},\"swaps_inflight\":{},\"hotswaps\":{},\"swaps_rejected\":{},\"plan_hits\":{},\"plan_misses\":{},\"plan_invalidations\":{},\"arena_hwm_bytes\":{},\"max_batch\":{},\"max_wait_us\":{},\"queue_cap\":{},\"batch_hist\":{{{}}},\"model\":{},\"exec\":{}}}",
             self.requests.load(Ordering::Relaxed),
             self.batches.load(Ordering::Relaxed),
             self.shed.load(Ordering::Relaxed),
@@ -287,8 +263,6 @@ impl ServeStats {
             self.max_batch,
             self.max_wait_us,
             self.queue_cap,
-            json_string(self.default_prec.name()),
-            prec.join(","),
             hist.join(","),
             version_json(&v),
             self.exec.to_json(),
@@ -370,7 +344,6 @@ mod tests {
         let s = stats_with_seed(1);
         s.tick_request();
         s.tick_batch(2);
-        s.tick_prec_infer(Prec::Int8);
         let j = s.to_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"requests\":1"));
@@ -410,28 +383,19 @@ mod tests {
     }
 
     #[test]
-    fn json_reports_knobs_and_precision_counters() {
+    fn json_reports_knobs_and_exec_context() {
         let s = ServeStats::new(&ServeConfig {
             seed: 9,
             max_batch: 5,
             max_wait_us: 123,
             queue_cap: 17,
-            default_prec: Prec::Bf16,
             compute_threads: Some(3),
             ..ServeConfig::default()
         });
-        s.tick_prec_infer(Prec::Bf16);
-        s.tick_prec_infer(Prec::Bf16);
-        s.tick_prec_infer(Prec::F32);
         let j = s.to_json();
         assert!(j.contains("\"max_batch\":5"), "{j}");
         assert!(j.contains("\"max_wait_us\":123"), "{j}");
         assert!(j.contains("\"queue_cap\":17"), "{j}");
-        assert!(j.contains("\"precision\":\"bf16\""), "{j}");
-        assert!(
-            j.contains("\"prec_infers\":{\"f32\":1,\"bf16\":2,\"int8\":0}"),
-            "{j}"
-        );
         // The engine's context: the caller's, at the configured threads.
         let exec = ExecCtx {
             threads: 3,

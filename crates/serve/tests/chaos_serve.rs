@@ -1,7 +1,8 @@
-//! Hot-swap under fault: a corrupt checkpoint must be rejected with a
-//! typed error while the previous model keeps serving; an armed client
-//! disconnect must not take the server down; in-flight requests must
-//! complete across a swap.
+//! Hot-swap under fault: a corrupt or non-finite checkpoint must be
+//! rejected with a typed error while the previous model keeps serving;
+//! an int8-quantized (v2) checkpoint dequantizes at the swap; an armed
+//! client disconnect must not take the server down; in-flight requests
+//! must complete across a swap.
 //!
 //! The chaos latch is process-global one-shot state, so every test in
 //! this binary serialises on one mutex (same pattern as peb-guard's own
@@ -18,7 +19,7 @@ use peb_serve::{Client, ClientError, ServeConfig, Server};
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sdm_peb::{PebPredictor, SdmPeb, SdmPebConfig};
+use sdm_peb::{PebPredictor, QuantBudgets, SdmPeb, SdmPebConfig};
 
 const GRID: (usize, usize, usize) = (4, 16, 16);
 
@@ -50,10 +51,9 @@ fn test_clip() -> Tensor {
     .expect("clip")
 }
 
-/// Saves a checkpoint whose weights come from a differently-seeded
-/// model (so a successful swap visibly changes predictions), and
-/// returns the path plus the prediction digest that model produces.
-fn write_swap_checkpoint(tag: &str) -> (PathBuf, u64) {
+/// A differently-seeded model (so a successful swap visibly changes
+/// predictions) and the checkpoint of its weights.
+fn donor_checkpoint() -> (SdmPeb, TrainCheckpoint) {
     let model = SdmPeb::new(SdmPebConfig::tiny(GRID), &mut StdRng::seed_from_u64(999));
     let params: Vec<Tensor> = model.parameters().iter().map(|p| p.value_clone()).collect();
     let n = params.len();
@@ -70,10 +70,24 @@ fn write_swap_checkpoint(tag: &str) -> (PathBuf, u64) {
         opt_v: vec![None; n],
         quant: None,
     };
+    (model, ckpt)
+}
+
+fn save_checkpoint(ckpt: &TrainCheckpoint, tag: &str) -> PathBuf {
     let path =
         std::env::temp_dir().join(format!("peb_serve_chaos_{tag}_{}.ckpt", std::process::id()));
     ckpt.save(&path).expect("save checkpoint");
-    (path, model.predict(&test_clip()).bit_digest())
+    path
+}
+
+/// Saves [`donor_checkpoint`] and returns the path plus the prediction
+/// digest that model produces.
+fn write_swap_checkpoint(tag: &str) -> (PathBuf, u64) {
+    let (model, ckpt) = donor_checkpoint();
+    (
+        save_checkpoint(&ckpt, tag),
+        model.predict(&test_clip()).bit_digest(),
+    )
 }
 
 #[test]
@@ -106,32 +120,37 @@ fn valid_swap_changes_the_served_model() {
 #[test]
 fn corrupt_swap_is_rejected_and_old_model_keeps_serving() {
     let _l = lock();
-    for fault in [
-        Chaos::BitflipCkpt { byte: None },
-        Chaos::TruncateCkpt { bytes: 16 },
+    // A fault mangles a good file on its way in; `None` is a file that
+    // passes CRC and decodes but holds a NaN weight.
+    for (tag, fault, reason) in [
+        ("bitflip", Some(Chaos::BitflipCkpt { byte: None }), ""),
+        ("truncate", Some(Chaos::TruncateCkpt { bytes: 16 }), ""),
+        ("nan", None, "parameter 3 holds a non-finite value"),
     ] {
         chaos::disarm();
-        let tag = match fault {
-            Chaos::BitflipCkpt { .. } => "bitflip",
-            _ => "truncate",
-        };
-        let (path, _) = write_swap_checkpoint(tag);
+        let (_, mut ckpt) = donor_checkpoint();
+        if fault.is_none() {
+            ckpt.params[3].data_mut()[0] = f32::NAN;
+        }
+        let path = save_checkpoint(&ckpt, tag);
         let server = Server::start(config()).expect("start");
         let mut client = Client::connect(server.addr()).expect("connect");
         let base = client.infer(&test_clip()).expect("infer").bit_digest();
 
-        chaos::arm(fault);
+        if let Some(fault) = fault {
+            chaos::arm(fault);
+        }
         let err = client
             .swap(path.to_str().expect("utf8 path"))
             .expect_err("corrupt checkpoint must be rejected");
         match err {
             ClientError::Status(409, body) => {
                 assert!(
-                    body.contains("hot-swap rejected"),
-                    "typed rejection body, got {body:?}"
+                    body.contains("hot-swap rejected") && body.contains(reason),
+                    "{tag}: typed rejection body, got {body:?}"
                 );
             }
-            other => panic!("expected 409, got {other:?}"),
+            other => panic!("{tag}: expected 409, got {other:?}"),
         }
 
         // The previous version keeps serving, bit-for-bit.
@@ -140,6 +159,7 @@ fn corrupt_swap_is_rejected_and_old_model_keeps_serving() {
         let stats = server.handle().stats();
         assert_eq!(stats.hotswaps.load(Ordering::Relaxed), 0);
         assert_eq!(stats.swaps_rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.plan_invalidations.load(Ordering::Relaxed), 0);
         assert_eq!(stats.version().version, 0, "version must not advance");
 
         // A later clean swap from a fresh file still works (the fault
@@ -159,6 +179,45 @@ fn corrupt_swap_is_rejected_and_old_model_keeps_serving() {
         std::fs::remove_file(&path2).ok();
     }
     chaos::disarm();
+}
+
+#[test]
+fn quantized_v2_checkpoint_swaps_in_and_serves() {
+    let _l = lock();
+    chaos::disarm();
+    // Train-side artifact: the donor checkpoint, post-training-quantized
+    // against a small held-out clip set.
+    let (donor, ckpt) = donor_checkpoint();
+    let budgets = QuantBudgets {
+        max_rmse: 0.2,
+        min_ssim: 0.5,
+    };
+    let (qckpt, report) =
+        sdm_peb::quantize_checkpoint(&donor, &ckpt, &[test_clip()], budgets).expect("quantize");
+    assert!(report.quant_bytes < report.f32_bytes, "{report:?}");
+    let path = save_checkpoint(&qckpt, "quant");
+
+    // Serving side: the swap dequantizes transparently; the served
+    // prediction must match a local model restored from the same
+    // dequantized parameters bitwise.
+    let server = Server::start(config()).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let v = client.swap(path.to_str().expect("utf8")).expect("swap");
+    assert_eq!(v.version, 1);
+    assert_eq!(v.epoch, 5);
+    let served = client.infer(&test_clip()).expect("infer");
+    server.shutdown();
+
+    let local = SdmPeb::new(SdmPebConfig::tiny(GRID), &mut StdRng::seed_from_u64(1));
+    let loaded = TrainCheckpoint::load(&path).expect("reload");
+    let deq = sdm_peb::checkpoint_params(&loaded).expect("dequantize");
+    sdm_peb::restore_parameters(&local, &deq).expect("restore");
+    assert_eq!(
+        served.bit_digest(),
+        local.predict(&test_clip()).bit_digest(),
+        "served prediction must come from the dequantized weights"
+    );
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -15,7 +15,6 @@
 //! fuses each multiply–add (FMA), so it differs from the scalar path by
 //! bounded ULPs; the scalar path keeps unfused `mul`+`add`.
 
-use crate::bf16::{f32_to_bf16, Bf16x8, ScalarBf16x8};
 use crate::{simd_active, ScalarX8, Simd8};
 
 /// Register-tile rows.
@@ -27,9 +26,6 @@ pub const NR: usize = 8;
 pub const KC: usize = 256;
 /// `n`-dimension cache block bounding the packed `b` panel.
 pub const NC: usize = 1024;
-/// `k`-dimension cache block of the bf16 kernel: panels are half the
-/// bytes, so twice the depth fits in the same cache footprint.
-pub const KC_BF16: usize = 512;
 
 /// Dispatched GEMM: `out += a · b`, `out` pre-zeroed or pre-accumulated
 /// by the caller.
@@ -124,169 +120,6 @@ fn tile<V: Simd8>(ap: &[f32], bp: &[f32], kb: usize) -> [V; MR] {
         }
     }
     acc
-}
-
-// ---------------------------------------------------------------------------
-// bf16-storage GEMM
-// ---------------------------------------------------------------------------
-
-/// bf16-storage GEMM: `out += a · b` where the packed `a`/`b` panels
-/// hold bf16 (operands are narrowed once, at pack time, with
-/// round-to-nearest-even) and **all accumulation stays f32**.
-///
-/// Relative to [`gemm`], each operand contributes one bf16 rounding
-/// (≤ 2⁻⁸ relative), so per output element the error is bounded by
-/// `~2⁻⁷·Σ|a||b|` on top of the usual f32 accumulation error; the
-/// property suite pins this budget. Panel memory traffic is halved and
-/// the `k` cache block doubles ([`KC_BF16`]).
-///
-/// Accumulation order is fixed by the problem shape exactly as in the
-/// f32 kernel, so results are bitwise reproducible at any `PEB_THREADS`
-/// and any caller-side row panelling, for a fixed dispatch level.
-pub fn gemm_bf16(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        crate::note_prec_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { gemm_bf16_avx2(a, b, out, m, k, n) };
-        return;
-    }
-    crate::note_prec_dispatch();
-    gemm_bf16_generic::<ScalarBf16x8>(a, b, out, m, k, n)
-}
-
-/// Forced scalar-backend bf16 GEMM (differential tests).
-pub fn gemm_bf16_scalar(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_bf16_generic::<ScalarBf16x8>(a, b, out, m, k, n)
-}
-
-/// Forced SIMD-backend bf16 GEMM; returns `false` (leaving `out`
-/// untouched) when the CPU lacks AVX2+FMA.
-pub fn gemm_bf16_simd(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`.
-        unsafe { gemm_bf16_avx2(a, b, out, m, k, n) };
-        return true;
-    }
-    let _ = (a, b, out, m, k, n);
-    false
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_bf16_avx2(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_bf16_generic::<crate::bf16::AvxBf16x8>(a, b, out, m, k, n)
-}
-
-#[inline(always)]
-fn gemm_bf16_generic<B: Bf16x8>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let mut apack = peb_pool::PoolBuf::<u16>::cleared(m.div_ceil(MR) * MR * KC_BF16.min(k));
-    let mut bpack = peb_pool::PoolBuf::<u16>::cleared(NC.min(n).div_ceil(NR) * NR * KC_BF16.min(k));
-    for jc in (0..n).step_by(NC) {
-        let nb = NC.min(n - jc);
-        for kc in (0..k).step_by(KC_BF16) {
-            let kb = KC_BF16.min(k - kc);
-            pack_b_bf16(b, &mut bpack, n, jc, kc, nb, kb);
-            pack_a_bf16(a, &mut apack, k, kc, kb, m);
-            for ir in (0..m).step_by(MR) {
-                let mb = MR.min(m - ir);
-                let ap = &apack[(ir / MR) * kb * MR..][..kb * MR];
-                for jr in (0..nb).step_by(NR) {
-                    let nr = NR.min(nb - jr);
-                    let bp = &bpack[(jr / NR) * kb * NR..][..kb * NR];
-                    let acc = tile_bf16::<B>(ap, bp, kb);
-                    if nr == NR {
-                        for (ii, accv) in acc.iter().enumerate().take(mb) {
-                            let row = &mut out[(ir + ii) * n + jc + jr..][..NR];
-                            B::F::load(row).add(*accv).store(row);
-                        }
-                    } else {
-                        // Right-edge tile: only `nr` columns are real.
-                        for (ii, accv) in acc.iter().enumerate().take(mb) {
-                            let lane = accv.to_array();
-                            let row = &mut out[(ir + ii) * n + jc + jr..][..nr];
-                            for (o, v) in row.iter_mut().zip(lane) {
-                                *o += v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// 8×8 register tile over bf16 panels: widen each operand to f32
-/// (exact) and accumulate `acc[ii][jj] = Σ_kk â[kk][ii] · b̂[kk][jj]`
-/// in f32. The `a` lanes widen scalar-wise (a shift feeding the splat);
-/// the `b` vector widens eight lanes at once.
-#[inline(always)]
-fn tile_bf16<B: Bf16x8>(ap: &[u16], bp: &[u16], kb: usize) -> [B::F; MR] {
-    let mut acc = [B::F::zero(); MR];
-    for kk in 0..kb {
-        let bv = B::widen_load(&bp[kk * NR..kk * NR + NR]);
-        let arow = &ap[kk * MR..kk * MR + MR];
-        for (ii, accv) in acc.iter_mut().enumerate() {
-            let av = B::F::splat(crate::bf16::bf16_to_f32(arow[ii]));
-            *accv = av.mul_add(bv, *accv);
-        }
-    }
-    acc
-}
-
-/// bf16 variant of [`pack_a`]: same panel layout, values narrowed with
-/// round-to-nearest-even at pack time.
-fn pack_a_bf16(a: &[f32], buf: &mut Vec<u16>, k: usize, kc: usize, kb: usize, m: usize) {
-    buf.clear();
-    for ir in (0..m).step_by(MR) {
-        let mb = MR.min(m - ir);
-        for kk in 0..kb {
-            for ii in 0..MR {
-                buf.push(if ii < mb {
-                    f32_to_bf16(a[(ir + ii) * k + kc + kk])
-                } else {
-                    0
-                });
-            }
-        }
-    }
-}
-
-/// bf16 variant of [`pack_b`]: same panel layout, values narrowed with
-/// round-to-nearest-even at pack time.
-fn pack_b_bf16(
-    b: &[f32],
-    buf: &mut Vec<u16>,
-    n: usize,
-    jc: usize,
-    kc: usize,
-    nb: usize,
-    kb: usize,
-) {
-    buf.clear();
-    for jr in (0..nb).step_by(NR) {
-        let nr = NR.min(nb - jr);
-        for kk in 0..kb {
-            let row = &b[(kc + kk) * n + jc + jr..];
-            buf.extend(row[..nr].iter().map(|&v| f32_to_bf16(v)));
-            buf.resize(buf.len() + (NR - nr), 0);
-        }
-    }
 }
 
 /// Packs `a[0..m, kc..kc+kb]` into `MR`-interleaved row panels:
@@ -392,93 +225,6 @@ mod tests {
             for (s, v) in scalar.iter().zip(&simd) {
                 assert!(close(*s, *v, k), "({m},{k},{n}): {s} vs {v}");
             }
-        }
-    }
-
-    /// bf16 budget: each operand carries one ≤2⁻⁸ relative rounding, so
-    /// per element the error against the f32 kernel is bounded by
-    /// roughly `2⁻⁷·Σ|a||b|`; we gate at 1% of the absolute-sum mass
-    /// (comfortable headroom over the 0.8% analytic bound).
-    fn bf16_close(w: f32, g: f32, abs_mass: f32) -> bool {
-        (w - g).abs() <= abs_mass * 0.01 + 1e-6
-    }
-
-    fn abs_mass(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut mass = vec![0f32; m * n];
-        for i in 0..m {
-            for kk in 0..k {
-                for j in 0..n {
-                    mass[i * n + j] += (a[i * k + kk] * b[kk * n + j]).abs();
-                }
-            }
-        }
-        mass
-    }
-
-    #[test]
-    fn bf16_tracks_f32_within_relative_budget() {
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 2),
-            (9, 300, 17),
-            (64, 64, 64),
-            (7, 513, 9),
-        ] {
-            let a = pseudo(m * k, 11);
-            let b = pseudo(k * n, 12);
-            let mut f32_out = vec![0f32; m * n];
-            gemm_scalar(&a, &b, &mut f32_out, m, k, n);
-            let mass = abs_mass(&a, &b, m, k, n);
-            let mut lo = vec![0f32; m * n];
-            gemm_bf16_scalar(&a, &b, &mut lo, m, k, n);
-            for ((w, g), mm) in f32_out.iter().zip(&lo).zip(&mass) {
-                assert!(bf16_close(*w, *g, *mm), "scalar ({m},{k},{n}): {w} vs {g}");
-            }
-            let mut simd = vec![0f32; m * n];
-            if gemm_bf16_simd(&a, &b, &mut simd, m, k, n) {
-                for ((w, g), mm) in f32_out.iter().zip(&simd).zip(&mass) {
-                    assert!(bf16_close(*w, *g, *mm), "simd ({m},{k},{n}): {w} vs {g}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bf16_exact_on_bf16_representable_inputs() {
-        // Inputs already on the bf16 grid suffer zero narrowing error, so
-        // scalar bf16 GEMM must match scalar f32 GEMM bitwise when the
-        // blocking coincides (k ≤ KC so both use one k-block).
-        let (m, k, n) = (9, 40, 11);
-        let a: Vec<f32> = pseudo(m * k, 13)
-            .iter()
-            .map(|&v| crate::bf16::bf16_to_f32(crate::bf16::f32_to_bf16(v)))
-            .collect();
-        let b: Vec<f32> = pseudo(k * n, 14)
-            .iter()
-            .map(|&v| crate::bf16::bf16_to_f32(crate::bf16::f32_to_bf16(v)))
-            .collect();
-        let mut want = vec![0f32; m * n];
-        gemm_scalar(&a, &b, &mut want, m, k, n);
-        let mut got = vec![0f32; m * n];
-        gemm_bf16_scalar(&a, &b, &mut got, m, k, n);
-        for (w, g) in want.iter().zip(&got) {
-            assert_eq!(w.to_bits(), g.to_bits());
-        }
-    }
-
-    #[test]
-    fn bf16_simd_is_self_deterministic() {
-        let (m, k, n) = (33, 600, 65);
-        let a = pseudo(m * k, 15);
-        let b = pseudo(k * n, 16);
-        let mut r1 = vec![0f32; m * n];
-        if !gemm_bf16_simd(&a, &b, &mut r1, m, k, n) {
-            return;
-        }
-        let mut r2 = vec![0f32; m * n];
-        assert!(gemm_bf16_simd(&a, &b, &mut r2, m, k, n));
-        for (x, y) in r1.iter().zip(&r2) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

@@ -36,12 +36,10 @@
 //! The `simd_dispatch` counter in `peb-obs` ticks once per kernel call
 //! that takes the vector path.
 
-pub mod bf16;
 pub mod conv;
 pub mod elementwise;
 pub mod fused;
 pub mod gemm;
-pub mod int8;
 pub mod optim;
 pub mod reaction;
 pub mod scan;
@@ -49,11 +47,11 @@ pub mod stencil;
 pub mod thomas;
 
 // ---------------------------------------------------------------------------
-// Dispatch level and precision: one-line reads of the execution context
+// Dispatch level: a one-line read of the execution context
 // ---------------------------------------------------------------------------
 
-use peb_par::ctx::{self, ExecCtx};
-pub use peb_par::ctx::{best_level, detected, Level, Prec};
+use peb_par::ctx;
+pub use peb_par::ctx::{best_level, detected, Level};
 
 /// Dispatch level of the calling thread's execution context.
 #[inline]
@@ -74,30 +72,26 @@ pub(crate) fn note_dispatch() {
     peb_obs::count(peb_obs::Counter::SimdDispatch, 1);
 }
 
-/// Compute precision of the calling thread's execution context.
-#[inline]
+/// Vestige of the removed precision axis: compute is always f32.
+/// `benchmark/src/env.rs` prints `peb_simd::prec().name()` in its
+/// fingerprint and may not be edited; this enum, [`Prec::name`] and
+/// [`prec`] exist only to keep it compiling and go when that field does.
+#[derive(Debug, Clone, Copy)]
+pub enum Prec {
+    /// The only compute precision.
+    F32,
+}
+
+impl Prec {
+    /// `"f32"`.
+    pub fn name(self) -> &'static str {
+        "f32"
+    }
+}
+
+/// Always [`Prec::F32`] (see [`Prec`]).
 pub fn prec() -> Prec {
-    ctx::current().prec
-}
-
-/// Runs `f` with the precision pinned to `p` (the rest of the current
-/// context unchanged). The scope covers everything dispatched from this
-/// thread, including work fanned out to the `peb-par` pool.
-pub fn with_prec<R>(p: Prec, f: impl FnOnce() -> R) -> R {
-    ctx::with(
-        ExecCtx {
-            prec: p,
-            ..ctx::current()
-        },
-        f,
-    )
-}
-
-/// Ticks the `prec_dispatch` counter; called by every kernel entry that
-/// takes a reduced-precision (bf16/int8) path.
-#[inline]
-pub(crate) fn note_prec_dispatch() {
-    peb_obs::count(peb_obs::Counter::PrecDispatch, 1);
+    Prec::F32
 }
 
 // ---------------------------------------------------------------------------
@@ -305,23 +299,6 @@ impl Simd8 for ScalarX8 {
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub struct AvxX8(std::arch::x86_64::__m256);
-
-#[cfg(target_arch = "x86_64")]
-impl AvxX8 {
-    /// The raw vector register, for sibling modules (bf16/int8) that
-    /// need intrinsics outside the [`Simd8`] surface.
-    #[inline(always)]
-    pub(crate) fn raw(self) -> std::arch::x86_64::__m256 {
-        self.0
-    }
-
-    /// Wraps a raw vector register (same soundness contract as the
-    /// type: only under `avx2,fma` target features).
-    #[inline(always)]
-    pub(crate) fn from_raw(v: std::arch::x86_64::__m256) -> Self {
-        AvxX8(v)
-    }
-}
 
 #[cfg(target_arch = "x86_64")]
 mod avx {

@@ -21,7 +21,6 @@
 
 use peb_par::UnsafeSlice;
 
-use crate::bf16::{bf16_to_f32, f32_to_bf16, Bf16x8, ScalarBf16x8};
 use crate::{simd_active, ScalarX8, Simd8};
 
 /// Packs rows `ci0..ci0+8` of the `[C, N]` state matrix into interleaved
@@ -223,204 +222,6 @@ unsafe fn scan_fwd_generic<V: Simd8>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// bf16-storage scan
-// ---------------------------------------------------------------------------
-
-/// Packs rows `ci0..ci0+8` of the `[C, N]` state matrix into interleaved
-/// `[N][8]` **bf16** order (narrowed once with round-to-nearest-even).
-pub fn pack_a_lanes8_bf16(a: &[f32], n: usize, ci0: usize, out: &mut Vec<u16>) {
-    out.clear();
-    for ni in 0..n {
-        for j in 0..8 {
-            out.push(f32_to_bf16(a[(ci0 + j) * n + ni]));
-        }
-    }
-}
-
-/// bf16-storage variant of [`scan_forward_lanes8`]: the running state
-/// `h` and the packed `a` live in bf16 (`u16`), halving the hot per-lane
-/// state footprint; every arithmetic step widens to f32, computes
-/// exactly as the f32 kernel does, and narrows `h` back with
-/// round-to-nearest-even. The recurrence therefore rounds `h` once per
-/// time step — error compounds geometrically with the contraction
-/// factor `e = exp(Δ·a) < 1`, and the property suite pins the resulting
-/// budget. `y` stays full f32.
-///
-/// # Safety
-///
-/// Same aliasing contract as [`scan_forward_lanes8`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn scan_forward_lanes8_bf16(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[u16],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
-    h: &mut [u16],
-    y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
-) {
-    debug_assert!(ci0 + 8 <= ch);
-    debug_assert!(h.len() >= n * 8 && a_pack.len() >= n * 8 && skip8.len() >= 8);
-    crate::note_prec_dispatch();
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected; the
-        // aliasing contract is the caller's.
-        unsafe { scan_fwd_bf16_avx2(u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0) };
-        return;
-    }
-    // SAFETY: aliasing contract is the caller's.
-    unsafe {
-        scan_fwd_bf16_generic::<ScalarBf16x8>(
-            u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0,
-        )
-    }
-}
-
-/// Forced scalar-backend variant of [`scan_forward_lanes8_bf16`].
-///
-/// # Safety
-///
-/// Same contract as [`scan_forward_lanes8`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn scan_forward_lanes8_bf16_scalar(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[u16],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
-    h: &mut [u16],
-    y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        scan_fwd_bf16_generic::<ScalarBf16x8>(
-            u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0,
-        )
-    }
-}
-
-/// Forced SIMD-backend variant of [`scan_forward_lanes8_bf16`]; returns
-/// `false` (no-op) without AVX2+FMA.
-///
-/// # Safety
-///
-/// Same contract as [`scan_forward_lanes8`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn scan_forward_lanes8_bf16_simd(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[u16],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
-    h: &mut [u16],
-    y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`; aliasing is the caller's.
-        unsafe { scan_fwd_bf16_avx2(u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0) };
-        return true;
-    }
-    let _ = (u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0);
-    false
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn scan_fwd_bf16_avx2(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[u16],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
-    h: &mut [u16],
-    y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        scan_fwd_bf16_generic::<crate::bf16::AvxBf16x8>(
-            u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0,
-        )
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn scan_fwd_bf16_generic<B: Bf16x8>(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[u16],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
-    h: &mut [u16],
-    y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
-) {
-    let skipv = B::F::load(skip8);
-    for t in 0..l {
-        let dtv = B::F::load(&delta[t * ch + ci0..]);
-        let utv = B::F::load(&u[t * ch + ci0..]);
-        let dtu = dtv.mul(utv);
-        let mut acc = B::F::zero();
-        for ni in 0..n {
-            let av = B::widen_load(&a_pack[ni * 8..]);
-            let e = dtv.mul(av).exp();
-            let hs = &mut h[ni * 8..ni * 8 + 8];
-            let hv = e.mul_add(B::widen_load(hs), dtu.mul(B::F::splat(b[t * n + ni])));
-            B::narrow_store(hv, hs);
-            // The contribution uses the *stored* (narrowed) state so the
-            // trajectory and the accumulation see the same values.
-            acc = B::F::splat(c[t * n + ni]).mul_add(B::widen_load(hs), acc);
-        }
-        let yv = skipv.mul_add(utv, acc);
-        // SAFETY: lane group owns y positions t·ch+ci0..+8 (caller
-        // contract).
-        yv.store(unsafe { y.slice_mut(t * ch + ci0..t * ch + ci0 + 8) });
-        if let Some(traj) = h_traj {
-            // SAFETY: caller contract, as above.
-            let dst = unsafe { traj.slice_mut((t * ch + ci0) * n..(t * ch + ci0 + 8) * n) };
-            for (ni, hs) in h.chunks_exact(8).enumerate().take(n) {
-                for (j, v) in hs.iter().enumerate() {
-                    dst[j * n + ni] = bf16_to_f32(*v);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,103 +316,6 @@ mod tests {
         }
         for (w, g) in want_traj.iter().zip(&traj) {
             assert_eq!(w.to_bits(), g.to_bits());
-        }
-    }
-
-    #[test]
-    fn bf16_scan_tracks_f32_within_budget() {
-        // Δ·a < 0 keeps the recurrence contractive, so the per-step
-        // bf16 rounding of h (≤ 2⁻⁸ relative) accumulates to a bounded
-        // geometric series rather than growing with l. Gate y at 2% of
-        // the output magnitude scale.
-        let (l, ch, n) = (48, 8, 6);
-        let u = pseudo(l * ch, 21, -1.0, 1.0);
-        let delta = pseudo(l * ch, 22, 0.05, 0.5);
-        let a = pseudo(ch * n, 23, -1.5, -0.2);
-        let b = pseudo(l * n, 24, -1.0, 1.0);
-        let c = pseudo(l * n, 25, -1.0, 1.0);
-        let d = pseudo(ch, 26, -1.0, 1.0);
-        let (want_y, _) = reference(&u, &delta, &a, &b, &c, &d, l, ch, n);
-        let scale = want_y.iter().fold(0f32, |m, v| m.max(v.abs()));
-
-        let run = |simd: bool| -> Option<Vec<f32>> {
-            let mut y = vec![0f32; l * ch];
-            {
-                let ys = UnsafeSlice::new(&mut y);
-                let mut apack = Vec::new();
-                pack_a_lanes8_bf16(&a, n, 0, &mut apack);
-                let mut h = vec![0u16; n * 8];
-                // SAFETY: single-threaded test; one group owns all of y.
-                unsafe {
-                    if simd {
-                        if !scan_forward_lanes8_bf16_simd(
-                            &u, &delta, &apack, &b, &c, &d, &mut h, &ys, None, l, ch, n, 0,
-                        ) {
-                            return None;
-                        }
-                    } else {
-                        scan_forward_lanes8_bf16_scalar(
-                            &u, &delta, &apack, &b, &c, &d, &mut h, &ys, None, l, ch, n, 0,
-                        );
-                    }
-                }
-            }
-            Some(y)
-        };
-
-        let scalar_y = run(false).expect("scalar always runs");
-        for (w, g) in want_y.iter().zip(&scalar_y) {
-            assert!((w - g).abs() <= scale * 0.02, "{w} vs {g}");
-        }
-        if let Some(simd_y) = run(true) {
-            for (w, g) in want_y.iter().zip(&simd_y) {
-                assert!((w - g).abs() <= scale * 0.02, "simd {w} vs {g}");
-            }
-        }
-    }
-
-    #[test]
-    fn bf16_scan_writes_narrowed_trajectory() {
-        let (l, ch, n) = (5, 8, 3);
-        let u = pseudo(l * ch, 31, -1.0, 1.0);
-        let delta = pseudo(l * ch, 32, 0.05, 0.5);
-        let a = pseudo(ch * n, 33, -1.5, -0.2);
-        let b = pseudo(l * n, 34, -1.0, 1.0);
-        let c = pseudo(l * n, 35, -1.0, 1.0);
-        let d = pseudo(ch, 36, -1.0, 1.0);
-        let mut y = vec![0f32; l * ch];
-        let mut traj = vec![0f32; l * ch * n];
-        {
-            let ys = UnsafeSlice::new(&mut y);
-            let ts = UnsafeSlice::new(&mut traj);
-            let mut apack = Vec::new();
-            pack_a_lanes8_bf16(&a, n, 0, &mut apack);
-            let mut h = vec![0u16; n * 8];
-            // SAFETY: single-threaded test; one group owns everything.
-            unsafe {
-                scan_forward_lanes8_bf16_scalar(
-                    &u,
-                    &delta,
-                    &apack,
-                    &b,
-                    &c,
-                    &d,
-                    &mut h,
-                    &ys,
-                    Some(&ts),
-                    l,
-                    ch,
-                    n,
-                    0,
-                );
-            }
-        }
-        // Every trajectory value is on the bf16 grid (it was narrowed).
-        for v in &traj {
-            assert_eq!(
-                v.to_bits(),
-                crate::bf16::bf16_to_f32(crate::bf16::f32_to_bf16(*v)).to_bits()
-            );
         }
     }
 }

@@ -12,7 +12,6 @@
 //! SIMD path is **bitwise identical** to the scalar path — and to the
 //! pre-SIMD `explicit_step` loop.
 
-use crate::bf16::{bf16_to_f32, Bf16x8, ScalarBf16x8};
 use crate::{simd_active, ScalarX8, Simd8};
 
 /// Parameters of one slice update, shared by all cells.
@@ -184,175 +183,6 @@ fn explicit_slice_generic<V: Simd8>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// bf16-storage stencil
-// ---------------------------------------------------------------------------
-
-/// bf16-storage variant of [`explicit_slice`]: the frozen source field
-/// is bf16 (`u16`, narrowed once when the step froze its copy), halving
-/// the streamed read traffic of this bandwidth-bound kernel; every load
-/// widens exactly to f32 and the update expression is identical. Since
-/// widening is exact and the expression uses only IEEE-exact lane ops
-/// (no FMA), the scalar and SIMD backends stay **bitwise identical** to
-/// each other — the only deviation from the f32 kernel is the single
-/// narrowing of the source field.
-#[allow(clippy::too_many_arguments)]
-pub fn explicit_slice_bf16(
-    src: &[u16],
-    dst: &mut [f32],
-    z: usize,
-    nz: usize,
-    ny: usize,
-    nx: usize,
-    p: StencilParams,
-) {
-    debug_assert_eq!(src.len(), nz * ny * nx);
-    debug_assert_eq!(dst.len(), ny * nx);
-    crate::note_prec_dispatch();
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { explicit_slice_bf16_avx2(src, dst, z, nz, ny, nx, p) };
-        return;
-    }
-    explicit_slice_bf16_generic::<ScalarBf16x8>(src, dst, z, nz, ny, nx, p)
-}
-
-/// Forced scalar-backend variant of [`explicit_slice_bf16`].
-#[allow(clippy::too_many_arguments)]
-pub fn explicit_slice_bf16_scalar(
-    src: &[u16],
-    dst: &mut [f32],
-    z: usize,
-    nz: usize,
-    ny: usize,
-    nx: usize,
-    p: StencilParams,
-) {
-    explicit_slice_bf16_generic::<ScalarBf16x8>(src, dst, z, nz, ny, nx, p)
-}
-
-/// Forced SIMD-backend variant of [`explicit_slice_bf16`]; returns
-/// `false` (no-op) without AVX2+FMA.
-#[allow(clippy::too_many_arguments)]
-pub fn explicit_slice_bf16_simd(
-    src: &[u16],
-    dst: &mut [f32],
-    z: usize,
-    nz: usize,
-    ny: usize,
-    nx: usize,
-    p: StencilParams,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`.
-        unsafe { explicit_slice_bf16_avx2(src, dst, z, nz, ny, nx, p) };
-        return true;
-    }
-    let _ = (src, dst, z, nz, ny, nx, p);
-    false
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn explicit_slice_bf16_avx2(
-    src: &[u16],
-    dst: &mut [f32],
-    z: usize,
-    nz: usize,
-    ny: usize,
-    nx: usize,
-    p: StencilParams,
-) {
-    explicit_slice_bf16_generic::<crate::bf16::AvxBf16x8>(src, dst, z, nz, ny, nx, p)
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn explicit_slice_bf16_generic<B: Bf16x8>(
-    src: &[u16],
-    dst: &mut [f32],
-    z: usize,
-    nz: usize,
-    ny: usize,
-    nx: usize,
-    p: StencilParams,
-) {
-    let slice = ny * nx;
-    let two = B::F::splat(2.0);
-    let (rxv, ryv, rzv) = (B::F::splat(p.rx), B::F::splat(p.ry), B::F::splat(p.rz));
-    let robin = p
-        .robin_top
-        .map(|(coeff, sat)| (B::F::splat(coeff), B::F::splat(sat)));
-    for y in 0..ny {
-        let base = (z * ny + y) * nx;
-        let ym_base = if y == 0 { base } else { base - nx };
-        let yp_base = if y + 1 == ny { base } else { base + nx };
-        let zp_base = if z + 1 == nz { base } else { base + slice };
-        let zm_base = if z == 0 { base } else { base - slice }; // unused at z == 0
-        let out = &mut dst[y * nx..(y + 1) * nx];
-
-        let scalar_cell = |x: usize, out: &mut [f32]| {
-            let c = bf16_to_f32(src[base + x]);
-            let xm = if x == 0 {
-                c
-            } else {
-                bf16_to_f32(src[base + x - 1])
-            };
-            let xp = if x + 1 == nx {
-                c
-            } else {
-                bf16_to_f32(src[base + x + 1])
-            };
-            let ym = bf16_to_f32(src[ym_base + x]);
-            let yp = bf16_to_f32(src[yp_base + x]);
-            let zp = bf16_to_f32(src[zp_base + x]);
-            let mut acc = p.rx * (xm + xp - 2.0 * c) + p.ry * (ym + yp - 2.0 * c);
-            if z == 0 {
-                acc += p.rz * (zp - c);
-                if let Some((coeff, sat)) = p.robin_top {
-                    acc -= coeff * (c - sat);
-                }
-            } else {
-                let zm = bf16_to_f32(src[zm_base + x]);
-                acc += p.rz * (zm + zp - 2.0 * c);
-            }
-            out[x] = c + acc;
-        };
-
-        scalar_cell(0, out);
-        let mut x = 1usize;
-        while x + 8 < nx {
-            let c = B::widen_load(&src[base + x..]);
-            let xm = B::widen_load(&src[base + x - 1..]);
-            let xp = B::widen_load(&src[base + x + 1..]);
-            let ym = B::widen_load(&src[ym_base + x..]);
-            let yp = B::widen_load(&src[yp_base + x..]);
-            let zp = B::widen_load(&src[zp_base + x..]);
-            let mut acc = rxv
-                .mul(xm.add(xp).sub(two.mul(c)))
-                .add(ryv.mul(ym.add(yp).sub(two.mul(c))));
-            if z == 0 {
-                acc = acc.add(rzv.mul(zp.sub(c)));
-                if let Some((coeff, sat)) = robin {
-                    acc = acc.sub(coeff.mul(c.sub(sat)));
-                }
-            } else {
-                let zm = B::widen_load(&src[zm_base + x..]);
-                acc = acc.add(rzv.mul(zm.add(zp).sub(two.mul(c))));
-            }
-            c.add(acc).store(&mut out[x..]);
-            x += 8;
-        }
-        for xt in x..nx {
-            scalar_cell(xt, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,44 +251,6 @@ mod tests {
             let mut simd = vec![0f32; ny * nx];
             if explicit_slice_simd(&src, &mut simd, z, nz, ny, nx, p) {
                 for (w, g) in want.iter().zip(&simd) {
-                    assert_eq!(w.to_bits(), g.to_bits(), "simd z={z}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bf16_backends_are_bitwise_identical_and_track_f32() {
-        let (nz, ny, nx) = (4usize, 5usize, 19usize);
-        let srcf = pseudo(nz * ny * nx, 7);
-        let src: Vec<u16> = srcf.iter().map(|&v| crate::bf16::f32_to_bf16(v)).collect();
-        let p = StencilParams {
-            rx: 0.11,
-            ry: 0.13,
-            rz: 0.17,
-            robin_top: Some((0.021, 0.9)),
-        };
-        for z in 0..nz {
-            let mut want = vec![0f32; ny * nx];
-            reference(&srcf, &mut want, z, nz, ny, nx, p);
-            let mut scalar = vec![0f32; ny * nx];
-            explicit_slice_bf16_scalar(&src, &mut scalar, z, nz, ny, nx, p);
-            // One narrowing of the source: field values are O(1), so the
-            // update deviates by O(2⁻⁸) of the stencil mass.
-            for (w, g) in want.iter().zip(&scalar) {
-                assert!((w - g).abs() <= 0.02, "z={z}: {w} vs {g}");
-            }
-            // Widened-bf16 source through the f32 kernel must match the
-            // bf16 kernel bitwise (widening is exact, same expression).
-            let widened: Vec<f32> = src.iter().map(|&b| crate::bf16::bf16_to_f32(b)).collect();
-            let mut via_f32 = vec![0f32; ny * nx];
-            explicit_slice_scalar(&widened, &mut via_f32, z, nz, ny, nx, p);
-            for (w, g) in via_f32.iter().zip(&scalar) {
-                assert_eq!(w.to_bits(), g.to_bits(), "widened z={z}");
-            }
-            let mut simd = vec![0f32; ny * nx];
-            if explicit_slice_bf16_simd(&src, &mut simd, z, nz, ny, nx, p) {
-                for (w, g) in scalar.iter().zip(&simd) {
                     assert_eq!(w.to_bits(), g.to_bits(), "simd z={z}");
                 }
             }

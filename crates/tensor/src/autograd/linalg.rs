@@ -55,16 +55,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let a = Var::parameter(Tensor::randn(&[3, 4], &mut rng));
         let b = Var::parameter(Tensor::randn(&[4, 2], &mut rng));
-        // Finite differences need the full-precision forward: bf16
-        // storage noise (~2^-8 relative) swamps an h=1e-2 stencil.
-        peb_simd::with_prec(peb_simd::Prec::F32, || {
-            let fa = check_gradients(&a, |v| v.matmul(&b).sum(), 1e-2);
-            assert!(fa.ok(2e-2), "{fa:?}");
-            let a2 = a.detach();
-            let bp = Var::parameter(b.value_clone());
-            let fb = check_gradients(&bp, |v| a2.matmul(v).sum(), 1e-2);
-            assert!(fb.ok(2e-2), "{fb:?}");
-        });
+        let fa = check_gradients(&a, |v| v.matmul(&b).sum(), 1e-2);
+        assert!(fa.ok(2e-2), "{fa:?}");
+        let a2 = a.detach();
+        let bp = Var::parameter(b.value_clone());
+        let fb = check_gradients(&bp, |v| a2.matmul(v).sum(), 1e-2);
+        assert!(fb.ok(2e-2), "{fb:?}");
     }
 
     #[test]
@@ -72,11 +68,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let a = Var::parameter(Tensor::randn(&[2, 2, 3], &mut rng));
         let b = Var::constant(Tensor::randn(&[2, 3, 2], &mut rng));
-        // See matmul_gradcheck: finite differences stay on the f32 path.
-        peb_simd::with_prec(peb_simd::Prec::F32, || {
-            let fa = check_gradients(&a, |v| v.bmm(&b).sum(), 1e-2);
-            assert!(fa.ok(2e-2), "{fa:?}");
-        });
+        let fa = check_gradients(&a, |v| v.bmm(&b).sum(), 1e-2);
+        assert!(fa.ok(2e-2), "{fa:?}");
     }
 
     #[test]

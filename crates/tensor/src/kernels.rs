@@ -54,42 +54,14 @@ pub fn matmul_par(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    // The arm is chosen once, on the submitting thread, so every panel
-    // of one product takes the same kernel.
-    let prec = peb_simd::prec();
     let slots = peb_par::UnsafeSlice::new(out);
     let row_flops = 2 * (k as u64) * (n as u64);
-    match prec {
-        peb_simd::Prec::F32 => {
-            peb_par::parallel_chunks_cost(m, MC, row_flops, |rows| {
-                let sub_a = &a[rows.start * k..rows.end * k];
-                // SAFETY: row panels are disjoint by construction.
-                let sub_out = unsafe { slots.slice_mut(rows.start * n..rows.end * n) };
-                peb_simd::gemm::gemm(sub_a, b, sub_out, rows.len(), k, n);
-            });
-        }
-        peb_simd::Prec::Bf16 => {
-            peb_par::parallel_chunks_cost(m, MC, row_flops, |rows| {
-                let sub_a = &a[rows.start * k..rows.end * k];
-                // SAFETY: row panels are disjoint by construction.
-                let sub_out = unsafe { slots.slice_mut(rows.start * n..rows.end * n) };
-                peb_simd::gemm::gemm_bf16(sub_a, b, sub_out, rows.len(), k, n);
-            });
-        }
-        peb_simd::Prec::Int8 => {
-            // Quantize `b` once per multiply (per-column absmax), then
-            // fan the activation rows out; exact i32 accumulation makes
-            // this arm bitwise reproducible at any thread count *and*
-            // dispatch level.
-            let qb = peb_simd::int8::quantize_b(b, k, n);
-            peb_par::parallel_chunks_cost(m, MC, row_flops, |rows| {
-                let sub_a = &a[rows.start * k..rows.end * k];
-                // SAFETY: row panels are disjoint by construction.
-                let sub_out = unsafe { slots.slice_mut(rows.start * n..rows.end * n) };
-                peb_simd::int8::gemm_i8(sub_a, &qb, sub_out, rows.len());
-            });
-        }
-    }
+    peb_par::parallel_chunks_cost(m, MC, row_flops, |rows| {
+        let sub_a = &a[rows.start * k..rows.end * k];
+        // SAFETY: row panels are disjoint by construction.
+        let sub_out = unsafe { slots.slice_mut(rows.start * n..rows.end * n) };
+        peb_simd::gemm::gemm(sub_a, b, sub_out, rows.len(), k, n);
+    });
 }
 
 #[cfg(test)]
@@ -123,11 +95,7 @@ mod tests {
             let mut naive = vec![0f32; m * n];
             let mut packed = vec![0f32; m * n];
             matmul_naive(&a, &b, &mut naive, m, k, n);
-            // The ULP budget is an f32-kernel property; pin the arm even
-            // when the suite runs under PEB_PREC=bf16.
-            peb_simd::with_prec(peb_simd::Prec::F32, || {
-                matmul_par(&a, &b, &mut packed, m, k, n);
-            });
+            matmul_par(&a, &b, &mut packed, m, k, n);
             for (x, y) in naive.iter().zip(packed.iter()) {
                 assert!(close(*x, *y, k), "({m},{k},{n}): {x} vs {y}");
             }
@@ -144,55 +112,6 @@ mod tests {
         peb_par::with_thread_count(1, || matmul_par(&a, &b, &mut seq, m, k, n));
         peb_par::with_thread_count(4, || matmul_par(&a, &b, &mut par, m, k, n));
         for (x, y) in seq.iter().zip(par.iter()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn reduced_precision_arms_track_naive_and_stay_thread_invariant() {
-        let (m, k, n) = (150, 96, 33);
-        let a = pseudo(m * k, 5);
-        let b = pseudo(k * n, 6);
-        let mut naive = vec![0f32; m * n];
-        matmul_naive(&a, &b, &mut naive, m, k, n);
-        // |a|,|b| ≤ 1 → per-element mass ≤ k; bf16 carries 2⁻⁷·mass,
-        // int8 roughly twice that. Loose absolute gates from those.
-        for (prec, tol) in [
-            (peb_simd::Prec::Bf16, k as f32 * 0.01),
-            (peb_simd::Prec::Int8, k as f32 * 0.025),
-        ] {
-            let mut seq = vec![0f32; m * n];
-            let mut par = vec![0f32; m * n];
-            peb_simd::with_prec(prec, || {
-                peb_par::with_thread_count(1, || matmul_par(&a, &b, &mut seq, m, k, n));
-                peb_par::with_thread_count(4, || matmul_par(&a, &b, &mut par, m, k, n));
-            });
-            for (x, y) in naive.iter().zip(seq.iter()) {
-                assert!((x - y).abs() <= tol, "{prec:?}: {x} vs {y}");
-            }
-            // The submitting thread's context governs the whole fan-out,
-            // and panelling never changes bits.
-            for (x, y) in seq.iter().zip(par.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{prec:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn explicit_f32_override_is_bitwise_default() {
-        let (m, k, n) = (70, 40, 21);
-        let a = pseudo(m * k, 7);
-        let b = pseudo(k * n, 8);
-        let mut plain = vec![0f32; m * n];
-        matmul_par(&a, &b, &mut plain, m, k, n);
-        // Naming the ambient precision explicitly must be a bitwise
-        // no-op — f32 by default, bf16 when the suite runs under
-        // PEB_PREC=bf16.
-        let mut forced = vec![0f32; m * n];
-        peb_simd::with_prec(peb_simd::prec(), || {
-            matmul_par(&a, &b, &mut forced, m, k, n)
-        });
-        for (x, y) in plain.iter().zip(forced.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }

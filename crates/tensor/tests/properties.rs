@@ -44,15 +44,8 @@ proptest! {
         let a = Tensor::randn(&[3, 4], &mut rng);
         let b = Tensor::randn(&[4, 2], &mut rng);
         let c = Tensor::randn(&[2, 5], &mut rng);
-        // The 1e-3 budget is an f32 algebra property: chained multiplies
-        // under PEB_PREC=bf16 round through storage twice (~2^-8
-        // relative each), which the dedicated bf16 kernel suites cover.
-        let (lhs, rhs) = peb_simd::with_prec(peb_simd::Prec::F32, || {
-            (
-                a.matmul(&b).unwrap().matmul(&c).unwrap(),
-                a.matmul(&b.matmul(&c).unwrap()).unwrap(),
-            )
-        });
+        let lhs = a.matmul(&b).unwrap().matmul(&c).unwrap();
+        let rhs = a.matmul(&b.matmul(&c).unwrap()).unwrap();
         prop_assert!(lhs.max_abs_diff(&rhs) < 1e-3);
     }
 
