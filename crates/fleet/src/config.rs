@@ -62,11 +62,11 @@ pub struct FleetConfig {
     /// Router connection-handling threads.
     pub conn_workers: usize,
     /// Path to the `peb_worker` binary. `None` → a `peb_worker` sibling
-    /// of the current executable (how the bench and CI find it).
+    /// of the current executable (how the `peb_fleet` binary finds it).
     pub worker_bin: Option<std::path::PathBuf>,
     /// Per-shard `PEB_CHAOS` specs injected into the *first* spawn of
     /// that shard only (restarts come up clean) — the chaos schedule
-    /// hook for `bench_fleet` and the failover tests.
+    /// hook for the failover tests.
     pub worker_chaos: Vec<(usize, String)>,
     /// Extra environment for every worker spawn (tests and the bench
     /// pin `PEB_SERVE_*` knobs here instead of mutating the parent's

@@ -29,8 +29,9 @@
 //! worker response is a retry, never a forward. Combined with the
 //! serving layer's batching invariance and cross-process bitwise
 //! determinism (same seed → same bits), every successful fleet response
-//! is bitwise identical to the single-process answer; `bench_fleet`
-//! asserts exactly that under a chaos schedule.
+//! is bitwise identical to the single-process answer;
+//! `tests/failover_determinism.rs` asserts exactly that with all three
+//! faults armed under load.
 //!
 //! Chaos faults for this layer (`PEB_CHAOS`, see `peb-guard`):
 //! `kill-worker[:N]` aborts a worker at the top of a batch,

@@ -187,7 +187,11 @@ fn accept_loop(
             .name("peb-fleet-conn".to_string())
             .spawn(move || handle_conn(stream, &ctx, &stop));
         if let Ok(j) = spawned {
-            conns.lock().unwrap_or_else(|e| e.into_inner()).push(j);
+            let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
+            // A finished thread keeps its stack until its handle is joined
+            // or dropped: reap those before adding to the list.
+            conns.retain(|c| !c.is_finished());
+            conns.push(j);
         }
     }
 }

@@ -305,3 +305,41 @@ fn bad_deadline_header_is_a_400_and_bad_routes_stay_typed() {
     assert_eq!(fleet.stats().retries.load(Ordering::Relaxed), 0);
     fleet.shutdown();
 }
+
+/// A connection that closes must leave nothing behind in the router:
+/// its accept loop reaps finished connection threads. Before it did,
+/// every closed connection kept a thread stack (about 2 MiB of address
+/// space), and the supervisor's own probes open one per interval.
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_do_not_grow_the_router() {
+    /// `VmData`: private writable mappings, which count every thread
+    /// stack but not the inaccessible 64 MiB glibc reserves per malloc
+    /// arena (`VmSize` does, and moved 330–750 MiB on that alone).
+    fn vm_data_kib() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmData:"))
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|kib| kib.parse().ok())
+            .expect("VmData line")
+    }
+    const FRESH_CONNS: usize = 1000;
+    let fleet = Fleet::start(fleet_config(1)).expect("fleet start");
+    let before = vm_data_kib();
+    for _ in 0..FRESH_CONNS {
+        // Answered by the router itself; no worker is involved.
+        let mut client = Client::connect(fleet.addr()).expect("connect");
+        let r = client.request("GET", "/healthz", b"").expect("healthz");
+        assert_eq!(r.status, 200);
+    }
+    let grown_kib = vm_data_kib().saturating_sub(before);
+    fleet.shutdown();
+    // The sibling tests of this binary share the process; their fleets
+    // come and go inside the bound, 1000 leaked stacks (2 GiB) do not.
+    assert!(
+        grown_kib < 512 * 1024,
+        "writable address space grew {grown_kib} KiB over {FRESH_CONNS} closed connections"
+    );
+}

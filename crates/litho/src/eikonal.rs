@@ -279,8 +279,7 @@ mod tests {
 /// FIM maintains an active list of narrow-band voxels and relaxes them
 /// until convergence, which parallelises better than sweeping on real
 /// hardware; here it serves as an independent cross-check of the
-/// fast-sweeping solver (the test suite asserts both agree) and as a
-/// benchmark subject.
+/// fast-sweeping solver (the test suite asserts both agree).
 ///
 /// # Errors
 ///

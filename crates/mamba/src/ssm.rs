@@ -168,8 +168,7 @@ mod tests {
 ///
 /// This is the "structured state space model" ancestor of Mamba and the
 /// natural ablation for the question *does selectivity matter for PEB?* —
-/// exercised by the `bench_scan` Criterion group and the comparison test
-/// below.
+/// exercised by the comparison test below.
 #[derive(Debug)]
 pub struct LtiSsmBlock {
     b_const: Var, // [N]

@@ -261,7 +261,7 @@ impl ExecCtx {
     }
 
     /// The context as one JSON object — the `"exec"` value in `/stats`
-    /// and `BENCH_*.json`, and the start-up log line of the servers.
+    /// and the start-up log line of the servers.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"level\":\"{}\",\"tile_bytes\":{},\"fuse\":{},\"pool\":{},\"plan\":{},\

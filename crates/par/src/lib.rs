@@ -284,9 +284,9 @@ fn fixed_chunk(total: usize, chunk: usize) -> usize {
 ///
 /// Dispatching helpers costs a queue lock, condvar wakes, and — on
 /// oversubscribed machines — scheduler churn; for kernels doing less than
-/// ~64 k scalar operations that overhead dominates the work itself (the
-/// `BENCH_pool` micro workload regressed 40 % at `PEB_THREADS=4` from
-/// exactly this). The cutoff only changes *where* chunks run, never how
+/// ~64 k scalar operations that overhead dominates the work itself (a
+/// micro training loop regressed 40 % at `PEB_THREADS=4` from exactly
+/// this). The cutoff only changes *where* chunks run, never how
 /// the work is partitioned: the same chunks execute in ascending order on
 /// the calling thread, so results stay bitwise identical.
 pub const MIN_PARALLEL_WORK: u64 = 1 << 16;

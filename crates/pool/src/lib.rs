@@ -55,8 +55,7 @@ pub mod tile;
 
 /// Largest pooled buffer: `2^MAX_BUCKET` elements. Checkouts above this
 /// always allocate fresh and returns above it are dropped. Sized to
-/// cover the 512×512×80 "paper-shape" volumes (≈21 M elements) exercised
-/// by `bench_e2e`.
+/// cover the 512×512×80 "paper-shape" volumes (≈21 M elements).
 const MAX_BUCKET: usize = 26;
 
 /// Retained bytes per bucket. Depth is the budget divided by the bucket's

@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP client for the serve wire format.
 //!
-//! This exists for the closed-loop load generator (`bench_serve`) and
-//! the integration tests — it exercises the server over a real TCP
+//! This exists for the load generators (`benchmark/`'s serving workloads)
+//! and the integration tests — it exercises the server over a real TCP
 //! socket with the same keep-alive connection reuse a production
 //! client would use. It is intentionally tiny: one connection, one
 //! request in flight, `Content-Length` framing only.

@@ -16,8 +16,8 @@
 //!
 //! Raw `f32` bits pass through untouched in both directions, so a
 //! client can verify the serving layer's bitwise batching-invariance
-//! contract end to end (`bench_serve` does exactly that with
-//! `Tensor::bit_digest`). The response format is version-bumped from
+//! contract end to end (`tests/batch_determinism.rs` does exactly that
+//! with `Tensor::bit_digest`). The response format is version-bumped from
 //! `PEBRESP1`: a v1 frame is rejected with a typed
 //! [`ServeError::LegacyFrame`] (old writers cannot silently reach new
 //! readers without integrity protection), and a CRC mismatch is a

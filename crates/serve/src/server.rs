@@ -152,7 +152,11 @@ fn accept_loop(
             .name("peb-serve-conn".to_string())
             .spawn(move || handle_conn(stream, &handle, &stop, max_body));
         if let Ok(j) = spawned {
-            conns.lock().unwrap_or_else(|e| e.into_inner()).push(j);
+            let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
+            // A finished thread keeps its stack until its handle is joined
+            // or dropped: reap those before adding to the list.
+            conns.retain(|c| !c.is_finished());
+            conns.push(j);
         }
     }
 }

@@ -10,9 +10,8 @@
 //! as separate tensor ops at the same `PEB_SIMD` dispatch level (see the
 //! determinism contract in `peb_simd::fused`). Under an execution
 //! context with `fuse: false` (`peb_par::ctx::with`) `eval()` falls back
-//! to exactly those separate unfused sweeps — the oracle `bench_e2e` and
-//! the determinism suite compare against; no environment variable
-//! selects it.
+//! to exactly those separate unfused sweeps — the oracle the determinism
+//! suite compares against; no environment variable selects it.
 //!
 //! # Example
 //!

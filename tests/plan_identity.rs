@@ -57,6 +57,11 @@ fn replay_is_bitwise_identical_across_levels_and_threads() {
                     eager,
                     "recording run diverged from eager: {scoped:?}"
                 );
+                let mem = plan.plan();
+                assert!(
+                    mem.arena_bytes() <= mem.logical_bytes(),
+                    "aliasing lost bytes: {mem:?}"
+                );
                 for rep in 0..2 {
                     let (out, outcome) = plan.predict(&model, &clip);
                     assert!(
