@@ -13,7 +13,7 @@ use peb_data::ExperimentScale;
 use peb_litho::{LithoFlow, MaskConfig};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let (scale, _) = ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
     let grid = scale.grid();
     let clip = MaskConfig::demo(grid.nx).generate(4242).expect("mask");
     let flow = LithoFlow::new(grid);

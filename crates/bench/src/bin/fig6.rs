@@ -13,7 +13,7 @@ fn bar(frac: f64, width: usize) -> String {
 }
 
 fn main() -> Result<(), PebError> {
-    let scale = ExperimentScale::from_env();
+    let (scale, _) = ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
     let dataset = prepare_dataset(scale)?;
 
     let acid_hist = value_histogram(dataset.train.iter().map(|s| &s.acid0));

@@ -8,12 +8,13 @@ use peb_guard::PebError;
 use sdm_peb::CD_BUCKET_LABELS;
 
 fn main() -> Result<(), PebError> {
-    let scale = ExperimentScale::from_env();
+    let (scale, epochs) =
+        ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
     eprintln!("[fig7] scale = {}", scale.name());
     let dataset = prepare_dataset(scale)?;
     let flow = prepare_flow(scale);
 
-    let trained = train_models(&ModelKind::TABLE2, &dataset, scale.epochs())?;
+    let trained = train_models(&ModelKind::TABLE2, &dataset, epochs)?;
     let rows: Vec<_> = trained
         .iter()
         .map(|t| evaluate_model(t.model.as_ref(), &dataset, &flow))

@@ -21,11 +21,12 @@ fn plane(volume: &Tensor, layer: usize) -> Tensor {
 }
 
 fn main() -> Result<(), PebError> {
-    let scale = ExperimentScale::from_env();
+    let (scale, epochs) =
+        ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
     eprintln!("[fig8] scale = {}", scale.name());
     let dataset = prepare_dataset(scale)?;
     let flow = prepare_flow(scale);
-    let trained = train_models(&[ModelKind::SdmPeb], &dataset, scale.epochs())?;
+    let trained = train_models(&[ModelKind::SdmPeb], &dataset, epochs)?;
     let model = &trained[0].model;
 
     let sample = &dataset.test[0];

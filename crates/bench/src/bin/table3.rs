@@ -9,7 +9,8 @@ use peb_data::ExperimentScale;
 use peb_guard::PebError;
 
 fn main() -> Result<(), PebError> {
-    let scale = ExperimentScale::from_env();
+    let (scale, epochs) =
+        ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
     eprintln!("[table3] scale = {}", scale.name());
     let dataset = prepare_dataset(scale)?;
     let flow = prepare_flow(scale);
@@ -17,7 +18,7 @@ fn main() -> Result<(), PebError> {
     let trained = train_models_with(
         &ModelKind::TABLE3,
         &dataset,
-        scale.epochs(),
+        epochs,
         &TrainOptions::from_args()?,
     )?;
     let rows: Vec<_> = trained

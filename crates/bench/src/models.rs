@@ -1,6 +1,6 @@
 //! Uniform construction and training of all compared models.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -10,8 +10,11 @@ use peb_baselines::{
     DeePeb, DeePebConfig, DeepCnn, DeepCnnConfig, Fno, FnoConfig, TempoResist, TempoResistConfig,
 };
 use peb_data::Dataset;
-use peb_guard::Context;
-use sdm_peb::{PebError, PebLoss, PebPredictor, SdmPeb, SdmPebConfig, TrainConfig, Trainer};
+use peb_guard::{Context, OptKind, TrainCheckpoint};
+use sdm_peb::{
+    checkpoint_params, restore_parameters, PebError, PebLoss, PebPredictor, SdmPeb, SdmPebConfig,
+    TrainConfig, Trainer,
+};
 
 /// Which model (or SDM-PEB ablation) to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,8 +189,8 @@ pub struct TrainedModel {
 }
 
 /// Weight-cache location for a trained model.
-fn weight_cache_path(kind: ModelKind, dataset: &Dataset, epochs: usize) -> std::path::PathBuf {
-    let mut p = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+fn weight_cache_path(kind: ModelKind, dataset: &Dataset, epochs: usize) -> PathBuf {
+    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     p.pop();
     p.pop();
     p.push("target");
@@ -203,24 +206,30 @@ fn weight_cache_path(kind: ModelKind, dataset: &Dataset, epochs: usize) -> std::
     p
 }
 
-/// Attempts to restore cached weights into `model`; true on success.
-fn try_restore(model: &dyn PebPredictor, path: &std::path::Path) -> bool {
-    let Ok(tensors) = peb_data::load_tensors(path) else {
-        return false;
-    };
-    let params = model.parameters();
-    if params.len() != tensors.len() {
-        return false;
+/// Restores cached weights into `model`. The cache is a params-only
+/// `PEBCKPT1` checkpoint, so a torn, stale or foreign file fails its CRC,
+/// magic or shape check and leaves the model untouched.
+fn restore_cached(model: &dyn PebPredictor, path: &Path) -> Result<(), PebError> {
+    let ckpt = TrainCheckpoint::load(path)?;
+    restore_parameters(model, &checkpoint_params(&ckpt)?)
+}
+
+/// Writes `model`'s weights as a params-only checkpoint (atomic, CRC'd).
+fn save_cached(model: &dyn PebPredictor, path: &Path) -> Result<(), PebError> {
+    TrainCheckpoint {
+        epoch: 0,
+        seed: 0,
+        opt_kind: OptKind::Adam,
+        opt_t: 0,
+        lr_scale: 1.0,
+        rollbacks: 0,
+        epoch_stats: Vec::new(),
+        params: model.parameters().iter().map(|p| p.value_clone()).collect(),
+        opt_m: Vec::new(),
+        opt_v: Vec::new(),
+        quant: None,
     }
-    for (p, t) in params.iter().zip(&tensors) {
-        if p.value().shape() != t.shape() {
-            return false;
-        }
-    }
-    for (p, t) in params.iter().zip(tensors) {
-        p.set_value(t);
-    }
-    true
+    .save(path)
 }
 
 /// Trains every requested model on the same data with the same budget
@@ -265,7 +274,7 @@ pub fn train_models_with(
     for &kind in kinds {
         let model = build_model(kind, dims);
         let cache = weight_cache_path(kind, dataset, epochs);
-        if try_restore(model.as_ref(), &cache) {
+        if restore_cached(model.as_ref(), &cache).is_ok() {
             eprintln!("[harness] {}: restored cached weights", kind.label());
             out.push(TrainedModel {
                 kind,
@@ -305,8 +314,7 @@ pub fn train_models_with(
             report.final_loss,
             report.elapsed
         );
-        let weights: Vec<_> = model.parameters().iter().map(|p| p.value_clone()).collect();
-        if let Err(e) = peb_data::save_tensors(&weights, &cache) {
+        if let Err(e) = save_cached(model.as_ref(), &cache) {
             eprintln!("[harness] could not cache weights: {e}");
         }
         out.push(TrainedModel {

@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use peb_data::{load_dataset_lenient, save_dataset, Dataset, ExperimentScale};
+use peb_data::{load_dataset, save_dataset, Dataset, ExperimentScale};
 use peb_guard::{Context, PebError};
 use peb_litho::LithoFlow;
 
@@ -19,9 +19,9 @@ fn cache_dir() -> PathBuf {
 /// Generates (or loads from cache) the dataset for a scale preset.
 ///
 /// The rigorous solves take the bulk of the harness time; the cache makes
-/// every subsequent table/figure binary start instantly. Cache reads are
-/// lenient: a partially corrupt cache (truncated tail, failed checksum)
-/// is reported and regenerated rather than trusted or fatal.
+/// every subsequent table/figure binary start instantly. A cache that
+/// fails to load (damaged, truncated, or an older format) is reported
+/// and regenerated, never trusted and never fatal.
 ///
 /// # Errors
 ///
@@ -32,18 +32,11 @@ pub fn prepare_dataset(scale: ExperimentScale) -> Result<Dataset, PebError> {
     std::fs::create_dir_all(&dir).with_ctx(|| format!("creating cache dir {}", dir.display()))?;
     let path = dir.join(format!("dataset-{}.bin", scale.name()));
     if path.exists() {
-        match load_dataset_lenient(&path) {
-            Ok((ds, report)) if report.clean() => {
+        match load_dataset(&path) {
+            Ok(ds) => {
                 eprintln!("[harness] loaded cached dataset {}", path.display());
                 return Ok(ds);
             }
-            Ok((_, report)) => eprintln!(
-                "[harness] cache damaged ({} sample(s) quarantined, {} lost, crc_ok={:?}); \
-                 regenerating",
-                report.quarantined.len(),
-                report.lost,
-                report.crc_ok
-            ),
             Err(e) => eprintln!("[harness] cache unreadable ({e}); regenerating"),
         }
     }

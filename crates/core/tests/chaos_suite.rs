@@ -2,10 +2,12 @@
 //!
 //! Run directly (`cargo test -p sdm-peb --test chaos_suite`) every
 //! scenario arms its fault programmatically. With `PEB_CHAOS` set (as in
-//! the CI chaos matrix: `nan-spike`, `truncate-ckpt`, `kill-resume`),
-//! only the matching scenario runs and the fault arrives through the
-//! real environment latch in `peb_guard::chaos` — exercising the exact
-//! path an operator would use against a production run.
+//! the CI chaos matrix: `nan-spike`, `truncate-ckpt`, `kill-resume`,
+//! `truncate-data`), only the matching scenario runs and the fault
+//! arrives through the real environment latch in `peb_guard::chaos` —
+//! exercising the exact path an operator would use against a production
+//! run. A set `PEB_CHAOS` that does not parse fails every scenario, so a
+//! typo in the matrix cannot pass by skipping them all.
 //!
 //! Chaos state is process-global and one-shot, so scenarios serialise on
 //! a mutex and re-arm explicitly where they need more than one fault.
@@ -38,7 +40,14 @@ fn env_scenario() -> Option<String> {
 /// fault then arrives via the env latch) or no scenario is selected (the
 /// test arms `fault` itself).
 fn engage(tag: &str, fault: Chaos) -> bool {
-    match env_scenario() {
+    let env = env_scenario();
+    if let Some(s) = &env {
+        assert!(
+            chaos::parse(s).is_some(),
+            "PEB_CHAOS={s:?} does not parse: no scenario would run"
+        );
+    }
+    match env {
         Some(s) if s.split(':').next() == Some(tag) => true, // env latch armed
         Some(_) => false,                                    // another scenario's process
         None => {
@@ -218,8 +227,7 @@ fn scenario_kill_resume() {
 }
 
 /// `PEB_CHAOS=truncate-data`: a freshly saved dataset cache is truncated;
-/// the strict loader must reject it and the lenient loader must
-/// quarantine the damaged tail instead of failing.
+/// the loader must reject it as corrupt (its callers then regenerate).
 #[test]
 fn scenario_truncate_data() {
     let _g = lock();
@@ -236,15 +244,8 @@ fn scenario_truncate_data() {
     peb_data::save_dataset(&ds, &path).expect("save (chaos truncates after write)");
     chaos::disarm();
 
-    let strict = peb_data::load_dataset(&path);
-    assert!(
-        strict.is_err(),
-        "strict load must reject the truncated file"
-    );
-    let (recovered, report) =
-        peb_data::load_dataset_lenient(&path).expect("lenient load recovers the prefix");
-    assert!(!report.clean());
-    assert!(recovered.train.len() + recovered.test.len() < ds.train.len() + ds.test.len());
+    let err = peb_data::load_dataset(&path).expect_err("the truncated cache must not load");
+    assert!(err.is_corrupt(), "expected Corrupt, got {err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

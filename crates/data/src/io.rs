@@ -1,329 +1,121 @@
-//! Versioned binary cache for generated datasets.
+//! Binary cache for generated datasets.
 //!
 //! The rigorous solves are the expensive part of every experiment, so
-//! datasets are written to disk after first generation. The format is a
-//! minimal little-endian binary codec (no external serialisation backend
-//! is in the allowed dependency set).
+//! datasets are written to disk after first generation. There is one
+//! format, `PEBDATA3`, encoded and decoded through [`peb_guard::codec`] —
+//! the bounds-checked codec the `PEBCKPT1` checkpoints use. Files are
+//! written atomically (temp file + fsync + rename), so a crash mid-write
+//! never leaves a torn cache behind.
 //!
-//! Format versions:
+//! # Wire format (`PEBDATA3`, little-endian)
 //!
-//! * `PEBDATA3` (current) — the v2 body followed by a little-endian
-//!   CRC-32 (IEEE) footer over every preceding byte including the magic.
-//!   Files are written atomically (temp file + fsync + rename) via
-//!   `peb-guard`, so a crash mid-write never leaves a torn cache behind.
-//! * `PEBDATA2` (legacy) — same body, no checksum. Still readable;
-//!   [`LoadReport::crc_ok`] is `None` for such files.
+//! | field | encoding |
+//! |-------|----------|
+//! | magic | 8 bytes `"PEBDATA3"` |
+//! | grid | `u64` nx, ny, nz, then `f32` dx, dy, dz |
+//! | train | `u64` count, then samples |
+//! | test | `u64` count, then samples |
+//! | crc | `u32` CRC-32 (IEEE) of **every** preceding byte, magic included |
 //!
-//! Corruption handling is explicit: [`load_dataset`] is strict (any
-//! checksum or decode failure is a typed [`PebError::Corrupt`]), while
-//! [`load_dataset_lenient`] quarantines corrupt *trailing* samples and
-//! returns the longest valid prefix together with a per-sample issue
-//! report, so a partially damaged cache still yields usable data.
+//! A sample is the clip pattern (a tensor: rank `u64`, dims `u64`…, data
+//! `f32`…); a `u64` contact count, then per contact `f32` cy, cx, w, h;
+//! `u64` clip style and `u64` clip seed; the acid0, inhibitor and label
+//! tensors; a `u64` CD count, then per CD `f32` cd_x, cd_y and `u64`
+//! open, centre y, centre x; and the rigorous PEB time as `u64` µs.
+//!
+//! [`load_dataset`] is the one reader, and it is strict: a short file, a
+//! wrong magic, a checksum mismatch, a count the remaining bytes cannot
+//! hold or a trailing byte is a [`PebError::Corrupt`], and callers
+//! regenerate.
 
-use std::io::{self, Read, Write};
 use std::path::Path;
 use std::time::Duration;
 
-use peb_guard::{chaos, crc32, Context, PebError};
+use peb_guard::codec::{open_sealed, put_f32, put_tensor, put_u64, seal, Cursor, MIN_TENSOR_BYTES};
+use peb_guard::{chaos, Context, PebError, Result};
 use peb_litho::{ClipStyle, Contact, ContactCd, Grid, MaskClip};
-use peb_tensor::Tensor;
 
 use crate::dataset::{Dataset, Sample};
 
-const MAGIC_V3: &[u8; 8] = b"PEBDATA3";
-const MAGIC_V2: &[u8; 8] = b"PEBDATA2";
-const TENSOR_MAGIC: &[u8; 8] = b"PEBTENS1";
+const MAGIC: &[u8; 8] = b"PEBDATA3";
+/// Wire size of one contact: four `f32`s.
+const CONTACT_BYTES: usize = 16;
+/// Wire size of one CD record: two `f32`s and three `u64`s.
+const CD_BYTES: usize = 32;
+/// Smallest wire size of a sample: four tensor ranks and five `u64`s.
+const MIN_SAMPLE_BYTES: usize = 4 * MIN_TENSOR_BYTES + 5 * 8;
 
-/// One quarantined sample from a lenient load.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampleIssue {
-    /// Which split the sample belonged to.
-    pub split: Split,
-    /// Index within that split.
-    pub index: usize,
-    /// Human-readable decode failure.
-    pub detail: String,
-}
-
-/// Train/test split tag for [`SampleIssue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Split {
-    /// Training split.
-    Train,
-    /// Test split.
-    Test,
-}
-
-impl std::fmt::Display for Split {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Split::Train => write!(f, "train"),
-            Split::Test => write!(f, "test"),
-        }
-    }
-}
-
-/// Outcome report of a lenient dataset load.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Format version of the file (2 or 3).
-    pub version: u32,
-    /// Whole-file checksum verdict; `None` for legacy v2 files, which
-    /// carry no checksum.
-    pub crc_ok: Option<bool>,
-    /// Samples that could not be decoded. The codec is streaming, so the
-    /// first corrupt sample quarantines everything after it; the issue
-    /// list records the first failure plus the count it drags down.
-    pub quarantined: Vec<SampleIssue>,
-    /// Samples declared by the header but not recovered.
-    pub lost: usize,
-}
-
-impl LoadReport {
-    /// True when the file was fully intact.
-    pub fn clean(&self) -> bool {
-        self.quarantined.is_empty() && self.lost == 0 && self.crc_ok != Some(false)
-    }
-}
-
-/// Saves a dataset to `path` in the current (`PEBDATA3`) format: CRC-32
-/// footer, atomic temp-file + fsync + rename write.
+/// Saves a dataset to `path` as `PEBDATA3`: CRC-32 footer, atomic
+/// temp-file + fsync + rename write.
 ///
 /// # Errors
 ///
 /// Returns [`PebError::Io`] for any underlying I/O failure.
-pub fn save_dataset(ds: &Dataset, path: &Path) -> Result<(), PebError> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC_V3);
-    write_body(&mut buf, ds).map_err(PebError::from)?;
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    peb_guard::atomic_write(path, &buf)
+pub fn save_dataset(ds: &Dataset, path: &Path) -> Result<()> {
+    let mut w = MAGIC.to_vec();
+    put_grid(&mut w, &ds.grid);
+    for split in [&ds.train, &ds.test] {
+        put_u64(&mut w, split.len() as u64);
+        for s in split {
+            put_sample(&mut w, s);
+        }
+    }
+    seal(&mut w);
+    peb_guard::atomic_write(path, &w)
         .with_ctx(|| format!("saving dataset to {}", path.display()))?;
     chaos::mangle_dataset(path);
     Ok(())
 }
 
-/// Loads a dataset from `path`, strictly: a checksum mismatch or any
-/// decode failure is an error. Reads both `PEBDATA3` and legacy
-/// `PEBDATA2` files.
+/// Loads a dataset written by [`save_dataset`].
 ///
 /// # Errors
 ///
-/// [`PebError::Corrupt`] for checksum/format/version damage,
-/// [`PebError::Io`] for underlying I/O failures.
-pub fn load_dataset(path: &Path) -> Result<Dataset, PebError> {
-    let (ds, report) = load_dataset_with(path, true)?;
-    debug_assert!(report.clean());
-    Ok(ds)
-}
-
-/// Loads a dataset, quarantining corrupt trailing samples instead of
-/// failing: the longest cleanly-decodable prefix is returned together
-/// with a [`LoadReport`] naming what was dropped.
-///
-/// # Errors
-///
-/// Still fails ([`PebError::Corrupt`]) when the header or grid — the
-/// part nothing can be recovered without — does not decode.
-pub fn load_dataset_lenient(path: &Path) -> Result<(Dataset, LoadReport), PebError> {
-    load_dataset_with(path, false)
-}
-
-/// Shared implementation behind [`load_dataset`] (`strict = true`) and
-/// [`load_dataset_lenient`] (`strict = false`).
-///
-/// # Errors
-///
-/// See [`load_dataset`] / [`load_dataset_lenient`].
-pub fn load_dataset_with(path: &Path, strict: bool) -> Result<(Dataset, LoadReport), PebError> {
+/// [`PebError::Corrupt`] for any damage to the file (length, magic,
+/// checksum, or a field the payload cannot hold), [`PebError::Io`] when
+/// it cannot be read.
+pub fn load_dataset(path: &Path) -> Result<Dataset> {
     let bytes = std::fs::read(path).with_ctx(|| format!("reading {}", path.display()))?;
-    if bytes.len() < 8 {
-        return Err(PebError::corrupt(format!(
-            "{}: file too short ({} bytes) to be a PEB dataset cache",
-            path.display(),
-            bytes.len()
-        )));
-    }
-    let (version, crc_ok, body): (u32, Option<bool>, &[u8]) = if bytes.starts_with(MAGIC_V3) {
-        if bytes.len() < 12 {
-            return Err(PebError::corrupt(format!(
-                "{}: v3 file too short for its checksum footer",
-                path.display()
-            )));
-        }
-        let payload_end = bytes.len() - 4;
-        let stored = u32::from_le_bytes([
-            bytes[payload_end],
-            bytes[payload_end + 1],
-            bytes[payload_end + 2],
-            bytes[payload_end + 3],
-        ]);
-        let ok = crc32(&bytes[..payload_end]) == stored;
-        if strict && !ok {
-            return Err(PebError::corrupt(format!(
-                "{}: CRC-32 mismatch (stored {stored:#010x})",
-                path.display()
-            )));
-        }
-        (3, Some(ok), &bytes[8..payload_end])
-    } else if bytes.starts_with(MAGIC_V2) {
-        (2, None, &bytes[8..])
-    } else {
-        return Err(PebError::corrupt(format!(
-            "{}: not a PEB dataset cache (bad magic)",
-            path.display()
-        )));
+    let decode = || -> Result<Dataset> {
+        let (mut r, _) = open_sealed(&bytes, MAGIC, "dataset cache")?;
+        let grid = read_grid(&mut r)?;
+        let train = read_split(&mut r, "train")?;
+        let test = read_split(&mut r, "test")?;
+        r.finish("dataset cache")?;
+        Ok(Dataset { grid, train, test })
     };
-
-    let mut r = body;
-    // The grid and split lengths are non-negotiable even leniently.
-    let grid = read_grid(&mut r)
-        .map_err(PebError::from)
-        .ctx("decoding dataset grid")?;
-    let mut report = LoadReport {
-        version,
-        crc_ok,
-        quarantined: Vec::new(),
-        lost: 0,
-    };
-    let train = read_split(&mut r, Split::Train, strict, &mut report)?;
-    // A corrupt train split loses the stream position; the test split is
-    // unreachable then and read_split already accounted for it.
-    let test = if report.quarantined.is_empty() {
-        read_split(&mut r, Split::Test, strict, &mut report)?
-    } else {
-        Vec::new()
-    };
-    Ok((Dataset { grid, train, test }, report))
+    decode().with_ctx(|| format!("decoding dataset cache {}", path.display()))
 }
 
-/// Reads one length-prefixed sample list, quarantining the corrupt tail
-/// when `strict` is false.
-fn read_split(
-    r: &mut &[u8],
-    split: Split,
-    strict: bool,
-    report: &mut LoadReport,
-) -> Result<Vec<Sample>, PebError> {
-    let declared = match read_u64(r) {
-        Ok(n) => n as usize,
-        Err(e) if strict => {
-            return Err(PebError::from(e).context(format!("reading {split} split length")))
-        }
-        Err(e) => {
-            report.quarantined.push(SampleIssue {
-                split,
-                index: 0,
-                detail: format!("split length unreadable: {e}"),
-            });
-            return Ok(Vec::new());
-        }
-    };
-    if declared > 1 << 24 {
-        return Err(PebError::corrupt(format!(
-            "{split} split declares {declared} samples — implausible, refusing"
-        )));
-    }
-    let mut out = Vec::with_capacity(declared.min(1024));
-    for i in 0..declared {
-        match read_sample(r) {
-            Ok(s) => out.push(s),
-            Err(e) if strict => {
-                return Err(PebError::from(e).context(format!("decoding {split} sample {i}")))
-            }
-            Err(e) => {
-                // Streaming codec: sync is gone, everything after this
-                // sample is unrecoverable. Quarantine the tail.
-                report.quarantined.push(SampleIssue {
-                    split,
-                    index: i,
-                    detail: e.to_string(),
-                });
-                report.lost += declared - i;
-                *r = &[];
-                break;
-            }
-        }
+fn read_split(r: &mut Cursor<'_>, split: &str) -> Result<Vec<Sample>> {
+    let n = r.count(split, MIN_SAMPLE_BYTES)?;
+    let mut out = Vec::with_capacity(n);
+    for i in 0..n {
+        out.push(read_sample(r).with_ctx(|| format!("decoding {split} sample {i}"))?);
     }
     Ok(out)
 }
 
-// --- primitive codecs -----------------------------------------------------
-
-fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-fn write_f32(w: &mut impl Write, v: f32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_f32(r: &mut impl Read) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-
-fn write_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
-    write_u64(w, t.rank() as u64)?;
-    for &d in t.shape() {
-        write_u64(w, d as u64)?;
+fn put_grid(w: &mut Vec<u8>, g: &Grid) {
+    for n in [g.nx, g.ny, g.nz] {
+        put_u64(w, n as u64);
     }
-    for &v in t.data() {
-        write_f32(w, v)?;
+    for d in [g.dx, g.dy, g.dz] {
+        put_f32(w, d);
     }
-    Ok(())
 }
 
-fn read_tensor(r: &mut impl Read) -> io::Result<Tensor> {
-    let rank = read_u64(r)? as usize;
-    if rank > 8 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "rank too large"));
-    }
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(read_u64(r)? as usize);
-    }
-    let n: usize = shape.iter().product();
-    if n > (1 << 30) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "tensor too large",
-        ));
-    }
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(read_f32(r)?);
-    }
-    Tensor::from_vec(data, &shape)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+/// Reads a `u64` size or index that must fit a `usize`.
+fn read_usize(r: &mut Cursor<'_>) -> Result<usize> {
+    let v = r.u64()?;
+    usize::try_from(v).map_err(|_| PebError::corrupt(format!("{v} does not fit a usize")))
 }
 
-fn write_grid(w: &mut impl Write, g: &Grid) -> io::Result<()> {
-    write_u64(w, g.nx as u64)?;
-    write_u64(w, g.ny as u64)?;
-    write_u64(w, g.nz as u64)?;
-    write_f32(w, g.dx)?;
-    write_f32(w, g.dy)?;
-    write_f32(w, g.dz)
-}
-
-fn read_grid(r: &mut impl Read) -> io::Result<Grid> {
-    let (nx, ny, nz) = (
-        read_u64(r)? as usize,
-        read_u64(r)? as usize,
-        read_u64(r)? as usize,
-    );
-    let (dx, dy, dz) = (read_f32(r)?, read_f32(r)?, read_f32(r)?);
+fn read_grid(r: &mut Cursor<'_>) -> Result<Grid> {
+    let (nx, ny, nz) = (read_usize(r)?, read_usize(r)?, read_usize(r)?);
+    let (dx, dy, dz) = (r.f32()?, r.f32()?, r.f32()?);
     Grid::new(nx, ny, nz, dx, dy, dz)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(|e| PebError::corrupt(format!("invalid dataset grid: {e}")))
 }
 
 fn style_code(s: ClipStyle) -> u64 {
@@ -335,98 +127,68 @@ fn style_code(s: ClipStyle) -> u64 {
     }
 }
 
-fn style_from(code: u64) -> io::Result<ClipStyle> {
+fn style_from(code: u64) -> Result<ClipStyle> {
     Ok(match code {
         0 => ClipStyle::RegularArray,
         1 => ClipStyle::Staggered,
         2 => ClipStyle::Random,
         3 => ClipStyle::Mixed,
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "unknown clip style",
-            ))
-        }
+        _ => return Err(PebError::corrupt(format!("unknown clip style {code}"))),
     })
 }
 
-fn write_body(w: &mut impl Write, ds: &Dataset) -> io::Result<()> {
-    write_grid(w, &ds.grid)?;
-    write_u64(w, ds.train.len() as u64)?;
-    for s in &ds.train {
-        write_sample(w, s)?;
-    }
-    write_u64(w, ds.test.len() as u64)?;
-    for s in &ds.test {
-        write_sample(w, s)?;
-    }
-    Ok(())
-}
-
-fn write_sample(w: &mut impl Write, s: &Sample) -> io::Result<()> {
-    // Clip.
-    write_tensor(w, &s.clip.pattern)?;
-    write_u64(w, s.clip.contacts.len() as u64)?;
+fn put_sample(w: &mut Vec<u8>, s: &Sample) {
+    put_tensor(w, &s.clip.pattern);
+    put_u64(w, s.clip.contacts.len() as u64);
     for c in &s.clip.contacts {
         for v in [c.cy, c.cx, c.w, c.h] {
-            write_f32(w, v)?;
+            put_f32(w, v);
         }
     }
-    write_u64(w, style_code(s.clip.style))?;
-    write_u64(w, s.clip.seed)?;
-    // Fields.
-    write_tensor(w, &s.acid0)?;
-    write_tensor(w, &s.inhibitor)?;
-    write_tensor(w, &s.label)?;
-    // CDs.
-    write_u64(w, s.cds.len() as u64)?;
-    for cd in &s.cds {
-        write_f32(w, cd.cd_x_nm)?;
-        write_f32(w, cd.cd_y_nm)?;
-        write_u64(w, cd.open as u64)?;
-        write_u64(w, cd.centre.0 as u64)?;
-        write_u64(w, cd.centre.1 as u64)?;
+    put_u64(w, style_code(s.clip.style));
+    put_u64(w, s.clip.seed);
+    for t in [&s.acid0, &s.inhibitor, &s.label] {
+        put_tensor(w, t);
     }
-    write_u64(w, s.rigorous_peb_time.as_micros() as u64)
+    put_u64(w, s.cds.len() as u64);
+    for cd in &s.cds {
+        put_f32(w, cd.cd_x_nm);
+        put_f32(w, cd.cd_y_nm);
+        put_u64(w, cd.open as u64);
+        put_u64(w, cd.centre.0 as u64);
+        put_u64(w, cd.centre.1 as u64);
+    }
+    put_u64(w, s.rigorous_peb_time.as_micros() as u64);
 }
 
-fn read_sample(r: &mut impl Read) -> io::Result<Sample> {
-    let pattern = read_tensor(r)?;
-    let n_contacts = read_u64(r)? as usize;
-    if n_contacts > 1 << 20 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "too many contacts",
-        ));
-    }
+fn read_sample(r: &mut Cursor<'_>) -> Result<Sample> {
+    let pattern = r.tensor()?;
+    let n_contacts = r.count("contact", CONTACT_BYTES)?;
     let mut contacts = Vec::with_capacity(n_contacts);
     for _ in 0..n_contacts {
         contacts.push(Contact {
-            cy: read_f32(r)?,
-            cx: read_f32(r)?,
-            w: read_f32(r)?,
-            h: read_f32(r)?,
+            cy: r.f32()?,
+            cx: r.f32()?,
+            w: r.f32()?,
+            h: r.f32()?,
         });
     }
-    let style = style_from(read_u64(r)?)?;
-    let seed = read_u64(r)?;
-    let acid0 = read_tensor(r)?;
-    let inhibitor = read_tensor(r)?;
-    let label = read_tensor(r)?;
-    let n_cds = read_u64(r)? as usize;
-    if n_cds > 1 << 20 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "too many CDs"));
-    }
+    let style = style_from(r.u64()?)?;
+    let seed = r.u64()?;
+    let acid0 = r.tensor()?;
+    let inhibitor = r.tensor()?;
+    let label = r.tensor()?;
+    let n_cds = r.count("CD", CD_BYTES)?;
     let mut cds = Vec::with_capacity(n_cds);
     for _ in 0..n_cds {
         cds.push(ContactCd {
-            cd_x_nm: read_f32(r)?,
-            cd_y_nm: read_f32(r)?,
-            open: read_u64(r)? != 0,
-            centre: (read_u64(r)? as usize, read_u64(r)? as usize),
+            cd_x_nm: r.f32()?,
+            cd_y_nm: r.f32()?,
+            open: r.u64()? != 0,
+            centre: (read_usize(r)?, read_usize(r)?),
         });
     }
-    let micros = read_u64(r)?;
+    let micros = r.u64()?;
     Ok(Sample {
         clip: MaskClip {
             pattern,
@@ -440,53 +202,6 @@ fn read_sample(r: &mut impl Read) -> io::Result<Sample> {
         cds,
         rigorous_peb_time: Duration::from_micros(micros),
     })
-}
-
-/// Saves a flat list of tensors (e.g. model parameters in
-/// `Parameterized::parameters()` order) to `path`, atomically.
-///
-/// # Errors
-///
-/// Returns [`PebError::Io`] for any underlying I/O failure.
-pub fn save_tensors(tensors: &[Tensor], path: &Path) -> Result<(), PebError> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(TENSOR_MAGIC);
-    write_u64(&mut buf, tensors.len() as u64).map_err(PebError::from)?;
-    for t in tensors {
-        write_tensor(&mut buf, t).map_err(PebError::from)?;
-    }
-    peb_guard::atomic_write(path, &buf)
-        .with_ctx(|| format!("saving tensor bundle to {}", path.display()))
-}
-
-/// Loads a flat list of tensors written by [`save_tensors`].
-///
-/// # Errors
-///
-/// [`PebError::Corrupt`] for format mismatches, [`PebError::Io`] for
-/// underlying I/O errors.
-pub fn load_tensors(path: &Path) -> Result<Vec<Tensor>, PebError> {
-    let bytes = std::fs::read(path).with_ctx(|| format!("reading {}", path.display()))?;
-    if !bytes.starts_with(TENSOR_MAGIC) {
-        return Err(PebError::corrupt(format!(
-            "{}: not a PEB tensor bundle",
-            path.display()
-        )));
-    }
-    let mut r = &bytes[8..];
-    let n = read_u64(&mut r).map_err(PebError::from)? as usize;
-    if n > 1 << 20 {
-        return Err(PebError::corrupt("too many tensors"));
-    }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        out.push(
-            read_tensor(&mut r)
-                .map_err(PebError::from)
-                .with_ctx(|| format!("decoding tensor {i} of {}", path.display()))?,
-        );
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -524,24 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_files_still_load() {
-        let ds = tiny_dataset(6);
-        let path = temp_path("legacy_v2.bin");
-        // Write the old format by hand: v2 magic + body, no footer.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V2);
-        write_body(&mut buf, &ds).expect("serialize");
-        std::fs::write(&path, &buf).expect("write");
-        let (loaded, report) = load_dataset_lenient(&path).expect("legacy load");
-        assert_eq!(report.version, 2);
-        assert_eq!(report.crc_ok, None);
-        assert!(report.clean());
-        assert_eq!(loaded.train[0].acid0, ds.train[0].acid0);
-        assert!(load_dataset(&path).is_ok(), "strict must accept v2 too");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn rejects_wrong_magic() {
         let path = temp_path("bad_magic.bin");
         std::fs::write(&path, b"NOTDATA!extra").expect("write");
@@ -553,7 +250,7 @@ mod tests {
     #[test]
     fn rejects_truncated_file() {
         let path = temp_path("truncated.bin");
-        std::fs::write(&path, MAGIC_V3).expect("write");
+        std::fs::write(&path, MAGIC).expect("write");
         let err = load_dataset(&path).expect_err("must reject");
         assert!(err.is_corrupt(), "{err}");
         std::fs::remove_file(&path).ok();
@@ -573,36 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn lenient_load_quarantines_corrupt_tail() {
-        let ds = tiny_dataset(8);
-        let path = temp_path("quarantine.bin");
-        save_dataset(&ds, &path).expect("save");
-        let bytes = std::fs::read(&path).expect("read");
-        // Truncate inside the last sample (drop the footer plus a chunk
-        // of the final test sample).
-        let cut = bytes.len() - bytes.len() / 4;
-        std::fs::write(&path, &bytes[..cut]).expect("truncate");
-        // The truncated file has no valid v3 footer → strict load fails…
-        assert!(load_dataset(&path).is_err());
-        // …but the lenient load recovers the intact prefix.
-        let (loaded, report) = load_dataset_lenient(&path).expect("lenient load");
-        assert_eq!(report.crc_ok, Some(false));
-        assert!(!report.clean());
-        assert!(!report.quarantined.is_empty());
-        assert!(report.lost >= 1);
-        assert_eq!(loaded.grid, ds.grid);
-        let recovered = loaded.train.len() + loaded.test.len();
-        assert!(
-            recovered < ds.train.len() + ds.test.len(),
-            "something must have been dropped"
-        );
-        for (got, want) in loaded.train.iter().zip(&ds.train) {
-            assert_eq!(got.acid0, want.acid0, "recovered prefix must be intact");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn save_is_atomic_no_temp_left_behind() {
         let ds = tiny_dataset(9);
         let path = temp_path("atomic.bin");
@@ -614,38 +281,6 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
-        std::fs::remove_file(&path).ok();
-    }
-}
-
-#[cfg(test)]
-mod tensor_bundle_tests {
-    use super::*;
-
-    #[test]
-    fn tensor_bundle_roundtrip() {
-        let dir = std::env::temp_dir().join("peb_data_io_test");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let path = dir.join("bundle.bin");
-        let tensors = vec![
-            Tensor::from_fn(&[2, 3], |i| i as f32),
-            Tensor::scalar(7.5),
-            Tensor::zeros(&[4]),
-        ];
-        save_tensors(&tensors, &path).expect("save");
-        let loaded = load_tensors(&path).expect("load");
-        assert_eq!(loaded, tensors);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn tensor_bundle_rejects_bad_magic() {
-        let dir = std::env::temp_dir().join("peb_data_io_test");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        let path = dir.join("bundle_bad.bin");
-        std::fs::write(&path, b"PEBWRONGxxxx").expect("write");
-        let err = load_tensors(&path).expect_err("must reject");
-        assert!(err.is_corrupt(), "{err}");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,7 +1,8 @@
-//! Experiment-size presets driven by the `PEB_SCALE` environment
-//! variable.
+//! Experiment-size presets driven by the `PEB_SCALE` / `PEB_EPOCHS`
+//! environment variables.
 
 use peb_litho::Grid;
+use peb_par::ctx::{process_env, read_var, ConfigError};
 
 use crate::dataset::DatasetConfig;
 
@@ -22,14 +23,31 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Reads `PEB_SCALE` (`tiny` | `small` | `full`), defaulting to
-    /// [`ExperimentScale::Tiny`]; unknown values also fall back to tiny.
-    pub fn from_env() -> Self {
-        match std::env::var("PEB_SCALE").as_deref() {
-            Ok("small") => ExperimentScale::Small,
-            Ok("full") => ExperimentScale::Full,
-            _ => ExperimentScale::Tiny,
-        }
+    /// Resolves the preset and the training epochs from `lookup`, or the
+    /// [`ConfigError`] of the first rejected variable: pure, like
+    /// `peb_par::ctx::ExecCtx::from_lookup`. `PEB_SCALE` is `tiny` (the
+    /// default), `small` or `full`; `PEB_EPOCHS`, a positive integer,
+    /// overrides the preset's [`ExperimentScale::epochs`]. A variable
+    /// that is set but empty counts as unset.
+    pub fn from_lookup(
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<(Self, usize), ConfigError> {
+        let scale = read_var(&lookup, "PEB_SCALE", "tiny|small|full", |s| match s {
+            "tiny" => Some(ExperimentScale::Tiny),
+            "small" => Some(ExperimentScale::Small),
+            "full" => Some(ExperimentScale::Full),
+            _ => None,
+        })?
+        .unwrap_or(ExperimentScale::Tiny);
+        let epochs = read_var(&lookup, "PEB_EPOCHS", "a positive integer", |s| {
+            s.parse::<usize>().ok().filter(|&n| n > 0)
+        })?;
+        Ok((scale, epochs.unwrap_or_else(|| scale.epochs())))
+    }
+
+    /// [`ExperimentScale::from_lookup`] over the process environment.
+    pub fn from_env() -> Result<(Self, usize), ConfigError> {
+        Self::from_lookup(process_env)
     }
 
     /// The simulation grid of this preset.
@@ -52,15 +70,9 @@ impl ExperimentScale {
         DatasetConfig::for_grid(self.grid(), train, test)
     }
 
-    /// Training epochs of this preset. Override with `PEB_EPOCHS`.
+    /// Default training epochs of this preset (`PEB_EPOCHS` overrides
+    /// them through [`ExperimentScale::from_lookup`]).
     pub fn epochs(self) -> usize {
-        if let Ok(v) = std::env::var("PEB_EPOCHS") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
         match self {
             ExperimentScale::Tiny => 60,
             ExperimentScale::Small => 40,
@@ -98,31 +110,54 @@ mod tests {
         }
     }
 
+    fn table<'a>(rows: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            rows.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
     #[test]
     fn tiny_is_the_default() {
-        // Note: don't mutate the process env in tests (other tests may
-        // read it concurrently); just check the fallback behaviour holds
-        // when the variable is absent or unknown.
-        if std::env::var("PEB_SCALE").is_err() {
-            assert_eq!(ExperimentScale::from_env(), ExperimentScale::Tiny);
+        let tiny = (ExperimentScale::Tiny, 60);
+        assert_eq!(ExperimentScale::from_lookup(table(&[])), Ok(tiny));
+        // Set-but-empty counts as unset.
+        let empty = [("PEB_SCALE", ""), ("PEB_EPOCHS", "")];
+        assert_eq!(ExperimentScale::from_lookup(table(&empty)), Ok(tiny));
+        let set = [("PEB_SCALE", "small"), ("PEB_EPOCHS", "3")];
+        assert_eq!(
+            ExperimentScale::from_lookup(table(&set)),
+            Ok((ExperimentScale::Small, 3))
+        );
+    }
+
+    #[test]
+    fn invalid_values_name_variable_value_and_accepted_set() {
+        for (var, value) in [
+            ("PEB_SCALE", "smal"),
+            ("PEB_SCALE", "Tiny"),
+            ("PEB_EPOCHS", "0"),
+            ("PEB_EPOCHS", "abc"),
+            ("PEB_EPOCHS", "-4"),
+        ] {
+            let err = ExperimentScale::from_lookup(table(&[(var, value)])).expect_err(value);
+            assert_eq!((err.var, err.value.as_str()), (var, value));
+            assert!(err.to_string().contains(err.expected), "{err}");
         }
     }
 }
 
 #[cfg(test)]
 mod epoch_override_tests {
-    // The PEB_EPOCHS override is environment-global; keep this check
-    // simple and read-only to avoid races with parallel tests.
     #[test]
     fn default_epochs_are_positive_without_override() {
-        if std::env::var("PEB_EPOCHS").is_err() {
-            for s in [
-                super::ExperimentScale::Tiny,
-                super::ExperimentScale::Small,
-                super::ExperimentScale::Full,
-            ] {
-                assert!(s.epochs() > 0);
-            }
+        for s in [
+            super::ExperimentScale::Tiny,
+            super::ExperimentScale::Small,
+            super::ExperimentScale::Full,
+        ] {
+            assert!(s.epochs() > 0);
         }
     }
 }

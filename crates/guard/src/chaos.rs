@@ -2,7 +2,9 @@
 //!
 //! The harness arms at most **one** fault per process, either from the
 //! `PEB_CHAOS` environment variable (latched on first probe, exactly like
-//! `PEB_TRACE`/`PEB_SIMD`) or programmatically via [`arm`] in tests. Every
+//! `PEB_TRACE`/`PEB_SIMD`) or programmatically via [`arm`] in tests. A
+//! value that does not parse is rejected, never ignored: the first probe
+//! panics with the one-line `invalid configuration: PEB_CHAOS=…` error. Every
 //! fault is *one-shot*: the first site that matches consumes it, so an
 //! injected NaN spike diverges one epoch, the rollback retries, and the
 //! retry runs clean — which is precisely the recovery path under test.
@@ -117,10 +119,25 @@ enum ChaosState {
     Disarmed,
 }
 
+/// The accepted `PEB_CHAOS` specs, as a rejected value's error names them.
+const SPECS: &str = "nan-spike[:EPOCH]|truncate-ckpt[:BYTES]|bitflip-ckpt[:BYTE]|\
+                     kill-resume[:EPOCH]|truncate-data[:BYTES]|disconnect|kill-worker[:N]|\
+                     hang-worker[:N]|corrupt-resp[:N]";
+
+/// Resolves `PEB_CHAOS` from `lookup`: `None` when unset or empty, else
+/// the fault it names or the error a misspelt scenario must raise.
+fn from_lookup(
+    lookup: impl Fn(&str) -> Option<String>,
+) -> Result<Option<Chaos>, peb_par::ctx::ConfigError> {
+    peb_par::ctx::read_var(lookup, "PEB_CHAOS", SPECS, parse)
+}
+
+/// Latches `PEB_CHAOS` on first use, panicking with its one-line
+/// `ConfigError` as `peb_par::ctx::process_default` does.
 fn state() -> std::sync::MutexGuard<'static, ChaosState> {
     let mut s = STATE.lock().unwrap_or_else(|e| e.into_inner());
     if *s == ChaosState::Uninit {
-        *s = match std::env::var("PEB_CHAOS").ok().and_then(|v| parse(&v)) {
+        *s = match from_lookup(peb_par::ctx::process_env).unwrap_or_else(|e| panic!("{e}")) {
             Some(c) => {
                 ARMED.store(true, Ordering::Relaxed);
                 ChaosState::Armed(c)
@@ -132,11 +149,18 @@ fn state() -> std::sync::MutexGuard<'static, ChaosState> {
     s
 }
 
-/// Parses a `PEB_CHAOS` spec; `None` for unrecognised input.
+/// Parses a `PEB_CHAOS` spec; `None` for an unknown scenario, an
+/// argument that is not an unsigned integer, or a second argument.
 pub fn parse(spec: &str) -> Option<Chaos> {
     let mut parts = spec.split(':');
     let head = parts.next()?;
-    let arg = parts.next().and_then(|v| v.parse::<u64>().ok());
+    let arg = match parts.next() {
+        Some(v) => Some(v.parse::<u64>().ok()?),
+        None => None,
+    };
+    if parts.next().is_some() {
+        return None;
+    }
     match head {
         "nan-spike" => Some(Chaos::NanSpike {
             epoch: arg.unwrap_or(1),
@@ -378,6 +402,30 @@ mod tests {
             Some(Chaos::CorruptResp { after: 50 })
         );
         assert_eq!(parse("meteor-strike"), None);
+        assert_eq!(parse("nan-spike:x"), None);
+        assert_eq!(parse("kill:1:2"), None);
+    }
+
+    #[test]
+    fn env_spec_is_rejected_unless_it_parses() {
+        let table = |v: &'static str| move |name: &str| (name == "PEB_CHAOS").then(|| v.into());
+        assert_eq!(from_lookup(|_| None), Ok(None));
+        // Set-but-empty counts as unset.
+        assert_eq!(from_lookup(table("")), Ok(None));
+        assert_eq!(
+            from_lookup(table("truncate-data")),
+            Ok(Some(Chaos::TruncateData { bytes: 64 }))
+        );
+        for typo in [
+            "nan-spik",
+            "truncate-data:",
+            "kill-resume:one",
+            "Disconnect",
+        ] {
+            let err = from_lookup(table(typo)).expect_err(typo);
+            assert_eq!((err.var, err.value.as_str()), ("PEB_CHAOS", typo));
+            assert!(err.to_string().contains("truncate-data[:BYTES]"), "{err}");
+        }
     }
 
     #[test]

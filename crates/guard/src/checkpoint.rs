@@ -35,6 +35,9 @@ use std::path::{Path, PathBuf};
 
 use peb_tensor::Tensor;
 
+use crate::codec::{
+    open_sealed, put_f32, put_tensor, put_u32, put_u64, seal, Cursor, MIN_TENSOR_BYTES,
+};
 use crate::error::{Context, PebError, Result};
 
 const MAGIC: &[u8; 8] = b"PEBCKPT1";
@@ -236,8 +239,7 @@ impl TrainCheckpoint {
                 }
             }
         }
-        let crc = crc32(&w);
-        put_u32(&mut w, crc);
+        seal(&mut w);
         w
     }
 
@@ -247,33 +249,8 @@ impl TrainCheckpoint {
     ///
     /// Returns [`PebError::Corrupt`] describing the first violated field.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < MAGIC.len() + 4 {
-            return Err(PebError::corrupt(format!(
-                "checkpoint too short ({} bytes)",
-                bytes.len()
-            )));
-        }
-        let (payload, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        if &payload[..8] != MAGIC {
-            return Err(PebError::corrupt("bad checkpoint magic"));
-        }
-        let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        let actual = crc32(payload);
-        if stored != actual {
-            return Err(PebError::corrupt(format!(
-                "crc mismatch: stored {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
-        let mut r = Cursor {
-            bytes: payload,
-            pos: 8,
-        };
-        let version = r.u32()?;
-        if version != VERSION && version != VERSION_QUANT {
-            return Err(PebError::corrupt(format!(
-                "unsupported checkpoint version {version} (expected {VERSION} or {VERSION_QUANT})"
-            )));
-        }
+        let (mut r, _) = open_sealed(bytes, MAGIC, "checkpoint")?;
+        let version = r.version()?;
         let epoch = r.u64()?;
         let seed = r.u64()?;
         let opt_kind = OptKind::from_code(r.u32()?)?;
@@ -300,12 +277,7 @@ impl TrainCheckpoint {
         } else {
             None
         };
-        if r.pos != payload.len() {
-            return Err(PebError::corrupt(format!(
-                "{} trailing bytes after checkpoint payload",
-                payload.len() - r.pos
-            )));
-        }
+        r.finish("checkpoint")?;
         Ok(TrainCheckpoint {
             epoch,
             seed,
@@ -373,33 +345,8 @@ pub fn peek(path: &Path) -> Result<CkptMeta> {
 ///
 /// Returns [`PebError::Corrupt`] describing the first violated field.
 pub fn peek_bytes(bytes: &[u8]) -> Result<CkptMeta> {
-    if bytes.len() < MAGIC.len() + 4 {
-        return Err(PebError::corrupt(format!(
-            "checkpoint too short ({} bytes)",
-            bytes.len()
-        )));
-    }
-    let (payload, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    if &payload[..8] != MAGIC {
-        return Err(PebError::corrupt("bad checkpoint magic"));
-    }
-    let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(PebError::corrupt(format!(
-            "crc mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    let mut r = Cursor {
-        bytes: payload,
-        pos: 8,
-    };
-    let version = r.u32()?;
-    if version != VERSION && version != VERSION_QUANT {
-        return Err(PebError::corrupt(format!(
-            "unsupported checkpoint version {version} (expected {VERSION} or {VERSION_QUANT})"
-        )));
-    }
+    let (mut r, crc) = open_sealed(bytes, MAGIC, "checkpoint")?;
+    let version = r.version()?;
     let epoch = r.u64()?;
     let seed = r.u64()?;
     let opt_kind = OptKind::from_code(r.u32()?)?;
@@ -416,7 +363,7 @@ pub fn peek_bytes(bytes: &[u8]) -> Result<CkptMeta> {
         opt_kind,
         n_params,
         file_bytes: bytes.len() as u64,
-        crc: stored,
+        crc,
         version,
     })
 }
@@ -539,61 +486,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     result
 }
 
-// --- CRC-32 (IEEE 802.3, reflected) ----------------------------------------
-
-/// CRC-32 lookup table for the reflected IEEE polynomial `0xEDB88320`.
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        table
-    })
-}
-
-/// CRC-32 (IEEE; the zlib/PNG variant) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-// --- primitive codecs -------------------------------------------------------
-
-fn put_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(w: &mut Vec<u8>, v: f32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_tensor(w: &mut Vec<u8>, t: &Tensor) {
-    put_u64(w, t.rank() as u64);
-    for &d in t.shape() {
-        put_u64(w, d as u64);
-    }
-    for &v in t.data() {
-        put_f32(w, v);
-    }
-}
+// --- checkpoint sections -----------------------------------------------------
 
 fn put_opt_tensors(w: &mut Vec<u8>, slots: &[Option<Tensor>]) {
     put_u64(w, slots.len() as u64);
@@ -610,121 +503,15 @@ fn put_opt_tensors(w: &mut Vec<u8>, slots: &[Option<Tensor>]) {
 
 /// Wire size of one epoch record (`f32` mean loss + `u64` skipped).
 const EPOCH_RECORD_BYTES: usize = 12;
-/// Smallest wire size of a tensor: its `u64` rank field.
-const MIN_TENSOR_BYTES: usize = 8;
-/// Largest tensor rank the format carries.
-const MAX_RANK: u64 = 8;
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
 
 impl Cursor<'_> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8]> {
-        if n > self.remaining() {
-            return Err(PebError::corrupt(format!(
-                "truncated checkpoint: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.remaining()
-            )));
+    fn version(&mut self) -> Result<u32> {
+        match self.u32()? {
+            v @ (VERSION | VERSION_QUANT) => Ok(v),
+            v => Err(PebError::corrupt(format!(
+                "unsupported checkpoint version {v} (expected {VERSION} or {VERSION_QUANT})"
+            ))),
         }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f32(&mut self) -> Result<f32> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Whether `n` elements of at least `wire_bytes` each still fit in
-    /// the bytes that remain. A CRC is not a MAC — a crafted file can
-    /// carry any count with a valid checksum — so every length field
-    /// passes through here before it drives a reservation or a product.
-    fn fits(&self, n: usize, wire_bytes: usize) -> bool {
-        n.checked_mul(wire_bytes)
-            .is_some_and(|b| b <= self.remaining())
-    }
-
-    /// Reads a `u64` element count that [`Cursor::fits`].
-    fn count(&mut self, what: &str, wire_bytes: usize) -> Result<usize> {
-        let n = self.u64()?;
-        usize::try_from(n)
-            .ok()
-            .filter(|&n| self.fits(n, wire_bytes))
-            .ok_or_else(|| {
-                PebError::corrupt(format!(
-                    "implausible {what} count {n}: only {} bytes remain",
-                    self.remaining()
-                ))
-            })
-    }
-
-    /// Reads `n` little-endian `f32`s (`n` comes from [`Cursor::count`]
-    /// or [`Cursor::shape`], so `4·n` cannot overflow).
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>> {
-        Ok(self
-            .take(4 * n)?
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
-    }
-
-    /// Reads a rank and its dims; returns the shape and its element
-    /// count, which — at `elem_bytes` per element — must [`Cursor::fits`].
-    fn shape(&mut self, elem_bytes: usize) -> Result<(Vec<usize>, usize)> {
-        let rank = self.u64()?;
-        if rank > MAX_RANK {
-            return Err(PebError::corrupt(format!(
-                "implausible tensor rank {rank} (max {MAX_RANK})"
-            )));
-        }
-        let mut shape = Vec::with_capacity(rank as usize);
-        let mut total = 1usize;
-        for _ in 0..rank {
-            let d = self.u64()?;
-            total = usize::try_from(d)
-                .ok()
-                .and_then(|d| total.checked_mul(d))
-                .ok_or_else(|| {
-                    PebError::corrupt(format!("tensor dim {d} overflows the element count"))
-                })?;
-            shape.push(d as usize);
-        }
-        if !self.fits(total, elem_bytes) {
-            return Err(PebError::corrupt(format!(
-                "implausible tensor shape {shape:?}: only {} bytes remain",
-                self.remaining()
-            )));
-        }
-        Ok((shape, total))
-    }
-
-    fn tensor(&mut self) -> Result<Tensor> {
-        let (shape, n) = self.shape(4)?;
-        Ok(Tensor::from_vec(self.f32s(n)?, &shape)?)
     }
 
     fn opt_tensors(&mut self) -> Result<Vec<Option<Tensor>>> {
@@ -785,6 +572,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32;
 
     fn sample_checkpoint() -> TrainCheckpoint {
         TrainCheckpoint {

@@ -14,6 +14,7 @@ use peb_tensor::Tensor;
 
 use crate::clip;
 use crate::error::ServeError;
+use crate::http::MAX_HEAD_BYTES;
 use crate::stats::ModelVersion;
 
 /// Socket timeouts a [`Client`] applies at each phase. `None` means
@@ -220,10 +221,21 @@ impl Client {
     }
 
     fn read_response(&mut self) -> Result<ClientResponse, ClientError> {
+        // Scan only what arrived since the last look (minus the three
+        // bytes a terminator split across reads could start in), and give
+        // up on a head the server's own parser would refuse.
+        let mut scanned = 0;
         let head_end = loop {
-            if let Some(i) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break i;
+            let window = &self.buf[..self.buf.len().min(MAX_HEAD_BYTES)];
+            if let Some(i) = window[scanned..].windows(4).position(|w| w == b"\r\n\r\n") {
+                break scanned + i;
             }
+            if self.buf.len() >= MAX_HEAD_BYTES {
+                return Err(ClientError::BadResponse(format!(
+                    "response head exceeds {MAX_HEAD_BYTES} bytes"
+                )));
+            }
+            scanned = window.len().saturating_sub(3);
             self.fill()?;
         };
         let head = String::from_utf8_lossy(&self.buf[..head_end]).to_string();
@@ -246,11 +258,14 @@ impl Client {
             }
         }
         let body_start = head_end + 4;
-        while self.buf.len() < body_start + content_length {
+        let body_end = body_start.checked_add(content_length).ok_or_else(|| {
+            ClientError::BadResponse(format!("content-length {content_length} overflows"))
+        })?;
+        while self.buf.len() < body_end {
             self.fill()?;
         }
-        let body = self.buf[body_start..body_start + content_length].to_vec();
-        self.buf.drain(..body_start + content_length);
+        let body = self.buf[body_start..body_end].to_vec();
+        self.buf.drain(..body_end);
         Ok(ClientResponse { status, body })
     }
 

@@ -2,9 +2,15 @@
 //! streams, arbitrary read-boundary splits, oversized heads/bodies,
 //! pipelining, and single-byte mutations of valid traffic must all
 //! yield either a parsed request or a typed [`HttpError`] — never a
-//! panic, and never a wrong framing decision.
+//! panic, and never a wrong framing decision. The client's side of the
+//! same framing must hold against a hostile peer too.
+
+use std::io::{Read as _, Write as _};
+use std::net::TcpListener;
+use std::time::{Duration, Instant};
 
 use peb_serve::http::{HttpError, Method, Request, RequestParser, MAX_HEAD_BYTES};
+use peb_serve::{Client, ClientError, ClientTimeouts};
 use proptest::prelude::*;
 
 /// Feeds `bytes` through a parser in chunk sizes drawn from `chunks`
@@ -167,5 +173,52 @@ proptest! {
         };
         prop_assert_eq!(err.status(), 413);
         prop_assert!(matches!(err, HttpError::BodyTooLarge { .. }));
+    }
+}
+
+/// A response whose framing a [`Client`] cannot honour — a
+/// `content-length` that overflows the body's end offset, or a head that
+/// never terminates — is a typed `BadResponse`, reported within the read
+/// timeout: never a panic on the calling thread, never an unbounded
+/// buffer.
+#[test]
+fn client_rejects_hostile_response_framing() {
+    let overflow = b"HTTP/1.1 200 OK\r\ncontent-length: 18446744073709551615\r\n\r\n".to_vec();
+    let mut endless = b"HTTP/1.1 200 OK\r\nx-pad: ".to_vec();
+    endless.resize(20 * 1024, b'a');
+    assert!(endless.len() > MAX_HEAD_BYTES);
+    for (case, reply) in [
+        ("overflowing content-length", overflow),
+        ("unterminated head", endless),
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // One-shot peer: read the request head, send `reply`, then hold
+        // the connection open until the client hangs up.
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut head = Vec::new();
+            let mut byte = [0u8];
+            while !head.ends_with(b"\r\n\r\n") && conn.read(&mut byte).expect("read") == 1 {
+                head.push(byte[0]);
+            }
+            conn.write_all(&reply).expect("reply");
+            let _ = conn.read(&mut byte);
+        });
+        let timeout = Duration::from_secs(5);
+        let mut client =
+            Client::connect_with(addr, ClientTimeouts::uniform(timeout)).expect("connect");
+        let started = Instant::now();
+        let got = client.request("GET", "/healthz", b"");
+        assert!(
+            started.elapsed() < timeout,
+            "{case}: waited out the read timeout"
+        );
+        assert!(
+            matches!(got, Err(ClientError::BadResponse(_))),
+            "{case}: {got:?}"
+        );
+        drop(client);
+        peer.join().expect("peer thread");
     }
 }
