@@ -11,16 +11,14 @@ use peb_guard::PebError;
 fn main() -> Result<(), PebError> {
     let (scale, epochs) =
         ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
+    let train_opts = TrainOptions::from_env()
+        .unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e))
+        .with_args(std::env::args().skip(1))?;
     eprintln!("[table3] scale = {}", scale.name());
     let dataset = prepare_dataset(scale)?;
     let flow = prepare_flow(scale);
 
-    let trained = train_models_with(
-        &ModelKind::TABLE3,
-        &dataset,
-        epochs,
-        &TrainOptions::from_args()?,
-    )?;
+    let trained = train_models_with(&ModelKind::TABLE3, &dataset, epochs, &train_opts)?;
     let rows: Vec<_> = trained
         .iter()
         .map(|t| {

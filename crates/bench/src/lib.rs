@@ -33,7 +33,8 @@ pub fn emit_profile(tag: &str) {
     if peb_obs::mode() != peb_obs::TraceMode::Json {
         return;
     }
-    let path = std::env::var("PEB_TRACE_OUT").unwrap_or_else(|_| format!("PROFILE_{tag}.json"));
+    let path = peb_obs::trace_out(peb_par::ctx::process_env)
+        .unwrap_or_else(|| format!("PROFILE_{tag}.json"));
     match peb_obs::write_json(&path) {
         Ok(()) => eprintln!("[{tag}] peb-obs profile written to {path}"),
         Err(e) => eprintln!("[{tag}] failed to write profile {path}: {e}"),

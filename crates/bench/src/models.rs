@@ -11,6 +11,7 @@ use peb_baselines::{
 };
 use peb_data::Dataset;
 use peb_guard::{Context, OptKind, TrainCheckpoint};
+use peb_par::ctx::{process_env, read_var, ConfigError};
 use sdm_peb::{
     checkpoint_params, restore_parameters, PebError, PebLoss, PebPredictor, SdmPeb, SdmPebConfig,
     TrainConfig, Trainer,
@@ -141,38 +142,59 @@ pub struct TrainOptions {
 }
 
 impl TrainOptions {
-    /// Reads `PEB_CKPT_DIR` / `PEB_RESUME` from the environment.
-    pub fn from_env() -> Self {
-        TrainOptions {
-            checkpoint_dir: std::env::var_os("PEB_CKPT_DIR").map(PathBuf::from),
-            resume: std::env::var_os("PEB_RESUME").is_some(),
-        }
+    /// Resolves `PEB_CKPT_DIR` / `PEB_RESUME` from `lookup`, or the
+    /// [`ConfigError`] of the first rejected variable: pure, like
+    /// `peb_par::ctx::ExecCtx::from_lookup`. `PEB_RESUME` is
+    /// `1|true|on|0|false|off`. A variable that is set but empty counts
+    /// as unset.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, ConfigError> {
+        let checkpoint_dir = read_var(&lookup, "PEB_CKPT_DIR", "a directory path", |s| {
+            Some(PathBuf::from(s))
+        })?;
+        let resume = read_var(
+            &lookup,
+            "PEB_RESUME",
+            "1|true|on|0|false|off",
+            |s| match s {
+                "1" | "true" | "on" => Some(true),
+                "0" | "false" | "off" => Some(false),
+                _ => None,
+            },
+        )?;
+        Ok(TrainOptions {
+            checkpoint_dir,
+            resume: resume.unwrap_or(false),
+        })
     }
 
-    /// Parses `--checkpoint-dir <path>` (or `--checkpoint-dir=<path>`)
-    /// and `--resume` from the process arguments, falling back to the
-    /// environment for anything not given on the command line.
-    pub fn from_args() -> Result<Self, PebError> {
-        let mut opts = TrainOptions::from_env();
-        let mut args = std::env::args().skip(1);
+    /// [`TrainOptions::from_lookup`] over the process environment.
+    pub fn from_env() -> Result<Self, ConfigError> {
+        Self::from_lookup(process_env)
+    }
+
+    /// Applies `--checkpoint-dir <path>` (or `--checkpoint-dir=<path>`)
+    /// and `--resume` from `args` (the process arguments after the
+    /// program name) on top of `self`: flags win over the environment.
+    pub fn with_args(mut self, args: impl IntoIterator<Item = String>) -> Result<Self, PebError> {
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             if a == "--checkpoint-dir" {
                 let v = args
                     .next()
                     .ok_or_else(|| PebError::config("--checkpoint-dir requires a path argument"))?;
-                opts.checkpoint_dir = Some(PathBuf::from(v));
+                self.checkpoint_dir = Some(PathBuf::from(v));
             } else if let Some(v) = a.strip_prefix("--checkpoint-dir=") {
-                opts.checkpoint_dir = Some(PathBuf::from(v));
+                self.checkpoint_dir = Some(PathBuf::from(v));
             } else if a == "--resume" {
-                opts.resume = true;
+                self.resume = true;
             }
         }
-        if opts.resume && opts.checkpoint_dir.is_none() {
+        if self.resume && self.checkpoint_dir.is_none() {
             return Err(PebError::config(
                 "--resume requires --checkpoint-dir (or PEB_CKPT_DIR)",
             ));
         }
-        Ok(opts)
+        Ok(self)
     }
 }
 
@@ -240,13 +262,15 @@ fn save_cached(model: &dyn PebPredictor, path: &Path) -> Result<(), PebError> {
 /// predictions with the same statistics before computing metrics.
 /// Trained weights are cached under `target/peb-cache/` so every
 /// table/figure binary shares one training run per configuration; delete
-/// the cache (or change `PEB_EPOCHS`) to retrain.
+/// the cache (or change `PEB_EPOCHS`) to retrain. A rejected
+/// `PEB_CKPT_DIR` / `PEB_RESUME` value is a [`PebError::Config`].
 pub fn train_models(
     kinds: &[ModelKind],
     dataset: &Dataset,
     epochs: usize,
 ) -> Result<Vec<TrainedModel>, PebError> {
-    train_models_with(kinds, dataset, epochs, &TrainOptions::from_env())
+    let opts = TrainOptions::from_env().map_err(|e| PebError::config(e.to_string()))?;
+    train_models_with(kinds, dataset, epochs, &opts)
 }
 
 /// [`train_models`] with explicit fault-tolerance options (checkpoint
@@ -325,4 +349,79 @@ pub fn train_models_with(
         });
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn table<'a>(rows: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |name| {
+            rows.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    fn resolved(rows: &[(&str, &str)]) -> (Option<PathBuf>, bool) {
+        let opts = TrainOptions::from_lookup(table(rows)).expect("valid");
+        (opts.checkpoint_dir, opts.resume)
+    }
+
+    #[test]
+    fn unset_empty_and_accepted_values_resolve() {
+        assert_eq!(resolved(&[]), (None, false));
+        // Set-but-empty counts as unset.
+        assert_eq!(
+            resolved(&[("PEB_CKPT_DIR", ""), ("PEB_RESUME", "")]),
+            (None, false)
+        );
+        for (value, resume) in [
+            ("1", true),
+            ("true", true),
+            ("on", true),
+            ("0", false),
+            ("false", false),
+            ("off", false),
+        ] {
+            let rows = [("PEB_CKPT_DIR", "ckpt"), ("PEB_RESUME", value)];
+            assert_eq!(
+                resolved(&rows),
+                (Some(PathBuf::from("ckpt")), resume),
+                "{value}"
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_values_name_variable_value_and_accepted_set() {
+        for (var, value) in [
+            ("PEB_RESUME", "yes"),
+            ("PEB_RESUME", "2"),
+            ("PEB_RESUME", "ON"),
+        ] {
+            let err = TrainOptions::from_lookup(table(&[(var, value)])).expect_err(value);
+            assert_eq!((err.var, err.value.as_str()), (var, value));
+            assert!(err.to_string().contains(err.expected), "{err}");
+        }
+    }
+
+    #[test]
+    fn flags_win_over_the_environment() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let env = TrainOptions {
+            checkpoint_dir: Some(PathBuf::from("env")),
+            resume: false,
+        };
+        let opts = env
+            .clone()
+            .with_args(args(&["--checkpoint-dir=flag", "--resume"]))
+            .expect("valid flags");
+        assert_eq!(opts.checkpoint_dir, Some(PathBuf::from("flag")));
+        assert!(opts.resume);
+        let kept = env.with_args(args(&[])).expect("no flags");
+        assert_eq!(kept.checkpoint_dir, Some(PathBuf::from("env")));
+        let err = TrainOptions::default().with_args(args(&["--resume"]));
+        assert!(err.is_err(), "--resume without a directory");
+    }
 }

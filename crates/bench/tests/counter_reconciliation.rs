@@ -2,10 +2,9 @@
 //!
 //! A k-stage fused chain must be *visible* in the counters exactly the
 //! way it is in memory traffic: one pool checkout for the output (hit or
-//! miss) and `k` `fused_ops` ticks, while the unfused fallback makes one
-//! checkout per stage and ticks no `fused_ops`. In both modes
-//! `tensor_allocs` must equal the pool misses over the window — pooled
-//! checkouts that hit never tick an alloc, and nothing double-counts.
+//! miss) and `k` `fused_ops` ticks. `tensor_allocs` must equal the pool
+//! misses over the window — pooled checkouts that hit never tick an
+//! alloc, and nothing double-counts.
 //!
 //! The same discipline covers execution plans: a replayed inference
 //! must be invisible to the allocator — zero `pool_misses` and zero
@@ -68,17 +67,8 @@ fn fused_chain_counters_reconcile_with_pool_accounting() {
     let chain = |a: &Tensor, b: &Tensor| a.fused().add(b).mul(b).sigmoid().eval();
 
     // Warm the pool so steady-state checkouts are hits, then measure.
-    let measure = |fuse| {
-        let scoped = ExecCtx {
-            fuse,
-            ..ctx::current()
-        };
-        ctx::with(scoped, || {
-            drop(chain(&a, &b));
-            window(|| chain(&a, &b))
-        })
-    };
-    let (fused, unfused) = (measure(true), measure(false));
+    drop(chain(&a, &b));
+    let fused = window(|| chain(&a, &b));
 
     assert_eq!(
         fused.fused, k,
@@ -93,24 +83,7 @@ fn fused_chain_counters_reconcile_with_pool_accounting() {
         fused.allocs, fused.misses,
         "tensor_allocs must equal pool misses in the fused window"
     );
-
-    assert_eq!(unfused.fused, 0, "unfused fallback must tick no fused_ops");
-    assert_eq!(
-        unfused.hits + unfused.misses,
-        k,
-        "unfused fallback must check out one intermediate per stage"
-    );
-    assert_eq!(
-        unfused.allocs, unfused.misses,
-        "tensor_allocs must equal pool misses in the unfused window"
-    );
-
-    // Warm pool ⇒ the traffic difference is pure hits, no fresh allocs.
     assert_eq!(fused.misses, 0, "warm fused checkout should hit the pool");
-    assert_eq!(
-        unfused.misses, 0,
-        "warm unfused checkouts should hit the pool"
-    );
 
     plan_replay_counters_reconcile();
 }

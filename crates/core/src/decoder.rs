@@ -113,9 +113,10 @@ impl Decoder {
         // input features and its full-resolution output.
         let out_plane = s[2] * s[3] * self.upsample_factor * self.upsample_factor;
         let plane_bytes = 4 * (s[0] * s[2] * s[3] + out_plane);
-        let slab = match peb_pool::tile::slab_items(plane_bytes, d) {
-            Some(fit) if !peb_tensor::grad_enabled() => fit,
-            _ => d,
+        let slab = if peb_tensor::grad_enabled() {
+            d
+        } else {
+            peb_pool::tile::slab_items(plane_bytes, d)
         };
         if slab >= d {
             return self.decode(x, skip);
@@ -230,7 +231,7 @@ mod tests {
         let stacked = Var::concat(&planes.iter().collect::<Vec<_>>(), 0);
         assert_eq!(stacked.value().bit_digest(), taped);
         // … and off the tape, from one-plane slabs to the whole volume.
-        for tile_bytes in [Some(1), Some(3 * 4 * (8 * 15 + 240)), None] {
+        for tile_bytes in [1, 3 * 4 * (8 * 15 + 240), usize::MAX] {
             let scoped = peb_par::ExecCtx {
                 tile_bytes,
                 ..peb_par::ctx::current()
@@ -238,7 +239,7 @@ mod tests {
             let slabbed = peb_par::ctx::with(scoped, || {
                 peb_tensor::no_grad(|| dec.forward(&x, Some(&skip)).value().bit_digest())
             });
-            assert_eq!(slabbed, taped, "tile_bytes = {tile_bytes:?}");
+            assert_eq!(slabbed, taped, "tile_bytes = {tile_bytes}");
         }
     }
 

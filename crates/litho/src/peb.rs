@@ -638,13 +638,6 @@ impl LodPlan {
 /// `peb_simd::stencil` slice update per z-plane. The SIMD kernel keeps
 /// the exact scalar expression order (no FMA), so results are bitwise
 /// identical to the pre-SIMD loop at every dispatch level.
-///
-/// When tiled the step streams cache-sized z-slabs instead of
-/// freezing a full-volume copy: each slab's pre-step planes are copied
-/// to a slab-sized scratch immediately before computing it (so the
-/// frozen read hits cache), and the neighbour planes every slab needs
-/// are saved up front. Identical values are read and written either way,
-/// so tiled output is bitwise identical to the untiled path.
 fn explicit_step(field: &mut Tensor, grid: &Grid, d_lat: f32, d_norm: f32, top_bc: EndBc, dt: f32) {
     let _span = peb_obs::span("litho.explicit_step");
     let (nz, ny, nx) = (grid.nz, grid.ny, grid.nx);
@@ -660,85 +653,12 @@ fn explicit_step(field: &mut Tensor, grid: &Grid, d_lat: f32, d_norm: f32, top_b
         },
     };
     let plane = ny * nx;
-    if let Some(sd) = peb_pool::tile::slab_items(plane * std::mem::size_of::<f32>(), nz) {
-        if sd < nz {
-            explicit_step_tiled(field, nz, ny, nx, sd, p);
-            return;
-        }
-    }
     let src = peb_pool::PoolBuf::copy_of(field.data());
     // Every cell reads the frozen `src` copy and writes only itself:
     // z-slices update in parallel with no ordering sensitivity.
     peb_par::parallel_chunks_mut_cost(field.data_mut(), plane, 14, |offset, dst| {
         let z = offset / plane;
         peb_simd::stencil::explicit_slice(&src, dst, z, nz, ny, nx, p);
-    });
-}
-
-/// Slab-streamed explicit step. Each slab of `sd` z-planes is computed
-/// from a private scratch copy `[halo_below?, slab planes, halo_above?]`
-/// taken from the pre-step field: the slab's own planes are copied just
-/// before use (only this worker writes them), and the cross-slab halo
-/// planes are saved for every slab *before* any write. Passing the
-/// scratch with a virtual depth places boundary handling (Robin top at
-/// `z = 0`, bottom mirror at `z = nz−1`) only on the true surfaces.
-fn explicit_step_tiled(
-    field: &mut Tensor,
-    nz: usize,
-    ny: usize,
-    nx: usize,
-    sd: usize,
-    p: peb_simd::stencil::StencilParams,
-) {
-    let plane = ny * nx;
-    let nslabs = nz.div_ceil(sd);
-    let mut halos = peb_pool::PoolBuf::<f32>::cleared(nslabs * 2 * plane);
-    halos.resize(nslabs * 2 * plane, 0.0);
-    {
-        let data = field.data();
-        for k in 0..nslabs {
-            let z0 = k * sd;
-            let z1 = (z0 + sd).min(nz);
-            if z0 > 0 {
-                halos[k * 2 * plane..k * 2 * plane + plane]
-                    .copy_from_slice(&data[(z0 - 1) * plane..z0 * plane]);
-            }
-            if z1 < nz {
-                halos[(k * 2 + 1) * plane..(k * 2 + 2) * plane]
-                    .copy_from_slice(&data[z1 * plane..(z1 + 1) * plane]);
-            }
-        }
-    }
-    let slots = peb_par::UnsafeSlice::new(field.data_mut());
-    let halos = &halos[..];
-    let slab_cost = (sd * plane) as u64 * 14;
-    peb_par::parallel_chunks_cost(nslabs, 1, slab_cost, |range| {
-        let mut scratch = peb_pool::PoolBuf::<f32>::cleared((sd + 2) * plane);
-        for k in range {
-            let z0 = k * sd;
-            let z1 = (z0 + sd).min(nz);
-            let zl = z1 - z0;
-            let has_below = z0 > 0;
-            let has_above = z1 < nz;
-            let vnz = zl + has_below as usize + has_above as usize;
-            scratch.clear();
-            if has_below {
-                scratch.extend_from_slice(&halos[k * 2 * plane..k * 2 * plane + plane]);
-            }
-            // SAFETY: slabs are disjoint; only this worker touches planes
-            // z0..z1, and it copies them before writing.
-            let own = unsafe { slots.slice_mut(z0 * plane..z1 * plane) };
-            scratch.extend_from_slice(own);
-            if has_above {
-                scratch.extend_from_slice(&halos[(k * 2 + 1) * plane..(k * 2 + 2) * plane]);
-            }
-            let zoff = has_below as usize;
-            for lz in 0..zl {
-                let dst = &mut own[lz * plane..(lz + 1) * plane];
-                peb_simd::stencil::explicit_slice(&scratch, dst, zoff + lz, vnz, ny, nx, p);
-            }
-            peb_obs::count(peb_obs::Counter::SlabPasses, 1);
-        }
     });
 }
 
@@ -1010,44 +930,6 @@ mod tests {
                     g.bit_digest(),
                     "{field} at {threads} threads"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_solver_is_bitwise_identical_to_untiled() {
-        // Force a tile target small enough that the tiny grid actually
-        // slabs (one 16×16 plane = 1 KiB), then compare against the
-        // untiled path bit for bit, for both integrators.
-        let grid = tiny_grid();
-        let mut p = short_params();
-        let mut acid0 = Tensor::zeros(&grid.shape3());
-        acid0.set(&[1, 3, 4], 0.9);
-        acid0.set(&[4, 10, 2], 0.6);
-        for scheme in [TimeScheme::ImplicitLod, TimeScheme::ExplicitEuler] {
-            if scheme == TimeScheme::ExplicitEuler {
-                // D = L²/(2·duration), so keep the duration long enough
-                // for dt to sit inside the explicit stability limit.
-                p.dt = 0.002;
-                p.duration = 0.5;
-            }
-            let solver = PebSolver::new(p, grid, scheme).unwrap();
-            let run = |tile_bytes| {
-                let scoped = peb_par::ExecCtx {
-                    tile_bytes,
-                    ..peb_par::ctx::current()
-                };
-                peb_par::ctx::with(scoped, || solver.run(&acid0).unwrap())
-            };
-            let (untiled, tiled) = (run(None), run(Some(2 << 10)));
-            for (field, u, t) in [
-                ("acid", &untiled.acid, &tiled.acid),
-                ("base", &untiled.base, &tiled.base),
-                ("inhibitor", &untiled.inhibitor, &tiled.inhibitor),
-            ] {
-                for (a, b) in u.data().iter().zip(t.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{field} ({scheme:?})");
-                }
             }
         }
     }

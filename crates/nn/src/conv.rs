@@ -474,7 +474,7 @@ fn convt2_forward(x: &Tensor, w: &Tensor, bias: &[f32], win: &Windows, d: usize,
     let (taps, hw, n) = (win.taps(), win.pixels(), win.count());
     let m = cout * taps;
     let ((h_img, w_img), (ho, wo)) = (win.image(), win.grid());
-    let band = peb_pool::tile::slab_items(2 * 4 * (m + cin) * wo, ho).unwrap_or(ho) * win.stride();
+    let band = peb_pool::tile::slab_items(2 * 4 * (m + cin) * wo, ho) * win.stride();
     // (output rows, the window rows they fold) per band.
     let bands: Vec<_> = (0..h_img)
         .step_by(band)
@@ -733,35 +733,17 @@ fn im2col3(
     pad: (usize, usize, usize),
 ) -> Tensor {
     let s = input.shape();
-    let dd = out_extent("Conv3d", "d", s[1], kd, stride.0, pad.0);
-    im2col3_range(input, kd, kh, kw, stride, pad, 0, dd)
-}
-
-/// Unfolds the output-depth slab `[oz0, oz1)` of `[Cin, D, H, W]` into
-/// `[Cin·kd·kh·kw, (oz1−oz0)·Ho·Wo]` — the corresponding column block of
-/// the full [`im2col3`] matrix, filled with identical per-element loads.
-#[allow(clippy::too_many_arguments)]
-fn im2col3_range(
-    input: &Tensor,
-    kd: usize,
-    kh: usize,
-    kw: usize,
-    stride: (usize, usize, usize),
-    pad: (usize, usize, usize),
-    oz0: usize,
-    oz1: usize,
-) -> Tensor {
-    let s = input.shape();
     let (cin, d, h, w) = (s[0], s[1], s[2], s[3]);
-    let (hh, ww) = (
+    let (dd, hh, ww) = (
+        out_extent("Conv3d", "d", d, kd, stride.0, pad.0),
         out_extent("Conv3d", "h", h, kh, stride.1, pad.1),
         out_extent("Conv3d", "w", w, kw, stride.2, pad.2),
     );
     let src = input.data();
-    let cols = (oz1 - oz0) * hh * ww;
+    let cols = dd * hh * ww;
     let per_c = kd * kh * kw * cols;
     peb_obs::optrace::note("conv.im2col3", || {
-        format!("cin={cin} dhw={d}x{h}x{w} k={kd}x{kh}x{kw} oz={oz0}..{oz1} cols={cols}")
+        format!("cin={cin} dhw={d}x{h}x{w} k={kd}x{kh}x{kw} cols={cols}")
     });
     // Pooled patch matrix: `zeros` checks the (large) buffer out of the
     // thread-local pool instead of allocating it on every pass.
@@ -773,7 +755,7 @@ fn im2col3_range(
                 for kx in 0..kw {
                     let row = ((kz * kh + ky) * kw + kx) * cols;
                     let mut col = 0usize;
-                    for oz in oz0..oz1 {
+                    for oz in 0..dd {
                         let iz = (oz * stride.0 + kz) as isize - pad.0 as isize;
                         for oy in 0..hh {
                             let iy = (oy * stride.1 + ky) as isize - pad.1 as isize;
@@ -958,46 +940,9 @@ impl Conv3d {
         let (stride, pad, cin, cout) = (self.stride, self.pad, self.cin, self.cout);
         let _span = peb_obs::span("conv.conv3d_fwd");
         let xv = x.value();
-        let wv = self.weight.value();
-        // Depth-slab tiling: build the patch matrix and run the GEMM one
-        // output-depth slab at a time so the per-slab working set (patch
-        // columns + output columns) stays cache-resident instead of
-        // streaming the full `Do·Ho·Wo` column space per pass. Bitwise
-        // identical to the untiled path: patch fill is pure per-element,
-        // and GEMM accumulation order per output element depends only on
-        // the K blocking, never on how columns are partitioned. Only the
-        // forward tiles — the backward `dw` GEMM and `col2im3` accumulate
-        // *across* columns, where slab splits would change bracketing.
-        let col_rows = cin * kd * kh * kw;
-        let plane = hh * ww;
-        let bytes_per_oz = (col_rows + cout) * plane * 4;
-        let mut out = match peb_pool::tile::slab_items(bytes_per_oz, dd) {
-            Some(sd) if sd < dd => {
-                let cols = dd * plane;
-                let mut out = Tensor::zeros(&[cout, cols]);
-                let mut d0 = 0usize;
-                while d0 < dd {
-                    let d1 = (d0 + sd).min(dd);
-                    let slab = im2col3_range(&xv, kd, kh, kw, stride, pad, d0, d1);
-                    let part = wv.matmul(&slab).expect("conv3d gemm slab");
-                    let pdata = part.data();
-                    let pcols = (d1 - d0) * plane;
-                    let odata = out.data_mut();
-                    for c in 0..cout {
-                        odata[c * cols + d0 * plane..c * cols + d1 * plane]
-                            .copy_from_slice(&pdata[c * pcols..(c + 1) * pcols]);
-                    }
-                    peb_obs::count(peb_obs::Counter::SlabPasses, 1);
-                    d0 = d1;
-                }
-                out
-            }
-            _ => {
-                let col = im2col3(&xv, kd, kh, kw, stride, pad);
-                wv.matmul(&col).expect("conv3d gemm")
-            }
-        };
+        let col = im2col3(&xv, kd, kh, kw, stride, pad);
         drop(xv);
+        let mut out = self.weight.value().matmul(&col).expect("conv3d gemm");
         if let Some(b) = &self.bias {
             let bv = b.value();
             let spatial = dd * hh * ww;
@@ -1086,26 +1031,6 @@ mod tests {
             }
         }
         assert!((y.value().get(&[0, 2, 2]) - expect).abs() < 1e-4);
-    }
-
-    #[test]
-    fn conv3d_tiled_forward_is_bitwise_identical_to_untiled() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let conv = Conv3d::new(3, 5, (3, 3, 3), (1, 1, 1), (1, 1, 1), true, &mut rng);
-        let x = Var::constant(Tensor::randn(&[3, 12, 10, 10], &mut rng));
-        let run = |tile_bytes| {
-            let scoped = peb_par::ExecCtx {
-                tile_bytes,
-                ..peb_par::ctx::current()
-            };
-            peb_par::ctx::with(scoped, || conv.forward(&x).value_clone())
-        };
-        // Tiny target → one output plane per slab.
-        let (tiled, untiled) = (run(Some(1)), run(None));
-        assert_eq!(tiled.shape(), untiled.shape());
-        for (a, b) in tiled.data().iter().zip(untiled.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

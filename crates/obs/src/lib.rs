@@ -129,6 +129,12 @@ fn register_exit_hook() {
     });
 }
 
+/// The profile path `PEB_TRACE_OUT` names in `lookup`; `None` when it is
+/// unset or empty, so the caller's default applies.
+pub fn trace_out(lookup: impl Fn(&str) -> Option<String>) -> Option<String> {
+    lookup("PEB_TRACE_OUT").filter(|p| !p.is_empty())
+}
+
 fn emit_at_exit() {
     match mode() {
         TraceMode::Off => {}
@@ -137,8 +143,8 @@ fn emit_at_exit() {
         }
         TraceMode::Json => {
             if !FLUSHED.load(Ordering::Relaxed) {
-                let path =
-                    std::env::var("PEB_TRACE_OUT").unwrap_or_else(|_| "peb_trace.json".to_string());
+                let path = trace_out(|v| std::env::var(v).ok())
+                    .unwrap_or_else(|| "peb_trace.json".to_string());
                 match write_json(&path) {
                     Ok(()) => eprintln!("peb-obs: profile written to {path}"),
                     Err(e) => eprintln!("peb-obs: failed to write {path}: {e}"),
@@ -198,8 +204,8 @@ pub enum Counter {
     /// `peb-tensor` fused-chain builder. A k-stage `eval()` ticks this by
     /// k while performing a single pool checkout instead of k.
     FusedOps = 16,
-    /// Cache-sized slab passes executed by the tiled solver/conv paths
-    /// (one tick per slab actually streamed, 0 on the untiled path).
+    /// Cache-sized depth slabs streamed by the tape-free decoder (0 when
+    /// the volume is one slab).
     SlabPasses = 17,
     /// Inference requests accepted by `peb-serve` (shed requests are
     /// counted under [`Counter::ServeShed`] instead).
@@ -642,6 +648,21 @@ mod tests {
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GUARD: Mutex<()> = Mutex::new(());
         GUARD.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn an_empty_trace_out_counts_as_unset() {
+        for (value, want) in [
+            (None, None),
+            (Some(""), None),
+            (Some("t.json"), Some("t.json")),
+        ] {
+            let got = trace_out(|name| {
+                assert_eq!(name, "PEB_TRACE_OUT");
+                value.map(str::to_string)
+            });
+            assert_eq!(got.as_deref(), want, "{value:?}");
+        }
     }
 
     #[test]

@@ -67,42 +67,6 @@ pub fn best_level() -> Level {
 }
 
 // ---------------------------------------------------------------------------
-// Cache detection (the slab-tiling target)
-// ---------------------------------------------------------------------------
-
-/// Fallback slab working-set target when cache detection fails: 1 MiB,
-/// comfortably inside any modern per-core L2/L3 share.
-const DEFAULT_TILE_BYTES: usize = 1 << 20;
-
-/// Parses a sysfs cache size string such as `"2048K"` or `"8M"`.
-fn parse_cache_size(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (num, mult) = match s.as_bytes().last()? {
-        b'K' => (&s[..s.len() - 1], 1usize << 10),
-        b'M' => (&s[..s.len() - 1], 1usize << 20),
-        _ => (s, 1),
-    };
-    num.parse::<usize>().ok()?.checked_mul(mult)
-}
-
-/// Detected per-core L2 cache size in bytes, when sysfs exposes it.
-fn detected_l2_bytes() -> Option<usize> {
-    let base = std::path::Path::new("/sys/devices/system/cpu/cpu0/cache");
-    let entries = std::fs::read_dir(base).ok()?;
-    let mut best = None;
-    for e in entries.flatten() {
-        let p = e.path();
-        let level = std::fs::read_to_string(p.join("level")).ok()?;
-        if level.trim() == "2" {
-            let size = std::fs::read_to_string(p.join("size")).ok()?;
-            let bytes = parse_cache_size(&size)?;
-            best = Some(best.map_or(bytes, |b: usize| b.max(bytes)));
-        }
-    }
-    best
-}
-
-// ---------------------------------------------------------------------------
 // Configuration errors and the shared environment reader
 // ---------------------------------------------------------------------------
 
@@ -182,26 +146,24 @@ pub fn exit_invalid(err: &ConfigError) -> ! {
 
 /// How kernels execute on behalf of the current scope. Every field
 /// combination produces the documented bits for its `level`;
-/// `tile_bytes`, `fuse`, `pool`, `plan` and `threads` never change a bit.
+/// `tile_bytes`, `plan` and `threads` never change a bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecCtx {
     /// SIMD dispatch level.
     pub level: Level,
-    /// Slab working-set target for tiled sweeps (default: detected L2);
-    /// `None` runs the untiled full-volume oracle.
-    pub tile_bytes: Option<usize>,
-    /// Fused elementwise chains run as one sweep; `false` runs the
-    /// stage-per-sweep oracle.
-    pub fuse: bool,
-    /// Scratch buffers are recycled; `false` allocates every checkout
-    /// fresh (the allocation oracle).
-    pub pool: bool,
+    /// Slab working-set target of the sliced passes (default 1 MiB);
+    /// `usize::MAX` makes every volume one slab.
+    pub tile_bytes: usize,
     /// `Plan::replay` serves intermediates from its arena; `false` runs
     /// the closure eagerly (`PEB_PLAN=off`).
     pub plan: bool,
     /// Threads a parallel loop may use (1 = sequential on the caller).
     pub threads: usize,
 }
+
+/// Slab working-set target: 1 MiB, comfortably inside any modern
+/// per-core L2/L3 share.
+const DEFAULT_TILE_BYTES: usize = 1 << 20;
 
 /// Variables that used to select modes which never diverged (fuse, pool,
 /// tile) or never won (reduced compute precision); setting one is an
@@ -216,8 +178,8 @@ const REMOVED: [&str; 5] = [
 
 impl ExecCtx {
     /// Resolves a context from `lookup`. Pure: it reads nothing but
-    /// `lookup`, CPU feature bits and the L2 size. A variable that is set
-    /// but empty counts as unset.
+    /// `lookup` and CPU feature bits. A variable that is set but empty
+    /// counts as unset.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<ExecCtx, ConfigError> {
         for var in REMOVED {
             read_var(
@@ -248,9 +210,7 @@ impl ExecCtx {
         })?;
         Ok(ExecCtx {
             level: level.unwrap_or_else(best_level),
-            tile_bytes: Some(detected_l2_bytes().unwrap_or(DEFAULT_TILE_BYTES)),
-            fuse: true,
-            pool: true,
+            tile_bytes: DEFAULT_TILE_BYTES,
             plan: plan.unwrap_or(true),
             threads: threads.unwrap_or_else(|| {
                 std::thread::available_parallelism()
@@ -264,13 +224,9 @@ impl ExecCtx {
     /// and the start-up log line of the servers.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"level\":\"{}\",\"tile_bytes\":{},\"fuse\":{},\"pool\":{},\"plan\":{},\
-             \"threads\":{}}}",
+            "{{\"level\":\"{}\",\"tile_bytes\":{},\"plan\":{},\"threads\":{}}}",
             self.level.name(),
-            self.tile_bytes
-                .map_or_else(|| "null".to_string(), |b| b.to_string()),
-            self.fuse,
-            self.pool,
+            self.tile_bytes,
             self.plan,
             self.threads
         )
@@ -359,9 +315,7 @@ mod tests {
     fn unset_and_accepted_values_resolve() {
         let default = ExecCtx {
             level: best_level(),
-            tile_bytes: Some(detected_l2_bytes().unwrap_or(DEFAULT_TILE_BYTES)),
-            fuse: true,
-            pool: true,
+            tile_bytes: DEFAULT_TILE_BYTES,
             plan: true,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
@@ -423,27 +377,16 @@ mod tests {
     }
 
     #[test]
-    fn parses_sysfs_sizes() {
-        assert_eq!(parse_cache_size("2048K"), Some(2048 << 10));
-        assert_eq!(parse_cache_size("8M"), Some(8 << 20));
-        assert_eq!(parse_cache_size("512"), Some(512));
-        assert_eq!(parse_cache_size("x"), None);
-    }
-
-    #[test]
     fn json_lists_every_field() {
         let c = ExecCtx {
             level: Level::Scalar,
-            tile_bytes: None,
-            fuse: false,
-            pool: true,
+            tile_bytes: 4096,
             plan: false,
             threads: 4,
         };
         assert_eq!(
             c.to_json(),
-            "{\"level\":\"scalar\",\"tile_bytes\":null,\"fuse\":false,\"pool\":true,\
-             \"plan\":false,\"threads\":4}"
+            "{\"level\":\"scalar\",\"tile_bytes\":4096,\"plan\":false,\"threads\":4}"
         );
     }
 }

@@ -6,14 +6,12 @@ use std::sync::{Barrier, Mutex};
 
 use peb_par::ctx::{self, ExecCtx, Level};
 
-/// A context no environment can resolve to (no variable turns `fuse` or
-/// `pool` off), so observing it proves the scope reached the observer.
+/// A context no environment can resolve to (no variable sets the tile
+/// target), so observing it proves the scope reached the observer.
 fn marked(threads: usize) -> ExecCtx {
     ExecCtx {
         level: Level::Scalar,
-        tile_bytes: Some(12_345),
-        fuse: false,
-        pool: false,
+        tile_bytes: 12_345,
         plan: false,
         threads,
     }

@@ -20,6 +20,12 @@
 //!   `peb-par` workers are long-lived, so their pools stay warm across
 //!   parallel regions.)
 //!
+//! The pool is always on, so the contract is checked directly:
+//! `zero_on_checkout_hides_recycled_garbage` pins it per checkout, and
+//! the bench crate's determinism suite runs a full training step on a
+//! cold pool and again on one whose every buffer was filled with NaN
+//! before recycling, and compares the bits.
+//!
 //! # Retention follows demand
 //!
 //! A bucket keeps at most as many buffers as its thread has had
@@ -32,13 +38,6 @@
 //! to the full bucket depth on the dropping thread, where nothing ever
 //! checked them out again: resident memory grew linearly with requests
 //! served.
-//!
-//! # The unpooled oracle
-//!
-//! Under an execution context with `pool: false` (`peb_par::ctx::with`)
-//! every checkout allocates fresh storage and every return is dropped.
-//! No environment variable selects this: it exists so the identity
-//! suites can show pooling never changes a bit.
 //!
 //! # Observability
 //!
@@ -120,10 +119,11 @@ impl_poolable!(u64);
 impl_poolable!(u32);
 impl_poolable!(usize);
 
-/// Whether the calling thread's execution context recycles buffers.
-#[inline]
+/// Always `true`: every checkout goes through the pool. Kept because
+/// the benchmark harness prints it in its environment fingerprint; no
+/// context or variable turns pooling off.
 pub fn enabled() -> bool {
-    peb_par::ctx::current().pool
+    true
 }
 
 /// Per-type bucket array: `buckets[b]` holds returned buffers whose
@@ -194,9 +194,6 @@ fn take_raw<T: Poolable>(len: usize) -> (Vec<T>, bool) {
 
 /// The ordinary (non-arena) checkout path.
 fn take_raw_pooled<T: Poolable>(len: usize) -> (Vec<T>, bool) {
-    if !enabled() {
-        return (Vec::with_capacity(len), true);
-    }
     let b = bucket_for_len(len);
     if b > MAX_BUCKET {
         return (Vec::with_capacity(len), true);
@@ -260,9 +257,6 @@ pub fn recycle<T: Poolable>(mut v: Vec<T>) {
     }
     if arena::active() && !peb_par::in_parallel() && arena::intercept_recycle(&mut v) {
         // Returned to its arena region (replay); nothing for the pool.
-        return;
-    }
-    if !enabled() {
         return;
     }
     let b = bucket_for_cap(cap);
@@ -442,21 +436,6 @@ mod tests {
         })
         .join()
         .unwrap();
-    }
-
-    #[test]
-    fn disabled_pool_always_allocates() {
-        let unpooled = peb_par::ExecCtx {
-            pool: false,
-            ..peb_par::ctx::current()
-        };
-        peb_par::ctx::with(unpooled, || {
-            let (v, fresh) = take_zeroed::<f32>(128);
-            assert!(fresh);
-            recycle(v); // dropped, not pooled
-            let (_, fresh2) = take_zeroed::<f32>(128);
-            assert!(fresh2, "disabled pool must never reuse");
-        });
     }
 
     #[test]

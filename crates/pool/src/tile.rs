@@ -1,29 +1,26 @@
-//! Cache-sized slab targets for tiled execution.
+//! Cache-sized slab targets for sliced execution.
 //!
-//! Tiled hot paths (the ADI/explicit diffusion sweeps in `peb-litho`,
-//! the 3-D conv lowering in `peb-nn`) partition their depth axis into
-//! slabs whose working set fits close to the core, so consecutive passes
-//! over a slab hit cache instead of streaming the full volume per pass.
-//! Tiling only reorders *whole-element* units of work — per-element
-//! arithmetic and accumulation order are untouched — so tiled output is
-//! bitwise identical to untiled.
+//! Two hot paths walk their volume in slabs whose working set fits close
+//! to the core: the `ConvTranspose2d` forward in `peb-nn` folds each
+//! plane in bands of output rows, and the `sdm-peb` decoder walks depth
+//! off the autograd tape in slabs of planes. Slicing only reorders
+//! *whole-element* units of work — per-element arithmetic and
+//! accumulation order are untouched — so any slab size gives the same
+//! bits, and a volume that fits the target is simply one slab.
 //!
 //! The target is the `tile_bytes` field of the calling thread's
-//! execution context (`peb_par::ctx`): the detected per-core L2 size,
-//! falling back to `DEFAULT_TILE_BYTES` when sysfs does not expose it.
-//! `tile_bytes: None` runs the untiled full-volume path, the oracle the
-//! identity suites compare against.
+//! execution context (`peb_par::ctx`, 1 MiB by default). A scope that
+//! sets it to `usize::MAX` runs every volume as one slab.
 
 /// Number of depth items (e.g. z-planes) per slab so that
 /// `items × bytes_per_item` stays within the tile target, clamped to
-/// `[1, total_items]`. Returns `None` when tiling is off (callers run
-/// the untiled full-volume path).
-pub fn slab_items(bytes_per_item: usize, total_items: usize) -> Option<usize> {
-    let target = peb_par::ctx::current().tile_bytes?;
+/// `[1, total_items]` (0 when there are no items).
+pub fn slab_items(bytes_per_item: usize, total_items: usize) -> usize {
+    let target = peb_par::ctx::current().tile_bytes;
     if total_items == 0 {
-        return Some(0);
+        return 0;
     }
-    Some((target / bytes_per_item.max(1)).clamp(1, total_items))
+    (target / bytes_per_item.max(1)).clamp(1, total_items)
 }
 
 #[cfg(test)]
@@ -37,14 +34,13 @@ mod tests {
             tile_bytes,
             ..ctx::current()
         };
-        ctx::with(tiled(Some(1 << 20)), || {
+        ctx::with(tiled(1 << 20), || {
             // 256 KiB planes → 4 per slab under a 1 MiB target.
-            assert_eq!(slab_items(256 << 10, 100), Some(4));
+            assert_eq!(slab_items(256 << 10, 100), 4);
             // Oversized items still make one-item slabs.
-            assert_eq!(slab_items(64 << 20, 100), Some(1));
+            assert_eq!(slab_items(64 << 20, 100), 1);
             // Clamped to the total.
-            assert_eq!(slab_items(1, 3), Some(3));
+            assert_eq!(slab_items(1, 3), 3);
         });
-        ctx::with(tiled(None), || assert_eq!(slab_items(1024, 10), None));
     }
 }

@@ -121,7 +121,10 @@ fn decode(magic: &[u8; 8], bytes: &[u8], crc_footer: bool) -> Result<Tensor, Ser
         .checked_mul(h)
         .and_then(|x| x.checked_mul(w))
         .ok_or_else(|| bad(format!("dimension overflow in {d}x{h}x{w}")))?;
-    let want = HEADER_BYTES + n * 4;
+    let want = n
+        .checked_mul(4)
+        .and_then(|b| b.checked_add(HEADER_BYTES))
+        .ok_or_else(|| bad(format!("frame size overflow in {d}x{h}x{w}")))?;
     if payload.len() != want {
         return Err(bad(format!(
             "{d}x{h}x{w} needs {want} payload bytes, frame has {}",
@@ -234,6 +237,17 @@ mod tests {
             frame[8 + 4 * i..12 + 4 * i].copy_from_slice(&u32::MAX.to_le_bytes());
         }
         assert!(decode_clip(&frame).is_err());
+    }
+
+    #[test]
+    fn a_frame_size_past_usize_is_bad_clip() {
+        // d·h·w = 2⁶² fits a usize; its byte count does not.
+        let mut frame = CLIP_MAGIC.to_vec();
+        for dim in [1u32 << 31, 1 << 31, 1] {
+            frame.extend_from_slice(&dim.to_le_bytes());
+        }
+        let err = decode_clip(&frame).expect_err("overflowing frame");
+        assert!(matches!(err, ServeError::BadClip { .. }), "{err:?}");
     }
 
     #[test]

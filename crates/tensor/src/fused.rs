@@ -8,10 +8,9 @@
 //!
 //! The fused result is bitwise identical to evaluating the same stages
 //! as separate tensor ops at the same `PEB_SIMD` dispatch level (see the
-//! determinism contract in `peb_simd::fused`). Under an execution
-//! context with `fuse: false` (`peb_par::ctx::with`) `eval()` falls back
-//! to exactly those separate unfused sweeps — the oracle the determinism
-//! suite compares against; no environment variable selects it.
+//! determinism contract in `peb_simd::fused`). Those eager ops are the
+//! oracle: `peb_simd::fused`'s tests pin each stage against its kernel,
+//! and `fused_matches_eager_ops_bitwise` below pins whole chains.
 //!
 //! # Example
 //!
@@ -28,13 +27,6 @@
 use peb_simd::fused::Stage;
 
 use crate::Tensor;
-
-/// Whether the calling thread's execution context runs fused chains as
-/// single sweeps.
-#[inline]
-pub fn fusion_enabled() -> bool {
-    peb_par::ctx::current().fuse
-}
 
 /// A bounded chain of elementwise stages pending evaluation.
 ///
@@ -160,13 +152,8 @@ impl<'a> FusedChain<'a> {
         self.stages.is_empty()
     }
 
-    /// Executes the chain.
-    ///
-    /// With fusion enabled this is one streaming sweep and one pool
-    /// checkout, ticking `fused_ops` once per collapsed stage; with
-    /// fusion disabled each stage runs as its own unfused kernel sweep
-    /// with its own pooled intermediate (identical arithmetic, k× the
-    /// traffic), ticking nothing.
+    /// Executes the chain as one streaming sweep and one pool checkout,
+    /// ticking `fused_ops` once per collapsed stage.
     pub fn eval(self) -> Tensor {
         if self.stages.is_empty() {
             return self.src.clone();
@@ -174,80 +161,15 @@ impl<'a> FusedChain<'a> {
         let _span = crate::tensor::ew_span("ew.chain", self.src.len());
         peb_obs::optrace::note("fused", || {
             let names: Vec<&str> = self.stages.iter().map(|s| s.name()).collect();
-            format!(
-                "chain=[{}] len={} fused={}",
-                names.join(","),
-                self.src.len(),
-                fusion_enabled()
-            )
+            format!("chain=[{}] len={}", names.join(","), self.src.len())
         });
-        if fusion_enabled() {
-            let n = self.src.len();
-            let mut data = crate::tensor::alloc_cleared(n);
-            data.resize(n, 0.0);
-            peb_simd::fused::vchain(self.src.data(), &self.stages, &mut data);
-            peb_obs::count(peb_obs::Counter::FusedOps, self.stages.len() as u64);
-            Tensor::from_pooled(data, self.src.shape())
-        } else {
-            eval_unfused(self.src, &self.stages)
-        }
+        let n = self.src.len();
+        let mut data = crate::tensor::alloc_cleared(n);
+        data.resize(n, 0.0);
+        peb_simd::fused::vchain(self.src.data(), &self.stages, &mut data);
+        peb_obs::count(peb_obs::Counter::FusedOps, self.stages.len() as u64);
+        Tensor::from_pooled(data, self.src.shape())
     }
-}
-
-/// The reference path: each stage as a separate dispatched kernel sweep
-/// through its own pooled intermediate — exactly what the eager tensor
-/// ops would have done.
-fn eval_unfused(src: &Tensor, stages: &[Stage<'_>]) -> Tensor {
-    use peb_simd::elementwise as ew;
-    let n = src.len();
-    let mut cur: Option<Vec<f32>> = None;
-    for st in stages {
-        let mut out = crate::tensor::alloc_cleared(n);
-        out.resize(n, 0.0);
-        let inp: &[f32] = cur.as_deref().unwrap_or_else(|| src.data());
-        match *st {
-            Stage::AddT(b) => ew::vadd(inp, b, &mut out),
-            Stage::SubT(b) => ew::vsub(inp, b, &mut out),
-            Stage::RsubT(b) => ew::vsub(b, inp, &mut out),
-            Stage::MulT(b) => ew::vmul(inp, b, &mut out),
-            Stage::DivT(b) => ew::vdiv(inp, b, &mut out),
-            Stage::AddScalar(s) => ew::vadd_scalar(inp, s, &mut out),
-            Stage::MulScalar(s) => ew::vmul_scalar(inp, s, &mut out),
-            Stage::SubFromScalar(s) => {
-                for (o, &v) in out.iter_mut().zip(inp) {
-                    *o = s - v;
-                }
-            }
-            Stage::Sqrt => ew::vsqrt(inp, &mut out),
-            Stage::Exp => ew::vexp(inp, &mut out),
-            Stage::Sigmoid => ew::vsigmoid(inp, &mut out),
-            Stage::Neg => {
-                for (o, &v) in out.iter_mut().zip(inp) {
-                    *o = -v;
-                }
-            }
-            Stage::LeakyRelu(slope) => {
-                for (o, &v) in out.iter_mut().zip(inp) {
-                    *o = if slope == 0.0 {
-                        if v > 0.0 {
-                            v
-                        } else {
-                            0.0
-                        }
-                    } else if v >= 0.0 {
-                        v
-                    } else {
-                        slope * v
-                    };
-                }
-            }
-        }
-        if let Some(prev) = cur.take() {
-            peb_pool::recycle(prev);
-        }
-        cur = Some(out);
-    }
-    Tensor::from_pooled(cur.expect("non-empty chain"), src.shape())
 }
 
 #[cfg(test)]
@@ -268,23 +190,6 @@ mod tests {
         let eager = (&(&a + &b) * &b).mul_scalar(0.5).sigmoid();
         let fused = a.fused().add(&b).mul(&b).mul_scalar(0.5).sigmoid().eval();
         for (x, y) in eager.data().iter().zip(fused.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn fused_matches_unfused_fallback_bitwise() {
-        let a = t(77, 3);
-        let b = t(77, 4);
-        let run = |fuse| {
-            let scoped = peb_par::ExecCtx {
-                fuse,
-                ..peb_par::ctx::current()
-            };
-            peb_par::ctx::with(scoped, || a.fused().sub(&b).exp().add_scalar(1.0).eval())
-        };
-        let (fused, unfused) = (run(true), run(false));
-        for (x, y) in fused.data().iter().zip(unfused.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }

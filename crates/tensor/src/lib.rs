@@ -46,7 +46,7 @@ mod transpose;
 
 pub use autograd::{grad_enabled, no_grad, Var, VarId};
 pub use error::TensorError;
-pub use fused::{fusion_enabled, FusedChain};
+pub use fused::FusedChain;
 pub use grad_check::{check_gradients, numeric_gradient, GradCheckReport};
 pub use shape::{broadcast_shapes, strides_for, Shape};
 pub use tensor::Tensor;
