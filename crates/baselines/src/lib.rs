@@ -23,4 +23,4 @@ mod tempo;
 pub use deepcnn::{DeepCnn, DeepCnnConfig};
 pub use deepeb::{DeePeb, DeePebConfig};
 pub use fno::{Fno, FnoConfig, SpectralConv3d};
-pub use tempo::{TempoDiscriminator, TempoResist, TempoResistConfig};
+pub use tempo::{TempoResist, TempoResistConfig};

@@ -183,178 +183,3 @@ mod tests {
         assert!(model.parameters().iter().all(|p| p.grad().is_some()));
     }
 }
-
-// ---------------------------------------------------------------------------
-// Adversarial extension: the cGAN discriminator of the original TEMPO
-// ---------------------------------------------------------------------------
-
-/// A PatchGAN-style conditional discriminator over (acid slice, inhibitor
-/// slice) pairs.
-///
-/// The original TEMPO \[5\] trains its generator adversarially; the Table II
-/// protocol here trains all models with the shared regression loss, but
-/// this discriminator (with the LSGAN objective of
-/// [`TempoResist::adversarial_step`]) restores the full cGAN formulation
-/// for users who want it.
-pub struct TempoDiscriminator {
-    d1: Conv2d,
-    d2: Conv2d,
-    d3: Conv2d,
-}
-
-impl TempoDiscriminator {
-    /// Builds a three-layer patch discriminator (receptive field ≈ 16 px).
-    pub fn new(width: usize, rng: &mut impl Rng) -> Self {
-        TempoDiscriminator {
-            d1: Conv2d::new(2, width, 4, 2, 1, true, rng),
-            d2: Conv2d::new(width, width * 2, 4, 2, 1, true, rng),
-            d3: Conv2d::new(width * 2, 1, 3, 1, 1, true, rng),
-        }
-    }
-
-    /// Patch realness scores for a conditioned pair of `[H, W]` planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the planes' shapes differ.
-    pub fn forward(&self, acid_plane: &Tensor, label_plane: &Tensor) -> Var {
-        assert_eq!(acid_plane.shape(), label_plane.shape(), "plane mismatch");
-        let (h, w) = (acid_plane.shape()[0], acid_plane.shape()[1]);
-        let mut stacked = Tensor::zeros(&[2, h, w]);
-        stacked.data_mut()[..h * w].copy_from_slice(acid_plane.data());
-        stacked.data_mut()[h * w..].copy_from_slice(label_plane.data());
-        let x = Var::constant(stacked);
-        let f = self.d1.forward(&x).leaky_relu(0.2);
-        let f = self.d2.forward(&f).leaky_relu(0.2);
-        self.d3.forward(&f)
-    }
-
-    /// Patch scores with gradients flowing into a *generated* label plane
-    /// (for the generator's adversarial term).
-    pub fn forward_generated(&self, acid_plane: &Tensor, label_plane: &Var) -> Var {
-        let (h, w) = (acid_plane.shape()[0], acid_plane.shape()[1]);
-        let acid = Var::constant(acid_plane.reshape(&[1, h, w]).expect("acid plane reshape"));
-        let lab = label_plane.reshape(&[1, h, w]);
-        let x = Var::concat(&[&acid, &lab], 0);
-        let f = self.d1.forward(&x).leaky_relu(0.2);
-        let f = self.d2.forward(&f).leaky_relu(0.2);
-        self.d3.forward(&f)
-    }
-}
-
-impl Parameterized for TempoDiscriminator {
-    fn parameters(&self) -> Vec<Var> {
-        let mut p = self.d1.parameters();
-        p.extend(self.d2.parameters());
-        p.extend(self.d3.parameters());
-        p
-    }
-}
-
-impl TempoResist {
-    /// One LSGAN step on a single depth slice: returns
-    /// `(d_loss, g_adv_loss)` graphs ready for `backward()`.
-    ///
-    /// LSGAN targets: real → 1, fake → 0 for the discriminator;
-    /// fake → 1 for the generator term. Callers combine `g_adv` with the
-    /// regression loss and step the two parameter sets separately.
-    pub fn adversarial_step(
-        &self,
-        disc: &TempoDiscriminator,
-        acid: &Tensor,
-        label: &Tensor,
-        slice: usize,
-    ) -> (Var, Var) {
-        let (d, h, w) = self.config.input_dims;
-        assert!(slice < d, "slice out of range");
-        let plane_of = |t: &Tensor| {
-            Tensor::from_vec(
-                t.data()[slice * h * w..(slice + 1) * h * w].to_vec(),
-                &[h, w],
-            )
-            .expect("slice plane")
-        };
-        let acid_plane = plane_of(acid);
-        let label_plane = plane_of(label);
-        // Generator output for this slice (with gradients).
-        let fake_volume = self.forward_train(acid);
-        let fake_plane = fake_volume.slice_axis(0, slice, slice + 1).reshape(&[h, w]);
-        // Discriminator loss: (D(real) − 1)² + D(fake_detached)².
-        let real_score = disc.forward(&acid_plane, &label_plane);
-        let fake_score_d = disc.forward(&acid_plane, &fake_plane.value_clone());
-        let d_loss = real_score
-            .add_scalar(-1.0)
-            .square()
-            .mean()
-            .add(&fake_score_d.square().mean());
-        // Generator adversarial term: (D(fake) − 1)².
-        let fake_score_g = disc.forward_generated(&acid_plane, &fake_plane);
-        let g_adv = fake_score_g.add_scalar(-1.0).square().mean();
-        (d_loss, g_adv)
-    }
-}
-
-#[cfg(test)]
-mod gan_tests {
-    use super::*;
-    use peb_nn::{Adam, Optimizer};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn setup() -> (TempoResist, TempoDiscriminator, Tensor, Tensor) {
-        let mut rng = StdRng::seed_from_u64(140);
-        let gen = TempoResist::new(
-            TempoResistConfig {
-                input_dims: (2, 8, 8),
-                width: 6,
-            },
-            &mut rng,
-        );
-        let disc = TempoDiscriminator::new(6, &mut rng);
-        let acid = Tensor::rand_uniform(&[2, 8, 8], 0.0, 0.9, &mut rng);
-        let label = acid.map(|a| 1.0 - a);
-        (gen, disc, acid, label)
-    }
-
-    #[test]
-    fn discriminator_scores_have_patch_shape() {
-        let (_, disc, acid, label) = setup();
-        let plane = Tensor::from_vec(acid.data()[..64].to_vec(), &[8, 8]).unwrap();
-        let lplane = Tensor::from_vec(label.data()[..64].to_vec(), &[8, 8]).unwrap();
-        let score = disc.forward(&plane, &lplane);
-        assert_eq!(score.shape(), vec![1, 2, 2]);
-    }
-
-    #[test]
-    fn adversarial_losses_are_finite_and_backprop() {
-        let (gen, disc, acid, label) = setup();
-        let (d_loss, g_adv) = gen.adversarial_step(&disc, &acid, &label, 1);
-        assert!(d_loss.value().item().is_finite());
-        assert!(g_adv.value().item().is_finite());
-        d_loss.backward();
-        assert!(disc.parameters().iter().all(|p| p.grad().is_some()));
-        g_adv.backward();
-        assert!(gen.parameters().iter().all(|p| p.grad().is_some()));
-    }
-
-    #[test]
-    fn discriminator_learns_to_separate_real_from_fake() {
-        let (gen, disc, acid, label) = setup();
-        let d_params = disc.parameters();
-        let mut opt = Adam::new(5e-3);
-        let mut first = None;
-        let mut last = 0.0;
-        for _ in 0..12 {
-            opt.zero_grad(&d_params);
-            let (d_loss, _) = gen.adversarial_step(&disc, &acid, &label, 0);
-            last = d_loss.value().item();
-            first.get_or_insert(last);
-            d_loss.backward();
-            opt.step(&d_params);
-        }
-        assert!(
-            last < first.unwrap(),
-            "discriminator loss should fall: {first:?} -> {last}"
-        );
-    }
-}

@@ -98,7 +98,6 @@ fn plan_replay_counters_reconcile() {
     // whenever it happens — `plan_replay_with_helpers` pins what holds
     // there.
     let replaying = ExecCtx {
-        plan: true,
         threads: 1,
         ..ctx::current()
     };

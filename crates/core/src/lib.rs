@@ -52,7 +52,7 @@ pub use loss::{LossBreakdown, PebLoss, Reduction};
 pub use metrics::{cd_error_nm, cd_histogram, nrmse, rmse, ssim, CdErrorStats, CD_BUCKET_LABELS};
 pub use model::{SdmPeb, SdmPebConfig};
 pub use peb_guard::{PebError, Result};
-pub use plan::{GradPlan, InferPlan};
+pub use plan::InferPlan;
 pub use quant::{checkpoint_params, quantize_checkpoint, QuantBudgets, QuantReport};
 pub use solver::{restore_parameters, PebPredictor};
 pub use train::{EpochStats, GuardConfig, TrainConfig, TrainReport, Trainer};

@@ -299,91 +299,3 @@ mod augment_tests {
         assert_ne!(aug[2].0, aug[0].0);
     }
 }
-
-impl Dataset {
-    /// Generates a dataset with the rigorous solves fanned out over
-    /// `threads` workers from the shared [`peb_par`] pool (each clip is
-    /// independent). Produces bit-identical output to
-    /// [`Dataset::generate`] — every sample is seeded individually — so
-    /// the two paths are interchangeable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates litho-simulation errors from any worker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn generate_parallel(cfg: &DatasetConfig, threads: usize) -> peb_litho::Result<Self> {
-        assert!(threads > 0, "need at least one worker thread");
-        let total = cfg.n_train + cfg.n_test;
-        let flow = LithoFlow::new(cfg.grid);
-        let label = LabelTransform {
-            kc: flow.peb.kc,
-            ..LabelTransform::paper()
-        };
-        let mut slots: Vec<Option<peb_litho::Result<Sample>>> = Vec::new();
-        slots.resize_with(total, || None);
-        peb_par::with_thread_count(threads, || {
-            peb_par::parallel_chunks_mut(&mut slots, total.div_ceil(threads), |base, chunk| {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    let i = base + off;
-                    let result = cfg.mask.generate(cfg.seed + i as u64).and_then(|clip| {
-                        let sim = flow.run(&clip)?;
-                        Ok(Sample {
-                            label: label.encode(&sim.inhibitor),
-                            acid0: sim.acid0,
-                            inhibitor: sim.inhibitor,
-                            cds: sim.cds,
-                            rigorous_peb_time: sim.peb_elapsed,
-                            clip,
-                        })
-                    });
-                    *slot = Some(result);
-                }
-            });
-        });
-        let mut samples = Vec::with_capacity(total);
-        for slot in slots {
-            samples.push(slot.expect("every slot filled")?);
-        }
-        let test = samples.split_off(cfg.n_train);
-        Ok(Dataset {
-            grid: cfg.grid,
-            train: samples,
-            test,
-        })
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let mut grid = Grid::small();
-        grid.nz = 3;
-        let mut cfg = DatasetConfig::for_grid(grid, 2, 1);
-        cfg.seed = 314;
-        let seq = Dataset::generate(&cfg).expect("test value");
-        let par = Dataset::generate_parallel(&cfg, 2).expect("test value");
-        assert_eq!(par.train.len(), seq.train.len());
-        assert_eq!(par.test.len(), seq.test.len());
-        for (a, b) in par.train.iter().zip(&seq.train) {
-            assert_eq!(a.acid0, b.acid0);
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.clip, b.clip);
-        }
-        assert_eq!(par.test[0].inhibitor, seq.test[0].inhibitor);
-    }
-
-    #[test]
-    fn single_thread_works() {
-        let mut grid = Grid::small();
-        grid.nz = 2;
-        let cfg = DatasetConfig::for_grid(grid, 1, 1);
-        let ds = Dataset::generate_parallel(&cfg, 1).expect("test value");
-        assert_eq!(ds.train.len() + ds.test.len(), 2);
-    }
-}

@@ -7,7 +7,7 @@
 use peb_tensor::Tensor;
 
 use crate::fft1d::FftError;
-use crate::fftnd::{fft2d, fft3d, ifft2d, ifft3d, ComplexField};
+use crate::fftnd::{fft2d, ifft2d, ComplexField};
 
 /// Circular 2-D convolution of two `[H, W]` tensors of identical shape.
 ///
@@ -28,23 +28,6 @@ pub fn convolve2d_periodic(signal: &Tensor, kernel: &Tensor) -> Result<Tensor, F
     let fs = fft2d(&ComplexField::from_real(signal))?;
     let fk = fft2d(&ComplexField::from_real(kernel))?;
     Ok(ifft2d(&fs.hadamard(&fk))?.real())
-}
-
-/// Circular 3-D convolution of two `[D, H, W]` tensors of identical shape.
-///
-/// # Errors
-///
-/// Returns [`FftError`] on empty extents.
-///
-/// # Panics
-///
-/// Panics if the shapes differ or are not rank-3.
-pub fn convolve3d_periodic(signal: &Tensor, kernel: &Tensor) -> Result<Tensor, FftError> {
-    assert_eq!(signal.shape(), kernel.shape(), "convolve3d shapes");
-    assert_eq!(signal.rank(), 3, "convolve3d rank");
-    let fs = fft3d(&ComplexField::from_real(signal))?;
-    let fk = fft3d(&ComplexField::from_real(kernel))?;
-    Ok(ifft3d(&fs.hadamard(&fk))?.real())
 }
 
 #[cfg(test)]
@@ -93,17 +76,6 @@ mod tests {
             }
         }
         assert!(fast.max_abs_diff(&direct) < 1e-3);
-    }
-
-    #[test]
-    fn convolution_commutes() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(10);
-        let s = Tensor::randn(&[2, 4, 4], &mut rng);
-        let k = Tensor::randn(&[2, 4, 4], &mut rng);
-        let a = convolve3d_periodic(&s, &k).unwrap();
-        let b = convolve3d_periodic(&k, &s).unwrap();
-        assert!(a.max_abs_diff(&b) < 1e-3);
     }
 
     #[test]

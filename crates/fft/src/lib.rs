@@ -32,10 +32,8 @@ mod convolve;
 mod fft1d;
 mod fftnd;
 mod plan;
-mod rfft;
 
 pub use complex::Complex;
-pub use convolve::{convolve2d_periodic, convolve3d_periodic};
+pub use convolve::convolve2d_periodic;
 pub use fft1d::{fft1d, fft1d_inplace, ifft1d, FftError};
 pub use fftnd::{fft2d, fft3d, ifft2d, ifft3d, ComplexField};
-pub use rfft::{irfft1d, irfft1d_len, rfft1d};

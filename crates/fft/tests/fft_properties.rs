@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use peb_fft::{fft1d, ifft1d, irfft1d_len, rfft1d, Complex};
+use peb_fft::{fft1d, ifft1d, Complex};
 
 /// Lengths whose only divisors are themselves: pure Bluestein territory.
 const PRIMES: [usize; 14] = [3, 5, 7, 11, 13, 17, 19, 23, 31, 37, 53, 61, 79, 97];
@@ -19,11 +19,6 @@ fn random_complex(n: usize, seed: u64) -> Vec<Complex> {
     (0..n)
         .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
         .collect()
-}
-
-fn random_real(n: usize, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
 }
 
 /// O(N²) reference DFT.
@@ -85,32 +80,6 @@ proptest! {
     }
 
     #[test]
-    fn rfft_matches_complex_fft_any_length(len in 1usize..97, seed in 0u64..1000) {
-        let x = random_real(len, seed);
-        let complex_in: Vec<Complex> = x.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        let full = fft1d(&complex_in).unwrap();
-        let half = rfft1d(&x).unwrap();
-        prop_assert_eq!(half.len(), len / 2 + 1);
-        let tol = 1e-3 * (len as f32).max(4.0);
-        for (k, h) in half.iter().enumerate() {
-            prop_assert!(
-                (h.re - full[k].re).abs() < tol && (h.im - full[k].im).abs() < tol,
-                "len={} bin {}: {} vs {}", len, k, h, full[k]
-            );
-        }
-    }
-
-    #[test]
-    fn rfft_irfft_roundtrip_any_length(len in 1usize..97, seed in 0u64..1000) {
-        let x = random_real(len, seed);
-        let back = irfft1d_len(&rfft1d(&x).unwrap(), len).unwrap();
-        prop_assert_eq!(back.len(), len);
-        for (a, b) in back.iter().zip(&x) {
-            prop_assert!((a - b).abs() < 2e-3, "len={}: {} vs {}", len, a, b);
-        }
-    }
-
-    #[test]
     fn plan_cache_is_bitwise_stable_on_prime_lengths(pi in 0usize..14, seed in 0u64..1000) {
         // The first transform of a given length builds the Bluestein plan;
         // subsequent transforms replay it from the thread-local cache. A
@@ -134,31 +103,6 @@ proptest! {
             prop_assert!(
                 a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                 "cached ifft differs at len={} bin {}: {} vs {}", len, k, a, b
-            );
-        }
-    }
-
-    #[test]
-    fn rfft_plan_cache_is_bitwise_stable_on_odd_lengths(half in 1usize..48, seed in 0u64..1000) {
-        // Odd lengths drive the rfft path through Bluestein; the full
-        // rfft → irfft chain must be reproducible bit for bit when every
-        // plan involved is served from the cache.
-        let len = 2 * half + 1;
-        let x = random_real(len, seed);
-        let spec_first = rfft1d(&x).unwrap();
-        let spec_again = rfft1d(&x).unwrap();
-        for (k, (a, b)) in spec_again.iter().zip(&spec_first).enumerate() {
-            prop_assert!(
-                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                "cached rfft differs at len={} bin {}: {} vs {}", len, k, a, b
-            );
-        }
-        let back_first = irfft1d_len(&spec_first, len).unwrap();
-        let back_again = irfft1d_len(&spec_first, len).unwrap();
-        for (k, (a, b)) in back_again.iter().zip(&back_first).enumerate() {
-            prop_assert!(
-                a.to_bits() == b.to_bits(),
-                "cached irfft differs at len={} sample {}: {} vs {}", len, k, a, b
             );
         }
     }

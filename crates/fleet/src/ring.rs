@@ -24,7 +24,7 @@
 pub const VNODES: usize = 64;
 
 /// FNV-1a 64-bit hash — the workspace's standing dependency-free hash
-/// (the plan cache keys and bench digests use the same construction).
+/// (`Tensor::bit_digest` folds f32 words with the same constants).
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -44,6 +44,11 @@ use crate::supervisor::{Shards, Supervisor};
 /// Read timeout on router connections (bounds shutdown latency).
 const READ_POLL: Duration = Duration::from_millis(100);
 
+/// Write timeout on router connections: a peer that takes no response
+/// bytes for this long is dropped, so its thread cannot block
+/// `shutdown`'s join.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Largest request body the router accepts (matches a worker's own
 /// limit for paper-scale grids, with header slack).
 const MAX_BODY: usize = 64 * 1024 * 1024;
@@ -203,6 +208,7 @@ type Upstreams = HashMap<usize, Client>;
 
 fn handle_conn(mut stream: TcpStream, ctx: &RouterCtx, stop: &Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut parser = RequestParser::with_max_body(MAX_BODY);
     let mut buf = [0u8; 16 * 1024];

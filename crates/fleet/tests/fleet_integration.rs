@@ -343,3 +343,36 @@ fn closed_connections_do_not_grow_the_router() {
         "writable address space grew {grown_kib} KiB over {FRESH_CONNS} closed connections"
     );
 }
+
+/// A peer that pipelines requests and never reads a response must not
+/// wedge the router: its connection thread blocks writing once both
+/// socket buffers are full, and `Fleet::shutdown` joins every connection
+/// thread. The router's write timeout drops such a peer.
+#[test]
+fn a_peer_that_never_reads_cannot_wedge_shutdown() {
+    use std::io::Write as _;
+    const SHUTDOWN_BOUND: Duration = Duration::from_secs(20);
+    let fleet = Fleet::start(fleet_config(1)).expect("fleet start");
+    let mut peer = std::net::TcpStream::connect(fleet.addr()).expect("connect");
+    peer.set_write_timeout(Some(Duration::from_secs(1)))
+        .expect("write timeout");
+    // Answered by the router itself; the stall is the router's own.
+    let burst = b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n".repeat(256);
+    let stalled = (0..1_000_000).any(|_| peer.write_all(&burst).is_err());
+    assert!(
+        stalled,
+        "the router read every request without its writes ever blocking"
+    );
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let shutdown = std::thread::spawn(move || {
+        fleet.shutdown();
+        let _ = done_tx.send(());
+    });
+    let returned = done_rx.recv_timeout(SHUTDOWN_BOUND).is_ok();
+    drop(peer);
+    assert!(
+        returned,
+        "Fleet::shutdown had not returned {SHUTDOWN_BOUND:?} after a peer stopped reading"
+    );
+    shutdown.join().expect("shutdown thread");
+}

@@ -185,6 +185,83 @@ mod tests {
         }
     }
 
+    /// A regular contact array under a shortened 30 s bake, so the
+    /// dose and focus tests stay fast.
+    fn process_window_setup() -> (LithoFlow, MaskClip) {
+        let grid = Grid::small();
+        let mut flow = LithoFlow::new(grid);
+        flow.peb.duration = 30.0;
+        let mut cfg = MaskConfig::demo(grid.nx);
+        cfg.style = crate::ClipStyle::RegularArray;
+        cfg.fill_probability = 1.0;
+        (flow, cfg.generate(3).expect("clip"))
+    }
+
+    /// `(mean CD in x over open contacts, open fraction)` of one run; the
+    /// mean is 0 when nothing opened.
+    fn printed(flow: &LithoFlow, clip: &MaskClip) -> (f32, f32) {
+        let sim = flow.run(clip).unwrap();
+        let open: Vec<_> = sim.cds.iter().filter(|c| c.open).collect();
+        let mean_cd_x_nm = if open.is_empty() {
+            0.0
+        } else {
+            open.iter().map(|c| c.cd_x_nm as f64).sum::<f64>() as f32 / open.len() as f32
+        };
+        (
+            mean_cd_x_nm,
+            open.len() as f32 / sim.cds.len().max(1) as f32,
+        )
+    }
+
+    fn at_dose(flow: &LithoFlow, scale: f32) -> LithoFlow {
+        let mut f = flow.clone();
+        f.dill.c_dose *= scale;
+        f
+    }
+
+    #[test]
+    fn cd_grows_with_dose() {
+        let (flow, clip) = process_window_setup();
+        // More dose → more acid → more deprotection → larger holes.
+        let cds: Vec<f32> = [0.8, 1.0, 1.2]
+            .iter()
+            .map(|&s| printed(&at_dose(&flow, s), &clip).0)
+            .filter(|&cd| cd > 0.0)
+            .collect();
+        assert!(cds.len() >= 2, "{cds:?}");
+        for w in cds.windows(2) {
+            assert!(
+                w[1] >= w[0] - 1.0,
+                "CD should not shrink with dose: {cds:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn underdose_closes_contacts() {
+        let (flow, clip) = process_window_setup();
+        let (_, under) = printed(&at_dose(&flow, 0.25), &clip);
+        let (_, nominal) = printed(&flow, &clip);
+        assert!(
+            under <= nominal,
+            "open fraction {under} at 0.25× dose vs {nominal}"
+        );
+    }
+
+    #[test]
+    fn defocus_changes_cd() {
+        let (flow, clip) = process_window_setup();
+        let mut defocused = flow.clone();
+        defocused.optics.defocus_slope += 0.25;
+        let (cd0, open0) = printed(&flow, &clip);
+        let (cd1, open1) = printed(&defocused, &clip);
+        // Strong defocus blurs the image; printed CD must move.
+        assert!(
+            (cd0 - cd1).abs() > 0.5 || open1 < open0,
+            "in focus ({cd0}, {open0}), defocused ({cd1}, {open1})"
+        );
+    }
+
     #[test]
     fn develop_is_reusable_on_predictions() {
         // A slightly perturbed inhibitor must yield nearby CDs.

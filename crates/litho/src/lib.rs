@@ -43,7 +43,6 @@ mod mask;
 mod metrology;
 mod optics;
 mod peb;
-mod process_window;
 mod profile;
 mod tridiag;
 
@@ -58,7 +57,6 @@ pub use mask::{ClipStyle, Contact, MaskClip, MaskConfig};
 pub use metrology::{measure_contact_cds, measure_contact_profiles, ContactCd, ContactProfile};
 pub use optics::OpticsParams;
 pub use peb::{PebParams, PebSolver, PebState, TimeScheme};
-pub use process_window::{dose_sweep, exposure_latitude, focus_sweep, ProcessPoint};
 pub use profile::{developed_fraction, resist_profile};
 
 /// Crate-wide result alias.

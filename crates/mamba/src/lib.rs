@@ -41,9 +41,4 @@ pub use conv1d::CausalDwConv1d;
 pub use directions::{gather_rows, ScanDirection, ScanOrder};
 pub use scan::selective_scan;
 pub use sdm_unit::{SdmUnit, SdmUnitConfig};
-pub use ssm::{hippo_a_log_init, LtiSsmBlock, SsmBlock};
-
-/// LeCun-uniform 1-D parameter vector (shared init helper).
-pub(crate) fn lecun_vec(n: usize, rng: &mut impl rand::Rng) -> peb_tensor::Tensor {
-    peb_nn::lecun_uniform(&[n], n, rng)
-}
+pub use ssm::{hippo_a_log_init, SsmBlock};

@@ -160,92 +160,6 @@ mod tests {
         let y2 = ssm.forward(&Var::constant(x.mul_scalar(2.0))).value_clone();
         assert!(y2.max_abs_diff(&y1.mul_scalar(2.0)) > 1e-4);
     }
-}
-
-/// A linear time-invariant (LTI) S4-style block: the same recurrence with
-/// *constant* learned `B`, `C`, `Δ` instead of input-dependent projections
-/// (Eqs. 6–9 without the Eq. 10–11 selectivity).
-///
-/// This is the "structured state space model" ancestor of Mamba and the
-/// natural ablation for the question *does selectivity matter for PEB?* —
-/// exercised by the comparison test below.
-#[derive(Debug)]
-pub struct LtiSsmBlock {
-    b_const: Var, // [N]
-    c_const: Var, // [N]
-    dt_log: Var,  // [C] (Δ = softplus)
-    a_log: Var,   // [C, N]
-    d_skip: Var,  // [C]
-    channels: usize,
-    state: usize,
-}
-
-impl LtiSsmBlock {
-    /// Creates an LTI block with HiPPO-style decays.
-    pub fn new(channels: usize, state: usize, rng: &mut impl Rng) -> Self {
-        LtiSsmBlock {
-            b_const: Var::parameter(crate::lecun_vec(state, rng)),
-            c_const: Var::parameter(crate::lecun_vec(state, rng)),
-            dt_log: Var::parameter(Tensor::full(&[channels], -0.5)),
-            a_log: Var::parameter(hippo_a_log_init(channels, state)),
-            d_skip: Var::parameter(Tensor::ones(&[channels])),
-            channels,
-            state,
-        }
-    }
-
-    /// Applies the LTI recurrence to an `[L, C]` sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a channel mismatch.
-    pub fn forward(&self, x: &Var) -> Var {
-        let s = x.shape();
-        assert_eq!(s[1], self.channels, "LtiSsmBlock channel mismatch");
-        let l = s[0];
-        // Broadcast the constant parameters to the per-token shapes the
-        // scan kernel expects.
-        let ones_l = Var::constant(Tensor::ones(&[l, 1]));
-        let b = ones_l.mul(&self.b_const.reshape(&[1, self.state]));
-        let c = ones_l.mul(&self.c_const.reshape(&[1, self.state]));
-        let delta = Var::constant(Tensor::ones(&[l, self.channels]))
-            .mul(&self.dt_log.reshape(&[1, self.channels]))
-            .softplus();
-        let a = self.a_log.exp().mul_scalar(-1.0);
-        crate::selective_scan(x, &delta, &a, &b, &c, &self.d_skip)
-    }
-}
-
-impl Parameterized for LtiSsmBlock {
-    fn parameters(&self) -> Vec<Var> {
-        vec![
-            self.b_const.clone(),
-            self.c_const.clone(),
-            self.dt_log.clone(),
-            self.a_log.clone(),
-            self.d_skip.clone(),
-        ]
-    }
-}
-
-#[cfg(test)]
-mod lti_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn lti_block_is_linear_in_its_input() {
-        let mut rng = StdRng::seed_from_u64(150);
-        let block = LtiSsmBlock::new(2, 4, &mut rng);
-        let x1 = Tensor::randn(&[6, 2], &mut rng);
-        let x2 = Tensor::randn(&[6, 2], &mut rng);
-        let f = |t: &Tensor| block.forward(&Var::constant(t.clone())).value_clone();
-        let lhs = f(&x1.add_t(&x2).unwrap());
-        let rhs = f(&x1).add_t(&f(&x2)).unwrap();
-        // Linear up to the D·x skip (also linear) — exact.
-        assert!(lhs.max_abs_diff(&rhs) < 1e-4);
-    }
 
     #[test]
     fn selective_block_is_not_linear() {
@@ -257,14 +171,5 @@ mod lti_tests {
         let lhs = f(&x1.add_t(&x2).unwrap());
         let rhs = f(&x1).add_t(&f(&x2)).unwrap();
         assert!(lhs.max_abs_diff(&rhs) > 1e-4, "selectivity lost");
-    }
-
-    #[test]
-    fn lti_gradients_flow() {
-        let mut rng = StdRng::seed_from_u64(152);
-        let block = LtiSsmBlock::new(2, 3, &mut rng);
-        let x = Var::constant(Tensor::randn(&[5, 2], &mut rng));
-        block.forward(&x).square().sum().backward();
-        assert!(block.parameters().iter().all(|p| p.grad().is_some()));
     }
 }

@@ -174,10 +174,8 @@ pub enum Counter {
     ScanLanes = 4,
     /// Gauss–Seidel sweep passes performed by the eikonal solver.
     EikonalSweeps = 5,
-    /// Fresh heap allocations of tensor/scratch storage. With the
-    /// `peb-pool` buffer pool active this counts only pool *misses*
-    /// (checkouts that had to allocate); with the pool disabled it counts
-    /// every `Tensor` constructor, matching the pre-pool semantics.
+    /// Fresh heap allocations of tensor and kernel buffers: the
+    /// `peb-pool` checkouts that missed and had to allocate.
     TensorAllocs = 6,
     /// Optimiser steps applied.
     OptimSteps = 7,
@@ -219,35 +217,31 @@ pub enum Counter {
     /// Successful checkpoint hot-swaps performed by the `peb-serve`
     /// model registry (failed swaps keep the old model and do not tick).
     ServeHotswaps = 21,
-    /// Inference requests served from a cached execution plan by the
-    /// `peb-serve` plan cache (misses record a fresh plan and are not
-    /// counted here).
-    PlanHits = 22,
     /// Computations executed through `Plan::replay` that completed
     /// without diverging from the recorded checkout stream.
-    PlanReplays = 23,
+    PlanReplays = 22,
     /// Bytes materialised into record-and-replay arenas (aggregated
     /// across plans; the per-plan high-water mark lives in the plan).
-    ArenaBytes = 24,
+    ArenaBytes = 23,
     /// Inference requests accepted by the `peb-fleet` router (sheds and
     /// upstream failures are still counted here; they are terminal
     /// router responses).
-    FleetRequests = 25,
+    FleetRequests = 24,
     /// Upstream attempts the router retried after a worker failure
     /// (connect refused/reset, response timeout, CRC-bad frame, 429).
-    FleetRetries = 26,
+    FleetRetries = 25,
     /// Requests ultimately served by a shard other than their hash-ring
     /// owner (degraded ring or mid-request failover).
-    FleetFailovers = 27,
+    FleetFailovers = 26,
     /// Worker processes restarted by the fleet supervisor after a
     /// crash or a liveness-probe failure streak.
-    FleetRestarts = 28,
+    FleetRestarts = 27,
     /// Requests shed by the router or the worker coalescer because the
     /// propagated deadline would have expired before service (504).
-    FleetDeadlineShed = 29,
+    FleetDeadlineShed = 28,
 }
 
-const N_COUNTERS: usize = 30;
+const N_COUNTERS: usize = 29;
 
 const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "gemm_flops",
@@ -272,7 +266,6 @@ const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "serve_batches",
     "serve_shed",
     "serve_hotswaps",
-    "plan_hits",
     "plan_replays",
     "arena_bytes",
     "fleet_requests",

@@ -146,7 +146,7 @@ pub fn exit_invalid(err: &ConfigError) -> ! {
 
 /// How kernels execute on behalf of the current scope. Every field
 /// combination produces the documented bits for its `level`;
-/// `tile_bytes`, `plan` and `threads` never change a bit.
+/// `tile_bytes` and `threads` never change a bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecCtx {
     /// SIMD dispatch level.
@@ -154,9 +154,6 @@ pub struct ExecCtx {
     /// Slab working-set target of the sliced passes (default 1 MiB);
     /// `usize::MAX` makes every volume one slab.
     pub tile_bytes: usize,
-    /// `Plan::replay` serves intermediates from its arena; `false` runs
-    /// the closure eagerly (`PEB_PLAN=off`).
-    pub plan: bool,
     /// Threads a parallel loop may use (1 = sequential on the caller).
     pub threads: usize,
 }
@@ -166,14 +163,15 @@ pub struct ExecCtx {
 const DEFAULT_TILE_BYTES: usize = 1 << 20;
 
 /// Variables that used to select modes which never diverged (fuse, pool,
-/// tile) or never won (reduced compute precision); setting one is an
-/// error so a stale script cannot believe it changed anything.
-const REMOVED: [&str; 5] = [
+/// tile) or never won (reduced compute precision, plan replay); setting
+/// one is an error so a stale script cannot believe it changed anything.
+const REMOVED: [&str; 6] = [
     "PEB_FUSE",
     "PEB_POOL",
     "PEB_TILE",
     "PEB_PREC",
     "PEB_SERVE_PREC",
+    "PEB_PLAN",
 ];
 
 impl ExecCtx {
@@ -186,7 +184,7 @@ impl ExecCtx {
                 &lookup,
                 var,
                 "the variable to be unset: it was removed (fusion, pooling and tiling are always \
-                 on; compute is always f32)",
+                 on; compute is always f32; inference always runs eagerly)",
                 |_| None::<()>,
             )?;
         }
@@ -200,18 +198,12 @@ impl ExecCtx {
             "off" | "0" | "scalar" => Some(Level::Scalar),
             _ => None,
         })?;
-        let plan = read_var(&lookup, "PEB_PLAN", "on|1|true|off|0|false", |s| match s {
-            "on" | "1" | "true" => Some(true),
-            "off" | "0" | "false" => Some(false),
-            _ => None,
-        })?;
         let threads = read_var(&lookup, "PEB_THREADS", "a positive integer", |s| {
             s.parse::<usize>().ok().filter(|&n| n > 0)
         })?;
         Ok(ExecCtx {
             level: level.unwrap_or_else(best_level),
             tile_bytes: DEFAULT_TILE_BYTES,
-            plan: plan.unwrap_or(true),
             threads: threads.unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -224,10 +216,9 @@ impl ExecCtx {
     /// and the start-up log line of the servers.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"level\":\"{}\",\"tile_bytes\":{},\"plan\":{},\"threads\":{}}}",
+            "{{\"level\":\"{}\",\"tile_bytes\":{},\"threads\":{}}}",
             self.level.name(),
             self.tile_bytes,
-            self.plan,
             self.threads
         )
     }
@@ -316,7 +307,6 @@ mod tests {
         let default = ExecCtx {
             level: best_level(),
             tile_bytes: DEFAULT_TILE_BYTES,
-            plan: true,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
         assert_eq!(ExecCtx::from_lookup(table(&[])), Ok(default));
@@ -325,13 +315,11 @@ mod tests {
         assert_eq!(ExecCtx::from_lookup(table(&empty)), Ok(default));
         let rows = [
             ("PEB_SIMD", "off"),
-            ("PEB_PLAN", "0"),
             ("PEB_THREADS", "3"),
             ("PEB_TRACE", "summary"),
         ];
         let set = ExecCtx {
             level: Level::Scalar,
-            plan: false,
             threads: 3,
             ..default
         };
@@ -349,6 +337,8 @@ mod tests {
             ("PEB_THREADS", "abc"),
             ("PEB_SIMD", "avx512"),
             ("PEB_PLAN", "maybe"),
+            ("PEB_PLAN", "on"),
+            ("PEB_PLAN", "off"),
             ("PEB_TRACE", "sumary"),
             ("PEB_FUSE", "off"),
             ("PEB_POOL", "on"),
@@ -381,12 +371,11 @@ mod tests {
         let c = ExecCtx {
             level: Level::Scalar,
             tile_bytes: 4096,
-            plan: false,
             threads: 4,
         };
         assert_eq!(
             c.to_json(),
-            "{\"level\":\"scalar\",\"tile_bytes\":4096,\"plan\":false,\"threads\":4}"
+            "{\"level\":\"scalar\",\"tile_bytes\":4096,\"threads\":4}"
         );
     }
 }

@@ -12,7 +12,6 @@ fn marked(threads: usize) -> ExecCtx {
     ExecCtx {
         level: Level::Scalar,
         tile_bytes: 12_345,
-        plan: false,
         threads,
     }
 }

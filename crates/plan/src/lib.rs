@@ -31,14 +31,14 @@
 //! bitwise-determinism contract). If the
 //! stream ever diverges — a different shape, a level change — the
 //! replay falls back to the ordinary pool mid-run and completes with
-//! correct eager semantics; [`Plan::diverged_replays`] exposes the
-//! count so callers re-record.
+//! correct eager semantics; the returned [`ReplayOutcome`] says so.
 //!
-//! # `PEB_PLAN=off`
+//! # Status
 //!
-//! Under an execution context with `plan: false` (`PEB_PLAN=off`, or a
-//! `peb_par::ctx::with` scope) [`Plan::replay`] runs the closure eagerly
-//! with no arena.
+//! Replay never beat eager execution (`plan.replay_over_eager` read
+//! 0.88–1.07), so nothing in the product replays a plan: serving runs
+//! `predict_batch` eagerly. The crate remains as the measurement probe
+//! the benchmark's `plan.*` metrics record and replay through.
 //!
 //! # Threading
 //!
@@ -46,10 +46,8 @@
 //! checkouts on the thread that recorded them (pool checkouts are
 //! thread-local, and worker threads inside `peb-par` regions keep
 //! using their own warm pools). Build and replay plans on the thread
-//! that owns the computation — the serve engine's model-owner thread,
-//! or an ILT driver loop.
+//! that owns the computation.
 
-use std::cell::Cell;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -60,10 +58,11 @@ pub use peb_pool::arena::{
 
 use peb_pool::arena::{self, Arena};
 
-/// Whether the calling thread's execution context replays plans.
+/// Always `true`: [`Plan::replay`] has no eager mode to switch to. Kept
+/// because the benchmark's environment fingerprint prints it.
 #[inline]
 pub fn enabled() -> bool {
-    peb_par::ctx::current().plan
+    true
 }
 
 /// A recorded execution plan: the op list of one computation plus the
@@ -72,8 +71,6 @@ pub struct Plan {
     mem: Rc<MemPlan>,
     arena: Rc<RefCell<Arena>>,
     ops: Vec<OpDesc>,
-    replays: Cell<u64>,
-    diverged: Cell<u64>,
 }
 
 impl Plan {
@@ -90,43 +87,19 @@ impl Plan {
         let ops = peb_obs::optrace::finish();
         let mem = Rc::new(MemPlan::from_trace(&trace));
         let arena = Rc::new(RefCell::new(Arena::for_plan(Rc::clone(&mem))));
-        (
-            Plan {
-                mem,
-                arena,
-                ops,
-                replays: Cell::new(0),
-                diverged: Cell::new(0),
-            },
-            out,
-        )
+        (Plan { mem, arena, ops }, out)
     }
 
     /// Re-executes `f` with the plan's arena installed. Bitwise
     /// identical to eager execution (same kernels run; only buffer
-    /// provenance differs). Under `PEB_PLAN=off` this is a plain eager
-    /// call. Returns the closure's result and what the replay did.
+    /// provenance differs). Returns the closure's result and what the
+    /// replay did.
     pub fn replay<R>(&self, f: impl FnOnce() -> R) -> (R, ReplayOutcome) {
-        if !enabled() {
-            let out = f();
-            return (
-                out,
-                ReplayOutcome {
-                    complete: false,
-                    served: 0,
-                    escaped: 0,
-                    diverged: false,
-                },
-            );
-        }
         arena::begin_replay(&self.arena);
         let out = f();
         let outcome = arena::end_replay();
         if outcome.complete {
-            self.replays.set(self.replays.get() + 1);
             peb_obs::count(peb_obs::Counter::PlanReplays, 1);
-        } else {
-            self.diverged.set(self.diverged.get() + 1);
         }
         (out, outcome)
     }
@@ -134,11 +107,6 @@ impl Plan {
     /// The flat op list captured while recording, in dispatch order.
     pub fn ops(&self) -> &[OpDesc] {
         &self.ops
-    }
-
-    /// The memory plan (placements + region table).
-    pub fn mem(&self) -> &MemPlan {
-        &self.mem
     }
 
     /// Arena footprint in bytes (what replays actually touch).
@@ -151,40 +119,9 @@ impl Plan {
         self.mem.logical_bytes()
     }
 
-    /// Number of arena regions (aliased slabs).
-    pub fn region_count(&self) -> usize {
-        self.mem.regions.len()
-    }
-
     /// Checkouts served from the arena per complete replay.
     pub fn planned_allocs(&self) -> usize {
         self.mem.region_allocs()
-    }
-
-    /// Completed (non-diverged) replays of this plan.
-    pub fn completed_replays(&self) -> u64 {
-        self.replays.get()
-    }
-
-    /// Replays that diverged from the recorded stream and fell back to
-    /// the pool. Non-zero means the plan is stale for its call site.
-    pub fn diverged_replays(&self) -> u64 {
-        self.diverged.get()
-    }
-
-    /// Renders the op list as one line per op (`kind detail`), for
-    /// debugging and the bench report.
-    pub fn describe_ops(&self) -> String {
-        let mut out = String::new();
-        for op in &self.ops {
-            out.push_str(op.kind);
-            if !op.detail.is_empty() {
-                out.push(' ');
-                out.push_str(&op.detail);
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -192,7 +129,7 @@ impl std::fmt::Debug for Plan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Plan")
             .field("ops", &self.ops.len())
-            .field("regions", &self.region_count())
+            .field("regions", &self.mem.regions.len())
             .field("planned_allocs", &self.planned_allocs())
             .field("arena_bytes", &self.arena_bytes())
             .field("logical_bytes", &self.logical_bytes())
@@ -203,18 +140,6 @@ impl std::fmt::Debug for Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peb_par::ctx::{self, ExecCtx};
-
-    /// Runs `f` with replay forced on or off (whatever `PEB_PLAN` says).
-    fn with_plan<R>(plan: bool, f: impl FnOnce() -> R) -> R {
-        ctx::with(
-            ExecCtx {
-                plan,
-                ..ctx::current()
-            },
-            f,
-        )
-    }
 
     /// A deterministic "computation": a chain of pooled intermediates
     /// with one escaping output, shaped like a small forward pass.
@@ -238,41 +163,26 @@ mod tests {
 
     #[test]
     fn record_then_replay_is_bitwise_identical_and_allocation_free() {
-        with_plan(true, || {
-            let (plan, eager) = Plan::record(|| fake_forward(64));
-            assert!(plan.planned_allocs() >= 2, "{plan:?}");
-            assert!(plan.arena_bytes() > 0);
-            for _ in 0..3 {
-                let (replayed, outcome) = plan.replay(|| fake_forward(64));
-                assert!(outcome.complete, "{outcome:?}");
-                assert_eq!(outcome.served as usize, plan.planned_allocs());
-                assert_eq!(replayed, eager, "replay must be bitwise identical");
-                peb_pool::recycle(replayed);
-            }
-            assert_eq!(plan.completed_replays(), 3);
-            assert_eq!(plan.diverged_replays(), 0);
-            peb_pool::recycle(eager);
-        });
+        let (plan, eager) = Plan::record(|| fake_forward(64));
+        assert!(plan.planned_allocs() >= 2, "{plan:?}");
+        assert!(plan.arena_bytes() > 0);
+        for _ in 0..3 {
+            let (replayed, outcome) = plan.replay(|| fake_forward(64));
+            assert!(outcome.complete && !outcome.diverged, "{outcome:?}");
+            assert_eq!(outcome.served as usize, plan.planned_allocs());
+            assert_eq!(replayed, eager, "replay must be bitwise identical");
+            peb_pool::recycle(replayed);
+        }
+        peb_pool::recycle(eager);
     }
 
     #[test]
     fn divergent_replay_still_computes_correctly() {
-        with_plan(true, || {
-            let (plan, _r) = Plan::record(|| fake_forward(64));
-            // Different shape than recorded: diverges, result still right.
-            let (replayed, outcome) = plan.replay(|| fake_forward(32));
-            assert!(outcome.diverged);
-            let eager = fake_forward(32);
-            assert_eq!(replayed, eager);
-            assert_eq!(plan.diverged_replays(), 1);
-        });
-    }
-
-    #[test]
-    fn plan_off_runs_eagerly() {
-        let (plan, eager) = Plan::record(|| fake_forward(16));
-        let (replayed, outcome) = with_plan(false, || plan.replay(|| fake_forward(16)));
-        assert!(!outcome.complete && outcome.served == 0);
+        let (plan, _r) = Plan::record(|| fake_forward(64));
+        // Different shape than recorded: diverges, result still right.
+        let (replayed, outcome) = plan.replay(|| fake_forward(32));
+        assert!(outcome.diverged && !outcome.complete, "{outcome:?}");
+        let eager = fake_forward(32);
         assert_eq!(replayed, eager);
     }
 
@@ -284,6 +194,6 @@ mod tests {
         });
         assert_eq!(plan.ops().len(), 1);
         assert_eq!(plan.ops()[0].kind, "gemm");
-        assert!(plan.describe_ops().contains("gemm m=8 k=8 n=8"));
+        assert_eq!(plan.ops()[0].detail, "m=8 k=8 n=8");
     }
 }

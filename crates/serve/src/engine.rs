@@ -28,7 +28,6 @@
 //! fixed-architecture model serves every clip size up to its grid —
 //! this is the "padded batch" in DESIGN §12.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
@@ -39,7 +38,7 @@ use std::time::{Duration, Instant};
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sdm_peb::{InferPlan, PebPredictor, SdmPeb, SdmPebConfig};
+use sdm_peb::{PebPredictor, SdmPeb, SdmPebConfig};
 
 use crate::config::{ModelPreset, ServeConfig};
 use crate::error::ServeError;
@@ -243,12 +242,6 @@ fn build_model(config: &ServeConfig) -> SdmPeb {
     SdmPeb::new(cfg, &mut rng)
 }
 
-/// Per-engine cache of recorded execution plans, keyed like the FFT
-/// plan cache: one entry per padded clip geometry. Lives entirely on the
-/// engine thread (plans are `!Send` by design — their arenas serve the
-/// thread that recorded them).
-type PlanCache = HashMap<(usize, usize, usize), InferPlan>;
-
 fn engine_main(
     config: &ServeConfig,
     stats: &Arc<ServeStats>,
@@ -257,7 +250,6 @@ fn engine_main(
 ) {
     let mut model = build_model(config);
     let mut version: u64 = 0;
-    let mut plans = PlanCache::new();
     loop {
         // Control plane first: swaps land between batches, so the old
         // model is fully drained before it is dropped.
@@ -265,7 +257,7 @@ fn engine_main(
         while let Ok(msg) = ctrl.try_recv() {
             match msg {
                 CtrlMsg::Swap { path, reply } => {
-                    let r = handle_swap(config, stats, &mut model, &mut plans, &mut version, &path);
+                    let r = handle_swap(config, stats, &mut model, &mut version, &path);
                     let _ = reply.send(r);
                 }
                 CtrlMsg::Shutdown => shutting_down = true,
@@ -276,14 +268,14 @@ fn engine_main(
             // a real prediction before the thread exits.
             while let Ok(job) = jobs.try_recv() {
                 let batch = collect_batch(config, jobs, job);
-                run_batch(config, stats, &model, &mut plans, batch);
+                run_batch(config, stats, &model, batch);
             }
             return;
         }
         match jobs.recv_timeout(IDLE_POLL) {
             Ok(first) => {
                 let batch = collect_batch(config, jobs, first);
-                run_batch(config, stats, &model, &mut plans, batch);
+                run_batch(config, stats, &model, batch);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
@@ -330,7 +322,6 @@ fn run_batch(
     config: &ServeConfig,
     stats: &Arc<ServeStats>,
     model: &SdmPeb,
-    plans: &mut PlanCache,
     mut batch: Vec<InferJob>,
 ) {
     let _span = peb_obs::span("serve.batch");
@@ -367,20 +358,9 @@ fn run_batch(
         .iter()
         .map(|j| pad_to_grid(&j.clip, config.grid))
         .collect();
-    let outputs = if peb_plan::enabled() {
-        // Planned path: every padded clip replays through the cached
-        // plan for its geometry. A miss records one (costing an extra
-        // warmup predict, amortised across the key's lifetime). Replay is
-        // bitwise identical to predict_batch by the plan contract, and
-        // predict_batch is batch-composition invariant, so no result
-        // depends on which other requests happened to share the batch.
-        padded
-            .iter()
-            .map(|clip| predict_planned(stats, model, plans, clip))
-            .collect()
-    } else {
-        model.predict_batch(&padded)
-    };
+    // predict_batch is batch-composition invariant, so no result depends
+    // on which other requests happened to share the batch.
+    let outputs = model.predict_batch(&padded);
     for (job, out) in batch.into_iter().zip(outputs) {
         let s = job.clip.shape();
         let cropped = crop_to(&out, (s[0], s[1], s[2]));
@@ -390,45 +370,10 @@ fn run_batch(
     }
 }
 
-/// One planned inference: replay the cached plan for this geometry, or
-/// record a fresh one. Always returns the bitwise-eager prediction.
-fn predict_planned(
-    stats: &Arc<ServeStats>,
-    model: &SdmPeb,
-    plans: &mut PlanCache,
-    clip: &Tensor,
-) -> Tensor {
-    let s = clip.shape();
-    let key = (s[0], s[1], s[2]);
-    if let Some(plan) = plans.get(&key) {
-        let (out, outcome) = plan.predict(model, clip);
-        if outcome.complete {
-            stats.tick_plan_hit();
-        } else {
-            // The checkout stream diverged (the context changed under us).
-            // The result is still bitwise-eager — only the planning win
-            // was lost — but the plan is stale: drop it so the next
-            // request at this key re-records.
-            plans.remove(&key);
-        }
-        return out;
-    }
-    let (plan, out) = InferPlan::record(model, clip);
-    stats.tick_plan_miss();
-    plans.insert(key, plan);
-    let total: u64 = plans
-        .values()
-        .map(|pl| pl.plan().arena_bytes() as u64)
-        .sum();
-    stats.note_arena_bytes(total);
-    out
-}
-
 fn handle_swap(
     config: &ServeConfig,
     stats: &Arc<ServeStats>,
     model: &mut SdmPeb,
-    plans: &mut PlanCache,
     version: &mut u64,
     path: &std::path::Path,
 ) -> Result<ModelVersion, ServeError> {
@@ -460,13 +405,6 @@ fn handle_swap(
     let fresh = build_model(config);
     sdm_peb::restore_parameters(&fresh, &params).map_err(|e| rejected(e.to_string()))?;
     *model = fresh; // old model drops here — after its last batch
-                    // Plans recorded against the old weights would replay *correctly*
-                    // against the new ones (replay computes values eagerly), but they
-                    // describe a retired model; invalidate atomically with the splice
-                    // so `/stats` reflects the cache behaviour the swap caused.
-    let dropped = plans.len() as u64;
-    plans.clear();
-    stats.tick_plan_invalidations(dropped);
     *version += 1;
     let v = ModelVersion {
         version: *version,

@@ -40,6 +40,10 @@ use crate::stats::version_json;
 /// noticing shutdown.
 const READ_POLL: Duration = Duration::from_millis(100);
 
+/// Write timeout on connections: a peer that takes no response bytes for
+/// this long is dropped, so its thread cannot block `shutdown`'s join.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Chaos: once a `hang-worker` fault fires, every connection thread
 /// parks instead of serving — the process stays alive but health
 /// probes time out, exactly the wedge a supervisor must detect.
@@ -168,6 +172,7 @@ fn handle_conn(
     max_body: usize,
 ) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     let mut parser = RequestParser::with_max_body(max_body);
     let mut buf = [0u8; 16 * 1024];

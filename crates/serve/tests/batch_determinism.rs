@@ -1,7 +1,6 @@
 //! Batching invariance: a batch of N clips must be bitwise identical
 //! to N sequential batch-1 inferences — at 1 and 4 kernel threads, on
-//! the scalar and (where available) AVX2 paths, with the engine's plan
-//! cache on and off (`ExecCtx::plan`, what `PEB_PLAN=off` selects).
+//! the scalar and (where available) AVX2 paths.
 //!
 //! This is the contract `peb-serve`'s dynamic batcher rests on: the
 //! batch a request happens to land in (a function of arrival timing)
@@ -9,7 +8,6 @@
 //! load-dependent and irreproducible.
 
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
 
 use peb_serve::{Client, ServeConfig, Server};
@@ -54,25 +52,6 @@ fn config(threads: usize, batched: bool, n: usize) -> ServeConfig {
     }
 }
 
-/// The engine replays cached plans exactly when the context it was
-/// started under asks for them; with `plan: false` every batch takes
-/// the eager `predict_batch` arm and the cache is never touched. Every
-/// run serves six clips of one padded geometry: one miss, then hits.
-fn assert_plan_counters(server: &Server) {
-    let stats = server.handle().stats();
-    let hits = stats.plan_hits.load(Ordering::Relaxed);
-    let misses = stats.plan_misses.load(Ordering::Relaxed);
-    if peb_par::ctx::current().plan {
-        assert!(hits >= 1, "planned serving never replayed a plan");
-    } else {
-        assert_eq!(
-            (hits, misses),
-            (0, 0),
-            "plan-off serving touched the plan cache"
-        );
-    }
-}
-
 /// Runs all clips through a server sequentially over one connection.
 fn digests_sequential(threads: usize, clips: &[Tensor]) -> Vec<u64> {
     let server = Server::start(config(threads, false, clips.len())).expect("start server");
@@ -81,7 +60,6 @@ fn digests_sequential(threads: usize, clips: &[Tensor]) -> Vec<u64> {
         .iter()
         .map(|c| client.infer(c).expect("infer").bit_digest())
         .collect();
-    assert_plan_counters(&server);
     server.shutdown();
     out
 }
@@ -117,7 +95,6 @@ fn digests_batched(threads: usize, clips: &[Tensor]) -> (Vec<u64>, u64) {
         .filter(|(size, _)| *size > 1)
         .map(|(_, count)| count)
         .sum();
-    assert_plan_counters(&server);
     server.shutdown();
     (digests, multi)
 }
@@ -129,31 +106,15 @@ fn batching_is_bitwise_invariant_across_threads_and_levels() {
     if peb_simd::detected() {
         levels.push(peb_simd::Level::Avx2Fma);
     }
-    let modes = levels
-        .iter()
-        .flat_map(|&level| [(level, true), (level, false)]);
-    // Each level's planned digests, for its plan-off pass to match.
-    let mut planned = Vec::new();
-    for (level, plan) in modes {
+    for level in levels {
         // The server's engine thread adopts the context it is started
-        // under, so the whole sweep for one mode runs inside one scope.
+        // under, so the whole sweep for one level runs inside one scope.
         let scoped = peb_par::ExecCtx {
             level,
-            plan,
             ..peb_par::ctx::current()
         };
         peb_par::ctx::with(scoped, || {
             let baseline = digests_sequential(1, &clips);
-            if plan {
-                planned = baseline.clone();
-            } else {
-                assert_eq!(
-                    baseline,
-                    planned,
-                    "plan-off serving diverged from planned serving ({})",
-                    level.name()
-                );
-            }
             // The served bits are this scope's bits: clip 0 spans the
             // whole grid (no pad/crop), so it must match an in-process
             // `predict` of the same seed-initialised model at this level.

@@ -159,7 +159,6 @@ fn corrupt_swap_is_rejected_and_old_model_keeps_serving() {
         let stats = server.handle().stats();
         assert_eq!(stats.hotswaps.load(Ordering::Relaxed), 0);
         assert_eq!(stats.swaps_rejected.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.plan_invalidations.load(Ordering::Relaxed), 0);
         assert_eq!(stats.version().version, 0, "version must not advance");
 
         // A later clean swap from a fresh file still works (the fault

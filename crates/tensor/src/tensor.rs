@@ -31,7 +31,7 @@ pub struct Tensor {
 
 /// Checks out an **empty** pooled buffer with capacity ≥ `cap` from the
 /// thread-local `peb-pool`, counting a `tensor_allocs` only when fresh
-/// heap storage was allocated (a pool miss, or the pool is disabled).
+/// heap storage was allocated (a pool miss).
 /// Every constructor routes through here so dropped tensors (recycled by
 /// the `Drop` impl) feed the next construction.
 pub(crate) fn alloc_cleared(cap: usize) -> Vec<f32> {
@@ -323,7 +323,7 @@ impl Clone for Tensor {
 impl Drop for Tensor {
     /// Returns the storage to the thread-local `peb-pool` so the next
     /// same-sized constructor reuses it instead of allocating. A no-op
-    /// when the pool is disabled or the buffer was moved out.
+    /// when the buffer was moved out.
     fn drop(&mut self) {
         peb_pool::recycle(std::mem::take(&mut self.data));
     }

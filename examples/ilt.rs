@@ -1,14 +1,10 @@
-//! Inverse lithography (ILT) with a surrogate model and a recorded
-//! gradient plan.
+//! Inverse lithography (ILT) with a differentiable surrogate.
 //!
 //! The inner loop of ILT asks: *which photoacid distribution makes the
 //! baked inhibitor field match a target pattern?* With SDM-PEB as a
 //! differentiable surrogate for the bake, each iteration is one
-//! forward + backward sweep at a fixed mask geometry — exactly the
-//! fixed-structure workload `GradPlan` is built for. We record the
-//! iteration once, then replay both sweeps of the tape through a
-//! statically planned arena: no pool traffic, no allocation, no shape
-//! checks, bitwise identical to the eager loop.
+//! forward + backward sweep through the autograd tape from the mask to a
+//! scalar objective, followed by a projected gradient step on the mask.
 //!
 //! ```sh
 //! cargo run --release -p sdm-peb --example ilt
@@ -18,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use peb_tensor::{Tensor, Var};
-use sdm_peb::{GradPlan, PebPredictor, SdmPeb, SdmPebConfig};
+use sdm_peb::{PebPredictor, SdmPeb, SdmPebConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dims = (4usize, 32usize, 32usize);
@@ -47,11 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         model.parameters()
     };
 
-    // One canonical gradient window: forward from the mask, scalar
-    // objective, backward, clone the mask gradient, then zero *every*
-    // gradient so each iteration repeats the same None → Some
-    // accumulation pattern (and therefore the same checkout stream).
-    let iteration = || {
+    println!(
+        "optimising a {}×{}×{} photoacid field through the surrogate …",
+        dims.0, dims.1, dims.2
+    );
+    let lr = 4.0f32;
+    let steps = 12;
+    for it in 0..=steps {
         let y = model.forward_var(&mask);
         let obj = y.sub(&Var::constant(target.clone())).square().mean();
         obj.backward();
@@ -60,41 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for p in &params {
             p.zero_grad();
         }
-        let loss = obj.value().item();
-        (loss, grad)
-    };
-
-    println!(
-        "recording gradient plan at {}×{}×{} …",
-        dims.0, dims.1, dims.2
-    );
-    let (plan, (loss0, grad0)) = GradPlan::record(iteration);
-    println!(
-        "  plan: {} ops, {} planned checkouts into {} regions, arena {:.1} KiB (logical {:.1} KiB)",
-        plan.plan().ops().len(),
-        plan.plan().planned_allocs(),
-        plan.plan().region_count(),
-        plan.plan().arena_bytes() as f64 / 1024.0,
-        plan.plan().logical_bytes() as f64 / 1024.0,
-    );
-
-    let lr = 4.0f32;
-    apply_step(&mask, &grad0, lr);
-    println!("iter  0  objective {loss0:.6}  (recorded)");
-
-    let steps = 12;
-    for it in 1..=steps {
-        let ((loss, grad), outcome) = plan.step(iteration);
-        assert!(
-            !outcome.diverged,
-            "fixed-geometry ILT window must replay cleanly: {outcome:?}"
-        );
         apply_step(&mask, &grad, lr);
-        if it % 3 == 0 || it == steps {
-            println!(
-                "iter {it:2}  objective {loss:.6}  (replayed: {} arena / {} pool checkouts)",
-                outcome.served, outcome.escaped
-            );
+        if it % 3 == 0 {
+            println!("iter {it:2}  objective {:.6}", obj.value().item());
         }
     }
 
@@ -104,10 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("same shape")
         .mean()
         .sqrt();
-    println!(
-        "done: {} replayed iterations, mask RMSE vs truth {err:.4}",
-        plan.plan().completed_replays()
-    );
+    println!("done: mask RMSE vs truth {err:.4}");
     Ok(())
 }
 

@@ -1,19 +1,11 @@
 //! Execution plans must be invisible in the output: `Plan::replay` is
 //! bitwise identical to the eager path at every dispatch level this
-//! machine has, at 1 and 4 threads. A serving
-//! hot-swap must invalidate the plan cache so the *new* model's bits
-//! are served, and static memory planning must never assign two
-//! simultaneously-live buffers to the same arena region for any valid
-//! clip geometry.
+//! machine has, at 1 and 4 threads, and static memory planning must
+//! never assign two simultaneously-live buffers to the same arena region
+//! for any valid clip geometry.
 
-use std::path::PathBuf;
-use std::sync::atomic::Ordering;
-
-use peb_guard::{OptKind, TrainCheckpoint};
-use peb_nn::Parameterized;
 use peb_par::ctx::{self, ExecCtx};
 use peb_pool::arena::{Event, MemPlan, Placement};
-use peb_serve::{Client, ServeConfig, Server};
 use peb_simd::Level;
 use peb_tensor::Tensor;
 use proptest::prelude::*;
@@ -46,7 +38,6 @@ fn replay_is_bitwise_identical_across_levels_and_threads() {
             let scoped = ExecCtx {
                 level,
                 threads,
-                plan: true,
                 ..ctx::current()
             };
             ctx::with(scoped, || {
@@ -78,98 +69,6 @@ fn replay_is_bitwise_identical_across_levels_and_threads() {
             });
         }
     }
-}
-
-const GRID: (usize, usize, usize) = (4, 16, 16);
-
-fn serve_clip() -> Tensor {
-    let (d, h, w) = GRID;
-    Tensor::from_vec(
-        (0..d * h * w)
-            .map(|i| (i as f32 * 0.013).sin() * 0.3 + 0.5)
-            .collect(),
-        &[d, h, w],
-    )
-    .expect("clip")
-}
-
-/// Saves a checkpoint whose weights come from a differently-seeded
-/// model and returns its path plus that model's prediction digest.
-fn write_swap_checkpoint() -> (PathBuf, u64) {
-    let model = SdmPeb::new(SdmPebConfig::tiny(GRID), &mut StdRng::seed_from_u64(999));
-    let params: Vec<Tensor> = model.parameters().iter().map(|p| p.value_clone()).collect();
-    let n = params.len();
-    let ckpt = TrainCheckpoint {
-        epoch: 3,
-        seed: 999,
-        opt_kind: OptKind::Adam,
-        opt_t: 0,
-        lr_scale: 1.0,
-        rollbacks: 0,
-        epoch_stats: vec![],
-        params,
-        opt_m: vec![None; n],
-        opt_v: vec![None; n],
-        quant: None,
-    };
-    let path = std::env::temp_dir().join(format!("peb_plan_swap_{}.ckpt", std::process::id()));
-    ckpt.save(&path).expect("save checkpoint");
-    (path, model.predict(&serve_clip()).bit_digest())
-}
-
-#[test]
-fn hot_swap_invalidates_plans_and_serves_the_new_model() {
-    // The engine thread adopts this context: replay on, whatever
-    // `PEB_PLAN` says.
-    let replaying = ExecCtx {
-        plan: true,
-        ..ctx::current()
-    };
-    ctx::with(replaying, hot_swap_case)
-}
-
-fn hot_swap_case() {
-    let (path, swapped_digest) = write_swap_checkpoint();
-    let server = Server::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        grid: GRID,
-        max_batch: 4,
-        max_wait_us: 200,
-        queue_cap: 32,
-        conn_workers: 2,
-        ..ServeConfig::default()
-    })
-    .expect("start");
-    let mut client = Client::connect(server.addr()).expect("connect");
-
-    // First request records a plan (miss); the repeat replays it (hit).
-    let base = client.infer(&serve_clip()).expect("infer").bit_digest();
-    let again = client.infer(&serve_clip()).expect("infer").bit_digest();
-    assert_eq!(base, again, "plan replay changed served bits");
-    assert_ne!(base, swapped_digest, "seeds must give distinct models");
-    let stats = server.handle().stats();
-    assert!(stats.plan_misses.load(Ordering::Relaxed) >= 1);
-    assert!(stats.plan_hits.load(Ordering::Relaxed) >= 1);
-    assert!(stats.arena_hwm_bytes.load(Ordering::Relaxed) > 0);
-
-    client
-        .swap(path.to_str().expect("utf8 path"))
-        .expect("swap");
-    assert!(
-        stats.plan_invalidations.load(Ordering::Relaxed) >= 1,
-        "hot-swap must drop cached plans"
-    );
-
-    // Post-swap inference must carry the *new* model's bits — a stale
-    // plan would still replay correctly, but the cache counts it as a
-    // fresh recording against the swapped weights.
-    let after = client.infer(&serve_clip()).expect("infer").bit_digest();
-    assert_eq!(
-        after, swapped_digest,
-        "post-swap prediction must match the checkpointed weights bitwise"
-    );
-    server.shutdown();
-    std::fs::remove_file(&path).ok();
 }
 
 /// Records a real `predict` at the given geometry and checks the static
