@@ -25,7 +25,6 @@ use peb_par::ctx::{self, read_parsed, ConfigError};
 /// | `PEB_FLEET_BACKOFF_CAP_US` | `backoff_cap` | `100_000` |
 /// | `PEB_FLEET_ATTEMPT_MS` | `attempt_timeout` | unset (deadline only) |
 /// | `PEB_FLEET_DRAIN_MS` | `drain_timeout` | `3_000` |
-/// | `PEB_FLEET_CONNS` | `conn_workers` | `2` |
 /// | `PEB_FLEET_WORKER_BIN` | `worker_bin` | sibling `peb_worker` |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetConfig {
@@ -59,8 +58,6 @@ pub struct FleetConfig {
     /// How long a graceful drain waits for a worker to exit after its
     /// stdin closes, before escalating to a hard kill.
     pub drain_timeout: Duration,
-    /// Router connection-handling threads.
-    pub conn_workers: usize,
     /// Path to the `peb_worker` binary. `None` → a `peb_worker` sibling
     /// of the current executable (how the `peb_fleet` binary finds it).
     pub worker_bin: Option<std::path::PathBuf>,
@@ -88,7 +85,6 @@ impl Default for FleetConfig {
             backoff_cap_us: 100_000,
             attempt_timeout: None,
             drain_timeout: Duration::from_millis(3_000),
-            conn_workers: 2,
             worker_bin: None,
             worker_chaos: Vec::new(),
             worker_env: Vec::new(),
@@ -126,7 +122,6 @@ impl FleetConfig {
                 .unwrap_or(d.backoff_cap_us),
             attempt_timeout: millis("PEB_FLEET_ATTEMPT_MS", 1)?,
             drain_timeout: millis("PEB_FLEET_DRAIN_MS", 0)?.unwrap_or(d.drain_timeout),
-            conn_workers: read_parsed(&env, "PEB_FLEET_CONNS", COUNT)?.unwrap_or(d.conn_workers),
             worker_bin: env("PEB_FLEET_WORKER_BIN")
                 .filter(|v| !v.is_empty())
                 .map(std::path::PathBuf::from),
@@ -145,7 +140,6 @@ impl FleetConfig {
         self.probe_fails = self.probe_fails.max(1);
         self.backoff_base_us = self.backoff_base_us.max(1);
         self.backoff_cap_us = self.backoff_cap_us.max(self.backoff_base_us);
-        self.conn_workers = self.conn_workers.max(1);
         self
     }
 
@@ -195,7 +189,6 @@ mod tests {
             probe_fails: 0,
             backoff_base_us: 0,
             backoff_cap_us: 0,
-            conn_workers: 0,
             ..FleetConfig::default()
         }
         .normalized();
@@ -204,7 +197,6 @@ mod tests {
         assert_eq!(c.probe_fails, 1);
         assert!(c.backoff_base_us >= 1);
         assert!(c.backoff_cap_us >= c.backoff_base_us);
-        assert_eq!(c.conn_workers, 1);
     }
 
     #[test]

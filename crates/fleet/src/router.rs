@@ -1,5 +1,6 @@
-//! The fleet front-end: accepts the same HTTP/`PEBCLIP1` protocol as a
-//! single worker, shards `/infer` across worker processes by clip
+//! The fleet router, a handler behind `peb_serve`'s shared HTTP front
+//! end: accepts the same HTTP/`PEBCLIP1` protocol as a single worker,
+//! shards `/infer` across worker processes by clip
 //! digest, propagates deadlines, and retries failed attempts on
 //! fallback shards.
 //!
@@ -26,28 +27,19 @@
 //! forwards to the first routable shard.
 
 use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::Write as _;
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use peb_serve::front::Front;
 use peb_serve::http::encode_response;
-use peb_serve::{Client, ClientError, ClientTimeouts, Method, Request, RequestParser};
+use peb_serve::{Client, ClientError, ClientTimeouts, Method, Request};
 
 use crate::config::FleetConfig;
 use crate::ring::{clip_digest, fnv64, Ring};
 use crate::stats::FleetStats;
 use crate::supervisor::{Shards, Supervisor};
-
-/// Read timeout on router connections (bounds shutdown latency).
-const READ_POLL: Duration = Duration::from_millis(100);
-
-/// Write timeout on router connections: a peer that takes no response
-/// bytes for this long is dropped, so its thread cannot block
-/// `shutdown`'s join.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Largest request body the router accepts (matches a worker's own
 /// limit for paper-scale grids, with header slack).
@@ -55,13 +47,10 @@ const MAX_BODY: usize = 64 * 1024 * 1024;
 
 /// A running fleet: router + supervisor + workers.
 pub struct Fleet {
-    addr: SocketAddr,
+    front: Front,
     config: FleetConfig,
-    supervisor: Option<Supervisor>,
+    supervisor: Supervisor,
     stats: Arc<FleetStats>,
-    stop: Arc<AtomicBool>,
-    acceptors: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// Everything a connection thread needs to route (cheaply cloneable).
@@ -76,6 +65,11 @@ struct RouterCtx {
     stats: Arc<FleetStats>,
 }
 
+/// Per-connection cache of upstream clients, one per shard. Keep-alive
+/// to the workers amortises connect cost; any attempt failure drops the
+/// cached client so the next attempt reconnects.
+type Upstreams = HashMap<usize, Client>;
+
 impl Fleet {
     /// Starts the workers (via [`Supervisor::start`]), binds the router
     /// address, and begins accepting.
@@ -86,11 +80,7 @@ impl Fleet {
     pub fn start(config: FleetConfig) -> std::io::Result<Fleet> {
         let config = config.normalized();
         let supervisor = Supervisor::start(&config)?;
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let stats = Arc::new(FleetStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let ctx = RouterCtx {
             config: config.clone(),
             ring: Arc::new(Ring::new(config.workers)),
@@ -98,32 +88,28 @@ impl Fleet {
             ckpt: supervisor.checkpoint_cell(),
             stats: Arc::clone(&stats),
         };
-        let mut acceptors = Vec::with_capacity(config.conn_workers);
-        for i in 0..config.conn_workers {
-            let listener = listener.try_clone()?;
+        let front = Front::start(&config.addr, "peb-fleet", MAX_BODY, move || {
             let ctx = ctx.clone();
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            acceptors.push(
-                std::thread::Builder::new()
-                    .name(format!("peb-fleet-accept-{i}"))
-                    .spawn(move || accept_loop(&listener, &ctx, &stop, &conns))?,
-            );
-        }
+            let mut upstreams = Upstreams::new();
+            Box::new(move |stream, req, _| {
+                ctx.stats.tick_request();
+                let Ok(req) = req else { return false };
+                let (status, content_type, body) = route(&ctx, &mut upstreams, req);
+                let wire = encode_response(status, content_type, &body, req.keep_alive);
+                stream.write_all(&wire).is_ok() && req.keep_alive
+            })
+        })?;
         Ok(Fleet {
-            addr,
+            front,
             config,
-            supervisor: Some(supervisor),
+            supervisor,
             stats,
-            stop,
-            acceptors,
-            conns,
         })
     }
 
     /// The router's bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Fleet counters (tests, the bench).
@@ -133,10 +119,7 @@ impl Fleet {
 
     /// The shared shard table (tests inspect states and restarts).
     pub fn shards(&self) -> Arc<Shards> {
-        self.supervisor
-            .as_ref()
-            .map(|s| Arc::clone(s.shards()))
-            .unwrap_or_else(|| Arc::new(Shards::empty()))
+        Arc::clone(self.supervisor.shards())
     }
 
     /// The routing ring (tests compute which shard owns a clip).
@@ -146,109 +129,9 @@ impl Fleet {
 
     /// Graceful stop: stop accepting, finish in-flight requests, then
     /// drain every worker.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        for _ in 0..self.acceptors.len() {
-            let _ = TcpStream::connect(self.addr);
-        }
-        for a in self.acceptors.drain(..) {
-            let _ = a.join();
-        }
-        let conns = {
-            let mut g = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *g)
-        };
-        for c in conns {
-            let _ = c.join();
-        }
-        if let Some(s) = self.supervisor.take() {
-            s.shutdown(self.config.drain_timeout);
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    ctx: &RouterCtx,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let ctx = ctx.clone();
-        let stop = Arc::clone(stop);
-        let spawned = std::thread::Builder::new()
-            .name("peb-fleet-conn".to_string())
-            .spawn(move || handle_conn(stream, &ctx, &stop));
-        if let Ok(j) = spawned {
-            let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
-            // A finished thread keeps its stack until its handle is joined
-            // or dropped: reap those before adding to the list.
-            conns.retain(|c| !c.is_finished());
-            conns.push(j);
-        }
-    }
-}
-
-/// Per-connection-thread cache of upstream clients, one per shard.
-/// Keep-alive to the workers amortises connect cost; any attempt
-/// failure drops the cached client so the next attempt reconnects.
-type Upstreams = HashMap<usize, Client>;
-
-fn handle_conn(mut stream: TcpStream, ctx: &RouterCtx, stop: &Arc<AtomicBool>) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    let mut parser = RequestParser::with_max_body(MAX_BODY);
-    let mut buf = [0u8; 16 * 1024];
-    let mut upstreams = Upstreams::new();
-    loop {
-        loop {
-            match parser.poll() {
-                Ok(Some(req)) => {
-                    ctx.stats.tick_request();
-                    let (status, content_type, body) = route(ctx, &mut upstreams, &req);
-                    let keep = req.keep_alive;
-                    let wire = encode_response(status, content_type, &body, keep);
-                    if stream.write_all(&wire).is_err() || !keep {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    ctx.stats.tick_request();
-                    let body = format!("{e}\n");
-                    let wire = encode_response(e.status(), "text/plain", body.as_bytes(), false);
-                    let _ = stream.write_all(&wire);
-                    return;
-                }
-            }
-        }
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => parser.feed(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
+    pub fn shutdown(self) {
+        self.front.shutdown();
+        self.supervisor.shutdown(self.config.drain_timeout);
     }
 }
 
@@ -289,19 +172,6 @@ fn route(
     }
 }
 
-/// Resolves this request's absolute deadline: the client's
-/// `X-Peb-Deadline-Us` header, else the fleet default. `None` = none.
-fn request_deadline(ctx: &RouterCtx, req: &Request) -> Result<Option<Instant>, String> {
-    let us = match req.header("x-peb-deadline-us") {
-        Some(v) => v
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| format!("x-peb-deadline-us {v:?} is not a microsecond count"))?,
-        None => ctx.config.deadline_us,
-    };
-    Ok((us > 0).then(|| Instant::now() + Duration::from_micros(us)))
-}
-
 /// The sharded `/infer` path: preference order, deadline propagation,
 /// retries with failover and backoff.
 fn infer(
@@ -309,10 +179,12 @@ fn infer(
     upstreams: &mut Upstreams,
     req: &Request,
 ) -> (u16, &'static str, Vec<u8>) {
-    let deadline = match request_deadline(ctx, req) {
-        Ok(d) => d,
-        Err(detail) => return (400, "text/plain", format!("{detail}\n").into_bytes()),
+    // The client's budget, else the fleet default; 0 means none.
+    let us = match req.deadline_us() {
+        Ok(us) => us.unwrap_or(ctx.config.deadline_us),
+        Err(e) => return (e.status(), "text/plain", format!("{e}\n").into_bytes()),
     };
+    let deadline = (us > 0).then(|| Instant::now() + Duration::from_micros(us));
     let digest = clip_digest(&req.body);
     let prefer = ctx.ring.prefer(digest);
     let mut last_failure: Option<String> = None;

@@ -160,11 +160,6 @@ impl Shards {
         }
     }
 
-    /// A table with no shards (a fleet already shut down).
-    pub fn empty() -> Self {
-        Shards { slots: Vec::new() }
-    }
-
     /// All slots, indexed by shard id.
     pub fn slots(&self) -> &[ShardSlot] {
         &self.slots

@@ -163,15 +163,18 @@ pub struct ExecCtx {
 const DEFAULT_TILE_BYTES: usize = 1 << 20;
 
 /// Variables that used to select modes which never diverged (fuse, pool,
-/// tile) or never won (reduced compute precision, plan replay); setting
-/// one is an error so a stale script cannot believe it changed anything.
-const REMOVED: [&str; 6] = [
+/// tile), never won (reduced compute precision, plan replay) or only
+/// counted accept loops (the servers' acceptor counts); setting one is an
+/// error so a stale script cannot believe it changed anything.
+const REMOVED: [&str; 8] = [
     "PEB_FUSE",
     "PEB_POOL",
     "PEB_TILE",
     "PEB_PREC",
     "PEB_SERVE_PREC",
     "PEB_PLAN",
+    "PEB_SERVE_WORKERS",
+    "PEB_FLEET_CONNS",
 ];
 
 impl ExecCtx {
@@ -184,7 +187,8 @@ impl ExecCtx {
                 &lookup,
                 var,
                 "the variable to be unset: it was removed (fusion, pooling and tiling are always \
-                 on; compute is always f32; inference always runs eagerly)",
+                 on; compute is always f32; inference always runs eagerly; each server runs \
+                 one accept thread)",
                 |_| None::<()>,
             )?;
         }
@@ -347,6 +351,8 @@ mod tests {
             ("PEB_PREC", "bf16"),
             ("PEB_SERVE_PREC", "f32"),
             ("PEB_SERVE_PREC", "int8"),
+            ("PEB_SERVE_WORKERS", "2"),
+            ("PEB_FLEET_CONNS", "2"),
         ] {
             let err = ExecCtx::from_lookup(table(&[(var, value)])).expect_err(var);
             assert_eq!((err.var, err.value.as_str()), (var, value));

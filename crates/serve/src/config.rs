@@ -25,7 +25,6 @@ pub enum ModelPreset {
 /// | `PEB_SERVE_MAX_WAIT_US` | `max_wait_us` | `500` |
 /// | `PEB_SERVE_QUEUE` | `queue_cap` | `64` |
 /// | `PEB_SERVE_READY_HWM` | `ready_hwm` | `3·queue_cap/4` |
-/// | `PEB_SERVE_WORKERS` | `conn_workers` | `2` |
 /// | `PEB_SERVE_THREADS` | `compute_threads` | unset (peb-par default) |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -49,8 +48,6 @@ pub struct ServeConfig {
     /// so routers stop sending work *before* the queue fills and 429s
     /// start. `None` → `3·queue_cap/4` after normalisation.
     pub ready_hwm: Option<usize>,
-    /// Connection-handling threads (each runs its own accept loop).
-    pub conn_workers: usize,
     /// Kernel thread count forced on the engine thread (`None` = the
     /// `peb-par` default). The batching-invariance tests pin this to 1
     /// and 4 — results are bitwise identical either way.
@@ -68,7 +65,6 @@ impl Default for ServeConfig {
             max_wait_us: 500,
             queue_cap: 64,
             ready_hwm: None,
-            conn_workers: 2,
             compute_threads: None,
         }
     }
@@ -100,7 +96,6 @@ impl ServeConfig {
                 .unwrap_or(d.max_wait_us),
             queue_cap: read_parsed(&env, "PEB_SERVE_QUEUE", COUNT)?.unwrap_or(d.queue_cap),
             ready_hwm: read_parsed(&env, "PEB_SERVE_READY_HWM", COUNT)?,
-            conn_workers: read_parsed(&env, "PEB_SERVE_WORKERS", COUNT)?.unwrap_or(d.conn_workers),
             compute_threads: read_var(&env, "PEB_SERVE_THREADS", "a positive integer", |s| {
                 s.parse().ok().filter(|&n: &usize| n > 0)
             })?,
@@ -109,11 +104,10 @@ impl ServeConfig {
     }
 
     /// Clamps degenerate values so a typo'd env var cannot wedge the
-    /// server (zero-size batches, zero workers, …).
+    /// server (zero-size batches, a zero-deep queue, …).
     pub fn normalized(mut self) -> Self {
         self.max_batch = self.max_batch.max(1);
         self.queue_cap = self.queue_cap.max(1);
-        self.conn_workers = self.conn_workers.max(1);
         // Default high-water at 3/4 of the queue, clamped into
         // [1, queue_cap] so readiness can neither trip on an empty
         // queue nor stay green past the shed point.
@@ -188,13 +182,11 @@ mod tests {
         let c = ServeConfig {
             max_batch: 0,
             queue_cap: 0,
-            conn_workers: 0,
             ..ServeConfig::default()
         }
         .normalized();
         assert_eq!(c.max_batch, 1);
         assert_eq!(c.queue_cap, 1);
-        assert_eq!(c.conn_workers, 1);
         assert_eq!(c.ready_hwm(), 1);
     }
 

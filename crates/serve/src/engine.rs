@@ -216,11 +216,8 @@ impl Engine {
     /// Stops the engine: queued jobs drain (every accepted request gets
     /// a reply), then the thread exits and later submissions fail with
     /// [`ServeError::EngineGone`].
-    pub fn shutdown(mut self) {
-        let _ = self.ctrl.send(CtrlMsg::Shutdown);
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 

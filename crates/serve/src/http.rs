@@ -19,6 +19,9 @@ use std::fmt;
 
 /// Hard cap on the request head (request line + headers + CRLFCRLF).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+/// How long a request head may take to arrive, from its first byte;
+/// a peer still sending it after that is answered 408.
+pub const HEAD_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 /// Hard cap on the number of header fields.
 pub const MAX_HEADERS: usize = 64;
 /// Default cap on `Content-Length` bodies (overridable per parser).
@@ -46,6 +49,8 @@ pub enum HttpError {
     TooManyHeaders,
     /// The head exceeds [`MAX_HEAD_BYTES`] without terminating.
     HeadTooLarge,
+    /// The head was not complete [`HEAD_TIMEOUT`] after its first byte.
+    HeadTimeout,
     /// `Content-Length` is absent where required, unparsable, or listed
     /// twice with conflicting values.
     BadContentLength {
@@ -70,6 +75,7 @@ impl HttpError {
             HttpError::BadRequestLine { .. }
             | HttpError::BadHeader { .. }
             | HttpError::BadContentLength { .. } => 400,
+            HttpError::HeadTimeout => 408,
             HttpError::UnsupportedVersion { .. } => 505,
             HttpError::TooManyHeaders | HttpError::HeadTooLarge => 431,
             HttpError::BodyTooLarge { .. } => 413,
@@ -86,6 +92,7 @@ impl fmt::Display for HttpError {
             HttpError::BadHeader { detail } => write!(f, "bad header: {detail}"),
             HttpError::TooManyHeaders => write!(f, "more than {MAX_HEADERS} headers"),
             HttpError::HeadTooLarge => write!(f, "head exceeds {MAX_HEAD_BYTES} bytes"),
+            HttpError::HeadTimeout => write!(f, "head not complete within {HEAD_TIMEOUT:?}"),
             HttpError::BadContentLength { detail } => write!(f, "bad content-length: {detail}"),
             HttpError::BodyTooLarge { declared, max } => {
                 write!(f, "declared body {declared} exceeds cap {max}")
@@ -155,6 +162,25 @@ impl Request {
     pub fn query(&self) -> Option<&str> {
         self.target.split_once('?').map(|(_, q)| q)
     }
+
+    /// The `X-Peb-Deadline-Us` budget in microseconds, when the header
+    /// is present.
+    ///
+    /// # Errors
+    ///
+    /// A value that is not a microsecond count is a
+    /// [`HttpError::BadHeader`] (400), never a silently unbounded request.
+    pub fn deadline_us(&self) -> Result<Option<u64>, HttpError> {
+        let Some(v) = self.header("x-peb-deadline-us") else {
+            return Ok(None);
+        };
+        v.trim()
+            .parse()
+            .map(Some)
+            .map_err(|_| HttpError::BadHeader {
+                detail: format!("x-peb-deadline-us {v:?} is not a microsecond count"),
+            })
+    }
 }
 
 /// Parsed head, cached between polls while the body streams in.
@@ -204,6 +230,11 @@ impl RequestParser {
     /// Bytes currently buffered and not yet consumed by a request.
     pub fn buffered(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Whether part of a request head is buffered but not yet parsed.
+    pub(crate) fn head_pending(&self) -> bool {
+        self.head.is_none() && !self.buf.is_empty()
     }
 
     /// Yields the next complete request, `Ok(None)` when more bytes are
@@ -402,6 +433,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         413 => "Content Too Large",
         429 => "Too Many Requests",
@@ -516,6 +548,28 @@ mod tests {
         assert!(p.poll().is_err());
         p.feed(b"GET / HTTP/1.1\r\n\r\n");
         assert!(p.poll().is_err(), "poisoned parser must not resync");
+    }
+
+    #[test]
+    fn head_pending_tracks_an_unparsed_head() {
+        let mut p = RequestParser::new();
+        assert!(!p.head_pending());
+        p.feed(b"POST / HTTP/1.1\r\ncontent-length: 2\r\n");
+        assert_eq!(p.poll(), Ok(None));
+        assert!(p.head_pending());
+        p.feed(b"\r\n");
+        assert_eq!(p.poll(), Ok(None));
+        assert!(!p.head_pending(), "a streaming body is not a pending head");
+    }
+
+    #[test]
+    fn deadline_header_is_a_count_or_a_400() {
+        let req = |wire: &[u8]| parse_all(wire).expect("parses").remove(0);
+        assert_eq!(req(b"GET / HTTP/1.1\r\n\r\n").deadline_us(), Ok(None));
+        let r = req(b"GET / HTTP/1.1\r\nX-Peb-Deadline-Us: 250\r\n\r\n");
+        assert_eq!(r.deadline_us(), Ok(Some(250)));
+        let r = req(b"GET / HTTP/1.1\r\nx-peb-deadline-us: soon\r\n\r\n");
+        assert_eq!(r.deadline_us().map_err(|e| e.status()), Err(400));
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub mod clip;
 pub mod config;
 pub mod engine;
 pub mod error;
+pub mod front;
 pub mod http;
 pub mod server;
 pub mod stats;

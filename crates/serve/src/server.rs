@@ -1,5 +1,5 @@
-//! The TCP front end: blocking accept loops, per-connection request
-//! loops, routing, and graceful shutdown.
+//! The worker's request handler behind the shared [`crate::front`]:
+//! routing, the chaos hooks, and graceful shutdown.
 //!
 //! Routes:
 //!
@@ -22,83 +22,57 @@
 //! 429 when the inference queue sheds, 409 when a hot-swap is rejected
 //! (the previous model keeps serving), 4xx for malformed inputs.
 
-use std::io::{Read as _, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::Write as _;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::clip;
 use crate::config::ServeConfig;
 use crate::engine::{Engine, EngineHandle};
 use crate::error::ServeError;
-use crate::http::{encode_response, HttpError, Method, Request, RequestParser};
+use crate::front::Front;
+use crate::http::{encode_response, HttpError, Method, Request};
 use crate::stats::version_json;
-
-/// Read timeout on connections: bounds how long a quiet socket delays
-/// noticing shutdown.
-const READ_POLL: Duration = Duration::from_millis(100);
-
-/// Write timeout on connections: a peer that takes no response bytes for
-/// this long is dropped, so its thread cannot block `shutdown`'s join.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Chaos: once a `hang-worker` fault fires, every connection thread
 /// parks instead of serving — the process stays alive but health
 /// probes time out, exactly the wedge a supervisor must detect.
 static WEDGED: AtomicBool = AtomicBool::new(false);
 
-/// A running server (engine + accept threads).
+/// A running server (engine + HTTP front end).
 pub struct Server {
-    addr: SocketAddr,
-    engine: Option<Engine>,
+    front: Front,
+    engine: Engine,
     handle: EngineHandle,
-    stop: Arc<AtomicBool>,
-    acceptors: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
-    /// Binds `config.addr`, spawns the engine and the accept threads.
+    /// Spawns the engine, binds `config.addr` and starts accepting.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (bind, clone) from the OS.
+    /// Propagates socket errors (bind, spawn) from the OS.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let config = config.normalized();
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
         let (engine, handle) = Engine::spawn(&config);
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         // /swap bodies are small paths; /infer bodies are one clip frame.
         let max_body = config.max_body_bytes().max(4096);
-        let mut acceptors = Vec::with_capacity(config.conn_workers);
-        for i in 0..config.conn_workers {
-            let listener = listener.try_clone()?;
-            let handle = handle.clone();
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            acceptors.push(
-                std::thread::Builder::new()
-                    .name(format!("peb-serve-accept-{i}"))
-                    .spawn(move || accept_loop(&listener, &handle, &stop, &conns, max_body))?,
-            );
-        }
+        let conn_handle = handle.clone();
+        let front = Front::start(&config.addr, "peb-serve", max_body, move || {
+            let handle = conn_handle.clone();
+            Box::new(move |stream, req, stop| serve(stream, &handle, req, stop))
+        })?;
         Ok(Server {
-            addr,
-            engine: Some(engine),
+            front,
+            engine,
             handle,
-            stop,
-            acceptors,
-            conns,
         })
     }
 
     /// The bound address (resolves port 0 for tests).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Direct engine access (in-process clients, tests).
@@ -106,131 +80,42 @@ impl Server {
         &self.handle
     }
 
-    /// Graceful stop: accept loops wake and exit, open connections
-    /// finish their current request, queued inferences drain.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Wake every acceptor blocked in accept().
-        for _ in 0..self.acceptors.len() {
-            let _ = TcpStream::connect(self.addr);
-        }
-        for a in self.acceptors.drain(..) {
-            let _ = a.join();
-        }
-        let conns = {
-            let mut g = self.conns.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *g)
-        };
-        for c in conns {
-            let _ = c.join();
-        }
-        if let Some(e) = self.engine.take() {
-            e.shutdown();
-        }
+    /// Graceful stop: the front end stops accepting and joins every
+    /// connection once its current request is answered, then queued
+    /// inferences drain.
+    pub fn shutdown(self) {
+        self.front.shutdown();
+        self.engine.shutdown();
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
+/// One connection's handler: the chaos wedge, the request count, then
+/// [`respond`]. Returns whether the connection stays open.
+fn serve(
+    stream: &mut TcpStream,
     handle: &EngineHandle,
-    stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    max_body: usize,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        let handle = handle.clone();
-        let stop = Arc::clone(stop);
-        let spawned = std::thread::Builder::new()
-            .name("peb-serve-conn".to_string())
-            .spawn(move || handle_conn(stream, &handle, &stop, max_body));
-        if let Ok(j) = spawned {
-            let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
-            // A finished thread keeps its stack until its handle is joined
-            // or dropped: reap those before adding to the list.
-            conns.retain(|c| !c.is_finished());
-            conns.push(j);
-        }
+    req: Result<&Request, &HttpError>,
+    stop: &AtomicBool,
+) -> bool {
+    // Chaos hook: an armed `hang-worker` fault wedges the whole process
+    // at this request — no thread answers again, so `/healthz` probes
+    // time out and the supervisor must restart us.
+    if req.is_ok() && peb_guard::chaos::take_hang_worker() {
+        WEDGED.store(true, Ordering::Release);
     }
-}
-
-fn handle_conn(
-    mut stream: TcpStream,
-    handle: &EngineHandle,
-    stop: &Arc<AtomicBool>,
-    max_body: usize,
-) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let _ = stream.set_nodelay(true);
-    let mut parser = RequestParser::with_max_body(max_body);
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        if WEDGED.load(Ordering::Acquire) {
-            park_wedged(stop);
-            return;
-        }
-        // Serve everything already buffered (pipelining).
-        loop {
-            match parser.poll() {
-                Ok(Some(req)) => {
-                    // Chaos hook: an armed `hang-worker` fault wedges the
-                    // whole process at this request — no thread reads or
-                    // writes again, so `/healthz` probes time out and
-                    // the supervisor must restart us.
-                    if peb_guard::chaos::take_hang_worker() {
-                        WEDGED.store(true, Ordering::Release);
-                    }
-                    if WEDGED.load(Ordering::Acquire) {
-                        park_wedged(stop);
-                        return;
-                    }
-                    handle.stats().tick_request();
-                    if !respond(&mut stream, handle, &req) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    handle.stats().tick_request();
-                    write_http_error(&mut stream, &e);
-                    return;
-                }
-            }
-        }
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return,
-            Ok(n) => parser.feed(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
+    if WEDGED.load(Ordering::Acquire) {
+        park_wedged(stop);
+        return false;
     }
+    handle.stats().tick_request();
+    req.is_ok_and(|req| respond(stream, handle, req))
 }
 
 /// Parks a wedged connection thread. The wedge deliberately survives
 /// everything except process death or an in-process [`Server::shutdown`]
 /// (tests must still be able to join their threads); a real supervisor
 /// sees probe timeouts and kills the process.
-fn park_wedged(stop: &Arc<AtomicBool>) {
+fn park_wedged(stop: &AtomicBool) {
     while !stop.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -298,7 +183,9 @@ fn route(handle: &EngineHandle, req: &Request) -> Result<(&'static str, Vec<u8>)
         )),
         (Method::Post, "/infer") => {
             reject_prec_selection(req)?;
-            let deadline = requested_deadline(req)?;
+            let deadline = req
+                .deadline_us()?
+                .map(|us| Instant::now() + Duration::from_micros(us));
             let t = clip::decode_clip(&req.body)?;
             let y = handle.infer_with(t, deadline)?;
             Ok(("application/octet-stream", clip::encode_resp(&y)))
@@ -338,25 +225,4 @@ fn reject_prec_selection(req: &Request) -> Result<(), ServeError> {
         }
     }
     Ok(())
-}
-
-/// Resolves the `X-Peb-Deadline-Us` header into an absolute instant.
-/// `None` means no deadline was propagated; an unparsable value is a
-/// 400, not a silently unbounded request.
-fn requested_deadline(req: &Request) -> Result<Option<Instant>, ServeError> {
-    let Some(v) = req.header("x-peb-deadline-us") else {
-        return Ok(None);
-    };
-    let us: u64 = v.trim().parse().map_err(|_| {
-        ServeError::Http(HttpError::BadHeader {
-            detail: format!("x-peb-deadline-us {v:?} is not a microsecond count"),
-        })
-    })?;
-    Ok(Some(Instant::now() + Duration::from_micros(us)))
-}
-
-fn write_http_error(stream: &mut TcpStream, e: &HttpError) {
-    let body = format!("{e}\n");
-    let wire = encode_response(e.status(), "text/plain", body.as_bytes(), false);
-    let _ = stream.write_all(&wire);
 }

@@ -46,7 +46,6 @@ fn config(threads: usize, batched: bool, n: usize) -> ServeConfig {
         // coalesce; sequential mode never waits.
         max_wait_us: if batched { 500_000 } else { 0 },
         queue_cap: 64,
-        conn_workers: 2,
         compute_threads: Some(threads),
         ..ServeConfig::default()
     }

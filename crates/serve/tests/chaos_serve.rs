@@ -35,7 +35,6 @@ fn config() -> ServeConfig {
         max_batch: 4,
         max_wait_us: 200,
         queue_cap: 32,
-        conn_workers: 2,
         ..ServeConfig::default()
     }
 }

@@ -43,7 +43,6 @@ fn rss_is_flat_between_request_500_and_3000() {
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         grid: (4, 16, 16),
-        conn_workers: CONNS,
         compute_threads: Some(1),
         ..ServeConfig::default()
     })

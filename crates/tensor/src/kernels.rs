@@ -6,12 +6,10 @@
 //! `k` products in an order that depends only on the problem shape —
 //! never on the row panelling or thread count — so [`matmul_par`] is
 //! bitwise reproducible at any `PEB_THREADS` for a fixed SIMD dispatch
-//! level. Across dispatch levels (and against [`matmul_naive`]) results
-//! differ by bounded ULPs: the packed kernel brackets k-sums per cache
-//! block and the AVX2 path fuses multiply–adds.
-//!
-//! [`matmul_naive`] is the reference ikj triple loop, kept as the oracle
-//! for differential tests and benches.
+//! level. Across dispatch levels (and against the reference ikj triple
+//! loop the unit tests keep as their oracle) results differ by bounded
+//! ULPs: the packed kernel brackets k-sums per cache block and the AVX2
+//! path fuses multiply–adds.
 //!
 //! [`transpose_into`] is the blocked transpose behind
 //! `Tensor::transpose2`, for callers that drive [`matmul_par`] on raw
@@ -22,26 +20,6 @@ pub use crate::transpose::transpose_into;
 /// Rows per panel; also the parallel chunk size, so chunk boundaries are a
 /// function of `m` only — never of the thread count.
 pub const MC: usize = 64;
-
-/// Reference ikj kernel (the pre-blocking implementation), kept as the
-/// differential-test oracle and for benchmarking the packed microkernel.
-///
-/// `out += a[m×k] · b[k×n]`, `out` pre-zeroed by the caller.
-pub fn matmul_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
-    }
-}
 
 /// Parallel GEMM driver: `out += a[m×k] · b[k×n]`, `out` pre-zeroed.
 ///
@@ -67,6 +45,26 @@ pub fn matmul_par(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference ikj kernel (the pre-blocking implementation): the oracle
+    /// the packed microkernel is checked against.
+    ///
+    /// `out += a[m×k] · b[k×n]`, `out` pre-zeroed by the caller.
+    fn matmul_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), k * n);
+        debug_assert_eq!(out.len(), m * n);
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (kk, &av) in arow.iter().enumerate() {
+                let brow = &b[kk * n..(kk + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         // Cheap deterministic fill with varied magnitudes (no RNG dep).
