@@ -43,25 +43,7 @@ impl CausalDwConv1d {
         let k = self.kernel;
         let out = {
             let _span = peb_obs::span("scan.conv1d_fwd");
-            let xv = x.value();
-            let wv = self.weight.value();
-            let bv = self.bias.value();
-            let mut out = Tensor::zeros(&[l, c]);
-            let od = out.data_mut();
-            for t in 0..l {
-                for ci in 0..c {
-                    let mut acc = bv.data()[ci];
-                    for ki in 0..k {
-                        // Kernel tap ki reads token t − (k − 1 − ki).
-                        let off = k - 1 - ki;
-                        if t >= off {
-                            acc += wv.data()[ci * k + ki] * xv.data()[(t - off) * c + ci];
-                        }
-                    }
-                    od[t * c + ci] = acc;
-                }
-            }
-            out
+            causal_conv1d(&x.value(), &self.weight.value(), &self.bias.value())
         };
         let xc = x.clone();
         let wc = self.weight.clone();
@@ -102,6 +84,42 @@ impl CausalDwConv1d {
     }
 }
 
+/// Tokens per parallel block of the forward (a fixed split, so the
+/// output is the same at any thread count).
+const CONV1D_BLOCK_TOKENS: usize = 256;
+
+/// Forward of [`CausalDwConv1d`]: `x [L, C]`, `weight [C, k]`, `bias [C]`.
+///
+/// The taps are transposed once to `[k, C]`; each output row starts from
+/// the bias and adds `w·x` tap by tap in ascending tap order, unfused,
+/// across the channels — per element the same additions in the same
+/// order as a per-channel loop, so the result is exact-class (identical
+/// at every dispatch level and thread count). Token blocks fan out over
+/// the pool.
+fn causal_conv1d(x: &Tensor, weight: &Tensor, bias: &Tensor) -> Tensor {
+    let (l, c) = (x.shape()[0], x.shape()[1]);
+    let k = weight.shape()[1];
+    let taps = weight.permute(&[1, 0]).expect("conv1d taps [k, C]");
+    let (xd, td, bd) = (x.data(), taps.data(), bias.data());
+    let mut out = Tensor::zeros(&[l, c]);
+    let block = CONV1D_BLOCK_TOKENS * c.max(1);
+    peb_par::parallel_chunks_mut_cost(out.data_mut(), block, 2 * k as u64, |at, rows| {
+        for (r, row) in rows.chunks_mut(c).enumerate() {
+            let t = at / c + r;
+            row.copy_from_slice(bd);
+            // Tap ki reads token t − (k − 1 − ki); the first k − 1 − t
+            // taps fall before the sequence start.
+            for ki in k.saturating_sub(t + 1)..k {
+                let src = &xd[(t + ki + 1 - k) * c..][..c];
+                for ((o, &w), &v) in row.iter_mut().zip(&td[ki * c..]).zip(src) {
+                    *o += w * v;
+                }
+            }
+        }
+    });
+    out
+}
+
 impl Parameterized for CausalDwConv1d {
     fn parameters(&self) -> Vec<Var> {
         vec![self.weight.clone(), self.bias.clone()]
@@ -114,6 +132,67 @@ mod tests {
     use peb_tensor::check_gradients;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Oracle: the per-channel triple loop, whose per-element order of
+    /// additions the vectorised forward must reproduce.
+    fn conv1d_naive(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
+        let (l, c) = (x.shape()[0], x.shape()[1]);
+        let k = w.shape()[1];
+        let mut out = Tensor::zeros(&[l, c]);
+        let od = out.data_mut();
+        for t in 0..l {
+            for ci in 0..c {
+                let mut acc = b.data()[ci];
+                for ki in 0..k {
+                    let off = k - 1 - ki;
+                    if t >= off {
+                        acc += w.data()[ci * k + ki] * x.data()[(t - off) * c + ci];
+                    }
+                }
+                od[t * c + ci] = acc;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn forward_is_the_naive_loop_bitwise_at_any_level_and_thread_count() {
+        use peb_par::{ctx, ExecCtx};
+        use peb_simd::Level;
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut levels = vec![Level::Scalar];
+        if peb_simd::detected() {
+            levels.push(Level::Avx2Fma);
+        }
+        // L < k, L = 1, and a sequence long enough for several token
+        // blocks across the pool; C around the 8-lane width.
+        for (l, k) in [(2, 4), (1, 4), (1, 1), (9, 4), (700, 4), (600, 3)] {
+            for c in [1, 7, 8, 9, 32] {
+                let conv = CausalDwConv1d::new(c, k, &mut rng);
+                conv.bias.set_value(Tensor::randn(&[c], &mut rng));
+                let x = Tensor::randn(&[l, c], &mut rng);
+                let want = conv1d_naive(&x, &conv.weight.value(), &conv.bias.value());
+                for level in &levels {
+                    for threads in [1, 2, 3, 7] {
+                        let scoped = ExecCtx {
+                            level: *level,
+                            threads,
+                            ..ctx::current()
+                        };
+                        let got = ctx::with(scoped, || {
+                            conv.forward(&Var::constant(x.clone())).value_clone()
+                        });
+                        let same = got
+                            .data()
+                            .iter()
+                            .zip(want.data())
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "L {l} k {k} C {c} {level:?} {threads} threads");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn identity_kernel_is_noop() {

@@ -3,10 +3,11 @@
 //! The binary ops, scalar ops, `vsqrt`, `vaxpy`, and `vadd_assign` use
 //! only IEEE-exact lane operations in the scalar expression order, so
 //! their SIMD results are **bitwise identical** to the scalar path.
-//! `vexp` and `vsigmoid` use the polynomial [`Simd8::exp`] on the SIMD
-//! path and are tolerance-class (a few ULP from libm). `vsum_f64` changes
-//! the accumulation bracketing on the SIMD path (eight f64 partial sums)
-//! and is likewise tolerance-class; each path is deterministic.
+//! `vexp`, `vsigmoid` and `vsoftplus` use the polynomial [`Simd8::exp`]
+//! (and [`Simd8::ln1p`]) on the SIMD path and are tolerance-class (a few
+//! ULP from libm). `vsum_f64` changes the accumulation bracketing on the
+//! SIMD path (eight f64 partial sums) and is likewise tolerance-class;
+//! each path is deterministic.
 
 use crate::{simd_active, ScalarX8, Simd8};
 
@@ -69,6 +70,7 @@ mod avx {
     avx_wrap!(vsqrt, sqrt_generic, (x: &[f32], out: &mut [f32]));
     avx_wrap!(vexp, exp_generic, (x: &[f32], out: &mut [f32]));
     avx_wrap!(vsigmoid, sigmoid_generic, (x: &[f32], out: &mut [f32]));
+    avx_wrap!(vsoftplus, softplus_generic, (x: &[f32], out: &mut [f32]));
     avx_wrap!(vaxpy, axpy_generic, (y: &mut [f32], alpha: f32, x: &[f32]));
     avx_wrap!(vadd_assign, add_assign_generic, (y: &mut [f32], x: &[f32]));
 }
@@ -142,50 +144,56 @@ fn sqrt_generic<V: Simd8>(x: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Stable two-branch sigmoid, branch resolved lanewise:
+///   x ≥ 0: 1 / (1 + exp(−x));   x < 0: e / (1 + e) with e = exp(x).
+/// Both branches share e = exp(−|x|) and one division.
+// A plain fn, not a closure: closures are not `inline(always)`, and an
+// out-of-line body would call every AVX lane op as a function.
 #[inline(always)]
-fn exp_generic<V: Simd8>(x: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), out.len());
-    let n8 = x.len() - x.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        V::load(&x[i..]).exp().store(&mut out[i..]);
-        i += 8;
-    }
-    if i < x.len() {
-        // Run the tail through the same lane math as the body so every
-        // element sees one exp implementation per backend.
-        let mut pad = [0f32; 8];
-        pad[..x.len() - i].copy_from_slice(&x[i..]);
-        let r = V::from_array(pad).exp().to_array();
-        out[i..].copy_from_slice(&r[..x.len() - i]);
-    }
+pub(crate) fn sigmoid8<V: Simd8>(x: V) -> V {
+    let one = V::splat(1.0);
+    let e = x.select_nonneg(V::zero().sub(x), x).exp();
+    x.select_nonneg(one, e).div(one.add(e))
 }
 
+/// `x > 20 ? x : ln(1 + exp(x))` lanewise. The branch is taken on the
+/// sign of `x − 20⁺` (20⁺ the float after 20), so `x = 20` takes the
+/// `ln1p` lane, and on the scalar backend so does NaN, as the scalar
+/// `if x > 20.0` does.
 #[inline(always)]
-fn sigmoid_generic<V: Simd8>(x: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), out.len());
-    let one = V::splat(1.0);
-    // Stable two-branch sigmoid, branch resolved lanewise:
-    //   x ≥ 0: 1 / (1 + exp(−x));   x < 0: e / (1 + e) with e = exp(x).
-    // Both branches share e = exp(−|x|) and one division.
-    let sig = |xv: V| {
-        let e = xv.select_nonneg(V::zero().sub(xv), xv).exp();
-        let num = xv.select_nonneg(one, e);
-        num.div(one.add(e))
-    };
-    let n8 = x.len() - x.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        sig(V::load(&x[i..])).store(&mut out[i..]);
-        i += 8;
-    }
-    if i < x.len() {
-        let mut pad = [0f32; 8];
-        pad[..x.len() - i].copy_from_slice(&x[i..]);
-        let r = sig(V::from_array(pad)).to_array();
-        out[i..].copy_from_slice(&r[..x.len() - i]);
-    }
+fn softplus8<V: Simd8>(x: V) -> V {
+    const ABOVE_20: f32 = f32::from_bits(20f32.to_bits() + 1);
+    x.sub(V::splat(ABOVE_20)).select_nonneg(x, x.exp().ln1p())
 }
+
+/// Generates `$generic::<V>(x, out)`: `out = $lane(x)` over 8-lane
+/// blocks, the tail through the same lane math on a zero-padded block
+/// so every element sees one implementation per backend.
+macro_rules! lanewise_generic {
+    ($generic:ident, $lane:path) => {
+        #[inline(always)]
+        fn $generic<V: Simd8>(x: &[f32], out: &mut [f32]) {
+            assert_eq!(x.len(), out.len());
+            let n8 = x.len() - x.len() % 8;
+            let mut i = 0;
+            while i < n8 {
+                let v: V = $lane(V::load(&x[i..]));
+                v.store(&mut out[i..]);
+                i += 8;
+            }
+            if i < x.len() {
+                let mut pad = [0f32; 8];
+                pad[..x.len() - i].copy_from_slice(&x[i..]);
+                let r: V = $lane(V::from_array(pad));
+                out[i..].copy_from_slice(&r.to_array()[..x.len() - i]);
+            }
+        }
+    };
+}
+
+lanewise_generic!(exp_generic, Simd8::exp);
+lanewise_generic!(sigmoid_generic, sigmoid8);
+lanewise_generic!(softplus_generic, softplus8);
 
 #[inline(always)]
 pub(crate) fn axpy_generic<V: Simd8>(y: &mut [f32], alpha: f32, x: &[f32]) {
@@ -262,6 +270,12 @@ dispatched!(
 dispatched!(
     /// Numerically stable logistic sigmoid (tolerance-class on SIMD).
     vsigmoid, vsigmoid_scalar_backend, vsigmoid_simd_backend, sigmoid_generic,
+    (x: &[f32], out: &mut [f32])
+);
+dispatched!(
+    /// Softplus `x > 20 ? x : ln(1 + exp(x))` (tolerance-class on SIMD;
+    /// the scalar backend is that expression in libm, bit for bit).
+    vsoftplus, vsoftplus_scalar_backend, vsoftplus_simd_backend, softplus_generic,
     (x: &[f32], out: &mut [f32])
 );
 dispatched!(
@@ -416,6 +430,38 @@ mod tests {
                 e / (1.0 + e)
             };
             assert_eq!(want.to_bits(), got.to_bits(), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn softplus_scalar_backend_is_the_reference_formula_bitwise() {
+        // The special points, then a dense sweep of [−100, 100] (which
+        // straddles the x > 20 switch); 200 022 inputs end in a ragged
+        // tail.
+        let mut xs = vec![-88.0f32, -20.0, -1e-30, -0.0, 0.0, 20.0, 20.000_002, 1e30];
+        xs.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+        xs.extend((0..10).map(|i| 19.999_99 + i as f32 * 2e-6));
+        xs.extend((0..=200_000).map(|i| -100.0 + i as f32 * 1e-3));
+        let want = |x: f32| if x > 20.0 { x } else { x.exp().ln_1p() };
+        let mut got = vec![0f32; xs.len()];
+        vsoftplus_scalar_backend(&xs, &mut got);
+        for (x, g) in xs.iter().zip(&got) {
+            assert_eq!(g.to_bits(), want(*x).to_bits(), "softplus({x:e})");
+        }
+        let mut simd = vec![0f32; xs.len()];
+        if vsoftplus_simd_backend(&xs, &mut simd) {
+            for (x, (s, v)) in xs.iter().zip(got.iter().zip(&simd)) {
+                // The lane exp flushes below ≈ −87.3 where libm goes
+                // subnormal; elsewhere exp + ln1p stay within 4 ULP.
+                let ok = ulp_diff(*s, *v) <= 4
+                    || (s.abs() < f32::MIN_POSITIVE && v.abs() < f32::MIN_POSITIVE)
+                    || (s.is_nan() && v.is_nan());
+                assert!(
+                    ok,
+                    "softplus({x:e}): {s:e} vs {v:e} ({} ulp)",
+                    ulp_diff(*s, *v)
+                );
+            }
         }
     }
 

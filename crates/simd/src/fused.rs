@@ -101,7 +101,6 @@ impl Stage<'_> {
 /// operand's block (full loads in the body, padded loads in the tail).
 #[inline(always)]
 fn apply_block<V: Simd8>(mut v: V, stages: &[Stage<'_>], load: impl Fn(&[f32]) -> V) -> V {
-    let one = V::splat(1.0);
     for st in stages {
         v = match *st {
             Stage::AddT(b) => v.add(load(b)),
@@ -114,13 +113,7 @@ fn apply_block<V: Simd8>(mut v: V, stages: &[Stage<'_>], load: impl Fn(&[f32]) -
             Stage::SubFromScalar(s) => V::splat(s).sub(v),
             Stage::Sqrt => v.sqrt(),
             Stage::Exp => v.exp(),
-            Stage::Sigmoid => {
-                // Identical lane math to `vsigmoid`:
-                //   x ≥ 0: 1 / (1 + exp(−x));   x < 0: e / (1 + e).
-                let e = v.select_nonneg(V::zero().sub(v), v).exp();
-                let num = v.select_nonneg(one, e);
-                num.div(one.add(e))
-            }
+            Stage::Sigmoid => crate::elementwise::sigmoid8(v),
             Stage::Neg => v.mul(V::splat(-1.0)),
             Stage::LeakyRelu(slope) => {
                 if slope == 0.0 {

@@ -29,9 +29,10 @@
 //!   the scalar code, so the SIMD path reproduces the scalar path **to
 //!   the bit**.
 //! * **Tolerance kernels** (GEMM, which fuses multiply–add, and the
-//!   selective-scan recurrence, which uses the polynomial [`Simd8::exp`]
-//!   instead of libm) differ from scalar by bounded ULPs; the property
-//!   suite in `tests/` pins those bounds.
+//!   selective-scan recurrence and the `exp` / `sigmoid` / `softplus`
+//!   elementwise kernels, which use the polynomial [`Simd8::exp`] and
+//!   [`Simd8::ln1p`] instead of libm) differ from scalar by bounded
+//!   ULPs; the property suite in `tests/` pins those bounds.
 //!
 //! The `simd_dispatch` counter in `peb-obs` ticks once per kernel call
 //! that takes the vector path.
@@ -125,9 +126,9 @@ pub fn ulp_diff(a: f32, b: f32) -> u32 {
 
 /// Eight `f32` lanes with the operations the workspace kernels need.
 ///
-/// Implemented by [`ScalarX8`] (portable, libm `exp`, unfused
+/// Implemented by [`ScalarX8`] (portable, libm `exp` / `ln_1p`, unfused
 /// `mul_add`) and — on x86_64 — [`AvxX8`] (AVX2 vectors, fused
-/// `mul_add`, polynomial `exp`). Generic kernels written against this
+/// `mul_add`, polynomial `exp` / `ln1p`). Generic kernels written against this
 /// trait are instantiated once per backend; the AVX instantiation is
 /// only ever reached through `#[target_feature(enable = "avx2,fma")]`
 /// wrappers after runtime detection.
@@ -159,6 +160,11 @@ pub trait Simd8: Copy {
     /// Lanewise natural exponential. Scalar backend: libm; AVX backend:
     /// Cephes-style polynomial, within a few ULP of libm.
     fn exp(self) -> Self;
+    /// Lanewise `ln(1 + self)`. Scalar backend: libm `ln_1p`; AVX
+    /// backend: Cephes-style `ln` of `u = 1 + self` plus the rounding
+    /// correction `(self − (u − 1)) / u`, within a few ULP of libm on
+    /// `(−1, +∞]`.
+    fn ln1p(self) -> Self;
     /// Lanewise `if self >= 0 { if_nonneg } else { if_neg }`.
     fn select_nonneg(self, if_nonneg: Self, if_neg: Self) -> Self;
     /// Lanewise `if self > rhs { self } else { rhs }` (x86 `maxps`): a NaN
@@ -232,6 +238,10 @@ impl Simd8 for ScalarX8 {
     #[inline(always)]
     fn exp(self) -> Self {
         ScalarX8(std::array::from_fn(|i| self.0[i].exp()))
+    }
+    #[inline(always)]
+    fn ln1p(self) -> Self {
+        ScalarX8(std::array::from_fn(|i| self.0[i].ln_1p()))
     }
     #[inline(always)]
     fn select_nonneg(self, if_nonneg: Self, if_neg: Self) -> Self {
@@ -349,6 +359,10 @@ mod avx {
             exp256(self)
         }
         #[inline(always)]
+        fn ln1p(self) -> Self {
+            ln1p256(self)
+        }
+        #[inline(always)]
         fn select_nonneg(self, if_nonneg: Self, if_neg: Self) -> Self {
             // blendv picks the second operand where the mask sign bit is
             // set, i.e. where `self < 0`.
@@ -464,6 +478,74 @@ mod avx {
             AvxX8(_mm256_mul_ps(y, pow2n))
         }
     }
+
+    /// `ln(1 + x)` on 8 lanes. `u = 1 + x` is rounded; its Cephes-style
+    /// `ln` (cf. `avx_mathfun`: split `u = m·2ᵉ` with `m ∈ [√½, √2)`,
+    /// degree-8 polynomial in `m − 1`, `e·ln 2` added back in two parts)
+    /// is corrected by the lost low part, `ln(u + d) ≈ ln u + d/u` with
+    /// `d = x − (u − 1)` exact. So `|x| < 2⁻²⁵` (subnormals, `−0.0`
+    /// aside) returns `x`. `u = +∞` and NaN pass through, `u = 0` gives
+    /// `−∞` and `u < 0` NaN.
+    #[inline(always)]
+    fn ln1p256(x: AvxX8) -> AvxX8 {
+        const SQRTHF: f32 = std::f32::consts::FRAC_1_SQRT_2;
+        const P: [f32; 9] = [
+            7.037_683_6e-2,
+            -1.151_461e-1,
+            1.167_699_9e-1,
+            -1.242_014_1e-1,
+            1.424_932_3e-1,
+            -1.666_805_8e-1,
+            2.000_071_5e-1,
+            -2.499_999_4e-1,
+            3.333_333e-1,
+        ];
+        const Q1: f32 = -2.121_944_4e-4; // ln2 low part
+        const Q2: f32 = 0.693_359_4; // ln2 high part
+        unsafe {
+            let one = _mm256_set1_ps(1.0);
+            let u = _mm256_add_ps(one, x.0);
+            let d = _mm256_div_ps(_mm256_sub_ps(x.0, _mm256_sub_ps(u, one)), u);
+            // u = m·2^(e−1) with m ∈ [0.5, 1) from the IEEE fields.
+            let bits = _mm256_castps_si256(u);
+            let e = _mm256_sub_epi32(_mm256_srli_epi32(bits, 23), _mm256_set1_epi32(0x7f));
+            let mut e = _mm256_add_ps(_mm256_cvtepi32_ps(e), one);
+            let m = _mm256_or_ps(
+                _mm256_and_ps(u, _mm256_castsi256_ps(_mm256_set1_epi32(0x007f_ffff))),
+                _mm256_set1_ps(0.5),
+            );
+            // m < √½: use 2m − 1 and e − 1, so the argument sits in
+            // [√½ − 1, √2 − 1).
+            let small = _mm256_cmp_ps::<_CMP_LT_OQ>(m, _mm256_set1_ps(SQRTHF));
+            let r = _mm256_add_ps(_mm256_sub_ps(m, one), _mm256_and_ps(m, small));
+            e = _mm256_sub_ps(e, _mm256_and_ps(one, small));
+            let z = _mm256_mul_ps(r, r);
+            let mut y = _mm256_set1_ps(P[0]);
+            for &p in &P[1..] {
+                y = _mm256_fmadd_ps(y, r, _mm256_set1_ps(p));
+            }
+            y = _mm256_mul_ps(_mm256_mul_ps(y, r), z);
+            y = _mm256_fmadd_ps(e, _mm256_set1_ps(Q1), y);
+            y = _mm256_fnmadd_ps(z, _mm256_set1_ps(0.5), y);
+            let ln_u = _mm256_fmadd_ps(e, _mm256_set1_ps(Q2), _mm256_add_ps(r, y));
+            let out = _mm256_add_ps(ln_u, d);
+            // Special lanes: +∞ and NaN pass through, 0 → −∞, < 0 → NaN.
+            let finite = _mm256_cmp_ps::<_CMP_LT_OQ>(u, _mm256_set1_ps(f32::INFINITY));
+            let out = _mm256_blendv_ps(u, out, finite);
+            let zero = _mm256_setzero_ps();
+            let out = _mm256_blendv_ps(
+                out,
+                _mm256_set1_ps(f32::NEG_INFINITY),
+                _mm256_cmp_ps::<_CMP_EQ_OQ>(u, zero),
+            );
+            let out = _mm256_blendv_ps(
+                out,
+                _mm256_set1_ps(f32::NAN),
+                _mm256_cmp_ps::<_CMP_LT_OQ>(u, zero),
+            );
+            AvxX8(out)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -554,6 +636,57 @@ mod tests {
             }
             // SAFETY: guarded by detected().
             assert_eq!(unsafe { run() }, got);
+        }
+    }
+
+    /// `Simd8::ln1p` of every element of `xs` on backend `V`.
+    #[inline(always)]
+    fn ln1p_lanes<V: Simd8>(xs: &[f32]) -> Vec<f32> {
+        xs.chunks(8)
+            .flat_map(|c| {
+                let mut a = [0f32; 8];
+                a[..c.len()].copy_from_slice(c);
+                V::from_array(a).ln1p().to_array()[..c.len()].to_vec()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ln1p_tracks_libm_within_4_ulps() {
+        // (−1, 1) densely, then log-spaced out to 1e30; −0.0, subnormals
+        // and +∞ ride along.
+        let mut xs: Vec<f32> = (1..400_000).map(|i| -1.0 + i as f32 * 5e-6).collect();
+        xs.extend((0..=3000).map(|i| 10f32.powf(i as f32 * 0.01)));
+        xs.extend([
+            -0.0,
+            0.0,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE / 2.0,
+            1e-30,
+            3e-8,
+        ]);
+        xs.extend([1e30, f32::INFINITY]);
+        let scalar = ln1p_lanes::<ScalarX8>(&xs);
+        let mut backends = vec![("scalar", scalar)];
+        #[cfg(target_arch = "x86_64")]
+        if detected() {
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn run(xs: &[f32]) -> Vec<f32> {
+                ln1p_lanes::<AvxX8>(xs)
+            }
+            // SAFETY: guarded by detected().
+            backends.push(("avx", unsafe { run(&xs) }));
+        }
+        for (name, got) in backends {
+            for (x, g) in xs.iter().zip(got) {
+                let want = x.ln_1p();
+                let ulps = ulp_diff(g, want);
+                assert!(
+                    ulps <= 4,
+                    "{name} ln1p({x:e}): {g:e} vs libm {want:e} ({ulps} ulp)"
+                );
+            }
         }
     }
 

@@ -559,6 +559,48 @@ fn exact_exp_tracks_libm_and_is_bitwise_identical_across_backends() {
     }
 }
 
+/// Best-of-5 wall time of `f`, in seconds.
+fn best_of_5(mut f: impl FnMut()) -> f64 {
+    (0..5)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+#[test]
+fn dispatched_sigmoid_and_softplus_beat_their_scalar_backends_twofold() {
+    // A lane-math body that is not inlined into its `target_feature`
+    // wrapper calls every AVX intrinsic out of line and runs slower
+    // than the scalar backend; this pins the inlining.
+    if !peb_simd::detected() {
+        return;
+    }
+    let x = pseudo(1 << 20, 11, -8.0, 8.0);
+    let mut out = vec![0f32; x.len()];
+    let avx = peb_par::ExecCtx {
+        level: peb_simd::Level::Avx2Fma,
+        ..peb_par::ctx::current()
+    };
+    type K = fn(&[f32], &mut [f32]);
+    let kernels: [(&str, K, K); 2] = [
+        ("vsigmoid", ew::vsigmoid, ew::vsigmoid_scalar_backend),
+        ("vsoftplus", ew::vsoftplus, ew::vsoftplus_scalar_backend),
+    ];
+    for (name, dispatched, scalar) in kernels {
+        let t_simd = peb_par::ctx::with(avx, || best_of_5(|| dispatched(&x, &mut out)));
+        let t_scalar = best_of_5(|| scalar(&x, &mut out));
+        assert!(
+            2.0 * t_simd <= t_scalar,
+            "{name}: dispatched {:.2} ns/elem vs scalar backend {:.2} ns/elem",
+            t_simd * 1e9 / x.len() as f64,
+            t_scalar * 1e9 / x.len() as f64
+        );
+    }
+}
+
 /// Deterministic pseudo-random fill (Weyl sequence), independent of the
 /// proptest RNG so shrunk cases stay reproducible from `seed` alone.
 fn pseudo(len: usize, salt: u32, lo: f32, hi: f32) -> Vec<f32> {

@@ -1,6 +1,5 @@
 //! Differentiable elementwise operations on [`Var`].
 
-use crate::elementwise::stable_sigmoid;
 use crate::{FusedChain, Tensor, Var};
 
 /// `2·sqrt(2/π)`: the GELU tanh argument scale, doubled for the σ form.
@@ -118,8 +117,8 @@ impl Var {
     /// `f` is the function, `df` its derivative given `(x, f(x))`. A
     /// scalar sweep: the activations the models call run as fused SIMD
     /// chains instead (see [`Var::gelu`], [`Var::silu`],
-    /// [`Var::leaky_relu`]); this stays for the loss-side and test-side
-    /// ops below.
+    /// [`Var::leaky_relu`], [`Var::softplus`]); this stays for the
+    /// loss-side and test-side ops below.
     pub fn map_unary(&self, f: impl Fn(f32) -> f32, df: impl Fn(f32, f32) -> f32 + 'static) -> Var {
         let out = self.value().map(&f);
         self.unary_node(out, df)
@@ -229,19 +228,18 @@ impl Var {
         })
     }
 
-    /// Softplus `ln(1 + e^x)`, used for the Δ parameter of the SSM
-    /// (Eq. 11).
+    /// Softplus `ln(1 + e^x)` (`x` itself above 20), used for the Δ
+    /// parameter of the SSM (Eq. 11).
+    ///
+    /// The dispatched `vsoftplus` lane kernel (tolerance-class on SIMD;
+    /// libm `exp` + `ln_1p` on the scalar level). The backward is the
+    /// fused sweep `σ(x)·g` — a commutative reorder of `g·σ(x)`.
     pub fn softplus(&self) -> Var {
-        self.map_unary(
-            |x| {
-                if x > 20.0 {
-                    x
-                } else {
-                    x.exp().ln_1p()
-                }
-            },
-            |x, _| stable_sigmoid(x),
-        )
+        let out = self.value().softplus();
+        let x = self.clone();
+        Var::from_op(out, vec![self.clone()], move |g| {
+            vec![Some(x.value().fused().sigmoid().mul(g).eval())]
+        })
     }
 
     /// Hyperbolic tangent.

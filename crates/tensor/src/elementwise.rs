@@ -9,9 +9,9 @@
 //! factor into rows × columns (bias, LayerNorm statistics, rank-0
 //! operands — see `broadcast.rs`); only the remaining broadcast shapes
 //! take the strided scalar walk. The SIMD `+ − × ÷ √` and scalar
-//! ops are bitwise identical to the plain expressions; `exp`/`sigmoid`
-//! use the polynomial vector exponential (bounded-ULP, deterministic per
-//! dispatch level).
+//! ops are bitwise identical to the plain expressions; `exp`/`sigmoid`/
+//! `softplus` use the polynomial vector exponential (and logarithm)
+//! (bounded-ULP, deterministic per dispatch level).
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -130,15 +130,10 @@ impl Tensor {
     pub fn sigmoid(&self) -> Self {
         map_kernel(self, peb_simd::elementwise::vsigmoid)
     }
-}
 
-/// Numerically stable logistic sigmoid.
-pub(crate) fn stable_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
+    /// Softplus `x > 20 ? x : ln(1 + exp(x))`.
+    pub(crate) fn softplus(&self) -> Self {
+        map_kernel(self, peb_simd::elementwise::vsoftplus)
     }
 }
 
