@@ -48,7 +48,7 @@ impl Error for FftError {}
 /// convention; inverse transforms are scaled by `1/N` so
 /// `ifft(fft(x)) == x`. Power-of-two lengths run the radix-2 kernel,
 /// all others Bluestein's algorithm; both execute through the
-/// thread-local plan cache in [`crate::plan`], so twiddle tables,
+/// thread-local plan cache in `crate::plan`, so twiddle tables,
 /// bit-reversal permutations and Bluestein filter spectra are computed
 /// once per `(length, direction)` per thread.
 ///

@@ -371,7 +371,7 @@ impl Supervisor {
     }
 
     /// The shared checkpoint record: the router writes the committed
-    /// `/swap` path here; [`restart`] replays it into fresh workers.
+    /// `/swap` path here; `restart` replays it into fresh workers.
     pub fn checkpoint_cell(&self) -> Arc<Mutex<Option<String>>> {
         Arc::clone(&self.ckpt)
     }

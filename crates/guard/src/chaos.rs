@@ -14,7 +14,7 @@
 //! | `nan-spike[:EPOCH]` | poison the model parameters right after the first optimiser step of `EPOCH` (default 1), as an undetected numeric blow-up |
 //! | `truncate-ckpt[:BYTES]` | after the next checkpoint write, truncate the file by `BYTES` (default 16) bytes |
 //! | `bitflip-ckpt[:BYTE]` | after the next checkpoint write, flip one bit at offset `BYTE` (default the payload midpoint) |
-//! | `kill[:EPOCH]` | abort the run with [`PebError::Injected`] right after the checkpoint of `EPOCH` (default 1) is written — the resume test then continues from disk |
+//! | `kill[:EPOCH]` | abort the run with [`PebError::Injected`](crate::PebError::Injected) right after the checkpoint of `EPOCH` (default 1) is written — the resume test then continues from disk |
 //! | `truncate-data[:BYTES]` | after the next dataset write, truncate the file by `BYTES` (default 64) bytes |
 //! | `disconnect` | drop the next `peb-serve` client connection mid-response (abrupt socket close after the headers, before the body) |
 //! | `kill-worker[:N]` | abort the process (`SIGABRT`-style, no cleanup) at the start of the `N`th inference batch after arming (default 0 = the next one) — a serving worker dying mid-batch |

@@ -665,6 +665,7 @@ fn explicit_step(field: &mut Tensor, grid: &Grid, d_lat: f32, d_norm: f32, top_b
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peb_par::ctx::{self, ExecCtx, Level};
 
     fn tiny_grid() -> Grid {
         Grid::new(16, 16, 6, 4.0, 4.0, 10.0).unwrap()
@@ -847,15 +848,21 @@ mod tests {
             base: Tensor::full(&shape, p.base0),
             inhibitor: Tensor::full(&shape, p.inhibitor0),
         };
+        let scalar = ExecCtx {
+            level: Level::Scalar,
+            ..ctx::current()
+        };
         let react = |s: &mut PebState| {
-            peb_simd::reaction::half_step_scalar(
-                s.acid.data_mut(),
-                s.base.data_mut(),
-                s.inhibitor.data_mut(),
-                p.kr,
-                p.kc,
-                dt * 0.5,
-            )
+            ctx::with(scalar, || {
+                peb_simd::reaction::half_step(
+                    s.acid.data_mut(),
+                    s.base.data_mut(),
+                    s.inhibitor.data_mut(),
+                    p.kr,
+                    p.kc,
+                    dt * 0.5,
+                )
+            })
         };
         let sweep = |data: &mut [f32], axis: usize, r: f32, robin: Option<(f32, f32)>| {
             let n = shape[axis];

@@ -35,7 +35,8 @@
 //!
 //! ```
 //! let mut out = vec![0u64; 1000];
-//! peb_par::parallel_chunks_mut(&mut out, 64, |offset, chunk| {
+//! // ~10 scalar ops per element; smaller loops would run inline.
+//! peb_par::parallel_chunks_mut_cost(&mut out, 64, 10, |offset, chunk| {
 //!     for (i, slot) in chunk.iter_mut().enumerate() {
 //!         *slot = ((offset + i) as u64).pow(2);
 //!     }
@@ -77,7 +78,7 @@ pub fn in_parallel() -> bool {
 }
 
 /// The thread count parallel loops on this thread will use right now.
-pub fn current_threads() -> usize {
+fn current_threads() -> usize {
     ctx::current().threads
 }
 
@@ -293,7 +294,7 @@ pub const MIN_PARALLEL_WORK: u64 = 1 << 16;
 
 /// Whether a cost-hinted loop over `total` items at `cost_per_item`
 /// estimated scalar ops each stays below the parallel cutoff.
-pub fn below_parallel_cutoff(total: usize, cost_per_item: u64) -> bool {
+fn below_parallel_cutoff(total: usize, cost_per_item: u64) -> bool {
     (total as u64).saturating_mul(cost_per_item) < MIN_PARALLEL_WORK
 }
 
@@ -349,42 +350,12 @@ fn chunks_impl(total: usize, chunk: usize, sequential: bool, f: impl Fn(Range<us
     });
 }
 
-/// Runs `f(index)` for every index in `0..total` in parallel, using a
-/// fixed size-derived granularity (`total/64`, at least 1).
-pub fn parallel_for(total: usize, f: impl Fn(usize) + Sync) {
-    parallel_chunks(total, total.div_ceil(64), |range| {
-        for i in range {
-            f(i);
-        }
-    });
-}
-
 /// Runs `f(range)` over fixed chunks and returns each chunk's result **in
 /// ascending chunk order**, so cross-chunk reductions combine in a fixed,
 /// thread-count-independent order.
 pub fn parallel_chunks_collect<T: Send>(
     total: usize,
     chunk: usize,
-    f: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    chunks_collect_impl(total, chunk, false, f)
-}
-
-/// [`parallel_chunks_collect`] with a per-item cost hint; see
-/// [`parallel_chunks_cost`].
-pub fn parallel_chunks_collect_cost<T: Send>(
-    total: usize,
-    chunk: usize,
-    cost_per_item: u64,
-    f: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    chunks_collect_impl(total, chunk, below_parallel_cutoff(total, cost_per_item), f)
-}
-
-fn chunks_collect_impl<T: Send>(
-    total: usize,
-    chunk: usize,
-    sequential: bool,
     f: impl Fn(Range<usize>) -> T + Sync,
 ) -> Vec<T> {
     if total == 0 {
@@ -396,7 +367,7 @@ fn chunks_collect_impl<T: Send>(
     out.resize_with(n, || None);
     {
         let slots = UnsafeSlice::new(&mut out);
-        run_maybe_parallel(n, sequential, &|i| {
+        run_parallel(n, &|i| {
             let start = i * c;
             let value = f(start..(start + c).min(total));
             // SAFETY: each chunk index writes exactly its own slot.
@@ -409,31 +380,13 @@ fn chunks_collect_impl<T: Send>(
 }
 
 /// Splits `data` into fixed `chunk`-sized sub-slices and runs
-/// `f(offset, sub_slice)` on each in parallel.
-pub fn parallel_chunks_mut<T: Send>(
-    data: &mut [T],
-    chunk: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    chunks_mut_impl(data, chunk, false, f)
-}
-
-/// [`parallel_chunks_mut`] with a per-item cost hint; see
-/// [`parallel_chunks_cost`].
+/// `f(offset, sub_slice)` on each, in parallel unless the estimated work
+/// (`data.len()` × `cost_per_item` scalar ops) falls below
+/// [`MIN_PARALLEL_WORK`]; see [`parallel_chunks_cost`].
 pub fn parallel_chunks_mut_cost<T: Send>(
     data: &mut [T],
     chunk: usize,
     cost_per_item: u64,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    let sequential = below_parallel_cutoff(data.len(), cost_per_item);
-    chunks_mut_impl(data, chunk, sequential, f)
-}
-
-fn chunks_mut_impl<T: Send>(
-    data: &mut [T],
-    chunk: usize,
-    sequential: bool,
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     let total = data.len();
@@ -441,6 +394,7 @@ fn chunks_mut_impl<T: Send>(
         return;
     }
     let c = fixed_chunk(total, chunk);
+    let sequential = below_parallel_cutoff(total, cost_per_item);
     let slice = UnsafeSlice::new(data);
     run_maybe_parallel(chunk_count(total, c), sequential, &|i| {
         let start = i * c;
@@ -525,12 +479,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_for_touches_every_index_once() {
+    fn every_index_is_visited_once() {
         let mut hits = vec![0u8; 1337];
         {
             let slice = UnsafeSlice::new(&mut hits);
             with_thread_count(4, || {
-                parallel_for(1337, |i| unsafe { *slice.get_mut(i) += 1 });
+                parallel_chunks(1337, 1337usize.div_ceil(64), |r| {
+                    for i in r {
+                        // SAFETY: chunks are disjoint; `i` is in range.
+                        unsafe { *slice.get_mut(i) += 1 };
+                    }
+                });
             });
         }
         assert!(hits.iter().all(|&h| h == 1));
@@ -572,7 +531,7 @@ mod tests {
     fn chunks_mut_partitions_the_slice() {
         let mut data = vec![0usize; 500];
         with_thread_count(4, || {
-            parallel_chunks_mut(&mut data, 37, |offset, chunk| {
+            parallel_chunks_mut_cost(&mut data, 37, 1 << 20, |offset, chunk| {
                 for (i, v) in chunk.iter_mut().enumerate() {
                     *v = offset + i;
                 }
@@ -610,8 +569,12 @@ mod tests {
             let slice = UnsafeSlice::new(&mut out);
             with_thread_count(4, || {
                 parallel_chunks(64, 8, |r| {
-                    // Nested call: must run inline without deadlocking.
-                    parallel_for(4, |_| {});
+                    // Nested call: must run inline, on this chunk's
+                    // thread, without deadlocking.
+                    let outer = std::thread::current().id();
+                    parallel_chunks_cost(4, 1, 1 << 20, |_| {
+                        assert_eq!(std::thread::current().id(), outer);
+                    });
                     for i in r {
                         unsafe { *slice.get_mut(i) = i as u32 };
                     }
@@ -625,8 +588,8 @@ mod tests {
     fn panics_propagate_to_the_caller() {
         let result = std::panic::catch_unwind(|| {
             with_thread_count(4, || {
-                parallel_for(100, |i| {
-                    if i == 57 {
+                parallel_chunks(100, 1, |r| {
+                    if r.start == 57 {
                         panic!("boom");
                     }
                 });
@@ -649,7 +612,7 @@ mod tests {
     #[test]
     fn zero_total_is_a_no_op() {
         parallel_chunks(0, 8, |_| panic!("must not run"));
-        parallel_chunks_mut(&mut [] as &mut [u8], 8, |_, _| panic!("must not run"));
+        parallel_chunks_mut_cost(&mut [] as &mut [u8], 8, 1, |_, _| panic!("must not run"));
         assert!(parallel_chunks_collect(0, 8, |_| 1).is_empty());
     }
 
@@ -685,9 +648,6 @@ mod tests {
             parallel_chunks_mut_cost(&mut [0u8; 64], 8, 1, |_, _| {
                 assert_eq!(std::thread::current().id(), caller);
             });
-            parallel_chunks_collect_cost(64, 8, 1, |_| {
-                assert_eq!(std::thread::current().id(), caller);
-            });
         });
     }
 
@@ -697,10 +657,13 @@ mod tests {
         for cost in [1u64, 1 << 20] {
             let mut plain = vec![0f32; total];
             let mut hinted = vec![0f32; total];
+            let lens = Mutex::new(Vec::new());
             with_thread_count(4, || {
-                parallel_chunks_mut(&mut plain, 64, |off, sub| {
-                    for (i, v) in sub.iter_mut().enumerate() {
-                        *v = ((off + i) as f32).sqrt();
+                let slice = UnsafeSlice::new(&mut plain);
+                parallel_chunks(total, 64, |r| {
+                    for i in r {
+                        // SAFETY: chunks are disjoint; `i` is in range.
+                        unsafe { *slice.get_mut(i) = (i as f32).sqrt() };
                     }
                 });
                 parallel_chunks_mut_cost(&mut hinted, 64, cost, |off, sub| {
@@ -708,10 +671,15 @@ mod tests {
                         *v = ((off + i) as f32).sqrt();
                     }
                 });
+                parallel_chunks_cost(total, 100, cost, |r| {
+                    lens.lock().unwrap().push((r.start, r.len()));
+                });
             });
             assert_eq!(plain, hinted, "cost={cost}");
+            let mut lens = lens.into_inner().unwrap();
+            lens.sort_unstable();
             let a = parallel_chunks_collect(total, 100, |r| r.len());
-            let b = parallel_chunks_collect_cost(total, 100, cost, |r| r.len());
+            let b: Vec<usize> = lens.into_iter().map(|(_, len)| len).collect();
             assert_eq!(a, b, "cost={cost}");
         }
     }

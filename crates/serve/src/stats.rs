@@ -2,7 +2,7 @@
 //! model-version record backing `/stats` and `/version`.
 //!
 //! Counters are mirrored into `peb-obs` (`serve_requests`,
-//! `serve_batches`, `serve_shed`, `serve_hotswaps`) so a `PEB_TRACE=1`
+//! `serve_batches`, `serve_shed`, `serve_hotswaps`) so a `PEB_TRACE=summary`
 //! run folds serving activity into the same profile as the kernels, but
 //! the local atomics here are unconditional — `/stats` must work even
 //! with tracing off.

@@ -499,7 +499,7 @@ fn dot<V: Simd8>(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peb_par::ctx::{self, ExecCtx, Level};
+    use crate::{at_level, best_level, Level};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)
@@ -508,16 +508,6 @@ mod tests {
                 (x as f32 / u32::MAX as f32) * 2.0 - 1.0
             })
             .collect()
-    }
-
-    fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
-        ctx::with(
-            ExecCtx {
-                level,
-                ..ctx::current()
-            },
-            f,
-        )
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -611,7 +601,7 @@ mod tests {
             out
         };
         let scalar = at_level(Level::Scalar, run);
-        let best = at_level(ctx::best_level(), run);
+        let best = at_level(best_level(), run);
         for (s, b) in scalar.iter().zip(&best) {
             assert_eq!(bits(s), bits(b));
         }

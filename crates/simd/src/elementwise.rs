@@ -11,11 +11,11 @@
 
 use crate::{simd_active, ScalarX8, Simd8};
 
-/// Generates the dispatched / forced-scalar / forced-SIMD entry trio for
-/// a kernel whose generic body is `$generic`.
+/// Generates the dispatched entry for a kernel whose generic body is
+/// `$generic`: the AVX2+FMA instantiation when the calling thread's
+/// level is [`Level::Avx2Fma`](crate::Level), the scalar one otherwise.
 macro_rules! dispatched {
-    ($(#[$doc:meta])* $name:ident, $scalar:ident, $simd:ident, $generic:ident,
-     ($($arg:ident : $ty:ty),*)) => {
+    ($(#[$doc:meta])* $name:ident, $generic:ident, ($($arg:ident : $ty:ty),*)) => {
         $(#[$doc])*
         pub fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
@@ -26,22 +26,6 @@ macro_rules! dispatched {
                 return;
             }
             $generic::<ScalarX8>($($arg),*)
-        }
-        /// Forced scalar-backend variant of the same kernel.
-        pub fn $scalar($($arg: $ty),*) {
-            $generic::<ScalarX8>($($arg),*)
-        }
-        /// Forced SIMD-backend variant; returns `false` (no-op) without
-        /// AVX2+FMA.
-        pub fn $simd($($arg: $ty),*) -> bool {
-            #[cfg(target_arch = "x86_64")]
-            if crate::detected() {
-                // SAFETY: guarded by `detected()`.
-                unsafe { avx::$name($($arg),*) };
-                return true;
-            }
-            let _ = ($(&$arg),*);
-            false
         }
     };
 }
@@ -229,63 +213,63 @@ pub(crate) fn add_assign_generic<V: Simd8>(y: &mut [f32], x: &[f32]) {
 
 dispatched!(
     /// `out = a + b` elementwise (bit-exact across backends).
-    vadd, vadd_scalar_backend, vadd_simd_backend, binop_add_generic,
+    vadd, binop_add_generic,
     (a: &[f32], b: &[f32], out: &mut [f32])
 );
 dispatched!(
     /// `out = a − b` elementwise (bit-exact across backends).
-    vsub, vsub_scalar_backend, vsub_simd_backend, binop_sub_generic,
+    vsub, binop_sub_generic,
     (a: &[f32], b: &[f32], out: &mut [f32])
 );
 dispatched!(
     /// `out = a × b` elementwise (bit-exact across backends).
-    vmul, vmul_scalar_backend, vmul_simd_backend, binop_mul_generic,
+    vmul, binop_mul_generic,
     (a: &[f32], b: &[f32], out: &mut [f32])
 );
 dispatched!(
     /// `out = a ÷ b` elementwise (bit-exact across backends).
-    vdiv, vdiv_scalar_backend, vdiv_simd_backend, binop_div_generic,
+    vdiv, binop_div_generic,
     (a: &[f32], b: &[f32], out: &mut [f32])
 );
 dispatched!(
     /// `out = x + s` (bit-exact across backends).
-    vadd_scalar, vadd_scalar_scalar_backend, vadd_scalar_simd_backend, add_scalar_generic,
+    vadd_scalar, add_scalar_generic,
     (x: &[f32], s: f32, out: &mut [f32])
 );
 dispatched!(
     /// `out = x × s` (bit-exact across backends).
-    vmul_scalar, vmul_scalar_scalar_backend, vmul_scalar_simd_backend, mul_scalar_generic,
+    vmul_scalar, mul_scalar_generic,
     (x: &[f32], s: f32, out: &mut [f32])
 );
 dispatched!(
     /// `out = √x` elementwise (bit-exact across backends).
-    vsqrt, vsqrt_scalar_backend, vsqrt_simd_backend, sqrt_generic,
+    vsqrt, sqrt_generic,
     (x: &[f32], out: &mut [f32])
 );
 dispatched!(
     /// `out = exp(x)` elementwise (tolerance-class on the SIMD path).
-    vexp, vexp_scalar_backend, vexp_simd_backend, exp_generic,
+    vexp, exp_generic,
     (x: &[f32], out: &mut [f32])
 );
 dispatched!(
     /// Numerically stable logistic sigmoid (tolerance-class on SIMD).
-    vsigmoid, vsigmoid_scalar_backend, vsigmoid_simd_backend, sigmoid_generic,
+    vsigmoid, sigmoid_generic,
     (x: &[f32], out: &mut [f32])
 );
 dispatched!(
     /// Softplus `x > 20 ? x : ln(1 + exp(x))` (tolerance-class on SIMD;
     /// the scalar backend is that expression in libm, bit for bit).
-    vsoftplus, vsoftplus_scalar_backend, vsoftplus_simd_backend, softplus_generic,
+    vsoftplus, softplus_generic,
     (x: &[f32], out: &mut [f32])
 );
 dispatched!(
     /// `y += α·x` (unfused; bit-exact across backends).
-    vaxpy, vaxpy_scalar_backend, vaxpy_simd_backend, axpy_generic,
+    vaxpy, axpy_generic,
     (y: &mut [f32], alpha: f32, x: &[f32])
 );
 dispatched!(
     /// `y += x` elementwise (bit-exact across backends).
-    vadd_assign, vadd_assign_scalar_backend, vadd_assign_simd_backend, add_assign_generic,
+    vadd_assign, add_assign_generic,
     (y: &mut [f32], x: &[f32])
 );
 
@@ -305,7 +289,8 @@ pub fn vsum_f64(x: &[f32]) -> f64 {
     sum_f64_scalar(x)
 }
 
-/// Forced sequential-accumulation sum (the scalar reference).
+/// `Σ x[i]` accumulated in `f64` in ascending index order at every
+/// level: [`vsum_f64`]'s scalar path, and the order softmax normalises in.
 pub fn sum_f64_scalar(x: &[f32]) -> f64 {
     let mut acc = 0f64;
     for &v in x {
@@ -342,7 +327,7 @@ unsafe fn sum_f64_avx(x: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ulp_diff;
+    use crate::{at_level, detected, levels, ulp_diff, Level};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)
@@ -353,28 +338,29 @@ mod tests {
             .collect()
     }
 
+    /// `kernel(x, out)` at `level`, returning `out`.
+    fn unary(level: Level, kernel: fn(&[f32], &mut [f32]), x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0f32; x.len()];
+        at_level(level, || kernel(x, &mut out));
+        out
+    }
+
     #[test]
     fn exact_kernels_match_bitwise_across_backends() {
         for len in [0usize, 1, 7, 8, 9, 64, 101] {
             let a = pseudo(len, 1);
             let b: Vec<f32> = pseudo(len, 2).iter().map(|v| v + 5.0).collect();
-            let mut s = vec![0f32; len];
-            let mut v = vec![0f32; len];
-            type K = (
-                &'static str,
-                fn(&[f32], &[f32], &mut [f32]),
-                fn(&[f32], &[f32], &mut [f32]) -> bool,
-            );
-            let kernels: [K; 4] = [
-                ("add", vadd_scalar_backend, vadd_simd_backend),
-                ("sub", vsub_scalar_backend, vsub_simd_backend),
-                ("mul", vmul_scalar_backend, vmul_simd_backend),
-                ("div", vdiv_scalar_backend, vdiv_simd_backend),
-            ];
-            for (name, scalar, simd) in kernels {
-                scalar(&a, &b, &mut s);
-                if simd(&a, &b, &mut v) {
-                    for (x, y) in s.iter().zip(&v) {
+            type K = (&'static str, fn(&[f32], &[f32], &mut [f32]));
+            let kernels: [K; 4] = [("add", vadd), ("sub", vsub), ("mul", vmul), ("div", vdiv)];
+            for (name, kernel) in kernels {
+                let run = |level| {
+                    let mut out = vec![0f32; len];
+                    at_level(level, || kernel(&a, &b, &mut out));
+                    out
+                };
+                let s = run(Level::Scalar);
+                if detected() {
+                    for (x, y) in s.iter().zip(&run(Level::Avx2Fma)) {
                         assert_eq!(x.to_bits(), y.to_bits(), "{name} len {len}");
                     }
                 }
@@ -386,33 +372,33 @@ mod tests {
     fn axpy_matches_plain_loop_bitwise() {
         let x = pseudo(37, 3);
         let mut want = pseudo(37, 4);
-        let mut got = want.clone();
+        let y0 = want.clone();
         for (y, xv) in want.iter_mut().zip(&x) {
             *y += *xv * 0.37;
         }
-        if !vaxpy_simd_backend(&mut got, 0.37, &x) {
-            vaxpy_scalar_backend(&mut got, 0.37, &x);
-        }
-        for (w, g) in want.iter().zip(&got) {
-            assert_eq!(w.to_bits(), g.to_bits());
+        for level in levels() {
+            let mut got = y0.clone();
+            at_level(level, || vaxpy(&mut got, 0.37, &x));
+            for (w, g) in want.iter().zip(&got) {
+                assert_eq!(w.to_bits(), g.to_bits(), "{}", level.name());
+            }
         }
     }
 
     #[test]
     fn exp_and_sigmoid_within_ulps_of_scalar() {
         let x = pseudo(100, 5);
-        let mut s = vec![0f32; 100];
-        let mut v = vec![0f32; 100];
-        vexp_scalar_backend(&x, &mut s);
-        if vexp_simd_backend(&x, &mut v) {
-            for (a, b) in s.iter().zip(&v) {
-                assert!(ulp_diff(*a, *b) <= 16, "exp {a} vs {b}");
-            }
+        if !detected() {
+            return;
         }
-        vsigmoid_scalar_backend(&x, &mut s);
-        if vsigmoid_simd_backend(&x, &mut v) {
+        for (name, kernel) in [
+            ("exp", vexp as fn(&[f32], &mut [f32])),
+            ("sigmoid", vsigmoid),
+        ] {
+            let s = unary(Level::Scalar, kernel, &x);
+            let v = unary(Level::Avx2Fma, kernel, &x);
             for (a, b) in s.iter().zip(&v) {
-                assert!(ulp_diff(*a, *b) <= 16, "sigmoid {a} vs {b}");
+                assert!(ulp_diff(*a, *b) <= 16, "{name} {a} vs {b}");
             }
         }
     }
@@ -420,8 +406,7 @@ mod tests {
     #[test]
     fn sigmoid_scalar_backend_matches_reference_formula() {
         let xs = [-100.0f32, -3.5, -0.0, 0.0, 1e-6, 2.5, 100.0];
-        let mut out = vec![0f32; xs.len()];
-        vsigmoid_scalar_backend(&xs, &mut out);
+        let out = unary(Level::Scalar, vsigmoid, &xs);
         for (x, got) in xs.iter().zip(&out) {
             let want = if *x >= 0.0 {
                 1.0 / (1.0 + (-x).exp())
@@ -443,13 +428,12 @@ mod tests {
         xs.extend((0..10).map(|i| 19.999_99 + i as f32 * 2e-6));
         xs.extend((0..=200_000).map(|i| -100.0 + i as f32 * 1e-3));
         let want = |x: f32| if x > 20.0 { x } else { x.exp().ln_1p() };
-        let mut got = vec![0f32; xs.len()];
-        vsoftplus_scalar_backend(&xs, &mut got);
+        let got = unary(Level::Scalar, vsoftplus, &xs);
         for (x, g) in xs.iter().zip(&got) {
             assert_eq!(g.to_bits(), want(*x).to_bits(), "softplus({x:e})");
         }
-        let mut simd = vec![0f32; xs.len()];
-        if vsoftplus_simd_backend(&xs, &mut simd) {
+        if detected() {
+            let simd = unary(Level::Avx2Fma, vsoftplus, &xs);
             for (x, (s, v)) in xs.iter().zip(got.iter().zip(&simd)) {
                 // The lane exp flushes below ≈ −87.3 where libm goes
                 // subnormal; elsewhere exp + ln1p stay within 4 ULP.

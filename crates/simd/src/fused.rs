@@ -34,8 +34,6 @@ pub enum Stage<'a> {
     AddT(&'a [f32]),
     /// `acc − b`
     SubT(&'a [f32]),
-    /// `b − acc`
-    RsubT(&'a [f32]),
     /// `acc × b`
     MulT(&'a [f32]),
     /// `acc ÷ b`
@@ -72,7 +70,6 @@ impl Stage<'_> {
         match *self {
             Stage::AddT(_) => "add_t",
             Stage::SubT(_) => "sub_t",
-            Stage::RsubT(_) => "rsub_t",
             Stage::MulT(_) => "mul_t",
             Stage::DivT(_) => "div_t",
             Stage::AddScalar(_) => "add_scalar",
@@ -89,9 +86,7 @@ impl Stage<'_> {
     /// The borrowed operand, if this is a binary stage.
     fn operand(&self) -> Option<&[f32]> {
         match *self {
-            Stage::AddT(b) | Stage::SubT(b) | Stage::RsubT(b) | Stage::MulT(b) | Stage::DivT(b) => {
-                Some(b)
-            }
+            Stage::AddT(b) | Stage::SubT(b) | Stage::MulT(b) | Stage::DivT(b) => Some(b),
             _ => None,
         }
     }
@@ -105,7 +100,6 @@ fn apply_block<V: Simd8>(mut v: V, stages: &[Stage<'_>], load: impl Fn(&[f32]) -
         v = match *st {
             Stage::AddT(b) => v.add(load(b)),
             Stage::SubT(b) => v.sub(load(b)),
-            Stage::RsubT(b) => load(b).sub(v),
             Stage::MulT(b) => v.mul(load(b)),
             Stage::DivT(b) => v.div(load(b)),
             Stage::AddScalar(s) => v.add(V::splat(s)),
@@ -181,27 +175,10 @@ pub fn vchain(x: &[f32], stages: &[Stage<'_>], out: &mut [f32]) {
     chain_generic::<ScalarX8>(x, stages, out)
 }
 
-/// Forced scalar-backend variant of [`vchain`].
-pub fn vchain_scalar_backend(x: &[f32], stages: &[Stage<'_>], out: &mut [f32]) {
-    chain_generic::<ScalarX8>(x, stages, out)
-}
-
-/// Forced SIMD-backend variant; returns `false` (no-op) without AVX2+FMA.
-pub fn vchain_simd_backend(x: &[f32], stages: &[Stage<'_>], out: &mut [f32]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`.
-        unsafe { avx::vchain(x, stages, out) };
-        return true;
-    }
-    let _ = (x, stages, out);
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elementwise;
+    use crate::{at_level, elementwise, levels};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)
@@ -212,81 +189,41 @@ mod tests {
             .collect()
     }
 
-    /// Reference: run the same stages as separate unfused kernel sweeps.
-    fn unfused(x: &[f32], stages: &[Stage<'_>], simd: bool) -> Vec<f32> {
+    /// Reference: run the same stages as separate unfused kernel sweeps
+    /// at the calling thread's level.
+    fn unfused(x: &[f32], stages: &[Stage<'_>]) -> Vec<f32> {
         let mut cur = x.to_vec();
         let mut nxt = vec![0f32; x.len()];
         for st in stages {
-            let ran = match *st {
-                Stage::AddT(b) => run2(
-                    simd,
-                    elementwise::vadd_scalar_backend,
-                    elementwise::vadd_simd_backend,
-                    &cur,
-                    b,
-                    &mut nxt,
-                ),
-                Stage::SubT(b) => run2(
-                    simd,
-                    elementwise::vsub_scalar_backend,
-                    elementwise::vsub_simd_backend,
-                    &cur,
-                    b,
-                    &mut nxt,
-                ),
-                Stage::RsubT(b) => run2(
-                    simd,
-                    elementwise::vsub_scalar_backend,
-                    elementwise::vsub_simd_backend,
-                    b,
-                    &cur,
-                    &mut nxt,
-                ),
-                Stage::MulT(b) => run2(
-                    simd,
-                    elementwise::vmul_scalar_backend,
-                    elementwise::vmul_simd_backend,
-                    &cur,
-                    b,
-                    &mut nxt,
-                ),
-                Stage::DivT(b) => run2(
-                    simd,
-                    elementwise::vdiv_scalar_backend,
-                    elementwise::vdiv_simd_backend,
-                    &cur,
-                    b,
-                    &mut nxt,
-                ),
+            match *st {
+                Stage::AddT(b) => elementwise::vadd(&cur, b, &mut nxt),
+                Stage::SubT(b) => elementwise::vsub(&cur, b, &mut nxt),
+                Stage::MulT(b) => elementwise::vmul(&cur, b, &mut nxt),
+                Stage::DivT(b) => elementwise::vdiv(&cur, b, &mut nxt),
                 Stage::AddScalar(s) => {
                     for (o, &v) in nxt.iter_mut().zip(cur.iter()) {
                         *o = v + s;
                     }
-                    true
                 }
                 Stage::MulScalar(s) => {
                     for (o, &v) in nxt.iter_mut().zip(cur.iter()) {
                         *o = v * s;
                     }
-                    true
                 }
                 Stage::SubFromScalar(s) => {
                     for (o, &v) in nxt.iter_mut().zip(cur.iter()) {
                         *o = s - v;
                     }
-                    true
                 }
                 Stage::Neg => {
                     for (o, &v) in nxt.iter_mut().zip(cur.iter()) {
                         *o = -v;
                     }
-                    true
                 }
                 Stage::Sqrt => {
                     for (o, &v) in nxt.iter_mut().zip(cur.iter()) {
                         *o = v.sqrt();
                     }
-                    true
                 }
                 Stage::LeakyRelu(slope) => {
                     for (o, &v) in nxt.iter_mut().zip(cur.iter()) {
@@ -302,58 +239,13 @@ mod tests {
                             slope * v
                         };
                     }
-                    true
                 }
-                Stage::Exp => run1(
-                    simd,
-                    elementwise::vexp_scalar_backend,
-                    elementwise::vexp_simd_backend,
-                    &cur,
-                    &mut nxt,
-                ),
-                Stage::Sigmoid => run1(
-                    simd,
-                    elementwise::vsigmoid_scalar_backend,
-                    elementwise::vsigmoid_simd_backend,
-                    &cur,
-                    &mut nxt,
-                ),
-            };
-            assert!(ran);
+                Stage::Exp => elementwise::vexp(&cur, &mut nxt),
+                Stage::Sigmoid => elementwise::vsigmoid(&cur, &mut nxt),
+            }
             std::mem::swap(&mut cur, &mut nxt);
         }
         cur
-    }
-
-    fn run2(
-        simd: bool,
-        s: fn(&[f32], &[f32], &mut [f32]),
-        v: fn(&[f32], &[f32], &mut [f32]) -> bool,
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-    ) -> bool {
-        if simd {
-            v(a, b, out)
-        } else {
-            s(a, b, out);
-            true
-        }
-    }
-
-    fn run1(
-        simd: bool,
-        s: fn(&[f32], &mut [f32]),
-        v: fn(&[f32], &mut [f32]) -> bool,
-        a: &[f32],
-        out: &mut [f32],
-    ) -> bool {
-        if simd {
-            v(a, out)
-        } else {
-            s(a, out);
-            true
-        }
     }
 
     #[test]
@@ -366,7 +258,7 @@ mod tests {
                 vec![Stage::AddT(&b), Stage::MulT(&c), Stage::Sigmoid],
                 vec![Stage::MulScalar(0.37), Stage::AddScalar(-1.25), Stage::Exp],
                 vec![Stage::SubT(&c), Stage::DivT(&b), Stage::Neg],
-                vec![Stage::RsubT(&c), Stage::SubFromScalar(2.0)],
+                vec![Stage::SubFromScalar(2.0)],
                 vec![Stage::MulT(&b), Stage::Sqrt],
                 vec![
                     Stage::SubT(&c),
@@ -376,16 +268,14 @@ mod tests {
                 vec![Stage::SubT(&c), Stage::LeakyRelu(0.0)],
             ];
             for stages in &chains {
-                let mut got = vec![0f32; len];
-                vchain_scalar_backend(&x, stages, &mut got);
-                let want = unfused(&x, stages, false);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "scalar len {len}");
-                }
-                if vchain_simd_backend(&x, stages, &mut got) {
-                    let want = unfused(&x, stages, true);
+                for level in levels() {
+                    let mut got = vec![0f32; len];
+                    let want = at_level(level, || {
+                        vchain(&x, stages, &mut got);
+                        unfused(&x, stages)
+                    });
                     for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.to_bits(), w.to_bits(), "simd len {len}");
+                        assert_eq!(g.to_bits(), w.to_bits(), "{} len {len}", level.name());
                     }
                 }
             }

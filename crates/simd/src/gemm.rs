@@ -40,24 +40,6 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
     gemm_generic::<ScalarX8>(a, b, out, m, k, n)
 }
 
-/// Forced scalar-backend GEMM (differential tests, `PEB_SIMD=off` A/B).
-pub fn gemm_scalar(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_generic::<ScalarX8>(a, b, out, m, k, n)
-}
-
-/// Forced SIMD-backend GEMM for differential tests; returns `false`
-/// (leaving `out` untouched) when the CPU lacks AVX2+FMA.
-pub fn gemm_simd(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`.
-        unsafe { gemm_avx2(a, b, out, m, k, n) };
-        return true;
-    }
-    let _ = (a, b, out, m, k, n);
-    false
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_avx2(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
@@ -159,7 +141,7 @@ fn pack_b(b: &[f32], buf: &mut Vec<f32>, n: usize, jc: usize, kc: usize, nb: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ulp_diff;
+    use crate::{at_level, detected, ulp_diff, Level};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)
@@ -178,6 +160,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `a · b` at `level` into a zeroed output.
+    fn gemm_at(level: Level, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0f32; m * n];
+        at_level(level, || gemm(a, b, &mut out, m, k, n));
+        out
     }
 
     /// Reassociated k-sums can cancel, so a pure ULP bound on the result
@@ -202,9 +191,8 @@ mod tests {
             let a = pseudo(m * k, 1);
             let b = pseudo(k * n, 2);
             let mut want = vec![0f32; m * n];
-            let mut got = vec![0f32; m * n];
             naive(&a, &b, &mut want, m, k, n);
-            gemm_scalar(&a, &b, &mut got, m, k, n);
+            let got = gemm_at(Level::Scalar, &a, &b, m, k, n);
             for (w, g) in want.iter().zip(&got) {
                 assert!(close(*w, *g, k), "({m},{k},{n}): {w} vs {g}");
             }
@@ -216,12 +204,11 @@ mod tests {
         for &(m, k, n) in &[(8, 8, 8), (65, 300, 33), (7, 513, 9)] {
             let a = pseudo(m * k, 3);
             let b = pseudo(k * n, 4);
-            let mut scalar = vec![0f32; m * n];
-            gemm_scalar(&a, &b, &mut scalar, m, k, n);
-            let mut simd = vec![0f32; m * n];
-            if !gemm_simd(&a, &b, &mut simd, m, k, n) {
+            if !detected() {
                 return; // no AVX2 on this machine
             }
+            let scalar = gemm_at(Level::Scalar, &a, &b, m, k, n);
+            let simd = gemm_at(Level::Avx2Fma, &a, &b, m, k, n);
             for (s, v) in scalar.iter().zip(&simd) {
                 assert!(close(*s, *v, k), "({m},{k},{n}): {s} vs {v}");
             }
@@ -233,12 +220,11 @@ mod tests {
         let (m, k, n) = (33, 129, 65);
         let a = pseudo(m * k, 5);
         let b = pseudo(k * n, 6);
-        let mut r1 = vec![0f32; m * n];
-        if !gemm_simd(&a, &b, &mut r1, m, k, n) {
+        if !detected() {
             return;
         }
-        let mut r2 = vec![0f32; m * n];
-        assert!(gemm_simd(&a, &b, &mut r2, m, k, n));
+        let r1 = gemm_at(Level::Avx2Fma, &a, &b, m, k, n);
+        let r2 = gemm_at(Level::Avx2Fma, &a, &b, m, k, n);
         for (x, y) in r1.iter().zip(&r2) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

@@ -13,6 +13,11 @@
 //!   both features, and the scalar path everywhere else (including
 //!   non-x86_64 targets).
 //!
+//! The level is the only backend selector: no kernel has a second,
+//! per-backend entry point. A test that compares the backends calls the
+//! one entry under `peb_par::ctx::with` at [`Level::Scalar`] and, when
+//! [`detected`], [`Level::Avx2Fma`].
+//!
 //! # Determinism contract
 //!
 //! For a **fixed dispatch level** every kernel is a pure function of its
@@ -71,6 +76,30 @@ pub fn simd_active() -> bool {
 #[inline]
 pub(crate) fn note_dispatch() {
     peb_obs::count(peb_obs::Counter::SimdDispatch, 1);
+}
+
+/// The levels this CPU runs: [`Level::Scalar`], then [`Level::Avx2Fma`]
+/// when detected.
+#[cfg(test)]
+pub(crate) fn levels() -> Vec<Level> {
+    let mut levels = vec![Level::Scalar];
+    if detected() {
+        levels.push(Level::Avx2Fma);
+    }
+    levels
+}
+
+/// Runs `f` with the calling thread's dispatch level pinned to `level`:
+/// how the differential tests reach each backend.
+#[cfg(test)]
+pub(crate) fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
+    ctx::with(
+        ctx::ExecCtx {
+            level,
+            ..ctx::current()
+        },
+        f,
+    )
 }
 
 /// Vestige of the removed precision axis: compute is always f32.

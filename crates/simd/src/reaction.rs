@@ -10,7 +10,7 @@
 //! The kernel is **bit-exact class**: every lane performs the scalar
 //! expression sequence with IEEE-exact operations only (`+ − ×`, `max`,
 //! `min`, `floor`, and an integer-built `2ⁿ`), including the exponential —
-//! [`exp_exact`] is the Cephes range-reduction/polynomial of
+//! its `exp_exact` is the Cephes range-reduction/polynomial of
 //! [`Simd8::exp`]'s AVX backend written with unfused `mul`/`add`. Results
 //! are therefore bitwise identical across backends and independent of how
 //! a caller splits a field into slices (ragged tails run the same lanes
@@ -144,14 +144,6 @@ fn half_step_generic<V: Simd8>(
     }
 }
 
-#[inline(always)]
-fn exp_exact_generic<V: Simd8>(x: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), out.len());
-    for (xs, os) in x.chunks(8).zip(out.chunks_mut(8)) {
-        os.copy_from_slice(&exp_exact(load_padded::<V>(xs)).to_array()[..xs.len()]);
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx {
     use crate::AvxX8;
@@ -166,11 +158,6 @@ mod avx {
         dt: f32,
     ) {
         super::half_step_generic::<AvxX8>(acid, base, inhibitor, kr, kc, dt)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn exp_exact(x: &[f32], out: &mut [f32]) {
-        super::exp_exact_generic::<AvxX8>(x, out)
     }
 }
 
@@ -199,76 +186,81 @@ pub fn half_step(
     half_step_generic::<ScalarX8>(acid, base, inhibitor, kr, kc, dt)
 }
 
-/// Forced scalar-backend variant of [`half_step`].
-pub fn half_step_scalar(
-    acid: &mut [f32],
-    base: &mut [f32],
-    inhibitor: &mut [f32],
-    kr: f32,
-    kc: f32,
-    dt: f32,
-) {
-    half_step_generic::<ScalarX8>(acid, base, inhibitor, kr, kc, dt)
-}
-
-/// Forced SIMD-backend variant of [`half_step`]; returns `false` (no-op)
-/// without AVX2+FMA.
-pub fn half_step_simd(
-    acid: &mut [f32],
-    base: &mut [f32],
-    inhibitor: &mut [f32],
-    kr: f32,
-    kc: f32,
-    dt: f32,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`.
-        unsafe { avx::half_step(acid, base, inhibitor, kr, kc, dt) };
-        return true;
-    }
-    let _ = (acid, base, inhibitor, kr, kc, dt);
-    false
-}
-
-/// The kernel's exponential on the scalar backend: `out[i] = exp(x[i])`.
-pub fn exp_exact_scalar(x: &[f32], out: &mut [f32]) {
-    exp_exact_generic::<ScalarX8>(x, out)
-}
-
-/// The kernel's exponential on the SIMD backend; returns `false` (no-op)
-/// without AVX2+FMA.
-pub fn exp_exact_simd(x: &[f32], out: &mut [f32]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`.
-        unsafe { avx::exp_exact(x, out) };
-        return true;
-    }
-    let _ = (x, out);
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{at_level, levels, ulp_diff};
+
+    /// The kernel's exponential of every element of `x` on backend `V`.
+    #[inline(always)]
+    fn exp_exact_lanes<V: Simd8>(x: &[f32]) -> Vec<f32> {
+        x.chunks(8)
+            .flat_map(|c| exp_exact(load_padded::<V>(c)).to_array()[..c.len()].to_vec())
+            .collect()
+    }
+
+    /// [`exp_exact_lanes`] on every backend this CPU has: scalar first,
+    /// then AVX2+FMA when detected.
+    fn exp_exact_backends(x: &[f32]) -> Vec<Vec<f32>> {
+        let mut out = vec![exp_exact_lanes::<ScalarX8>(x)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::detected() {
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn avx(x: &[f32]) -> Vec<f32> {
+                exp_exact_lanes::<crate::AvxX8>(x)
+            }
+            // SAFETY: guarded by detected().
+            out.push(unsafe { avx(x) });
+        }
+        out
+    }
 
     #[test]
     fn exp_exact_saturates_at_the_clamps_and_swallows_nan() {
         let x = [-1e9f32, -100.0, -88.0, 0.0, 88.0, 100.0, 1e9, f32::NAN];
-        let mut got = [0f32; 8];
-        exp_exact_scalar(&x, &mut got);
+        let backends = exp_exact_backends(&x);
+        let got = &backends[0];
         assert_eq!(got[0].to_bits(), 0);
         assert_eq!(got[1].to_bits(), 0);
         assert_eq!(got[2].to_bits(), 0, "below the normal range flushes");
         assert_eq!(got[3], 1.0);
-        assert!(crate::ulp_diff(got[4], 88f32.exp()) <= 2);
+        assert!(ulp_diff(got[4], 88f32.exp()) <= 2);
         assert!(got[5] > 2.4e38 && got[5].is_finite(), "saturates finite");
         assert_eq!(got[6].to_bits(), got[5].to_bits());
         assert_eq!(got[7].to_bits(), 0, "NaN clamps low");
-        let mut simd = [1f32; 8];
-        if exp_exact_simd(&x, &mut simd) {
-            assert_eq!(got.map(f32::to_bits), simd.map(f32::to_bits));
+        for simd in &backends[1..] {
+            assert_eq!(bits(got), bits(simd));
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn exact_exp_tracks_libm_and_is_bitwise_identical_across_backends() {
+        // Dense sweep of [−88, 88]. Where the result is a normal number the
+        // kernel's exponential stays within 2 ULP of libm; below that
+        // (x ≲ −87.7) it flushes to zero instead of going subnormal.
+        let xs: Vec<f32> = (0..=176_000).map(|i| -88.0 + i as f32 * 1e-3).collect();
+        let backends = exp_exact_backends(&xs);
+        let scalar = &backends[0];
+        for simd in &backends[1..] {
+            for (i, (s, v)) in scalar.iter().zip(simd).enumerate() {
+                assert_eq!(s.to_bits(), v.to_bits(), "exp({})", xs[i]);
+            }
+        }
+        for (x, got) in xs.iter().zip(scalar) {
+            let want = x.exp();
+            if *x >= -87.6 {
+                assert!(
+                    ulp_diff(*got, want) <= 2,
+                    "exp({x}): {got} vs libm {want} ({} ulp)",
+                    ulp_diff(*got, want)
+                );
+            } else {
+                assert!((got - want).abs() <= f32::MIN_POSITIVE, "exp({x}): {got}");
+            }
         }
     }
 
@@ -286,20 +278,23 @@ mod tests {
             let delta = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
             let clamp = |v: f32| if v > 0.0 { v } else { 0.0 };
             let (a1, b1) = (clamp(a0 + delta), clamp(b0 + delta));
-            let mut e = [0f32];
-            exp_exact_scalar(&[-kc * (0.5 * (a0 + a1)) * dt], &mut e);
+            let e = exp_exact_lanes::<ScalarX8>(&[-kc * (0.5 * (a0 + a1)) * dt]);
             (a1, b1, i0 * e[0])
         };
         let n = 13; // one full group + a ragged tail
-        let mut a: Vec<f32> = (0..n).map(|i| i as f32 / n as f32).collect();
-        let mut b: Vec<f32> = (0..n).map(|i| 0.4 - 0.03 * i as f32).collect();
-        let mut inh: Vec<f32> = (0..n).map(|i| 1.0 - 0.05 * i as f32).collect();
-        let want: Vec<_> = (0..n).map(|i| reference(a[i], b[i], inh[i])).collect();
-        half_step(&mut a, &mut b, &mut inh, kr, kc, dt);
-        for i in 0..n {
-            assert_eq!(a[i].to_bits(), want[i].0.to_bits(), "acid[{i}]");
-            assert_eq!(b[i].to_bits(), want[i].1.to_bits(), "base[{i}]");
-            assert_eq!(inh[i].to_bits(), want[i].2.to_bits(), "inhibitor[{i}]");
+        let a0: Vec<f32> = (0..n).map(|i| i as f32 / n as f32).collect();
+        let b0: Vec<f32> = (0..n).map(|i| 0.4 - 0.03 * i as f32).collect();
+        let i0: Vec<f32> = (0..n).map(|i| 1.0 - 0.05 * i as f32).collect();
+        let want: Vec<_> = (0..n).map(|i| reference(a0[i], b0[i], i0[i])).collect();
+        for level in levels() {
+            let (mut a, mut b, mut inh) = (a0.clone(), b0.clone(), i0.clone());
+            at_level(level, || half_step(&mut a, &mut b, &mut inh, kr, kc, dt));
+            let at = level.name();
+            for i in 0..n {
+                assert_eq!(a[i].to_bits(), want[i].0.to_bits(), "{at} acid[{i}]");
+                assert_eq!(b[i].to_bits(), want[i].1.to_bits(), "{at} base[{i}]");
+                assert_eq!(inh[i].to_bits(), want[i].2.to_bits(), "{at} inhibitor[{i}]");
+            }
         }
     }
 }

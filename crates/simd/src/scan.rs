@@ -87,65 +87,6 @@ pub unsafe fn scan_forward_lanes8(
     }
 }
 
-/// Forced scalar-backend variant of [`scan_forward_lanes8`].
-///
-/// # Safety
-///
-/// Same contract as [`scan_forward_lanes8`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn scan_forward_lanes8_scalar(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[f32],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
-    h: &mut [f32],
-    y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        scan_fwd_generic::<ScalarX8>(u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0)
-    }
-}
-
-/// Forced SIMD-backend variant of [`scan_forward_lanes8`]; returns
-/// `false` (no-op) without AVX2+FMA.
-///
-/// # Safety
-///
-/// Same contract as [`scan_forward_lanes8`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn scan_forward_lanes8_simd(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[f32],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
-    h: &mut [f32],
-    y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`; aliasing is the caller's.
-        unsafe { scan_fwd_avx2(u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0) };
-        return true;
-    }
-    let _ = (u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0);
-    false
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -225,6 +166,7 @@ unsafe fn scan_fwd_generic<V: Simd8>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{at_level, Level};
 
     /// The original per-lane scalar recurrence, as written in peb-mamba.
     #[allow(clippy::too_many_arguments)]
@@ -292,8 +234,8 @@ mod tests {
                 pack_a_lanes8(&a, n, ci0, &mut apack);
                 h.iter_mut().for_each(|v| *v = 0.0);
                 // SAFETY: single-threaded test; groups disjoint.
-                unsafe {
-                    scan_forward_lanes8_scalar(
+                at_level(Level::Scalar, || unsafe {
+                    scan_forward_lanes8(
                         &u,
                         &delta,
                         &apack,
@@ -308,7 +250,7 @@ mod tests {
                         n,
                         ci0,
                     )
-                };
+                });
             }
         }
         for (w, g) in want_y.iter().zip(&y) {

@@ -53,42 +53,6 @@ pub fn explicit_slice(
     explicit_slice_generic::<ScalarX8>(src, dst, z, nz, ny, nx, p)
 }
 
-/// Forced scalar-backend variant of [`explicit_slice`].
-#[allow(clippy::too_many_arguments)]
-pub fn explicit_slice_scalar(
-    src: &[f32],
-    dst: &mut [f32],
-    z: usize,
-    nz: usize,
-    ny: usize,
-    nx: usize,
-    p: StencilParams,
-) {
-    explicit_slice_generic::<ScalarX8>(src, dst, z, nz, ny, nx, p)
-}
-
-/// Forced SIMD-backend variant of [`explicit_slice`]; returns `false`
-/// (no-op) without AVX2+FMA.
-#[allow(clippy::too_many_arguments)]
-pub fn explicit_slice_simd(
-    src: &[f32],
-    dst: &mut [f32],
-    z: usize,
-    nz: usize,
-    ny: usize,
-    nx: usize,
-    p: StencilParams,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`.
-        unsafe { explicit_slice_avx2(src, dst, z, nz, ny, nx, p) };
-        return true;
-    }
-    let _ = (src, dst, z, nz, ny, nx, p);
-    false
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -186,6 +150,7 @@ fn explicit_slice_generic<V: Simd8>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{at_level, levels};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)
@@ -243,15 +208,11 @@ mod tests {
         for z in 0..nz {
             let mut want = vec![0f32; ny * nx];
             reference(&src, &mut want, z, nz, ny, nx, p);
-            let mut scalar = vec![0f32; ny * nx];
-            explicit_slice_scalar(&src, &mut scalar, z, nz, ny, nx, p);
-            for (w, g) in want.iter().zip(&scalar) {
-                assert_eq!(w.to_bits(), g.to_bits(), "scalar z={z}");
-            }
-            let mut simd = vec![0f32; ny * nx];
-            if explicit_slice_simd(&src, &mut simd, z, nz, ny, nx, p) {
-                for (w, g) in want.iter().zip(&simd) {
-                    assert_eq!(w.to_bits(), g.to_bits(), "simd z={z}");
+            for level in levels() {
+                let mut got = vec![0f32; ny * nx];
+                at_level(level, || explicit_slice(&src, &mut got, z, nz, ny, nx, p));
+                for (w, g) in want.iter().zip(&got) {
+                    assert_eq!(w.to_bits(), g.to_bits(), "{} z={z}", level.name());
                 }
             }
         }

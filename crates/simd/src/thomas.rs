@@ -116,65 +116,6 @@ pub unsafe fn solve_factored_lines8(
     }
 }
 
-/// Forced scalar-backend variant of [`solve_factored_lines8`].
-///
-/// # Safety
-///
-/// Same contract as [`solve_factored_lines8`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn solve_factored_lines8_scalar(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    slots: &UnsafeSlice<f32>,
-    base: usize,
-    stride: usize,
-    n: usize,
-    bump_first: f32,
-    bump_last: f32,
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        solve8_generic::<ScalarX8>(
-            a, beta, gamma, slots, base, stride, n, bump_first, bump_last,
-        )
-    }
-}
-
-/// Forced SIMD-backend variant of [`solve_factored_lines8`]; returns
-/// `false` (no-op) without AVX2+FMA.
-///
-/// # Safety
-///
-/// Same contract as [`solve_factored_lines8`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn solve_factored_lines8_simd(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    slots: &UnsafeSlice<f32>,
-    base: usize,
-    stride: usize,
-    n: usize,
-    bump_first: f32,
-    bump_last: f32,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`; aliasing is the caller's.
-        unsafe {
-            solve8_avx2(
-                a, beta, gamma, slots, base, stride, n, bump_first, bump_last,
-            )
-        };
-        return true;
-    }
-    let _ = (
-        a, beta, gamma, slots, base, stride, n, bump_first, bump_last,
-    );
-    false
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -314,40 +255,6 @@ pub fn solve_factored_rows8(
     rows8_generic::<ScalarX8>(a, beta, gamma, rows, scratch, bump_first, bump_last)
 }
 
-/// Forced scalar-backend variant of [`solve_factored_rows8`].
-pub fn solve_factored_rows8_scalar(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    rows: &mut [f32],
-    scratch: &mut [f32],
-    bump_first: f32,
-    bump_last: f32,
-) {
-    rows8_generic::<ScalarX8>(a, beta, gamma, rows, scratch, bump_first, bump_last)
-}
-
-/// Forced SIMD-backend variant of [`solve_factored_rows8`]; returns
-/// `false` (no-op) without AVX2+FMA.
-pub fn solve_factored_rows8_simd(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    rows: &mut [f32],
-    scratch: &mut [f32],
-    bump_first: f32,
-    bump_last: f32,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if crate::detected() {
-        // SAFETY: guarded by `detected()`.
-        unsafe { rows8_avx2(a, beta, gamma, rows, scratch, bump_first, bump_last) };
-        return true;
-    }
-    let _ = (a, beta, gamma, rows, scratch, bump_first, bump_last);
-    false
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn rows8_avx2(
@@ -428,6 +335,7 @@ fn rows8_generic<V: Simd8>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{at_level, levels};
 
     /// Classic in-line Thomas solve (the peb-litho reference).
     fn solve_reference(a: &[f32], b: &[f32], c: &[f32], d: &mut [f32]) {
@@ -477,12 +385,12 @@ mod tests {
         let (a, b, c) = diffusion_system(n, 0.21);
         let (mut beta, mut gamma) = (Vec::new(), Vec::new());
         factor_tridiagonal(&a, &b, &c, &mut beta, &mut gamma);
-        let mut field: Vec<f32> = (0..n * 8).map(|i| (i as f32 * 0.31).cos()).collect();
+        let field0: Vec<f32> = (0..n * 8).map(|i| (i as f32 * 0.31).cos()).collect();
         let (bump_first, bump_last) = (0.05f32, 0.0f32);
         // Per-line reference with the same bump handling.
         let mut want = vec![0f32; n * 8];
         for j in 0..8 {
-            let mut line: Vec<f32> = (0..n).map(|k| field[k * stride + j]).collect();
+            let mut line: Vec<f32> = (0..n).map(|k| field0[k * stride + j]).collect();
             line[0] += bump_first;
             line[n - 1] += bump_last;
             solve_factored(&a, &beta, &gamma, &mut line);
@@ -490,24 +398,18 @@ mod tests {
                 want[k * stride + j] = *v;
             }
         }
-        {
+        for level in levels() {
+            let mut field = field0.clone();
             let slots = UnsafeSlice::new(&mut field);
             // SAFETY: single-threaded test, one group owning everything.
-            let used_simd = unsafe {
-                solve_factored_lines8_simd(
+            at_level(level, || unsafe {
+                solve_factored_lines8(
                     &a, &beta, &gamma, &slots, 0, stride, n, bump_first, bump_last,
                 )
-            };
-            if !used_simd {
-                unsafe {
-                    solve_factored_lines8_scalar(
-                        &a, &beta, &gamma, &slots, 0, stride, n, bump_first, bump_last,
-                    )
-                };
+            });
+            for (w, g) in want.iter().zip(&field) {
+                assert_eq!(w.to_bits(), g.to_bits(), "{}", level.name());
             }
-        }
-        for (w, g) in want.iter().zip(&field) {
-            assert_eq!(w.to_bits(), g.to_bits());
         }
     }
 }

@@ -9,15 +9,44 @@
 //! * **tolerance kernels** (GEMM, the scan recurrence, `exp`/`sigmoid`)
 //!   stay within a fixed ULP/absolute envelope of the scalar backend.
 //!
-//! All tests drive the forced `*_scalar` / `*_simd` backend variants, so
-//! they do not depend on the dispatch level. On hardware without AVX2+FMA
-//! the forced SIMD variants return `false` and each comparison
-//! degenerates to scalar-vs-scalar, which is vacuously bit-exact.
+//! Every test calls the dispatched entry points and pins the backend
+//! through the execution context ([`at_level`]): `Level::Scalar`, and
+//! `Level::Avx2Fma` when the CPU has it, so no result depends on the
+//! process-default level. On hardware without AVX2+FMA only the scalar
+//! side runs.
 
+use peb_par::ctx::{self, ExecCtx};
 use peb_par::UnsafeSlice;
-use peb_simd::{elementwise as ew, gemm, optim, reaction, scan, thomas, ulp_diff};
+use peb_simd::{detected, elementwise as ew, gemm, optim, reaction, scan, thomas, ulp_diff, Level};
 use proptest::prelude::*;
 use proptest::prop::collection::vec as pvec;
+
+/// Runs `f` with the calling thread's dispatch level pinned to `level`.
+fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
+    ctx::with(
+        ExecCtx {
+            level,
+            ..ctx::current()
+        },
+        f,
+    )
+}
+
+/// `Level::Scalar`, then `Level::Avx2Fma` when the CPU has it.
+fn levels() -> Vec<Level> {
+    let mut levels = vec![Level::Scalar];
+    if detected() {
+        levels.push(Level::Avx2Fma);
+    }
+    levels
+}
+
+/// `kernel(x, out)` at `level`, returning `out`.
+fn unary(level: Level, kernel: fn(&[f32], &mut [f32]), x: &[f32]) -> Vec<f32> {
+    let mut out = vec![0f32; x.len()];
+    at_level(level, || kernel(x, &mut out));
+    out
+}
 
 /// Hybrid closeness for accumulation kernels: a tight ULP bound away
 /// from zero, an absolute bound where cancellation makes ULPs
@@ -51,10 +80,14 @@ proptest! {
     ) {
         let a = pseudo(m * k, seed, -2.0, 2.0);
         let b = pseudo(k * n, seed.wrapping_add(1), -2.0, 2.0);
-        let mut scalar = vec![0f32; m * n];
-        let mut simd = vec![0f32; m * n];
-        gemm::gemm_scalar(&a, &b, &mut scalar, m, k, n);
-        if gemm::gemm_simd(&a, &b, &mut simd, m, k, n) {
+        let run = |level| {
+            let mut out = vec![0f32; m * n];
+            at_level(level, || gemm::gemm(&a, &b, &mut out, m, k, n));
+            out
+        };
+        let scalar = run(Level::Scalar);
+        if detected() {
+            let simd = run(Level::Avx2Fma);
             // k additions of |ab| ≤ 4 bound the cancellation floor.
             let abs = k as f32 * 1e-5;
             for (i, (w, g)) in scalar.iter().zip(&simd).enumerate() {
@@ -77,19 +110,18 @@ proptest! {
         let a = pseudo(len, seed, -3.0, 3.0);
         // Keep divisors away from zero so ÷ stays finite.
         let b: Vec<f32> = pseudo(len, seed.wrapping_add(1), 0.5, 3.5);
-        let mut scalar = vec![0f32; len];
-        let mut simd = vec![0f32; len];
-        type Pair = (fn(&[f32], &[f32], &mut [f32]), fn(&[f32], &[f32], &mut [f32]) -> bool, &'static str);
-        let kernels: [Pair; 4] = [
-            (ew::vadd_scalar_backend, ew::vadd_simd_backend, "vadd"),
-            (ew::vsub_scalar_backend, ew::vsub_simd_backend, "vsub"),
-            (ew::vmul_scalar_backend, ew::vmul_simd_backend, "vmul"),
-            (ew::vdiv_scalar_backend, ew::vdiv_simd_backend, "vdiv"),
-        ];
-        for (scalar_k, simd_k, name) in kernels {
-            scalar_k(&a, &b, &mut scalar);
-            if simd_k(&a, &b, &mut simd) {
-                assert_bits(&scalar, &simd, name)?;
+        type Binary = (fn(&[f32], &[f32], &mut [f32]), &'static str);
+        let kernels: [Binary; 4] =
+            [(ew::vadd, "vadd"), (ew::vsub, "vsub"), (ew::vmul, "vmul"), (ew::vdiv, "vdiv")];
+        for (kernel, name) in kernels {
+            let run = |level| {
+                let mut out = vec![0f32; len];
+                at_level(level, || kernel(&a, &b, &mut out));
+                out
+            };
+            let scalar = run(Level::Scalar);
+            if detected() {
+                assert_bits(&scalar, &run(Level::Avx2Fma), name)?;
             }
         }
     }
@@ -99,58 +131,52 @@ proptest! {
         x in values(51),
         alpha in -2.0f32..2.0,
     ) {
+        if !detected() {
+            return Ok(());
+        }
         let y0 = pseudo(x.len(), 7, -1.0, 1.0);
-        let mut ys = y0.clone();
-        let mut yv = y0.clone();
-        ew::vaxpy_scalar_backend(&mut ys, alpha, &x);
-        if ew::vaxpy_simd_backend(&mut yv, alpha, &x) {
-            assert_bits(&ys, &yv, "vaxpy")?;
-        }
-        let (mut ys, mut yv) = (y0.clone(), y0.clone());
-        ew::vadd_assign_scalar_backend(&mut ys, &x);
-        if ew::vadd_assign_simd_backend(&mut yv, &x) {
-            assert_bits(&ys, &yv, "vadd_assign")?;
-        }
-        let mut scalar = vec![0f32; x.len()];
-        let mut simd = vec![0f32; x.len()];
-        ew::vmul_scalar_scalar_backend(&x, alpha, &mut scalar);
-        if ew::vmul_scalar_simd_backend(&x, alpha, &mut simd) {
-            assert_bits(&scalar, &simd, "vmul_scalar")?;
-        }
-        ew::vadd_scalar_scalar_backend(&x, alpha, &mut scalar);
-        if ew::vadd_scalar_simd_backend(&x, alpha, &mut simd) {
-            assert_bits(&scalar, &simd, "vadd_scalar")?;
-        }
+        // Each kernel's output at `level`, from a fresh copy of `y0`.
+        let run = |level, kernel: &dyn Fn(&mut Vec<f32>)| {
+            let mut y = y0.clone();
+            at_level(level, || kernel(&mut y));
+            y
+        };
         let absx: Vec<f32> = x.iter().map(|v| v.abs()).collect();
-        ew::vsqrt_scalar_backend(&absx, &mut scalar);
-        if ew::vsqrt_simd_backend(&absx, &mut simd) {
-            assert_bits(&scalar, &simd, "vsqrt")?;
+        type InPlace<'k> = (&'k dyn Fn(&mut Vec<f32>), &'static str);
+        let kernels: [InPlace; 5] = [
+            (&|y| ew::vaxpy(y, alpha, &x), "vaxpy"),
+            (&|y| ew::vadd_assign(y, &x), "vadd_assign"),
+            (&|y| ew::vmul_scalar(&x, alpha, y), "vmul_scalar"),
+            (&|y| ew::vadd_scalar(&x, alpha, y), "vadd_scalar"),
+            (&|y| ew::vsqrt(&absx, y), "vsqrt"),
+        ];
+        for (kernel, name) in kernels {
+            assert_bits(&run(Level::Scalar, kernel), &run(Level::Avx2Fma, kernel), name)?;
         }
     }
 
     #[test]
     fn exp_and_sigmoid_stay_within_ulp_envelope(x in values(40)) {
-        let mut scalar = vec![0f32; x.len()];
-        let mut simd = vec![0f32; x.len()];
-        ew::vexp_scalar_backend(&x, &mut scalar);
-        if ew::vexp_simd_backend(&x, &mut simd) {
-            for (i, (w, g)) in scalar.iter().zip(&simd).enumerate() {
-                prop_assert!(
-                    ulp_diff(*w, *g) <= 16,
-                    "vexp[{}]({}): {} vs {} ({} ulp)",
-                    i, x[i], w, g, ulp_diff(*w, *g)
-                );
-            }
+        if !detected() {
+            return Ok(());
         }
-        ew::vsigmoid_scalar_backend(&x, &mut scalar);
-        if ew::vsigmoid_simd_backend(&x, &mut simd) {
-            for (i, (w, g)) in scalar.iter().zip(&simd).enumerate() {
-                prop_assert!(
-                    close(*w, *g, 32, 1e-6),
-                    "vsigmoid[{}]({}): {} vs {} ({} ulp)",
-                    i, x[i], w, g, ulp_diff(*w, *g)
-                );
-            }
+        let scalar = unary(Level::Scalar, ew::vexp, &x);
+        let simd = unary(Level::Avx2Fma, ew::vexp, &x);
+        for (i, (w, g)) in scalar.iter().zip(&simd).enumerate() {
+            prop_assert!(
+                ulp_diff(*w, *g) <= 16,
+                "vexp[{}]({}): {} vs {} ({} ulp)",
+                i, x[i], w, g, ulp_diff(*w, *g)
+            );
+        }
+        let scalar = unary(Level::Scalar, ew::vsigmoid, &x);
+        let simd = unary(Level::Avx2Fma, ew::vsigmoid, &x);
+        for (i, (w, g)) in scalar.iter().zip(&simd).enumerate() {
+            prop_assert!(
+                close(*w, *g, 32, 1e-6),
+                "vsigmoid[{}]({}): {} vs {} ({} ulp)",
+                i, x[i], w, g, ulp_diff(*w, *g)
+            );
         }
     }
 
@@ -162,17 +188,17 @@ proptest! {
         seed in 0u32..1000,
         step in 1u32..50,
     ) {
-        // The dispatched entries take the process-default backend
-        // (SIMD on AVX2 hardware); the scalar loops below are the
-        // original peb-nn expressions, so this pins SIMD == scalar bits.
+        // The scalar loops below are the original peb-nn expressions;
+        // the dispatched entries must reproduce them bit for bit at
+        // every level.
         let grad = pseudo(len, seed, -1.0, 1.0);
         let (b1, b2, eps, lr) = (0.9f32, 0.999f32, 1e-8f32, 2e-3f32);
         let inv_bc1 = 1.0 / (1.0 - b1.powi(step as i32));
         let inv_bc2 = 1.0 / (1.0 - b2.powi(step as i32));
-        let mut m = pseudo(len, seed.wrapping_add(1), -0.5, 0.5);
-        let mut v = pseudo(len, seed.wrapping_add(2), 0.0, 0.5);
-        let mut p = pseudo(len, seed.wrapping_add(3), -1.0, 1.0);
-        let (mut mr, mut vr, mut pr) = (m.clone(), v.clone(), p.clone());
+        let m0 = pseudo(len, seed.wrapping_add(1), -0.5, 0.5);
+        let v0 = pseudo(len, seed.wrapping_add(2), 0.0, 0.5);
+        let p0 = pseudo(len, seed.wrapping_add(3), -1.0, 1.0);
+        let (mut mr, mut vr, mut pr) = (m0.clone(), v0.clone(), p0.clone());
         for j in 0..len {
             let g = grad[j];
             mr[j] = mr[j] * b1 + g * (1.0 - b1);
@@ -181,23 +207,31 @@ proptest! {
             let vhat = vr[j] * inv_bc2;
             pr[j] -= mhat / (vhat.sqrt() + eps) * lr;
         }
-        optim::adam_moments(&mut m, &mut v, &grad, b1, b2);
-        optim::adam_apply(&mut p, &m, &v, inv_bc1, inv_bc2, eps, lr);
-        assert_bits(&mr, &m, "adam m")?;
-        assert_bits(&vr, &v, "adam v")?;
-        assert_bits(&pr, &p, "adam p")?;
 
-        let mut vel = pseudo(len, seed.wrapping_add(4), -1.0, 1.0);
-        let mut p = pseudo(len, seed.wrapping_add(5), -1.0, 1.0);
-        let (mut velr, mut pr) = (vel.clone(), p.clone());
+        let vel0 = pseudo(len, seed.wrapping_add(4), -1.0, 1.0);
+        let q0 = pseudo(len, seed.wrapping_add(5), -1.0, 1.0);
+        let (mut velr, mut qr) = (vel0.clone(), q0.clone());
         for j in 0..len {
             velr[j] = velr[j] * 0.9 + grad[j];
-            pr[j] -= velr[j] * lr;
+            qr[j] -= velr[j] * lr;
         }
-        optim::sgd_momentum(&mut vel, &grad, 0.9);
-        optim::sgd_apply(&mut p, &vel, lr);
-        assert_bits(&velr, &vel, "sgd vel")?;
-        assert_bits(&pr, &p, "sgd p")?;
+
+        for level in levels() {
+            let (mut m, mut v, mut p) = (m0.clone(), v0.clone(), p0.clone());
+            let (mut vel, mut q) = (vel0.clone(), q0.clone());
+            at_level(level, || {
+                optim::adam_moments(&mut m, &mut v, &grad, b1, b2);
+                optim::adam_apply(&mut p, &m, &v, inv_bc1, inv_bc2, eps, lr);
+                optim::sgd_momentum(&mut vel, &grad, 0.9);
+                optim::sgd_apply(&mut q, &vel, lr);
+            });
+            let at = level.name();
+            assert_bits(&mr, &m, &format!("{at} adam m"))?;
+            assert_bits(&vr, &v, &format!("{at} adam v"))?;
+            assert_bits(&pr, &p, &format!("{at} adam p"))?;
+            assert_bits(&velr, &vel, &format!("{at} sgd vel"))?;
+            assert_bits(&qr, &q, &format!("{at} sgd p"))?;
+        }
     }
 
     // -- Scan lane recurrence (tolerance class) -------------------------
@@ -218,35 +252,26 @@ proptest! {
         let mut apack = Vec::new();
         scan::pack_a_lanes8(&a, n, 0, &mut apack);
 
-        let run_scalar = |y: &mut Vec<f32>, traj: &mut Vec<f32>| {
-            let ys = UnsafeSlice::new(y);
-            let ts = UnsafeSlice::new(traj);
-            let mut h = vec![0f32; n * 8];
-            // SAFETY: single-threaded, one group owning everything.
-            unsafe {
-                scan::scan_forward_lanes8_scalar(
-                    &u, &delta, &apack, &b, &c, &d, &mut h, &ys, Some(&ts), l, ch, n, 0,
-                )
-            };
-        };
-        let mut y_s = vec![0f32; l * ch];
-        let mut t_s = vec![0f32; l * ch * n];
-        run_scalar(&mut y_s, &mut t_s);
-
-        let mut y_v = vec![0f32; l * ch];
-        let mut t_v = vec![0f32; l * ch * n];
-        let used_simd = {
-            let ys = UnsafeSlice::new(&mut y_v);
-            let ts = UnsafeSlice::new(&mut t_v);
-            let mut h = vec![0f32; n * 8];
-            // SAFETY: as above.
-            unsafe {
-                scan::scan_forward_lanes8_simd(
-                    &u, &delta, &apack, &b, &c, &d, &mut h, &ys, Some(&ts), l, ch, n, 0,
-                )
+        // `(y, h_traj)` of the one lane group at `level`.
+        let run = |level| {
+            let mut y = vec![0f32; l * ch];
+            let mut traj = vec![0f32; l * ch * n];
+            {
+                let ys = UnsafeSlice::new(&mut y);
+                let ts = UnsafeSlice::new(&mut traj);
+                let mut h = vec![0f32; n * 8];
+                // SAFETY: single-threaded, one group owning everything.
+                at_level(level, || unsafe {
+                    scan::scan_forward_lanes8(
+                        &u, &delta, &apack, &b, &c, &d, &mut h, &ys, Some(&ts), l, ch, n, 0,
+                    )
+                });
             }
+            (y, traj)
         };
-        if used_simd {
+        let (y_s, t_s) = run(Level::Scalar);
+        if detected() {
+            let (y_v, t_v) = run(Level::Avx2Fma);
             // |Δ·a| ≤ 0.75 keeps e ∈ (0.47, 1); states are geometric sums
             // of ≤ l bounded terms, so errors stay near the ULP floor.
             for (i, (w, g)) in y_s.iter().zip(&y_v).enumerate() {
@@ -279,7 +304,7 @@ proptest! {
         let d = pseudo(ch, seed.wrapping_add(5), -1.0, 1.0);
         let mut apack = Vec::new();
         scan::pack_a_lanes8(&a, n, 0, &mut apack);
-        let run = |simd: bool, record: bool| {
+        let run = |level, record: bool| {
             let mut y = vec![0f32; l * ch];
             let mut traj = vec![0f32; l * ch * n];
             let mut h = vec![0f32; n * 8];
@@ -287,24 +312,15 @@ proptest! {
             let ts = UnsafeSlice::new(&mut traj);
             let traj = record.then_some(&ts);
             // SAFETY: single-threaded, one group owning everything.
-            let ran = unsafe {
-                if simd {
-                    scan::scan_forward_lanes8_simd(
-                        &u, &delta, &apack, &b, &c, &d, &mut h, &ys, traj, l, ch, n, 0,
-                    )
-                } else {
-                    scan::scan_forward_lanes8_scalar(
-                        &u, &delta, &apack, &b, &c, &d, &mut h, &ys, traj, l, ch, n, 0,
-                    );
-                    true
-                }
-            };
-            ran.then_some(y)
+            at_level(level, || unsafe {
+                scan::scan_forward_lanes8(
+                    &u, &delta, &apack, &b, &c, &d, &mut h, &ys, traj, l, ch, n, 0,
+                )
+            });
+            y
         };
-        for simd in [false, true] {
-            if let (Some(recorded), Some(bare)) = (run(simd, true), run(simd, false)) {
-                assert_bits(&recorded, &bare, "y without trajectory")?;
-            }
+        for level in levels() {
+            assert_bits(&run(level, true), &run(level, false), "y without trajectory")?;
         }
     }
 
@@ -316,7 +332,7 @@ proptest! {
         slope in 0.001f32..0.5,
         seed in 0u32..1000,
     ) {
-        use peb_simd::fused::{vchain_scalar_backend, vchain_simd_backend, Stage};
+        use peb_simd::fused::{vchain, Stage};
         // Ragged tails, both signs, the zeros of either sign and — for
         // the slope-0 (ReLU) form — the non-finite inputs.
         let mut x = pseudo(len, seed, -3.0, 3.0);
@@ -343,15 +359,18 @@ proptest! {
                      stages: &[Stage],
                      definition: Option<&dyn Fn(f32) -> f32>|
          -> Result<(), TestCaseError> {
-            let mut want = vec![0f32; len];
-            vchain_scalar_backend(input, stages, &mut want);
+            let run = |level| {
+                let mut out = vec![0f32; len];
+                at_level(level, || vchain(input, stages, &mut out));
+                out
+            };
+            let want = run(Level::Scalar);
             if let Some(f) = definition {
                 let plain: Vec<f32> = input.iter().map(|&v| f(v)).collect();
                 assert_bits(&plain, &want, "stage definition")?;
             }
-            let mut got = vec![0f32; len];
-            if vchain_simd_backend(input, stages, &mut got) {
-                assert_bits(&want, &got, "leaky stage")?;
+            if detected() {
+                assert_bits(&want, &run(Level::Avx2Fma), "leaky stage")?;
             }
             Ok(())
         };
@@ -386,27 +405,20 @@ proptest! {
 
         let stride = 8usize;
         let field0 = pseudo(n * stride, seed, -1.0, 1.0);
-        let solve = |field: &mut Vec<f32>, simd: bool| -> bool {
-            let slots = UnsafeSlice::new(field);
+        let solve = |level| {
+            let mut field = field0.clone();
+            let slots = UnsafeSlice::new(&mut field);
             // SAFETY: single-threaded, one group owning the whole field.
-            unsafe {
-                if simd {
-                    thomas::solve_factored_lines8_simd(
-                        &a, &beta, &gamma, &slots, 0, stride, n, bump_first, 0.0,
-                    )
-                } else {
-                    thomas::solve_factored_lines8_scalar(
-                        &a, &beta, &gamma, &slots, 0, stride, n, bump_first, 0.0,
-                    );
-                    true
-                }
-            }
+            at_level(level, || unsafe {
+                thomas::solve_factored_lines8(
+                    &a, &beta, &gamma, &slots, 0, stride, n, bump_first, 0.0,
+                )
+            });
+            field
         };
-        let mut scalar = field0.clone();
-        solve(&mut scalar, false);
-        let mut simd = field0.clone();
-        if solve(&mut simd, true) {
-            assert_bits(&scalar, &simd, "lines8")?;
+        let scalar = solve(Level::Scalar);
+        if detected() {
+            assert_bits(&scalar, &solve(Level::Avx2Fma), "lines8")?;
         }
 
         // And the interleaved group must agree with eight per-line
@@ -451,16 +463,14 @@ proptest! {
             thomas::solve_factored(&a, &beta, &gamma, row);
         }
         let mut scratch = vec![0f32; 8 * n];
-        let mut scalar = rows0.clone();
-        thomas::solve_factored_rows8_scalar(
-            &a, &beta, &gamma, &mut scalar, &mut scratch, bump_first, bump_last,
-        );
-        assert_bits(&want, &scalar, "rows8 scalar")?;
-        let mut simd = rows0.clone();
-        if thomas::solve_factored_rows8_simd(
-            &a, &beta, &gamma, &mut simd, &mut scratch, bump_first, bump_last,
-        ) {
-            assert_bits(&want, &simd, "rows8 simd")?;
+        for level in levels() {
+            let mut rows = rows0.clone();
+            at_level(level, || {
+                thomas::solve_factored_rows8(
+                    &a, &beta, &gamma, &mut rows, &mut scratch, bump_first, bump_last,
+                )
+            });
+            assert_bits(&want, &rows, &format!("rows8 {}", level.name()))?;
         }
     }
 
@@ -479,10 +489,14 @@ proptest! {
         let b0 = pseudo(len, seed.wrapping_add(1), 0.0, 1.0);
         let i0 = pseudo(len, seed.wrapping_add(2), 0.0, 1.0);
 
-        let (mut a_s, mut b_s, mut i_s) = (a0.clone(), b0.clone(), i0.clone());
-        reaction::half_step_scalar(&mut a_s, &mut b_s, &mut i_s, kr, kc, dt);
-        let (mut a_v, mut b_v, mut i_v) = (a0.clone(), b0.clone(), i0.clone());
-        if reaction::half_step_simd(&mut a_v, &mut b_v, &mut i_v, kr, kc, dt) {
+        let run = |level| {
+            let (mut a, mut b, mut i) = (a0.clone(), b0.clone(), i0.clone());
+            at_level(level, || reaction::half_step(&mut a, &mut b, &mut i, kr, kc, dt));
+            (a, b, i)
+        };
+        let (a_s, b_s, i_s) = run(Level::Scalar);
+        if detected() {
+            let (a_v, b_v, i_v) = run(Level::Avx2Fma);
             assert_bits(&a_s, &a_v, "acid")?;
             assert_bits(&b_s, &b_v, "base")?;
             assert_bits(&i_s, &i_v, "inhibitor")?;
@@ -531,34 +545,6 @@ fn rk4_neutralise(a: f32, b: f32, kr: f32, dt: f32) -> (f32, f32) {
     (a + delta, b + delta)
 }
 
-#[test]
-fn exact_exp_tracks_libm_and_is_bitwise_identical_across_backends() {
-    // Dense sweep of [−88, 88]. Where the result is a normal number the
-    // kernel's exponential stays within 2 ULP of libm; below that
-    // (x ≲ −87.7) it flushes to zero instead of going subnormal.
-    let xs: Vec<f32> = (0..=176_000).map(|i| -88.0 + i as f32 * 1e-3).collect();
-    let mut scalar = vec![0f32; xs.len()];
-    reaction::exp_exact_scalar(&xs, &mut scalar);
-    let mut simd = vec![0f32; xs.len()];
-    if reaction::exp_exact_simd(&xs, &mut simd) {
-        for (i, (s, v)) in scalar.iter().zip(&simd).enumerate() {
-            assert_eq!(s.to_bits(), v.to_bits(), "exp({})", xs[i]);
-        }
-    }
-    for (x, got) in xs.iter().zip(&scalar) {
-        let want = x.exp();
-        if *x >= -87.6 {
-            assert!(
-                ulp_diff(*got, want) <= 2,
-                "exp({x}): {got} vs libm {want} ({} ulp)",
-                ulp_diff(*got, want)
-            );
-        } else {
-            assert!((got - want).abs() <= f32::MIN_POSITIVE, "exp({x}): {got}");
-        }
-    }
-}
-
 /// Best-of-5 wall time of `f`, in seconds.
 fn best_of_5(mut f: impl FnMut()) -> f64 {
     (0..5)
@@ -575,23 +561,17 @@ fn dispatched_sigmoid_and_softplus_beat_their_scalar_backends_twofold() {
     // A lane-math body that is not inlined into its `target_feature`
     // wrapper calls every AVX intrinsic out of line and runs slower
     // than the scalar backend; this pins the inlining.
-    if !peb_simd::detected() {
+    if !detected() {
         return;
     }
     let x = pseudo(1 << 20, 11, -8.0, 8.0);
     let mut out = vec![0f32; x.len()];
-    let avx = peb_par::ExecCtx {
-        level: peb_simd::Level::Avx2Fma,
-        ..peb_par::ctx::current()
-    };
     type K = fn(&[f32], &mut [f32]);
-    let kernels: [(&str, K, K); 2] = [
-        ("vsigmoid", ew::vsigmoid, ew::vsigmoid_scalar_backend),
-        ("vsoftplus", ew::vsoftplus, ew::vsoftplus_scalar_backend),
-    ];
-    for (name, dispatched, scalar) in kernels {
-        let t_simd = peb_par::ctx::with(avx, || best_of_5(|| dispatched(&x, &mut out)));
-        let t_scalar = best_of_5(|| scalar(&x, &mut out));
+    let kernels: [(&str, K); 2] = [("vsigmoid", ew::vsigmoid), ("vsoftplus", ew::vsoftplus)];
+    for (name, kernel) in kernels {
+        let mut time_at = |level| at_level(level, || best_of_5(|| kernel(&x, &mut out)));
+        let t_simd = time_at(Level::Avx2Fma);
+        let t_scalar = time_at(Level::Scalar);
         assert!(
             2.0 * t_simd <= t_scalar,
             "{name}: dispatched {:.2} ns/elem vs scalar backend {:.2} ns/elem",

@@ -2,7 +2,6 @@
 
 use peb_simd::fused::Stage;
 
-use crate::shape::unravel;
 use crate::{Tensor, Var};
 
 /// Elements per parallel softmax chunk (rounded up to whole slabs).
@@ -109,7 +108,7 @@ impl Var {
 
     /// Softmax along `axis` (numerically stabilised by the axis max).
     ///
-    /// Each line runs through [`softmax_line`]; blocks of lines fan out
+    /// Each line runs through `softmax_line`; blocks of lines fan out
     /// over the pool. Deterministic at any thread count; at the scalar
     /// level it is the strided libm loop bit for bit.
     ///
@@ -197,12 +196,6 @@ impl Var {
         Var::from_op(out, vec![self.clone()], move |g| {
             vec![Some(w.mul_scalar(g.item()))]
         })
-    }
-
-    /// Index of the maximum element of the current value (no gradient).
-    pub fn argmax_coords(&self) -> Vec<usize> {
-        let v = self.value();
-        unravel(v.argmax(), v.shape())
     }
 }
 

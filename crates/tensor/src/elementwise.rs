@@ -116,16 +116,6 @@ impl Tensor {
         map_kernel(self, peb_simd::elementwise::vsqrt)
     }
 
-    /// Elementwise power with a scalar exponent.
-    pub fn powf_t(&self, p: f32) -> Self {
-        self.map(|x| x.powf(p))
-    }
-
-    /// Elementwise clamp to `[lo, hi]`.
-    pub fn clamp_t(&self, lo: f32, hi: f32) -> Self {
-        self.map(|x| x.clamp(lo, hi))
-    }
-
     /// Logistic sigmoid, numerically stable on both tails.
     pub fn sigmoid(&self) -> Self {
         map_kernel(self, peb_simd::elementwise::vsigmoid)
@@ -195,8 +185,6 @@ mod tests {
         assert_eq!(a.add_scalar(1.0).data(), &[2.0, 5.0]);
         assert_eq!(a.mul_scalar(0.5).data(), &[0.5, 2.0]);
         assert_eq!(a.sqrt_t().data(), &[1.0, 2.0]);
-        assert_eq!(a.powf_t(2.0).data(), &[1.0, 16.0]);
-        assert_eq!(a.clamp_t(0.0, 2.0).data(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -75,12 +75,6 @@ impl<'a> FusedChain<'a> {
         self
     }
 
-    /// `b − acc`
-    pub fn rsub(mut self, b: &'a Tensor) -> Self {
-        self.operand(b, Stage::RsubT);
-        self
-    }
-
     /// `acc × b`
     pub fn mul(mut self, b: &'a Tensor) -> Self {
         self.operand(b, Stage::MulT);

@@ -90,20 +90,6 @@ impl Tensor {
         )
     }
 
-    /// Maximum over one axis, removing it from the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] for an invalid axis.
-    pub fn max_axis(&self, axis: usize) -> Result<Self> {
-        self.reduce_axis(
-            axis,
-            |acc, v| acc.max(v as f64),
-            f64::NEG_INFINITY,
-            |acc, _| acc as f32,
-        )
-    }
-
     fn reduce_axis(
         &self,
         axis: usize,
@@ -175,34 +161,12 @@ mod tests {
     }
 
     #[test]
-    fn max_axis_leading() {
-        let t = t234();
-        let m = t.max_axis(0).unwrap();
-        assert_eq!(m.shape(), &[3, 4]);
-        assert_eq!(m.get(&[0, 0]), 12.0);
-    }
-
-    #[test]
     fn axis_out_of_range() {
         assert!(t234().sum_axis(3).is_err());
     }
 }
 
 impl Tensor {
-    /// Minimum over one axis, removing it from the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] for an invalid axis.
-    pub fn min_axis(&self, axis: usize) -> Result<Self> {
-        self.reduce_axis(
-            axis,
-            |acc, v| acc.min(v as f64),
-            f64::INFINITY,
-            |acc, _| acc as f32,
-        )
-    }
-
     /// Dot product with another tensor of identical shape.
     ///
     /// # Panics
@@ -225,36 +189,6 @@ impl Tensor {
             .sum::<f64>()
             .sqrt() as f32
     }
-
-    /// Cumulative sum along `axis` (inclusive), preserving the shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] for an invalid axis.
-    pub fn cumsum_axis(&self, axis: usize) -> Result<Self> {
-        if axis >= self.rank() {
-            return Err(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            });
-        }
-        let shape = self.shape();
-        let outer: usize = shape[..axis].iter().product();
-        let mid = shape[axis];
-        let inner: usize = shape[axis + 1..].iter().product();
-        let mut out = self.clone();
-        let data = out.data_mut();
-        for o in 0..outer {
-            for i in 0..inner {
-                let mut acc = 0f32;
-                for m in 0..mid {
-                    acc += data[(o * mid + m) * inner + i];
-                    data[(o * mid + m) * inner + i] = acc;
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -262,38 +196,9 @@ mod extra_reduce_tests {
     use super::*;
 
     #[test]
-    fn min_axis_matches_negated_max() {
-        let t = Tensor::from_vec(vec![3.0, -1.0, 2.0, 5.0, 0.0, -4.0], &[2, 3]).unwrap();
-        let mn = t.min_axis(1).unwrap();
-        let neg_max = t.map(|v| -v).max_axis(1).unwrap().map(|v| -v);
-        assert!(mn.approx_eq(&neg_max, 0.0));
-        assert_eq!(mn.data(), &[-1.0, -4.0]);
-    }
-
-    #[test]
     fn dot_and_norm_consistent() {
         let t = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
         assert_eq!(t.dot(&t), 25.0);
         assert_eq!(t.norm(), 5.0);
-    }
-
-    #[test]
-    fn cumsum_rows() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
-        let c = t.cumsum_axis(1).unwrap();
-        assert_eq!(c.data(), &[1.0, 3.0, 6.0, 4.0, 9.0, 15.0]);
-        let c0 = t.cumsum_axis(0).unwrap();
-        assert_eq!(c0.data(), &[1.0, 2.0, 3.0, 5.0, 7.0, 9.0]);
-        assert!(t.cumsum_axis(2).is_err());
-    }
-
-    #[test]
-    fn cumsum_last_entry_equals_axis_sum() {
-        let t = Tensor::from_fn(&[3, 4], |i| (i as f32) * 0.5 - 2.0);
-        let c = t.cumsum_axis(1).unwrap();
-        let s = t.sum_axis(1).unwrap();
-        for row in 0..3 {
-            assert!((c.get(&[row, 3]) - s.get(&[row])).abs() < 1e-5);
-        }
     }
 }

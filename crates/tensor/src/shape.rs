@@ -63,16 +63,6 @@ pub fn broadcast_shapes(lhs: &[usize], rhs: &[usize]) -> Result<Shape> {
     Ok(out)
 }
 
-/// Converts a flat index into multi-axis coordinates for `shape`.
-pub fn unravel(mut flat: usize, shape: &[usize]) -> Vec<usize> {
-    let mut coords = vec![0usize; shape.len()];
-    for i in (0..shape.len()).rev() {
-        coords[i] = flat % shape[i];
-        flat /= shape[i];
-    }
-    coords
-}
-
 /// Converts multi-axis coordinates into a flat row-major index.
 pub fn ravel(coords: &[usize], shape: &[usize]) -> usize {
     debug_assert_eq!(coords.len(), shape.len());
@@ -105,6 +95,16 @@ mod tests {
     #[test]
     fn broadcast_rejects_mismatch() {
         assert!(broadcast_shapes(&[2, 3], &[2, 4]).is_err());
+    }
+
+    /// Converts a flat index into multi-axis coordinates for `shape`.
+    fn unravel(mut flat: usize, shape: &[usize]) -> Vec<usize> {
+        let mut coords = vec![0usize; shape.len()];
+        for i in (0..shape.len()).rev() {
+            coords[i] = flat % shape[i];
+            flat /= shape[i];
+        }
+        coords
     }
 
     #[test]

@@ -173,12 +173,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its flat buffer. (The buffer is
-    /// moved out, so nothing is recycled into the pool on drop.)
-    pub fn into_vec(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
-    }
-
     /// Row-major strides (in elements).
     pub fn strides(&self) -> Vec<usize> {
         strides_for(&self.shape)
@@ -242,13 +236,6 @@ impl Tensor {
         Self {
             data,
             shape: self.shape.clone(),
-        }
-    }
-
-    /// Applies `f` elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
