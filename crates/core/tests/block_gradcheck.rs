@@ -80,6 +80,45 @@ fn fusion_parameter_gradcheck() {
 }
 
 #[test]
+fn three_stage_fusion_gradcheck() {
+    // Factors 2 then 2 (a total of 4) on non-square planes: the coarsest
+    // stage reaches stage 1 through two upsample-accumulates, the middle
+    // one through one.
+    let mut rng = StdRng::seed_from_u64(303);
+    let fusion = FeatureFusion::new(&[2, 3, 4], 3, 6, &mut rng);
+    let dims = [(4, 8), (2, 4), (1, 2)];
+    let stages: Vec<Var> = [2, 3, 4]
+        .iter()
+        .zip(dims)
+        .map(|(&c, (h, w))| Var::constant(Tensor::randn(&[c, 2, h, w], &mut rng)))
+        .collect();
+    for i in 0..3 {
+        let r = check_gradients(
+            &Var::parameter(stages[i].value_clone()),
+            |v| {
+                let mut inputs = stages.clone();
+                inputs[i] = v.clone();
+                fusion.forward(&inputs).square().sum()
+            },
+            1e-2,
+        );
+        assert!(r.ok(3e-2), "stage {i}: {}", r.max_rel_err);
+    }
+    let params = fusion.parameters();
+    // The coarsest projection's weight, fc1's weight (read per stage
+    // block and by the folded bias) and the middle projection's bias.
+    for idx in [4, 6, 3] {
+        param_gradcheck(
+            &params[idx],
+            &params,
+            || fusion.forward(&stages).square().sum(),
+            1e-2,
+            3e-2,
+        );
+    }
+}
+
+#[test]
 fn decoder_input_and_skip_gradcheck() {
     // Seed picked so no LeakyReLU pre-activation sits within ±eps of its
     // kink, where central differences straddle both slopes.

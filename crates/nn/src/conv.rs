@@ -30,7 +30,7 @@ use peb_par::UnsafeSlice;
 use peb_pool::PoolBuf;
 use peb_simd::conv::{dw3_plane, dw3_weight_grad, Dw3, Windows};
 use peb_simd::elementwise::{vadd_assign, vadd_scalar};
-use peb_tensor::kernels::{matmul_par, transpose_into};
+use peb_tensor::kernels::{matmul_par, transpose_into, Bias};
 use peb_tensor::{Tensor, Var};
 
 use crate::init::kaiming_uniform;
@@ -277,7 +277,7 @@ fn conv2_forward(
                 );
             }
             let mut y = PoolBuf::zeroed(cout * n);
-            matmul_par(wd, &col, &mut y, cout, kdim, n);
+            matmul_par(wd, &col, &mut y, cout, kdim, n, Bias::None);
             // SAFETY: plane `z` of `out` belongs to this chunk alone.
             unsafe { scatter_plane(&slots, &y, bias, d, z, n) };
         }
@@ -323,10 +323,10 @@ fn conv2_backward(
         }
         let mut col_t = PoolBuf::zeroed(n * kdim);
         transpose_into(&col, kdim, n, &mut col_t);
-        matmul_par(gm, &col_t, dw_z, cout, n, kdim);
+        matmul_par(gm, &col_t, dw_z, cout, n, kdim, Bias::None);
         drop((col, col_t));
         let mut dcol = PoolBuf::zeroed(kdim * n);
-        matmul_par(&wt, gm, &mut dcol, kdim, cout, n);
+        matmul_par(&wt, gm, &mut dcol, kdim, cout, n, Bias::None);
         let mut lanes = PoolBuf::zeroed(win.lanes_len());
         for c in 0..cin {
             // SAFETY: plane `z` of `dx` belongs to this chunk alone.
@@ -510,7 +510,7 @@ fn convt2_forward(x: &Tensor, w: &Tensor, bias: &[f32], win: &Windows, d: usize,
                 xb.extend_from_slice(&xd[(c * d + z) * n + oys.start * wo..][..nb]);
             }
             let mut col = PoolBuf::zeroed(m * nb);
-            matmul_par(&wt, &xb, &mut col, m, cin, nb);
+            matmul_par(&wt, &xb, &mut col, m, cin, nb, Bias::None);
             for (co, &b) in bias.iter().enumerate() {
                 let at = (co * d + z) * hw;
                 // SAFETY: rows `rows` of plane `z` of `out` belong to this
@@ -555,14 +555,14 @@ fn convt2_backward(
             );
         }
         let mut dx_z = PoolBuf::zeroed(cin * n);
-        matmul_par(wd, &gcol, &mut dx_z, cin, m, n);
+        matmul_par(wd, &gcol, &mut dx_z, cin, m, n, Bias::None);
         // SAFETY: plane `z` of `dx` belongs to this chunk alone.
         unsafe { scatter_plane(&dx_slots, &dx_z, None, d, z, n) };
         let gathered = gather_plane(xd, cin, d, z, n);
         let xm = gathered.as_ref().map_or(xd, |m| m.as_slice());
         let mut xt = PoolBuf::zeroed(n * cin);
         transpose_into(xm, cin, n, &mut xt);
-        matmul_par(&gcol, &xt, dwt_z, m, n, cin);
+        matmul_par(&gcol, &xt, dwt_z, m, n, cin, Bias::None);
     });
     let mut dw = Tensor::zeros(w.shape());
     transpose_into(reduce_planes(&mut partials, m * cin), m, cin, dw.data_mut());

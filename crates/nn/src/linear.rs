@@ -46,16 +46,26 @@ impl Linear {
         self.out_features
     }
 
-    /// Applies the layer to a `[L, in]` sequence, producing `[L, out]`.
+    /// The `[in, out]` weight.
+    pub fn weight(&self) -> &Var {
+        &self.weight
+    }
+
+    /// The `[out]` bias, if the layer has one.
+    pub fn bias(&self) -> Option<&Var> {
+        self.bias.as_ref()
+    }
+
+    /// Applies the layer to a `[L, in]` sequence, producing `[L, out]`:
+    /// one GEMM with the bias added in its write-back.
     ///
     /// # Panics
     ///
     /// Panics if the trailing axis of `x` is not `in_features`.
     pub fn forward(&self, x: &Var) -> Var {
-        let y = x.matmul(&self.weight);
         match &self.bias {
-            Some(b) => y.add(b),
-            None => y,
+            Some(b) => x.matmul_bias(&self.weight, b),
+            None => x.matmul(&self.weight),
         }
     }
 }
@@ -98,6 +108,24 @@ mod tests {
         for p in layer.parameters() {
             let g = p.grad().expect("gradient");
             assert!(g.data().iter().any(|v| *v != 0.0) || g.len() == 2);
+        }
+    }
+
+    #[test]
+    fn forward_bit_equals_matmul_then_add() {
+        // The bias rides in the GEMM write-back: same bits as the
+        // separate broadcast add it replaced, below and across KC.
+        let mut rng = StdRng::seed_from_u64(5);
+        for k in [3, 300] {
+            let layer = Linear::new(k, 9, true, &mut rng);
+            layer
+                .bias()
+                .unwrap()
+                .set_value(Tensor::randn(&[9], &mut rng));
+            let x = Var::constant(Tensor::randn(&[33, k], &mut rng));
+            let fused = layer.forward(&x).value_clone();
+            let plain = x.matmul(layer.weight()).add(layer.bias().unwrap());
+            assert_eq!(fused.bit_digest(), plain.value().bit_digest(), "k={k}");
         }
     }
 

@@ -445,6 +445,14 @@ impl<'a, T> UnsafeSlice<'a, T> {
         self.len == 0
     }
 
+    /// Raw pointer to the first element, for kernels whose disjoint
+    /// per-chunk regions are not contiguous ranges (column blocks of a
+    /// row-major matrix). Dereferencing it carries the same contract as
+    /// [`UnsafeSlice::slice_mut`].
+    pub fn as_mut_ptr(&self) -> *mut T {
+        self.ptr
+    }
+
     /// Returns a mutable reference to element `i`.
     ///
     /// # Safety

@@ -1,6 +1,6 @@
 //! Packed register-tile GEMM microkernel.
 //!
-//! `out += a[m×k] · b[k×n]` built BLIS-style: B is packed into
+//! `out += a[m×k] · b[k×n] (+ bias)` built BLIS-style: B is packed into
 //! zero-padded `KC×NR` column panels and A into `MR×KC` row panels (both
 //! checked out of the `peb-pool` scratch pool), then an `MR×NR` = 8×8
 //! register tile accumulates one fused multiply–add chain per output
@@ -9,11 +9,21 @@
 //! # Accumulation order
 //!
 //! For every output element the `kc` blocks ascend and the `kk` offsets
-//! within a block ascend, independent of how the caller partitions rows —
-//! so results are bitwise reproducible at any `PEB_THREADS` and any
-//! caller-side row panelling, for a fixed dispatch level. The SIMD path
-//! fuses each multiply–add (FMA), so it differs from the scalar path by
-//! bounded ULPs; the scalar path keeps unfused `mul`+`add`.
+//! within a block ascend, independent of how the caller partitions rows
+//! or columns — so results are bitwise reproducible at any `PEB_THREADS`
+//! and any caller-side row or column panelling, for a fixed dispatch
+//! level. The SIMD path fuses each multiply–add (FMA), so it differs from
+//! the scalar path by bounded ULPs; the scalar path keeps unfused
+//! `mul`+`add`.
+//!
+//! # Bias epilogue
+//!
+//! A [`Bias`] is added in the write-back of the last `kc` block, after
+//! the element's last product: `(out + acc) + bias`. That is the value
+//! the GEMM followed by a separate bias add produces, bit for bit, for
+//! every `k` (with `k = 0` the write-back is `out + bias`).
+
+use std::ops::Range;
 
 use crate::{simd_active, ScalarX8, Simd8};
 
@@ -27,39 +37,173 @@ pub const KC: usize = 256;
 /// `n`-dimension cache block bounding the packed `b` panel.
 pub const NC: usize = 1024;
 
-/// Dispatched GEMM: `out += a · b`, `out` pre-zeroed or pre-accumulated
-/// by the caller.
-pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// A bias broadcast over the GEMM output and added in its write-back.
+#[derive(Debug, Clone, Copy)]
+pub enum Bias<'a> {
+    /// No bias.
+    None,
+    /// `bias[i]` is added to every element of output row `i` (length `m`).
+    Row(&'a [f32]),
+    /// `bias[j]` is added to every element of output column `j` (length
+    /// `n`).
+    Col(&'a [f32]),
+}
+
+impl<'a> Bias<'a> {
+    /// The bias for output rows `rows`: a row bias is sliced, a column
+    /// bias is shared by every row panel.
+    pub fn rows(self, rows: Range<usize>) -> Bias<'a> {
+        match self {
+            Bias::Row(b) => Bias::Row(&b[rows]),
+            other => other,
+        }
+    }
+
+    fn check(self, m: usize, n: usize) {
+        match self {
+            Bias::None => {}
+            Bias::Row(b) => assert_eq!(b.len(), m, "row bias length"),
+            Bias::Col(b) => assert_eq!(b.len(), n, "column bias length"),
+        }
+    }
+
+    /// The bias of output element `(i, j)`.
+    #[inline(always)]
+    fn at(self, i: usize, j: usize) -> Option<f32> {
+        match self {
+            Bias::None => None,
+            Bias::Row(b) => Some(b[i]),
+            Bias::Col(b) => Some(b[j]),
+        }
+    }
+
+    /// The bias of output elements `(i, j..j + NR)` as one vector.
+    #[inline(always)]
+    fn lanes<V: Simd8>(self, i: usize, j: usize) -> Option<V> {
+        match self {
+            Bias::None => None,
+            Bias::Row(b) => Some(V::splat(b[i])),
+            Bias::Col(b) => Some(V::load(&b[j..j + NR])),
+        }
+    }
+}
+
+/// Dispatched GEMM: `out = (out + a · b) + bias`, `out` pre-zeroed or
+/// pre-accumulated by the caller.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`, `k`, `n`.
+pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, bias: Bias) {
+    assert_eq!(out.len(), m * n, "gemm output length");
+    // SAFETY: `out` holds the whole `m×n` output and is borrowed
+    // exclusively for the call.
+    unsafe { gemm_cols(a, b, out.as_mut_ptr(), m, k, n, 0..n, bias) }
+}
+
+/// [`gemm`] restricted to output columns `cols`, written through a raw
+/// pointer so that disjoint column blocks of one output can run
+/// concurrently. Columns outside `cols` are neither read nor written.
+///
+/// # Safety
+///
+/// `out` must be valid for reads and writes of `m·n` elements (row-major,
+/// row stride `n`), and no other thread may access columns `cols` of any
+/// row while the call runs.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`, `k`, `n`, or `cols`
+/// leaves `0..n`.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn gemm_cols(
+    a: &[f32],
+    b: &[f32],
+    out: *mut f32,
+    m: usize,
+    k: usize,
+    n: usize,
+    cols: Range<usize>,
+    bias: Bias,
+) {
+    assert_eq!(a.len(), m * k, "gemm lhs length");
+    assert_eq!(b.len(), k * n, "gemm rhs length");
+    assert!(cols.start <= cols.end && cols.end <= n, "gemm column range");
+    bias.check(m, n);
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
         crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { gemm_avx2(a, b, out, m, k, n) };
+        // SAFETY: `simd_active()` implies AVX2+FMA were detected; the
+        // output contract is the caller's.
+        unsafe { gemm_avx2(a, b, out, m, k, n, cols, bias) };
         return;
     }
-    gemm_generic::<ScalarX8>(a, b, out, m, k, n)
+    // SAFETY: the output contract is the caller's.
+    unsafe { gemm_generic::<ScalarX8>(a, b, out, m, k, n, cols, bias) }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_avx2(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_generic::<crate::AvxX8>(a, b, out, m, k, n)
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_avx2(
+    a: &[f32],
+    b: &[f32],
+    out: *mut f32,
+    m: usize,
+    k: usize,
+    n: usize,
+    cols: Range<usize>,
+    bias: Bias,
+) {
+    // SAFETY: forwarded from `gemm_cols`.
+    unsafe { gemm_generic::<crate::AvxX8>(a, b, out, m, k, n, cols, bias) }
 }
 
+/// # Safety
+///
+/// As [`gemm_cols`]; the slice lengths have been checked.
 #[inline(always)]
-fn gemm_generic<V: Simd8>(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_generic<V: Simd8>(
+    a: &[f32],
+    b: &[f32],
+    out: *mut f32,
+    m: usize,
+    k: usize,
+    n: usize,
+    cols: Range<usize>,
+    bias: Bias,
+) {
+    if m == 0 || cols.is_empty() {
         return;
     }
+    // One output row segment: `len` columns from `j` of row `i`.
+    // SAFETY (for every use below): `i < m` and `j + len <= cols.end
+    // <= n`, so the segment lies inside the caller's `m·n` output and
+    // inside the columns it handed over; segments never overlap within
+    // this call.
+    let row = |i: usize, j: usize, len: usize| unsafe {
+        std::slice::from_raw_parts_mut(out.add(i * n + j), len)
+    };
+    if k == 0 {
+        // No products: the write-back is the bias alone.
+        for i in 0..m {
+            for (jj, o) in row(i, cols.start, cols.len()).iter_mut().enumerate() {
+                if let Some(bv) = bias.at(i, cols.start + jj) {
+                    *o += bv;
+                }
+            }
+        }
+        return;
+    }
+    let width = cols.len();
     let mut apack = peb_pool::PoolBuf::<f32>::cleared(m.div_ceil(MR) * MR * KC.min(k));
-    let mut bpack = peb_pool::PoolBuf::<f32>::cleared(NC.min(n).div_ceil(NR) * NR * KC.min(k));
-    for jc in (0..n).step_by(NC) {
-        let nb = NC.min(n - jc);
+    let mut bpack = peb_pool::PoolBuf::<f32>::cleared(NC.min(width).div_ceil(NR) * NR * KC.min(k));
+    for jc in (cols.start..cols.end).step_by(NC) {
+        let nb = NC.min(cols.end - jc);
         for kc in (0..k).step_by(KC) {
             let kb = KC.min(k - kc);
+            let last = kc + kb == k;
             pack_b(b, &mut bpack, n, jc, kc, nb, kb);
             pack_a(a, &mut apack, k, kc, kb, m);
             for ir in (0..m).step_by(MR) {
@@ -69,18 +213,28 @@ fn gemm_generic<V: Simd8>(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
                     let nr = NR.min(nb - jr);
                     let bp = &bpack[(jr / NR) * kb * NR..][..kb * NR];
                     let acc = tile::<V>(ap, bp, kb);
+                    let j = jc + jr;
                     if nr == NR {
                         for (ii, accv) in acc.iter().enumerate().take(mb) {
-                            let row = &mut out[(ir + ii) * n + jc + jr..][..NR];
-                            V::load(row).add(*accv).store(row);
+                            let seg = row(ir + ii, j, NR);
+                            let mut v = V::load(seg).add(*accv);
+                            if let (true, Some(bv)) = (last, bias.lanes::<V>(ir + ii, j)) {
+                                v = v.add(bv);
+                            }
+                            v.store(seg);
                         }
                     } else {
                         // Right-edge tile: only `nr` columns are real.
                         for (ii, accv) in acc.iter().enumerate().take(mb) {
                             let lane = accv.to_array();
-                            let row = &mut out[(ir + ii) * n + jc + jr..][..nr];
-                            for (o, v) in row.iter_mut().zip(lane) {
+                            for (jj, (o, v)) in row(ir + ii, j, nr).iter_mut().zip(lane).enumerate()
+                            {
                                 *o += v;
+                                if last {
+                                    if let Some(bv) = bias.at(ir + ii, j + jj) {
+                                        *o += bv;
+                                    }
+                                }
                             }
                         }
                     }
@@ -141,7 +295,7 @@ fn pack_b(b: &[f32], buf: &mut Vec<f32>, n: usize, jc: usize, kc: usize, nb: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{at_level, detected, ulp_diff, Level};
+    use crate::{at_level, detected, levels, ulp_diff, Level};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)
@@ -165,7 +319,7 @@ mod tests {
     /// `a · b` at `level` into a zeroed output.
     fn gemm_at(level: Level, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0f32; m * n];
-        at_level(level, || gemm(a, b, &mut out, m, k, n));
+        at_level(level, || gemm(a, b, &mut out, m, k, n, Bias::None));
         out
     }
 
@@ -211,6 +365,87 @@ mod tests {
             let simd = gemm_at(Level::Avx2Fma, &a, &b, m, k, n);
             for (s, v) in scalar.iter().zip(&simd) {
                 assert!(close(*s, *v, k), "({m},{k},{n}): {s} vs {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn bias_epilogue_bit_equals_gemm_then_add() {
+        // Ragged MR/NR edges; k straddles KC, and k = 0 leaves the bias
+        // alone. A pre-accumulated output (signed zeros included) checks
+        // `(out + a·b) + bias`, not `out + (a·b + bias)`.
+        let (m, n) = (19, 37);
+        let mut row = pseudo(m, 9);
+        let mut col = pseudo(n, 10);
+        row[..2].copy_from_slice(&[-0.0, 0.0]);
+        col[..2].copy_from_slice(&[-0.0, 0.0]);
+        let mut out0 = pseudo(m * n, 11);
+        out0[..3].copy_from_slice(&[-0.0, 0.0, -0.0]);
+        for level in levels() {
+            for k in [0, 1, 10, 255, 256, 257, 600] {
+                let a = pseudo(m * k, 12);
+                let b = pseudo(k * n, 13);
+                let mut plain = out0.clone();
+                at_level(level, || gemm(&a, &b, &mut plain, m, k, n, Bias::None));
+                for bias in [Bias::Row(&row), Bias::Col(&col)] {
+                    let mut fused = out0.clone();
+                    at_level(level, || gemm(&a, &b, &mut fused, m, k, n, bias));
+                    for (idx, (p, f)) in plain.iter().zip(&fused).enumerate() {
+                        let want = p + bias.at(idx / n, idx % n).expect("bias");
+                        assert_eq!(
+                            want.to_bits(),
+                            f.to_bits(),
+                            "{level:?} k={k} {bias:?} at {idx}: {want} vs {f}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_ranges_bit_equal_the_whole_product() {
+        // Columns split at arbitrary (not NC-aligned) points compute the
+        // same bits as one call, and leave every other column untouched.
+        let (m, k, n) = (11, 300, 2100);
+        let a = pseudo(m * k, 14);
+        let b = pseudo(k * n, 15);
+        let col = pseudo(n, 16);
+        for level in levels() {
+            let mut whole = vec![0f32; m * n];
+            at_level(level, || gemm(&a, &b, &mut whole, m, k, n, Bias::Col(&col)));
+            let mut parts = vec![f32::NAN; m * n];
+            for cols in [0..5, 5..1029, 1029..1030, 1030..n] {
+                let w = cols.len();
+                let mut seg = vec![0f32; m * n];
+                // SAFETY: `seg` holds the whole output; one call at a time.
+                at_level(level, || unsafe {
+                    gemm_cols(
+                        &a,
+                        &b,
+                        seg.as_mut_ptr(),
+                        m,
+                        k,
+                        n,
+                        cols.clone(),
+                        Bias::Col(&col),
+                    )
+                });
+                for i in 0..m {
+                    let r = i * n + cols.start;
+                    parts[r..r + w].copy_from_slice(&seg[r..r + w]);
+                    assert!(
+                        seg[i * n..r].iter().all(|&v| v == 0.0),
+                        "wrote left of {cols:?}"
+                    );
+                    assert!(
+                        seg[r + w..(i + 1) * n].iter().all(|&v| v == 0.0),
+                        "wrote right of {cols:?}"
+                    );
+                }
+            }
+            for (x, y) in whole.iter().zip(&parts) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{level:?}");
             }
         }
     }

@@ -82,7 +82,7 @@ proptest! {
         let b = pseudo(k * n, seed.wrapping_add(1), -2.0, 2.0);
         let run = |level| {
             let mut out = vec![0f32; m * n];
-            at_level(level, || gemm::gemm(&a, &b, &mut out, m, k, n));
+            at_level(level, || gemm::gemm(&a, &b, &mut out, m, k, n, gemm::Bias::None));
             out
         };
         let scalar = run(Level::Scalar);

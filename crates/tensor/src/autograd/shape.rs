@@ -91,36 +91,28 @@ impl Var {
         })
     }
 
-    /// Nearest-neighbour upsampling of the two trailing axes; the gradient
-    /// sums each `factor × factor` block.
+    /// `self + up(coarse)`: `coarse` nearest-neighbour upsampled by
+    /// `factor` on the two trailing axes and added to `self`, in one
+    /// pass. `self` is `[…, H, W]`, `coarse` `[…, H/factor, W/factor]`
+    /// with the same leading axes.
+    ///
+    /// The gradient is `g` itself for `self` and the `factor × factor`
+    /// block sums of `g` for `coarse`.
     ///
     /// # Panics
     ///
-    /// Panics for rank < 2 or `factor == 0`.
-    pub fn upsample2_nearest(&self, factor: usize) -> Var {
-        let src_shape = self.shape();
+    /// Panics unless the shapes line up as above with `factor ≥ 1`.
+    pub fn add_upsampled(&self, coarse: &Var, factor: usize) -> Var {
         let out = self
             .value()
-            .upsample2_nearest(factor)
-            .expect("Var::upsample2_nearest");
-        Var::from_op(out, vec![self.clone()], move |g| {
-            let rank = src_shape.len();
-            let (h, w) = (src_shape[rank - 2], src_shape[rank - 1]);
-            let batch: usize = src_shape[..rank - 2].iter().product();
-            let (oh, ow) = (h * factor, w * factor);
-            let gd = g.data();
-            let mut out = Tensor::zeros(&src_shape);
-            let od = out.data_mut();
-            for b in 0..batch {
-                for oy in 0..oh {
-                    let iy = oy / factor;
-                    for ox in 0..ow {
-                        let ix = ox / factor;
-                        od[(b * h + iy) * w + ix] += gd[(b * oh + oy) * ow + ox];
-                    }
-                }
-            }
-            vec![Some(out)]
+            .add_upsampled(&coarse.value(), factor)
+            .expect("Var::add_upsampled");
+        let (fine_grad, coarse_grad) = (self.requires_grad(), coarse.requires_grad());
+        Var::from_op(out, vec![self.clone(), coarse.clone()], move |g| {
+            vec![
+                fine_grad.then(|| g.clone()),
+                coarse_grad.then(|| g.block_sum(factor)),
+            ]
         })
     }
 }
@@ -175,19 +167,104 @@ mod tests {
         assert_eq!(x.grad().unwrap().data(), &[1.0, 2.0]);
     }
 
-    #[test]
-    fn upsample_gradient_pools() {
-        let x = Var::parameter(Tensor::ones(&[1, 2, 2]));
-        x.upsample2_nearest(2).sum().backward();
-        assert_eq!(x.grad().unwrap().data(), &[4.0, 4.0, 4.0, 4.0]);
+    /// `fine + up(coarse)` and its adjoint as plain index loops over
+    /// `[planes, h·f, w·f]`; the block sums accumulate rows then columns
+    /// ascending from zero, the order the kernel documents.
+    fn add_upsampled_oracle(
+        fine: &Tensor,
+        coarse: &Tensor,
+        g: &Tensor,
+        f: usize,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let rank = coarse.rank();
+        let (h, w) = (coarse.shape()[rank - 2], coarse.shape()[rank - 1]);
+        let planes = coarse.len() / (h * w);
+        let (oh, ow) = (h * f, w * f);
+        let mut out = vec![0f32; fine.len()];
+        let mut gc = vec![0f32; coarse.len()];
+        for b in 0..planes {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let o = (b * oh + oy) * ow + ox;
+                    let c = (b * h + oy / f) * w + ox / f;
+                    out[o] = fine.data()[o] + coarse.data()[c];
+                }
+            }
+            for iy in 0..h {
+                for ix in 0..w {
+                    for dy in 0..f {
+                        for dx in 0..f {
+                            let o = (b * oh + iy * f + dy) * ow + ix * f + dx;
+                            gc[(b * h + iy) * w + ix] += g.data()[o];
+                        }
+                    }
+                }
+            }
+        }
+        (out, gc)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn upsample_gradcheck() {
+    fn add_upsampled_matches_index_loops_at_any_thread_count() {
+        let mut rng = StdRng::seed_from_u64(8);
+        // Odd batch axes and odd planes, sized so every factor's forward
+        // and backward pass crosses the parallel cutoff in several chunks.
+        for f in [1, 2, 4] {
+            let coarse_t = Tensor::randn(&[5, 7, 33, 31], &mut rng);
+            let fine_t = Tensor::randn(&[5, 7, 33 * f, 31 * f], &mut rng);
+            let g = Tensor::randn(fine_t.shape(), &mut rng);
+            let (want_out, want_gc) = add_upsampled_oracle(&fine_t, &coarse_t, &g, f);
+            for threads in [1, 2, 3, 7] {
+                let fine = Var::parameter(fine_t.clone());
+                let coarse = Var::parameter(coarse_t.clone());
+                let y = peb_par::with_thread_count(threads, || {
+                    let y = fine.add_upsampled(&coarse, f);
+                    y.weighted_sum(&g).backward();
+                    y
+                });
+                let tag = format!("factor {f}, {threads} threads");
+                assert_eq!(bits(y.value().data()), bits(&want_out), "forward, {tag}");
+                assert_eq!(
+                    bits(fine.grad().unwrap().data()),
+                    bits(g.data()),
+                    "fine grad, {tag}"
+                );
+                assert_eq!(
+                    bits(coarse.grad().unwrap().data()),
+                    bits(&want_gc),
+                    "coarse grad, {tag}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn add_upsampled_gradcheck() {
         let mut rng = StdRng::seed_from_u64(7);
-        let x = Var::parameter(Tensor::randn(&[1, 2, 3], &mut rng));
-        let w = Tensor::randn(&[1, 4, 6], &mut rng);
-        let report = check_gradients(&x, |v| v.upsample2_nearest(2).weighted_sum(&w), 1e-2);
-        assert!(report.ok(2e-2), "{report:?}");
+        for f in [1, 2, 4] {
+            let coarse = Var::constant(Tensor::randn(&[3, 2, 3], &mut rng));
+            let fine = Var::constant(Tensor::randn(&[3, 2 * f, 3 * f], &mut rng));
+            let w = Tensor::randn(fine.value().shape(), &mut rng);
+            let r = check_gradients(
+                &fine,
+                |v| v.add_upsampled(&coarse, f).weighted_sum(&w),
+                1e-2,
+            );
+            assert!(r.ok(2e-2), "fine, factor {f}: {r:?}");
+            let r = check_gradients(&coarse, |v| fine.add_upsampled(v, f).weighted_sum(&w), 1e-2);
+            assert!(r.ok(2e-2), "coarse, factor {f}: {r:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "add_upsampled")]
+    fn add_upsampled_rejects_mismatched_planes() {
+        let fine = Var::constant(Tensor::zeros(&[2, 4, 6]));
+        let coarse = Var::constant(Tensor::zeros(&[2, 2, 2]));
+        fine.add_upsampled(&coarse, 2);
     }
 }

@@ -1,6 +1,6 @@
 //! Dense matrix multiplication (2-D and batched 3-D).
 
-use crate::kernels;
+use crate::kernels::{self, Bias};
 use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
@@ -24,14 +24,13 @@ impl Tensor {
             });
         }
         let (m, k, n) = (ls[0], ls[1], rs[1]);
-        let _span = peb_obs::span("gemm.matmul");
-        peb_obs::count(peb_obs::Counter::GemmFlops, 2 * (m * k * n) as u64);
-        peb_obs::optrace::note("gemm", || format!("m={m} k={k} n={n}"));
-        // Pooled output panel: `zeros` checks out (pre-zeroed) from the
-        // thread-local pool, which the accumulating kernel requires.
-        let mut out = Tensor::zeros(&[m, n]);
-        matmul_into(self.data(), other.data(), out.data_mut(), m, k, n);
-        Ok(out)
+        Ok(gemm_new(
+            self.data(),
+            other.data(),
+            (m, k, n),
+            Bias::None,
+            &[m, n],
+        ))
     }
 
     /// Batched matrix product: `[b, m, k] × [b, k, n] → [b, m, n]`.
@@ -88,9 +87,31 @@ impl Tensor {
     }
 }
 
+/// `a[m×k] · b[k×n] + bias` into a fresh tensor of `shape` (which holds
+/// `m·n` elements in the product's row-major order), the bias added in
+/// the GEMM write-back — bit for bit the product followed by a
+/// broadcast add.
+pub(crate) fn gemm_new(
+    a: &[f32],
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    bias: Bias,
+    shape: &[usize],
+) -> Tensor {
+    debug_assert_eq!(crate::shape::numel(shape), m * n);
+    let _span = peb_obs::span("gemm.matmul");
+    peb_obs::count(peb_obs::Counter::GemmFlops, 2 * (m * k * n) as u64);
+    peb_obs::optrace::note("gemm", || format!("m={m} k={k} n={n}"));
+    // Pooled output panel: `zeros` checks out (pre-zeroed) from the
+    // thread-local pool, which the accumulating kernel requires.
+    let mut out = Tensor::zeros(shape);
+    kernels::matmul_par(a, b, out.data_mut(), m, k, n, bias);
+    out
+}
+
 /// `out += a[m×k] · b[k×n]` with `out` pre-zeroed by the caller.
 pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    kernels::matmul_par(a, b, out, m, k, n);
+    kernels::matmul_par(a, b, out, m, k, n, Bias::None);
 }
 
 #[cfg(test)]

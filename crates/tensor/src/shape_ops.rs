@@ -1,4 +1,5 @@
-//! Shape manipulation: reshape, permute, concat, slice, pad, upsampling.
+//! Shape manipulation: reshape, permute, concat, slice, pad, and the
+//! nearest-neighbour upsample-accumulate with its adjoint.
 
 use crate::shape::{numel, strides_for};
 use crate::{Result, Tensor, TensorError};
@@ -243,40 +244,127 @@ impl Tensor {
         Ok(cur)
     }
 
-    /// Nearest-neighbour upsampling of the two trailing axes by `factor`.
+    /// `self + up(coarse)`: `coarse` nearest-neighbour upsampled by
+    /// `factor` on the two trailing axes and added to `self`.
     ///
-    /// Works on any rank ≥ 2 tensor; leading axes are treated as batch.
+    /// `self` is `[…, H, W]` and `coarse` is `[…, H/factor, W/factor]`
+    /// with the same leading (batch) axes. One parallel pass over whole
+    /// planes; each output element is one add, so the result is bitwise
+    /// identical at any thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::Invalid`] for rank < 2 or `factor == 0`.
-    pub fn upsample2_nearest(&self, factor: usize) -> Result<Self> {
-        if self.rank() < 2 || factor == 0 {
-            return Err(TensorError::Invalid {
-                detail: format!("upsample2_nearest: rank {} factor {factor}", self.rank()),
+    /// Returns [`TensorError::Invalid`] unless the shapes line up as above
+    /// with `factor ≥ 1`.
+    pub(crate) fn add_upsampled(&self, coarse: &Self, factor: usize) -> Result<Self> {
+        let (h, w) = upsample_dims(self.shape(), coarse.shape(), factor)?;
+        let _span = crate::tensor::ew_span("ew.add_upsampled", self.len());
+        let (oh, ow) = (h * factor, w * factor);
+        let (fine, src) = (self.data(), coarse.data());
+        let mut out = crate::tensor::alloc_cleared(self.len());
+        out.resize(self.len(), 0.0);
+        if !out.is_empty() {
+            let plane = oh * ow;
+            peb_par::parallel_chunks_mut_cost(&mut out, plane_chunk(plane), 2, |at, chunk| {
+                for (r, orow) in chunk.chunks_exact_mut(ow).enumerate() {
+                    let row = at / ow + r; // plane · oh + oy
+                    let crow = &src[(row / oh * h + row % oh / factor) * w..][..w];
+                    let frow = &fine[row * ow..][..ow];
+                    for ((o, f), &c) in orow
+                        .chunks_exact_mut(factor)
+                        .zip(frow.chunks_exact(factor))
+                        .zip(crow)
+                    {
+                        for (o, &f) in o.iter_mut().zip(f) {
+                            *o = f + c;
+                        }
+                    }
+                }
             });
         }
-        let _span = crate::tensor::ew_span("ew.copy", self.len());
-        let rank = self.rank();
-        let (h, w) = (self.shape()[rank - 2], self.shape()[rank - 1]);
-        let batch: usize = self.shape()[..rank - 2].iter().product();
-        let (oh, ow) = (h * factor, w * factor);
-        let mut out_shape = self.shape().to_vec();
-        out_shape[rank - 2] = oh;
-        out_shape[rank - 1] = ow;
-        let src = self.data();
-        let mut out = crate::tensor::alloc_cleared(batch * oh * ow);
-        for b in 0..batch {
-            for oy in 0..oh {
-                let iy = oy / factor;
-                for ox in 0..ow {
-                    let ix = ox / factor;
-                    out.push(src[(b * h + iy) * w + ix]);
-                }
-            }
-        }
-        Ok(Tensor::from_pooled(out, &out_shape))
+        Ok(Tensor::from_pooled(out, self.shape()))
     }
+
+    /// Sums each `factor × factor` block of the two trailing axes: the
+    /// adjoint of nearest-neighbour upsampling, `[…, H, W] → […, H/factor,
+    /// W/factor]`.
+    ///
+    /// Each block accumulates in `f32` from zero, rows ascending and
+    /// columns ascending within a row; one parallel pass over whole
+    /// planes, bitwise identical at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics for rank < 2, `factor == 0` or trailing extents `factor`
+    /// does not divide.
+    pub(crate) fn block_sum(&self, factor: usize) -> Self {
+        let rank = self.rank();
+        assert!(
+            rank >= 2
+                && factor > 0
+                && self.shape()[rank - 2].is_multiple_of(factor)
+                && self.shape()[rank - 1].is_multiple_of(factor),
+            "block_sum: shape {:?} factor {factor}",
+            self.shape()
+        );
+        let _span = crate::tensor::ew_span("ew.block_sum", self.len());
+        let (oh, ow) = (self.shape()[rank - 2], self.shape()[rank - 1]);
+        let (h, w) = (oh / factor, ow / factor);
+        let mut shape = self.shape().to_vec();
+        shape[rank - 2] = h;
+        shape[rank - 1] = w;
+        let n = numel(&shape);
+        let g = self.data();
+        let mut out = crate::tensor::alloc_cleared(n);
+        out.resize(n, 0.0);
+        if n > 0 {
+            let plane = h * w;
+            peb_par::parallel_chunks_mut_cost(
+                &mut out,
+                plane_chunk(plane),
+                2 * (factor * factor) as u64,
+                |at, chunk| {
+                    for (r, orow) in chunk.chunks_exact_mut(w).enumerate() {
+                        let row = at / w + r; // plane · h + iy
+                        for grow in g[row * factor * ow..][..factor * ow].chunks_exact(ow) {
+                            for (o, block) in orow.iter_mut().zip(grow.chunks_exact(factor)) {
+                                for &v in block {
+                                    *o += v;
+                                }
+                            }
+                        }
+                    }
+                },
+            );
+        }
+        Tensor::from_pooled(out, &shape)
+    }
+}
+
+/// The trailing `(h, w)` of `coarse` when `fine` is `coarse` upsampled
+/// by `factor` on the two trailing axes.
+fn upsample_dims(fine: &[usize], coarse: &[usize], factor: usize) -> Result<(usize, usize)> {
+    let rank = fine.len();
+    let ok = rank >= 2
+        && coarse.len() == rank
+        && factor > 0
+        && fine[..rank - 2] == coarse[..rank - 2]
+        && fine[rank - 2] == coarse[rank - 2] * factor
+        && fine[rank - 1] == coarse[rank - 1] * factor;
+    if !ok {
+        return Err(TensorError::Invalid {
+            detail: format!("add_upsampled: {fine:?} + up({coarse:?}, {factor})"),
+        });
+    }
+    Ok((coarse[rank - 2], coarse[rank - 1]))
+}
+
+/// Elements per parallel chunk for a plane-wise pass: whole planes,
+/// about 16 Ki elements.
+fn plane_chunk(plane: usize) -> usize {
+    const CHUNK_ELEMS: usize = 1 << 14;
+    let plane = plane.max(1);
+    plane * CHUNK_ELEMS.div_ceil(plane)
 }
 
 /// Calls `f` with the source offset of every index of `dims`
@@ -380,16 +468,6 @@ mod tests {
         assert_eq!(p.get(&[1, 0]), 1.0);
         assert_eq!(p.sum(), t.sum());
         assert!(p.crop(&[(1, 2), (0, 1)]).unwrap().approx_eq(&t, 0.0));
-    }
-
-    #[test]
-    fn upsample_nearest() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]).unwrap();
-        let u = t.upsample2_nearest(2).unwrap();
-        assert_eq!(u.shape(), &[1, 4, 4]);
-        assert_eq!(u.get(&[0, 0, 1]), 1.0);
-        assert_eq!(u.get(&[0, 3, 3]), 4.0);
-        assert_eq!(u.sum(), t.sum() * 4.0);
     }
 }
 
