@@ -71,7 +71,7 @@ impl SpectralConv3d {
     }
 
     /// Number of retained modes `(per-axis counts)`.
-    pub fn mode_counts(&self) -> (usize, usize, usize) {
+    fn mode_counts(&self) -> (usize, usize, usize) {
         (self.kept_d.len(), self.kept_h.len(), self.kept_w.len())
     }
 

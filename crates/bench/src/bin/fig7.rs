@@ -2,7 +2,9 @@
 //! directions) in 0–1 / 1–2 / 2–3 / 3–4 / >4 nm buckets, for every
 //! Table II method.
 
-use peb_bench::{evaluate_model, prepare_dataset, prepare_flow, train_models, ModelKind};
+use peb_bench::{
+    evaluate_model, prepare_dataset, prepare_flow, train_models, ModelKind, TrainOptions,
+};
 use peb_data::ExperimentScale;
 use peb_guard::PebError;
 use sdm_peb::CD_BUCKET_LABELS;
@@ -10,11 +12,12 @@ use sdm_peb::CD_BUCKET_LABELS;
 fn main() -> Result<(), PebError> {
     let (scale, epochs) =
         ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
+    let train_opts = TrainOptions::from_env_or_exit("fig7");
     eprintln!("[fig7] scale = {}", scale.name());
     let dataset = prepare_dataset(scale)?;
     let flow = prepare_flow(scale);
 
-    let trained = train_models(&ModelKind::TABLE2, &dataset, epochs)?;
+    let trained = train_models(&ModelKind::TABLE2, &dataset, epochs, &train_opts)?;
     let rows: Vec<_> = trained
         .iter()
         .map(|t| evaluate_model(t.model.as_ref(), &dataset, &flow))

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use peb_bench::viz::write_pgm;
-use peb_bench::{prepare_dataset, prepare_flow, train_models, ModelKind};
+use peb_bench::{prepare_dataset, prepare_flow, train_models, ModelKind, TrainOptions};
 use peb_data::ExperimentScale;
 use peb_guard::{Context, PebError};
 use peb_tensor::Tensor;
@@ -23,10 +23,11 @@ fn plane(volume: &Tensor, layer: usize) -> Tensor {
 fn main() -> Result<(), PebError> {
     let (scale, epochs) =
         ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
+    let train_opts = TrainOptions::from_env_or_exit("fig8");
     eprintln!("[fig8] scale = {}", scale.name());
     let dataset = prepare_dataset(scale)?;
     let flow = prepare_flow(scale);
-    let trained = train_models(&[ModelKind::SdmPeb], &dataset, epochs)?;
+    let trained = train_models(&[ModelKind::SdmPeb], &dataset, epochs, &train_opts)?;
     let model = &trained[0].model;
 
     let sample = &dataset.test[0];

@@ -5,17 +5,18 @@
 use std::path::PathBuf;
 
 use peb_bench::viz::{ascii_heatmap, vertical_section, write_pgm};
-use peb_bench::{prepare_dataset, prepare_flow, train_models, ModelKind};
+use peb_bench::{prepare_dataset, prepare_flow, train_models, ModelKind, TrainOptions};
 use peb_data::ExperimentScale;
 use peb_guard::{Context, PebError};
 
 fn main() -> Result<(), PebError> {
     let (scale, epochs) =
         ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
+    let train_opts = TrainOptions::from_env_or_exit("fig9");
     eprintln!("[fig9] scale = {}", scale.name());
     let dataset = prepare_dataset(scale)?;
     let flow = prepare_flow(scale);
-    let trained = train_models(&[ModelKind::SdmPeb], &dataset, epochs)?;
+    let trained = train_models(&[ModelKind::SdmPeb], &dataset, epochs, &train_opts)?;
     let model = &trained[0].model;
 
     let sample = &dataset.test[0];

@@ -9,7 +9,7 @@
 
 use peb_bench::{
     evaluate_model, evaluate_rigorous_baseline, prepare_dataset, prepare_flow, render_table,
-    train_models_with, ModelKind, TrainOptions, PAPER_TABLE2,
+    train_models, ModelKind, TrainOptions, PAPER_TABLE2,
 };
 use peb_data::ExperimentScale;
 use peb_guard::PebError;
@@ -17,14 +17,12 @@ use peb_guard::PebError;
 fn main() -> Result<(), PebError> {
     let (scale, epochs) =
         ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
-    let train_opts = TrainOptions::from_env()
-        .unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e))
-        .with_args(std::env::args().skip(1))?;
+    let train_opts = TrainOptions::from_env_or_exit("table2");
     eprintln!("[table2] scale = {}", scale.name());
     let dataset = prepare_dataset(scale)?;
     let flow = prepare_flow(scale);
 
-    let trained = train_models_with(&ModelKind::TABLE2, &dataset, epochs, &train_opts)?;
+    let trained = train_models(&ModelKind::TABLE2, &dataset, epochs, &train_opts)?;
     let rows: Vec<_> = trained
         .iter()
         .map(|t| evaluate_model(t.model.as_ref(), &dataset, &flow))

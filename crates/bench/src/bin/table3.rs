@@ -2,7 +2,7 @@
 //! 2-D Scan, w/o Focal Loss, w/o Regularization vs the full SDM-PEB.
 
 use peb_bench::{
-    evaluate_model, prepare_dataset, prepare_flow, train_models_with, ModelKind, TrainOptions,
+    evaluate_model, prepare_dataset, prepare_flow, train_models, ModelKind, TrainOptions,
     PAPER_TABLE3,
 };
 use peb_data::ExperimentScale;
@@ -11,14 +11,12 @@ use peb_guard::PebError;
 fn main() -> Result<(), PebError> {
     let (scale, epochs) =
         ExperimentScale::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
-    let train_opts = TrainOptions::from_env()
-        .unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e))
-        .with_args(std::env::args().skip(1))?;
+    let train_opts = TrainOptions::from_env_or_exit("table3");
     eprintln!("[table3] scale = {}", scale.name());
     let dataset = prepare_dataset(scale)?;
     let flow = prepare_flow(scale);
 
-    let trained = train_models_with(&ModelKind::TABLE3, &dataset, epochs, &train_opts)?;
+    let trained = train_models(&ModelKind::TABLE3, &dataset, epochs, &train_opts)?;
     let rows: Vec<_> = trained
         .iter()
         .map(|t| {

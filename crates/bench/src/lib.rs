@@ -16,9 +16,7 @@ mod render;
 pub mod viz;
 
 pub use eval::{evaluate_model, evaluate_rigorous_baseline, predict_inhibitor, EvalRow};
-pub use models::{
-    build_model, train_models, train_models_with, ModelKind, TrainOptions, TrainedModel,
-};
+pub use models::{build_model, train_models, ModelKind, TrainOptions, TrainedModel};
 pub use prepare::{prepare_dataset, prepare_flow};
 pub use render::{format_row, render_table, PAPER_TABLE2, PAPER_TABLE3};
 

@@ -10,8 +10,8 @@ use peb_baselines::{
     DeePeb, DeePebConfig, DeepCnn, DeepCnnConfig, Fno, FnoConfig, TempoResist, TempoResistConfig,
 };
 use peb_data::Dataset;
-use peb_guard::{Context, OptKind, TrainCheckpoint};
-use peb_par::ctx::{process_env, read_var, ConfigError};
+use peb_guard::{Context, TrainCheckpoint};
+use peb_par::ctx::{exit_invalid, process_env, read_var, ConfigError};
 use sdm_peb::{
     checkpoint_params, restore_parameters, PebError, PebLoss, PebPredictor, SdmPeb, SdmPebConfig,
     TrainConfig, Trainer,
@@ -42,7 +42,7 @@ pub enum ModelKind {
 
 impl ModelKind {
     /// Stable slug for cache file names.
-    pub fn slug(self) -> &'static str {
+    fn slug(self) -> &'static str {
         match self {
             ModelKind::DeepCnn => "deepcnn",
             ModelKind::TempoResist => "tempo",
@@ -126,10 +126,9 @@ pub fn build_model(kind: ModelKind, dims: (usize, usize, usize)) -> Box<dyn PebP
     }
 }
 
-/// Fault-tolerance options for harness training runs, settable per
-/// binary via `--checkpoint-dir <path>` / `--resume` CLI flags or the
-/// `PEB_CKPT_DIR` / `PEB_RESUME` environment variables (flags win).
-#[derive(Debug, Clone, Default)]
+/// Fault-tolerance options for harness training runs, set by the
+/// `PEB_CKPT_DIR` / `PEB_RESUME` environment variables.
+#[derive(Debug, Clone)]
 pub struct TrainOptions {
     /// Root directory for training checkpoints; each model checkpoints
     /// into a `<slug>-<epochs>ep/` subdirectory. `None` disables
@@ -145,56 +144,42 @@ impl TrainOptions {
     /// Resolves `PEB_CKPT_DIR` / `PEB_RESUME` from `lookup`, or the
     /// [`ConfigError`] of the first rejected variable: pure, like
     /// `peb_par::ctx::ExecCtx::from_lookup`. `PEB_RESUME` is
-    /// `1|true|on|0|false|off`. A variable that is set but empty counts
+    /// `1|true|on|0|false|off`, and only `0|false|off` while
+    /// `PEB_CKPT_DIR` is unset. A variable that is set but empty counts
     /// as unset.
     pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, ConfigError> {
         let checkpoint_dir = read_var(&lookup, "PEB_CKPT_DIR", "a directory path", |s| {
             Some(PathBuf::from(s))
         })?;
-        let resume = read_var(
-            &lookup,
-            "PEB_RESUME",
-            "1|true|on|0|false|off",
-            |s| match s {
-                "1" | "true" | "on" => Some(true),
-                "0" | "false" | "off" => Some(false),
-                _ => None,
-            },
-        )?;
+        let expected = if checkpoint_dir.is_some() {
+            "1|true|on|0|false|off"
+        } else {
+            "0|false|off while PEB_CKPT_DIR is unset"
+        };
+        let resume = read_var(&lookup, "PEB_RESUME", expected, |s| match s {
+            "1" | "true" | "on" => checkpoint_dir.is_some().then_some(true),
+            "0" | "false" | "off" => Some(false),
+            _ => None,
+        })?;
         Ok(TrainOptions {
             checkpoint_dir,
             resume: resume.unwrap_or(false),
         })
     }
 
-    /// [`TrainOptions::from_lookup`] over the process environment.
-    pub fn from_env() -> Result<Self, ConfigError> {
-        Self::from_lookup(process_env)
-    }
-
-    /// Applies `--checkpoint-dir <path>` (or `--checkpoint-dir=<path>`)
-    /// and `--resume` from `args` (the process arguments after the
-    /// program name) on top of `self`: flags win over the environment.
-    pub fn with_args(mut self, args: impl IntoIterator<Item = String>) -> Result<Self, PebError> {
-        let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            if a == "--checkpoint-dir" {
-                let v = args
-                    .next()
-                    .ok_or_else(|| PebError::config("--checkpoint-dir requires a path argument"))?;
-                self.checkpoint_dir = Some(PathBuf::from(v));
-            } else if let Some(v) = a.strip_prefix("--checkpoint-dir=") {
-                self.checkpoint_dir = Some(PathBuf::from(v));
-            } else if a == "--resume" {
-                self.resume = true;
-            }
+    /// [`TrainOptions::from_lookup`] over the process environment for the
+    /// binary `bin`. The environment is the only way in: a rejected
+    /// variable, or any command-line argument (a stale `--checkpoint-dir`
+    /// or `--resume` flag included), exits with status 2 and one line.
+    pub fn from_env_or_exit(bin: &str) -> Self {
+        if std::env::args().len() > 1 {
+            eprintln!(
+                "{bin} takes no arguments: set PEB_CKPT_DIR (checkpoint directory) and \
+                 PEB_RESUME=1 (resume from it) in the environment"
+            );
+            std::process::exit(2);
         }
-        if self.resume && self.checkpoint_dir.is_none() {
-            return Err(PebError::config(
-                "--resume requires --checkpoint-dir (or PEB_CKPT_DIR)",
-            ));
-        }
-        Ok(self)
+        Self::from_lookup(process_env).unwrap_or_else(|e| exit_invalid(&e))
     }
 }
 
@@ -241,7 +226,6 @@ fn save_cached(model: &dyn PebPredictor, path: &Path) -> Result<(), PebError> {
     TrainCheckpoint {
         epoch: 0,
         seed: 0,
-        opt_kind: OptKind::Adam,
         opt_t: 0,
         lr_scale: 1.0,
         rollbacks: 0,
@@ -262,27 +246,15 @@ fn save_cached(model: &dyn PebPredictor, path: &Path) -> Result<(), PebError> {
 /// predictions with the same statistics before computing metrics.
 /// Trained weights are cached under `target/peb-cache/` so every
 /// table/figure binary shares one training run per configuration; delete
-/// the cache (or change `PEB_EPOCHS`) to retrain. A rejected
-/// `PEB_CKPT_DIR` / `PEB_RESUME` value is a [`PebError::Config`].
-pub fn train_models(
-    kinds: &[ModelKind],
-    dataset: &Dataset,
-    epochs: usize,
-) -> Result<Vec<TrainedModel>, PebError> {
-    let opts = TrainOptions::from_env().map_err(|e| PebError::config(e.to_string()))?;
-    train_models_with(kinds, dataset, epochs, &opts)
-}
-
-/// [`train_models`] with explicit fault-tolerance options (checkpoint
-/// directory and resume behaviour); the table/figure binaries feed their
-/// CLI flags through here.
+/// the cache (or change `PEB_EPOCHS`) to retrain. `opts` sets the
+/// checkpoint directory and whether to resume from it.
 ///
 /// # Errors
 ///
 /// Propagates any [`PebError`] from training — divergence with an
 /// exhausted retry budget, checkpoint I/O failures, or a corrupt
 /// checkpoint store on resume.
-pub fn train_models_with(
+pub fn train_models(
     kinds: &[ModelKind],
     dataset: &Dataset,
     epochs: usize,
@@ -320,7 +292,7 @@ pub fn train_models_with(
             .as_ref()
             .map(|root| root.join(format!("{}-{epochs}ep", kind.slug())));
         let trainer = Trainer::new(cfg);
-        let report = if opts.resume && trainer.config.guard.checkpoint_dir.is_some() {
+        let report = if opts.resume {
             trainer.resume(model.as_ref(), &pairs)
         } else {
             trainer.fit(model.as_ref(), &pairs)
@@ -399,29 +371,12 @@ mod tests {
             ("PEB_RESUME", "yes"),
             ("PEB_RESUME", "2"),
             ("PEB_RESUME", "ON"),
+            // Resuming needs a directory to resume from.
+            ("PEB_RESUME", "1"),
         ] {
             let err = TrainOptions::from_lookup(table(&[(var, value)])).expect_err(value);
             assert_eq!((err.var, err.value.as_str()), (var, value));
             assert!(err.to_string().contains(err.expected), "{err}");
         }
-    }
-
-    #[test]
-    fn flags_win_over_the_environment() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let env = TrainOptions {
-            checkpoint_dir: Some(PathBuf::from("env")),
-            resume: false,
-        };
-        let opts = env
-            .clone()
-            .with_args(args(&["--checkpoint-dir=flag", "--resume"]))
-            .expect("valid flags");
-        assert_eq!(opts.checkpoint_dir, Some(PathBuf::from("flag")));
-        assert!(opts.resume);
-        let kept = env.with_args(args(&[])).expect("no flags");
-        assert_eq!(kept.checkpoint_dir, Some(PathBuf::from("env")));
-        let err = TrainOptions::default().with_args(args(&["--resume"]));
-        assert!(err.is_err(), "--resume without a directory");
     }
 }

@@ -75,11 +75,6 @@ impl Decoder {
         }
     }
 
-    /// Total spatial upsampling factor.
-    pub fn upsample_factor(&self) -> usize {
-        self.upsample_factor
-    }
-
     /// Decodes `[C, D, H', W']` into `[D, H'·factor, W'·factor]`.
     ///
     /// `skip`, when configured, must be `[skip_channels, D, H, W]` at the

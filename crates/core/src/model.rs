@@ -140,7 +140,8 @@ impl SdmPebConfig {
     }
 
     /// Fig. 3(a)→(b) design-choice ablation: non-overlapped patch merging.
-    pub fn non_overlapped(mut self) -> Self {
+    #[cfg(test)]
+    fn non_overlapped(mut self) -> Self {
         self.overlapped = false;
         self
     }

@@ -63,7 +63,7 @@ pub struct QuantReport {
 
 /// Quantizes one parameter: per-output-channel absmax int8 for rank ≥ 2
 /// tensors, f32 passthrough otherwise.
-pub fn quantize_slot(t: &Tensor) -> QuantSlot {
+fn quantize_slot(t: &Tensor) -> QuantSlot {
     if t.rank() < 2 || t.is_empty() {
         return QuantSlot::F32(t.clone());
     }
@@ -98,7 +98,7 @@ pub fn quantize_slot(t: &Tensor) -> QuantSlot {
 ///
 /// Returns [`PebError::Shape`] when an i8 slot's scale count disagrees
 /// with its leading dimension or its code count with its shape.
-pub fn dequantize_slot(slot: &QuantSlot) -> Result<Tensor> {
+fn dequantize_slot(slot: &QuantSlot) -> Result<Tensor> {
     match slot {
         QuantSlot::F32(t) => Ok(t.clone()),
         QuantSlot::I8(q) => {
@@ -229,7 +229,6 @@ pub fn quantize_checkpoint<M: PebPredictor + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peb_guard::OptKind;
 
     #[test]
     fn slot_quantization_respects_rank_rule() {
@@ -287,7 +286,6 @@ mod tests {
         TrainCheckpoint {
             epoch: 1,
             seed: 7,
-            opt_kind: OptKind::Adam,
             opt_t: 1,
             lr_scale: 1.0,
             rollbacks: 0,

@@ -25,41 +25,43 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use peb_guard::{chaos, Context, EpochRecord, OptKind, PebError, TrainCheckpoint};
+use peb_guard::{chaos, Context, EpochRecord, PebError, TrainCheckpoint};
 use peb_nn::{Adam, OptimState, Optimizer, StepDecay};
 use peb_tensor::Tensor;
 
 use crate::loss::PebLoss;
 use crate::solver::PebPredictor;
 
+/// Multiplicative learning-rate backoff applied per divergence rollback.
+const LR_BACKOFF: f32 = 0.5;
+
+/// Global-norm gradient clipping threshold. The summed focal loss
+/// produces occasional large-magnitude spikes at hard voxels; clipping
+/// keeps Adam's trajectory stable.
+const CLIP_NORM: f32 = 10.0;
+
 /// Fault-tolerance knobs for one training run.
 #[derive(Debug, Clone)]
 pub struct GuardConfig {
-    /// Directory for atomic epoch checkpoints (`None` disables
-    /// checkpointing; the in-memory divergence rollback still works).
+    /// Directory for atomic checkpoints, one per completed epoch (`None`
+    /// disables checkpointing; the in-memory divergence rollback still
+    /// works).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Write a checkpoint every this many completed epochs.
-    pub checkpoint_every: usize,
     /// Checkpoint files retained on disk. Two is the minimum for the
     /// corrupt-latest fallback story; older files are pruned.
     pub keep_checkpoints: usize,
     /// Divergence retry budget for the whole run. Each retry restores the
-    /// last good state and shrinks the learning rate by
-    /// [`GuardConfig::lr_backoff`]; when exhausted the run fails with
-    /// [`PebError::Divergence`].
+    /// last good state and halves the learning rate; when exhausted the
+    /// run fails with [`PebError::Divergence`].
     pub max_retries: u32,
-    /// Multiplicative learning-rate backoff applied per rollback.
-    pub lr_backoff: f32,
 }
 
 impl Default for GuardConfig {
     fn default() -> Self {
         GuardConfig {
             checkpoint_dir: None,
-            checkpoint_every: 1,
             keep_checkpoints: 2,
             max_retries: 3,
-            lr_backoff: 0.5,
         }
     }
 }
@@ -83,10 +85,6 @@ pub struct TrainConfig {
     pub schedule: StepDecay,
     /// Loss configuration (Eq. 22 terms and ablations).
     pub loss: PebLoss,
-    /// Global-norm gradient clipping threshold (None disables). The
-    /// summed focal loss produces occasional large-magnitude spikes at
-    /// hard voxels; clipping keeps Adam's trajectory stable.
-    pub clip_norm: Option<f32>,
     /// Shuffling seed.
     pub seed: u64,
     /// Fault-tolerance configuration (checkpointing, rollback budget).
@@ -109,7 +107,6 @@ impl TrainConfig {
                 gamma: 0.7,
             },
             loss: PebLoss::paper(),
-            clip_norm: Some(10.0),
             seed: 20250705,
             guard: GuardConfig::default(),
         }
@@ -347,7 +344,7 @@ impl Trainer {
                 }
                 retries_left -= 1;
                 rollbacks += 1;
-                lr_scale *= self.config.guard.lr_backoff;
+                lr_scale *= LR_BACKOFF;
                 peb_obs::count(peb_obs::Counter::GuardRollbacks, 1);
                 peb_obs::count(peb_obs::Counter::GuardRetries, 1);
                 eprintln!(
@@ -416,11 +413,6 @@ impl Trainer {
                 ckpt.seed, self.config.seed
             )));
         }
-        if ckpt.opt_kind != OptKind::Adam {
-            return Err(PebError::config(
-                "checkpoint was written by a non-Adam optimiser",
-            ));
-        }
         if ckpt.epoch as usize > self.config.epochs {
             return Err(PebError::config(format!(
                 "checkpoint is at epoch {} but the run is configured for {} epochs",
@@ -458,9 +450,8 @@ impl Trainer {
         Ok(())
     }
 
-    /// Writes an atomic checkpoint at the configured cadence, applies any
-    /// armed chaos corruption, prunes old files, and honours an armed
-    /// chaos kill.
+    /// Writes an atomic checkpoint, applies any armed chaos corruption,
+    /// prunes old files, and honours an armed chaos kill.
     fn maybe_checkpoint(
         &self,
         snapshot: &Snapshot,
@@ -470,14 +461,9 @@ impl Trainer {
         let Some(dir) = &self.config.guard.checkpoint_dir else {
             return Ok(());
         };
-        let every = self.config.guard.checkpoint_every.max(1);
-        if !snapshot.epoch.is_multiple_of(every) && snapshot.epoch != self.config.epochs {
-            return Ok(());
-        }
         let ckpt = TrainCheckpoint {
             epoch: snapshot.epoch as u64,
             seed: self.config.seed,
-            opt_kind: OptKind::Adam,
             opt_t: snapshot.opt.t,
             lr_scale: snapshot.lr_scale,
             rollbacks,
@@ -507,9 +493,9 @@ impl Trainer {
         Ok(())
     }
 
-    /// Scales all gradients down when their global L2 norm exceeds the
-    /// configured threshold. Returns `false` when the norm is non-finite
-    /// (the caller must drop the accumulated window instead of stepping).
+    /// Scales all gradients down when their global L2 norm exceeds
+    /// [`CLIP_NORM`]. Returns `false` when the norm is non-finite (the
+    /// caller must drop the accumulated window instead of stepping).
     fn clip_gradients(&self, params: &[peb_tensor::Var]) -> bool {
         let mut total = 0f64;
         for p in params {
@@ -525,11 +511,8 @@ impl Trainer {
         if !norm.is_finite() {
             return false;
         }
-        let Some(max_norm) = self.config.clip_norm else {
-            return true;
-        };
-        if norm > max_norm {
-            let scale = max_norm / norm;
+        if norm > CLIP_NORM {
+            let scale = CLIP_NORM / norm;
             for p in params {
                 if let Some(g) = p.grad() {
                     p.zero_grad();
@@ -674,7 +657,9 @@ mod failure_injection_tests {
             }
         }
         let norm = total.sqrt() as f32;
-        let max = trainer.config.clip_norm.expect("quick config clips");
-        assert!(norm <= max * 1.01, "norm {norm} exceeds clip {max}");
+        assert!(
+            norm <= CLIP_NORM * 1.01,
+            "norm {norm} exceeds clip {CLIP_NORM}"
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! budgets and within 1 nm CD of the f32 model through the development
 //! chain.
 
-use peb_guard::{OptKind, TrainCheckpoint};
+use peb_guard::TrainCheckpoint;
 use peb_litho::{Grid, LithoFlow, MaskConfig};
 use peb_nn::Parameterized;
 use peb_tensor::Tensor;
@@ -30,7 +30,6 @@ fn int8_frame_is_under_half_the_f32_bytes_and_within_budgets_and_one_nm_cd() {
     let ckpt = TrainCheckpoint {
         epoch: 0,
         seed: 42,
-        opt_kind: OptKind::Adam,
         opt_t: 0,
         lr_scale: 1.0,
         rollbacks: 0,

@@ -23,23 +23,6 @@ fn alloc_cleared(cap: usize) -> Vec<Complex> {
 }
 
 impl ComplexField {
-    /// Creates a field from a buffer and shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer length does not match the shape product.
-    pub fn from_parts(data: Vec<Complex>, shape: &[usize]) -> Self {
-        assert_eq!(
-            data.len(),
-            shape.iter().product::<usize>(),
-            "ComplexField length/shape mismatch"
-        );
-        ComplexField {
-            data,
-            shape: shape.to_vec(),
-        }
-    }
-
     /// All-zero field.
     pub fn zeros(shape: &[usize]) -> Self {
         let n = shape.iter().product();
@@ -67,7 +50,8 @@ impl ComplexField {
     }
 
     /// Extracts the imaginary parts as a tensor.
-    pub fn imag(&self) -> Tensor {
+    #[cfg(test)]
+    fn imag(&self) -> Tensor {
         Tensor::from_fn(&self.shape, |i| self.data[i].im)
     }
 

@@ -22,7 +22,7 @@ fn main() {
         fleet.addr(),
         config.workers,
         config.deadline_us,
-        config.max_attempts,
+        config.attempt_limit(),
         config.probe_interval.as_millis(),
     );
     for (shard, slot) in fleet.shards().slots().iter().enumerate() {

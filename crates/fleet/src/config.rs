@@ -10,6 +10,16 @@ use std::time::Duration;
 
 use peb_par::ctx::{self, read_parsed, ConfigError};
 
+/// Consecutive failed health probes before a worker is declared down and
+/// restarted (absorbs one slow probe on a loaded box).
+pub(crate) const PROBE_FAILS: u32 = 2;
+/// Per-probe connect/read budget; a hung worker fails by timeout.
+pub(crate) const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
+/// First retry backoff in microseconds (doubles per attempt).
+pub(crate) const BACKOFF_BASE_US: u64 = 2_000;
+/// Retry backoff ceiling in microseconds.
+pub(crate) const BACKOFF_CAP_US: u64 = 100_000;
+
 /// Everything the router + supervisor need, with env-var overrides.
 ///
 /// | env | field | default |
@@ -17,15 +27,15 @@ use peb_par::ctx::{self, read_parsed, ConfigError};
 /// | `PEB_FLEET_ADDR` | `addr` | `127.0.0.1:7979` |
 /// | `PEB_FLEET_WORKERS` | `workers` | `2` |
 /// | `PEB_FLEET_DEADLINE_US` | `deadline_us` | `2_000_000` (2 s) |
-/// | `PEB_FLEET_RETRIES` | `max_attempts` | `2·workers` |
 /// | `PEB_FLEET_PROBE_MS` | `probe_interval` | `250` |
-/// | `PEB_FLEET_PROBE_TIMEOUT_MS` | `probe_timeout` | `500` |
-/// | `PEB_FLEET_PROBE_FAILS` | `probe_fails` | `2` |
-/// | `PEB_FLEET_BACKOFF_US` | `backoff_base` | `2_000` |
-/// | `PEB_FLEET_BACKOFF_CAP_US` | `backoff_cap` | `100_000` |
 /// | `PEB_FLEET_ATTEMPT_MS` | `attempt_timeout` | unset (deadline only) |
 /// | `PEB_FLEET_DRAIN_MS` | `drain_timeout` | `3_000` |
 /// | `PEB_FLEET_WORKER_BIN` | `worker_bin` | sibling `peb_worker` |
+///
+/// The retry and probe policy is fixed: [`FleetConfig::attempt_limit`]
+/// routing attempts per request, a backoff of 2 ms doubling up to
+/// 100 ms between them, and a worker restarted after 2 consecutive
+/// health probes fail or outlast 500 ms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Router bind address (`host:port`; port 0 lets the OS pick).
@@ -36,20 +46,8 @@ pub struct FleetConfig {
     /// client sends no `X-Peb-Deadline-Us` header. `0` disables the
     /// default (requests without the header then have no deadline).
     pub deadline_us: u64,
-    /// Upper bound on routing attempts per request (first try included).
-    /// `0` → `2·workers` after normalisation.
-    pub max_attempts: usize,
     /// How often the supervisor probes each worker's `/healthz`.
     pub probe_interval: Duration,
-    /// Per-probe connect/read budget; a hung worker fails by timeout.
-    pub probe_timeout: Duration,
-    /// Consecutive probe failures before a worker is declared down and
-    /// restarted (absorbs one slow probe on a loaded box).
-    pub probe_fails: u32,
-    /// First retry backoff in microseconds (doubles per attempt).
-    pub backoff_base_us: u64,
-    /// Backoff ceiling in microseconds.
-    pub backoff_cap_us: u64,
     /// Optional per-attempt socket budget cap. Without it a hung worker
     /// consumes the entire remaining deadline on one attempt, leaving
     /// nothing for failover; with it the router gives up on the wedged
@@ -77,12 +75,7 @@ impl Default for FleetConfig {
             addr: "127.0.0.1:7979".to_string(),
             workers: 2,
             deadline_us: 2_000_000,
-            max_attempts: 0,
             probe_interval: Duration::from_millis(250),
-            probe_timeout: Duration::from_millis(500),
-            probe_fails: 2,
-            backoff_base_us: 2_000,
-            backoff_cap_us: 100_000,
             attempt_timeout: None,
             drain_timeout: Duration::from_millis(3_000),
             worker_bin: None,
@@ -111,15 +104,7 @@ impl FleetConfig {
             workers: read_parsed(&env, "PEB_FLEET_WORKERS", COUNT)?.unwrap_or(d.workers),
             deadline_us: read_parsed(&env, "PEB_FLEET_DEADLINE_US", COUNT)?
                 .unwrap_or(d.deadline_us),
-            max_attempts: read_parsed(&env, "PEB_FLEET_RETRIES", COUNT)?.unwrap_or(d.max_attempts),
             probe_interval: millis("PEB_FLEET_PROBE_MS", 1)?.unwrap_or(d.probe_interval),
-            probe_timeout: millis("PEB_FLEET_PROBE_TIMEOUT_MS", 1)?.unwrap_or(d.probe_timeout),
-            probe_fails: read_parsed(&env, "PEB_FLEET_PROBE_FAILS", COUNT)?
-                .unwrap_or(d.probe_fails),
-            backoff_base_us: read_parsed(&env, "PEB_FLEET_BACKOFF_US", COUNT)?
-                .unwrap_or(d.backoff_base_us),
-            backoff_cap_us: read_parsed(&env, "PEB_FLEET_BACKOFF_CAP_US", COUNT)?
-                .unwrap_or(d.backoff_cap_us),
             attempt_timeout: millis("PEB_FLEET_ATTEMPT_MS", 1)?,
             drain_timeout: millis("PEB_FLEET_DRAIN_MS", 0)?.unwrap_or(d.drain_timeout),
             worker_bin: env("PEB_FLEET_WORKER_BIN")
@@ -130,17 +115,17 @@ impl FleetConfig {
         .normalized())
     }
 
-    /// Clamps degenerate values so a typo'd env var cannot wedge the
-    /// router (zero workers, zero attempts, …).
+    /// Clamps a zero worker count to one so a typo'd env var cannot
+    /// wedge the router.
     pub fn normalized(mut self) -> Self {
         self.workers = self.workers.max(1);
-        if self.max_attempts == 0 {
-            self.max_attempts = 2 * self.workers;
-        }
-        self.probe_fails = self.probe_fails.max(1);
-        self.backoff_base_us = self.backoff_base_us.max(1);
-        self.backoff_cap_us = self.backoff_cap_us.max(self.backoff_base_us);
         self
+    }
+
+    /// Upper bound on routing attempts per request, first try included:
+    /// two per worker, so every shard can be tried twice.
+    pub fn attempt_limit(&self) -> usize {
+        2 * self.workers.max(1)
     }
 
     /// Resolves the worker binary path: the explicit override, or a
@@ -174,7 +159,7 @@ mod tests {
             ("PEB_FLEET_WORKER_BIN", "/opt/peb_worker"),
         ]))
         .expect("valid");
-        assert_eq!((c.workers, c.max_attempts), (3, 6));
+        assert_eq!((c.workers, c.attempt_limit()), (3, 6));
         assert_eq!(c.probe_interval, Duration::from_millis(1));
         assert_eq!(c.worker_bin(), std::path::PathBuf::from("/opt/peb_worker"));
         let err = FleetConfig::from_lookup(env(&[("PEB_FLEET_WORKERS", "two")])).expect_err("two");
@@ -185,18 +170,11 @@ mod tests {
     fn normalized_clamps_zeros() {
         let c = FleetConfig {
             workers: 0,
-            max_attempts: 0,
-            probe_fails: 0,
-            backoff_base_us: 0,
-            backoff_cap_us: 0,
             ..FleetConfig::default()
         }
         .normalized();
         assert_eq!(c.workers, 1);
-        assert_eq!(c.max_attempts, 2, "2 attempts per (single) worker");
-        assert_eq!(c.probe_fails, 1);
-        assert!(c.backoff_base_us >= 1);
-        assert!(c.backoff_cap_us >= c.backoff_base_us);
+        assert_eq!(c.attempt_limit(), 2, "2 attempts per (single) worker");
     }
 
     #[test]
@@ -204,8 +182,7 @@ mod tests {
         let c = FleetConfig {
             workers: 3,
             ..FleetConfig::default()
-        }
-        .normalized();
-        assert_eq!(c.max_attempts, 6);
+        };
+        assert_eq!(c.attempt_limit(), 6);
     }
 }

@@ -36,7 +36,7 @@ use peb_serve::front::Front;
 use peb_serve::http::encode_response;
 use peb_serve::{Client, ClientError, ClientTimeouts, Method, Request};
 
-use crate::config::FleetConfig;
+use crate::config::{FleetConfig, BACKOFF_BASE_US, BACKOFF_CAP_US};
 use crate::ring::{clip_digest, fnv64, Ring};
 use crate::stats::FleetStats;
 use crate::supervisor::{Shards, Supervisor};
@@ -189,7 +189,7 @@ fn infer(
     let prefer = ctx.ring.prefer(digest);
     let mut last_failure: Option<String> = None;
     let mut prev_shard: Option<usize> = None;
-    for attempt in 0..ctx.config.max_attempts {
+    for attempt in 0..ctx.config.attempt_limit() {
         // Deadline check between attempts: shed rather than dispatch
         // work the client has already given up on.
         let remaining = match remaining_budget(deadline) {
@@ -209,7 +209,7 @@ fn infer(
         if candidates.is_empty() {
             // Total outage: wait one backoff step for the supervisor to
             // bring something back, bounded by the deadline.
-            backoff(ctx, digest, attempt, deadline);
+            backoff(digest, attempt, deadline);
             last_failure = Some("no shard up".to_string());
             continue;
         }
@@ -230,7 +230,7 @@ fn infer(
             Err(failure) => {
                 last_failure = Some(failure);
                 ctx.shards.slots()[shard].mark_suspect();
-                backoff(ctx, digest, attempt, deadline);
+                backoff(digest, attempt, deadline);
             }
         }
     }
@@ -333,12 +333,10 @@ fn remaining_budget(deadline: Option<Instant>) -> Result<Option<Duration>, ()> {
 /// past the deadline. Jitter derives from `(digest, attempt)` so a
 /// retry storm for different clips de-synchronises without any RNG
 /// state (reproducible runs stay reproducible).
-fn backoff(ctx: &RouterCtx, digest: u64, attempt: usize, deadline: Option<Instant>) {
-    let base = ctx
-        .config
-        .backoff_base_us
+fn backoff(digest: u64, attempt: usize, deadline: Option<Instant>) {
+    let base = BACKOFF_BASE_US
         .saturating_mul(1u64 << attempt.min(16))
-        .min(ctx.config.backoff_cap_us);
+        .min(BACKOFF_CAP_US);
     let mut key = [0u8; 12];
     key[..8].copy_from_slice(&digest.to_le_bytes());
     key[8..].copy_from_slice(&(attempt as u32).to_le_bytes());

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use peb_serve::{Client, ClientTimeouts};
 
-use crate::config::FleetConfig;
+use crate::config::{FleetConfig, PROBE_FAILS, PROBE_TIMEOUT};
 
 /// How long a freshly-spawned worker gets to print its ready line.
 const READY_TIMEOUT: Duration = Duration::from_secs(60);
@@ -122,7 +122,7 @@ impl ShardSlot {
     }
 
     /// Longest down-to-routable stretch this shard has seen.
-    pub fn longest_outage(&self) -> Duration {
+    fn longest_outage(&self) -> Duration {
         Duration::from_micros(self.longest_outage_us.load(Ordering::Relaxed))
     }
 
@@ -443,11 +443,11 @@ fn supervise(
             if !(due || suspect) || slot.state() != ShardState::Up {
                 continue;
             }
-            if probe_ok(slot, config.probe_timeout) {
+            if probe_ok(slot) {
                 fails[shard] = 0;
             } else {
                 fails[shard] += 1;
-                if fails[shard] >= config.probe_fails {
+                if fails[shard] >= PROBE_FAILS {
                     restart(config, shards, ckpt, &mut procs, &mut fails, shard);
                 }
             }
@@ -458,11 +458,11 @@ fn supervise(
 }
 
 /// One `/healthz` round-trip under the probe budget.
-fn probe_ok(slot: &ShardSlot, timeout: Duration) -> bool {
+fn probe_ok(slot: &ShardSlot) -> bool {
     let Some(addr) = slot.addr() else {
         return false;
     };
-    let Ok(mut c) = Client::connect_with(addr, ClientTimeouts::uniform(timeout)) else {
+    let Ok(mut c) = Client::connect_with(addr, ClientTimeouts::uniform(PROBE_TIMEOUT)) else {
         return false;
     };
     matches!(c.request("GET", "/healthz", b""), Ok(r) if r.status == 200)

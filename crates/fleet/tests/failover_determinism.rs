@@ -42,15 +42,12 @@ fn base_config(threads: usize) -> FleetConfig {
         worker_env: worker_env(threads),
         deadline_us: 60_000_000,
         probe_interval: Duration::from_millis(100),
-        probe_timeout: Duration::from_millis(500),
-        probe_fails: 2,
         // A hung worker must cost one bounded attempt, not the whole
         // deadline — this cap is what makes hang failover land in time.
         attempt_timeout: Some(Duration::from_secs(2)),
         drain_timeout: Duration::from_millis(1_000),
         ..FleetConfig::default()
     }
-    .normalized()
 }
 
 fn test_clip(tag: u64) -> Tensor {
@@ -172,19 +169,15 @@ fn three_faults_at_once_under_load_are_all_recovered() {
     let reference: Vec<u64> = clips.iter().map(|c| serve(&clean, c)).collect();
     clean.shutdown();
 
-    let fleet = Fleet::start(
-        FleetConfig {
-            workers: 3,
-            max_attempts: 0, // re-derived for three workers
-            worker_chaos: vec![
-                (0, "kill-worker:10".to_string()),
-                (1, "hang-worker:40".to_string()),
-                (2, "corrupt-resp:5".to_string()),
-            ],
-            ..base_config(1)
-        }
-        .normalized(),
-    )
+    let fleet = Fleet::start(FleetConfig {
+        workers: 3,
+        worker_chaos: vec![
+            (0, "kill-worker:10".to_string()),
+            (1, "hang-worker:40".to_string()),
+            (2, "corrupt-resp:5".to_string()),
+        ],
+        ..base_config(1)
+    })
     .expect("chaos fleet");
     let addr = fleet.addr();
 

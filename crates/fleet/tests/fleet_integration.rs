@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use peb_fleet::{clip_digest, Fleet, FleetConfig, Ring};
-use peb_guard::{OptKind, TrainCheckpoint};
+use peb_guard::TrainCheckpoint;
 use peb_nn::Parameterized;
 use peb_serve::clip::{decode_resp, encode_clip};
 use peb_serve::Client;
@@ -48,12 +48,9 @@ fn fleet_config(workers: usize) -> FleetConfig {
         // Generous on a 1-core box: model build + batching + retries.
         deadline_us: 30_000_000,
         probe_interval: Duration::from_millis(100),
-        probe_timeout: Duration::from_millis(500),
-        probe_fails: 2,
         attempt_timeout: Some(Duration::from_secs(5)),
         ..FleetConfig::default()
     }
-    .normalized()
 }
 
 fn test_clip(tag: u64) -> Tensor {
@@ -181,7 +178,6 @@ fn swap_fans_out_and_restarted_worker_reloads_checkpoint() {
     let ckpt = TrainCheckpoint {
         epoch: 5,
         seed: 999,
-        opt_kind: OptKind::Adam,
         opt_t: 0,
         lr_scale: 1.0,
         rollbacks: 0,

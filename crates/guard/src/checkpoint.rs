@@ -8,7 +8,7 @@
 //! | version | `u32` (currently 1) |
 //! | epoch | `u64` — epochs *completed* when this state was captured |
 //! | seed | `u64` — the shuffle seed of the run |
-//! | opt_kind | `u32` — 0 = Adam, 1 = SGD |
+//! | opt_kind | `u32` — always 0 = Adam; other values are rejected |
 //! | opt_t | `u64` — optimiser step counter (Adam bias correction) |
 //! | lr_scale | `f32` — divergence-backoff multiplier in effect |
 //! | rollbacks | `u64` — rollbacks performed so far |
@@ -48,31 +48,9 @@ const VERSION: u32 = 1;
 /// file remains readable.
 const VERSION_QUANT: u32 = 2;
 
-/// Optimiser family stored in a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptKind {
-    /// Adam: `opt_m`/`opt_v` hold first/second moments, `opt_t` the step.
-    Adam,
-    /// SGD: `opt_m` holds the momentum velocity, `opt_v` is empty.
-    Sgd,
-}
-
-impl OptKind {
-    fn code(self) -> u32 {
-        match self {
-            OptKind::Adam => 0,
-            OptKind::Sgd => 1,
-        }
-    }
-
-    fn from_code(c: u32) -> Result<Self> {
-        match c {
-            0 => Ok(OptKind::Adam),
-            1 => Ok(OptKind::Sgd),
-            other => Err(PebError::corrupt(format!("unknown optimiser kind {other}"))),
-        }
-    }
-}
+/// The optimiser tag on the wire: training runs Adam only, so `opt_m` /
+/// `opt_v` hold its first / second moments and `opt_t` its step.
+const OPT_ADAM: u32 = 0;
 
 /// Per-epoch bookkeeping persisted with the weights so a resumed run
 /// reports the same history as an uninterrupted one.
@@ -134,9 +112,7 @@ pub struct TrainCheckpoint {
     pub epoch: u64,
     /// Shuffle seed of the run (resume replays the RNG stream).
     pub seed: u64,
-    /// Optimiser family.
-    pub opt_kind: OptKind,
-    /// Optimiser step counter.
+    /// Adam's step counter.
     pub opt_t: u64,
     /// Divergence-backoff LR multiplier in effect.
     pub lr_scale: f32,
@@ -146,10 +122,10 @@ pub struct TrainCheckpoint {
     pub epoch_stats: Vec<EpochRecord>,
     /// Model parameters in `Parameterized::parameters()` order.
     pub params: Vec<Tensor>,
-    /// First moments (Adam) or velocity (SGD), per parameter; `None` for
-    /// parameters the optimiser has not touched yet.
+    /// Adam's first moments, per parameter; `None` for parameters the
+    /// optimiser has not touched yet.
     pub opt_m: Vec<Option<Tensor>>,
-    /// Second moments (Adam only), per parameter.
+    /// Adam's second moments, per parameter.
     pub opt_v: Vec<Option<Tensor>>,
     /// Post-training-quantized weights, written as a version-2 tagged
     /// section. `None` (every training checkpoint) keeps the file at
@@ -200,7 +176,7 @@ impl TrainCheckpoint {
         );
         put_u64(&mut w, self.epoch);
         put_u64(&mut w, self.seed);
-        put_u32(&mut w, self.opt_kind.code());
+        put_u32(&mut w, OPT_ADAM);
         put_u64(&mut w, self.opt_t);
         put_f32(&mut w, self.lr_scale);
         put_u64(&mut w, self.rollbacks);
@@ -253,7 +229,7 @@ impl TrainCheckpoint {
         let version = r.version()?;
         let epoch = r.u64()?;
         let seed = r.u64()?;
-        let opt_kind = OptKind::from_code(r.u32()?)?;
+        r.opt_tag()?;
         let opt_t = r.u64()?;
         let lr_scale = r.f32()?;
         let rollbacks = r.u64()?;
@@ -281,7 +257,6 @@ impl TrainCheckpoint {
         Ok(TrainCheckpoint {
             epoch,
             seed,
-            opt_kind,
             opt_t,
             lr_scale,
             rollbacks,
@@ -310,8 +285,6 @@ pub struct CkptMeta {
     pub epoch: u64,
     /// Shuffle seed of the originating run.
     pub seed: u64,
-    /// Optimiser family stored alongside the weights.
-    pub opt_kind: OptKind,
     /// Number of parameter tensors in the payload.
     pub n_params: u64,
     /// Total file size in bytes (CRC footer included).
@@ -349,7 +322,7 @@ pub fn peek_bytes(bytes: &[u8]) -> Result<CkptMeta> {
     let version = r.version()?;
     let epoch = r.u64()?;
     let seed = r.u64()?;
-    let opt_kind = OptKind::from_code(r.u32()?)?;
+    r.opt_tag()?;
     let _opt_t = r.u64()?;
     let _lr_scale = r.f32()?;
     let _rollbacks = r.u64()?;
@@ -360,7 +333,6 @@ pub fn peek_bytes(bytes: &[u8]) -> Result<CkptMeta> {
     Ok(CkptMeta {
         epoch,
         seed,
-        opt_kind,
         n_params,
         file_bytes: bytes.len() as u64,
         crc,
@@ -514,6 +486,13 @@ impl Cursor<'_> {
         }
     }
 
+    fn opt_tag(&mut self) -> Result<()> {
+        match self.u32()? {
+            OPT_ADAM => Ok(()),
+            other => Err(PebError::corrupt(format!("unknown optimiser kind {other}"))),
+        }
+    }
+
     fn opt_tensors(&mut self) -> Result<Vec<Option<Tensor>>> {
         let n = self.count("optimiser slots", 1)?;
         let mut out = Vec::with_capacity(n);
@@ -578,7 +557,6 @@ mod tests {
         TrainCheckpoint {
             epoch: 3,
             seed: 20250705,
-            opt_kind: OptKind::Adam,
             opt_t: 12,
             lr_scale: 0.5,
             rollbacks: 1,
@@ -618,7 +596,6 @@ mod tests {
         let ckpt = sample_checkpoint();
         let decoded = TrainCheckpoint::from_bytes(&ckpt.to_bytes()).expect("roundtrip decodes");
         assert_eq!(decoded.epoch, ckpt.epoch);
-        assert_eq!(decoded.opt_kind, ckpt.opt_kind);
         assert_eq!(decoded.lr_scale.to_bits(), ckpt.lr_scale.to_bits());
         for (a, b) in decoded.params.iter().zip(&ckpt.params) {
             assert_eq!(a.shape(), b.shape());
@@ -628,6 +605,22 @@ mod tests {
         }
         assert_eq!(decoded.opt_m, ckpt.opt_m);
         assert_eq!(decoded.opt_v, ckpt.opt_v);
+    }
+
+    #[test]
+    fn optimiser_tags_other_than_adam_are_corrupt() {
+        let mut bytes = sample_checkpoint().to_bytes();
+        // magic 8 + version 4 + epoch 8 + seed 8, then the tag.
+        assert_eq!(bytes[28..32], OPT_ADAM.to_le_bytes());
+        for tag in [1u32, 2, u32::MAX] {
+            bytes[28..32].copy_from_slice(&tag.to_le_bytes());
+            let payload = bytes.len() - 4;
+            let crc = crc32(&bytes[..payload]);
+            bytes[payload..].copy_from_slice(&crc.to_le_bytes());
+            let err = TrainCheckpoint::from_bytes(&bytes).expect_err("tag");
+            assert!(err.is_corrupt(), "{err}");
+            assert!(peek_bytes(&bytes).expect_err("tag").is_corrupt());
+        }
     }
 
     #[test]
@@ -692,7 +685,6 @@ mod tests {
         let meta = peek_bytes(&bytes).expect("peek decodes");
         assert_eq!(meta.epoch, ckpt.epoch);
         assert_eq!(meta.seed, ckpt.seed);
-        assert_eq!(meta.opt_kind, ckpt.opt_kind);
         assert_eq!(meta.n_params, ckpt.params.len() as u64);
         assert_eq!(meta.file_bytes, bytes.len() as u64);
         // The fingerprint is the stored CRC footer.

@@ -127,16 +127,6 @@ impl PebError {
         matches!(self.root(), PebError::Corrupt { .. })
     }
 
-    /// True when the root cause is exhausted divergence recovery.
-    pub fn is_divergence(&self) -> bool {
-        matches!(self.root(), PebError::Divergence { .. })
-    }
-
-    /// True when the root cause was injected by the chaos harness.
-    pub fn is_injected(&self) -> bool {
-        matches!(self.root(), PebError::Injected { .. })
-    }
-
     /// Wraps `self` in a context frame.
     pub fn context(self, ctx: impl Into<String>) -> Self {
         PebError::Context {
@@ -262,7 +252,7 @@ mod tests {
         );
         assert_eq!(wrapped.root(), &root);
         assert!(wrapped.is_corrupt());
-        assert!(!wrapped.is_divergence());
+        assert!(!matches!(wrapped.root(), PebError::Divergence { .. }));
     }
 
     #[test]

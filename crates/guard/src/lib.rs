@@ -34,7 +34,7 @@ mod error;
 
 pub use checkpoint::{
     atomic_write, checkpoint_path, list_checkpoints, load_latest, peek, peek_bytes,
-    prune_checkpoints, CkptMeta, EpochRecord, OptKind, QuantSlot, QuantTensor, TrainCheckpoint,
+    prune_checkpoints, CkptMeta, EpochRecord, QuantSlot, QuantTensor, TrainCheckpoint,
 };
 pub use codec::crc32;
 pub use error::{Context, PebError, Result};

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use peb_guard::{
-    crc32, peek_bytes, EpochRecord, OptKind, PebError, QuantSlot, QuantTensor, TrainCheckpoint,
+    crc32, peek_bytes, EpochRecord, PebError, QuantSlot, QuantTensor, TrainCheckpoint,
 };
 use peb_tensor::Tensor;
 
@@ -105,11 +105,6 @@ fn random_checkpoint(seed: u64) -> TrainCheckpoint {
     TrainCheckpoint {
         epoch: rng.gen_range(0..10_000u64),
         seed: rng.next_u64(),
-        opt_kind: if rng.gen_range(0..2u32) == 0 {
-            OptKind::Adam
-        } else {
-            OptKind::Sgd
-        },
         opt_t: rng.next_u64(),
         lr_scale: f32::from_bits(rng.next_u32()),
         rollbacks: rng.gen_range(0..100u64),
@@ -191,7 +186,6 @@ proptest! {
 
         prop_assert_eq!(back.epoch, ckpt.epoch);
         prop_assert_eq!(back.seed, ckpt.seed);
-        prop_assert_eq!(back.opt_kind, ckpt.opt_kind);
         prop_assert_eq!(back.opt_t, ckpt.opt_t);
         prop_assert_eq!(back.lr_scale.to_bits(), ckpt.lr_scale.to_bits());
         prop_assert_eq!(back.rollbacks, ckpt.rollbacks);

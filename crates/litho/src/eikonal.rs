@@ -273,146 +273,146 @@ mod tests {
     }
 }
 
-/// Solves the same eikonal problem with the fast *iterative* method (FIM)
-/// of Jeong & Whitaker — the solver the paper cites \[31\].
-///
-/// FIM maintains an active list of narrow-band voxels and relaxes them
-/// until convergence, which parallelises better than sweeping on real
-/// hardware; here it serves as an independent cross-check of the
-/// fast-sweeping solver (the test suite asserts both agree).
-///
-/// # Errors
-///
-/// Same contract as [`solve_eikonal`].
-pub fn solve_eikonal_fim(grid: &Grid, rate: &Tensor, cfg: EikonalConfig) -> Result<Tensor> {
-    if rate.shape() != grid.shape3() {
-        return Err(LithoError::Config {
-            detail: format!(
-                "rate shape {:?} does not match grid {:?}",
-                rate.shape(),
-                grid.shape3()
-            ),
-        });
-    }
-    if rate.min_value() <= 0.0 {
-        return Err(LithoError::Config {
-            detail: "development rate must be strictly positive".into(),
-        });
-    }
-    let (nz, ny, nx) = (grid.nz, grid.ny, grid.nx);
-    let (hx, hy, hz) = (grid.dx, grid.dy, grid.dz);
-    let n = nz * ny * nx;
-    let at = |z: usize, y: usize, x: usize| (z * ny + y) * nx + x;
-    let rd = rate.data();
-    let mut s = vec![f32::INFINITY; n];
-    let mut active = std::collections::VecDeque::new();
-    let mut in_list = vec![false; n];
-    // Source: the top layer, seeded like the sweeping solver.
-    for y in 0..ny {
-        for x in 0..nx {
-            let idx = at(0, y, x);
-            s[idx] = 0.5 * hz / rd[idx];
-            // Its neighbours form the initial band.
-            for (dz, dy, dx) in [
-                (1isize, 0isize, 0isize),
-                (0, 1, 0),
-                (0, -1, 0),
-                (0, 0, 1),
-                (0, 0, -1),
-            ] {
-                let (zz, yy, xx) = (dz, y as isize + dy, x as isize + dx);
-                if zz >= 0
-                    && (zz as usize) < nz
-                    && yy >= 0
-                    && (yy as usize) < ny
-                    && xx >= 0
-                    && (xx as usize) < nx
-                {
-                    let nidx = at(zz as usize, yy as usize, xx as usize);
-                    if !in_list[nidx] && s[nidx].is_infinite() {
-                        in_list[nidx] = true;
-                        active.push_back(nidx);
-                    }
-                }
-            }
-        }
-    }
-    let update = |s: &[f32], idx: usize| -> f32 {
-        let z = idx / (ny * nx);
-        let y = (idx / nx) % ny;
-        let x = idx % nx;
-        let axis_min = |lo: Option<usize>, hi: Option<usize>| -> f32 {
-            let a = lo.map(|i| s[i]).unwrap_or(f32::INFINITY);
-            let b = hi.map(|i| s[i]).unwrap_or(f32::INFINITY);
-            a.min(b)
-        };
-        let ax = axis_min(
-            (x > 0).then(|| at(z, y, x - 1)),
-            (x + 1 < nx).then(|| at(z, y, x + 1)),
-        );
-        let ay = axis_min(
-            (y > 0).then(|| at(z, y - 1, x)),
-            (y + 1 < ny).then(|| at(z, y + 1, x)),
-        );
-        let az = if z == 0 {
-            if nz > 1 {
-                s[at(1, y, x)]
-            } else {
-                f32::INFINITY
-            }
-        } else if z + 1 == nz {
-            s[at(z - 1, y, x)]
-        } else {
-            s[at(z - 1, y, x)].min(s[at(z + 1, y, x)])
-        };
-        godunov_update(&[(ax, hx), (ay, hy), (az, hz)], 1.0 / rd[idx])
-    };
-    let mut guard = 0usize;
-    let guard_limit = n * 64; // generous convergence bound
-    while let Some(idx) = active.pop_front() {
-        in_list[idx] = false;
-        guard += 1;
-        if guard > guard_limit {
-            break;
-        }
-        let new = update(&s, idx);
-        if new < s[idx] - cfg.tol {
-            s[idx] = new;
-            // Re-activate neighbours that might improve.
-            let z = idx / (ny * nx);
-            let y = (idx / nx) % ny;
-            let x = idx % nx;
-            let mut push = |zz: isize, yy: isize, xx: isize| {
-                if zz >= 0
-                    && (zz as usize) < nz
-                    && yy >= 0
-                    && (yy as usize) < ny
-                    && xx >= 0
-                    && (xx as usize) < nx
-                {
-                    let nidx = at(zz as usize, yy as usize, xx as usize);
-                    if !in_list[nidx] {
-                        in_list[nidx] = true;
-                        active.push_back(nidx);
-                    }
-                }
-            };
-            push(z as isize - 1, y as isize, x as isize);
-            push(z as isize + 1, y as isize, x as isize);
-            push(z as isize, y as isize - 1, x as isize);
-            push(z as isize, y as isize + 1, x as isize);
-            push(z as isize, y as isize, x as isize - 1);
-            push(z as isize, y as isize, x as isize + 1);
-        } else if new < s[idx] {
-            s[idx] = new;
-        }
-    }
-    Ok(Tensor::from_vec(s, &grid.shape3())?)
-}
-
 #[cfg(test)]
 mod fim_tests {
     use super::*;
+
+    /// Solves the same eikonal problem with the fast *iterative* method (FIM)
+    /// of Jeong & Whitaker — the solver the paper cites \[31\].
+    ///
+    /// FIM maintains an active list of narrow-band voxels and relaxes them
+    /// until convergence, which parallelises better than sweeping on real
+    /// hardware; here it is the independent oracle the fast-sweeping solver
+    /// is checked against.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`solve_eikonal`].
+    fn solve_eikonal_fim(grid: &Grid, rate: &Tensor, cfg: EikonalConfig) -> Result<Tensor> {
+        if rate.shape() != grid.shape3() {
+            return Err(LithoError::Config {
+                detail: format!(
+                    "rate shape {:?} does not match grid {:?}",
+                    rate.shape(),
+                    grid.shape3()
+                ),
+            });
+        }
+        if rate.min_value() <= 0.0 {
+            return Err(LithoError::Config {
+                detail: "development rate must be strictly positive".into(),
+            });
+        }
+        let (nz, ny, nx) = (grid.nz, grid.ny, grid.nx);
+        let (hx, hy, hz) = (grid.dx, grid.dy, grid.dz);
+        let n = nz * ny * nx;
+        let at = |z: usize, y: usize, x: usize| (z * ny + y) * nx + x;
+        let rd = rate.data();
+        let mut s = vec![f32::INFINITY; n];
+        let mut active = std::collections::VecDeque::new();
+        let mut in_list = vec![false; n];
+        // Source: the top layer, seeded like the sweeping solver.
+        for y in 0..ny {
+            for x in 0..nx {
+                let idx = at(0, y, x);
+                s[idx] = 0.5 * hz / rd[idx];
+                // Its neighbours form the initial band.
+                for (dz, dy, dx) in [
+                    (1isize, 0isize, 0isize),
+                    (0, 1, 0),
+                    (0, -1, 0),
+                    (0, 0, 1),
+                    (0, 0, -1),
+                ] {
+                    let (zz, yy, xx) = (dz, y as isize + dy, x as isize + dx);
+                    if zz >= 0
+                        && (zz as usize) < nz
+                        && yy >= 0
+                        && (yy as usize) < ny
+                        && xx >= 0
+                        && (xx as usize) < nx
+                    {
+                        let nidx = at(zz as usize, yy as usize, xx as usize);
+                        if !in_list[nidx] && s[nidx].is_infinite() {
+                            in_list[nidx] = true;
+                            active.push_back(nidx);
+                        }
+                    }
+                }
+            }
+        }
+        let update = |s: &[f32], idx: usize| -> f32 {
+            let z = idx / (ny * nx);
+            let y = (idx / nx) % ny;
+            let x = idx % nx;
+            let axis_min = |lo: Option<usize>, hi: Option<usize>| -> f32 {
+                let a = lo.map(|i| s[i]).unwrap_or(f32::INFINITY);
+                let b = hi.map(|i| s[i]).unwrap_or(f32::INFINITY);
+                a.min(b)
+            };
+            let ax = axis_min(
+                (x > 0).then(|| at(z, y, x - 1)),
+                (x + 1 < nx).then(|| at(z, y, x + 1)),
+            );
+            let ay = axis_min(
+                (y > 0).then(|| at(z, y - 1, x)),
+                (y + 1 < ny).then(|| at(z, y + 1, x)),
+            );
+            let az = if z == 0 {
+                if nz > 1 {
+                    s[at(1, y, x)]
+                } else {
+                    f32::INFINITY
+                }
+            } else if z + 1 == nz {
+                s[at(z - 1, y, x)]
+            } else {
+                s[at(z - 1, y, x)].min(s[at(z + 1, y, x)])
+            };
+            godunov_update(&[(ax, hx), (ay, hy), (az, hz)], 1.0 / rd[idx])
+        };
+        let mut guard = 0usize;
+        let guard_limit = n * 64; // generous convergence bound
+        while let Some(idx) = active.pop_front() {
+            in_list[idx] = false;
+            guard += 1;
+            if guard > guard_limit {
+                break;
+            }
+            let new = update(&s, idx);
+            if new < s[idx] - cfg.tol {
+                s[idx] = new;
+                // Re-activate neighbours that might improve.
+                let z = idx / (ny * nx);
+                let y = (idx / nx) % ny;
+                let x = idx % nx;
+                let mut push = |zz: isize, yy: isize, xx: isize| {
+                    if zz >= 0
+                        && (zz as usize) < nz
+                        && yy >= 0
+                        && (yy as usize) < ny
+                        && xx >= 0
+                        && (xx as usize) < nx
+                    {
+                        let nidx = at(zz as usize, yy as usize, xx as usize);
+                        if !in_list[nidx] {
+                            in_list[nidx] = true;
+                            active.push_back(nidx);
+                        }
+                    }
+                };
+                push(z as isize - 1, y as isize, x as isize);
+                push(z as isize + 1, y as isize, x as isize);
+                push(z as isize, y as isize - 1, x as isize);
+                push(z as isize, y as isize + 1, x as isize);
+                push(z as isize, y as isize, x as isize - 1);
+                push(z as isize, y as isize, x as isize + 1);
+            } else if new < s[idx] {
+                s[idx] = new;
+            }
+        }
+        Ok(Tensor::from_vec(s, &grid.shape3())?)
+    }
 
     #[test]
     fn fim_matches_fast_sweeping_uniform() {

@@ -47,7 +47,7 @@ mod profile;
 mod tridiag;
 
 pub use dill::DillParams;
-pub use eikonal::{solve_eikonal, solve_eikonal_fim, EikonalConfig};
+pub use eikonal::{solve_eikonal, EikonalConfig};
 pub use error::LithoError;
 pub use export::resist_profile_obj;
 pub use flow::{LithoFlow, Simulation};

@@ -56,8 +56,7 @@ pub struct MaskClip {
 
 /// Generator configuration.
 ///
-/// All physical lengths are in pixels of the target grid; use
-/// [`MaskConfig::from_nm`] to specify nanometres against a grid spacing.
+/// All physical lengths are in pixels of the target grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MaskConfig {
     /// Clip edge length in pixels (square clips, matching the paper).
@@ -101,7 +100,8 @@ impl MaskConfig {
     /// # Errors
     ///
     /// Returns [`LithoError::Config`] if `dx_nm` is non-positive.
-    pub fn from_nm(
+    #[cfg(test)]
+    fn from_nm(
         size: usize,
         dx_nm: f32,
         contact_nm: f32,

@@ -52,12 +52,12 @@ impl OpticsParams {
     }
 
     /// Rayleigh resolution `0.61 λ / NA` in nm.
-    pub fn rayleigh_nm(&self) -> f32 {
+    fn rayleigh_nm(&self) -> f32 {
         0.61 * self.wavelength_nm / self.na
     }
 
     /// PSF σ (nm) at depth `z_nm` below the resist surface.
-    pub fn sigma_at(&self, z_nm: f32) -> f32 {
+    fn sigma_at(&self, z_nm: f32) -> f32 {
         let s0 = self.psf_sigma_frac * self.rayleigh_nm();
         (s0 * s0 + (self.defocus_slope * z_nm).powi(2)).sqrt()
     }

@@ -31,7 +31,6 @@ pub struct SsmBlock {
     a_log: Var,   // [C, N]
     d_skip: Var,  // [C]
     channels: usize,
-    state: usize,
 }
 
 impl SsmBlock {
@@ -47,13 +46,7 @@ impl SsmBlock {
             a_log: Var::parameter(hippo_a_log_init(channels, state)),
             d_skip: Var::parameter(Tensor::ones(&[channels])),
             channels,
-            state,
         }
-    }
-
-    /// Hidden-state dimension `N`.
-    pub fn state_dim(&self) -> usize {
-        self.state
     }
 
     /// Applies the selective scan to an `[L, C]` sequence.

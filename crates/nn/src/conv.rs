@@ -916,7 +916,7 @@ impl Conv3d {
     /// # Panics
     ///
     /// Panics if an extent is zero or smaller than the kernel once padded.
-    pub fn output_dhw(&self, d: usize, h: usize, w: usize) -> (usize, usize, usize) {
+    fn output_dhw(&self, d: usize, h: usize, w: usize) -> (usize, usize, usize) {
         (
             out_extent("Conv3d", "d", d, self.kernel.0, self.stride.0, self.pad.0),
             out_extent("Conv3d", "h", h, self.kernel.1, self.stride.1, self.pad.1),

@@ -4,7 +4,7 @@
 //! dense and depthwise convolutions (2-D and 3-D), transposed convolutions
 //! for the decoder, layer normalisation, the reduction-ratio efficient
 //! self-attention of the paper's Eq. 15, overlapped patch embedding
-//! (Fig. 3), MLP blocks, and SGD/Adam optimisers with the paper's
+//! (Fig. 3), MLP blocks, and the Adam optimiser with the paper's
 //! step-decay schedule.
 //!
 //! # Conventions
@@ -44,9 +44,9 @@ pub use attention::EfficientSelfAttention;
 pub use conv::{Conv2d, Conv3d, ConvTranspose2d, DwConv3d};
 pub use init::{kaiming_bound, kaiming_uniform, lecun_bound, lecun_uniform};
 pub use linear::Linear;
-pub use mlp::{Mlp, MlpAct};
+pub use mlp::Mlp;
 pub use norm::LayerNorm;
-pub use optim::{Adam, OptimState, Optimizer, Sgd, StepDecay};
+pub use optim::{Adam, OptimState, Optimizer, StepDecay};
 pub use patch::OverlappedPatchEmbed;
 
 use peb_tensor::Var;

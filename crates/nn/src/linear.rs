@@ -15,7 +15,6 @@ use crate::Parameterized;
 pub struct Linear {
     weight: Var,
     bias: Option<Var>,
-    in_features: usize,
     out_features: usize,
 }
 
@@ -31,14 +30,8 @@ impl Linear {
         Linear {
             weight,
             bias,
-            in_features,
             out_features,
         }
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
     }
 
     /// Output feature count.

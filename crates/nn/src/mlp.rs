@@ -6,55 +6,25 @@ use peb_tensor::Var;
 
 use crate::{Linear, Parameterized};
 
-/// Activation used between the two projections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MlpAct {
-    /// GELU (transformer default).
-    Gelu,
-    /// SiLU (SDM-unit convention).
-    Silu,
-    /// Leaky ReLU with slope 0.01.
-    LeakyRelu,
-}
-
-/// `Linear → activation → Linear` feed-forward block on `[L, C]`.
+/// `Linear → GELU → Linear` feed-forward block on `[L, C]`.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     fc1: Linear,
     fc2: Linear,
-    act: MlpAct,
 }
 
 impl Mlp {
-    /// Creates a block with the given hidden width and GELU activation.
+    /// Creates a block with the given hidden width.
     pub fn new(dim: usize, hidden: usize, rng: &mut impl Rng) -> Self {
-        Self::with_activation(dim, hidden, dim, MlpAct::Gelu, rng)
-    }
-
-    /// Full-control constructor.
-    pub fn with_activation(
-        dim_in: usize,
-        hidden: usize,
-        dim_out: usize,
-        act: MlpAct,
-        rng: &mut impl Rng,
-    ) -> Self {
         Mlp {
-            fc1: Linear::new(dim_in, hidden, true, rng),
-            fc2: Linear::new(hidden, dim_out, true, rng),
-            act,
+            fc1: Linear::new(dim, hidden, true, rng),
+            fc2: Linear::new(hidden, dim, true, rng),
         }
     }
 
-    /// Applies the block to `[L, C_in]`, producing `[L, C_out]`.
+    /// Applies the block to `[L, C]`, producing `[L, C]`.
     pub fn forward(&self, x: &Var) -> Var {
-        let h = self.fc1.forward(x);
-        let h = match self.act {
-            MlpAct::Gelu => h.gelu(),
-            MlpAct::Silu => h.silu(),
-            MlpAct::LeakyRelu => h.leaky_relu(0.01),
-        };
-        self.fc2.forward(&h)
+        self.fc2.forward(&self.fc1.forward(x).gelu())
     }
 }
 
@@ -76,9 +46,9 @@ mod tests {
     #[test]
     fn shapes() {
         let mut rng = StdRng::seed_from_u64(26);
-        let mlp = Mlp::with_activation(4, 16, 2, MlpAct::Silu, &mut rng);
+        let mlp = Mlp::new(4, 16, &mut rng);
         let x = Var::constant(Tensor::ones(&[3, 4]));
-        assert_eq!(mlp.forward(&x).shape(), vec![3, 2]);
+        assert_eq!(mlp.forward(&x).shape(), vec![3, 4]);
         assert_eq!(mlp.parameters().len(), 4);
     }
 

@@ -35,88 +35,12 @@ pub trait Optimizer {
 /// run, which is what makes checkpoint/resume bitwise-faithful.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimState {
-    /// Step counter (Adam bias correction; 0 for SGD).
+    /// Step counter (bias correction).
     pub t: u64,
-    /// First moments (Adam) or momentum velocity (SGD), per parameter.
+    /// First moments, per parameter.
     pub m: Vec<Option<Tensor>>,
-    /// Second moments (Adam; empty slots for SGD), per parameter.
+    /// Second moments, per parameter.
     pub v: Vec<Option<Tensor>>,
-}
-
-/// Plain SGD with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: HashMap<VarId, Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// Exports the momentum state in `params` order.
-    pub fn export_state(&self, params: &[Var]) -> OptimState {
-        OptimState {
-            t: 0,
-            m: params
-                .iter()
-                .map(|p| self.velocity.get(&p.id()).cloned())
-                .collect(),
-            v: params.iter().map(|_| None).collect(),
-        }
-    }
-
-    /// Restores state exported by [`Sgd::export_state`], re-keying the
-    /// slots onto the current [`VarId`]s of `params`.
-    pub fn restore_state(&mut self, params: &[Var], state: &OptimState) {
-        self.velocity.clear();
-        for (p, slot) in params.iter().zip(&state.m) {
-            if let Some(t) = slot {
-                self.velocity.insert(p.id(), t.clone());
-            }
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &[Var]) {
-        let _span = peb_obs::span("optim.step");
-        peb_obs::count(peb_obs::Counter::OptimSteps, 1);
-        for p in params {
-            let Some(g) = p.grad() else { continue };
-            // Update state and parameter in place through the vectorized
-            // `peb-simd` kernels (one pooled clone of the parameter
-            // instead of a temporary per arithmetic op); the per-element
-            // expressions match the tensor-op formulation bit for bit.
-            let mut new = p.value_clone();
-            if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(p.id())
-                    .or_insert_with(|| Tensor::zeros(g.shape()));
-                peb_simd::optim::sgd_momentum(v.data_mut(), g.data(), self.momentum);
-                peb_simd::optim::sgd_apply(new.data_mut(), v.data(), self.lr);
-            } else {
-                peb_simd::optim::sgd_apply(new.data_mut(), g.data(), self.lr);
-            }
-            p.set_value(new);
-        }
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -271,35 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_descends_quadratic() {
-        let p = quadratic_param(5.0);
-        let mut opt = Sgd::new(0.1, 0.0);
-        for _ in 0..50 {
-            opt.zero_grad(std::slice::from_ref(&p));
-            let loss = p.square();
-            loss.backward();
-            opt.step(std::slice::from_ref(&p));
-        }
-        assert!(p.value().item().abs() < 0.1);
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let run = |mom: f32| {
-            let p = quadratic_param(5.0);
-            let mut opt = Sgd::new(0.02, mom);
-            for _ in 0..30 {
-                opt.zero_grad(std::slice::from_ref(&p));
-                p.square().backward();
-                opt.step(std::slice::from_ref(&p));
-            }
-            let v = p.value().item().abs();
-            v
-        };
-        assert!(run(0.9) < run(0.0));
-    }
-
-    #[test]
     fn adam_descends_poorly_scaled_quadratic() {
         // f(x, y) = x² + 100 y²; Adam's per-coordinate scaling handles the
         // conditioning.
@@ -330,12 +225,9 @@ mod tests {
     fn gradient_accumulation_equals_sum() {
         // Two backward passes before one step behave like a summed batch.
         let p = quadratic_param(2.0);
-        let mut opt = Sgd::new(0.1, 0.0);
         p.mul_scalar(3.0).backward();
         p.mul_scalar(1.0).backward();
-        opt.step(std::slice::from_ref(&p));
-        // grad = 3 + 1 = 4 ⇒ new value 2 − 0.4.
-        assert!((p.value().item() - 1.6).abs() < 1e-6);
+        assert_eq!(p.grad().expect("accumulated").item(), 4.0);
     }
 
     #[test]
@@ -363,28 +255,6 @@ mod tests {
         for (x, y) in a.value().data().iter().zip(b.value().data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    #[test]
-    fn sgd_state_roundtrip_continues_bitwise() {
-        let run_steps = |p: &Var, opt: &mut Sgd, n: usize| {
-            for _ in 0..n {
-                opt.zero_grad(std::slice::from_ref(p));
-                p.square().backward();
-                opt.step(std::slice::from_ref(p));
-            }
-        };
-        let a = quadratic_param(4.0);
-        let b = quadratic_param(4.0);
-        let mut opt_a = Sgd::new(0.02, 0.9);
-        let mut opt_b = Sgd::new(0.02, 0.9);
-        run_steps(&a, &mut opt_a, 16);
-        run_steps(&b, &mut opt_b, 7);
-        let state = opt_b.export_state(std::slice::from_ref(&b));
-        let mut resumed = Sgd::new(0.02, 0.9);
-        resumed.restore_state(std::slice::from_ref(&b), &state);
-        run_steps(&b, &mut resumed, 9);
-        assert_eq!(a.value().item().to_bits(), b.value().item().to_bits());
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub struct OverlappedPatchEmbed {
     proj: Conv2d,
     cin: usize,
     cout: usize,
-    kernel: usize,
-    stride: usize,
 }
 
 impl OverlappedPatchEmbed {
@@ -43,14 +41,7 @@ impl OverlappedPatchEmbed {
             proj: Conv2d::new(cin, cout, kernel, stride, pad, true, rng),
             cin,
             cout,
-            kernel,
-            stride,
         }
-    }
-
-    /// Whether patches overlap.
-    pub fn is_overlapped(&self) -> bool {
-        self.kernel > self.stride
     }
 
     /// Output channel count.
@@ -93,7 +84,6 @@ mod tests {
         let x = Var::constant(Tensor::ones(&[1, 5, 16, 16]));
         let y = embed.forward(&x);
         assert_eq!(y.shape(), vec![8, 5, 4, 4]);
-        assert!(embed.is_overlapped());
     }
 
     #[test]
@@ -102,7 +92,6 @@ mod tests {
         let embed = OverlappedPatchEmbed::new(2, 4, 2, 2, &mut rng);
         let x = Var::constant(Tensor::ones(&[2, 3, 8, 8]));
         assert_eq!(embed.forward(&x).shape(), vec![4, 3, 4, 4]);
-        assert!(!embed.is_overlapped());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! Tests and binaries can bypass the environment with [`set_mode`], read
 //! the aggregate state with [`snapshot`], clear it with [`reset`], and
-//! emit reports eagerly with [`write_json`] / [`render_summary`].
+//! emit a report eagerly with [`write_json`].
 //!
 //! The crate deliberately has no dependencies (not even the vendored
 //! ones) so every other crate in the workspace can instrument itself
@@ -520,7 +520,7 @@ fn fmt_ns(ns: u64) -> String {
 
 /// Renders the human-readable summary table (what `PEB_TRACE=summary`
 /// prints to stderr at exit).
-pub fn render_summary() -> String {
+fn render_summary() -> String {
     let p = snapshot();
     let mut out = String::new();
     let _ = writeln!(out, "== peb-obs profile ==");

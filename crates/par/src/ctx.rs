@@ -163,10 +163,12 @@ pub struct ExecCtx {
 const DEFAULT_TILE_BYTES: usize = 1 << 20;
 
 /// Variables that used to select modes which never diverged (fuse, pool,
-/// tile), never won (reduced compute precision, plan replay) or only
-/// counted accept loops (the servers' acceptor counts); setting one is an
-/// error so a stale script cannot believe it changed anything.
-const REMOVED: [&str; 8] = [
+/// tile), never won (reduced compute precision, plan replay), only
+/// counted accept loops (the servers' acceptor counts) or were never set
+/// to anything but their default (the fleet's retry, probe and backoff
+/// policy, the worker's readiness mark); setting one is an error so a
+/// stale script cannot believe it changed anything.
+const REMOVED: [&str; 14] = [
     "PEB_FUSE",
     "PEB_POOL",
     "PEB_TILE",
@@ -175,6 +177,12 @@ const REMOVED: [&str; 8] = [
     "PEB_PLAN",
     "PEB_SERVE_WORKERS",
     "PEB_FLEET_CONNS",
+    "PEB_FLEET_RETRIES",
+    "PEB_FLEET_PROBE_TIMEOUT_MS",
+    "PEB_FLEET_PROBE_FAILS",
+    "PEB_FLEET_BACKOFF_US",
+    "PEB_FLEET_BACKOFF_CAP_US",
+    "PEB_SERVE_READY_HWM",
 ];
 
 impl ExecCtx {
@@ -188,7 +196,8 @@ impl ExecCtx {
                 var,
                 "the variable to be unset: it was removed (fusion, pooling and tiling are always \
                  on; compute is always f32; inference always runs eagerly; each server runs \
-                 one accept thread)",
+                 one accept thread; the fleet's retry, probe and backoff policy and the \
+                 readiness mark are fixed)",
                 |_| None::<()>,
             )?;
         }
@@ -353,6 +362,12 @@ mod tests {
             ("PEB_SERVE_PREC", "int8"),
             ("PEB_SERVE_WORKERS", "2"),
             ("PEB_FLEET_CONNS", "2"),
+            ("PEB_FLEET_RETRIES", "3"),
+            ("PEB_FLEET_PROBE_TIMEOUT_MS", "500"),
+            ("PEB_FLEET_PROBE_FAILS", "2"),
+            ("PEB_FLEET_BACKOFF_US", "2000"),
+            ("PEB_FLEET_BACKOFF_CAP_US", "100000"),
+            ("PEB_SERVE_READY_HWM", "4"),
         ] {
             let err = ExecCtx::from_lookup(table(&[(var, value)])).expect_err(var);
             assert_eq!((err.var, err.value.as_str()), (var, value));

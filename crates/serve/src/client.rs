@@ -323,7 +323,7 @@ impl Client {
 
 /// Parses the server's `/version`-shape JSON without a JSON library
 /// (fields are flat and numeric except `source`).
-pub fn parse_version_json(s: &str) -> Option<ModelVersion> {
+fn parse_version_json(s: &str) -> Option<ModelVersion> {
     let num = |key: &str| -> Option<u64> {
         let pat = format!("\"{key}\":");
         let i = s.find(&pat)? + pat.len();

@@ -192,7 +192,8 @@ pub fn frame_bytes(dims: (usize, usize, usize)) -> usize {
 
 /// Exact wire size of a response frame for a `(d, h, w)` clip (the
 /// request size plus the CRC footer).
-pub fn resp_frame_bytes(dims: (usize, usize, usize)) -> usize {
+#[cfg(test)]
+fn resp_frame_bytes(dims: (usize, usize, usize)) -> usize {
     frame_bytes(dims) + CRC_BYTES
 }
 

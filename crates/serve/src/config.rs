@@ -24,7 +24,6 @@ pub enum ModelPreset {
 /// | `PEB_SERVE_MAX_BATCH` | `max_batch` | `8` |
 /// | `PEB_SERVE_MAX_WAIT_US` | `max_wait_us` | `500` |
 /// | `PEB_SERVE_QUEUE` | `queue_cap` | `64` |
-/// | `PEB_SERVE_READY_HWM` | `ready_hwm` | `3·queue_cap/4` |
 /// | `PEB_SERVE_THREADS` | `compute_threads` | unset (peb-par default) |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -42,12 +41,8 @@ pub struct ServeConfig {
     /// hand, in microseconds. `0` = never wait (pure greedy drain).
     pub max_wait_us: u64,
     /// Bounded inference queue depth; a full queue sheds with 429.
+    /// It also sets the readiness mark, [`ServeConfig::ready_hwm`].
     pub queue_cap: usize,
-    /// Readiness high-water mark: `/readyz` answers 503 while the
-    /// queue holds more than this many jobs (or a swap is in flight),
-    /// so routers stop sending work *before* the queue fills and 429s
-    /// start. `None` → `3·queue_cap/4` after normalisation.
-    pub ready_hwm: Option<usize>,
     /// Kernel thread count forced on the engine thread (`None` = the
     /// `peb-par` default). The batching-invariance tests pin this to 1
     /// and 4 — results are bitwise identical either way.
@@ -64,7 +59,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             max_wait_us: 500,
             queue_cap: 64,
-            ready_hwm: None,
             compute_threads: None,
         }
     }
@@ -95,7 +89,6 @@ impl ServeConfig {
             max_wait_us: read_parsed(&env, "PEB_SERVE_MAX_WAIT_US", COUNT)?
                 .unwrap_or(d.max_wait_us),
             queue_cap: read_parsed(&env, "PEB_SERVE_QUEUE", COUNT)?.unwrap_or(d.queue_cap),
-            ready_hwm: read_parsed(&env, "PEB_SERVE_READY_HWM", COUNT)?,
             compute_threads: read_var(&env, "PEB_SERVE_THREADS", "a positive integer", |s| {
                 s.parse().ok().filter(|&n: &usize| n > 0)
             })?,
@@ -108,17 +101,16 @@ impl ServeConfig {
     pub fn normalized(mut self) -> Self {
         self.max_batch = self.max_batch.max(1);
         self.queue_cap = self.queue_cap.max(1);
-        // Default high-water at 3/4 of the queue, clamped into
-        // [1, queue_cap] so readiness can neither trip on an empty
-        // queue nor stay green past the shed point.
-        let hwm = self.ready_hwm.unwrap_or(3 * self.queue_cap / 4);
-        self.ready_hwm = Some(hwm.clamp(1, self.queue_cap));
         self
     }
 
-    /// The resolved readiness high-water mark (post-normalisation).
+    /// Readiness high-water mark: `/readyz` answers 503 while the queue
+    /// holds more than this many jobs (or a swap is in flight), so
+    /// routers stop sending work *before* the queue fills and 429s
+    /// start. It is 3/4 of the queue, at least 1 so readiness cannot
+    /// trip on an empty queue, and never past the shed point.
     pub fn ready_hwm(&self) -> usize {
-        self.ready_hwm.unwrap_or(3 * self.queue_cap / 4).max(1)
+        (3 * self.queue_cap / 4).max(1)
     }
 
     /// Largest `/infer` body the HTTP layer should accept: one frame at
@@ -129,7 +121,7 @@ impl ServeConfig {
 }
 
 /// Parses `DxHxW` (e.g. `8x16x16`).
-pub fn parse_grid(s: &str) -> Option<(usize, usize, usize)> {
+fn parse_grid(s: &str) -> Option<(usize, usize, usize)> {
     let mut it = s.split('x');
     let d = it.next()?.trim().parse().ok()?;
     let h = it.next()?.trim().parse().ok()?;
@@ -194,13 +186,13 @@ mod tests {
     fn ready_hwm_defaults_to_three_quarters_and_clamps() {
         let c = ServeConfig::default().normalized();
         assert_eq!(c.ready_hwm(), 48, "3/4 of the default 64-deep queue");
-        let c = ServeConfig {
-            queue_cap: 8,
-            ready_hwm: Some(100),
-            ..ServeConfig::default()
+        for queue_cap in 1..=16 {
+            let c = ServeConfig {
+                queue_cap,
+                ..ServeConfig::default()
+            };
+            assert!((1..=queue_cap).contains(&c.ready_hwm()), "{queue_cap}");
         }
-        .normalized();
-        assert_eq!(c.ready_hwm(), 8, "hwm clamps to the queue depth");
     }
 
     #[test]

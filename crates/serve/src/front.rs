@@ -6,13 +6,13 @@
 //! A server plugs in a per-connection handler. The handler sees every
 //! request the parser yields, in order, writes its response and returns
 //! whether the connection stays open. A protocol error, an incomplete
-//! head past [`HEAD_TIMEOUT`] included, is shown to the handler too (so
-//! it can count it), then answered here and the connection closed.
+//! request past [`REQUEST_TIMEOUT`] included, is shown to the handler too
+//! (so it can count it), then answered here and the connection closed.
 //!
 //! Two rules bound what a peer can hold: one that takes no response
-//! bytes for 5 s (`WRITE_TIMEOUT`) is dropped, and one whose request
-//! head is not complete [`HEAD_TIMEOUT`] after its first byte is answered
-//! 408 (slow-loris). Either way its thread cannot block
+//! bytes for 5 s (`WRITE_TIMEOUT`) is dropped, and one whose request,
+//! head and body, is not complete [`REQUEST_TIMEOUT`] after its first
+//! byte is answered 408 (slow-loris). Either way its thread cannot block
 //! [`Front::shutdown`], which joins every connection thread.
 
 use std::io::{Read as _, Write as _};
@@ -22,10 +22,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::http::{encode_response, HttpError, Request, RequestParser, HEAD_TIMEOUT};
+use crate::http::{encode_response, HttpError, Request, RequestParser, REQUEST_TIMEOUT};
 
 /// Read timeout on connections: bounds how long a quiet socket delays
-/// noticing shutdown or an expired head.
+/// noticing shutdown or an expired request.
 const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Write timeout on connections: a peer that takes no response bytes for
@@ -144,25 +144,26 @@ fn handle_conn(mut stream: TcpStream, mut handler: Handler, stop: &AtomicBool, m
     let _ = stream.set_nodelay(true);
     let mut parser = RequestParser::with_max_body(max_body);
     let mut buf = [0u8; 16 * 1024];
-    // When the first byte of the head now buffered was seen.
-    let mut head_since: Option<Instant> = None;
+    // When the first byte of the request now buffered was seen.
+    let mut since: Option<Instant> = None;
     loop {
         // Serve everything already buffered (pipelining).
         let failure = loop {
             match parser.poll() {
                 Ok(Some(req)) => {
-                    head_since = None;
+                    since = None;
                     if !handler(&mut stream, Ok(&req), stop) {
                         return;
                     }
                 }
-                Ok(None) if !parser.head_pending() => {
-                    head_since = None;
+                Ok(None) if !parser.request_pending() => {
+                    since = None;
                     break None;
                 }
                 Ok(None) => {
-                    let since = *head_since.get_or_insert_with(Instant::now);
-                    break (since.elapsed() >= HEAD_TIMEOUT).then_some(HttpError::HeadTimeout);
+                    let first = *since.get_or_insert_with(Instant::now);
+                    break (first.elapsed() >= REQUEST_TIMEOUT)
+                        .then_some(HttpError::RequestTimeout);
                 }
                 Err(e) => break Some(e),
             }

@@ -19,9 +19,9 @@ use std::fmt;
 
 /// Hard cap on the request head (request line + headers + CRLFCRLF).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// How long a request head may take to arrive, from its first byte;
-/// a peer still sending it after that is answered 408.
-pub const HEAD_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+/// How long a request, head and body, may take to arrive, from its first
+/// byte; a peer still sending it after that is answered 408.
+pub const REQUEST_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 /// Hard cap on the number of header fields.
 pub const MAX_HEADERS: usize = 64;
 /// Default cap on `Content-Length` bodies (overridable per parser).
@@ -49,8 +49,9 @@ pub enum HttpError {
     TooManyHeaders,
     /// The head exceeds [`MAX_HEAD_BYTES`] without terminating.
     HeadTooLarge,
-    /// The head was not complete [`HEAD_TIMEOUT`] after its first byte.
-    HeadTimeout,
+    /// The request was not complete [`REQUEST_TIMEOUT`] after its first
+    /// byte.
+    RequestTimeout,
     /// `Content-Length` is absent where required, unparsable, or listed
     /// twice with conflicting values.
     BadContentLength {
@@ -75,7 +76,7 @@ impl HttpError {
             HttpError::BadRequestLine { .. }
             | HttpError::BadHeader { .. }
             | HttpError::BadContentLength { .. } => 400,
-            HttpError::HeadTimeout => 408,
+            HttpError::RequestTimeout => 408,
             HttpError::UnsupportedVersion { .. } => 505,
             HttpError::TooManyHeaders | HttpError::HeadTooLarge => 431,
             HttpError::BodyTooLarge { .. } => 413,
@@ -92,7 +93,9 @@ impl fmt::Display for HttpError {
             HttpError::BadHeader { detail } => write!(f, "bad header: {detail}"),
             HttpError::TooManyHeaders => write!(f, "more than {MAX_HEADERS} headers"),
             HttpError::HeadTooLarge => write!(f, "head exceeds {MAX_HEAD_BYTES} bytes"),
-            HttpError::HeadTimeout => write!(f, "head not complete within {HEAD_TIMEOUT:?}"),
+            HttpError::RequestTimeout => {
+                write!(f, "request not complete within {REQUEST_TIMEOUT:?}")
+            }
             HttpError::BadContentLength { detail } => write!(f, "bad content-length: {detail}"),
             HttpError::BodyTooLarge { declared, max } => {
                 write!(f, "declared body {declared} exceeds cap {max}")
@@ -232,9 +235,10 @@ impl RequestParser {
         self.buf.len()
     }
 
-    /// Whether part of a request head is buffered but not yet parsed.
-    pub(crate) fn head_pending(&self) -> bool {
-        self.head.is_none() && !self.buf.is_empty()
+    /// Whether part of a request, head or body, is buffered but not yet
+    /// complete.
+    pub(crate) fn request_pending(&self) -> bool {
+        self.head.is_some() || !self.buf.is_empty()
     }
 
     /// Yields the next complete request, `Ok(None)` when more bytes are
@@ -427,7 +431,7 @@ pub fn encode_response(status: u16, content_type: &str, body: &[u8], keep_alive:
 }
 
 /// Canonical reason phrase for the statuses this server emits.
-pub fn reason_phrase(status: u16) -> &'static str {
+fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -553,13 +557,16 @@ mod tests {
     #[test]
     fn head_pending_tracks_an_unparsed_head() {
         let mut p = RequestParser::new();
-        assert!(!p.head_pending());
+        assert!(!p.request_pending());
         p.feed(b"POST / HTTP/1.1\r\ncontent-length: 2\r\n");
         assert_eq!(p.poll(), Ok(None));
-        assert!(p.head_pending());
+        assert!(p.request_pending());
         p.feed(b"\r\n");
         assert_eq!(p.poll(), Ok(None));
-        assert!(!p.head_pending(), "a streaming body is not a pending head");
+        assert!(p.request_pending(), "a streaming body is a pending request");
+        p.feed(b"ab");
+        assert!(p.poll().expect("complete").is_some());
+        assert!(!p.request_pending());
     }
 
     #[test]

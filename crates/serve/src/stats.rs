@@ -248,7 +248,7 @@ pub fn version_json(v: &ModelVersion) -> String {
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control chars).
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -332,8 +332,7 @@ mod tests {
     #[test]
     fn readiness_tracks_queue_depth_and_swaps() {
         let s = ServeStats::new(&ServeConfig {
-            queue_cap: 4,
-            ready_hwm: Some(2),
+            queue_cap: 3, // readiness mark 2
             ..ServeConfig::default()
         });
         assert!(s.readiness().is_ok());

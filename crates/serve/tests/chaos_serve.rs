@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier, Mutex};
 
 use peb_guard::chaos::{self, Chaos};
-use peb_guard::{OptKind, TrainCheckpoint};
+use peb_guard::TrainCheckpoint;
 use peb_nn::Parameterized;
 use peb_serve::{Client, ClientError, ServeConfig, Server};
 use peb_tensor::Tensor;
@@ -59,7 +59,6 @@ fn donor_checkpoint() -> (SdmPeb, TrainCheckpoint) {
     let ckpt = TrainCheckpoint {
         epoch: 5,
         seed: 999,
-        opt_kind: OptKind::Adam,
         opt_t: 0,
         lr_scale: 1.0,
         rollbacks: 0,

@@ -6,8 +6,8 @@
 //! timeout on accepted streams that join never returned: one peer that
 //! pipelined requests and never read a response kept shutdown (and a
 //! `peb_worker` whose supervisor had gone) waiting forever. A peer that
-//! trickles a request head and never finishes it held its thread the
-//! same way until heads got a deadline.
+//! trickles a request head or body and never finishes it held its
+//! thread the same way until requests got a deadline.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -52,6 +52,29 @@ fn a_peer_that_never_reads_cannot_wedge_shutdown() {
 
 #[test]
 fn a_peer_that_trickles_a_head_is_dropped() {
+    // One byte per 200 ms of a head that never ends: well under the head
+    // size cap for as long as the bound lasts.
+    let head = b"GET /healthz HTTP/1.1\r\nx-slow: "
+        .iter()
+        .copied()
+        .chain(std::iter::repeat(b'a'));
+    trickle_is_answered_408(b"", head, "head");
+}
+
+#[test]
+fn a_peer_that_trickles_a_body_is_dropped() {
+    // A complete head at once, then one body byte per 200 ms: the body
+    // is declared far longer than the bound lets it grow.
+    trickle_is_answered_408(
+        b"POST /infer HTTP/1.1\r\ncontent-length: 1000\r\n\r\n",
+        std::iter::repeat(b'a'),
+        "body",
+    );
+}
+
+/// Sends `prefix`, then `bytes` one every 200 ms, and asserts the server
+/// answers 408 (or drops the peer) well within 15 s.
+fn trickle_is_answered_408(prefix: &[u8], bytes: impl Iterator<Item = u8>, what: &str) {
     const BOUND: Duration = Duration::from_secs(15);
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -62,16 +85,11 @@ fn a_peer_that_trickles_a_head_is_dropped() {
     let mut peer = TcpStream::connect(server.addr()).expect("connect");
     peer.set_read_timeout(Some(Duration::from_millis(200)))
         .expect("read timeout");
-    // One byte per 200 ms of a head that never ends: well under the head
-    // size cap for as long as the bound lasts.
-    let head = b"GET /healthz HTTP/1.1\r\nx-slow: "
-        .iter()
-        .copied()
-        .chain(std::iter::repeat(b'a'));
+    peer.write_all(prefix).expect("prefix");
     let started = Instant::now();
     let mut answer = Vec::new();
     let mut dropped = false;
-    for byte in head {
+    for byte in bytes {
         if started.elapsed() > BOUND {
             break;
         }
@@ -99,7 +117,7 @@ fn a_peer_that_trickles_a_head_is_dropped() {
     server.shutdown();
     assert!(
         dropped || !answer.is_empty(),
-        "the server still held a trickled head {waited:?} after its first byte"
+        "the server still held a trickled {what} {waited:?} after its first byte"
     );
     let answer = String::from_utf8_lossy(&answer);
     assert!(

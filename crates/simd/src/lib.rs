@@ -28,7 +28,7 @@
 //!
 //! * **Bit-exact kernels** (tridiagonal line solves, the PEB reaction
 //!   half-step, the explicit diffusion stencil, the conv family's row
-//!   sweeps, elementwise add/sub/mul/div, SGD/Adam updates) use only
+//!   sweeps, elementwise add/sub/mul/div, Adam updates) use only
 //!   IEEE-exact lane operations (`+ − × ÷ √`, `max`/`min`, `floor`,
 //!   integer-built `2ⁿ`) in exactly the per-element expression order of
 //!   the scalar code, so the SIMD path reproduces the scalar path **to

@@ -1,43 +1,18 @@
 //! Vectorized in-place optimiser update loops.
 //!
-//! All four kernels use only IEEE-exact lane operations (`+ − × ÷ √`) in
+//! Both kernels use only IEEE-exact lane operations (`+ − × ÷ √`) in
 //! exactly the per-element expression order of the scalar loops in
-//! `peb-nn`'s `Sgd`/`Adam`, so the SIMD path is **bitwise identical** to
-//! the scalar path — training trajectories do not depend on `PEB_SIMD`.
+//! `peb-nn`'s `Adam`, so the SIMD path is **bitwise identical** to the
+//! scalar path — training trajectories do not depend on `PEB_SIMD`.
 
 use crate::{simd_active, ScalarX8, Simd8};
-
-/// SGD momentum accumulation: `v = v·μ + g`.
-pub fn sgd_momentum(vel: &mut [f32], grad: &[f32], momentum: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { sgd_momentum_avx2(vel, grad, momentum) };
-        return;
-    }
-    sgd_momentum_generic::<ScalarX8>(vel, grad, momentum)
-}
-
-/// Parameter descent: `p = p − v·lr` (shared by SGD with and without
-/// momentum, where `v` is the velocity or the raw gradient).
-pub fn sgd_apply(param: &mut [f32], vel: &[f32], lr: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: as above.
-        unsafe { sgd_apply_avx2(param, vel, lr) };
-        return;
-    }
-    sgd_apply_generic::<ScalarX8>(param, vel, lr)
-}
 
 /// Adam moment update: `m = m·β₁ + g·(1−β₁)`, `v = v·β₂ + g²·(1−β₂)`.
 pub fn adam_moments(m: &mut [f32], v: &mut [f32], grad: &[f32], beta1: f32, beta2: f32) {
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
         crate::note_dispatch();
-        // SAFETY: as above.
+        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
         unsafe { adam_moments_avx2(m, v, grad, beta1, beta2) };
         return;
     }
@@ -71,14 +46,6 @@ mod avx_wrappers {
     use crate::AvxX8;
 
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sgd_momentum_avx2(vel: &mut [f32], grad: &[f32], momentum: f32) {
-        sgd_momentum_generic::<AvxX8>(vel, grad, momentum)
-    }
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sgd_apply_avx2(param: &mut [f32], vel: &[f32], lr: f32) {
-        sgd_apply_generic::<AvxX8>(param, vel, lr)
-    }
-    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn adam_moments_avx2(
         m: &mut [f32],
         v: &mut [f32],
@@ -104,39 +71,6 @@ mod avx_wrappers {
 }
 #[cfg(target_arch = "x86_64")]
 use avx_wrappers::*;
-
-#[inline(always)]
-fn sgd_momentum_generic<V: Simd8>(vel: &mut [f32], grad: &[f32], momentum: f32) {
-    assert_eq!(vel.len(), grad.len());
-    let mv = V::splat(momentum);
-    let n8 = vel.len() - vel.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        let vs = &mut vel[i..i + 8];
-        // v·μ then + g, unfused: matches `*vi * momentum + *gi` bitwise.
-        V::load(vs).mul(mv).add(V::load(&grad[i..])).store(vs);
-        i += 8;
-    }
-    for j in i..vel.len() {
-        vel[j] = vel[j] * momentum + grad[j];
-    }
-}
-
-#[inline(always)]
-fn sgd_apply_generic<V: Simd8>(param: &mut [f32], vel: &[f32], lr: f32) {
-    assert_eq!(param.len(), vel.len());
-    let lrv = V::splat(lr);
-    let n8 = param.len() - param.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        let ps = &mut param[i..i + 8];
-        V::load(ps).sub(V::load(&vel[i..]).mul(lrv)).store(ps);
-        i += 8;
-    }
-    for j in i..param.len() {
-        param[j] -= vel[j] * lr;
-    }
-}
 
 #[inline(always)]
 fn adam_moments_generic<V: Simd8>(
@@ -235,25 +169,6 @@ mod tests {
             assert_eq!(mr[j].to_bits(), m[j].to_bits(), "m[{j}]");
             assert_eq!(vr[j].to_bits(), v[j].to_bits(), "v[{j}]");
             assert_eq!(pr[j].to_bits(), p[j].to_bits(), "p[{j}]");
-        }
-    }
-
-    #[test]
-    fn sgd_step_matches_scalar_loop_bitwise() {
-        let len = 37;
-        let grad = pseudo(len, 5);
-        let mut vel = pseudo(len, 6);
-        let mut p = pseudo(len, 7);
-        let (mut vr, mut pr) = (vel.clone(), p.clone());
-        for j in 0..len {
-            vr[j] = vr[j] * 0.9 + grad[j];
-            pr[j] -= vr[j] * 0.05;
-        }
-        sgd_momentum(&mut vel, &grad, 0.9);
-        sgd_apply(&mut p, &vel, 0.05);
-        for j in 0..len {
-            assert_eq!(vr[j].to_bits(), vel[j].to_bits());
-            assert_eq!(pr[j].to_bits(), p[j].to_bits());
         }
     }
 }

@@ -119,7 +119,7 @@ impl Var {
     /// chains instead (see [`Var::gelu`], [`Var::silu`],
     /// [`Var::leaky_relu`], [`Var::softplus`]); this stays for the
     /// loss-side and test-side ops below.
-    pub fn map_unary(&self, f: impl Fn(f32) -> f32, df: impl Fn(f32, f32) -> f32 + 'static) -> Var {
+    fn map_unary(&self, f: impl Fn(f32) -> f32, df: impl Fn(f32, f32) -> f32 + 'static) -> Var {
         let out = self.value().map(&f);
         self.unary_node(out, df)
     }

@@ -275,8 +275,7 @@ impl Var {
     ///
     /// # Panics
     ///
-    /// Panics if the node does not hold exactly one element; use
-    /// [`Var::backward_with`] to seed a non-scalar output.
+    /// Panics if the node does not hold exactly one element.
     pub fn backward(&self) {
         let seed = {
             let v = self.value();
@@ -297,7 +296,7 @@ impl Var {
     ///
     /// Panics if `seed` does not match the node's shape, or when called
     /// inside [`no_grad`].
-    pub fn backward_with(&self, seed: Tensor) {
+    fn backward_with(&self, seed: Tensor) {
         assert!(
             grad_enabled(),
             "backward() called inside peb_tensor::no_grad: nothing was recorded on this thread"

@@ -8,8 +8,7 @@
 //! ```
 
 use peb_litho::{
-    developed_fraction, measure_contact_profiles, resist_profile_obj, solve_eikonal_fim,
-    EikonalConfig, Grid, LithoFlow, MaskConfig,
+    developed_fraction, measure_contact_profiles, resist_profile_obj, Grid, LithoFlow, MaskConfig,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,16 +17,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flow = LithoFlow::new(grid);
     println!("rigorous simulation of clip seed {}…", clip.seed);
     let sim = flow.run(&clip)?;
-
-    // Cross-check the two eikonal solvers on real development-rate data.
-    let fim = solve_eikonal_fim(&grid, &sim.rate, EikonalConfig::default())?;
-    let mut max_rel = 0f32;
-    for (a, b) in sim.arrival.data().iter().zip(fim.data()) {
-        if a.is_finite() && b.is_finite() && *a < 1e5 {
-            max_rel = max_rel.max((a - b).abs() / a.abs().max(1.0));
-        }
-    }
-    println!("fast-sweeping vs fast-iterative arrival agreement: {max_rel:.4} max rel diff");
 
     // Vertical profile metrics per contact.
     println!(
