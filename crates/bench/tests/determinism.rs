@@ -89,24 +89,41 @@ fn peb_adi_step_is_bitwise_deterministic() {
 
 #[test]
 fn selective_scan_is_bitwise_deterministic() {
-    let (l, ch, n) = (24usize, 10usize, 4usize);
-    let mut rng = StdRng::seed_from_u64(1004);
-    let u0 = Tensor::randn(&[l, ch], &mut rng);
-    let delta = Var::constant(Tensor::rand_uniform(&[l, ch], 0.05, 0.5, &mut rng));
-    let a = Var::constant(Tensor::rand_uniform(&[ch, n], -1.5, -0.2, &mut rng));
-    let b = Var::constant(Tensor::randn(&[l, n], &mut rng));
-    let c = Var::constant(Tensor::randn(&[l, n], &mut rng));
-    let d = Var::constant(Tensor::randn(&[ch], &mut rng));
-    let run = || {
-        let u = Var::parameter(u0.clone());
-        let y = selective_scan(&u, &delta, &a, &b, &c, &d);
-        y.square().sum().backward();
-        (y.value_clone(), u.grad().unwrap())
-    };
-    let (y1, g1) = at_threads(1, run);
-    let (y4, g4) = at_threads(4, run);
-    assert_bits_eq(&y1, &y4, "selective_scan forward");
-    assert_bits_eq(&g1, &g4, "selective_scan input grad");
+    // y and all six gradients, one thread against 2, 3, 4 and 7: db/dc
+    // are the scan's cross-chunk sums (one partial per 8-lane group), the
+    // rest are per-channel. 10, 12 and 19 channels put padded tails of 2,
+    // 4 and 3 lanes after one or two full groups. L·N is large enough
+    // that both directions split their groups over the pool rather than
+    // run them inline.
+    let names = ["u", "delta", "a", "b", "c", "d"];
+    for ch in [10usize, 12, 19] {
+        let (l, n) = (600usize, 8usize);
+        let mut rng = StdRng::seed_from_u64(1004 + ch as u64);
+        let ops = [
+            Tensor::randn(&[l, ch], &mut rng),
+            Tensor::rand_uniform(&[l, ch], 0.05, 0.5, &mut rng),
+            Tensor::rand_uniform(&[ch, n], -1.5, -0.2, &mut rng),
+            Tensor::randn(&[l, n], &mut rng),
+            Tensor::randn(&[l, n], &mut rng),
+            Tensor::randn(&[ch], &mut rng),
+        ];
+        let run = || {
+            let vars = ops.clone().map(Var::parameter);
+            let y = selective_scan(&vars[0], &vars[1], &vars[2], &vars[3], &vars[4], &vars[5]);
+            y.square().sum().backward();
+            (y.value_clone(), vars.map(|v| v.grad().unwrap()))
+        };
+        let (y1, g1) = at_threads(1, run);
+        // Odd counts claim the groups unevenly; 7 oversubscribes.
+        for threads in [2, 3, 4, 7] {
+            let (yt, gt) = at_threads(threads, run);
+            let at = format!("ch={ch}, {threads} threads");
+            assert_bits_eq(&y1, &yt, &format!("selective_scan forward, {at}"));
+            for (name, (a, b)) in names.iter().zip(g1.iter().zip(&gt)) {
+                assert_bits_eq(a, b, &format!("selective_scan d{name}, {at}"));
+            }
+        }
+    }
 }
 
 #[test]

@@ -220,9 +220,11 @@ fn model_forward_stays_close_across_dispatch_levels() {
 
 #[test]
 fn gradcheck_passes_with_simd_on() {
-    // Satellite: finite-difference gradients for the conv and SDM blocks
-    // with the vector kernels active (forward may use the polynomial exp
-    // while backward uses libm; the tolerance absorbs that).
+    // Finite-difference gradients for the conv and SDM blocks with the
+    // vector kernels active. The scan's backward recomputes exp(Δ·a) with
+    // the forward's polynomial lane `exp`, so it differentiates the
+    // function the forward computed; the tolerance covers the central
+    // difference's truncation and f32 round-off.
     if peb_simd::detected() {
         at_level(Level::Avx2Fma, gradcheck_conv_and_scan);
     }

@@ -10,9 +10,11 @@
 //! Work is always split into **fixed chunk boundaries that depend only on
 //! the problem size, never on the thread count**. Each output element is
 //! written by exactly one chunk, and any cross-chunk reduction is combined
-//! sequentially in ascending chunk order by the caller (see
-//! [`parallel_chunks_collect`]). Consequently every parallelised kernel in
-//! the workspace produces **bitwise identical** results at any
+//! sequentially in ascending chunk order by the caller: each chunk writes
+//! its own partial into a caller-owned buffer, which the caller then sums
+//! in order (the selective-scan backward keeps one `db`/`dc` partial per
+//! 8-lane channel group). Consequently every parallelised kernel in the
+//! workspace produces **bitwise identical** results at any
 //! `PEB_THREADS` setting — `PEB_THREADS=1` is an exact sequential
 //! fallback, and the determinism suite asserts 1-thread and N-thread runs
 //! agree to the bit.
@@ -350,35 +352,6 @@ fn chunks_impl(total: usize, chunk: usize, sequential: bool, f: impl Fn(Range<us
     });
 }
 
-/// Runs `f(range)` over fixed chunks and returns each chunk's result **in
-/// ascending chunk order**, so cross-chunk reductions combine in a fixed,
-/// thread-count-independent order.
-pub fn parallel_chunks_collect<T: Send>(
-    total: usize,
-    chunk: usize,
-    f: impl Fn(Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    if total == 0 {
-        return Vec::new();
-    }
-    let c = fixed_chunk(total, chunk);
-    let n = chunk_count(total, chunk);
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(n, || None);
-    {
-        let slots = UnsafeSlice::new(&mut out);
-        run_parallel(n, &|i| {
-            let start = i * c;
-            let value = f(start..(start + c).min(total));
-            // SAFETY: each chunk index writes exactly its own slot.
-            unsafe { *slots.get_mut(i) = Some(value) };
-        });
-    }
-    out.into_iter()
-        .map(|v| v.expect("chunk result present"))
-        .collect()
-}
-
 /// Splits `data` into fixed `chunk`-sized sub-slices and runs
 /// `f(offset, sub_slice)` on each, in parallel unless the estimated work
 /// (`data.len()` × `cost_per_item` scalar ops) falls below
@@ -524,18 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_returns_results_in_chunk_order() {
-        let parts = with_thread_count(4, || parallel_chunks_collect(100, 9, |r| (r.start, r.end)));
-        assert_eq!(parts.len(), 100usize.div_ceil(9));
-        let mut expect_start = 0;
-        for (s, e) in parts {
-            assert_eq!(s, expect_start);
-            expect_start = e;
-        }
-        assert_eq!(expect_start, 100);
-    }
-
-    #[test]
     fn chunks_mut_partitions_the_slice() {
         let mut data = vec![0usize; 500];
         with_thread_count(4, || {
@@ -553,19 +514,25 @@ mod tests {
     #[test]
     fn one_thread_equals_many_threads_bitwise() {
         let work = |threads: usize| {
-            with_thread_count(threads, || {
-                parallel_chunks_collect(1000, 13, |r| {
-                    // A reduction whose result depends on summation order:
-                    // identical chunking must give identical bits.
-                    let mut acc = 0f32;
-                    for i in r {
-                        acc += (i as f32).sqrt() * 1e-3;
-                    }
-                    acc
-                })
-                .into_iter()
-                .fold(0f32, |a, b| a + b)
-            })
+            // A reduction whose result depends on summation order: one
+            // partial per fixed chunk, combined in ascending chunk order.
+            // Identical chunking must give identical bits.
+            let (total, chunk) = (1000usize, 13usize);
+            let mut partials = vec![0f32; total.div_ceil(chunk)];
+            {
+                let slots = UnsafeSlice::new(&mut partials);
+                with_thread_count(threads, || {
+                    parallel_chunks(total, chunk, |r| {
+                        let mut acc = 0f32;
+                        for i in r.clone() {
+                            acc += (i as f32).sqrt() * 1e-3;
+                        }
+                        // SAFETY: each chunk writes only its own slot.
+                        unsafe { *slots.get_mut(r.start / chunk) = acc };
+                    })
+                });
+            }
+            partials.into_iter().fold(0f32, |a, b| a + b)
         };
         assert_eq!(work(1).to_bits(), work(4).to_bits());
     }
@@ -621,7 +588,6 @@ mod tests {
     fn zero_total_is_a_no_op() {
         parallel_chunks(0, 8, |_| panic!("must not run"));
         parallel_chunks_mut_cost(&mut [] as &mut [u8], 8, 1, |_, _| panic!("must not run"));
-        assert!(parallel_chunks_collect(0, 8, |_| 1).is_empty());
     }
 
     #[test]
@@ -686,9 +652,8 @@ mod tests {
             assert_eq!(plain, hinted, "cost={cost}");
             let mut lens = lens.into_inner().unwrap();
             lens.sort_unstable();
-            let a = parallel_chunks_collect(total, 100, |r| r.len());
             let b: Vec<usize> = lens.into_iter().map(|(_, len)| len).collect();
-            assert_eq!(a, b, "cost={cost}");
+            assert_eq!(b, [100, 100, 100, 100, 100, 13], "cost={cost}");
         }
     }
 }

@@ -34,10 +34,11 @@
 //!   the scalar code, so the SIMD path reproduces the scalar path **to
 //!   the bit**.
 //! * **Tolerance kernels** (GEMM, which fuses multiply–add, and the
-//!   selective-scan recurrence and the `exp` / `sigmoid` / `softplus`
-//!   elementwise kernels, which use the polynomial [`Simd8::exp`] and
-//!   [`Simd8::ln1p`] instead of libm) differ from scalar by bounded
-//!   ULPs; the property suite in `tests/` pins those bounds.
+//!   selective-scan recurrence in both directions and the `exp` /
+//!   `sigmoid` / `softplus` elementwise kernels, which use the
+//!   polynomial [`Simd8::exp`] and [`Simd8::ln1p`] instead of libm)
+//!   differ from scalar by bounded ULPs; the property suite in `tests/`
+//!   pins those bounds.
 //!
 //! The `simd_dispatch` counter in `peb-obs` ticks once per kernel call
 //! that takes the vector path.

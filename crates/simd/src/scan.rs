@@ -1,40 +1,107 @@
-//! Vectorized selective-scan forward recurrence.
+//! Vectorized selective scan: the forward recurrence and its adjoint.
 //!
 //! The scan's channel lanes are mutually independent, so eight adjacent
-//! channels ride in one vector: each lane's recurrence keeps exactly the
-//! per-lane expression order of the scalar loop. The scalar backend is
-//! therefore **bitwise identical** to the original per-lane code; the
-//! SIMD backend fuses the multiply–adds and uses the polynomial
-//! [`Simd8::exp`], so it is tolerance-class (but deterministic for a
-//! fixed level, at any `PEB_THREADS`).
+//! channels ride in one vector in both directions: each lane keeps
+//! exactly the per-lane expression order of the scalar loops. The scalar
+//! backend is therefore **bitwise identical** to the original per-lane
+//! code; the SIMD backend fuses the multiply–adds and uses the
+//! polynomial [`Simd8::exp`] — the backward recomputes `e = exp(Δ·a)`
+//! with the same lane `exp` the forward used — so it is tolerance-class
+//! (but deterministic for a fixed level, at any `PEB_THREADS`).
 //!
-//! Layout contract (`[L, C]` row-major activations, as in `peb-mamba`):
+//! Layout contract (`[L, C]` row-major activations, as in `peb-mamba`),
+//! described per group by a [`Group`]:
 //!
-//! * `u`/`delta` rows hold channels contiguously, so the group
-//!   `ci0..ci0+8` loads directly;
+//! * `u`/`delta` — and `y`, the output gradient `g`, `du`, `ddelta` —
+//!   rows hold channels contiguously, so the group `ci0..ci0+8` loads
+//!   directly;
 //! * `a` is pre-packed per group by [`pack_a_lanes8`] into `[N][8]`
-//!   interleaved order;
-//! * the running state `h` is `[N][8]` interleaved;
-//! * `y` and the optional state trajectory are written through
-//!   [`peb_par::UnsafeSlice`] because a lane group owns strided
-//!   positions of the shared output.
+//!   interleaved order, as are the running state `h`, the backward's
+//!   carried `dh` and its `da` accumulator;
+//! * the state trajectory is kept in the group's own layout, one
+//!   contiguous `[L][N][8]` block per group: the forward stores each
+//!   step's `h` as is and the backward loads it as is;
+//! * `y`, `du` and `ddelta` are written through [`peb_par::UnsafeSlice`]
+//!   because a lane group owns strided positions of the shared output.
+//!
+//! **Pad lanes.** A group narrower than eight channels (the ragged tail
+//! of `C % 8` lanes) runs the same kernels on zero-padded `[L, 8]`
+//! copies of its `u`, `Δ` and `g` (`ch = 8`, `ci0 = 0`), with the pad
+//! rows of `a` and the pad skip weights zero. A pad lane's state and
+//! gradients then stay exactly zero; the caller stores only the real
+//! lanes, and the backward's lane sums for `db`/`dc` stop at
+//! [`Group::lanes`].
 
 use peb_par::UnsafeSlice;
 
 use crate::{simd_active, ScalarX8, Simd8};
 
-/// Packs rows `ci0..ci0+8` of the `[C, N]` state matrix into interleaved
-/// `[N][8]` order: `out[ni·8 + j] = a[(ci0+j)·n + ni]`.
-pub fn pack_a_lanes8(a: &[f32], n: usize, ci0: usize, out: &mut Vec<f32>) {
+/// Geometry of one 8-lane channel group of a `[L, ch]` scan.
+#[derive(Debug, Clone, Copy)]
+pub struct Group {
+    /// Sequence length `L`.
+    pub l: usize,
+    /// Row stride of the `[L, ch]` activations.
+    pub ch: usize,
+    /// State size `N`.
+    pub n: usize,
+    /// First channel: the group's lanes are columns `ci0..ci0 + 8`.
+    pub ci0: usize,
+    /// Real lanes, `1..=8`; lanes past it are zero padding.
+    pub lanes: usize,
+}
+
+/// The read-only operands of one lane group, shared by both directions.
+#[derive(Clone, Copy)]
+pub struct LaneOperands<'a> {
+    /// `[L, ch]` drive.
+    pub u: &'a [f32],
+    /// `[L, ch]` step sizes Δ.
+    pub delta: &'a [f32],
+    /// The group's rows of `a`, packed `[N][8]` by [`pack_a_lanes8`].
+    pub a_pack: &'a [f32],
+    /// `[L, N]` input projection.
+    pub b: &'a [f32],
+    /// `[L, N]` output projection.
+    pub c: &'a [f32],
+    /// The group's eight skip weights.
+    pub skip8: &'a [f32],
+}
+
+/// Where [`scan_backward_lanes8`] puts one group's gradients.
+pub struct LaneGrads<'s, 'a> {
+    /// `[L, ch]` ∂/∂u, added into at the group's columns.
+    pub du: &'s UnsafeSlice<'a, f32>,
+    /// `[L, ch]` ∂/∂Δ, added into at the group's columns.
+    pub ddelta: &'s UnsafeSlice<'a, f32>,
+    /// `[N][8]` ∂/∂a in `a_pack` order, added into.
+    pub da: &'s mut [f32],
+    /// `[8]` ∂/∂d, added into.
+    pub dskip: &'s mut [f32],
+    /// `[L, N]` ∂/∂b: overwritten with the sum of the group's real
+    /// lanes, in ascending lane order.
+    pub db: &'s mut [f32],
+    /// `[L, N]` ∂/∂c, likewise.
+    pub dc: &'s mut [f32],
+}
+
+/// Packs rows `ci0..ci0+lanes` of the `[C, N]` state matrix into
+/// interleaved `[N][8]` order, `out[ni·8 + j] = a[(ci0+j)·n + ni]`, with
+/// zeros in the pad lanes `j ≥ lanes`.
+pub fn pack_a_lanes8(a: &[f32], n: usize, ci0: usize, lanes: usize, out: &mut Vec<f32>) {
     out.clear();
     for ni in 0..n {
         for j in 0..8 {
-            out.push(a[(ci0 + j) * n + ni]);
+            out.push(if j < lanes {
+                a[(ci0 + j) * n + ni]
+            } else {
+                0.0
+            });
         }
     }
 }
 
-/// Runs the forward recurrence for the eight channel lanes `ci0..ci0+8`.
+/// Runs the forward recurrence for one lane group.
 ///
 /// Per time step `t` and state index `ni`, each lane computes the scalar
 /// recurrence
@@ -46,94 +113,78 @@ pub fn pack_a_lanes8(a: &[f32], n: usize, ci0: usize, out: &mut Vec<f32>) {
 ///
 /// `h` (length `n·8`, `[N][8]` interleaved) carries the state and must be
 /// zeroed by the caller before the first time step. When `h_traj` is
-/// `Some`, the state after each step is transposed into the trajectory's
-/// native `[(t·ch + ci)·n + ni]` layout.
+/// `Some` (the group's `[L][N][8]` block, `l·n·8` floats), the state
+/// after step `t` is stored at `h_traj[t·n·8..]`.
 ///
 /// # Safety
 ///
-/// The caller must own columns `ci0..ci0+8` of `y` (positions `t·ch+ci`)
-/// and the corresponding `h_traj` rows exclusively — the standard
-/// `UnsafeSlice` disjoint-writes contract of the lane-parallel scan.
-/// Requires `ci0 + 8 <= ch`.
-#[allow(clippy::too_many_arguments)]
+/// The caller must own columns `ci0..ci0+8` of `y` (positions
+/// `t·ch+ci`) exclusively — the standard `UnsafeSlice` disjoint-writes
+/// contract of the lane-parallel scan. Requires `ci0 + 8 <= ch`.
 pub unsafe fn scan_forward_lanes8(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[f32],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
+    geom: Group,
+    ops: LaneOperands<'_>,
     h: &mut [f32],
     y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
+    h_traj: Option<&mut [f32]>,
 ) {
+    let Group { l, ch, n, ci0, .. } = geom;
     debug_assert!(ci0 + 8 <= ch);
-    debug_assert!(h.len() >= n * 8 && a_pack.len() >= n * 8 && skip8.len() >= 8);
+    debug_assert!(h.len() >= n * 8 && ops.a_pack.len() >= n * 8 && ops.skip8.len() >= 8);
+    debug_assert!(h_traj.as_ref().is_none_or(|t| t.len() >= l * n * 8));
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
         crate::note_dispatch();
         // SAFETY: `simd_active()` implies AVX2+FMA were detected; the
         // aliasing contract is the caller's.
-        unsafe { scan_fwd_avx2(u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0) };
+        unsafe { scan_fwd_avx2(geom, ops, h, y, h_traj) };
         return;
     }
     // SAFETY: aliasing contract is the caller's.
-    unsafe {
-        scan_fwd_generic::<ScalarX8>(u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0)
-    }
+    unsafe { scan_fwd_generic::<ScalarX8>(geom, ops, h, y, h_traj) }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
 unsafe fn scan_fwd_avx2(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[f32],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
+    geom: Group,
+    ops: LaneOperands<'_>,
     h: &mut [f32],
     y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
+    h_traj: Option<&mut [f32]>,
 ) {
     // SAFETY: forwarded caller contract.
-    unsafe {
-        scan_fwd_generic::<crate::AvxX8>(u, delta, a_pack, b, c, skip8, h, y, h_traj, l, ch, n, ci0)
-    }
+    unsafe { scan_fwd_generic::<crate::AvxX8>(geom, ops, h, y, h_traj) }
 }
 
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn scan_fwd_generic<V: Simd8>(
-    u: &[f32],
-    delta: &[f32],
-    a_pack: &[f32],
-    b: &[f32],
-    c: &[f32],
-    skip8: &[f32],
+    geom: Group,
+    ops: LaneOperands<'_>,
     h: &mut [f32],
     y: &UnsafeSlice<f32>,
-    h_traj: Option<&UnsafeSlice<f32>>,
-    l: usize,
-    ch: usize,
-    n: usize,
-    ci0: usize,
+    mut h_traj: Option<&mut [f32]>,
 ) {
+    let Group { l, ch, n, ci0, .. } = geom;
+    let LaneOperands {
+        u,
+        delta,
+        a_pack,
+        b,
+        c,
+        skip8,
+    } = ops;
+    let h = &mut h[..n * 8];
     let skipv = V::load(skip8);
     for t in 0..l {
-        let dtv = V::load(&delta[t * ch + ci0..]);
-        let utv = V::load(&u[t * ch + ci0..]);
+        let row = t * ch + ci0;
+        let dtv = V::load(&delta[row..]);
+        let utv = V::load(&u[row..]);
         let dtu = dtv.mul(utv);
         let mut acc = V::zero();
+        let mut traj_t = h_traj
+            .as_deref_mut()
+            .map(|tr| &mut tr[t * n * 8..(t + 1) * n * 8]);
         for ni in 0..n {
             let av = V::load(&a_pack[ni * 8..]);
             let e = dtv.mul(av).exp();
@@ -142,24 +193,189 @@ unsafe fn scan_fwd_generic<V: Simd8>(
             // `e * *hv + dtu * bd[..]` bit for bit.
             let hv = e.mul_add(V::load(hs), dtu.mul(V::splat(b[t * n + ni])));
             hv.store(hs);
+            if let Some(tr) = traj_t.as_deref_mut() {
+                hv.store(&mut tr[ni * 8..]);
+            }
             acc = V::splat(c[t * n + ni]).mul_add(hv, acc);
         }
         let yv = skipv.mul_add(utv, acc);
-        // SAFETY: lane group owns y positions t·ch+ci0..+8 (caller
+        // SAFETY: lane group owns y positions row..row+8 (caller
         // contract).
-        yv.store(unsafe { y.slice_mut(t * ch + ci0..t * ch + ci0 + 8) });
-        if let Some(traj) = h_traj {
-            // The group's trajectory rows for step t are the contiguous
-            // block [(t·ch+ci0)·n, (t·ch+ci0+8)·n): transpose [N][8] → 8
-            // rows of n.
-            // SAFETY: caller contract, as above.
-            let dst = unsafe { traj.slice_mut((t * ch + ci0) * n..(t * ch + ci0 + 8) * n) };
-            for (ni, hs) in h.chunks_exact(8).enumerate().take(n) {
-                for (j, v) in hs.iter().enumerate() {
-                    dst[j * n + ni] = *v;
-                }
+        yv.store(unsafe { y.slice_mut(row..row + 8) });
+    }
+}
+
+/// Runs the adjoint recurrence for one lane group, `t` from `L − 1`
+/// down to 0.
+///
+/// `g` is the `[L, ch]` gradient of `y`, and `h_traj` the group's
+/// `[L][N][8]` trajectory as [`scan_forward_lanes8`] recorded it. Per
+/// step, each lane computes today's scalar adjoint in its order
+///
+/// ```text
+/// dskip += g·u;  du = g·d;  dΔ = 0
+/// for ni:  dc  = g·h_t;          dh_t = g·c_t + dh
+///          e   = exp(Δ·a);       de   = dh_t·h_{t−1}
+///          dΔ += (de·a)·e;       da  += (de·Δ)·e
+///          dΔ += (dh_t·b_t)·u;   du  += (dh_t·Δ)·b_t
+///          db  = (dh_t·Δ)·u;     dh   = dh_t·e
+/// ```
+///
+/// with `e` from the forward's lane `exp`. `dh` (`n·8` floats) is
+/// scratch the kernel zeroes. Each step's `db`/`dc` lanes are summed
+/// with [`Simd8::transpose8`], lanes `0..lanes` in ascending order from
+/// `+0`, into `grads.db`/`grads.dc` — one partial per group.
+///
+/// # Safety
+///
+/// The caller must own columns `ci0..ci0+8` of `grads.du` and
+/// `grads.ddelta` exclusively (the `UnsafeSlice` disjoint-writes
+/// contract). Requires `ci0 + 8 <= ch`.
+pub unsafe fn scan_backward_lanes8(
+    geom: Group,
+    ops: LaneOperands<'_>,
+    g: &[f32],
+    h_traj: &[f32],
+    dh: &mut [f32],
+    grads: LaneGrads<'_, '_>,
+) {
+    let Group {
+        l,
+        ch,
+        n,
+        ci0,
+        lanes,
+    } = geom;
+    debug_assert!(ci0 + 8 <= ch && (1..=8).contains(&lanes));
+    debug_assert!(h_traj.len() >= l * n * 8 && dh.len() >= n * 8);
+    debug_assert!(grads.da.len() >= n * 8 && grads.db.len() >= l * n && grads.dc.len() >= l * n);
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        crate::note_dispatch();
+        // SAFETY: `simd_active()` implies AVX2+FMA were detected; the
+        // aliasing contract is the caller's.
+        unsafe { scan_bwd_avx2(geom, ops, g, h_traj, dh, grads) };
+        return;
+    }
+    // SAFETY: aliasing contract is the caller's.
+    unsafe { scan_bwd_generic::<ScalarX8>(geom, ops, g, h_traj, dh, grads) }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn scan_bwd_avx2(
+    geom: Group,
+    ops: LaneOperands<'_>,
+    g: &[f32],
+    h_traj: &[f32],
+    dh: &mut [f32],
+    grads: LaneGrads<'_, '_>,
+) {
+    // SAFETY: forwarded caller contract.
+    unsafe { scan_bwd_generic::<crate::AvxX8>(geom, ops, g, h_traj, dh, grads) }
+}
+
+#[inline(always)]
+unsafe fn scan_bwd_generic<V: Simd8>(
+    geom: Group,
+    ops: LaneOperands<'_>,
+    g: &[f32],
+    h_traj: &[f32],
+    dh: &mut [f32],
+    grads: LaneGrads<'_, '_>,
+) {
+    let Group {
+        l,
+        ch,
+        n,
+        ci0,
+        lanes,
+    } = geom;
+    let LaneOperands {
+        u,
+        delta,
+        a_pack,
+        b,
+        c,
+        skip8,
+    } = ops;
+    let LaneGrads {
+        du,
+        ddelta,
+        da,
+        dskip,
+        db,
+        dc,
+    } = grads;
+    let (dh, da) = (&mut dh[..n * 8], &mut da[..n * 8]);
+    dh.fill(0.0);
+    let skipv = V::load(skip8);
+    let mut dskipv = V::load(dskip);
+    for t in (0..l).rev() {
+        let row = t * ch + ci0;
+        let gy = V::load(&g[row..]);
+        let dt = V::load(&delta[row..]);
+        let ut = V::load(&u[row..]);
+        dskipv = gy.mul_add(ut, dskipv);
+        let mut du_acc = gy.mul(skipv);
+        let mut ddt_acc = V::zero();
+        let h_t = &h_traj[t * n * 8..(t + 1) * n * 8];
+        let h_prev = t.checked_sub(1).map(|tp| &h_traj[tp * n * 8..t * n * 8]);
+        for ni0 in (0..n).step_by(8) {
+            let m = (n - ni0).min(8);
+            // Per-state lane contributions to db/dc, summed over lanes
+            // after the block.
+            let mut dcr = [V::zero(); 8];
+            let mut dbr = [V::zero(); 8];
+            for k in 0..m {
+                let ni = ni0 + k;
+                let s = ni * 8;
+                dcr[k] = gy.mul(V::load(&h_t[s..]));
+                // Total gradient into h_t: from y plus from h_{t+1}.
+                let dht = gy.mul_add(V::splat(c[t * n + ni]), V::load(&dh[s..]));
+                let av = V::load(&a_pack[s..]);
+                let e = dt.mul(av).exp();
+                let hp = h_prev.map_or(V::zero(), |hp| V::load(&hp[s..]));
+                // Through the decay factor e = exp(Δ·a) …
+                let de = dht.mul(hp);
+                ddt_acc = de.mul(av).mul_add(e, ddt_acc);
+                de.mul(dt).mul_add(e, V::load(&da[s..])).store(&mut da[s..]);
+                // … and through the drive term Δ·u·b.
+                let bv = V::splat(b[t * n + ni]);
+                ddt_acc = dht.mul(bv).mul_add(ut, ddt_acc);
+                let dht_dt = dht.mul(dt);
+                du_acc = dht_dt.mul_add(bv, du_acc);
+                dbr[k] = dht_dt.mul(ut);
+                // Carry to h_{t−1}.
+                dht.mul(e).store(&mut dh[s..]);
             }
+            let at = t * n + ni0;
+            lane_sums(dcr, lanes, &mut dc[at..at + m]);
+            lane_sums(dbr, lanes, &mut db[at..at + m]);
         }
+        // SAFETY: lane group owns du/ddelta positions row..row+8 (caller
+        // contract).
+        let dst = unsafe { du.slice_mut(row..row + 8) };
+        V::load(dst).add(du_acc).store(dst);
+        let dst = unsafe { ddelta.slice_mut(row..row + 8) };
+        V::load(dst).add(ddt_acc).store(dst);
+    }
+    dskipv.store(dskip);
+}
+
+/// Stores into `out[k]` the sum of lanes `0..lanes` of `rows[k]`, added
+/// in ascending lane order from `+0` (`out.len() ≤ 8` rows).
+#[inline(always)]
+fn lane_sums<V: Simd8>(rows: [V; 8], lanes: usize, out: &mut [f32]) {
+    let cols = V::transpose8(rows);
+    let mut acc = V::zero();
+    for col in &cols[..lanes] {
+        acc = acc.add(*col);
+    }
+    if out.len() == 8 {
+        acc.store(out);
+    } else {
+        out.copy_from_slice(&acc.to_array()[..out.len()]);
     }
 }
 
@@ -168,7 +384,8 @@ mod tests {
     use super::*;
     use crate::{at_level, Level};
 
-    /// The original per-lane scalar recurrence, as written in peb-mamba.
+    /// The original per-lane scalar recurrence, as written in peb-mamba,
+    /// with the trajectory in its old `[(t·ch + ci)·n + ni]` layout.
     #[allow(clippy::too_many_arguments)]
     fn reference(
         u: &[f32],
@@ -227,37 +444,46 @@ mod tests {
         let mut traj = vec![0f32; l * ch * n];
         {
             let ys = UnsafeSlice::new(&mut y);
-            let ts = UnsafeSlice::new(&mut traj);
             let mut apack = Vec::new();
             let mut h = vec![0f32; n * 8];
-            for ci0 in (0..ch).step_by(8) {
-                pack_a_lanes8(&a, n, ci0, &mut apack);
+            for (gi, group_traj) in traj.chunks_exact_mut(l * n * 8).enumerate() {
+                let ci0 = gi * 8;
+                pack_a_lanes8(&a, n, ci0, 8, &mut apack);
                 h.iter_mut().for_each(|v| *v = 0.0);
+                let geom = Group {
+                    l,
+                    ch,
+                    n,
+                    ci0,
+                    lanes: 8,
+                };
+                let ops = LaneOperands {
+                    u: &u,
+                    delta: &delta,
+                    a_pack: &apack,
+                    b: &b,
+                    c: &c,
+                    skip8: &d[ci0..],
+                };
                 // SAFETY: single-threaded test; groups disjoint.
                 at_level(Level::Scalar, || unsafe {
-                    scan_forward_lanes8(
-                        &u,
-                        &delta,
-                        &apack,
-                        &b,
-                        &c,
-                        &d[ci0..],
-                        &mut h,
-                        &ys,
-                        Some(&ts),
-                        l,
-                        ch,
-                        n,
-                        ci0,
-                    )
+                    scan_forward_lanes8(geom, ops, &mut h, &ys, Some(group_traj))
                 });
             }
         }
         for (w, g) in want_y.iter().zip(&y) {
             assert_eq!(w.to_bits(), g.to_bits());
         }
-        for (w, g) in want_traj.iter().zip(&traj) {
-            assert_eq!(w.to_bits(), g.to_bits());
+        // Group layout [group][t][N][8] against the per-lane layout.
+        for t in 0..l {
+            for ci in 0..ch {
+                for ni in 0..n {
+                    let (gi, j) = (ci / 8, ci % 8);
+                    let got = traj[((gi * l + t) * n + ni) * 8 + j];
+                    let want = want_traj[(t * ch + ci) * n + ni];
+                    assert_eq!(want.to_bits(), got.to_bits(), "t={t} c={ci} n={ni}");
+                }
+            }
         }
     }
 }

@@ -6,8 +6,9 @@
 //!   updates, factored tridiagonal line solves, the reaction half-step
 //!   with its exact `exp`) reproduce the scalar
 //!   backend *to the bit* on the SIMD backend;
-//! * **tolerance kernels** (GEMM, the scan recurrence, `exp`/`sigmoid`)
-//!   stay within a fixed ULP/absolute envelope of the scalar backend.
+//! * **tolerance kernels** (GEMM, the scan recurrence and its adjoint,
+//!   `exp`/`sigmoid`) stay within a fixed ULP/absolute envelope of the
+//!   scalar backend.
 //!
 //! Every test calls the dispatched entry points and pins the backend
 //! through the execution context ([`at_level`]): `Level::Scalar`, and
@@ -237,7 +238,11 @@ proptest! {
         let c = pseudo(l * n, seed.wrapping_add(4), -1.0, 1.0);
         let d = pseudo(ch, seed.wrapping_add(5), -1.0, 1.0);
         let mut apack = Vec::new();
-        scan::pack_a_lanes8(&a, n, 0, &mut apack);
+        scan::pack_a_lanes8(&a, n, 0, 8, &mut apack);
+        let geom = scan::Group { l, ch, n, ci0: 0, lanes: 8 };
+        let ops = scan::LaneOperands {
+            u: &u, delta: &delta, a_pack: &apack, b: &b, c: &c, skip8: &d,
+        };
 
         // `(y, h_traj)` of the one lane group at `level`.
         let run = |level| {
@@ -245,13 +250,10 @@ proptest! {
             let mut traj = vec![0f32; l * ch * n];
             {
                 let ys = UnsafeSlice::new(&mut y);
-                let ts = UnsafeSlice::new(&mut traj);
                 let mut h = vec![0f32; n * 8];
                 // SAFETY: single-threaded, one group owning everything.
                 at_level(level, || unsafe {
-                    scan::scan_forward_lanes8(
-                        &u, &delta, &apack, &b, &c, &d, &mut h, &ys, Some(&ts), l, ch, n, 0,
-                    )
+                    scan::scan_forward_lanes8(geom, ops, &mut h, &ys, Some(&mut traj))
                 });
             }
             (y, traj)
@@ -290,24 +292,89 @@ proptest! {
         let c = pseudo(l * n, seed.wrapping_add(4), -1.0, 1.0);
         let d = pseudo(ch, seed.wrapping_add(5), -1.0, 1.0);
         let mut apack = Vec::new();
-        scan::pack_a_lanes8(&a, n, 0, &mut apack);
+        scan::pack_a_lanes8(&a, n, 0, 8, &mut apack);
+        let geom = scan::Group { l, ch, n, ci0: 0, lanes: 8 };
+        let ops = scan::LaneOperands {
+            u: &u, delta: &delta, a_pack: &apack, b: &b, c: &c, skip8: &d,
+        };
         let run = |level, record: bool| {
             let mut y = vec![0f32; l * ch];
             let mut traj = vec![0f32; l * ch * n];
             let mut h = vec![0f32; n * 8];
             let ys = UnsafeSlice::new(&mut y);
-            let ts = UnsafeSlice::new(&mut traj);
-            let traj = record.then_some(&ts);
+            let traj = record.then_some(&mut traj[..]);
             // SAFETY: single-threaded, one group owning everything.
             at_level(level, || unsafe {
-                scan::scan_forward_lanes8(
-                    &u, &delta, &apack, &b, &c, &d, &mut h, &ys, traj, l, ch, n, 0,
-                )
+                scan::scan_forward_lanes8(geom, ops, &mut h, &ys, traj)
             });
             y
         };
         for level in levels() {
             assert_bits(&run(level, true), &run(level, false), "y without trajectory")?;
+        }
+    }
+
+    // -- Scan adjoint over lane groups, ragged tails padded --------------
+
+    #[test]
+    fn scan_backward_lanes_match_the_per_lane_oracle_at_scalar(
+        l in 1usize..14,
+        ch in 1usize..21,
+        n in 1usize..10,
+        seed in 0u32..1000,
+    ) {
+        // n = 8 runs the whole-block transpose of the lane sums, every
+        // other n its remainder; ch covers one group, padded tails of
+        // 1..7 lanes, and several groups.
+        let case = ScanCase::new(l, ch, n, seed);
+        let (want_y, want, abs) = case.oracle();
+        let (got_y, got) = case.kernels(Level::Scalar);
+        assert_bits(&want_y, &got_y, "y")?;
+        // Per-channel gradients keep every lane's expression order.
+        for i in [0, 1, 2, 5] {
+            assert_bits(&want[i], &got[i], GRAD_NAMES[i])?;
+        }
+        for i in [3, 4] {
+            if ch <= 8 {
+                // One group: lanes add in the oracle's ascending order.
+                assert_bits(&want[i], &got[i], GRAD_NAMES[i])?;
+            } else {
+                // Several groups regroup the ascending channel sum into
+                // per-group partials; both orders lie within the
+                // recursive-summation bound (ch − 1)·ε·Σ|term| of the
+                // exact sum, so of each other within twice that.
+                for (k, ((w, g), s)) in want[i].iter().zip(&got[i]).zip(&abs[i - 3]).enumerate() {
+                    let bound = 2.0 * ch as f32 * f32::EPSILON * s;
+                    prop_assert!(
+                        (w - g).abs() <= bound,
+                        "{}[{}]: {} vs {} (bound {})", GRAD_NAMES[i], k, w, g, bound
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_backward_lanes_track_scalar_within_envelope(
+        l in 1usize..14,
+        ch in 1usize..21,
+        n in 1usize..10,
+        seed in 0u32..1000,
+    ) {
+        if detected() {
+            let case = ScanCase::new(l, ch, n, seed);
+            let (_, scalar) = case.kernels(Level::Scalar);
+            let (_, simd) = case.kernels(Level::Avx2Fma);
+            // The forward test's envelope: the backward's `e` is the same
+            // lane `exp` the AVX forward used.
+            for (name, (want, got)) in GRAD_NAMES.iter().zip(scalar.iter().zip(&simd)) {
+                for (i, (w, g)) in want.iter().zip(got).enumerate() {
+                    prop_assert!(
+                        close(*w, *g, 1024, 1e-4),
+                        "{}[{}]: {} vs {} ({} ulp)", name, i, w, g, ulp_diff(*w, *g)
+                    );
+                }
+            }
         }
     }
 
@@ -517,6 +584,245 @@ proptest! {
             let drift = (a_s[j] - b_s[j]) - (a0[j] - b0[j]);
             prop_assert!(drift.abs() <= 4.0 * f32::EPSILON, "A−B drift {} at {}", drift, j);
         }
+    }
+}
+
+/// `[du, ddelta, da, db, dc, dskip]`, the order of [`ScanCase`]'s gradients.
+const GRAD_NAMES: [&str; 6] = ["du", "ddelta", "da", "db", "dc", "dskip"];
+
+/// One selective scan's operands and output gradient `g`, at `[L, ch]`
+/// activations and state size `n`.
+struct ScanCase {
+    l: usize,
+    ch: usize,
+    n: usize,
+    u: Vec<f32>,
+    delta: Vec<f32>,
+    a: Vec<f32>,
+    b: Vec<f32>,
+    c: Vec<f32>,
+    d: Vec<f32>,
+    g: Vec<f32>,
+}
+
+impl ScanCase {
+    fn new(l: usize, ch: usize, n: usize, seed: u32) -> Self {
+        ScanCase {
+            l,
+            ch,
+            n,
+            u: pseudo(l * ch, seed, -1.0, 1.0),
+            delta: pseudo(l * ch, seed.wrapping_add(1), 0.05, 0.5),
+            a: pseudo(ch * n, seed.wrapping_add(2), -1.5, -0.2),
+            b: pseudo(l * n, seed.wrapping_add(3), -1.0, 1.0),
+            c: pseudo(l * n, seed.wrapping_add(4), -1.0, 1.0),
+            d: pseudo(ch, seed.wrapping_add(5), -1.0, 1.0),
+            g: pseudo(l * ch, seed.wrapping_add(6), -1.0, 1.0),
+        }
+    }
+
+    /// The per-lane scalar loops the lane kernels replaced: `y`, the six
+    /// gradients, and `Σ|term|` of every `db` and `dc` entry.
+    fn oracle(&self) -> (Vec<f32>, [Vec<f32>; 6], [Vec<f32>; 2]) {
+        let ScanCase { l, ch, n, .. } = *self;
+        let (u, delta, a, b, c, d, g) = (
+            &self.u,
+            &self.delta,
+            &self.a,
+            &self.b,
+            &self.c,
+            &self.d,
+            &self.g,
+        );
+        let mut y = vec![0f32; l * ch];
+        let mut traj = vec![0f32; l * ch * n];
+        for ci in 0..ch {
+            let mut h = vec![0f32; n];
+            for t in 0..l {
+                let dt = delta[t * ch + ci];
+                let ut = u[t * ch + ci];
+                let dtu = dt * ut;
+                let mut acc = 0f32;
+                for (ni, hv) in h.iter_mut().enumerate() {
+                    let e = (dt * a[ci * n + ni]).exp();
+                    *hv = e * *hv + dtu * b[t * n + ni];
+                    acc += c[t * n + ni] * *hv;
+                }
+                y[t * ch + ci] = acc + d[ci] * ut;
+                traj[(t * ch + ci) * n..(t * ch + ci + 1) * n].copy_from_slice(&h);
+            }
+        }
+        let [mut du, mut ddelta, mut da, mut db, mut dc, mut dskip] = [
+            vec![0f32; l * ch],
+            vec![0f32; l * ch],
+            vec![0f32; ch * n],
+            vec![0f32; l * n],
+            vec![0f32; l * n],
+            vec![0f32; ch],
+        ];
+        let (mut db_abs, mut dc_abs) = (vec![0f32; l * n], vec![0f32; l * n]);
+        for ci in 0..ch {
+            let mut dh = vec![0f32; n];
+            for t in (0..l).rev() {
+                let gy = g[t * ch + ci];
+                let dt = delta[t * ch + ci];
+                let ut = u[t * ch + ci];
+                dskip[ci] += gy * ut;
+                let mut du_acc = gy * d[ci];
+                let mut ddt_acc = 0f32;
+                for (ni, dhv) in dh.iter_mut().enumerate() {
+                    let h_t = traj[(t * ch + ci) * n + ni];
+                    dc[t * n + ni] += gy * h_t;
+                    dc_abs[t * n + ni] += (gy * h_t).abs();
+                    let dht = gy * c[t * n + ni] + *dhv;
+                    let av = a[ci * n + ni];
+                    let e = (dt * av).exp();
+                    let h_prev = if t == 0 {
+                        0.0
+                    } else {
+                        traj[((t - 1) * ch + ci) * n + ni]
+                    };
+                    let de = dht * h_prev;
+                    ddt_acc += de * av * e;
+                    da[ci * n + ni] += de * dt * e;
+                    let bv = b[t * n + ni];
+                    ddt_acc += dht * bv * ut;
+                    du_acc += dht * dt * bv;
+                    db[t * n + ni] += dht * dt * ut;
+                    db_abs[t * n + ni] += (dht * dt * ut).abs();
+                    *dhv = dht * e;
+                }
+                du[t * ch + ci] += du_acc;
+                ddelta[t * ch + ci] += ddt_acc;
+            }
+        }
+        (y, [du, ddelta, da, db, dc, dskip], [db_abs, dc_abs])
+    }
+
+    /// `y` and the six gradients through the lane kernels at `level`,
+    /// group by group as `peb-mamba` drives them: full groups in place,
+    /// the ragged tail on zero-padded `[L, 8]` copies.
+    fn kernels(&self, level: Level) -> (Vec<f32>, [Vec<f32>; 6]) {
+        let ScanCase { l, ch, n, .. } = *self;
+        let mut y = vec![0f32; l * ch];
+        let [mut du, mut ddelta, mut da, mut db, mut dc, mut dskip] = [
+            vec![0f32; l * ch],
+            vec![0f32; l * ch],
+            vec![0f32; ch * n],
+            vec![0f32; l * n],
+            vec![0f32; l * n],
+            vec![0f32; ch],
+        ];
+        for ci0 in (0..ch).step_by(8) {
+            let lanes = (ch - ci0).min(8);
+            let pad = |x: &[f32]| {
+                let mut p = vec![0f32; l * 8];
+                for t in 0..l {
+                    p[t * 8..t * 8 + lanes].copy_from_slice(&x[t * ch + ci0..t * ch + ci0 + lanes]);
+                }
+                p
+            };
+            let (u8, delta8, g8) = (pad(&self.u), pad(&self.delta), pad(&self.g));
+            let (u, delta, g, geom) = if lanes == 8 {
+                (
+                    &self.u[..],
+                    &self.delta[..],
+                    &self.g[..],
+                    scan::Group {
+                        l,
+                        ch,
+                        n,
+                        ci0,
+                        lanes,
+                    },
+                )
+            } else {
+                (
+                    &u8[..],
+                    &delta8[..],
+                    &g8[..],
+                    scan::Group {
+                        l,
+                        ch: 8,
+                        n,
+                        ci0: 0,
+                        lanes,
+                    },
+                )
+            };
+            let mut apack = Vec::new();
+            scan::pack_a_lanes8(&self.a, n, ci0, lanes, &mut apack);
+            let mut skip8 = [0f32; 8];
+            skip8[..lanes].copy_from_slice(&self.d[ci0..ci0 + lanes]);
+            let ops = scan::LaneOperands {
+                u,
+                delta,
+                a_pack: &apack,
+                b: &self.b,
+                c: &self.c,
+                skip8: &skip8,
+            };
+            // The group's columns of y/du/ddelta: the shared `[L, ch]`
+            // buffers for a full group, `[L, 8]` scratch for the tail.
+            let mut cols = [vec![0f32; l * 8], vec![0f32; l * 8], vec![0f32; l * 8]];
+            let mut traj = vec![0f32; l * n * 8];
+            let (mut dh, mut da8, mut dskip8) = (vec![0f32; n * 8], vec![0f32; n * 8], [0f32; 8]);
+            let (mut dbp, mut dcp) = (vec![0f32; l * n], vec![0f32; l * n]);
+            {
+                let [yc, duc, ddc] = &mut cols;
+                let tail = lanes < 8;
+                let (ys, dus, dds) = if tail {
+                    (
+                        UnsafeSlice::new(yc),
+                        UnsafeSlice::new(duc),
+                        UnsafeSlice::new(ddc),
+                    )
+                } else {
+                    (
+                        UnsafeSlice::new(&mut y),
+                        UnsafeSlice::new(&mut du),
+                        UnsafeSlice::new(&mut ddelta),
+                    )
+                };
+                let mut h = vec![0f32; n * 8];
+                let grads = scan::LaneGrads {
+                    du: &dus,
+                    ddelta: &dds,
+                    da: &mut da8,
+                    dskip: &mut dskip8,
+                    db: &mut dbp,
+                    dc: &mut dcp,
+                };
+                // SAFETY: single-threaded; each group owns its columns.
+                at_level(level, || unsafe {
+                    scan::scan_forward_lanes8(geom, ops, &mut h, &ys, Some(&mut traj));
+                    scan::scan_backward_lanes8(geom, ops, g, &traj, &mut dh, grads);
+                });
+            }
+            if lanes < 8 {
+                for t in 0..l {
+                    for j in 0..lanes {
+                        y[t * ch + ci0 + j] = cols[0][t * 8 + j];
+                        du[t * ch + ci0 + j] = cols[1][t * 8 + j];
+                        ddelta[t * ch + ci0 + j] = cols[2][t * 8 + j];
+                    }
+                }
+            }
+            for j in 0..lanes {
+                dskip[ci0 + j] = dskip8[j];
+                for ni in 0..n {
+                    da[(ci0 + j) * n + ni] = da8[ni * 8 + j];
+                }
+            }
+            // Group partials in ascending group order.
+            for (acc, p) in db.iter_mut().zip(&dbp) {
+                *acc += p;
+            }
+            for (acc, p) in dc.iter_mut().zip(&dcp) {
+                *acc += p;
+            }
+        }
+        (y, [du, ddelta, da, db, dc, dskip])
     }
 }
 
