@@ -72,8 +72,8 @@ impl TempoResist {
         let e1 = self.enc1.forward(plane).leaky_relu(0.2);
         let e2 = self.enc2.forward(&e1).leaky_relu(0.2);
         let m = self.mid.forward(&e2).leaky_relu(0.2);
-        let d1 = self.dec1.forward(&m).leaky_relu(0.2);
-        let d2 = self.dec2.forward(&d1).leaky_relu(0.2);
+        let d1 = self.dec1.forward_leaky_relu(&[&m], 0.2);
+        let d2 = self.dec2.forward_leaky_relu(&[&d1], 0.2);
         self.head.forward(&d2)
     }
 }

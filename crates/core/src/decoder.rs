@@ -3,20 +3,27 @@
 //! Three (or more) transposed-convolution layers with LeakyReLU
 //! activations between them restore the fused features to the full input
 //! resolution, every depth level with the same weights: each layer is one
-//! planes-batched call over the depth axis.
+//! planes-batched call over the depth axis, run as direct sub-pixel
+//! convolutions with its bias and LeakyReLU applied as each output is
+//! written (`ConvTranspose2d::forward_leaky_relu`).
 //!
 //! In addition to Fig. 2's decoder, this implementation accepts an
-//! optional full-resolution *skip* volume (the stem features)
-//! concatenated before the final refinement layer. At the paper's scale
-//! the stage-1 latent is 125×125 px and carries enough spatial detail; at
-//! this reproduction's 32–128 px grids the latent alone cannot represent
-//! sub-pixel contact edges, so the skip restores the full-resolution path
-//! (documented as a scaled-reproduction adaptation in DESIGN.md §1).
+//! optional full-resolution *skip* volume (the stem features), which the
+//! refinement layer reads next to the upsampled features as a second
+//! channel block: their concatenation, never materialised. At the
+//! paper's scale the stage-1 latent is 125×125 px and carries enough
+//! spatial detail; at this reproduction's 32–128 px grids the latent
+//! alone cannot represent sub-pixel contact edges, so the skip restores
+//! the full-resolution path (documented as a scaled-reproduction
+//! adaptation in DESIGN.md §1).
 
 use rand::Rng;
 
 use peb_nn::{ConvTranspose2d, Parameterized};
 use peb_tensor::Var;
+
+/// Negative slope of the LeakyReLU after every layer but the last.
+const LEAKY_SLOPE: f32 = 0.01;
 
 /// Per-depth-level transposed-conv decoder ending in one output channel.
 pub struct Decoder {
@@ -29,9 +36,9 @@ pub struct Decoder {
 
 impl Decoder {
     /// Builds a decoder that upsamples by `factor` (a power of two) using
-    /// stride-2 transposed convolutions, then refines the concatenation
-    /// of the upsampled features and the `skip_channels`-wide
-    /// full-resolution skip down to a single output channel. At least
+    /// stride-2 transposed convolutions, then refines the upsampled
+    /// features and the `skip_channels`-wide full-resolution skip, read
+    /// as two channel blocks, down to a single output channel. At least
     /// three layers total, matching the paper's "3 transpose convolution
     /// layers".
     ///
@@ -132,14 +139,12 @@ impl Decoder {
     fn decode(&self, x: &Var, skip: Option<&Var>) -> Var {
         let mut cur = x.clone();
         for layer in &self.layers {
-            cur = layer.forward(&cur).leaky_relu(0.01);
+            cur = layer.forward_leaky_relu(&[&cur], LEAKY_SLOPE);
         }
-        if let Some(skip) = skip {
-            cur = Var::concat(&[&cur, skip], 0);
-        }
-        let out = self
-            .head
-            .forward(&self.head_mid.forward(&cur).leaky_relu(0.01));
+        let mut blocks = vec![&cur];
+        blocks.extend(skip);
+        let mid = self.head_mid.forward_leaky_relu(&blocks, LEAKY_SLOPE);
+        let out = self.head.forward(&mid);
         let s = out.shape(); // [1, D, H, W]
         out.reshape(&s[1..])
     }

@@ -6,29 +6,27 @@
 //! [`Conv2d`] and [`ConvTranspose2d`] work on `[C, D, H, W]` volumes whose
 //! `D` planes share the weights (`[C, H, W]` is the `D = 1` case of the
 //! same kernel); [`DwConv3d`] works on `[C, D, H, W]` channel by channel.
-//! The unit of parallel work is a whole plane — plane `z` for the dense
-//! layers (a cache-sized band of its output rows in the transposed
-//! conv's forward), plane `(c, z)` for the depthwise one — so chunk
-//! boundaries never depend on the thread count and every path is bitwise
-//! identical at any thread count. Per plane the dense layers run one GEMM through
-//! [`matmul_par`] (the driver behind `Tensor::matmul`)
-//! into pooled per-chunk scratch; everything around it is a
-//! bounds-hoisted contiguous row (`copy`, `+=`, `+= w·x`, a dot product)
-//! in the exact-class [`peb_simd::conv`] kernels, in the per-element
-//! accumulation order of the textbook loops kept as the oracle in
-//! `tests/conv_planes.rs`. Weight gradients are reduced over planes in
-//! ascending plane order.
+//! Chunk boundaries — plane `z`, a band of its output rows in the
+//! transposed conv's forward, plane `(c, z)` for the depthwise layer —
+//! never depend on the thread count, so every path is bitwise identical
+//! at any thread count. [`Conv2d`] runs one GEMM per plane through
+//! [`matmul_par`] around the exact-class row sweeps of [`peb_simd::conv`]
+//! (the textbook loops they replaced are the oracle in
+//! `tests/conv_planes.rs`); [`ConvTranspose2d`] runs the direct sub-pixel
+//! kernels of [`SubPixel`], forward and backward, with the bias and the
+//! decoder's LeakyReLU in the write-back. Weight gradients are reduced
+//! over planes in ascending plane order.
 //!
 //! All convolutions are custom autograd operations with analytic backward
-//! passes; the tests at the bottom and in `tests/conv_planes.rs` verify
-//! them against finite differences, the scalar oracle and the adjoint
-//! identity.
+//! passes, verified here and in `tests/conv_planes.rs` against finite
+//! differences, the scalar oracles and the adjoint identity.
 
 use rand::Rng;
 
 use peb_par::UnsafeSlice;
+use peb_pool::tile::slab_items;
 use peb_pool::PoolBuf;
-use peb_simd::conv::{dw3_plane, dw3_weight_grad, Dw3, Windows};
+use peb_simd::conv::{dw3_plane, dw3_weight_grad, Dw3, SubPixel, Windows};
 use peb_simd::elementwise::{vadd_assign, vadd_scalar};
 use peb_tensor::kernels::{matmul_par, transpose_into, Bias};
 use peb_tensor::{Tensor, Var};
@@ -331,7 +329,7 @@ fn conv2_backward(
         for c in 0..cin {
             // SAFETY: plane `z` of `dx` belongs to this chunk alone.
             let plane = unsafe { dx_slots.slice_mut((c * d + z) * hw..(c * d + z + 1) * hw) };
-            win.fold(&dcol[c * taps * n..][..taps * n], 0.0, plane, &mut lanes);
+            win.fold(&dcol[c * taps * n..][..taps * n], plane, &mut lanes);
         }
     });
     let mut dw = Tensor::zeros(w.shape());
@@ -348,7 +346,8 @@ fn conv2_backward(
 /// planes or `[Cin, D, H, W]` volumes whose `D` planes share the weights.
 ///
 /// Weight layout `[Cin, Cout, k, k]`; output extent
-/// `(n − 1)·stride + k − 2·pad`.
+/// `(n − 1)·stride + k − 2·pad`. Runs as the direct sub-pixel kernels of
+/// [`SubPixel`]: forward, `dx` and `dW` alike.
 #[derive(Debug, Clone)]
 pub struct ConvTranspose2d {
     weight: Var,
@@ -420,32 +419,59 @@ impl ConvTranspose2d {
     /// Panics on a channel mismatch, an empty axis or a non-positive
     /// output extent.
     pub fn forward(&self, x: &Var) -> Var {
-        let xs = x.shape();
-        let (d, h, w) = plane_dims("ConvTranspose2d", &xs, self.cin);
-        let (ho, wo) = self.output_hw(h, w);
-        // The layer writes its output through the windows its adjoint
-        // conv would read: an `ho × wo` image under `h × w` windows.
-        let win = Windows::new(ho, wo, h, w, self.kernel, self.stride, self.pad);
-        let (cin, cout) = (self.cin, self.cout);
-        let mut out = Tensor::zeros(&like_input(xs.len(), cout, d, ho, wo));
-        convt2_forward(
-            &x.value(),
-            &self.weight.value(),
-            self.bias.value().data(),
-            &win,
-            d,
-            &mut out,
+        self.apply(&[x], None)
+    }
+
+    /// [`ConvTranspose2d::forward`] of the channel concatenation of
+    /// `blocks`, read in place, then `leaky_relu(slope)` as each output is
+    /// written: the bits of `Var::concat`, `forward` and
+    /// `Var::leaky_relu`, whose derivative the backward reads off the
+    /// sign of the saved output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slope` is not positive, if the blocks disagree with the
+    /// layer or each other, and as [`ConvTranspose2d::forward`].
+    pub fn forward_leaky_relu(&self, blocks: &[&Var], slope: f32) -> Var {
+        assert!(
+            slope > 0.0,
+            "ConvTranspose2d: LeakyReLU slope={slope} must be positive"
         );
-        let xc = x.clone();
-        let wc = self.weight.clone();
-        Var::from_op(
-            out,
-            vec![x.clone(), self.weight.clone(), self.bias.clone()],
-            move |g| {
-                let (dx, dw) = convt2_backward(&xc.value(), &wc.value(), g, &win, (cin, cout, d));
-                vec![Some(dx), Some(dw), Some(channel_sums(g, cout))]
-            },
-        )
+        self.apply(blocks, Some(slope))
+    }
+
+    fn apply(&self, blocks: &[&Var], slope: Option<f32>) -> Var {
+        let shapes: Vec<Vec<usize>> = blocks.iter().map(|b| b.shape()).collect();
+        let mut whole = shapes[0].clone();
+        whole[0] = shapes.iter().map(|s| s[0]).sum();
+        assert!(
+            shapes.iter().all(|s| s[1..] == whole[1..]),
+            "ConvTranspose2d: channel blocks disagree: {shapes:?}"
+        );
+        let (d, h, w) = plane_dims("ConvTranspose2d", &whole, self.cin);
+        let (ho, wo) = self.output_hw(h, w);
+        let (cin, cout, k) = (self.cin, self.cout, self.kernel);
+        let geom = SubPixel::new(cin, cout, (h, w), k, self.stride, self.pad);
+        let mut out = Tensor::zeros(&like_input(whole.len(), cout, d, ho, wo));
+        let values: Vec<_> = blocks.iter().map(|b| b.value()).collect();
+        let x: Vec<&[f32]> = values.iter().map(|v| v.data()).collect();
+        let (weight, bias) = (self.weight.value(), self.bias.value());
+        let fwd = (weight.data(), bias.data(), slope);
+        convt2_forward(&x, fwd, &geom, (d, h, w), &mut out);
+        let mut parents: Vec<Var> = blocks.iter().map(|&b| b.clone()).collect();
+        parents.extend([self.weight.clone(), self.bias.clone()]);
+        let nodes = parents.clone();
+        Var::from_op_out(out, parents, move |g, y| {
+            let masked = slope.map(|slope| leaky_relu_grad(g, y, slope));
+            let g = masked.as_ref().unwrap_or(g);
+            let values: Vec<_> = nodes.iter().map(Var::value).collect();
+            let x: Vec<&[f32]> = values[..shapes.len()].iter().map(|v| v.data()).collect();
+            let weight = &values[shapes.len()];
+            let (dxs, dw) = convt2_backward(&x, &shapes, weight, g, &geom, (d, h, w));
+            let mut grads: Vec<_> = dxs.into_iter().map(Some).collect();
+            grads.extend([Some(dw), Some(channel_sums(g, cout))]);
+            grads
+        })
     }
 }
 
@@ -455,118 +481,114 @@ impl Parameterized for ConvTranspose2d {
     }
 }
 
-/// `out[:, z] = fold(W_matᵀ · x[:, z]) + b` for every plane `z`: the GEMM
-/// formulation of the transposed convolution, identical math to the
-/// direct scatter loops.
-///
-/// Each plane is folded in bands of output rows whose slice of the patch
-/// matrix stays cache-resident between the GEMM that writes it and the
-/// fold that reads it: the slice is zero-filled, accumulated and read
-/// back next to the input band, the packed panels and the output rows,
-/// so it is budgeted at half the tile. A band recomputes the
-/// ≤ (k − 1)/s window rows it shares with its neighbour (the counters
-/// include them); GEMM columns are independent, so the banding never
-/// changes a bit. Bands write disjoint output rows, so each
-/// (plane, band) is a parallel chunk of its own.
-fn convt2_forward(x: &Tensor, w: &Tensor, bias: &[f32], win: &Windows, d: usize, out: &mut Tensor) {
+/// `g` through LeakyReLU's derivative read off its output `y` (a positive
+/// slope keeps the sign): `Var::leaky_relu`'s `1` or `slope`.
+fn leaky_relu_grad(g: &Tensor, y: &Tensor, slope: f32) -> Tensor {
+    let mut gx = g.clone();
+    for (gv, &yv) in gx.data_mut().iter_mut().zip(y.data()) {
+        *gv *= if yv >= 0.0 { 1.0 } else { slope };
+    }
+    gx
+}
+
+/// Plane `z` of every channel of `blocks` (each `[C_b, D, n]`), in
+/// concatenation order.
+fn channel_planes<'a>(blocks: &[&'a [f32]], d: usize, z: usize, n: usize) -> Vec<&'a [f32]> {
+    let chunks = blocks.iter().flat_map(|b| b.chunks_exact(d * n));
+    chunks.map(|c| &c[z * n..][..n]).collect()
+}
+
+/// `out[:, z] = convT(x[:, z]) + b` for every plane `z`, through the
+/// LeakyReLU of `slope` when given. One chunk per (plane, band of output
+/// rows), a band an eighth of the tile so a few-plane slab still splits
+/// evenly over the threads; each output row is computed whole by one
+/// chunk, so the banding never changes a bit.
+fn convt2_forward(
+    x: &[&[f32]],
+    (weight, bias, slope): (&[f32], &[f32], Option<f32>),
+    geom: &SubPixel,
+    (d, h, w): (usize, usize, usize),
+    out: &mut Tensor,
+) {
     let _span = peb_obs::span("conv.convt2_fwd");
-    let (cin, cout) = (w.shape()[0], w.shape()[1]);
-    let (taps, hw, n) = (win.taps(), win.pixels(), win.count());
-    let m = cout * taps;
-    let ((h_img, w_img), (ho, wo)) = (win.image(), win.grid());
-    let band = peb_pool::tile::slab_items(2 * 4 * (m + cin) * wo, ho) * win.stride();
-    // (output rows, the window rows they fold) per band.
-    let bands: Vec<_> = (0..h_img)
-        .step_by(band)
-        .map(|r0| {
-            let rows = r0..(r0 + band).min(h_img);
-            (rows.clone(), win.window_rows(rows))
-        })
-        .collect();
-    let cols: usize = bands.iter().map(|(_, oys)| oys.len() * wo).sum();
-    peb_obs::optrace::note("conv.convt2", || {
-        format!(
-            "planes={d} bands={} gemm={m}x{cin}x{cols} {win}",
-            bands.len()
-        )
-    });
-    peb_obs::count(peb_obs::Counter::GemmFlops, 2 * (d * m * cin * cols) as u64);
-    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * (d * m * cols) as u64);
-    // W [cin, cout·k·k] → [cout·k·k, cin], once for all planes.
-    let mut wt = PoolBuf::zeroed(m * cin);
-    transpose_into(w.data(), cin, m, &mut wt);
-    let xd = x.data();
+    let (ho, wo) = geom.output();
+    let (band, flops) = (
+        slab_items(8 * geom.band_row_bytes(), ho),
+        geom.forward_flops(),
+    );
+    let bands = ho.div_ceil(band);
+    peb_obs::optrace::note("conv.convt2", || format!("planes={d} bands={bands} {geom}"));
+    peb_obs::count(peb_obs::Counter::GemmFlops, d as u64 * flops);
+    let packed = geom.pack(weight);
     let slots = UnsafeSlice::new(out.data_mut());
-    // One chunk per (plane, band): they balance the threads where a slab
-    // holds few planes.
-    let flops = 2 * (m * cin * cols.div_ceil(bands.len())) as u64;
-    peb_par::parallel_chunks_cost(d * bands.len(), 1, flops, |chunks| {
-        let mut lanes = PoolBuf::zeroed(win.lanes_len());
+    peb_par::parallel_chunks_cost(d * bands, 1, flops / bands as u64, |chunks| {
         for chunk in chunks {
-            let (z, (rows, oys)) = (chunk / bands.len(), &bands[chunk % bands.len()]);
-            let nb = oys.len() * wo;
-            let mut xb = PoolBuf::cleared(cin * nb);
-            for c in 0..cin {
-                xb.extend_from_slice(&xd[(c * d + z) * n + oys.start * wo..][..nb]);
-            }
-            let mut col = PoolBuf::zeroed(m * nb);
-            matmul_par(&wt, &xb, &mut col, m, cin, nb, Bias::None);
-            for (co, &b) in bias.iter().enumerate() {
-                let at = (co * d + z) * hw;
-                // SAFETY: rows `rows` of plane `z` of `out` belong to this
-                // chunk alone.
-                let img_rows =
-                    unsafe { slots.slice_mut(at + rows.start * w_img..at + rows.end * w_img) };
-                let taps_co = &col[co * taps * nb..][..taps * nb];
-                win.fold_rows(taps_co, oys.clone(), b, rows.clone(), img_rows, &mut lanes);
-            }
+            let (z, r0) = (chunk / bands, chunk % bands * band);
+            let rows = r0..(r0 + band).min(ho);
+            let mut out_rows: Vec<&mut [f32]> = (0..bias.len())
+                .map(|co| ((co * d + z) * ho + rows.start) * wo)
+                // SAFETY: rows `rows` of plane `z` belong to this chunk alone.
+                .map(|at| unsafe { slots.slice_mut(at..at + rows.len() * wo) })
+                .collect();
+            let planes = channel_planes(x, d, z, h * w);
+            geom.forward_rows(&packed, bias, slope, &planes, rows, &mut out_rows);
         }
     });
 }
 
-/// Per plane: `dx_z = W_mat · unfold(G_z)` and
-/// `dW_zᵀ = unfold(G_z) · x_zᵀ`; `dW = (Σ_z dW_zᵀ)ᵀ`.
+/// `dx` (one tensor per input block, shaped `shapes`) and `dW` of
+/// [`convt2_forward`] for the output gradient `g`, split by column phase
+/// once: `dx` plane by plane, `dW` by (plane, output channel), its
+/// per-plane partials summed in ascending plane order.
 fn convt2_backward(
-    x: &Tensor,
-    w: &Tensor,
+    x: &[&[f32]],
+    shapes: &[Vec<usize>],
+    weight: &Tensor,
     g: &Tensor,
-    win: &Windows,
-    (cin, cout, d): (usize, usize, usize),
-) -> (Tensor, Tensor) {
+    geom: &SubPixel,
+    (d, h, w): (usize, usize, usize),
+) -> (Vec<Tensor>, Tensor) {
     let _span = peb_obs::span("conv.convt2_bwd");
-    let (taps, hw, n) = (win.taps(), win.pixels(), win.count());
-    let m = cout * taps;
-    peb_obs::optrace::note("conv.convt2.bwd", || {
-        format!("planes={d} gemm=2x{m}x{cin}x{n} {win}")
+    let (cin, cout, hw) = (weight.shape()[0], weight.shape()[1], h * w);
+    let k2 = weight.len() / (cin * cout);
+    peb_obs::optrace::note("conv.convt2.bwd", || format!("planes={d} {geom}"));
+    let flops = 2 * d as u64 * geom.input_grad_flops();
+    peb_obs::count(peb_obs::Counter::GemmFlops, flops);
+    let (plane, g_plane, gd) = (geom.grad_plane_len(), g.len() / (cout * d), g.data());
+    let mut split = PoolBuf::zeroed(cout * d * plane);
+    peb_par::parallel_chunks_mut_cost(&mut split, plane, 1, |at, dst| {
+        geom.split_grad(&gd[at / plane * g_plane..][..g_plane], dst);
     });
-    peb_obs::count(peb_obs::Counter::GemmFlops, 4 * (d * m * cin * n) as u64);
-    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * (d * m * n) as u64);
-    let (xd, wd, gd) = (x.data(), w.data(), g.data());
-    let mut dx = Tensor::zeros(x.shape());
-    let dx_slots = UnsafeSlice::new(dx.data_mut());
-    let mut partials = PoolBuf::zeroed(d * m * cin);
-    peb_par::parallel_chunks_mut_cost(&mut partials, m * cin, 4 * n as u64, |at, dwt_z| {
-        let z = at / (m * cin);
-        let mut gcol = PoolBuf::zeroed(m * n);
-        for co in 0..cout {
-            win.unfold(
-                &gd[(co * d + z) * hw..][..hw],
-                &mut gcol[co * taps * n..][..taps * n],
-            );
+    let packed = geom.pack_input_grad(weight.data());
+    let mut dxs: Vec<Tensor> = shapes.iter().map(|s| Tensor::zeros(s)).collect();
+    let slots: Vec<_> = dxs
+        .iter_mut()
+        .map(|t| UnsafeSlice::new(t.data_mut()))
+        .collect();
+    peb_par::parallel_chunks_cost(d, 1, geom.input_grad_flops(), |planes| {
+        for z in planes {
+            let mut rows: Vec<&mut [f32]> = (slots.iter())
+                .flat_map(|slot| (0..slot.len() / (d * hw)).map(move |c| (slot, (c * d + z) * hw)))
+                // SAFETY: plane `z` of every block of `dx` belongs to this
+                // chunk alone.
+                .map(|(slot, at)| unsafe { slot.slice_mut(at..at + hw) })
+                .collect();
+            geom.input_grad_rows(&packed, &split[z * plane..], d * plane, 0..h, &mut rows);
         }
-        let mut dx_z = PoolBuf::zeroed(cin * n);
-        matmul_par(wd, &gcol, &mut dx_z, cin, m, n, Bias::None);
-        // SAFETY: plane `z` of `dx` belongs to this chunk alone.
-        unsafe { scatter_plane(&dx_slots, &dx_z, None, d, z, n) };
-        let gathered = gather_plane(xd, cin, d, z, n);
-        let xm = gathered.as_ref().map_or(xd, |m| m.as_slice());
-        let mut xt = PoolBuf::zeroed(n * cin);
-        transpose_into(xm, cin, n, &mut xt);
-        matmul_par(&gcol, &xt, dwt_z, m, n, cin, Bias::None);
     });
-    let mut dw = Tensor::zeros(w.shape());
-    transpose_into(reduce_planes(&mut partials, m * cin), m, cin, dw.data_mut());
-    (dx, dw)
+    let mut partials = PoolBuf::zeroed(d * cout * cin * k2);
+    let cost = geom.input_grad_flops() / (cin * cout * k2) as u64;
+    peb_par::parallel_chunks_mut_cost(&mut partials, cin * k2, cost, |at, dw_zc| {
+        let (z, co) = (at / (cin * k2) / cout, at / (cin * k2) % cout);
+        let planes = channel_planes(x, d, z, hw);
+        geom.weight_grad(&planes, &split[(co * d + z) * plane..][..plane], dw_zc);
+    });
+    let sum = reduce_planes(&mut partials, cout * cin * k2);
+    let dw = Tensor::from_fn(weight.shape(), |i| {
+        let (ci, co, t) = (i / (cout * k2), i / k2 % cout, i % k2);
+        sum[(co * cin + ci) * k2 + t]
+    });
+    (dxs, dw)
 }
 
 // ---------------------------------------------------------------------------
@@ -944,14 +966,9 @@ impl Conv3d {
         drop(xv);
         let mut out = self.weight.value().matmul(&col).expect("conv3d gemm");
         if let Some(b) = &self.bias {
-            let bv = b.value();
-            let spatial = dd * hh * ww;
-            let data = out.data_mut();
-            for c in 0..cout {
-                let bias_c = bv.data()[c];
-                for v in &mut data[c * spatial..(c + 1) * spatial] {
-                    *v += bias_c;
-                }
+            let planes = out.data_mut().chunks_exact_mut(dd * hh * ww);
+            for (plane, &bias_c) in planes.zip(b.value().data()) {
+                plane.iter_mut().for_each(|v| *v += bias_c);
             }
         }
         let out = out.reshape(&[cout, dd, hh, ww]).expect("conv3d reshape");
@@ -1044,23 +1061,9 @@ mod tests {
             1e-2,
         );
         assert!(r.ok(3e-2), "input grad: {r:?}");
-        // Weight gradient.
+        // Weight gradient against central differences in the weight.
         let x = Var::constant(Tensor::randn(&[2, 5, 5], &mut rng));
         let w0 = conv.weight.value_clone();
-        let r = check_gradients(
-            &Var::parameter(w0.clone()),
-            |wv| {
-                conv.weight.set_value(wv.value_clone());
-                let out = conv.forward(&x).square().sum();
-                // Route gradient through the actual weight parameter by
-                // rebuilding: from_op parents reference conv.weight, so copy
-                // the computed gradient over.
-                out
-            },
-            1e-2,
-        );
-        // The closure above can't rebind parents; instead check weight grad
-        // directly against numeric differentiation of the loss in w:
         let numeric = peb_tensor::numeric_gradient(
             &w0,
             |wv| {
@@ -1078,7 +1081,6 @@ mod tests {
             max_rel = max_rel.max((a - n).abs() / 1f32.max(a.abs()).max(n.abs()));
         }
         assert!(max_rel < 3e-2, "weight grad rel err {max_rel}");
-        let _ = r;
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! The planes-batched conv family against its oracles.
 //!
 //! `Conv2d`, `ConvTranspose2d` and `DwConv3d` run whole depth planes in
-//! parallel over bounds-hoisted rows. The textbook scalar loops they
-//! replaced — two bounds tests per element, one plane per call, the GEMM
-//! through `Tensor::matmul` — live on here as [`oracle`], and the layers
-//! must reproduce them: forward and input gradients to the bit, weight
-//! and bias gradients (summed over planes in a different bracketing)
-//! within `1e-5` relative; every path bitwise identical at 1, 3 and 4
-//! threads; the scalar and vector dispatch levels within the GEMM
-//! tolerance (the depthwise layer, which runs no GEMM, to the bit); and
-//! analytic gradients against finite differences.
+//! parallel. The textbook scalar loops they replaced — two bounds tests
+//! per element, one plane per call, the GEMM through `Tensor::matmul` —
+//! live on here as [`oracle`], and `Conv2d` and `DwConv3d` must
+//! reproduce them: forward and input gradients to the bit, weight and
+//! bias gradients (summed over planes in a different bracketing) within
+//! `1e-5` relative. `ConvTranspose2d` runs direct sub-pixel kernels: at
+//! `Level::Scalar` it reproduces the phase-loop oracle in its own
+//! accumulation order to the bit, and at every level the GEMM + col2im
+//! oracle within the GEMM tolerance. Every path is bitwise identical at
+//! 1, 3 and 4 threads (the transposed conv at 7 too); the scalar and
+//! vector dispatch levels agree within the GEMM tolerance (the
+//! depthwise layer, which runs no GEMM, to the bit); the fused LeakyReLU
+//! and channel-block forms of the transposed conv equal their unfused
+//! chains to the bit; and analytic gradients match finite differences.
 
 use peb_nn::{Conv2d, ConvTranspose2d, DwConv3d, OverlappedPatchEmbed, Parameterized};
 use peb_par::ctx::{self, ExecCtx, Level};
@@ -17,8 +22,9 @@ use peb_tensor::{check_gradients, numeric_gradient, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The scalar loops deleted from `src/conv.rs`, and the layers as they
-/// were computed from them: one `[C, H, W]` plane per call.
+/// The scalar loops deleted from `src/conv.rs`, the layers as they were
+/// computed from them — one `[C, H, W]` plane per call — and the
+/// transposed conv in its sub-pixel kernels' order.
 mod oracle {
     use peb_tensor::Tensor;
 
@@ -193,6 +199,97 @@ mod oracle {
         (dx, dw)
     }
 
+    /// `t[c][y][x]` of a `[C, H, W]` tensor, zero outside the plane.
+    fn at(t: &Tensor, c: usize, y: isize, x: isize) -> f32 {
+        let (h, w) = (t.shape()[1] as isize, t.shape()[2] as isize);
+        if (0..h).contains(&y) && (0..w).contains(&x) {
+            t.data()[(c * h as usize + y as usize) * w as usize + x as usize]
+        } else {
+            0.0
+        }
+    }
+
+    /// `ConvTranspose2d` on one plane in the sub-pixel kernels' order:
+    /// each output starts at its bias and takes, per input channel
+    /// ascending, its phase's taps — `ky ≡ oy + p`, `kx ≡ ox + p`
+    /// (mod `s`) — in ascending `(ky, kx)`, one rounded `+= w·x` each,
+    /// reading zero outside the image.
+    pub fn convt2d_phases(
+        x: &Tensor,
+        w: &Tensor,
+        b: &Tensor,
+        k: usize,
+        s: usize,
+        p: usize,
+    ) -> Tensor {
+        let (cin, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let cout = w.shape()[1];
+        let (ho, wo) = ((h - 1) * s + k - 2 * p, (wd - 1) * s + k - 2 * p);
+        let source = |o: usize, kk: usize| ((o + p) as isize - kk as isize) / s as isize;
+        Tensor::from_fn(&[cout, ho, wo], |i| {
+            let (co, oy, ox) = (i / (ho * wo), i / wo % ho, i % wo);
+            let mut acc = b.data()[co];
+            for ci in 0..cin {
+                for ky in ((oy + p) % s..k).step_by(s) {
+                    for kx in ((ox + p) % s..k).step_by(s) {
+                        let wv = w.data()[((ci * cout + co) * k + ky) * k + kx];
+                        acc += wv * at(x, ci, source(oy, ky), source(ox, kx));
+                    }
+                }
+            }
+            acc
+        })
+    }
+
+    /// `(dx, dW)` of [`convt2d_phases`] in the kernels' order: `dx` from
+    /// zero over output channels, then all `(ky, kx)` ascending, reading
+    /// zero outside the gradient; each `dW` entry as eight lane partials
+    /// over the columns `ix mod 8` (rows, then column blocks, ascending;
+    /// a ragged row end joins as zero `x`), folded in lane order.
+    pub fn convt2d_phases_backward(
+        x: &Tensor,
+        w: &Tensor,
+        g: &Tensor,
+        k: usize,
+        s: usize,
+        p: usize,
+    ) -> (Tensor, Tensor) {
+        let (cin, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let cout = w.shape()[1];
+        let target = |i: usize, kk: usize| (i * s + kk) as isize - p as isize;
+        let weight = |ci: usize, co: usize, ky: usize, kx: usize| {
+            w.data()[((ci * cout + co) * k + ky) * k + kx]
+        };
+        let dx = Tensor::from_fn(&[cin, h, wd], |i| {
+            let (ci, iy, ix) = (i / (h * wd), i / wd % h, i % wd);
+            let mut acc = 0f32;
+            for co in 0..cout {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        acc += weight(ci, co, ky, kx) * at(g, co, target(iy, ky), target(ix, kx));
+                    }
+                }
+            }
+            acc
+        });
+        let dw = Tensor::from_fn(w.shape(), |i| {
+            let (ci, co, ky, kx) = (i / (cout * k * k), i / (k * k) % cout, i / k % k, i % k);
+            let mut lanes = [0f32; 8];
+            for iy in 0..h {
+                for ix in 0..wd.div_ceil(8) * 8 {
+                    let xv = if ix < wd {
+                        at(x, ci, iy as isize, ix as isize)
+                    } else {
+                        0.0
+                    };
+                    lanes[ix % 8] += xv * at(g, co, target(iy, ky), target(ix, kx));
+                }
+            }
+            lanes.iter().fold(0.0, |sum, lane| sum + lane)
+        });
+        (dx, dw)
+    }
+
     /// Visits every in-range `(output index, input index, tap index)` of
     /// a same-padded depthwise 3-D correlation over channel `ci`, in the
     /// scalar loop order: voxels ascending, taps `(kz, ky, kx)` ascending.
@@ -264,6 +361,24 @@ mod oracle {
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Runs `f` with the calling thread's dispatch level pinned to `level`.
+fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
+    let scoped = ExecCtx {
+        level,
+        ..ctx::current()
+    };
+    ctx::with(scoped, f)
+}
+
+/// `Level::Scalar`, then the best detected level if it differs.
+fn levels() -> Vec<Level> {
+    let mut levels = vec![Level::Scalar];
+    if ctx::best_level() != Level::Scalar {
+        levels.push(ctx::best_level());
+    }
+    levels
 }
 
 /// Plane `z` of `[C, D, H, W]` as `[C, H, W]`.
@@ -437,53 +552,242 @@ fn conv2d_planes_match_the_plane_by_plane_oracle() {
     }
 }
 
+/// `ConvTranspose2d` over `D` planes against both oracles, plane by
+/// plane: at `Level::Scalar` the phase oracle to the bit
+/// ([`assert_matches_plane_oracle`]); at every level the fold oracle
+/// within the GEMM tolerance at the reduction lengths `Cin·⌈k/s⌉²`
+/// (forward) and `Cout·k²` (dX), dW within 1e-5 relative and db to the
+/// bit.
+fn assert_convt_matches_both_oracles(
+    (cin, cout, (k, s, p)): (usize, usize, (usize, usize, usize)),
+    (d, h, w): (usize, usize, usize),
+    rng: &mut StdRng,
+) {
+    let what = format!("convT {cin}->{cout} k={k} s={s} p={p} d={d} {h}x{w}");
+    let up = ConvTranspose2d::new(cin, cout, k, s, p, rng);
+    let params = up.parameters();
+    params[1].set_value(Tensor::randn(&[cout], rng));
+    let (wv, bv) = (params[0].value_clone(), params[1].value_clone());
+    let x = Tensor::randn(&[cin, d, h, w], rng);
+    let (ho, wo) = up.output_hw(h, w);
+    let r = Tensor::randn(&[cout, d, ho, wo], rng);
+    let forward = |v: &Var| up.forward(v);
+    at_level(Level::Scalar, || {
+        assert_matches_plane_oracle(&what, &params, (&x, &r), &forward, &|xz, rz| {
+            let y = oracle::convt2d_phases(xz, &wv, &bv, k, s, p);
+            let (dx, dw) = oracle::convt2d_phases_backward(xz, &wv, rz, k, s, p);
+            [y, dx, dw, oracle::bias_grad(rz)]
+        })
+    });
+    for level in levels() {
+        let got = at_level(level, || pass(&params, &x, &r, forward));
+        let planes: Vec<[Tensor; 3]> = (0..d)
+            .map(|z| {
+                let (xz, rz) = (plane(&x, z), plane(&r, z));
+                let y = oracle::convt2d(&xz, &wv, &bv, k, s, p);
+                let (dx, dw) = oracle::convt2d_backward(&xz, &wv, &rz, k, s, p);
+                [y, dx, dw]
+            })
+            .collect();
+        let column = |i: usize| planes.iter().map(|p| p[i].clone()).collect::<Vec<_>>();
+        let what = format!("{what} {level:?}");
+        assert_gemm_close(
+            &got.y,
+            &stack(&column(0)),
+            cin * k.div_ceil(s).pow(2),
+            &what,
+        );
+        assert_gemm_close(&got.dx, &stack(&column(1)), cout * k * k, &what);
+        assert_close(&got.dparams[0], &sum_planes(&column(2)), 1e-5, &what);
+        assert_eq!(
+            bits(&got.dparams[1]),
+            bits(&oracle::bias_grad(&r)),
+            "{what}: db"
+        );
+    }
+}
+
 #[test]
 fn convtranspose2d_planes_match_the_plane_by_plane_oracle() {
     let mut rng = StdRng::seed_from_u64(302);
-    for (case, &(k, s, p)) in WINDOWS.iter().enumerate() {
+    for (case, &window) in WINDOWS.iter().enumerate() {
         for d in [1usize, 2, 5] {
-            for cout in [1usize, 19] {
+            for (i, cout) in [1usize, 8, 9, 19].into_iter().enumerate() {
                 let cin = 1 + (case + d) % 3;
-                let (h, w) = (3, 5);
-                let up = ConvTranspose2d::new(cin, cout, k, s, p, &mut rng);
-                let params = up.parameters();
-                params[1].set_value(Tensor::randn(&[cout], &mut rng));
-                let (wv, bv) = (params[0].value_clone(), params[1].value_clone());
-                let x = Tensor::randn(&[cin, d, h, w], &mut rng);
-                let (ho, wo) = up.output_hw(h, w);
-                let r = Tensor::randn(&[cout, d, ho, wo], &mut rng);
-                assert_matches_plane_oracle(
-                    &format!("convT k={k} s={s} p={p} d={d} cin={cin} cout={cout}"),
-                    &params,
-                    (&x, &r),
-                    &|v| up.forward(v),
-                    &|xz, rz| {
-                        let y = oracle::convt2d(xz, &wv, &bv, k, s, p);
-                        let (dx, dw) = oracle::convt2d_backward(xz, &wv, rz, k, s, p);
-                        [y, dx, dw, oracle::bias_grad(rz)]
-                    },
-                );
+                // Ragged rows: shorter than, or not a multiple of, a vector.
+                let w = [3, 5, 13][(case + i) % 3];
+                assert_convt_matches_both_oracles((cin, cout, window), (d, 3, w), &mut rng);
+            }
+        }
+    }
+    // The decoder's own layers: the two upsampling steps, head_mid, head.
+    for (cin, cout, window) in [
+        (32, 16, (4, 2, 1)),
+        (16, 8, (4, 2, 1)),
+        (10, 8, (3, 1, 1)),
+        (8, 1, (3, 1, 1)),
+    ] {
+        assert_convt_matches_both_oracles((cin, cout, window), (2, 5, 13), &mut rng);
+    }
+}
+
+#[test]
+fn convtranspose2d_bands_never_change_a_bit() {
+    // One-output-row bands against the unbanded plane, on planes big
+    // enough for several bands at every stride, with the activation
+    // fused, at both levels.
+    let mut rng = StdRng::seed_from_u64(303);
+    for &(k, s, p) in &[(4, 2, 1), (3, 1, 1), (7, 4, 3), (3, 2, 0)] {
+        let up = ConvTranspose2d::new(3, 9, k, s, p, &mut rng);
+        let x = Var::constant(Tensor::randn(&[3, 2, 9, 6], &mut rng));
+        for level in levels() {
+            let run = |tile_bytes| {
+                let scoped = ExecCtx {
+                    tile_bytes,
+                    level,
+                    ..ctx::current()
+                };
+                ctx::with(scoped, || {
+                    let plain = bits(&up.forward(&x).value());
+                    let fused = bits(&up.forward_leaky_relu(&[&x], 0.2).value());
+                    (plain, fused)
+                })
+            };
+            assert_eq!(run(1), run(usize::MAX), "k={k} s={s} p={p} {level:?}");
+        }
+    }
+}
+
+/// Forward output and every gradient — each input block's, then the
+/// parameters' — of `loss = Σ f(blocks) ⊙ r`, as bits.
+fn block_pass(
+    params: &[Var],
+    blocks: &[Tensor],
+    r: &Tensor,
+    f: impl Fn(&[&Var]) -> Var,
+) -> Vec<Vec<u32>> {
+    params.iter().for_each(Var::zero_grad);
+    let xs: Vec<Var> = blocks.iter().map(|b| Var::parameter(b.clone())).collect();
+    let y = f(&xs.iter().collect::<Vec<_>>());
+    y.weighted_sum(r).backward();
+    let mut out = vec![bits(&y.value())];
+    out.extend(xs.iter().map(|x| bits(&x.grad().expect("input gradient"))));
+    out.extend(
+        params
+            .iter()
+            .map(|p| bits(&p.grad().expect("parameter gradient"))),
+    );
+    out
+}
+
+#[test]
+fn fused_leaky_relu_is_forward_then_leaky_relu_bitwise() {
+    // LeakyReLU is exact-class: applying it in the write-back, and its
+    // derivative from the saved output, changes no bit of the output or
+    // of any gradient.
+    let mut rng = StdRng::seed_from_u64(308);
+    for &(cin, cout, (k, s, p)) in &[
+        (3, 9, (4, 2, 1)),
+        (10, 8, (3, 1, 1)),
+        (2, 5, (7, 4, 3)),
+        (4, 1, (3, 2, 0)),
+    ] {
+        let up = ConvTranspose2d::new(cin, cout, k, s, p, &mut rng);
+        let params = up.parameters();
+        params[1].set_value(Tensor::randn(&[cout], &mut rng));
+        let x = Tensor::randn(&[cin, 2, 5, 13], &mut rng);
+        let (ho, wo) = up.output_hw(5, 13);
+        let r = Tensor::randn(&[cout, 2, ho, wo], &mut rng);
+        for level in levels() {
+            for slope in [0.01, 0.2] {
+                let (fused, unfused) = at_level(level, || {
+                    let fused = block_pass(&params, std::slice::from_ref(&x), &r, |v| {
+                        up.forward_leaky_relu(v, slope)
+                    });
+                    let unfused = block_pass(&params, std::slice::from_ref(&x), &r, |v| {
+                        up.forward(v[0]).leaky_relu(slope)
+                    });
+                    (fused, unfused)
+                });
+                assert_eq!(fused, unfused, "k={k} s={s} p={p} slope={slope} {level:?}");
             }
         }
     }
 }
 
 #[test]
-fn convtranspose2d_bands_never_change_a_bit() {
-    // One-window-row bands against the unbanded plane, on a plane big
-    // enough for several bands at either stride.
-    let mut rng = StdRng::seed_from_u64(303);
-    for &(k, s, p) in &[(4, 2, 1), (3, 1, 1), (7, 4, 3)] {
-        let up = ConvTranspose2d::new(3, 5, k, s, p, &mut rng);
-        let x = Var::constant(Tensor::randn(&[3, 2, 9, 6], &mut rng));
-        let run = |tile_bytes| {
-            let scoped = ExecCtx {
-                tile_bytes,
-                ..ctx::current()
-            };
-            ctx::with(scoped, || bits(&up.forward(&x).value()))
+fn channel_blocks_read_in_place_are_their_concatenation_bitwise() {
+    // The decoder's refinement layer: 8 upsampled channels and a 2-channel
+    // skip, read as two blocks, against the concatenated input — forward,
+    // both blocks' gradients and the parameters'.
+    let mut rng = StdRng::seed_from_u64(309);
+    let up = ConvTranspose2d::new(10, 8, 3, 1, 1, &mut rng);
+    let params = up.parameters();
+    params[1].set_value(Tensor::randn(&[8], &mut rng));
+    let blocks = [
+        Tensor::randn(&[8, 3, 9, 21], &mut rng),
+        Tensor::randn(&[2, 3, 9, 21], &mut rng),
+    ];
+    let r = Tensor::randn(&[8, 3, 9, 21], &mut rng);
+    for level in levels() {
+        let (split, whole) = at_level(level, || {
+            let split = block_pass(&params, &blocks, &r, |v| up.forward_leaky_relu(v, 0.01));
+            let whole = block_pass(&params, &blocks, &r, |v| {
+                up.forward_leaky_relu(&[&Var::concat(v, 0)], 0.01)
+            });
+            (split, whole)
+        });
+        assert_eq!(split, whole, "{level:?}");
+    }
+}
+
+#[test]
+fn transposed_conv_is_bitwise_identical_at_1_3_4_and_7_threads() {
+    // Every form — plain, fused, two blocks — forward and every gradient,
+    // with bands of a few rows so the (plane, band) chunks outnumber the
+    // threads, and TEMPO's width-40 upsampling layer (six 6-channel
+    // blocks and a 4).
+    let mut rng = StdRng::seed_from_u64(310);
+    let cases = [
+        (ConvTranspose2d::new(6, 9, 4, 2, 1, &mut rng), [4, 2]),
+        (ConvTranspose2d::new(10, 8, 3, 1, 1, &mut rng), [8, 2]),
+        (ConvTranspose2d::new(5, 7, 7, 4, 3, &mut rng), [3, 2]),
+        (ConvTranspose2d::new(40, 40, 4, 2, 1, &mut rng), [30, 10]),
+    ];
+    let inputs: Vec<(Vec<Tensor>, Tensor)> = cases
+        .iter()
+        .map(|(up, chans)| {
+            let blocks = chans.map(|c| Tensor::randn(&[c, 5, 11, 13], &mut rng));
+            let (ho, wo) = up.output_hw(11, 13);
+            (
+                blocks.to_vec(),
+                Tensor::randn(&[up.parameters()[1].shape()[0], 5, ho, wo], &mut rng),
+            )
+        })
+        .collect();
+    let digests = |threads| {
+        let scoped = ExecCtx {
+            threads,
+            tile_bytes: 4 << 10,
+            ..ctx::current()
         };
-        assert_eq!(run(1), run(usize::MAX), "k={k} s={s} p={p}");
+        ctx::with(scoped, || {
+            let mut all = Vec::new();
+            for ((up, _), (blocks, r)) in cases.iter().zip(&inputs) {
+                let params = up.parameters();
+                all.push(block_pass(&params, blocks, r, |v| {
+                    up.forward(&Var::concat(v, 0))
+                }));
+                all.push(block_pass(&params, blocks, r, |v| {
+                    up.forward_leaky_relu(v, 0.2)
+                }));
+            }
+            all
+        })
+    };
+    let one = digests(1);
+    for threads in [3, 4, 7] {
+        assert_eq!(one, digests(threads), "1 vs {threads} threads");
     }
 }
 
@@ -677,7 +981,7 @@ fn batched_layers_pass_gradient_checks() {
     let up = ConvTranspose2d::new(2, 3, 4, 2, 1, &mut rng);
     let dw = DwConv3d::new(2, 3, &mut rng);
     type Forward<'a> = Box<dyn Fn(&Var) -> Var + 'a>;
-    let cases: [(&str, Forward, Vec<Var>, [usize; 4]); 3] = [
+    let cases: [(&str, Forward, Vec<Var>, [usize; 4]); 4] = [
         (
             "Conv2d",
             Box::new(|v| conv.forward(v)),
@@ -687,6 +991,12 @@ fn batched_layers_pass_gradient_checks() {
         (
             "ConvTranspose2d",
             Box::new(|v| up.forward(v)),
+            up.parameters(),
+            [2, 3, 3, 4],
+        ),
+        (
+            "ConvTranspose2d + LeakyReLU",
+            Box::new(|v| up.forward_leaky_relu(&[v], 0.2)),
             up.parameters(),
             [2, 3, 3, 4],
         ),

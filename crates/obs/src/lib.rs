@@ -162,7 +162,8 @@ fn emit_at_exit() {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Floating-point operations performed by dense GEMM/bmm (2·m·k·n).
+    /// Floating-point operations performed by GEMM/bmm (2·m·k·n) and
+    /// direct convolution (2 per multiply-add).
     GemmFlops = 0,
     /// Bytes materialised by im2col/col2im lowering in the conv layers.
     Im2colBytes = 1,

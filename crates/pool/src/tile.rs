@@ -1,8 +1,8 @@
 //! Cache-sized slab targets for sliced execution.
 //!
 //! Two hot paths walk their volume in slabs whose working set fits close
-//! to the core: the `ConvTranspose2d` forward in `peb-nn` folds each
-//! plane in bands of output rows, and the `sdm-peb` decoder walks depth
+//! to the core: the `ConvTranspose2d` forward in `peb-nn` splits each
+//! plane into bands of output rows, and the `sdm-peb` decoder walks depth
 //! off the autograd tape in slabs of planes. Slicing only reorders
 //! *whole-element* units of work — per-element arithmetic and
 //! accumulation order are untouched — so any slab size gives the same

@@ -1,24 +1,29 @@
-//! Row sweeps of the planes-batched convolution family.
+//! Row sweeps and direct kernels of the planes-batched convolution family.
 //!
-//! The conv layers in `peb-nn` lower to one GEMM per depth plane plus the
-//! data movement around it. This module is that movement, one image
-//! plane per call: [`Windows::unfold`] (im2col) and [`Windows::fold`]
-//! (col2im + bias) for the dense 2-D layers, [`dw3_plane`] and
-//! [`dw3_weight_grad`] for the depthwise 3-D layer. Both bounds tests of
-//! the textbook loops are hoisted into a range per tap, so every inner
-//! loop is a contiguous row: a `copy`, a `+=`, a `+= w·x` or a dot
-//! product on eight lanes.
+//! `Conv2d` in `peb-nn` lowers to one GEMM per depth plane plus the data
+//! movement around it, one image plane per call: [`Windows::unfold`]
+//! (im2col) and [`Windows::fold`] (col2im, its input gradient).
+//! [`dw3_plane`] and [`dw3_weight_grad`] are the depthwise 3-D layer. Both
+//! bounds tests of the textbook loops are hoisted into a range per tap,
+//! so every inner loop is a contiguous row: a `copy`, a `+=`, a `+= w·x`
+//! or a dot product on eight lanes. All of these are **exact-class**:
+//! unfused IEEE-exact lane operations, per element in the accumulation
+//! order of the scalar loops (kept as the oracle in `peb-nn`'s
+//! `tests/conv_planes.rs`), so both backends — and the scalar loops —
+//! produce the same bits. The one re-bracketed sum is the dot product of
+//! [`dw3_weight_grad`], whose eight lane partials are the same on both
+//! backends.
 //!
-//! Everything here is **exact-class**: unfused IEEE-exact lane
-//! operations, per element in the accumulation order of the scalar
-//! loops (kept as the oracle in `peb-nn`'s `tests/conv_planes.rs`), so
-//! both backends — and the scalar loops — produce the same bits. The one
-//! re-bracketed sum is the dot product of [`dw3_weight_grad`], whose
-//! eight lane partials are the same on both backends.
+//! [`SubPixel`] is the transposed 2-D convolution, forward and backward,
+//! as direct sub-pixel convolutions: register-blocked `mul_add` chains,
+//! **tolerance-class** across levels (fused on AVX2) and deterministic
+//! per level, every output written once.
 
 use std::ops::Range;
 
-use crate::elementwise::{add_assign_generic, add_scalar_generic, axpy_generic};
+use peb_pool::PoolBuf;
+
+use crate::elementwise::{add_assign_generic, axpy_generic};
 use crate::{simd_active, ScalarX8, Simd8};
 
 /// The window positions `o` in `0..n_out` whose tap `kk` lands inside an
@@ -50,9 +55,8 @@ fn tap_source(i: usize, kk: usize, pad: usize, n: usize) -> Option<usize> {
 
 /// The `k × k` windows of one image plane: `ho × wo` of them over an
 /// `h × w` image. A conv *reads* its input through them
-/// ([`Windows::unfold`]) and a transposed conv *writes* its output
-/// through them ([`Windows::fold`]); each layer's backward pass is the
-/// other's forward.
+/// ([`Windows::unfold`]) and *writes* its input gradient back through
+/// them ([`Windows::fold`]).
 #[derive(Debug, Clone)]
 pub struct Windows {
     h: usize,
@@ -117,21 +121,6 @@ impl Windows {
         }
     }
 
-    /// Image extents `(h, w)`.
-    pub fn image(&self) -> (usize, usize) {
-        (self.h, self.w)
-    }
-
-    /// Window-grid extents `(ho, wo)`.
-    pub fn grid(&self) -> (usize, usize) {
-        (self.ho, self.wo)
-    }
-
-    /// Window stride.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Pixels per image plane, `h·w`.
     pub fn pixels(&self) -> usize {
         self.h * self.w
@@ -147,7 +136,7 @@ impl Windows {
         self.k * self.k
     }
 
-    /// Scratch floats [`Windows::fold_rows`] needs: one lane of
+    /// Scratch floats [`Windows::fold`] needs: one lane of
     /// `⌈w / s⌉` slots per column phase.
     pub fn lanes_len(&self) -> usize {
         self.stride * self.w.div_ceil(self.stride)
@@ -187,105 +176,52 @@ impl Windows {
         }
     }
 
-    /// The window rows any tap of the image rows `rows` belongs to:
-    /// what a band of [`Windows::fold_rows`] needs of the patch matrix.
-    pub fn window_rows(&self, rows: Range<usize>) -> Range<usize> {
-        let lo = (rows.start + self.pad + 1)
-            .saturating_sub(self.k)
-            .div_ceil(self.stride);
-        let hi = match (rows.end + self.pad).checked_sub(1) {
-            Some(last) => (last / self.stride + 1).min(self.ho),
-            None => 0,
-        };
-        lo..hi.max(lo)
-    }
-
-    /// Adjoint of [`Windows::unfold`] plus a bias, for the band `rows` of
-    /// one channel plane (`img_rows`, `[rows.len(), w]`):
-    /// `img[oy·s + ky − pad][ox·s + kx − pad] = Σ col[(ky, kx)][oy][ox] + bias`,
-    /// with `col` (`[k·k, oys.len()·wo]`) holding the window rows `oys`,
-    /// which must cover [`Windows::window_rows`] of the band.
+    /// Adjoint of [`Windows::unfold`]: folds the patch matrix `col`
+    /// (`[k·k, ho·wo]`) into the `[h, w]` plane `img`,
+    /// `img[oy·s + ky − pad][ox·s + kx − pad] = Σ col[(ky, kx)][oy][ox]`.
     ///
     /// Gathers one image row at a time while it is hot. The row's taps
     /// arrive in ascending `(ky, kx)` order — per element, the order of
     /// the scatter loop — as contiguous `+=` rows into `lanes`
     /// ([`Windows::lanes_len`] floats of scratch), one lane per column
-    /// phase `ix mod s`; the lanes are then interleaved into the row with
-    /// the bias added. A lane summed from `+0.0` is never `−0.0`, so
-    /// `bias = 0.0` is exactly "no bias".
+    /// phase `ix mod s`; the lanes are then interleaved into the row.
     ///
     /// # Panics
     ///
-    /// Panics if a slice length disagrees with the geometry or `oys`
-    /// misses a window row of the band.
-    pub fn fold_rows(
-        &self,
-        col: &[f32],
-        oys: Range<usize>,
-        bias: f32,
-        rows: Range<usize>,
-        img_rows: &mut [f32],
-        lanes: &mut [f32],
-    ) {
-        let need = self.window_rows(rows.clone());
-        assert!(
-            need.is_empty() || (oys.start <= need.start && need.end <= oys.end),
-            "fold_rows: rows {rows:?} need window rows {need:?}, got {oys:?}"
-        );
-        assert!(rows.end <= self.h && img_rows.len() == rows.len() * self.w);
-        assert_eq!(col.len(), self.taps() * oys.len() * self.wo);
+    /// Panics if a slice length disagrees with the geometry.
+    pub fn fold(&self, col: &[f32], img: &mut [f32], lanes: &mut [f32]) {
+        assert_eq!(img.len(), self.pixels());
+        assert_eq!(col.len(), self.taps() * self.count());
         assert_eq!(lanes.len(), self.lanes_len());
         #[cfg(target_arch = "x86_64")]
         if simd_active() {
             crate::note_dispatch();
             // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-            unsafe { fold_rows_avx2(self, col, oys, bias, rows, img_rows, lanes) };
+            unsafe { fold_avx2(self, col, img, lanes) };
             return;
         }
-        fold_rows_generic::<ScalarX8>(self, col, oys, bias, rows, img_rows, lanes)
-    }
-
-    /// [`Windows::fold_rows`] over the whole plane: `col` is the full
-    /// `[k·k, ho·wo]` patch matrix, `img` the `[h, w]` plane.
-    pub fn fold(&self, col: &[f32], bias: f32, img: &mut [f32], lanes: &mut [f32]) {
-        self.fold_rows(col, 0..self.ho, bias, 0..self.h, img, lanes)
+        fold_generic::<ScalarX8>(self, col, img, lanes)
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn fold_rows_avx2(
-    win: &Windows,
-    col: &[f32],
-    oys: Range<usize>,
-    bias: f32,
-    rows: Range<usize>,
-    img_rows: &mut [f32],
-    lanes: &mut [f32],
-) {
-    fold_rows_generic::<crate::AvxX8>(win, col, oys, bias, rows, img_rows, lanes)
+unsafe fn fold_avx2(win: &Windows, col: &[f32], img: &mut [f32], lanes: &mut [f32]) {
+    fold_generic::<crate::AvxX8>(win, col, img, lanes)
 }
 
 #[inline(always)]
-fn fold_rows_generic<V: Simd8>(
-    win: &Windows,
-    col: &[f32],
-    oys: Range<usize>,
-    bias: f32,
-    rows: Range<usize>,
-    img_rows: &mut [f32],
-    lanes: &mut [f32],
-) {
-    let (k, s, n) = (win.k, win.stride, oys.len() * win.wo);
+fn fold_generic<V: Simd8>(win: &Windows, col: &[f32], img: &mut [f32], lanes: &mut [f32]) {
+    let (k, s, n) = (win.k, win.stride, win.count());
     let lane_len = win.w.div_ceil(s);
-    for (iy, row) in rows.zip(img_rows.chunks_exact_mut(win.w)) {
+    for (iy, row) in img.chunks_exact_mut(win.w).enumerate() {
         lanes.fill(0.0);
         for ky in 0..k.min(iy + win.pad + 1) {
             let t = iy + win.pad - ky;
             if !t.is_multiple_of(s) || t / s >= win.ho {
                 continue;
             }
-            let taps = &col[ky * k * n + (t / s - oys.start) * win.wo..];
+            let taps = &col[ky * k * n + t / s * win.wo..];
             for (kx, oxs) in win.x_taps.iter().enumerate() {
                 if oxs.is_empty() {
                     continue;
@@ -296,15 +232,948 @@ fn fold_rows_generic<V: Simd8>(
             }
         }
         if s == 1 {
-            add_scalar_generic::<V>(lanes, bias, row);
+            row.copy_from_slice(lanes);
+            continue;
+        }
+        for (phase, lane) in lanes.chunks_exact(lane_len).enumerate() {
+            for (o, v) in row[phase..].iter_mut().step_by(s).zip(lane) {
+                *o = *v;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Transposed 2-D convolution by output phases (sub-pixel form)
+// ---------------------------------------------------------------------------
+
+/// One output phase of one axis of a stride-`s` transposed convolution:
+/// output `o = m·s + phase` (`m < count`) takes kernel taps
+/// `first + j·s` (`j < taps`) from input `m + shift − j`.
+#[derive(Debug, Clone, Copy)]
+struct Phase {
+    first: usize,
+    taps: usize,
+    shift: usize,
+    count: usize,
+}
+
+/// The `s` phases of an axis with `n_out` outputs.
+fn axis_phases(n_out: usize, k: usize, s: usize, p: usize) -> Vec<Phase> {
+    (0..s)
+        .map(|phase| {
+            let first = (phase + p) % s;
+            Phase {
+                first,
+                taps: if first < k {
+                    (k - first).div_ceil(s)
+                } else {
+                    0
+                },
+                shift: (phase + p) / s,
+                count: if phase < n_out {
+                    (n_out - phase).div_ceil(s)
+                } else {
+                    0
+                },
+            }
+        })
+        .collect()
+}
+
+/// Channel blocks `(first, len)` of a register tile: sixes, then the
+/// remainder as a 4, a 2 and a 1.
+fn channel_blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let len = [6, 4, 2, 1].into_iter().find(|&b| b <= n - at)?;
+        at += len;
+        Some((at - len, len))
+    })
+}
+
+/// A transposed 2-D convolution (`cin → cout` channels, `k × k` kernel,
+/// `stride`, `pad`; weight `[cin, cout, k, k]`) of one `h × w` plane,
+/// run as `stride²` dense correlations — one per output phase
+/// `(oy mod s, ox mod s)`, each a fixed `⌈k/s⌉²` slice of the kernel
+/// (the whole kernel, flipped, at stride 1) — instead of a GEMM and a
+/// col2im fold: the strided-transposed-conv ≡ sub-pixel-conv
+/// equivalence of Shi et al. 2016 (arXiv:1609.05158). Every output is
+/// written once, with its bias and an optional LeakyReLU applied in the
+/// write-back.
+///
+/// The forward and `dx` share one register tile: the output row on the
+/// lanes, six output channels × two vectors (four × two, two × four or
+/// one × eight for the rest), each lane a chain of `+= w·x`
+/// ([`Simd8::mul_add`]: fused on AVX2, two roundings on the scalar
+/// level) over input channels ascending, then the phase's taps in
+/// ascending `(ky, kx)`, reading zero outside the image:
+/// * [`SubPixel::forward_rows`] — the layer, from the bias;
+/// * [`SubPixel::input_grad_rows`] — `dx`, the stride-`s` correlation of
+///   the output gradient with the kernel, from zero, over output
+///   channels and all `k²` taps, reading the gradient split by column
+///   phase ([`SubPixel::split_grad`]);
+/// * [`SubPixel::weight_grad`] — `dW` of one output channel, one row dot
+///   product per `(input channel, tap)` with eight lane partials folded
+///   in lane order.
+///
+/// The tile never spans output rows, so any banding of the rows gives
+/// the same bits. Tolerance-class across levels (the fused chain),
+/// deterministic per level.
+#[derive(Debug, Clone)]
+pub struct SubPixel {
+    cin: usize,
+    cout: usize,
+    h: usize,
+    w: usize,
+    ho: usize,
+    wo: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    ys: Vec<Phase>,
+    xs: Vec<Phase>,
+    /// Zero columns before each input row of the forward's scratch.
+    left: usize,
+    /// Floats per input row of the forward's scratch.
+    row_len: usize,
+    /// Zero slots before each phase row of the split gradient.
+    g_left: usize,
+    /// Floats per phase row of the split gradient.
+    g_sub: usize,
+}
+
+impl std::fmt::Display for SubPixel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let SubPixel {
+            cin,
+            cout,
+            h,
+            w,
+            ho,
+            wo,
+            k,
+            stride,
+            pad,
+            ..
+        } = self;
+        write!(
+            f,
+            "channels={cin}->{cout} image={h}x{w} out={ho}x{wo} k={k} stride={stride} pad={pad}"
+        )
+    }
+}
+
+impl SubPixel {
+    /// The layer over an `h × w` plane; its output is
+    /// `(n − 1)·stride + k − 2·pad` along each axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero or an output extent is not positive.
+    pub fn new(
+        cin: usize,
+        cout: usize,
+        (h, w): (usize, usize),
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Self {
+        assert!(
+            stride > 0 && h > 0 && w > 0,
+            "SubPixel: stride and extents must be positive"
+        );
+        let extent = |n: usize| {
+            let full = (n - 1) * stride + k;
+            assert!(full > 2 * pad, "SubPixel: no output");
+            full - 2 * pad
+        };
+        let (ho, wo) = (extent(h), extent(w));
+        let (ys, xs) = (
+            axis_phases(ho, k, stride, pad),
+            axis_phases(wo, k, stride, pad),
+        );
+        let left = xs
+            .iter()
+            .filter(|x| x.taps > 0)
+            .map(|x| (x.taps - 1).saturating_sub(x.shift))
+            .max()
+            .unwrap_or(0);
+        let shift_max = xs.iter().map(|x| x.shift).max().unwrap_or(0);
+        let vectors = xs[0].count.div_ceil(8) * 8;
+        // Column `ix` of the split gradient is read at `g_left + ix + shift`
+        // for `shift = ⌊(kx − pad)/s⌋`, from `−⌈pad/s⌉` up.
+        let g_left = pad.div_ceil(stride);
+        let g_shift_max = (k - 1) as isize - pad as isize;
+        let g_reach = (w.div_ceil(8) * 8) as isize + g_shift_max.div_euclid(stride as isize);
+        SubPixel {
+            cin,
+            cout,
+            h,
+            w,
+            ho,
+            wo,
+            k,
+            stride,
+            pad,
+            ys,
+            xs,
+            left,
+            row_len: left + w.max(vectors + shift_max),
+            g_left,
+            g_sub: g_left + (vectors as isize).max(g_reach) as usize,
+        }
+    }
+
+    /// Output extents `(ho, wo)`.
+    pub fn output(&self) -> (usize, usize) {
+        (self.ho, self.wo)
+    }
+
+    /// Taps of phase `(py, px)`.
+    fn phase_taps(&self, py: usize, px: usize) -> usize {
+        self.ys[py].taps * self.xs[px].taps
+    }
+
+    /// Offset of phase `(py, px)` in the packed forward weights.
+    fn phase_offset(&self, py: usize, px: usize) -> usize {
+        let before: usize = (0..py * self.stride + px)
+            .map(|i| self.phase_taps(i / self.stride, i % self.stride))
+            .sum();
+        before * self.cin * self.cout
+    }
+
+    /// Floats of the packed forward weights.
+    fn packed_len(&self) -> usize {
+        self.phase_offset(self.stride, 0)
+    }
+
+    /// Multiply-adds of one plane's forward pass, `×2` as flops.
+    pub fn forward_flops(&self) -> u64 {
+        let taps: usize = (0..self.stride * self.stride)
+            .map(|i| {
+                let (y, x) = (self.ys[i / self.stride], self.xs[i % self.stride]);
+                y.count * x.count * y.taps * x.taps
+            })
+            .sum();
+        2 * (self.cin * self.cout * taps) as u64
+    }
+
+    /// Multiply-adds of one plane's `dx` (or of its `dW`), `×2` as flops.
+    pub fn input_grad_flops(&self) -> u64 {
+        2 * (self.cin * self.cout * self.k * self.k * self.h * self.w) as u64
+    }
+
+    /// Weight `[cin, cout, k, k]` → per phase `(py, px)`, per output
+    /// channel block, `[ci][tap][channel in block]`, taps in ascending
+    /// `(ky, kx)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight`'s length disagrees with the geometry.
+    pub fn pack(&self, weight: &[f32]) -> PoolBuf<f32> {
+        let (k, s) = (self.k, self.stride);
+        assert_eq!(weight.len(), self.cin * self.cout * k * k);
+        let mut packed = PoolBuf::zeroed(self.packed_len());
+        for py in 0..s {
+            for px in 0..s {
+                let (y, x) = (self.ys[py], self.xs[px]);
+                let taps = y.taps * x.taps;
+                let phase = self.phase_offset(py, px);
+                for (co0, nb) in channel_blocks(self.cout) {
+                    let block =
+                        &mut packed[phase + co0 * self.cin * taps..][..nb * self.cin * taps];
+                    let mut at = 0;
+                    for ci in 0..self.cin {
+                        for jy in 0..y.taps {
+                            for jx in 0..x.taps {
+                                let (ky, kx) = (y.first + jy * s, x.first + jx * s);
+                                for co in co0..co0 + nb {
+                                    block[at] = weight[((ci * self.cout + co) * k + ky) * k + kx];
+                                    at += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        packed
+    }
+
+    /// The input rows `lo..lo + n` output rows `rows` read.
+    fn band_inputs(&self, rows: Range<usize>) -> (isize, usize) {
+        let s = self.stride;
+        let (mut lo, mut hi) = (isize::MAX, isize::MIN);
+        for oy in rows {
+            let y = self.ys[oy % s];
+            if y.taps > 0 {
+                let top = (oy / s + y.shift) as isize;
+                lo = lo.min(top - (y.taps - 1) as isize);
+                hi = hi.max(top + 1);
+            }
+        }
+        if lo > hi {
+            (0, 0)
         } else {
-            for (phase, lane) in lanes.chunks_exact(lane_len).enumerate() {
-                for (o, v) in row[phase..].iter_mut().step_by(s).zip(lane) {
-                    *o = *v + bias;
+            (lo, (hi - lo) as usize)
+        }
+    }
+
+    /// Bytes one output row of [`SubPixel::forward_rows`] touches: its
+    /// outputs and its share of the input scratch.
+    pub fn band_row_bytes(&self) -> usize {
+        4 * (self.cout * self.wo + self.cin * self.row_len.div_ceil(self.stride))
+    }
+
+    /// Output rows `rows` of one plane: `out[co]` (`[rows.len(), wo]`) =
+    /// bias + the transposed convolution of `planes` (`cin` slices of
+    /// `[h, w]`), through LeakyReLU of `slope` when given (the fused
+    /// stage: `x ≥ 0 ? x : slope·x`, `max(x, +0)` at slope 0). `packed`
+    /// is [`SubPixel::pack`]'s layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length or a row disagrees with the geometry.
+    pub fn forward_rows(
+        &self,
+        packed: &[f32],
+        bias: &[f32],
+        slope: Option<f32>,
+        planes: &[&[f32]],
+        rows: Range<usize>,
+        out: &mut [&mut [f32]],
+    ) {
+        assert_eq!(packed.len(), self.packed_len());
+        assert!(bias.len() == self.cout && out.len() == self.cout && planes.len() == self.cin);
+        assert!(rows.start <= rows.end && rows.end <= self.ho);
+        assert!(planes.iter().all(|p| p.len() == self.h * self.w));
+        assert!(out.iter().all(|o| o.len() == rows.len() * self.wo));
+        #[cfg(target_arch = "x86_64")]
+        if simd_active() {
+            crate::note_dispatch();
+            // SAFETY: `simd_active()` implies AVX2+FMA were detected.
+            unsafe { forward_rows_avx2(self, packed, bias, slope, planes, rows, out) };
+            return;
+        }
+        forward_rows_generic::<ScalarX8>(self, packed, bias, slope, planes, rows, out)
+    }
+
+    /// Floats of one plane of [`SubPixel::split_grad`]: `(h − 1)·s + k`
+    /// gradient rows (output rows `−pad…`), each as `s` phase rows.
+    pub fn grad_plane_len(&self) -> usize {
+        ((self.h - 1) * self.stride + self.k) * self.stride * self.g_sub
+    }
+
+    /// Splits one output-gradient plane `g` (`[ho, wo]`) by column phase
+    /// into `dst` ([`SubPixel::grad_plane_len`] floats): row
+    /// `oy + pad`, phase `px`, slot `g_left + m` holds `g[oy][m·s + px]`;
+    /// every other slot is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with the geometry.
+    pub fn split_grad(&self, g: &[f32], dst: &mut [f32]) {
+        let s = self.stride;
+        assert_eq!(g.len(), self.ho * self.wo);
+        assert_eq!(dst.len(), self.grad_plane_len());
+        let row_len = s * self.g_sub;
+        let (top, rest) = dst.split_at_mut(self.pad * row_len);
+        let (rows, bottom) = rest.split_at_mut(self.ho * row_len);
+        top.fill(0.0);
+        bottom.fill(0.0);
+        for (src, row) in g.chunks_exact(self.wo).zip(rows.chunks_exact_mut(row_len)) {
+            for (px, sub) in row.chunks_exact_mut(self.g_sub).enumerate() {
+                let (pad, sub) = sub.split_at_mut(self.g_left);
+                let (sub, tail) = sub.split_at_mut(self.xs[px].count);
+                pad.fill(0.0);
+                tail.fill(0.0);
+                if s == 1 {
+                    sub.copy_from_slice(src);
+                    continue;
+                }
+                for (d, v) in sub.iter_mut().zip(src[px..].iter().step_by(s)) {
+                    *d = *v;
                 }
             }
         }
     }
+
+    /// Offset of tap `(ky, kx)` in a split-gradient plane, for input row 0
+    /// and column 0.
+    fn grad_tap(&self, ky: usize, kx: usize) -> usize {
+        let s = self.stride as isize;
+        let x = kx as isize - self.pad as isize;
+        let (px, shift) = (x.rem_euclid(s) as usize, x.div_euclid(s));
+        (ky * self.stride + px) * self.g_sub + (self.g_left as isize + shift) as usize
+    }
+
+    /// Weight `[cin, cout, k, k]` → per input-channel block
+    /// `[co][tap][channel in block]`, taps in ascending `(ky, kx)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight`'s length disagrees with the geometry.
+    pub fn pack_input_grad(&self, weight: &[f32]) -> PoolBuf<f32> {
+        let taps = self.k * self.k;
+        assert_eq!(weight.len(), self.cin * self.cout * taps);
+        let mut packed = PoolBuf::zeroed(weight.len());
+        for (ci0, nb) in channel_blocks(self.cin) {
+            let block = &mut packed[ci0 * self.cout * taps..][..nb * self.cout * taps];
+            for co in 0..self.cout {
+                for t in 0..taps {
+                    for ci in ci0..ci0 + nb {
+                        block[(co * taps + t) * nb + ci - ci0] =
+                            weight[(ci * self.cout + co) * taps + t];
+                    }
+                }
+            }
+        }
+        packed
+    }
+
+    /// Input rows `rows` of one plane's `dx`: `dx[ci]` (`[rows.len(), w]`)
+    /// from `split`, which holds the split gradient plane of output
+    /// channel `co` at `co·chan_stride`. `packed` is
+    /// [`SubPixel::pack_input_grad`]'s layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length or a row disagrees with the geometry.
+    pub fn input_grad_rows(
+        &self,
+        packed: &[f32],
+        split: &[f32],
+        chan_stride: usize,
+        rows: Range<usize>,
+        dx: &mut [&mut [f32]],
+    ) {
+        assert_eq!(packed.len(), self.cin * self.cout * self.k * self.k);
+        assert!(chan_stride >= self.grad_plane_len());
+        assert!(split.len() >= (self.cout - 1) * chan_stride + self.grad_plane_len());
+        assert!(rows.start <= rows.end && rows.end <= self.h && dx.len() == self.cin);
+        assert!(dx.iter().all(|d| d.len() == rows.len() * self.w));
+        #[cfg(target_arch = "x86_64")]
+        if simd_active() {
+            crate::note_dispatch();
+            // SAFETY: `simd_active()` implies AVX2+FMA were detected.
+            unsafe { input_grad_rows_avx2(self, packed, split, chan_stride, rows, dx) };
+            return;
+        }
+        input_grad_rows_generic::<ScalarX8>(self, packed, split, chan_stride, rows, dx)
+    }
+
+    /// One output channel's share of one plane's `dW`: `dw[ci][ky·k + kx]`
+    /// (`[cin, k·k]`) `= Σ_{iy, ix} x[ci][iy][ix] · g[iy·s + ky − pad][ix·s + kx − pad]`,
+    /// with `x` the `cin` input planes and `split` that channel's split
+    /// gradient plane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with the geometry.
+    pub fn weight_grad(&self, x: &[&[f32]], split: &[f32], dw: &mut [f32]) {
+        assert!(x.len() == self.cin && x.iter().all(|p| p.len() == self.h * self.w));
+        assert_eq!(split.len(), self.grad_plane_len());
+        assert_eq!(dw.len(), self.cin * self.k * self.k);
+        #[cfg(target_arch = "x86_64")]
+        if simd_active() {
+            crate::note_dispatch();
+            // SAFETY: `simd_active()` implies AVX2+FMA were detected.
+            unsafe { weight_grad_avx2(self, x, split, dw) };
+            return;
+        }
+        weight_grad_generic::<ScalarX8>(self, x, split, dw)
+    }
+}
+
+/// LeakyReLU of `slope`, as [`crate::fused`]'s stage computes it.
+#[inline(always)]
+fn activate<V: Simd8>(v: V, slope: Option<f32>) -> V {
+    match slope {
+        None => v,
+        Some(0.0) => v.max(V::zero()),
+        Some(s) => v.select_nonneg(v, v.mul(V::splat(s))),
+    }
+}
+
+/// `NB` channels × `MV` vectors of one output row, from column `src` on:
+/// lane chains from `init`, over `chans` input channels `chan_stride`
+/// apart, then the tap offsets `taps`, each a `+= w·x` with `w` the next
+/// of `weights` (`[chan][tap][NB]`).
+///
+/// # Safety
+///
+/// `src + ch·chan_stride + tap + 8·MV` must stay inside one allocation
+/// for every channel and tap, and `weights` must hold
+/// `chans·taps.len()·NB` floats.
+#[inline(always)]
+unsafe fn tile<V: Simd8, const NB: usize, const MV: usize>(
+    src: *const f32,
+    chan_stride: usize,
+    chans: usize,
+    taps: &[usize],
+    weights: *const f32,
+    init: &[f32],
+) -> [[V; MV]; NB] {
+    // No closures here: they would not inherit the caller's target
+    // features, and the lane ops would stop inlining.
+    let mut acc = [[V::zero(); MV]; NB];
+    for (row, &b) in acc.iter_mut().zip(init) {
+        *row = [V::splat(b); MV];
+    }
+    let mut w = weights;
+    let mut x = [V::zero(); MV];
+    for ch in 0..chans {
+        let base = src.wrapping_add(ch * chan_stride);
+        for &t in taps {
+            for (v, xv) in x.iter_mut().enumerate() {
+                // SAFETY: in bounds by the caller's contract.
+                *xv = V::load(unsafe { std::slice::from_raw_parts(base.add(t + 8 * v), 8) });
+            }
+            for (c, row) in acc.iter_mut().enumerate() {
+                // SAFETY: `weights` holds this tap's `NB` floats.
+                let wv = V::splat(unsafe { *w.add(c) });
+                for (a, xv) in row.iter_mut().zip(&x) {
+                    *a = wv.mul_add(*xv, *a);
+                }
+            }
+            // SAFETY: as above.
+            w = unsafe { w.add(NB) };
+        }
+    }
+    acc
+}
+
+/// How a row's tiles land in the output row.
+#[derive(Clone, Copy)]
+enum Scatter {
+    /// Lane `m` is column `m` (stride 1, and `dx`).
+    Dense,
+    /// Two column phases, interleaved in registers.
+    Zip2,
+    /// Phase `px` lane `m` is column `m·s + px`, stored one by one.
+    Strided,
+}
+
+/// One output row of one channel block: everything its tiles share.
+struct RowJob<'a> {
+    src: *const f32,
+    chan_stride: usize,
+    chans: usize,
+    /// Tap offsets per column phase.
+    taps: &'a [&'a [usize]],
+    /// Packed weights per column phase, this block's.
+    weights: &'a [*const f32],
+    init: &'a [f32],
+    slope: Option<f32>,
+    scatter: Scatter,
+    /// Output row length.
+    width: usize,
+    /// Lanes per column phase.
+    counts: &'a [usize],
+    /// Where the row starts in each of the block's output slices.
+    at: usize,
+}
+
+impl RowJob<'_> {
+    /// Every tile of the row into `outs` (the block's channels): `MV`
+    /// vectors at a time while they fit, then single vectors.
+    ///
+    /// # Safety
+    ///
+    /// [`tile`]'s contract for every lane up to `counts[0]` rounded up
+    /// to a vector.
+    #[inline(always)]
+    unsafe fn run<V: Simd8, const NB: usize, const MV: usize>(&self, outs: &mut [&mut [f32]]) {
+        let mut m0 = 0;
+        while m0 + 8 * MV <= self.counts[0] {
+            unsafe { self.emit::<V, NB, MV>(m0, outs) };
+            m0 += 8 * MV;
+        }
+        while m0 < self.counts[0] {
+            unsafe { self.emit::<V, NB, 1>(m0, outs) };
+            m0 += 8;
+        }
+    }
+
+    /// The tile of column phase `px` at lane `m0`.
+    ///
+    /// # Safety
+    ///
+    /// As [`RowJob::run`].
+    #[inline(always)]
+    unsafe fn tile<V: Simd8, const NB: usize, const MV: usize>(
+        &self,
+        px: usize,
+        m0: usize,
+    ) -> [[V; MV]; NB] {
+        let src = self.src.wrapping_add(m0);
+        let (taps, weights) = (self.taps[px], self.weights[px]);
+        unsafe { tile::<V, NB, MV>(src, self.chan_stride, self.chans, taps, weights, self.init) }
+    }
+
+    /// Stores the tiles at lane `m0` of every column phase.
+    ///
+    /// # Safety
+    ///
+    /// As [`RowJob::run`].
+    #[inline(always)]
+    unsafe fn emit<V: Simd8, const NB: usize, const MV: usize>(
+        &self,
+        m0: usize,
+        outs: &mut [&mut [f32]],
+    ) {
+        match self.scatter {
+            Scatter::Dense => {
+                let acc = unsafe { self.tile::<V, NB, MV>(0, m0) };
+                for (out, row) in outs.iter_mut().zip(&acc) {
+                    let out = &mut out[self.at..][..self.width];
+                    for (v, a) in row.iter().enumerate() {
+                        let m = m0 + 8 * v;
+                        let a = activate(*a, self.slope);
+                        if m + 8 <= self.width {
+                            a.store(&mut out[m..]);
+                        } else {
+                            out[m..].copy_from_slice(&a.to_array()[..self.width - m]);
+                        }
+                    }
+                }
+            }
+            Scatter::Zip2 => {
+                let (even, odd) =
+                    unsafe { (self.tile::<V, NB, MV>(0, m0), self.tile::<V, NB, MV>(1, m0)) };
+                for (out, (re, ro)) in outs.iter_mut().zip(even.iter().zip(&odd)) {
+                    let out = &mut out[self.at..][..self.width];
+                    for (v, (e, o)) in re.iter().zip(ro).enumerate() {
+                        let at = 2 * (m0 + 8 * v);
+                        let (lo, hi) =
+                            activate(*e, self.slope).interleave(activate(*o, self.slope));
+                        if at + 16 <= self.width {
+                            lo.store(&mut out[at..]);
+                            hi.store(&mut out[at + 8..]);
+                        } else {
+                            let (lo, hi) = (lo.to_array(), hi.to_array());
+                            let vals = lo.iter().chain(&hi);
+                            for (d, v) in out[at..].iter_mut().zip(vals) {
+                                *d = *v;
+                            }
+                        }
+                    }
+                }
+            }
+            Scatter::Strided => {
+                let s = self.counts.len();
+                for px in 0..s {
+                    let acc = unsafe { self.tile::<V, NB, MV>(px, m0) };
+                    for (out, row) in outs.iter_mut().zip(&acc) {
+                        let out = &mut out[self.at..][..self.width];
+                        for (v, a) in row.iter().enumerate() {
+                            let lanes = activate(*a, self.slope).to_array();
+                            for (l, val) in lanes.iter().enumerate() {
+                                let m = m0 + 8 * v + l;
+                                if m < self.counts[px] {
+                                    out[m * s + px] = *val;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`RowJob::run`] at the register tile of a block of `nb` channels:
+    /// twelve accumulator chains for six channels, eight for the rest.
+    ///
+    /// # Safety
+    ///
+    /// As [`RowJob::run`].
+    #[inline(always)]
+    unsafe fn run_block<V: Simd8>(&self, outs: &mut [&mut [f32]]) {
+        unsafe {
+            match outs.len() {
+                6 => self.run::<V, 6, 2>(outs),
+                4 => self.run::<V, 4, 2>(outs),
+                2 => self.run::<V, 2, 4>(outs),
+                _ => self.run::<V, 1, 8>(outs),
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn forward_rows_avx2(
+    geom: &SubPixel,
+    packed: &[f32],
+    bias: &[f32],
+    slope: Option<f32>,
+    planes: &[&[f32]],
+    rows: Range<usize>,
+    out: &mut [&mut [f32]],
+) {
+    forward_rows_generic::<crate::AvxX8>(geom, packed, bias, slope, planes, rows, out)
+}
+
+/// Bytes of zero-padded input rows a sub-band of the forward copies at a
+/// time: about an L1 data cache, reused from sub-band to sub-band.
+const SCRATCH_BYTES: usize = 256 << 10;
+
+#[inline(always)]
+fn forward_rows_generic<V: Simd8>(
+    geom: &SubPixel,
+    packed: &[f32],
+    bias: &[f32],
+    slope: Option<f32>,
+    planes: &[&[f32]],
+    rows: Range<usize>,
+    out: &mut [&mut [f32]],
+) {
+    let (s, row_len, cin) = (geom.stride, geom.row_len, geom.cin);
+    // Per phase `(py, px)`, the tap offsets from the phase's top input
+    // row; per (`py`, channel block, `px`), the block's packed weights.
+    let taps: Vec<Vec<usize>> = (0..s * s)
+        .map(|i| {
+            let (y, x) = (geom.ys[i / s], geom.xs[i % s]);
+            let mut taps = Vec::with_capacity(y.taps * x.taps);
+            for jy in 0..y.taps {
+                for jx in 0..x.taps {
+                    taps.push((y.taps - 1 - jy) * row_len + geom.left + x.shift - jx);
+                }
+            }
+            taps
+        })
+        .collect();
+    let taps: Vec<Vec<&[usize]>> = taps
+        .chunks(s)
+        .map(|row| row.iter().map(Vec::as_slice).collect())
+        .collect();
+    let blocks: Vec<(usize, usize)> = channel_blocks(geom.cout).collect();
+    let mut weights = Vec::with_capacity(s * blocks.len() * s);
+    for py in 0..s {
+        for &(co0, _) in &blocks {
+            for px in 0..s {
+                let at = geom.phase_offset(py, px) + co0 * cin * geom.phase_taps(py, px);
+                weights.push(packed[at..].as_ptr());
+            }
+        }
+    }
+    let scatter = match s {
+        1 => Scatter::Dense,
+        2 => Scatter::Zip2,
+        _ => Scatter::Strided,
+    };
+    let counts: Vec<usize> = geom.xs.iter().map(|x| x.count).collect();
+    // Sub-bands of output rows whose zero-padded input rows stay in L1:
+    // `left` zero columns before each row, zeros after it and for rows
+    // outside the image.
+    let sub = (SCRATCH_BYTES / (4 * cin * row_len)).max(1) * s;
+    let subs = || {
+        rows.clone()
+            .step_by(sub)
+            .map(|r0| r0..(r0 + sub).min(rows.end))
+    };
+    let most = subs().map(|b| geom.band_inputs(b).1).max().unwrap_or(0);
+    let mut scratch = PoolBuf::<f32>::zeroed(cin * most * row_len);
+    for band in subs() {
+        let (lo, nrows) = geom.band_inputs(band.clone());
+        let chan_stride = nrows * row_len;
+        for (plane, chan) in planes
+            .iter()
+            .zip(scratch.chunks_exact_mut(chan_stride.max(1)))
+        {
+            for (r, dst) in chan.chunks_exact_mut(row_len).enumerate() {
+                let iy = lo + r as isize;
+                if !(0..geom.h as isize).contains(&iy) {
+                    dst.fill(0.0);
+                    continue;
+                }
+                let (pad, rest) = dst.split_at_mut(geom.left);
+                let (row, tail) = rest.split_at_mut(geom.w);
+                pad.fill(0.0);
+                row.copy_from_slice(&plane[iy as usize * geom.w..][..geom.w]);
+                tail.fill(0.0);
+            }
+        }
+        for oy in band {
+            let (py, my) = (oy % s, oy / s);
+            let y = geom.ys[py];
+            let top = if y.taps == 0 {
+                0
+            } else {
+                ((my + y.shift + 1) as isize - y.taps as isize - lo) as usize
+            };
+            for (b, &(co0, nb)) in blocks.iter().enumerate() {
+                let job = RowJob {
+                    src: scratch.as_ptr().wrapping_add(top * row_len),
+                    chan_stride,
+                    chans: cin,
+                    taps: &taps[py],
+                    weights: &weights[(py * blocks.len() + b) * s..][..s],
+                    init: &bias[co0..co0 + nb],
+                    slope,
+                    scatter,
+                    width: geom.wo,
+                    counts: &counts,
+                    at: (oy - rows.start) * geom.wo,
+                };
+                // SAFETY: every tap addresses a scratch row of the
+                // sub-band (`top + taps − 1 − jy < nrows`), and a row holds
+                // `left + shift` plus the phase count rounded up to a
+                // vector (`row_len`); the packed block holds
+                // `cin · taps · nb` weights per phase.
+                unsafe { job.run_block::<V>(&mut out[co0..co0 + nb]) };
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn input_grad_rows_avx2(
+    geom: &SubPixel,
+    packed: &[f32],
+    split: &[f32],
+    chan_stride: usize,
+    rows: Range<usize>,
+    dx: &mut [&mut [f32]],
+) {
+    input_grad_rows_generic::<crate::AvxX8>(geom, packed, split, chan_stride, rows, dx)
+}
+
+#[inline(always)]
+fn input_grad_rows_generic<V: Simd8>(
+    geom: &SubPixel,
+    packed: &[f32],
+    split: &[f32],
+    chan_stride: usize,
+    rows: Range<usize>,
+    dx: &mut [&mut [f32]],
+) {
+    let (k, s) = (geom.k, geom.stride);
+    let row_step = s * s * geom.g_sub;
+    let taps: Vec<usize> = (0..k * k).map(|t| geom.grad_tap(t / k, t % k)).collect();
+    let zeros = [0f32; 8];
+    let counts = [geom.w];
+    for iy in rows.clone() {
+        for (ci0, nb) in channel_blocks(geom.cin) {
+            let weights = [packed[ci0 * geom.cout * k * k..].as_ptr()];
+            let job = RowJob {
+                src: split.as_ptr().wrapping_add(iy * row_step),
+                chan_stride,
+                chans: geom.cout,
+                taps: &[&taps],
+                weights: &weights,
+                init: &zeros[..nb],
+                slope: None,
+                scatter: Scatter::Dense,
+                width: geom.w,
+                counts: &counts,
+                at: (iy - rows.start) * geom.w,
+            };
+            // SAFETY: tap `(ky, kx)` of input row `iy` addresses gradient
+            // row `iy·s + ky < (h − 1)·s + k`, and a phase row holds
+            // `g_left + shift` plus `w` rounded up to a vector (`g_sub`);
+            // the packed block holds `cout · k² · nb` weights.
+            unsafe { job.run_block::<V>(&mut dx[ci0..ci0 + nb]) };
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn weight_grad_avx2(geom: &SubPixel, x: &[&[f32]], split: &[f32], dw: &mut [f32]) {
+    weight_grad_generic::<crate::AvxX8>(geom, x, split, dw)
+}
+
+#[inline(always)]
+fn weight_grad_generic<V: Simd8>(geom: &SubPixel, x: &[&[f32]], split: &[f32], dw: &mut [f32]) {
+    let k2 = geom.k * geom.k;
+    let taps: Vec<usize> = (0..k2)
+        .map(|t| geom.grad_tap(t / geom.k, t % geom.k))
+        .collect();
+    let mut ci0 = 0;
+    while ci0 < geom.cin {
+        let nc = (geom.cin - ci0).min(2);
+        let mut t0 = 0;
+        while t0 < k2 {
+            let nt = (k2 - t0).min(4);
+            let (x, taps) = (&x[ci0..ci0 + nc], &taps[t0..t0 + nt]);
+            let sums = match (nc, nt) {
+                (2, 4) => weight_tile::<V, 2, 4>(geom, x, split, taps),
+                (2, 3) => weight_tile::<V, 2, 3>(geom, x, split, taps),
+                (2, 2) => weight_tile::<V, 2, 2>(geom, x, split, taps),
+                (2, _) => weight_tile::<V, 2, 1>(geom, x, split, taps),
+                (_, 4) => weight_tile::<V, 1, 4>(geom, x, split, taps),
+                (_, 3) => weight_tile::<V, 1, 3>(geom, x, split, taps),
+                (_, 2) => weight_tile::<V, 1, 2>(geom, x, split, taps),
+                _ => weight_tile::<V, 1, 1>(geom, x, split, taps),
+            };
+            for (c, row) in sums.chunks_exact(4).take(nc).enumerate() {
+                dw[(ci0 + c) * k2 + t0..][..nt].copy_from_slice(&row[..nt]);
+            }
+            t0 += nt;
+        }
+        ci0 += nc;
+    }
+}
+
+/// `[NC][NT]` row dot products of [`SubPixel::weight_grad`], as a
+/// `[NC][4]` array: eight lane partials each (a ragged row end joins as
+/// zero-filled lanes), folded in lane order.
+#[inline(always)]
+fn weight_tile<V: Simd8, const NC: usize, const NT: usize>(
+    geom: &SubPixel,
+    x: &[&[f32]],
+    split: &[f32],
+    taps: &[usize],
+) -> [f32; 8] {
+    let (w, s) = (geom.w, geom.stride);
+    let row_step = s * s * geom.g_sub;
+    let mut acc = [[V::zero(); NT]; NC];
+    let reach =
+        (geom.h - 1) * row_step + taps.iter().max().copied().unwrap_or(0) + w.div_ceil(8) * 8;
+    assert!(reach <= split.len(), "SubPixel: split gradient too short");
+    let offsets: [usize; NT] = std::array::from_fn(|t| taps[t]);
+    let (mut xv, mut gv) = ([V::zero(); NC], [V::zero(); NT]);
+    let full = w - w % 8;
+    for iy in 0..geom.h {
+        let g = split[iy * row_step..].as_ptr();
+        let mut rows = [[].as_slice(); NC];
+        for (row, plane) in rows.iter_mut().zip(x) {
+            *row = &plane[iy * w..][..w];
+        }
+        let mut ix = 0;
+        while ix < w {
+            for (xc, row) in xv.iter_mut().zip(&rows) {
+                *xc = if ix < full {
+                    V::load(&row[ix..])
+                } else {
+                    let mut lanes = [0f32; 8];
+                    lanes[..w - ix].copy_from_slice(&row[ix..]);
+                    V::from_array(lanes)
+                };
+            }
+            for (gt, &t) in gv.iter_mut().zip(&offsets) {
+                // SAFETY: `t + ix + 8 ≤ reach − (h − 1 − iy)·row_step`,
+                // inside `split` by the assertion above.
+                *gt = V::load(unsafe { std::slice::from_raw_parts(g.add(t + ix), 8) });
+            }
+            for (row, xc) in acc.iter_mut().zip(&xv) {
+                for (a, gt) in row.iter_mut().zip(&gv) {
+                    *a = xc.mul_add(*gt, *a);
+                }
+            }
+            ix += 8;
+        }
+    }
+    let mut sums = [0f32; 8];
+    for (c, row) in acc.iter().enumerate() {
+        for (t, a) in row.iter().enumerate() {
+            sums[c * 4 + t] = a.to_array().iter().fold(0.0, |sum, lane| sum + lane);
+        }
+    }
+    sums
 }
 
 // ---------------------------------------------------------------------------
@@ -554,7 +1423,7 @@ mod tests {
             let mut unfolded = vec![0f32; col.len()];
             win.unfold(&img, &mut unfolded);
             let mut folded = vec![f32::NAN; img.len()];
-            win.fold(&col, 0.0, &mut folded, &mut vec![0f32; win.lanes_len()]);
+            win.fold(&col, &mut folded, &mut vec![0f32; win.lanes_len()]);
             let dot = |a: &[f32], b: &[f32]| -> f64 {
                 a.iter()
                     .zip(b)
@@ -578,7 +1447,7 @@ mod tests {
                 let win = Windows::new(h, w, ho, wo, k, stride, pad);
                 let col = pseudo(win.taps() * win.count(), 3);
                 let mut img = vec![0f32; win.pixels()];
-                win.fold(&col, 0.25, &mut img, &mut vec![0f32; win.lanes_len()]);
+                win.fold(&col, &mut img, &mut vec![0f32; win.lanes_len()]);
                 out.push(img);
             }
             let geom = Dw3 {

@@ -33,7 +33,8 @@
 //!   integer-built `2ⁿ`) in exactly the per-element expression order of
 //!   the scalar code, so the SIMD path reproduces the scalar path **to
 //!   the bit**.
-//! * **Tolerance kernels** (GEMM, which fuses multiply–add, and the
+//! * **Tolerance kernels** (GEMM and the sub-pixel transposed
+//!   convolution `conv::SubPixel`, which fuse multiply–add, and the
 //!   selective-scan recurrence in both directions and the `exp` /
 //!   `sigmoid` / `softplus` elementwise kernels, which use the
 //!   polynomial [`Simd8::exp`] and [`Simd8::ln1p`] instead of libm)
@@ -214,6 +215,10 @@ pub trait Simd8: Copy {
     /// Transposes an 8×8 block: lane `j` of `out[k]` is lane `k` of
     /// `rows[j]`. Pure data movement.
     fn transpose8(rows: [Self; 8]) -> [Self; 8];
+    /// Alternates the lanes of `self` (`a`) and `rhs` (`b`):
+    /// `(a0 b0 a1 b1 a2 b2 a3 b3, a4 b4 a5 b5 a6 b6 a7 b7)`. Pure data
+    /// movement.
+    fn interleave(self, rhs: Self) -> (Self, Self);
     /// Lanes as an array (lane order 0..8 = memory order).
     fn to_array(self) -> [f32; 8];
     /// Builds lanes from an array.
@@ -316,6 +321,20 @@ impl Simd8 for ScalarX8 {
     #[inline(always)]
     fn transpose8(rows: [Self; 8]) -> [Self; 8] {
         std::array::from_fn(|k| ScalarX8(std::array::from_fn(|j| rows[j].0[k])))
+    }
+    #[inline(always)]
+    fn interleave(self, rhs: Self) -> (Self, Self) {
+        let lane = |i: usize| {
+            if i.is_multiple_of(2) {
+                self.0[i / 2]
+            } else {
+                rhs.0[i / 2]
+            }
+        };
+        (
+            ScalarX8(std::array::from_fn(lane)),
+            ScalarX8(std::array::from_fn(|i| lane(i + 8))),
+        )
     }
     #[inline(always)]
     fn to_array(self) -> [f32; 8] {
@@ -450,6 +469,19 @@ mod avx {
                     AvxX8(_mm256_permute2f128_ps(u2, u6, 0x31)),
                     AvxX8(_mm256_permute2f128_ps(u3, u7, 0x31)),
                 ]
+            }
+        }
+        #[inline(always)]
+        fn interleave(self, rhs: Self) -> (Self, Self) {
+            unsafe {
+                // (a0 b0 a1 b1 | a4 b4 a5 b5) and (a2 b2 a3 b3 | a6 b6 a7 b7),
+                // then the halves regrouped.
+                let lo = _mm256_unpacklo_ps(self.0, rhs.0);
+                let hi = _mm256_unpackhi_ps(self.0, rhs.0);
+                (
+                    AvxX8(_mm256_permute2f128_ps(lo, hi, 0x20)),
+                    AvxX8(_mm256_permute2f128_ps(lo, hi, 0x31)),
+                )
             }
         }
         #[inline(always)]
@@ -622,6 +654,8 @@ mod tests {
         let rows: [V; 8] =
             std::array::from_fn(|j| V::from_array(std::array::from_fn(|k| (8 * j + k) as f32)));
         out.extend(V::transpose8(rows));
+        let (lo, hi) = rows[0].interleave(rows[1]);
+        out.extend([lo, hi]);
         out.into_iter()
             .map(|v| v.to_array().map(f32::to_bits))
             .collect()
@@ -658,6 +692,9 @@ mod tests {
             let column: [f32; 8] = std::array::from_fn(|j| (8 * j + k) as f32);
             assert_eq!(got[5 + k], bits(column));
         }
+        let zipped: [f32; 16] = std::array::from_fn(|i| (i / 2 + 8 * (i % 2)) as f32);
+        assert_eq!(got[13], bits(zipped[..8].try_into().unwrap()));
+        assert_eq!(got[14], bits(zipped[8..].try_into().unwrap()));
         #[cfg(target_arch = "x86_64")]
         if detected() {
             #[target_feature(enable = "avx2,fma")]

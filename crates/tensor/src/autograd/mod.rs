@@ -168,7 +168,7 @@ impl Var {
     /// [`Var::from_op`] for operations whose derivative reads their own
     /// output: `back` receives `(grad, output)`, the output borrowed from
     /// the node, so the forward pass keeps no copy of it.
-    pub(crate) fn from_op_out(
+    pub fn from_op_out(
         value: Tensor,
         parents: Vec<Var>,
         back: impl Fn(&Tensor, &Tensor) -> Vec<Option<Tensor>> + 'static,

@@ -178,8 +178,19 @@ fn glue_is_attributed_and_tracing_stays_cheap() {
     // 5 971 968 in all, against 16 416 768 for the concat form it
     // replaced (the projections' 688 128, fc1 over 128 channels at L₁
     // 12 582 912, the same fc2): 10 444 800 fewer than 55 353 856.
+    // The decoder's transposed convs run as direct sub-pixel kernels: they
+    // count their multiply-adds under `gemm_flops` — each output takes
+    // Cin·⌈k/s⌉² taps, the Cin·k² per input pixel the GEMM + fold form
+    // counted, so the total stays 44 909 056 — and materialise no patch
+    // matrix. Of the 4 420 736 `im2col_bytes` the fold form counted, its
+    // 4·D·(Cout·k²)·(h·w) over D = 8 planes
+    //   l0        32→16 k4 at 8²    4·8·256·64   =   524 288
+    //   l1        16→8  k4 at 16²   4·8·128·256  = 1 048 576
+    //   head_mid  10→8  k3 at 32²   4·8·72·1024  = 2 359 296
+    //   head       8→1  k3 at 32²   4·8·9·1024   =   294 912
+    // — 4 227 072 in all — are gone; the 193 664 left are Conv2d's.
     assert_eq!(profile.counter("gemm_flops"), 44_909_056);
-    assert_eq!(profile.counter("im2col_bytes"), 4_420_736);
+    assert_eq!(profile.counter("im2col_bytes"), 193_664);
     for name in ["conv.convt2_fwd", "conv.conv2d_fwd", "conv.dw3_fwd"] {
         assert!(profile.span_count(name) > 0, "no {name} span in a predict");
     }
