@@ -45,15 +45,15 @@ impl DeepCnn {
         let blocks = (0..config.blocks)
             .map(|_| {
                 (
-                    Conv2d::new(w, w, 3, 1, 1, true, rng),
-                    Conv2d::new(w, w, 3, 1, 1, true, rng),
+                    Conv2d::new(w, w, 3, 1, 1, rng),
+                    Conv2d::new(w, w, 3, 1, 1, rng),
                 )
             })
             .collect();
         DeepCnn {
-            stem: Conv2d::new(d, w, 3, 1, 1, true, rng),
+            stem: Conv2d::new(d, w, 3, 1, 1, rng),
             blocks,
-            head: Conv2d::new(w, d, 3, 1, 1, true, rng),
+            head: Conv2d::new(w, d, 3, 1, 1, rng),
             config,
         }
     }

@@ -53,12 +53,12 @@ impl TempoResist {
     pub fn new(config: TempoResistConfig, rng: &mut impl Rng) -> Self {
         let w = config.width;
         TempoResist {
-            enc1: Conv2d::new(2, w, 3, 2, 1, true, rng),
-            enc2: Conv2d::new(w, w * 2, 3, 2, 1, true, rng),
-            mid: Conv2d::new(w * 2, w * 2, 3, 1, 1, true, rng),
+            enc1: Conv2d::new(2, w, 3, 2, 1, rng),
+            enc2: Conv2d::new(w, w * 2, 3, 2, 1, rng),
+            mid: Conv2d::new(w * 2, w * 2, 3, 1, 1, rng),
             dec1: ConvTranspose2d::new(w * 2, w, 4, 2, 1, rng),
             dec2: ConvTranspose2d::new(w, w, 4, 2, 1, rng),
-            head: Conv2d::new(w, 1, 3, 1, 1, true, rng),
+            head: Conv2d::new(w, 1, 3, 1, 1, rng),
             config,
         }
     }

@@ -56,7 +56,7 @@ fn matmul_is_bitwise_deterministic_across_thread_counts() {
 #[test]
 fn conv_forward_and_backward_are_bitwise_deterministic() {
     let mut rng = StdRng::seed_from_u64(1002);
-    let conv = Conv2d::new(4, 6, 3, 1, 1, true, &mut rng);
+    let conv = Conv2d::new(4, 6, 3, 1, 1, &mut rng);
     let x0 = Tensor::randn(&[4, 16, 16], &mut rng);
     let run = || {
         let x = Var::parameter(x0.clone());

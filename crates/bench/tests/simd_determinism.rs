@@ -234,7 +234,7 @@ fn gradcheck_conv_and_scan() {
     use peb_mamba::selective_scan;
     use peb_nn::{Conv2d, Parameterized};
     let mut rng = StdRng::seed_from_u64(2011);
-    let conv = Conv2d::new(2, 3, 3, 1, 1, true, &mut rng);
+    let conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
     let x = Var::parameter(Tensor::randn(&[2, 6, 6], &mut rng));
     let report = check_gradients(&x, |v| conv.forward(v).square().sum(), 1e-2);
     assert!(report.ok(3e-2), "conv2d gradcheck: {}", report.max_rel_err);

@@ -9,26 +9,31 @@
 //! Chunk boundaries — plane `z`, a band of its output rows in the
 //! transposed conv's forward, plane `(c, z)` for the depthwise layer —
 //! never depend on the thread count, so every path is bitwise identical
-//! at any thread count. [`Conv2d`] runs one GEMM per plane through
-//! [`matmul_par`] around the exact-class row sweeps of [`peb_simd::conv`]
-//! (the textbook loops they replaced are the oracle in
-//! `tests/conv_planes.rs`); [`ConvTranspose2d`] runs the direct sub-pixel
-//! kernels of [`SubPixel`], forward and backward, with the bias and the
-//! decoder's LeakyReLU in the write-back. Weight gradients are reduced
-//! over planes in ascending plane order.
+//! at any thread count.
+//!
+//! A conv and a transposed conv with the same `(k, s, p)` are each
+//! other's adjoint, so both dense 2-D layers run on one kernel family, the
+//! direct sub-pixel kernels of [`SubPixel`]: the transposed conv's forward
+//! is the conv's `dx`, the conv's forward is the transposed conv's `dx`,
+//! and one `dW` kernel serves both. The bias starts every lane chain and
+//! the decoder's LeakyReLU is applied in the write-back. [`DwConv3d`] runs
+//! the exact-class row sweeps of [`peb_simd::conv`] (the textbook loops
+//! they replaced are the oracle in `tests/conv_planes.rs`). Weight
+//! gradients are reduced over planes in ascending plane order.
 //!
 //! All convolutions are custom autograd operations with analytic backward
 //! passes, verified here and in `tests/conv_planes.rs` against finite
 //! differences, the scalar oracles and the adjoint identity.
+
+use std::ops::Range;
 
 use rand::Rng;
 
 use peb_par::UnsafeSlice;
 use peb_pool::tile::slab_items;
 use peb_pool::PoolBuf;
-use peb_simd::conv::{dw3_plane, dw3_weight_grad, Dw3, SubPixel, Windows};
-use peb_simd::elementwise::{vadd_assign, vadd_scalar};
-use peb_tensor::kernels::{matmul_par, transpose_into, Bias};
+use peb_simd::conv::{dw3_plane, dw3_weight_grad, Dw3, SubPixel};
+use peb_simd::elementwise::vadd_assign;
 use peb_tensor::{Tensor, Var};
 
 use crate::init::kaiming_uniform;
@@ -80,44 +85,6 @@ fn like_input(rank: usize, c: usize, d: usize, h: usize, w: usize) -> Vec<usize>
     }
 }
 
-/// Plane `z` of a `[C, D, n]` volume as the dense `[C, n]` matrix a GEMM
-/// wants: `None` when `D = 1` (the volume already is that matrix), else a
-/// pooled gather.
-fn gather_plane(vol: &[f32], chans: usize, d: usize, z: usize, n: usize) -> Option<PoolBuf<f32>> {
-    (d > 1).then(|| {
-        let mut m = PoolBuf::cleared(chans * n);
-        for c in 0..chans {
-            m.extend_from_slice(&vol[(c * d + z) * n..][..n]);
-        }
-        m
-    })
-}
-
-/// Writes the dense `[C, n]` matrix `m` into plane `z` of the `[C, D, n]`
-/// volume behind `vol`, adding `bias[c]` to row `c`.
-///
-/// # Safety
-///
-/// No other thread may access plane `z` of `vol` during the call.
-unsafe fn scatter_plane(
-    vol: &UnsafeSlice<'_, f32>,
-    m: &[f32],
-    bias: Option<&[f32]>,
-    d: usize,
-    z: usize,
-    n: usize,
-) {
-    for (c, row) in m.chunks_exact(n).enumerate() {
-        // SAFETY: row `c` of plane `z` lies inside the plane the caller
-        // owns.
-        let dst = unsafe { vol.slice_mut((c * d + z) * n..(c * d + z + 1) * n) };
-        match bias {
-            Some(b) => vadd_scalar(row, b[c], dst),
-            None => dst.copy_from_slice(row),
-        }
-    }
-}
-
 /// Sums the per-plane partials `[D, len]` in ascending plane order.
 fn reduce_planes(partials: &mut [f32], len: usize) -> &[f32] {
     let (sum, rest) = partials.split_at_mut(len);
@@ -144,10 +111,18 @@ fn channel_sums(g: &Tensor, channels: usize) -> Tensor {
 
 /// Dense 2-D convolution on `[Cin, H, W]` planes or `[Cin, D, H, W]`
 /// volumes whose `D` planes share the weights.
+///
+/// Runs on the [`SubPixel`] kernels of the transposed conv with the same
+/// `(k, s, p)` from this layer's output grid back onto its input — the
+/// pair are each other's adjoint: the forward is that geometry's
+/// strided direction (from the bias), `dx` its transposed direction and
+/// `dW` its weight gradient with the roles of `x` and the output
+/// gradient swapped.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
-    weight: Var, // [Cout, Cin·kh·kw] (GEMM layout)
-    bias: Option<Var>,
+    /// `[Cout, Cin·k·k]`: the adjoint geometry's `[cin, cout, k, k]`.
+    weight: Var,
+    bias: Var,
     cin: usize,
     cout: usize,
     kernel: usize,
@@ -167,14 +142,13 @@ impl Conv2d {
         kernel: usize,
         stride: usize,
         pad: usize,
-        bias: bool,
         rng: &mut impl Rng,
     ) -> Self {
         require_positive("Conv2d", "kernel", kernel);
         require_positive("Conv2d", "stride", stride);
         let fan_in = cin * kernel * kernel;
         let weight = Var::parameter(kaiming_uniform(&[cout, fan_in], fan_in, rng));
-        let bias = bias.then(|| Var::parameter(Tensor::zeros(&[cout])));
+        let bias = Var::parameter(Tensor::zeros(&[cout]));
         Conv2d {
             weight,
             bias,
@@ -210,132 +184,53 @@ impl Conv2d {
         let xs = x.shape();
         let (d, h, w) = plane_dims("Conv2d", &xs, self.cin);
         let (ho, wo) = self.output_hw(h, w);
-        let win = Windows::new(h, w, ho, wo, self.kernel, self.stride, self.pad);
-        let (cin, cout) = (self.cin, self.cout);
+        let (cin, cout, k) = (self.cin, self.cout, self.kernel);
+        let geom = SubPixel::new(cout, cin, (ho, wo), (h, w), k, self.stride, self.pad);
         let mut out = Tensor::zeros(&like_input(xs.len(), cout, d, ho, wo));
         {
-            let bias = self.bias.as_ref().map(Var::value);
-            let bias = bias.as_ref().map(|b| b.data());
-            conv2_forward(&x.value(), &self.weight.value(), bias, &win, d, &mut out);
+            let _span = peb_obs::span("conv.conv2d_fwd");
+            peb_obs::optrace::note("conv.conv2d", || format!("planes={d} {geom}"));
+            // The Cin·Cout·k²·Ho·Wo multiply-adds per plane of the GEMM
+            // this replaced.
+            peb_obs::count(
+                peb_obs::Counter::GemmFlops,
+                d as u64 * geom.input_grad_flops(),
+            );
+            let (weight, bias) = (self.weight.value(), self.bias.value());
+            let (packed, init) = (geom.pack_input_grad(weight.data()), bias.data());
+            let slots = [UnsafeSlice::new(out.data_mut())];
+            for_each_split_plane(&geom, x.value().data(), d, |z, split| {
+                // SAFETY: plane `z` of `out` belongs to this chunk alone.
+                unsafe { strided_plane(&geom, (&packed, init), split, &slots, d, z) };
+            });
         }
-        let xc = x.clone();
-        let wc = self.weight.clone();
-        let has_bias = self.bias.is_some();
-        let mut parents = vec![x.clone(), self.weight.clone()];
-        parents.extend(self.bias.clone());
+        let (xc, wc) = (x.clone(), self.weight.clone());
+        let parents = vec![x.clone(), self.weight.clone(), self.bias.clone()];
         Var::from_op(out, parents, move |g| {
-            let (dx, dw) = conv2_backward(&xc.value(), &wc.value(), g, &win, (cin, cout, d));
-            let mut grads = vec![Some(dx), Some(dw)];
-            if has_bias {
-                grads.push(Some(channel_sums(g, cout)));
-            }
-            grads
+            let _span = peb_obs::span("conv.conv2d_bwd");
+            peb_obs::optrace::note("conv.conv2d.bwd", || format!("planes={d} {geom}"));
+            peb_obs::count(
+                peb_obs::Counter::GemmFlops,
+                2 * d as u64 * geom.input_grad_flops(),
+            );
+            let (xv, wv) = (xc.value(), wc.value());
+            let mut dx = Tensor::zeros(xv.shape());
+            let slots = [UnsafeSlice::new(dx.data_mut())];
+            let (packed, zeros, gd) = (geom.pack(wv.data()), vec![0f32; cin], [g.data()]);
+            let dw = backward_planes(&geom, &gd, xv.data(), wv.shape(), d, |z, _| {
+                let fwd = (&packed[..], &zeros[..], None);
+                // SAFETY: plane `z` of `dx` belongs to this chunk alone.
+                unsafe { transposed_rows(&geom, fwd, &gd, &slots, d, z, 0..h) };
+            });
+            vec![Some(dx), Some(dw), Some(channel_sums(g, cout))]
         })
     }
 }
 
 impl Parameterized for Conv2d {
     fn parameters(&self) -> Vec<Var> {
-        let mut p = vec![self.weight.clone()];
-        p.extend(self.bias.clone());
-        p
+        vec![self.weight.clone(), self.bias.clone()]
     }
-}
-
-/// `out[:, z] = W · unfold(x[:, z]) + b` for every plane `z`.
-fn conv2_forward(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&[f32]>,
-    win: &Windows,
-    d: usize,
-    out: &mut Tensor,
-) {
-    let _span = peb_obs::span("conv.conv2d_fwd");
-    let (cout, kdim) = (w.shape()[0], w.shape()[1]);
-    let (taps, hw, n) = (win.taps(), win.pixels(), win.count());
-    let cin = kdim / taps;
-    peb_obs::optrace::note("conv.conv2d", || {
-        format!("planes={d} gemm={cout}x{kdim}x{n} {win}")
-    });
-    peb_obs::count(
-        peb_obs::Counter::GemmFlops,
-        2 * (d * cout * kdim * n) as u64,
-    );
-    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * (d * kdim * n) as u64);
-    let (xd, wd) = (x.data(), w.data());
-    let slots = UnsafeSlice::new(out.data_mut());
-    peb_par::parallel_chunks_cost(d, 1, 2 * (cout * kdim * n) as u64, |planes| {
-        for z in planes {
-            let mut col = PoolBuf::zeroed(kdim * n);
-            for c in 0..cin {
-                win.unfold(
-                    &xd[(c * d + z) * hw..][..hw],
-                    &mut col[c * taps * n..][..taps * n],
-                );
-            }
-            let mut y = PoolBuf::zeroed(cout * n);
-            matmul_par(wd, &col, &mut y, cout, kdim, n, Bias::None);
-            // SAFETY: plane `z` of `out` belongs to this chunk alone.
-            unsafe { scatter_plane(&slots, &y, bias, d, z, n) };
-        }
-    });
-}
-
-/// Per plane: `dW_z = G_z · unfold(x_z)ᵀ` and `dx_z = fold(Wᵀ · G_z)`;
-/// `dW = Σ_z dW_z`.
-fn conv2_backward(
-    x: &Tensor,
-    w: &Tensor,
-    g: &Tensor,
-    win: &Windows,
-    (cin, cout, d): (usize, usize, usize),
-) -> (Tensor, Tensor) {
-    let _span = peb_obs::span("conv.conv2d_bwd");
-    let (taps, hw, n) = (win.taps(), win.pixels(), win.count());
-    let kdim = cin * taps;
-    peb_obs::optrace::note("conv.conv2d.bwd", || {
-        format!("planes={d} gemm=2x{cout}x{kdim}x{n} {win}")
-    });
-    peb_obs::count(
-        peb_obs::Counter::GemmFlops,
-        4 * (d * cout * kdim * n) as u64,
-    );
-    peb_obs::count(peb_obs::Counter::Im2colBytes, 8 * (d * kdim * n) as u64);
-    let (xd, wd, gd) = (x.data(), w.data(), g.data());
-    let mut wt = PoolBuf::zeroed(kdim * cout);
-    transpose_into(wd, cout, kdim, &mut wt);
-    let mut dx = Tensor::zeros(x.shape());
-    let dx_slots = UnsafeSlice::new(dx.data_mut());
-    let mut partials = PoolBuf::zeroed(d * cout * kdim);
-    peb_par::parallel_chunks_mut_cost(&mut partials, cout * kdim, 4 * n as u64, |at, dw_z| {
-        let z = at / (cout * kdim);
-        let gathered = gather_plane(gd, cout, d, z, n);
-        let gm = gathered.as_ref().map_or(gd, |m| m.as_slice());
-        let mut col = PoolBuf::zeroed(kdim * n);
-        for c in 0..cin {
-            win.unfold(
-                &xd[(c * d + z) * hw..][..hw],
-                &mut col[c * taps * n..][..taps * n],
-            );
-        }
-        let mut col_t = PoolBuf::zeroed(n * kdim);
-        transpose_into(&col, kdim, n, &mut col_t);
-        matmul_par(gm, &col_t, dw_z, cout, n, kdim, Bias::None);
-        drop((col, col_t));
-        let mut dcol = PoolBuf::zeroed(kdim * n);
-        matmul_par(&wt, gm, &mut dcol, kdim, cout, n, Bias::None);
-        let mut lanes = PoolBuf::zeroed(win.lanes_len());
-        for c in 0..cin {
-            // SAFETY: plane `z` of `dx` belongs to this chunk alone.
-            let plane = unsafe { dx_slots.slice_mut((c * d + z) * hw..(c * d + z + 1) * hw) };
-            win.fold(&dcol[c * taps * n..][..taps * n], plane, &mut lanes);
-        }
-    });
-    let mut dw = Tensor::zeros(w.shape());
-    dw.data_mut()
-        .copy_from_slice(reduce_planes(&mut partials, cout * kdim));
-    (dx, dw)
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +242,8 @@ fn conv2_backward(
 ///
 /// Weight layout `[Cin, Cout, k, k]`; output extent
 /// `(n − 1)·stride + k − 2·pad`. Runs as the direct sub-pixel kernels of
-/// [`SubPixel`]: forward, `dx` and `dW` alike.
+/// [`SubPixel`]: the forward is its transposed direction, `dx` its
+/// strided direction and `dW` its weight gradient.
 #[derive(Debug, Clone)]
 pub struct ConvTranspose2d {
     weight: Var,
@@ -451,23 +347,42 @@ impl ConvTranspose2d {
         let (d, h, w) = plane_dims("ConvTranspose2d", &whole, self.cin);
         let (ho, wo) = self.output_hw(h, w);
         let (cin, cout, k) = (self.cin, self.cout, self.kernel);
-        let geom = SubPixel::new(cin, cout, (h, w), k, self.stride, self.pad);
+        let geom = SubPixel::new(cin, cout, (h, w), (ho, wo), k, self.stride, self.pad);
         let mut out = Tensor::zeros(&like_input(whole.len(), cout, d, ho, wo));
-        let values: Vec<_> = blocks.iter().map(|b| b.value()).collect();
-        let x: Vec<&[f32]> = values.iter().map(|v| v.data()).collect();
-        let (weight, bias) = (self.weight.value(), self.bias.value());
-        let fwd = (weight.data(), bias.data(), slope);
-        convt2_forward(&x, fwd, &geom, (d, h, w), &mut out);
+        {
+            let _span = peb_obs::span("conv.convt2_fwd");
+            peb_obs::count(peb_obs::Counter::GemmFlops, d as u64 * geom.forward_flops());
+            let values: Vec<_> = blocks.iter().map(|b| b.value()).collect();
+            let x: Vec<&[f32]> = values.iter().map(|v| v.data()).collect();
+            let (weight, bias) = (self.weight.value(), self.bias.value());
+            transposed_planes(&geom, &x, weight.data(), (bias.data(), slope), d, &mut out);
+        }
         let mut parents: Vec<Var> = blocks.iter().map(|&b| b.clone()).collect();
         parents.extend([self.weight.clone(), self.bias.clone()]);
         let nodes = parents.clone();
         Var::from_op_out(out, parents, move |g, y| {
+            let _span = peb_obs::span("conv.convt2_bwd");
+            peb_obs::optrace::note("conv.convt2.bwd", || format!("planes={d} {geom}"));
+            peb_obs::count(
+                peb_obs::Counter::GemmFlops,
+                2 * d as u64 * geom.input_grad_flops(),
+            );
             let masked = slope.map(|slope| leaky_relu_grad(g, y, slope));
             let g = masked.as_ref().unwrap_or(g);
             let values: Vec<_> = nodes.iter().map(Var::value).collect();
             let x: Vec<&[f32]> = values[..shapes.len()].iter().map(|v| v.data()).collect();
             let weight = &values[shapes.len()];
-            let (dxs, dw) = convt2_backward(&x, &shapes, weight, g, &geom, (d, h, w));
+            let mut dxs: Vec<Tensor> = shapes.iter().map(|s| Tensor::zeros(s)).collect();
+            let slots: Vec<_> = dxs
+                .iter_mut()
+                .map(|t| UnsafeSlice::new(t.data_mut()))
+                .collect();
+            let (packed, zeros) = (geom.pack_input_grad(weight.data()), vec![0f32; cin]);
+            let dw = backward_planes(&geom, &x, g.data(), weight.shape(), d, |z, split| {
+                // SAFETY: plane `z` of every block of `dx` belongs to this
+                // chunk alone.
+                unsafe { strided_plane(&geom, (&packed, &zeros), split, &slots, d, z) };
+            });
             let mut grads: Vec<_> = dxs.into_iter().map(Some).collect();
             grads.extend([Some(dw), Some(channel_sums(g, cout))]);
             grads
@@ -491,6 +406,16 @@ fn leaky_relu_grad(g: &Tensor, y: &Tensor, slope: f32) -> Tensor {
     gx
 }
 
+// ---------------------------------------------------------------------------
+// SubPixel passes shared by both dense 2-D layers
+// ---------------------------------------------------------------------------
+//
+// A `SubPixel` geometry runs between its transposed side (`h × w`
+// planes) and its strided side (`ho × wo` planes). `ConvTranspose2d` reads
+// the transposed side and writes the strided one; `Conv2d` the other way
+// round. Either layer's backward splits each plane of the strided side by
+// column phase once, for `dx` and `dW` alike.
+
 /// Plane `z` of every channel of `blocks` (each `[C_b, D, n]`), in
 /// concatenation order.
 fn channel_planes<'a>(blocks: &[&'a [f32]], d: usize, z: usize, n: usize) -> Vec<&'a [f32]> {
@@ -498,97 +423,153 @@ fn channel_planes<'a>(blocks: &[&'a [f32]], d: usize, z: usize, n: usize) -> Vec
     chunks.map(|c| &c[z * n..][..n]).collect()
 }
 
-/// `out[:, z] = convT(x[:, z]) + b` for every plane `z`, through the
-/// LeakyReLU of `slope` when given. One chunk per (plane, band of output
-/// rows), a band an eighth of the tile so a few-plane slab still splits
-/// evenly over the threads; each output row is computed whole by one
-/// chunk, so the banding never changes a bit.
-fn convt2_forward(
-    x: &[&[f32]],
-    (weight, bias, slope): (&[f32], &[f32], Option<f32>),
+/// Rows `rows` of plane `z` of `out` (`[cout, D, ho, wo]`, one slot) in
+/// the transposed direction of `geom`: `init` + the transposed conv of
+/// plane `z` of `x` (blocks `[C_b, D, h, w]` in concatenation order, read
+/// in place), through the LeakyReLU of `slope` when given. `packed` is
+/// [`SubPixel::pack`]'s.
+///
+/// # Safety
+///
+/// No other thread may access those rows during the call.
+unsafe fn transposed_rows(
     geom: &SubPixel,
-    (d, h, w): (usize, usize, usize),
+    (packed, init, slope): (&[f32], &[f32], Option<f32>),
+    x: &[&[f32]],
+    out: &[UnsafeSlice<'_, f32>],
+    d: usize,
+    z: usize,
+    rows: Range<usize>,
+) {
+    let ((h, w), (ho, wo)) = (geom.input(), geom.output());
+    let within = rows.start * wo..rows.end * wo;
+    // SAFETY: the caller's contract.
+    let mut out_rows = unsafe { plane_rows(out, d, z, ho * wo, within) };
+    let planes = channel_planes(x, d, z, h * w);
+    geom.forward_rows(packed, init, slope, &planes, rows, &mut out_rows);
+}
+
+/// Plane `z` of `out` (blocks `[C_b, D, h, w]` in concatenation order) in
+/// the strided direction of `geom`: `init` + the stride-`s` correlation of
+/// `split` (one plane of [`for_each_split_plane`]). `packed` is
+/// [`SubPixel::pack_input_grad`]'s.
+///
+/// # Safety
+///
+/// No other thread may access plane `z` of `out` during the call.
+unsafe fn strided_plane(
+    geom: &SubPixel,
+    (packed, init): (&[f32], &[f32]),
+    split: &[f32],
+    out: &[UnsafeSlice<'_, f32>],
+    d: usize,
+    z: usize,
+) {
+    let (h, w) = geom.input();
+    // SAFETY: the caller's contract.
+    let mut rows = unsafe { plane_rows(out, d, z, h * w, 0..h * w) };
+    geom.input_grad_rows(packed, init, split, geom.grad_plane_len(), 0..h, &mut rows);
+}
+
+/// The range `within` of plane `z` of every channel of `slots` (blocks
+/// `[C_b, D, n]`), in concatenation order.
+///
+/// # Safety
+///
+/// No other thread may access those ranges while they are borrowed.
+#[allow(clippy::mut_from_ref)]
+unsafe fn plane_rows<'a>(
+    slots: &'a [UnsafeSlice<'_, f32>],
+    d: usize,
+    z: usize,
+    n: usize,
+    within: Range<usize>,
+) -> Vec<&'a mut [f32]> {
+    let channels = slots
+        .iter()
+        .flat_map(|slot| (0..slot.len() / (d * n)).map(move |c| (slot, (c * d + z) * n)));
+    // SAFETY: the caller's contract.
+    channels
+        .map(|(slot, at)| unsafe { slot.slice_mut(at + within.start..at + within.end) })
+        .collect()
+}
+
+/// `ConvTranspose2d`'s forward: [`transposed_rows`] of every plane. One
+/// chunk per (plane, band of output rows), a band an eighth of the tile
+/// so a few-plane slab still splits evenly over the threads; each output
+/// row is computed whole by one chunk, so the banding never changes a
+/// bit.
+fn transposed_planes(
+    geom: &SubPixel,
+    x: &[&[f32]],
+    weight: &[f32],
+    (init, slope): (&[f32], Option<f32>),
+    d: usize,
     out: &mut Tensor,
 ) {
-    let _span = peb_obs::span("conv.convt2_fwd");
-    let (ho, wo) = geom.output();
+    let ho = geom.output().0;
     let (band, flops) = (
         slab_items(8 * geom.band_row_bytes(), ho),
         geom.forward_flops(),
     );
     let bands = ho.div_ceil(band);
-    peb_obs::optrace::note("conv.convt2", || format!("planes={d} bands={bands} {geom}"));
-    peb_obs::count(peb_obs::Counter::GemmFlops, d as u64 * flops);
     let packed = geom.pack(weight);
-    let slots = UnsafeSlice::new(out.data_mut());
+    let slots = [UnsafeSlice::new(out.data_mut())];
     peb_par::parallel_chunks_cost(d * bands, 1, flops / bands as u64, |chunks| {
         for chunk in chunks {
             let (z, r0) = (chunk / bands, chunk % bands * band);
             let rows = r0..(r0 + band).min(ho);
-            let mut out_rows: Vec<&mut [f32]> = (0..bias.len())
-                .map(|co| ((co * d + z) * ho + rows.start) * wo)
-                // SAFETY: rows `rows` of plane `z` belong to this chunk alone.
-                .map(|at| unsafe { slots.slice_mut(at..at + rows.len() * wo) })
-                .collect();
-            let planes = channel_planes(x, d, z, h * w);
-            geom.forward_rows(&packed, bias, slope, &planes, rows, &mut out_rows);
+            // SAFETY: rows `rows` of plane `z` belong to this chunk alone.
+            unsafe { transposed_rows(geom, (&packed, init, slope), x, &slots, d, z, rows) };
         }
     });
 }
 
-/// `dx` (one tensor per input block, shaped `shapes`) and `dW` of
-/// [`convt2_forward`] for the output gradient `g`, split by column phase
-/// once: `dx` plane by plane, `dW` by (plane, output channel), its
-/// per-plane partials summed in ascending plane order.
-fn convt2_backward(
-    x: &[&[f32]],
-    shapes: &[Vec<usize>],
-    weight: &Tensor,
-    g: &Tensor,
-    geom: &SubPixel,
-    (d, h, w): (usize, usize, usize),
-) -> (Vec<Tensor>, Tensor) {
-    let _span = peb_obs::span("conv.convt2_bwd");
-    let (cin, cout, hw) = (weight.shape()[0], weight.shape()[1], h * w);
-    let k2 = weight.len() / (cin * cout);
-    peb_obs::optrace::note("conv.convt2.bwd", || format!("planes={d} {geom}"));
-    let flops = 2 * d as u64 * geom.input_grad_flops();
-    peb_obs::count(peb_obs::Counter::GemmFlops, flops);
-    let (plane, g_plane, gd) = (geom.grad_plane_len(), g.len() / (cout * d), g.data());
-    let mut split = PoolBuf::zeroed(cout * d * plane);
-    peb_par::parallel_chunks_mut_cost(&mut split, plane, 1, |at, dst| {
-        geom.split_grad(&gd[at / plane * g_plane..][..g_plane], dst);
-    });
-    let packed = geom.pack_input_grad(weight.data());
-    let mut dxs: Vec<Tensor> = shapes.iter().map(|s| Tensor::zeros(s)).collect();
-    let slots: Vec<_> = dxs
-        .iter_mut()
-        .map(|t| UnsafeSlice::new(t.data_mut()))
-        .collect();
+/// Runs `f(z, split)` for every plane `z` of the strided side `src`
+/// (`[cout, D, ho, wo]`), in parallel, with `split` holding plane `z` of
+/// each channel split by column phase, [`SubPixel::grad_plane_len`]
+/// floats apart.
+fn for_each_split_plane(geom: &SubPixel, src: &[f32], d: usize, f: impl Fn(usize, &[f32]) + Sync) {
+    let ((_, cout), (ho, wo)) = (geom.channels(), geom.output());
+    let (n, plane) = (ho * wo, geom.grad_plane_len());
     peb_par::parallel_chunks_cost(d, 1, geom.input_grad_flops(), |planes| {
         for z in planes {
-            let mut rows: Vec<&mut [f32]> = (slots.iter())
-                .flat_map(|slot| (0..slot.len() / (d * hw)).map(move |c| (slot, (c * d + z) * hw)))
-                // SAFETY: plane `z` of every block of `dx` belongs to this
-                // chunk alone.
-                .map(|(slot, at)| unsafe { slot.slice_mut(at..at + hw) })
-                .collect();
-            geom.input_grad_rows(&packed, &split[z * plane..], d * plane, 0..h, &mut rows);
+            let mut split = PoolBuf::zeroed(cout * plane);
+            for (co, dst) in split.chunks_exact_mut(plane).enumerate() {
+                geom.split_grad(&src[(co * d + z) * n..][..n], dst);
+            }
+            f(z, &split);
         }
     });
-    let mut partials = PoolBuf::zeroed(d * cout * cin * k2);
-    let cost = geom.input_grad_flops() / (cin * cout * k2) as u64;
-    peb_par::parallel_chunks_mut_cost(&mut partials, cin * k2, cost, |at, dw_zc| {
-        let (z, co) = (at / (cin * k2) / cout, at / (cin * k2) % cout);
-        let planes = channel_planes(x, d, z, hw);
-        geom.weight_grad(&planes, &split[(co * d + z) * plane..][..plane], dw_zc);
+}
+
+/// The backward of either layer: for every plane `z`, `dx(z, split)` with
+/// plane `z` of the strided side `strided` (`[cout, D, ho, wo]`) split by
+/// column phase, and that plane's `dW` — of the transposed side `x`
+/// (blocks `[C_b, D, h, w]`) against the split — into a partial; returns
+/// `dW` (`[cin, cout, k, k]` in `geom`'s roles, shaped `shape`), the
+/// partials summed in ascending plane order.
+fn backward_planes(
+    geom: &SubPixel,
+    x: &[&[f32]],
+    strided: &[f32],
+    shape: &[usize],
+    d: usize,
+    dx: impl Fn(usize, &[f32]) + Sync,
+) -> Tensor {
+    let (h, w) = geom.input();
+    let len = shape.iter().product::<usize>();
+    let mut partials = PoolBuf::zeroed(d * len);
+    let slots = UnsafeSlice::new(&mut partials);
+    for_each_split_plane(geom, strided, d, |z, split| {
+        dx(z, split);
+        let planes = channel_planes(x, d, z, h * w);
+        // SAFETY: partial `z` belongs to this chunk alone.
+        let dw_z = unsafe { slots.slice_mut(z * len..(z + 1) * len) };
+        geom.weight_grad(&planes, split, geom.grad_plane_len(), dw_z);
     });
-    let sum = reduce_planes(&mut partials, cout * cin * k2);
-    let dw = Tensor::from_fn(weight.shape(), |i| {
-        let (ci, co, t) = (i / (cout * k2), i / k2 % cout, i % k2);
-        sum[(co * cin + ci) * k2 + t]
-    });
-    (dxs, dw)
+    let sum = reduce_planes(&mut partials, len);
+    Tensor::from_fn(shape, |i| sum[i])
 }
 
 // ---------------------------------------------------------------------------
@@ -1017,7 +998,7 @@ mod tests {
     #[test]
     fn conv2d_identity_kernel() {
         let mut rng = StdRng::seed_from_u64(5);
-        let conv = Conv2d::new(1, 1, 1, 1, 0, false, &mut rng);
+        let conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng);
         conv.weight.set_value(Tensor::ones(&[1, 1]));
         let x = Var::constant(Tensor::from_fn(&[1, 4, 4], |i| i as f32));
         let y = conv.forward(&x);
@@ -1027,7 +1008,7 @@ mod tests {
     #[test]
     fn conv2d_shapes_with_stride_and_pad() {
         let mut rng = StdRng::seed_from_u64(6);
-        let conv = Conv2d::new(2, 3, 3, 2, 1, true, &mut rng);
+        let conv = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
         let x = Var::constant(Tensor::ones(&[2, 8, 8]));
         assert_eq!(conv.forward(&x).shape(), vec![3, 4, 4]);
     }
@@ -1035,7 +1016,7 @@ mod tests {
     #[test]
     fn conv2d_matches_direct_computation() {
         let mut rng = StdRng::seed_from_u64(7);
-        let conv = Conv2d::new(1, 1, 3, 1, 1, false, &mut rng);
+        let conv = Conv2d::new(1, 1, 3, 1, 1, &mut rng);
         let x = Var::constant(Tensor::randn(&[1, 5, 5], &mut rng));
         let y = conv.forward(&x);
         // Direct correlation at a middle pixel.
@@ -1053,7 +1034,7 @@ mod tests {
     #[test]
     fn conv2d_gradcheck() {
         let mut rng = StdRng::seed_from_u64(8);
-        let conv = Conv2d::new(2, 2, 3, 2, 1, true, &mut rng);
+        let conv = Conv2d::new(2, 2, 3, 2, 1, &mut rng);
         let x0 = Tensor::randn(&[2, 5, 5], &mut rng);
         let r = check_gradients(
             &Var::parameter(x0),
@@ -1163,7 +1144,7 @@ mod tests {
         for (cin, cout, d, k, stride, pad) in
             [(1, 1, 1, 3, 2, 1), (2, 3, 3, 3, 2, 1), (3, 2, 2, 4, 1, 2)]
         {
-            let conv = Conv2d::new(cin, cout, k, stride, pad, false, &mut rng);
+            let conv = Conv2d::new(cin, cout, k, stride, pad, &mut rng);
             let (h, w) = (k + 2 * stride, k + 3 * stride);
             let x = Tensor::randn(&[cin, d, h, w], &mut rng);
             let cy = conv.forward(&Var::constant(x.clone())).value_clone();
@@ -1229,12 +1210,12 @@ mod tests {
     fn conv2d_rejects_impossible_geometry_by_name() {
         let rng = &mut StdRng::seed_from_u64(16);
         assert_rejects("Conv2d", "kernel", 0, || {
-            Conv2d::new(1, 1, 0, 1, 0, true, rng);
+            Conv2d::new(1, 1, 0, 1, 0, rng);
         });
         assert_rejects("Conv2d", "stride", 0, || {
-            Conv2d::new(1, 1, 3, 0, 1, true, rng);
+            Conv2d::new(1, 1, 3, 0, 1, rng);
         });
-        let conv = Conv2d::new(1, 1, 7, 4, 1, true, rng);
+        let conv = Conv2d::new(1, 1, 7, 4, 1, rng);
         for (field, value, dims) in [
             ("h", 0, vec![0, 9]),
             ("w", 0, vec![9, 0]),

@@ -38,7 +38,7 @@ impl OverlappedPatchEmbed {
         );
         let pad = if kernel > stride { kernel / 2 } else { 0 };
         OverlappedPatchEmbed {
-            proj: Conv2d::new(cin, cout, kernel, stride, pad, true, rng),
+            proj: Conv2d::new(cin, cout, kernel, stride, pad, rng),
             cin,
             cout,
         }

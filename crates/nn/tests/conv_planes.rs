@@ -3,18 +3,20 @@
 //! `Conv2d`, `ConvTranspose2d` and `DwConv3d` run whole depth planes in
 //! parallel. The textbook scalar loops they replaced — two bounds tests
 //! per element, one plane per call, the GEMM through `Tensor::matmul` —
-//! live on here as [`oracle`], and `Conv2d` and `DwConv3d` must
-//! reproduce them: forward and input gradients to the bit, weight and
-//! bias gradients (summed over planes in a different bracketing) within
-//! `1e-5` relative. `ConvTranspose2d` runs direct sub-pixel kernels: at
-//! `Level::Scalar` it reproduces the phase-loop oracle in its own
-//! accumulation order to the bit, and at every level the GEMM + col2im
-//! oracle within the GEMM tolerance. Every path is bitwise identical at
-//! 1, 3 and 4 threads (the transposed conv at 7 too); the scalar and
-//! vector dispatch levels agree within the GEMM tolerance (the
-//! depthwise layer, which runs no GEMM, to the bit); the fused LeakyReLU
-//! and channel-block forms of the transposed conv equal their unfused
-//! chains to the bit; and analytic gradients match finite differences.
+//! live on here as [`oracle`], next to phase loops in the accumulation
+//! order of the direct sub-pixel kernels both dense 2-D layers run on.
+//! `DwConv3d` reproduces its scalar loops: forward and input gradient to
+//! the bit, weight and bias gradients (summed over planes in a different
+//! bracketing) within `1e-5` relative. `ConvTranspose2d` and `Conv2d` —
+//! each the other's adjoint on one kernel family — reproduce the phase
+//! loops to the bit at `Level::Scalar`, and at every level the GEMM +
+//! im2col/col2im oracle within the GEMM tolerance. Every path is bitwise
+//! identical at 1, 3 and 4 threads (the two dense 2-D layers at 7 too);
+//! the scalar and vector dispatch levels agree within the GEMM tolerance
+//! (the depthwise layer, which runs no GEMM, to the bit); the fused
+//! LeakyReLU and channel-block forms of the transposed conv equal their
+//! unfused chains to the bit; and analytic gradients match finite
+//! differences.
 
 use peb_nn::{Conv2d, ConvTranspose2d, DwConv3d, OverlappedPatchEmbed, Parameterized};
 use peb_par::ctx::{self, ExecCtx, Level};
@@ -23,8 +25,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The scalar loops deleted from `src/conv.rs`, the layers as they were
-/// computed from them — one `[C, H, W]` plane per call — and the
-/// transposed conv in its sub-pixel kernels' order.
+/// computed from them — one `[C, H, W]` plane per call — and both dense
+/// 2-D layers in their sub-pixel kernels' order.
 mod oracle {
     use peb_tensor::Tensor;
 
@@ -222,10 +224,25 @@ mod oracle {
         s: usize,
         p: usize,
     ) -> Tensor {
-        let (cin, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let (h, wd) = (x.shape()[1], x.shape()[2]);
+        let out = ((h - 1) * s + k - 2 * p, (wd - 1) * s + k - 2 * p);
+        convt2d_phases_onto(x, w, b, out, k, s, p)
+    }
+
+    /// [`convt2d_phases`] onto an `ho × wo` output: any extent whose
+    /// windows number the input's (`Conv2d`'s `dx` onto its input grid).
+    pub fn convt2d_phases_onto(
+        x: &Tensor,
+        w: &Tensor,
+        b: &Tensor,
+        (ho, wo): (usize, usize),
+        k: usize,
+        s: usize,
+        p: usize,
+    ) -> Tensor {
+        let cin = x.shape()[0];
         let cout = w.shape()[1];
-        let (ho, wo) = ((h - 1) * s + k - 2 * p, (wd - 1) * s + k - 2 * p);
-        let source = |o: usize, kk: usize| ((o + p) as isize - kk as isize) / s as isize;
+        let source = |o: usize, kk: usize| ((o + p) as isize - kk as isize).div_euclid(s as isize);
         Tensor::from_fn(&[cout, ho, wo], |i| {
             let (co, oy, ox) = (i / (ho * wo), i / wo % ho, i % wo);
             let mut acc = b.data()[co];
@@ -241,11 +258,42 @@ mod oracle {
         })
     }
 
-    /// `(dx, dW)` of [`convt2d_phases`] in the kernels' order: `dx` from
-    /// zero over output channels, then all `(ky, kx)` ascending, reading
-    /// zero outside the gradient; each `dW` entry as eight lane partials
-    /// over the columns `ix mod 8` (rows, then column blocks, ascending;
-    /// a ragged row end joins as zero `x`), folded in lane order.
+    /// The adjoint of [`convt2d_phases`] — `Conv2d` on one plane, weight
+    /// `[Cout, Cin, k, k]` — in the kernels' order: each output from
+    /// `b`, over input channels, then all `(ky, kx)` ascending, reading
+    /// zero outside the image.
+    pub fn conv2d_phases(
+        x: &Tensor,
+        w: &Tensor,
+        b: &Tensor,
+        k: usize,
+        s: usize,
+        p: usize,
+    ) -> Tensor {
+        let (cin, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+        let cout = w.shape()[0];
+        let (ho, wo) = (out_extent(h, k, s, p), out_extent(wd, k, s, p));
+        let source = |o: usize, kk: usize| (o * s + kk) as isize - p as isize;
+        Tensor::from_fn(&[cout, ho, wo], |i| {
+            let (co, oy, ox) = (i / (ho * wo), i / wo % ho, i % wo);
+            let mut acc = b.data()[co];
+            for ci in 0..cin {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let wv = w.data()[((co * cin + ci) * k + ky) * k + kx];
+                        acc += wv * at(x, ci, source(oy, ky), source(ox, kx));
+                    }
+                }
+            }
+            acc
+        })
+    }
+
+    /// `(dx, dW)` of [`convt2d_phases`] in the kernels' order: `dx` is
+    /// [`conv2d_phases`] of `g` from zero; each `dW` entry is eight lane
+    /// partials over the columns `ix mod 8` (rows, then column blocks,
+    /// ascending; a ragged row end joins as zero `x`), folded in lane
+    /// order.
     pub fn convt2d_phases_backward(
         x: &Tensor,
         w: &Tensor,
@@ -257,21 +305,7 @@ mod oracle {
         let (cin, h, wd) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let cout = w.shape()[1];
         let target = |i: usize, kk: usize| (i * s + kk) as isize - p as isize;
-        let weight = |ci: usize, co: usize, ky: usize, kx: usize| {
-            w.data()[((ci * cout + co) * k + ky) * k + kx]
-        };
-        let dx = Tensor::from_fn(&[cin, h, wd], |i| {
-            let (ci, iy, ix) = (i / (h * wd), i / wd % h, i % wd);
-            let mut acc = 0f32;
-            for co in 0..cout {
-                for ky in 0..k {
-                    for kx in 0..k {
-                        acc += weight(ci, co, ky, kx) * at(g, co, target(iy, ky), target(ix, kx));
-                    }
-                }
-            }
-            acc
-        });
+        let dx = conv2d_phases(g, w, &Tensor::zeros(&[cin]), k, s, p);
         let dw = Tensor::from_fn(w.shape(), |i| {
             let (ci, co, ky, kx) = (i / (cout * k * k), i / (k * k) % cout, i / k % k, i % k);
             let mut lanes = [0f32; 8];
@@ -520,35 +554,121 @@ fn assert_matches_plane_oracle(
     }
 }
 
+/// `Conv2d` over `D` planes against both oracles, plane by plane: at
+/// `Level::Scalar` the phase oracles of its adjoint to the bit
+/// ([`assert_matches_plane_oracle`]) — the forward is
+/// `conv2d_phases` (`convt2d_phases_backward`'s `dx`) from the bias,
+/// `dx` is `convt2d_phases` onto the input grid, `dW` is
+/// `convt2d_phases_backward`'s with `x` and the output gradient swapped;
+/// at every level the GEMM + col2im oracle within the GEMM tolerance at
+/// the reduction lengths `Cin·k²` (forward) and `Cout·k²` (dX), dW
+/// within 1e-5 relative and db to the bit.
+fn assert_conv_matches_both_oracles(
+    (cin, cout, (k, s, p)): (usize, usize, (usize, usize, usize)),
+    (d, h, w): (usize, usize, usize),
+    rng: &mut StdRng,
+) {
+    let what = format!("conv {cin}->{cout} k={k} s={s} p={p} d={d} {h}x{w}");
+    let conv = Conv2d::new(cin, cout, k, s, p, rng);
+    let params = conv.parameters();
+    params[1].set_value(Tensor::randn(&[cout], rng));
+    let (wv, bv) = (params[0].value_clone(), params[1].value_clone());
+    let w4 = wv.reshape(&[cout, cin, k, k]).unwrap();
+    let x = Tensor::randn(&[cin, d, h, w], rng);
+    let (ho, wo) = conv.output_hw(h, w);
+    let r = Tensor::randn(&[cout, d, ho, wo], rng);
+    let forward = |v: &Var| conv.forward(v);
+    at_level(Level::Scalar, || {
+        assert_matches_plane_oracle(&what, &params, (&x, &r), &forward, &|xz, rz| {
+            let y = oracle::conv2d_phases(xz, &w4, &bv, k, s, p);
+            let zeros = Tensor::zeros(&[cin]);
+            let dx = oracle::convt2d_phases_onto(rz, &w4, &zeros, (h, w), k, s, p);
+            let (_, dw) = oracle::convt2d_phases_backward(rz, &w4, xz, k, s, p);
+            [
+                y,
+                dx,
+                dw.reshape(wv.shape()).unwrap(),
+                oracle::bias_grad(rz),
+            ]
+        })
+    });
+    for level in levels() {
+        let got = at_level(level, || pass(&params, &x, &r, forward));
+        let planes: Vec<[Tensor; 3]> = (0..d)
+            .map(|z| {
+                let (xz, rz) = (plane(&x, z), plane(&r, z));
+                let y = oracle::conv2d(&xz, &wv, Some(&bv), k, s, p);
+                let (dx, dw) = oracle::conv2d_backward(&xz, &wv, &rz, k, s, p);
+                [y, dx, dw]
+            })
+            .collect();
+        let column = |i: usize| planes.iter().map(|p| p[i].clone()).collect::<Vec<_>>();
+        let what = format!("{what} {level:?}");
+        assert_gemm_close(&got.y, &stack(&column(0)), cin * k * k, &what);
+        assert_gemm_close(&got.dx, &stack(&column(1)), cout * k * k, &what);
+        assert_close(&got.dparams[0], &sum_planes(&column(2)), 1e-5, &what);
+        assert_eq!(
+            bits(&got.dparams[1]),
+            bits(&oracle::bias_grad(&r)),
+            "{what}: db"
+        );
+    }
+}
+
+/// The extent along which `n` windows of `(k, s, p)` fit with `rem`
+/// trailing positions the last one does not reach, if it is positive.
+fn extent_for(n: usize, (k, s, p): (usize, usize, usize), rem: usize) -> Option<usize> {
+    ((n - 1) * s + k + rem)
+        .checked_sub(2 * p)
+        .filter(|&e| e > 0)
+}
+
 #[test]
 fn conv2d_planes_match_the_plane_by_plane_oracle() {
     let mut rng = StdRng::seed_from_u64(301);
-    for (case, &(k, s, p)) in WINDOWS.iter().enumerate() {
+    for (case, &window) in WINDOWS.iter().enumerate() {
         for d in [1usize, 2, 5] {
             for cout in [1usize, 19] {
                 let cin = 1 + (case + d) % 3;
                 // Odd H ≠ W, at least two windows along each axis.
-                let (h, w) = (2 * k + 1, 2 * k + 5);
-                let conv = Conv2d::new(cin, cout, k, s, p, true, &mut rng);
-                let params = conv.parameters();
-                params[1].set_value(Tensor::randn(&[cout], &mut rng));
-                let (wv, bv) = (params[0].value_clone(), params[1].value_clone());
-                let x = Tensor::randn(&[cin, d, h, w], &mut rng);
-                let (ho, wo) = conv.output_hw(h, w);
-                let r = Tensor::randn(&[cout, d, ho, wo], &mut rng);
-                assert_matches_plane_oracle(
-                    &format!("conv2d k={k} s={s} p={p} d={d} cin={cin} cout={cout}"),
-                    &params,
-                    (&x, &r),
-                    &|v| conv.forward(v),
-                    &|xz, rz| {
-                        let y = oracle::conv2d(xz, &wv, Some(&bv), k, s, p);
-                        let (dx, dw) = oracle::conv2d_backward(xz, &wv, rz, k, s, p);
-                        [y, dx, dw, oracle::bias_grad(rz)]
-                    },
-                );
+                let (k, _, _) = window;
+                let dims = (d, 2 * k + 1, 2 * k + 5);
+                assert_conv_matches_both_oracles((cin, cout, window), dims, &mut rng);
             }
         }
+    }
+    // Every remainder `(H + 2p − k) mod s` along both axes, output rows of
+    // 3, 4, 5 and 13 (the dW dot products' ragged lanes): the model's
+    // patch embeds (k7 s4 p3, k3 s2 p1), the non-overlapped ablation
+    // (k = s, p = 0), TEMPO's k3 s1 p1, and a window mostly over padding
+    // (k3 s4 p2, down to H = 1).
+    for window in [
+        (7, 4, 3),
+        (3, 2, 1),
+        (2, 2, 0),
+        (4, 4, 0),
+        (3, 1, 1),
+        (3, 4, 2),
+    ] {
+        let s = window.1;
+        for rem in 0..s {
+            for (i, wo) in [3usize, 4, 5, 13].into_iter().enumerate() {
+                let rows = 1 + (rem + i) % 2;
+                let (Some(h), Some(w)) = (
+                    extent_for(rows, window, rem),
+                    extent_for(wo, window, (rem + i) % s),
+                ) else {
+                    continue;
+                };
+                let (cin, cout) = (1 + (rem + i) % 3, [1, 9, 19, 8][i]);
+                assert_conv_matches_both_oracles((cin, cout, window), (2, h, w), &mut rng);
+            }
+        }
+    }
+    // The encoder's own shapes, scaled down: the stage-1 embed and a
+    // deeper merge, ragged by one column.
+    for (cin, cout, window) in [(1, 12, (7, 4, 3)), (12, 24, (3, 2, 1))] {
+        assert_conv_matches_both_oracles((cin, cout, window), (2, 16, 17), &mut rng);
     }
 }
 
@@ -619,6 +739,10 @@ fn convtranspose2d_planes_match_the_plane_by_plane_oracle() {
                 assert_convt_matches_both_oracles((cin, cout, window), (d, 3, w), &mut rng);
             }
         }
+    }
+    // Rows of exactly half a vector.
+    for &window in &WINDOWS {
+        assert_convt_matches_both_oracles((2, 9, window), (2, 3, 4), &mut rng);
     }
     // The decoder's own layers: the two upsampling steps, head_mid, head.
     for (cin, cout, window) in [
@@ -742,11 +866,11 @@ fn channel_blocks_read_in_place_are_their_concatenation_bitwise() {
 }
 
 #[test]
-fn transposed_conv_is_bitwise_identical_at_1_3_4_and_7_threads() {
-    // Every form — plain, fused, two blocks — forward and every gradient,
-    // with bands of a few rows so the (plane, band) chunks outnumber the
-    // threads, and TEMPO's width-40 upsampling layer (six 6-channel
-    // blocks and a 4).
+fn sub_pixel_convs_are_bitwise_identical_at_1_3_4_and_7_threads() {
+    // Every form of the transposed conv — plain, fused, two blocks — and
+    // the conv, forward and every gradient, with bands of a few rows so
+    // the (plane, band) chunks outnumber the threads: the model's patch
+    // embeds and TEMPO's width-40 layers (six 6-channel blocks and a 4).
     let mut rng = StdRng::seed_from_u64(310);
     let cases = [
         (ConvTranspose2d::new(6, 9, 4, 2, 1, &mut rng), [4, 2]),
@@ -765,6 +889,21 @@ fn transposed_conv_is_bitwise_identical_at_1_3_4_and_7_threads() {
             )
         })
         .collect();
+    let convs: Vec<(Conv2d, Tensor, Tensor)> = [
+        (1, 12, (7, 4, 3)),
+        (12, 24, (3, 2, 1)),
+        (2, 40, (3, 2, 1)),
+        (40, 40, (3, 1, 1)),
+    ]
+    .into_iter()
+    .map(|(cin, cout, (k, s, p))| {
+        let conv = Conv2d::new(cin, cout, k, s, p, &mut rng);
+        let (ho, wo) = conv.output_hw(17, 19);
+        let x = Tensor::randn(&[cin, 5, 17, 19], &mut rng);
+        let r = Tensor::randn(&[cout, 5, ho, wo], &mut rng);
+        (conv, x, r)
+    })
+    .collect();
     let digests = |threads| {
         let scoped = ExecCtx {
             threads,
@@ -781,6 +920,10 @@ fn transposed_conv_is_bitwise_identical_at_1_3_4_and_7_threads() {
                 all.push(block_pass(&params, blocks, r, |v| {
                     up.forward_leaky_relu(v, 0.2)
                 }));
+            }
+            for (conv, x, r) in &convs {
+                let x = std::slice::from_ref(x);
+                all.push(block_pass(&conv.parameters(), x, r, |v| conv.forward(v[0])));
             }
             all
         })
@@ -844,7 +987,7 @@ fn family_passes() -> Vec<(&'static str, usize, Pass)> {
     let mut rng = StdRng::seed_from_u64(305);
     let mut out = Vec::new();
     for &(k, s, p) in &[(3, 2, 1), (7, 4, 3), (3, 1, 1)] {
-        let conv = Conv2d::new(3, 19, k, s, p, true, &mut rng);
+        let conv = Conv2d::new(3, 19, k, s, p, &mut rng);
         let x = Tensor::randn(&[3, 5, 17, 13], &mut rng);
         let (ho, wo) = conv.output_hw(17, 13);
         let r = Tensor::randn(&[19, 5, ho, wo], &mut rng);
@@ -977,7 +1120,7 @@ fn param_gradcheck(param: &Var, loss: impl Fn() -> Var) -> f32 {
 #[test]
 fn batched_layers_pass_gradient_checks() {
     let mut rng = StdRng::seed_from_u64(307);
-    let conv = Conv2d::new(2, 3, 3, 2, 1, true, &mut rng);
+    let conv = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
     let up = ConvTranspose2d::new(2, 3, 4, 2, 1, &mut rng);
     let dw = DwConv3d::new(2, 3, &mut rng);
     type Forward<'a> = Box<dyn Fn(&Var) -> Var + 'a>;

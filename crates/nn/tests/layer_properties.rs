@@ -34,7 +34,7 @@ proptest! {
         // Shifting the input shifts the output (away from borders),
         // stride 1, same padding.
         let mut rng = StdRng::seed_from_u64(seed);
-        let conv = Conv2d::new(1, 1, 3, 1, 1, false, &mut rng);
+        let conv = Conv2d::new(1, 1, 3, 1, 1, &mut rng);
         let mut x = Tensor::zeros(&[1, 9, 9]);
         x.set(&[0, 3, 3], 1.0);
         let y1 = conv.forward(&Var::constant(x)).value_clone();

@@ -165,7 +165,8 @@ pub enum Counter {
     /// Floating-point operations performed by GEMM/bmm (2·m·k·n) and
     /// direct convolution (2 per multiply-add).
     GemmFlops = 0,
-    /// Bytes materialised by im2col/col2im lowering in the conv layers.
+    /// Bytes materialised by im2col/col2im lowering: `Conv3d`'s, the only
+    /// layer that still lowers to it.
     Im2colBytes = 1,
     /// 1-D FFT lines executed (N-D transforms count one per line).
     FftLines = 2,

@@ -2,7 +2,7 @@
 //!
 //! A single long-lived pool of worker threads executes *deterministically
 //! partitioned* loops for every hot path in the workspace — GEMM row
-//! panels, im2col rows, ADI tridiagonal lines, selective-scan channel
+//! panels, convolution planes, ADI tridiagonal lines, selective-scan channel
 //! lanes, FFT lines, and dataset generation.
 //!
 //! # Determinism contract

@@ -1,6 +1,6 @@
 //! Thread-local, size-bucketed scratch-buffer pool.
 //!
-//! Every hot path in the workspace (GEMM panels, im2col workspaces, ADI
+//! Every hot path in the workspace (GEMM panels, convolution scratch, ADI
 //! line scratch, selective-scan lane state, FFT line buffers) used to
 //! allocate fresh `Vec`s on every call. This crate recycles those
 //! buffers: a checkout pops a previously-returned buffer of sufficient

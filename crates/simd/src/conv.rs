@@ -1,44 +1,33 @@
-//! Row sweeps and direct kernels of the planes-batched convolution family.
+//! Direct kernels of the planes-batched convolution family.
 //!
-//! `Conv2d` in `peb-nn` lowers to one GEMM per depth plane plus the data
-//! movement around it, one image plane per call: [`Windows::unfold`]
-//! (im2col) and [`Windows::fold`] (col2im, its input gradient).
+//! [`SubPixel`] is the one dense 2-D convolution kernel: the transposed
+//! convolution as direct sub-pixel convolutions, whose adjoint routines
+//! are the stride-`s` convolution of the same `(k, s, p)` — `peb-nn`'s
+//! `ConvTranspose2d` and `Conv2d` both run on it, each in the other's
+//! roles. Register-blocked `mul_add` chains: **tolerance-class** across
+//! levels (fused on AVX2), deterministic per level, every output written
+//! once.
+//!
 //! [`dw3_plane`] and [`dw3_weight_grad`] are the depthwise 3-D layer. Both
 //! bounds tests of the textbook loops are hoisted into a range per tap,
-//! so every inner loop is a contiguous row: a `copy`, a `+=`, a `+= w·x`
-//! or a dot product on eight lanes. All of these are **exact-class**:
-//! unfused IEEE-exact lane operations, per element in the accumulation
-//! order of the scalar loops (kept as the oracle in `peb-nn`'s
-//! `tests/conv_planes.rs`), so both backends — and the scalar loops —
-//! produce the same bits. The one re-bracketed sum is the dot product of
-//! [`dw3_weight_grad`], whose eight lane partials are the same on both
-//! backends.
-//!
-//! [`SubPixel`] is the transposed 2-D convolution, forward and backward,
-//! as direct sub-pixel convolutions: register-blocked `mul_add` chains,
-//! **tolerance-class** across levels (fused on AVX2) and deterministic
-//! per level, every output written once.
+//! so every inner loop is a contiguous row: a `+= w·x` or a dot product on
+//! eight lanes. They are **exact-class**: unfused IEEE-exact lane
+//! operations, per element in the accumulation order of the scalar loops
+//! (kept as the oracle in `peb-nn`'s `tests/conv_planes.rs`), so both
+//! backends — and the scalar loops — produce the same bits. The one
+//! re-bracketed sum is the dot product of [`dw3_weight_grad`], whose eight
+//! lane partials are the same on both backends.
 
 use std::ops::Range;
 
 use peb_pool::PoolBuf;
 
-use crate::elementwise::{add_assign_generic, axpy_generic};
+use crate::elementwise::axpy_generic;
 use crate::{simd_active, ScalarX8, Simd8};
 
-/// The window positions `o` in `0..n_out` whose tap `kk` lands inside an
-/// axis of extent `n`: `0 ≤ o·stride + kk − pad < n`.
-fn tap_range(n: usize, n_out: usize, kk: usize, stride: usize, pad: usize) -> Range<usize> {
-    let lo = pad.saturating_sub(kk).div_ceil(stride);
-    let hi = match (n + pad).checked_sub(kk + 1) {
-        Some(last) => (last / stride + 1).min(n_out),
-        None => 0,
-    };
-    lo..hi.max(lo)
-}
-
-/// [`tap_range`] at stride 1 over an axis that keeps its extent (same
-/// padding), division-free: it runs once per row and tap.
+/// The positions `o` in `0..n` whose tap `kk` lands inside a same-padded,
+/// stride-1 axis of extent `n`, `0 ≤ o + kk − pad < n`; division-free:
+/// it runs once per row and tap.
 fn same_tap_range(n: usize, kk: usize, pad: usize) -> Range<usize> {
     let lo = pad.saturating_sub(kk);
     lo..(n + pad).saturating_sub(kk).min(n).max(lo)
@@ -47,200 +36,6 @@ fn same_tap_range(n: usize, kk: usize, pad: usize) -> Range<usize> {
 /// `i + kk − pad` when it lands inside `0..n`.
 fn tap_source(i: usize, kk: usize, pad: usize, n: usize) -> Option<usize> {
     (i + kk).checked_sub(pad).filter(|&v| v < n)
-}
-
-// ---------------------------------------------------------------------------
-// Dense 2-D windows: unfold / fold
-// ---------------------------------------------------------------------------
-
-/// The `k × k` windows of one image plane: `ho × wo` of them over an
-/// `h × w` image. A conv *reads* its input through them
-/// ([`Windows::unfold`]) and *writes* its input gradient back through
-/// them ([`Windows::fold`]).
-#[derive(Debug, Clone)]
-pub struct Windows {
-    h: usize,
-    w: usize,
-    ho: usize,
-    wo: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    /// Per `kx`, the window columns whose tap lands inside the image.
-    x_taps: Vec<Range<usize>>,
-}
-
-impl std::fmt::Display for Windows {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let Windows {
-            h,
-            w,
-            ho,
-            wo,
-            k,
-            stride,
-            pad,
-            ..
-        } = self;
-        write!(
-            f,
-            "image={h}x{w} windows={ho}x{wo} k={k} stride={stride} pad={pad}"
-        )
-    }
-}
-
-impl Windows {
-    /// `ho × wo` windows of `k × k` taps at `stride`, over an `h × w`
-    /// image padded by `pad` on every side. The caller derives one
-    /// extent pair from the other; nothing here indexes outside the
-    /// slices it is given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        h: usize,
-        w: usize,
-        ho: usize,
-        wo: usize,
-        k: usize,
-        stride: usize,
-        pad: usize,
-    ) -> Self {
-        assert!(stride > 0, "Windows: stride must be positive");
-        Windows {
-            h,
-            w,
-            ho,
-            wo,
-            k,
-            stride,
-            pad,
-            x_taps: (0..k).map(|kx| tap_range(w, wo, kx, stride, pad)).collect(),
-        }
-    }
-
-    /// Pixels per image plane, `h·w`.
-    pub fn pixels(&self) -> usize {
-        self.h * self.w
-    }
-
-    /// Windows per plane, `ho·wo`: the column count of the patch matrix.
-    pub fn count(&self) -> usize {
-        self.ho * self.wo
-    }
-
-    /// Taps per window, `k·k`: the patch-matrix rows per channel.
-    pub fn taps(&self) -> usize {
-        self.k * self.k
-    }
-
-    /// Scratch floats [`Windows::fold`] needs: one lane of
-    /// `⌈w / s⌉` slots per column phase.
-    pub fn lanes_len(&self) -> usize {
-        self.stride * self.w.div_ceil(self.stride)
-    }
-
-    /// Unfolds one channel plane `img` (`[h, w]`) into its `k·k` patch
-    /// rows `col` (`[k·k, ho·wo]`). Padding taps are never written: the
-    /// caller passes `col` zeroed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slice length disagrees with the geometry.
-    pub fn unfold(&self, img: &[f32], col: &mut [f32]) {
-        let (k, s, n) = (self.k, self.stride, self.count());
-        assert!(img.len() == self.pixels() && col.len() == self.taps() * n);
-        for ky in 0..k {
-            let oys = tap_range(self.h, self.ho, ky, s, self.pad);
-            for (kx, oxs) in self.x_taps.iter().enumerate() {
-                if oxs.is_empty() {
-                    continue;
-                }
-                let row = &mut col[(ky * k + kx) * n..][..n];
-                let x0 = oxs.start * s + kx - self.pad;
-                for oy in oys.clone() {
-                    let iy = oy * s + ky - self.pad;
-                    let dst = &mut row[oy * self.wo..][oxs.clone()];
-                    let src = &img[iy * self.w + x0..];
-                    if s == 1 {
-                        dst.copy_from_slice(&src[..dst.len()]);
-                    } else {
-                        for (d, v) in dst.iter_mut().zip(src.iter().step_by(s)) {
-                            *d = *v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Adjoint of [`Windows::unfold`]: folds the patch matrix `col`
-    /// (`[k·k, ho·wo]`) into the `[h, w]` plane `img`,
-    /// `img[oy·s + ky − pad][ox·s + kx − pad] = Σ col[(ky, kx)][oy][ox]`.
-    ///
-    /// Gathers one image row at a time while it is hot. The row's taps
-    /// arrive in ascending `(ky, kx)` order — per element, the order of
-    /// the scatter loop — as contiguous `+=` rows into `lanes`
-    /// ([`Windows::lanes_len`] floats of scratch), one lane per column
-    /// phase `ix mod s`; the lanes are then interleaved into the row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slice length disagrees with the geometry.
-    pub fn fold(&self, col: &[f32], img: &mut [f32], lanes: &mut [f32]) {
-        assert_eq!(img.len(), self.pixels());
-        assert_eq!(col.len(), self.taps() * self.count());
-        assert_eq!(lanes.len(), self.lanes_len());
-        #[cfg(target_arch = "x86_64")]
-        if simd_active() {
-            crate::note_dispatch();
-            // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-            unsafe { fold_avx2(self, col, img, lanes) };
-            return;
-        }
-        fold_generic::<ScalarX8>(self, col, img, lanes)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn fold_avx2(win: &Windows, col: &[f32], img: &mut [f32], lanes: &mut [f32]) {
-    fold_generic::<crate::AvxX8>(win, col, img, lanes)
-}
-
-#[inline(always)]
-fn fold_generic<V: Simd8>(win: &Windows, col: &[f32], img: &mut [f32], lanes: &mut [f32]) {
-    let (k, s, n) = (win.k, win.stride, win.count());
-    let lane_len = win.w.div_ceil(s);
-    for (iy, row) in img.chunks_exact_mut(win.w).enumerate() {
-        lanes.fill(0.0);
-        for ky in 0..k.min(iy + win.pad + 1) {
-            let t = iy + win.pad - ky;
-            if !t.is_multiple_of(s) || t / s >= win.ho {
-                continue;
-            }
-            let taps = &col[ky * k * n + t / s * win.wo..];
-            for (kx, oxs) in win.x_taps.iter().enumerate() {
-                if oxs.is_empty() {
-                    continue;
-                }
-                let ix0 = oxs.start * s + kx - win.pad;
-                let lane = &mut lanes[(ix0 % s) * lane_len + ix0 / s..][..oxs.len()];
-                add_assign_generic::<V>(lane, &taps[kx * n..][oxs.clone()]);
-            }
-        }
-        if s == 1 {
-            row.copy_from_slice(lanes);
-            continue;
-        }
-        for (phase, lane) in lanes.chunks_exact(lane_len).enumerate() {
-            for (o, v) in row[phase..].iter_mut().step_by(s).zip(lane) {
-                *o = *v;
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -293,33 +88,44 @@ fn channel_blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// A transposed 2-D convolution (`cin → cout` channels, `k × k` kernel,
-/// `stride`, `pad`; weight `[cin, cout, k, k]`) of one `h × w` plane,
-/// run as `stride²` dense correlations — one per output phase
+/// `stride`, `pad`; weight `[cin, cout, k, k]`) of one `h × w` plane onto
+/// `ho × wo`, run as `stride²` dense correlations — one per output phase
 /// `(oy mod s, ox mod s)`, each a fixed `⌈k/s⌉²` slice of the kernel
 /// (the whole kernel, flipped, at stride 1) — instead of a GEMM and a
 /// col2im fold: the strided-transposed-conv ≡ sub-pixel-conv
 /// equivalence of Shi et al. 2016 (arXiv:1609.05158). Every output is
-/// written once, with its bias and an optional LeakyReLU applied in the
-/// write-back.
+/// written once.
 ///
-/// The forward and `dx` share one register tile: the output row on the
-/// lanes, six output channels × two vectors (four × two, two × four or
-/// one × eight for the rest), each lane a chain of `+= w·x`
-/// ([`Simd8::mul_add`]: fused on AVX2, two roundings on the scalar
-/// level) over input channels ascending, then the phase's taps in
-/// ascending `(ky, kx)`, reading zero outside the image:
-/// * [`SubPixel::forward_rows`] — the layer, from the bias;
-/// * [`SubPixel::input_grad_rows`] — `dx`, the stride-`s` correlation of
-///   the output gradient with the kernel, from zero, over output
-///   channels and all `k²` taps, reading the gradient split by column
+/// The same geometry serves both directions of the pair
+/// conv ⟷ transposed conv with one `(k, s, p)`, in three adjoint roles:
+/// * [`SubPixel::forward_rows`] — the transposed conv `h × w → ho × wo`
+///   (a `ConvTranspose2d`'s forward, a `Conv2d`'s `dx`), lane chains from
+///   `init` with an optional LeakyReLU in the write-back;
+/// * [`SubPixel::input_grad_rows`] — its adjoint, the stride-`s`
+///   correlation `ho × wo → h × w` with the kernel over output channels
+///   and all `k²` taps (a `ConvTranspose2d`'s `dx`, a `Conv2d`'s forward
+///   with its `[cout, cin, k, k]` weight read as `[cin, cout, k, k]`),
+///   lane chains from `init`, reading the strided side split by column
 ///   phase ([`SubPixel::split_grad`]);
-/// * [`SubPixel::weight_grad`] — `dW` of one output channel, one row dot
-///   product per `(input channel, tap)` with eight lane partials folded
-///   in lane order.
+/// * [`SubPixel::weight_grad`] — the `dW` both share: one `ho × wo` plane
+///   of the split side against the `h × w` planes, one row dot product per
+///   `(channel, tap)` with eight lane partials folded in lane order.
 ///
-/// The tile never spans output rows, so any banding of the rows gives
-/// the same bits. Tolerance-class across levels (the fused chain),
-/// deterministic per level.
+/// `forward_rows` and `input_grad_rows` share one register tile: an output
+/// row on the lanes, six output channels × two vectors (four × two,
+/// two × four or one × eight for the rest, then halved tiles down to one
+/// vector at the row's end), each lane a chain of `+= w·x`
+/// ([`Simd8::mul_add`]: fused on AVX2, two roundings on the scalar
+/// level) over input channels ascending, then the taps in ascending
+/// `(ky, kx)`, reading zero outside the plane. The tile never spans output
+/// rows, so any banding of the rows gives the same bits. Tolerance-class
+/// across levels (the fused chain), deterministic per level.
+///
+/// The output extent `n_out` of an axis of `n` inputs is any extent whose
+/// stride-`s` windows number `n`, `⌊(n_out + 2·pad − k)/s⌋ + 1 = n`: from
+/// the transposed conv's own `(n − 1)·s + k − 2·pad` (at least 1) up to
+/// `s − 1` more — the conv input's trailing columns its last window does
+/// not reach.
 #[derive(Debug, Clone)]
 pub struct SubPixel {
     cin: usize,
@@ -365,30 +171,27 @@ impl std::fmt::Display for SubPixel {
 }
 
 impl SubPixel {
-    /// The layer over an `h × w` plane; its output is
-    /// `(n − 1)·stride + k − 2·pad` along each axis.
+    /// The layer from an `h × w` plane onto `ho × wo`.
     ///
     /// # Panics
     ///
-    /// Panics if `stride` is zero or an output extent is not positive.
+    /// Panics if `stride` is zero or an output extent is outside the range
+    /// its input extent allows (see [`SubPixel`]).
     pub fn new(
         cin: usize,
         cout: usize,
         (h, w): (usize, usize),
+        (ho, wo): (usize, usize),
         k: usize,
         stride: usize,
         pad: usize,
     ) -> Self {
+        let windows = |n_out: usize| (n_out + 2 * pad).checked_sub(k).map(|r| r / stride + 1);
         assert!(
-            stride > 0 && h > 0 && w > 0,
-            "SubPixel: stride and extents must be positive"
+            stride > 0 && ho > 0 && wo > 0 && windows(ho) == Some(h) && windows(wo) == Some(w),
+            "SubPixel: output {ho}x{wo} is not a k={k} stride={stride} pad={pad} window grid \
+             of {h}x{w}"
         );
-        let extent = |n: usize| {
-            let full = (n - 1) * stride + k;
-            assert!(full > 2 * pad, "SubPixel: no output");
-            full - 2 * pad
-        };
-        let (ho, wo) = (extent(h), extent(w));
         let (ys, xs) = (
             axis_phases(ho, k, stride, pad),
             axis_phases(wo, k, stride, pad),
@@ -423,6 +226,16 @@ impl SubPixel {
             g_left,
             g_sub: g_left + (vectors as isize).max(g_reach) as usize,
         }
+    }
+
+    /// Channels `(cin, cout)`.
+    pub fn channels(&self) -> (usize, usize) {
+        (self.cin, self.cout)
+    }
+
+    /// Input extents `(h, w)`.
+    pub fn input(&self) -> (usize, usize) {
+        (self.h, self.w)
     }
 
     /// Output extents `(ho, wo)`.
@@ -527,7 +340,7 @@ impl SubPixel {
     }
 
     /// Output rows `rows` of one plane: `out[co]` (`[rows.len(), wo]`) =
-    /// bias + the transposed convolution of `planes` (`cin` slices of
+    /// `init[co]` + the transposed convolution of `planes` (`cin` slices of
     /// `[h, w]`), through LeakyReLU of `slope` when given (the fused
     /// stage: `x ≥ 0 ? x : slope·x`, `max(x, +0)` at slope 0). `packed`
     /// is [`SubPixel::pack`]'s layout.
@@ -538,14 +351,14 @@ impl SubPixel {
     pub fn forward_rows(
         &self,
         packed: &[f32],
-        bias: &[f32],
+        init: &[f32],
         slope: Option<f32>,
         planes: &[&[f32]],
         rows: Range<usize>,
         out: &mut [&mut [f32]],
     ) {
         assert_eq!(packed.len(), self.packed_len());
-        assert!(bias.len() == self.cout && out.len() == self.cout && planes.len() == self.cin);
+        assert!(init.len() == self.cout && out.len() == self.cout && planes.len() == self.cin);
         assert!(rows.start <= rows.end && rows.end <= self.ho);
         assert!(planes.iter().all(|p| p.len() == self.h * self.w));
         assert!(out.iter().all(|o| o.len() == rows.len() * self.wo));
@@ -553,10 +366,10 @@ impl SubPixel {
         if simd_active() {
             crate::note_dispatch();
             // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-            unsafe { forward_rows_avx2(self, packed, bias, slope, planes, rows, out) };
+            unsafe { forward_rows_avx2(self, packed, init, slope, planes, rows, out) };
             return;
         }
-        forward_rows_generic::<ScalarX8>(self, packed, bias, slope, planes, rows, out)
+        forward_rows_generic::<ScalarX8>(self, packed, init, slope, planes, rows, out)
     }
 
     /// Floats of one plane of [`SubPixel::split_grad`]: `(h − 1)·s + k`
@@ -568,7 +381,8 @@ impl SubPixel {
     /// Splits one output-gradient plane `g` (`[ho, wo]`) by column phase
     /// into `dst` ([`SubPixel::grad_plane_len`] floats): row
     /// `oy + pad`, phase `px`, slot `g_left + m` holds `g[oy][m·s + px]`;
-    /// every other slot is zero.
+    /// every other slot is zero. Rows past the last window's reach are
+    /// never read and not kept.
     ///
     /// # Panics
     ///
@@ -577,12 +391,15 @@ impl SubPixel {
         let s = self.stride;
         assert_eq!(g.len(), self.ho * self.wo);
         assert_eq!(dst.len(), self.grad_plane_len());
-        let row_len = s * self.g_sub;
-        let (top, rest) = dst.split_at_mut(self.pad * row_len);
-        let (rows, bottom) = rest.split_at_mut(self.ho * row_len);
-        top.fill(0.0);
-        bottom.fill(0.0);
-        for (src, row) in g.chunks_exact(self.wo).zip(rows.chunks_exact_mut(row_len)) {
+        for (r, row) in dst.chunks_exact_mut(s * self.g_sub).enumerate() {
+            let Some(src) = r
+                .checked_sub(self.pad)
+                .filter(|&oy| oy < self.ho)
+                .map(|oy| &g[oy * self.wo..][..self.wo])
+            else {
+                row.fill(0.0);
+                continue;
+            };
             for (px, sub) in row.chunks_exact_mut(self.g_sub).enumerate() {
                 let (pad, sub) = sub.split_at_mut(self.g_left);
                 let (sub, tail) = sub.split_at_mut(self.xs[px].count);
@@ -633,9 +450,10 @@ impl SubPixel {
     }
 
     /// Input rows `rows` of one plane's `dx`: `dx[ci]` (`[rows.len(), w]`)
-    /// from `split`, which holds the split gradient plane of output
-    /// channel `co` at `co·chan_stride`. `packed` is
-    /// [`SubPixel::pack_input_grad`]'s layout.
+    /// = `init[ci]` + the stride-`s` correlation of `split`, which holds
+    /// the split gradient plane of output channel `co` at
+    /// `co·chan_stride`. `packed` is [`SubPixel::pack_input_grad`]'s
+    /// layout.
     ///
     /// # Panics
     ///
@@ -643,13 +461,14 @@ impl SubPixel {
     pub fn input_grad_rows(
         &self,
         packed: &[f32],
+        init: &[f32],
         split: &[f32],
         chan_stride: usize,
         rows: Range<usize>,
         dx: &mut [&mut [f32]],
     ) {
         assert_eq!(packed.len(), self.cin * self.cout * self.k * self.k);
-        assert!(chan_stride >= self.grad_plane_len());
+        assert!(init.len() == self.cin && chan_stride >= self.grad_plane_len());
         assert!(split.len() >= (self.cout - 1) * chan_stride + self.grad_plane_len());
         assert!(rows.start <= rows.end && rows.end <= self.h && dx.len() == self.cin);
         assert!(dx.iter().all(|d| d.len() == rows.len() * self.w));
@@ -657,32 +476,34 @@ impl SubPixel {
         if simd_active() {
             crate::note_dispatch();
             // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-            unsafe { input_grad_rows_avx2(self, packed, split, chan_stride, rows, dx) };
+            unsafe { input_grad_rows_avx2(self, packed, init, split, chan_stride, rows, dx) };
             return;
         }
-        input_grad_rows_generic::<ScalarX8>(self, packed, split, chan_stride, rows, dx)
+        input_grad_rows_generic::<ScalarX8>(self, packed, init, split, chan_stride, rows, dx)
     }
 
-    /// One output channel's share of one plane's `dW`: `dw[ci][ky·k + kx]`
-    /// (`[cin, k·k]`) `= Σ_{iy, ix} x[ci][iy][ix] · g[iy·s + ky − pad][ix·s + kx − pad]`,
-    /// with `x` the `cin` input planes and `split` that channel's split
-    /// gradient plane.
+    /// One plane's `dW` in the weight's layout: `dw[ci][co][ky·k + kx]`
+    /// `= Σ_{iy, ix} x[ci][iy][ix] · g[co][iy·s + ky − pad][ix·s + kx − pad]`,
+    /// with `x` the `cin` input planes and `split` holding the split
+    /// gradient plane of output channel `co` at `co·chan_stride`. Ragged
+    /// rows of `x` are zero-padded to a vector once per call.
     ///
     /// # Panics
     ///
     /// Panics if a slice length disagrees with the geometry.
-    pub fn weight_grad(&self, x: &[&[f32]], split: &[f32], dw: &mut [f32]) {
+    pub fn weight_grad(&self, x: &[&[f32]], split: &[f32], chan_stride: usize, dw: &mut [f32]) {
         assert!(x.len() == self.cin && x.iter().all(|p| p.len() == self.h * self.w));
-        assert_eq!(split.len(), self.grad_plane_len());
-        assert_eq!(dw.len(), self.cin * self.k * self.k);
+        assert!(chan_stride >= self.grad_plane_len());
+        assert!(split.len() >= (self.cout - 1) * chan_stride + self.grad_plane_len());
+        assert_eq!(dw.len(), self.cout * self.cin * self.k * self.k);
         #[cfg(target_arch = "x86_64")]
         if simd_active() {
             crate::note_dispatch();
             // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-            unsafe { weight_grad_avx2(self, x, split, dw) };
+            unsafe { weight_grad_avx2(self, x, split, chan_stride, dw) };
             return;
         }
-        weight_grad_generic::<ScalarX8>(self, x, split, dw)
+        weight_grad_generic::<ScalarX8>(self, x, split, chan_stride, dw)
     }
 }
 
@@ -776,24 +597,25 @@ struct RowJob<'a> {
 }
 
 impl RowJob<'_> {
-    /// Every tile of the row into `outs` (the block's channels): `MV`
-    /// vectors at a time while they fit, then single vectors.
+    /// The row's tiles into `outs` (the block's channels) from lane `m0`
+    /// on, `MV` vectors at a time while a tile's last vector starts inside
+    /// the row: returns the first lane left over.
     ///
     /// # Safety
     ///
     /// [`tile`]'s contract for every lane up to `counts[0]` rounded up
     /// to a vector.
     #[inline(always)]
-    unsafe fn run<V: Simd8, const NB: usize, const MV: usize>(&self, outs: &mut [&mut [f32]]) {
-        let mut m0 = 0;
-        while m0 + 8 * MV <= self.counts[0] {
+    unsafe fn run<V: Simd8, const NB: usize, const MV: usize>(
+        &self,
+        mut m0: usize,
+        outs: &mut [&mut [f32]],
+    ) -> usize {
+        while m0 + 8 * (MV - 1) < self.counts[0] {
             unsafe { self.emit::<V, NB, MV>(m0, outs) };
             m0 += 8 * MV;
         }
-        while m0 < self.counts[0] {
-            unsafe { self.emit::<V, NB, 1>(m0, outs) };
-            m0 += 8;
-        }
+        m0
     }
 
     /// The tile of column phase `px` at lane `m0`.
@@ -882,8 +704,10 @@ impl RowJob<'_> {
         }
     }
 
-    /// [`RowJob::run`] at the register tile of a block of `nb` channels:
-    /// twelve accumulator chains for six channels, eight for the rest.
+    /// [`RowJob::run`] at the register tile of a block of `nb` channels —
+    /// twelve accumulator chains for six channels, eight for the rest —
+    /// then at halved tiles over what is left of the row, so a short row
+    /// still keeps several chains in flight.
     ///
     /// # Safety
     ///
@@ -892,10 +716,25 @@ impl RowJob<'_> {
     unsafe fn run_block<V: Simd8>(&self, outs: &mut [&mut [f32]]) {
         unsafe {
             match outs.len() {
-                6 => self.run::<V, 6, 2>(outs),
-                4 => self.run::<V, 4, 2>(outs),
-                2 => self.run::<V, 2, 4>(outs),
-                _ => self.run::<V, 1, 8>(outs),
+                6 => {
+                    let m0 = self.run::<V, 6, 2>(0, outs);
+                    self.run::<V, 6, 1>(m0, outs);
+                }
+                4 => {
+                    let m0 = self.run::<V, 4, 2>(0, outs);
+                    self.run::<V, 4, 1>(m0, outs);
+                }
+                2 => {
+                    let m0 = self.run::<V, 2, 4>(0, outs);
+                    let m0 = self.run::<V, 2, 2>(m0, outs);
+                    self.run::<V, 2, 1>(m0, outs);
+                }
+                _ => {
+                    let m0 = self.run::<V, 1, 8>(0, outs);
+                    let m0 = self.run::<V, 1, 4>(m0, outs);
+                    let m0 = self.run::<V, 1, 2>(m0, outs);
+                    self.run::<V, 1, 1>(m0, outs);
+                }
             }
         }
     }
@@ -906,13 +745,13 @@ impl RowJob<'_> {
 unsafe fn forward_rows_avx2(
     geom: &SubPixel,
     packed: &[f32],
-    bias: &[f32],
+    init: &[f32],
     slope: Option<f32>,
     planes: &[&[f32]],
     rows: Range<usize>,
     out: &mut [&mut [f32]],
 ) {
-    forward_rows_generic::<crate::AvxX8>(geom, packed, bias, slope, planes, rows, out)
+    forward_rows_generic::<crate::AvxX8>(geom, packed, init, slope, planes, rows, out)
 }
 
 /// Bytes of zero-padded input rows a sub-band of the forward copies at a
@@ -923,7 +762,7 @@ const SCRATCH_BYTES: usize = 256 << 10;
 fn forward_rows_generic<V: Simd8>(
     geom: &SubPixel,
     packed: &[f32],
-    bias: &[f32],
+    init: &[f32],
     slope: Option<f32>,
     planes: &[&[f32]],
     rows: Range<usize>,
@@ -1010,7 +849,7 @@ fn forward_rows_generic<V: Simd8>(
                     chans: cin,
                     taps: &taps[py],
                     weights: &weights[(py * blocks.len() + b) * s..][..s],
-                    init: &bias[co0..co0 + nb],
+                    init: &init[co0..co0 + nb],
                     slope,
                     scatter,
                     width: geom.wo,
@@ -1033,18 +872,20 @@ fn forward_rows_generic<V: Simd8>(
 unsafe fn input_grad_rows_avx2(
     geom: &SubPixel,
     packed: &[f32],
+    init: &[f32],
     split: &[f32],
     chan_stride: usize,
     rows: Range<usize>,
     dx: &mut [&mut [f32]],
 ) {
-    input_grad_rows_generic::<crate::AvxX8>(geom, packed, split, chan_stride, rows, dx)
+    input_grad_rows_generic::<crate::AvxX8>(geom, packed, init, split, chan_stride, rows, dx)
 }
 
 #[inline(always)]
 fn input_grad_rows_generic<V: Simd8>(
     geom: &SubPixel,
     packed: &[f32],
+    init: &[f32],
     split: &[f32],
     chan_stride: usize,
     rows: Range<usize>,
@@ -1053,7 +894,6 @@ fn input_grad_rows_generic<V: Simd8>(
     let (k, s) = (geom.k, geom.stride);
     let row_step = s * s * geom.g_sub;
     let taps: Vec<usize> = (0..k * k).map(|t| geom.grad_tap(t / k, t % k)).collect();
-    let zeros = [0f32; 8];
     let counts = [geom.w];
     for iy in rows.clone() {
         for (ci0, nb) in channel_blocks(geom.cin) {
@@ -1064,7 +904,7 @@ fn input_grad_rows_generic<V: Simd8>(
                 chans: geom.cout,
                 taps: &[&taps],
                 weights: &weights,
-                init: &zeros[..nb],
+                init: &init[ci0..ci0 + nb],
                 slope: None,
                 scatter: Scatter::Dense,
                 width: geom.w,
@@ -1082,77 +922,94 @@ fn input_grad_rows_generic<V: Simd8>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn weight_grad_avx2(geom: &SubPixel, x: &[&[f32]], split: &[f32], dw: &mut [f32]) {
-    weight_grad_generic::<crate::AvxX8>(geom, x, split, dw)
+unsafe fn weight_grad_avx2(
+    geom: &SubPixel,
+    x: &[&[f32]],
+    split: &[f32],
+    chan_stride: usize,
+    dw: &mut [f32],
+) {
+    weight_grad_generic::<crate::AvxX8>(geom, x, split, chan_stride, dw)
 }
 
 #[inline(always)]
-fn weight_grad_generic<V: Simd8>(geom: &SubPixel, x: &[&[f32]], split: &[f32], dw: &mut [f32]) {
-    let k2 = geom.k * geom.k;
-    let taps: Vec<usize> = (0..k2)
-        .map(|t| geom.grad_tap(t / geom.k, t % geom.k))
+fn weight_grad_generic<V: Simd8>(
+    geom: &SubPixel,
+    x: &[&[f32]],
+    split: &[f32],
+    chan_stride: usize,
+    dw: &mut [f32],
+) {
+    let (h, w, k) = (geom.h, geom.w, geom.k);
+    // Every `(co, tap)` pair as one offset into `split`, in `dw`'s order:
+    // a tile then takes four of them whichever channels they straddle.
+    let taps: Vec<usize> = (0..geom.cout * k * k)
+        .map(|j| j / (k * k) * chan_stride + geom.grad_tap(j / k % k, j % k))
         .collect();
-    let mut ci0 = 0;
-    while ci0 < geom.cin {
-        let nc = (geom.cin - ci0).min(2);
-        let mut t0 = 0;
-        while t0 < k2 {
-            let nt = (k2 - t0).min(4);
-            let (x, taps) = (&x[ci0..ci0 + nc], &taps[t0..t0 + nt]);
-            let sums = match (nc, nt) {
-                (2, 4) => weight_tile::<V, 2, 4>(geom, x, split, taps),
-                (2, 3) => weight_tile::<V, 2, 3>(geom, x, split, taps),
-                (2, 2) => weight_tile::<V, 2, 2>(geom, x, split, taps),
-                (2, _) => weight_tile::<V, 2, 1>(geom, x, split, taps),
-                (_, 4) => weight_tile::<V, 1, 4>(geom, x, split, taps),
-                (_, 3) => weight_tile::<V, 1, 3>(geom, x, split, taps),
-                (_, 2) => weight_tile::<V, 1, 2>(geom, x, split, taps),
-                _ => weight_tile::<V, 1, 1>(geom, x, split, taps),
-            };
-            for (c, row) in sums.chunks_exact(4).take(nc).enumerate() {
-                dw[(ci0 + c) * k2 + t0..][..nt].copy_from_slice(&row[..nt]);
-            }
-            t0 += nt;
+    // Ragged rows zero-padded to whole vectors once per call: every tile
+    // then loads whole vectors, and the zero lanes add nothing.
+    let w8 = w.div_ceil(8) * 8;
+    let padded = (w8 != w).then(|| {
+        let mut buf = PoolBuf::<f32>::zeroed(x.len() * h * w8);
+        let rows = x.iter().flat_map(|plane| plane.chunks_exact(w));
+        for (dst, src) in buf.chunks_exact_mut(w8).zip(rows) {
+            dst[..w].copy_from_slice(src);
         }
-        ci0 += nc;
+        buf
+    });
+    let x: Vec<&[f32]> = match &padded {
+        Some(buf) => buf.chunks_exact(h * w8).collect(),
+        None => x.to_vec(),
+    };
+    let row = taps.len();
+    for j0 in (0..row).step_by(4) {
+        let nt = (row - j0).min(4);
+        for ci0 in (0..geom.cin).step_by(2) {
+            let nc = (geom.cin - ci0).min(2);
+            let (x, taps) = (&x[ci0..ci0 + nc], &taps[j0..j0 + nt]);
+            let dw = &mut dw[ci0 * row + j0..];
+            match (nc, nt) {
+                (2, 4) => weight_tile::<V, 2, 4>(geom, x, split, taps, dw, row),
+                (2, 3) => weight_tile::<V, 2, 3>(geom, x, split, taps, dw, row),
+                (2, 2) => weight_tile::<V, 2, 2>(geom, x, split, taps, dw, row),
+                (2, _) => weight_tile::<V, 2, 1>(geom, x, split, taps, dw, row),
+                (_, 4) => weight_tile::<V, 1, 4>(geom, x, split, taps, dw, row),
+                (_, 3) => weight_tile::<V, 1, 3>(geom, x, split, taps, dw, row),
+                (_, 2) => weight_tile::<V, 1, 2>(geom, x, split, taps, dw, row),
+                _ => weight_tile::<V, 1, 1>(geom, x, split, taps, dw, row),
+            }
+        }
     }
 }
 
-/// `[NC][NT]` row dot products of [`SubPixel::weight_grad`], as a
-/// `[NC][4]` array: eight lane partials each (a ragged row end joins as
-/// zero-filled lanes), folded in lane order.
+/// `[NC][NT]` row dot products of [`SubPixel::weight_grad`] over the
+/// planes `x` (rows padded to whole vectors), into `dw[c·row + t]`: eight
+/// lane partials each, folded in lane order.
 #[inline(always)]
 fn weight_tile<V: Simd8, const NC: usize, const NT: usize>(
     geom: &SubPixel,
     x: &[&[f32]],
     split: &[f32],
     taps: &[usize],
-) -> [f32; 8] {
-    let (w, s) = (geom.w, geom.stride);
+    dw: &mut [f32],
+    row: usize,
+) {
+    let (w8, s) = (geom.w.div_ceil(8) * 8, geom.stride);
     let row_step = s * s * geom.g_sub;
     let mut acc = [[V::zero(); NT]; NC];
-    let reach =
-        (geom.h - 1) * row_step + taps.iter().max().copied().unwrap_or(0) + w.div_ceil(8) * 8;
+    let reach = (geom.h - 1) * row_step + taps.iter().max().copied().unwrap_or(0) + w8;
     assert!(reach <= split.len(), "SubPixel: split gradient too short");
     let offsets: [usize; NT] = std::array::from_fn(|t| taps[t]);
     let (mut xv, mut gv) = ([V::zero(); NC], [V::zero(); NT]);
-    let full = w - w % 8;
     for iy in 0..geom.h {
         let g = split[iy * row_step..].as_ptr();
         let mut rows = [[].as_slice(); NC];
         for (row, plane) in rows.iter_mut().zip(x) {
-            *row = &plane[iy * w..][..w];
+            *row = &plane[iy * w8..][..w8];
         }
-        let mut ix = 0;
-        while ix < w {
+        for ix in (0..w8).step_by(8) {
             for (xc, row) in xv.iter_mut().zip(&rows) {
-                *xc = if ix < full {
-                    V::load(&row[ix..])
-                } else {
-                    let mut lanes = [0f32; 8];
-                    lanes[..w - ix].copy_from_slice(&row[ix..]);
-                    V::from_array(lanes)
-                };
+                *xc = V::load(&row[ix..]);
             }
             for (gt, &t) in gv.iter_mut().zip(&offsets) {
                 // SAFETY: `t + ix + 8 ≤ reach − (h − 1 − iy)·row_step`,
@@ -1164,16 +1021,21 @@ fn weight_tile<V: Simd8, const NC: usize, const NT: usize>(
                     *a = xc.mul_add(*gt, *a);
                 }
             }
-            ix += 8;
         }
     }
-    let mut sums = [0f32; 8];
+    // Transposed, the eight dots' lane partials fold in lane order with
+    // one vector add per lane: per dot, the bits of a sequential fold
+    // from zero.
+    let mut dots = [V::zero(); 8];
     for (c, row) in acc.iter().enumerate() {
-        for (t, a) in row.iter().enumerate() {
-            sums[c * 4 + t] = a.to_array().iter().fold(0.0, |sum, lane| sum + lane);
-        }
+        dots[c * NT..][..NT].copy_from_slice(row);
     }
-    sums
+    let lanes = V::transpose8(dots);
+    let sums = lanes.iter().fold(V::zero(), |sum, lane| sum.add(*lane));
+    let sums = sums.to_array();
+    for c in 0..NC {
+        dw[c * row..][..NT].copy_from_slice(&sums[c * NT..][..NT]);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1385,53 +1247,36 @@ mod tests {
 
     #[test]
     fn tap_ranges_match_the_two_bounds_tests() {
-        for &(n, k, stride, pad) in &[
-            (7usize, 3usize, 2usize, 1usize),
-            (9, 4, 2, 1),
-            (5, 7, 4, 3),
-            (1, 7, 1, 3),
-        ] {
-            let n_out = (n + 2 * pad - k) / stride + 1;
+        for &(n, k, pad) in &[(7usize, 3usize, 1usize), (9, 5, 2), (2, 7, 3), (1, 7, 3)] {
             for kk in 0..k {
-                let want: Vec<usize> = (0..n_out)
-                    .filter(|o| (o * stride + kk).checked_sub(pad).is_some_and(|i| i < n))
+                let want: Vec<usize> = (0..n)
+                    .filter(|o| (o + kk).checked_sub(pad).is_some_and(|i| i < n))
                     .collect();
-                let got: Vec<usize> = tap_range(n, n_out, kk, stride, pad).collect();
-                assert_eq!(got, want, "n={n} k={k} stride={stride} pad={pad} kk={kk}");
-                if stride == 1 && n_out == n {
-                    assert_eq!(same_tap_range(n, kk, pad).collect::<Vec<_>>(), want);
-                }
+                let got: Vec<usize> = same_tap_range(n, kk, pad).collect();
+                assert_eq!(got, want, "n={n} k={k} pad={pad} kk={kk}");
             }
         }
     }
 
     #[test]
-    fn fold_is_the_adjoint_of_unfold_on_ragged_geometry() {
-        for &(h, w, k, stride, pad) in &[
-            (7, 9, 3, 2, 1),
-            (6, 11, 4, 2, 1),
-            (5, 4, 7, 4, 3),
-            (8, 3, 3, 1, 1),
+    fn sub_pixel_output_extents_are_those_with_the_inputs_window_count() {
+        // From the transposed conv's own extent (at least 1) to s − 1 more:
+        // 125..=128 for the stem embed's four windows, and a lone k3 s4 p2
+        // window over padding for 1 or 2 pixels.
+        for (n, k, s, p) in [
+            (32, 7, 4, 3),
+            (4, 3, 2, 1),
+            (1, 3, 4, 2),
+            (3, 2, 2, 0),
+            (5, 3, 1, 1),
         ] {
-            let (ho, wo) = (
-                (h + 2 * pad - k) / stride + 1,
-                (w + 2 * pad - k) / stride + 1,
-            );
-            let win = Windows::new(h, w, ho, wo, k, stride, pad);
-            let img = pseudo(win.pixels(), 1);
-            let col = pseudo(win.taps() * win.count(), 2);
-            let mut unfolded = vec![0f32; col.len()];
-            win.unfold(&img, &mut unfolded);
-            let mut folded = vec![f32::NAN; img.len()];
-            win.fold(&col, &mut folded, &mut vec![0f32; win.lanes_len()]);
-            let dot = |a: &[f32], b: &[f32]| -> f64 {
-                a.iter()
-                    .zip(b)
-                    .map(|(x, y)| f64::from(*x) * f64::from(*y))
-                    .sum()
-            };
-            let (lhs, rhs) = (dot(&unfolded, &col), dot(&img, &folded));
-            assert!((lhs - rhs).abs() < 1e-4, "{win:?}: {lhs} vs {rhs}");
+            let own = ((n - 1) * s + k) as isize - 2 * p as isize;
+            let fits = |e: usize| (own.max(1)..own + s as isize).contains(&(e as isize));
+            for e in 1..(own + s as isize + 2) as usize {
+                let made =
+                    std::panic::catch_unwind(|| SubPixel::new(2, 3, (n, n), (e, e), k, s, p));
+                assert_eq!(made.is_ok(), fits(e), "n={n} k={k} s={s} p={p} extent {e}");
+            }
         }
     }
 
@@ -1439,17 +1284,6 @@ mod tests {
     fn row_sweeps_are_bitwise_identical_across_backends() {
         let run = || {
             let mut out = Vec::new();
-            for &(h, w, k, stride, pad) in &[(7, 19, 3, 2, 1), (6, 21, 4, 2, 1), (9, 17, 3, 1, 1)] {
-                let (ho, wo) = (
-                    (h + 2 * pad - k) / stride + 1,
-                    (w + 2 * pad - k) / stride + 1,
-                );
-                let win = Windows::new(h, w, ho, wo, k, stride, pad);
-                let col = pseudo(win.taps() * win.count(), 3);
-                let mut img = vec![0f32; win.pixels()];
-                win.fold(&col, &mut img, &mut vec![0f32; win.lanes_len()]);
-                out.push(img);
-            }
             let geom = Dw3 {
                 d: 3,
                 h: 5,

@@ -197,7 +197,7 @@ pub(crate) fn axpy_generic<V: Simd8>(y: &mut [f32], alpha: f32, x: &[f32]) {
 }
 
 #[inline(always)]
-pub(crate) fn add_assign_generic<V: Simd8>(y: &mut [f32], x: &[f32]) {
+fn add_assign_generic<V: Simd8>(y: &mut [f32], x: &[f32]) {
     assert_eq!(y.len(), x.len());
     let n8 = y.len() - y.len() % 8;
     let mut i = 0;

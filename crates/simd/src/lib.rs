@@ -27,14 +27,14 @@
 //! differently:
 //!
 //! * **Bit-exact kernels** (tridiagonal line solves, the PEB reaction
-//!   half-step, the explicit diffusion stencil, the conv family's row
-//!   sweeps, elementwise add/sub/mul/div, Adam updates) use only
+//!   half-step, the explicit diffusion stencil, the depthwise 3-D conv's
+//!   row sweeps, elementwise add/sub/mul/div, Adam updates) use only
 //!   IEEE-exact lane operations (`+ − × ÷ √`, `max`/`min`, `floor`,
 //!   integer-built `2ⁿ`) in exactly the per-element expression order of
 //!   the scalar code, so the SIMD path reproduces the scalar path **to
 //!   the bit**.
-//! * **Tolerance kernels** (GEMM and the sub-pixel transposed
-//!   convolution `conv::SubPixel`, which fuse multiply–add, and the
+//! * **Tolerance kernels** (GEMM and the dense 2-D convolutions of
+//!   `conv::SubPixel`, which fuse multiply–add, and the
 //!   selective-scan recurrence in both directions and the `exp` /
 //!   `sigmoid` / `softplus` elementwise kernels, which use the
 //!   polynomial [`Simd8::exp`] and [`Simd8::ln1p`] instead of libm)

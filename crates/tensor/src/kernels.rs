@@ -11,12 +11,7 @@
 //! ikj triple loop the unit tests keep as their oracle) results differ by
 //! bounded ULPs: the packed kernel brackets k-sums per cache block and
 //! the AVX2 path fuses multiply–adds.
-//!
-//! [`transpose_into`] is the blocked transpose behind
-//! `Tensor::transpose2`, for callers that drive [`matmul_par`] on raw
-//! slices (the conv layers' per-plane GEMMs).
 
-pub use crate::transpose::transpose_into;
 pub use peb_simd::gemm::Bias;
 use peb_simd::gemm::NC;
 

@@ -36,7 +36,7 @@ mod elementwise;
 mod error;
 pub mod fused;
 mod grad_check;
-pub mod kernels;
+mod kernels;
 mod matmul;
 mod reduce;
 mod shape;

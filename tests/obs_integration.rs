@@ -70,9 +70,11 @@ fn tracing_profiles_the_pipeline_without_perturbing_it() {
             profile.spans.iter().map(|s| &s.path).collect::<Vec<_>>()
         );
     }
+    // No layer of the model lowers a convolution to im2col any more
+    // (only the DeepPEB baseline's `Conv3d` does).
+    assert_eq!(profile.counter("im2col_bytes"), 0);
     for counter in [
         "gemm_flops",
-        "im2col_bytes",
         "fft_lines",
         "adi_tridiag_solves",
         "scan_lanes",
@@ -161,10 +163,10 @@ fn glue_is_attributed_and_tracing_stays_cheap() {
     let dims = (8, 32, 32);
     let model = SdmPeb::new(SdmPebConfig::for_grid(dims), &mut rng);
     let clip = Tensor::rand_uniform(&[dims.0, dims.1, dims.2], 0.0, 0.9, &mut rng);
-    // Counters stay truthful below `Tensor::matmul`: the conv layers
-    // drive the GEMM on raw slices, one call per batched layer, and
-    // still account every multiply-add — the count of the per-plane
-    // `matmul` calls they replaced — under their own spans.
+    // Counters stay truthful below `Tensor::matmul`: the conv layers run
+    // direct kernels, one call per batched layer, and still account
+    // every multiply-add — the count of the per-plane `matmul` calls they
+    // replaced — under their own spans.
     peb_obs::set_mode(TraceMode::Summary);
     std::hint::black_box(model.predict(&clip));
     peb_obs::set_mode(TraceMode::Off);
@@ -178,19 +180,24 @@ fn glue_is_attributed_and_tracing_stays_cheap() {
     // 5 971 968 in all, against 16 416 768 for the concat form it
     // replaced (the projections' 688 128, fc1 over 128 channels at L₁
     // 12 582 912, the same fc2): 10 444 800 fewer than 55 353 856.
-    // The decoder's transposed convs run as direct sub-pixel kernels: they
-    // count their multiply-adds under `gemm_flops` — each output takes
-    // Cin·⌈k/s⌉² taps, the Cin·k² per input pixel the GEMM + fold form
-    // counted, so the total stays 44 909 056 — and materialise no patch
-    // matrix. Of the 4 420 736 `im2col_bytes` the fold form counted, its
-    // 4·D·(Cout·k²)·(h·w) over D = 8 planes
-    //   l0        32→16 k4 at 8²    4·8·256·64   =   524 288
-    //   l1        16→8  k4 at 16²   4·8·128·256  = 1 048 576
-    //   head_mid  10→8  k3 at 32²   4·8·72·1024  = 2 359 296
-    //   head       8→1  k3 at 32²   4·8·9·1024   =   294 912
-    // — 4 227 072 in all — are gone; the 193 664 left are Conv2d's.
+    // Both dense 2-D conv layers run as direct sub-pixel kernels and
+    // count their multiply-adds under `gemm_flops`, the count of the
+    // GEMMs they replaced. The decoder's transposed convs: each output
+    // takes Cin·⌈k/s⌉² taps, the Cin·k² per input pixel the GEMM + fold
+    // form counted. The patch embeds: each of the Cout·Ho·Wo outputs per
+    // plane takes Cin·k² taps, 2·D·Cout·Cin·k²·Ho·Wo over D = 8 planes
+    //   stage 1    1→12 k7 to 8²    2·8·12·49·64   =   602 112
+    //   stage 2   12→24 k3 to 4²    2·8·24·108·16  =   663 552
+    //   stage 3   24→36 k3 to 2²    2·8·36·216·4   =   497 664
+    //   stage 4   36→48 k3 to 1²    2·8·48·324·1   =   248 832
+    // — 2 012 160 in all — so the total stays 44 909 056. Neither
+    // materialises a patch matrix: of the 4 420 736 `im2col_bytes` the
+    // GEMM forms counted, the fold's 4 227 072 went with the decoder's
+    // GEMM, and the patch embeds' 4·D·(Cin·k²)·(Ho·Wo)
+    //   4·8·(49·64 + 108·16 + 216·4 + 324·1) = 32·6 052 = 193 664
+    // went with theirs: a predict counts none.
     assert_eq!(profile.counter("gemm_flops"), 44_909_056);
-    assert_eq!(profile.counter("im2col_bytes"), 193_664);
+    assert_eq!(profile.counter("im2col_bytes"), 0);
     for name in ["conv.convt2_fwd", "conv.conv2d_fwd", "conv.dw3_fwd"] {
         assert!(profile.span_count(name) > 0, "no {name} span in a predict");
     }
