@@ -59,7 +59,7 @@ impl DeePeb {
         let blocks = (0..config.layers)
             .map(|_| Block {
                 spectral: SpectralConv3d::new(w, w, config.input_dims, config.modes, rng),
-                local: Conv3d::same(w, w, 3, rng),
+                local: Conv3d::new(w, w, 3, rng),
                 bypass: Linear::new(w, w, true, rng),
             })
             .collect();

@@ -1,29 +1,32 @@
 //! Convolution layers: dense 2-D and transposed 2-D over depth planes,
-//! depthwise 3-D, and dense 3-D (im2col + GEMM).
+//! dense 3-D, and depthwise 3-D.
 //!
 //! # The planes-batched family
 //!
 //! [`Conv2d`] and [`ConvTranspose2d`] work on `[C, D, H, W]` volumes whose
 //! `D` planes share the weights (`[C, H, W]` is the `D = 1` case of the
-//! same kernel); [`DwConv3d`] works on `[C, D, H, W]` channel by channel.
-//! Chunk boundaries — plane `z`, a band of its output rows in the
-//! transposed conv's forward, plane `(c, z)` for the depthwise layer —
-//! never depend on the thread count, so every path is bitwise identical
-//! at any thread count.
+//! same kernel); [`Conv3d`] computes plane `z` from a window of `k` input
+//! planes; [`DwConv3d`] works on `[C, D, H, W]` channel by channel. Chunk
+//! boundaries — plane `z`, a band of its output rows in the transposed
+//! conv's forward, plane `(c, z)` for the depthwise layer — never depend
+//! on the thread count, so every path is bitwise identical at any thread
+//! count.
 //!
 //! A conv and a transposed conv with the same `(k, s, p)` are each
-//! other's adjoint, so both dense 2-D layers run on one kernel family, the
+//! other's adjoint, so every dense layer runs on one kernel family, the
 //! direct sub-pixel kernels of [`SubPixel`]: the transposed conv's forward
 //! is the conv's `dx`, the conv's forward is the transposed conv's `dx`,
-//! and one `dW` kernel serves both. The bias starts every lane chain and
-//! the decoder's LeakyReLU is applied in the write-back. [`DwConv3d`] runs
-//! the exact-class row sweeps of [`peb_simd::conv`] (the textbook loops
-//! they replaced are the oracle in `tests/conv_planes.rs`). Weight
-//! gradients are reduced over planes in ascending plane order.
+//! and one `dW` kernel serves both; the 3-D conv is the stride-1 2-D conv
+//! over its depth window's `Cin·k` planes. The bias starts every lane
+//! chain and the decoder's LeakyReLU is applied in the write-back. No
+//! layer builds a patch matrix. [`DwConv3d`] runs the exact-class row
+//! sweeps of [`peb_simd::conv`] (the textbook loops they replaced are the
+//! oracle in `tests/conv_planes.rs`). Weight gradients are reduced over
+//! planes in ascending plane order.
 //!
 //! All convolutions are custom autograd operations with analytic backward
 //! passes, verified here and in `tests/conv_planes.rs` against finite
-//! differences, the scalar oracles and the adjoint identity.
+//! differences, the scalar and direct oracles and the adjoint identity.
 
 use std::ops::Range;
 
@@ -73,6 +76,18 @@ fn plane_dims(layer: &str, shape: &[usize], channels: usize) -> (usize, usize, u
     };
     assert_eq!(shape[0], channels, "{layer} expects {channels} channels");
     require_positive(layer, "d", d);
+    (d, h, w)
+}
+
+/// Splits a `[C, D, H, W]` volume's shape into `(D, H, W)`.
+fn volume_dims(layer: &str, shape: &[usize], channels: usize) -> (usize, usize, usize) {
+    let [c, d, h, w] = *shape else {
+        panic!("{layer} expects [C, D, H, W], got {shape:?}")
+    };
+    assert_eq!(c, channels, "{layer} expects {channels} channels");
+    for (axis, n) in [("d", d), ("h", h), ("w", w)] {
+        require_positive(layer, axis, n);
+    }
     (d, h, w)
 }
 
@@ -199,7 +214,7 @@ impl Conv2d {
             let (weight, bias) = (self.weight.value(), self.bias.value());
             let (packed, init) = (geom.pack_input_grad(weight.data()), bias.data());
             let slots = [UnsafeSlice::new(out.data_mut())];
-            for_each_split_plane(&geom, x.value().data(), d, |z, split| {
+            for_each_split_plane(&geom, x.value().data(), (d, 1), |z, split| {
                 // SAFETY: plane `z` of `out` belongs to this chunk alone.
                 unsafe { strided_plane(&geom, (&packed, init), split, &slots, d, z) };
             });
@@ -217,10 +232,10 @@ impl Conv2d {
             let mut dx = Tensor::zeros(xv.shape());
             let slots = [UnsafeSlice::new(dx.data_mut())];
             let (packed, zeros, gd) = (geom.pack(wv.data()), vec![0f32; cin], [g.data()]);
-            let dw = backward_planes(&geom, &gd, xv.data(), wv.shape(), d, |z, _| {
+            let dw = backward_planes(&geom, &gd, xv.data(), wv.shape(), (d, 1), |z, _| {
                 let fwd = (&packed[..], &zeros[..], None);
                 // SAFETY: plane `z` of `dx` belongs to this chunk alone.
-                unsafe { transposed_rows(&geom, fwd, &gd, &slots, d, z, 0..h) };
+                unsafe { transposed_rows(&geom, fwd, &gd, &slots, (d, 1), z, 0..h) };
             });
             vec![Some(dx), Some(dw), Some(channel_sums(g, cout))]
         })
@@ -378,7 +393,7 @@ impl ConvTranspose2d {
                 .map(|t| UnsafeSlice::new(t.data_mut()))
                 .collect();
             let (packed, zeros) = (geom.pack_input_grad(weight.data()), vec![0f32; cin]);
-            let dw = backward_planes(&geom, &x, g.data(), weight.shape(), d, |z, split| {
+            let dw = backward_planes(&geom, &x, g.data(), weight.shape(), (d, 1), |z, split| {
                 // SAFETY: plane `z` of every block of `dx` belongs to this
                 // chunk alone.
                 unsafe { strided_plane(&geom, (&packed, &zeros), split, &slots, d, z) };
@@ -407,27 +422,40 @@ fn leaky_relu_grad(g: &Tensor, y: &Tensor, slope: f32) -> Tensor {
 }
 
 // ---------------------------------------------------------------------------
-// SubPixel passes shared by both dense 2-D layers
+// SubPixel passes shared by the dense convolutions
 // ---------------------------------------------------------------------------
 //
 // A `SubPixel` geometry runs between its transposed side (`h × w`
 // planes) and its strided side (`ho × wo` planes). `ConvTranspose2d` reads
-// the transposed side and writes the strided one; `Conv2d` the other way
-// round. Either layer's backward splits each plane of the strided side by
-// column phase once, for `dx` and `dW` alike.
+// the transposed side and writes the strided one; `Conv2d` and `Conv3d`
+// the other way round. Every backward splits each plane of the strided
+// side by column phase once, for `dx` and `dW` alike.
+//
+// A pass over `(d, kd)` computes `d` planes, each from a depth window of
+// `kd` source planes: plane `z` reads planes `z … z + kd − 1` of every
+// channel of a source with `d + kd − 1` planes, one geometry channel per
+// (channel, window plane). The 2-D layers run at `kd = 1`, plane by
+// plane; `Conv3d` at `kd = k` on sources padded by `k / 2` zero planes.
 
-/// Plane `z` of every channel of `blocks` (each `[C_b, D, n]`), in
-/// concatenation order.
-fn channel_planes<'a>(blocks: &[&'a [f32]], d: usize, z: usize, n: usize) -> Vec<&'a [f32]> {
-    let chunks = blocks.iter().flat_map(|b| b.chunks_exact(d * n));
-    chunks.map(|c| &c[z * n..][..n]).collect()
+/// Planes `z … z + kd − 1` of every channel of `blocks` (each
+/// `[C_b, d + kd − 1, n]`), channel by channel in concatenation order.
+fn channel_planes<'a>(
+    blocks: &[&'a [f32]],
+    (d, kd): (usize, usize),
+    z: usize,
+    n: usize,
+) -> Vec<&'a [f32]> {
+    let chunks = blocks.iter().flat_map(|b| b.chunks_exact((d + kd - 1) * n));
+    chunks
+        .flat_map(|c| c[z * n..][..kd * n].chunks_exact(n))
+        .collect()
 }
 
-/// Rows `rows` of plane `z` of `out` (`[cout, D, ho, wo]`, one slot) in
+/// Rows `rows` of plane `z` of `out` (`[cout, d, ho, wo]`, one slot) in
 /// the transposed direction of `geom`: `init` + the transposed conv of
-/// plane `z` of `x` (blocks `[C_b, D, h, w]` in concatenation order, read
-/// in place), through the LeakyReLU of `slope` when given. `packed` is
-/// [`SubPixel::pack`]'s.
+/// the window of plane `z` of `x` (blocks `[C_b, d + kd − 1, h, w]` in
+/// concatenation order, read in place), through the LeakyReLU of `slope`
+/// when given. `packed` is [`SubPixel::pack`]'s.
 ///
 /// # Safety
 ///
@@ -437,7 +465,7 @@ unsafe fn transposed_rows(
     (packed, init, slope): (&[f32], &[f32], Option<f32>),
     x: &[&[f32]],
     out: &[UnsafeSlice<'_, f32>],
-    d: usize,
+    (d, kd): (usize, usize),
     z: usize,
     rows: Range<usize>,
 ) {
@@ -445,7 +473,7 @@ unsafe fn transposed_rows(
     let within = rows.start * wo..rows.end * wo;
     // SAFETY: the caller's contract.
     let mut out_rows = unsafe { plane_rows(out, d, z, ho * wo, within) };
-    let planes = channel_planes(x, d, z, h * w);
+    let planes = channel_planes(x, (d, kd), z, h * w);
     geom.forward_rows(packed, init, slope, &planes, rows, &mut out_rows);
 }
 
@@ -520,50 +548,57 @@ fn transposed_planes(
             let (z, r0) = (chunk / bands, chunk % bands * band);
             let rows = r0..(r0 + band).min(ho);
             // SAFETY: rows `rows` of plane `z` belong to this chunk alone.
-            unsafe { transposed_rows(geom, (&packed, init, slope), x, &slots, d, z, rows) };
+            unsafe { transposed_rows(geom, (&packed, init, slope), x, &slots, (d, 1), z, rows) };
         }
     });
 }
 
-/// Runs `f(z, split)` for every plane `z` of the strided side `src`
-/// (`[cout, D, ho, wo]`), in parallel, with `split` holding plane `z` of
-/// each channel split by column phase, [`SubPixel::grad_plane_len`]
-/// floats apart.
-fn for_each_split_plane(geom: &SubPixel, src: &[f32], d: usize, f: impl Fn(usize, &[f32]) + Sync) {
+/// Runs `f(z, split)` for every plane `z` of `d`, in parallel, with
+/// `split` holding the window of plane `z` of the strided side `src`
+/// (`[C, d + kd − 1, ho, wo]`, `cout = C·kd` in `geom`'s roles) split by
+/// column phase, [`SubPixel::grad_plane_len`] floats apart.
+fn for_each_split_plane(
+    geom: &SubPixel,
+    src: &[f32],
+    (d, kd): (usize, usize),
+    f: impl Fn(usize, &[f32]) + Sync,
+) {
     let ((_, cout), (ho, wo)) = (geom.channels(), geom.output());
-    let (n, plane) = (ho * wo, geom.grad_plane_len());
+    let plane = geom.grad_plane_len();
     peb_par::parallel_chunks_cost(d, 1, geom.input_grad_flops(), |planes| {
         for z in planes {
             let mut split = PoolBuf::zeroed(cout * plane);
-            for (co, dst) in split.chunks_exact_mut(plane).enumerate() {
-                geom.split_grad(&src[(co * d + z) * n..][..n], dst);
+            let window = channel_planes(&[src], (d, kd), z, ho * wo);
+            for (g, dst) in window.into_iter().zip(split.chunks_exact_mut(plane)) {
+                geom.split_grad(g, dst);
             }
             f(z, &split);
         }
     });
 }
 
-/// The backward of either layer: for every plane `z`, `dx(z, split)` with
-/// plane `z` of the strided side `strided` (`[cout, D, ho, wo]`) split by
-/// column phase, and that plane's `dW` — of the transposed side `x`
-/// (blocks `[C_b, D, h, w]`) against the split — into a partial; returns
-/// `dW` (`[cin, cout, k, k]` in `geom`'s roles, shaped `shape`), the
-/// partials summed in ascending plane order.
+/// The backward of every dense conv: for every plane `z`, `dx(z, split)`
+/// with the window of plane `z` of the strided side `strided`
+/// (`[C, d + kd − 1, ho, wo]`) split by column phase, and that plane's
+/// `dW` — of plane `z` of the transposed side `x` (blocks
+/// `[C_b, d, h, w]`) against the split — into a partial; returns `dW`
+/// (`[cin, cout, k, k]` in `geom`'s roles, shaped `shape`), the partials
+/// summed in ascending plane order.
 fn backward_planes(
     geom: &SubPixel,
     x: &[&[f32]],
     strided: &[f32],
     shape: &[usize],
-    d: usize,
+    (d, kd): (usize, usize),
     dx: impl Fn(usize, &[f32]) + Sync,
 ) -> Tensor {
     let (h, w) = geom.input();
     let len = shape.iter().product::<usize>();
     let mut partials = PoolBuf::zeroed(d * len);
     let slots = UnsafeSlice::new(&mut partials);
-    for_each_split_plane(geom, strided, d, |z, split| {
+    for_each_split_plane(geom, strided, (d, kd), |z, split| {
         dx(z, split);
-        let planes = channel_planes(x, d, z, h * w);
+        let planes = channel_planes(x, (d, 1), z, h * w);
         // SAFETY: partial `z` belongs to this chunk alone.
         let dw_z = unsafe { slots.slice_mut(z * len..(z + 1) * len) };
         geom.weight_grad(&planes, split, geom.grad_plane_len(), dw_z);
@@ -620,16 +655,7 @@ impl DwConv3d {
     ///
     /// Panics on a channel mismatch or an empty axis.
     pub fn forward(&self, x: &Var) -> Var {
-        let xs = x.shape();
-        assert_eq!(xs.len(), 4, "DwConv3d expects [C, D, H, W], got {xs:?}");
-        assert_eq!(
-            xs[0], self.channels,
-            "DwConv3d expects {} channels",
-            self.channels
-        );
-        for (axis, &n) in ["d", "h", "w"].iter().zip(&xs[1..]) {
-            require_positive("DwConv3d", axis, n);
-        }
+        volume_dims("DwConv3d", &x.shape(), self.channels);
         let (c, k) = (self.channels, self.kernel);
         let out = dw3_forward(&x.value(), &self.weight.value(), &self.bias.value(), k);
         let xc = x.clone();
@@ -722,270 +748,145 @@ fn dw3_backward(x: &Tensor, w: &Tensor, g: &Tensor, k: usize) -> (Tensor, Tensor
 }
 
 // ---------------------------------------------------------------------------
-// Raw im2col machinery (3-D)
-// ---------------------------------------------------------------------------
-
-/// Unfolds `[Cin, D, H, W]` into `[Cin·kd·kh·kw, Do·Ho·Wo]`.
-#[allow(clippy::too_many_arguments)]
-fn im2col3(
-    input: &Tensor,
-    kd: usize,
-    kh: usize,
-    kw: usize,
-    stride: (usize, usize, usize),
-    pad: (usize, usize, usize),
-) -> Tensor {
-    let s = input.shape();
-    let (cin, d, h, w) = (s[0], s[1], s[2], s[3]);
-    let (dd, hh, ww) = (
-        out_extent("Conv3d", "d", d, kd, stride.0, pad.0),
-        out_extent("Conv3d", "h", h, kh, stride.1, pad.1),
-        out_extent("Conv3d", "w", w, kw, stride.2, pad.2),
-    );
-    let src = input.data();
-    let cols = dd * hh * ww;
-    let per_c = kd * kh * kw * cols;
-    peb_obs::optrace::note("conv.im2col3", || {
-        format!("cin={cin} dhw={d}x{h}x{w} k={kd}x{kh}x{kw} cols={cols}")
-    });
-    // Pooled patch matrix: `zeros` checks the (large) buffer out of the
-    // thread-local pool instead of allocating it on every pass.
-    let mut out = Tensor::zeros(&[cin * kd * kh * kw, cols]);
-    peb_par::parallel_chunks_mut_cost(out.data_mut(), per_c, 4, |offset, chunk| {
-        let c = offset / per_c;
-        for kz in 0..kd {
-            for ky in 0..kh {
-                for kx in 0..kw {
-                    let row = ((kz * kh + ky) * kw + kx) * cols;
-                    let mut col = 0usize;
-                    for oz in 0..dd {
-                        let iz = (oz * stride.0 + kz) as isize - pad.0 as isize;
-                        for oy in 0..hh {
-                            let iy = (oy * stride.1 + ky) as isize - pad.1 as isize;
-                            for ox in 0..ww {
-                                let ix = (ox * stride.2 + kx) as isize - pad.2 as isize;
-                                let v = if iz >= 0
-                                    && iz < d as isize
-                                    && iy >= 0
-                                    && iy < h as isize
-                                    && ix >= 0
-                                    && ix < w as isize
-                                {
-                                    src[((c * d + iz as usize) * h + iy as usize) * w + ix as usize]
-                                } else {
-                                    0.0
-                                };
-                                chunk[row + col] = v;
-                                col += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    });
-    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * (cin * per_c) as u64);
-    out
-}
-
-/// Adjoint of [`im2col3`].
-#[allow(clippy::too_many_arguments)]
-fn col2im3(
-    cols_t: &Tensor,
-    cin: usize,
-    d: usize,
-    h: usize,
-    w: usize,
-    kd: usize,
-    kh: usize,
-    kw: usize,
-    stride: (usize, usize, usize),
-    pad: (usize, usize, usize),
-) -> Tensor {
-    let (dd, hh, ww) = (
-        out_extent("Conv3d", "d", d, kd, stride.0, pad.0),
-        out_extent("Conv3d", "h", h, kh, stride.1, pad.1),
-        out_extent("Conv3d", "w", w, kw, stride.2, pad.2),
-    );
-    let src = cols_t.data();
-    let mut out = Tensor::zeros(&[cin, d, h, w]);
-    let cols = dd * hh * ww;
-    let per_c = d * h * w;
-    peb_obs::count(peb_obs::Counter::Im2colBytes, 4 * cols_t.len() as u64);
-    peb_par::parallel_chunks_mut_cost(
-        out.data_mut(),
-        per_c,
-        4 * (kd * kh * kw) as u64,
-        |offset, dst| {
-            let c = offset / per_c;
-            for kz in 0..kd {
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        let row = (((c * kd + kz) * kh + ky) * kw + kx) * cols;
-                        let mut col = 0usize;
-                        for oz in 0..dd {
-                            let iz = (oz * stride.0 + kz) as isize - pad.0 as isize;
-                            for oy in 0..hh {
-                                let iy = (oy * stride.1 + ky) as isize - pad.1 as isize;
-                                for ox in 0..ww {
-                                    let ix = (ox * stride.2 + kx) as isize - pad.2 as isize;
-                                    if iz >= 0
-                                        && iz < d as isize
-                                        && iy >= 0
-                                        && iy < h as isize
-                                        && ix >= 0
-                                        && ix < w as isize
-                                    {
-                                        dst[(iz as usize * h + iy as usize) * w + ix as usize] +=
-                                            src[row + col];
-                                    }
-                                    col += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        },
-    );
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Conv3d
 // ---------------------------------------------------------------------------
 
-/// Dense 3-D convolution on `[Cin, D, H, W]` volumes, with independent
-/// stride/padding per axis.
+/// Dense 3-D convolution on `[Cin, D, H, W]` volumes: a cubic odd kernel,
+/// stride 1, same padding and a bias.
+///
+/// Output plane `z` is the stride-1 2-D correlation of the `Cin·k` input
+/// planes `z − p … z + p` (zero past the volume), so the layer runs on the
+/// [`SubPixel`] passes of [`Conv2d`] with a depth window of `k` planes:
+/// the weight `[Cout, Cin·k³]` read as `[Cout, Cin·k, k, k]` for the
+/// forward and `dW` (one partial per output plane), and `dx` plane `z`
+/// gathering the `Cout·k` output-gradient planes `z − p … z + p` through
+/// the depth-flipped kernel.
 #[derive(Debug, Clone)]
 pub struct Conv3d {
-    weight: Var, // [Cout, Cin·kd·kh·kw]
-    bias: Option<Var>,
+    /// `[Cout, Cin·k³]`.
+    weight: Var,
+    bias: Var,
     cin: usize,
     cout: usize,
-    kernel: (usize, usize, usize),
-    stride: (usize, usize, usize),
-    pad: (usize, usize, usize),
+    kernel: usize,
 }
 
 impl Conv3d {
-    /// Creates a layer with per-axis kernel/stride/padding.
+    /// Creates a layer with a cubic kernel (odd `k`).
     ///
     /// # Panics
     ///
-    /// Panics if any kernel or stride component is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        cin: usize,
-        cout: usize,
-        kernel: (usize, usize, usize),
-        stride: (usize, usize, usize),
-        pad: (usize, usize, usize),
-        bias: bool,
-        rng: &mut impl Rng,
-    ) -> Self {
-        for (field, value) in [
-            ("kernel.0", kernel.0),
-            ("kernel.1", kernel.1),
-            ("kernel.2", kernel.2),
-            ("stride.0", stride.0),
-            ("stride.1", stride.1),
-            ("stride.2", stride.2),
-        ] {
-            require_positive("Conv3d", field, value);
-        }
-        let fan_in = cin * kernel.0 * kernel.1 * kernel.2;
+    /// Panics if `k` is even (same padding needs odd kernels).
+    pub fn new(cin: usize, cout: usize, kernel: usize, rng: &mut impl Rng) -> Self {
+        assert!(
+            kernel % 2 == 1,
+            "Conv3d: kernel={kernel} must be odd (same padding)"
+        );
+        let fan_in = cin * kernel * kernel * kernel;
         let weight = Var::parameter(kaiming_uniform(&[cout, fan_in], fan_in, rng));
-        let bias = bias.then(|| Var::parameter(Tensor::zeros(&[cout])));
+        let bias = Var::parameter(Tensor::zeros(&[cout]));
         Conv3d {
             weight,
             bias,
             cin,
             cout,
             kernel,
-            stride,
-            pad,
         }
     }
 
-    /// Cubic-kernel, stride-1, same-padding convenience constructor.
-    pub fn same(cin: usize, cout: usize, k: usize, rng: &mut impl Rng) -> Self {
-        let p = k / 2;
-        Self::new(cin, cout, (k, k, k), (1, 1, 1), (p, p, p), true, rng)
-    }
-
-    /// Output extents for an input of `(d, h, w)`.
+    /// Applies the convolution to `[Cin, D, H, W]`, producing
+    /// `[Cout, D, H, W]`.
     ///
     /// # Panics
     ///
-    /// Panics if an extent is zero or smaller than the kernel once padded.
-    fn output_dhw(&self, d: usize, h: usize, w: usize) -> (usize, usize, usize) {
-        (
-            out_extent("Conv3d", "d", d, self.kernel.0, self.stride.0, self.pad.0),
-            out_extent("Conv3d", "h", h, self.kernel.1, self.stride.1, self.pad.1),
-            out_extent("Conv3d", "w", w, self.kernel.2, self.stride.2, self.pad.2),
-        )
-    }
-
-    /// Applies the convolution to `[Cin, D, H, W]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a channel mismatch, an empty axis or an input smaller
-    /// than the kernel.
+    /// Panics on a channel mismatch or an empty axis.
     pub fn forward(&self, x: &Var) -> Var {
-        let xs = x.shape();
-        assert_eq!(xs.len(), 4, "Conv3d expects [C, D, H, W], got {xs:?}");
-        assert_eq!(xs[0], self.cin, "Conv3d expects {} channels", self.cin);
-        let (d, h, w) = (xs[1], xs[2], xs[3]);
-        let (dd, hh, ww) = self.output_dhw(d, h, w);
-        let (kd, kh, kw) = self.kernel;
-        let (stride, pad, cin, cout) = (self.stride, self.pad, self.cin, self.cout);
-        let _span = peb_obs::span("conv.conv3d_fwd");
-        let xv = x.value();
-        let col = im2col3(&xv, kd, kh, kw, stride, pad);
-        drop(xv);
-        let mut out = self.weight.value().matmul(&col).expect("conv3d gemm");
-        if let Some(b) = &self.bias {
-            let planes = out.data_mut().chunks_exact_mut(dd * hh * ww);
-            for (plane, &bias_c) in planes.zip(b.value().data()) {
-                plane.iter_mut().for_each(|v| *v += bias_c);
-            }
+        let (d, h, w) = volume_dims("Conv3d", &x.shape(), self.cin);
+        let (cin, cout, k) = (self.cin, self.cout, self.kernel);
+        // Output planes from input windows (forward, `dW`), and input
+        // planes from output-gradient windows (`dx`).
+        let geom = SubPixel::new(cout, cin * k, (h, w), (h, w), k, 1, k / 2);
+        let adjoint = SubPixel::new(cout * k, cin, (h, w), (h, w), k, 1, k / 2);
+        let mut out = Tensor::zeros(&[cout, d, h, w]);
+        {
+            let _span = peb_obs::span("conv.conv3d_fwd");
+            peb_obs::optrace::note("conv.conv3d", || format!("planes={d} window={k} {geom}"));
+            peb_obs::count(
+                peb_obs::Counter::GemmFlops,
+                d as u64 * geom.input_grad_flops(),
+            );
+            let (weight, bias) = (self.weight.value(), self.bias.value());
+            let (packed, init) = (geom.pack_input_grad(weight.data()), bias.data());
+            let src = pad_depth(x.value().data(), d, h * w, k / 2);
+            let slots = [UnsafeSlice::new(out.data_mut())];
+            for_each_split_plane(&geom, &src, (d, k), |z, split| {
+                // SAFETY: plane `z` of `out` belongs to this chunk alone.
+                unsafe { strided_plane(&geom, (&packed, init), split, &slots, d, z) };
+            });
         }
-        let out = out.reshape(&[cout, dd, hh, ww]).expect("conv3d reshape");
-        let xc = x.clone();
-        let wc = self.weight.clone();
-        let has_bias = self.bias.is_some();
-        let mut parents = vec![x.clone(), self.weight.clone()];
-        if let Some(b) = &self.bias {
-            parents.push(b.clone());
-        }
+        let (xc, wc) = (x.clone(), self.weight.clone());
+        let parents = vec![x.clone(), self.weight.clone(), self.bias.clone()];
         Var::from_op(out, parents, move |g| {
             let _span = peb_obs::span("conv.conv3d_bwd");
-            let gm = g
-                .reshape(&[cout, dd * hh * ww])
-                .expect("conv3d grad reshape");
-            let col = im2col3(&xc.value(), kd, kh, kw, stride, pad);
-            let dw = gm.matmul(&col.transpose2()).expect("conv3d dw");
-            let dcol = wc.value().transpose2().matmul(&gm).expect("conv3d dcol");
-            let dx = col2im3(&dcol, cin, d, h, w, kd, kh, kw, stride, pad);
-            let mut grads = vec![Some(dx), Some(dw)];
-            if has_bias {
-                grads.push(Some(gm.sum_axis(1).expect("conv3d db")));
-            }
-            grads
+            peb_obs::optrace::note("conv.conv3d.bwd", || {
+                format!("planes={d} window={k} {geom}")
+            });
+            peb_obs::count(
+                peb_obs::Counter::GemmFlops,
+                2 * d as u64 * geom.input_grad_flops(),
+            );
+            let (xv, wv) = (xc.value(), wc.value());
+            let mut dx = Tensor::zeros(xv.shape());
+            let slots = [UnsafeSlice::new(dx.data_mut())];
+            let packed = adjoint.pack(&depth_flipped(wv.data(), cin, k));
+            let (zeros, gd) = (vec![0f32; cin], [g.data()]);
+            let (src, g_src) = (
+                pad_depth(xv.data(), d, h * w, k / 2),
+                pad_depth(g.data(), d, h * w, k / 2),
+            );
+            let dw = backward_planes(&geom, &gd, &src, wv.shape(), (d, k), |z, _| {
+                let fwd = (&packed[..], &zeros[..], None);
+                // SAFETY: plane `z` of `dx` belongs to this chunk alone.
+                unsafe { transposed_rows(&adjoint, fwd, &[&g_src], &slots, (d, k), z, 0..h) };
+            });
+            vec![Some(dx), Some(dw), Some(channel_sums(g, cout))]
         })
     }
 }
 
 impl Parameterized for Conv3d {
     fn parameters(&self) -> Vec<Var> {
-        let mut p = vec![self.weight.clone()];
-        if let Some(b) = &self.bias {
-            p.push(b.clone());
-        }
-        p
+        vec![self.weight.clone(), self.bias.clone()]
     }
+}
+
+/// `src` (`[C, D, n]`) with `p` zero planes before and after each
+/// channel's `D`: the source of a depth window of `2p + 1` planes.
+fn pad_depth(src: &[f32], d: usize, n: usize, p: usize) -> PoolBuf<f32> {
+    let mut padded = PoolBuf::zeroed(src.len() / d * (d + 2 * p));
+    for (dst, c) in padded
+        .chunks_exact_mut((d + 2 * p) * n)
+        .zip(src.chunks_exact(d * n))
+    {
+        dst[p * n..][..d * n].copy_from_slice(c);
+    }
+    padded
+}
+
+/// `Conv3d`'s weight `[Cout, Cin, k, k, k]` as its `dx` reads it,
+/// `[Cout·k, Cin, k, k]`: window plane `j` of output channel `co` — the
+/// output-gradient plane `j − p` away — takes depth tap `k − 1 − j`.
+fn depth_flipped(weight: &[f32], cin: usize, k: usize) -> Vec<f32> {
+    let taps = k * k;
+    let mut flipped = Vec::with_capacity(weight.len());
+    for per_co in weight.chunks_exact(cin * k * taps) {
+        for j in 0..k {
+            for c in 0..cin {
+                flipped.extend_from_slice(&per_co[(c * k + k - 1 - j) * taps..][..taps]);
+            }
+        }
+    }
+    flipped
 }
 
 #[cfg(test)]
@@ -1067,11 +968,11 @@ mod tests {
     #[test]
     fn conv3d_shapes_and_gradcheck() {
         let mut rng = StdRng::seed_from_u64(9);
-        let conv = Conv3d::new(2, 3, (3, 3, 3), (1, 2, 2), (1, 1, 1), true, &mut rng);
-        let x = Var::constant(Tensor::ones(&[2, 4, 6, 6]));
-        assert_eq!(conv.forward(&x).shape(), vec![3, 4, 3, 3]);
+        let conv = Conv3d::new(2, 3, 3, &mut rng);
+        let x = Var::constant(Tensor::ones(&[2, 4, 6, 5]));
+        assert_eq!(conv.forward(&x).shape(), vec![3, 4, 6, 5]);
         let x0 = Tensor::randn(&[2, 3, 4, 4], &mut rng);
-        let small = Conv3d::same(2, 2, 3, &mut rng);
+        let small = Conv3d::new(2, 2, 3, &mut rng);
         let r = check_gradients(
             &Var::parameter(x0),
             |v| small.forward(v).square().sum(),
@@ -1273,26 +1174,16 @@ mod tests {
     #[test]
     fn conv3d_rejects_impossible_geometry_by_name() {
         let rng = &mut StdRng::seed_from_u64(19);
-        for axis in 0..3 {
-            let with_zero = |i| if i == axis { 0 } else { 3 };
-            let triple = (with_zero(0), with_zero(1), with_zero(2));
-            assert_rejects("Conv3d", &format!("kernel.{axis}"), 0, || {
-                Conv3d::new(1, 1, triple, (1, 1, 1), (1, 1, 1), true, rng);
-            });
-            assert_rejects("Conv3d", &format!("stride.{axis}"), 0, || {
-                Conv3d::new(1, 1, (3, 3, 3), triple, (1, 1, 1), true, rng);
+        // An even kernel has no same padding: k = 4 used to return D + 1
+        // planes.
+        for kernel in [0, 2, 4] {
+            assert_rejects("Conv3d", "kernel", kernel, || {
+                Conv3d::new(1, 1, kernel, rng);
             });
         }
-        let conv = Conv3d::new(1, 1, (3, 3, 3), (1, 1, 1), (0, 0, 0), true, rng);
-        for (field, value, dims) in [
-            ("d", 0, [0, 4, 4]),
-            ("h", 0, [4, 0, 4]),
-            ("w", 0, [4, 4, 0]),
-            ("d", 2, [2, 4, 4]),
-            ("h", 1, [4, 1, 4]),
-            ("w", 2, [4, 4, 2]),
-        ] {
-            assert_rejects("Conv3d", field, value, || {
+        let conv = Conv3d::new(1, 1, 3, rng);
+        for (field, dims) in [("d", [0, 4, 4]), ("h", [4, 0, 4]), ("w", [4, 4, 0])] {
+            assert_rejects("Conv3d", field, 0, || {
                 conv.forward(&input(&dims));
             });
         }

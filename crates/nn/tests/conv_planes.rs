@@ -1,24 +1,26 @@
 //! The planes-batched conv family against its oracles.
 //!
-//! `Conv2d`, `ConvTranspose2d` and `DwConv3d` run whole depth planes in
-//! parallel. The textbook scalar loops they replaced — two bounds tests
-//! per element, one plane per call, the GEMM through `Tensor::matmul` —
-//! live on here as [`oracle`], next to phase loops in the accumulation
-//! order of the direct sub-pixel kernels both dense 2-D layers run on.
-//! `DwConv3d` reproduces its scalar loops: forward and input gradient to
-//! the bit, weight and bias gradients (summed over planes in a different
-//! bracketing) within `1e-5` relative. `ConvTranspose2d` and `Conv2d` —
-//! each the other's adjoint on one kernel family — reproduce the phase
-//! loops to the bit at `Level::Scalar`, and at every level the GEMM +
-//! im2col/col2im oracle within the GEMM tolerance. Every path is bitwise
-//! identical at 1, 3 and 4 threads (the two dense 2-D layers at 7 too);
-//! the scalar and vector dispatch levels agree within the GEMM tolerance
-//! (the depthwise layer, which runs no GEMM, to the bit); the fused
-//! LeakyReLU and channel-block forms of the transposed conv equal their
-//! unfused chains to the bit; and analytic gradients match finite
-//! differences.
+//! `Conv2d`, `ConvTranspose2d`, `Conv3d` and `DwConv3d` run whole depth
+//! planes in parallel. The textbook scalar loops they replaced — two
+//! bounds tests per element, one plane per call, the GEMM through
+//! `Tensor::matmul` — live on here as [`oracle`], next to phase loops in
+//! the accumulation order of the direct sub-pixel kernels the dense
+//! layers run on. `DwConv3d` reproduces its scalar loops: forward and
+//! input gradient to the bit, weight and bias gradients (summed over
+//! planes in a different bracketing) within `1e-5` relative.
+//! `ConvTranspose2d` and `Conv2d` — each the other's adjoint on one kernel
+//! family — reproduce the phase loops to the bit at `Level::Scalar`, and
+//! at every level the GEMM + im2col/col2im oracle within the GEMM
+//! tolerance. `Conv3d` — the depth-windowed case of the same kernels —
+//! reproduces the textbook direct 3-D correlation and its adjoint within
+//! the GEMM tolerance at every level. Every path is bitwise identical at
+//! 1, 3 and 4 threads (the dense layers at 7 too); the scalar and vector
+//! dispatch levels agree within the GEMM tolerance (the depthwise layer,
+//! which runs no GEMM, to the bit); the fused LeakyReLU and channel-block
+//! forms of the transposed conv equal their unfused chains to the bit;
+//! and analytic gradients match finite differences.
 
-use peb_nn::{Conv2d, ConvTranspose2d, DwConv3d, OverlappedPatchEmbed, Parameterized};
+use peb_nn::{Conv2d, Conv3d, ConvTranspose2d, DwConv3d, OverlappedPatchEmbed, Parameterized};
 use peb_par::ctx::{self, ExecCtx, Level};
 use peb_tensor::{check_gradients, numeric_gradient, Tensor, Var};
 use rand::rngs::StdRng;
@@ -386,6 +388,67 @@ mod oracle {
             });
         }
         (dx, dw)
+    }
+
+    /// Visits every in-range `(output index, input index, weight index)`
+    /// of a same-padded, stride-1 dense 3-D correlation `cin → cout` with
+    /// weight `[Cout, Cin·k³]`.
+    fn conv3d_taps(
+        (cin, cout): (usize, usize),
+        (d, h, w): (usize, usize, usize),
+        k: usize,
+        mut visit: impl FnMut(usize, usize, usize),
+    ) {
+        let source = |o: usize, kk: usize, n: usize| (o + kk).checked_sub(k / 2).filter(|&i| i < n);
+        for co in 0..cout {
+            for (z, y, x) in (0..d * h * w).map(|v| (v / (h * w), v / w % h, v % w)) {
+                let o = ((co * d + z) * h + y) * w + x;
+                for ci in 0..cin {
+                    for kz in 0..k {
+                        let Some(iz) = source(z, kz, d) else { continue };
+                        for ky in 0..k {
+                            let Some(iy) = source(y, ky, h) else { continue };
+                            for kx in 0..k {
+                                let Some(ix) = source(x, kx, w) else { continue };
+                                visit(
+                                    o,
+                                    ((ci * d + iz) * h + iy) * w + ix,
+                                    (co * cin + ci) * k * k * k + (kz * k + ky) * k + kx,
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Conv3d` on `[Cin, D, H, W]`: the textbook direct correlation,
+    /// each output its bias plus every in-range `w·x`, summed in f64.
+    pub fn conv3d(x: &Tensor, w: &Tensor, b: &Tensor, k: usize) -> Tensor {
+        let s = x.shape();
+        let (cout, per) = (w.shape()[0], s[1] * s[2] * s[3]);
+        let mut acc: Vec<f64> = (0..cout * per).map(|o| b.data()[o / per].into()).collect();
+        conv3d_taps((s[0], cout), (s[1], s[2], s[3]), k, |o, i, t| {
+            acc[o] += f64::from(w.data()[t]) * f64::from(x.data()[i]);
+        });
+        Tensor::from_fn(&[cout, s[1], s[2], s[3]], |o| acc[o] as f32)
+    }
+
+    /// `(dx, dW)` of [`conv3d`] for the output gradient `g`: its adjoint,
+    /// both scattered in f64.
+    pub fn conv3d_backward(x: &Tensor, w: &Tensor, g: &Tensor, k: usize) -> (Tensor, Tensor) {
+        let s = x.shape();
+        let (mut dx, mut dw) = (vec![0f64; x.len()], vec![0f64; w.len()]);
+        conv3d_taps((s[0], w.shape()[0]), (s[1], s[2], s[3]), k, |o, i, t| {
+            let go = f64::from(g.data()[o]);
+            dx[i] += go * f64::from(w.data()[t]);
+            dw[t] += go * f64::from(x.data()[i]);
+        });
+        (
+            Tensor::from_fn(s, |i| dx[i] as f32),
+            Tensor::from_fn(w.shape(), |t| dw[t] as f32),
+        )
     }
 }
 
@@ -867,10 +930,11 @@ fn channel_blocks_read_in_place_are_their_concatenation_bitwise() {
 
 #[test]
 fn sub_pixel_convs_are_bitwise_identical_at_1_3_4_and_7_threads() {
-    // Every form of the transposed conv — plain, fused, two blocks — and
-    // the conv, forward and every gradient, with bands of a few rows so
-    // the (plane, band) chunks outnumber the threads: the model's patch
-    // embeds and TEMPO's width-40 layers (six 6-channel blocks and a 4).
+    // Every form of the transposed conv — plain, fused, two blocks — the
+    // conv and the 3-D conv, forward and every gradient, with bands of a
+    // few rows so the (plane, band) chunks outnumber the threads: the
+    // model's patch embeds, TEMPO's width-40 layers (six 6-channel blocks
+    // and a 4) and DeePEB's local layer.
     let mut rng = StdRng::seed_from_u64(310);
     let cases = [
         (ConvTranspose2d::new(6, 9, 4, 2, 1, &mut rng), [4, 2]),
@@ -904,6 +968,13 @@ fn sub_pixel_convs_are_bitwise_identical_at_1_3_4_and_7_threads() {
         (conv, x, r)
     })
     .collect();
+    // DeePEB's local layer: windows of three planes past the volume at
+    // both ends of the depth axis.
+    let conv3 = Conv3d::new(8, 8, 3, &mut rng);
+    let (x3, r3) = (
+        Tensor::randn(&[8, 5, 11, 13], &mut rng),
+        Tensor::randn(&[8, 5, 11, 13], &mut rng),
+    );
     let digests = |threads| {
         let scoped = ExecCtx {
             threads,
@@ -925,6 +996,10 @@ fn sub_pixel_convs_are_bitwise_identical_at_1_3_4_and_7_threads() {
                 let x = std::slice::from_ref(x);
                 all.push(block_pass(&conv.parameters(), x, r, |v| conv.forward(v[0])));
             }
+            let x3 = std::slice::from_ref(&x3);
+            all.push(block_pass(&conv3.parameters(), x3, &r3, |v| {
+                conv3.forward(v[0])
+            }));
             all
         })
     };
@@ -974,6 +1049,50 @@ fn dwconv3d_rows_match_the_scalar_loops() {
             bits(&oracle::bias_grad(&r)),
             "{what}: db"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Conv3d against the direct correlation
+// ---------------------------------------------------------------------------
+
+#[test]
+fn conv3d_matches_the_direct_correlation() {
+    // At every level: forward, dX and dW within the GEMM tolerance at
+    // their reduction lengths (Cin·k³, Cout·k³, D·H·W), db to the bit.
+    // Depths 1, 2 and 5 put the window past the volume on one side, both
+    // sides, and neither; rows shorter than, and ragged against, a vector.
+    const CHANNELS: [usize; 3] = [1, 8, 9];
+    const EXTENTS: [usize; 3] = [3, 5, 13];
+    let mut rng = StdRng::seed_from_u64(311);
+    for (a, k) in [1usize, 3, 5].into_iter().enumerate() {
+        for (b, d) in [1usize, 2, 5].into_iter().enumerate() {
+            for (c, cout) in CHANNELS.into_iter().enumerate() {
+                let cin = CHANNELS[(a + b + c) % 3];
+                let (h, w) = (EXTENTS[(a + c) % 3], EXTENTS[(b + c + 1) % 3]);
+                let conv = Conv3d::new(cin, cout, k, &mut rng);
+                let params = conv.parameters();
+                params[1].set_value(Tensor::randn(&[cout], &mut rng));
+                let (wv, bv) = (params[0].value_clone(), params[1].value_clone());
+                let x = Tensor::randn(&[cin, d, h, w], &mut rng);
+                let r = Tensor::randn(&[cout, d, h, w], &mut rng);
+                let y = oracle::conv3d(&x, &wv, &bv, k);
+                let (dx, dw) = oracle::conv3d_backward(&x, &wv, &r, k);
+                for level in levels() {
+                    let got = at_level(level, || pass(&params, &x, &r, |v| conv.forward(v)));
+                    let what = format!("conv3d {cin}->{cout} k={k} {d}x{h}x{w} {level:?}");
+                    let taps = k * k * k;
+                    assert_gemm_close(&got.y, &y, cin * taps, &format!("{what}: forward"));
+                    assert_gemm_close(&got.dx, &dx, cout * taps, &format!("{what}: dX"));
+                    assert_gemm_close(&got.dparams[0], &dw, d * h * w, &format!("{what}: dW"));
+                    assert_eq!(
+                        bits(&got.dparams[1]),
+                        bits(&oracle::bias_grad(&r)),
+                        "{what}: db"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -1123,8 +1242,9 @@ fn batched_layers_pass_gradient_checks() {
     let conv = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
     let up = ConvTranspose2d::new(2, 3, 4, 2, 1, &mut rng);
     let dw = DwConv3d::new(2, 3, &mut rng);
+    let conv3 = Conv3d::new(2, 3, 3, &mut rng);
     type Forward<'a> = Box<dyn Fn(&Var) -> Var + 'a>;
-    let cases: [(&str, Forward, Vec<Var>, [usize; 4]); 4] = [
+    let cases: [(&str, Forward, Vec<Var>, [usize; 4]); 5] = [
         (
             "Conv2d",
             Box::new(|v| conv.forward(v)),
@@ -1147,6 +1267,12 @@ fn batched_layers_pass_gradient_checks() {
             "DwConv3d",
             Box::new(|v| dw.forward(v)),
             dw.parameters(),
+            [2, 3, 4, 5],
+        ),
+        (
+            "Conv3d",
+            Box::new(|v| conv3.forward(v)),
+            conv3.parameters(),
             [2, 3, 4, 5],
         ),
     ];

@@ -165,89 +165,85 @@ pub enum Counter {
     /// Floating-point operations performed by GEMM/bmm (2·m·k·n) and
     /// direct convolution (2 per multiply-add).
     GemmFlops = 0,
-    /// Bytes materialised by im2col/col2im lowering: `Conv3d`'s, the only
-    /// layer that still lowers to it.
-    Im2colBytes = 1,
     /// 1-D FFT lines executed (N-D transforms count one per line).
-    FftLines = 2,
+    FftLines = 1,
     /// Tridiagonal systems solved by the ADI diffusion sweeps.
-    AdiLines = 3,
+    AdiLines = 2,
     /// Channel lanes processed by the selective scan (fwd + bwd).
-    ScanLanes = 4,
+    ScanLanes = 3,
     /// Gauss–Seidel sweep passes performed by the eikonal solver.
-    EikonalSweeps = 5,
+    EikonalSweeps = 4,
     /// Fresh heap allocations of tensor and kernel buffers: the
     /// `peb-pool` checkouts that missed and had to allocate.
-    TensorAllocs = 6,
+    TensorAllocs = 5,
     /// Optimiser steps applied.
-    OptimSteps = 7,
+    OptimSteps = 6,
     /// Buffer-pool checkouts served from a recycled buffer.
-    PoolHits = 8,
+    PoolHits = 7,
     /// Buffer-pool checkouts that had to allocate fresh storage.
-    PoolMisses = 9,
+    PoolMisses = 8,
     /// FFT transforms served from a cached plan (twiddle tables,
     /// bit-reversal permutation, Bluestein chirp/filter spectra).
-    FftPlanHits = 10,
+    FftPlanHits = 9,
     /// Kernel invocations that dispatched to the SIMD (AVX2+FMA) path in
     /// `peb-simd`; stays 0 under `PEB_SIMD=off` or on unsupported CPUs.
-    SimdDispatch = 11,
+    SimdDispatch = 10,
     /// Micro-batches dropped by the trainer's non-finite loss guard.
-    GuardSkippedBatches = 12,
+    GuardSkippedBatches = 11,
     /// Divergence rollbacks performed by the trainer (restore last good
     /// weights + optimiser state).
-    GuardRollbacks = 13,
+    GuardRollbacks = 12,
     /// Epoch retries performed after a rollback (with LR backoff).
-    GuardRetries = 14,
+    GuardRetries = 13,
     /// Training checkpoints atomically written by `peb-guard`.
-    GuardCheckpoints = 15,
+    GuardCheckpoints = 14,
     /// Elementwise stages collapsed into fused single-sweep loops by the
     /// `peb-tensor` fused-chain builder. A k-stage `eval()` ticks this by
     /// k while performing a single pool checkout instead of k.
-    FusedOps = 16,
+    FusedOps = 15,
     /// Cache-sized depth slabs streamed by the tape-free decoder (0 when
     /// the volume is one slab).
-    SlabPasses = 17,
+    SlabPasses = 16,
     /// Inference requests accepted by `peb-serve` (shed requests are
     /// counted under [`Counter::ServeShed`] instead).
-    ServeRequests = 18,
+    ServeRequests = 17,
     /// Dynamic batches executed by the `peb-serve` inference engine (one
     /// tick per `predict_batch` invocation, regardless of batch size).
-    ServeBatches = 19,
+    ServeBatches = 18,
     /// Requests rejected by `peb-serve` load shedding (bounded queue
     /// full → 429 response).
-    ServeShed = 20,
+    ServeShed = 19,
     /// Successful checkpoint hot-swaps performed by the `peb-serve`
     /// model registry (failed swaps keep the old model and do not tick).
-    ServeHotswaps = 21,
+    ServeHotswaps = 20,
     /// Computations executed through `Plan::replay` that completed
     /// without diverging from the recorded checkout stream.
-    PlanReplays = 22,
+    PlanReplays = 21,
     /// Bytes materialised into record-and-replay arenas (aggregated
     /// across plans; the per-plan high-water mark lives in the plan).
-    ArenaBytes = 23,
+    ArenaBytes = 22,
     /// Inference requests accepted by the `peb-fleet` router (sheds and
     /// upstream failures are still counted here; they are terminal
     /// router responses).
-    FleetRequests = 24,
+    FleetRequests = 23,
     /// Upstream attempts the router retried after a worker failure
     /// (connect refused/reset, response timeout, CRC-bad frame, 429).
-    FleetRetries = 25,
+    FleetRetries = 24,
     /// Requests ultimately served by a shard other than their hash-ring
     /// owner (degraded ring or mid-request failover).
-    FleetFailovers = 26,
+    FleetFailovers = 25,
     /// Worker processes restarted by the fleet supervisor after a
     /// crash or a liveness-probe failure streak.
-    FleetRestarts = 27,
+    FleetRestarts = 26,
     /// Requests shed by the router or the worker coalescer because the
     /// propagated deadline would have expired before service (504).
-    FleetDeadlineShed = 28,
+    FleetDeadlineShed = 27,
 }
 
-const N_COUNTERS: usize = 29;
+const N_COUNTERS: usize = 28;
 
 const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "gemm_flops",
-    "im2col_bytes",
     "fft_lines",
     "adi_tridiag_solves",
     "scan_lanes",
@@ -450,8 +446,18 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Value of a counter by stable name (0 when absent).
+    /// Value of a counter by stable name (0 when the profile holds none,
+    /// as in `Profile::default()`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a name that is no counter's, so a check of a removed or
+    /// misspelt counter fails instead of reading 0.
     pub fn counter(&self, name: &str) -> u64 {
+        assert!(
+            COUNTER_NAMES.contains(&name),
+            "peb-obs: no counter is named {name:?}"
+        );
         self.counters
             .iter()
             .find(|c| c.name == name)
@@ -672,6 +678,19 @@ mod tests {
         let p = snapshot();
         assert_eq!(p.counter("gemm_flops"), 0);
         assert_eq!(p.span_count("noop"), 0);
+    }
+
+    #[test]
+    fn counter_reads_known_names_only() {
+        // A known counter a profile does not hold reads 0; any other name
+        // — a removed counter, a typo — panics rather than passing a
+        // `== 0` check.
+        let empty = Profile::default();
+        assert_eq!(empty.counter("gemm_flops"), 0);
+        for name in ["im2col_bytes", "gemm_flop", ""] {
+            let read = std::panic::catch_unwind(|| empty.counter(name));
+            assert!(read.is_err(), "{name:?} was read as a counter");
+        }
     }
 
     #[test]

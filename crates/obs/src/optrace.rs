@@ -1,7 +1,7 @@
 //! Flat op-list capture for record-and-replay execution plans.
 //!
 //! While `peb-plan` records a computation it opens an op-trace window on
-//! the recording thread; instrumented kernels (GEMM, conv-im2col,
+//! the recording thread; instrumented kernels (GEMM, direct convs,
 //! selective scan, ADI sweeps, stencils, fused elementwise chains, FFT
 //! lines) call [`note`] to append one [`OpDesc`] per dispatched stage
 //! with its resolved shapes/tile sizes. The result is the plan's flat
@@ -19,7 +19,7 @@ use std::cell::{Cell, RefCell};
 /// One captured op: a static kind tag plus resolved-parameter detail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpDesc {
-    /// Op family, e.g. `"gemm"`, `"conv.im2col"`, `"scan"`,
+    /// Op family, e.g. `"gemm"`, `"conv.conv2d"`, `"scan"`,
     /// `"adi.planes"` / `"adi.columns"` (the two phases of an implicit
     /// bake step), `"stencil"`, `"fused"`, `"fft.line"`.
     pub kind: &'static str,

@@ -8,7 +8,7 @@
 //!   serves replays from that arena with zero pool traffic and zero
 //!   heap allocation;
 //! * `peb_obs::optrace` — captures the flat op list (GEMM /
-//!   conv-im2col / scan / ADI / stencil / fused-chain / FFT-line
+//!   direct conv / scan / ADI / stencil / fused-chain / FFT-line
 //!   stages with resolved shapes and tile sizes) that the recorded run
 //!   actually dispatched.
 //!

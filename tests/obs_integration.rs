@@ -70,9 +70,6 @@ fn tracing_profiles_the_pipeline_without_perturbing_it() {
             profile.spans.iter().map(|s| &s.path).collect::<Vec<_>>()
         );
     }
-    // No layer of the model lowers a convolution to im2col any more
-    // (only the DeepPEB baseline's `Conv3d` does).
-    assert_eq!(profile.counter("im2col_bytes"), 0);
     for counter in [
         "gemm_flops",
         "fft_lines",
@@ -191,13 +188,8 @@ fn glue_is_attributed_and_tracing_stays_cheap() {
     //   stage 3   24→36 k3 to 2²    2·8·36·216·4   =   497 664
     //   stage 4   36→48 k3 to 1²    2·8·48·324·1   =   248 832
     // — 2 012 160 in all — so the total stays 44 909 056. Neither
-    // materialises a patch matrix: of the 4 420 736 `im2col_bytes` the
-    // GEMM forms counted, the fold's 4 227 072 went with the decoder's
-    // GEMM, and the patch embeds' 4·D·(Cin·k²)·(Ho·Wo)
-    //   4·8·(49·64 + 108·16 + 216·4 + 324·1) = 32·6 052 = 193 664
-    // went with theirs: a predict counts none.
+    // materialises a patch matrix.
     assert_eq!(profile.counter("gemm_flops"), 44_909_056);
-    assert_eq!(profile.counter("im2col_bytes"), 0);
     for name in ["conv.convt2_fwd", "conv.conv2d_fwd", "conv.dw3_fwd"] {
         assert!(profile.span_count(name) > 0, "no {name} span in a predict");
     }
