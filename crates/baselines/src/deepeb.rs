@@ -60,13 +60,13 @@ impl DeePeb {
             .map(|_| Block {
                 spectral: SpectralConv3d::new(w, w, config.input_dims, config.modes, rng),
                 local: Conv3d::new(w, w, 3, rng),
-                bypass: Linear::new(w, w, true, rng),
+                bypass: Linear::new(w, w, rng),
             })
             .collect();
         DeePeb {
-            lift: Linear::new(1, w, true, rng),
+            lift: Linear::new(1, w, rng),
             blocks,
-            project: Linear::new(w, 1, true, rng),
+            project: Linear::new(w, 1, rng),
             config,
         }
     }

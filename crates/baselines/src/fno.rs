@@ -236,14 +236,14 @@ impl Fno {
             .map(|_| {
                 (
                     SpectralConv3d::new(w, w, config.input_dims, config.modes, rng),
-                    Linear::new(w, w, true, rng),
+                    Linear::new(w, w, rng),
                 )
             })
             .collect();
         Fno {
-            lift: Linear::new(1, w, true, rng),
+            lift: Linear::new(1, w, rng),
             blocks,
-            project: Linear::new(w, 1, true, rng),
+            project: Linear::new(w, 1, rng),
             config,
         }
     }

@@ -58,11 +58,11 @@ impl FeatureFusion {
         );
         let projections = stage_channels
             .iter()
-            .map(|&c| Linear::new(c, fusion_dim, true, rng))
+            .map(|&c| Linear::new(c, fusion_dim, rng))
             .collect::<Vec<_>>();
         let total = fusion_dim * stage_channels.len();
-        let fc1 = Linear::new(total, mlp_hidden, true, rng);
-        let fc2 = Linear::new(mlp_hidden, fusion_dim, true, rng);
+        let fc1 = Linear::new(total, mlp_hidden, rng);
+        let fc2 = Linear::new(mlp_hidden, fusion_dim, rng);
         FeatureFusion {
             projections,
             fc1,
@@ -106,11 +106,7 @@ impl FeatureFusion {
             .collect();
         let f = self.fusion_dim;
         // b' = fc1(concat_i b_i), added as stage 1's row bias.
-        let biases: Vec<&Var> = self
-            .projections
-            .iter()
-            .map(|p| p.bias().expect("fusion projections carry a bias"))
-            .collect();
+        let biases: Vec<&Var> = self.projections.iter().map(Linear::bias).collect();
         let folded = self
             .fc1
             .forward(&Var::concat(&biases, 0).reshape(&[1, f * k]))
@@ -129,7 +125,7 @@ impl FeatureFusion {
             });
         }
         let hidden = acc.expect("at least one stage").gelu();
-        hidden.channel_linear(self.fc2.weight(), self.fc2.bias())
+        hidden.channel_linear(self.fc2.weight(), Some(self.fc2.bias()))
     }
 }
 

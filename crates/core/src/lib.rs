@@ -48,7 +48,7 @@ pub use decoder::Decoder;
 pub use encoder::{EncoderStage, EncoderStageConfig};
 pub use fusion::FeatureFusion;
 pub use label::LabelTransform;
-pub use loss::{LossBreakdown, PebLoss, Reduction};
+pub use loss::PebLoss;
 pub use metrics::{cd_error_nm, cd_histogram, nrmse, rmse, ssim, CdErrorStats, CD_BUCKET_LABELS};
 pub use model::{SdmPeb, SdmPebConfig};
 pub use peb_guard::{PebError, Result};

@@ -12,20 +12,6 @@
 
 use peb_tensor::{Tensor, Var};
 
-/// How the focal term aggregates over voxels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reduction {
-    /// Paper-faithful Eq. 17 (default): sum over all voxels. The sum
-    /// dwarfs the single-voxel MaxSE term, which is exactly the point —
-    /// it provides a dense gradient everywhere while MaxSE polices the
-    /// worst voxel. Adam's per-parameter scaling absorbs the magnitude.
-    Sum,
-    /// Volume-independent variant: mean over voxels. Useful when
-    /// comparing loss values across grid sizes, but it collapses the
-    /// focal term to a small correction of MaxSE and trains poorly.
-    Mean,
-}
-
 /// Combined PEB training loss.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PebLoss {
@@ -37,27 +23,10 @@ pub struct PebLoss {
     pub gamma: f32,
     /// Softmax temperature τ of the difference maps (paper: 0.1).
     pub tau: f32,
-    /// Aggregation of the focal term.
-    pub reduction: Reduction,
-    /// Include `L_MaxSE` (disabled in no-MaxSE ablations).
-    pub use_max_se: bool,
     /// Include the focal term (Table III "w/o. Focal Loss" sets false).
     pub use_focal: bool,
     /// Include the divergence term (Table III "w/o. Regularization").
     pub use_divergence: bool,
-}
-
-/// The individual loss terms of one evaluation, for logging/ablation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LossBreakdown {
-    /// `L_MaxSE` value.
-    pub max_se: f32,
-    /// `L_PEB-FL` value (after reduction, before α).
-    pub focal: f32,
-    /// `L_Div` value (before β).
-    pub divergence: f32,
-    /// The combined weighted total.
-    pub total: f32,
 }
 
 impl PebLoss {
@@ -68,8 +37,6 @@ impl PebLoss {
             beta: 0.1,
             gamma: 1.0,
             tau: 0.1,
-            reduction: Reduction::Sum,
-            use_max_se: true,
             use_focal: true,
             use_divergence: true,
         }
@@ -92,15 +59,14 @@ impl PebLoss {
         pred.sub(&Var::constant(target.clone())).square().max_all()
     }
 
-    /// Eq. 17: `Σ (or mean) |e|^γ · e²` = `|e|^(γ+2)`.
+    /// Eq. 17: `Σ |e|^γ · e²` = `Σ |e|^(γ+2)` over all voxels. The sum
+    /// dwarfs the single-voxel MaxSE term, which is the point: it gives a
+    /// dense gradient everywhere while MaxSE polices the worst voxel, and
+    /// Adam's per-parameter scaling absorbs the magnitude.
     pub fn focal(&self, pred: &Var, target: &Tensor) -> Var {
-        let powered = pred
-            .sub(&Var::constant(target.clone()))
-            .abs_powf(self.gamma + 2.0);
-        match self.reduction {
-            Reduction::Sum => powered.sum(),
-            Reduction::Mean => powered.mean(),
-        }
+        pred.sub(&Var::constant(target.clone()))
+            .abs_powf(self.gamma + 2.0)
+            .sum()
     }
 
     /// Eqs. 18–21: KL divergence between softmax-normalised forward depth
@@ -157,51 +123,14 @@ impl PebLoss {
     /// Eq. 22: the full combined loss as a differentiable node.
     pub fn combined(&self, pred: &Var, target: &Tensor) -> Var {
         let _span = peb_obs::span("train.loss");
-        let mut total: Option<Var> = None;
-        let mut add = |term: Var| {
-            total = Some(match total.take() {
-                Some(t) => t.add(&term),
-                None => term,
-            });
-        };
-        if self.use_max_se {
-            add(self.max_se(pred, target));
-        }
+        let mut total = self.max_se(pred, target);
         if self.use_focal {
-            add(self.focal(pred, target).mul_scalar(self.alpha));
+            total = total.add(&self.focal(pred, target).mul_scalar(self.alpha));
         }
         if self.use_divergence {
-            add(self.depth_divergence(pred, target).mul_scalar(self.beta));
+            total = total.add(&self.depth_divergence(pred, target).mul_scalar(self.beta));
         }
-        total.expect("at least one loss term enabled")
-    }
-
-    /// Evaluates every term for logging (no gradients retained).
-    pub fn breakdown(&self, pred: &Tensor, target: &Tensor) -> LossBreakdown {
-        let p = Var::constant(pred.clone());
-        let max_se = self.max_se(&p, target).value().item();
-        let focal = self.focal(&p, target).value().item();
-        let divergence = if pred.shape()[0] >= 2 {
-            self.depth_divergence(&p, target).value().item()
-        } else {
-            0.0
-        };
-        LossBreakdown {
-            max_se,
-            focal,
-            divergence,
-            total: if self.use_max_se { max_se } else { 0.0 }
-                + if self.use_focal {
-                    self.alpha * focal
-                } else {
-                    0.0
-                }
-                + if self.use_divergence {
-                    self.beta * divergence
-                } else {
-                    0.0
-                },
-        }
+        total
     }
 }
 
@@ -224,19 +153,26 @@ mod tests {
         (pred, target)
     }
 
+    /// `(L_MaxSE, L_PEB-FL, L_Div, Eq. 22 total)` of `loss` at `pred`.
+    fn terms(loss: &PebLoss, pred: &Tensor, target: &Tensor) -> [f32; 4] {
+        let p = Var::constant(pred.clone());
+        [
+            loss.max_se(&p, target),
+            loss.focal(&p, target),
+            loss.depth_divergence(&p, target),
+            loss.combined(&p, target),
+        ]
+        .map(|v| v.value().item())
+    }
+
     #[test]
     fn perfect_prediction_gives_zero_loss() {
         let (_, target) = fields(70);
-        let loss = PebLoss::paper();
-        let b = loss.breakdown(&target, &target);
-        assert!(b.max_se.abs() < 1e-6);
-        assert!(b.focal.abs() < 1e-6);
-        assert!(
-            b.divergence.abs() < 1e-4,
-            "KL(p‖p) = 0, got {}",
-            b.divergence
-        );
-        assert!(b.total.abs() < 1e-4);
+        let [max_se, focal, divergence, total] = terms(&PebLoss::paper(), &target, &target);
+        assert!(max_se.abs() < 1e-6);
+        assert!(focal.abs() < 1e-6);
+        assert!(divergence.abs() < 1e-4, "KL(p‖p) = 0, got {divergence}");
+        assert!(total.abs() < 1e-4);
     }
 
     #[test]
@@ -295,12 +231,12 @@ mod tests {
         let full = PebLoss::paper();
         let no_focal = PebLoss::paper().without_focal();
         let no_div = PebLoss::paper().without_divergence();
-        let b = full.breakdown(&pred, &target);
-        let bf = no_focal.breakdown(&pred, &target);
-        let bd = no_div.breakdown(&pred, &target);
-        assert!((b.total - (b.max_se + b.focal + 0.1 * b.divergence)).abs() < 1e-5);
-        assert!((bf.total - (b.max_se + 0.1 * b.divergence)).abs() < 1e-5);
-        assert!((bd.total - (b.max_se + b.focal)).abs() < 1e-5);
+        let [max_se, focal, divergence, total] = terms(&full, &pred, &target);
+        let [.., total_no_focal] = terms(&no_focal, &pred, &target);
+        let [.., total_no_div] = terms(&no_div, &pred, &target);
+        assert!((total - (max_se + focal + 0.1 * divergence)).abs() < 1e-5);
+        assert!((total_no_focal - (max_se + 0.1 * divergence)).abs() < 1e-5);
+        assert!((total_no_div - (max_se + focal)).abs() < 1e-5);
     }
 
     #[test]
@@ -325,20 +261,5 @@ mod tests {
             1e-3,
         );
         assert!(r.ok(5e-2), "{r:?}");
-    }
-
-    #[test]
-    fn sum_reduction_scales_with_volume() {
-        let target = Tensor::zeros(&[1, 2, 2]);
-        let pred = Tensor::ones(&[1, 2, 2]);
-        let mut loss = PebLoss::paper();
-        loss.reduction = Reduction::Sum;
-        let s = loss
-            .focal(&Var::constant(pred.clone()), &target)
-            .value()
-            .item();
-        loss.reduction = Reduction::Mean;
-        let m = loss.focal(&Var::constant(pred), &target).value().item();
-        assert!((s - 4.0 * m).abs() < 1e-5);
     }
 }

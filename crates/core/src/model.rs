@@ -154,40 +154,51 @@ impl SdmPebConfig {
         }
     }
 
-    fn validate(&self) {
+    /// Checks that the model this configuration describes can be built:
+    /// one entry per stage in every per-stage list, non-zero strides and
+    /// reductions, and every stage's stride and attention reduction
+    /// dividing the plane it sees.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first failed check, naming the offending field or
+    /// stage.
+    pub fn check(&self) -> Result<(), String> {
         let n = self.stage_channels.len();
-        assert!(n >= 1, "need at least one stage");
+        if n == 0 {
+            return Err("need at least one stage".into());
+        }
         for (name, len) in [
             ("patch_kernels", self.patch_kernels.len()),
             ("patch_strides", self.patch_strides.len()),
             ("heads", self.heads.len()),
             ("reductions", self.reductions.len()),
         ] {
-            assert_eq!(len, n, "{name} must have one entry per stage");
+            if len != n {
+                return Err(format!("{name} must have one entry per stage"));
+            }
         }
-        let (_, h, w) = self.input_dims;
-        let mut hh = h;
-        let mut ww = w;
-        for (i, &s) in self
-            .patch_strides
-            .iter()
-            .take(self.stage_count())
-            .enumerate()
-        {
-            assert!(
-                hh % s == 0 && ww % s == 0,
-                "stride {s} does not divide stage {i} input"
-            );
+        let (_, mut hh, mut ww) = self.input_dims;
+        for i in 0..self.stage_count() {
+            let (s, r) = (self.patch_strides[i], self.reductions[i]);
+            if s == 0 {
+                return Err(format!("patch_strides[{i}] must be positive"));
+            }
+            if r == 0 {
+                return Err(format!("reductions[{i}] must be positive"));
+            }
+            if hh % s != 0 || ww % s != 0 {
+                return Err(format!("stride {s} does not divide stage {i} input"));
+            }
             hh /= s;
             ww /= s;
-            assert!(
-                (hh * ww) % self.reductions[i] == 0,
-                "reduction {} does not divide plane {}×{} at stage {i}",
-                self.reductions[i],
-                hh,
-                ww
-            );
+            if (hh * ww) % r != 0 {
+                return Err(format!(
+                    "reduction {r} does not divide plane {hh}×{ww} at stage {i}"
+                ));
+            }
         }
+        Ok(())
     }
 }
 
@@ -205,10 +216,12 @@ impl SdmPeb {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is internally inconsistent (see
-    /// [`SdmPebConfig`] field docs).
+    /// Panics with [`SdmPebConfig::check`]'s message if the
+    /// configuration cannot be built.
     pub fn new(config: SdmPebConfig, rng: &mut impl Rng) -> Self {
-        config.validate();
+        if let Err(why) = config.check() {
+            panic!("{why}");
+        }
         let n = config.stage_count();
         let mut stages = Vec::with_capacity(n);
         for i in 0..n {

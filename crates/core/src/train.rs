@@ -81,7 +81,7 @@ pub struct TrainConfig {
     pub accumulate: usize,
     /// Base Adam learning rate.
     pub base_lr: f32,
-    /// Decay schedule applied multiplicatively to `base_lr`.
+    /// Decay multiplier applied to `base_lr`.
     pub schedule: StepDecay,
     /// Loss configuration (Eq. 22 terms and ablations).
     pub loss: PebLoss,
@@ -102,7 +102,6 @@ impl TrainConfig {
             accumulate: 8,
             base_lr: 5e-3,
             schedule: StepDecay {
-                base_lr: 1.0,
                 step_size: step,
                 gamma: 0.7,
             },

@@ -21,11 +21,15 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed + 1);
         let pred = target.add_t(&Tensor::randn(&[3, 4, 4], &mut rng).mul_scalar(noise)).unwrap();
         let loss = PebLoss::paper();
-        let b = loss.breakdown(&pred, &target);
-        prop_assert!(b.max_se >= 0.0);
-        prop_assert!(b.focal >= 0.0);
-        prop_assert!(b.divergence >= -1e-4, "KL slightly negative: {}", b.divergence);
-        prop_assert!(b.total >= -1e-4);
+        let p = Var::constant(pred);
+        let max_se = loss.max_se(&p, &target).value().item();
+        let focal = loss.focal(&p, &target).value().item();
+        let divergence = loss.depth_divergence(&p, &target).value().item();
+        let total = loss.combined(&p, &target).value().item();
+        prop_assert!(max_se >= 0.0);
+        prop_assert!(focal >= 0.0);
+        prop_assert!(divergence >= -1e-4, "KL slightly negative: {divergence}");
+        prop_assert!(total >= -1e-4);
     }
 
     #[test]

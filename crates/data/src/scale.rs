@@ -143,7 +143,7 @@ mod tests {
         ] {
             let err = ExperimentScale::from_lookup(table(&[(var, value)])).expect_err(value);
             assert_eq!((err.var, err.value.as_str()), (var, value));
-            assert!(err.to_string().contains(err.expected), "{err}");
+            assert!(err.to_string().contains(&err.expected), "{err}");
         }
     }
 }

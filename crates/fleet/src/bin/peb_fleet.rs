@@ -7,9 +7,13 @@ use peb_fleet::{Fleet, FleetConfig};
 
 fn main() {
     // The router runs no kernels; resolving here rejects a bad variable
-    // before any worker is spawned to reject it again.
+    // (its own, or a worker's `PEB_SERVE_*`) before any worker is
+    // spawned to reject it again.
     peb_par::ctx::init_or_exit();
     let config = FleetConfig::from_env().unwrap_or_else(|e| peb_par::ctx::exit_invalid(&e));
+    if let Err(e) = peb_serve::ServeConfig::from_env() {
+        peb_par::ctx::exit_invalid(&e);
+    }
     let fleet = match Fleet::start(config.clone()) {
         Ok(f) => f,
         Err(e) => {

@@ -298,28 +298,16 @@ impl PebSolver {
 
     /// Strang half-step for the local reactions over the whole volume
     /// (explicit scheme; the implicit scheme folds it into its phases).
-    ///
-    /// Every cell is independent (`peb_simd::reaction` is pointwise and
-    /// split-invariant), so the element range fans out over the `peb-par`
-    /// pool with bitwise-identical results at any thread count.
     fn reaction_half_step(&self, state: &mut PebState, dt: f32) {
         let _span = peb_obs::span("litho.reaction_half");
-        let (kr, kc) = (self.params.kr, self.params.kc);
-        let n = state.acid.len();
-        let acid = peb_par::UnsafeSlice::new(state.acid.data_mut());
-        let base = peb_par::UnsafeSlice::new(state.base.data_mut());
-        let inhibitor = peb_par::UnsafeSlice::new(state.inhibitor.data_mut());
-        peb_par::parallel_chunks_cost(n, n.div_ceil(64), REACTION_COST, |range| {
-            // SAFETY: chunk ranges are disjoint.
-            let (a, b, i) = unsafe {
-                (
-                    acid.slice_mut(range.clone()),
-                    base.slice_mut(range.clone()),
-                    inhibitor.slice_mut(range),
-                )
-            };
-            peb_simd::reaction::half_step(a, b, i, kr, kc, dt);
-        });
+        peb_simd::reaction::half_step(
+            state.acid.data_mut(),
+            state.base.data_mut(),
+            state.inhibitor.data_mut(),
+            self.params.kr,
+            self.params.kc,
+            dt,
+        );
     }
 
     /// The whole implicit-LOD bake: per step `R½ · x,y,z(A) · x,y,z(B) ·
@@ -634,32 +622,48 @@ impl LodPlan {
     }
 }
 
-/// Reference explicit step (all axes at once), one vectorized
-/// `peb_simd::stencil` slice update per z-plane. The SIMD kernel keeps
-/// the exact scalar expression order (no FMA), so results are bitwise
-/// identical to the pre-SIMD loop at every dispatch level.
+/// Reference explicit step (all axes at once): the forward-Euler update
+/// of a 6-point Laplacian with mirror (zero-flux) boundaries in x and y,
+/// a bottom mirror in z, and the Robin exchange term, if any, at the top
+/// surface (`z == 0`). Every cell reads the frozen `src` copy and writes
+/// only itself.
 fn explicit_step(field: &mut Tensor, grid: &Grid, d_lat: f32, d_norm: f32, top_bc: EndBc, dt: f32) {
     let _span = peb_obs::span("litho.explicit_step");
     let (nz, ny, nx) = (grid.nz, grid.ny, grid.nx);
     peb_obs::optrace::note("stencil", || format!("grid={nz}x{ny}x{nx} dt={dt}"));
-    let p = peb_simd::stencil::StencilParams {
-        rx: d_lat * dt / (grid.dx * grid.dx),
-        ry: d_lat * dt / (grid.dy * grid.dy),
-        rz: d_norm * dt / (grid.dz * grid.dz),
-        robin_top: match top_bc {
-            // Left-assoc `h·dt/dz` matches the pre-SIMD inline expression.
-            EndBc::Robin { h, sat } => Some((h * dt / grid.dz, sat)),
-            EndBc::Neumann => None,
-        },
+    let rx = d_lat * dt / (grid.dx * grid.dx);
+    let ry = d_lat * dt / (grid.dy * grid.dy);
+    let rz = d_norm * dt / (grid.dz * grid.dz);
+    let robin_top = match top_bc {
+        EndBc::Robin { h, sat } => Some((h * dt / grid.dz, sat)),
+        EndBc::Neumann => None,
     };
-    let plane = ny * nx;
-    let src = peb_pool::PoolBuf::copy_of(field.data());
-    // Every cell reads the frozen `src` copy and writes only itself:
-    // z-slices update in parallel with no ordering sensitivity.
-    peb_par::parallel_chunks_mut_cost(field.data_mut(), plane, 14, |offset, dst| {
-        let z = offset / plane;
-        peb_simd::stencil::explicit_slice(&src, dst, z, nz, ny, nx, p);
-    });
+    let src = field.data().to_vec();
+    let dst = field.data_mut();
+    let at = |z: usize, y: usize, x: usize| (z * ny + y) * nx + x;
+    for z in 0..nz {
+        for y in 0..ny {
+            for x in 0..nx {
+                let c = src[at(z, y, x)];
+                let xm = if x == 0 { c } else { src[at(z, y, x - 1)] };
+                let xp = if x + 1 == nx { c } else { src[at(z, y, x + 1)] };
+                let ym = if y == 0 { c } else { src[at(z, y - 1, x)] };
+                let yp = if y + 1 == ny { c } else { src[at(z, y + 1, x)] };
+                let zp = if z + 1 == nz { c } else { src[at(z + 1, y, x)] };
+                let mut acc = rx * (xm + xp - 2.0 * c) + ry * (ym + yp - 2.0 * c);
+                if z == 0 {
+                    acc += rz * (zp - c);
+                    if let Some((coeff, sat)) = robin_top {
+                        acc -= coeff * (c - sat);
+                    }
+                } else {
+                    let zm = src[at(z - 1, y, x)];
+                    acc += rz * (zm + zp - 2.0 * c);
+                }
+                dst[at(z, y, x)] = c + acc;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -38,9 +38,9 @@ impl SsmBlock {
     /// `state`-dimensional hidden state.
     pub fn new(channels: usize, state: usize, rng: &mut impl Rng) -> Self {
         SsmBlock {
-            b_proj: Linear::new(channels, state, true, rng),
-            c_proj: Linear::new(channels, state, true, rng),
-            dt_proj: Linear::new(channels, 1, true, rng),
+            b_proj: Linear::new(channels, state, rng),
+            c_proj: Linear::new(channels, state, rng),
+            dt_proj: Linear::new(channels, 1, rng),
             // softplus(-0.5) ≈ 0.47: moderate default step size.
             dt_bias: Var::parameter(Tensor::full(&[channels], -0.5)),
             a_log: Var::parameter(hippo_a_log_init(channels, state)),

@@ -36,12 +36,12 @@ impl EfficientSelfAttention {
             "dim {dim} not divisible by heads {heads}"
         );
         assert!(reduction >= 1, "reduction must be >= 1");
-        let reduce = (reduction > 1).then(|| Linear::new(dim * reduction, dim, true, rng));
+        let reduce = (reduction > 1).then(|| Linear::new(dim * reduction, dim, rng));
         EfficientSelfAttention {
-            wq: Linear::new(dim, dim, true, rng),
-            wk: Linear::new(dim, dim, true, rng),
-            wv: Linear::new(dim, dim, true, rng),
-            wo: Linear::new(dim, dim, true, rng),
+            wq: Linear::new(dim, dim, rng),
+            wk: Linear::new(dim, dim, rng),
+            wv: Linear::new(dim, dim, rng),
+            wo: Linear::new(dim, dim, rng),
             reduce,
             dim,
             heads,

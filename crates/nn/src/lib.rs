@@ -23,7 +23,7 @@
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let layer = Linear::new(4, 2, true, &mut rng);
+//! let layer = Linear::new(4, 2, &mut rng);
 //! let mut opt = Adam::new(1e-2);
 //! let x = Var::constant(Tensor::ones(&[3, 4]));
 //! let loss = layer.forward(&x).square().mean();

@@ -10,23 +10,24 @@ use crate::Parameterized;
 /// A dense affine map applied to the trailing feature axis.
 ///
 /// Weights are stored `[in, out]`, so the forward pass is a plain
-/// `x · W (+ b)` on `[L, in]` sequences.
+/// `x · W + b` on `[L, in]` sequences.
 #[derive(Debug, Clone)]
 pub struct Linear {
     weight: Var,
-    bias: Option<Var>,
+    bias: Var,
     out_features: usize,
 }
 
 impl Linear {
-    /// Creates a layer with LeCun-uniform (variance-preserving) weights.
-    pub fn new(in_features: usize, out_features: usize, bias: bool, rng: &mut impl Rng) -> Self {
+    /// Creates a layer with LeCun-uniform (variance-preserving) weights
+    /// and a zero bias.
+    pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
         let weight = Var::parameter(lecun_uniform(
             &[in_features, out_features],
             in_features,
             rng,
         ));
-        let bias = bias.then(|| Var::parameter(Tensor::zeros(&[out_features])));
+        let bias = Var::parameter(Tensor::zeros(&[out_features]));
         Linear {
             weight,
             bias,
@@ -44,9 +45,9 @@ impl Linear {
         &self.weight
     }
 
-    /// The `[out]` bias, if the layer has one.
-    pub fn bias(&self) -> Option<&Var> {
-        self.bias.as_ref()
+    /// The `[out]` bias.
+    pub fn bias(&self) -> &Var {
+        &self.bias
     }
 
     /// Applies the layer to a `[L, in]` sequence, producing `[L, out]`:
@@ -56,20 +57,13 @@ impl Linear {
     ///
     /// Panics if the trailing axis of `x` is not `in_features`.
     pub fn forward(&self, x: &Var) -> Var {
-        match &self.bias {
-            Some(b) => x.matmul_bias(&self.weight, b),
-            None => x.matmul(&self.weight),
-        }
+        x.matmul_bias(&self.weight, &self.bias)
     }
 }
 
 impl Parameterized for Linear {
     fn parameters(&self) -> Vec<Var> {
-        let mut p = vec![self.weight.clone()];
-        if let Some(b) = &self.bias {
-            p.push(b.clone());
-        }
-        p
+        vec![self.weight.clone(), self.bias.clone()]
     }
 }
 
@@ -82,20 +76,18 @@ mod tests {
     #[test]
     fn shapes_and_bias() {
         let mut rng = StdRng::seed_from_u64(2);
-        let layer = Linear::new(4, 3, true, &mut rng);
+        let layer = Linear::new(4, 3, &mut rng);
         let x = Var::constant(Tensor::ones(&[5, 4]));
         let y = layer.forward(&x);
         assert_eq!(y.shape(), vec![5, 3]);
         assert_eq!(layer.parameters().len(), 2);
         assert_eq!(layer.parameter_count(), 4 * 3 + 3);
-        let no_bias = Linear::new(4, 3, false, &mut rng);
-        assert_eq!(no_bias.parameters().len(), 1);
     }
 
     #[test]
     fn gradients_reach_weights() {
         let mut rng = StdRng::seed_from_u64(3);
-        let layer = Linear::new(2, 2, true, &mut rng);
+        let layer = Linear::new(2, 2, &mut rng);
         let x = Var::constant(Tensor::ones(&[1, 2]));
         layer.forward(&x).sum().backward();
         for p in layer.parameters() {
@@ -110,14 +102,11 @@ mod tests {
         // separate broadcast add it replaced, below and across KC.
         let mut rng = StdRng::seed_from_u64(5);
         for k in [3, 300] {
-            let layer = Linear::new(k, 9, true, &mut rng);
-            layer
-                .bias()
-                .unwrap()
-                .set_value(Tensor::randn(&[9], &mut rng));
+            let layer = Linear::new(k, 9, &mut rng);
+            layer.bias().set_value(Tensor::randn(&[9], &mut rng));
             let x = Var::constant(Tensor::randn(&[33, k], &mut rng));
             let fused = layer.forward(&x).value_clone();
-            let plain = x.matmul(layer.weight()).add(layer.bias().unwrap());
+            let plain = x.matmul(layer.weight()).add(layer.bias());
             assert_eq!(fused.bit_digest(), plain.value().bit_digest(), "k={k}");
         }
     }
@@ -125,7 +114,7 @@ mod tests {
     #[test]
     fn zero_bias_at_init() {
         let mut rng = StdRng::seed_from_u64(4);
-        let layer = Linear::new(3, 3, true, &mut rng);
+        let layer = Linear::new(3, 3, &mut rng);
         let x = Var::constant(Tensor::zeros(&[1, 3]));
         assert_eq!(layer.forward(&x).value().data(), &[0.0, 0.0, 0.0]);
     }

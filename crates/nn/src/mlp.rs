@@ -17,8 +17,8 @@ impl Mlp {
     /// Creates a block with the given hidden width.
     pub fn new(dim: usize, hidden: usize, rng: &mut impl Rng) -> Self {
         Mlp {
-            fc1: Linear::new(dim, hidden, true, rng),
-            fc2: Linear::new(hidden, dim, true, rng),
+            fc1: Linear::new(dim, hidden, rng),
+            fc2: Linear::new(hidden, dim, rng),
         }
     }
 

@@ -157,13 +157,12 @@ impl Optimizer for Adam {
     }
 }
 
-/// Step-decay schedule: `lr = base · γ^(epoch / step)`.
+/// Step-decay schedule: a learning-rate multiplier `γ^(epoch / step)`.
 ///
-/// The paper trains with base 0.03, step size 100, decay factor 0.7.
+/// The paper decays by 0.7 every 100 epochs from a base of 0.03; the
+/// base rate is the optimiser's, and this schedule scales it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepDecay {
-    /// Initial learning rate.
-    pub base_lr: f32,
     /// Epochs between decays.
     pub step_size: usize,
     /// Multiplicative decay per step.
@@ -171,18 +170,9 @@ pub struct StepDecay {
 }
 
 impl StepDecay {
-    /// The paper's schedule (0.03, step 100, γ = 0.7).
-    pub fn paper() -> Self {
-        StepDecay {
-            base_lr: 0.03,
-            step_size: 100,
-            gamma: 0.7,
-        }
-    }
-
-    /// Learning rate at `epoch` (0-based).
+    /// Learning-rate multiplier at `epoch` (0-based).
     pub fn lr_at(&self, epoch: usize) -> f32 {
-        self.base_lr * self.gamma.powi((epoch / self.step_size) as i32)
+        self.gamma.powi((epoch / self.step_size) as i32)
     }
 }
 
@@ -269,10 +259,13 @@ mod tests {
 
     #[test]
     fn paper_schedule_decays() {
-        let s = StepDecay::paper();
-        assert_eq!(s.lr_at(0), 0.03);
-        assert_eq!(s.lr_at(99), 0.03);
-        assert!((s.lr_at(100) - 0.021).abs() < 1e-6);
-        assert!((s.lr_at(450) - 0.03 * 0.7f32.powi(4)).abs() < 1e-6);
+        let s = StepDecay {
+            step_size: 100,
+            gamma: 0.7,
+        };
+        assert_eq!(s.lr_at(0), 1.0);
+        assert_eq!(s.lr_at(99), 1.0);
+        assert_eq!(s.lr_at(100), 0.7);
+        assert_eq!(s.lr_at(450), 0.7f32.powi(4));
     }
 }

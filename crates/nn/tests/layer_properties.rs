@@ -12,20 +12,23 @@ proptest! {
 
     #[test]
     fn linear_is_linear(seed in 0u64..500, alpha in -2.0f32..2.0) {
-        // f(αx + y) = α f(x) + f(y) for a bias-free layer.
+        // The layer is affine: with g(v) = f(v) − b,
+        // g(αx + y) = α g(x) + g(y).
         let mut rng = StdRng::seed_from_u64(seed);
-        let layer = Linear::new(4, 3, false, &mut rng);
+        let layer = Linear::new(4, 3, &mut rng);
+        layer.bias().set_value(Tensor::randn(&[3], &mut rng));
+        let b = layer.bias().value_clone();
+        let g = |v: Tensor| {
+            layer
+                .forward(&Var::constant(v))
+                .value_clone()
+                .sub_t(&b)
+                .unwrap()
+        };
         let x = Tensor::randn(&[2, 4], &mut rng);
         let y = Tensor::randn(&[2, 4], &mut rng);
-        let lhs = layer
-            .forward(&Var::constant(x.mul_scalar(alpha).add_t(&y).unwrap()))
-            .value_clone();
-        let rhs = layer
-            .forward(&Var::constant(x))
-            .value_clone()
-            .mul_scalar(alpha)
-            .add_t(&layer.forward(&Var::constant(y)).value_clone())
-            .unwrap();
+        let lhs = g(x.mul_scalar(alpha).add_t(&y).unwrap());
+        let rhs = g(x).mul_scalar(alpha).add_t(&g(y)).unwrap();
         prop_assert!(lhs.max_abs_diff(&rhs) < 1e-4);
     }
 

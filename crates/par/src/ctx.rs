@@ -80,7 +80,7 @@ pub struct ConfigError {
     /// The offending value, verbatim.
     pub value: String,
     /// The accepted set, human-readable.
-    pub expected: &'static str,
+    pub expected: String,
 }
 
 impl fmt::Display for ConfigError {
@@ -118,7 +118,7 @@ pub fn read_var<T>(
             None => Err(ConfigError {
                 var,
                 value: v,
-                expected,
+                expected: expected.to_string(),
             }),
         },
     }
@@ -373,7 +373,7 @@ mod tests {
             assert_eq!((err.var, err.value.as_str()), (var, value));
             let line = err.to_string();
             assert!(line.contains(var) && line.contains(value), "{line}");
-            assert!(line.contains(err.expected), "{line}");
+            assert!(line.contains(&err.expected), "{line}");
         }
     }
 

@@ -295,13 +295,6 @@ impl<T: Poolable> PoolBuf<T> {
             buf: take_cleared(cap).0,
         }
     }
-
-    /// Checkout holding a copy of `src`.
-    pub fn copy_of(src: &[T]) -> Self {
-        PoolBuf {
-            buf: take_copy(src).0,
-        }
-    }
 }
 
 impl<T: Poolable> Deref for PoolBuf<T> {

@@ -1,6 +1,7 @@
 //! Serving configuration (`PEB_SERVE_*` environment variables).
 
 use peb_par::ctx::{self, read_parsed, read_var, ConfigError};
+use sdm_peb::SdmPebConfig;
 
 use crate::clip;
 
@@ -74,7 +75,7 @@ impl ServeConfig {
     fn from_lookup(env: impl Fn(&str) -> Option<String>) -> Result<Self, ConfigError> {
         const COUNT: &str = "a non-negative integer";
         let d = ServeConfig::default();
-        Ok(ServeConfig {
+        let config = ServeConfig {
             addr: env("PEB_SERVE_ADDR").unwrap_or(d.addr),
             grid: read_var(&env, "PEB_SERVE_GRID", "DxHxW, all positive", parse_grid)?
                 .unwrap_or(d.grid),
@@ -93,7 +94,33 @@ impl ServeConfig {
                 s.parse().ok().filter(|&n: &usize| n > 0)
             })?,
         }
-        .normalized())
+        .normalized();
+        // A grid the preset cannot build is a configuration error here,
+        // not a panic on the engine thread after start-up.
+        if let Err(why) = config.model_config().check() {
+            let (gd, gh, gw) = config.grid;
+            let preset = match config.preset {
+                ModelPreset::Tiny => "tiny",
+                ModelPreset::ForGrid => "for-grid",
+            };
+            return Err(ConfigError {
+                var: "PEB_SERVE_GRID",
+                value: env("PEB_SERVE_GRID")
+                    .filter(|v| !v.is_empty())
+                    .unwrap_or_else(|| format!("{gd}x{gh}x{gw}")),
+                expected: format!("a grid the {preset} preset can build: {why}"),
+            });
+        }
+        Ok(config)
+    }
+
+    /// The architecture [`ServeConfig::preset`] builds at
+    /// [`ServeConfig::grid`].
+    pub(crate) fn model_config(&self) -> SdmPebConfig {
+        match self.preset {
+            ModelPreset::Tiny => SdmPebConfig::tiny(self.grid),
+            ModelPreset::ForGrid => SdmPebConfig::for_grid(self.grid),
+        }
     }
 
     /// Clamps degenerate values so a typo'd env var cannot wedge the
@@ -167,6 +194,84 @@ mod tests {
         assert_eq!(c.compute_threads, Some(1));
         let err = ServeConfig::from_lookup(env(&[("PEB_SERVE_THREADS", "0")])).expect_err("zero");
         assert_eq!((err.var, err.value.as_str()), ("PEB_SERVE_THREADS", "0"));
+    }
+
+    #[test]
+    fn unbuildable_configs_are_rejected_by_name() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use sdm_peb::SdmPeb;
+
+        let tiny_with = |edit: fn(&mut SdmPebConfig)| {
+            let mut c = SdmPebConfig::tiny((8, 16, 16));
+            edit(&mut c);
+            c
+        };
+        // (config, the PEB_SERVE_GRID / PEB_SERVE_MODEL that select it
+        // if any, check's message)
+        let rows = [
+            (
+                SdmPebConfig::tiny((8, 15, 15)),
+                Some(("8x15x15", "tiny")),
+                "stride 2 does not divide stage 0 input",
+            ),
+            (
+                SdmPebConfig::for_grid((8, 30, 30)),
+                Some(("8x30x30", "for-grid")),
+                "need at least one stage",
+            ),
+            // for_grid sizes its stages from H alone.
+            (
+                SdmPebConfig::for_grid((8, 64, 32)),
+                Some(("8x64x32", "for-grid")),
+                "reduction 4 does not divide plane 2×1 at stage 3",
+            ),
+            (
+                tiny_with(|c| c.patch_strides[1] = 0),
+                None,
+                "patch_strides[1] must be positive",
+            ),
+            (
+                tiny_with(|c| c.reductions[0] = 0),
+                None,
+                "reductions[0] must be positive",
+            ),
+        ];
+        for (model, env, why) in rows {
+            assert_eq!(model.check(), Err(why.to_string()));
+            let panic = std::panic::catch_unwind(|| {
+                SdmPeb::new(model, &mut StdRng::seed_from_u64(0));
+            })
+            .expect_err(why);
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some(why)
+            );
+            let Some((grid, preset)) = env else { continue };
+            let lookup = |name: &str| match name {
+                "PEB_SERVE_GRID" => Some(grid.to_string()),
+                "PEB_SERVE_MODEL" => Some(preset.to_string()),
+                _ => None,
+            };
+            let err = ServeConfig::from_lookup(lookup).expect_err(grid);
+            assert_eq!((err.var, err.value.as_str()), ("PEB_SERVE_GRID", grid));
+            assert!(err.expected.ends_with(why), "{err}");
+            // A programmatic config gets the same check before any
+            // engine thread starts.
+            let config = ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                grid: parse_grid(grid).expect("grid"),
+                preset: if preset == "tiny" {
+                    ModelPreset::Tiny
+                } else {
+                    ModelPreset::ForGrid
+                },
+                ..ServeConfig::default()
+            };
+            let err = crate::Server::start(config).err().expect(grid);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert_eq!(err.to_string(), why);
+        }
     }
 
     #[test]

@@ -38,9 +38,9 @@ use std::time::{Duration, Instant};
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sdm_peb::{PebPredictor, SdmPeb, SdmPebConfig};
+use sdm_peb::{PebPredictor, SdmPeb};
 
-use crate::config::{ModelPreset, ServeConfig};
+use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::stats::{ModelVersion, ServeStats};
 
@@ -231,12 +231,8 @@ impl Drop for Engine {
 }
 
 fn build_model(config: &ServeConfig) -> SdmPeb {
-    let cfg = match config.preset {
-        ModelPreset::Tiny => SdmPebConfig::tiny(config.grid),
-        ModelPreset::ForGrid => SdmPebConfig::for_grid(config.grid),
-    };
     let mut rng = StdRng::seed_from_u64(config.seed);
-    SdmPeb::new(cfg, &mut rng)
+    SdmPeb::new(config.model_config(), &mut rng)
 }
 
 fn engine_main(

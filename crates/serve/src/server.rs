@@ -52,9 +52,15 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (bind, spawn) from the OS.
+    /// Returns an [`std::io::ErrorKind::InvalidInput`] error if the
+    /// preset cannot build a model at the configured grid (see
+    /// `SdmPebConfig::check`), and propagates socket errors (bind,
+    /// spawn) from the OS.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
         let config = config.normalized();
+        if let Err(why) = config.model_config().check() {
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+        }
         let (engine, handle) = Engine::spawn(&config);
         // /swap bodies are small paths; /infer bodies are one clip frame.
         let max_body = config.max_body_bytes().max(4096);

@@ -27,8 +27,8 @@
 //! differently:
 //!
 //! * **Bit-exact kernels** (tridiagonal line solves, the PEB reaction
-//!   half-step, the explicit diffusion stencil, the depthwise 3-D conv's
-//!   row sweeps, elementwise add/sub/mul/div, Adam updates) use only
+//!   half-step, the depthwise 3-D conv's row sweeps, elementwise
+//!   add/sub/mul/div, Adam updates) use only
 //!   IEEE-exact lane operations (`+ − × ÷ √`, `max`/`min`, `floor`,
 //!   integer-built `2ⁿ`) in exactly the per-element expression order of
 //!   the scalar code, so the SIMD path reproduces the scalar path **to
@@ -51,7 +51,6 @@ pub mod gemm;
 pub mod optim;
 pub mod reaction;
 pub mod scan;
-pub mod stencil;
 pub mod thomas;
 
 // ---------------------------------------------------------------------------
