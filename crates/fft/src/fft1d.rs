@@ -17,27 +17,12 @@ use crate::Complex;
 pub enum FftError {
     /// Zero-length input.
     Empty,
-    /// Half-spectrum bin count inconsistent with the requested real
-    /// signal length (`bins` must equal `n/2 + 1`).
-    SpectrumLength {
-        /// Bins supplied.
-        bins: usize,
-        /// Real signal length requested.
-        n: usize,
-    },
 }
 
 impl fmt::Display for FftError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FftError::Empty => write!(f, "fft input must be non-empty"),
-            FftError::SpectrumLength { bins, n } => {
-                write!(
-                    f,
-                    "spectrum has {bins} bins but a real signal of length {n} needs {}",
-                    n / 2 + 1
-                )
-            }
         }
     }
 }

@@ -292,7 +292,7 @@ fn slab_addr(slab: &dyn Any, spec: &RegionSpec) -> Option<usize> {
             })*
         };
     }
-    try_ty!(f32, f64, u64, u32, usize);
+    try_ty!(f32, u64);
     // An element type outside the `impl_poolable!` set misses the ptr
     // map; its recycles simply fall through to the ordinary pool.
     None
@@ -312,7 +312,7 @@ impl Arena {
                     })*
                 };
             }
-            mk!(f32, f64, u64, u32, usize);
+            mk!(f32, u64);
             None
         })
     }

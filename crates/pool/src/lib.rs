@@ -114,10 +114,7 @@ macro_rules! impl_poolable {
 }
 
 impl_poolable!(f32);
-impl_poolable!(f64);
 impl_poolable!(u64);
-impl_poolable!(u32);
-impl_poolable!(usize);
 
 /// Always `true`: every checkout goes through the pool. Kept because
 /// the benchmark harness prints it in its environment fingerprint; no

@@ -1,13 +1,14 @@
-//! Vectorized elementwise and reduction kernels.
+//! Vectorized in-place updates and `f64` sums.
 //!
-//! The binary ops, scalar ops, `vsqrt`, `vaxpy`, and `vadd_assign` use
-//! only IEEE-exact lane operations in the scalar expression order, so
-//! their SIMD results are **bitwise identical** to the scalar path.
-//! `vexp`, `vsigmoid` and `vsoftplus` use the polynomial [`Simd8::exp`]
-//! (and [`Simd8::ln1p`]) on the SIMD path and are tolerance-class (a few
-//! ULP from libm). `vsum_f64` changes the accumulation bracketing on the
-//! SIMD path (eight f64 partial sums) and is likewise tolerance-class;
-//! each path is deterministic.
+//! Every dense elementwise pass — the eager tensor ops and the fused
+//! chains alike — runs through [`crate::fused::vchain`]; this module
+//! keeps what is not a chain stage. `vaxpy` and `vadd_assign` use only
+//! IEEE-exact lane operations in the scalar expression order, so their
+//! SIMD results are **bitwise identical** to the scalar path.
+//! `vsum_f64` changes the accumulation bracketing on the SIMD path
+//! (eight f64 partial sums) and is tolerance-class; each path is
+//! deterministic. The tests below also pin the exact and transcendental
+//! chain stages one at a time.
 
 use crate::{simd_active, ScalarX8, Simd8};
 
@@ -45,139 +46,9 @@ mod avx {
         };
     }
 
-    avx_wrap!(vadd, binop_add_generic, (a: &[f32], b: &[f32], out: &mut [f32]));
-    avx_wrap!(vsub, binop_sub_generic, (a: &[f32], b: &[f32], out: &mut [f32]));
-    avx_wrap!(vmul, binop_mul_generic, (a: &[f32], b: &[f32], out: &mut [f32]));
-    avx_wrap!(vdiv, binop_div_generic, (a: &[f32], b: &[f32], out: &mut [f32]));
-    avx_wrap!(vadd_scalar, add_scalar_generic, (x: &[f32], s: f32, out: &mut [f32]));
-    avx_wrap!(vmul_scalar, mul_scalar_generic, (x: &[f32], s: f32, out: &mut [f32]));
-    avx_wrap!(vsqrt, sqrt_generic, (x: &[f32], out: &mut [f32]));
-    avx_wrap!(vexp, exp_generic, (x: &[f32], out: &mut [f32]));
-    avx_wrap!(vsigmoid, sigmoid_generic, (x: &[f32], out: &mut [f32]));
-    avx_wrap!(vsoftplus, softplus_generic, (x: &[f32], out: &mut [f32]));
     avx_wrap!(vaxpy, axpy_generic, (y: &mut [f32], alpha: f32, x: &[f32]));
     avx_wrap!(vadd_assign, add_assign_generic, (y: &mut [f32], x: &[f32]));
 }
-
-macro_rules! binop_generic {
-    ($generic:ident, $method:ident, $op:tt) => {
-        #[inline(always)]
-        fn $generic<V: Simd8>(a: &[f32], b: &[f32], out: &mut [f32]) {
-            assert!(a.len() == b.len() && a.len() == out.len());
-            let n8 = a.len() - a.len() % 8;
-            let mut i = 0;
-            while i < n8 {
-                V::load(&a[i..]).$method(V::load(&b[i..])).store(&mut out[i..]);
-                i += 8;
-            }
-            // Tail: the lane op is IEEE-exact, so plain f32 matches both
-            // backends bit for bit.
-            for j in i..a.len() {
-                out[j] = a[j] $op b[j];
-            }
-        }
-    };
-}
-
-binop_generic!(binop_add_generic, add, +);
-binop_generic!(binop_sub_generic, sub, -);
-binop_generic!(binop_mul_generic, mul, *);
-binop_generic!(binop_div_generic, div, /);
-
-#[inline(always)]
-pub(crate) fn add_scalar_generic<V: Simd8>(x: &[f32], s: f32, out: &mut [f32]) {
-    assert_eq!(x.len(), out.len());
-    let sv = V::splat(s);
-    let n8 = x.len() - x.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        V::load(&x[i..]).add(sv).store(&mut out[i..]);
-        i += 8;
-    }
-    for j in i..x.len() {
-        out[j] = x[j] + s;
-    }
-}
-
-#[inline(always)]
-fn mul_scalar_generic<V: Simd8>(x: &[f32], s: f32, out: &mut [f32]) {
-    assert_eq!(x.len(), out.len());
-    let sv = V::splat(s);
-    let n8 = x.len() - x.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        V::load(&x[i..]).mul(sv).store(&mut out[i..]);
-        i += 8;
-    }
-    for j in i..x.len() {
-        out[j] = x[j] * s;
-    }
-}
-
-#[inline(always)]
-fn sqrt_generic<V: Simd8>(x: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), out.len());
-    let n8 = x.len() - x.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        V::load(&x[i..]).sqrt().store(&mut out[i..]);
-        i += 8;
-    }
-    for j in i..x.len() {
-        out[j] = x[j].sqrt();
-    }
-}
-
-/// Stable two-branch sigmoid, branch resolved lanewise:
-///   x ≥ 0: 1 / (1 + exp(−x));   x < 0: e / (1 + e) with e = exp(x).
-/// Both branches share e = exp(−|x|) and one division.
-// A plain fn, not a closure: closures are not `inline(always)`, and an
-// out-of-line body would call every AVX lane op as a function.
-#[inline(always)]
-pub(crate) fn sigmoid8<V: Simd8>(x: V) -> V {
-    let one = V::splat(1.0);
-    let e = x.select_nonneg(V::zero().sub(x), x).exp();
-    x.select_nonneg(one, e).div(one.add(e))
-}
-
-/// `x > 20 ? x : ln(1 + exp(x))` lanewise. The branch is taken on the
-/// sign of `x − 20⁺` (20⁺ the float after 20), so `x = 20` takes the
-/// `ln1p` lane, and on the scalar backend so does NaN, as the scalar
-/// `if x > 20.0` does.
-#[inline(always)]
-fn softplus8<V: Simd8>(x: V) -> V {
-    const ABOVE_20: f32 = f32::from_bits(20f32.to_bits() + 1);
-    x.sub(V::splat(ABOVE_20)).select_nonneg(x, x.exp().ln1p())
-}
-
-/// Generates `$generic::<V>(x, out)`: `out = $lane(x)` over 8-lane
-/// blocks, the tail through the same lane math on a zero-padded block
-/// so every element sees one implementation per backend.
-macro_rules! lanewise_generic {
-    ($generic:ident, $lane:path) => {
-        #[inline(always)]
-        fn $generic<V: Simd8>(x: &[f32], out: &mut [f32]) {
-            assert_eq!(x.len(), out.len());
-            let n8 = x.len() - x.len() % 8;
-            let mut i = 0;
-            while i < n8 {
-                let v: V = $lane(V::load(&x[i..]));
-                v.store(&mut out[i..]);
-                i += 8;
-            }
-            if i < x.len() {
-                let mut pad = [0f32; 8];
-                pad[..x.len() - i].copy_from_slice(&x[i..]);
-                let r: V = $lane(V::from_array(pad));
-                out[i..].copy_from_slice(&r.to_array()[..x.len() - i]);
-            }
-        }
-    };
-}
-
-lanewise_generic!(exp_generic, Simd8::exp);
-lanewise_generic!(sigmoid_generic, sigmoid8);
-lanewise_generic!(softplus_generic, softplus8);
 
 #[inline(always)]
 pub(crate) fn axpy_generic<V: Simd8>(y: &mut [f32], alpha: f32, x: &[f32]) {
@@ -211,57 +82,6 @@ fn add_assign_generic<V: Simd8>(y: &mut [f32], x: &[f32]) {
     }
 }
 
-dispatched!(
-    /// `out = a + b` elementwise (bit-exact across backends).
-    vadd, binop_add_generic,
-    (a: &[f32], b: &[f32], out: &mut [f32])
-);
-dispatched!(
-    /// `out = a − b` elementwise (bit-exact across backends).
-    vsub, binop_sub_generic,
-    (a: &[f32], b: &[f32], out: &mut [f32])
-);
-dispatched!(
-    /// `out = a × b` elementwise (bit-exact across backends).
-    vmul, binop_mul_generic,
-    (a: &[f32], b: &[f32], out: &mut [f32])
-);
-dispatched!(
-    /// `out = a ÷ b` elementwise (bit-exact across backends).
-    vdiv, binop_div_generic,
-    (a: &[f32], b: &[f32], out: &mut [f32])
-);
-dispatched!(
-    /// `out = x + s` (bit-exact across backends).
-    vadd_scalar, add_scalar_generic,
-    (x: &[f32], s: f32, out: &mut [f32])
-);
-dispatched!(
-    /// `out = x × s` (bit-exact across backends).
-    vmul_scalar, mul_scalar_generic,
-    (x: &[f32], s: f32, out: &mut [f32])
-);
-dispatched!(
-    /// `out = √x` elementwise (bit-exact across backends).
-    vsqrt, sqrt_generic,
-    (x: &[f32], out: &mut [f32])
-);
-dispatched!(
-    /// `out = exp(x)` elementwise (tolerance-class on the SIMD path).
-    vexp, exp_generic,
-    (x: &[f32], out: &mut [f32])
-);
-dispatched!(
-    /// Numerically stable logistic sigmoid (tolerance-class on SIMD).
-    vsigmoid, sigmoid_generic,
-    (x: &[f32], out: &mut [f32])
-);
-dispatched!(
-    /// Softplus `x > 20 ? x : ln(1 + exp(x))` (tolerance-class on SIMD;
-    /// the scalar backend is that expression in libm, bit for bit).
-    vsoftplus, softplus_generic,
-    (x: &[f32], out: &mut [f32])
-);
 dispatched!(
     /// `y += α·x` (unfused; bit-exact across backends).
     vaxpy, axpy_generic,
@@ -327,6 +147,7 @@ unsafe fn sum_f64_avx(x: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::{vchain, Stage};
     use crate::{at_level, detected, levels, ulp_diff, Level};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
@@ -338,30 +159,29 @@ mod tests {
             .collect()
     }
 
-    /// `kernel(x, out)` at `level`, returning `out`.
-    fn unary(level: Level, kernel: fn(&[f32], &mut [f32]), x: &[f32]) -> Vec<f32> {
+    /// The one-stage chain `stage` over `x` at `level`.
+    fn one_stage(level: Level, stage: Stage<'_>, x: &[f32]) -> Vec<f32> {
         let mut out = vec![0f32; x.len()];
-        at_level(level, || kernel(x, &mut out));
+        at_level(level, || vchain(x, &[stage], &mut out));
         out
     }
 
     #[test]
     fn exact_kernels_match_bitwise_across_backends() {
-        for len in [0usize, 1, 7, 8, 9, 64, 101] {
+        for len in [0usize, 1, 7, 8, 9, 31, 33, 64, 101] {
             let a = pseudo(len, 1);
             let b: Vec<f32> = pseudo(len, 2).iter().map(|v| v + 5.0).collect();
-            type K = (&'static str, fn(&[f32], &[f32], &mut [f32]));
-            let kernels: [K; 4] = [("add", vadd), ("sub", vsub), ("mul", vmul), ("div", vdiv)];
-            for (name, kernel) in kernels {
-                let run = |level| {
-                    let mut out = vec![0f32; len];
-                    at_level(level, || kernel(&a, &b, &mut out));
-                    out
-                };
-                let s = run(Level::Scalar);
+            let stages = [
+                Stage::AddT(&b),
+                Stage::SubT(&b),
+                Stage::MulT(&b),
+                Stage::DivT(&b),
+            ];
+            for stage in stages {
+                let s = one_stage(Level::Scalar, stage, &a);
                 if detected() {
-                    for (x, y) in s.iter().zip(&run(Level::Avx2Fma)) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "{name} len {len}");
+                    for (x, y) in s.iter().zip(&one_stage(Level::Avx2Fma, stage, &a)) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{} len {len}", stage.name());
                     }
                 }
             }
@@ -391,14 +211,11 @@ mod tests {
         if !detected() {
             return;
         }
-        for (name, kernel) in [
-            ("exp", vexp as fn(&[f32], &mut [f32])),
-            ("sigmoid", vsigmoid),
-        ] {
-            let s = unary(Level::Scalar, kernel, &x);
-            let v = unary(Level::Avx2Fma, kernel, &x);
+        for stage in [Stage::Exp, Stage::Sigmoid] {
+            let s = one_stage(Level::Scalar, stage, &x);
+            let v = one_stage(Level::Avx2Fma, stage, &x);
             for (a, b) in s.iter().zip(&v) {
-                assert!(ulp_diff(*a, *b) <= 16, "{name} {a} vs {b}");
+                assert!(ulp_diff(*a, *b) <= 16, "{} {a} vs {b}", stage.name());
             }
         }
     }
@@ -406,7 +223,7 @@ mod tests {
     #[test]
     fn sigmoid_scalar_backend_matches_reference_formula() {
         let xs = [-100.0f32, -3.5, -0.0, 0.0, 1e-6, 2.5, 100.0];
-        let out = unary(Level::Scalar, vsigmoid, &xs);
+        let out = one_stage(Level::Scalar, Stage::Sigmoid, &xs);
         for (x, got) in xs.iter().zip(&out) {
             let want = if *x >= 0.0 {
                 1.0 / (1.0 + (-x).exp())
@@ -428,12 +245,12 @@ mod tests {
         xs.extend((0..10).map(|i| 19.999_99 + i as f32 * 2e-6));
         xs.extend((0..=200_000).map(|i| -100.0 + i as f32 * 1e-3));
         let want = |x: f32| if x > 20.0 { x } else { x.exp().ln_1p() };
-        let got = unary(Level::Scalar, vsoftplus, &xs);
+        let got = one_stage(Level::Scalar, Stage::Softplus, &xs);
         for (x, g) in xs.iter().zip(&got) {
             assert_eq!(g.to_bits(), want(*x).to_bits(), "softplus({x:e})");
         }
         if detected() {
-            let simd = unary(Level::Avx2Fma, vsoftplus, &xs);
+            let simd = one_stage(Level::Avx2Fma, Stage::Softplus, &xs);
             for (x, (s, v)) in xs.iter().zip(got.iter().zip(&simd)) {
                 // The lane exp flushes below ≈ −87.3 where libm goes
                 // subnormal; elsewhere exp + ln1p stay within 4 ULP.

@@ -27,8 +27,8 @@
 //! differently:
 //!
 //! * **Bit-exact kernels** (tridiagonal line solves, the PEB reaction
-//!   half-step, the depthwise 3-D conv's row sweeps, elementwise
-//!   add/sub/mul/div, Adam updates) use only
+//!   half-step, the depthwise 3-D conv's row sweeps, the exact stages of
+//!   the elementwise chain in [`fused`], Adam updates) use only
 //!   IEEE-exact lane operations (`+ − × ÷ √`, `max`/`min`, `floor`,
 //!   integer-built `2ⁿ`) in exactly the per-element expression order of
 //!   the scalar code, so the SIMD path reproduces the scalar path **to
@@ -36,10 +36,10 @@
 //! * **Tolerance kernels** (GEMM and the dense 2-D convolutions of
 //!   `conv::SubPixel`, which fuse multiply–add, and the
 //!   selective-scan recurrence in both directions and the `exp` /
-//!   `sigmoid` / `softplus` elementwise kernels, which use the
-//!   polynomial [`Simd8::exp`] and [`Simd8::ln1p`] instead of libm)
-//!   differ from scalar by bounded ULPs; the property suite in `tests/`
-//!   pins those bounds.
+//!   `sigmoid` / `softplus` chain stages, which use the polynomial
+//!   [`Simd8::exp`] and [`Simd8::ln1p`] instead of libm) differ from
+//!   scalar by bounded ULPs; the property suite in `tests/` pins those
+//!   bounds.
 //!
 //! The `simd_dispatch` counter in `peb-obs` ticks once per kernel call
 //! that takes the vector path.

@@ -18,6 +18,7 @@
 
 use peb_par::ctx::{self, ExecCtx};
 use peb_par::UnsafeSlice;
+use peb_simd::fused::{vchain, Stage};
 use peb_simd::{detected, elementwise as ew, gemm, optim, reaction, scan, thomas, ulp_diff, Level};
 use proptest::prelude::*;
 use proptest::prop::collection::vec as pvec;
@@ -42,10 +43,10 @@ fn levels() -> Vec<Level> {
     levels
 }
 
-/// `kernel(x, out)` at `level`, returning `out`.
-fn unary(level: Level, kernel: fn(&[f32], &mut [f32]), x: &[f32]) -> Vec<f32> {
+/// The one-stage chain `stage` over `x` at `level`.
+fn one_stage(level: Level, stage: Stage<'_>, x: &[f32]) -> Vec<f32> {
     let mut out = vec![0f32; x.len()];
-    at_level(level, || kernel(x, &mut out));
+    at_level(level, || vchain(x, &[stage], &mut out));
     out
 }
 
@@ -111,18 +112,10 @@ proptest! {
         let a = pseudo(len, seed, -3.0, 3.0);
         // Keep divisors away from zero so ÷ stays finite.
         let b: Vec<f32> = pseudo(len, seed.wrapping_add(1), 0.5, 3.5);
-        type Binary = (fn(&[f32], &[f32], &mut [f32]), &'static str);
-        let kernels: [Binary; 4] =
-            [(ew::vadd, "vadd"), (ew::vsub, "vsub"), (ew::vmul, "vmul"), (ew::vdiv, "vdiv")];
-        for (kernel, name) in kernels {
-            let run = |level| {
-                let mut out = vec![0f32; len];
-                at_level(level, || kernel(&a, &b, &mut out));
-                out
-            };
-            let scalar = run(Level::Scalar);
+        for stage in [Stage::AddT(&b), Stage::SubT(&b), Stage::MulT(&b), Stage::DivT(&b)] {
+            let scalar = one_stage(Level::Scalar, stage, &a);
             if detected() {
-                assert_bits(&scalar, &run(Level::Avx2Fma), name)?;
+                assert_bits(&scalar, &one_stage(Level::Avx2Fma, stage, &a), stage.name())?;
             }
         }
     }
@@ -147,9 +140,9 @@ proptest! {
         let kernels: [InPlace; 5] = [
             (&|y| ew::vaxpy(y, alpha, &x), "vaxpy"),
             (&|y| ew::vadd_assign(y, &x), "vadd_assign"),
-            (&|y| ew::vmul_scalar(&x, alpha, y), "vmul_scalar"),
-            (&|y| ew::vadd_scalar(&x, alpha, y), "vadd_scalar"),
-            (&|y| ew::vsqrt(&absx, y), "vsqrt"),
+            (&|y| vchain(&x, &[Stage::MulScalar(alpha)], y), "mul_scalar"),
+            (&|y| vchain(&x, &[Stage::AddScalar(alpha)], y), "add_scalar"),
+            (&|y| vchain(&absx, &[Stage::Sqrt], y), "sqrt"),
         ];
         for (kernel, name) in kernels {
             assert_bits(&run(Level::Scalar, kernel), &run(Level::Avx2Fma, kernel), name)?;
@@ -161,21 +154,21 @@ proptest! {
         if !detected() {
             return Ok(());
         }
-        let scalar = unary(Level::Scalar, ew::vexp, &x);
-        let simd = unary(Level::Avx2Fma, ew::vexp, &x);
+        let scalar = one_stage(Level::Scalar, Stage::Exp, &x);
+        let simd = one_stage(Level::Avx2Fma, Stage::Exp, &x);
         for (i, (w, g)) in scalar.iter().zip(&simd).enumerate() {
             prop_assert!(
                 ulp_diff(*w, *g) <= 16,
-                "vexp[{}]({}): {} vs {} ({} ulp)",
+                "exp[{}]({}): {} vs {} ({} ulp)",
                 i, x[i], w, g, ulp_diff(*w, *g)
             );
         }
-        let scalar = unary(Level::Scalar, ew::vsigmoid, &x);
-        let simd = unary(Level::Avx2Fma, ew::vsigmoid, &x);
+        let scalar = one_stage(Level::Scalar, Stage::Sigmoid, &x);
+        let simd = one_stage(Level::Avx2Fma, Stage::Sigmoid, &x);
         for (i, (w, g)) in scalar.iter().zip(&simd).enumerate() {
             prop_assert!(
                 close(*w, *g, 32, 1e-6),
-                "vsigmoid[{}]({}): {} vs {} ({} ulp)",
+                "sigmoid[{}]({}): {} vs {} ({} ulp)",
                 i, x[i], w, g, ulp_diff(*w, *g)
             );
         }
@@ -386,7 +379,6 @@ proptest! {
         slope in 0.001f32..0.5,
         seed in 0u32..1000,
     ) {
-        use peb_simd::fused::{vchain, Stage};
         // Ragged tails, both signs, the zeros of either sign and — for
         // the slope-0 (ReLU) form — the non-finite inputs.
         let mut x = pseudo(len, seed, -3.0, 3.0);
@@ -851,18 +843,18 @@ fn best_of_5(mut f: impl FnMut()) -> f64 {
 
 #[test]
 fn dispatched_sigmoid_and_softplus_beat_their_scalar_backends_twofold() {
-    // A lane-math body that is not inlined into its `target_feature`
-    // wrapper calls every AVX intrinsic out of line and runs slower
-    // than the scalar backend; this pins the inlining.
+    // A lane-math body that is not inlined into the chain's
+    // `target_feature` wrapper calls every AVX intrinsic out of line and
+    // runs slower than the scalar backend; this pins the inlining of
+    // every transcendental stage.
     if !detected() {
         return;
     }
     let x = pseudo(1 << 20, 11, -8.0, 8.0);
     let mut out = vec![0f32; x.len()];
-    type K = fn(&[f32], &mut [f32]);
-    let kernels: [(&str, K); 2] = [("vsigmoid", ew::vsigmoid), ("vsoftplus", ew::vsoftplus)];
-    for (name, kernel) in kernels {
-        let mut time_at = |level| at_level(level, || best_of_5(|| kernel(&x, &mut out)));
+    for stage in [Stage::Sigmoid, Stage::Softplus, Stage::Exp] {
+        let name = stage.name();
+        let mut time_at = |level| at_level(level, || best_of_5(|| vchain(&x, &[stage], &mut out)));
         let t_simd = time_at(Level::Avx2Fma);
         let t_scalar = time_at(Level::Scalar);
         assert!(

@@ -152,7 +152,7 @@ impl Var {
         self.map_unary(move |x| (x + eps).ln(), move |x, _| 1.0 / (x + eps))
     }
 
-    /// Square root (the dispatched `vsqrt` kernel, bit-exact with
+    /// Square root (the one-stage `Sqrt` chain, bit-exact with
     /// `f32::sqrt` at every level).
     pub fn sqrt(&self) -> Var {
         let out = self.value().sqrt_t();
@@ -231,7 +231,7 @@ impl Var {
     /// Softplus `ln(1 + e^x)` (`x` itself above 20), used for the Δ
     /// parameter of the SSM (Eq. 11).
     ///
-    /// The dispatched `vsoftplus` lane kernel (tolerance-class on SIMD;
+    /// The one-stage `Softplus` chain (tolerance-class on SIMD;
     /// libm `exp` + `ln_1p` on the scalar level). The backward is the
     /// fused sweep `σ(x)·g` — a commutative reorder of `g·σ(x)`.
     pub fn softplus(&self) -> Var {
@@ -240,11 +240,6 @@ impl Var {
         Var::from_op(out, vec![self.clone()], move |g| {
             vec![Some(x.value().fused().sigmoid().mul(g).eval())]
         })
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Var {
-        self.map_unary(f32::tanh, |_, y| 1.0 - y * y)
     }
 
     /// ReLU: the leaky stage at slope 0, which is `max(x, +0.0)` — every
@@ -350,7 +345,6 @@ mod tests {
             ("silu", (|v: &Var| v.silu().sum()) as fn(&Var) -> Var),
             ("sigmoid", |v| v.sigmoid().sum()),
             ("softplus", |v| v.softplus().sum()),
-            ("tanh", |v| v.tanh().sum()),
             ("gelu", |v| v.gelu().sum()),
             ("exp", |v| v.exp().sum()),
             ("square", |v| v.square().sum()),

@@ -78,19 +78,6 @@ impl Var {
         })
     }
 
-    /// Zero padding; the gradient crops back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pads.len()` differs from the rank.
-    pub fn pad(&self, pads: &[(usize, usize)]) -> Var {
-        let out = self.value().pad(pads).expect("Var::pad");
-        let pads = pads.to_vec();
-        Var::from_op(out, vec![self.clone()], move |g| {
-            vec![Some(g.crop(&pads).expect("pad backward"))]
-        })
-    }
-
     /// `self + up(coarse)`: `coarse` nearest-neighbour upsampled by
     /// `factor` on the two trailing axes and added to `self`, in one
     /// pass. `self` is `[…, H, W]`, `coarse` `[…, H/factor, W/factor]`
@@ -157,14 +144,6 @@ mod tests {
         let x = Var::parameter(Tensor::arange(5));
         x.slice_axis(0, 1, 3).sum().backward();
         assert_eq!(x.grad().unwrap().data(), &[0.0, 1.0, 1.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn pad_crops_gradient_back() {
-        let x = Var::parameter(Tensor::ones(&[2]));
-        let w = Tensor::from_vec(vec![5.0, 1.0, 2.0, 7.0], &[4]).unwrap();
-        x.pad(&[(1, 1)]).weighted_sum(&w).backward();
-        assert_eq!(x.grad().unwrap().data(), &[1.0, 2.0]);
     }
 
     /// `fine + up(coarse)` and its adjoint as plain index loops over

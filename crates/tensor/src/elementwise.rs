@@ -4,50 +4,63 @@
 //! implementations panic on incompatible shapes for ergonomic use in the
 //! physics code where shapes are statically known.
 //!
-//! Same-shape binary ops and the dense unary ops route through the
-//! runtime-dispatched `peb-simd` kernels, and so do broadcasts that
-//! factor into rows × columns (bias, LayerNorm statistics, rank-0
-//! operands — see `broadcast.rs`); only the remaining broadcast shapes
-//! take the strided scalar walk. The SIMD `+ − × ÷ √` and scalar
-//! ops are bitwise identical to the plain expressions; `exp`/`sigmoid`/
-//! `softplus` use the polynomial vector exponential (and logarithm)
-//! (bounded-ULP, deterministic per dispatch level).
+//! Same-shape binary ops and the dense unary ops run as one-stage
+//! [`peb_simd::fused::vchain`] calls, and so do the row loops of
+//! broadcasts that factor into rows × columns (bias, LayerNorm
+//! statistics, rank-0 operands — see `broadcast.rs`); only the remaining
+//! broadcast shapes take the strided scalar walk. The `+ − × ÷ √` and
+//! scalar stages are bitwise identical to the plain expressions at every
+//! dispatch level; `exp`/`sigmoid`/`softplus` use the polynomial vector
+//! exponential (and logarithm) on SIMD (bounded-ULP, deterministic per
+//! dispatch level).
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
+use peb_simd::fused::{vchain, Stage};
+
 use crate::{Result, Tensor};
 
-/// Runs a same-shape binary `peb-simd` kernel into a pooled output.
-fn zip_kernel(a: &Tensor, b: &Tensor, kernel: fn(&[f32], &[f32], &mut [f32])) -> Tensor {
+/// A binary stage constructor (`Stage::AddT`, …).
+type BinaryStage = for<'b> fn(&'b [f32]) -> Stage<'b>;
+
+/// Runs the one-stage chain `stage(b)` over `a` into a pooled output.
+fn zip_kernel(a: &Tensor, b: &Tensor, stage: BinaryStage) -> Tensor {
     let n = a.data().len();
     let _span = crate::tensor::ew_span("ew.zip", n);
     let mut data = crate::tensor::alloc_cleared(n);
     data.resize(n, 0.0);
-    kernel(a.data(), b.data(), &mut data);
+    vchain(a.data(), &[stage(b.data())], &mut data);
     Tensor::from_pooled(data, a.shape())
 }
 
-/// Runs a unary `peb-simd` kernel into a pooled output.
-fn map_kernel(a: &Tensor, kernel: impl FnOnce(&[f32], &mut [f32])) -> Tensor {
+/// Runs the one-stage chain `stage` over `a` into a pooled output.
+fn map_kernel(a: &Tensor, stage: Stage<'_>) -> Tensor {
     let n = a.data().len();
     let _span = crate::tensor::ew_span("ew.map", n);
     let mut data = crate::tensor::alloc_cleared(n);
     data.resize(n, 0.0);
-    kernel(a.data(), &mut data);
+    vchain(a.data(), &[stage], &mut data);
     Tensor::from_pooled(data, a.shape())
 }
 
 impl Tensor {
+    /// `f` with broadcasting: a same-shape pair runs the one-stage chain
+    /// `stage`, a broadcast pair runs it on its row blocks (or `f` on the
+    /// generic walk).
+    fn binary(&self, other: &Self, f: fn(f32, f32) -> f32, stage: BinaryStage) -> Result<Self> {
+        if self.shape() == other.shape() {
+            return Ok(zip_kernel(self, other, stage));
+        }
+        self.broadcast_with(other, f, |a, b, out| vchain(a, &[stage(b)], out))
+    }
+
     /// Broadcasting addition.
     ///
     /// # Errors
     ///
     /// Returns a shape error when operands do not broadcast.
     pub fn add_t(&self, other: &Self) -> Result<Self> {
-        if self.shape() == other.shape() {
-            return Ok(zip_kernel(self, other, peb_simd::elementwise::vadd));
-        }
-        self.broadcast_with(other, |a, b| a + b, peb_simd::elementwise::vadd)
+        self.binary(other, |a, b| a + b, |b| Stage::AddT(b))
     }
 
     /// Broadcasting subtraction.
@@ -56,10 +69,7 @@ impl Tensor {
     ///
     /// Returns a shape error when operands do not broadcast.
     pub fn sub_t(&self, other: &Self) -> Result<Self> {
-        if self.shape() == other.shape() {
-            return Ok(zip_kernel(self, other, peb_simd::elementwise::vsub));
-        }
-        self.broadcast_with(other, |a, b| a - b, peb_simd::elementwise::vsub)
+        self.binary(other, |a, b| a - b, |b| Stage::SubT(b))
     }
 
     /// Broadcasting multiplication.
@@ -68,10 +78,7 @@ impl Tensor {
     ///
     /// Returns a shape error when operands do not broadcast.
     pub fn mul_t(&self, other: &Self) -> Result<Self> {
-        if self.shape() == other.shape() {
-            return Ok(zip_kernel(self, other, peb_simd::elementwise::vmul));
-        }
-        self.broadcast_with(other, |a, b| a * b, peb_simd::elementwise::vmul)
+        self.binary(other, |a, b| a * b, |b| Stage::MulT(b))
     }
 
     /// Broadcasting division.
@@ -80,25 +87,22 @@ impl Tensor {
     ///
     /// Returns a shape error when operands do not broadcast.
     pub fn div_t(&self, other: &Self) -> Result<Self> {
-        if self.shape() == other.shape() {
-            return Ok(zip_kernel(self, other, peb_simd::elementwise::vdiv));
-        }
-        self.broadcast_with(other, |a, b| a / b, peb_simd::elementwise::vdiv)
+        self.binary(other, |a, b| a / b, |b| Stage::DivT(b))
     }
 
     /// Adds a scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Self {
-        map_kernel(self, |x, out| peb_simd::elementwise::vadd_scalar(x, s, out))
+        map_kernel(self, Stage::AddScalar(s))
     }
 
     /// Multiplies every element by a scalar.
     pub fn mul_scalar(&self, s: f32) -> Self {
-        map_kernel(self, |x, out| peb_simd::elementwise::vmul_scalar(x, s, out))
+        map_kernel(self, Stage::MulScalar(s))
     }
 
     /// Elementwise natural exponential.
     pub fn exp(&self) -> Self {
-        map_kernel(self, peb_simd::elementwise::vexp)
+        map_kernel(self, Stage::Exp)
     }
 
     /// Elementwise natural logarithm.
@@ -113,17 +117,17 @@ impl Tensor {
 
     /// Elementwise square root.
     pub fn sqrt_t(&self) -> Self {
-        map_kernel(self, peb_simd::elementwise::vsqrt)
+        map_kernel(self, Stage::Sqrt)
     }
 
     /// Logistic sigmoid, numerically stable on both tails.
     pub fn sigmoid(&self) -> Self {
-        map_kernel(self, peb_simd::elementwise::vsigmoid)
+        map_kernel(self, Stage::Sigmoid)
     }
 
     /// Softplus `x > 20 ? x : ln(1 + exp(x))`.
     pub(crate) fn softplus(&self) -> Self {
-        map_kernel(self, peb_simd::elementwise::vsoftplus)
+        map_kernel(self, Stage::Softplus)
     }
 }
 

@@ -8,9 +8,12 @@
 //!
 //! The fused result is bitwise identical to evaluating the same stages
 //! as separate tensor ops at the same `PEB_SIMD` dispatch level (see the
-//! determinism contract in `peb_simd::fused`). Those eager ops are the
-//! oracle: `peb_simd::fused`'s tests pin each stage against its kernel,
-//! and `fused_matches_eager_ops_bitwise` below pins whole chains.
+//! determinism contract in `peb_simd::fused`): each eager op is the
+//! one-stage chain of its stage. `peb_simd::fused`'s tests pin each
+//! stage against its plain f32 / libm definition at the scalar level and
+//! every chain against its stages run one at a time, and
+//! `fused_matches_eager_ops_bitwise` below pins whole chains against the
+//! eager tensor ops.
 //!
 //! # Example
 //!

@@ -103,6 +103,7 @@ impl Tensor {
                 rank: self.rank(),
             });
         }
+        let _span = crate::tensor::ew_span("ew.reduce_axis", self.len());
         let shape = self.shape();
         let outer: usize = shape[..axis].iter().product();
         let mid = shape[axis];
@@ -163,42 +164,5 @@ mod tests {
     #[test]
     fn axis_out_of_range() {
         assert!(t234().sum_axis(3).is_err());
-    }
-}
-
-impl Tensor {
-    /// Dot product with another tensor of identical shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn dot(&self, other: &Self) -> f32 {
-        assert_eq!(self.shape(), other.shape(), "dot shape mismatch");
-        self.data()
-            .iter()
-            .zip(other.data())
-            .map(|(&a, &b)| (a as f64) * (b as f64))
-            .sum::<f64>() as f32
-    }
-
-    /// Frobenius (L2) norm of all elements.
-    pub fn norm(&self) -> f32 {
-        self.data()
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>()
-            .sqrt() as f32
-    }
-}
-
-#[cfg(test)]
-mod extra_reduce_tests {
-    use super::*;
-
-    #[test]
-    fn dot_and_norm_consistent() {
-        let t = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
-        assert_eq!(t.dot(&t), 25.0);
-        assert_eq!(t.norm(), 5.0);
     }
 }

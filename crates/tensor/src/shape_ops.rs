@@ -220,30 +220,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Crops `pads` back off each axis, the inverse of [`Tensor::pad`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any crop exceeds the axis extent.
-    pub fn crop(&self, pads: &[(usize, usize)]) -> Result<Self> {
-        if pads.len() != self.rank() {
-            return Err(TensorError::Invalid {
-                detail: format!("crop: {} specs for rank {}", pads.len(), self.rank()),
-            });
-        }
-        let mut cur = self.clone();
-        for (axis, &(b, a)) in pads.iter().enumerate() {
-            let dim = cur.shape()[axis];
-            if b + a > dim {
-                return Err(TensorError::IndexOutOfBounds {
-                    detail: format!("crop ({b},{a}) on axis {axis} extent {dim}"),
-                });
-            }
-            cur = cur.slice_axis(axis, b, dim - a)?;
-        }
-        Ok(cur)
-    }
-
     /// `self + up(coarse)`: `coarse` nearest-neighbour upsampled by
     /// `factor` on the two trailing axes and added to `self`.
     ///
@@ -457,17 +433,6 @@ mod tests {
         let a = t.slice_axis(1, 0, 2).unwrap();
         let b = t.slice_axis(1, 2, 4).unwrap();
         assert!(Tensor::concat(&[&a, &b], 1).unwrap().approx_eq(&t, 0.0));
-    }
-
-    #[test]
-    fn pad_crop_roundtrip() {
-        let t = Tensor::from_vec((0..6).map(|x| x as f32 + 1.0).collect(), &[2, 3]).unwrap();
-        let p = t.pad(&[(1, 2), (0, 1)]).unwrap();
-        assert_eq!(p.shape(), &[5, 4]);
-        assert_eq!(p.get(&[0, 0]), 0.0);
-        assert_eq!(p.get(&[1, 0]), 1.0);
-        assert_eq!(p.sum(), t.sum());
-        assert!(p.crop(&[(1, 2), (0, 1)]).unwrap().approx_eq(&t, 0.0));
     }
 }
 

@@ -86,7 +86,10 @@ proptest! {
         let t = Tensor::randn(&[2, 3], &mut rng);
         let p = t.pad(&[(before, after), (after, before)]).unwrap();
         prop_assert!((p.sum() - t.sum()).abs() < 1e-4);
-        let c = p.crop(&[(before, after), (after, before)]).unwrap();
+        let c = p
+            .slice_axis(0, before, before + 2)
+            .and_then(|r| r.slice_axis(1, after, after + 3))
+            .unwrap();
         prop_assert!(c.approx_eq(&t, 0.0));
     }
 

@@ -148,6 +148,7 @@ fn glue_is_attributed_and_tracing_stays_cheap() {
         "ew.permute",
         "ew.softmax",
         "ew.concat",
+        "ew.reduce_axis",
     ] {
         assert!(profile.span_count(name) > 0, "no {name} span in a predict");
     }
