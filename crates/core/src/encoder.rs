@@ -106,15 +106,8 @@ impl EncoderStage {
         // Token sequence view: [L, C] with depth-major order.
         let mut seq = e.reshape(&[c, l]).permute(&[1, 0]);
         // Per-depth-level spatial self-attention with shared weights.
-        let plane = h * w;
         let normed = self.norm_attn.forward(&seq);
-        let mut attn_slices = Vec::with_capacity(d);
-        for k in 0..d {
-            let s = normed.slice_axis(0, k * plane, (k + 1) * plane);
-            attn_slices.push(self.attn.forward(&s));
-        }
-        let refs: Vec<&Var> = attn_slices.iter().collect();
-        seq = seq.add(&Var::concat(&refs, 0));
+        seq = seq.add(&self.attn.forward_planes(&normed, d));
         // Feed-forward (position-wise, so the full sequence at once).
         seq = seq.add(&self.ffn.forward(&self.norm_ffn.forward(&seq)));
         // Spatial-depthwise Mamba unit over the volume.

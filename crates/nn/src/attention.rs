@@ -12,6 +12,11 @@ use peb_tensor::Var;
 use crate::{Linear, Parameterized};
 
 /// Multi-head self-attention with spatial sequence reduction.
+///
+/// [`EfficientSelfAttention::forward_planes`] attends within each depth
+/// plane of a stage's token sequence in one pass; its output bits are
+/// those of the per-plane composition (head-split `bmm`, scale, softmax,
+/// `bmm`, merge) at every dispatch level — it is exact-class.
 #[derive(Debug, Clone)]
 pub struct EfficientSelfAttention {
     wq: Linear,
@@ -54,25 +59,54 @@ impl EfficientSelfAttention {
         self.reduction
     }
 
-    /// Applies self-attention to an `[L, C]` sequence.
+    /// Applies self-attention to one `[L, C]` sequence:
+    /// [`EfficientSelfAttention::forward_planes`] with one plane.
     ///
     /// # Panics
     ///
-    /// Panics if `L` is not divisible by the reduction ratio or `C` is not
-    /// the configured dimension.
+    /// As [`EfficientSelfAttention::forward_planes`].
     pub fn forward(&self, x: &Var) -> Var {
+        self.forward_planes(x, 1)
+    }
+
+    /// Applies self-attention within each of `planes` equal consecutive
+    /// runs of an `[L, C]` sequence — the per-depth-level attention of an
+    /// encoder stage, with shared weights. Tokens attend only to tokens
+    /// of their own plane.
+    ///
+    /// The q/k/v/o projections and the sequence-reduction fold each run
+    /// as one GEMM over the whole sequence (a GEMM row does not depend on
+    /// how many rows there are, and the fold stays inside a plane because
+    /// `r` divides the plane length), and the attention core is one
+    /// fused kernel over all planes ([`Var::attention`]). The output is
+    /// bitwise identical to running [`EfficientSelfAttention::forward`]
+    /// on each plane and concatenating, at every dispatch level and
+    /// thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `planes` does not divide `L`, if the reduction ratio does
+    /// not divide the plane length `L / planes`, or if `C` is not the
+    /// configured dimension.
+    pub fn forward_planes(&self, x: &Var, planes: usize) -> Var {
         let shape = x.shape();
         assert_eq!(shape.len(), 2, "attention expects [L, C]");
         let (l, c) = (shape[0], shape[1]);
         assert_eq!(c, self.dim, "attention dim mismatch");
         assert!(
-            l % self.reduction == 0,
-            "sequence length {l} not divisible by reduction {}",
+            planes > 0 && l.is_multiple_of(planes),
+            "sequence length {l} not divisible into {planes} planes"
+        );
+        let plane = l / planes;
+        assert!(
+            plane.is_multiple_of(self.reduction),
+            "plane length {plane} ({l} tokens / {planes} planes) not divisible by reduction {}",
             self.reduction
         );
-        let q = self.wq.forward(x); // [L, C]
-                                    // Sequence reduction (Eq. 15): fold r consecutive tokens into the
-                                    // channel axis, then project back to C.
+        let q = self.wq.forward(x);
+
+        // Sequence reduction (Eq. 15): fold r consecutive tokens into the
+        // channel axis, then project back to C.
         let kv_in = match &self.reduce {
             Some(proj) => {
                 let folded = x.reshape(&[l / self.reduction, c * self.reduction]);
@@ -80,20 +114,9 @@ impl EfficientSelfAttention {
             }
             None => x.clone(),
         };
-        let k = self.wk.forward(&kv_in); // [Lr, C]
-        let v = self.wv.forward(&kv_in); // [Lr, C]
-        let lr = l / self.reduction;
-        let dh = self.dim / self.heads;
-        // Split heads: [L, C] -> [h, L, dh].
-        let qh = q.reshape(&[l, self.heads, dh]).permute(&[1, 0, 2]);
-        let kh = k.reshape(&[lr, self.heads, dh]).permute(&[1, 2, 0]); // [h, dh, Lr]
-        let vh = v.reshape(&[lr, self.heads, dh]).permute(&[1, 0, 2]); // [h, Lr, dh]
-        let scale = 1.0 / (dh as f32).sqrt();
-        let scores = qh.bmm(&kh).mul_scalar(scale); // [h, L, Lr]
-        let attn = scores.softmax(2);
-        let ctx = attn.bmm(&vh); // [h, L, dh]
-        let merged = ctx.permute(&[1, 0, 2]).reshape(&[l, self.dim]);
-        self.wo.forward(&merged)
+        let k = self.wk.forward(&kv_in); // [L/r, C]
+        let v = self.wv.forward(&kv_in); // [L/r, C]
+        self.wo.forward(&q.attention(&k, &v, planes, self.heads))
     }
 }
 

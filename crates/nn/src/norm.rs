@@ -25,7 +25,8 @@ impl LayerNorm {
         }
     }
 
-    /// Normalises `[L, C]` per token over the feature axis.
+    /// Normalises `[L, C]` per token over the feature axis: one fused
+    /// pass per token ([`Var::layer_norm`]).
     ///
     /// # Panics
     ///
@@ -37,14 +38,7 @@ impl LayerNorm {
             self.dim,
             "LayerNorm dimension mismatch"
         );
-        let axis = shape.len() - 1;
-        let mut keep = shape.clone();
-        keep[axis] = 1;
-        let mu = x.mean_axis(axis).reshape(&keep);
-        let centred = x.sub(&mu);
-        let var = centred.square().mean_axis(axis).reshape(&keep);
-        let inv_std = var.add_scalar(self.eps).sqrt();
-        centred.div(&inv_std).mul(&self.gamma).add(&self.beta)
+        x.layer_norm(&self.gamma, &self.beta, self.eps)
     }
 }
 

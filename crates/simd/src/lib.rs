@@ -28,7 +28,8 @@
 //!
 //! * **Bit-exact kernels** (tridiagonal line solves, the PEB reaction
 //!   half-step, the depthwise 3-D conv's row sweeps, the exact stages of
-//!   the elementwise chain in [`fused`], Adam updates) use only
+//!   the elementwise chain in [`fused`], the LayerNorm row pass in
+//!   [`norm`], Adam updates) use only
 //!   IEEE-exact lane operations (`+ − × ÷ √`, `max`/`min`, `floor`,
 //!   integer-built `2ⁿ`) in exactly the per-element expression order of
 //!   the scalar code, so the SIMD path reproduces the scalar path **to
@@ -39,15 +40,24 @@
 //!   `sigmoid` / `softplus` chain stages, which use the polynomial
 //!   [`Simd8::exp`] and [`Simd8::ln1p`] instead of libm) differ from
 //!   scalar by bounded ULPs; the property suite in `tests/` pins those
-//!   bounds.
+//!   bounds. The fused attention core in [`attention`] is the GEMM →
+//!   scale → softmax → GEMM composition replayed per query row in its
+//!   own order: tolerance-class across levels like its parts, and
+//!   bitwise equal to that composition at each level.
+//!
+//! Kernels whose lanes are rows ([`attention`], [`norm`]) accumulate
+//! per-lane `f64` sums through [`Simd8::widen_add`], so a row's bits do
+//! not depend on the lane it rides in.
 //!
 //! The `simd_dispatch` counter in `peb-obs` ticks once per kernel call
 //! that takes the vector path.
 
+pub mod attention;
 pub mod conv;
 pub mod elementwise;
 pub mod fused;
 pub mod gemm;
+pub mod norm;
 pub mod optim;
 pub mod reaction;
 pub mod scan;
@@ -222,6 +232,15 @@ pub trait Simd8: Copy {
     fn to_array(self) -> [f32; 8];
     /// Builds lanes from an array.
     fn from_array(a: [f32; 8]) -> Self;
+    /// Eight `f64` lanes: the accumulator of [`Simd8::widen_add`].
+    type Wide: Copy;
+    /// All eight `f64` lanes zero.
+    fn wide_zero() -> Self::Wide;
+    /// Lanewise `acc + self as f64`: one step of an `f64` running sum per
+    /// lane (IEEE-exact widening, so identical on every backend).
+    fn widen_add(self, acc: Self::Wide) -> Self::Wide;
+    /// Lanewise `acc as f32` (round to nearest even on every backend).
+    fn narrow(acc: Self::Wide) -> Self;
 }
 
 /// Portable scalar backend: 8 plain `f32` lanes.
@@ -342,6 +361,19 @@ impl Simd8 for ScalarX8 {
     #[inline(always)]
     fn from_array(a: [f32; 8]) -> Self {
         ScalarX8(a)
+    }
+    type Wide = [f64; 8];
+    #[inline(always)]
+    fn wide_zero() -> [f64; 8] {
+        [0.0; 8]
+    }
+    #[inline(always)]
+    fn widen_add(self, acc: [f64; 8]) -> [f64; 8] {
+        std::array::from_fn(|i| acc[i] + self.0[i] as f64)
+    }
+    #[inline(always)]
+    fn narrow(acc: [f64; 8]) -> Self {
+        ScalarX8(acc.map(|v| v as f32))
     }
 }
 
@@ -492,6 +524,28 @@ mod avx {
         #[inline(always)]
         fn from_array(a: [f32; 8]) -> Self {
             AvxX8(unsafe { _mm256_loadu_ps(a.as_ptr()) })
+        }
+        /// Lanes 0..4 and 4..8.
+        type Wide = [__m256d; 2];
+        #[inline(always)]
+        fn wide_zero() -> [__m256d; 2] {
+            unsafe { [_mm256_setzero_pd(); 2] }
+        }
+        #[inline(always)]
+        fn widen_add(self, acc: [__m256d; 2]) -> [__m256d; 2] {
+            unsafe {
+                let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(self.0));
+                let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(self.0));
+                [_mm256_add_pd(acc[0], lo), _mm256_add_pd(acc[1], hi)]
+            }
+        }
+        #[inline(always)]
+        fn narrow(acc: [__m256d; 2]) -> Self {
+            unsafe {
+                let lo = _mm256_cvtpd_ps(acc[0]);
+                let hi = _mm256_cvtpd_ps(acc[1]);
+                AvxX8(_mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi))
+            }
         }
     }
 

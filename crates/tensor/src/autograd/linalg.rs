@@ -147,25 +147,6 @@ impl Var {
             grads
         })
     }
-
-    /// Batched matrix product `[b, m, k] × [b, k, n] → [b, m, n]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on incompatible shapes.
-    pub fn bmm(&self, other: &Var) -> Var {
-        let out = self.value().bmm(&other.value()).expect("Var::bmm shapes");
-        let (a, b) = (self.clone(), other.clone());
-        Var::from_op(out, vec![self.clone(), other.clone()], move |g| {
-            let av = a.value();
-            let bv = b.value();
-            let bt = bv.permute(&[0, 2, 1]).expect("bmm transpose");
-            let at = av.permute(&[0, 2, 1]).expect("bmm transpose");
-            let ga = g.bmm(&bt).expect("bmm back A");
-            let gb = at.bmm(g).expect("bmm back B");
-            vec![Some(ga), Some(gb)]
-        })
-    }
 }
 
 /// `[rows, cols]` data transposed into a fresh `[cols, rows]` tensor.
@@ -195,15 +176,6 @@ mod tests {
         let bp = Var::parameter(b.value_clone());
         let fb = check_gradients(&bp, |v| a2.matmul(v).sum(), 1e-2);
         assert!(fb.ok(2e-2), "{fb:?}");
-    }
-
-    #[test]
-    fn bmm_gradcheck() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let a = Var::parameter(Tensor::randn(&[2, 2, 3], &mut rng));
-        let b = Var::constant(Tensor::randn(&[2, 3, 2], &mut rng));
-        let fa = check_gradients(&a, |v| v.bmm(&b).sum(), 1e-2);
-        assert!(fa.ok(2e-2), "{fa:?}");
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

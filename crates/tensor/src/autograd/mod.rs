@@ -24,8 +24,10 @@
 //! bump) and receives the operation's own output from the node it belongs
 //! to; no operation copies a tensor at forward time for backward's sake.
 
+mod attention;
 mod elementwise;
 mod linalg;
+mod norm;
 mod reduce;
 mod shape;
 

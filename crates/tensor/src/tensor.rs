@@ -54,7 +54,7 @@ pub(crate) fn alloc_copy(src: &[f32]) -> Vec<f32> {
 
 /// Span around a `Tensor`-level elementwise / data-movement entry point
 /// touching `elems` elements (names `ew.*`: chain, broadcast, reduce,
-/// reduce_axis, permute, softmax, concat, zip, map, copy).
+/// layernorm, layernorm_bwd, permute, softmax, concat, zip, map, copy).
 ///
 /// Calls below [`SPAN_MIN_ELEMS`] get no span: recording one costs about
 /// as much as streaming that many floats, so it would distort what it

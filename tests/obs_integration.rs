@@ -146,9 +146,9 @@ fn glue_is_attributed_and_tracing_stays_cheap() {
         "ew.chain",
         "ew.broadcast",
         "ew.permute",
-        "ew.softmax",
         "ew.concat",
-        "ew.reduce_axis",
+        "ew.layernorm",
+        "attn.fwd",
     ] {
         assert!(profile.span_count(name) > 0, "no {name} span in a predict");
     }
