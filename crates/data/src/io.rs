@@ -77,7 +77,7 @@ pub fn save_dataset(ds: &Dataset, path: &Path) -> Result<()> {
 pub fn load_dataset(path: &Path) -> Result<Dataset> {
     let bytes = std::fs::read(path).with_ctx(|| format!("reading {}", path.display()))?;
     let decode = || -> Result<Dataset> {
-        let (mut r, _) = open_sealed(&bytes, MAGIC, "dataset cache")?;
+        let mut r = open_sealed(&bytes, MAGIC, "dataset cache")?;
         let grid = read_grid(&mut r)?;
         let train = read_split(&mut r, "train")?;
         let test = read_split(&mut r, "test")?;

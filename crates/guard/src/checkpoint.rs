@@ -225,7 +225,7 @@ impl TrainCheckpoint {
     ///
     /// Returns [`PebError::Corrupt`] describing the first violated field.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let (mut r, _) = open_sealed(bytes, MAGIC, "checkpoint")?;
+        let mut r = open_sealed(bytes, MAGIC, "checkpoint")?;
         let version = r.version()?;
         let epoch = r.u64()?;
         let seed = r.u64()?;
@@ -267,77 +267,6 @@ impl TrainCheckpoint {
             quant,
         })
     }
-}
-
-// --- header peek ------------------------------------------------------------
-
-/// Validated header metadata of an on-disk checkpoint, decoded without
-/// materialising the parameter tensors.
-///
-/// The whole file is still read and CRC-checked (corruption anywhere in
-/// the payload must be caught before a consumer trusts the header), but
-/// the tensor payload is never decoded into `Vec<f32>` storage — on
-/// serve-sized models that is the difference between a metadata probe
-/// and a full model load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CkptMeta {
-    /// Epochs completed when the state was captured.
-    pub epoch: u64,
-    /// Shuffle seed of the originating run.
-    pub seed: u64,
-    /// Number of parameter tensors in the payload.
-    pub n_params: u64,
-    /// Total file size in bytes (CRC footer included).
-    pub file_bytes: u64,
-    /// The validated CRC-32 — a stable content fingerprint, usable as a
-    /// version identity for hot-swap registries.
-    pub crc: u32,
-    /// Wire-format version: 1 = plain f32, 2 = carries a quantized
-    /// weight section (`n_params` is then typically 0).
-    pub version: u32,
-}
-
-/// Reads and CRC-validates `path`, decoding only the checkpoint header.
-///
-/// # Errors
-///
-/// [`PebError::Io`] when the file cannot be read, [`PebError::Corrupt`]
-/// on bad magic, version, checksum or a truncated header — the same
-/// corruption classes as [`TrainCheckpoint::load`], so a file that
-/// `peek`s clean will also load (barring a race with a concurrent
-/// rewrite).
-pub fn peek(path: &Path) -> Result<CkptMeta> {
-    let _span = peb_obs::span("guard.checkpoint.peek");
-    let bytes = fs::read(path).with_ctx(|| format!("reading checkpoint {}", path.display()))?;
-    peek_bytes(&bytes).with_ctx(|| format!("peeking checkpoint {}", path.display()))
-}
-
-/// [`peek`] over an in-memory image.
-///
-/// # Errors
-///
-/// Returns [`PebError::Corrupt`] describing the first violated field.
-pub fn peek_bytes(bytes: &[u8]) -> Result<CkptMeta> {
-    let (mut r, crc) = open_sealed(bytes, MAGIC, "checkpoint")?;
-    let version = r.version()?;
-    let epoch = r.u64()?;
-    let seed = r.u64()?;
-    r.opt_tag()?;
-    let _opt_t = r.u64()?;
-    let _lr_scale = r.f32()?;
-    let _rollbacks = r.u64()?;
-    let n_stats = r.count("epoch stats", EPOCH_RECORD_BYTES)?;
-    // Skip the fixed-width epoch records without decoding them.
-    r.take(n_stats * EPOCH_RECORD_BYTES)?;
-    let n_params = r.count("parameters", MIN_TENSOR_BYTES)? as u64;
-    Ok(CkptMeta {
-        epoch,
-        seed,
-        n_params,
-        file_bytes: bytes.len() as u64,
-        crc,
-        version,
-    })
 }
 
 // --- checkpoint directory management ---------------------------------------
@@ -619,7 +548,6 @@ mod tests {
             bytes[payload..].copy_from_slice(&crc.to_le_bytes());
             let err = TrainCheckpoint::from_bytes(&bytes).expect_err("tag");
             assert!(err.is_corrupt(), "{err}");
-            assert!(peek_bytes(&bytes).expect_err("tag").is_corrupt());
         }
     }
 
@@ -630,8 +558,6 @@ mod tests {
         let bytes = sample_checkpoint().to_bytes();
         let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
         assert_eq!(version, 1);
-        let meta = peek_bytes(&bytes).expect("peek");
-        assert_eq!(meta.version, 1);
     }
 
     #[test]
@@ -651,9 +577,6 @@ mod tests {
         let bytes = ckpt.to_bytes();
         let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
         assert_eq!(version, 2);
-        let meta = peek_bytes(&bytes).expect("peek accepts v2");
-        assert_eq!(meta.version, 2);
-        assert_eq!(meta.n_params, 0);
         let back = TrainCheckpoint::from_bytes(&bytes).expect("v2 decodes");
         assert_eq!(back.quant, ckpt.quant);
         assert!(back.params.is_empty());
@@ -676,32 +599,6 @@ mod tests {
         rejected("NaN scale", |q| q.scales[0] = f32::NAN);
         rejected("infinite scale", |q| q.scales[1] = f32::INFINITY);
         rejected("negative scale", |q| q.scales[0] = -0.25);
-    }
-
-    #[test]
-    fn peek_matches_full_decode_and_rejects_corruption() {
-        let ckpt = sample_checkpoint();
-        let bytes = ckpt.to_bytes();
-        let meta = peek_bytes(&bytes).expect("peek decodes");
-        assert_eq!(meta.epoch, ckpt.epoch);
-        assert_eq!(meta.seed, ckpt.seed);
-        assert_eq!(meta.n_params, ckpt.params.len() as u64);
-        assert_eq!(meta.file_bytes, bytes.len() as u64);
-        // The fingerprint is the stored CRC footer.
-        let crc = u32::from_le_bytes([
-            bytes[bytes.len() - 4],
-            bytes[bytes.len() - 3],
-            bytes[bytes.len() - 2],
-            bytes[bytes.len() - 1],
-        ]);
-        assert_eq!(meta.crc, crc);
-        // Any corruption a full load would reject, peek rejects too.
-        let mut mangled = bytes.clone();
-        mangled[bytes.len() / 2] ^= 0x01;
-        assert!(peek_bytes(&mangled).expect_err("corrupt").is_corrupt());
-        assert!(peek_bytes(&bytes[..20])
-            .expect_err("truncated")
-            .is_corrupt());
     }
 
     #[test]

@@ -64,14 +64,13 @@ pub fn seal(w: &mut Vec<u8>) {
 
 /// Checks a sealed frame — `magic`, payload, `u32` CRC-32 footer over
 /// every preceding byte — and returns a cursor over the payload just past
-/// the magic, together with the verified CRC. `what` names the frame in
-/// error messages.
+/// the magic. `what` names the frame in error messages.
 ///
 /// # Errors
 ///
 /// [`PebError::Corrupt`] when the frame is shorter than magic + footer,
 /// the magic differs, or the checksum does not match.
-pub fn open_sealed<'a>(bytes: &'a [u8], magic: &[u8; 8], what: &str) -> Result<(Cursor<'a>, u32)> {
+pub fn open_sealed<'a>(bytes: &'a [u8], magic: &[u8; 8], what: &str) -> Result<Cursor<'a>> {
     if bytes.len() < magic.len() + 4 {
         return Err(PebError::corrupt(format!(
             "{what} too short ({} bytes)",
@@ -91,7 +90,7 @@ pub fn open_sealed<'a>(bytes: &'a [u8], magic: &[u8; 8], what: &str) -> Result<(
     }
     let mut r = Cursor::new(payload);
     r.take(magic.len())?;
-    Ok((r, stored))
+    Ok(r)
 }
 
 // --- writers ------------------------------------------------------------------

@@ -33,8 +33,8 @@ pub mod codec;
 mod error;
 
 pub use checkpoint::{
-    atomic_write, checkpoint_path, list_checkpoints, load_latest, peek, peek_bytes,
-    prune_checkpoints, CkptMeta, EpochRecord, QuantSlot, QuantTensor, TrainCheckpoint,
+    atomic_write, checkpoint_path, list_checkpoints, load_latest, prune_checkpoints, EpochRecord,
+    QuantSlot, QuantTensor, TrainCheckpoint,
 };
 pub use codec::crc32;
 pub use error::{Context, PebError, Result};

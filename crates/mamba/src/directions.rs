@@ -107,6 +107,7 @@ pub fn gather_rows(x: &Var, idx: &[usize]) -> Var {
     };
     let idx = idx.to_vec();
     Var::from_op(out, vec![x.clone()], move |g| {
+        let _span = peb_obs::span("scan.gather_bwd");
         let mut dx = Tensor::zeros(&[l, c]);
         let dxd = dx.data_mut();
         let gd = g.data();

@@ -216,31 +216,25 @@ pub enum Counter {
     /// Successful checkpoint hot-swaps performed by the `peb-serve`
     /// model registry (failed swaps keep the old model and do not tick).
     ServeHotswaps = 20,
-    /// Computations executed through `Plan::replay` that completed
-    /// without diverging from the recorded checkout stream.
-    PlanReplays = 21,
-    /// Bytes materialised into record-and-replay arenas (aggregated
-    /// across plans; the per-plan high-water mark lives in the plan).
-    ArenaBytes = 22,
     /// Inference requests accepted by the `peb-fleet` router (sheds and
     /// upstream failures are still counted here; they are terminal
     /// router responses).
-    FleetRequests = 23,
+    FleetRequests = 21,
     /// Upstream attempts the router retried after a worker failure
     /// (connect refused/reset, response timeout, CRC-bad frame, 429).
-    FleetRetries = 24,
+    FleetRetries = 22,
     /// Requests ultimately served by a shard other than their hash-ring
     /// owner (degraded ring or mid-request failover).
-    FleetFailovers = 25,
+    FleetFailovers = 23,
     /// Worker processes restarted by the fleet supervisor after a
     /// crash or a liveness-probe failure streak.
-    FleetRestarts = 26,
+    FleetRestarts = 24,
     /// Requests shed by the router or the worker coalescer because the
     /// propagated deadline would have expired before service (504).
-    FleetDeadlineShed = 27,
+    FleetDeadlineShed = 25,
 }
 
-const N_COUNTERS: usize = 28;
+const N_COUNTERS: usize = 26;
 
 const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "gemm_flops",
@@ -264,8 +258,6 @@ const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "serve_batches",
     "serve_shed",
     "serve_hotswaps",
-    "plan_replays",
-    "arena_bytes",
     "fleet_requests",
     "fleet_retries",
     "fleet_failovers",

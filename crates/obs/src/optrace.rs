@@ -1,13 +1,14 @@
-//! Flat op-list capture for record-and-replay execution plans.
+//! Flat op-list capture.
 //!
-//! While `peb-plan` records a computation it opens an op-trace window on
-//! the recording thread; instrumented kernels (GEMM, direct convs,
-//! selective scan, ADI sweeps, stencils, fused elementwise chains, FFT
-//! lines) call [`note`] to append one [`OpDesc`] per dispatched stage
-//! with its resolved shapes/tile sizes. The result is the plan's flat
-//! op list: a human-readable record of exactly what a replay will
-//! execute, in order, with all dynamic decisions (dispatch level, tile
-//! geometry, FFT plan handles) already resolved.
+//! `peb_plan::Plan::record` opens an op-trace window on the calling
+//! thread around one computation; instrumented kernels (GEMM, direct
+//! convs, selective scan, ADI sweeps, stencils, fused elementwise
+//! chains, FFT lines) call [`note`] to append one [`OpDesc`] per
+//! dispatched stage with its resolved shapes/tile sizes. The result is a
+//! human-readable record of exactly what the computation executed, in
+//! order, with all dynamic decisions (dispatch level, tile geometry,
+//! FFT plan handles) already resolved; the benchmark reads it for the
+//! model's largest GEMM shape.
 //!
 //! The window is thread-local and off by default; [`note`] takes the
 //! detail as a closure so call sites pay one `Cell` read and no

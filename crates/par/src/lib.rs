@@ -68,17 +68,6 @@ thread_local! {
     static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether this thread is currently executing a parallel chunk body
-/// (either as a pool worker or as the caller participating in its own
-/// loop). Chunk *claiming* is dynamic — an atomic fetch-add decides
-/// which thread runs which chunk — so work done under this flag is not
-/// attributable to a deterministic thread-local sequence. `peb-pool`'s
-/// record/replay arena uses this to leave chunk-body checkouts on the
-/// ordinary pool path.
-pub fn in_parallel() -> bool {
-    IN_PARALLEL.with(|f| f.get())
-}
-
 /// The thread count parallel loops on this thread will use right now.
 fn current_threads() -> usize {
     ctx::current().threads

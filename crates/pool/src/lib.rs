@@ -49,7 +49,6 @@
 
 use std::ops::{Deref, DerefMut};
 
-pub mod arena;
 pub mod tile;
 
 /// Largest pooled buffer: `2^MAX_BUCKET` elements. Checkouts above this
@@ -170,27 +169,6 @@ fn take_raw<T: Poolable>(len: usize) -> (Vec<T>, bool) {
     if len == 0 {
         return (Vec::new(), false);
     }
-    if arena::active() && !peb_par::in_parallel() {
-        // A record or replay session is open on this thread. Replay
-        // serves the checkout from its planned arena region; record
-        // (and replay fall-through: escapes, divergence) takes the
-        // normal path below and logs the event. Checkouts made while
-        // executing a parallel chunk body stay on the ordinary pool
-        // path: chunk claiming is dynamic, so which chunks (and hence
-        // which allocations) land on the recording thread is not
-        // reproducible across runs.
-        if let Some(v) = arena::replay_checkout::<T>(len) {
-            return (v, false);
-        }
-        let out = take_raw_pooled::<T>(len);
-        arena::record_checkout::<T>(&out.0, len);
-        return out;
-    }
-    take_raw_pooled(len)
-}
-
-/// The ordinary (non-arena) checkout path.
-fn take_raw_pooled<T: Poolable>(len: usize) -> (Vec<T>, bool) {
     let b = bucket_for_len(len);
     if b > MAX_BUCKET {
         return (Vec::with_capacity(len), true);
@@ -250,10 +228,6 @@ pub fn take_copy<T: Poolable>(src: &[T]) -> (Vec<T>, bool) {
 pub fn recycle<T: Poolable>(mut v: Vec<T>) {
     let cap = v.capacity();
     if cap == 0 {
-        return;
-    }
-    if arena::active() && !peb_par::in_parallel() && arena::intercept_recycle(&mut v) {
-        // Returned to its arena region (replay); nothing for the pool.
         return;
     }
     let b = bucket_for_cap(cap);

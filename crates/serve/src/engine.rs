@@ -35,6 +35,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use peb_guard::Context;
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -378,10 +379,17 @@ fn handle_swap(
         stats.tick_swap_rejected();
         ServeError::SwapRejected { detail }
     };
-    // CRC + header validation without decoding the full payload; a
+    // One read: the reported CRC and epoch describe exactly the bytes
+    // that were decoded, even if the file is replaced meanwhile. A
     // corrupt file is rejected here and the live model is untouched.
-    let meta = peb_guard::peek(path).map_err(|e| rejected(e.to_string()))?;
-    let ckpt = peb_guard::TrainCheckpoint::load(path).map_err(|e| rejected(e.to_string()))?;
+    let bytes = std::fs::read(path)
+        .with_ctx(|| format!("reading checkpoint {}", path.display()))
+        .map_err(|e| rejected(e.to_string()))?;
+    let ckpt = peb_guard::TrainCheckpoint::from_bytes(&bytes)
+        .with_ctx(|| format!("decoding checkpoint {}", path.display()))
+        .map_err(|e| rejected(e.to_string()))?;
+    // `from_bytes` verified the footer: it is the CRC of these bytes.
+    let crc = <[u8; 4]>::try_from(&bytes[bytes.len() - 4..]).map_or(0, u32::from_le_bytes);
     // A v2 (int8-quantized, params-empty) checkpoint dequantizes here;
     // a v1 checkpoint passes its f32 params through untouched.
     let params = sdm_peb::checkpoint_params(&ckpt).map_err(|e| rejected(e.to_string()))?;
@@ -401,9 +409,9 @@ fn handle_swap(
     *version += 1;
     let v = ModelVersion {
         version: *version,
-        epoch: meta.epoch,
+        epoch: ckpt.epoch,
         source: path.display().to_string(),
-        crc: meta.crc,
+        crc,
     };
     stats.tick_hotswap(v.clone());
     Ok(v)

@@ -116,6 +116,31 @@ fn valid_swap_changes_the_served_model() {
 }
 
 #[test]
+fn swap_reports_the_crc_and_epoch_of_the_file_it_loaded() {
+    let _l = lock();
+    chaos::disarm();
+    let (_, mut ckpt) = donor_checkpoint();
+    ckpt.epoch = 11;
+    let path = save_checkpoint(&ckpt, "version");
+    let bytes = std::fs::read(&path).expect("read checkpoint");
+    let footer: [u8; 4] = bytes[bytes.len() - 4..].try_into().expect("4-byte footer");
+    let server = Server::start(config()).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let v = client
+        .swap(path.to_str().expect("utf8 path"))
+        .expect("swap succeeds");
+    assert_eq!(
+        v.crc,
+        u32::from_le_bytes(footer),
+        "crc is the file's footer"
+    );
+    assert_eq!(v.epoch, 11, "epoch is the checkpoint's");
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn corrupt_swap_is_rejected_and_old_model_keeps_serving() {
     let _l = lock();
     // A fault mangles a good file on its way in; `None` is a file that

@@ -75,8 +75,8 @@ pub enum Stage<'a> {
 }
 
 impl Stage<'_> {
-    /// Stable stage descriptor, used by the op-trace capture in
-    /// `peb-plan` recordings to describe a fused chain.
+    /// Stable stage descriptor, used by the `peb_obs::optrace` op list
+    /// to describe a fused chain.
     pub fn name(&self) -> &'static str {
         match *self {
             Stage::AddT(_) => "add_t",

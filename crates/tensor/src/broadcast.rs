@@ -17,10 +17,14 @@ enum Side {
 
 /// A broadcast (or its adjoint reduction) that factors into rows ×
 /// columns: the output axes split at one point such that each operand is
-/// either present or expanded on *all* axes of each side. Covers bias
-/// and LayerNorm shapes (trailing vector, per-row scalar), outer
-/// products of the two, and one-element operands; anything else (an
-/// expanded axis between two kept ones) takes the generic odometer walk.
+/// either present or expanded on *all* axes of each side: a trailing
+/// vector, a per-row scalar, outer products of the two, and one-element
+/// operands. That covers every broadcast the model makes — SsmBlock's Δ
+/// outer sum `[L, 1] ∘ [C]` (C = 12…48) in predict and training, and
+/// the training backward's reductions `[…, C] → [C]`, `[L, C] → [L, 1]`,
+/// `[L, 1] → [1]` and `[C, D, H, W] → [C, 1, 1, 1]`. Anything else (an
+/// expanded axis between two kept ones) takes the generic odometer walk,
+/// which no model shape reaches.
 struct RowPlan {
     cols: usize,
     lhs: Side,
@@ -70,8 +74,8 @@ fn row_plan(lhs: &[usize], rhs: &[usize], out_shape: &[usize]) -> Option<RowPlan
 
 /// Target length of one kernel call in the row loops. Long rows are cut
 /// into column chunks of this width; short rows are grouped so that a
-/// call still covers about this many elements — a 12-wide LayerNorm row
-/// would otherwise pay a kernel dispatch per 12 elements. Per-row
+/// call still covers about this many elements — the Δ outer sum's
+/// 12-to-48-wide rows would otherwise pay a kernel dispatch each. Per-row
 /// scalars and shared row vectors are expanded into an L1-resident
 /// buffer of this size, so every side of every shape feeds the same
 /// two-slice kernels.
@@ -299,7 +303,7 @@ fn reduce_rows(plan: &RowPlan, src: &[f32], out: &mut [f32]) {
         Side::Full => out.copy_from_slice(src),
         Side::RowVec => {
             // An exact lane add either way; a plain loop has no dispatch
-            // cost on the 12-wide rows bias gradients are made of.
+            // cost on the 12-to-48-wide `[…, C] → [C]` rows.
             for row in src.chunks_exact(plan.cols.max(1)) {
                 for (o, &v) in out.iter_mut().zip(row) {
                     *o += v;

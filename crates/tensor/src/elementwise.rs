@@ -6,9 +6,10 @@
 //!
 //! Same-shape binary ops and the dense unary ops run as one-stage
 //! [`peb_simd::fused::vchain`] calls, and so do the row loops of
-//! broadcasts that factor into rows × columns (bias, LayerNorm
-//! statistics, rank-0 operands — see `broadcast.rs`); only the remaining
-//! broadcast shapes take the strided scalar walk. The `+ − × ÷ √` and
+//! broadcasts that factor into rows × columns (SsmBlock's Δ outer sum,
+//! the only broadcast the model makes, and rank-0 operands — see
+//! `broadcast.rs`); only the remaining broadcast shapes, which no model
+//! shape reaches, take the strided scalar walk. The `+ − × ÷ √` and
 //! scalar stages are bitwise identical to the plain expressions at every
 //! dispatch level; `exp`/`sigmoid`/`softplus` use the polynomial vector
 //! exponential (and logarithm) on SIMD (bounded-ULP, deterministic per
