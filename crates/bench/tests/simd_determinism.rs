@@ -14,30 +14,11 @@
 //! Each case runs under its own `ExecCtx`, so the tests share no state.
 
 use peb_litho::{Grid, MaskConfig, PebParams, PebSolver, TimeScheme};
-use peb_par::ctx::{self, ExecCtx};
+use peb_par::ctx::{self, at_level, levels, ExecCtx};
 use peb_simd::Level;
 use peb_tensor::{check_gradients, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Runs `f` at dispatch level `level`.
-fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
-    ctx::with(
-        ExecCtx {
-            level,
-            ..ctx::current()
-        },
-        f,
-    )
-}
-
-fn levels() -> Vec<Level> {
-    let mut ls = vec![Level::Scalar];
-    if peb_simd::detected() {
-        ls.push(Level::Avx2Fma);
-    }
-    ls
-}
 
 fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");

@@ -158,12 +158,8 @@ mod tests {
     #[test]
     fn forward_is_the_naive_loop_bitwise_at_any_level_and_thread_count() {
         use peb_par::{ctx, ExecCtx};
-        use peb_simd::Level;
         let mut rng = StdRng::seed_from_u64(44);
-        let mut levels = vec![Level::Scalar];
-        if peb_simd::detected() {
-            levels.push(Level::Avx2Fma);
-        }
+        let levels = ctx::levels();
         // L < k, L = 1, and a sequence long enough for several token
         // blocks across the pool; C around the 8-lane width.
         for (l, k) in [(2, 4), (1, 4), (1, 1), (9, 4), (700, 4), (600, 3)] {

@@ -6,7 +6,6 @@ use rand::SeedableRng;
 
 use peb_mamba::{selective_scan, ScanDirection, ScanOrder};
 use peb_par::ctx::{self, ExecCtx};
-use peb_simd::Level;
 use peb_tensor::{check_gradients, Tensor, Var};
 
 struct Fixed {
@@ -83,11 +82,7 @@ fn gradcheck_all_operands(ch: usize) {
 
 #[test]
 fn gradcheck_all_operands_on_padded_and_multi_group_widths() {
-    let mut levels = vec![Level::Scalar];
-    if peb_simd::detected() {
-        levels.push(Level::Avx2Fma);
-    }
-    for level in levels {
+    for level in ctx::levels() {
         let at = ExecCtx {
             level,
             ..ctx::current()

@@ -21,7 +21,7 @@
 //! and analytic gradients match finite differences.
 
 use peb_nn::{Conv2d, Conv3d, ConvTranspose2d, DwConv3d, OverlappedPatchEmbed, Parameterized};
-use peb_par::ctx::{self, ExecCtx, Level};
+use peb_par::ctx::{self, at_level, levels, ExecCtx, Level};
 use peb_tensor::{check_gradients, numeric_gradient, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -458,24 +458,6 @@ mod oracle {
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
-}
-
-/// Runs `f` with the calling thread's dispatch level pinned to `level`.
-fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
-    let scoped = ExecCtx {
-        level,
-        ..ctx::current()
-    };
-    ctx::with(scoped, f)
-}
-
-/// `Level::Scalar`, then the best detected level if it differs.
-fn levels() -> Vec<Level> {
-    let mut levels = vec![Level::Scalar];
-    if ctx::best_level() != Level::Scalar {
-        levels.push(ctx::best_level());
-    }
-    levels
 }
 
 /// Plane `z` of `[C, D, H, W]` as `[C, H, W]`.

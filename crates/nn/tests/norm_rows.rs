@@ -11,7 +11,7 @@
 //! identical at 1, 3 and 7 threads.
 
 use peb_nn::{LayerNorm, Parameterized};
-use peb_par::ctx::{self, ExecCtx, Level};
+use peb_par::ctx::{self, levels, ExecCtx, Level};
 use peb_tensor::{Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,15 +58,6 @@ fn with_ctx<R>(level: Level, threads: usize, f: impl FnOnce() -> R) -> R {
         ..ctx::current()
     };
     ctx::with(scoped, f)
-}
-
-/// `Level::Scalar`, then the best detected level if it differs.
-fn levels() -> Vec<Level> {
-    let mut levels = vec![Level::Scalar];
-    if ctx::best_level() != Level::Scalar {
-        levels.push(ctx::best_level());
-    }
-    levels
 }
 
 /// A layer with random `γ` and `β`.

@@ -66,6 +66,26 @@ pub fn best_level() -> Level {
     }
 }
 
+/// Every level this hardware runs, [`Level::Scalar`] first: what a
+/// differential test iterates over.
+pub fn levels() -> Vec<Level> {
+    let mut levels = vec![Level::Scalar];
+    if detected() {
+        levels.push(Level::Avx2Fma);
+    }
+    levels
+}
+
+/// Runs `f` with the calling thread's level pinned to `level` and the
+/// rest of its context unchanged: how a test reaches one backend.
+///
+/// # Panics
+///
+/// As [`with`].
+pub fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
+    with(ExecCtx { level, ..current() }, f)
+}
+
 // ---------------------------------------------------------------------------
 // Configuration errors and the shared environment reader
 // ---------------------------------------------------------------------------

@@ -175,6 +175,7 @@ struct LoopShared {
 // is alive (guaranteed by the completed-count barrier) and the closure it
 // points to is `Sync`.
 unsafe impl Send for LoopShared {}
+// SAFETY: as for `Send`; every other field is `Sync`.
 unsafe impl Sync for LoopShared {}
 
 impl LoopShared {
@@ -224,8 +225,8 @@ fn run_parallel(nchunks: usize, task: &(dyn Fn(usize) + Sync)) {
     let pool = Pool::global();
     let helpers = (threads - 1).min(nchunks - 1);
     pool.ensure_workers(helpers);
-    // Erase the caller-stack borrow; see LoopShared's safety notes for why
-    // the completed-count barrier makes this sound.
+    // SAFETY: erases the caller-stack borrow; see LoopShared's safety
+    // notes for why the completed-count barrier makes this sound.
     let task: *const (dyn Fn(usize) + Sync + 'static) =
         unsafe { std::mem::transmute(task as *const (dyn Fn(usize) + Sync)) };
     let shared = Arc::new(LoopShared {
@@ -384,7 +385,13 @@ pub struct UnsafeSlice<'a, T> {
     _marker: PhantomData<&'a mut [T]>,
 }
 
+// SAFETY: an `UnsafeSlice` is a `&mut [T]` in disguise, which is `Send`
+// for `T: Send`.
 unsafe impl<T: Send> Send for UnsafeSlice<'_, T> {}
+// SAFETY: a shared `UnsafeSlice` reaches its elements only through its
+// `unsafe` accessors, which hand out `&mut` to elements no other thread
+// touches meanwhile (their callers' contract): in effect a `&mut T` sent
+// to that thread, which `T: Send` allows.
 unsafe impl<T: Send> Sync for UnsafeSlice<'_, T> {}
 
 impl<'a, T> UnsafeSlice<'a, T> {
@@ -475,6 +482,7 @@ mod tests {
                     with_thread_count(3, || {
                         parallel_chunks(total, chunk, |r| {
                             for i in r {
+                                // SAFETY: the chunks partition `0..total`.
                                 unsafe { *slice.get_mut(i) += 1 };
                             }
                         });
@@ -540,6 +548,7 @@ mod tests {
                         assert_eq!(std::thread::current().id(), outer);
                     });
                     for i in r {
+                        // SAFETY: the chunks partition `0..64`.
                         unsafe { *slice.get_mut(i) = i as u32 };
                     }
                 });

@@ -101,11 +101,7 @@ fn digests_batched(threads: usize, clips: &[Tensor]) -> (Vec<u64>, u64) {
 #[test]
 fn batching_is_bitwise_invariant_across_threads_and_levels() {
     let clips = make_clips();
-    let mut levels = vec![peb_simd::Level::Scalar];
-    if peb_simd::detected() {
-        levels.push(peb_simd::Level::Avx2Fma);
-    }
-    for level in levels {
+    for level in peb_par::ctx::levels() {
         // The server's engine thread adopts the context it is started
         // under, so the whole sweep for one level runs inside one scope.
         let scoped = peb_par::ExecCtx {

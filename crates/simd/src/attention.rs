@@ -21,10 +21,10 @@
 //!    per [`KC`] block, each block added to the running value (the
 //!    GEMM's write-back onto a zeroed output);
 //! 2. `s_j × scale`;
-//! 3. the row maximum by the `v > a` rule ([`Simd8::max`]);
-//! 4. `e_j = exp(s_j + (−m))` with the backend's [`Simd8::exp`], as the
+//! 3. the row maximum by the `v > a` rule (`Simd8::max`);
+//! 4. `e_j = exp(s_j + (−m))` with the backend's `Simd8::exp`, as the
 //!    softmax's `[+(−m), exp]` chain;
-//! 5. `Σ_j e_j` in `f64`, ascending `j` ([`Simd8::widen_add`]);
+//! 5. `Σ_j e_j` in `f64`, ascending `j` (`Simd8::widen_add`);
 //! 6. `p_j = e_j × (1 / Σ as f32)`;
 //! 7. `ctx_c = 0 + Σ_j p_j·V[j][c]`: one `mul_add` chain in ascending `j`
 //!    per [`KC`] block, as step 1.
@@ -38,7 +38,7 @@
 use peb_pool::PoolBuf;
 
 use crate::gemm::KC;
-use crate::{simd_active, ScalarX8, Simd8};
+use crate::Simd8;
 
 /// Geometry of one plane's [`attention`] call.
 #[derive(Debug, Clone, Copy)]
@@ -66,139 +66,110 @@ impl Heads {
     }
 }
 
-/// `out[:, head h] = softmax(q_h·k_hᵀ·scale)·v_h` for every head of one
-/// plane. `q` and `out` are `[rows, width]`, `k` and `v` are
-/// `[keys, width]`, row-major. With `probs` (`[heads, rows, keys]`) the
-/// normalised scores are stored too — what a backward pass needs.
-///
-/// # Panics
-///
-/// Panics if `heads` does not divide `width`, or a slice length
-/// disagrees with the geometry.
-pub fn attention(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    out: &mut [f32],
-    probs: Option<&mut [f32]>,
-    g: Heads,
-) {
-    assert!(
-        g.heads > 0 && g.width.is_multiple_of(g.heads),
-        "attention: {} heads do not divide width {}",
-        g.heads,
-        g.width
-    );
-    assert_eq!(q.len(), g.rows * g.width, "attention query length");
-    assert_eq!(out.len(), g.rows * g.width, "attention output length");
-    assert_eq!(k.len(), g.keys * g.width, "attention key length");
-    assert_eq!(v.len(), g.keys * g.width, "attention value length");
-    if let Some(p) = &probs {
-        assert_eq!(p.len(), g.heads * g.rows * g.keys, "attention probs length");
-    }
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { attention_avx2(q, k, v, out, probs, g) };
-        return;
-    }
-    attention_generic::<ScalarX8>(q, k, v, out, probs, g);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn attention_avx2(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    out: &mut [f32],
-    probs: Option<&mut [f32]>,
-    g: Heads,
-) {
-    attention_generic::<crate::AvxX8>(q, k, v, out, probs, g);
-}
-
-#[inline(always)]
-fn attention_generic<V: Simd8>(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    out: &mut [f32],
-    mut probs: Option<&mut [f32]>,
-    g: Heads,
-) {
-    let (rows, keys, width, dh) = (g.rows, g.keys, g.width, g.head_dim());
-    let scale = V::splat(g.scale());
-    // The block's query vectors (`dh`), the head's keys transposed
-    // (`kt[kk·keys + j] = k[j][col + kk]`), then the block's score /
-    // probability vectors (`keys`).
-    let mut scratch = PoolBuf::<f32>::zeroed((dh + keys) * 8 + dh * keys);
-    let (qbuf, rest) = scratch.split_at_mut(dh * 8);
-    let (kt, pbuf) = rest.split_at_mut(dh * keys);
-    for h in 0..g.heads {
-        let col = h * dh;
-        for (j, row) in k.chunks_exact(width).enumerate() {
-            for (kk, &x) in row[col..col + dh].iter().enumerate() {
-                kt[kk * keys + j] = x;
-            }
+dispatched! {
+    /// `out[:, head h] = softmax(q_h·k_hᵀ·scale)·v_h` for every head of one
+    /// plane. `q` and `out` are `[rows, width]`, `k` and `v` are
+    /// `[keys, width]`, row-major. With `probs` (`[heads, rows, keys]`) the
+    /// normalised scores are stored too — what a backward pass needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `heads` does not divide `width`, or a slice length
+    /// disagrees with the geometry.
+    pub fn attention<V>(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        out: &mut [f32],
+        probs: Option<&mut [f32]>,
+        g: Heads,
+    ) {
+        assert!(
+            g.heads > 0 && g.width.is_multiple_of(g.heads),
+            "attention: {} heads do not divide width {}",
+            g.heads,
+            g.width
+        );
+        assert_eq!(q.len(), g.rows * g.width, "attention query length");
+        assert_eq!(out.len(), g.rows * g.width, "attention output length");
+        assert_eq!(k.len(), g.keys * g.width, "attention key length");
+        assert_eq!(v.len(), g.keys * g.width, "attention value length");
+        if let Some(p) = &probs {
+            assert_eq!(p.len(), g.heads * g.rows * g.keys, "attention probs length");
         }
-        for r0 in (0..rows).step_by(8) {
-            let live = 8.min(rows - r0);
-            for (l, row) in q[r0 * width..].chunks(width).take(live).enumerate() {
+        let mut probs = probs;
+        let (rows, keys, width, dh) = (g.rows, g.keys, g.width, g.head_dim());
+        let scale = V::splat(g.scale());
+        // The block's query vectors (`dh`), the head's keys transposed
+        // (`kt[kk·keys + j] = k[j][col + kk]`), then the block's score /
+        // probability vectors (`keys`).
+        let mut scratch = PoolBuf::<f32>::zeroed((dh + keys) * 8 + dh * keys);
+        let (qbuf, rest) = scratch.split_at_mut(dh * 8);
+        let (kt, pbuf) = rest.split_at_mut(dh * keys);
+        for h in 0..g.heads {
+            let col = h * dh;
+            for (j, row) in k.chunks_exact(width).enumerate() {
                 for (kk, &x) in row[col..col + dh].iter().enumerate() {
-                    qbuf[kk * 8 + l] = x;
+                    kt[kk * keys + j] = x;
                 }
             }
-            if live < 8 {
-                for lanes in qbuf.chunks_exact_mut(8) {
-                    lanes[live..].fill(0.0);
-                }
-            }
-            // Steps 1–3: scaled scores and the row maxima.
-            let mut mx = V::splat(f32::NEG_INFINITY);
-            let mut j = 0;
-            while j < keys {
-                let w = if keys - j >= 8 {
-                    scores::<V, 8>(qbuf, kt, j, scale, pbuf, &mut mx)
-                } else if keys - j >= 4 {
-                    scores::<V, 4>(qbuf, kt, j, scale, pbuf, &mut mx)
-                } else {
-                    scores::<V, 1>(qbuf, kt, j, scale, pbuf, &mut mx)
-                };
-                j += w;
-            }
-            // Steps 4–6: the softmax of each lane's row.
-            let neg = mx.mul(V::splat(-1.0));
-            let mut sum = V::wide_zero();
-            for lanes in pbuf.chunks_exact_mut(8) {
-                let e = V::load(lanes).add(neg).exp();
-                e.store(lanes);
-                sum = e.widen_add(sum);
-            }
-            let inv = V::splat(1.0).div(V::narrow(sum));
-            for lanes in pbuf.chunks_exact_mut(8) {
-                V::load(lanes).mul(inv).store(lanes);
-            }
-            if let Some(p) = probs.as_deref_mut() {
-                let block = &mut p[(h * rows + r0) * keys..][..live * keys];
-                for (jj, lanes) in pbuf.chunks_exact(8).enumerate() {
-                    for (l, &x) in lanes[..live].iter().enumerate() {
-                        block[l * keys + jj] = x;
+            for r0 in (0..rows).step_by(8) {
+                let live = 8.min(rows - r0);
+                for (l, row) in q[r0 * width..].chunks(width).take(live).enumerate() {
+                    for (kk, &x) in row[col..col + dh].iter().enumerate() {
+                        qbuf[kk * 8 + l] = x;
                     }
                 }
-            }
-            // Step 7: the context, stored into the head's columns.
-            let mut c = 0;
-            while c < dh {
-                let w = if dh - c >= 8 {
-                    context::<V, 8>(pbuf, v, width, col + c, out, r0, live)
-                } else if dh - c >= 4 {
-                    context::<V, 4>(pbuf, v, width, col + c, out, r0, live)
-                } else {
-                    context::<V, 1>(pbuf, v, width, col + c, out, r0, live)
-                };
-                c += w;
+                if live < 8 {
+                    for lanes in qbuf.chunks_exact_mut(8) {
+                        lanes[live..].fill(0.0);
+                    }
+                }
+                // Steps 1–3: scaled scores and the row maxima.
+                let mut mx = V::splat(f32::NEG_INFINITY);
+                let mut j = 0;
+                while j < keys {
+                    let w = if keys - j >= 8 {
+                        scores::<V, 8>(qbuf, kt, j, scale, pbuf, &mut mx)
+                    } else if keys - j >= 4 {
+                        scores::<V, 4>(qbuf, kt, j, scale, pbuf, &mut mx)
+                    } else {
+                        scores::<V, 1>(qbuf, kt, j, scale, pbuf, &mut mx)
+                    };
+                    j += w;
+                }
+                // Steps 4–6: the softmax of each lane's row.
+                let neg = mx.mul(V::splat(-1.0));
+                let mut sum = V::wide_zero();
+                for lanes in pbuf.chunks_exact_mut(8) {
+                    let e = V::load(lanes).add(neg).exp();
+                    e.store(lanes);
+                    sum = e.widen_add(sum);
+                }
+                let inv = V::splat(1.0).div(V::narrow(sum));
+                for lanes in pbuf.chunks_exact_mut(8) {
+                    V::load(lanes).mul(inv).store(lanes);
+                }
+                if let Some(p) = probs.as_deref_mut() {
+                    let block = &mut p[(h * rows + r0) * keys..][..live * keys];
+                    for (jj, lanes) in pbuf.chunks_exact(8).enumerate() {
+                        for (l, &x) in lanes[..live].iter().enumerate() {
+                            block[l * keys + jj] = x;
+                        }
+                    }
+                }
+                // Step 7: the context, stored into the head's columns.
+                let mut c = 0;
+                while c < dh {
+                    let w = if dh - c >= 8 {
+                        context::<V, 8>(pbuf, v, width, col + c, out, r0, live)
+                    } else if dh - c >= 4 {
+                        context::<V, 4>(pbuf, v, width, col + c, out, r0, live)
+                    } else {
+                        context::<V, 1>(pbuf, v, width, col + c, out, r0, live)
+                    };
+                    c += w;
+                }
             }
         }
     }
@@ -221,7 +192,7 @@ fn scores<V: Simd8, const W: usize>(
     for kc in (0..dh).step_by(KC) {
         let mut acc = [V::zero(); W];
         for kk in kc..dh.min(kc + KC) {
-            let qk = V::load(&qbuf[kk * 8..]);
+            let qk = V::load(&qbuf[kk * 8..kk * 8 + 8]);
             let krow = &kt[kk * keys + j0..][..W];
             for (a, &x) in acc.iter_mut().zip(krow) {
                 *a = qk.mul_add(V::splat(x), *a);
@@ -233,7 +204,8 @@ fn scores<V: Simd8, const W: usize>(
     }
     for (t, sv) in s.into_iter().enumerate() {
         let sv = sv.mul(scale);
-        sv.store(&mut pbuf[(j0 + t) * 8..]);
+        let at = (j0 + t) * 8;
+        sv.store(&mut pbuf[at..at + 8]);
         *mx = sv.max(*mx);
     }
     W
@@ -256,7 +228,7 @@ fn context<V: Simd8, const W: usize>(
     for jc in (0..keys).step_by(KC) {
         let mut acc = [V::zero(); W];
         for j in jc..keys.min(jc + KC) {
-            let pj = V::load(&pbuf[j * 8..]);
+            let pj = V::load(&pbuf[j * 8..j * 8 + 8]);
             let vrow = &v[j * width + c0..][..W];
             for (a, &x) in acc.iter_mut().zip(vrow) {
                 *a = pj.mul_add(V::splat(x), *a);
@@ -280,7 +252,7 @@ mod tests {
     use crate::elementwise::sum_f64_scalar;
     use crate::fused::{vchain, Stage};
     use crate::gemm::{gemm, Bias};
-    use crate::{at_level, levels};
+    use peb_par::ctx::{at_level, levels};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)

@@ -23,7 +23,7 @@ use std::ops::Range;
 use peb_pool::PoolBuf;
 
 use crate::elementwise::axpy_generic;
-use crate::{simd_active, ScalarX8, Simd8};
+use crate::Simd8;
 
 /// The positions `o` in `0..n` whose tap `kk` lands inside a same-padded,
 /// stride-1 axis of extent `n`, `0 ≤ o + kk − pad < n`; division-free:
@@ -115,7 +115,7 @@ fn channel_blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
 /// row on the lanes, six output channels × two vectors (four × two,
 /// two × four or one × eight for the rest, then halved tiles down to one
 /// vector at the row's end), each lane a chain of `+= w·x`
-/// ([`Simd8::mul_add`]: fused on AVX2, two roundings on the scalar
+/// (`Simd8::mul_add`: fused on AVX2, two roundings on the scalar
 /// level) over input channels ascending, then the taps in ascending
 /// `(ky, kx)`, reading zero outside the plane. The tile never spans output
 /// rows, so any banding of the rows gives the same bits. Tolerance-class
@@ -362,14 +362,7 @@ impl SubPixel {
         assert!(rows.start <= rows.end && rows.end <= self.ho);
         assert!(planes.iter().all(|p| p.len() == self.h * self.w));
         assert!(out.iter().all(|o| o.len() == rows.len() * self.wo));
-        #[cfg(target_arch = "x86_64")]
-        if simd_active() {
-            crate::note_dispatch();
-            // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-            unsafe { forward_rows_avx2(self, packed, init, slope, planes, rows, out) };
-            return;
-        }
-        forward_rows_generic::<ScalarX8>(self, packed, init, slope, planes, rows, out)
+        forward_rows_at(self, packed, init, slope, planes, rows, out)
     }
 
     /// Floats of one plane of [`SubPixel::split_grad`]: `(h − 1)·s + k`
@@ -472,14 +465,7 @@ impl SubPixel {
         assert!(split.len() >= (self.cout - 1) * chan_stride + self.grad_plane_len());
         assert!(rows.start <= rows.end && rows.end <= self.h && dx.len() == self.cin);
         assert!(dx.iter().all(|d| d.len() == rows.len() * self.w));
-        #[cfg(target_arch = "x86_64")]
-        if simd_active() {
-            crate::note_dispatch();
-            // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-            unsafe { input_grad_rows_avx2(self, packed, init, split, chan_stride, rows, dx) };
-            return;
-        }
-        input_grad_rows_generic::<ScalarX8>(self, packed, init, split, chan_stride, rows, dx)
+        input_grad_rows_at(self, packed, init, split, chan_stride, rows, dx)
     }
 
     /// One plane's `dW` in the weight's layout: `dw[ci][co][ky·k + kx]`
@@ -496,14 +482,7 @@ impl SubPixel {
         assert!(chan_stride >= self.grad_plane_len());
         assert!(split.len() >= (self.cout - 1) * chan_stride + self.grad_plane_len());
         assert_eq!(dw.len(), self.cout * self.cin * self.k * self.k);
-        #[cfg(target_arch = "x86_64")]
-        if simd_active() {
-            crate::note_dispatch();
-            // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-            unsafe { weight_grad_avx2(self, x, split, chan_stride, dw) };
-            return;
-        }
-        weight_grad_generic::<ScalarX8>(self, x, split, chan_stride, dw)
+        weight_grad_at(self, x, split, chan_stride, dw)
     }
 }
 
@@ -612,6 +591,7 @@ impl RowJob<'_> {
         outs: &mut [&mut [f32]],
     ) -> usize {
         while m0 + 8 * (MV - 1) < self.counts[0] {
+            // SAFETY: this fn's contract covers lane `m0`.
             unsafe { self.emit::<V, NB, MV>(m0, outs) };
             m0 += 8 * MV;
         }
@@ -631,6 +611,7 @@ impl RowJob<'_> {
     ) -> [[V; MV]; NB] {
         let src = self.src.wrapping_add(m0);
         let (taps, weights) = (self.taps[px], self.weights[px]);
+        // SAFETY: [`tile`]'s contract, by this fn's.
         unsafe { tile::<V, NB, MV>(src, self.chan_stride, self.chans, taps, weights, self.init) }
     }
 
@@ -647,6 +628,7 @@ impl RowJob<'_> {
     ) {
         match self.scatter {
             Scatter::Dense => {
+                // SAFETY: this fn's contract.
                 let acc = unsafe { self.tile::<V, NB, MV>(0, m0) };
                 for (out, row) in outs.iter_mut().zip(&acc) {
                     let out = &mut out[self.at..][..self.width];
@@ -654,7 +636,7 @@ impl RowJob<'_> {
                         let m = m0 + 8 * v;
                         let a = activate(*a, self.slope);
                         if m + 8 <= self.width {
-                            a.store(&mut out[m..]);
+                            a.store(&mut out[m..m + 8]);
                         } else {
                             out[m..].copy_from_slice(&a.to_array()[..self.width - m]);
                         }
@@ -662,6 +644,7 @@ impl RowJob<'_> {
                 }
             }
             Scatter::Zip2 => {
+                // SAFETY: this fn's contract.
                 let (even, odd) =
                     unsafe { (self.tile::<V, NB, MV>(0, m0), self.tile::<V, NB, MV>(1, m0)) };
                 for (out, (re, ro)) in outs.iter_mut().zip(even.iter().zip(&odd)) {
@@ -671,8 +654,8 @@ impl RowJob<'_> {
                         let (lo, hi) =
                             activate(*e, self.slope).interleave(activate(*o, self.slope));
                         if at + 16 <= self.width {
-                            lo.store(&mut out[at..]);
-                            hi.store(&mut out[at + 8..]);
+                            lo.store(&mut out[at..at + 8]);
+                            hi.store(&mut out[at + 8..at + 16]);
                         } else {
                             let (lo, hi) = (lo.to_array(), hi.to_array());
                             let vals = lo.iter().chain(&hi);
@@ -686,6 +669,7 @@ impl RowJob<'_> {
             Scatter::Strided => {
                 let s = self.counts.len();
                 for px in 0..s {
+                    // SAFETY: this fn's contract.
                     let acc = unsafe { self.tile::<V, NB, MV>(px, m0) };
                     for (out, row) in outs.iter_mut().zip(&acc) {
                         let out = &mut out[self.at..][..self.width];
@@ -714,6 +698,8 @@ impl RowJob<'_> {
     /// As [`RowJob::run`].
     #[inline(always)]
     unsafe fn run_block<V: Simd8>(&self, outs: &mut [&mut [f32]]) {
+        // SAFETY: every `run` starts at a lane its predecessor reached, so
+        // this fn's contract covers it.
         unsafe {
             match outs.len() {
                 6 => {
@@ -740,243 +726,209 @@ impl RowJob<'_> {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn forward_rows_avx2(
-    geom: &SubPixel,
-    packed: &[f32],
-    init: &[f32],
-    slope: Option<f32>,
-    planes: &[&[f32]],
-    rows: Range<usize>,
-    out: &mut [&mut [f32]],
-) {
-    forward_rows_generic::<crate::AvxX8>(geom, packed, init, slope, planes, rows, out)
-}
-
 /// Bytes of zero-padded input rows a sub-band of the forward copies at a
 /// time: about an L1 data cache, reused from sub-band to sub-band.
 const SCRATCH_BYTES: usize = 256 << 10;
 
-#[inline(always)]
-fn forward_rows_generic<V: Simd8>(
-    geom: &SubPixel,
-    packed: &[f32],
-    init: &[f32],
-    slope: Option<f32>,
-    planes: &[&[f32]],
-    rows: Range<usize>,
-    out: &mut [&mut [f32]],
-) {
-    let (s, row_len, cin) = (geom.stride, geom.row_len, geom.cin);
-    // Per phase `(py, px)`, the tap offsets from the phase's top input
-    // row; per (`py`, channel block, `px`), the block's packed weights.
-    let taps: Vec<Vec<usize>> = (0..s * s)
-        .map(|i| {
-            let (y, x) = (geom.ys[i / s], geom.xs[i % s]);
-            let mut taps = Vec::with_capacity(y.taps * x.taps);
-            for jy in 0..y.taps {
-                for jx in 0..x.taps {
-                    taps.push((y.taps - 1 - jy) * row_len + geom.left + x.shift - jx);
+dispatched! {
+    /// [`SubPixel::forward_rows`] past its checks.
+    fn forward_rows_at<V>(
+        geom: &SubPixel,
+        packed: &[f32],
+        init: &[f32],
+        slope: Option<f32>,
+        planes: &[&[f32]],
+        rows: Range<usize>,
+        out: &mut [&mut [f32]],
+    ) {
+        let (s, row_len, cin) = (geom.stride, geom.row_len, geom.cin);
+        // Per phase `(py, px)`, the tap offsets from the phase's top input
+        // row; per (`py`, channel block, `px`), the block's packed weights.
+        let taps: Vec<Vec<usize>> = (0..s * s)
+            .map(|i| {
+                let (y, x) = (geom.ys[i / s], geom.xs[i % s]);
+                let mut taps = Vec::with_capacity(y.taps * x.taps);
+                for jy in 0..y.taps {
+                    for jx in 0..x.taps {
+                        taps.push((y.taps - 1 - jy) * row_len + geom.left + x.shift - jx);
+                    }
+                }
+                taps
+            })
+            .collect();
+        let taps: Vec<Vec<&[usize]>> = taps
+            .chunks(s)
+            .map(|row| row.iter().map(Vec::as_slice).collect())
+            .collect();
+        let blocks: Vec<(usize, usize)> = channel_blocks(geom.cout).collect();
+        let mut weights = Vec::with_capacity(s * blocks.len() * s);
+        for py in 0..s {
+            for &(co0, _) in &blocks {
+                for px in 0..s {
+                    let at = geom.phase_offset(py, px) + co0 * cin * geom.phase_taps(py, px);
+                    weights.push(packed[at..].as_ptr());
                 }
             }
-            taps
-        })
-        .collect();
-    let taps: Vec<Vec<&[usize]>> = taps
-        .chunks(s)
-        .map(|row| row.iter().map(Vec::as_slice).collect())
-        .collect();
-    let blocks: Vec<(usize, usize)> = channel_blocks(geom.cout).collect();
-    let mut weights = Vec::with_capacity(s * blocks.len() * s);
-    for py in 0..s {
-        for &(co0, _) in &blocks {
-            for px in 0..s {
-                let at = geom.phase_offset(py, px) + co0 * cin * geom.phase_taps(py, px);
-                weights.push(packed[at..].as_ptr());
-            }
         }
-    }
-    let scatter = match s {
-        1 => Scatter::Dense,
-        2 => Scatter::Zip2,
-        _ => Scatter::Strided,
-    };
-    let counts: Vec<usize> = geom.xs.iter().map(|x| x.count).collect();
-    // Sub-bands of output rows whose zero-padded input rows stay in L1:
-    // `left` zero columns before each row, zeros after it and for rows
-    // outside the image.
-    let sub = (SCRATCH_BYTES / (4 * cin * row_len)).max(1) * s;
-    let subs = || {
-        rows.clone()
-            .step_by(sub)
-            .map(|r0| r0..(r0 + sub).min(rows.end))
-    };
-    let most = subs().map(|b| geom.band_inputs(b).1).max().unwrap_or(0);
-    let mut scratch = PoolBuf::<f32>::zeroed(cin * most * row_len);
-    for band in subs() {
-        let (lo, nrows) = geom.band_inputs(band.clone());
-        let chan_stride = nrows * row_len;
-        for (plane, chan) in planes
-            .iter()
-            .zip(scratch.chunks_exact_mut(chan_stride.max(1)))
-        {
-            for (r, dst) in chan.chunks_exact_mut(row_len).enumerate() {
-                let iy = lo + r as isize;
-                if !(0..geom.h as isize).contains(&iy) {
-                    dst.fill(0.0);
-                    continue;
+        let scatter = match s {
+            1 => Scatter::Dense,
+            2 => Scatter::Zip2,
+            _ => Scatter::Strided,
+        };
+        let counts: Vec<usize> = geom.xs.iter().map(|x| x.count).collect();
+        // Sub-bands of output rows whose zero-padded input rows stay in L1:
+        // `left` zero columns before each row, zeros after it and for rows
+        // outside the image.
+        let sub = (SCRATCH_BYTES / (4 * cin * row_len)).max(1) * s;
+        let subs = || {
+            rows.clone()
+                .step_by(sub)
+                .map(|r0| r0..(r0 + sub).min(rows.end))
+        };
+        let most = subs().map(|b| geom.band_inputs(b).1).max().unwrap_or(0);
+        let mut scratch = PoolBuf::<f32>::zeroed(cin * most * row_len);
+        for band in subs() {
+            let (lo, nrows) = geom.band_inputs(band.clone());
+            let chan_stride = nrows * row_len;
+            for (plane, chan) in planes
+                .iter()
+                .zip(scratch.chunks_exact_mut(chan_stride.max(1)))
+            {
+                for (r, dst) in chan.chunks_exact_mut(row_len).enumerate() {
+                    let iy = lo + r as isize;
+                    if !(0..geom.h as isize).contains(&iy) {
+                        dst.fill(0.0);
+                        continue;
+                    }
+                    let (pad, rest) = dst.split_at_mut(geom.left);
+                    let (row, tail) = rest.split_at_mut(geom.w);
+                    pad.fill(0.0);
+                    row.copy_from_slice(&plane[iy as usize * geom.w..][..geom.w]);
+                    tail.fill(0.0);
                 }
-                let (pad, rest) = dst.split_at_mut(geom.left);
-                let (row, tail) = rest.split_at_mut(geom.w);
-                pad.fill(0.0);
-                row.copy_from_slice(&plane[iy as usize * geom.w..][..geom.w]);
-                tail.fill(0.0);
             }
-        }
-        for oy in band {
-            let (py, my) = (oy % s, oy / s);
-            let y = geom.ys[py];
-            let top = if y.taps == 0 {
-                0
-            } else {
-                ((my + y.shift + 1) as isize - y.taps as isize - lo) as usize
-            };
-            for (b, &(co0, nb)) in blocks.iter().enumerate() {
-                let job = RowJob {
-                    src: scratch.as_ptr().wrapping_add(top * row_len),
-                    chan_stride,
-                    chans: cin,
-                    taps: &taps[py],
-                    weights: &weights[(py * blocks.len() + b) * s..][..s],
-                    init: &init[co0..co0 + nb],
-                    slope,
-                    scatter,
-                    width: geom.wo,
-                    counts: &counts,
-                    at: (oy - rows.start) * geom.wo,
+            for oy in band {
+                let (py, my) = (oy % s, oy / s);
+                let y = geom.ys[py];
+                let top = if y.taps == 0 {
+                    0
+                } else {
+                    ((my + y.shift + 1) as isize - y.taps as isize - lo) as usize
                 };
-                // SAFETY: every tap addresses a scratch row of the
-                // sub-band (`top + taps − 1 − jy < nrows`), and a row holds
-                // `left + shift` plus the phase count rounded up to a
-                // vector (`row_len`); the packed block holds
-                // `cin · taps · nb` weights per phase.
-                unsafe { job.run_block::<V>(&mut out[co0..co0 + nb]) };
+                for (b, &(co0, nb)) in blocks.iter().enumerate() {
+                    let job = RowJob {
+                        src: scratch.as_ptr().wrapping_add(top * row_len),
+                        chan_stride,
+                        chans: cin,
+                        taps: &taps[py],
+                        weights: &weights[(py * blocks.len() + b) * s..][..s],
+                        init: &init[co0..co0 + nb],
+                        slope,
+                        scatter,
+                        width: geom.wo,
+                        counts: &counts,
+                        at: (oy - rows.start) * geom.wo,
+                    };
+                    // SAFETY: every tap addresses a scratch row of the
+                    // sub-band (`top + taps − 1 − jy < nrows`), and a row holds
+                    // `left + shift` plus the phase count rounded up to a
+                    // vector (`row_len`); the packed block holds
+                    // `cin · taps · nb` weights per phase.
+                    unsafe { job.run_block::<V>(&mut out[co0..co0 + nb]) };
+                }
             }
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn input_grad_rows_avx2(
-    geom: &SubPixel,
-    packed: &[f32],
-    init: &[f32],
-    split: &[f32],
-    chan_stride: usize,
-    rows: Range<usize>,
-    dx: &mut [&mut [f32]],
-) {
-    input_grad_rows_generic::<crate::AvxX8>(geom, packed, init, split, chan_stride, rows, dx)
-}
-
-#[inline(always)]
-fn input_grad_rows_generic<V: Simd8>(
-    geom: &SubPixel,
-    packed: &[f32],
-    init: &[f32],
-    split: &[f32],
-    chan_stride: usize,
-    rows: Range<usize>,
-    dx: &mut [&mut [f32]],
-) {
-    let (k, s) = (geom.k, geom.stride);
-    let row_step = s * s * geom.g_sub;
-    let taps: Vec<usize> = (0..k * k).map(|t| geom.grad_tap(t / k, t % k)).collect();
-    let counts = [geom.w];
-    for iy in rows.clone() {
-        for (ci0, nb) in channel_blocks(geom.cin) {
-            let weights = [packed[ci0 * geom.cout * k * k..].as_ptr()];
-            let job = RowJob {
-                src: split.as_ptr().wrapping_add(iy * row_step),
-                chan_stride,
-                chans: geom.cout,
-                taps: &[&taps],
-                weights: &weights,
-                init: &init[ci0..ci0 + nb],
-                slope: None,
-                scatter: Scatter::Dense,
-                width: geom.w,
-                counts: &counts,
-                at: (iy - rows.start) * geom.w,
-            };
-            // SAFETY: tap `(ky, kx)` of input row `iy` addresses gradient
-            // row `iy·s + ky < (h − 1)·s + k`, and a phase row holds
-            // `g_left + shift` plus `w` rounded up to a vector (`g_sub`);
-            // the packed block holds `cout · k² · nb` weights.
-            unsafe { job.run_block::<V>(&mut dx[ci0..ci0 + nb]) };
+dispatched! {
+    /// [`SubPixel::input_grad_rows`] past its checks.
+    fn input_grad_rows_at<V>(
+        geom: &SubPixel,
+        packed: &[f32],
+        init: &[f32],
+        split: &[f32],
+        chan_stride: usize,
+        rows: Range<usize>,
+        dx: &mut [&mut [f32]],
+    ) {
+        let (k, s) = (geom.k, geom.stride);
+        let row_step = s * s * geom.g_sub;
+        let taps: Vec<usize> = (0..k * k).map(|t| geom.grad_tap(t / k, t % k)).collect();
+        let counts = [geom.w];
+        for iy in rows.clone() {
+            for (ci0, nb) in channel_blocks(geom.cin) {
+                let weights = [packed[ci0 * geom.cout * k * k..].as_ptr()];
+                let job = RowJob {
+                    src: split.as_ptr().wrapping_add(iy * row_step),
+                    chan_stride,
+                    chans: geom.cout,
+                    taps: &[&taps],
+                    weights: &weights,
+                    init: &init[ci0..ci0 + nb],
+                    slope: None,
+                    scatter: Scatter::Dense,
+                    width: geom.w,
+                    counts: &counts,
+                    at: (iy - rows.start) * geom.w,
+                };
+                // SAFETY: tap `(ky, kx)` of input row `iy` addresses gradient
+                // row `iy·s + ky < (h − 1)·s + k`, and a phase row holds
+                // `g_left + shift` plus `w` rounded up to a vector (`g_sub`);
+                // the packed block holds `cout · k² · nb` weights.
+                unsafe { job.run_block::<V>(&mut dx[ci0..ci0 + nb]) };
+            }
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn weight_grad_avx2(
-    geom: &SubPixel,
-    x: &[&[f32]],
-    split: &[f32],
-    chan_stride: usize,
-    dw: &mut [f32],
-) {
-    weight_grad_generic::<crate::AvxX8>(geom, x, split, chan_stride, dw)
-}
-
-#[inline(always)]
-fn weight_grad_generic<V: Simd8>(
-    geom: &SubPixel,
-    x: &[&[f32]],
-    split: &[f32],
-    chan_stride: usize,
-    dw: &mut [f32],
-) {
-    let (h, w, k) = (geom.h, geom.w, geom.k);
-    // Every `(co, tap)` pair as one offset into `split`, in `dw`'s order:
-    // a tile then takes four of them whichever channels they straddle.
-    let taps: Vec<usize> = (0..geom.cout * k * k)
-        .map(|j| j / (k * k) * chan_stride + geom.grad_tap(j / k % k, j % k))
-        .collect();
-    // Ragged rows zero-padded to whole vectors once per call: every tile
-    // then loads whole vectors, and the zero lanes add nothing.
-    let w8 = w.div_ceil(8) * 8;
-    let padded = (w8 != w).then(|| {
-        let mut buf = PoolBuf::<f32>::zeroed(x.len() * h * w8);
-        let rows = x.iter().flat_map(|plane| plane.chunks_exact(w));
-        for (dst, src) in buf.chunks_exact_mut(w8).zip(rows) {
-            dst[..w].copy_from_slice(src);
-        }
-        buf
-    });
-    let x: Vec<&[f32]> = match &padded {
-        Some(buf) => buf.chunks_exact(h * w8).collect(),
-        None => x.to_vec(),
-    };
-    let row = taps.len();
-    for j0 in (0..row).step_by(4) {
-        let nt = (row - j0).min(4);
-        for ci0 in (0..geom.cin).step_by(2) {
-            let nc = (geom.cin - ci0).min(2);
-            let (x, taps) = (&x[ci0..ci0 + nc], &taps[j0..j0 + nt]);
-            let dw = &mut dw[ci0 * row + j0..];
-            match (nc, nt) {
-                (2, 4) => weight_tile::<V, 2, 4>(geom, x, split, taps, dw, row),
-                (2, 3) => weight_tile::<V, 2, 3>(geom, x, split, taps, dw, row),
-                (2, 2) => weight_tile::<V, 2, 2>(geom, x, split, taps, dw, row),
-                (2, _) => weight_tile::<V, 2, 1>(geom, x, split, taps, dw, row),
-                (_, 4) => weight_tile::<V, 1, 4>(geom, x, split, taps, dw, row),
-                (_, 3) => weight_tile::<V, 1, 3>(geom, x, split, taps, dw, row),
-                (_, 2) => weight_tile::<V, 1, 2>(geom, x, split, taps, dw, row),
-                _ => weight_tile::<V, 1, 1>(geom, x, split, taps, dw, row),
+dispatched! {
+    /// [`SubPixel::weight_grad`] past its checks.
+    fn weight_grad_at<V>(
+        geom: &SubPixel,
+        x: &[&[f32]],
+        split: &[f32],
+        chan_stride: usize,
+        dw: &mut [f32],
+    ) {
+        let (h, w, k) = (geom.h, geom.w, geom.k);
+        // Every `(co, tap)` pair as one offset into `split`, in `dw`'s order:
+        // a tile then takes four of them whichever channels they straddle.
+        let taps: Vec<usize> = (0..geom.cout * k * k)
+            .map(|j| j / (k * k) * chan_stride + geom.grad_tap(j / k % k, j % k))
+            .collect();
+        // Ragged rows zero-padded to whole vectors once per call: every tile
+        // then loads whole vectors, and the zero lanes add nothing.
+        let w8 = w.div_ceil(8) * 8;
+        let padded = (w8 != w).then(|| {
+            let mut buf = PoolBuf::<f32>::zeroed(x.len() * h * w8);
+            let rows = x.iter().flat_map(|plane| plane.chunks_exact(w));
+            for (dst, src) in buf.chunks_exact_mut(w8).zip(rows) {
+                dst[..w].copy_from_slice(src);
+            }
+            buf
+        });
+        let x: Vec<&[f32]> = match &padded {
+            Some(buf) => buf.chunks_exact(h * w8).collect(),
+            None => x.to_vec(),
+        };
+        let row = taps.len();
+        for j0 in (0..row).step_by(4) {
+            let nt = (row - j0).min(4);
+            for ci0 in (0..geom.cin).step_by(2) {
+                let nc = (geom.cin - ci0).min(2);
+                let (x, taps) = (&x[ci0..ci0 + nc], &taps[j0..j0 + nt]);
+                let dw = &mut dw[ci0 * row + j0..];
+                match (nc, nt) {
+                    (2, 4) => weight_tile::<V, 2, 4>(geom, x, split, taps, dw, row),
+                    (2, 3) => weight_tile::<V, 2, 3>(geom, x, split, taps, dw, row),
+                    (2, 2) => weight_tile::<V, 2, 2>(geom, x, split, taps, dw, row),
+                    (2, _) => weight_tile::<V, 2, 1>(geom, x, split, taps, dw, row),
+                    (_, 4) => weight_tile::<V, 1, 4>(geom, x, split, taps, dw, row),
+                    (_, 3) => weight_tile::<V, 1, 3>(geom, x, split, taps, dw, row),
+                    (_, 2) => weight_tile::<V, 1, 2>(geom, x, split, taps, dw, row),
+                    _ => weight_tile::<V, 1, 1>(geom, x, split, taps, dw, row),
+                }
             }
         }
     }
@@ -1009,7 +961,7 @@ fn weight_tile<V: Simd8, const NC: usize, const NT: usize>(
         }
         for ix in (0..w8).step_by(8) {
             for (xc, row) in xv.iter_mut().zip(&rows) {
-                *xc = V::load(&row[ix..]);
+                *xc = V::load(&row[ix..ix + 8]);
             }
             for (gt, &t) in gv.iter_mut().zip(&offsets) {
                 // SAFETY: `t + ix + 8 ≤ reach − (h − 1 − iy)·row_step`,
@@ -1066,144 +1018,96 @@ impl Dw3 {
     }
 }
 
-/// Output plane `z` of the correlation of the channel volume `src` with
-/// `weights` (`[k, k, k]`): every row starts at `init` and takes one
-/// whole-row `+= w·x` per in-range tap, taps in ascending `(kz, ky, kx)`
-/// order. With `flip`, tap `t` carries weight `k³ − 1 − t` — the kernel
-/// mirrored on every axis, which turns the correlation into its own
-/// input-adjoint (per element, in the tap order of the scatter loop).
-///
-/// # Panics
-///
-/// Panics if a slice length or `z` disagrees with the geometry.
-pub fn dw3_plane(
-    geom: Dw3,
-    src: &[f32],
-    weights: &[f32],
-    flip: bool,
-    init: f32,
-    z: usize,
-    plane: &mut [f32],
-) {
-    geom.check(src, weights, plane, z);
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { dw3_plane_avx2(geom, src, weights, flip, init, z, plane) };
-        return;
-    }
-    dw3_plane_generic::<ScalarX8>(geom, src, weights, flip, init, z, plane)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dw3_plane_avx2(
-    geom: Dw3,
-    src: &[f32],
-    weights: &[f32],
-    flip: bool,
-    init: f32,
-    z: usize,
-    plane: &mut [f32],
-) {
-    dw3_plane_generic::<crate::AvxX8>(geom, src, weights, flip, init, z, plane)
-}
-
-#[inline(always)]
-fn dw3_plane_generic<V: Simd8>(
-    Dw3 { d, h, w, k }: Dw3,
-    src: &[f32],
-    weights: &[f32],
-    flip: bool,
-    init: f32,
-    z: usize,
-    plane: &mut [f32],
-) {
-    let p = k / 2;
-    for (y, row) in plane.chunks_exact_mut(w).enumerate() {
-        row.fill(init);
-        for kz in 0..k {
-            let Some(iz) = tap_source(z, kz, p, d) else {
-                continue;
-            };
-            for ky in 0..k {
-                let Some(iy) = tap_source(y, ky, p, h) else {
+dispatched! {
+    /// Output plane `z` of the correlation of the channel volume `src` with
+    /// `weights` (`[k, k, k]`): every row starts at `init` and takes one
+    /// whole-row `+= w·x` per in-range tap, taps in ascending `(kz, ky, kx)`
+    /// order. With `flip`, tap `t` carries weight `k³ − 1 − t` — the kernel
+    /// mirrored on every axis, which turns the correlation into its own
+    /// input-adjoint (per element, in the tap order of the scatter loop).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length or `z` disagrees with the geometry.
+    pub fn dw3_plane<V>(
+        geom: Dw3,
+        src: &[f32],
+        weights: &[f32],
+        flip: bool,
+        init: f32,
+        z: usize,
+        plane: &mut [f32],
+    ) {
+        geom.check(src, weights, plane, z);
+        let Dw3 { d, h, w, k } = geom;
+        let p = k / 2;
+        for (y, row) in plane.chunks_exact_mut(w).enumerate() {
+            row.fill(init);
+            for kz in 0..k {
+                let Some(iz) = tap_source(z, kz, p, d) else {
                     continue;
                 };
-                let src_row = &src[(iz * h + iy) * w..][..w];
-                for kx in 0..k {
-                    let xs = same_tap_range(w, kx, p);
-                    if xs.is_empty() {
+                for ky in 0..k {
+                    let Some(iy) = tap_source(y, ky, p, h) else {
                         continue;
+                    };
+                    let src_row = &src[(iz * h + iy) * w..][..w];
+                    for kx in 0..k {
+                        let xs = same_tap_range(w, kx, p);
+                        if xs.is_empty() {
+                            continue;
+                        }
+                        let tap = (kz * k + ky) * k + kx;
+                        let weight = weights[if flip { k * k * k - 1 - tap } else { tap }];
+                        let from = xs.start + kx - p;
+                        axpy_generic::<V>(
+                            &mut row[xs.clone()],
+                            weight,
+                            &src_row[from..][..xs.len()],
+                        );
                     }
-                    let tap = (kz * k + ky) * k + kx;
-                    let weight = weights[if flip { k * k * k - 1 - tap } else { tap }];
-                    let from = xs.start + kx - p;
-                    axpy_generic::<V>(&mut row[xs.clone()], weight, &src_row[from..][..xs.len()]);
                 }
             }
         }
     }
 }
 
-/// Adds plane `z`'s share of the kernel gradient into `dw` (`[k, k, k]`):
-/// `dw[kz, ky, kx] += Σ_{y,x} g[y, x] · x[z + kz − p, y + ky − p, x + kx − p]`,
-/// one row dot product per in-range tap, rows ascending.
-///
-/// Each dot keeps eight lane partials (`acc + g·x`, unfused; a ragged
-/// tail joins lanes `0..len % 8`) folded sequentially in lane order —
-/// the same bits on both backends, and within rounding of a sequential
-/// sum.
-///
-/// # Panics
-///
-/// Panics if a slice length or `z` disagrees with the geometry.
-pub fn dw3_weight_grad(geom: Dw3, x: &[f32], g_plane: &[f32], z: usize, dw: &mut [f32]) {
-    geom.check(x, dw, g_plane, z);
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { dw3_weight_grad_avx2(geom, x, g_plane, z, dw) };
-        return;
-    }
-    dw3_weight_grad_generic::<ScalarX8>(geom, x, g_plane, z, dw)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dw3_weight_grad_avx2(geom: Dw3, x: &[f32], g_plane: &[f32], z: usize, dw: &mut [f32]) {
-    dw3_weight_grad_generic::<crate::AvxX8>(geom, x, g_plane, z, dw)
-}
-
-#[inline(always)]
-fn dw3_weight_grad_generic<V: Simd8>(
-    Dw3 { d, h, w, k }: Dw3,
-    x: &[f32],
-    g_plane: &[f32],
-    z: usize,
-    dw: &mut [f32],
-) {
-    let p = k / 2;
-    for (y, g_row) in g_plane.chunks_exact(w).enumerate() {
-        for kz in 0..k {
-            let Some(iz) = tap_source(z, kz, p, d) else {
-                continue;
-            };
-            for ky in 0..k {
-                let Some(iy) = tap_source(y, ky, p, h) else {
+dispatched! {
+    /// Adds plane `z`'s share of the kernel gradient into `dw` (`[k, k, k]`):
+    /// `dw[kz, ky, kx] += Σ_{y,x} g[y, x] · x[z + kz − p, y + ky − p, x + kx − p]`,
+    /// one row dot product per in-range tap, rows ascending.
+    ///
+    /// Each dot keeps eight lane partials (`acc + g·x`, unfused; a ragged
+    /// tail joins lanes `0..len % 8`) folded sequentially in lane order —
+    /// the same bits on both backends, and within rounding of a sequential
+    /// sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length or `z` disagrees with the geometry.
+    pub fn dw3_weight_grad<V>(geom: Dw3, x: &[f32], g_plane: &[f32], z: usize, dw: &mut [f32]) {
+        geom.check(x, dw, g_plane, z);
+        let Dw3 { d, h, w, k } = geom;
+        let p = k / 2;
+        for (y, g_row) in g_plane.chunks_exact(w).enumerate() {
+            for kz in 0..k {
+                let Some(iz) = tap_source(z, kz, p, d) else {
                     continue;
                 };
-                let x_row = &x[(iz * h + iy) * w..][..w];
-                for kx in 0..k {
-                    let xs = same_tap_range(w, kx, p);
-                    if xs.is_empty() {
+                for ky in 0..k {
+                    let Some(iy) = tap_source(y, ky, p, h) else {
                         continue;
+                    };
+                    let x_row = &x[(iz * h + iy) * w..][..w];
+                    for kx in 0..k {
+                        let xs = same_tap_range(w, kx, p);
+                        if xs.is_empty() {
+                            continue;
+                        }
+                        let from = xs.start + kx - p;
+                        dw[(kz * k + ky) * k + kx] +=
+                            dot::<V>(&g_row[xs.clone()], &x_row[from..][..xs.len()]);
                     }
-                    let from = xs.start + kx - p;
-                    dw[(kz * k + ky) * k + kx] +=
-                        dot::<V>(&g_row[xs.clone()], &x_row[from..][..xs.len()]);
                 }
             }
         }
@@ -1213,15 +1117,14 @@ fn dw3_weight_grad_generic<V: Simd8>(
 #[inline(always)]
 fn dot<V: Simd8>(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    let n8 = a.len() - a.len() % 8;
+    let (a, b) = (a.chunks_exact(8), b.chunks_exact(8));
+    let tails = a.remainder().iter().zip(b.remainder());
     let mut acc = V::zero();
-    let mut i = 0;
-    while i < n8 {
-        acc = acc.add(V::load(&a[i..]).mul(V::load(&b[i..])));
-        i += 8;
+    for (x, y) in a.zip(b) {
+        acc = acc.add(V::load(x).mul(V::load(y)));
     }
     let mut lanes = acc.to_array();
-    for (lane, (x, y)) in lanes.iter_mut().zip(a[i..].iter().zip(&b[i..])) {
+    for (lane, (x, y)) in lanes.iter_mut().zip(tails) {
         *lane += x * y;
     }
     lanes.iter().fold(0.0, |sum, lane| sum + lane)
@@ -1230,7 +1133,8 @@ fn dot<V: Simd8>(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{at_level, best_level, Level};
+    use crate::{best_level, Level};
+    use peb_par::ctx::at_level;
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)

@@ -10,46 +10,11 @@
 //! deterministic. The tests below also pin the exact and transcendental
 //! chain stages one at a time.
 
-use crate::{simd_active, ScalarX8, Simd8};
+use crate::{simd_active, Simd8};
 
-/// Generates the dispatched entry for a kernel whose generic body is
-/// `$generic`: the AVX2+FMA instantiation when the calling thread's
-/// level is [`Level::Avx2Fma`](crate::Level), the scalar one otherwise.
-macro_rules! dispatched {
-    ($(#[$doc:meta])* $name:ident, $generic:ident, ($($arg:ident : $ty:ty),*)) => {
-        $(#[$doc])*
-        pub fn $name($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            if simd_active() {
-                crate::note_dispatch();
-                // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-                unsafe { avx::$name($($arg),*) };
-                return;
-            }
-            $generic::<ScalarX8>($($arg),*)
-        }
-    };
-}
-
-/// `#[target_feature]` instantiations of the generic bodies.
-#[cfg(target_arch = "x86_64")]
-mod avx {
-    use super::*;
-    use crate::AvxX8;
-
-    macro_rules! avx_wrap {
-        ($name:ident, $generic:ident, ($($arg:ident : $ty:ty),*)) => {
-            #[target_feature(enable = "avx2,fma")]
-            pub unsafe fn $name($($arg: $ty),*) {
-                $generic::<AvxX8>($($arg),*)
-            }
-        };
-    }
-
-    avx_wrap!(vaxpy, axpy_generic, (y: &mut [f32], alpha: f32, x: &[f32]));
-    avx_wrap!(vadd_assign, add_assign_generic, (y: &mut [f32], x: &[f32]));
-}
-
+/// `y += α·x` over equal-length slices, unfused (`*y += x * alpha`), so
+/// bit-exact across backends; the body of [`vaxpy`] and of the
+/// depthwise conv's row sweeps.
 #[inline(always)]
 pub(crate) fn axpy_generic<V: Simd8>(y: &mut [f32], alpha: f32, x: &[f32]) {
     assert_eq!(y.len(), x.len());
@@ -67,43 +32,43 @@ pub(crate) fn axpy_generic<V: Simd8>(y: &mut [f32], alpha: f32, x: &[f32]) {
     }
 }
 
-#[inline(always)]
-fn add_assign_generic<V: Simd8>(y: &mut [f32], x: &[f32]) {
-    assert_eq!(y.len(), x.len());
-    let n8 = y.len() - y.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        let ys = &mut y[i..i + 8];
-        V::load(ys).add(V::load(&x[i..])).store(ys);
-        i += 8;
-    }
-    for j in i..y.len() {
-        y[j] += x[j];
+dispatched! {
+    /// `y += α·x` (unfused; bit-exact across backends).
+    pub fn vaxpy<V>(y: &mut [f32], alpha: f32, x: &[f32]) {
+        axpy_generic::<V>(y, alpha, x)
     }
 }
 
-dispatched!(
-    /// `y += α·x` (unfused; bit-exact across backends).
-    vaxpy, axpy_generic,
-    (y: &mut [f32], alpha: f32, x: &[f32])
-);
-dispatched!(
+dispatched! {
     /// `y += x` elementwise (bit-exact across backends).
-    vadd_assign, add_assign_generic,
-    (y: &mut [f32], x: &[f32])
-);
+    pub fn vadd_assign<V>(y: &mut [f32], x: &[f32]) {
+        assert_eq!(y.len(), x.len());
+        let n8 = y.len() - y.len() % 8;
+        let mut i = 0;
+        while i < n8 {
+            let ys = &mut y[i..i + 8];
+            V::load(ys).add(V::load(&x[i..])).store(ys);
+            i += 8;
+        }
+        for j in i..y.len() {
+            y[j] += x[j];
+        }
+    }
+}
 
 /// `Σ x[i]` accumulated in `f64`.
 ///
 /// The scalar path sums sequentially (matching the pre-SIMD reduction
 /// bit for bit); the SIMD path keeps eight f64 partial sums folded in a
 /// fixed lane order — deterministic, but bracketed differently, so the
-/// two paths agree only to rounding.
+/// two paths agree only to rounding. Two bodies by contract, so this is
+/// the one entry that branches outside `dispatched!`.
 pub fn vsum_f64(x: &[f32]) -> f64 {
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
         crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
+        // SAFETY: as in `dispatched!`: `simd_active()` only holds where
+        // the CPU has AVX2+FMA.
         return unsafe { sum_f64_avx(x) };
     }
     sum_f64_scalar(x)
@@ -121,22 +86,26 @@ pub fn sum_f64_scalar(x: &[f32]) -> f64 {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn sum_f64_avx(x: &[f32]) -> f64 {
+fn sum_f64_avx(x: &[f32]) -> f64 {
     use std::arch::x86_64::*;
     let mut acc_lo = _mm256_setzero_pd();
     let mut acc_hi = _mm256_setzero_pd();
     let n8 = x.len() - x.len() % 8;
     let mut i = 0;
     while i < n8 {
-        let v = _mm256_loadu_ps(x.as_ptr().add(i));
+        // SAFETY: `i + 8 <= x.len()`.
+        let v = unsafe { _mm256_loadu_ps(x.as_ptr().add(i)) };
         acc_lo = _mm256_add_pd(acc_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
         acc_hi = _mm256_add_pd(acc_hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)));
         i += 8;
     }
     // Fold the eight partials in fixed lane order, then the tail.
     let mut lanes = [0f64; 8];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc_lo);
-    _mm256_storeu_pd(lanes.as_mut_ptr().add(4), acc_hi);
+    // SAFETY: `lanes` holds the two stores' eight doubles.
+    unsafe {
+        _mm256_storeu_pd(lanes.as_mut_ptr(), acc_lo);
+        _mm256_storeu_pd(lanes.as_mut_ptr().add(4), acc_hi);
+    }
     let mut acc = lanes.iter().sum::<f64>();
     for &v in &x[i..] {
         acc += v as f64;
@@ -148,7 +117,8 @@ unsafe fn sum_f64_avx(x: &[f32]) -> f64 {
 mod tests {
     use super::*;
     use crate::fused::{vchain, Stage};
-    use crate::{at_level, detected, levels, ulp_diff, Level};
+    use crate::{detected, ulp_diff, Level};
+    use peb_par::ctx::{at_level, levels};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)

@@ -20,8 +20,8 @@
 //! (`+ − × ÷ √`, scalar affine, negate-via-sign) are IEEE operations in
 //! the scalar expression order (`LeakyRelu` is a lane select over one
 //! exact multiply), so every backend agrees bit for bit. `Exp`,
-//! `Sigmoid` and `Softplus` use the backend's [`Simd8::exp`] (and
-//! [`Simd8::ln1p`]): libm at the scalar level, the polynomial lanes at
+//! `Sigmoid` and `Softplus` use the backend's `Simd8::exp` (and
+//! `Simd8::ln1p`): libm at the scalar level, the polynomial lanes at
 //! AVX2+FMA, a few ULP apart. An element's value depends neither on its
 //! neighbours nor on its lane, so applying k stages to one block before
 //! moving on is the same arithmetic, in the same order, as k one-stage
@@ -29,7 +29,7 @@
 //! one at a time, per dispatch level. Dead padding lanes may compute
 //! garbage (e.g. `0 ÷ 0`); they are never stored.
 
-use crate::{simd_active, ScalarX8, Simd8};
+use crate::Simd8;
 
 /// One stage of a fused elementwise chain, applied to the running value.
 ///
@@ -69,7 +69,7 @@ pub enum Stage<'a> {
     /// stays `−0.0` on either side of the select).
     ///
     /// `slope == 0` is ReLU proper, `max(acc, +0.0)` through
-    /// [`Simd8::max`]: `−0.0`, `−∞` and NaN all give `+0.0`, as
+    /// `Simd8::max`: `−0.0`, `−∞` and NaN all give `+0.0`, as
     /// `x.max(0.0)` does (the product form would turn `−∞` into NaN).
     LeakyRelu(f32),
 }
@@ -259,58 +259,38 @@ fn store_group<V: Simd8>(v: [V; GROUP], dst: &mut [f32]) {
     }
 }
 
-#[inline(always)]
-fn chain_generic<V: Simd8>(x: &[f32], stages: &[Stage<'_>], out: &mut [f32]) {
-    let n = x.len();
-    assert_eq!(n, out.len(), "fused chain: output length mismatch");
-    for st in stages {
-        if let Some(b) = st.operand() {
-            assert_eq!(b.len(), n, "fused chain: operand length mismatch");
+dispatched! {
+    /// Applies an elementwise chain: `out[i] = stages(x[i])`, streaming the
+    /// input in one sweep at the current dispatch level.
+    pub fn vchain<V>(x: &[f32], stages: &[Stage<'_>], out: &mut [f32]) {
+        let n = x.len();
+        assert_eq!(n, out.len(), "fused chain: output length mismatch");
+        for st in stages {
+            if let Some(b) = st.operand() {
+                assert_eq!(b.len(), n, "fused chain: operand length mismatch");
+            }
+        }
+        let whole = n - n % LANES;
+        let mut i = 0;
+        while i < whole {
+            let r = apply_group::<V>(x, stages, i, false);
+            store_group(r, &mut out[i..]);
+            i += LANES;
+        }
+        if i < n {
+            let r = apply_group::<V>(x, stages, i, true);
+            let mut live = [0f32; LANES];
+            store_group(r, &mut live);
+            out[i..].copy_from_slice(&live[..n - i]);
         }
     }
-    let body = n - n % LANES;
-    let mut i = 0;
-    while i < body {
-        let r = apply_group::<V>(x, stages, i, false);
-        store_group(r, &mut out[i..]);
-        i += LANES;
-    }
-    if i < n {
-        let r = apply_group::<V>(x, stages, i, true);
-        let mut live = [0f32; LANES];
-        store_group(r, &mut live);
-        out[i..].copy_from_slice(&live[..n - i]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx {
-    use super::*;
-    use crate::AvxX8;
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn vchain(x: &[f32], stages: &[Stage<'_>], out: &mut [f32]) {
-        chain_generic::<AvxX8>(x, stages, out)
-    }
-}
-
-/// Applies an elementwise chain: `out[i] = stages(x[i])`, streaming the
-/// input in one sweep at the current dispatch level.
-pub fn vchain(x: &[f32], stages: &[Stage<'_>], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { avx::vchain(x, stages, out) };
-        return;
-    }
-    chain_generic::<ScalarX8>(x, stages, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{at_level, levels, Level};
+    use crate::Level;
+    use peb_par::ctx::{at_level, levels};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)

@@ -25,7 +25,7 @@
 
 use std::ops::Range;
 
-use crate::{simd_active, ScalarX8, Simd8};
+use crate::Simd8;
 
 /// Register-tile rows.
 pub const MR: usize = 8;
@@ -101,138 +101,97 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize,
     unsafe { gemm_cols(a, b, out.as_mut_ptr(), m, k, n, 0..n, bias) }
 }
 
-/// [`gemm`] restricted to output columns `cols`, written through a raw
-/// pointer so that disjoint column blocks of one output can run
-/// concurrently. Columns outside `cols` are neither read nor written.
-///
-/// # Safety
-///
-/// `out` must be valid for reads and writes of `m·n` elements (row-major,
-/// row stride `n`), and no other thread may access columns `cols` of any
-/// row while the call runs.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with `m`, `k`, `n`, or `cols`
-/// leaves `0..n`.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn gemm_cols(
-    a: &[f32],
-    b: &[f32],
-    out: *mut f32,
-    m: usize,
-    k: usize,
-    n: usize,
-    cols: Range<usize>,
-    bias: Bias,
-) {
-    assert_eq!(a.len(), m * k, "gemm lhs length");
-    assert_eq!(b.len(), k * n, "gemm rhs length");
-    assert!(cols.start <= cols.end && cols.end <= n, "gemm column range");
-    bias.check(m, n);
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected; the
-        // output contract is the caller's.
-        unsafe { gemm_avx2(a, b, out, m, k, n, cols, bias) };
-        return;
-    }
-    // SAFETY: the output contract is the caller's.
-    unsafe { gemm_generic::<ScalarX8>(a, b, out, m, k, n, cols, bias) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_avx2(
-    a: &[f32],
-    b: &[f32],
-    out: *mut f32,
-    m: usize,
-    k: usize,
-    n: usize,
-    cols: Range<usize>,
-    bias: Bias,
-) {
-    // SAFETY: forwarded from `gemm_cols`.
-    unsafe { gemm_generic::<crate::AvxX8>(a, b, out, m, k, n, cols, bias) }
-}
-
-/// # Safety
-///
-/// As [`gemm_cols`]; the slice lengths have been checked.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_generic<V: Simd8>(
-    a: &[f32],
-    b: &[f32],
-    out: *mut f32,
-    m: usize,
-    k: usize,
-    n: usize,
-    cols: Range<usize>,
-    bias: Bias,
-) {
-    if m == 0 || cols.is_empty() {
-        return;
-    }
-    // One output row segment: `len` columns from `j` of row `i`.
-    // SAFETY (for every use below): `i < m` and `j + len <= cols.end
-    // <= n`, so the segment lies inside the caller's `m·n` output and
-    // inside the columns it handed over; segments never overlap within
-    // this call.
-    let row = |i: usize, j: usize, len: usize| unsafe {
-        std::slice::from_raw_parts_mut(out.add(i * n + j), len)
-    };
-    if k == 0 {
-        // No products: the write-back is the bias alone.
-        for i in 0..m {
-            for (jj, o) in row(i, cols.start, cols.len()).iter_mut().enumerate() {
-                if let Some(bv) = bias.at(i, cols.start + jj) {
-                    *o += bv;
+dispatched! {
+    /// [`gemm`] restricted to output columns `cols`, written through a raw
+    /// pointer so that disjoint column blocks of one output can run
+    /// concurrently. Columns outside `cols` are neither read nor written.
+    ///
+    /// # Safety
+    ///
+    /// `out` must be valid for reads and writes of `m·n` elements (row-major,
+    /// row stride `n`), and no other thread may access columns `cols` of any
+    /// row while the call runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length disagrees with `m`, `k`, `n`, or `cols`
+    /// leaves `0..n`.
+    pub unsafe fn gemm_cols<V>(
+        a: &[f32],
+        b: &[f32],
+        out: *mut f32,
+        m: usize,
+        k: usize,
+        n: usize,
+        cols: Range<usize>,
+        bias: Bias,
+    ) {
+        assert_eq!(a.len(), m * k, "gemm lhs length");
+        assert_eq!(b.len(), k * n, "gemm rhs length");
+        assert!(cols.start <= cols.end && cols.end <= n, "gemm column range");
+        bias.check(m, n);
+        if m == 0 || cols.is_empty() {
+            return;
+        }
+        // One output row segment: `len` columns from `j` of row `i`.
+        // SAFETY: at every use below, `i < m` and `j + len <= cols.end <=
+        // n`, so the segment lies inside the caller's `m·n` output and inside
+        // the columns it handed over; segments never overlap within this
+        // call.
+        let row = |i: usize, j: usize, len: usize| unsafe {
+            std::slice::from_raw_parts_mut(out.add(i * n + j), len)
+        };
+        if k == 0 {
+            // No products: the write-back is the bias alone.
+            for i in 0..m {
+                for (jj, o) in row(i, cols.start, cols.len()).iter_mut().enumerate() {
+                    if let Some(bv) = bias.at(i, cols.start + jj) {
+                        *o += bv;
+                    }
                 }
             }
+            return;
         }
-        return;
-    }
-    let width = cols.len();
-    let mut apack = peb_pool::PoolBuf::<f32>::cleared(m.div_ceil(MR) * MR * KC.min(k));
-    let mut bpack = peb_pool::PoolBuf::<f32>::cleared(NC.min(width).div_ceil(NR) * NR * KC.min(k));
-    for jc in (cols.start..cols.end).step_by(NC) {
-        let nb = NC.min(cols.end - jc);
-        for kc in (0..k).step_by(KC) {
-            let kb = KC.min(k - kc);
-            let last = kc + kb == k;
-            pack_b(b, &mut bpack, n, jc, kc, nb, kb);
-            pack_a(a, &mut apack, k, kc, kb, m);
-            for ir in (0..m).step_by(MR) {
-                let mb = MR.min(m - ir);
-                let ap = &apack[(ir / MR) * kb * MR..][..kb * MR];
-                for jr in (0..nb).step_by(NR) {
-                    let nr = NR.min(nb - jr);
-                    let bp = &bpack[(jr / NR) * kb * NR..][..kb * NR];
-                    let acc = tile::<V>(ap, bp, kb);
-                    let j = jc + jr;
-                    if nr == NR {
-                        for (ii, accv) in acc.iter().enumerate().take(mb) {
-                            let seg = row(ir + ii, j, NR);
-                            let mut v = V::load(seg).add(*accv);
-                            if let (true, Some(bv)) = (last, bias.lanes::<V>(ir + ii, j)) {
-                                v = v.add(bv);
+        let width = cols.len();
+        let mut apack = peb_pool::PoolBuf::<f32>::cleared(m.div_ceil(MR) * MR * KC.min(k));
+        let mut bpack =
+            peb_pool::PoolBuf::<f32>::cleared(NC.min(width).div_ceil(NR) * NR * KC.min(k));
+        for jc in (cols.start..cols.end).step_by(NC) {
+            let nb = NC.min(cols.end - jc);
+            for kc in (0..k).step_by(KC) {
+                let kb = KC.min(k - kc);
+                let last = kc + kb == k;
+                pack_b(b, &mut bpack, n, jc, kc, nb, kb);
+                pack_a(a, &mut apack, k, kc, kb, m);
+                for ir in (0..m).step_by(MR) {
+                    let mb = MR.min(m - ir);
+                    let ap = &apack[(ir / MR) * kb * MR..][..kb * MR];
+                    for jr in (0..nb).step_by(NR) {
+                        let nr = NR.min(nb - jr);
+                        let bp = &bpack[(jr / NR) * kb * NR..][..kb * NR];
+                        let acc = tile::<V>(ap, bp, kb);
+                        let j = jc + jr;
+                        if nr == NR {
+                            for (ii, accv) in acc.iter().enumerate().take(mb) {
+                                let seg = row(ir + ii, j, NR);
+                                let mut v = V::load(seg).add(*accv);
+                                if let (true, Some(bv)) = (last, bias.lanes::<V>(ir + ii, j)) {
+                                    v = v.add(bv);
+                                }
+                                v.store(seg);
                             }
-                            v.store(seg);
-                        }
-                    } else {
-                        // Right-edge tile: only `nr` columns are real.
-                        for (ii, accv) in acc.iter().enumerate().take(mb) {
-                            let lane = accv.to_array();
-                            for (jj, (o, v)) in row(ir + ii, j, nr).iter_mut().zip(lane).enumerate()
-                            {
-                                *o += v;
-                                if last {
-                                    if let Some(bv) = bias.at(ir + ii, j + jj) {
-                                        *o += bv;
+                        } else {
+                            // Right-edge tile: only `nr` columns are real.
+                            for (ii, accv) in acc.iter().enumerate().take(mb) {
+                                let lane = accv.to_array();
+                                for (jj, (o, v)) in
+                                    row(ir + ii, j, nr).iter_mut().zip(lane).enumerate()
+                                {
+                                    *o += v;
+                                    if last {
+                                        if let Some(bv) = bias.at(ir + ii, j + jj) {
+                                            *o += bv;
+                                        }
                                     }
                                 }
                             }
@@ -295,7 +254,8 @@ fn pack_b(b: &[f32], buf: &mut Vec<f32>, n: usize, jc: usize, kc: usize, nb: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{at_level, detected, levels, ulp_diff, Level};
+    use crate::{detected, ulp_diff, Level};
+    use peb_par::ctx::{at_level, levels};
 
     fn pseudo(len: usize, salt: u32) -> Vec<f32> {
         (0..len)

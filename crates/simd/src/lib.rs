@@ -1,11 +1,21 @@
 //! `peb-simd`: runtime-dispatched SIMD microkernels for the workspace hot
 //! paths.
 //!
-//! Every kernel in this crate exists twice behind one entry point: an
-//! AVX2+FMA path built on 8-lane `f32` vectors (`std::arch` intrinsics)
-//! and a portable scalar path that processes the same 8-lane groups with
-//! plain `f32` arithmetic. The path is chosen by [`level`], a field of
-//! the calling thread's execution context (`peb_par::ctx`):
+//! Every kernel is written once, as a body generic over the crate's
+//! private 8-lane trait `Simd8`, and reaches its backend through one
+//! seam: the `dispatched!` macro below. For each entry it emits an
+//! AVX2+FMA instantiation of the body (8-lane `f32` vectors, `std::arch`
+//! intrinsics) under `#[target_feature(enable = "avx2,fma")]`, the branch
+//! that enters it, and the portable scalar instantiation (the same 8-lane
+//! groups in plain `f32`) for everything else: one macro, one
+//! `target_feature`, one SAFETY argument. The lane types are private to
+//! the crate, so no code outside it can execute an AVX instruction
+//! without passing that branch. The one entry with a branch of its own is
+//! [`elementwise::vsum_f64`], whose levels run different bodies by
+//! contract (the scalar level sums in index order).
+//!
+//! The branch reads [`level`], a field of the calling thread's execution
+//! context (`peb_par::ctx`):
 //!
 //! * `PEB_SIMD=off` (or `0` / `scalar`) makes the scalar path the
 //!   process default;
@@ -15,8 +25,8 @@
 //!
 //! The level is the only backend selector: no kernel has a second,
 //! per-backend entry point. A test that compares the backends calls the
-//! one entry under `peb_par::ctx::with` at [`Level::Scalar`] and, when
-//! [`detected`], [`Level::Avx2Fma`].
+//! one entry under `peb_par::ctx::at_level` for each of
+//! `peb_par::ctx::levels()`.
 //!
 //! # Determinism contract
 //!
@@ -29,16 +39,16 @@
 //! * **Bit-exact kernels** (tridiagonal line solves, the PEB reaction
 //!   half-step, the depthwise 3-D conv's row sweeps, the exact stages of
 //!   the elementwise chain in [`fused`], the LayerNorm row pass in
-//!   [`norm`], Adam updates) use only
+//!   [`norm`], Adam updates, the [`transpose`]) use only
 //!   IEEE-exact lane operations (`+ − × ÷ √`, `max`/`min`, `floor`,
-//!   integer-built `2ⁿ`) in exactly the per-element expression order of
-//!   the scalar code, so the SIMD path reproduces the scalar path **to
-//!   the bit**.
+//!   integer-built `2ⁿ`) or pure data movement, in exactly the
+//!   per-element expression order of the scalar code, so the SIMD path
+//!   reproduces the scalar path **to the bit**.
 //! * **Tolerance kernels** (GEMM and the dense 2-D convolutions of
 //!   `conv::SubPixel`, which fuse multiply–add, and the
 //!   selective-scan recurrence in both directions and the `exp` /
-//!   `sigmoid` / `softplus` chain stages, which use the polynomial
-//!   [`Simd8::exp`] and [`Simd8::ln1p`] instead of libm) differ from
+//!   `sigmoid` / `softplus` chain stages, which use the polynomial lane
+//!   `exp` and `ln1p` instead of libm) differ from
 //!   scalar by bounded ULPs; the property suite in `tests/` pins those
 //!   bounds. The fused attention core in [`attention`] is the GEMM →
 //!   scale → softmax → GEMM composition replayed per query row in its
@@ -46,11 +56,78 @@
 //!   bitwise equal to that composition at each level.
 //!
 //! Kernels whose lanes are rows ([`attention`], [`norm`]) accumulate
-//! per-lane `f64` sums through [`Simd8::widen_add`], so a row's bits do
+//! per-lane `f64` sums (`Simd8::widen_add`), so a row's bits do
 //! not depend on the lane it rides in.
 //!
 //! The `simd_dispatch` counter in `peb-obs` ticks once per kernel call
 //! that takes the vector path.
+
+/// The dispatch seam: every kernel entry of the crate is one invocation.
+///
+/// ```text
+/// dispatched! {
+///     /// Docs of the entry.
+///     pub fn name<V>(arg: Type, …) { /* body, generic over V: Simd8 */ }
+/// }
+/// ```
+///
+/// emits `pub fn name(arg: Type, …)`. Its body is instantiated at
+/// [`AvxX8`] inside an `unsafe fn` with
+/// `#[target_feature(enable = "avx2,fma")]`, which the entry enters when
+/// [`simd_active`] holds (ticking `simd_dispatch` once), and at
+/// [`ScalarX8`] otherwise. The `unsafe fn` form is for entries with a
+/// safety contract: the body runs in the entry's unsafe context, so the
+/// caller's contract reaches it unchanged. Arguments are plain
+/// identifiers; a body that mutates one rebinds it.
+///
+/// The body is `#[inline(always)]`, and so must be every generic helper it
+/// calls: a lane op that is not inlined into the `target_feature`
+/// instantiation runs as an out-of-line call per operation, slower than
+/// the scalar backend.
+///
+/// `rustfmt` leaves brace-delimited macro input alone: an invocation
+/// renamed to `mod name {` formats like the module it then is.
+macro_rules! dispatched {
+    ($(#[$attr:meta])* $vis:vis fn $name:ident<$v:ident>($($arg:ident: $ty:ty),* $(,)?)
+        $body:block) => {
+        dispatched!(@emit [$(#[$attr])*] [$vis] [] $name $v ($($arg: $ty),*) $body);
+    };
+    ($(#[$attr:meta])* $vis:vis unsafe fn $name:ident<$v:ident>($($arg:ident: $ty:ty),* $(,)?)
+        $body:block) => {
+        dispatched!(@emit [$(#[$attr])*] [$vis] [unsafe] $name $v ($($arg: $ty),*) $body);
+    };
+    (@emit [$($attr:tt)*] [$vis:vis] [$($unsafe:tt)?] $name:ident $v:ident
+        ($($arg:ident: $ty:ty),*) $body:block) => {
+        $($attr)*
+        #[allow(clippy::too_many_arguments)]
+        $vis $($unsafe)? fn $name($($arg: $ty),*) {
+            #[inline(always)]
+            #[allow(clippy::too_many_arguments)]
+            $($unsafe)? fn body<$v: $crate::Simd8>($($arg: $ty),*) $body
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2,fma")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn avx($($arg: $ty),*) {
+                body::<$crate::AvxX8>($($arg),*)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            if $crate::simd_active() {
+                $crate::note_dispatch();
+                // SAFETY: `simd_active()` means the calling thread's level
+                // is `Level::Avx2Fma`, and no context holds that level on a
+                // CPU without AVX2+FMA: the environment parser grants it
+                // only where `detected()`, and `ctx::with` refuses it
+                // elsewhere. So `avx`'s target features are present. An
+                // `unsafe` entry's own contract is its caller's, forwarded
+                // to the body unchanged.
+                return unsafe { avx($($arg),*) };
+            }
+            body::<$crate::ScalarX8>($($arg),*)
+        }
+    };
+}
 
 pub mod attention;
 pub mod conv;
@@ -62,6 +139,7 @@ pub mod optim;
 pub mod reaction;
 pub mod scan;
 pub mod thomas;
+pub mod transpose;
 
 // ---------------------------------------------------------------------------
 // Dispatch level: a one-line read of the execution context
@@ -78,7 +156,7 @@ pub fn level() -> Level {
 
 /// Whether kernels currently take the vector path.
 #[inline]
-pub fn simd_active() -> bool {
+pub(crate) fn simd_active() -> bool {
     level() == Level::Avx2Fma
 }
 
@@ -87,30 +165,6 @@ pub fn simd_active() -> bool {
 #[inline]
 pub(crate) fn note_dispatch() {
     peb_obs::count(peb_obs::Counter::SimdDispatch, 1);
-}
-
-/// The levels this CPU runs: [`Level::Scalar`], then [`Level::Avx2Fma`]
-/// when detected.
-#[cfg(test)]
-pub(crate) fn levels() -> Vec<Level> {
-    let mut levels = vec![Level::Scalar];
-    if detected() {
-        levels.push(Level::Avx2Fma);
-    }
-    levels
-}
-
-/// Runs `f` with the calling thread's dispatch level pinned to `level`:
-/// how the differential tests reach each backend.
-#[cfg(test)]
-pub(crate) fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
-    ctx::with(
-        ctx::ExecCtx {
-            level,
-            ..ctx::current()
-        },
-        f,
-    )
 }
 
 /// Vestige of the removed precision axis: compute is always f32.
@@ -168,11 +222,9 @@ pub fn ulp_diff(a: f32, b: f32) -> u32 {
 ///
 /// Implemented by [`ScalarX8`] (portable, libm `exp` / `ln_1p`, unfused
 /// `mul_add`) and — on x86_64 — [`AvxX8`] (AVX2 vectors, fused
-/// `mul_add`, polynomial `exp` / `ln1p`). Generic kernels written against this
-/// trait are instantiated once per backend; the AVX instantiation is
-/// only ever reached through `#[target_feature(enable = "avx2,fma")]`
-/// wrappers after runtime detection.
-pub trait Simd8: Copy {
+/// `mul_add`, polynomial `exp` / `ln1p`). Generic kernels written against
+/// this trait are instantiated once per backend by [`dispatched!`].
+pub(crate) trait Simd8: Copy {
     /// All lanes set to `v`.
     fn splat(v: f32) -> Self;
     /// All lanes zero.
@@ -212,7 +264,7 @@ pub trait Simd8: Copy {
     /// `x.max(zero)` maps NaN and `−0.0` to `+0.0` on every backend.
     fn max(self, rhs: Self) -> Self;
     /// Lanewise `if self < rhs { self } else { rhs }` (x86 `minps`), with
-    /// the same second-operand rule as [`Simd8::max`].
+    /// the same second-operand rule as `Simd8::max`.
     fn min(self, rhs: Self) -> Self;
     /// Lanewise round toward −∞ (IEEE-exact on every backend).
     fn floor(self) -> Self;
@@ -232,7 +284,7 @@ pub trait Simd8: Copy {
     fn to_array(self) -> [f32; 8];
     /// Builds lanes from an array.
     fn from_array(a: [f32; 8]) -> Self;
-    /// Eight `f64` lanes: the accumulator of [`Simd8::widen_add`].
+    /// Eight `f64` lanes: the accumulator of `Simd8::widen_add`.
     type Wide: Copy;
     /// All eight `f64` lanes zero.
     fn wide_zero() -> Self::Wide;
@@ -245,7 +297,7 @@ pub trait Simd8: Copy {
 
 /// Portable scalar backend: 8 plain `f32` lanes.
 #[derive(Debug, Clone, Copy)]
-pub struct ScalarX8([f32; 8]);
+pub(crate) struct ScalarX8([f32; 8]);
 
 impl Simd8 for ScalarX8 {
     #[inline(always)]
@@ -382,57 +434,72 @@ impl Simd8 for ScalarX8 {
 /// # Soundness
 ///
 /// Constructing and operating on `AvxX8` executes AVX instructions, so
-/// every use must be dominated by a successful [`detected`] check. All
-/// in-crate uses sit behind `#[target_feature(enable = "avx2,fma")]`
-/// dispatch wrappers that are only entered when [`simd_active`] (or an
-/// explicit caller-side `detected()` check) holds.
+/// every use must be dominated by a successful [`detected`] check. The
+/// type is private to the crate, and its only instantiation outside
+/// tests is the `target_feature` one [`dispatched!`] enters after that
+/// check; the crate's tests instantiate it under `if detected()`.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
-pub struct AvxX8(std::arch::x86_64::__m256);
+pub(crate) struct AvxX8(std::arch::x86_64::__m256);
 
+/// The [`AvxX8`] backend: `std::arch` intrinsics, in scope only here.
 #[cfg(target_arch = "x86_64")]
-mod avx {
+mod x86 {
     use super::{AvxX8, Simd8};
     use std::arch::x86_64::*;
+
+    /// `unsafe { $e }` for register-only AVX2/FMA intrinsics.
+    macro_rules! lanes {
+        ($e:expr) => {
+            // SAFETY: an `AvxX8` exists only where the CPU has AVX2+FMA
+            // (see its Soundness section), and the intrinsic touches
+            // registers only.
+            unsafe { $e }
+        };
+    }
 
     impl Simd8 for AvxX8 {
         #[inline(always)]
         fn splat(v: f32) -> Self {
-            AvxX8(unsafe { _mm256_set1_ps(v) })
+            AvxX8(lanes!(_mm256_set1_ps(v)))
         }
         #[inline(always)]
         fn load(src: &[f32]) -> Self {
-            debug_assert!(src.len() >= 8);
+            assert!(src.len() >= 8);
+            // SAFETY: AVX2+FMA as in `lanes!`; `src` holds the 8 floats
+            // read.
             AvxX8(unsafe { _mm256_loadu_ps(src.as_ptr()) })
         }
         #[inline(always)]
         fn store(self, dst: &mut [f32]) {
-            debug_assert!(dst.len() >= 8);
+            assert!(dst.len() >= 8);
+            // SAFETY: AVX2+FMA as in `lanes!`; `dst` holds the 8 floats
+            // written.
             unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
         }
         #[inline(always)]
         fn add(self, rhs: Self) -> Self {
-            AvxX8(unsafe { _mm256_add_ps(self.0, rhs.0) })
+            AvxX8(lanes!(_mm256_add_ps(self.0, rhs.0)))
         }
         #[inline(always)]
         fn sub(self, rhs: Self) -> Self {
-            AvxX8(unsafe { _mm256_sub_ps(self.0, rhs.0) })
+            AvxX8(lanes!(_mm256_sub_ps(self.0, rhs.0)))
         }
         #[inline(always)]
         fn mul(self, rhs: Self) -> Self {
-            AvxX8(unsafe { _mm256_mul_ps(self.0, rhs.0) })
+            AvxX8(lanes!(_mm256_mul_ps(self.0, rhs.0)))
         }
         #[inline(always)]
         fn div(self, rhs: Self) -> Self {
-            AvxX8(unsafe { _mm256_div_ps(self.0, rhs.0) })
+            AvxX8(lanes!(_mm256_div_ps(self.0, rhs.0)))
         }
         #[inline(always)]
         fn sqrt(self) -> Self {
-            AvxX8(unsafe { _mm256_sqrt_ps(self.0) })
+            AvxX8(lanes!(_mm256_sqrt_ps(self.0)))
         }
         #[inline(always)]
         fn mul_add(self, m: Self, a: Self) -> Self {
-            AvxX8(unsafe { _mm256_fmadd_ps(self.0, m.0, a.0) })
+            AvxX8(lanes!(_mm256_fmadd_ps(self.0, m.0, a.0)))
         }
         #[inline(always)]
         fn exp(self) -> Self {
@@ -446,31 +513,31 @@ mod avx {
         fn select_nonneg(self, if_nonneg: Self, if_neg: Self) -> Self {
             // blendv picks the second operand where the mask sign bit is
             // set, i.e. where `self < 0`.
-            AvxX8(unsafe { _mm256_blendv_ps(if_nonneg.0, if_neg.0, self.0) })
+            AvxX8(lanes!(_mm256_blendv_ps(if_nonneg.0, if_neg.0, self.0)))
         }
         #[inline(always)]
         fn max(self, rhs: Self) -> Self {
-            AvxX8(unsafe { _mm256_max_ps(self.0, rhs.0) })
+            AvxX8(lanes!(_mm256_max_ps(self.0, rhs.0)))
         }
         #[inline(always)]
         fn min(self, rhs: Self) -> Self {
-            AvxX8(unsafe { _mm256_min_ps(self.0, rhs.0) })
+            AvxX8(lanes!(_mm256_min_ps(self.0, rhs.0)))
         }
         #[inline(always)]
         fn floor(self) -> Self {
-            AvxX8(unsafe { _mm256_floor_ps(self.0) })
+            AvxX8(lanes!(_mm256_floor_ps(self.0)))
         }
         #[inline(always)]
         fn pow2n(self) -> Self {
-            unsafe {
+            lanes!({
                 let n = _mm256_cvttps_epi32(self.0);
                 let n = _mm256_add_epi32(n, _mm256_set1_epi32(0x7f));
                 AvxX8(_mm256_castsi256_ps(_mm256_slli_epi32(n, 23)))
-            }
+            })
         }
         #[inline(always)]
         fn transpose8(r: [Self; 8]) -> [Self; 8] {
-            unsafe {
+            lanes!({
                 // 2×2 blocks within each 128-bit half …
                 let t0 = _mm256_unpacklo_ps(r[0].0, r[1].0);
                 let t1 = _mm256_unpackhi_ps(r[0].0, r[1].0);
@@ -500,11 +567,11 @@ mod avx {
                     AvxX8(_mm256_permute2f128_ps(u2, u6, 0x31)),
                     AvxX8(_mm256_permute2f128_ps(u3, u7, 0x31)),
                 ]
-            }
+            })
         }
         #[inline(always)]
         fn interleave(self, rhs: Self) -> (Self, Self) {
-            unsafe {
+            lanes!({
                 // (a0 b0 a1 b1 | a4 b4 a5 b5) and (a2 b2 a3 b3 | a6 b6 a7 b7),
                 // then the halves regrouped.
                 let lo = _mm256_unpacklo_ps(self.0, rhs.0);
@@ -513,39 +580,43 @@ mod avx {
                     AvxX8(_mm256_permute2f128_ps(lo, hi, 0x20)),
                     AvxX8(_mm256_permute2f128_ps(lo, hi, 0x31)),
                 )
-            }
+            })
         }
         #[inline(always)]
         fn to_array(self) -> [f32; 8] {
             let mut a = [0f32; 8];
+            // SAFETY: AVX2+FMA as in `lanes!`; `a` holds the 8 floats
+            // written.
             unsafe { _mm256_storeu_ps(a.as_mut_ptr(), self.0) };
             a
         }
         #[inline(always)]
         fn from_array(a: [f32; 8]) -> Self {
+            // SAFETY: AVX2+FMA as in `lanes!`; `a` holds the 8 floats
+            // read.
             AvxX8(unsafe { _mm256_loadu_ps(a.as_ptr()) })
         }
         /// Lanes 0..4 and 4..8.
         type Wide = [__m256d; 2];
         #[inline(always)]
         fn wide_zero() -> [__m256d; 2] {
-            unsafe { [_mm256_setzero_pd(); 2] }
+            lanes!([_mm256_setzero_pd(); 2])
         }
         #[inline(always)]
         fn widen_add(self, acc: [__m256d; 2]) -> [__m256d; 2] {
-            unsafe {
+            lanes!({
                 let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(self.0));
                 let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(self.0));
                 [_mm256_add_pd(acc[0], lo), _mm256_add_pd(acc[1], hi)]
-            }
+            })
         }
         #[inline(always)]
         fn narrow(acc: [__m256d; 2]) -> Self {
-            unsafe {
+            lanes!({
                 let lo = _mm256_cvtpd_ps(acc[0]);
                 let hi = _mm256_cvtpd_ps(acc[1]);
                 AvxX8(_mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi))
-            }
+            })
         }
     }
 
@@ -567,7 +638,7 @@ mod avx {
         const P3: f32 = 4.166_579_6e-2;
         const P4: f32 = 1.666_666_5e-1;
         const P5: f32 = 5.000_000_3e-1;
-        unsafe {
+        lanes!({
             let x = _mm256_min_ps(x.0, _mm256_set1_ps(EXP_HI));
             let x = _mm256_max_ps(x, _mm256_set1_ps(EXP_LO));
             // n = round-to-floor(x / ln2 + 1/2)
@@ -591,7 +662,7 @@ mod avx {
             let n = _mm256_add_epi32(n, _mm256_set1_epi32(0x7f));
             let pow2n = _mm256_castsi256_ps(_mm256_slli_epi32(n, 23));
             AvxX8(_mm256_mul_ps(y, pow2n))
-        }
+        })
     }
 
     /// `ln(1 + x)` on 8 lanes. `u = 1 + x` is rounded; its Cephes-style
@@ -617,7 +688,7 @@ mod avx {
         ];
         const Q1: f32 = -2.121_944_4e-4; // ln2 low part
         const Q2: f32 = 0.693_359_4; // ln2 high part
-        unsafe {
+        lanes!({
             let one = _mm256_set1_ps(1.0);
             let u = _mm256_add_ps(one, x.0);
             let d = _mm256_div_ps(_mm256_sub_ps(x.0, _mm256_sub_ps(u, one)), u);
@@ -659,7 +730,7 @@ mod avx {
                 _mm256_cmp_ps::<_CMP_LT_OQ>(u, zero),
             );
             AvxX8(out)
-        }
+        })
     }
 }
 
@@ -808,6 +879,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx_load_and_store_of_a_short_slice_panic_like_the_scalar_backend() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        if !detected() {
+            return;
+        }
+        let mut short = [1f32; 7];
+        for (name, panicked) in [
+            (
+                "scalar load",
+                catch_unwind(|| ScalarX8::load(&short)).is_err(),
+            ),
+            ("avx load", catch_unwind(|| AvxX8::load(&short)).is_err()),
+            (
+                "scalar store",
+                catch_unwind(AssertUnwindSafe(|| ScalarX8::zero().store(&mut short))).is_err(),
+            ),
+            (
+                "avx store",
+                catch_unwind(AssertUnwindSafe(|| AvxX8::zero().store(&mut short))).is_err(),
+            ),
+        ] {
+            assert!(panicked, "{name} of 7 floats did not panic");
+        }
+        assert_eq!(short, [1.0; 7], "a short store wrote");
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -2,10 +2,10 @@
 //!
 //! A lane group is eight rows (lane `l` = row `r0 + l`): the block is
 //! moved lane-major into an L1 scratch buffer (through
-//! [`Simd8::transpose8`] for rows of eight or more columns), each lane's
+//! `Simd8::transpose8` for rows of eight or more columns), each lane's
 //! mean and
 //! variance are summed in `f64` in ascending column order
-//! ([`Simd8::widen_add`]), and the normalised, scaled and shifted block
+//! (`Simd8::widen_add`), and the normalised, scaled and shifted block
 //! is moved back. Rows past the end are zero-padded lanes and are never
 //! stored.
 //!
@@ -26,65 +26,48 @@
 
 use peb_pool::PoolBuf;
 
-use crate::{simd_active, ScalarX8, Simd8};
+use crate::Simd8;
 
-/// `out = LayerNorm(x)` over rows of `gamma.len()` columns.
-///
-/// # Panics
-///
-/// Panics if the columns are zero, `beta` differs from `gamma` in
-/// length, or `x` and `out` are not the same whole number of rows.
-pub fn layer_norm(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
-    let c = gamma.len();
-    assert!(c > 0, "layer_norm: zero columns");
-    assert_eq!(beta.len(), c, "layer_norm: beta length");
-    assert_eq!(x.len(), out.len(), "layer_norm: output length");
-    assert!(x.len().is_multiple_of(c), "layer_norm: ragged rows");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { layer_norm_avx2(x, gamma, beta, eps, out) };
-        return;
-    }
-    layer_norm_generic::<ScalarX8>(x, gamma, beta, eps, out);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn layer_norm_avx2(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
-    layer_norm_generic::<crate::AvxX8>(x, gamma, beta, eps, out);
-}
-
-#[inline(always)]
-fn layer_norm_generic<V: Simd8>(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
-    let c = gamma.len();
-    let inv_c = V::splat(1.0 / c as f32);
-    let eps = V::splat(eps);
-    // Column `j` of the block's eight rows at `buf[j·8..]`.
-    let mut buf = PoolBuf::<f32>::zeroed(c * 8);
-    for (xs, os) in x.chunks(8 * c).zip(out.chunks_mut(8 * c)) {
-        gather::<V>(xs, c, &mut buf);
-        let mut sum = V::wide_zero();
-        for lanes in buf.chunks_exact(8) {
-            sum = V::load(lanes).widen_add(sum);
+dispatched! {
+    /// `out = LayerNorm(x)` over rows of `gamma.len()` columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns are zero, `beta` differs from `gamma` in
+    /// length, or `x` and `out` are not the same whole number of rows.
+    pub fn layer_norm<V>(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
+        let c = gamma.len();
+        assert!(c > 0, "layer_norm: zero columns");
+        assert_eq!(beta.len(), c, "layer_norm: beta length");
+        assert_eq!(x.len(), out.len(), "layer_norm: output length");
+        assert!(x.len().is_multiple_of(c), "layer_norm: ragged rows");
+        let inv_c = V::splat(1.0 / c as f32);
+        let eps = V::splat(eps);
+        // Column `j` of the block's eight rows at `buf[j·8..]`.
+        let mut buf = PoolBuf::<f32>::zeroed(c * 8);
+        for (xs, os) in x.chunks(8 * c).zip(out.chunks_mut(8 * c)) {
+            gather::<V>(xs, c, &mut buf);
+            let mut sum = V::wide_zero();
+            for lanes in buf.chunks_exact(8) {
+                sum = V::load(lanes).widen_add(sum);
+            }
+            let mu = V::narrow(sum).mul(inv_c);
+            let mut sq = V::wide_zero();
+            for lanes in buf.chunks_exact_mut(8) {
+                let d = V::load(lanes).sub(mu);
+                d.store(lanes);
+                sq = d.mul(d).widen_add(sq);
+            }
+            let sigma = V::narrow(sq).mul(inv_c).add(eps).sqrt();
+            for ((lanes, &ga), &be) in buf.chunks_exact_mut(8).zip(gamma).zip(beta) {
+                let y = V::load(lanes)
+                    .div(sigma)
+                    .mul(V::splat(ga))
+                    .add(V::splat(be));
+                y.store(lanes);
+            }
+            scatter::<V>(&buf, c, os);
         }
-        let mu = V::narrow(sum).mul(inv_c);
-        let mut sq = V::wide_zero();
-        for lanes in buf.chunks_exact_mut(8) {
-            let d = V::load(lanes).sub(mu);
-            d.store(lanes);
-            sq = d.mul(d).widen_add(sq);
-        }
-        let sigma = V::narrow(sq).mul(inv_c).add(eps).sqrt();
-        for ((lanes, &ga), &be) in buf.chunks_exact_mut(8).zip(gamma).zip(beta) {
-            let y = V::load(lanes)
-                .div(sigma)
-                .mul(V::splat(ga))
-                .add(V::splat(be));
-            y.store(lanes);
-        }
-        scatter::<V>(&buf, c, os);
     }
 }
 
@@ -98,7 +81,7 @@ fn windows(c: usize) -> impl Iterator<Item = usize> {
 
 /// The rows of `xs` (at most eight, `c` columns each) lane-major into
 /// `buf`: `buf[j·8 + l] = xs[l·c + j]`, lanes past the last row zero.
-/// `8 × 8` blocks go through [`Simd8::transpose8`]; rows narrower than
+/// `8 × 8` blocks go through `Simd8::transpose8`; rows narrower than
 /// eight columns element by element.
 #[inline(always)]
 fn gather<V: Simd8>(xs: &[f32], c: usize, buf: &mut [f32]) {
@@ -116,11 +99,12 @@ fn gather<V: Simd8>(xs: &[f32], c: usize, buf: &mut [f32]) {
     }
     for c0 in windows(c) {
         let mut rows = [V::zero(); 8];
-        for (l, r) in rows.iter_mut().enumerate().take(live) {
-            *r = V::load(&xs[l * c + c0..]);
+        for (r, row) in rows.iter_mut().zip(xs.chunks_exact(c)) {
+            *r = V::load(&row[c0..c0 + 8]);
         }
-        for (t, col) in V::transpose8(rows).into_iter().enumerate() {
-            col.store(&mut buf[(c0 + t) * 8..]);
+        let cols = buf[c0 * 8..(c0 + 8) * 8].chunks_exact_mut(8);
+        for (col, dst) in V::transpose8(rows).into_iter().zip(cols) {
+            col.store(dst);
         }
     }
 }
@@ -136,14 +120,16 @@ fn scatter<V: Simd8>(buf: &[f32], c: usize, os: &mut [f32]) {
         }
         return;
     }
-    let live = os.len() / c;
     for c0 in windows(c) {
         let mut cols = [V::zero(); 8];
-        for (t, col) in cols.iter_mut().enumerate() {
-            *col = V::load(&buf[(c0 + t) * 8..]);
+        for (col, src) in cols
+            .iter_mut()
+            .zip(buf[c0 * 8..(c0 + 8) * 8].chunks_exact(8))
+        {
+            *col = V::load(src);
         }
-        for (l, row) in V::transpose8(cols).into_iter().take(live).enumerate() {
-            row.store(&mut os[l * c + c0..]);
+        for (row, dst) in V::transpose8(cols).into_iter().zip(os.chunks_exact_mut(c)) {
+            row.store(&mut dst[c0..c0 + 8]);
         }
     }
 }
@@ -151,7 +137,7 @@ fn scatter<V: Simd8>(buf: &[f32], c: usize, os: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{at_level, levels};
+    use peb_par::ctx::{at_level, levels};
 
     /// The per-row expression the kernel replays, in plain `f32`/`f64`.
     fn reference(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32) -> Vec<f32> {

@@ -5,59 +5,34 @@
 //! `peb-nn`'s `Adam`, so the SIMD path is **bitwise identical** to the
 //! scalar path — training trajectories do not depend on `PEB_SIMD`.
 
-use crate::{simd_active, ScalarX8, Simd8};
-
-/// Adam moment update: `m = m·β₁ + g·(1−β₁)`, `v = v·β₂ + g²·(1−β₂)`.
-pub fn adam_moments(m: &mut [f32], v: &mut [f32], grad: &[f32], beta1: f32, beta2: f32) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { adam_moments_avx2(m, v, grad, beta1, beta2) };
-        return;
+dispatched! {
+    /// Adam moment update: `m = m·β₁ + g·(1−β₁)`, `v = v·β₂ + g²·(1−β₂)`.
+    pub fn adam_moments<V>(m: &mut [f32], v: &mut [f32], grad: &[f32], beta1: f32, beta2: f32) {
+        assert!(m.len() == grad.len() && v.len() == grad.len());
+        let (b1, b2) = (V::splat(beta1), V::splat(beta2));
+        let (omb1, omb2) = (V::splat(1.0 - beta1), V::splat(1.0 - beta2));
+        let n8 = grad.len() - grad.len() % 8;
+        let mut i = 0;
+        while i < n8 {
+            let g = V::load(&grad[i..]);
+            let ms = &mut m[i..i + 8];
+            V::load(ms).mul(b1).add(g.mul(omb1)).store(ms);
+            let vs = &mut v[i..i + 8];
+            V::load(vs).mul(b2).add(g.mul(g).mul(omb2)).store(vs);
+            i += 8;
+        }
+        for j in i..grad.len() {
+            let g = grad[j];
+            m[j] = m[j] * beta1 + g * (1.0 - beta1);
+            v[j] = v[j] * beta2 + (g * g) * (1.0 - beta2);
+        }
     }
-    adam_moments_generic::<ScalarX8>(m, v, grad, beta1, beta2)
 }
 
-/// Adam parameter update with bias correction:
-/// `p −= lr · (m·inv_bc1) / (√(v·inv_bc2) + ε)`.
-pub fn adam_apply(
-    param: &mut [f32],
-    m: &[f32],
-    v: &[f32],
-    inv_bc1: f32,
-    inv_bc2: f32,
-    eps: f32,
-    lr: f32,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: as above.
-        unsafe { adam_apply_avx2(param, m, v, inv_bc1, inv_bc2, eps, lr) };
-        return;
-    }
-    adam_apply_generic::<ScalarX8>(param, m, v, inv_bc1, inv_bc2, eps, lr)
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx_wrappers {
-    use super::*;
-    use crate::AvxX8;
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn adam_moments_avx2(
-        m: &mut [f32],
-        v: &mut [f32],
-        grad: &[f32],
-        beta1: f32,
-        beta2: f32,
-    ) {
-        adam_moments_generic::<AvxX8>(m, v, grad, beta1, beta2)
-    }
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn adam_apply_avx2(
+dispatched! {
+    /// Adam parameter update with bias correction:
+    /// `p −= lr · (m·inv_bc1) / (√(v·inv_bc2) + ε)`.
+    pub fn adam_apply<V>(
         param: &mut [f32],
         m: &[f32],
         v: &[f32],
@@ -66,69 +41,25 @@ mod avx_wrappers {
         eps: f32,
         lr: f32,
     ) {
-        adam_apply_generic::<AvxX8>(param, m, v, inv_bc1, inv_bc2, eps, lr)
-    }
-}
-#[cfg(target_arch = "x86_64")]
-use avx_wrappers::*;
-
-#[inline(always)]
-fn adam_moments_generic<V: Simd8>(
-    m: &mut [f32],
-    v: &mut [f32],
-    grad: &[f32],
-    beta1: f32,
-    beta2: f32,
-) {
-    assert!(m.len() == grad.len() && v.len() == grad.len());
-    let (b1, b2) = (V::splat(beta1), V::splat(beta2));
-    let (omb1, omb2) = (V::splat(1.0 - beta1), V::splat(1.0 - beta2));
-    let n8 = grad.len() - grad.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        let g = V::load(&grad[i..]);
-        let ms = &mut m[i..i + 8];
-        V::load(ms).mul(b1).add(g.mul(omb1)).store(ms);
-        let vs = &mut v[i..i + 8];
-        V::load(vs).mul(b2).add(g.mul(g).mul(omb2)).store(vs);
-        i += 8;
-    }
-    for j in i..grad.len() {
-        let g = grad[j];
-        m[j] = m[j] * beta1 + g * (1.0 - beta1);
-        v[j] = v[j] * beta2 + (g * g) * (1.0 - beta2);
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn adam_apply_generic<V: Simd8>(
-    param: &mut [f32],
-    m: &[f32],
-    v: &[f32],
-    inv_bc1: f32,
-    inv_bc2: f32,
-    eps: f32,
-    lr: f32,
-) {
-    assert!(param.len() == m.len() && param.len() == v.len());
-    let (ib1, ib2) = (V::splat(inv_bc1), V::splat(inv_bc2));
-    let (ev, lrv) = (V::splat(eps), V::splat(lr));
-    let n8 = param.len() - param.len() % 8;
-    let mut i = 0;
-    while i < n8 {
-        let mhat = V::load(&m[i..]).mul(ib1);
-        let vhat = V::load(&v[i..]).mul(ib2);
-        let update = mhat.div(vhat.sqrt().add(ev));
-        let ps = &mut param[i..i + 8];
-        V::load(ps).sub(update.mul(lrv)).store(ps);
-        i += 8;
-    }
-    for j in i..param.len() {
-        let mhat = m[j] * inv_bc1;
-        let vhat = v[j] * inv_bc2;
-        let update = mhat / (vhat.sqrt() + eps);
-        param[j] -= update * lr;
+        assert!(param.len() == m.len() && param.len() == v.len());
+        let (ib1, ib2) = (V::splat(inv_bc1), V::splat(inv_bc2));
+        let (ev, lrv) = (V::splat(eps), V::splat(lr));
+        let n8 = param.len() - param.len() % 8;
+        let mut i = 0;
+        while i < n8 {
+            let mhat = V::load(&m[i..]).mul(ib1);
+            let vhat = V::load(&v[i..]).mul(ib2);
+            let update = mhat.div(vhat.sqrt().add(ev));
+            let ps = &mut param[i..i + 8];
+            V::load(ps).sub(update.mul(lrv)).store(ps);
+            i += 8;
+        }
+        for j in i..param.len() {
+            let mhat = m[j] * inv_bc1;
+            let vhat = v[j] * inv_bc2;
+            let update = mhat / (vhat.sqrt() + eps);
+            param[j] -= update * lr;
+        }
     }
 }
 

@@ -11,12 +11,12 @@
 //! expression sequence with IEEE-exact operations only (`+ − ×`, `max`,
 //! `min`, `floor`, and an integer-built `2ⁿ`), including the exponential —
 //! its `exp_exact` is the Cephes range-reduction/polynomial of
-//! [`Simd8::exp`]'s AVX backend written with unfused `mul`/`add`. Results
+//! `Simd8::exp`'s AVX backend written with unfused `mul`/`add`. Results
 //! are therefore bitwise identical across backends and independent of how
 //! a caller splits a field into slices (ragged tails run the same lanes
 //! on a zero-padded group).
 
-use crate::{simd_active, ScalarX8, Simd8};
+use crate::Simd8;
 
 /// `exp(x)` from IEEE-exact lane operations only, so every backend
 /// returns the same bits. Within 2 ULP of libm where the result is a
@@ -98,58 +98,15 @@ fn cells8<V: Simd8>(a0: V, b0: V, i0: V, c: Consts<V>) -> (V, V, V) {
     (a1, b1, i1)
 }
 
-#[inline(always)]
-fn half_step_generic<V: Simd8>(
-    acid: &mut [f32],
-    base: &mut [f32],
-    inhibitor: &mut [f32],
-    kr: f32,
-    kc: f32,
-    dt: f32,
-) {
-    let len = acid.len();
-    assert!(base.len() == len && inhibitor.len() == len);
-    let c = Consts {
-        neg_kr: V::splat(-kr),
-        neg_kc: V::splat(-kc),
-        dt: V::splat(dt),
-        half_dt: V::splat(0.5 * dt),
-        dt_sixth: V::splat(dt / 6.0),
-    };
-    let n8 = len - len % 8;
-    let mut i = 0;
-    while i < n8 {
-        let (a, b, inh) = cells8(
-            V::load(&acid[i..]),
-            V::load(&base[i..]),
-            V::load(&inhibitor[i..]),
-            c,
-        );
-        a.store(&mut acid[i..]);
-        b.store(&mut base[i..]);
-        inh.store(&mut inhibitor[i..]);
-        i += 8;
-    }
-    if i < len {
-        // Ragged tail: the same lanes on a zero-padded group.
-        let (a, b, inh) = cells8(
-            load_padded(&acid[i..]),
-            load_padded(&base[i..]),
-            load_padded(&inhibitor[i..]),
-            c,
-        );
-        acid[i..].copy_from_slice(&a.to_array()[..len - i]);
-        base[i..].copy_from_slice(&b.to_array()[..len - i]);
-        inhibitor[i..].copy_from_slice(&inh.to_array()[..len - i]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx {
-    use crate::AvxX8;
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn half_step(
+dispatched! {
+    /// Advances `(acid, base, inhibitor)` in place by one reaction half-step
+    /// of length `dt` (see the module docs). Bitwise identical at every
+    /// dispatch level and under any split of the fields into sub-slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length.
+    pub fn half_step<V>(
         acid: &mut [f32],
         base: &mut [f32],
         inhibitor: &mut [f32],
@@ -157,39 +114,49 @@ mod avx {
         kc: f32,
         dt: f32,
     ) {
-        super::half_step_generic::<AvxX8>(acid, base, inhibitor, kr, kc, dt)
+        let len = acid.len();
+        assert!(base.len() == len && inhibitor.len() == len);
+        let c = Consts {
+            neg_kr: V::splat(-kr),
+            neg_kc: V::splat(-kc),
+            dt: V::splat(dt),
+            half_dt: V::splat(0.5 * dt),
+            dt_sixth: V::splat(dt / 6.0),
+        };
+        let n8 = len - len % 8;
+        let mut i = 0;
+        while i < n8 {
+            let (a, b, inh) = cells8(
+                V::load(&acid[i..]),
+                V::load(&base[i..]),
+                V::load(&inhibitor[i..]),
+                c,
+            );
+            a.store(&mut acid[i..]);
+            b.store(&mut base[i..]);
+            inh.store(&mut inhibitor[i..]);
+            i += 8;
+        }
+        if i < len {
+            // Ragged tail: the same lanes on a zero-padded group.
+            let (a, b, inh) = cells8(
+                load_padded(&acid[i..]),
+                load_padded(&base[i..]),
+                load_padded(&inhibitor[i..]),
+                c,
+            );
+            acid[i..].copy_from_slice(&a.to_array()[..len - i]);
+            base[i..].copy_from_slice(&b.to_array()[..len - i]);
+            inhibitor[i..].copy_from_slice(&inh.to_array()[..len - i]);
+        }
     }
-}
-
-/// Advances `(acid, base, inhibitor)` in place by one reaction half-step
-/// of length `dt` (see the module docs). Bitwise identical at every
-/// dispatch level and under any split of the fields into sub-slices.
-///
-/// # Panics
-///
-/// Panics if the three slices differ in length.
-pub fn half_step(
-    acid: &mut [f32],
-    base: &mut [f32],
-    inhibitor: &mut [f32],
-    kr: f32,
-    kc: f32,
-    dt: f32,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { avx::half_step(acid, base, inhibitor, kr, kc, dt) };
-        return;
-    }
-    half_step_generic::<ScalarX8>(acid, base, inhibitor, kr, kc, dt)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{at_level, levels, ulp_diff};
+    use crate::{ulp_diff, ScalarX8};
+    use peb_par::ctx::{at_level, levels};
 
     /// The kernel's exponential of every element of `x` on backend `V`.
     #[inline(always)]

@@ -5,7 +5,7 @@
 //! exactly the per-lane expression order of the scalar loops. The scalar
 //! backend is therefore **bitwise identical** to the original per-lane
 //! code; the SIMD backend fuses the multiply–adds and uses the
-//! polynomial [`Simd8::exp`] — the backward recomputes `e = exp(Δ·a)`
+//! polynomial `Simd8::exp` — the backward recomputes `e = exp(Δ·a)`
 //! with the same lane `exp` the forward used — so it is tolerance-class
 //! (but deterministic for a fixed level, at any `PEB_THREADS`).
 //!
@@ -34,7 +34,7 @@
 
 use peb_par::UnsafeSlice;
 
-use crate::{simd_active, ScalarX8, Simd8};
+use crate::Simd8;
 
 /// Geometry of one 8-lane channel group of a `[L, ch]` scan.
 #[derive(Debug, Clone, Copy)]
@@ -101,266 +101,200 @@ pub fn pack_a_lanes8(a: &[f32], n: usize, ci0: usize, lanes: usize, out: &mut Ve
     }
 }
 
-/// Runs the forward recurrence for one lane group.
-///
-/// Per time step `t` and state index `ni`, each lane computes the scalar
-/// recurrence
-///
-/// ```text
-/// e  = exp(Δ_t · a[ni]);  h[ni] = e·h[ni] + (Δ_t·u_t)·b_t[ni]
-/// y_t = Σ_ni c_t[ni]·h[ni] + d·u_t
-/// ```
-///
-/// `h` (length `n·8`, `[N][8]` interleaved) carries the state and must be
-/// zeroed by the caller before the first time step. When `h_traj` is
-/// `Some` (the group's `[L][N][8]` block, `l·n·8` floats), the state
-/// after step `t` is stored at `h_traj[t·n·8..]`.
-///
-/// # Safety
-///
-/// The caller must own columns `ci0..ci0+8` of `y` (positions
-/// `t·ch+ci`) exclusively — the standard `UnsafeSlice` disjoint-writes
-/// contract of the lane-parallel scan. Requires `ci0 + 8 <= ch`.
-pub unsafe fn scan_forward_lanes8(
-    geom: Group,
-    ops: LaneOperands<'_>,
-    h: &mut [f32],
-    y: &UnsafeSlice<f32>,
-    h_traj: Option<&mut [f32]>,
-) {
-    let Group { l, ch, n, ci0, .. } = geom;
-    debug_assert!(ci0 + 8 <= ch);
-    debug_assert!(h.len() >= n * 8 && ops.a_pack.len() >= n * 8 && ops.skip8.len() >= 8);
-    debug_assert!(h_traj.as_ref().is_none_or(|t| t.len() >= l * n * 8));
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected; the
-        // aliasing contract is the caller's.
-        unsafe { scan_fwd_avx2(geom, ops, h, y, h_traj) };
-        return;
-    }
-    // SAFETY: aliasing contract is the caller's.
-    unsafe { scan_fwd_generic::<ScalarX8>(geom, ops, h, y, h_traj) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn scan_fwd_avx2(
-    geom: Group,
-    ops: LaneOperands<'_>,
-    h: &mut [f32],
-    y: &UnsafeSlice<f32>,
-    h_traj: Option<&mut [f32]>,
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe { scan_fwd_generic::<crate::AvxX8>(geom, ops, h, y, h_traj) }
-}
-
-#[inline(always)]
-unsafe fn scan_fwd_generic<V: Simd8>(
-    geom: Group,
-    ops: LaneOperands<'_>,
-    h: &mut [f32],
-    y: &UnsafeSlice<f32>,
-    mut h_traj: Option<&mut [f32]>,
-) {
-    let Group { l, ch, n, ci0, .. } = geom;
-    let LaneOperands {
-        u,
-        delta,
-        a_pack,
-        b,
-        c,
-        skip8,
-    } = ops;
-    let h = &mut h[..n * 8];
-    let skipv = V::load(skip8);
-    for t in 0..l {
-        let row = t * ch + ci0;
-        let dtv = V::load(&delta[row..]);
-        let utv = V::load(&u[row..]);
-        let dtu = dtv.mul(utv);
-        let mut acc = V::zero();
-        let mut traj_t = h_traj
-            .as_deref_mut()
-            .map(|tr| &mut tr[t * n * 8..(t + 1) * n * 8]);
-        for ni in 0..n {
-            let av = V::load(&a_pack[ni * 8..]);
-            let e = dtv.mul(av).exp();
-            let hs = &mut h[ni * 8..ni * 8 + 8];
-            // h = e·h + (Δ·u)·b — unfused on the scalar backend, matching
-            // `e * *hv + dtu * bd[..]` bit for bit.
-            let hv = e.mul_add(V::load(hs), dtu.mul(V::splat(b[t * n + ni])));
-            hv.store(hs);
-            if let Some(tr) = traj_t.as_deref_mut() {
-                hv.store(&mut tr[ni * 8..]);
+dispatched! {
+    /// Runs the forward recurrence for one lane group.
+    ///
+    /// Per time step `t` and state index `ni`, each lane computes the scalar
+    /// recurrence
+    ///
+    /// ```text
+    /// e  = exp(Δ_t · a[ni]);  h[ni] = e·h[ni] + (Δ_t·u_t)·b_t[ni]
+    /// y_t = Σ_ni c_t[ni]·h[ni] + d·u_t
+    /// ```
+    ///
+    /// `h` (length `n·8`, `[N][8]` interleaved) carries the state and must be
+    /// zeroed by the caller before the first time step. When `h_traj` is
+    /// `Some` (the group's `[L][N][8]` block, `l·n·8` floats), the state
+    /// after step `t` is stored at `h_traj[t·n·8..]`.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own columns `ci0..ci0+8` of `y` (positions
+    /// `t·ch+ci`) exclusively — the standard `UnsafeSlice` disjoint-writes
+    /// contract of the lane-parallel scan. Requires `ci0 + 8 <= ch`.
+    pub unsafe fn scan_forward_lanes8<V>(
+        geom: Group,
+        ops: LaneOperands<'_>,
+        h: &mut [f32],
+        y: &UnsafeSlice<f32>,
+        h_traj: Option<&mut [f32]>,
+    ) {
+        let Group { l, ch, n, ci0, .. } = geom;
+        debug_assert!(ci0 + 8 <= ch);
+        debug_assert!(h.len() >= n * 8 && ops.a_pack.len() >= n * 8 && ops.skip8.len() >= 8);
+        debug_assert!(h_traj.as_ref().is_none_or(|t| t.len() >= l * n * 8));
+        let mut h_traj = h_traj;
+        let LaneOperands {
+            u,
+            delta,
+            a_pack,
+            b,
+            c,
+            skip8,
+        } = ops;
+        let h = &mut h[..n * 8];
+        let skipv = V::load(skip8);
+        for t in 0..l {
+            let row = t * ch + ci0;
+            let dtv = V::load(&delta[row..row + 8]);
+            let utv = V::load(&u[row..row + 8]);
+            let dtu = dtv.mul(utv);
+            let mut acc = V::zero();
+            let mut traj_t = h_traj
+                .as_deref_mut()
+                .map(|tr| &mut tr[t * n * 8..(t + 1) * n * 8]);
+            for ni in 0..n {
+                let av = V::load(&a_pack[ni * 8..ni * 8 + 8]);
+                let e = dtv.mul(av).exp();
+                let hs = &mut h[ni * 8..ni * 8 + 8];
+                // h = e·h + (Δ·u)·b — unfused on the scalar backend, matching
+                // `e * *hv + dtu * bd[..]` bit for bit.
+                let hv = e.mul_add(V::load(hs), dtu.mul(V::splat(b[t * n + ni])));
+                hv.store(hs);
+                if let Some(tr) = traj_t.as_deref_mut() {
+                    hv.store(&mut tr[ni * 8..ni * 8 + 8]);
+                }
+                acc = V::splat(c[t * n + ni]).mul_add(hv, acc);
             }
-            acc = V::splat(c[t * n + ni]).mul_add(hv, acc);
+            let yv = skipv.mul_add(utv, acc);
+            // SAFETY: lane group owns y positions row..row+8 (caller
+            // contract).
+            yv.store(unsafe { y.slice_mut(row..row + 8) });
         }
-        let yv = skipv.mul_add(utv, acc);
-        // SAFETY: lane group owns y positions row..row+8 (caller
-        // contract).
-        yv.store(unsafe { y.slice_mut(row..row + 8) });
     }
 }
 
-/// Runs the adjoint recurrence for one lane group, `t` from `L − 1`
-/// down to 0.
-///
-/// `g` is the `[L, ch]` gradient of `y`, and `h_traj` the group's
-/// `[L][N][8]` trajectory as [`scan_forward_lanes8`] recorded it. Per
-/// step, each lane computes today's scalar adjoint in its order
-///
-/// ```text
-/// dskip += g·u;  du = g·d;  dΔ = 0
-/// for ni:  dc  = g·h_t;          dh_t = g·c_t + dh
-///          e   = exp(Δ·a);       de   = dh_t·h_{t−1}
-///          dΔ += (de·a)·e;       da  += (de·Δ)·e
-///          dΔ += (dh_t·b_t)·u;   du  += (dh_t·Δ)·b_t
-///          db  = (dh_t·Δ)·u;     dh   = dh_t·e
-/// ```
-///
-/// with `e` from the forward's lane `exp`. `dh` (`n·8` floats) is
-/// scratch the kernel zeroes. Each step's `db`/`dc` lanes are summed
-/// with [`Simd8::transpose8`], lanes `0..lanes` in ascending order from
-/// `+0`, into `grads.db`/`grads.dc` — one partial per group.
-///
-/// # Safety
-///
-/// The caller must own columns `ci0..ci0+8` of `grads.du` and
-/// `grads.ddelta` exclusively (the `UnsafeSlice` disjoint-writes
-/// contract). Requires `ci0 + 8 <= ch`.
-pub unsafe fn scan_backward_lanes8(
-    geom: Group,
-    ops: LaneOperands<'_>,
-    g: &[f32],
-    h_traj: &[f32],
-    dh: &mut [f32],
-    grads: LaneGrads<'_, '_>,
-) {
-    let Group {
-        l,
-        ch,
-        n,
-        ci0,
-        lanes,
-    } = geom;
-    debug_assert!(ci0 + 8 <= ch && (1..=8).contains(&lanes));
-    debug_assert!(h_traj.len() >= l * n * 8 && dh.len() >= n * 8);
-    debug_assert!(grads.da.len() >= n * 8 && grads.db.len() >= l * n && grads.dc.len() >= l * n);
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected; the
-        // aliasing contract is the caller's.
-        unsafe { scan_bwd_avx2(geom, ops, g, h_traj, dh, grads) };
-        return;
-    }
-    // SAFETY: aliasing contract is the caller's.
-    unsafe { scan_bwd_generic::<ScalarX8>(geom, ops, g, h_traj, dh, grads) }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn scan_bwd_avx2(
-    geom: Group,
-    ops: LaneOperands<'_>,
-    g: &[f32],
-    h_traj: &[f32],
-    dh: &mut [f32],
-    grads: LaneGrads<'_, '_>,
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe { scan_bwd_generic::<crate::AvxX8>(geom, ops, g, h_traj, dh, grads) }
-}
-
-#[inline(always)]
-unsafe fn scan_bwd_generic<V: Simd8>(
-    geom: Group,
-    ops: LaneOperands<'_>,
-    g: &[f32],
-    h_traj: &[f32],
-    dh: &mut [f32],
-    grads: LaneGrads<'_, '_>,
-) {
-    let Group {
-        l,
-        ch,
-        n,
-        ci0,
-        lanes,
-    } = geom;
-    let LaneOperands {
-        u,
-        delta,
-        a_pack,
-        b,
-        c,
-        skip8,
-    } = ops;
-    let LaneGrads {
-        du,
-        ddelta,
-        da,
-        dskip,
-        db,
-        dc,
-    } = grads;
-    let (dh, da) = (&mut dh[..n * 8], &mut da[..n * 8]);
-    dh.fill(0.0);
-    let skipv = V::load(skip8);
-    let mut dskipv = V::load(dskip);
-    for t in (0..l).rev() {
-        let row = t * ch + ci0;
-        let gy = V::load(&g[row..]);
-        let dt = V::load(&delta[row..]);
-        let ut = V::load(&u[row..]);
-        dskipv = gy.mul_add(ut, dskipv);
-        let mut du_acc = gy.mul(skipv);
-        let mut ddt_acc = V::zero();
-        let h_t = &h_traj[t * n * 8..(t + 1) * n * 8];
-        let h_prev = t.checked_sub(1).map(|tp| &h_traj[tp * n * 8..t * n * 8]);
-        for ni0 in (0..n).step_by(8) {
-            let m = (n - ni0).min(8);
-            // Per-state lane contributions to db/dc, summed over lanes
-            // after the block.
-            let mut dcr = [V::zero(); 8];
-            let mut dbr = [V::zero(); 8];
-            for k in 0..m {
-                let ni = ni0 + k;
-                let s = ni * 8;
-                dcr[k] = gy.mul(V::load(&h_t[s..]));
-                // Total gradient into h_t: from y plus from h_{t+1}.
-                let dht = gy.mul_add(V::splat(c[t * n + ni]), V::load(&dh[s..]));
-                let av = V::load(&a_pack[s..]);
-                let e = dt.mul(av).exp();
-                let hp = h_prev.map_or(V::zero(), |hp| V::load(&hp[s..]));
-                // Through the decay factor e = exp(Δ·a) …
-                let de = dht.mul(hp);
-                ddt_acc = de.mul(av).mul_add(e, ddt_acc);
-                de.mul(dt).mul_add(e, V::load(&da[s..])).store(&mut da[s..]);
-                // … and through the drive term Δ·u·b.
-                let bv = V::splat(b[t * n + ni]);
-                ddt_acc = dht.mul(bv).mul_add(ut, ddt_acc);
-                let dht_dt = dht.mul(dt);
-                du_acc = dht_dt.mul_add(bv, du_acc);
-                dbr[k] = dht_dt.mul(ut);
-                // Carry to h_{t−1}.
-                dht.mul(e).store(&mut dh[s..]);
+dispatched! {
+    /// Runs the adjoint recurrence for one lane group, `t` from `L − 1`
+    /// down to 0.
+    ///
+    /// `g` is the `[L, ch]` gradient of `y`, and `h_traj` the group's
+    /// `[L][N][8]` trajectory as [`scan_forward_lanes8`] recorded it. Per
+    /// step, each lane computes today's scalar adjoint in its order
+    ///
+    /// ```text
+    /// dskip += g·u;  du = g·d;  dΔ = 0
+    /// for ni:  dc  = g·h_t;          dh_t = g·c_t + dh
+    ///          e   = exp(Δ·a);       de   = dh_t·h_{t−1}
+    ///          dΔ += (de·a)·e;       da  += (de·Δ)·e
+    ///          dΔ += (dh_t·b_t)·u;   du  += (dh_t·Δ)·b_t
+    ///          db  = (dh_t·Δ)·u;     dh   = dh_t·e
+    /// ```
+    ///
+    /// with `e` from the forward's lane `exp`. `dh` (`n·8` floats) is
+    /// scratch the kernel zeroes. Each step's `db`/`dc` lanes are summed
+    /// with `Simd8::transpose8`, lanes `0..lanes` in ascending order from
+    /// `+0`, into `grads.db`/`grads.dc` — one partial per group.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own columns `ci0..ci0+8` of `grads.du` and
+    /// `grads.ddelta` exclusively (the `UnsafeSlice` disjoint-writes
+    /// contract). Requires `ci0 + 8 <= ch`.
+    pub unsafe fn scan_backward_lanes8<V>(
+        geom: Group,
+        ops: LaneOperands<'_>,
+        g: &[f32],
+        h_traj: &[f32],
+        dh: &mut [f32],
+        grads: LaneGrads<'_, '_>,
+    ) {
+        let Group {
+            l,
+            ch,
+            n,
+            ci0,
+            lanes,
+        } = geom;
+        debug_assert!(ci0 + 8 <= ch && (1..=8).contains(&lanes));
+        debug_assert!(h_traj.len() >= l * n * 8 && dh.len() >= n * 8);
+        debug_assert!(
+            grads.da.len() >= n * 8 && grads.db.len() >= l * n && grads.dc.len() >= l * n
+        );
+        let LaneOperands {
+            u,
+            delta,
+            a_pack,
+            b,
+            c,
+            skip8,
+        } = ops;
+        let LaneGrads {
+            du,
+            ddelta,
+            da,
+            dskip,
+            db,
+            dc,
+        } = grads;
+        let (dh, da) = (&mut dh[..n * 8], &mut da[..n * 8]);
+        dh.fill(0.0);
+        let skipv = V::load(skip8);
+        let mut dskipv = V::load(dskip);
+        for t in (0..l).rev() {
+            let row = t * ch + ci0;
+            let gy = V::load(&g[row..row + 8]);
+            let dt = V::load(&delta[row..row + 8]);
+            let ut = V::load(&u[row..row + 8]);
+            dskipv = gy.mul_add(ut, dskipv);
+            let mut du_acc = gy.mul(skipv);
+            let mut ddt_acc = V::zero();
+            let h_t = &h_traj[t * n * 8..(t + 1) * n * 8];
+            let h_prev = t.checked_sub(1).map(|tp| &h_traj[tp * n * 8..t * n * 8]);
+            for ni0 in (0..n).step_by(8) {
+                let m = (n - ni0).min(8);
+                // Per-state lane contributions to db/dc, summed over lanes
+                // after the block.
+                let mut dcr = [V::zero(); 8];
+                let mut dbr = [V::zero(); 8];
+                for k in 0..m {
+                    let ni = ni0 + k;
+                    let s = ni * 8;
+                    dcr[k] = gy.mul(V::load(&h_t[s..s + 8]));
+                    // Total gradient into h_t: from y plus from h_{t+1}.
+                    let dht = gy.mul_add(V::splat(c[t * n + ni]), V::load(&dh[s..s + 8]));
+                    let av = V::load(&a_pack[s..s + 8]);
+                    let e = dt.mul(av).exp();
+                    let hp = h_prev.map_or(V::zero(), |hp| V::load(&hp[s..s + 8]));
+                    // Through the decay factor e = exp(Δ·a) …
+                    let de = dht.mul(hp);
+                    ddt_acc = de.mul(av).mul_add(e, ddt_acc);
+                    de.mul(dt)
+                        .mul_add(e, V::load(&da[s..s + 8]))
+                        .store(&mut da[s..s + 8]);
+                    // … and through the drive term Δ·u·b.
+                    let bv = V::splat(b[t * n + ni]);
+                    ddt_acc = dht.mul(bv).mul_add(ut, ddt_acc);
+                    let dht_dt = dht.mul(dt);
+                    du_acc = dht_dt.mul_add(bv, du_acc);
+                    dbr[k] = dht_dt.mul(ut);
+                    // Carry to h_{t−1}.
+                    dht.mul(e).store(&mut dh[s..s + 8]);
+                }
+                let at = t * n + ni0;
+                lane_sums(dcr, lanes, &mut dc[at..at + m]);
+                lane_sums(dbr, lanes, &mut db[at..at + m]);
             }
-            let at = t * n + ni0;
-            lane_sums(dcr, lanes, &mut dc[at..at + m]);
-            lane_sums(dbr, lanes, &mut db[at..at + m]);
+            // SAFETY: lane group owns du/ddelta positions row..row+8 (caller
+            // contract).
+            let dst = unsafe { du.slice_mut(row..row + 8) };
+            V::load(dst).add(du_acc).store(dst);
+            // SAFETY: as above.
+            let dst = unsafe { ddelta.slice_mut(row..row + 8) };
+            V::load(dst).add(ddt_acc).store(dst);
         }
-        // SAFETY: lane group owns du/ddelta positions row..row+8 (caller
-        // contract).
-        let dst = unsafe { du.slice_mut(row..row + 8) };
-        V::load(dst).add(du_acc).store(dst);
-        let dst = unsafe { ddelta.slice_mut(row..row + 8) };
-        V::load(dst).add(ddt_acc).store(dst);
+        dskipv.store(dskip);
     }
-    dskipv.store(dskip);
 }
 
 /// Stores into `out[k]` the sum of lanes `0..lanes` of `rows[k]`, added
@@ -382,7 +316,8 @@ fn lane_sums<V: Simd8>(rows: [V; 8], lanes: usize, out: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{at_level, Level};
+    use crate::Level;
+    use peb_par::ctx::at_level;
 
     /// The original per-lane scalar recurrence, as written in peb-mamba,
     /// with the trajectory in its old `[(t·ch + ci)·n + ni]` layout.

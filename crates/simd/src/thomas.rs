@@ -20,7 +20,7 @@
 
 use peb_par::UnsafeSlice;
 
-use crate::{simd_active, ScalarX8, Simd8};
+use crate::Simd8;
 
 /// Factors the constant-coefficient tridiagonal matrix `(a, b, c)` into
 /// pivots `beta` and modified super-diagonal `gamma`
@@ -70,110 +70,56 @@ pub fn solve_factored(a: &[f32], beta: &[f32], gamma: &[f32], d: &mut [f32]) {
     }
 }
 
-/// Solves eight interleaved lines in place against one shared
-/// factorization.
-///
-/// Element `k` of the group lives at `slots[base + k·stride .. +8]` (the
-/// eight lines are adjacent in the innermost dimension). `bump_first` /
-/// `bump_last` are added to the first/last right-hand-side element before
-/// elimination (the Robin-boundary source term), matching the scalar
-/// sweep's unconditional `line[0] += bump` adds.
-///
-/// # Safety
-///
-/// The caller must own every position `base + k·stride + j` (`k < n`,
-/// `j < 8`) of `slots` exclusively — the standard `UnsafeSlice`
-/// disjoint-writes contract of the line-parallel ADI sweep.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn solve_factored_lines8(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    slots: &UnsafeSlice<f32>,
-    base: usize,
-    stride: usize,
-    n: usize,
-    bump_first: f32,
-    bump_last: f32,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA; aliasing is the
-        // caller's contract.
-        unsafe {
-            solve8_avx2(
-                a, beta, gamma, slots, base, stride, n, bump_first, bump_last,
-            )
+dispatched! {
+    /// Solves eight interleaved lines in place against one shared
+    /// factorization.
+    ///
+    /// Element `k` of the group lives at `slots[base + k·stride .. +8]` (the
+    /// eight lines are adjacent in the innermost dimension). `bump_first` /
+    /// `bump_last` are added to the first/last right-hand-side element before
+    /// elimination (the Robin-boundary source term), matching the scalar
+    /// sweep's unconditional `line[0] += bump` adds.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own every position `base + k·stride + j` (`k < n`,
+    /// `j < 8`) of `slots` exclusively — the standard `UnsafeSlice`
+    /// disjoint-writes contract of the line-parallel ADI sweep.
+    pub unsafe fn solve_factored_lines8<V>(
+        a: &[f32],
+        beta: &[f32],
+        gamma: &[f32],
+        slots: &UnsafeSlice<f32>,
+        base: usize,
+        stride: usize,
+        n: usize,
+        bump_first: f32,
+        bump_last: f32,
+    ) {
+        debug_assert!(n >= 2, "degenerate lines are handled by the caller");
+        assert_eq!(beta.len(), n, "factorization length");
+        let sys = Factored {
+            a,
+            beta,
+            gamma,
+            bump_first,
+            bump_last,
         };
-        return;
-    }
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        solve8_generic::<ScalarX8>(
-            a, beta, gamma, slots, base, stride, n, bump_first, bump_last,
-        )
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn solve8_avx2(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    slots: &UnsafeSlice<f32>,
-    base: usize,
-    stride: usize,
-    n: usize,
-    bump_first: f32,
-    bump_last: f32,
-) {
-    // SAFETY: forwarded caller contract.
-    unsafe {
-        solve8_generic::<crate::AvxX8>(
-            a, beta, gamma, slots, base, stride, n, bump_first, bump_last,
-        )
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn solve8_generic<V: Simd8>(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    slots: &UnsafeSlice<f32>,
-    base: usize,
-    stride: usize,
-    n: usize,
-    bump_first: f32,
-    bump_last: f32,
-) {
-    debug_assert!(n >= 2, "degenerate lines are handled by the caller");
-    assert_eq!(beta.len(), n, "factorization length");
-    let sys = Factored {
-        a,
-        beta,
-        gamma,
-        bump_first,
-        bump_last,
-    };
-    // SAFETY (all row accesses): caller owns the group's strided
-    // positions exclusively; each borrow is transient and sequential.
-    let row = |k: usize| unsafe { slots.slice_mut(base + k * stride..base + k * stride + 8) };
-    let mut prev = V::zero();
-    for k in 0..n {
-        let rk = row(k);
-        prev = sys.forward(k, V::load(rk), prev);
-        prev.store(rk);
-    }
-    let mut next = prev;
-    for k in (0..n - 1).rev() {
-        let rk = row(k);
-        next = sys.back(k, V::load(rk), next);
-        next.store(rk);
+        // SAFETY: at every row access, the caller owns the group's strided
+        // positions exclusively; each borrow is transient and sequential.
+        let row = |k: usize| unsafe { slots.slice_mut(base + k * stride..base + k * stride + 8) };
+        let mut prev = V::zero();
+        for k in 0..n {
+            let rk = row(k);
+            prev = sys.forward(k, V::load(rk), prev);
+            prev.store(rk);
+        }
+        let mut next = prev;
+        for k in (0..n - 1).rev() {
+            let rk = row(k);
+            next = sys.back(k, V::load(rk), next);
+            next.store(rk);
+        }
     }
 }
 
@@ -223,111 +169,79 @@ impl Factored<'_> {
     }
 }
 
-/// Solves eight *contiguous* lines in place against one shared
-/// factorization: `rows` holds eight adjacent rows of `n = beta.len()`
-/// floats each (the x-axis lines of a tensor plane). The rows are
-/// interleaved through 8×8 in-register transposes into `scratch`
-/// (`≥ 8·n` floats, clobbered), eliminated with exactly the lane
-/// arithmetic of [`solve_factored_lines8`], and transposed back — per
-/// line the operation order is that of [`solve_factored`], so the result
-/// is bitwise identical to solving each row on its own. `bump_first` /
-/// `bump_last` are added to each row's first/last element first.
-///
-/// # Panics
-///
-/// Panics if `n < 2` or any slice length disagrees with `n`.
-pub fn solve_factored_rows8(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    rows: &mut [f32],
-    scratch: &mut [f32],
-    bump_first: f32,
-    bump_last: f32,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        crate::note_dispatch();
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { rows8_avx2(a, beta, gamma, rows, scratch, bump_first, bump_last) };
-        return;
-    }
-    rows8_generic::<ScalarX8>(a, beta, gamma, rows, scratch, bump_first, bump_last)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn rows8_avx2(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    rows: &mut [f32],
-    scratch: &mut [f32],
-    bump_first: f32,
-    bump_last: f32,
-) {
-    rows8_generic::<crate::AvxX8>(a, beta, gamma, rows, scratch, bump_first, bump_last)
-}
-
-#[inline(always)]
-fn rows8_generic<V: Simd8>(
-    a: &[f32],
-    beta: &[f32],
-    gamma: &[f32],
-    rows: &mut [f32],
-    scratch: &mut [f32],
-    bump_first: f32,
-    bump_last: f32,
-) {
-    let n = beta.len();
-    assert!(n >= 2 && a.len() == n && gamma.len() == n);
-    assert!(rows.len() == 8 * n && scratch.len() >= 8 * n);
-    let sys = Factored {
-        a,
-        beta,
-        gamma,
-        bump_first,
-        bump_last,
-    };
-    // Columns `..full` move through register transposes, the ragged
-    // column tail lane by lane.
-    let full = n - n % 8;
-    // Forward elimination into the interleaved scratch.
-    let mut prev = V::zero();
-    for k0 in (0..full).step_by(8) {
-        let mut block = [V::zero(); 8];
-        for (j, r) in block.iter_mut().enumerate() {
-            *r = V::load(&rows[j * n + k0..]);
+dispatched! {
+    /// Solves eight *contiguous* lines in place against one shared
+    /// factorization: `rows` holds eight adjacent rows of `n = beta.len()`
+    /// floats each (the x-axis lines of a tensor plane). The rows are
+    /// interleaved through 8×8 in-register transposes into `scratch`
+    /// (`≥ 8·n` floats, clobbered), eliminated with exactly the lane
+    /// arithmetic of [`solve_factored_lines8`], and transposed back — per
+    /// line the operation order is that of [`solve_factored`], so the result
+    /// is bitwise identical to solving each row on its own. `bump_first` /
+    /// `bump_last` are added to each row's first/last element first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2` or any slice length disagrees with `n`.
+    pub fn solve_factored_rows8<V>(
+        a: &[f32],
+        beta: &[f32],
+        gamma: &[f32],
+        rows: &mut [f32],
+        scratch: &mut [f32],
+        bump_first: f32,
+        bump_last: f32,
+    ) {
+        let n = beta.len();
+        assert!(n >= 2 && a.len() == n && gamma.len() == n);
+        assert!(rows.len() == 8 * n && scratch.len() >= 8 * n);
+        let sys = Factored {
+            a,
+            beta,
+            gamma,
+            bump_first,
+            bump_last,
+        };
+        // Columns `..full` move through register transposes, the ragged
+        // column tail lane by lane.
+        let full = n - n % 8;
+        // Forward elimination into the interleaved scratch.
+        let mut prev = V::zero();
+        for k0 in (0..full).step_by(8) {
+            let mut block = [V::zero(); 8];
+            for (j, r) in block.iter_mut().enumerate() {
+                *r = V::load(&rows[j * n + k0..]);
+            }
+            for (kk, dk) in V::transpose8(block).into_iter().enumerate() {
+                prev = sys.forward(k0 + kk, dk, prev);
+                prev.store(&mut scratch[(k0 + kk) * 8..]);
+            }
         }
-        for (kk, dk) in V::transpose8(block).into_iter().enumerate() {
-            prev = sys.forward(k0 + kk, dk, prev);
-            prev.store(&mut scratch[(k0 + kk) * 8..]);
+        for k in full..n {
+            let mut lanes = [0f32; 8];
+            for (j, v) in lanes.iter_mut().enumerate() {
+                *v = rows[j * n + k];
+            }
+            prev = sys.forward(k, V::from_array(lanes), prev);
+            prev.store(&mut scratch[k * 8..]);
         }
-    }
-    for k in full..n {
-        let mut lanes = [0f32; 8];
-        for (j, v) in lanes.iter_mut().enumerate() {
-            *v = rows[j * n + k];
+        // Back substitution, de-interleaving on the way out.
+        let mut next = V::zero();
+        for k in (full..n).rev() {
+            next = sys.back(k, V::load(&scratch[k * 8..]), next);
+            for (j, v) in next.to_array().into_iter().enumerate() {
+                rows[j * n + k] = v;
+            }
         }
-        prev = sys.forward(k, V::from_array(lanes), prev);
-        prev.store(&mut scratch[k * 8..]);
-    }
-    // Back substitution, de-interleaving on the way out.
-    let mut next = V::zero();
-    for k in (full..n).rev() {
-        next = sys.back(k, V::load(&scratch[k * 8..]), next);
-        for (j, v) in next.to_array().into_iter().enumerate() {
-            rows[j * n + k] = v;
-        }
-    }
-    for k0 in (0..full).step_by(8).rev() {
-        let mut cols = [V::zero(); 8];
-        for kk in (0..8).rev() {
-            next = sys.back(k0 + kk, V::load(&scratch[(k0 + kk) * 8..]), next);
-            cols[kk] = next;
-        }
-        for (j, r) in V::transpose8(cols).into_iter().enumerate() {
-            r.store(&mut rows[j * n + k0..]);
+        for k0 in (0..full).step_by(8).rev() {
+            let mut cols = [V::zero(); 8];
+            for kk in (0..8).rev() {
+                next = sys.back(k0 + kk, V::load(&scratch[(k0 + kk) * 8..]), next);
+                cols[kk] = next;
+            }
+            for (j, r) in V::transpose8(cols).into_iter().enumerate() {
+                r.store(&mut rows[j * n + k0..]);
+            }
         }
     }
 }
@@ -335,7 +249,7 @@ fn rows8_generic<V: Simd8>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{at_level, levels};
+    use peb_par::ctx::{at_level, levels};
 
     /// Classic in-line Thomas solve (the peb-litho reference).
     fn solve_reference(a: &[f32], b: &[f32], c: &[f32], d: &mut [f32]) {

@@ -1,10 +1,10 @@
-//! Blocked matrix transpose on `Simd8::transpose8`, shared by
-//! [`crate::Tensor::transpose2`] and the transposing case of
-//! [`crate::Tensor::permute`].
+//! Blocked matrix transpose on in-register 8×8 block transposes, shared
+//! by `peb-tensor`'s `Tensor::transpose2`, the transposing case of its
+//! `Tensor::permute` and its matmul backward.
 //!
 //! Pure data movement: every backend produces the same bits.
 
-use peb_simd::Simd8;
+use crate::Simd8;
 
 /// Outer block edge. A block's 64 output rows are revisited by the next
 /// eight-row band of the source while their cache lines are still
@@ -39,46 +39,32 @@ fn tile<V: Simd8>(src: &[f32], m: usize, n: usize, i0: usize, j0: usize, out: &m
     }
 }
 
-#[inline(always)]
-fn transpose_generic<V: Simd8>(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    assert!(src.len() == m * n && out.len() == m * n);
-    for ib in (0..m).step_by(BLOCK) {
-        for jb in (0..n).step_by(BLOCK) {
-            for i0 in (ib..(ib + BLOCK).min(m)).step_by(8) {
-                for j0 in (jb..(jb + BLOCK).min(n)).step_by(8) {
-                    tile::<V>(src, m, n, i0, j0, out);
+dispatched! {
+    /// `out[j·m + i] = src[i·n + j]`: writes the transpose of the row-major
+    /// `[m, n]` matrix `src` into `out` (`[n, m]`), at the current dispatch
+    /// level.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both slices hold `m·n` elements.
+    pub fn transpose_into<V>(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
+        assert!(src.len() == m * n && out.len() == m * n);
+        for ib in (0..m).step_by(BLOCK) {
+            for jb in (0..n).step_by(BLOCK) {
+                for i0 in (ib..(ib + BLOCK).min(m)).step_by(8) {
+                    for j0 in (jb..(jb + BLOCK).min(n)).step_by(8) {
+                        tile::<V>(src, m, n, i0, j0, out);
+                    }
                 }
             }
         }
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn transpose_avx(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    transpose_generic::<peb_simd::AvxX8>(src, m, n, out)
-}
-
-/// `out[j·m + i] = src[i·n + j]`: writes the transpose of the row-major
-/// `[m, n]` matrix `src` into `out` (`[n, m]`), at the current dispatch
-/// level.
-///
-/// # Panics
-///
-/// Panics unless both slices hold `m·n` elements.
-pub fn transpose_into(src: &[f32], m: usize, n: usize, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if peb_simd::simd_active() {
-        // SAFETY: `simd_active()` implies AVX2+FMA were detected.
-        unsafe { transpose_avx(src, m, n, out) };
-        return;
-    }
-    transpose_generic::<peb_simd::ScalarX8>(src, m, n, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peb_par::ctx::{at_level, levels};
 
     #[test]
     fn matches_the_index_definition_on_ragged_shapes() {
@@ -93,16 +79,15 @@ mod tests {
             (65, 129),
         ] {
             let src: Vec<f32> = (0..m * n).map(|i| i as f32).collect();
-            let mut scalar = vec![0f32; m * n];
-            transpose_generic::<peb_simd::ScalarX8>(&src, m, n, &mut scalar);
-            let mut dispatched = vec![0f32; m * n];
-            transpose_into(&src, m, n, &mut dispatched);
-            for i in 0..m {
-                for j in 0..n {
-                    assert_eq!(scalar[j * m + i], src[i * n + j], "({m},{n}) at ({i},{j})");
+            for level in levels() {
+                let mut out = vec![0f32; m * n];
+                at_level(level, || transpose_into(&src, m, n, &mut out));
+                for i in 0..m {
+                    for j in 0..n {
+                        assert_eq!(out[j * m + i], src[i * n + j], "({m},{n}) at ({i},{j})");
+                    }
                 }
             }
-            assert_eq!(scalar, dispatched, "({m},{n})");
         }
     }
 }

@@ -11,37 +11,17 @@
 //!   scalar backend.
 //!
 //! Every test calls the dispatched entry points and pins the backend
-//! through the execution context ([`at_level`]): `Level::Scalar`, and
+//! through the execution context (`peb_par::ctx::at_level`): `Level::Scalar`, and
 //! `Level::Avx2Fma` when the CPU has it, so no result depends on the
 //! process-default level. On hardware without AVX2+FMA only the scalar
 //! side runs.
 
-use peb_par::ctx::{self, ExecCtx};
+use peb_par::ctx::{at_level, levels};
 use peb_par::UnsafeSlice;
 use peb_simd::fused::{vchain, Stage};
 use peb_simd::{detected, elementwise as ew, gemm, optim, reaction, scan, thomas, ulp_diff, Level};
 use proptest::prelude::*;
 use proptest::prop::collection::vec as pvec;
-
-/// Runs `f` with the calling thread's dispatch level pinned to `level`.
-fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
-    ctx::with(
-        ExecCtx {
-            level,
-            ..ctx::current()
-        },
-        f,
-    )
-}
-
-/// `Level::Scalar`, then `Level::Avx2Fma` when the CPU has it.
-fn levels() -> Vec<Level> {
-    let mut levels = vec![Level::Scalar];
-    if detected() {
-        levels.push(Level::Avx2Fma);
-    }
-    levels
-}
 
 /// The one-stage chain `stage` over `x` at `level`.
 fn one_stage(level: Level, stage: Stage<'_>, x: &[f32]) -> Vec<f32> {
@@ -864,6 +844,33 @@ fn dispatched_sigmoid_and_softplus_beat_their_scalar_backends_twofold() {
             t_scalar * 1e9 / x.len() as f64
         );
     }
+}
+
+#[test]
+fn dispatched_gemm_beats_its_scalar_backend_by_half() {
+    // Every AVX kernel is a generic body inlined into its seam-generated
+    // `target_feature` instantiation; if that inlining stops, each lane
+    // op becomes a call and the vector GEMM falls below the scalar one.
+    if !detected() {
+        return;
+    }
+    let n = 256;
+    let (a, b) = (pseudo(n * n, 12, -1.0, 1.0), pseudo(n * n, 13, -1.0, 1.0));
+    let mut out = vec![0f32; n * n];
+    let mut time_at = |level| {
+        at_level(level, || {
+            best_of_5(|| gemm::gemm(&a, &b, &mut out, n, n, n, gemm::Bias::None))
+        })
+    };
+    let t_simd = time_at(Level::Avx2Fma);
+    let t_scalar = time_at(Level::Scalar);
+    let gflops = |t: f64| 2.0 * (n * n * n) as f64 / t / 1e9;
+    assert!(
+        1.5 * t_simd <= t_scalar,
+        "256³ gemm: dispatched {:.1} GFLOP/s vs scalar backend {:.1} GFLOP/s",
+        gflops(t_simd),
+        gflops(t_scalar)
+    );
 }
 
 /// Deterministic pseudo-random fill (Weyl sequence), independent of the

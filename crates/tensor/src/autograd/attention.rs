@@ -73,6 +73,7 @@ impl Var {
                     // SAFETY: plane `z`'s output rows and scores belong
                     // to this chunk alone.
                     let o = unsafe { out_s.slice_mut(z * qn..(z + 1) * qn) };
+                    // SAFETY: as above.
                     let p = probs_s
                         .as_ref()
                         .map(|s| unsafe { s.slice_mut(z * pn..(z + 1) * pn) });

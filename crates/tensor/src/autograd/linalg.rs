@@ -153,7 +153,7 @@ impl Var {
 fn transposed(data: &[f32], rows: usize, cols: usize) -> Tensor {
     let _span = peb_obs::span("gemm.transpose2");
     let mut out = Tensor::zeros(&[cols, rows]);
-    crate::transpose::transpose_into(data, rows, cols, out.data_mut());
+    peb_simd::transpose::transpose_into(data, rows, cols, out.data_mut());
     out
 }
 

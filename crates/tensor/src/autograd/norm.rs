@@ -101,6 +101,7 @@ fn layer_norm_backward(
             // SAFETY: chunk `ci` owns its partials and its rows of `dx`.
             let part = unsafe { part_s.slice_mut(ci * 2 * c..(ci + 1) * 2 * c) };
             let (dgamma, dbeta) = part.split_at_mut(c);
+            // SAFETY: as above.
             let mut dxc = dx_s
                 .as_ref()
                 .map(|s| unsafe { s.slice_mut(range.start * c..range.end * c) });

@@ -268,11 +268,7 @@ mod tests {
                 x.data_mut()[m * line] = v;
             }
             x.data_mut()[if line == 1 { shape[axis] } else { 1 }] = f32::NAN;
-            let mut levels = vec![Level::Scalar];
-            if peb_simd::detected() {
-                levels.push(Level::Avx2Fma);
-            }
-            for level in levels {
+            for level in ctx::levels() {
                 let run = |threads| {
                     let scoped = ExecCtx {
                         level,

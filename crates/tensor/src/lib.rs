@@ -42,7 +42,6 @@ mod reduce;
 mod shape;
 mod shape_ops;
 mod tensor;
-mod transpose;
 
 pub use autograd::{grad_enabled, no_grad, Var, VarId};
 pub use error::TensorError;

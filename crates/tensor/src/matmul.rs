@@ -71,7 +71,8 @@ impl Tensor {
     }
 
     /// Transpose of a rank-2 tensor, moved through in-register 8×8
-    /// blocks (`Simd8::transpose8`) inside cache-sized outer blocks.
+    /// blocks inside cache-sized outer blocks
+    /// (`peb_simd::transpose::transpose_into`).
     ///
     /// # Panics
     ///
@@ -82,7 +83,7 @@ impl Tensor {
         let _span = peb_obs::span("gemm.transpose2");
         let (m, n) = (self.shape()[0], self.shape()[1]);
         let mut out = Tensor::zeros(&[n, m]);
-        crate::transpose::transpose_into(self.data(), m, n, out.data_mut());
+        peb_simd::transpose::transpose_into(self.data(), m, n, out.data_mut());
         out
     }
 }

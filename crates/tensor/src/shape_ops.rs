@@ -83,7 +83,12 @@ impl Tensor {
                 let mut blocks = out.chunks_exact_mut(rows * cols);
                 for_each_offset(outer, |at| {
                     let block = blocks.next().expect("one output block per outer index");
-                    crate::transpose::transpose_into(&src[at..at + rows * cols], rows, cols, block);
+                    peb_simd::transpose::transpose_into(
+                        &src[at..at + rows * cols],
+                        rows,
+                        cols,
+                        block,
+                    );
                 });
             }
             // Anything else: one element per step of the odometer.

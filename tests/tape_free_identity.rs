@@ -6,20 +6,11 @@
 //! every dispatch level this machine has.
 
 use peb_bench::{build_model, ModelKind};
-use peb_par::ctx::{self, ExecCtx};
-use peb_simd::Level;
+use peb_par::ctx::{self, levels, ExecCtx};
 use peb_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sdm_peb::{PebPredictor, SdmPeb, SdmPebConfig};
-
-fn levels() -> Vec<Level> {
-    let mut ls = vec![Level::Scalar];
-    if peb_simd::best_level() != Level::Scalar {
-        ls.push(peb_simd::best_level());
-    }
-    ls
-}
 
 fn assert_tape_free_equals_taped(model: &dyn PebPredictor, dims: (usize, usize, usize)) {
     let mut rng = StdRng::seed_from_u64(17);
