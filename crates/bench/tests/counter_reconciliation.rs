@@ -4,7 +4,9 @@
 //! way it is in memory traffic: one pool checkout for the output (hit or
 //! miss) and `k` `fused_ops` ticks. `tensor_allocs` must equal the pool
 //! misses over the window — pooled checkouts that hit never tick an
-//! alloc, and nothing double-counts.
+//! alloc, and nothing double-counts. That holds for a chain short enough
+//! to run inline and for one long enough to spread its windows over the
+//! `peb-par` pool: the workers write into the caller's one checkout.
 //!
 //! This file holds a single `#[test]` so it gets its own process:
 //! counter deltas would be racy if unrelated tests ran concurrently in
@@ -42,31 +44,43 @@ fn window(f: impl FnOnce() -> Tensor) -> Deltas {
     }
 }
 
-#[test]
-fn fused_chain_counters_reconcile_with_pool_accounting() {
-    peb_obs::set_mode(peb_obs::TraceMode::Summary);
-
-    let a = Tensor::from_fn(&[4096], |i| (i as f32).mul_add(1e-3, -2.0));
-    let b = Tensor::from_fn(&[4096], |i| (i as f32).mul_add(-2e-3, 4.0));
-    let k = 3; // add → mul → sigmoid
-    let chain = |a: &Tensor, b: &Tensor| a.fused().add(b).mul(b).sigmoid().eval();
-
+/// Checks one warm window of `chain` (of `k` stages) against the
+/// accounting contract.
+fn assert_reconciles(what: &str, k: u64, chain: impl Fn() -> Tensor) {
     // Warm the pool so steady-state checkouts are hits, then measure.
-    drop(chain(&a, &b));
-    let fused = window(|| chain(&a, &b));
+    drop(chain());
+    let fused = window(chain);
 
     assert_eq!(
         fused.fused, k,
-        "fused eval must tick one fused_op per stage"
+        "{what}: fused eval must tick one fused_op per stage"
     );
     assert_eq!(
         fused.hits + fused.misses,
         1,
-        "fused eval must make exactly one pool checkout"
+        "{what}: fused eval must make exactly one pool checkout"
     );
     assert_eq!(
         fused.allocs, fused.misses,
-        "tensor_allocs must equal pool misses in the fused window"
+        "{what}: tensor_allocs must equal pool misses in the fused window"
     );
-    assert_eq!(fused.misses, 0, "warm fused checkout should hit the pool");
+    assert_eq!(
+        fused.misses, 0,
+        "{what}: warm fused checkout should hit the pool"
+    );
+}
+
+#[test]
+fn fused_chain_counters_reconcile_with_pool_accounting() {
+    peb_obs::set_mode(peb_obs::TraceMode::Summary);
+
+    let k = 3; // add → mul → sigmoid
+    let chain = |a: &Tensor, b: &Tensor| a.fused().add(b).mul(b).sigmoid().eval();
+    // The second chain is long enough to spread over the pool, which
+    // four threads make sure of wherever the test runs.
+    for (what, len, threads) in [("inline chain", 4096, 1), ("spread chain", 1 << 17, 4)] {
+        let a = Tensor::from_fn(&[len], |i| (i as f32).mul_add(1e-3, -2.0));
+        let b = Tensor::from_fn(&[len], |i| (i as f32).mul_add(-2e-3, 4.0));
+        peb_par::with_thread_count(threads, || assert_reconciles(what, k, || chain(&a, &b)));
+    }
 }

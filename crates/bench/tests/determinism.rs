@@ -219,9 +219,16 @@ fn poison_f32_pool() {
 
 #[test]
 fn full_pipeline_is_bitwise_identical_on_a_cold_and_a_poisoned_pool() {
-    // Every checkout is zeroed or empty, so nothing a recycled buffer
-    // held may reach a result. A fresh thread starts with a cold pool;
-    // the second step runs on buffers that all hold NaN.
+    // Zeroed and empty checkouts hide what a recycled buffer held, and
+    // the caller of an overwrite checkout (a GEMM, elementwise chain or
+    // conv forward output, among others) must write each element before
+    // reading it. After every pooled buffer is filled with NaN, the
+    // training step and a `for_grid` predict at one and two threads must
+    // give the bits they gave before. A fresh thread starts with a cold
+    // pool. The next test checks each overwrite caller on its own, which
+    // this one cannot do past the first checkout of a size class.
+    use sdm_peb::{PebPredictor, SdmPeb, SdmPebConfig};
+
     std::thread::spawn(|| {
         let cold = step_under(ctx::current(), 1);
         poison_f32_pool();
@@ -236,9 +243,136 @@ fn full_pipeline_is_bitwise_identical_on_a_cold_and_a_poisoned_pool() {
             &poisoned.1,
             "updated parameter (cold/poisoned pool)",
         );
+
+        let dims = [8, 32, 32];
+        let mut rng = StdRng::seed_from_u64(1009);
+        let model = SdmPeb::new(SdmPebConfig::for_grid((8, 32, 32)), &mut rng);
+        let clip = Tensor::rand_uniform(&dims, 0.0, 0.9, &mut rng);
+        let predict = |threads| at_threads(threads, || model.predict(&clip));
+        let want = predict(1);
+        assert!(want.data().iter().all(|v| v.is_finite()), "predict");
+        for threads in [1, 2] {
+            poison_f32_pool();
+            let got = predict(threads);
+            assert_bits_eq(
+                &want,
+                &got,
+                &format!("for_grid predict (poisoned pool, {threads} threads)"),
+            );
+        }
     })
     .join()
     .expect("pipeline thread");
+}
+
+/// A kernel call under test, returning its output.
+type Kernel<'a> = Box<dyn Fn() -> Tensor + 'a>;
+
+#[test]
+fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
+    // Past the first checkout of a size class, a pipeline reuses buffers
+    // its own earlier ops recycled, so its poisoned and cold runs see the
+    // same stale values there. Here each kernel whose output is an
+    // overwrite checkout runs right after the pool is poisoned: its
+    // output buffer holds NaN until the kernel writes it, so an element
+    // it skipped shows. The chain is long enough to spread over the
+    // pool's workers, which write into the caller's checkout.
+    use peb_mamba::CausalDwConv1d;
+    use peb_nn::{Conv3d, ConvTranspose2d, DwConv3d};
+
+    std::thread::spawn(|| {
+        let mut rng = StdRng::seed_from_u64(1010);
+        let mut t = |shape: &[usize]| Tensor::randn(shape, &mut rng);
+        let (a, b) = (t(&[100, 37]), t(&[37, 70]));
+        let (ab, bb) = (t(&[3, 20, 16]), t(&[3, 16, 24]));
+        let (x, y) = (t(&[100_000]), t(&[100_000]));
+        let (rows, row) = (t(&[400, 37]), t(&[37]));
+        let (img, vol) = (t(&[3, 2, 17, 19]), t(&[3, 4, 9, 10]));
+        let small = t(&[4, 2, 8, 9]);
+        let (seq, tokens) = (t(&[50, 6]), t(&[300, 12]));
+        let (q, kv) = (t(&[40, 12]), t(&[14, 12]));
+        let (gamma, beta) = (Var::constant(t(&[12])), Var::constant(t(&[12])));
+        let (l, ch, n) = (300, 10, 8);
+        let (u, b_in, c_in, skip) = (t(&[l, ch]), t(&[l, n]), t(&[l, n]), t(&[ch]));
+        let scan_in = [
+            u,
+            Tensor::rand_uniform(&[l, ch], 0.05, 0.5, &mut rng),
+            Tensor::rand_uniform(&[ch, n], -1.5, -0.2, &mut rng),
+            b_in,
+            c_in,
+            skip,
+        ]
+        .map(Var::constant);
+        let conv2d = Conv2d::new(3, 5, 3, 2, 1, &mut rng);
+        let conv3d = Conv3d::new(3, 4, 3, &mut rng);
+        let convt = ConvTranspose2d::new(4, 3, 4, 2, 1, &mut rng);
+        let dw3 = DwConv3d::new(3, 3, &mut rng);
+        let conv1d = CausalDwConv1d::new(6, 4, &mut rng);
+        let on = |layer: &dyn Fn(&Var) -> Var, x: &Tensor| {
+            layer(&Var::constant(x.clone())).value_clone()
+        };
+        let kernels: Vec<(&str, Kernel)> = vec![
+            ("matmul", Box::new(|| a.matmul(&b).unwrap())),
+            ("bmm", Box::new(|| ab.bmm(&bb).unwrap())),
+            (
+                "chain",
+                Box::new(|| x.fused().add(&y).mul(&y).sigmoid().eval()),
+            ),
+            ("zip", Box::new(|| x.add_t(&y).unwrap())),
+            ("map", Box::new(|| x.exp())),
+            ("broadcast rows", Box::new(|| rows.add_t(&row).unwrap())),
+            ("conv2d", Box::new(|| on(&|v| conv2d.forward(v), &img))),
+            ("conv3d", Box::new(|| on(&|v| conv3d.forward(v), &vol))),
+            (
+                "conv transpose",
+                Box::new(|| on(&|v| convt.forward(v), &small)),
+            ),
+            (
+                "depthwise conv3d",
+                Box::new(|| on(&|v| dw3.forward(v), &vol)),
+            ),
+            (
+                "causal conv1d",
+                Box::new(|| on(&|v| conv1d.forward(v), &seq)),
+            ),
+            (
+                "layer norm",
+                Box::new(|| on(&|v| v.layer_norm(&gamma, &beta, 1e-5), &tokens)),
+            ),
+            (
+                "attention",
+                Box::new(|| {
+                    let kv = Var::constant(kv.clone());
+                    on(&|v| v.attention(&kv, &kv, 2, 3), &q)
+                }),
+            ),
+            (
+                "selective scan",
+                Box::new(|| {
+                    let [u, d, a, b, c, skip] = &scan_in;
+                    selective_scan(u, d, a, b, c, skip).value_clone()
+                }),
+            ),
+        ];
+        for threads in [1, 2] {
+            for (name, kernel) in &kernels {
+                let want = at_threads(threads, kernel);
+                assert!(want.data().iter().all(|v| v.is_finite()), "{name}");
+                // A second output, recycled, so that the pool holds a
+                // buffer of the output's size class to poison.
+                drop(at_threads(threads, kernel));
+                poison_f32_pool();
+                let got = at_threads(threads, kernel);
+                assert_bits_eq(
+                    &want,
+                    &got,
+                    &format!("{name} (poisoned pool, {threads} threads)"),
+                );
+            }
+        }
+    })
+    .join()
+    .expect("kernel thread");
 }
 
 #[test]

@@ -51,6 +51,7 @@ impl CausalDwConv1d {
             out,
             vec![x.clone(), self.weight.clone(), self.bias.clone()],
             move |g| {
+                let _span = peb_obs::span("scan.conv1d_bwd");
                 let xv = xc.value();
                 let wv = wc.value();
                 let mut dx = Tensor::zeros(&[l, c]);
@@ -101,7 +102,7 @@ fn causal_conv1d(x: &Tensor, weight: &Tensor, bias: &Tensor) -> Tensor {
     let k = weight.shape()[1];
     let taps = weight.permute(&[1, 0]).expect("conv1d taps [k, C]");
     let (xd, td, bd) = (x.data(), taps.data(), bias.data());
-    let mut out = Tensor::zeros(&[l, c]);
+    let mut out = Tensor::for_overwrite(&[l, c]);
     let block = CONV1D_BLOCK_TOKENS * c.max(1);
     peb_par::parallel_chunks_mut_cost(out.data_mut(), block, 2 * k as u64, |at, rows| {
         for (r, row) in rows.chunks_mut(c).enumerate() {

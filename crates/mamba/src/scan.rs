@@ -219,7 +219,7 @@ fn scan_forward(
     // backward closure and recycles when the graph node drops. Only
     // backward reads it, so a non-recording call keeps it empty.
     let mut h_traj = peb_pool::PoolBuf::<f32>::zeroed(if record { groups * group_traj } else { 0 });
-    let mut y = Tensor::zeros(&[l, ch]);
+    let mut y = Tensor::for_overwrite(&[l, ch]);
     {
         // Channel groups are independent: the t-recurrence runs
         // sequentially per group while groups fan out over the pool.

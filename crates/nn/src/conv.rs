@@ -201,7 +201,7 @@ impl Conv2d {
         let (ho, wo) = self.output_hw(h, w);
         let (cin, cout, k) = (self.cin, self.cout, self.kernel);
         let geom = SubPixel::new(cout, cin, (ho, wo), (h, w), k, self.stride, self.pad);
-        let mut out = Tensor::zeros(&like_input(xs.len(), cout, d, ho, wo));
+        let mut out = Tensor::for_overwrite(&like_input(xs.len(), cout, d, ho, wo));
         {
             let _span = peb_obs::span("conv.conv2d_fwd");
             peb_obs::optrace::note("conv.conv2d", || format!("planes={d} {geom}"));
@@ -363,7 +363,7 @@ impl ConvTranspose2d {
         let (ho, wo) = self.output_hw(h, w);
         let (cin, cout, k) = (self.cin, self.cout, self.kernel);
         let geom = SubPixel::new(cin, cout, (h, w), (ho, wo), k, self.stride, self.pad);
-        let mut out = Tensor::zeros(&like_input(whole.len(), cout, d, ho, wo));
+        let mut out = Tensor::for_overwrite(&like_input(whole.len(), cout, d, ho, wo));
         {
             let _span = peb_obs::span("conv.convt2_fwd");
             peb_obs::count(peb_obs::Counter::GemmFlops, d as u64 * geom.forward_flops());
@@ -688,7 +688,7 @@ fn dw3_forward(x: &Tensor, w: &Tensor, b: &Tensor, k: usize) -> Tensor {
     let (d, h, wd) = (s[1], s[2], s[3]);
     let geom = Dw3 { d, h, w: wd, k };
     let (plane, taps) = (h * wd, k * k * k);
-    let mut out = Tensor::zeros(s);
+    let mut out = Tensor::for_overwrite(s);
     let (xd, wdat, bd) = (x.data(), w.data(), b.data());
     // Depthwise by definition: plane `(c, z)` reads channel `c` only.
     peb_par::parallel_chunks_mut_cost(out.data_mut(), plane, 2 * taps as u64, |at, out_plane| {
@@ -807,7 +807,7 @@ impl Conv3d {
         // planes from output-gradient windows (`dx`).
         let geom = SubPixel::new(cout, cin * k, (h, w), (h, w), k, 1, k / 2);
         let adjoint = SubPixel::new(cout * k, cin, (h, w), (h, w), k, 1, k / 2);
-        let mut out = Tensor::zeros(&[cout, d, h, w]);
+        let mut out = Tensor::for_overwrite(&[cout, d, h, w]);
         {
             let _span = peb_obs::span("conv.conv3d_fwd");
             peb_obs::optrace::note("conv.conv3d", || format!("planes={d} window={k} {geom}"));

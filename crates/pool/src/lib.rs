@@ -10,21 +10,30 @@
 //! # Determinism contract
 //!
 //! Pooling must never change a single bit of any result, at any thread
-//! count. Two properties guarantee that:
+//! count. There are three kinds of checkout:
 //!
-//! * every checkout hands back a buffer that is **zeroed**
-//!   ([`take_zeroed`]) or **empty** ([`take_cleared`], [`take_copy`]) —
-//!   recycled garbage is never observable;
-//! * the pools are **thread-local** with no cross-thread stealing, so
-//!   which buffer a thread reuses cannot depend on scheduling. (The
-//!   `peb-par` workers are long-lived, so their pools stay warm across
-//!   parallel regions.)
+//! * **zeroed** ([`take_zeroed`]): every element is zero;
+//! * **empty** ([`take_cleared`], [`take_copy`]): the caller pushes
+//!   every element (a copy is one such push);
+//! * **overwrite** ([`take_for_overwrite`]): `len` initialised elements
+//!   whose contents are unspecified — whatever the buffer held when it
+//!   was recycled, zeros past that. The caller writes every element
+//!   before anything reads one, so no recycled value is observable. This
+//!   spares the zero-fill in front of a kernel that overwrites its whole
+//!   output (a GEMM, an elementwise chain, a convolution's planes).
+//!
+//! The pools are also **thread-local** with no cross-thread stealing,
+//! so which buffer a thread reuses cannot depend on scheduling. (The
+//! `peb-par` workers are long-lived, so their pools stay warm across
+//! parallel regions.)
 //!
 //! The pool is always on, so the contract is checked directly:
-//! `zero_on_checkout_hides_recycled_garbage` pins it per checkout, and
-//! the bench crate's determinism suite runs a full training step on a
-//! cold pool and again on one whose every buffer was filled with NaN
-//! before recycling, and compares the bits.
+//! `zero_on_checkout_hides_recycled_garbage` pins the zeroed and empty
+//! checkouts, and the bench crate's determinism suite runs a full
+//! training step and a `predict` on a cold pool and again on one whose
+//! every buffer was filled with NaN before recycling, and compares the
+//! bits. It also runs each caller of the overwrite checkout right after
+//! poisoning, so an element that caller failed to write shows as NaN.
 //!
 //! # Retention follows demand
 //!
@@ -163,9 +172,9 @@ fn bucket_depth<T>(b: usize) -> usize {
 }
 
 /// Pops a recycled buffer with capacity ≥ `len`, or allocates one.
-/// The returned vector is always empty (`len() == 0`); the flag is
-/// `true` when fresh heap storage was allocated.
-fn take_raw<T: Poolable>(len: usize) -> (Vec<T>, bool) {
+/// A recycled buffer keeps the length it was recycled with (a fresh one
+/// is empty); the flag is `true` when fresh heap storage was allocated.
+fn pop_or_alloc<T: Poolable>(len: usize) -> (Vec<T>, bool) {
     if len == 0 {
         return (Vec::new(), false);
     }
@@ -183,7 +192,7 @@ fn take_raw<T: Poolable>(len: usize) -> (Vec<T>, bool) {
     .flatten();
     match reused {
         Some(v) => {
-            debug_assert!(v.is_empty() && v.capacity() >= len);
+            debug_assert!(v.capacity() >= len);
             peb_obs::count(peb_obs::Counter::PoolHits, 1);
             (v, false)
         }
@@ -194,6 +203,14 @@ fn take_raw<T: Poolable>(len: usize) -> (Vec<T>, bool) {
             (Vec::with_capacity(len.next_power_of_two()), true)
         }
     }
+}
+
+/// [`pop_or_alloc`], emptied: the start of the zeroed and empty
+/// checkouts.
+fn take_raw<T: Poolable>(len: usize) -> (Vec<T>, bool) {
+    let (mut v, fresh) = pop_or_alloc(len);
+    v.clear();
+    (v, fresh)
 }
 
 /// Checks out a buffer of exactly `len` elements, all `T::default()`
@@ -220,12 +237,25 @@ pub fn take_copy<T: Poolable>(src: &[T]) -> (Vec<T>, bool) {
     (v, fresh)
 }
 
-/// Returns a buffer to the current thread's pool. Contents are
-/// discarded. The bucket keeps it only while it holds fewer buffers than
-/// this thread has had misses in it (capped by the bucket depth);
+/// Checks out a buffer of exactly `len` initialised elements whose
+/// contents are **unspecified**, for a caller that writes every element
+/// before reading any: a recycled buffer is truncated to `len`, and only
+/// the part past its recycled length is zero-filled. Hits and misses
+/// count as for [`take_zeroed`]. Returns `(buffer, fresh)`.
+pub fn take_for_overwrite<T: Poolable>(len: usize) -> (Vec<T>, bool) {
+    let (mut v, fresh) = pop_or_alloc(len);
+    v.resize(len, T::default());
+    (v, fresh)
+}
+
+/// Returns a buffer to the current thread's pool. Its length and
+/// contents are kept for the next [`take_for_overwrite`]; the other
+/// checkouts clear it. The bucket keeps it only while it holds fewer
+/// buffers than this thread has had misses in it (capped by the bucket
+/// depth);
 /// otherwise, and for over-size buffers, the storage is freed.
 /// Zero-capacity vectors (e.g. after `mem::take`) are ignored.
-pub fn recycle<T: Poolable>(mut v: Vec<T>) {
+pub fn recycle<T: Poolable>(v: Vec<T>) {
     let cap = v.capacity();
     if cap == 0 {
         return;
@@ -234,7 +264,6 @@ pub fn recycle<T: Poolable>(mut v: Vec<T>) {
     if b > MAX_BUCKET {
         return;
     }
-    v.clear();
     let _ = T::with_buckets(|bk| {
         let keep = bk.misses[b].min(bucket_depth::<T>(b));
         let slot = &mut bk.buckets[b];
@@ -257,6 +286,15 @@ impl<T: Poolable> PoolBuf<T> {
     pub fn zeroed(len: usize) -> Self {
         PoolBuf {
             buf: take_zeroed(len).0,
+        }
+    }
+
+    /// Checkout of `len` elements with unspecified contents, for scratch
+    /// the caller writes in full before reading (see
+    /// [`take_for_overwrite`]).
+    pub fn for_overwrite(len: usize) -> Self {
+        PoolBuf {
+            buf: take_for_overwrite(len).0,
         }
     }
 
@@ -330,6 +368,72 @@ mod tests {
         assert!(v2.iter().all(|&x| x == 0.0), "checkout must be zeroed");
         let (v3, _) = take_cleared::<f32>(256);
         assert!(v3.is_empty(), "cleared checkout must be empty");
+    }
+
+    #[test]
+    fn overwrite_checkout_has_the_exact_length() {
+        std::thread::spawn(|| {
+            for len in [0, 1, 7, 100, 4096] {
+                let (v, _) = take_for_overwrite::<f32>(len);
+                assert_eq!(v.len(), len);
+                recycle(v);
+            }
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn overwrite_checkout_keeps_recycled_contents_and_zero_extends() {
+        std::thread::spawn(|| {
+            let (mut v, fresh) = take_for_overwrite::<f32>(600);
+            assert!(
+                fresh && v.iter().all(|&x| x == 0.0),
+                "a fresh checkout is zeroed"
+            );
+            v.iter_mut().for_each(|x| *x = f32::NAN);
+            recycle(v);
+            // Shorter (same bucket): truncated, every element recycled.
+            let (v, fresh) = take_for_overwrite::<f32>(550);
+            assert!(!fresh && v.len() == 550 && v.iter().all(|x| x.is_nan()));
+            recycle(v);
+            // Longer than the recycled 550: recycled contents up to it,
+            // zeros past it.
+            let (v, fresh) = take_for_overwrite::<f32>(1000);
+            assert!(!fresh && v.len() == 1000);
+            assert!(v[..550].iter().all(|x| x.is_nan()));
+            assert!(v[550..].iter().all(|&x| x == 0.0));
+            recycle(v);
+            // The other checkouts still hide what it held.
+            let (v, _) = take_zeroed::<f32>(1000);
+            assert!(v.iter().all(|&x| x == 0.0));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn overwrite_checkout_counts_hits_and_misses_as_zeroed_does() {
+        // The same churn through either checkout leaves the same demand
+        // record, the same fresh flags and the same retained buffers.
+        let churn = |take: fn(usize) -> (Vec<f32>, bool)| {
+            std::thread::spawn(move || {
+                let mut fresh = Vec::new();
+                for round in 0..3 {
+                    let live: Vec<(Vec<f32>, bool)> = (0..4 + round).map(|_| take(900)).collect();
+                    fresh.extend(live.iter().map(|(_, f)| *f));
+                    live.into_iter().for_each(|(v, _)| recycle(v));
+                }
+                let b = bucket_for_len(900);
+                let kept = f32::with_buckets(|bk| (bk.misses[b], bk.buckets[b].len()));
+                (fresh, kept)
+            })
+            .join()
+            .unwrap()
+        };
+        let zeroed = churn(take_zeroed::<f32>);
+        assert_eq!(churn(take_for_overwrite::<f32>), zeroed);
+        assert_eq!(zeroed.1, Some((6, 6)), "six buffers were needed at once");
     }
 
     #[test]
@@ -437,7 +541,7 @@ mod tests {
     #[test]
     fn oversized_buffers_bypass_the_pool() {
         let huge = 1usize << (MAX_BUCKET + 1);
-        let (v, fresh) = take_raw::<f32>(huge);
+        let (v, fresh) = take_cleared::<f32>(huge);
         assert!(fresh);
         assert!(v.capacity() >= huge);
         recycle(v); // dropped: over-size

@@ -786,7 +786,8 @@ dispatched! {
                 .map(|r0| r0..(r0 + sub).min(rows.end))
         };
         let most = subs().map(|b| geom.band_inputs(b).1).max().unwrap_or(0);
-        let mut scratch = PoolBuf::<f32>::zeroed(cin * most * row_len);
+        // Every row a band reads is written below, padding included.
+        let mut scratch = PoolBuf::<f32>::for_overwrite(cin * most * row_len);
         for band in subs() {
             let (lo, nrows) = geom.band_inputs(band.clone());
             let chan_stride = nrows * row_len;

@@ -29,6 +29,8 @@
 //! one at a time, per dispatch level. Dead padding lanes may compute
 //! garbage (e.g. `0 ÷ 0`); they are never stored.
 
+use std::ops::Range;
+
 use crate::Simd8;
 
 /// One stage of a fused elementwise chain, applied to the running value.
@@ -74,7 +76,7 @@ pub enum Stage<'a> {
     LeakyRelu(f32),
 }
 
-impl Stage<'_> {
+impl<'a> Stage<'a> {
     /// Stable stage descriptor, used by the `peb_obs::optrace` op list
     /// to describe a fused chain.
     pub fn name(&self) -> &'static str {
@@ -95,6 +97,24 @@ impl Stage<'_> {
         }
     }
 
+    /// This stage over elements `range` of the chain: a binary stage's
+    /// operand is sliced to `range`, any other stage is itself. Running
+    /// the windowed stages over `x[range]` gives `out[range]` of the
+    /// whole chain, bit for bit (every stage is per-element).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` leaves a binary stage's operand.
+    pub fn window(self, range: Range<usize>) -> Stage<'a> {
+        match self {
+            Stage::AddT(b) => Stage::AddT(&b[range]),
+            Stage::SubT(b) => Stage::SubT(&b[range]),
+            Stage::MulT(b) => Stage::MulT(&b[range]),
+            Stage::DivT(b) => Stage::DivT(&b[range]),
+            other => other,
+        }
+    }
+
     /// The borrowed operand, if this is a binary stage.
     fn operand(&self) -> Option<&[f32]> {
         match *self {
@@ -106,8 +126,9 @@ impl Stage<'_> {
 
 /// 8-lane vectors per stage dispatch.
 const GROUP: usize = 4;
-/// Elements per group.
-const LANES: usize = 8 * GROUP;
+/// Elements per group: the interpreter's unit of work, and the unit a
+/// caller that splits a chain into windows aligns them to.
+pub const LANES: usize = 8 * GROUP;
 
 /// `$v[k] = $body` for each vector of the group, with `$x` bound to
 /// `$v[k]` (and `$k` to `k`). A macro, not a closure: an out-of-line lane
@@ -422,6 +443,32 @@ mod tests {
                     let want = definition(st, *v, i);
                     assert_eq!(g.to_bits(), want.to_bits(), "{}({v}) len {len}", st.name());
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_stages_give_the_window_of_the_whole_chain() {
+        let len = 1000;
+        let x = pseudo(len, 6);
+        let b: Vec<f32> = pseudo(len, 7).iter().map(|v| v.abs() + 0.5).collect();
+        let c = pseudo(len, 8);
+        let stages = [
+            Stage::AddT(&c),
+            Stage::DivT(&b),
+            Stage::Exp,
+            Stage::MulT(&c),
+        ];
+        for level in levels() {
+            let mut whole = vec![0f32; len];
+            at_level(level, || vchain(&x, &stages, &mut whole));
+            let mut parts = vec![f32::NAN; len];
+            for r in [0..32, 32..45, 45..512, 512..len] {
+                let windowed: Vec<Stage<'_>> = stages.iter().map(|s| s.window(r.clone())).collect();
+                at_level(level, || vchain(&x[r.clone()], &windowed, &mut parts[r]));
+            }
+            for (w, p) in whole.iter().zip(&parts) {
+                assert_eq!(w.to_bits(), p.to_bits(), "{}", level.name());
             }
         }
     }

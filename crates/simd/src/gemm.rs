@@ -1,10 +1,17 @@
-//! Packed register-tile GEMM microkernel.
+//! Register-tile GEMM microkernel.
 //!
-//! `out += a[m×k] · b[k×n] (+ bias)` built BLIS-style: B is packed into
-//! zero-padded `KC×NR` column panels and A into `MR×KC` row panels (both
-//! checked out of the `peb-pool` scratch pool), then an `MR×NR` = 8×8
-//! register tile accumulates one fused multiply–add chain per output
-//! element.
+//! `out = (0 + a[m×k] · b[k×n]) + bias`, built BLIS-style: B is packed
+//! into zero-padded `KC×NR` column panels (checked out of the `peb-pool`
+//! scratch pool), and an `MR×NR` = 8×8 register tile accumulates one
+//! fused multiply–add chain per output element, splatting each `a`
+//! element straight from its row-major row (rows past `m` repeat the
+//! last row; those lanes are never written back).
+//!
+//! The kernel **overwrites** its output: the first `kc` block adds its
+//! tile to zero in registers (`0 + acc`, the value a zeroed output's load
+//! gave), and later blocks add to what the earlier ones stored. So the
+//! caller hands over an output with any contents
+//! (`peb_pool::take_for_overwrite`).
 //!
 //! # Accumulation order
 //!
@@ -19,9 +26,9 @@
 //! # Bias epilogue
 //!
 //! A [`Bias`] is added in the write-back of the last `kc` block, after
-//! the element's last product: `(out + acc) + bias`. That is the value
+//! the element's last product: `(0 + a·b) + bias`. That is the value
 //! the GEMM followed by a separate bias add produces, bit for bit, for
-//! every `k` (with `k = 0` the write-back is `out + bias`).
+//! every `k` (with `k = 0` the write-back is `0 + bias`).
 
 use std::ops::Range;
 
@@ -88,8 +95,8 @@ impl<'a> Bias<'a> {
     }
 }
 
-/// Dispatched GEMM: `out = (out + a · b) + bias`, `out` pre-zeroed or
-/// pre-accumulated by the caller.
+/// Dispatched GEMM: `out = (0 + a · b) + bias`. The previous contents of
+/// `out` are never read.
 ///
 /// # Panics
 ///
@@ -104,7 +111,8 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize,
 dispatched! {
     /// [`gemm`] restricted to output columns `cols`, written through a raw
     /// pointer so that disjoint column blocks of one output can run
-    /// concurrently. Columns outside `cols` are neither read nor written.
+    /// concurrently. Columns outside `cols` are neither read nor written;
+    /// columns inside are overwritten.
     ///
     /// # Safety
     ///
@@ -142,39 +150,39 @@ dispatched! {
             std::slice::from_raw_parts_mut(out.add(i * n + j), len)
         };
         if k == 0 {
-            // No products: the write-back is the bias alone.
+            // No products: the write-back is `0 + bias`.
             for i in 0..m {
                 for (jj, o) in row(i, cols.start, cols.len()).iter_mut().enumerate() {
-                    if let Some(bv) = bias.at(i, cols.start + jj) {
-                        *o += bv;
-                    }
+                    *o = bias.at(i, cols.start + jj).map_or(0.0, |bv| 0.0 + bv);
                 }
             }
             return;
         }
         let width = cols.len();
-        let mut apack = peb_pool::PoolBuf::<f32>::cleared(m.div_ceil(MR) * MR * KC.min(k));
         let mut bpack =
             peb_pool::PoolBuf::<f32>::cleared(NC.min(width).div_ceil(NR) * NR * KC.min(k));
         for jc in (cols.start..cols.end).step_by(NC) {
             let nb = NC.min(cols.end - jc);
             for kc in (0..k).step_by(KC) {
                 let kb = KC.min(k - kc);
-                let last = kc + kb == k;
+                let (first, last) = (kc == 0, kc + kb == k);
                 pack_b(b, &mut bpack, n, jc, kc, nb, kb);
-                pack_a(a, &mut apack, k, kc, kb, m);
                 for ir in (0..m).step_by(MR) {
                     let mb = MR.min(m - ir);
-                    let ap = &apack[(ir / MR) * kb * MR..][..kb * MR];
+                    // Rows past `m` repeat the last row; their lanes are
+                    // never written back.
+                    let arows: [&[f32]; MR] =
+                        std::array::from_fn(|ii| &a[(ir + ii).min(m - 1) * k + kc..][..kb]);
                     for jr in (0..nb).step_by(NR) {
                         let nr = NR.min(nb - jr);
                         let bp = &bpack[(jr / NR) * kb * NR..][..kb * NR];
-                        let acc = tile::<V>(ap, bp, kb);
+                        let acc = tile::<V>(&arows, bp, kb);
                         let j = jc + jr;
                         if nr == NR {
                             for (ii, accv) in acc.iter().enumerate().take(mb) {
                                 let seg = row(ir + ii, j, NR);
-                                let mut v = V::load(seg).add(*accv);
+                                let base = if first { V::zero() } else { V::load(seg) };
+                                let mut v = base.add(*accv);
                                 if let (true, Some(bv)) = (last, bias.lanes::<V>(ir + ii, j)) {
                                     v = v.add(bv);
                                 }
@@ -187,7 +195,8 @@ dispatched! {
                                 for (jj, (o, v)) in
                                     row(ir + ii, j, nr).iter_mut().zip(lane).enumerate()
                                 {
-                                    *o += v;
+                                    let base = if first { 0.0 } else { *o };
+                                    *o = base + v;
                                     if last {
                                         if let Some(bv) = bias.at(ir + ii, j + jj) {
                                             *o += bv;
@@ -203,37 +212,24 @@ dispatched! {
     }
 }
 
-/// 8×8 register tile: `acc[ii][jj] = Σ_kk ap[kk][ii] · bp[kk][jj]`.
+/// 8×8 register tile: `acc[ii][jj] = Σ_kk arows[ii][kk] · bp[kk][jj]`,
+/// each `a` element splatted straight from its row.
 #[inline(always)]
-fn tile<V: Simd8>(ap: &[f32], bp: &[f32], kb: usize) -> [V; MR] {
+fn tile<V: Simd8>(arows: &[&[f32]; MR], bp: &[f32], kb: usize) -> [V; MR] {
+    // Checked once here: every row holds `kb` elements.
+    let arows = arows.map(|r| &r[..kb]);
     let mut acc = [V::zero(); MR];
     for kk in 0..kb {
         let bv = V::load(&bp[kk * NR..kk * NR + NR]);
-        let arow = &ap[kk * MR..kk * MR + MR];
-        for (ii, accv) in acc.iter_mut().enumerate() {
-            *accv = V::splat(arow[ii]).mul_add(bv, *accv);
+        for (accv, arow) in acc.iter_mut().zip(arows) {
+            // SAFETY: `kk < kb == arow.len()`. Eight checked reads per
+            // `kk` cost a third of the 512³ rate: LLVM keeps the row
+            // lengths live and spills.
+            let av = unsafe { *arow.get_unchecked(kk) };
+            *accv = V::splat(av).mul_add(bv, *accv);
         }
     }
     acc
-}
-
-/// Packs `a[0..m, kc..kc+kb]` into `MR`-interleaved row panels:
-/// `buf[(ir/MR)·kb·MR + kk·MR + ii] = a[(ir+ii)·k + kc+kk]`, zero-padding
-/// rows past `m`.
-fn pack_a(a: &[f32], buf: &mut Vec<f32>, k: usize, kc: usize, kb: usize, m: usize) {
-    buf.clear();
-    for ir in (0..m).step_by(MR) {
-        let mb = MR.min(m - ir);
-        for kk in 0..kb {
-            for ii in 0..MR {
-                buf.push(if ii < mb {
-                    a[(ir + ii) * k + kc + kk]
-                } else {
-                    0.0
-                });
-            }
-        }
-    }
 }
 
 /// Packs `b[kc..kc+kb, jc..jc+nb]` into `NR`-wide column panels:
@@ -332,31 +328,43 @@ mod tests {
     #[test]
     fn bias_epilogue_bit_equals_gemm_then_add() {
         // Ragged MR/NR edges; k straddles KC, and k = 0 leaves the bias
-        // alone. A pre-accumulated output (signed zeros included) checks
-        // `(out + a·b) + bias`, not `out + (a·b + bias)`.
-        let (m, n) = (19, 37);
-        let mut row = pseudo(m, 9);
-        let mut col = pseudo(n, 10);
-        row[..2].copy_from_slice(&[-0.0, 0.0]);
-        col[..2].copy_from_slice(&[-0.0, 0.0]);
-        let mut out0 = pseudo(m * n, 11);
-        out0[..3].copy_from_slice(&[-0.0, 0.0, -0.0]);
-        for level in levels() {
-            for k in [0, 1, 10, 255, 256, 257, 600] {
-                let a = pseudo(m * k, 12);
-                let b = pseudo(k * n, 13);
-                let mut plain = out0.clone();
-                at_level(level, || gemm(&a, &b, &mut plain, m, k, n, Bias::None));
-                for bias in [Bias::Row(&row), Bias::Col(&col)] {
-                    let mut fused = out0.clone();
-                    at_level(level, || gemm(&a, &b, &mut fused, m, k, n, bias));
-                    for (idx, (p, f)) in plain.iter().zip(&fused).enumerate() {
-                        let want = p + bias.at(idx / n, idx % n).expect("bias");
-                        assert_eq!(
-                            want.to_bits(),
-                            f.to_bits(),
-                            "{level:?} k={k} {bias:?} at {idx}: {want} vs {f}"
-                        );
+        // alone. Every output starts as NaN: the kernel overwrites it, so
+        // the result is `(0 + a·b) + bias` — the plain product into NaN
+        // equals the product into zeros bit for bit, and the biased one
+        // equals the plain one plus the bias (signed-zero biases
+        // included, and `0 + −0 = +0` at k = 0). The second shape has
+        // ragged rows, only full column tiles, and k past two KC blocks.
+        for (m, n, ks) in [
+            (19, 37, &[0, 1, 10, 255, 256, 257, 600][..]),
+            (13, 16, &[515][..]),
+        ] {
+            let mut row = pseudo(m, 9);
+            let mut col = pseudo(n, 10);
+            row[..2].copy_from_slice(&[-0.0, 0.0]);
+            col[..2].copy_from_slice(&[-0.0, 0.0]);
+            for level in levels() {
+                for &k in ks {
+                    let a = pseudo(m * k, 12);
+                    let b = pseudo(k * n, 13);
+                    let product = |init: f32, bias| {
+                        let mut out = vec![init; m * n];
+                        at_level(level, || gemm(&a, &b, &mut out, m, k, n, bias));
+                        out
+                    };
+                    let plain = product(f32::NAN, Bias::None);
+                    for (idx, (p, z)) in plain.iter().zip(&product(0.0, Bias::None)).enumerate() {
+                        assert_eq!(p.to_bits(), z.to_bits(), "{level:?} {m}x{k}x{n} at {idx}");
+                    }
+                    for bias in [Bias::Row(&row), Bias::Col(&col)] {
+                        let fused = product(f32::NAN, bias);
+                        for (idx, (p, f)) in plain.iter().zip(&fused).enumerate() {
+                            let want = p + bias.at(idx / n, idx % n).expect("bias");
+                            assert_eq!(
+                                want.to_bits(),
+                                f.to_bits(),
+                                "{level:?} {m}x{k}x{n} {bias:?} at {idx}: {want} vs {f}"
+                            );
+                        }
                     }
                 }
             }

@@ -54,7 +54,7 @@ impl Var {
             heads,
         };
         let record = grad_enabled() && [self, k, v].iter().any(|x| x.requires_grad());
-        let mut out = Tensor::zeros(&qs);
+        let mut out = Tensor::for_overwrite(&qs);
         let mut probs = record.then(|| Tensor::zeros(&[planes * heads, g.rows, g.keys]));
         {
             let _span = peb_obs::span("attn.fwd");

@@ -47,7 +47,7 @@ impl Var {
             beta.shape()
         );
         let n = numel(&shape);
-        let mut out = Tensor::zeros(&shape);
+        let mut out = Tensor::for_overwrite(&shape);
         {
             let _span = crate::tensor::ew_span("ew.layernorm", n);
             let (xv, gv, bv) = (self.value(), gamma.value(), beta.value());

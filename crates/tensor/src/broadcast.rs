@@ -172,16 +172,24 @@ impl Tensor {
         let out_shape = broadcast_shapes(self.shape(), other.shape())?;
         let n = numel(&out_shape);
         let _span = crate::tensor::ew_span("ew.broadcast", n);
-        let mut data = crate::tensor::alloc_cleared(n);
-        if n > 0 {
-            match row_plan(self.shape(), other.shape(), &out_shape) {
-                Some(plan) => {
-                    data.resize(n, 0.0);
-                    zip_rows(&plan, self.data(), other.data(), &mut data, row_op);
-                }
-                None => zip_odometer(self, other, &out_shape, &mut data, f),
+        let plan = (n > 0)
+            .then(|| row_plan(self.shape(), other.shape(), &out_shape))
+            .flatten();
+        let data = match plan {
+            Some(plan) => {
+                // The row loops write every element.
+                let mut data = crate::tensor::alloc_for_overwrite(n);
+                zip_rows(&plan, self.data(), other.data(), &mut data, row_op);
+                data
             }
-        }
+            None => {
+                let mut data = crate::tensor::alloc_cleared(n);
+                if n > 0 {
+                    zip_odometer(self, other, &out_shape, &mut data, f);
+                }
+                data
+            }
+        };
         Ok(Tensor::from_pooled(data, &out_shape))
     }
 

@@ -5,11 +5,13 @@
 //! physics code where shapes are statically known.
 //!
 //! Same-shape binary ops and the dense unary ops run as one-stage
-//! [`peb_simd::fused::vchain`] calls, and so do the row loops of
-//! broadcasts that factor into rows × columns (SsmBlock's Δ outer sum,
-//! the only broadcast the model makes, and rank-0 operands — see
-//! `broadcast.rs`); only the remaining broadcast shapes, which no model
-//! shape reaches, take the strided scalar walk. The `+ − × ÷ √` and
+//! chains through the same driver as [`crate::FusedChain`] (spread over
+//! the `peb-par` pool in fixed windows once long enough), and the row
+//! loops of broadcasts that factor into rows × columns (SsmBlock's Δ
+//! outer sum, the only broadcast the model makes, and rank-0 operands —
+//! see `broadcast.rs`) run one-stage `vchain` calls; only the remaining
+//! broadcast shapes, which no model shape reaches, take the strided
+//! scalar walk. The `+ − × ÷ √` and
 //! scalar stages are bitwise identical to the plain expressions at every
 //! dispatch level; `exp`/`sigmoid`/`softplus` use the polynomial vector
 //! exponential (and logarithm) on SIMD (bounded-ULP, deterministic per
@@ -19,6 +21,7 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 
 use peb_simd::fused::{vchain, Stage};
 
+use crate::fused::chain_new;
 use crate::{Result, Tensor};
 
 /// A binary stage constructor (`Stage::AddT`, …).
@@ -26,22 +29,14 @@ type BinaryStage = for<'b> fn(&'b [f32]) -> Stage<'b>;
 
 /// Runs the one-stage chain `stage(b)` over `a` into a pooled output.
 fn zip_kernel(a: &Tensor, b: &Tensor, stage: BinaryStage) -> Tensor {
-    let n = a.data().len();
-    let _span = crate::tensor::ew_span("ew.zip", n);
-    let mut data = crate::tensor::alloc_cleared(n);
-    data.resize(n, 0.0);
-    vchain(a.data(), &[stage(b.data())], &mut data);
-    Tensor::from_pooled(data, a.shape())
+    let _span = crate::tensor::ew_span("ew.zip", a.len());
+    chain_new(a.data(), &[stage(b.data())], a.shape())
 }
 
 /// Runs the one-stage chain `stage` over `a` into a pooled output.
 fn map_kernel(a: &Tensor, stage: Stage<'_>) -> Tensor {
-    let n = a.data().len();
-    let _span = crate::tensor::ew_span("ew.map", n);
-    let mut data = crate::tensor::alloc_cleared(n);
-    data.resize(n, 0.0);
-    vchain(a.data(), &[stage], &mut data);
-    Tensor::from_pooled(data, a.shape())
+    let _span = crate::tensor::ew_span("ew.map", a.len());
+    chain_new(a.data(), &[stage], a.shape())
 }
 
 impl Tensor {

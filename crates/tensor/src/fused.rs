@@ -4,7 +4,9 @@
 //! records one elementwise stage, and [`FusedChain::eval`] executes the
 //! whole chain as a **single** streaming sweep through
 //! [`peb_simd::fused::vchain`] — one pool checkout for the output
-//! instead of one per stage, and one pass over memory instead of k.
+//! instead of one per stage, and one pass over memory instead of k. The
+//! sweep's fixed windows spread over the `peb-par` pool once the chain
+//! is long enough to pay for the fork (see `chain_new`).
 //!
 //! The fused result is bitwise identical to evaluating the same stages
 //! as separate tensor ops at the same `PEB_SIMD` dispatch level (see the
@@ -27,7 +29,7 @@
 //! assert_eq!(y.shape(), &[2]);
 //! ```
 
-use peb_simd::fused::Stage;
+use peb_simd::fused::{Stage, LANES};
 
 use crate::Tensor;
 
@@ -160,13 +162,58 @@ impl<'a> FusedChain<'a> {
             let names: Vec<&str> = self.stages.iter().map(|s| s.name()).collect();
             format!("chain=[{}] len={}", names.join(","), self.src.len())
         });
-        let n = self.src.len();
-        let mut data = crate::tensor::alloc_cleared(n);
-        data.resize(n, 0.0);
-        peb_simd::fused::vchain(self.src.data(), &self.stages, &mut data);
+        let out = chain_new(self.src.data(), &self.stages, self.src.shape());
         peb_obs::count(peb_obs::Counter::FusedOps, self.stages.len() as u64);
-        Tensor::from_pooled(data, self.src.shape())
+        out
     }
+}
+
+/// Groups of the chain interpreter ([`LANES`] elements each) per chunk
+/// of a spread-out chain (16 Ki elements): chunk boundaries fall on
+/// group boundaries and depend on the length alone.
+const CHUNK_GROUPS: usize = 512;
+
+/// Cost hints per group for `peb_par`'s cutoff, fitted to a measured
+/// inline-against-forked curve on a 2-vCPU AVX2 box: the sweep itself,
+/// each exact stage, and each `exp`-class stage. A one-stage exact chain
+/// forks from 2¹⁸ elements (at 2¹⁷ a forked `× s` still lost, 0.8×), an
+/// `exp`-class one from ≈ 58 Ki (a sigmoid over 2¹⁶ won 1.2×, over 2¹⁵
+/// lost 0.94×).
+const SWEEP_COST: u64 = 4;
+const EXACT_STAGE_COST: u64 = 4;
+const EXP_STAGE_COST: u64 = 32;
+
+/// [`SWEEP_COST`] plus each stage's cost.
+fn group_cost(stages: &[Stage<'_>]) -> u64 {
+    let stage = |s: &Stage<'_>| match s {
+        Stage::Exp | Stage::Sigmoid | Stage::Softplus => EXP_STAGE_COST,
+        _ => EXACT_STAGE_COST,
+    };
+    SWEEP_COST + stages.iter().map(stage).sum::<u64>()
+}
+
+/// `stages` over `x` into a fresh pooled tensor of `shape`: one
+/// overwrite checkout, its fixed [`CHUNK_GROUPS`]-group windows spread
+/// over the `peb-par` pool once the chain is long enough to pay for the
+/// fork. Every stage is per-element, so the windows give the bits of one
+/// whole-length [`vchain`](peb_simd::fused::vchain) at any thread count.
+pub(crate) fn chain_new(x: &[f32], stages: &[Stage<'_>], shape: &[usize]) -> Tensor {
+    let n = x.len();
+    let mut data = crate::tensor::alloc_for_overwrite(n);
+    let slots = peb_par::UnsafeSlice::new(&mut data);
+    let groups = n.div_ceil(LANES);
+    peb_par::parallel_chunks_cost(groups, CHUNK_GROUPS, group_cost(stages), |chunk| {
+        let window = chunk.start * LANES..(chunk.end * LANES).min(n);
+        // SAFETY: chunks are disjoint group ranges, so their windows of
+        // the output are too.
+        let out = unsafe { slots.slice_mut(window.clone()) };
+        if window.len() == n {
+            return peb_simd::fused::vchain(x, stages, out);
+        }
+        let stages: Vec<Stage<'_>> = stages.iter().map(|s| s.window(window.clone())).collect();
+        peb_simd::fused::vchain(&x[window], &stages, out);
+    });
+    Tensor::from_pooled(data, shape)
 }
 
 #[cfg(test)]

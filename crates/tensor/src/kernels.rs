@@ -19,8 +19,8 @@ use peb_simd::gemm::NC;
 /// function of `m` only — never of the thread count.
 pub const MC: usize = 64;
 
-/// Parallel GEMM driver: `out = (out + a[m×k] · b[k×n]) + bias`, `out`
-/// pre-zeroed (or pre-accumulated).
+/// Parallel GEMM driver: `out = (0 + a[m×k] · b[k×n]) + bias`; the
+/// previous contents of `out` are never read.
 ///
 /// Splits `m` into fixed [`MC`]-row panels and fans them out over the
 /// [`peb_par`] pool; each panel runs the [`peb_simd::gemm`] microkernel on
@@ -66,7 +66,7 @@ mod tests {
     /// Reference ikj kernel (the pre-blocking implementation): the oracle
     /// the packed microkernel is checked against.
     ///
-    /// `out += a[m×k] · b[k×n]`, `out` pre-zeroed by the caller.
+    /// `out += a[m×k] · b[k×n]`, `out` zeroed by the caller.
     fn matmul_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);
@@ -136,7 +136,8 @@ mod tests {
                 let mut want = vec![0f32; m * n];
                 peb_simd::gemm::gemm(&a, &b, &mut want, m, k, n, bias);
                 for threads in [1, 2, 3, 7] {
-                    let mut got = vec![0f32; m * n];
+                    // The driver overwrites: NaN must not survive.
+                    let mut got = vec![f32::NAN; m * n];
                     peb_par::with_thread_count(threads, || {
                         matmul_par(&a, &b, &mut got, m, k, n, bias)
                     });
@@ -162,7 +163,7 @@ mod tests {
             let mut want = vec![0f32; m * n];
             peb_simd::gemm::gemm(&a, &b, &mut want, m, k, n, Bias::Row(&row));
             for threads in [1, 2, 3, 7] {
-                let mut got = vec![0f32; m * n];
+                let mut got = vec![f32::NAN; m * n];
                 peb_par::with_thread_count(threads, || {
                     matmul_par(&a, &b, &mut got, m, k, n, Bias::Row(&row))
                 });

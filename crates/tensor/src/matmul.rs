@@ -52,7 +52,7 @@ impl Tensor {
         let _span = peb_obs::span("gemm.bmm");
         peb_obs::count(peb_obs::Counter::GemmFlops, 2 * (b * m * k * n) as u64);
         peb_obs::optrace::note("gemm.bmm", || format!("b={b} m={m} k={k} n={n}"));
-        let mut out = Tensor::zeros(&[b, m, n]);
+        let mut out = Tensor::for_overwrite(&[b, m, n]);
         // Batches are independent; when there is only one, run_parallel
         // falls through without entering a parallel region, so the inner
         // GEMM still parallelises over its row panels.
@@ -103,14 +103,14 @@ pub(crate) fn gemm_new(
     let _span = peb_obs::span("gemm.matmul");
     peb_obs::count(peb_obs::Counter::GemmFlops, 2 * (m * k * n) as u64);
     peb_obs::optrace::note("gemm", || format!("m={m} k={k} n={n}"));
-    // Pooled output panel: `zeros` checks out (pre-zeroed) from the
-    // thread-local pool, which the accumulating kernel requires.
-    let mut out = Tensor::zeros(shape);
+    // The kernel overwrites every element, so the pooled output skips
+    // the zero-fill.
+    let mut out = Tensor::for_overwrite(shape);
     kernels::matmul_par(a, b, out.data_mut(), m, k, n, bias);
     out
 }
 
-/// `out += a[m×k] · b[k×n]` with `out` pre-zeroed by the caller.
+/// `out = a[m×k] · b[k×n]`; the previous contents of `out` are never read.
 pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     kernels::matmul_par(a, b, out, m, k, n, Bias::None);
 }

@@ -42,6 +42,17 @@ pub(crate) fn alloc_cleared(cap: usize) -> Vec<f32> {
     v
 }
 
+/// Pooled buffer of exactly `len` elements with **unspecified** contents
+/// (`peb_pool::take_for_overwrite`), for a kernel that writes every
+/// element; the same alloc accounting as [`alloc_cleared`].
+pub(crate) fn alloc_for_overwrite(len: usize) -> Vec<f32> {
+    let (v, fresh) = peb_pool::take_for_overwrite(len);
+    if fresh {
+        peb_obs::count(peb_obs::Counter::TensorAllocs, 1);
+    }
+    v
+}
+
 /// Pooled copy of a slice, with the same alloc accounting as
 /// [`alloc_cleared`].
 pub(crate) fn alloc_copy(src: &[f32]) -> Vec<f32> {
@@ -123,6 +134,15 @@ impl Tensor {
     /// Creates a zero-filled tensor.
     pub fn zeros(shape: &[usize]) -> Self {
         Self::full(shape, 0.0)
+    }
+
+    /// Creates a tensor whose elements hold **unspecified** (but
+    /// initialised) values, for an output that its kernel writes in
+    /// full before anything reads it: the pooled checkout skips the
+    /// zero-fill [`Tensor::zeros`] pays. Reading an element before
+    /// writing it is a bug the poisoned-pool determinism test catches.
+    pub fn for_overwrite(shape: &[usize]) -> Self {
+        Self::from_pooled(alloc_for_overwrite(numel(shape)), shape)
     }
 
     /// Creates a one-filled tensor.
