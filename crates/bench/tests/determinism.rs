@@ -276,8 +276,12 @@ fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
     // overwrite checkout runs right after the pool is poisoned: its
     // output buffer holds NaN until the kernel writes it, so an element
     // it skipped shows. The chain is long enough to spread over the
-    // pool's workers, which write into the caller's checkout.
-    use peb_mamba::CausalDwConv1d;
+    // pool's workers, which write into the caller's checkout. Three
+    // overwrite checkouts are scratch rather than outputs, so their
+    // kernels' results show them: the strided conv's phase split (read by
+    // Conv2d's forward and backward), the transposed permute's blocks and
+    // the recording scan's state trajectory (read by its backward).
+    use peb_mamba::{CausalDwConv1d, Walk};
     use peb_nn::{Conv3d, ConvTranspose2d, DwConv3d};
 
     std::thread::spawn(|| {
@@ -301,8 +305,7 @@ fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
             b_in,
             c_in,
             skip,
-        ]
-        .map(Var::constant);
+        ];
         let conv2d = Conv2d::new(3, 5, 3, 2, 1, &mut rng);
         let conv3d = Conv3d::new(3, 4, 3, &mut rng);
         let convt = ConvTranspose2d::new(4, 3, 4, 2, 1, &mut rng);
@@ -310,6 +313,11 @@ fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
         let conv1d = CausalDwConv1d::new(6, 4, &mut rng);
         let on = |layer: &dyn Fn(&Var) -> Var, x: &Tensor| {
             layer(&Var::constant(x.clone())).value_clone()
+        };
+        let flat = |ts: &[Tensor]| {
+            let data: Vec<f32> = ts.iter().flat_map(|t| t.data().to_vec()).collect();
+            let len = data.len();
+            Tensor::from_vec(data, &[len]).unwrap()
         };
         let kernels: Vec<(&str, Kernel)> = vec![
             ("matmul", Box::new(|| a.matmul(&b).unwrap())),
@@ -322,6 +330,17 @@ fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
             ("map", Box::new(|| x.exp())),
             ("broadcast rows", Box::new(|| rows.add_t(&row).unwrap())),
             ("conv2d", Box::new(|| on(&|v| conv2d.forward(v), &img))),
+            (
+                "conv2d backward",
+                Box::new(|| {
+                    let x = Var::parameter(img.clone());
+                    let params = conv2d.parameters();
+                    params.iter().for_each(Var::zero_grad);
+                    conv2d.forward(&x).square().sum().backward();
+                    flat(&[x.grad().unwrap(), params[0].grad().unwrap()])
+                }),
+            ),
+            ("permute", Box::new(|| rows.permute(&[1, 0]).unwrap())),
             ("conv3d", Box::new(|| on(&|v| conv3d.forward(v), &vol))),
             (
                 "conv transpose",
@@ -333,7 +352,7 @@ fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
             ),
             (
                 "causal conv1d",
-                Box::new(|| on(&|v| conv1d.forward(v), &seq)),
+                Box::new(|| on(&|v| conv1d.forward(v, Walk::Forward), &seq)),
             ),
             (
                 "layer norm",
@@ -349,8 +368,20 @@ fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
             (
                 "selective scan",
                 Box::new(|| {
-                    let [u, d, a, b, c, skip] = &scan_in;
+                    let [u, d, a, b, c, skip] = &scan_in.clone().map(Var::constant);
                     selective_scan(u, d, a, b, c, skip).value_clone()
+                }),
+            ),
+            (
+                "recording selective scan",
+                Box::new(|| {
+                    let vars = scan_in.clone().map(Var::parameter);
+                    let [u, d, a, b, c, skip] = &vars;
+                    selective_scan(u, d, a, b, c, skip)
+                        .square()
+                        .sum()
+                        .backward();
+                    flat(&vars.map(|v| v.grad().unwrap()))
                 }),
             ),
         ];

@@ -2,15 +2,18 @@
 //!
 //! Mamba applies a short causal convolution along the scan direction
 //! before the SSM; causality matters because each scan direction defines
-//! its own notion of "past".
+//! its own notion of "past": the convolution runs along a [`Walk`],
+//! reading the canonical rows where they are and writing step order.
 
 use rand::Rng;
 
 use peb_nn::{kaiming_uniform, Parameterized};
+use peb_simd::scan::Walk;
 use peb_tensor::{Tensor, Var};
 
-/// Depthwise causal convolution on `[L, C]` sequences: output token `t`
-/// sees tokens `t−k+1 ..= t` of its own channel.
+/// Depthwise causal convolution on `[L, C]` sequences along a [`Walk`]:
+/// output row `t` (step `t`) sees input rows `walk.row(t−k+1 ..= t)` of
+/// its own channel.
 #[derive(Debug, Clone)]
 pub struct CausalDwConv1d {
     weight: Var, // [C, k]
@@ -30,20 +33,24 @@ impl CausalDwConv1d {
         }
     }
 
-    /// Applies the convolution, preserving the `[L, C]` shape.
+    /// Applies the convolution along `walk`, preserving the `[L, C]`
+    /// shape: output row `t` is step `t`, and the input gradient lands in
+    /// the rows the walk read — bit for bit the plain layer
+    /// ([`Walk::Forward`]) on the rows gathered into walk order.
     ///
     /// # Panics
     ///
-    /// Panics if the channel count mismatches.
-    pub fn forward(&self, x: &Var) -> Var {
+    /// Panics if the channel count mismatches or `walk` does not span `L`.
+    pub fn forward(&self, x: &Var, walk: Walk) -> Var {
         let s = x.shape();
         assert_eq!(s.len(), 2, "CausalDwConv1d expects [L, C]");
         assert_eq!(s[1], self.channels, "channel mismatch");
         let (l, c) = (s[0], s[1]);
+        assert!(walk.spans(l), "{walk:?} does not span {l} rows");
         let k = self.kernel;
         let out = {
             let _span = peb_obs::span("scan.conv1d_fwd");
-            causal_conv1d(&x.value(), &self.weight.value(), &self.bias.value())
+            causal_conv1d(&x.value(), &self.weight.value(), &self.bias.value(), walk)
         };
         let xc = x.clone();
         let wc = self.weight.clone();
@@ -72,8 +79,9 @@ impl CausalDwConv1d {
                             for ki in 0..k {
                                 let off = k - 1 - ki;
                                 if t >= off {
-                                    dxd[(t - off) * c + ci] += gv * wv.data()[ci * k + ki];
-                                    dwd[ci * k + ki] += gv * xv.data()[(t - off) * c + ci];
+                                    let src = walk.row(t - off) * c + ci;
+                                    dxd[src] += gv * wv.data()[ci * k + ki];
+                                    dwd[ci * k + ki] += gv * xv.data()[src];
                                 }
                             }
                         }
@@ -89,7 +97,8 @@ impl CausalDwConv1d {
 /// output is the same at any thread count).
 const CONV1D_BLOCK_TOKENS: usize = 256;
 
-/// Forward of [`CausalDwConv1d`]: `x [L, C]`, `weight [C, k]`, `bias [C]`.
+/// Forward of [`CausalDwConv1d`] along `walk`: `x [L, C]`,
+/// `weight [C, k]`, `bias [C]`.
 ///
 /// The taps are transposed once to `[k, C]`; each output row starts from
 /// the bias and adds `w·x` tap by tap in ascending tap order, unfused,
@@ -97,7 +106,7 @@ const CONV1D_BLOCK_TOKENS: usize = 256;
 /// order as a per-channel loop, so the result is exact-class (identical
 /// at every dispatch level and thread count). Token blocks fan out over
 /// the pool.
-fn causal_conv1d(x: &Tensor, weight: &Tensor, bias: &Tensor) -> Tensor {
+fn causal_conv1d(x: &Tensor, weight: &Tensor, bias: &Tensor, walk: Walk) -> Tensor {
     let (l, c) = (x.shape()[0], x.shape()[1]);
     let k = weight.shape()[1];
     let taps = weight.permute(&[1, 0]).expect("conv1d taps [k, C]");
@@ -108,10 +117,10 @@ fn causal_conv1d(x: &Tensor, weight: &Tensor, bias: &Tensor) -> Tensor {
         for (r, row) in rows.chunks_mut(c).enumerate() {
             let t = at / c + r;
             row.copy_from_slice(bd);
-            // Tap ki reads token t − (k − 1 − ki); the first k − 1 − t
+            // Tap ki reads step t − (k − 1 − ki); the first k − 1 − t
             // taps fall before the sequence start.
             for ki in k.saturating_sub(t + 1)..k {
-                let src = &xd[(t + ki + 1 - k) * c..][..c];
+                let src = &xd[walk.row(t + ki + 1 - k) * c..][..c];
                 for ((o, &w), &v) in row.iter_mut().zip(&td[ki * c..]).zip(src) {
                     *o += w * v;
                 }
@@ -177,7 +186,8 @@ mod tests {
                             ..ctx::current()
                         };
                         let got = ctx::with(scoped, || {
-                            conv.forward(&Var::constant(x.clone())).value_clone()
+                            conv.forward(&Var::constant(x.clone()), Walk::Forward)
+                                .value_clone()
                         });
                         let same = got
                             .data()
@@ -199,7 +209,9 @@ mod tests {
         conv.weight
             .set_value(Tensor::from_vec(vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0], &[2, 3]).unwrap());
         let x = Tensor::randn(&[5, 2], &mut rng);
-        let y = conv.forward(&Var::constant(x.clone())).value_clone();
+        let y = conv
+            .forward(&Var::constant(x.clone()), Walk::Forward)
+            .value_clone();
         assert!(y.approx_eq(&x, 1e-6));
     }
 
@@ -208,10 +220,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         let conv = CausalDwConv1d::new(1, 4, &mut rng);
         let mut a = Tensor::randn(&[6, 1], &mut rng);
-        let ya = conv.forward(&Var::constant(a.clone())).value_clone();
+        let ya = conv
+            .forward(&Var::constant(a.clone()), Walk::Forward)
+            .value_clone();
         // Perturb the last token: outputs before it must not change.
         a.data_mut()[5] += 10.0;
-        let yb = conv.forward(&Var::constant(a)).value_clone();
+        let yb = conv.forward(&Var::constant(a), Walk::Forward).value_clone();
         for t in 0..5 {
             assert_eq!(ya.get(&[t, 0]), yb.get(&[t, 0]), "leak at t={t}");
         }
@@ -225,7 +239,7 @@ mod tests {
         let x0 = Tensor::randn(&[4, 2], &mut rng);
         let r = check_gradients(
             &Var::parameter(x0),
-            |v| conv.forward(v).square().sum(),
+            |v| conv.forward(v, Walk::Forward).square().sum(),
             1e-2,
         );
         assert!(r.ok(3e-2), "{r:?}");
@@ -236,7 +250,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let conv = CausalDwConv1d::new(2, 3, &mut rng);
         let x = Var::constant(Tensor::randn(&[4, 2], &mut rng));
-        conv.forward(&x).square().sum().backward();
+        conv.forward(&x, Walk::Forward).square().sum().backward();
         assert!(conv.weight.grad().is_some());
         assert!(conv.bias.grad().is_some());
     }

@@ -38,7 +38,8 @@ mod sdm_unit;
 mod ssm;
 
 pub use conv1d::CausalDwConv1d;
-pub use directions::{gather_rows, ScanDirection, ScanOrder};
+pub use directions::ScanDirection;
+pub use peb_simd::scan::Walk;
 pub use scan::selective_scan;
 pub use sdm_unit::{SdmUnit, SdmUnitConfig};
 pub use ssm::{hippo_a_log_init, SsmBlock};

@@ -1,5 +1,6 @@
 //! The selective-scan recurrence as a fused autograd operation.
 
+use peb_simd::scan::Walk;
 use peb_tensor::{Tensor, Var};
 
 /// Runs the selective SSM recurrence over a sequence.
@@ -32,6 +33,29 @@ use peb_tensor::{Tensor, Var};
 ///
 /// Panics on inconsistent operand shapes.
 pub fn selective_scan(u: &Var, delta: &Var, a: &Var, b: &Var, c: &Var, d: &Var) -> Var {
+    walked_scan(u, delta, a, b, c, d, Walk::Forward)
+}
+
+/// [`selective_scan`] along `walk`: `u`, `delta`, `b` and `c` hold step
+/// `t` of the recurrence in row `t` (as [`crate::CausalDwConv1d`] writes
+/// them), and `y` — like its gradient — holds it in row `walk.row(t)`, so
+/// the output lands in canonical order as the kernels store it. Bit for
+/// bit the forward scan scattered back along the walk, forward and
+/// backward.
+///
+/// # Panics
+///
+/// Panics on inconsistent operand shapes or a walk that does not span
+/// `L`.
+pub(crate) fn walked_scan(
+    u: &Var,
+    delta: &Var,
+    a: &Var,
+    b: &Var,
+    c: &Var,
+    d: &Var,
+    walk: Walk,
+) -> Var {
     let (l, ch) = {
         let s = u.shape();
         assert_eq!(s.len(), 2, "u must be [L, C]");
@@ -46,58 +70,28 @@ pub fn selective_scan(u: &Var, delta: &Var, a: &Var, b: &Var, c: &Var, d: &Var) 
     assert_eq!(b.shape(), vec![l, n], "b must be [L, N]");
     assert_eq!(c.shape(), vec![l, n], "c must be [L, N]");
     assert_eq!(d.shape(), vec![ch], "d must be [C]");
+    assert!(walk.spans(l), "{walk:?} does not span {l} rows");
     peb_obs::optrace::note("scan", || format!("l={l} c={ch} n={n}"));
 
-    let record =
-        peb_tensor::grad_enabled() && [u, delta, a, b, c, d].iter().any(|v| v.requires_grad());
-    let (y, h_traj) = scan_forward(
-        &u.value(),
-        &delta.value(),
-        &a.value(),
-        &b.value(),
-        &c.value(),
-        &d.value(),
-        l,
-        ch,
-        n,
-        record,
-    );
-    let (uc, dc, ac, bc, cc, ddc) = (
-        u.clone(),
-        delta.clone(),
-        a.clone(),
-        b.clone(),
-        c.clone(),
-        d.clone(),
-    );
-    Var::from_op(
-        y,
-        vec![
-            u.clone(),
-            delta.clone(),
-            a.clone(),
-            b.clone(),
-            c.clone(),
-            d.clone(),
-        ],
-        move |g| {
-            let grads = scan_backward(
-                g,
-                &uc.value(),
-                &dc.value(),
-                &ac.value(),
-                &bc.value(),
-                &cc.value(),
-                &ddc.value(),
-                &h_traj,
-                l,
-                ch,
-                n,
-            );
-            grads.into_iter().map(Some).collect()
-        },
-    )
+    let ops = [u, delta, a, b, c, d];
+    let record = peb_tensor::grad_enabled() && ops.iter().any(|v| v.requires_grad());
+    let dims = (l, ch, n, walk);
+    let (y, h_traj) = {
+        let values = ops.map(|v| v.value());
+        scan_forward(values.each_ref().map(|v| &**v), dims, record)
+    };
+    let parents = ops.map(Var::clone).to_vec();
+    let saved = parents.clone();
+    Var::from_op(y, parents, move |g| {
+        let values: Vec<_> = saved.iter().map(|v| v.value()).collect();
+        let ops = std::array::from_fn(|i| &*values[i]);
+        let grads = scan_backward(g, ops, &h_traj, dims);
+        grads.into_iter().map(Some).collect()
+    })
 }
+
+/// A scan's `(L, C, N)` and walk.
+type Dims = (usize, usize, usize, Walk);
 
 /// Lanes per channel group of the `peb-simd` scan kernels.
 const LANES: usize = 8;
@@ -105,7 +99,8 @@ const LANES: usize = 8;
 /// A lane group's `[L, ch]` inputs as its kernels address them: the
 /// group's own columns in place, or — for the ragged tail of `ch % 8`
 /// channels — zero-padded `[L, 8]` copies run as a full group
-/// (`ch = 8`, `ci0 = 0`).
+/// (`ch = 8`, `ci0 = 0`). The copies keep the rows in canonical order, so
+/// the group's walk serves them too.
 struct GroupView<'a, const K: usize> {
     geom: peb_simd::scan::Group,
     inputs: [&'a [f32]; K],
@@ -114,7 +109,8 @@ struct GroupView<'a, const K: usize> {
 }
 
 impl<'a, const K: usize> GroupView<'a, K> {
-    fn new(l: usize, ch: usize, n: usize, group: usize, inputs: [&'a [f32]; K]) -> Self {
+    fn new(dims: Dims, group: usize, inputs: [&'a [f32]; K]) -> Self {
+        let (l, ch, n, walk) = dims;
         let ci0 = group * LANES;
         let lanes = (ch - ci0).min(LANES);
         if lanes == LANES {
@@ -124,6 +120,7 @@ impl<'a, const K: usize> GroupView<'a, K> {
                 n,
                 ci0,
                 lanes,
+                walk,
             };
             return GroupView {
                 geom,
@@ -147,6 +144,7 @@ impl<'a, const K: usize> GroupView<'a, K> {
             n,
             ci0: 0,
             lanes,
+            walk,
         };
         GroupView {
             geom,
@@ -188,37 +186,24 @@ fn skip_lanes(skip: &[f32], ci0: usize) -> [f32; LANES] {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scan_forward(
-    u: &Tensor,
-    delta: &Tensor,
-    a: &Tensor,
-    b: &Tensor,
-    c: &Tensor,
-    d: &Tensor,
-    l: usize,
-    ch: usize,
-    n: usize,
-    record: bool,
-) -> (Tensor, peb_pool::PoolBuf<f32>) {
+/// `[u, Δ, a, b, c, d]` of the forward: `y` and, when `record`, the
+/// state trajectory.
+fn scan_forward(ops: [&Tensor; 6], dims: Dims, record: bool) -> (Tensor, peb_pool::PoolBuf<f32>) {
+    let (l, ch, n, _) = dims;
     let _span = peb_obs::span("scan.fwd");
     peb_obs::count(peb_obs::Counter::ScanLanes, ch as u64);
-    let (ud, dd, ad, bd, cd, skip) = (
-        u.data(),
-        delta.data(),
-        a.data(),
-        b.data(),
-        c.data(),
-        d.data(),
-    );
+    let [ud, dd, ad, bd, cd, skip] = ops.map(Tensor::data);
     let groups = ch.div_ceil(LANES);
     let group_traj = l * n * LANES;
     // The trajectory is the big (L·8·N per group) scratch of the scan,
     // kept in the kernels' `[group][t][N][8]` layout; pooled so repeated
     // forward/backward passes reuse one buffer. It is handed to the
     // backward closure and recycles when the graph node drops. Only
-    // backward reads it, so a non-recording call keeps it empty.
-    let mut h_traj = peb_pool::PoolBuf::<f32>::zeroed(if record { groups * group_traj } else { 0 });
+    // backward reads it, so a non-recording call keeps it empty. The
+    // kernel stores every (t, ni) vector of it, pad lanes included, so it
+    // is checked out for overwrite.
+    let mut h_traj =
+        peb_pool::PoolBuf::<f32>::for_overwrite(if record { groups * group_traj } else { 0 });
     let mut y = Tensor::for_overwrite(&[l, ch]);
     {
         // Channel groups are independent: the t-recurrence runs
@@ -232,7 +217,7 @@ fn scan_forward(
             let mut h = peb_pool::PoolBuf::<f32>::zeroed(n * LANES);
             let mut apack = peb_pool::PoolBuf::<f32>::cleared(n * LANES);
             for gi in chunk {
-                let view = GroupView::new(l, ch, n, gi, [ud, dd]);
+                let view = GroupView::new(dims, gi, [ud, dd]);
                 let ci0 = gi * LANES;
                 peb_simd::scan::pack_a_lanes8(ad, n, ci0, view.geom.lanes, &mut apack);
                 let skip8 = skip_lanes(skip, ci0);
@@ -271,31 +256,13 @@ fn scan_forward(
     (y, h_traj)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scan_backward(
-    g: &Tensor,
-    u: &Tensor,
-    delta: &Tensor,
-    a: &Tensor,
-    b: &Tensor,
-    c: &Tensor,
-    d: &Tensor,
-    h_traj: &[f32],
-    l: usize,
-    ch: usize,
-    n: usize,
-) -> Vec<Tensor> {
+/// The gradients of `[u, Δ, a, b, c, d]` for the output gradient `g`.
+fn scan_backward(g: &Tensor, ops: [&Tensor; 6], h_traj: &[f32], dims: Dims) -> Vec<Tensor> {
+    let (l, ch, n, _) = dims;
     let _span = peb_obs::span("scan.bwd");
     peb_obs::count(peb_obs::Counter::ScanLanes, ch as u64);
-    let (gd, ud, dd, ad, bd, cd, skip) = (
-        g.data(),
-        u.data(),
-        delta.data(),
-        a.data(),
-        b.data(),
-        c.data(),
-        d.data(),
-    );
+    let gd = g.data();
+    let [ud, dd, ad, bd, cd, skip] = ops.map(Tensor::data);
     let groups = ch.div_ceil(LANES);
     let group_traj = l * n * LANES;
     let ln = l * n;
@@ -329,7 +296,7 @@ fn scan_backward(
             let mut apack = peb_pool::PoolBuf::<f32>::cleared(n * LANES);
             let mut da8 = peb_pool::PoolBuf::<f32>::zeroed(n * LANES);
             for gi in chunk {
-                let view = GroupView::new(l, ch, n, gi, [ud, dd, gd]);
+                let view = GroupView::new(dims, gi, [ud, dd, gd]);
                 let (ci0, lanes) = (gi * LANES, view.geom.lanes);
                 peb_simd::scan::pack_a_lanes8(ad, n, ci0, lanes, &mut apack);
                 let skip8 = skip_lanes(skip, ci0);
@@ -607,6 +574,78 @@ mod tests {
                     }
                 } else {
                     assert_eq!(bits(got), bits(&want[i]), "ch={ch}: {name}");
+                }
+            }
+        }
+    }
+
+    /// The rows of each direction's order by the index formula of the
+    /// gathered copies the walks replaced: `idx[t]` is the row a gathered
+    /// copy holds at `t`.
+    fn gather_indices(dir: crate::ScanDirection, (d, h, w): (usize, usize, usize)) -> Vec<usize> {
+        use crate::ScanDirection::*;
+        match dir {
+            DepthForward => (0..d * h * w).collect(),
+            DepthBackward => (0..d * h * w).rev().collect(),
+            Spatial => (0..h * w)
+                .flat_map(|p| (0..d).map(move |z| z * h * w + p))
+                .collect(),
+        }
+    }
+
+    /// Row `t` of the result is row `idx[t]` of `x`.
+    fn gather(x: &Tensor, idx: &[usize]) -> Tensor {
+        let c = x.len() / idx.len();
+        let data = idx.iter().flat_map(|&r| x.data()[r * c..][..c].to_vec());
+        Tensor::from_vec(data.collect(), x.shape()).unwrap()
+    }
+
+    /// Row `idx[t]` of the result is row `t` of `x`.
+    fn scatter(x: &Tensor, idx: &[usize]) -> Tensor {
+        let c = x.len() / idx.len();
+        let mut out = x.clone();
+        for (t, &r) in idx.iter().enumerate() {
+            out.data_mut()[r * c..][..c].copy_from_slice(&x.data()[t * c..][..c]);
+        }
+        out
+    }
+
+    #[test]
+    fn walked_scan_is_the_forward_scan_scattered_back_bitwise() {
+        // y, and all six gradients of a canonical-order output gradient,
+        // every direction, a padded tail and several groups, at every
+        // level and at 1, 3 and 7 threads.
+        let dims = (3, 2, 5);
+        let (l, n) = (30, 5);
+        for ch in [7, 19] {
+            let o = operands(l, ch, n, 70 + ch as u64);
+            let g = Tensor::randn(&[l, ch], &mut StdRng::seed_from_u64(71));
+            let run = |g: &Tensor, walk: Walk| {
+                let v = [&o.u, &o.delta, &o.a, &o.b, &o.c, &o.d].map(|t| Var::parameter(t.clone()));
+                let y = walked_scan(&v[0], &v[1], &v[2], &v[3], &v[4], &v[5], walk);
+                y.weighted_sum(g).backward();
+                (y.value_clone(), v.map(|v| v.grad().unwrap()))
+            };
+            for dir in crate::ScanDirection::ALL {
+                let idx = gather_indices(dir, dims);
+                for level in peb_par::ctx::levels() {
+                    for threads in [1, 3, 7] {
+                        let at = peb_par::ExecCtx {
+                            level,
+                            threads,
+                            ..peb_par::ctx::current()
+                        };
+                        let (y, grads) = peb_par::ctx::with(at, || run(&g, dir.walk(dims)));
+                        let (want_y, want) =
+                            peb_par::ctx::with(at, || run(&gather(&g, &idx), Walk::Forward));
+                        let what = format!("ch={ch} {dir:?} {level:?} {threads} threads");
+                        let want_y = scatter(&want_y, &idx);
+                        assert_eq!(y.bit_digest(), want_y.bit_digest(), "{what}: y");
+                        for (i, name) in ["u", "delta", "a", "b", "c", "d"].iter().enumerate() {
+                            let (got, want) = (grads[i].bit_digest(), want[i].bit_digest());
+                            assert_eq!(got, want, "{what}: d{name}");
+                        }
+                    }
                 }
             }
         }

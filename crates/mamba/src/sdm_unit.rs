@@ -2,9 +2,11 @@
 //!
 //! Pipeline per Fig. 5(a): the normalised sequence is linearly projected
 //! into a content path `x` and a gate path `z`; each scan direction runs
-//! `Conv1d → SiLU → selective SSM` over its own token ordering; the
-//! direction outputs are gated by `SiLU(z)` and summed; a final linear
-//! projection and a kernel-3 depthwise 3-D convolution refine the result.
+//! `Conv1d → SiLU → selective SSM` along its own token ordering — a walk:
+//! the conv1d reads the canonical rows along it and the scan stores its
+//! output back along it, so no reordered copy is made; the direction
+//! outputs are gated by `SiLU(z)` and summed; a final linear projection
+//! and a kernel-3 depthwise 3-D convolution refine the result.
 
 use rand::Rng;
 
@@ -12,7 +14,7 @@ use peb_nn::{DwConv3d, LayerNorm, Linear, Parameterized};
 use peb_tensor::Var;
 
 use crate::conv1d::CausalDwConv1d;
-use crate::directions::{gather_rows, ScanDirection, ScanOrder};
+use crate::directions::ScanDirection;
 use crate::ssm::SsmBlock;
 
 /// SDM unit hyper-parameters.
@@ -122,12 +124,9 @@ impl SdmUnit {
         let gate = self.in_proj_z.forward(x).silu();
         let mut acc: Option<Var> = None;
         for branch in &self.branches {
-            let order = ScanOrder::new(branch.direction, dims);
-            let reordered = gather_rows(&xs, &order.indices);
-            let driven = branch.conv.forward(&reordered).silu();
-            let scanned = branch.ssm.forward(&driven);
-            let canonical = gather_rows(&scanned, &order.inverse);
-            let gated = canonical.mul(&gate);
+            let walk = branch.direction.walk(dims);
+            let driven = branch.conv.forward(&xs, walk).silu();
+            let gated = branch.ssm.forward(&driven, walk).mul(&gate);
             acc = Some(match acc {
                 Some(prev) => prev.add(&gated),
                 None => gated,
@@ -167,6 +166,7 @@ impl Parameterized for SdmUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peb_simd::scan::Walk;
     use peb_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -238,6 +238,94 @@ mod tests {
         let bi = unit(2, 99);
         let y_bi = bi.forward(&Var::constant(x), (3, 2, 2));
         assert!(y_full.value().max_abs_diff(&y_bi.value()) > 1e-5);
+    }
+
+    /// The rows of each direction's order by the index formula of the
+    /// gathered copies the walks replaced.
+    fn gather_indices(dir: ScanDirection, (d, h, w): (usize, usize, usize)) -> Vec<usize> {
+        match dir {
+            ScanDirection::DepthForward => (0..d * h * w).collect(),
+            ScanDirection::DepthBackward => (0..d * h * w).rev().collect(),
+            ScanDirection::Spatial => (0..h * w)
+                .flat_map(|p| (0..d).map(move |z| z * h * w + p))
+                .collect(),
+        }
+    }
+
+    fn inverse(idx: &[usize]) -> Vec<usize> {
+        let mut inv = vec![0; idx.len()];
+        for (t, &r) in idx.iter().enumerate() {
+            inv[r] = t;
+        }
+        inv
+    }
+
+    /// Differentiable row gather `y[t] = x[idx[t]]` for a permutation
+    /// `idx`; its backward copies each gradient row back.
+    fn gather(x: &Var, idx: &[usize]) -> Var {
+        let rows = |v: &Tensor, idx: &[usize]| {
+            let c = v.len() / idx.len();
+            let data = idx.iter().flat_map(|&r| v.data()[r * c..][..c].to_vec());
+            Tensor::from_vec(data.collect(), v.shape()).unwrap()
+        };
+        let inv = inverse(idx);
+        Var::from_op(rows(&x.value(), idx), vec![x.clone()], move |g| {
+            vec![Some(rows(g, &inv))]
+        })
+    }
+
+    /// The unit as it ran before its branches walked: each branch on a
+    /// gathered copy in scan order, scattered back.
+    fn gathered_forward(u: &SdmUnit, x: &Var, dims: (usize, usize, usize)) -> Var {
+        let (d, h, w) = dims;
+        let xs = u.in_proj_x.forward(x);
+        let gate = u.in_proj_z.forward(x).silu();
+        let mut acc: Option<Var> = None;
+        for branch in &u.branches {
+            let idx = gather_indices(branch.direction, dims);
+            let driven = branch
+                .conv
+                .forward(&gather(&xs, &idx), Walk::Forward)
+                .silu();
+            let scanned = branch.ssm.forward(&driven, Walk::Forward);
+            let gated = gather(&scanned, &inverse(&idx)).mul(&gate);
+            acc = Some(match acc {
+                Some(prev) => prev.add(&gated),
+                None => gated,
+            });
+        }
+        let projected = u.out_proj.forward(&u.combine_norm.forward(&acc.unwrap()));
+        let vol = projected.permute(&[1, 0]).reshape(&[u.config.dim, d, h, w]);
+        u.dw.forward(&vol)
+            .reshape(&[u.config.dim, d * h * w])
+            .permute(&[1, 0])
+    }
+
+    #[test]
+    fn walked_unit_is_the_gathered_unit_bitwise() {
+        // The output and every gradient: the walks move addresses, not
+        // arithmetic.
+        let mut rng = StdRng::seed_from_u64(66);
+        let dims = (3, 2, 4);
+        let u = unit(3, 66);
+        let x = Tensor::randn(&[24, 4], &mut rng);
+        let weights = Tensor::randn(&[24, 4], &mut rng);
+        let params = u.parameters();
+        let run = |f: &dyn Fn(&Var) -> Var| {
+            params.iter().for_each(Var::zero_grad);
+            let xv = Var::parameter(x.clone());
+            let y = f(&xv);
+            y.weighted_sum(&weights).backward();
+            let grads: Vec<Tensor> = params.iter().map(|p| p.grad().unwrap()).collect();
+            (y.value_clone(), xv.grad().unwrap(), grads)
+        };
+        let (y, dx, grads) = run(&|v| u.forward(v, dims));
+        let (want_y, want_dx, want) = run(&|v| gathered_forward(&u, v, dims));
+        assert_eq!(y.bit_digest(), want_y.bit_digest(), "y");
+        assert_eq!(dx.bit_digest(), want_dx.bit_digest(), "dx");
+        for (i, (got, want)) in grads.iter().zip(&want).enumerate() {
+            assert_eq!(got.bit_digest(), want.bit_digest(), "param {i}");
+        }
     }
 
     #[test]

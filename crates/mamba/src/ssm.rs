@@ -3,9 +3,10 @@
 use rand::Rng;
 
 use peb_nn::{Linear, Parameterized};
+use peb_simd::scan::Walk;
 use peb_tensor::{Tensor, Var};
 
-use crate::scan::selective_scan;
+use crate::scan::walked_scan;
 
 /// HiPPO-inspired initialisation of `A_log`: `A[c, n] = −(n + 1)` so each
 /// state dimension starts with a distinct decay rate (the diagonal
@@ -49,12 +50,17 @@ impl SsmBlock {
         }
     }
 
-    /// Applies the selective scan to an `[L, C]` sequence.
+    /// Applies the selective scan along `walk` to an `[L, C]` sequence in
+    /// step order (row `t` is step `t`, as [`crate::CausalDwConv1d`]
+    /// writes it) and stores step `t`'s output in row `walk.row(t)`: bit
+    /// for bit the block at [`Walk::Forward`] scattered back along the
+    /// walk. The projections and softplus act token by token on the
+    /// step-ordered rows.
     ///
     /// # Panics
     ///
-    /// Panics on a channel mismatch.
-    pub fn forward(&self, x: &Var) -> Var {
+    /// Panics on a channel mismatch or a walk that does not span `L`.
+    pub fn forward(&self, x: &Var, walk: Walk) -> Var {
         let s = x.shape();
         assert_eq!(s[1], self.channels, "SsmBlock channel mismatch");
         // Eq. 10: input-dependent projections.
@@ -68,7 +74,7 @@ impl SsmBlock {
             .softplus();
         // Eq. 7 discretisation happens inside the fused scan.
         let a = self.a_log.exp().mul_scalar(-1.0); // [C, N], negative
-        selective_scan(x, &delta, &a, &b, &c, &self.d_skip)
+        walked_scan(x, &delta, &a, &b, &c, &self.d_skip, walk)
     }
 }
 
@@ -109,7 +115,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(50);
         let ssm = SsmBlock::new(4, 8, &mut rng);
         let x = Var::constant(Tensor::randn(&[32, 4], &mut rng));
-        let y = ssm.forward(&x);
+        let y = ssm.forward(&x, Walk::Forward);
         assert_eq!(y.shape(), vec![32, 4]);
         assert!(y.value().data().iter().all(|v| v.is_finite()));
     }
@@ -119,7 +125,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(51);
         let ssm = SsmBlock::new(3, 4, &mut rng);
         let x = Var::constant(Tensor::randn(&[6, 3], &mut rng));
-        ssm.forward(&x).square().sum().backward();
+        ssm.forward(&x, Walk::Forward).square().sum().backward();
         for (i, p) in ssm.parameters().iter().enumerate() {
             let g = p.grad().unwrap_or_else(|| panic!("param {i} missing grad"));
             assert!(
@@ -136,7 +142,7 @@ mod tests {
         let x0 = Tensor::randn(&[5, 2], &mut rng);
         let r = peb_tensor::check_gradients(
             &Var::parameter(x0),
-            |v| ssm.forward(v).square().sum(),
+            |v| ssm.forward(v, Walk::Forward).square().sum(),
             1e-2,
         );
         assert!(r.ok(3e-2), "{r:?}");
@@ -149,8 +155,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(53);
         let ssm = SsmBlock::new(2, 3, &mut rng);
         let x = Tensor::randn(&[8, 2], &mut rng);
-        let y1 = ssm.forward(&Var::constant(x.clone())).value_clone();
-        let y2 = ssm.forward(&Var::constant(x.mul_scalar(2.0))).value_clone();
+        let y1 = ssm
+            .forward(&Var::constant(x.clone()), Walk::Forward)
+            .value_clone();
+        let y2 = ssm
+            .forward(&Var::constant(x.mul_scalar(2.0)), Walk::Forward)
+            .value_clone();
         assert!(y2.max_abs_diff(&y1.mul_scalar(2.0)) > 1e-4);
     }
 
@@ -160,7 +170,11 @@ mod tests {
         let block = SsmBlock::new(2, 4, &mut rng);
         let x1 = Tensor::randn(&[6, 2], &mut rng);
         let x2 = Tensor::randn(&[6, 2], &mut rng);
-        let f = |t: &Tensor| block.forward(&Var::constant(t.clone())).value_clone();
+        let f = |t: &Tensor| {
+            block
+                .forward(&Var::constant(t.clone()), Walk::Forward)
+                .value_clone()
+        };
         let lhs = f(&x1.add_t(&x2).unwrap());
         let rhs = f(&x1).add_t(&f(&x2)).unwrap();
         assert!(lhs.max_abs_diff(&rhs) > 1e-4, "selectivity lost");

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use peb_mamba::{selective_scan, ScanDirection, ScanOrder};
+use peb_mamba::{selective_scan, CausalDwConv1d, ScanDirection, SsmBlock, Walk};
+use peb_nn::Parameterized;
 use peb_par::ctx::{self, ExecCtx};
 use peb_tensor::{check_gradients, Tensor, Var};
 
@@ -150,16 +151,16 @@ proptest! {
 
     #[test]
     fn scan_orders_are_bijective(d in 1usize..4, h in 1usize..5, w in 1usize..5) {
+        let len = d * h * w;
         for dir in ScanDirection::ALL {
-            let order = ScanOrder::new(dir, (d, h, w));
-            prop_assert_eq!(order.len(), d * h * w);
-            let mut seen = vec![false; order.len()];
-            for &i in &order.indices {
+            let walk = dir.walk((d, h, w));
+            prop_assert!(walk.spans(len));
+            let rows: Vec<usize> = (0..len).map(|t| walk.row(t)).collect();
+            prop_assert_eq!(&rows, &gather_indices(dir, (d, h, w)), "{:?}", dir);
+            let mut seen = vec![false; len];
+            for &i in &rows {
                 prop_assert!(!seen[i]);
                 seen[i] = true;
-            }
-            for (t, &src) in order.indices.iter().enumerate() {
-                prop_assert_eq!(order.inverse[src], t);
             }
         }
     }
@@ -174,6 +175,149 @@ proptest! {
             let u = Tensor::ones(&[l, ch]);
             let y = run(&u, &f);
             prop_assert!(y.data().iter().all(|v| v.is_finite() && v.abs() < 1e3), "ch={}", ch);
+        }
+    }
+}
+
+/// The rows of each direction's order by the index formula of the
+/// gathered copies the walks replaced: a gathered copy holds canonical
+/// row `idx[t]` at row `t`.
+fn gather_indices(dir: ScanDirection, (d, h, w): (usize, usize, usize)) -> Vec<usize> {
+    let len = d * h * w;
+    match dir {
+        ScanDirection::DepthForward => (0..len).collect(),
+        ScanDirection::DepthBackward => (0..len).rev().collect(),
+        ScanDirection::Spatial => {
+            let mut idx = Vec::with_capacity(len);
+            for hy in 0..h {
+                for wx in 0..w {
+                    for dz in 0..d {
+                        idx.push((dz * h + hy) * w + wx);
+                    }
+                }
+            }
+            idx
+        }
+    }
+}
+
+/// Row `t` of the result is row `idx[t]` of `x`.
+fn gather(x: &Tensor, idx: &[usize]) -> Tensor {
+    let c = x.len() / idx.len();
+    let rows = idx.iter().flat_map(|&r| x.data()[r * c..][..c].to_vec());
+    Tensor::from_vec(rows.collect(), x.shape()).unwrap()
+}
+
+/// The inverse of [`gather`]: row `idx[t]` of the result is row `t`.
+fn scatter(x: &Tensor, idx: &[usize]) -> Tensor {
+    let c = x.len() / idx.len();
+    let mut out = x.clone();
+    for (t, &r) in idx.iter().enumerate() {
+        out.data_mut()[r * c..][..c].copy_from_slice(&x.data()[t * c..][..c]);
+    }
+    out
+}
+
+/// Runs `f` at every dispatch level and at 1, 3 and 7 threads.
+fn at_every_level_and_odd_threads(mut f: impl FnMut(ExecCtx)) {
+    for level in ctx::levels() {
+        for threads in [1, 3, 7] {
+            f(ExecCtx {
+                level,
+                threads,
+                ..ctx::current()
+            });
+        }
+    }
+}
+
+/// `layer(x)` and its weighted-sum gradients: `(y, dx, parameter grads)`.
+fn forward_backward(
+    layer: &dyn Fn(&Var) -> Var,
+    params: &[Var],
+    x: &Tensor,
+    weights: &Tensor,
+) -> (Tensor, Tensor, Vec<Tensor>) {
+    params.iter().for_each(Var::zero_grad);
+    let xv = Var::parameter(x.clone());
+    let y = layer(&xv);
+    y.weighted_sum(weights).backward();
+    let grads = params.iter().map(|p| p.grad().unwrap()).collect();
+    (y.value_clone(), xv.grad().unwrap(), grads)
+}
+
+const WALK_DIMS: [(usize, usize, usize); 3] = [(3, 2, 5), (1, 4, 3), (7, 1, 1)];
+
+#[test]
+fn walked_conv1d_is_the_plain_one_on_the_gathered_rows_bitwise() {
+    // The walk only moves addresses: each output, dx, dW and db element is
+    // the same sum in the same order as the plain layer's on the rows
+    // gathered into walk order, whose dx scatters back.
+    let mut rng = StdRng::seed_from_u64(80);
+    for dims in WALK_DIMS {
+        let l = dims.0 * dims.1 * dims.2;
+        for c in [1, 9] {
+            let conv = CausalDwConv1d::new(c, 3, &mut rng);
+            let x = Tensor::randn(&[l, c], &mut rng);
+            let g = Tensor::randn(&[l, c], &mut rng);
+            let params = conv.parameters();
+            for dir in ScanDirection::ALL {
+                let idx = gather_indices(dir, dims);
+                at_every_level_and_odd_threads(|at| {
+                    let (y, dx, dp) = ctx::with(at, || {
+                        forward_backward(&|v| conv.forward(v, dir.walk(dims)), &params, &x, &g)
+                    });
+                    let (wy, wdx, wdp) = ctx::with(at, || {
+                        let conv = |v: &Var| conv.forward(v, Walk::Forward);
+                        forward_backward(&conv, &params, &gather(&x, &idx), &g)
+                    });
+                    let what = format!("{dims:?} c={c} {dir:?} {at:?}");
+                    assert_eq!(y.bit_digest(), wy.bit_digest(), "{what}: y");
+                    assert_eq!(
+                        dx.bit_digest(),
+                        scatter(&wdx, &idx).bit_digest(),
+                        "{what}: dx"
+                    );
+                    for (p, (got, want)) in dp.iter().zip(&wdp).enumerate() {
+                        assert_eq!(got.bit_digest(), want.bit_digest(), "{what}: param {p}");
+                    }
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn walked_ssm_block_is_the_plain_one_scattered_back_bitwise() {
+    // The drive side stays in step order, so every projection, its
+    // gradients and the scan's run exactly as in the plain block; only
+    // the output (and its gradient) sits in the walk's rows.
+    let mut rng = StdRng::seed_from_u64(81);
+    for dims in WALK_DIMS {
+        let l = dims.0 * dims.1 * dims.2;
+        for c in [7, 19] {
+            let block = SsmBlock::new(c, 4, &mut rng);
+            let x = Tensor::randn(&[l, c], &mut rng);
+            let g = Tensor::randn(&[l, c], &mut rng);
+            let params = block.parameters();
+            for dir in ScanDirection::ALL {
+                let idx = gather_indices(dir, dims);
+                at_every_level_and_odd_threads(|at| {
+                    let (y, dx, dp) = ctx::with(at, || {
+                        forward_backward(&|v| block.forward(v, dir.walk(dims)), &params, &x, &g)
+                    });
+                    let (wy, wdx, wdp) = ctx::with(at, || {
+                        let block = |v: &Var| block.forward(v, Walk::Forward);
+                        forward_backward(&block, &params, &x, &gather(&g, &idx))
+                    });
+                    let what = format!("{dims:?} c={c} {dir:?} {at:?}");
+                    assert_eq!(y.bit_digest(), scatter(&wy, &idx).bit_digest(), "{what}: y");
+                    assert_eq!(dx.bit_digest(), wdx.bit_digest(), "{what}: dx");
+                    for (p, (got, want)) in dp.iter().zip(&wdp).enumerate() {
+                        assert_eq!(got.bit_digest(), want.bit_digest(), "{what}: param {p}");
+                    }
+                });
+            }
         }
     }
 }

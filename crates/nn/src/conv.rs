@@ -556,7 +556,9 @@ fn transposed_planes(
 /// Runs `f(z, split)` for every plane `z` of `d`, in parallel, with
 /// `split` holding the window of plane `z` of the strided side `src`
 /// (`[C, d + kd − 1, ho, wo]`, `cout = C·kd` in `geom`'s roles) split by
-/// column phase, [`SubPixel::grad_plane_len`] floats apart.
+/// column phase, [`SubPixel::grad_plane_len`] floats apart. The window
+/// has exactly `cout` planes and [`SubPixel::split_grad`] writes every
+/// slot of one, so the split is an overwrite checkout.
 fn for_each_split_plane(
     geom: &SubPixel,
     src: &[f32],
@@ -567,8 +569,9 @@ fn for_each_split_plane(
     let plane = geom.grad_plane_len();
     peb_par::parallel_chunks_cost(d, 1, geom.input_grad_flops(), |planes| {
         for z in planes {
-            let mut split = PoolBuf::zeroed(cout * plane);
+            let mut split = PoolBuf::for_overwrite(cout * plane);
             let window = channel_planes(&[src], (d, kd), z, ho * wo);
+            assert_eq!(window.len(), cout, "one split plane per channel");
             for (g, dst) in window.into_iter().zip(split.chunks_exact_mut(plane)) {
                 geom.split_grad(g, dst);
             }

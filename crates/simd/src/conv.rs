@@ -1186,6 +1186,29 @@ mod tests {
     }
 
     #[test]
+    fn split_grad_writes_every_slot_of_its_plane() {
+        // Into NaN as into zeros, bit for bit: the split may be an
+        // overwrite checkout. The stem's k7 s4 p3 embed, the s2 embeds,
+        // a ragged width and the stride-1 geometry of the 3-D conv.
+        for ((h, w), (ho, wo), k, s, p) in [
+            ((32, 32), (128, 128), 7, 4, 3),
+            ((32, 32), (125, 127), 7, 4, 3),
+            ((16, 16), (32, 32), 3, 2, 1),
+            ((4, 5), (8, 9), 3, 2, 1),
+            ((3, 3), (6, 7), 2, 2, 0),
+            ((5, 7), (5, 7), 3, 1, 1),
+        ] {
+            let geom = SubPixel::new(2, 3, (h, w), (ho, wo), k, s, p);
+            let g = pseudo(ho * wo, 11);
+            let mut zeroed = vec![0f32; geom.grad_plane_len()];
+            let mut nan = vec![f32::NAN; geom.grad_plane_len()];
+            geom.split_grad(&g, &mut zeroed);
+            geom.split_grad(&g, &mut nan);
+            assert_eq!(bits(&nan), bits(&zeroed), "{geom}");
+        }
+    }
+
+    #[test]
     fn row_sweeps_are_bitwise_identical_across_backends() {
         let run = || {
             let mut out = Vec::new();

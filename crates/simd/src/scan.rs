@@ -12,6 +12,9 @@
 //! Layout contract (`[L, C]` row-major activations, as in `peb-mamba`),
 //! described per group by a [`Group`]:
 //!
+//! * step `t` of the recurrence reads `u`, `delta`, `b`, `c` (and writes
+//!   their gradients) at row `t`, and stores `y` (and loads `g`) at row
+//!   `walk.row(t)` of the group's [`Walk`], so no reordered copy is made;
 //! * `u`/`delta` — and `y`, the output gradient `g`, `du`, `ddelta` —
 //!   rows hold channels contiguously, so the group `ci0..ci0+8` loads
 //!   directly;
@@ -19,14 +22,15 @@
 //!   interleaved order, as are the running state `h`, the backward's
 //!   carried `dh` and its `da` accumulator;
 //! * the state trajectory is kept in the group's own layout, one
-//!   contiguous `[L][N][8]` block per group: the forward stores each
-//!   step's `h` as is and the backward loads it as is;
+//!   contiguous `[L][N][8]` block per group in step order: the forward
+//!   stores step `t`'s `h` as is and the backward loads it as is;
 //! * `y`, `du` and `ddelta` are written through [`peb_par::UnsafeSlice`]
 //!   because a lane group owns strided positions of the shared output.
 //!
 //! **Pad lanes.** A group narrower than eight channels (the ragged tail
 //! of `C % 8` lanes) runs the same kernels on zero-padded `[L, 8]`
-//! copies of its `u`, `Δ` and `g` (`ch = 8`, `ci0 = 0`), with the pad
+//! copies of its `u`, `Δ` and `g` (`ch = 8`, `ci0 = 0`, rows where they
+//! were, so the same walk serves them), with the pad
 //! rows of `a` and the pad skip weights zero. A pad lane's state and
 //! gradients then stay exactly zero; the caller stores only the real
 //! lanes, and the backward's lane sums for `db`/`dc` stop at
@@ -35,6 +39,41 @@
 use peb_par::UnsafeSlice;
 
 use crate::Simd8;
+
+/// A scan order: step `t` of a scan visits row [`Walk::row`]`(t)` of a
+/// canonically ordered sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walk {
+    /// Row `t`.
+    Forward,
+    /// Row `len − 1 − t` of `len` rows.
+    Reverse { len: usize },
+    /// Depth-innermost over a depth-major volume of `d` levels of `hw`
+    /// positions: all depths of position 0, then of position 1, …, so
+    /// row `(t mod d)·hw + ⌊t / d⌋`.
+    DepthInnermost { d: usize, hw: usize },
+}
+
+impl Walk {
+    /// The row visited at step `t`.
+    #[inline(always)]
+    pub fn row(self, t: usize) -> usize {
+        match self {
+            Walk::Forward => t,
+            Walk::Reverse { len } => len - 1 - t,
+            Walk::DepthInnermost { d, hw } => t % d * hw + t / d,
+        }
+    }
+
+    /// Whether the walk visits each of the rows `0..l` once.
+    pub fn spans(self, l: usize) -> bool {
+        match self {
+            Walk::Forward => true,
+            Walk::Reverse { len } => len == l,
+            Walk::DepthInnermost { d, hw } => d * hw == l,
+        }
+    }
+}
 
 /// Geometry of one 8-lane channel group of a `[L, ch]` scan.
 #[derive(Debug, Clone, Copy)]
@@ -49,6 +88,8 @@ pub struct Group {
     pub ci0: usize,
     /// Real lanes, `1..=8`; lanes past it are zero padding.
     pub lanes: usize,
+    /// The scan order: step `t`'s output (`y`, `g`) is row `walk.row(t)`.
+    pub walk: Walk,
 }
 
 /// The read-only operands of one lane group, shared by both directions.
@@ -112,16 +153,20 @@ dispatched! {
     /// y_t = Σ_ni c_t[ni]·h[ni] + d·u_t
     /// ```
     ///
-    /// `h` (length `n·8`, `[N][8]` interleaved) carries the state and must be
-    /// zeroed by the caller before the first time step. When `h_traj` is
-    /// `Some` (the group's `[L][N][8]` block, `l·n·8` floats), the state
-    /// after step `t` is stored at `h_traj[t·n·8..]`.
+    /// with `u_t`, `Δ_t`, `b_t` and `c_t` row `t` of their operands and
+    /// `y_t` stored at row `walk.row(t)`. `h` (length `n·8`, `[N][8]`
+    /// interleaved) carries the state and must be zeroed by the caller
+    /// before the first time step. When `h_traj` is `Some` (the group's
+    /// `[L][N][8]` block, `l·n·8` floats), the state after step `t` is
+    /// stored at `h_traj[t·n·8..]`, every vector of it, pad lanes
+    /// included.
     ///
     /// # Safety
     ///
     /// The caller must own columns `ci0..ci0+8` of `y` (positions
     /// `t·ch+ci`) exclusively — the standard `UnsafeSlice` disjoint-writes
-    /// contract of the lane-parallel scan. Requires `ci0 + 8 <= ch`.
+    /// contract of the lane-parallel scan. Requires `ci0 + 8 <= ch` and a
+    /// walk that spans `l` ([`Walk::spans`]).
     pub unsafe fn scan_forward_lanes8<V>(
         geom: Group,
         ops: LaneOperands<'_>,
@@ -130,7 +175,7 @@ dispatched! {
         h_traj: Option<&mut [f32]>,
     ) {
         let Group { l, ch, n, ci0, .. } = geom;
-        debug_assert!(ci0 + 8 <= ch);
+        debug_assert!(ci0 + 8 <= ch && geom.walk.spans(l));
         debug_assert!(h.len() >= n * 8 && ops.a_pack.len() >= n * 8 && ops.skip8.len() >= 8);
         debug_assert!(h_traj.as_ref().is_none_or(|t| t.len() >= l * n * 8));
         let mut h_traj = h_traj;
@@ -167,9 +212,10 @@ dispatched! {
                 acc = V::splat(c[t * n + ni]).mul_add(hv, acc);
             }
             let yv = skipv.mul_add(utv, acc);
-            // SAFETY: lane group owns y positions row..row+8 (caller
+            let out = geom.walk.row(t) * ch + ci0;
+            // SAFETY: lane group owns y positions out..out+8 (caller
             // contract).
-            yv.store(unsafe { y.slice_mut(row..row + 8) });
+            yv.store(unsafe { y.slice_mut(out..out + 8) });
         }
     }
 }
@@ -179,8 +225,11 @@ dispatched! {
     /// down to 0.
     ///
     /// `g` is the `[L, ch]` gradient of `y`, and `h_traj` the group's
-    /// `[L][N][8]` trajectory as [`scan_forward_lanes8`] recorded it. Per
-    /// step, each lane computes today's scalar adjoint in its order
+    /// `[L][N][8]` trajectory as [`scan_forward_lanes8`] recorded it, in
+    /// step order. Step `t` loads `g` from row `walk.row(t)`; every other
+    /// `[L, ·]` operand and gradient holds it in row `t`, as in the
+    /// forward. Per step, each lane computes today's scalar adjoint in its
+    /// order
     ///
     /// ```text
     /// dskip += g·u;  du = g·d;  dΔ = 0
@@ -200,7 +249,7 @@ dispatched! {
     ///
     /// The caller must own columns `ci0..ci0+8` of `grads.du` and
     /// `grads.ddelta` exclusively (the `UnsafeSlice` disjoint-writes
-    /// contract). Requires `ci0 + 8 <= ch`.
+    /// contract). Requires `ci0 + 8 <= ch` and a walk that spans `l`.
     pub unsafe fn scan_backward_lanes8<V>(
         geom: Group,
         ops: LaneOperands<'_>,
@@ -215,8 +264,9 @@ dispatched! {
             n,
             ci0,
             lanes,
+            walk,
         } = geom;
-        debug_assert!(ci0 + 8 <= ch && (1..=8).contains(&lanes));
+        debug_assert!(ci0 + 8 <= ch && (1..=8).contains(&lanes) && walk.spans(l));
         debug_assert!(h_traj.len() >= l * n * 8 && dh.len() >= n * 8);
         debug_assert!(
             grads.da.len() >= n * 8 && grads.db.len() >= l * n && grads.dc.len() >= l * n
@@ -243,7 +293,8 @@ dispatched! {
         let mut dskipv = V::load(dskip);
         for t in (0..l).rev() {
             let row = t * ch + ci0;
-            let gy = V::load(&g[row..row + 8]);
+            let gr = walk.row(t) * ch + ci0;
+            let gy = V::load(&g[gr..gr + 8]);
             let dt = V::load(&delta[row..row + 8]);
             let ut = V::load(&u[row..row + 8]);
             dskipv = gy.mul_add(ut, dskipv);
@@ -391,6 +442,7 @@ mod tests {
                     n,
                     ci0,
                     lanes: 8,
+                    walk: Walk::Forward,
                 };
                 let ops = LaneOperands {
                     u: &u,

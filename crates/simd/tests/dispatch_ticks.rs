@@ -9,7 +9,9 @@ use peb_simd::attention::{attention, Heads};
 use peb_simd::conv::{dw3_plane, dw3_weight_grad, Dw3, SubPixel};
 use peb_simd::fused::{vchain, Stage};
 use peb_simd::gemm::{gemm, gemm_cols, Bias};
-use peb_simd::scan::{scan_backward_lanes8, scan_forward_lanes8, Group, LaneGrads, LaneOperands};
+use peb_simd::scan::{
+    scan_backward_lanes8, scan_forward_lanes8, Group, LaneGrads, LaneOperands, Walk,
+};
 use peb_simd::thomas::{solve_factored_lines8, solve_factored_rows8};
 use peb_simd::{elementwise as ew, norm, optim, reaction, transpose, Level};
 
@@ -42,6 +44,7 @@ fn entries() -> Vec<Entry> {
         n: 2,
         ci0: 0,
         lanes: 8,
+        walk: Walk::Forward,
     };
     vec![
         ("vaxpy", Box::new(|| ew::vaxpy(&mut ones(9), 0.5, &ones(9)))),

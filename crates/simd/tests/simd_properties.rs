@@ -212,7 +212,7 @@ proptest! {
         let d = pseudo(ch, seed.wrapping_add(5), -1.0, 1.0);
         let mut apack = Vec::new();
         scan::pack_a_lanes8(&a, n, 0, 8, &mut apack);
-        let geom = scan::Group { l, ch, n, ci0: 0, lanes: 8 };
+        let geom = scan::Group { l, ch, n, ci0: 0, lanes: 8, walk: scan::Walk::Forward };
         let ops = scan::LaneOperands {
             u: &u, delta: &delta, a_pack: &apack, b: &b, c: &c, skip8: &d,
         };
@@ -266,7 +266,7 @@ proptest! {
         let d = pseudo(ch, seed.wrapping_add(5), -1.0, 1.0);
         let mut apack = Vec::new();
         scan::pack_a_lanes8(&a, n, 0, 8, &mut apack);
-        let geom = scan::Group { l, ch, n, ci0: 0, lanes: 8 };
+        let geom = scan::Group { l, ch, n, ci0: 0, lanes: 8, walk: scan::Walk::Forward };
         let ops = scan::LaneOperands {
             u: &u, delta: &delta, a_pack: &apack, b: &b, c: &c, skip8: &d,
         };
@@ -706,6 +706,7 @@ impl ScanCase {
                         n,
                         ci0,
                         lanes,
+                        walk: scan::Walk::Forward,
                     },
                 )
             } else {
@@ -719,6 +720,7 @@ impl ScanCase {
                         n,
                         ci0: 0,
                         lanes,
+                        walk: scan::Walk::Forward,
                     },
                 )
             };

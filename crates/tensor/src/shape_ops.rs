@@ -53,9 +53,11 @@ impl Tensor {
         let out_shape: Vec<usize> = perm.iter().map(|&p| src_shape[p]).collect();
         let n = self.len();
         let src = self.data();
-        let mut out = crate::tensor::alloc_cleared(n);
         if n == 0 {
-            return Ok(Tensor::from_pooled(out, &out_shape));
+            return Ok(Tensor::from_pooled(
+                crate::tensor::alloc_cleared(0),
+                &out_shape,
+            ));
         }
         // Output axes as (extent, stride in the source buffer), with
         // size-1 axes dropped and source-contiguous neighbours merged, so
@@ -72,6 +74,14 @@ impl Tensor {
                 _ => dims.push((extent, stride)),
             }
         }
+        // Blocks of a transposed matrix overwrite the whole output; the
+        // other paths push into an empty checkout.
+        let transposed = matches!(dims[..], [.., (cols, 1), (_, stride)] if stride == cols);
+        let mut out = if transposed {
+            crate::tensor::alloc_for_overwrite(n)
+        } else {
+            crate::tensor::alloc_cleared(n)
+        };
         match dims[..] {
             // The innermost axis stays innermost: contiguous row copies.
             [ref outer @ .., (len, 1)] => {
@@ -79,7 +89,6 @@ impl Tensor {
             }
             // The two innermost output axes are a transposed matrix.
             [ref outer @ .., (cols, 1), (rows, stride)] if stride == cols => {
-                out.resize(n, 0.0);
                 let mut blocks = out.chunks_exact_mut(rows * cols);
                 for_each_offset(outer, |at| {
                     let block = blocks.next().expect("one output block per outer index");

@@ -5,7 +5,7 @@
 //! cargo run --release -p sdm-peb --example selective_scan_tour
 //! ```
 
-use peb_mamba::{selective_scan, ScanDirection, ScanOrder, SdmUnit, SdmUnitConfig};
+use peb_mamba::{selective_scan, ScanDirection, SdmUnit, SdmUnitConfig};
 use peb_tensor::{Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,11 +36,13 @@ fn main() {
         );
     }
 
-    // 2. The three scan orderings on a small (D=2, H=2, W=3) volume.
+    // 2. The three scan orderings on a small (D=2, H=2, W=3) volume: each
+    //    is a walk over the canonical rows, step t visiting row walk.row(t).
     println!("\nscan orderings over a 2×2×3 volume (canonical token ids):");
     for dir in ScanDirection::ALL {
-        let order = ScanOrder::new(dir, (2, 2, 3));
-        println!("  {dir:?}: {:?}", order.indices);
+        let walk = dir.walk((2, 2, 3));
+        let rows: Vec<usize> = (0..12).map(|t| walk.row(t)).collect();
+        println!("  {dir:?}: {rows:?}");
     }
 
     // 3. A full SDM unit: gradient flows through every parameter.
