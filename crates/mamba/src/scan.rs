@@ -99,8 +99,8 @@ const LANES: usize = 8;
 /// A lane group's `[L, ch]` inputs as its kernels address them: the
 /// group's own columns in place, or — for the ragged tail of `ch % 8`
 /// channels — zero-padded `[L, 8]` copies run as a full group
-/// (`ch = 8`, `ci0 = 0`). The copies keep the rows in canonical order, so
-/// the group's walk serves them too.
+/// (`ch = 8`, `ci0 = 0`). The copies keep each row where it was, so the
+/// group's walk serves them too.
 struct GroupView<'a, const K: usize> {
     geom: peb_simd::scan::Group,
     inputs: [&'a [f32]; K],
