@@ -276,11 +276,13 @@ fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
     // overwrite checkout runs right after the pool is poisoned: its
     // output buffer holds NaN until the kernel writes it, so an element
     // it skipped shows. The chain is long enough to spread over the
-    // pool's workers, which write into the caller's checkout. Three
+    // pool's workers, which write into the caller's checkout. Some
     // overwrite checkouts are scratch rather than outputs, so their
     // kernels' results show them: the strided conv's phase split (read by
     // Conv2d's forward and backward), the transposed permute's blocks and
-    // the recording scan's state trajectory (read by its backward).
+    // the recording scan's state trajectory, lane-group scratch and
+    // db/dc partials (read by its backward, whose six gradients are
+    // overwrite outputs too).
     use peb_mamba::{CausalDwConv1d, Walk};
     use peb_nn::{Conv3d, ConvTranspose2d, DwConv3d};
 
@@ -296,16 +298,19 @@ fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
         let (seq, tokens) = (t(&[50, 6]), t(&[300, 12]));
         let (q, kv) = (t(&[40, 12]), t(&[14, 12]));
         let (gamma, beta) = (Var::constant(t(&[12])), Var::constant(t(&[12])));
-        let (l, ch, n) = (300, 10, 8);
-        let (u, b_in, c_in, skip) = (t(&[l, ch]), t(&[l, n]), t(&[l, n]), t(&[ch]));
-        let scan_in = [
-            u,
-            Tensor::rand_uniform(&[l, ch], 0.05, 0.5, &mut rng),
-            Tensor::rand_uniform(&[ch, n], -1.5, -0.2, &mut rng),
-            b_in,
-            c_in,
-            skip,
-        ];
+        let (fine, coarse) = (t(&[4, 64, 64]), t(&[4, 16, 16]));
+        // Two full lane groups and a tail, and a width that is all tail.
+        let mut scan_in = |l: usize, ch: usize, n: usize| {
+            [
+                Tensor::randn(&[l, ch], &mut rng),
+                Tensor::rand_uniform(&[l, ch], 0.05, 0.5, &mut rng),
+                Tensor::rand_uniform(&[ch, n], -1.5, -0.2, &mut rng),
+                Tensor::randn(&[l, n], &mut rng),
+                Tensor::randn(&[l, n], &mut rng),
+                Tensor::randn(&[ch], &mut rng),
+            ]
+        };
+        let scans = [scan_in(300, 10, 8), scan_in(300, 3, 8)];
         let conv2d = Conv2d::new(3, 5, 3, 2, 1, &mut rng);
         let conv3d = Conv3d::new(3, 4, 3, &mut rng);
         let convt = ConvTranspose2d::new(4, 3, 4, 2, 1, &mut rng);
@@ -366,25 +371,38 @@ fn every_overwriting_kernel_writes_its_whole_output_on_a_poisoned_pool() {
                 }),
             ),
             (
-                "selective scan",
+                "add upsampled",
                 Box::new(|| {
-                    let [u, d, a, b, c, skip] = &scan_in.clone().map(Var::constant);
-                    selective_scan(u, d, a, b, c, skip).value_clone()
+                    let coarse = Var::constant(coarse.clone());
+                    on(&|v| v.add_upsampled(&coarse, 4), &fine)
                 }),
             ),
             (
-                "recording selective scan",
+                "selective scan",
                 Box::new(|| {
-                    let vars = scan_in.clone().map(Var::parameter);
-                    let [u, d, a, b, c, skip] = &vars;
-                    selective_scan(u, d, a, b, c, skip)
-                        .square()
-                        .sum()
-                        .backward();
-                    flat(&vars.map(|v| v.grad().unwrap()))
+                    let [u, d, a, b, c, skip] = &scans[0].clone().map(Var::constant);
+                    selective_scan(u, d, a, b, c, skip).value_clone()
                 }),
             ),
         ];
+        let mut kernels = kernels;
+        for (name, scan_in) in [
+            ("recording selective scan, 10 channels", &scans[0]),
+            ("recording selective scan, 3 channels", &scans[1]),
+        ] {
+            kernels.push((
+                name,
+                Box::new(move || {
+                    let vars = scan_in.clone().map(Var::parameter);
+                    let [u, d, a, b, c, skip] = &vars;
+                    let y = selective_scan(u, d, a, b, c, skip);
+                    y.square().sum().backward();
+                    let mut outs = vec![y.value_clone()];
+                    outs.extend(vars.map(|v| v.grad().unwrap()));
+                    flat(&outs)
+                }),
+            ));
+        }
         for threads in [1, 2] {
             for (name, kernel) in &kernels {
                 let want = at_threads(threads, kernel);

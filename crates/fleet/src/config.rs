@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use peb_par::ctx::{self, read_parsed, ConfigError};
+use peb_par::ctx::{self, read_parsed, read_var, ConfigError};
 
 /// Consecutive failed health probes before a worker is declared down and
 /// restarted (absorbs one slow probe on a loaded box).
@@ -100,16 +100,19 @@ impl FleetConfig {
         };
         let d = FleetConfig::default();
         Ok(FleetConfig {
-            addr: env("PEB_FLEET_ADDR").unwrap_or(d.addr),
+            addr: read_var(&env, "PEB_FLEET_ADDR", "an address", |s| {
+                Some(s.to_string())
+            })?
+            .unwrap_or(d.addr),
             workers: read_parsed(&env, "PEB_FLEET_WORKERS", COUNT)?.unwrap_or(d.workers),
             deadline_us: read_parsed(&env, "PEB_FLEET_DEADLINE_US", COUNT)?
                 .unwrap_or(d.deadline_us),
             probe_interval: millis("PEB_FLEET_PROBE_MS", 1)?.unwrap_or(d.probe_interval),
             attempt_timeout: millis("PEB_FLEET_ATTEMPT_MS", 1)?,
             drain_timeout: millis("PEB_FLEET_DRAIN_MS", 0)?.unwrap_or(d.drain_timeout),
-            worker_bin: env("PEB_FLEET_WORKER_BIN")
-                .filter(|v| !v.is_empty())
-                .map(std::path::PathBuf::from),
+            worker_bin: read_var(&env, "PEB_FLEET_WORKER_BIN", "a path", |s| {
+                Some(std::path::PathBuf::from(s))
+            })?,
             ..d
         }
         .normalized())
@@ -162,6 +165,11 @@ mod tests {
         assert_eq!((c.workers, c.attempt_limit()), (3, 6));
         assert_eq!(c.probe_interval, Duration::from_millis(1));
         assert_eq!(c.worker_bin(), std::path::PathBuf::from("/opt/peb_worker"));
+        // An empty value counts as unset, as for every variable.
+        assert_eq!(
+            FleetConfig::from_lookup(env(&[("PEB_FLEET_ADDR", ""), ("PEB_FLEET_WORKER_BIN", "")])),
+            Ok(FleetConfig::default().normalized())
+        );
         let err = FleetConfig::from_lookup(env(&[("PEB_FLEET_WORKERS", "two")])).expect_err("two");
         assert_eq!((err.var, err.value.as_str()), ("PEB_FLEET_WORKERS", "two"));
     }

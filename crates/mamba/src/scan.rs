@@ -1,6 +1,7 @@
 //! The selective-scan recurrence as a fused autograd operation.
 
-use peb_simd::scan::Walk;
+use peb_pool::PoolBuf;
+use peb_simd::scan::{backward, forward, trajectory_len, Grads, Operands, Walk};
 use peb_tensor::{Tensor, Var};
 
 /// Runs the selective SSM recurrence over a sequence.
@@ -18,16 +19,14 @@ use peb_tensor::{Tensor, Var};
 /// This is the ZOH discretisation of Eq. 7 specialised to diagonal `A`
 /// with the simplified `B̄ = Δ·B` Euler rule used by Mamba.
 ///
-/// Both directions run whole 8-channel lane groups through
-/// `peb_simd::scan`; a ragged tail of `C % 8` channels is zero-padded to
-/// a full group. The backward pass recomputes only `exp(Δ·a)`: a
-/// recording forward stores the full state trajectory in the kernels'
-/// `[group][t][N][8]` layout (`⌈C/8⌉·8·L·N` floats — the pad lanes' zero
-/// states included) and the backward runs the adjoint recurrence over
-/// it in reverse, producing exact gradients for all six operands. When
-/// nothing records — inside `peb_tensor::no_grad`, or when no operand
-/// requires a gradient — the trajectory is neither allocated nor
-/// written; `y` is bit-equal either way.
+/// Both directions run `peb_simd::scan`'s [`forward`] and [`backward`].
+/// The backward pass recomputes only `exp(Δ·a)`: a recording forward
+/// stores the full state trajectory ([`trajectory_len`] floats) and the
+/// backward runs the adjoint recurrence over it in reverse, producing
+/// exact gradients for all six operands. When nothing records — inside
+/// `peb_tensor::no_grad`, or when no operand requires a gradient — the
+/// trajectory is neither allocated nor written; `y` is bit-equal either
+/// way.
 ///
 /// # Panics
 ///
@@ -73,299 +72,62 @@ pub(crate) fn walked_scan(
     assert!(walk.spans(l), "{walk:?} does not span {l} rows");
     peb_obs::optrace::note("scan", || format!("l={l} c={ch} n={n}"));
 
-    let ops = [u, delta, a, b, c, d];
-    let record = peb_tensor::grad_enabled() && ops.iter().any(|v| v.requires_grad());
-    let dims = (l, ch, n, walk);
-    let (y, h_traj) = {
-        let values = ops.map(|v| v.value());
-        scan_forward(values.each_ref().map(|v| &**v), dims, record)
+    let vars = [u, delta, a, b, c, d].map(Var::clone);
+    let record = peb_tensor::grad_enabled() && vars.iter().any(Var::requires_grad);
+    let dims = (l, ch, n);
+    let (y, traj) = {
+        let values = vars.each_ref().map(Var::value);
+        let _span = peb_obs::span("scan.fwd");
+        peb_obs::count(peb_obs::Counter::ScanLanes, ch as u64);
+        // Pooled so repeated forward/backward passes reuse one buffer; it
+        // is handed to the backward closure and recycles when the graph
+        // node drops. Only the backward reads it, so a non-recording call
+        // keeps it empty.
+        let mut traj =
+            PoolBuf::<f32>::for_overwrite(if record { trajectory_len(l, ch, n) } else { 0 });
+        let mut y = Tensor::for_overwrite(&[l, ch]);
+        let ops = operands(values.each_ref().map(|v| &**v), dims, walk);
+        forward(ops, y.data_mut(), record.then_some(&mut traj[..]));
+        (y, traj)
     };
-    let parents = ops.map(Var::clone).to_vec();
-    let saved = parents.clone();
+    let parents = vars.to_vec();
     Var::from_op(y, parents, move |g| {
-        let values: Vec<_> = saved.iter().map(|v| v.value()).collect();
-        let ops = std::array::from_fn(|i| &*values[i]);
-        let grads = scan_backward(g, ops, &h_traj, dims);
+        let values = vars.each_ref().map(Var::value);
+        let _span = peb_obs::span("scan.bwd");
+        peb_obs::count(peb_obs::Counter::ScanLanes, ch as u64);
+        let shapes: [&[usize]; 6] = [&[l, ch], &[l, ch], &[ch, n], &[l, n], &[l, n], &[ch]];
+        let mut grads = shapes.map(Tensor::for_overwrite);
+        let [du, ddelta, da, db, dc, dskip] = grads.each_mut().map(Tensor::data_mut);
+        backward(
+            operands(values.each_ref().map(|v| &**v), dims, walk),
+            g.data(),
+            &traj,
+            Grads {
+                du,
+                ddelta,
+                da,
+                db,
+                dc,
+                dskip,
+            },
+        );
         grads.into_iter().map(Some).collect()
     })
 }
 
-/// A scan's `(L, C, N)` and walk.
-type Dims = (usize, usize, usize, Walk);
-
-/// Lanes per channel group of the `peb-simd` scan kernels.
-const LANES: usize = 8;
-
-/// A lane group's `[L, ch]` inputs as its kernels address them: the
-/// group's own columns in place, or — for the ragged tail of `ch % 8`
-/// channels — zero-padded `[L, 8]` copies run as a full group
-/// (`ch = 8`, `ci0 = 0`). The copies keep each row where it was, so the
-/// group's walk serves them too.
-struct GroupView<'a, const K: usize> {
-    geom: peb_simd::scan::Group,
-    inputs: [&'a [f32]; K],
-    /// The tail's padded copies of `inputs`; empty for a full group.
-    padded: Vec<peb_pool::PoolBuf<f32>>,
-}
-
-impl<'a, const K: usize> GroupView<'a, K> {
-    fn new(dims: Dims, group: usize, inputs: [&'a [f32]; K]) -> Self {
-        let (l, ch, n, walk) = dims;
-        let ci0 = group * LANES;
-        let lanes = (ch - ci0).min(LANES);
-        if lanes == LANES {
-            let geom = peb_simd::scan::Group {
-                l,
-                ch,
-                n,
-                ci0,
-                lanes,
-                walk,
-            };
-            return GroupView {
-                geom,
-                inputs,
-                padded: Vec::new(),
-            };
-        }
-        let padded = inputs
-            .iter()
-            .map(|x| {
-                let mut pad = peb_pool::PoolBuf::<f32>::zeroed(l * LANES);
-                for (t, row) in pad.chunks_exact_mut(LANES).enumerate() {
-                    row[..lanes].copy_from_slice(&x[t * ch + ci0..t * ch + ch]);
-                }
-                pad
-            })
-            .collect();
-        let geom = peb_simd::scan::Group {
-            l,
-            ch: LANES,
-            n,
-            ci0: 0,
-            lanes,
-            walk,
-        };
-        GroupView {
-            geom,
-            inputs,
-            padded,
-        }
+/// `[u, Δ, a, b, c, d]` as `peb_simd::scan` takes them.
+fn operands(values: [&Tensor; 6], dims: (usize, usize, usize), walk: Walk) -> Operands<'_> {
+    let [u, delta, a, b, c, d] = values.map(Tensor::data);
+    Operands {
+        u,
+        delta,
+        a,
+        b,
+        c,
+        d,
+        dims,
+        walk,
     }
-
-    /// The `i`-th input as the kernels read it.
-    fn input(&self, i: usize) -> &[f32] {
-        self.padded.get(i).map_or(self.inputs[i], |p| &p[..])
-    }
-
-    /// An `[L, 8]` scratch output for the tail, `None` for a full group
-    /// (which writes the shared output in place).
-    fn scratch(&self) -> Option<peb_pool::PoolBuf<f32>> {
-        (!self.padded.is_empty()).then(|| peb_pool::PoolBuf::zeroed(self.geom.l * LANES))
-    }
-}
-
-/// Stores the real lanes of a padded `[L, 8]` tail result into columns
-/// `ci0..ch` of the `[L, ch]` output.
-///
-/// # Safety
-///
-/// The calling group must own those columns of `dst`.
-unsafe fn store_tail(src: &[f32], dst: &peb_par::UnsafeSlice<f32>, ch: usize, ci0: usize) {
-    for (t, row) in src.chunks_exact(LANES).enumerate() {
-        // SAFETY: the caller's group owns columns ci0..ch of row t.
-        unsafe { dst.slice_mut(t * ch + ci0..t * ch + ch) }.copy_from_slice(&row[..ch - ci0]);
-    }
-}
-
-/// The skip weights of the group at `ci0`, zero in its pad lanes.
-fn skip_lanes(skip: &[f32], ci0: usize) -> [f32; LANES] {
-    let mut out = [0f32; LANES];
-    let lanes = (skip.len() - ci0).min(LANES);
-    out[..lanes].copy_from_slice(&skip[ci0..ci0 + lanes]);
-    out
-}
-
-/// `[u, Δ, a, b, c, d]` of the forward: `y` and, when `record`, the
-/// state trajectory.
-fn scan_forward(ops: [&Tensor; 6], dims: Dims, record: bool) -> (Tensor, peb_pool::PoolBuf<f32>) {
-    let (l, ch, n, _) = dims;
-    let _span = peb_obs::span("scan.fwd");
-    peb_obs::count(peb_obs::Counter::ScanLanes, ch as u64);
-    let [ud, dd, ad, bd, cd, skip] = ops.map(Tensor::data);
-    let groups = ch.div_ceil(LANES);
-    let group_traj = l * n * LANES;
-    // The trajectory is the big (L·8·N per group) scratch of the scan,
-    // kept in the kernels' `[group][t][N][8]` layout; pooled so repeated
-    // forward/backward passes reuse one buffer. It is handed to the
-    // backward closure and recycles when the graph node drops. Only
-    // backward reads it, so a non-recording call keeps it empty. The
-    // kernel stores every (t, ni) vector of it, pad lanes included, so it
-    // is checked out for overwrite.
-    let mut h_traj =
-        peb_pool::PoolBuf::<f32>::for_overwrite(if record { groups * group_traj } else { 0 });
-    let mut y = Tensor::for_overwrite(&[l, ch]);
-    {
-        // Channel groups are independent: the t-recurrence runs
-        // sequentially per group while groups fan out over the pool.
-        // Every y/h_traj position belongs to exactly one group, so the
-        // result is thread-count independent.
-        let yslots = peb_par::UnsafeSlice::new(y.data_mut());
-        let hslots = peb_par::UnsafeSlice::new(&mut h_traj);
-        let group_cost = 12 * (LANES * l * n) as u64;
-        peb_par::parallel_chunks_cost(groups, groups.div_ceil(8), group_cost, |chunk| {
-            let mut h = peb_pool::PoolBuf::<f32>::zeroed(n * LANES);
-            let mut apack = peb_pool::PoolBuf::<f32>::cleared(n * LANES);
-            for gi in chunk {
-                let view = GroupView::new(dims, gi, [ud, dd]);
-                let ci0 = gi * LANES;
-                peb_simd::scan::pack_a_lanes8(ad, n, ci0, view.geom.lanes, &mut apack);
-                let skip8 = skip_lanes(skip, ci0);
-                h.fill(0.0);
-                // SAFETY: group gi owns trajectory block gi.
-                let traj = record
-                    .then(|| unsafe { hslots.slice_mut(gi * group_traj..(gi + 1) * group_traj) });
-                let ops = peb_simd::scan::LaneOperands {
-                    u: view.input(0),
-                    delta: view.input(1),
-                    a_pack: &apack,
-                    b: bd,
-                    c: cd,
-                    skip8: &skip8,
-                };
-                let mut tail = view.scratch();
-                let tail_slots = tail.as_deref_mut().map(|t| peb_par::UnsafeSlice::new(t));
-                // SAFETY: the group owns y columns ci0..ci0+8 (or its own
-                // tail scratch); groups are disjoint.
-                unsafe {
-                    peb_simd::scan::scan_forward_lanes8(
-                        view.geom,
-                        ops,
-                        &mut h,
-                        tail_slots.as_ref().unwrap_or(&yslots),
-                        traj,
-                    );
-                }
-                if let Some(tail) = &tail {
-                    // SAFETY: the tail group owns columns ci0..ch.
-                    unsafe { store_tail(tail, &yslots, ch, ci0) };
-                }
-            }
-        });
-    }
-    (y, h_traj)
-}
-
-/// The gradients of `[u, Δ, a, b, c, d]` for the output gradient `g`.
-fn scan_backward(g: &Tensor, ops: [&Tensor; 6], h_traj: &[f32], dims: Dims) -> Vec<Tensor> {
-    let (l, ch, n, _) = dims;
-    let _span = peb_obs::span("scan.bwd");
-    peb_obs::count(peb_obs::Counter::ScanLanes, ch as u64);
-    let gd = g.data();
-    let [ud, dd, ad, bd, cd, skip] = ops.map(Tensor::data);
-    let groups = ch.div_ceil(LANES);
-    let group_traj = l * n * LANES;
-    let ln = l * n;
-    let mut du = Tensor::zeros(&[l, ch]);
-    let mut ddelta = Tensor::zeros(&[l, ch]);
-    let mut da = Tensor::zeros(&[ch, n]);
-    let mut db = Tensor::zeros(&[l, n]);
-    let mut dc = Tensor::zeros(&[l, n]);
-    let mut dskip = Tensor::zeros(&[ch]);
-    // du/ddelta/da/dskip are per-channel disjoint, so groups write them
-    // directly. db and dc reduce *across* channels: each group sums its
-    // lanes into its own `[db | dc]` partial of one pooled
-    // `[groups, 2·L·N]` buffer, and the partials are summed in ascending
-    // group order below — group boundaries depend only on `ch`, so the
-    // reduction order (and bits) are identical at any thread count.
-    let mut partials = peb_pool::PoolBuf::<f32>::zeroed(groups * 2 * ln);
-    {
-        let duslots = peb_par::UnsafeSlice::new(du.data_mut());
-        let ddslots = peb_par::UnsafeSlice::new(ddelta.data_mut());
-        let daslots = peb_par::UnsafeSlice::new(da.data_mut());
-        let dsslots = peb_par::UnsafeSlice::new(dskip.data_mut());
-        let pslots = peb_par::UnsafeSlice::new(&mut partials);
-        // Calibrated in time rather than counted: a group costs ≈ 10 ns
-        // per (t, state) on a 2-vCPU AVX2 box, and a call under ≈ 30 µs
-        // runs faster inline (L = 64 × 48 channels: 28 µs inline, 34 µs
-        // forked over two threads), while L = 256 × 36 still gains from
-        // the split (101 → 78 µs).
-        let group_cost = 16 * (l * n) as u64;
-        peb_par::parallel_chunks_cost(groups, groups.div_ceil(8), group_cost, |chunk| {
-            let mut dh = peb_pool::PoolBuf::<f32>::zeroed(n * LANES);
-            let mut apack = peb_pool::PoolBuf::<f32>::cleared(n * LANES);
-            let mut da8 = peb_pool::PoolBuf::<f32>::zeroed(n * LANES);
-            for gi in chunk {
-                let view = GroupView::new(dims, gi, [ud, dd, gd]);
-                let (ci0, lanes) = (gi * LANES, view.geom.lanes);
-                peb_simd::scan::pack_a_lanes8(ad, n, ci0, lanes, &mut apack);
-                let skip8 = skip_lanes(skip, ci0);
-                da8.fill(0.0);
-                let mut dskip8 = [0f32; LANES];
-                // SAFETY: group gi owns partial block gi.
-                let part = unsafe { pslots.slice_mut(gi * 2 * ln..(gi + 1) * 2 * ln) };
-                let (dbp, dcp) = part.split_at_mut(ln);
-                let ops = peb_simd::scan::LaneOperands {
-                    u: view.input(0),
-                    delta: view.input(1),
-                    a_pack: &apack,
-                    b: bd,
-                    c: cd,
-                    skip8: &skip8,
-                };
-                let (mut du_tail, mut dd_tail) = (view.scratch(), view.scratch());
-                let du_tail_slots = du_tail.as_deref_mut().map(|t| peb_par::UnsafeSlice::new(t));
-                let dd_tail_slots = dd_tail.as_deref_mut().map(|t| peb_par::UnsafeSlice::new(t));
-                let grads = peb_simd::scan::LaneGrads {
-                    du: du_tail_slots.as_ref().unwrap_or(&duslots),
-                    ddelta: dd_tail_slots.as_ref().unwrap_or(&ddslots),
-                    da: &mut da8,
-                    dskip: &mut dskip8,
-                    db: dbp,
-                    dc: dcp,
-                };
-                let traj = &h_traj[gi * group_traj..(gi + 1) * group_traj];
-                // SAFETY: the group owns du/ddelta columns ci0..ci0+8 (or
-                // its own tail scratch); groups are disjoint.
-                unsafe {
-                    peb_simd::scan::scan_backward_lanes8(
-                        view.geom,
-                        ops,
-                        view.input(2),
-                        traj,
-                        &mut dh,
-                        grads,
-                    );
-                }
-                if let (Some(du_tail), Some(dd_tail)) = (&du_tail, &dd_tail) {
-                    // SAFETY: the tail group owns columns ci0..ch.
-                    unsafe {
-                        store_tail(du_tail, &duslots, ch, ci0);
-                        store_tail(dd_tail, &ddslots, ch, ci0);
-                    }
-                }
-                for j in 0..lanes {
-                    let ci = ci0 + j;
-                    // SAFETY: the group owns dskip[ci] and da row ci.
-                    unsafe {
-                        *dsslots.get_mut(ci) = dskip8[j];
-                        for ni in 0..n {
-                            *daslots.get_mut(ci * n + ni) = da8[ni * LANES + j];
-                        }
-                    }
-                }
-            }
-        });
-    }
-    let (dbd, dcd) = (db.data_mut(), dc.data_mut());
-    for part in partials.chunks_exact(2 * ln) {
-        // Exact lane adds in ascending group order — bitwise identical at
-        // any dispatch level.
-        let (dbp, dcp) = part.split_at(ln);
-        peb_simd::elementwise::vadd_assign(dbd, dbp);
-        peb_simd::elementwise::vadd_assign(dcd, dcp);
-    }
-    vec![du, ddelta, da, db, dc, dskip]
 }
 
 #[cfg(test)]
@@ -435,7 +197,7 @@ mod tests {
     }
 
     /// The per-lane scalar recurrence every lane ran before the lane
-    /// kernels — the ragged tail's loop until it was padded — with the
+    /// kernels — the ragged tail's loop until it joined them — with the
     /// trajectory in its per-lane `[(t·ch + ci)·n + ni]` layout.
     fn oracle_forward(o: &Operands) -> (Vec<f32>, Vec<f32>) {
         let (l, ch, n) = (o.u.shape()[0], o.u.shape()[1], o.a.shape()[1]);
@@ -531,8 +293,8 @@ mod tests {
 
     #[test]
     fn scalar_level_matches_the_per_lane_oracles_bitwise() {
-        // Padding is exact at the scalar level: every width — one
-        // group, padded tails of 1..7 lanes, several groups — reproduces
+        // Pad lanes are exact at the scalar level: every width — one
+        // group, ragged tails of 1..7 lanes, several groups — reproduces
         // the per-lane loops to the bit, except that several groups
         // regroup the cross-channel db/dc sums.
         let names = ["du", "ddelta", "da", "db", "dc", "dskip"];
@@ -613,7 +375,7 @@ mod tests {
     #[test]
     fn walked_scan_is_the_forward_scan_scattered_back_bitwise() {
         // y, and all six gradients of a canonical-order output gradient,
-        // every direction, a padded tail and several groups, at every
+        // every direction, a ragged tail and several groups, at every
         // level and at 1, 3 and 7 threads.
         let dims = (3, 2, 5);
         let (l, n) = (30, 5);
@@ -653,7 +415,7 @@ mod tests {
 
     #[test]
     fn non_recording_scan_is_bitwise_the_recording_one() {
-        // 19 channels: two full lane groups plus a padded tail, all of
+        // 19 channels: two full lane groups plus a ragged tail, all of
         // which skip the trajectory when nothing records.
         let o = operands(13, 19, 5, 36);
         let with_trainable_u = || {

@@ -308,34 +308,26 @@ fn chunk_count(total: usize, chunk: usize) -> usize {
     total.div_ceil(fixed_chunk(total, chunk))
 }
 
-/// Runs `f(range)` over fixed `chunk`-sized slices of `0..total` in
-/// parallel.
+/// Runs `f(range)` over fixed `chunk`-sized slices of `0..total`, in
+/// parallel unless the estimated work (`total` × `cost_per_item` scalar
+/// ops) falls below [`MIN_PARALLEL_WORK`]: such a loop runs its chunks
+/// inline in ascending order — same boundaries, same bits, no pool
+/// overhead.
 ///
 /// `f` must only write state disjoint per range (the caller's contract);
 /// under that contract the result is bitwise identical at any thread
 /// count.
-pub fn parallel_chunks(total: usize, chunk: usize, f: impl Fn(Range<usize>) + Sync) {
-    chunks_impl(total, chunk, false, f)
-}
-
-/// [`parallel_chunks`] with a per-item cost hint (estimated scalar ops per
-/// item): loops whose total work falls below [`MIN_PARALLEL_WORK`] run
-/// their chunks inline in ascending order — same boundaries, same bits,
-/// no pool overhead.
 pub fn parallel_chunks_cost(
     total: usize,
     chunk: usize,
     cost_per_item: u64,
     f: impl Fn(Range<usize>) + Sync,
 ) {
-    chunks_impl(total, chunk, below_parallel_cutoff(total, cost_per_item), f)
-}
-
-fn chunks_impl(total: usize, chunk: usize, sequential: bool, f: impl Fn(Range<usize>) + Sync) {
     if total == 0 {
         return;
     }
     let c = fixed_chunk(total, chunk);
+    let sequential = below_parallel_cutoff(total, cost_per_item);
     run_maybe_parallel(chunk_count(total, chunk), sequential, &|i| {
         let start = i * c;
         f(start..(start + c).min(total));
@@ -345,7 +337,7 @@ fn chunks_impl(total: usize, chunk: usize, sequential: bool, f: impl Fn(Range<us
 /// Splits `data` into fixed `chunk`-sized sub-slices and runs
 /// `f(offset, sub_slice)` on each, in parallel unless the estimated work
 /// (`data.len()` × `cost_per_item` scalar ops) falls below
-/// [`MIN_PARALLEL_WORK`]; see [`parallel_chunks_cost`].
+/// [`MIN_PARALLEL_WORK`], as in [`parallel_chunks_cost`].
 pub fn parallel_chunks_mut_cost<T: Send>(
     data: &mut [T],
     chunk: usize,
@@ -461,7 +453,7 @@ mod tests {
         {
             let slice = UnsafeSlice::new(&mut hits);
             with_thread_count(4, || {
-                parallel_chunks(1337, 1337usize.div_ceil(64), |r| {
+                parallel_chunks_cost(1337, 1337usize.div_ceil(64), MIN_PARALLEL_WORK, |r| {
                     for i in r {
                         // SAFETY: chunks are disjoint; `i` is in range.
                         unsafe { *slice.get_mut(i) += 1 };
@@ -480,7 +472,7 @@ mod tests {
                 {
                     let slice = UnsafeSlice::new(&mut cover);
                     with_thread_count(3, || {
-                        parallel_chunks(total, chunk, |r| {
+                        parallel_chunks_cost(total, chunk, MIN_PARALLEL_WORK, |r| {
                             for i in r {
                                 // SAFETY: the chunks partition `0..total`.
                                 unsafe { *slice.get_mut(i) += 1 };
@@ -519,7 +511,7 @@ mod tests {
             {
                 let slots = UnsafeSlice::new(&mut partials);
                 with_thread_count(threads, || {
-                    parallel_chunks(total, chunk, |r| {
+                    parallel_chunks_cost(total, chunk, MIN_PARALLEL_WORK, |r| {
                         let mut acc = 0f32;
                         for i in r.clone() {
                             acc += (i as f32).sqrt() * 1e-3;
@@ -540,7 +532,7 @@ mod tests {
         {
             let slice = UnsafeSlice::new(&mut out);
             with_thread_count(4, || {
-                parallel_chunks(64, 8, |r| {
+                parallel_chunks_cost(64, 8, MIN_PARALLEL_WORK, |r| {
                     // Nested call: must run inline, on this chunk's
                     // thread, without deadlocking.
                     let outer = std::thread::current().id();
@@ -561,7 +553,7 @@ mod tests {
     fn panics_propagate_to_the_caller() {
         let result = std::panic::catch_unwind(|| {
             with_thread_count(4, || {
-                parallel_chunks(100, 1, |r| {
+                parallel_chunks_cost(100, 1, MIN_PARALLEL_WORK, |r| {
                     if r.start == 57 {
                         panic!("boom");
                     }
@@ -584,7 +576,7 @@ mod tests {
 
     #[test]
     fn zero_total_is_a_no_op() {
-        parallel_chunks(0, 8, |_| panic!("must not run"));
+        parallel_chunks_cost(0, 8, MIN_PARALLEL_WORK, |_| panic!("must not run"));
         parallel_chunks_mut_cost(&mut [] as &mut [u8], 8, 1, |_, _| panic!("must not run"));
     }
 
@@ -632,7 +624,7 @@ mod tests {
             let lens = Mutex::new(Vec::new());
             with_thread_count(4, || {
                 let slice = UnsafeSlice::new(&mut plain);
-                parallel_chunks(total, 64, |r| {
+                parallel_chunks_cost(total, 64, MIN_PARALLEL_WORK, |r| {
                     for i in r {
                         // SAFETY: chunks are disjoint; `i` is in range.
                         unsafe { *slice.get_mut(i) = (i as f32).sqrt() };

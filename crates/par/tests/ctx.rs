@@ -22,7 +22,7 @@ fn marked(threads: usize) -> ExecCtx {
 fn observed_by_four_threads() -> Vec<ExecCtx> {
     let rendezvous = Barrier::new(4);
     let seen = Mutex::new(Vec::new());
-    peb_par::parallel_chunks(4, 1, |_| {
+    peb_par::parallel_chunks_cost(4, 1, peb_par::MIN_PARALLEL_WORK, |_| {
         seen.lock().expect("seen lock").push(ctx::current());
         rendezvous.wait();
     });

@@ -76,7 +76,10 @@ impl ServeConfig {
         const COUNT: &str = "a non-negative integer";
         let d = ServeConfig::default();
         let config = ServeConfig {
-            addr: env("PEB_SERVE_ADDR").unwrap_or(d.addr),
+            addr: read_var(&env, "PEB_SERVE_ADDR", "an address", |s| {
+                Some(s.to_string())
+            })?
+            .unwrap_or(d.addr),
             grid: read_var(&env, "PEB_SERVE_GRID", "DxHxW, all positive", parse_grid)?
                 .unwrap_or(d.grid),
             preset: read_var(&env, "PEB_SERVE_MODEL", "tiny|for-grid", |s| match s {
@@ -192,6 +195,11 @@ mod tests {
         assert_eq!(c.grid, (4, 16, 16));
         assert_eq!(c.preset, ModelPreset::ForGrid);
         assert_eq!(c.compute_threads, Some(1));
+        // An empty value counts as unset, as for every variable.
+        assert_eq!(
+            ServeConfig::from_lookup(env(&[("PEB_SERVE_ADDR", "")])),
+            Ok(ServeConfig::default().normalized())
+        );
         let err = ServeConfig::from_lookup(env(&[("PEB_SERVE_THREADS", "0")])).expect_err("zero");
         assert_eq!((err.var, err.value.as_str()), ("PEB_SERVE_THREADS", "0"));
     }

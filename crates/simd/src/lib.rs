@@ -236,6 +236,12 @@ pub(crate) trait Simd8: Copy {
     fn load(src: &[f32]) -> Self;
     /// Stores lanes into `dst[0..8]`.
     fn store(self, dst: &mut [f32]);
+    /// Loads lanes `0..lanes` from `src[0..lanes]` and zeros the rest
+    /// (`lanes ≤ 8`), reading no element past `lanes`.
+    fn load_lanes(src: &[f32], lanes: usize) -> Self;
+    /// Stores lanes `0..lanes` into `dst[0..lanes]` (`lanes ≤ 8`), writing
+    /// no element past `lanes`.
+    fn store_lanes(self, dst: &mut [f32], lanes: usize);
     /// Lanewise `self + rhs`.
     fn add(self, rhs: Self) -> Self;
     /// Lanewise `self − rhs`.
@@ -313,6 +319,16 @@ impl Simd8 for ScalarX8 {
     #[inline(always)]
     fn store(self, dst: &mut [f32]) {
         dst[..8].copy_from_slice(&self.0);
+    }
+    #[inline(always)]
+    fn load_lanes(src: &[f32], lanes: usize) -> Self {
+        let mut a = [0f32; 8];
+        a[..lanes].copy_from_slice(&src[..lanes]);
+        ScalarX8(a)
+    }
+    #[inline(always)]
+    fn store_lanes(self, dst: &mut [f32], lanes: usize) {
+        dst[..lanes].copy_from_slice(&self.0[..lanes]);
     }
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
@@ -478,6 +494,22 @@ mod x86 {
             unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
         }
         #[inline(always)]
+        fn load_lanes(src: &[f32], lanes: usize) -> Self {
+            assert!(lanes <= 8 && src.len() >= lanes);
+            // SAFETY: AVX2+FMA as in `lanes!`; the mask enables the
+            // `lanes` floats `src` holds, and a masked-off lane is neither
+            // read nor faults.
+            AvxX8(unsafe { _mm256_maskload_ps(src.as_ptr(), first_lanes(lanes)) })
+        }
+        #[inline(always)]
+        fn store_lanes(self, dst: &mut [f32], lanes: usize) {
+            assert!(lanes <= 8 && dst.len() >= lanes);
+            // SAFETY: AVX2+FMA as in `lanes!`; the mask enables the
+            // `lanes` floats `dst` holds, and a masked-off lane is neither
+            // written nor faults.
+            unsafe { _mm256_maskstore_ps(dst.as_mut_ptr(), first_lanes(lanes), self.0) }
+        }
+        #[inline(always)]
         fn add(self, rhs: Self) -> Self {
             AvxX8(lanes!(_mm256_add_ps(self.0, rhs.0)))
         }
@@ -618,6 +650,15 @@ mod x86 {
                 AvxX8(_mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi))
             })
         }
+    }
+
+    /// The mask of a masked load or store that enables lanes `0..lanes`.
+    #[inline(always)]
+    fn first_lanes(lanes: usize) -> __m256i {
+        lanes!(_mm256_cmpgt_epi32(
+            _mm256_set1_epi32(lanes as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)
+        ))
     }
 
     /// Cephes-style `exp` on 8 lanes (cf. `avx_mathfun`): range-reduce by
@@ -881,6 +922,46 @@ mod tests {
         }
     }
 
+    /// For every `lanes` in `0..=8`: `load_lanes` of exactly `lanes`
+    /// floats, and `store_lanes` of `1.0 ..= 8.0` into eight NaNs, as bits.
+    #[inline(always)]
+    fn partial_lanes<V: Simd8>() -> Vec<[u32; 8]> {
+        let src: [f32; 8] = std::array::from_fn(|i| i as f32 + 1.0);
+        (0..=8)
+            .flat_map(|lanes| {
+                let mut dst = [f32::NAN; 8];
+                V::load(&src).store_lanes(&mut dst, lanes);
+                [V::load_lanes(&src[..lanes], lanes).to_array(), dst]
+            })
+            .map(|a| a.map(f32::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn partial_lanes_touch_only_their_lanes_on_every_backend() {
+        let got = partial_lanes::<ScalarX8>();
+        for lanes in 0..=8 {
+            let lane = |i: usize, pad: f32| if i < lanes { i as f32 + 1.0 } else { pad };
+            let loaded: [f32; 8] = std::array::from_fn(|i| lane(i, 0.0));
+            let stored: [f32; 8] = std::array::from_fn(|i| lane(i, f32::NAN));
+            assert_eq!(got[2 * lanes], loaded.map(f32::to_bits), "load {lanes}");
+            assert_eq!(
+                got[2 * lanes + 1],
+                stored.map(f32::to_bits),
+                "store {lanes}"
+            );
+        }
+        #[cfg(target_arch = "x86_64")]
+        if detected() {
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn run() -> Vec<[u32; 8]> {
+                partial_lanes::<AvxX8>()
+            }
+            // SAFETY: guarded by detected().
+            assert_eq!(unsafe { run() }, got);
+        }
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx_load_and_store_of_a_short_slice_panic_like_the_scalar_backend() {
@@ -902,6 +983,36 @@ mod tests {
             (
                 "avx store",
                 catch_unwind(AssertUnwindSafe(|| AvxX8::zero().store(&mut short))).is_err(),
+            ),
+            (
+                "scalar 8-lane partial load",
+                catch_unwind(|| ScalarX8::load_lanes(&short, 8)).is_err(),
+            ),
+            (
+                "avx 8-lane partial load",
+                catch_unwind(|| AvxX8::load_lanes(&short, 8)).is_err(),
+            ),
+            (
+                "scalar 8-lane partial store",
+                catch_unwind(AssertUnwindSafe(|| {
+                    ScalarX8::zero().store_lanes(&mut short, 8)
+                }))
+                .is_err(),
+            ),
+            (
+                "avx 8-lane partial store",
+                catch_unwind(AssertUnwindSafe(|| {
+                    AvxX8::zero().store_lanes(&mut short, 8)
+                }))
+                .is_err(),
+            ),
+            (
+                "scalar 9-lane partial load",
+                catch_unwind(|| ScalarX8::load_lanes(&[0.0; 9], 9)).is_err(),
+            ),
+            (
+                "avx 9-lane partial load",
+                catch_unwind(|| AvxX8::load_lanes(&[0.0; 9], 9)).is_err(),
             ),
         ] {
             assert!(panicked, "{name} of 7 floats did not panic");

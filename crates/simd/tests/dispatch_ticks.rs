@@ -1,6 +1,7 @@
 //! Every public `peb-simd` entry ticks the `simd_dispatch` counter exactly
 //! once per call on the vector path and never on the scalar path (DESIGN
-//! §9). The counters are process-global, so this binary holds one test.
+//! §9) — the scan entries once per lane group, so once at 8 channels.
+//! The counters are process-global, so this binary holds one test.
 
 use peb_obs::{counter_value, Counter, TraceMode};
 use peb_par::ctx::{at_level, levels};
@@ -9,9 +10,7 @@ use peb_simd::attention::{attention, Heads};
 use peb_simd::conv::{dw3_plane, dw3_weight_grad, Dw3, SubPixel};
 use peb_simd::fused::{vchain, Stage};
 use peb_simd::gemm::{gemm, gemm_cols, Bias};
-use peb_simd::scan::{
-    scan_backward_lanes8, scan_forward_lanes8, Group, LaneGrads, LaneOperands, Walk,
-};
+use peb_simd::scan::{self, Grads, Operands, Walk};
 use peb_simd::thomas::{solve_factored_lines8, solve_factored_rows8};
 use peb_simd::{elementwise as ew, norm, optim, reaction, transpose, Level};
 
@@ -26,6 +25,36 @@ fn ones(len: usize) -> Vec<f32> {
     vec![1.0; len]
 }
 
+/// One call of `scan::forward`, or of `scan::backward` when `backward`,
+/// over `ch` channels (`L = 2`, `N = 2`).
+fn scan_entries(ch: usize, backward: bool) {
+    let (l, n) = (2, 2);
+    let (u, a, bc) = (ones(l * ch), ones(ch * n), ones(l * n));
+    let ops = Operands {
+        u: &u,
+        delta: &u,
+        a: &a,
+        b: &bc,
+        c: &bc,
+        d: &u[..ch],
+        dims: (l, ch, n),
+        walk: Walk::Forward,
+    };
+    if !backward {
+        return scan::forward(ops, &mut ones(l * ch), None);
+    }
+    let traj = ones(scan::trajectory_len(l, ch, n));
+    let grads = Grads {
+        du: &mut ones(l * ch),
+        ddelta: &mut ones(l * ch),
+        da: &mut ones(ch * n),
+        db: &mut ones(l * n),
+        dc: &mut ones(l * n),
+        dskip: &mut ones(ch),
+    };
+    scan::backward(ops, &u, &traj, grads)
+}
+
 /// A public entry by name, and one call of it on small valid inputs.
 type Entry = (&'static str, Box<dyn Fn()>);
 
@@ -37,14 +66,6 @@ fn entries() -> Vec<Entry> {
         h: 3,
         w: 9,
         k: 3,
-    };
-    let scan_geom = Group {
-        l: 2,
-        ch: 8,
-        n: 2,
-        ci0: 0,
-        lanes: 8,
-        walk: Walk::Forward,
     };
     vec![
         ("vaxpy", Box::new(|| ew::vaxpy(&mut ones(9), 0.5, &ones(9)))),
@@ -110,51 +131,8 @@ fn entries() -> Vec<Entry> {
                 reaction::half_step(&mut ones(9), &mut ones(9), &mut ones(9), 1.0, 1.0, 0.1)
             }),
         ),
-        (
-            "scan_forward_lanes8",
-            Box::new(move || {
-                let (u, a, bc) = (ones(16), ones(16), ones(4));
-                let ops = LaneOperands {
-                    u: &u,
-                    delta: &u,
-                    a_pack: &a,
-                    b: &bc,
-                    c: &bc,
-                    skip8: &a[..8],
-                };
-                let mut y = ones(16);
-                let y = UnsafeSlice::new(&mut y);
-                // SAFETY: one group owning all of `y`, one thread.
-                unsafe { scan_forward_lanes8(scan_geom, ops, &mut ones(16), &y, None) }
-            }),
-        ),
-        (
-            "scan_backward_lanes8",
-            Box::new(move || {
-                let (u, a, bc) = (ones(16), ones(16), ones(4));
-                let ops = LaneOperands {
-                    u: &u,
-                    delta: &u,
-                    a_pack: &a,
-                    b: &bc,
-                    c: &bc,
-                    skip8: &a[..8],
-                };
-                let (mut du, mut ddelta) = (ones(16), ones(16));
-                let (du, ddelta) = (UnsafeSlice::new(&mut du), UnsafeSlice::new(&mut ddelta));
-                let grads = LaneGrads {
-                    du: &du,
-                    ddelta: &ddelta,
-                    da: &mut ones(16),
-                    dskip: &mut ones(8),
-                    db: &mut ones(4),
-                    dc: &mut ones(4),
-                };
-                // SAFETY: one group owning all of `du` and `ddelta`, one
-                // thread.
-                unsafe { scan_backward_lanes8(scan_geom, ops, &u, &ones(32), &mut ones(16), grads) }
-            }),
-        ),
+        ("scan::forward", Box::new(|| scan_entries(8, false))),
+        ("scan::backward", Box::new(|| scan_entries(8, true))),
         (
             "solve_factored_lines8",
             Box::new(|| {
@@ -233,6 +211,13 @@ fn every_entry_ticks_once_on_the_vector_path_and_never_on_the_scalar_path() {
                 "{name} at {}",
                 level.name()
             );
+        }
+        // The scan entries tick once per lane group: 20 channels are two
+        // full groups and a 4-lane tail.
+        for backward in [false, true] {
+            let call = || scan_entries(20, backward);
+            let what = format!("20-channel scan (backward: {backward})");
+            assert_eq!(ticks(level, &call), 3 * want, "{what} at {}", level.name());
         }
     }
     peb_obs::set_mode(TraceMode::Off);

@@ -16,7 +16,7 @@
 //! process-default level. On hardware without AVX2+FMA only the scalar
 //! side runs.
 
-use peb_par::ctx::{at_level, levels};
+use peb_par::ctx::{self, at_level, levels, ExecCtx};
 use peb_par::UnsafeSlice;
 use peb_simd::fused::{vchain, Stage};
 use peb_simd::{detected, elementwise as ew, gemm, optim, reaction, scan, thomas, ulp_diff, Level};
@@ -195,45 +195,21 @@ proptest! {
         }
     }
 
-    // -- Scan lane recurrence (tolerance class) -------------------------
+    // -- Scan recurrence (tolerance class) ------------------------------
 
     #[test]
     fn scan_lane_recurrence_tracks_scalar_within_envelope(
         l in 1usize..14,
+        ch in 1usize..21,
         n in 1usize..7,
         seed in 0u32..1000,
     ) {
-        let ch = 8usize; // one full lane group
-        let u = pseudo(l * ch, seed, -1.0, 1.0);
-        let delta = pseudo(l * ch, seed.wrapping_add(1), 0.05, 0.5);
-        let a = pseudo(ch * n, seed.wrapping_add(2), -1.5, -0.2);
-        let b = pseudo(l * n, seed.wrapping_add(3), -1.0, 1.0);
-        let c = pseudo(l * n, seed.wrapping_add(4), -1.0, 1.0);
-        let d = pseudo(ch, seed.wrapping_add(5), -1.0, 1.0);
-        let mut apack = Vec::new();
-        scan::pack_a_lanes8(&a, n, 0, 8, &mut apack);
-        let geom = scan::Group { l, ch, n, ci0: 0, lanes: 8, walk: scan::Walk::Forward };
-        let ops = scan::LaneOperands {
-            u: &u, delta: &delta, a_pack: &apack, b: &b, c: &c, skip8: &d,
-        };
-
-        // `(y, h_traj)` of the one lane group at `level`.
-        let run = |level| {
-            let mut y = vec![0f32; l * ch];
-            let mut traj = vec![0f32; l * ch * n];
-            {
-                let ys = UnsafeSlice::new(&mut y);
-                let mut h = vec![0f32; n * 8];
-                // SAFETY: single-threaded, one group owning everything.
-                at_level(level, || unsafe {
-                    scan::scan_forward_lanes8(geom, ops, &mut h, &ys, Some(&mut traj))
-                });
-            }
-            (y, traj)
-        };
-        let (y_s, t_s) = run(Level::Scalar);
+        // ch covers one group, ragged tails of 1..7 lanes and several
+        // groups.
+        let case = ScanCase::new(l, ch, n, seed);
+        let (y_s, t_s) = at_level(Level::Scalar, || case.forward(true));
         if detected() {
-            let (y_v, t_v) = run(Level::Avx2Fma);
+            let (y_v, t_v) = at_level(Level::Avx2Fma, || case.forward(true));
             // |Δ·a| ≤ 0.75 keeps e ∈ (0.47, 1); states are geometric sums
             // of ≤ l bounded terms, so errors stay near the ULP floor.
             for (i, (w, g)) in y_s.iter().zip(&y_v).enumerate() {
@@ -254,40 +230,19 @@ proptest! {
     #[test]
     fn scan_without_a_trajectory_returns_the_same_y_bitwise(
         l in 1usize..14,
+        ch in 1usize..21,
         n in 1usize..7,
         seed in 0u32..1000,
     ) {
-        let ch = 8usize;
-        let u = pseudo(l * ch, seed, -1.0, 1.0);
-        let delta = pseudo(l * ch, seed.wrapping_add(1), 0.05, 0.5);
-        let a = pseudo(ch * n, seed.wrapping_add(2), -1.5, -0.2);
-        let b = pseudo(l * n, seed.wrapping_add(3), -1.0, 1.0);
-        let c = pseudo(l * n, seed.wrapping_add(4), -1.0, 1.0);
-        let d = pseudo(ch, seed.wrapping_add(5), -1.0, 1.0);
-        let mut apack = Vec::new();
-        scan::pack_a_lanes8(&a, n, 0, 8, &mut apack);
-        let geom = scan::Group { l, ch, n, ci0: 0, lanes: 8, walk: scan::Walk::Forward };
-        let ops = scan::LaneOperands {
-            u: &u, delta: &delta, a_pack: &apack, b: &b, c: &c, skip8: &d,
-        };
-        let run = |level, record: bool| {
-            let mut y = vec![0f32; l * ch];
-            let mut traj = vec![0f32; l * ch * n];
-            let mut h = vec![0f32; n * 8];
-            let ys = UnsafeSlice::new(&mut y);
-            let traj = record.then_some(&mut traj[..]);
-            // SAFETY: single-threaded, one group owning everything.
-            at_level(level, || unsafe {
-                scan::scan_forward_lanes8(geom, ops, &mut h, &ys, traj)
-            });
-            y
-        };
+        let case = ScanCase::new(l, ch, n, seed);
         for level in levels() {
-            assert_bits(&run(level, true), &run(level, false), "y without trajectory")?;
+            let (recorded, _) = at_level(level, || case.forward(true));
+            let (unrecorded, _) = at_level(level, || case.forward(false));
+            assert_bits(&recorded, &unrecorded, "y without trajectory")?;
         }
     }
 
-    // -- Scan adjoint over lane groups, ragged tails padded --------------
+    // -- Scan adjoint, ragged tails loaded in place ----------------------
 
     #[test]
     fn scan_backward_lanes_match_the_per_lane_oracle_at_scalar(
@@ -297,34 +252,11 @@ proptest! {
         seed in 0u32..1000,
     ) {
         // n = 8 runs the whole-block transpose of the lane sums, every
-        // other n its remainder; ch covers one group, padded tails of
+        // other n its remainder; ch covers one group, ragged tails of
         // 1..7 lanes, and several groups.
         let case = ScanCase::new(l, ch, n, seed);
-        let (want_y, want, abs) = case.oracle();
-        let (got_y, got) = case.kernels(Level::Scalar);
-        assert_bits(&want_y, &got_y, "y")?;
-        // Per-channel gradients keep every lane's expression order.
-        for i in [0, 1, 2, 5] {
-            assert_bits(&want[i], &got[i], GRAD_NAMES[i])?;
-        }
-        for i in [3, 4] {
-            if ch <= 8 {
-                // One group: lanes add in the oracle's ascending order.
-                assert_bits(&want[i], &got[i], GRAD_NAMES[i])?;
-            } else {
-                // Several groups regroup the ascending channel sum into
-                // per-group partials; both orders lie within the
-                // recursive-summation bound (ch − 1)·ε·Σ|term| of the
-                // exact sum, so of each other within twice that.
-                for (k, ((w, g), s)) in want[i].iter().zip(&got[i]).zip(&abs[i - 3]).enumerate() {
-                    let bound = 2.0 * ch as f32 * f32::EPSILON * s;
-                    prop_assert!(
-                        (w - g).abs() <= bound,
-                        "{}[{}]: {} vs {} (bound {})", GRAD_NAMES[i], k, w, g, bound
-                    );
-                }
-            }
-        }
+        let (y, grads) = case.kernels(Level::Scalar);
+        case.check_oracle(&y, &grads)?;
     }
 
     #[test]
@@ -338,16 +270,7 @@ proptest! {
             let case = ScanCase::new(l, ch, n, seed);
             let (_, scalar) = case.kernels(Level::Scalar);
             let (_, simd) = case.kernels(Level::Avx2Fma);
-            // The forward test's envelope: the backward's `e` is the same
-            // lane `exp` the AVX forward used.
-            for (name, (want, got)) in GRAD_NAMES.iter().zip(scalar.iter().zip(&simd)) {
-                for (i, (w, g)) in want.iter().zip(got).enumerate() {
-                    prop_assert!(
-                        close(*w, *g, 1024, 1e-4),
-                        "{}[{}]: {} vs {} ({} ulp)", name, i, w, g, ulp_diff(*w, *g)
-                    );
-                }
-            }
+            grads_within_envelope(&scalar, &simd)?;
         }
     }
 
@@ -559,11 +482,35 @@ proptest! {
     }
 }
 
+/// The AVX2 level's scan gradients against the scalar level's, within
+/// the forward's envelope: the backward's `e` is the same lane `exp` the
+/// AVX forward used.
+fn grads_within_envelope(
+    scalar: &[Vec<f32>; 6],
+    simd: &[Vec<f32>; 6],
+) -> Result<(), TestCaseError> {
+    for (name, (want, got)) in GRAD_NAMES.iter().zip(scalar.iter().zip(simd)) {
+        for (i, (w, g)) in want.iter().zip(got).enumerate() {
+            prop_assert!(
+                close(*w, *g, 1024, 1e-4),
+                "{}[{}]: {} vs {} ({} ulp)",
+                name,
+                i,
+                w,
+                g,
+                ulp_diff(*w, *g)
+            );
+        }
+    }
+    Ok(())
+}
+
 /// `[du, ddelta, da, db, dc, dskip]`, the order of [`ScanCase`]'s gradients.
 const GRAD_NAMES: [&str; 6] = ["du", "ddelta", "da", "db", "dc", "dskip"];
 
 /// One selective scan's operands and output gradient `g`, at `[L, ch]`
 /// activations and state size `n`.
+#[derive(Clone)]
 struct ScanCase {
     l: usize,
     ch: usize,
@@ -671,132 +618,202 @@ impl ScanCase {
         (y, [du, ddelta, da, db, dc, dskip], [db_abs, dc_abs])
     }
 
-    /// `y` and the six gradients through the lane kernels at `level`,
-    /// group by group as `peb-mamba` drives them: full groups in place,
-    /// the ragged tail on zero-padded `[L, 8]` copies.
-    fn kernels(&self, level: Level) -> (Vec<f32>, [Vec<f32>; 6]) {
-        let ScanCase { l, ch, n, .. } = *self;
-        let mut y = vec![0f32; l * ch];
-        let [mut du, mut ddelta, mut da, mut db, mut dc, mut dskip] = [
-            vec![0f32; l * ch],
-            vec![0f32; l * ch],
-            vec![0f32; ch * n],
-            vec![0f32; l * n],
-            vec![0f32; l * n],
-            vec![0f32; ch],
-        ];
-        for ci0 in (0..ch).step_by(8) {
-            let lanes = (ch - ci0).min(8);
-            let pad = |x: &[f32]| {
-                let mut p = vec![0f32; l * 8];
-                for t in 0..l {
-                    p[t * 8..t * 8 + lanes].copy_from_slice(&x[t * ch + ci0..t * ch + ci0 + lanes]);
-                }
-                p
-            };
-            let (u8, delta8, g8) = (pad(&self.u), pad(&self.delta), pad(&self.g));
-            let (u, delta, g, geom) = if lanes == 8 {
-                (
-                    &self.u[..],
-                    &self.delta[..],
-                    &self.g[..],
-                    scan::Group {
-                        l,
-                        ch,
-                        n,
-                        ci0,
-                        lanes,
-                        walk: scan::Walk::Forward,
-                    },
-                )
+    /// Checks the scalar level's `y` and gradients against
+    /// [`ScanCase::oracle`]: bitwise, except that several lane groups
+    /// keep `db`/`dc` within the recursive-summation bound.
+    fn check_oracle(&self, y: &[f32], grads: &[Vec<f32>; 6]) -> Result<(), TestCaseError> {
+        let ch = self.ch;
+        let (want_y, want, abs) = self.oracle();
+        assert_bits(&want_y, y, "y")?;
+        // Per-channel gradients keep every lane's expression order.
+        for i in [0, 1, 2, 5] {
+            assert_bits(&want[i], &grads[i], GRAD_NAMES[i])?;
+        }
+        for i in [3, 4] {
+            if ch <= 8 {
+                // One group: lanes add in the oracle's ascending order.
+                assert_bits(&want[i], &grads[i], GRAD_NAMES[i])?;
             } else {
-                (
-                    &u8[..],
-                    &delta8[..],
-                    &g8[..],
-                    scan::Group {
-                        l,
-                        ch: 8,
-                        n,
-                        ci0: 0,
-                        lanes,
-                        walk: scan::Walk::Forward,
-                    },
-                )
-            };
-            let mut apack = Vec::new();
-            scan::pack_a_lanes8(&self.a, n, ci0, lanes, &mut apack);
-            let mut skip8 = [0f32; 8];
-            skip8[..lanes].copy_from_slice(&self.d[ci0..ci0 + lanes]);
-            let ops = scan::LaneOperands {
-                u,
-                delta,
-                a_pack: &apack,
-                b: &self.b,
-                c: &self.c,
-                skip8: &skip8,
-            };
-            // The group's columns of y/du/ddelta: the shared `[L, ch]`
-            // buffers for a full group, `[L, 8]` scratch for the tail.
-            let mut cols = [vec![0f32; l * 8], vec![0f32; l * 8], vec![0f32; l * 8]];
-            let mut traj = vec![0f32; l * n * 8];
-            let (mut dh, mut da8, mut dskip8) = (vec![0f32; n * 8], vec![0f32; n * 8], [0f32; 8]);
-            let (mut dbp, mut dcp) = (vec![0f32; l * n], vec![0f32; l * n]);
-            {
-                let [yc, duc, ddc] = &mut cols;
-                let tail = lanes < 8;
-                let (ys, dus, dds) = if tail {
-                    (
-                        UnsafeSlice::new(yc),
-                        UnsafeSlice::new(duc),
-                        UnsafeSlice::new(ddc),
-                    )
-                } else {
-                    (
-                        UnsafeSlice::new(&mut y),
-                        UnsafeSlice::new(&mut du),
-                        UnsafeSlice::new(&mut ddelta),
-                    )
-                };
-                let mut h = vec![0f32; n * 8];
-                let grads = scan::LaneGrads {
-                    du: &dus,
-                    ddelta: &dds,
-                    da: &mut da8,
-                    dskip: &mut dskip8,
-                    db: &mut dbp,
-                    dc: &mut dcp,
-                };
-                // SAFETY: single-threaded; each group owns its columns.
-                at_level(level, || unsafe {
-                    scan::scan_forward_lanes8(geom, ops, &mut h, &ys, Some(&mut traj));
-                    scan::scan_backward_lanes8(geom, ops, g, &traj, &mut dh, grads);
-                });
+                // Several groups regroup the ascending channel sum into
+                // per-group partials; both orders lie within the
+                // recursive-summation bound (ch − 1)·ε·Σ|term| of the
+                // exact sum, so of each other within twice that.
+                for (k, ((w, g), s)) in want[i].iter().zip(&grads[i]).zip(&abs[i - 3]).enumerate() {
+                    let bound = 2.0 * ch as f32 * f32::EPSILON * s;
+                    prop_assert!(
+                        (w - g).abs() <= bound,
+                        "{}[{}]: {} vs {} (bound {})",
+                        GRAD_NAMES[i],
+                        k,
+                        w,
+                        g,
+                        bound
+                    );
+                }
             }
-            if lanes < 8 {
-                for t in 0..l {
-                    for j in 0..lanes {
-                        y[t * ch + ci0 + j] = cols[0][t * 8 + j];
-                        du[t * ch + ci0 + j] = cols[1][t * 8 + j];
-                        ddelta[t * ch + ci0 + j] = cols[2][t * 8 + j];
+        }
+        Ok(())
+    }
+
+    /// The operands along `walk`, as the scan entries take them.
+    fn operands(&self, walk: scan::Walk) -> scan::Operands<'_> {
+        scan::Operands {
+            u: &self.u,
+            delta: &self.delta,
+            a: &self.a,
+            b: &self.b,
+            c: &self.c,
+            d: &self.d,
+            dims: (self.l, self.ch, self.n),
+            walk,
+        }
+    }
+
+    /// `y` and, when `record`, the state trajectory of `scan::forward`
+    /// in the calling thread's context, both written over NaN.
+    fn forward(&self, record: bool) -> (Vec<f32>, Vec<f32>) {
+        let ScanCase { l, ch, n, .. } = *self;
+        let mut y = vec![f32::NAN; l * ch];
+        let len = if record {
+            scan::trajectory_len(l, ch, n)
+        } else {
+            0
+        };
+        let mut traj = vec![f32::NAN; len];
+        let ops = self.operands(scan::Walk::Forward);
+        scan::forward(ops, &mut y, record.then_some(&mut traj[..]));
+        (y, traj)
+    }
+
+    /// `y` and the six gradients of the output gradient `g` through
+    /// `scan::forward` and `scan::backward` along `walk`, in the calling
+    /// thread's context, every output written over NaN.
+    fn entries(&self, walk: scan::Walk) -> (Vec<f32>, [Vec<f32>; 6]) {
+        let ScanCase { l, ch, n, .. } = *self;
+        let ops = self.operands(walk);
+        let mut y = vec![f32::NAN; l * ch];
+        let mut traj = vec![f32::NAN; scan::trajectory_len(l, ch, n)];
+        scan::forward(ops, &mut y, Some(&mut traj));
+        let mut grads = [l * ch, l * ch, ch * n, l * n, l * n, ch].map(|len| vec![f32::NAN; len]);
+        let [du, ddelta, da, db, dc, dskip] = grads.each_mut().map(Vec::as_mut_slice);
+        let out = scan::Grads {
+            du,
+            ddelta,
+            da,
+            db,
+            dc,
+            dskip,
+        };
+        scan::backward(ops, &self.g, &traj, out);
+        (y, grads)
+    }
+
+    /// [`ScanCase::entries`] along the forward walk at `level`.
+    fn kernels(&self, level: Level) -> (Vec<f32>, [Vec<f32>; 6]) {
+        at_level(level, || self.entries(scan::Walk::Forward))
+    }
+}
+
+/// `y` and the six gradients of `case` along `walk` at `level` and
+/// `threads`.
+fn entries_at(
+    case: &ScanCase,
+    walk: scan::Walk,
+    level: Level,
+    threads: usize,
+) -> (Vec<f32>, [Vec<f32>; 6]) {
+    let at = ExecCtx {
+        level,
+        threads,
+        ..ctx::current()
+    };
+    ctx::with(at, || case.entries(walk))
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn scan_entries_match_the_per_lane_oracle_at_every_width() {
+    // All-tail widths (1, 3, 4, 7), one full group, a full group plus a
+    // tail, and several groups with and without a tail. L·N is long
+    // enough that several groups fan out over the pool both ways.
+    let (l, n) = (512, 5);
+    for ch in [1, 3, 4, 7, 8, 9, 12, 19, 36] {
+        let case = ScanCase::new(l, ch, n, 90 + ch as u32);
+        let mut by_level = Vec::new();
+        for level in levels() {
+            let (y, grads) = entries_at(&case, scan::Walk::Forward, level, 1);
+            for threads in [3, 7] {
+                let (y_t, grads_t) = entries_at(&case, scan::Walk::Forward, level, threads);
+                let what = format!("ch={ch} {} {threads} threads", level.name());
+                assert_eq!(bits(&y), bits(&y_t), "{what}: y");
+                for (name, (one, many)) in GRAD_NAMES.iter().zip(grads.iter().zip(&grads_t)) {
+                    assert_eq!(bits(one), bits(many), "{what}: {name}");
+                }
+            }
+            by_level.push((y, grads));
+        }
+        let (y, scalar) = &by_level[0];
+        case.check_oracle(y, scalar)
+            .unwrap_or_else(|e| panic!("ch={ch} scalar: {e}"));
+        if let Some((_, simd)) = by_level.get(1) {
+            grads_within_envelope(scalar, simd).unwrap_or_else(|e| panic!("ch={ch} avx2: {e}"));
+        }
+    }
+}
+
+/// The rows a gathered copy of `walk`'s order holds at each step, by the
+/// index formulas of the copies the walks replaced (not `Walk::row`).
+fn gathered_rows(walk: scan::Walk, l: usize) -> Vec<usize> {
+    match walk {
+        scan::Walk::Forward => (0..l).collect(),
+        scan::Walk::Reverse { .. } => (0..l).rev().collect(),
+        scan::Walk::DepthInnermost { d, hw } => (0..hw)
+            .flat_map(|p| (0..d).map(move |z| z * hw + p))
+            .collect(),
+    }
+}
+
+#[test]
+fn walked_scan_entries_are_the_forward_walk_scattered_back_bitwise() {
+    // The walk only moves y and g: the forward walk over the same
+    // step-ordered operands, with g gathered into step order and y
+    // scattered back to the walked rows, gives the same bits — y and
+    // all six gradients, every walk, a ragged tail and several groups,
+    // every level, 1, 3 and 7 threads.
+    let (d, hw, n) = (8, 64, 5);
+    let l = d * hw;
+    for ch in [7, 19] {
+        let case = ScanCase::new(l, ch, n, 80 + ch as u32);
+        for walk in [
+            scan::Walk::Forward,
+            scan::Walk::Reverse { len: l },
+            scan::Walk::DepthInnermost { d, hw },
+        ] {
+            let rows = gathered_rows(walk, l);
+            let mut gathered = case.clone();
+            gathered.g = rows
+                .iter()
+                .flat_map(|&r| case.g[r * ch..(r + 1) * ch].to_vec())
+                .collect();
+            for level in levels() {
+                for threads in [1, 3, 7] {
+                    let what = format!("ch={ch} {walk:?} {} {threads} threads", level.name());
+                    let (y, grads) = entries_at(&case, walk, level, threads);
+                    let (y_fwd, want) = entries_at(&gathered, scan::Walk::Forward, level, threads);
+                    let mut want_y = vec![f32::NAN; l * ch];
+                    for (t, &r) in rows.iter().enumerate() {
+                        want_y[r * ch..(r + 1) * ch].copy_from_slice(&y_fwd[t * ch..(t + 1) * ch]);
+                    }
+                    assert_eq!(bits(&y), bits(&want_y), "{what}: y");
+                    for (name, (got, want)) in GRAD_NAMES.iter().zip(grads.iter().zip(&want)) {
+                        assert_eq!(bits(got), bits(want), "{what}: {name}");
                     }
                 }
             }
-            for j in 0..lanes {
-                dskip[ci0 + j] = dskip8[j];
-                for ni in 0..n {
-                    da[(ci0 + j) * n + ni] = da8[ni * 8 + j];
-                }
-            }
-            // Group partials in ascending group order.
-            for (acc, p) in db.iter_mut().zip(&dbp) {
-                *acc += p;
-            }
-            for (acc, p) in dc.iter_mut().zip(&dcp) {
-                *acc += p;
-            }
         }
-        (y, [du, ddelta, da, db, dc, dskip])
     }
 }
 

@@ -251,8 +251,8 @@ impl Tensor {
         let _span = crate::tensor::ew_span("ew.add_upsampled", self.len());
         let (oh, ow) = (h * factor, w * factor);
         let (fine, src) = (self.data(), coarse.data());
-        let mut out = crate::tensor::alloc_cleared(self.len());
-        out.resize(self.len(), 0.0);
+        // Every element is written below: whole planes, whole rows.
+        let mut out = crate::tensor::alloc_for_overwrite(self.len());
         if !out.is_empty() {
             let plane = oh * ow;
             peb_par::parallel_chunks_mut_cost(&mut out, plane_chunk(plane), 2, |at, chunk| {
