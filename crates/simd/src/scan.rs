@@ -18,9 +18,10 @@
 //! group runs its `t`-recurrence sequentially while the groups spread
 //! over the pool in fixed chunks. Every output position belongs to one
 //! group, and the backward's cross-channel `db`/`dc` sums one partial per
-//! group in ascending group order, so the bits are the same at any
-//! thread count. Each group's kernel call ticks `simd_dispatch` once on
-//! the vector path.
+//! group in ascending group order (with `elementwise::vadd_assign`), so
+//! the bits are the same at any thread count. Each group's kernel call
+//! ticks `simd_dispatch` once on the vector path, and so does each of
+//! those adds: two per group past the first.
 //!
 //! Layout contract (`[L, C]` row-major activations, as in `peb-mamba`):
 //!
@@ -28,8 +29,9 @@
 //!   their gradients) at row `t`, and stores `y` (and loads `g`) at row
 //!   `walk.row(t)` of the scan's [`Walk`], so no reordered copy is made;
 //! * lane group `k` is channels `8k..8k + 8`: it loads its columns of
-//!   `u`, `Δ` and `g` in place and stores into its columns of `y`, `du`
-//!   and `dΔ`;
+//!   `u`, `Δ` and `g` in place with the lane trait's partial load, and
+//!   stores into its columns of `y`, `du` and `dΔ` with its partial
+//!   store, eight lanes in a full group;
 //! * `a` is packed per group into `[N][8]` interleaved order, as are the
 //!   running state `h`, the backward's carried `dh` and its `da`
 //!   accumulator;
@@ -38,8 +40,8 @@
 //!   `t`'s `h` as is and the backward loads it as is.
 //!
 //! **Pad lanes.** The last group of a width that is not a multiple of
-//! eight (the ragged tail of `C % 8` lanes) loads its real columns in
-//! place with zeros in the pad lanes, and the pad rows of `a` and the pad
+//! eight (the ragged tail of `C % 8` lanes) loads only its real columns,
+//! with zeros in the pad lanes, and the pad rows of `a` and the pad
 //! skip weights are zero. A pad lane's state and gradients then stay
 //! exactly zero, only the real lanes are stored, and the backward's lane
 //! sums for `db`/`dc` stop at the last real lane.
@@ -111,9 +113,11 @@ pub struct Operands<'a> {
 }
 
 impl Operands<'_> {
-    /// `(L, C, N)`, once every operand's length and the walk are checked.
+    /// `(L, C, N)`, once `C > 0`, every operand's length and the walk are
+    /// checked.
     fn checked_dims(&self) -> (usize, usize, usize) {
         let (l, ch, n) = self.dims;
+        assert!(ch > 0, "a scan has at least one channel");
         for (name, x, len) in [
             ("u", self.u, l * ch),
             ("delta", self.delta, l * ch),
@@ -168,8 +172,8 @@ pub fn trajectory_len(l: usize, ch: usize, n: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics on an operand or output of the wrong length, or a walk that
-/// does not span `L`.
+/// Panics on no channels, an operand or output of the wrong length, or
+/// a walk that does not span `L`.
 pub fn forward(ops: Operands<'_>, y: &mut [f32], traj: Option<&mut [f32]>) {
     let (l, ch, n) = ops.checked_dims();
     assert_eq!(y.len(), l * ch, "scan output y: length");
@@ -207,12 +211,12 @@ pub fn forward(ops: Operands<'_>, y: &mut [f32], traj: Option<&mut [f32]>) {
 ///
 /// with `e` from the forward's lane `exp`. `db` and `dc` sum over the
 /// channels: each group adds its lanes in ascending order from `+0`, and
-/// the group partials are added in ascending group order from `+0`.
+/// the group partials are added in ascending group order.
 ///
 /// # Panics
 ///
-/// Panics on an operand, gradient or trajectory of the wrong length, or
-/// a walk that does not span `L`.
+/// Panics on no channels, an operand, gradient or trajectory of the
+/// wrong length, or a walk that does not span `L`.
 pub fn backward(ops: Operands<'_>, g: &[f32], traj: &[f32], grads: Grads<'_>) {
     let (l, ch, n) = ops.checked_dims();
     let Grads {
@@ -237,9 +241,11 @@ pub fn backward(ops: Operands<'_>, g: &[f32], traj: &[f32], grads: Grads<'_>) {
     }
     let (ln, group_traj) = (l * n, l * n * LANES);
     // du/dΔ/da/dskip are per-channel, so groups write them directly. db
-    // and dc reduce *across* channels: each group writes its lane sums to
-    // its own `[db | dc]` partial, summed below.
-    let mut partials = PoolBuf::<f32>::for_overwrite(ch.div_ceil(LANES) * 2 * ln);
+    // and dc reduce *across* channels: group 0 writes its lane sums to
+    // them, every further group to its own `[db | dc]` partial, added
+    // below.
+    let further = ch.div_ceil(LANES) - 1;
+    let mut partials = PoolBuf::<f32>::for_overwrite(further * 2 * ln);
     {
         let out = ChannelGrads {
             du: UnsafeSlice::new(du),
@@ -247,6 +253,7 @@ pub fn backward(ops: Operands<'_>, g: &[f32], traj: &[f32], grads: Grads<'_>) {
             da: UnsafeSlice::new(da),
             dskip: UnsafeSlice::new(dskip),
         };
+        let (db0, dc0) = (UnsafeSlice::new(db), UnsafeSlice::new(dc));
         let parts = UnsafeSlice::new(&mut partials);
         // Calibrated in time rather than counted: a group costs ≈ 10 ns
         // per (t, state) on a 2-vCPU AVX2 box, and a call under ≈ 30 µs
@@ -254,25 +261,30 @@ pub fn backward(ops: Operands<'_>, g: &[f32], traj: &[f32], grads: Grads<'_>) {
         // forked over two threads), while L = 256 × 36 still gains from
         // the split (101 → 78 µs).
         for_each_group(ch, 16 * ln as u64, 3 * n * LANES, |grp, scratch| {
-            let at = grp.index * 2 * ln;
-            // SAFETY: group `index` owns partial block `index`.
-            let (dbp, dcp) = unsafe { parts.slice_mut(at..at + 2 * ln) }.split_at_mut(ln);
+            // SAFETY: group 0 alone writes db and dc, group `k > 0` alone
+            // partial block `k − 1`.
+            let (dbp, dcp) = unsafe {
+                match grp.index.checked_sub(1) {
+                    None => (db0.slice_mut(0..ln), dc0.slice_mut(0..ln)),
+                    Some(k) => parts
+                        .slice_mut(2 * k * ln..2 * (k + 1) * ln)
+                        .split_at_mut(ln),
+                }
+            };
             let traj = &traj[grp.index * group_traj..][..group_traj];
             // SAFETY: the group owns its channels of `out`; groups are
             // disjoint.
             unsafe { backward_group(ops, grp, g, traj, scratch, &out, dbp, dcp) }
         });
     }
-    // Each entry adds the partials in ascending group order from `+0` —
-    // group boundaries depend only on `C`, so the bits are the same at
-    // any thread count.
-    for (i, (db, dc)) in db.iter_mut().zip(dc.iter_mut()).enumerate() {
-        let (mut sb, mut sc) = (0f32, 0f32);
-        for part in partials.chunks_exact(2 * ln) {
-            sb += part[i];
-            sc += part[ln + i];
-        }
-        (*db, *dc) = (sb, sc);
+    // The further groups' partials are added in ascending group order —
+    // group boundaries depend only on `C`, so the bits are the same at any
+    // thread count. A lane sum starts from `+0`, so it is never −0 and
+    // group 0's stands for `+0 + partial`.
+    for k in 0..further {
+        let (dbp, dcp) = partials[2 * k * ln..2 * (k + 1) * ln].split_at(ln);
+        crate::elementwise::vadd_assign(db, dbp);
+        crate::elementwise::vadd_assign(dc, dcp);
     }
 }
 
@@ -288,27 +300,6 @@ struct Group {
 }
 
 impl Group {
-    /// Vector lanes from the group's columns `x[..lanes]`, zero in the
-    /// pad lanes; a full group loads the exact 8-lane window.
-    #[inline(always)]
-    fn load<V: Simd8>(self, x: &[f32]) -> V {
-        if self.lanes == LANES {
-            V::load(x)
-        } else {
-            V::load_lanes(x, self.lanes)
-        }
-    }
-
-    /// Stores the real lanes of `v` into the group's columns `x[..lanes]`.
-    #[inline(always)]
-    fn store<V: Simd8>(self, v: V, x: &mut [f32]) {
-        if self.lanes == LANES {
-            v.store(x)
-        } else {
-            v.store_lanes(x, self.lanes)
-        }
-    }
-
     /// Packs the group's rows of the `[C, N]` matrix `a` into `out` in
     /// interleaved `[N][8]` order, `out[ni·8 + j] = a[(ci0 + j)·n + ni]`,
     /// with zeros in the pad lanes.
@@ -383,11 +374,11 @@ dispatched! {
         grp.pack_a(a, n, a_pack);
         h.fill(0.0);
         let mut h_traj = h_traj;
-        let skipv: V = grp.load(&d[ci0..ci0 + lanes]);
+        let skipv = V::load_lanes(&d[ci0..ci0 + lanes], lanes);
         for t in 0..l {
             let row = t * ch + ci0;
-            let dtv: V = grp.load(&delta[row..row + lanes]);
-            let utv: V = grp.load(&u[row..row + lanes]);
+            let dtv = V::load_lanes(&delta[row..row + lanes], lanes);
+            let utv = V::load_lanes(&u[row..row + lanes], lanes);
             let dtu = dtv.mul(utv);
             let mut acc = V::zero();
             let mut traj_t = h_traj
@@ -410,7 +401,7 @@ dispatched! {
             let out = walk.row(t) * ch + ci0;
             // SAFETY: the group owns y positions out..out+lanes (caller
             // contract).
-            grp.store(yv, unsafe { y.slice_mut(out..out + lanes) });
+            yv.store_lanes(unsafe { y.slice_mut(out..out + lanes) }, lanes);
         }
     }
 }
@@ -443,14 +434,14 @@ dispatched! {
         grp.pack_a(a, n, a_pack);
         dh.fill(0.0);
         da.fill(0.0);
-        let skipv: V = grp.load(&d[ci0..ci0 + lanes]);
+        let skipv = V::load_lanes(&d[ci0..ci0 + lanes], lanes);
         let mut dskipv = V::zero();
         for t in (0..l).rev() {
             let row = t * ch + ci0;
             let gr = walk.row(t) * ch + ci0;
-            let gy: V = grp.load(&g[gr..gr + lanes]);
-            let dt: V = grp.load(&delta[row..row + lanes]);
-            let ut: V = grp.load(&u[row..row + lanes]);
+            let gy = V::load_lanes(&g[gr..gr + lanes], lanes);
+            let dt = V::load_lanes(&delta[row..row + lanes], lanes);
+            let ut = V::load_lanes(&u[row..row + lanes], lanes);
             dskipv = gy.mul_add(ut, dskipv);
             let mut du_acc = gy.mul(skipv);
             let mut ddt_acc = V::zero();
@@ -496,9 +487,11 @@ dispatched! {
             // zeroed gradient.
             // SAFETY: the group owns du/ddelta positions row..row+lanes
             // (caller contract).
-            grp.store(V::zero().add(du_acc), unsafe { out.du.slice_mut(row..row + lanes) });
+            let du = unsafe { out.du.slice_mut(row..row + lanes) };
+            V::zero().add(du_acc).store_lanes(du, lanes);
             // SAFETY: as above.
-            grp.store(V::zero().add(ddt_acc), unsafe { out.ddelta.slice_mut(row..row + lanes) });
+            let ddelta = unsafe { out.ddelta.slice_mut(row..row + lanes) };
+            V::zero().add(ddt_acc).store_lanes(ddelta, lanes);
         }
         for (j, &ds) in dskipv.to_array()[..lanes].iter().enumerate() {
             let ci = ci0 + j;

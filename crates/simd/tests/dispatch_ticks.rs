@@ -1,6 +1,7 @@
 //! Every public `peb-simd` entry ticks the `simd_dispatch` counter exactly
 //! once per call on the vector path and never on the scalar path (DESIGN
-//! §9) — the scan entries once per lane group, so once at 8 channels.
+//! §9) — the scan entries once per lane group, so once at 8 channels
+//! (plus, in the backward, the cross-group `vadd_assign` calls).
 //! The counters are process-global, so this binary holds one test.
 
 use peb_obs::{counter_value, Counter, TraceMode};
@@ -213,11 +214,18 @@ fn every_entry_ticks_once_on_the_vector_path_and_never_on_the_scalar_path() {
             );
         }
         // The scan entries tick once per lane group: 20 channels are two
-        // full groups and a 4-lane tail.
-        for backward in [false, true] {
+        // full groups and a 4-lane tail. The backward adds each group's
+        // db and dc partials past the first with `vadd_assign`, two more
+        // ticks per such group.
+        for (backward, calls) in [(false, 3), (true, 3 + 2 * 2)] {
             let call = || scan_entries(20, backward);
             let what = format!("20-channel scan (backward: {backward})");
-            assert_eq!(ticks(level, &call), 3 * want, "{what} at {}", level.name());
+            assert_eq!(
+                ticks(level, &call),
+                calls * want,
+                "{what} at {}",
+                level.name()
+            );
         }
     }
     peb_obs::set_mode(TraceMode::Off);
